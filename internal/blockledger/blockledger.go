@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -40,19 +41,16 @@ var ErrUnknownBlock = errors.New("blockledger: unknown block")
 // no longer pending — a duplicate delivery of the same repair ref.
 var ErrReplicaPlaced = errors.New("blockledger: replica already placed")
 
-// replica is one of a block's R slots: the server holding it when placed, or
-// the slot awaiting re-replication when not.
-type replica struct {
-	server tenant.ServerID
-	placed bool
-}
-
 // block is one tracked block. The replica slice never changes length after
 // creation — a slot's index is its stable identity in repair refs.
 type block struct {
 	id        uint64
 	envStrict bool
-	replicas  []replica
+	replicas  []PersistedReplica
+	// epoch is the Reconcile pass that last confirmed the block (0 for a
+	// block this ledger created itself); the pass deletes whatever it did not
+	// stamp. Guarded by the shard lock.
+	epoch uint64
 }
 
 // Repair references one pending replica slot awaiting re-replication.
@@ -114,14 +112,34 @@ func (sh *blockShard) unindexPlaced(server tenant.ServerID, blockID uint64) {
 	}
 }
 
+// indexSlots and unindexSlots add and remove all of a block's placed replicas.
+func (sh *blockShard) indexSlots(b *block) {
+	for slot, r := range b.replicas {
+		if r.Placed {
+			sh.indexPlaced(r.Server, b.id, slot)
+		}
+	}
+}
+
+func (sh *blockShard) unindexSlots(b *block) {
+	for _, r := range b.replicas {
+		if r.Placed {
+			sh.unindexPlaced(r.Server, b.id)
+		}
+	}
+}
+
 // Ledger tracks one datacenter's block placements. Lock order matches
 // internal/ledger: single-block operations take exactly one shard lock;
-// global operations (Rekey, Export, ApplyState) take all shard locks in
+// global operations (Rekey, Walk, Reconcile) take all shard locks in
 // ascending order, then the queue lock if needed.
 type Ledger struct {
 	generation atomic.Uint64
 
 	shards [numShards]blockShard
+
+	// epoch numbers Reconcile passes; it moves with every shard lock held.
+	epoch uint64
 
 	// queueMu guards the FIFO of repair refs. Queue membership is the
 	// "awaiting repair, not yet in flight" subset of pending slots; the
@@ -199,9 +217,9 @@ func (l *Ledger) Create(generation uint64, servers []tenant.ServerID, envStrict 
 		l.stales.Add(1)
 		return 0, ErrStaleGeneration
 	}
-	b := &block{id: sh.newBlockID(shardIdx), envStrict: envStrict, replicas: make([]replica, len(servers))}
+	b := &block{id: sh.newBlockID(shardIdx), envStrict: envStrict, replicas: make([]PersistedReplica, len(servers))}
 	for i, s := range servers {
-		b.replicas[i] = replica{server: s, placed: true}
+		b.replicas[i] = PersistedReplica{Server: s, Placed: true}
 		sh.indexPlaced(s, b.id, i)
 	}
 	sh.blocks[b.id] = b
@@ -229,7 +247,7 @@ func (l *Ledger) Reimage(server tenant.ServerID) int {
 		}
 		for blockID, slot := range hits {
 			b := sh.blocks[blockID]
-			b.replicas[slot].placed = false
+			b.replicas[slot].Placed = false
 			refs = append(refs, Repair{Block: blockID, Replica: slot})
 		}
 		n := int64(len(hits))
@@ -275,7 +293,7 @@ func (l *Ledger) Requeue(r Repair) {
 	sh := &l.shards[shardOf(r.Block)]
 	sh.mu.Lock()
 	b := sh.blocks[r.Block]
-	stillPending := b != nil && r.Replica >= 0 && r.Replica < len(b.replicas) && !b.replicas[r.Replica].placed
+	stillPending := b != nil && r.Replica >= 0 && r.Replica < len(b.replicas) && !b.replicas[r.Replica].Placed
 	sh.mu.Unlock()
 	if !stillPending {
 		return
@@ -301,15 +319,15 @@ func (l *Ledger) Replace(generation uint64, r Repair, server tenant.ServerID) er
 	if b == nil || r.Replica < 0 || r.Replica >= len(b.replicas) {
 		return ErrUnknownBlock
 	}
-	if b.replicas[r.Replica].placed {
+	if b.replicas[r.Replica].Placed {
 		return ErrReplicaPlaced
 	}
 	for i := range b.replicas {
-		if b.replicas[i].placed && b.replicas[i].server == server {
+		if b.replicas[i].Placed && b.replicas[i].Server == server {
 			return fmt.Errorf("blockledger: server %d already holds a replica of block %d", server, r.Block)
 		}
 	}
-	b.replicas[r.Replica] = replica{server: server, placed: true}
+	b.replicas[r.Replica] = PersistedReplica{Server: server, Placed: true}
 	sh.indexPlaced(server, b.id, r.Replica)
 	l.pending.Add(-1)
 	l.placed.Add(1)
@@ -329,8 +347,8 @@ func (l *Ledger) Servers(blockID uint64) (placedServers []tenant.ServerID, pendi
 		return nil, 0, false
 	}
 	for _, r := range b.replicas {
-		if r.placed {
-			placedServers = append(placedServers, r.server)
+		if r.Placed {
+			placedServers = append(placedServers, r.Server)
 		} else {
 			pendingSlots++
 		}
@@ -403,10 +421,10 @@ func (l *Ledger) rekeyBlock(sh *blockShard, b *block, site SiteOf, refs *[]Repai
 			usedCols, usedRows = 0, 0
 		}
 		r := &b.replicas[slot]
-		if !r.placed {
+		if !r.Placed {
 			continue
 		}
-		col, row, env, ok := site(r.server)
+		col, row, env, ok := site(r.Server)
 		violates := !ok
 		if !violates && b.envStrict {
 			for _, e := range usedEnvs {
@@ -420,8 +438,8 @@ func (l *Ledger) rekeyBlock(sh *blockShard, b *block, site SiteOf, refs *[]Repai
 			violates = true
 		}
 		if violates {
-			sh.unindexPlaced(r.server, b.id)
-			r.placed = false
+			sh.unindexPlaced(r.Server, b.id)
+			r.Placed = false
 			*refs = append(*refs, Repair{Block: b.id, Replica: slot})
 			l.placed.Add(-1)
 			l.pending.Add(1)
@@ -476,107 +494,186 @@ func (l *Ledger) Snapshot() Stats {
 	return st
 }
 
-// PersistedReplica is one replica slot in the exported state. Server is
-// meaningless when Placed is false.
+// PersistedReplica is one replica slot, in the ledger and in the exported
+// state alike. Server is meaningless when Placed is false.
 type PersistedReplica struct {
 	Server tenant.ServerID `json:"server"`
 	Placed bool            `json:"placed"`
 }
 
-// PersistedBlock is one block in the exported state.
+// PersistedBlock is one block in the exported state — and the shape Walk
+// lends blocks out in and Reconcile takes them back in.
 type PersistedBlock struct {
 	ID        uint64             `json:"id"`
 	EnvStrict bool               `json:"env_strict,omitempty"`
 	Replicas  []PersistedReplica `json:"replicas"`
 }
 
+// Books is the generation the ledger is keyed to plus its cumulative
+// counters. The gauges (blocks, slots, placed, pending) are not part of it:
+// they are functions of the blocks themselves and recomputed on apply.
+type Books struct {
+	Generation uint64 `json:"generation"`
+	Lost       int64  `json:"lost"`
+	Replaced   int64  `json:"replaced"`
+	Creates    uint64 `json:"creates"`
+	Reimages   uint64 `json:"reimages"`
+}
+
 // State is the full exported ledger: every block plus the cumulative books,
 // shippable over the replication stream and to disk. The repair queue is not
 // exported — it is exactly the pending slots, rebuilt on restore/apply.
 type State struct {
-	Generation uint64           `json:"generation"`
-	Lost       int64            `json:"lost"`
-	Replaced   int64            `json:"replaced"`
-	Creates    uint64           `json:"creates"`
-	Reimages   uint64           `json:"reimages"`
-	Blocks     []PersistedBlock `json:"blocks"`
+	Books
+	Blocks []PersistedBlock `json:"blocks"`
 }
 
-// Export returns a consistent copy of the full ledger state.
-func (l *Ledger) Export() State {
+// Walk is the ledger's one consistent read of its whole state: with every
+// shard lock held it calls begin once with the books and the block count,
+// then visit once per block, in no particular order, so the books and the
+// blocks belong to one instant. Each block's Replicas is the ledger's own
+// slice, lent for the duration of the call: visit may read it (encode it,
+// copy it) but must not keep or modify it. Neither callback may call back
+// into the ledger.
+func (l *Ledger) Walk(begin func(b Books, blocks int), visit func(PersistedBlock)) {
 	l.lockAll()
-	st := State{
+	defer l.unlockAll()
+	n := 0
+	for i := range l.shards {
+		n += len(l.shards[i].blocks)
+	}
+	begin(Books{
 		Generation: l.generation.Load(),
 		Lost:       l.lost.Load(),
 		Replaced:   l.replaced.Load(),
 		Creates:    l.creates.Load(),
 		Reimages:   l.reimages.Load(),
-	}
-	n := 0
-	for i := range l.shards {
-		n += len(l.shards[i].blocks)
-	}
-	st.Blocks = make([]PersistedBlock, 0, n)
+	}, n)
 	for i := range l.shards {
 		for _, b := range l.shards[i].blocks {
-			pb := PersistedBlock{ID: b.id, EnvStrict: b.envStrict, Replicas: make([]PersistedReplica, len(b.replicas))}
-			for j, r := range b.replicas {
-				pb.Replicas[j] = PersistedReplica{Server: r.server, Placed: r.placed}
-			}
-			st.Blocks = append(st.Blocks, pb)
+			visit(PersistedBlock{ID: b.id, EnvStrict: b.envStrict, Replicas: b.replicas})
 		}
 	}
-	l.unlockAll()
+}
+
+// Export returns a consistent copy of the full ledger state: one Walk,
+// copying each block's replica slots out.
+func (l *Ledger) Export() State {
+	var st State
+	l.Walk(func(b Books, blocks int) {
+		st.Books, st.Blocks = b, make([]PersistedBlock, 0, blocks)
+	}, func(pb PersistedBlock) {
+		pb.Replicas = append([]PersistedReplica(nil), pb.Replicas...)
+		st.Blocks = append(st.Blocks, pb)
+	})
 	return st
 }
 
-// ApplyState replaces the ledger's contents with an exported state — the
-// follower's apply path, run on every replication frame. Blocks with a
-// malformed shape (empty, or id routed to the wrong shard) are skipped
-// rather than trusted; the books are recomputed from what was actually
-// applied so the invariant holds even against a lying peer.
-func (l *Ledger) ApplyState(st State) {
+// Changed counts what one Reconcile did to the block map: blocks it did not
+// hold and inserted, blocks whose replica slots differed and were rewritten,
+// and held blocks absent from the new state and deleted.
+type Changed struct {
+	Inserted, Rewritten, Deleted int
+}
+
+// Reconcile makes the ledger's contents equal to an exported state, in
+// place — the follower's apply path, run on every replication frame, and
+// what ApplyState does with a State. The incoming state is b plus n blocks,
+// pulled one at a time through blockAt (whose Replicas may point into storage
+// the caller reuses: Reconcile copies what it keeps). The caller must have
+// validated the whole state first, because the first call to blockAt may
+// already mutate: that is how a frame stays all-or-nothing.
+//
+// A block already held with identical replica slots is left alone, so a
+// steady-state beat allocates nothing; only a block that is new, or whose
+// slots differ, touches the server index, and the repair queue is re-derived
+// only when a pending slot appeared, moved or went away. Blocks with a
+// malformed shape (zero id, no replicas) and repeated ids are skipped rather
+// than trusted; the gauges are recomputed from what was actually applied so
+// the invariant holds even against a lying peer. blockAt must not call back
+// into the ledger.
+func (l *Ledger) Reconcile(b Books, n int, blockAt func(i int) PersistedBlock) Changed {
 	l.lockAll()
-	for i := range l.shards {
-		sh := &l.shards[i]
-		clear(sh.blocks)
-		clear(sh.byServer)
-	}
-	var slots, placed, pending int64
-	var blocks int64
-	for _, pb := range st.Blocks {
+	l.epoch++
+	var ch Changed
+	var blocks, slots, pending int64
+	requeue := false // some pending slot appeared, moved or went away
+	for i := 0; i < n; i++ {
+		pb := blockAt(i)
 		if pb.ID == 0 || len(pb.Replicas) == 0 {
 			continue
 		}
 		sh := &l.shards[shardOf(pb.ID)]
-		if _, dup := sh.blocks[pb.ID]; dup {
-			continue
+		blk := sh.blocks[pb.ID]
+		if blk != nil && blk.epoch == l.epoch {
+			continue // the state names this id twice; the first one stands
 		}
-		b := &block{id: pb.ID, envStrict: pb.EnvStrict, replicas: make([]replica, len(pb.Replicas))}
-		for j, pr := range pb.Replicas {
-			b.replicas[j] = replica{server: pr.Server, placed: pr.Placed}
-			if pr.Placed {
-				sh.indexPlaced(pr.Server, b.id, j)
-				placed++
-			} else {
-				pending++
-			}
+		awaiting := pendingSlots(pb.Replicas)
+		switch {
+		case blk == nil:
+			blk = &block{id: pb.ID, replicas: append([]PersistedReplica(nil), pb.Replicas...)}
+			sh.blocks[pb.ID] = blk
+			sh.indexSlots(blk)
+			ch.Inserted++
+			requeue = requeue || awaiting > 0
+		case !slices.Equal(blk.replicas, pb.Replicas):
+			sh.unindexSlots(blk)
+			blk.replicas = append(blk.replicas[:0], pb.Replicas...)
+			sh.indexSlots(blk)
+			ch.Rewritten++
+			requeue = true
 		}
-		sh.blocks[b.id] = b
+		blk.envStrict = pb.EnvStrict
+		blk.epoch = l.epoch
 		blocks++
 		slots += int64(len(pb.Replicas))
+		pending += awaiting
+	}
+	held := 0
+	for i := range l.shards {
+		held += len(l.shards[i].blocks)
+	}
+	if int64(held) != blocks {
+		for i := range l.shards {
+			sh := &l.shards[i]
+			for id, blk := range sh.blocks {
+				if blk.epoch != l.epoch {
+					sh.unindexSlots(blk)
+					delete(sh.blocks, id)
+					ch.Deleted++
+					requeue = requeue || pendingSlots(blk.replicas) > 0
+				}
+			}
+		}
 	}
 	l.blocks.Store(blocks)
 	l.slots.Store(slots)
-	l.placed.Store(placed)
+	l.placed.Store(slots - pending)
 	l.pending.Store(pending)
-	l.lost.Store(st.Lost)
-	l.replaced.Store(st.Replaced)
-	l.creates.Store(st.Creates)
-	l.reimages.Store(st.Reimages)
-	l.generation.Store(st.Generation)
+	l.lost.Store(b.Lost)
+	l.replaced.Store(b.Replaced)
+	l.creates.Store(b.Creates)
+	l.reimages.Store(b.Reimages)
+	l.generation.Store(b.Generation)
 	l.unlockAll()
-	l.rebuildQueue()
+	if requeue {
+		l.rebuildQueue()
+	}
+	return ch
+}
+
+func pendingSlots(replicas []PersistedReplica) (n int64) {
+	for _, r := range replicas {
+		if !r.Placed {
+			n++
+		}
+	}
+	return n
+}
+
+// ApplyState is Reconcile fed from an exported State.
+func (l *Ledger) ApplyState(st State) {
+	l.Reconcile(st.Books, len(st.Blocks), func(i int) PersistedBlock { return st.Blocks[i] })
 }
 
 // rebuildQueue re-derives the repair queue from the pending slots — the
@@ -588,7 +685,7 @@ func (l *Ledger) rebuildQueue() {
 	for i := range l.shards {
 		for _, b := range l.shards[i].blocks {
 			for slot := range b.replicas {
-				if !b.replicas[slot].placed {
+				if !b.replicas[slot].Placed {
 					refs = append(refs, Repair{Block: b.id, Replica: slot})
 				}
 			}

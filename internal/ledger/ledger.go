@@ -15,8 +15,8 @@
 // of its first granted class, and its id carries the shard index in its low
 // bits so Release and Renew route without a global lock. Reserve/Release
 // traffic on different classes therefore never contends on a mutex — only
-// the global operations (Rekey, Export, Snapshot, List) still quiesce the
-// whole ledger, by taking every shard lock in ascending order. Re-keying to
+// the global operations (Rekey, Walk, Reconcile, Snapshot, List) still quiesce
+// the whole ledger, by taking every shard lock in ascending order. Re-keying to
 // a new clustering generation swaps in a freshly summed table while holding
 // all shard locks, and a reservation racing the swap detects it and retries
 // against the new generation instead of landing on the dead table.
@@ -135,8 +135,12 @@ func newTable(generation uint64, numClasses int) *table {
 type lease struct {
 	id        uint64
 	expiresAt time.Time
-	grants    []Grant
+	grants    []Grant // replaced wholesale, never mutated: Walk lends it out
 	meta      Meta
+	// epoch is the Reconcile pass that last confirmed the lease (0 for a
+	// lease this ledger issued itself); the pass deletes whatever it did not
+	// stamp. Guarded by the shard lock.
+	epoch uint64
 }
 
 // numShards is the lease-map shard count: a power of two so the shard index
@@ -187,6 +191,9 @@ type Ledger struct {
 	// table pointer.
 	shards [numShards]leaseShard
 
+	// epoch numbers Reconcile passes; it moves with every shard lock held.
+	epoch uint64
+
 	// Cumulative counters. The conservation invariant is
 	//   reserved == released + expired + forfeited + outstanding
 	// in exact millicores, where outstanding is the sum over live leases.
@@ -223,7 +230,7 @@ func New(generation uint64, numClasses int) *Ledger {
 }
 
 // lockAll acquires every shard lock in ascending order — the global
-// quiescence point for Rekey, Export, Snapshot, and List.
+// quiescence point for Rekey, Walk, Reconcile, Snapshot, and List.
 func (l *Ledger) lockAll() {
 	for i := range l.shards {
 		l.shards[i].mu.Lock()
@@ -690,7 +697,8 @@ func (l *Ledger) Snapshot() Stats {
 	return st
 }
 
-// PersistedLease is the wire form of one lease for the persistence file.
+// PersistedLease is the wire form of one lease for the persistence file —
+// and the shape Walk lends leases out in and Reconcile takes them back in.
 // JobID/Owner are optional operator metadata; files written before the
 // fields existed restore with them empty.
 type PersistedLease struct {
@@ -701,30 +709,32 @@ type PersistedLease struct {
 	Owner     string    `json:"owner,omitempty"`
 }
 
-// State is the ledger's full persistable state.
-type State struct {
-	Generation      uint64           `json:"generation"`
-	ReservedMillis  int64            `json:"reserved_millis"`
-	ReleasedMillis  int64            `json:"released_millis"`
-	ExpiredMillis   int64            `json:"expired_millis"`
-	ForfeitedMillis int64            `json:"forfeited_millis"`
-	Reserves        uint64           `json:"reserves"`
-	Releases        uint64           `json:"releases"`
-	Renews          uint64           `json:"renews,omitempty"`
-	Expiries        uint64           `json:"expiries"`
-	Conflicts       uint64           `json:"conflicts"`
-	Leases          []PersistedLease `json:"leases"`
+// Books is the generation the ledger is keyed to plus its cumulative
+// conservation counters — everything in the ledger's state except the live
+// leases themselves.
+type Books struct {
+	Generation      uint64 `json:"generation"`
+	ReservedMillis  int64  `json:"reserved_millis"`
+	ReleasedMillis  int64  `json:"released_millis"`
+	ExpiredMillis   int64  `json:"expired_millis"`
+	ForfeitedMillis int64  `json:"forfeited_millis"`
+	Reserves        uint64 `json:"reserves"`
+	Releases        uint64 `json:"releases"`
+	Renews          uint64 `json:"renews,omitempty"`
+	Expiries        uint64 `json:"expiries"`
+	Conflicts       uint64 `json:"conflicts"`
 }
 
-// Export captures the ledger's state for persistence.
-func (l *Ledger) Export() State {
-	l.lockAll()
-	defer l.unlockAll()
-	var count int
-	for i := range l.shards {
-		count += len(l.shards[i].leases)
-	}
-	st := State{
+// State is the ledger's full persistable state.
+type State struct {
+	Books
+	Leases []PersistedLease `json:"leases"`
+}
+
+// loadBooks reads the books; with every shard lock held they belong to the
+// same instant as the lease maps.
+func (l *Ledger) loadBooks() Books {
+	return Books{
 		Generation:      l.tab.Load().generation,
 		ReservedMillis:  l.reservedMillis.Load(),
 		ReleasedMillis:  l.releasedMillis.Load(),
@@ -735,51 +745,114 @@ func (l *Ledger) Export() State {
 		Renews:          l.renews.Load(),
 		Expiries:        l.expiries.Load(),
 		Conflicts:       l.conflicts.Load(),
-		Leases:          make([]PersistedLease, 0, count),
 	}
+}
+
+// storeBooks overwrites the cumulative counters (the generation lives in the
+// table and moves with it).
+func (l *Ledger) storeBooks(b Books) {
+	l.reservedMillis.Store(b.ReservedMillis)
+	l.releasedMillis.Store(b.ReleasedMillis)
+	l.expiredMillis.Store(b.ExpiredMillis)
+	l.forfeitedMillis.Store(b.ForfeitedMillis)
+	l.reserves.Store(b.Reserves)
+	l.releases.Store(b.Releases)
+	l.renews.Store(b.Renews)
+	l.expiries.Store(b.Expiries)
+	l.conflicts.Store(b.Conflicts)
+}
+
+// Walk is the ledger's one consistent read of its whole state: with every
+// shard lock held it calls begin once with the books and the live-lease
+// count, then visit once per live lease, in no particular order. The books
+// and the leases therefore belong to one instant, so conservation holds over
+// what a walk saw. Each lease's Grants is the ledger's own slice, lent for
+// the duration of the call: visit may read it (encode it, copy it) but must
+// not keep or modify it. Neither callback may call back into the ledger.
+func (l *Ledger) Walk(begin func(b Books, leases int), visit func(PersistedLease)) {
+	l.lockAll()
+	defer l.unlockAll()
+	var count int
+	for i := range l.shards {
+		count += len(l.shards[i].leases)
+	}
+	begin(l.loadBooks(), count)
 	for i := range l.shards {
 		for _, ls := range l.shards[i].leases {
-			st.Leases = append(st.Leases, PersistedLease{
-				ID:        ls.id,
-				ExpiresAt: ls.expiresAt,
-				Grants:    append([]Grant(nil), ls.grants...),
-				JobID:     ls.meta.JobID,
-				Owner:     ls.meta.Owner,
-			})
+			visit(PersistedLease{ID: ls.id, ExpiresAt: ls.expiresAt, Grants: ls.grants, JobID: ls.meta.JobID, Owner: ls.meta.Owner})
 		}
 	}
+}
+
+// Export captures the ledger's state for persistence: one Walk, copying each
+// lease's grants out, ordered by id once the locks are released.
+func (l *Ledger) Export() State {
+	var st State
+	l.Walk(func(b Books, leases int) {
+		st.Books, st.Leases = b, make([]PersistedLease, 0, leases)
+	}, func(pl PersistedLease) {
+		pl.Grants = append([]Grant(nil), pl.Grants...)
+		st.Leases = append(st.Leases, pl)
+	})
 	sort.Slice(st.Leases, func(i, j int) bool { return st.Leases[i].ID < st.Leases[j].ID })
 	return st
 }
 
-// ApplyState overwrites the ledger's entire state in place from a
-// replicated primary's Export — the follower-side apply of the replication
-// stream. Unlike Restore it mutates an existing ledger (the shard's ledger
+// Changed counts what one Reconcile did to the lease map: leases it did not
+// hold and inserted, leases whose grants differed and were rewritten, and
+// held leases absent from the new state and deleted. Leases that only moved
+// their expiry or metadata count as none of these.
+type Changed struct {
+	Inserted, Rewritten, Deleted int
+}
+
+// Reconcile makes the ledger's entire state equal to a replicated primary's,
+// in place — the follower-side apply of the replication stream, and what
+// ApplyState does with an exported State. The incoming state is b plus n
+// leases, pulled one at a time through leaseAt (whose Grants may point into
+// storage the caller reuses: Reconcile copies what it keeps). The caller
+// must have validated the whole state first, because the first call to
+// leaseAt may already mutate: that is how a frame stays all-or-nothing.
+//
+// Work is proportional to n for the walk but allocates only for what
+// changed: a lease already held with the same grants has its expiry and
+// metadata overwritten in place; an unknown lease is inserted and a re-keyed
+// one gets a fresh grants slice; held leases the state does not name are
+// deleted. Unlike Restore it mutates an existing ledger (the shard's ledger
 // pointer must stay stable for concurrent readers) and re-keys to whatever
-// generation the state carries: the follower's snapshot apply and ledger
-// apply arrive as one frame, so the generations move together. Grants on
-// classes outside [0, numClasses) are forfeited rather than trusted, exactly
-// as in Restore. Lease ids keep their issuing primary's shard bits, so
-// Release routes identically after a promotion; fresh ids issued after
-// promotion come from this ledger's own CSPRNG streams and are collision-
-// checked against the applied set, so a handoff cannot double-grant an id.
-func (l *Ledger) ApplyState(st State, numClasses int) {
+// generation the books carry: the follower's snapshot apply and ledger apply
+// arrive as one frame, so the generations move together. The per-class table
+// is summed afresh and published with one pointer store at the end, so
+// lock-free readers see the old sums or the new ones, never a mixture.
+// Zero and repeated ids are skipped, and grants on classes outside
+// [0, numClasses) are forfeited rather than trusted, exactly as in Restore —
+// the forfeit is added to the books, which is what keeps them conserved over
+// the leases actually applied. Lease ids keep their issuing primary's shard
+// bits, so Release routes identically after a promotion; fresh ids issued
+// after promotion come from this ledger's own CSPRNG streams and are
+// collision-checked against the applied set, so a handoff cannot
+// double-grant an id. leaseAt must not call back into the ledger.
+func (l *Ledger) Reconcile(b Books, numClasses, n int, leaseAt func(i int) PersistedLease) Changed {
 	l.lockAll()
 	defer l.unlockAll()
-	nt := newTable(st.Generation, numClasses)
-	for i := range l.shards {
-		clear(l.shards[i].leases)
-	}
+	l.epoch++
+	nt := newTable(b.Generation, numClasses)
+	var ch Changed
 	var forfeited int64
-	for _, pl := range st.Leases {
+	applied := 0
+	for i := 0; i < n; i++ {
+		pl := leaseAt(i)
 		if pl.ID == 0 {
 			continue
 		}
 		sh := &l.shards[shardOf(pl.ID)]
-		if _, dup := sh.leases[pl.ID]; dup {
-			continue
+		ls := sh.leases[pl.ID]
+		if ls != nil && ls.epoch == l.epoch {
+			continue // the state names this id twice; the first one stands
 		}
-		grants := make([]Grant, 0, len(pl.Grants))
+		// One pass over the incoming grants books them into the new table and
+		// tells whether the held lease already has exactly the valid ones.
+		valid, same := 0, ls != nil
 		for _, g := range pl.Grants {
 			if g.Millis <= 0 {
 				continue
@@ -788,24 +861,61 @@ func (l *Ledger) ApplyState(st State, numClasses int) {
 				forfeited += g.Millis
 				continue
 			}
-			grants = append(grants, g)
 			nt.alloc[int(g.Class)].Add(g.Millis)
+			if same && (valid >= len(ls.grants) || ls.grants[valid] != g) {
+				same = false
+			}
+			valid++
 		}
-		if len(grants) == 0 {
-			continue
+		if valid == 0 {
+			continue // nothing to hold; a lease held under this id is swept below
 		}
-		sh.leases[pl.ID] = &lease{id: pl.ID, expiresAt: pl.ExpiresAt, grants: grants, meta: Meta{JobID: pl.JobID, Owner: pl.Owner}}
+		// A lease already held as shipped — the steady state — skips this
+		// block and allocates nothing.
+		if same = same && valid == len(ls.grants); !same {
+			if ls == nil {
+				ls = &lease{id: pl.ID}
+				sh.leases[pl.ID] = ls
+				ch.Inserted++
+			} else {
+				ch.Rewritten++
+			}
+			grants := make([]Grant, 0, valid)
+			for _, g := range pl.Grants {
+				if g.Millis > 0 && int(g.Class) >= 0 && int(g.Class) < numClasses {
+					grants = append(grants, g)
+				}
+			}
+			ls.grants = grants
+		}
+		ls.expiresAt = pl.ExpiresAt
+		ls.meta = Meta{JobID: pl.JobID, Owner: pl.Owner}
+		ls.epoch = l.epoch
+		applied++
 	}
-	l.reservedMillis.Store(st.ReservedMillis)
-	l.releasedMillis.Store(st.ReleasedMillis)
-	l.expiredMillis.Store(st.ExpiredMillis)
-	l.forfeitedMillis.Store(st.ForfeitedMillis + forfeited)
-	l.reserves.Store(st.Reserves)
-	l.releases.Store(st.Releases)
-	l.renews.Store(st.Renews)
-	l.expiries.Store(st.Expiries)
-	l.conflicts.Store(st.Conflicts)
+	held := 0
+	for i := range l.shards {
+		held += len(l.shards[i].leases)
+	}
+	if held != applied {
+		for i := range l.shards {
+			for id, ls := range l.shards[i].leases {
+				if ls.epoch != l.epoch {
+					delete(l.shards[i].leases, id)
+					ch.Deleted++
+				}
+			}
+		}
+	}
+	b.ForfeitedMillis += forfeited
+	l.storeBooks(b)
 	l.tab.Store(nt)
+	return ch
+}
+
+// ApplyState is Reconcile fed from an exported State.
+func (l *Ledger) ApplyState(st State, numClasses int) {
+	l.Reconcile(st.Books, numClasses, len(st.Leases), func(i int) PersistedLease { return st.Leases[i] })
 }
 
 // Restore rebuilds a ledger from persisted state, keyed to the given
@@ -819,15 +929,7 @@ func Restore(st State, generation uint64, numClasses int) (*Ledger, error) {
 	}
 	l := New(generation, numClasses)
 	t := l.tab.Load()
-	l.reservedMillis.Store(st.ReservedMillis)
-	l.releasedMillis.Store(st.ReleasedMillis)
-	l.expiredMillis.Store(st.ExpiredMillis)
-	l.forfeitedMillis.Store(st.ForfeitedMillis)
-	l.reserves.Store(st.Reserves)
-	l.releases.Store(st.Releases)
-	l.renews.Store(st.Renews)
-	l.expiries.Store(st.Expiries)
-	l.conflicts.Store(st.Conflicts)
+	l.storeBooks(st.Books)
 	for _, pl := range st.Leases {
 		if pl.ID == 0 {
 			return nil, fmt.Errorf("ledger: zero lease id")

@@ -124,8 +124,7 @@ func TestApplyStateReplicatesBooks(t *testing.T) {
 // forfeited, keeping conservation exact instead of trusting the frame.
 func TestApplyStateForfeitsOutOfRangeClasses(t *testing.T) {
 	st := ledger.State{
-		Generation:     2,
-		ReservedMillis: 3000,
+		Books: ledger.Books{Generation: 2, ReservedMillis: 3000},
 		Leases: []ledger.PersistedLease{
 			{ID: 1, Grants: []ledger.Grant{{Class: 0, Millis: 1000}, {Class: 9, Millis: 2000}}},
 		},

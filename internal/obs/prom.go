@@ -105,16 +105,30 @@ func (p *Prom) Float(name, labels string, v float64) {
 // every sample in buckets 0..i is ≤ le_i and every sample above is > le_i.
 // extraLabels is appended after the le label's comma handling (may be "").
 func (p *Prom) Histogram(name, extraLabels string, h *Histogram) {
+	p.histogram(name, extraLabels, h, func(us uint64) string { return strconv.FormatUint(us, 10) })
+}
+
+// HistogramSeconds writes the same histogram with its bounds and sum in
+// seconds, for metrics named *_seconds. The bounds are the microsecond ones
+// divided by 1e6, so they are as exact as a float64 prints.
+func (p *Prom) HistogramSeconds(name, extraLabels string, h *Histogram) {
+	p.histogram(name, extraLabels, h, func(us uint64) string {
+		return strconv.FormatFloat(float64(us)/1e6, 'g', -1, 64)
+	})
+}
+
+func (p *Prom) histogram(name, extraLabels string, h *Histogram, unit func(us uint64) string) {
 	var counts [HistBuckets]uint64
 	h.BucketCounts(counts[:0])
 	var cum uint64
 	for i := 0; i < HistBuckets; i++ {
 		cum += counts[i]
-		le := strconv.FormatUint(BucketUpperMicros(i), 10)
-		p.bucket(name, extraLabels, le, cum)
+		p.bucket(name, extraLabels, unit(BucketUpperMicros(i)), cum)
 	}
 	p.bucket(name, extraLabels, "+Inf", cum)
-	p.Uint(name+"_sum", extraLabels, h.SumMicros())
+	p.series(name+"_sum", extraLabels)
+	p.buf.WriteString(unit(h.SumMicros()))
+	p.buf.WriteByte('\n')
 	p.Uint(name+"_count", extraLabels, h.Count())
 }
 

@@ -45,6 +45,25 @@ func TestPromHistogramGolden(t *testing.T) {
 		t.Fatalf("histogram rendering drifted:\ngot:\n%s\nwant:\n%s", got, want.String())
 	}
 
+	// The same histogram under a *_seconds name: bounds and sum divided by
+	// 1e6, counts untouched.
+	var ps Prom
+	ps.HistogramSeconds("s", "", &h)
+	for _, line := range []string{
+		`s_bucket{le="0"} 0`,
+		`s_bucket{le="1e-06"} 1`,
+		`s_bucket{le="3e-06"} 2`,
+		`s_bucket{le="0.000127"} 3`,
+		`s_bucket{le="2147.483647"} 3`,
+		`s_bucket{le="+Inf"} 3`,
+		`s_sum 0.000104`,
+		`s_count 3`,
+	} {
+		if !strings.Contains(string(ps.Bytes()), line+"\n") {
+			t.Fatalf("seconds rendering missing %q:\n%s", line, ps.Bytes())
+		}
+	}
+
 	// Spot-pin the load-bearing lines so a future refactor of the loop above
 	// cannot silently agree with a broken implementation.
 	for _, line := range []string{

@@ -5,11 +5,13 @@
 package service_test
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 
 	"harvest/internal/core"
 	"harvest/internal/service"
+	"harvest/internal/wire"
 )
 
 // BenchmarkServiceSelect measures concurrent class selection through the
@@ -151,4 +153,50 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sinkHistogram.Observe(12345)
 	}
+}
+
+// forReplShapes runs f at each standing state the replication benchmarks
+// cover: the benchmark's fleet load (6,000 leases) with a smaller and a larger
+// lease count around it, each without blocks and with the storage load's
+// 30,000.
+func forReplShapes(b *testing.B, f func(b *testing.B, link *replLink)) {
+	for _, leases := range []int{1_000, 6_000, 100_000} {
+		for _, blocks := range []int{0, 30_000} {
+			b.Run(fmt.Sprintf("leases=%d/blocks=%d", leases, blocks), func(b *testing.B) {
+				f(b, loadedLink(b, leases, blocks))
+			})
+		}
+	}
+}
+
+// BenchmarkReplBeatBuild measures the primary's side of a steady-state beat:
+// one walk of each ledger under its shard locks, encoded straight into the
+// reused frame buffer. allocs/op is the number the AllocsPerRun gate in
+// TestReplBeatAllocationBudget pins; B/frame is what goes on the wire.
+func BenchmarkReplBeatBuild(b *testing.B) {
+	forReplShapes(b, func(b *testing.B, link *replLink) {
+		var payload []byte
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_, payload, _ = link.build(b)
+		}
+		b.ReportMetric(float64(len(payload)+wire.HeaderSize), "B/frame")
+	})
+}
+
+// BenchmarkReplBeatApply measures the follower's side: decode the beat into
+// the connection's long-lived message, then reconcile it into ledgers that
+// already hold the same state — the steady state, where nothing is news.
+func BenchmarkReplBeatApply(b *testing.B) {
+	forReplShapes(b, func(b *testing.B, link *replLink) {
+		_, payload, _ := link.build(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := link.follower.ApplyReplFrame(&link.ap, wire.OpReplBeat, payload); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

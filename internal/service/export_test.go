@@ -1,0 +1,33 @@
+package service
+
+import (
+	"harvest/internal/blockledger"
+	"harvest/internal/ledger"
+	"harvest/internal/wire"
+)
+
+// The replication ship and apply paths are unexported; these shims let the
+// external test package drive the real ones frame by frame, without sockets.
+
+// ReplApplier is one follower connection's decode state.
+type ReplApplier = replApplier
+
+// BuildReplFrame is buildReplFrame for a datacenter's shard.
+func (s *Service) BuildReplFrame(dst []byte, dc string, prev *Snapshot) ([]byte, *Snapshot, bool) {
+	return s.buildReplFrame(dst, s.shards[dc], prev)
+}
+
+// ApplyReplFrame is applyReplFrame.
+func (s *Service) ApplyReplFrame(ap *ReplApplier, op wire.Op, payload []byte) error {
+	return s.applyReplFrame(ap, op, payload)
+}
+
+// Ledgers returns a datacenter's allocation and block ledgers.
+func (s *Service) Ledgers(dc string) (*ledger.Ledger, *blockledger.Ledger) {
+	sh := s.shards[dc]
+	return sh.led, sh.blocks
+}
+
+// SetTestHookAfterRekey installs refreshShard's in-the-gap hook. Set it only
+// while no refresh can be running.
+func (s *Service) SetTestHookAfterRekey(hook func()) { s.testHookAfterRekey = hook }

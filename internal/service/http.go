@@ -1161,6 +1161,10 @@ type shardStatsJSON struct {
 	// queue without landing.
 	PlacementRelaxedTotal uint64 `json:"placement_relaxed_total"`
 	RepairFailures        uint64 `json:"repair_failures"`
+	// Repl is the ship/apply loop for this datacenter: frame build time on a
+	// primary, reconcile time and change counts on a follower, last beat size.
+	// ShardReplStats carries its own JSON tags.
+	Repl ShardReplStats `json:"repl"`
 }
 
 // reclusterStatsJSON summarizes the last warm refresh's incremental work.
@@ -1400,6 +1404,7 @@ func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Blocks:                st.Blocks,
 			PlacementRelaxedTotal: st.PlacementRelaxed,
 			RepairFailures:        st.RepairFailures,
+			Repl:                  st.Repl,
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)

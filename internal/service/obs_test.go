@@ -162,8 +162,15 @@ func TestPrometheusExposition(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("/metrics Content-Type = %q, want JSON", ct)
 	}
-	var js map[string]any
+	var js struct {
+		Datacenters map[string]struct {
+			Repl *service.ShardReplStats `json:"repl"`
+		} `json:"datacenters"`
+	}
 	decode(t, body, &js)
+	if js.Datacenters["DC-9"].Repl == nil {
+		t.Fatalf("JSON /metrics has no per-datacenter repl section: %s", body)
+	}
 
 	resp, body = get(t, srv.URL+"/metrics?format=prometheus")
 	if resp.StatusCode != http.StatusOK {
@@ -180,6 +187,14 @@ func TestPrometheusExposition(t *testing.T) {
 		`harvestd_request_latency_microseconds_bucket{endpoint="select",dialect="json",le="+Inf"}`,
 		`harvestd_ledger_active_leases{dc="DC-9"} 1`,
 		`harvestd_snapshot_generation{dc="DC-9"}`,
+		"# TYPE harvestd_repl_build_seconds histogram",
+		`harvestd_repl_build_seconds_bucket{dc="DC-9",le="1e-06"}`,
+		`harvestd_repl_apply_seconds_bucket{dc="DC-9",le="+Inf"} 0`,
+		`harvestd_repl_apply_seconds_sum{dc="DC-9"} 0`,
+		`harvestd_repl_beat_bytes{dc="DC-9"} 0`,
+		`harvestd_repl_apply_changed_total{dc="DC-9",kind="inserted"} 0`,
+		`harvestd_repl_apply_changed_total{dc="DC-9",kind="rewritten"} 0`,
+		`harvestd_repl_apply_changed_total{dc="DC-9",kind="deleted"} 0`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("prometheus exposition missing %q:\n%s", want, text[:min(2000, len(text))])

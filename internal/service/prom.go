@@ -212,6 +212,26 @@ func (a *API) writeProm(w http.ResponseWriter) {
 		p.Uint("harvestd_replication_generation", obs.Labels("dc", dc), gen)
 	}
 
+	// The ship/apply loop per datacenter: what a frame costs the primary to
+	// build and the follower to reconcile, how big the last beat was, and how
+	// little of it was news ("6,000 live, 11 changed" off one scrape).
+	p.Metric("harvestd_repl_build_seconds", "histogram", "Time to build one replication frame (primary side).")
+	p.Metric("harvestd_repl_apply_seconds", "histogram", "Time to reconcile one replication frame into the ledgers (follower side).")
+	for _, row := range rows {
+		if build, apply := a.svc.ReplLatency(row.dc); build != nil {
+			p.HistogramSeconds("harvestd_repl_build_seconds", obs.Labels("dc", row.dc), build)
+			p.HistogramSeconds("harvestd_repl_apply_seconds", obs.Labels("dc", row.dc), apply)
+		}
+	}
+	p.Metric("harvestd_repl_beat_bytes", "gauge", "Size of the last replication beat built or applied.")
+	p.Metric("harvestd_repl_apply_changed_total", "counter", "Leases and blocks a reconcile inserted, rewrote or deleted (follower side).")
+	for _, row := range rows {
+		p.Int("harvestd_repl_beat_bytes", obs.Labels("dc", row.dc), row.st.Repl.BeatBytes)
+		p.Uint("harvestd_repl_apply_changed_total", obs.Labels("dc", row.dc, "kind", "inserted"), row.st.Repl.Inserted)
+		p.Uint("harvestd_repl_apply_changed_total", obs.Labels("dc", row.dc, "kind", "rewritten"), row.st.Repl.Rewritten)
+		p.Uint("harvestd_repl_apply_changed_total", obs.Labels("dc", row.dc, "kind", "deleted"), row.st.Repl.Deleted)
+	}
+
 	w.Header().Set("Content-Type", obs.PromContentType)
 	w.Write(p.Bytes())
 }

@@ -37,10 +37,21 @@ import (
 // summary stats and centroid — steady-state shipping is O(drifted tenants),
 // not O(fleet). A delta whose PrevGeneration does not match the follower
 // exactly drops the connection; the rejoin handshake then gets a full
-// snapshot. The ledger rides along in full on every frame (bounded by live
-// leases), which is what makes promotion safe: the follower's books are a
-// prefix of the primary's, and conservation holds on whatever frame applied
-// last.
+// snapshot. Both ledgers ride along in full on every frame (bounded by live
+// leases and blocks), which is what makes promotion safe: the follower's books
+// are a prefix of the primary's, and conservation holds on whatever frame
+// applied last. They are not copied to get there. The primary walks each
+// ledger once under all of its shard locks — the books and every lease or
+// block read in one cut — and encodes straight into the connection's reused
+// frame buffer (appendLedgerSection, appendBlocksSection). The follower
+// decodes into one long-lived message per connection and, only once the
+// whole frame has decoded cleanly, reconciles it into the ledgers it already
+// holds (replApplier.reconcile): what is already equal is left alone, so a
+// steady-state beat costs a handful of heap objects at either end however
+// many leases it carries. A frame's two sections must be keyed to the frame's
+// own generation; the sender waits out a refresh that has re-keyed the books
+// but not yet published the snapshot, and the receiver refuses a frame that
+// pairs them wrongly.
 type replState struct {
 	// Follower side.
 	primaryID   atomic.Pointer[string]
@@ -248,7 +259,11 @@ func (s *Service) serveReplConn(nc net.Conn) {
 	var buf []byte
 	for {
 		for _, dc := range s.order {
-			frame, next := s.buildReplFrame(buf[:0], s.shards[dc], shipped[dc])
+			frame, next, ok := s.buildReplFrame(buf[:0], s.shards[dc], shipped[dc])
+			buf = frame
+			if !ok {
+				continue // a refresh is mid-publish; this shard skips the tick
+			}
 			nc.SetWriteDeadline(time.Now().Add(replWriteTimeout))
 			if _, err := nc.Write(frame); err != nil {
 				s.repl.shipErrors.Add(1)
@@ -257,7 +272,6 @@ func (s *Service) serveReplConn(nc net.Conn) {
 			}
 			s.repl.framesShipped.Add(1)
 			shipped[dc] = next
-			buf = frame
 		}
 		select {
 		case <-s.stop:
@@ -270,12 +284,45 @@ func (s *Service) serveReplConn(nc net.Conn) {
 // buildReplFrame encodes the next frame for one shard given the snapshot the
 // follower last received: a beat when the generation is unchanged, a delta
 // when the follower is exactly one generation behind, a full snapshot
-// otherwise. Returns the frame and the snapshot it brings the follower to.
-func (s *Service) buildReplFrame(dst []byte, sh *shard, prev *Snapshot) ([]byte, *Snapshot) {
-	snap := sh.snap.Load()
+// otherwise. Returns the frame appended to dst and the snapshot it brings the
+// follower to.
+//
+// A frame must pair a snapshot with books keyed to the same generation, and
+// refreshShard re-keys both ledgers to N+1 before it publishes snapshot N+1.
+// A walk that finds the books ahead of the snapshot it loaded waits for the
+// publish and builds once more; if that still does not pair, ok is false,
+// nothing is to be sent, and the next tick tries again.
+func (s *Service) buildReplFrame(dst []byte, sh *shard, prev *Snapshot) (frame []byte, next *Snapshot, ok bool) {
+	start := time.Now()
+	base := len(dst)
+	var waitUntil time.Time
+	for attempt := 0; attempt < 2; attempt++ {
+		snap := sh.snap.Load()
+		frame, mark := s.beginReplFrame(dst, sh, snap, prev)
+		frame, booksGen := appendLedgerSection(frame, sh.led)
+		if booksGen == snap.Generation {
+			frame, booksGen = appendBlocksSection(frame, sh.blocks)
+		}
+		if booksGen == snap.Generation {
+			frame = wire.EndFrame(frame, mark)
+			sh.replBuild.Observe(time.Since(start))
+			if prev == snap {
+				sh.replBeatBytes.Store(int64(len(frame) - base))
+			}
+			return frame, snap, true
+		}
+		dst = frame[:base]
+		if !sh.awaitPublish(booksGen, &waitUntil) {
+			break
+		}
+	}
+	return dst, prev, false
+}
+
+// beginReplFrame appends the frame's header and everything before its ledger
+// section: usage for a beat, the class list for a snapshot or delta.
+func (s *Service) beginReplFrame(dst []byte, sh *shard, snap, prev *Snapshot) ([]byte, int) {
 	now := time.Now().UnixNano()
-	led := replLedgerOf(sh.led.Export())
-	blocks := replBlocksOf(sh.blocks.Export())
 	usage := s.UsageFor(snap)
 
 	if prev == snap {
@@ -285,13 +332,11 @@ func (s *Service) buildReplFrame(dst []byte, sh *shard, prev *Snapshot) ([]byte,
 			SentUnixNano: now,
 			AsOfSeconds:  sh.rings.Horizon().Seconds(),
 			Usage:        make([]wire.ReplClassUsage, 0, len(snap.Clustering.Classes)),
-			Ledger:       led,
-			Blocks:       blocks,
 		}
 		for _, cls := range snap.Clustering.Classes {
 			m.Usage = append(m.Usage, wire.ReplClassUsage{ID: uint32(cls.ID), Current: usage[cls.ID].CurrentUtilization})
 		}
-		return wire.AppendReplBeat(dst, 0, &m), snap
+		return wire.BeginReplBeat(dst, 0, &m)
 	}
 
 	op := wire.OpReplSnap
@@ -302,8 +347,6 @@ func (s *Service) buildReplFrame(dst []byte, sh *shard, prev *Snapshot) ([]byte,
 		AsOfSeconds:     snap.AsOf.Seconds(),
 		BuiltAtUnixNano: snap.BuiltAt.UnixNano(),
 		Classes:         make([]wire.ReplClass, 0, len(snap.Clustering.Classes)),
-		Ledger:          led,
-		Blocks:          blocks,
 	}
 	if prev != nil && snap.Generation == prev.Generation+1 {
 		op = wire.OpReplDelta
@@ -336,7 +379,62 @@ func (s *Service) buildReplFrame(dst []byte, sh *shard, prev *Snapshot) ([]byte,
 		}
 		m.Classes = append(m.Classes, rc)
 	}
-	return wire.AppendReplSnapshot(dst, op, 0, &m), snap
+	return wire.BeginReplSnapshot(dst, op, 0, &m)
+}
+
+// appendLedgerSection streams the allocation ledger's books and every live
+// lease into the frame from one Walk — read under all of the ledger's shard
+// locks, so the section conserves — and returns the generation the books are
+// keyed to. Grants are encoded from the ledger's own slices; nothing borrowed
+// outlives the walk.
+func appendLedgerSection(dst []byte, led *ledger.Ledger) ([]byte, uint64) {
+	var gen uint64
+	led.Walk(func(b ledger.Books, leases int) {
+		gen = b.Generation
+		dst = wire.AppendReplLedgerHead(dst, &wire.ReplLedger{
+			Generation:      b.Generation,
+			ReservedMillis:  b.ReservedMillis,
+			ReleasedMillis:  b.ReleasedMillis,
+			ExpiredMillis:   b.ExpiredMillis,
+			ForfeitedMillis: b.ForfeitedMillis,
+			Reserves:        b.Reserves,
+			Releases:        b.Releases,
+			Renews:          b.Renews,
+			Expiries:        b.Expiries,
+			Conflicts:       b.Conflicts,
+		}, leases)
+	}, func(pl ledger.PersistedLease) {
+		var expires int64
+		if !pl.ExpiresAt.IsZero() {
+			expires = pl.ExpiresAt.UnixNano()
+		}
+		dst = wire.AppendReplLease(dst, pl.ID, expires, pl.JobID, pl.Owner, len(pl.Grants))
+		for _, g := range pl.Grants {
+			dst = wire.AppendReplGrant(dst, uint32(g.Class), g.Millis)
+		}
+	})
+	return dst, gen
+}
+
+// appendBlocksSection is appendLedgerSection for the block ledger.
+func appendBlocksSection(dst []byte, blocks *blockledger.Ledger) ([]byte, uint64) {
+	var gen uint64
+	blocks.Walk(func(b blockledger.Books, n int) {
+		gen = b.Generation
+		dst = wire.AppendReplBlocksHead(dst, &wire.ReplBlocks{
+			Generation: b.Generation,
+			Lost:       b.Lost,
+			Replaced:   b.Replaced,
+			Creates:    b.Creates,
+			Reimages:   b.Reimages,
+		}, n)
+	}, func(pb blockledger.PersistedBlock) {
+		dst = wire.AppendReplBlock(dst, pb.ID, pb.EnvStrict, len(pb.Replicas))
+		for _, r := range pb.Replicas {
+			dst = wire.AppendReplBlockReplica(dst, int64(r.Server), r.Placed)
+		}
+	})
+	return dst, gen
 }
 
 // sharedPrevClass returns the previous generation's class whose Servers slice
@@ -444,45 +542,63 @@ func (s *Service) runFollower(nc net.Conn, addr string) error {
 	s.repl.primaryID.Store(&pid)
 	slogger.Info("following primary", "primary", pid, "addr", addr)
 
+	var ap replApplier
 	for {
 		nc.SetReadDeadline(time.Now().Add(s.readLiveness()))
 		h, payload, err := wire.ReadFrame(br, &scratch)
 		if err != nil {
 			return err
 		}
-		if err := s.applyReplFrame(h.Op, payload); err != nil {
+		if err := s.applyReplFrame(&ap, h.Op, payload); err != nil {
 			return err
 		}
 	}
 }
 
+// replApplier is one follower connection's decode state: the message every
+// beat decodes into (same-shaped beats reuse its slices, so decoding
+// allocates nothing) and the scratch the reconcile converts one lease's
+// grants or one block's replicas through.
+type replApplier struct {
+	beat     wire.ReplBeat
+	grants   []ledger.Grant
+	replicas []blockledger.PersistedReplica
+}
+
 // applyReplFrame decodes and applies one pushed frame, observing the
 // end-to-end ship+apply lag against the sender's timestamp (the intended
-// deployment shape is scale-out on one machine, so the clocks agree).
-func (s *Service) applyReplFrame(op wire.Op, payload []byte) error {
+// deployment shape is scale-out on one machine, so the clocks agree). The
+// frame is decoded completely, trailing-byte check included, before anything
+// is applied: a truncated frame or a lying count changes nothing.
+func (s *Service) applyReplFrame(ap *replApplier, op wire.Op, payload []byte) error {
 	var sent int64
 	switch op {
 	case wire.OpReplSnap, wire.OpReplDelta:
-		var m wire.ReplSnapshot
-		if err := m.Decode(payload); err != nil {
+		// The snapshot message itself is fresh — applyReplSnapshot keeps its
+		// centroid slices — but its two ledger sections, by far the larger
+		// part, decode into the connection's buffers.
+		m := wire.ReplSnapshot{Ledger: ap.beat.Ledger, Blocks: ap.beat.Blocks}
+		err := m.Decode(payload)
+		if err == nil {
+			err = s.applyReplSnapshot(ap, op == wire.OpReplDelta, &m)
+		}
+		ap.beat.Ledger, ap.beat.Blocks = m.Ledger, m.Blocks
+		if err != nil {
 			return err
 		}
 		sent = m.SentUnixNano
-		if err := s.applyReplSnapshot(op == wire.OpReplDelta, &m); err != nil {
-			return err
-		}
 		if op == wire.OpReplSnap {
 			s.repl.snapsApplied.Add(1)
 		} else {
 			s.repl.deltasApplied.Add(1)
 		}
 	case wire.OpReplBeat:
-		var m wire.ReplBeat
+		m := &ap.beat
 		if err := m.Decode(payload); err != nil {
 			return err
 		}
 		sent = m.SentUnixNano
-		if err := s.applyReplBeat(&m); err != nil {
+		if err := s.applyReplBeat(ap, m, wire.HeaderSize+len(payload)); err != nil {
 			return err
 		}
 		s.repl.beatsApplied.Add(1)
@@ -497,14 +613,27 @@ func (s *Service) applyReplFrame(op wire.Op, payload []byte) error {
 	return nil
 }
 
+// checkBooksGeneration refuses a frame whose ledger or block section is keyed
+// to a generation other than the frame's own: applied, its grants would be
+// checked against the wrong generation's class count.
+func checkBooksGeneration(dc string, frame, led, blocks uint64) error {
+	if led != frame || blocks != frame {
+		return fmt.Errorf("service: %s: frame for generation %d carries books keyed to %d (leases) and %d (blocks)", dc, frame, led, blocks)
+	}
+	return nil
+}
+
 // applyReplSnapshot rebuilds a shard's snapshot from a full or delta frame —
 // the same reassembly path persistence restore uses — and applies the shipped
 // ledger state in place. Ref classes resolve against the follower's current
 // snapshot, which a delta's PrevGeneration must match exactly.
-func (s *Service) applyReplSnapshot(delta bool, m *wire.ReplSnapshot) error {
+func (s *Service) applyReplSnapshot(ap *replApplier, delta bool, m *wire.ReplSnapshot) error {
 	sh, ok := s.shards[m.DC]
 	if !ok {
 		return fmt.Errorf("service: replicated snapshot for unknown datacenter %q", m.DC)
+	}
+	if err := checkBooksGeneration(m.DC, m.Generation, m.Ledger.Generation, m.Blocks.Generation); err != nil {
+		return err
 	}
 	s.repl.applyMu.Lock()
 	defer s.repl.applyMu.Unlock()
@@ -577,8 +706,7 @@ func (s *Service) applyReplSnapshot(delta bool, m *wire.ReplSnapshot) error {
 	snap.BuiltAt = time.Unix(0, m.BuiltAtUnixNano)
 	sh.rings.AdvanceClock(snap.AsOf)
 
-	sh.led.ApplyState(ledgerStateOf(&m.Ledger), len(classes))
-	sh.blocks.ApplyState(blocksStateOf(&m.Blocks))
+	ap.reconcile(sh, &m.Ledger, &m.Blocks, len(classes))
 	sh.snap.Store(snap)
 	s.buildUsageView(sh, snap, usage, sh.rings.TotalSamples())
 	sh.replGen.Store(m.Generation)
@@ -588,10 +716,13 @@ func (s *Service) applyReplSnapshot(delta bool, m *wire.ReplSnapshot) error {
 
 // applyReplBeat refreshes a shard's usage view and ledger books without
 // touching the clustering: same generation, new numbers.
-func (s *Service) applyReplBeat(m *wire.ReplBeat) error {
+func (s *Service) applyReplBeat(ap *replApplier, m *wire.ReplBeat, frameBytes int) error {
 	sh, ok := s.shards[m.DC]
 	if !ok {
 		return fmt.Errorf("service: replicated beat for unknown datacenter %q", m.DC)
+	}
+	if err := checkBooksGeneration(m.DC, m.Generation, m.Ledger.Generation, m.Blocks.Generation); err != nil {
+		return err
 	}
 	s.repl.applyMu.Lock()
 	defer s.repl.applyMu.Unlock()
@@ -612,108 +743,60 @@ func (s *Service) applyReplBeat(m *wire.ReplBeat) error {
 		}
 	}
 	sh.rings.AdvanceClock(time.Duration(m.AsOfSeconds * float64(time.Second)))
-	sh.led.ApplyState(ledgerStateOf(&m.Ledger), len(snap.Clustering.Classes))
-	sh.blocks.ApplyState(blocksStateOf(&m.Blocks))
+	ap.reconcile(sh, &m.Ledger, &m.Blocks, len(snap.Clustering.Classes))
 	s.buildUsageView(sh, snap, usage, sh.rings.TotalSamples())
+	sh.replBeatBytes.Store(int64(frameBytes))
 	sh.replAppliedAt.Store(time.Now().UnixNano())
 	return nil
 }
 
-// replLedgerOf converts an exported ledger state to its wire form.
-func replLedgerOf(st ledger.State) wire.ReplLedger {
-	rl := wire.ReplLedger{
-		Generation:      st.Generation,
-		ReservedMillis:  st.ReservedMillis,
-		ReleasedMillis:  st.ReleasedMillis,
-		ExpiredMillis:   st.ExpiredMillis,
-		ForfeitedMillis: st.ForfeitedMillis,
-		Reserves:        st.Reserves,
-		Releases:        st.Releases,
-		Renews:          st.Renews,
-		Expiries:        st.Expiries,
-		Conflicts:       st.Conflicts,
-		Leases:          make([]wire.ReplLease, 0, len(st.Leases)),
-	}
-	for _, ls := range st.Leases {
-		wl := wire.ReplLease{ID: ls.ID, JobID: ls.JobID, Owner: ls.Owner, Grants: make([]wire.ReplGrant, len(ls.Grants))}
-		if !ls.ExpiresAt.IsZero() {
-			wl.ExpiresUnixNano = ls.ExpiresAt.UnixNano()
+// reconcile brings the shard's two ledgers to the state of a frame's decoded
+// sections, in place, and accounts for the time and the changes. Each lease's
+// grants and each block's replicas pass through the applier's scratch on the
+// way from wire types to ledger types; the ledgers copy what they keep.
+func (ap *replApplier) reconcile(sh *shard, led *wire.ReplLedger, blocks *wire.ReplBlocks, numClasses int) {
+	start := time.Now()
+	lc := sh.led.Reconcile(ledger.Books{
+		Generation:      led.Generation,
+		ReservedMillis:  led.ReservedMillis,
+		ReleasedMillis:  led.ReleasedMillis,
+		ExpiredMillis:   led.ExpiredMillis,
+		ForfeitedMillis: led.ForfeitedMillis,
+		Reserves:        led.Reserves,
+		Releases:        led.Releases,
+		Renews:          led.Renews,
+		Expiries:        led.Expiries,
+		Conflicts:       led.Conflicts,
+	}, numClasses, len(led.Leases), func(i int) ledger.PersistedLease {
+		wl := &led.Leases[i]
+		ap.grants = ap.grants[:0]
+		for _, g := range wl.Grants {
+			ap.grants = append(ap.grants, ledger.Grant{Class: core.ClassID(g.Class), Millis: g.Millis})
 		}
-		for i, g := range ls.Grants {
-			wl.Grants[i] = wire.ReplGrant{Class: uint32(g.Class), Millis: g.Millis}
-		}
-		rl.Leases = append(rl.Leases, wl)
-	}
-	return rl
-}
-
-// ledgerStateOf converts a wire ledger back to the state ApplyState consumes.
-func ledgerStateOf(m *wire.ReplLedger) ledger.State {
-	st := ledger.State{
-		Generation:      m.Generation,
-		ReservedMillis:  m.ReservedMillis,
-		ReleasedMillis:  m.ReleasedMillis,
-		ExpiredMillis:   m.ExpiredMillis,
-		ForfeitedMillis: m.ForfeitedMillis,
-		Reserves:        m.Reserves,
-		Releases:        m.Releases,
-		Renews:          m.Renews,
-		Expiries:        m.Expiries,
-		Conflicts:       m.Conflicts,
-		Leases:          make([]ledger.PersistedLease, 0, len(m.Leases)),
-	}
-	for _, wl := range m.Leases {
-		pl := ledger.PersistedLease{ID: wl.ID, JobID: wl.JobID, Owner: wl.Owner, Grants: make([]ledger.Grant, len(wl.Grants))}
+		pl := ledger.PersistedLease{ID: wl.ID, Grants: ap.grants, JobID: wl.JobID, Owner: wl.Owner}
 		if wl.ExpiresUnixNano != 0 {
 			pl.ExpiresAt = time.Unix(0, wl.ExpiresUnixNano)
 		}
-		for i, g := range wl.Grants {
-			pl.Grants[i] = ledger.Grant{Class: core.ClassID(g.Class), Millis: g.Millis}
+		return pl
+	})
+	bc := sh.blocks.Reconcile(blockledger.Books{
+		Generation: blocks.Generation,
+		Lost:       blocks.Lost,
+		Replaced:   blocks.Replaced,
+		Creates:    blocks.Creates,
+		Reimages:   blocks.Reimages,
+	}, len(blocks.Blocks), func(i int) blockledger.PersistedBlock {
+		wb := &blocks.Blocks[i]
+		ap.replicas = ap.replicas[:0]
+		for _, r := range wb.Replicas {
+			ap.replicas = append(ap.replicas, blockledger.PersistedReplica{Server: tenant.ServerID(r.Server), Placed: r.Placed})
 		}
-		st.Leases = append(st.Leases, pl)
-	}
-	return st
-}
-
-// replBlocksOf converts an exported block-ledger state to its wire form.
-func replBlocksOf(st blockledger.State) wire.ReplBlocks {
-	rb := wire.ReplBlocks{
-		Generation: st.Generation,
-		Lost:       st.Lost,
-		Replaced:   st.Replaced,
-		Creates:    st.Creates,
-		Reimages:   st.Reimages,
-		Blocks:     make([]wire.ReplBlock, 0, len(st.Blocks)),
-	}
-	for _, pb := range st.Blocks {
-		wb := wire.ReplBlock{ID: pb.ID, EnvStrict: pb.EnvStrict, Replicas: make([]wire.ReplBlockReplica, len(pb.Replicas))}
-		for i, r := range pb.Replicas {
-			wb.Replicas[i] = wire.ReplBlockReplica{Server: int64(r.Server), Placed: r.Placed}
-		}
-		rb.Blocks = append(rb.Blocks, wb)
-	}
-	return rb
-}
-
-// blocksStateOf converts a wire block section back to the state ApplyState
-// consumes.
-func blocksStateOf(m *wire.ReplBlocks) blockledger.State {
-	st := blockledger.State{
-		Generation: m.Generation,
-		Lost:       m.Lost,
-		Replaced:   m.Replaced,
-		Creates:    m.Creates,
-		Reimages:   m.Reimages,
-		Blocks:     make([]blockledger.PersistedBlock, 0, len(m.Blocks)),
-	}
-	for _, wb := range m.Blocks {
-		pb := blockledger.PersistedBlock{ID: wb.ID, EnvStrict: wb.EnvStrict, Replicas: make([]blockledger.PersistedReplica, len(wb.Replicas))}
-		for i, r := range wb.Replicas {
-			pb.Replicas[i] = blockledger.PersistedReplica{Server: tenant.ServerID(r.Server), Placed: r.Placed}
-		}
-		st.Blocks = append(st.Blocks, pb)
-	}
-	return st
+		return blockledger.PersistedBlock{ID: wb.ID, EnvStrict: wb.EnvStrict, Replicas: ap.replicas}
+	})
+	sh.replApply.Observe(time.Since(start))
+	sh.replInserted.Add(uint64(lc.Inserted + bc.Inserted))
+	sh.replRewritten.Add(uint64(lc.Rewritten + bc.Rewritten))
+	sh.replDeleted.Add(uint64(lc.Deleted + bc.Deleted))
 }
 
 // ReplicationStats summarizes the node's replication role for /metrics.

@@ -144,6 +144,25 @@ func TestReplicationAndPromotion(t *testing.T) {
 		return fst.ReservedMillis == pst.ReservedMillis && fst.ActiveLeases == pst.ActiveLeases
 	})
 
+	// The ship/apply loop is on the books of both ends: the primary timed its
+	// frame builds, the follower timed its reconciles and counted what they
+	// found new — the two live leases, once each, however many beats carried
+	// them.
+	prepl, _ := primary.Stats(dc)
+	frepl, _ := follower.Stats(dc)
+	pbuild, _ := primary.ReplLatency(dc)
+	_, fapply := follower.ReplLatency(dc)
+	if pbuild.Count() == 0 || prepl.Repl.BeatBytes == 0 {
+		t.Fatalf("primary shipped frames but reports build count %d, last beat %d B", pbuild.Count(), prepl.Repl.BeatBytes)
+	}
+	if fapply.Count() == 0 || frepl.Repl.BeatBytes != prepl.Repl.BeatBytes {
+		t.Fatalf("follower applied frames but reports apply count %d, last beat %d B (primary built %d B)",
+			fapply.Count(), frepl.Repl.BeatBytes, prepl.Repl.BeatBytes)
+	}
+	if n := frepl.Repl.Inserted; n != 2 {
+		t.Fatalf("follower reports %d records inserted over %d frames; it was shipped two leases", n, fapply.Count())
+	}
+
 	// Primary dies with leases outstanding; the follower takes over.
 	pst, _ := primary.LedgerStats(dc)
 	primary.Close()

@@ -195,6 +195,17 @@ type shard struct {
 	replGen       atomic.Uint64
 	replAppliedAt atomic.Int64
 
+	// The replication loop's cost for this shard: how long the primary takes
+	// to build a frame and the follower to reconcile one into its ledgers
+	// (applyLag, per node, measures ship+apply), the size of the last beat,
+	// and what the follower's reconciles changed — leases and blocks together.
+	replBuild     Histogram
+	replApply     Histogram
+	replBeatBytes atomic.Int64
+	replInserted  atomic.Uint64
+	replRewritten atomic.Uint64
+	replDeleted   atomic.Uint64
+
 	// refreshLatency observes every successful refreshShard's end-to-end
 	// duration (recluster + assemble + rekey + publish) — the scale metric
 	// the incremental snapshot path exists to hold down.
@@ -224,6 +235,10 @@ type Service struct {
 	// generations instead of building its own. Promote flips it exactly once.
 	follower atomic.Bool
 	repl     replState
+
+	// testHookAfterRekey, nil outside tests, runs in refreshShard between the
+	// ledgers' re-key and the snapshot's publication.
+	testHookAfterRekey func()
 }
 
 // ErrFollower rejects write-path calls (reserving select, release, renew,
@@ -600,6 +615,9 @@ func (s *Service) refreshShard(sh *shard) error {
 			if displaced := sh.blocks.Rekey(next.Generation, next.Scheme().ReplicaSite); displaced > 0 {
 				slogger.Info("re-key displaced block replicas", "dc", sh.dc, "replicas", displaced)
 			}
+			if s.testHookAfterRekey != nil {
+				s.testHookAfterRekey()
+			}
 			sh.snap.Store(next)
 			sh.refreshes.Add(1)
 			if rst.FullRebuild {
@@ -695,6 +713,41 @@ func clusteringAgreement(prev, next *core.Clustering) float64 {
 		return -1
 	}
 	return float64(agreed) / float64(compared)
+}
+
+// publishWait bounds how long an operation waits, in total, for a refresh
+// that has re-keyed the ledgers to publish its snapshot: the gap is the block
+// ledger's re-key plus one pointer store, milliseconds even at full scale,
+// so a second means the refresher is not coming.
+const publishWait = time.Second
+
+// awaitPublish is what an operation does when a ledger turned it away as
+// stale: refreshShard re-keys both ledgers to generation N+1 before it
+// publishes snapshot N+1, and in between no retry can succeed, because the
+// only snapshot there is to load is the one the ledger just refused. Yield
+// until the published snapshot has reached gen, the ledger's generation;
+// true means it has and a retry is worthwhile. The first call starts the
+// operation's budget in *deadline and later calls share it, so an operation
+// waits publishWait in total however many refreshes it meets.
+func (sh *shard) awaitPublish(gen uint64, deadline *time.Time) bool {
+	if deadline.IsZero() {
+		*deadline = time.Now().Add(publishWait)
+	}
+	for spins := 0; ; spins++ {
+		// The budget is checked first so that it also bounds a caller whose
+		// retries keep failing although the snapshot has caught up.
+		if !time.Now().Before(*deadline) {
+			return false
+		}
+		if sh.snap.Load().Generation >= gen {
+			return true
+		}
+		if spins < 32 {
+			runtime.Gosched()
+		} else {
+			time.Sleep(50 * time.Microsecond) // the refresher needs the CPU more than we do
+		}
+	}
 }
 
 // rekeyLedger carries the allocation ledger from one clustering generation
@@ -951,6 +1004,27 @@ type ShardStats struct {
 	// RepairFailures counts re-replicator attempts that went back on the
 	// queue without landing.
 	RepairFailures uint64
+	// Repl is the replication loop's cost for this shard.
+	Repl ShardReplStats
+}
+
+// ShardReplStats is one shard's view of the ship/apply loop. The build fields
+// move on a primary with followers attached, the apply fields and the change
+// counters on a follower; BeatBytes is the last beat built or applied.
+type ShardReplStats struct {
+	BuildMeanUs float64 `json:"build_mean_us"`
+	BuildP99Us  uint64  `json:"build_p99_us"`
+	BuildMaxUs  uint64  `json:"build_max_us"`
+	ApplyMeanUs float64 `json:"apply_mean_us"`
+	ApplyP99Us  uint64  `json:"apply_p99_us"`
+	ApplyMaxUs  uint64  `json:"apply_max_us"`
+	BeatBytes   int64   `json:"beat_bytes"`
+	// Inserted, Rewritten and Deleted count, since boot, the leases and blocks
+	// the follower's reconciles found new, changed and gone; everything else
+	// a beat carried was already held as shipped.
+	Inserted  uint64 `json:"apply_inserted"`
+	Rewritten uint64 `json:"apply_rewritten"`
+	Deleted   uint64 `json:"apply_deleted"`
 }
 
 // Stats returns the refresh counters for a datacenter.
@@ -989,6 +1063,18 @@ func (s *Service) Stats(dc string) (ShardStats, bool) {
 		// the population), so the relaxed counter accumulates per shard.
 		PlacementRelaxed: snap.Scheme().RelaxedCount(),
 		RepairFailures:   sh.repairFailures.Load(),
+		Repl: ShardReplStats{
+			BuildMeanUs: sh.replBuild.MeanMicros(),
+			BuildP99Us:  sh.replBuild.QuantileMicros(0.99),
+			BuildMaxUs:  sh.replBuild.MaxMicros(),
+			ApplyMeanUs: sh.replApply.MeanMicros(),
+			ApplyP99Us:  sh.replApply.QuantileMicros(0.99),
+			ApplyMaxUs:  sh.replApply.MaxMicros(),
+			BeatBytes:   sh.replBeatBytes.Load(),
+			Inserted:    sh.replInserted.Load(),
+			Rewritten:   sh.replRewritten.Load(),
+			Deleted:     sh.replDeleted.Load(),
+		},
 	}
 	if rst := sh.lastRecluster.Load(); rst != nil {
 		st.Recluster = *rst
@@ -1007,6 +1093,17 @@ func (s *Service) RefreshLatency(dc string) *Histogram {
 		return nil
 	}
 	return &sh.refreshLatency
+}
+
+// ReplLatency returns the shard's replication histograms for metric
+// exposition — frame build time (primary side) and reconcile time (follower
+// side) — or nils for an unknown datacenter.
+func (s *Service) ReplLatency(dc string) (build, apply *Histogram) {
+	sh, ok := s.shards[dc]
+	if !ok {
+		return nil, nil
+	}
+	return &sh.replBuild, &sh.replApply
 }
 
 // SelectOn runs class selection (Alg. 1) against a snapshot the caller
@@ -1079,6 +1176,7 @@ func (s *Service) SelectReserveTraced(dc string, job core.JobRequest, ttl time.D
 		ttl = 0 // ledger: no expiry
 	}
 	var snap *Snapshot
+	var waitUntil time.Time
 	for attempt := 0; attempt < selectReserveAttempts; attempt++ {
 		var spanStart time.Time
 		if tr != nil {
@@ -1137,9 +1235,12 @@ func (s *Service) SelectReserveTraced(dc string, job core.JobRequest, ttl time.D
 		}
 		if errors.Is(err, ledger.ErrStaleGeneration) {
 			// A refresh re-keyed the ledger between selection and admission:
-			// reload the (about-to-be or just-)published snapshot and re-run.
+			// wait for its snapshot and re-run. That is the refresh's doing,
+			// not contention, so it does not use up an attempt.
 			sh.staleRetries.Add(1)
-			runtime.Gosched()
+			if sh.awaitPublish(sh.led.Generation(), &waitUntil) {
+				attempt--
+			}
 			continue
 		}
 		var ie *ledger.InsufficientError
@@ -1276,6 +1377,7 @@ func (s *Service) CreateBlock(dc string, c core.PlacementConstraints) (BlockPlac
 	if s.follower.Load() {
 		return BlockPlacement{}, ErrFollower
 	}
+	var waitUntil time.Time
 	for attempt := 0; attempt < selectReserveAttempts; attempt++ {
 		snap := sh.snap.Load()
 		replicas, err := s.PlaceOn(snap, c)
@@ -1289,8 +1391,11 @@ func (s *Service) CreateBlock(dc string, c core.PlacementConstraints) (BlockPlac
 		if errors.Is(err, blockledger.ErrStaleGeneration) {
 			// A refresh re-keyed the block ledger between placement and
 			// recording: the replicas were picked against a grid that no
-			// longer exists, so re-place against the new snapshot.
-			runtime.Gosched()
+			// longer exists, so re-place against the new snapshot once it is
+			// published; the wait does not use up an attempt.
+			if sh.awaitPublish(sh.blocks.Generation(), &waitUntil) {
+				attempt--
+			}
 			continue
 		}
 		return BlockPlacement{}, err
@@ -1367,6 +1472,7 @@ func (s *Service) RepairBlocks(dc string, max int) int {
 // settled — the repair landed, or the slot no longer needs one (duplicate
 // delivery, deleted block); false means the caller should requeue it.
 func (s *Service) repairOne(sh *shard, ref blockledger.Repair) bool {
+	var waitUntil time.Time
 	for attempt := 0; attempt < selectReserveAttempts; attempt++ {
 		snap := sh.snap.Load()
 		placed, pending, ok := sh.blocks.Servers(ref.Block)
@@ -1385,7 +1491,9 @@ func (s *Service) repairOne(sh *shard, ref blockledger.Repair) bool {
 			return true
 		case errors.Is(err, blockledger.ErrStaleGeneration):
 			// A refresh re-keyed mid-repair; re-place against the new grid.
-			runtime.Gosched()
+			if sh.awaitPublish(sh.blocks.Generation(), &waitUntil) {
+				attempt--
+			}
 			continue
 		case errors.Is(err, blockledger.ErrReplicaPlaced), errors.Is(err, blockledger.ErrUnknownBlock):
 			return true

@@ -144,7 +144,14 @@ type ReplLedger struct {
 	Leases          []ReplLease
 }
 
-func appendReplLedger(dst []byte, m *ReplLedger) []byte {
+// The ledger section is encoded in pieces so a primary can stream it straight
+// from its ledger into the frame: the head, then per lease AppendReplLease
+// followed by that lease's AppendReplGrant records. appendReplLedger is the
+// same pieces driven from a ReplLedger.
+
+// AppendReplLedgerHead appends a ledger section's books and lease count
+// (m.Leases is ignored); exactly leases AppendReplLease records must follow.
+func AppendReplLedgerHead(dst []byte, m *ReplLedger, leases int) []byte {
 	dst = AppendU64(dst, m.Generation)
 	dst = AppendI64(dst, m.ReservedMillis)
 	dst = AppendI64(dst, m.ReleasedMillis)
@@ -155,17 +162,32 @@ func appendReplLedger(dst []byte, m *ReplLedger) []byte {
 	dst = AppendU64(dst, m.Renews)
 	dst = AppendU64(dst, m.Expiries)
 	dst = AppendU64(dst, m.Conflicts)
-	dst = AppendU32(dst, uint32(len(m.Leases)))
+	return AppendU32(dst, uint32(leases))
+}
+
+// AppendReplLease appends one lease record up to its grant count; exactly
+// grants AppendReplGrant records must follow.
+func AppendReplLease(dst []byte, id uint64, expiresUnixNano int64, jobID, owner string, grants int) []byte {
+	dst = AppendU64(dst, id)
+	dst = AppendI64(dst, expiresUnixNano)
+	dst = AppendStr8(dst, jobID)
+	dst = AppendStr8(dst, owner)
+	return AppendU16(dst, uint16(grants))
+}
+
+// AppendReplGrant appends one grant of the lease record before it.
+func AppendReplGrant(dst []byte, class uint32, millis int64) []byte {
+	dst = AppendU32(dst, class)
+	return AppendI64(dst, millis)
+}
+
+func appendReplLedger(dst []byte, m *ReplLedger) []byte {
+	dst = AppendReplLedgerHead(dst, m, len(m.Leases))
 	for i := range m.Leases {
 		ls := &m.Leases[i]
-		dst = AppendU64(dst, ls.ID)
-		dst = AppendI64(dst, ls.ExpiresUnixNano)
-		dst = AppendStr8(dst, ls.JobID)
-		dst = AppendStr8(dst, ls.Owner)
-		dst = AppendU16(dst, uint16(len(ls.Grants)))
+		dst = AppendReplLease(dst, ls.ID, ls.ExpiresUnixNano, ls.JobID, ls.Owner, len(ls.Grants))
 		for _, g := range ls.Grants {
-			dst = AppendU32(dst, g.Class)
-			dst = AppendI64(dst, g.Millis)
+			dst = AppendReplGrant(dst, g.Class, g.Millis)
 		}
 	}
 	return dst
@@ -231,21 +253,42 @@ type ReplBlocks struct {
 	Blocks     []ReplBlock
 }
 
-func appendReplBlocks(dst []byte, m *ReplBlocks) []byte {
+// The block section streams the same way: the head, then per block
+// AppendReplBlock followed by that block's AppendReplBlockReplica records.
+
+// AppendReplBlocksHead appends a block section's books and block count
+// (m.Blocks is ignored); exactly blocks AppendReplBlock records must follow.
+func AppendReplBlocksHead(dst []byte, m *ReplBlocks, blocks int) []byte {
 	dst = AppendU64(dst, m.Generation)
 	dst = AppendI64(dst, m.Lost)
 	dst = AppendI64(dst, m.Replaced)
 	dst = AppendU64(dst, m.Creates)
 	dst = AppendU64(dst, m.Reimages)
-	dst = AppendU32(dst, uint32(len(m.Blocks)))
+	return AppendU32(dst, uint32(blocks))
+}
+
+// AppendReplBlock appends one block record up to its replica count; exactly
+// replicas AppendReplBlockReplica records must follow.
+func AppendReplBlock(dst []byte, id uint64, envStrict bool, replicas int) []byte {
+	dst = AppendU64(dst, id)
+	dst = AppendU8(dst, boolByte(envStrict))
+	return AppendU8(dst, uint8(replicas))
+}
+
+// AppendReplBlockReplica appends one replica slot of the block record before
+// it.
+func AppendReplBlockReplica(dst []byte, server int64, placed bool) []byte {
+	dst = AppendI64(dst, server)
+	return AppendU8(dst, boolByte(placed))
+}
+
+func appendReplBlocks(dst []byte, m *ReplBlocks) []byte {
+	dst = AppendReplBlocksHead(dst, m, len(m.Blocks))
 	for i := range m.Blocks {
 		b := &m.Blocks[i]
-		dst = AppendU64(dst, b.ID)
-		dst = AppendU8(dst, boolByte(b.EnvStrict))
-		dst = AppendU8(dst, uint8(len(b.Replicas)))
+		dst = AppendReplBlock(dst, b.ID, b.EnvStrict, len(b.Replicas))
 		for _, rep := range b.Replicas {
-			dst = AppendI64(dst, rep.Server)
-			dst = AppendU8(dst, boolByte(rep.Placed))
+			dst = AppendReplBlockReplica(dst, rep.Server, rep.Placed)
 		}
 	}
 	return dst
@@ -293,10 +336,12 @@ type ReplSnapshot struct {
 	Blocks          ReplBlocks
 }
 
-// AppendReplSnapshot appends a complete snapshot or delta frame (op must be
-// OpReplSnap or OpReplDelta).
-func AppendReplSnapshot(dst []byte, op Op, id uint64, m *ReplSnapshot) []byte {
-	mark := len(dst)
+// BeginReplSnapshot appends a snapshot or delta frame (op must be OpReplSnap
+// or OpReplDelta) up to the end of its class list, ignoring m.Ledger and
+// m.Blocks: the caller appends a ledger section and a block section and
+// closes the frame with EndFrame(out, mark).
+func BeginReplSnapshot(dst []byte, op Op, id uint64, m *ReplSnapshot) (out []byte, mark int) {
+	mark = len(dst)
 	dst = BeginFrame(dst, op, id)
 	dst = AppendStr8(dst, m.DC)
 	dst = AppendU64(dst, m.Generation)
@@ -330,6 +375,12 @@ func AppendReplSnapshot(dst []byte, op Op, id uint64, m *ReplSnapshot) []byte {
 			dst = AppendI64(dst, s)
 		}
 	}
+	return dst, mark
+}
+
+// AppendReplSnapshot appends a complete snapshot or delta frame.
+func AppendReplSnapshot(dst []byte, op Op, id uint64, m *ReplSnapshot) []byte {
+	dst, mark := BeginReplSnapshot(dst, op, id, m)
 	dst = appendReplLedger(dst, &m.Ledger)
 	dst = appendReplBlocks(dst, &m.Blocks)
 	return EndFrame(dst, mark)
@@ -405,9 +456,11 @@ type ReplBeat struct {
 	Blocks       ReplBlocks
 }
 
-// AppendReplBeat appends a complete beat frame.
-func AppendReplBeat(dst []byte, id uint64, m *ReplBeat) []byte {
-	mark := len(dst)
+// BeginReplBeat appends a beat frame up to the end of its usage list,
+// ignoring m.Ledger and m.Blocks: the caller appends a ledger section and a
+// block section and closes the frame with EndFrame(out, mark).
+func BeginReplBeat(dst []byte, id uint64, m *ReplBeat) (out []byte, mark int) {
+	mark = len(dst)
 	dst = BeginFrame(dst, OpReplBeat, id)
 	dst = AppendStr8(dst, m.DC)
 	dst = AppendU64(dst, m.Generation)
@@ -418,6 +471,12 @@ func AppendReplBeat(dst []byte, id uint64, m *ReplBeat) []byte {
 		dst = AppendU32(dst, u.ID)
 		dst = AppendF64(dst, u.Current)
 	}
+	return dst, mark
+}
+
+// AppendReplBeat appends a complete beat frame.
+func AppendReplBeat(dst []byte, id uint64, m *ReplBeat) []byte {
+	dst, mark := BeginReplBeat(dst, id, m)
 	dst = appendReplLedger(dst, &m.Ledger)
 	dst = appendReplBlocks(dst, &m.Blocks)
 	return EndFrame(dst, mark)
