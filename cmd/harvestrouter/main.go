@@ -17,7 +17,7 @@
 // Pair it with backends like:
 //
 //	harvestd -listen :7081 -binary-addr :7091 -dcs DC-9 -announce http://127.0.0.1:7070
-//	harvestd -listen :7082 -dcs DC-8 -announce http://127.0.0.1:7070
+//	harvestd -listen :7082 -binary-addr :7092 -dcs DC-8 -announce http://127.0.0.1:7070
 //
 // Backends that announce role=follower (harvestd -follow) never own routes;
 // the router spreads read-only requests — GETs, placement, dry-run selects —
@@ -29,10 +29,11 @@
 //
 // -binary-listen adds a second listener speaking the length-prefixed binary
 // frame dialect (internal/wire) for the data-plane endpoints; it is
-// advertised as binary_addr on /v1/datacenters. Frames for backends that
-// announced their own binary listener are relayed natively over pooled
-// connections; frames for JSON-only backends are translated onto their HTTP
-// API, so a mixed fleet keeps working mid-rollout.
+// advertised as binary_addr on /v1/datacenters. Frames are relayed over pooled
+// connections to the binary listener their backend announced (harvestd
+// -binary-addr). A backend that announced none is JSON-only: its datacenters
+// are served on -listen as always, and a frame for one is answered with a 503
+// error frame naming the backend and the missing -binary-addr.
 package main
 
 import (

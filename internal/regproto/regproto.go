@@ -21,10 +21,8 @@ type RegisterRequest struct {
 	ID  string `json:"id"`
 	URL string `json:"url"`
 	// BinaryAddr is the backend's binary frame listener (host:port), empty
-	// for a JSON-only backend. Its presence is the capability negotiation:
-	// the router forwards data-plane frames natively to backends that
-	// advertise it and translates to JSON for the rest, so mixed fleets
-	// keep working mid-rollout.
+	// for a JSON-only backend. The router's binary front relays frames to
+	// it; a backend without one is served on the router's JSON front only.
 	BinaryAddr string `json:"binary_addr,omitempty"`
 	// Role announces the node's replication role: "primary" (or empty, for
 	// compatibility with pre-replication backends) or "follower". The router

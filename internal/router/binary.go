@@ -2,10 +2,7 @@ package router
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -15,26 +12,20 @@ import (
 	"sync/atomic"
 	"time"
 
-	"harvest/internal/ledger"
 	"harvest/internal/obs"
-	"harvest/internal/signalproc"
 	"harvest/internal/wire"
 )
 
 // The router's binary data plane. The front end accepts the same
 // length-prefixed frame dialect harvestd serves (internal/wire) and relays
-// each data-plane request to the shard owning its datacenter:
-//
-//   - A backend that advertised binary_addr in its register heartbeat gets
-//     the frame over a pipelined connection (binPipe): many frames — from
-//     many client connections — are in flight on one backend conn at once,
-//     each travelling under a router-minted relay id and completed by the
-//     echoed id when its response frame arrives. No decode, no re-encode,
-//     no HTTP, and no lock-step round trip per frame.
-//   - A JSON-only backend gets the frame translated onto its HTTP API and
-//     the JSON response translated back into a frame, so a binary client
-//     works against a mixed fleet mid-rollout; the extra cost lands only on
-//     backends that haven't upgraded.
+// each data-plane request to the shard owning its datacenter, over a
+// pipelined connection (binPipe) to the binary_addr the backend advertised in
+// its register heartbeat: many frames — from many client connections — are in
+// flight on one backend conn at once, each travelling under a router-minted
+// relay id and completed by the echoed id when its response frame arrives. No
+// decode, no re-encode, no HTTP, and no lock-step round trip per frame. A
+// frame for a backend that advertised no binary_addr is answered 503; the
+// JSON front is what serves a JSON-only backend.
 //
 // Client-facing ordering: responses on a client connection go back in
 // request order even though relays complete out of order. The dialect's
@@ -497,19 +488,24 @@ func readRawFrame(br *bufio.Reader, scratch *[]byte) (wire.Header, []byte, error
 }
 
 // pendingBinResp is one client frame's slot in the connection's response
-// order: relays complete out of order, responses go back in request order.
-// Exactly one completion shape is set by relayStart:
-//
-//   - frame alone: the response is already built (a router reject);
-//   - call + finish: a native relay is in flight on a pipe — the writer waits
-//     on call.done, then finish turns the backend's frame into the client's
-//     (id re-stamp, metrics, trace, breaker evidence);
-//   - done: a translation bridge goroutine is filling frame.
+// order — relays complete out of order, responses go back in request order —
+// and the state of its trip through the router. relayStart leaves it in one of
+// two shapes: frame set, the response is already built (a router reject); or
+// call set, a relay is in flight on a pipe — the writer waits on call.done,
+// then finish turns the backend's frame into the client's.
 type pendingBinResp struct {
-	frame  []byte
-	call   *binCall
-	finish func() []byte
-	done   chan struct{}
+	frame []byte
+	call  *binCall
+
+	rt    *Router
+	id    uint64 // the client's frame id: the trace id, restored on the response
+	op    int    // the request's row in wire.Ops
+	dc    string
+	tr    *obs.Trace
+	start time.Time
+	// adm and legStart bracket the backend leg of an admitted frame.
+	adm      admission
+	legStart time.Time
 }
 
 // serveBinaryConn is one client connection's loop. The reader parses frames
@@ -555,22 +551,16 @@ func (rt *Router) serveBinaryConn(c net.Conn) {
 			if !ok {
 				return
 			}
-			wait := pr.done
+			frame := pr.frame
 			if pr.call != nil {
-				wait = pr.call.done
-			}
-			if wait != nil {
 				select {
-				case <-wait:
+				case <-pr.call.done:
 				default:
 					// The head relay is still out: flush what's complete,
 					// then wait for it.
 					flush()
-					<-wait
+					<-pr.call.done
 				}
-			}
-			frame := pr.frame
-			if pr.finish != nil {
 				frame = pr.finish()
 			}
 			bw.Write(frame)
@@ -593,9 +583,8 @@ func (rt *Router) serveBinaryConn(c net.Conn) {
 		slots <- struct{}{}
 		order <- rt.relayStart(h, frame)
 	}
-	// Every queued entry self-completes (native relays via their pipe,
-	// translations via their goroutine), so the writer drains the order and
-	// exits; nothing else to wait for.
+	// Every queued entry self-completes (a relay through its pipe), so the
+	// writer drains the order and exits; nothing else to wait for.
 	close(order)
 	<-writerDone
 	bw.Flush()
@@ -609,549 +598,117 @@ func (rt *Router) binReject(id uint64, code uint16, msg string) []byte {
 }
 
 // relayStart routes one request frame from the connection's reader: resolve
-// the datacenter, apply the same staleness and breaker gates as the HTTP
-// proxy, then dispatch — natively by queueing the frame onto a backend pipe
-// (no goroutine, no blocking wait; the writer collects the response), or via
-// the JSON translation bridge on its own goroutine (it blocks on HTTP).
-// Everything here runs on the reader goroutine, so a pipelined burst is fully
-// dispatched before the connection turns to its responses.
+// the datacenter and pass the same admission gate as the HTTP proxy, then
+// queue the frame onto a backend pipe (no goroutine, no blocking wait; the
+// writer collects the response). Everything here runs on the reader goroutine,
+// so a pipelined burst is fully dispatched before the connection turns to its
+// responses.
 func (rt *Router) relayStart(h wire.Header, frame []byte) *pendingBinResp {
 	payload := frame[wire.HeaderSize:]
-	if !h.Op.IsRequest() {
+	op := wire.OpIndex(h.Op)
+	if op < 0 {
 		return &pendingBinResp{frame: rt.binReject(h.ID, 400, "unknown opcode "+strconv.Itoa(int(h.Op)))}
 	}
+	info := &wire.Ops[op]
 	dcb, ok := wire.PeekDC(payload)
 	if !ok {
 		return &pendingBinResp{frame: rt.binReject(h.ID, 400, "bad request payload")}
 	}
-	dc := string(dcb)
 	// Per-frame trace + per-opcode latency. The echoed request id doubles as
 	// the trace id — a binary client can look its own frames up on
 	// /debug/traces with no wire change (id 0 gets a router-assigned one).
-	tr := rt.rec.Begin(h.ID, obs.DialectBinary, h.Op.String(), dc)
-	opStart := time.Now()
-	// fin records the per-opcode latency and closes the trace — called exactly
-	// once per frame, on whichever goroutine learns the outcome.
-	fin := func(status int) {
-		if i := int(h.Op) - 1; i >= 0 && i < len(rt.binOps) {
-			rt.binOps[i].Observe(time.Since(opStart), status)
-		}
-		tr.Finish(status)
+	pr := &pendingBinResp{rt: rt, id: h.ID, op: op, dc: string(dcb), start: time.Now()}
+	pr.tr = rt.rec.Begin(h.ID, obs.DialectBinary, info.Name, pr.dc)
+	// The same read/write split as the HTTP path, from the same table.
+	read := info.Access == wire.Read
+	if info.Access == wire.ReadIfDryRun {
+		fl, _ := wire.PeekSelectFlags(payload)
+		read = fl&wire.SelectFlagDryRun != 0
 	}
-	reject := func(code uint16, msg string) *pendingBinResp {
-		fin(int(code))
-		return &pendingBinResp{frame: rt.binReject(h.ID, code, msg)}
+	adm, ref := rt.admit(pr.dc, read, pr.tr)
+	if ref != nil {
+		return pr.reject(ref.status, ref.msg)
 	}
-	// The same read/write split as the HTTP path: class queries, placement,
-	// and dry-run selects spread across the primary and its generation-fresh
-	// followers; everything that moves ledger state — including block
-	// creation and reimaging, which move the durability books — pins to the
-	// owner (the switch's default).
-	read := false
-	switch h.Op {
-	case wire.OpClasses, wire.OpServerClass, wire.OpPlace:
-		read = true
-	case wire.OpSelect:
-		if fl, ok := wire.PeekSelectFlags(payload); ok {
-			read = fl&wire.SelectFlagDryRun != 0
-		}
-	}
-	now := rt.now()
-	b := rt.pickBackend(dc, read, now)
-	if b == nil {
-		return reject(404, "unknown datacenter "+strconv.Quote(dc))
-	}
-	rt.mu.RLock()
-	// Copied under the lock, like the HTTP path: registration beats
-	// rewrite these under the write lock.
-	baseURL, binAddr := b.url, b.binAddr
-	rt.mu.RUnlock()
-	if !rt.alive(b, now) {
-		if cutoff := now.Add(-10 * rt.cfg.StaleAfter).UnixNano(); b.lastBeat.Load() <= cutoff {
-			rt.collectBackend(b, cutoff)
-			return reject(404, "unknown datacenter "+strconv.Quote(dc))
-		}
+	pr.adm = adm
+	if adm.binAddr == "" {
+		// A JSON-only backend: the JSON front serves it, this one cannot. Not
+		// evidence about the backend's health, so the breaker is not fed.
+		adm.cancel()
 		rt.unavailable.Add(1)
-		return reject(503, "datacenter "+strconv.Quote(dc)+" unavailable: backend "+b.id+" missed heartbeats")
-	}
-	if b.draining.Load() {
-		// Same as the HTTP path: pickBackend already routed around the
-		// draining node where it could; this one was the only candidate.
-		rt.unavailable.Add(1)
-		return reject(503, "datacenter "+strconv.Quote(dc)+" unavailable: backend "+b.id+" draining for planned shutdown")
-	}
-	// Breaker gate, same shape as the HTTP path: open → fast 503 frame;
-	// half-open → exactly one CAS winner probes.
-	gateStart := time.Now()
-	probe := false
-	if openUntil := b.openUntil.Load(); openUntil != 0 {
-		if openUntil > now.UnixNano() {
-			rt.unavailable.Add(1)
-			return reject(503, "datacenter "+strconv.Quote(dc)+" unavailable: backend "+b.id+" circuit open")
-		}
-		if !b.probing.CompareAndSwap(false, true) {
-			rt.unavailable.Add(1)
-			return reject(503, "datacenter "+strconv.Quote(dc)+" unavailable: backend "+b.id+" probe in flight")
-		}
-		probe = true
-	}
-	tr.Span("breaker_wait", gateStart)
-	// settle records the transport outcome (success closes the circuit,
-	// failure feeds the breaker); cancel releases the probe slot without
-	// recording evidence (client-side errors say nothing about the backend).
-	settle := func(ok bool) {
-		if ok {
-			b.consecFails.Store(0)
-			b.openUntil.Store(0)
-		} else {
-			rt.proxyFailed(b)
-		}
-		if probe {
-			b.probing.Store(false)
-		}
-	}
-	cancel := func() {
-		if probe {
-			b.probing.Store(false)
-		}
-	}
-	if read {
-		b.reads.Add(1)
+		return pr.reject(http.StatusServiceUnavailable, unavailableMsg(pr.dc, adm.b,
+			"announced no binary_addr (start it with -binary-addr); the JSON front serves its datacenters"))
 	}
 	// inflight brackets the backend leg — the power-of-two-choices load
-	// signal the read picker compares; lat is the per-backend latency
-	// histogram, fed on every outcome.
-	b.inflight.Add(1)
-	legStart := time.Now()
+	// signal the read picker compares.
+	adm.b.inflight.Add(1)
+	pr.legStart = time.Now()
 
-	if binAddr == "" {
-		// Translation bridge: blocks on the backend's HTTP API, so it gets a
-		// goroutine and an owned copy of the payload (the reader's scratch is
-		// reused by the next frame).
-		pl := append([]byte(nil), payload...)
-		pr := &pendingBinResp{done: make(chan struct{})}
-		go func() {
-			defer close(pr.done)
-			respFrame, status := rt.translateBinary(baseURL, dc, h, pl, settle, cancel)
-			b.inflight.Add(-1)
-			b.lat.Observe(time.Since(legStart), status)
-			tr.Span("backend_leg", legStart)
-			fin(status)
-			pr.frame = respFrame
-		}()
-		return pr
-	}
-
-	// Native relay. The backend leg travels under a router-minted relay id
-	// (unique across every client conn sharing the pipe — the dialect's
-	// pipelining clients reuse one id per conn); the client's id — the trace
-	// id on both tiers — rides as a FlagTrace payload prefix. Release and
-	// renew frames are keyed onto a pipe by lease id so operations on the
-	// same lease keep their client-issued order across the fan-out.
+	// The backend leg travels under a router-minted relay id (unique across
+	// every client conn sharing the pipe — the dialect's pipelining clients
+	// reuse one id per conn); the client's id — the trace id on both tiers —
+	// rides as a FlagTrace payload prefix. Lease-keyed frames go onto a pipe
+	// by lease id so operations on the same lease keep their client-issued
+	// order across the fan-out.
 	var pipeKey uint64
 	keyed := false
-	if h.Op == wire.OpRelease || h.Op == wire.OpRenew {
+	if info.LeaseKeyed {
 		pipeKey, keyed = wire.PeekLease(payload)
 	}
-	p, err := b.getPipe(binAddr, rt.cfg.ProxyTimeout, pipeKey, keyed)
+	p, err := adm.b.getPipe(adm.binAddr, rt.cfg.ProxyTimeout, pipeKey, keyed)
 	if err != nil {
-		b.inflight.Add(-1)
-		b.lat.Observe(time.Since(legStart), 503)
-		settle(false)
-		return reject(503, "datacenter "+strconv.Quote(dc)+" unavailable: backend "+b.id+" unreachable")
+		return pr.legFailed("unreachable")
 	}
 	relayID := rt.binRelayID.Add(1)
 	relayed := wire.AppendRelayFrame(make([]byte, 0, len(frame)+8), h, payload, relayID, h.ID)
 	call := &binCall{done: make(chan struct{})}
 	if err := p.send(relayID, relayed, call); err != nil {
-		b.inflight.Add(-1)
-		b.lat.Observe(time.Since(legStart), 503)
-		settle(false)
-		return reject(503, "datacenter "+strconv.Quote(dc)+" unavailable: backend "+b.id+" unreachable")
+		return pr.legFailed("unreachable")
 	}
-	pr := &pendingBinResp{call: call}
-	pr.finish = func() []byte {
-		b.inflight.Add(-1)
-		tr.Span("backend_leg", legStart)
-		if call.err != nil {
-			// Read failure, relay timeout, or a response id nobody was
-			// waiting for (a desynced backend): the pipe has already failed
-			// and every waiter on it — including this one — got the error.
-			b.lat.Observe(time.Since(legStart), 503)
-			settle(false)
-			fin(503)
-			return rt.binReject(h.ID, 503, "datacenter "+strconv.Quote(dc)+" unavailable: backend "+b.id+" sent a bad response frame")
-		}
-		settle(true)
-		b.proxied.Add(1)
-		rt.proxiedTotal.Add(1)
-		rt.binForwarded.Add(1)
-		wire.SetFrameID(call.frame, h.ID)
-		if wire.Op(call.frame[2]) == wire.OpError {
-			// Relayed backend error frames count as errors in the op
-			// metrics, matching how the shard's own dispatch counts them.
-			b.lat.Observe(time.Since(legStart), 500)
-			fin(500)
-			return call.frame
-		}
-		b.lat.Observe(time.Since(legStart), http.StatusOK)
-		fin(http.StatusOK)
-		return call.frame
-	}
+	pr.call = call
 	return pr
 }
 
-// patternOrdinals maps the JSON API's pattern names back to wire ordinals
-// for the translation bridge.
-var patternOrdinals = func() map[string]uint8 {
-	m := make(map[string]uint8, signalproc.NumPatterns)
-	for p := 0; p < signalproc.NumPatterns; p++ {
-		m[signalproc.Pattern(p).String()] = uint8(p)
-	}
-	return m
-}()
-
-var jobNames = map[uint8]string{
-	wire.JobShort:  "short",
-	wire.JobMedium: "medium",
-	wire.JobLong:   "long",
-	// JobFromLastRun: empty job_type lets the backend classify from
-	// last_run_seconds, same as the JSON dialect.
-	wire.JobFromLastRun: "",
+// reject answers the frame with a router-originated error frame, recording
+// the per-opcode latency and closing the trace.
+func (pr *pendingBinResp) reject(code int, msg string) *pendingBinResp {
+	pr.rt.binOps[pr.op].Observe(time.Since(pr.start), code)
+	pr.tr.Finish(code)
+	pr.frame = pr.rt.binReject(pr.id, uint16(code), msg)
+	return pr
 }
 
-var jobOrdinals = map[string]uint8{
-	"short":  wire.JobShort,
-	"medium": wire.JobMedium,
-	"long":   wire.JobLong,
+// legFailed closes a backend leg the transport let down.
+func (pr *pendingBinResp) legFailed(why string) *pendingBinResp {
+	pr.adm.b.inflight.Add(-1)
+	return pr.reject(http.StatusServiceUnavailable, pr.rt.legFailed(pr.adm, pr.dc, pr.legStart, why))
 }
 
-// jsonClassInfo mirrors the backends' JSON class shape (internal/service
-// classInfo) for the translation bridge.
-type jsonClassInfo struct {
-	ID                 int     `json:"id"`
-	Pattern            string  `json:"pattern"`
-	NumTenants         int     `json:"num_tenants"`
-	NumServers         int     `json:"num_servers"`
-	AvgUtilization     float64 `json:"avg_utilization"`
-	PeakUtilization    float64 `json:"peak_utilization"`
-	CurrentUtilization float64 `json:"current_utilization"`
-	AllocatedCores     float64 `json:"allocated_cores"`
-	ExampleServer      int64   `json:"example_server"`
-}
-
-func classRecOf(c jsonClassInfo) wire.ClassRec {
-	return wire.ClassRec{
-		ID:            uint32(c.ID),
-		Pattern:       patternOrdinals[c.Pattern],
-		NumTenants:    uint32(c.NumTenants),
-		NumServers:    uint32(c.NumServers),
-		Avg:           c.AvgUtilization,
-		Peak:          c.PeakUtilization,
-		Current:       c.CurrentUtilization,
-		AllocMillis:   ledger.ToMillis(c.AllocatedCores),
-		ExampleServer: c.ExampleServer,
+// finish turns the backend's response to a completed relay into the client's:
+// id re-stamp, metrics, trace, breaker evidence.
+func (pr *pendingBinResp) finish() []byte {
+	pr.tr.Span("backend_leg", pr.legStart)
+	call := pr.call
+	if call.err != nil {
+		// Read failure, relay timeout, or a response id nobody was waiting for
+		// (a desynced backend): the pipe has already failed and every waiter
+		// on it — including this one — got the error.
+		return pr.legFailed("sent a bad response frame").frame
 	}
-}
-
-// translateBinary bridges one frame onto a JSON-only backend's HTTP API and
-// encodes the JSON response back into a frame. This is the mixed-fleet
-// compatibility path — correctness over speed; upgraded backends never pay
-// it.
-func (rt *Router) translateBinary(baseURL, dc string, h wire.Header, payload []byte, settle func(bool), cancel func()) ([]byte, int) {
-	var (
-		method = http.MethodPost
-		path   string
-		body   []byte
-		selReq wire.SelectReq
-		// ingestAuth marks bridged requests for the backends' bearer-gated
-		// ingest surface (reimage shares the telemetry token, which the
-		// router already holds as its promote token).
-		ingestAuth bool
-	)
-	switch h.Op {
-	case wire.OpSelect:
-		if err := selReq.Decode(payload); err != nil {
-			cancel()
-			return rt.binReject(h.ID, 400, "bad select payload"), 400
-		}
-		name, ok := jobNames[selReq.Job]
-		if !ok {
-			cancel()
-			return rt.binReject(h.ID, 400, "bad job type"), 400
-		}
-		body, _ = json.Marshal(map[string]any{
-			"job_type":             name,
-			"last_run_seconds":     selReq.LastRunSeconds,
-			"max_concurrent_cores": selReq.MaxCores,
-			"hold_seconds":         float64(selReq.HoldMillis) / 1000,
-			"dry_run":              selReq.Flags&wire.SelectFlagDryRun != 0,
-		})
-		path = "/v1/" + dc + "/select"
-	case wire.OpRelease:
-		var m wire.ReleaseReq
-		if err := m.Decode(payload); err != nil {
-			cancel()
-			return rt.binReject(h.ID, 400, "bad release payload"), 400
-		}
-		body, _ = json.Marshal(map[string]any{"lease": m.Lease})
-		path = "/v1/" + dc + "/release"
-	case wire.OpRenew:
-		var m wire.RenewReq
-		if err := m.Decode(payload); err != nil {
-			cancel()
-			return rt.binReject(h.ID, 400, "bad renew payload"), 400
-		}
-		body, _ = json.Marshal(map[string]any{
-			"lease":        m.Lease,
-			"hold_seconds": float64(m.HoldMillis) / 1000,
-		})
-		path = "/v1/" + dc + "/renew"
-	case wire.OpPlace:
-		var m wire.PlaceReq
-		if err := m.Decode(payload); err != nil {
-			cancel()
-			return rt.binReject(h.ID, 400, "bad place payload"), 400
-		}
-		body, _ = json.Marshal(map[string]any{
-			"replication":         m.Replication,
-			"writer":              m.Writer,
-			"relaxed_environment": m.Flags&wire.PlaceFlagRelaxed != 0,
-		})
-		path = "/v1/" + dc + "/place"
-	case wire.OpPlaceBlock:
-		var m wire.PlaceBlockReq
-		if err := m.Decode(payload); err != nil {
-			cancel()
-			return rt.binReject(h.ID, 400, "bad place-block payload"), 400
-		}
-		body, _ = json.Marshal(map[string]any{
-			"replication":         m.Replication,
-			"writer":              m.Writer,
-			"relaxed_environment": m.Flags&wire.PlaceFlagRelaxed != 0,
-		})
-		path = "/v1/" + dc + "/blocks"
-	case wire.OpReimage:
-		var m wire.ReimageReq
-		if err := m.Decode(payload); err != nil {
-			cancel()
-			return rt.binReject(h.ID, 400, "bad reimage payload"), 400
-		}
-		body, _ = json.Marshal(map[string]any{"server": m.Server})
-		path = "/v1/" + dc + "/reimage"
-		ingestAuth = true
-	case wire.OpClasses:
-		method, path = http.MethodGet, "/v1/"+dc+"/classes"
-	case wire.OpServerClass:
-		var m wire.ServerClassReq
-		if err := m.Decode(payload); err != nil {
-			cancel()
-			return rt.binReject(h.ID, 400, "bad server class payload"), 400
-		}
-		method, path = http.MethodGet, fmt.Sprintf("/v1/%s/servers/%d/class", dc, m.Server)
-	default:
-		cancel()
-		return rt.binReject(h.ID, 400, "unknown opcode "+strconv.Itoa(int(h.Op))), 400
-	}
-
-	var outBody io.Reader = http.NoBody
-	if len(body) > 0 {
-		outBody = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(method, baseURL+path, outBody)
-	if err != nil {
-		cancel()
-		return rt.binReject(h.ID, 500, "bad proxy request: "+err.Error()), 500
-	}
-	if len(body) > 0 {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if ingestAuth && rt.cfg.PromoteToken != "" {
-		req.Header.Set("Authorization", "Bearer "+rt.cfg.PromoteToken)
-	}
-	req.Header.Set(hopHeader, "1")
-	// The bridged JSON request carries the frame id as its trace id so the
-	// shard's trace joins the router's even across the translation path.
-	req.Header.Set(obs.TraceHeader, obs.FormatTraceID(h.ID))
-	res, err := rt.client.Do(req)
-	if err != nil {
-		settle(false)
-		return rt.binReject(h.ID, 503, "datacenter "+strconv.Quote(dc)+" unavailable: backend unreachable"), 503
-	}
-	defer res.Body.Close()
-	rb, err := io.ReadAll(io.LimitReader(res.Body, maxProxyResponse+1))
-	if err != nil || len(rb) > maxProxyResponse {
-		settle(false)
-		return rt.binReject(h.ID, 503, "datacenter "+strconv.Quote(dc)+" unavailable: backend sent a truncated or oversized response"), 503
-	}
-	settle(true)
+	rt, b := pr.rt, pr.adm.b
+	b.inflight.Add(-1)
+	rt.settle(pr.adm, true)
+	b.proxied.Add(1)
 	rt.proxiedTotal.Add(1)
-	rt.binTranslated.Add(1)
-
-	if res.StatusCode != http.StatusOK {
-		// Relay the backend's own error with its status, exactly as the HTTP
-		// proxy relays status codes verbatim. Not counted as a router
-		// rejection — the backend answered.
-		var e struct {
-			Error string `json:"error"`
-		}
-		json.Unmarshal(rb, &e)
-		if e.Error == "" {
-			e.Error = http.StatusText(res.StatusCode)
-		}
-		return wire.AppendErrorResp(nil, h.ID, uint16(res.StatusCode), e.Error), res.StatusCode
+	rt.binForwarded.Add(1)
+	wire.SetFrameID(call.frame, pr.id)
+	// Relayed backend error frames count as errors in the op metrics, matching
+	// how the shard's own dispatch counts them.
+	status := http.StatusOK
+	if wire.Op(call.frame[2]) == wire.OpError {
+		status = http.StatusInternalServerError
 	}
-
-	frame, err := encodeTranslated(h, rb, selReq)
-	if err != nil {
-		return rt.binReject(h.ID, 500, "bad backend response: "+err.Error()), 500
-	}
-	return frame, http.StatusOK
-}
-
-// encodeTranslated converts a 200 JSON response body into the equivalent
-// response frame for the request's opcode.
-func encodeTranslated(h wire.Header, body []byte, selReq wire.SelectReq) ([]byte, error) {
-	switch h.Op {
-	case wire.OpSelect:
-		var r struct {
-			Generation       uint64    `json:"generation"`
-			JobType          string    `json:"job_type"`
-			Satisfiable      bool      `json:"satisfiable"`
-			Classes          []int     `json:"classes"`
-			Headrooms        []float64 `json:"headrooms"`
-			Lease            uint64    `json:"lease"`
-			Granted          []float64 `json:"granted"`
-			ExpiresInSeconds float64   `json:"expires_in_seconds"`
-		}
-		if err := json.Unmarshal(body, &r); err != nil {
-			return nil, err
-		}
-		m := wire.SelectResp{
-			Generation:  r.Generation,
-			Lease:       r.Lease,
-			ExpiresIn:   r.ExpiresInSeconds,
-			Job:         jobOrdinals[r.JobType],
-			Satisfiable: r.Satisfiable,
-			Classes:     make([]wire.SelectGrant, len(r.Classes)),
-		}
-		for i, cls := range r.Classes {
-			g := wire.SelectGrant{Class: uint32(cls)}
-			if i < len(r.Headrooms) {
-				g.Headroom = r.Headrooms[i]
-			}
-			if i < len(r.Granted) {
-				g.Granted = r.Granted[i]
-			}
-			m.Classes[i] = g
-		}
-		return wire.AppendSelectResp(nil, h.ID, &m), nil
-	case wire.OpRelease:
-		var r struct {
-			Lease         uint64    `json:"lease"`
-			ReleasedCores float64   `json:"released_cores"`
-			Classes       []int     `json:"classes"`
-			Cores         []float64 `json:"cores"`
-		}
-		if err := json.Unmarshal(body, &r); err != nil {
-			return nil, err
-		}
-		m := wire.ReleaseResp{
-			Lease:       r.Lease,
-			TotalMillis: ledger.ToMillis(r.ReleasedCores),
-			Grants:      make([]wire.ReleaseGrant, len(r.Classes)),
-		}
-		for i, cls := range r.Classes {
-			g := wire.ReleaseGrant{Class: uint32(cls)}
-			if i < len(r.Cores) {
-				g.Millis = ledger.ToMillis(r.Cores[i])
-			}
-			m.Grants[i] = g
-		}
-		return wire.AppendReleaseResp(nil, h.ID, &m), nil
-	case wire.OpRenew:
-		var r struct {
-			Lease            uint64  `json:"lease"`
-			TotalCores       float64 `json:"total_cores"`
-			ExpiresInSeconds float64 `json:"expires_in_seconds"`
-		}
-		if err := json.Unmarshal(body, &r); err != nil {
-			return nil, err
-		}
-		return wire.AppendRenewResp(nil, h.ID, &wire.RenewResp{
-			Lease:       r.Lease,
-			TotalMillis: ledger.ToMillis(r.TotalCores),
-			ExpiresIn:   r.ExpiresInSeconds,
-		}), nil
-	case wire.OpPlace:
-		var r struct {
-			Generation uint64  `json:"generation"`
-			Replicas   []int64 `json:"replicas"`
-		}
-		if err := json.Unmarshal(body, &r); err != nil {
-			return nil, err
-		}
-		return wire.AppendPlaceResp(nil, h.ID, &wire.PlaceResp{Generation: r.Generation, Replicas: r.Replicas}), nil
-	case wire.OpPlaceBlock:
-		var r struct {
-			Generation uint64  `json:"generation"`
-			Block      uint64  `json:"block"`
-			Replicas   []int64 `json:"replicas"`
-		}
-		if err := json.Unmarshal(body, &r); err != nil {
-			return nil, err
-		}
-		return wire.AppendPlaceBlockResp(nil, h.ID, &wire.PlaceBlockResp{
-			Generation: r.Generation,
-			Block:      r.Block,
-			Replicas:   r.Replicas,
-		}), nil
-	case wire.OpReimage:
-		var r struct {
-			Server  int64 `json:"server"`
-			Lost    int64 `json:"lost"`
-			Pending int64 `json:"pending"`
-		}
-		if err := json.Unmarshal(body, &r); err != nil {
-			return nil, err
-		}
-		return wire.AppendReimageResp(nil, h.ID, &wire.ReimageResp{
-			Server:  r.Server,
-			Lost:    uint32(r.Lost),
-			Pending: uint32(r.Pending),
-		}), nil
-	case wire.OpClasses:
-		var r struct {
-			Generation  uint64          `json:"generation"`
-			AsOfSeconds float64         `json:"as_of_seconds"`
-			Classes     []jsonClassInfo `json:"classes"`
-		}
-		if err := json.Unmarshal(body, &r); err != nil {
-			return nil, err
-		}
-		m := wire.ClassesResp{
-			Generation:  r.Generation,
-			AsOfSeconds: r.AsOfSeconds,
-			Classes:     make([]wire.ClassRec, len(r.Classes)),
-		}
-		for i, c := range r.Classes {
-			m.Classes[i] = classRecOf(c)
-		}
-		return wire.AppendClassesResp(nil, h.ID, &m), nil
-	case wire.OpServerClass:
-		var r struct {
-			Generation uint64        `json:"generation"`
-			Server     int64         `json:"server"`
-			Class      jsonClassInfo `json:"class"`
-		}
-		if err := json.Unmarshal(body, &r); err != nil {
-			return nil, err
-		}
-		return wire.AppendServerClassResp(nil, h.ID, &wire.ServerClassResp{
-			Generation: r.Generation,
-			Server:     r.Server,
-			Class:      classRecOf(r.Class),
-		}), nil
-	}
-	return nil, fmt.Errorf("unreachable opcode %d", h.Op)
+	b.lat.Observe(time.Since(pr.legStart), status)
+	rt.binOps[pr.op].Observe(time.Since(pr.start), status)
+	pr.tr.Finish(status)
+	return call.frame
 }

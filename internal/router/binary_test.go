@@ -2,8 +2,11 @@ package router_test
 
 import (
 	"bufio"
+	"encoding/json"
 	"net"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -55,90 +58,291 @@ func startRouterBinary(t *testing.T, rt *router.Router) string {
 	return addr.String()
 }
 
-// TestBinaryMixedFleet drives the binary dialect through the router against
-// a mixed fleet: DC-9 on a backend with its own binary listener (native
-// forwarding), DC-8 on a JSON-only backend (translation bridge). Both must
-// behave identically from the client's side, and each shard's books must
-// balance afterwards.
-func TestBinaryMixedFleet(t *testing.T) {
+// echoBackend is a fake binary backend: every frame is answered with its
+// response opcode and its own payload, under the id it arrived with.
+type echoBackend struct {
+	ln    net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func startEchoBackend(t *testing.T) *echoBackend {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eb := &echoBackend{ln: ln}
+	t.Cleanup(eb.kill)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			eb.mu.Lock()
+			eb.conns = append(eb.conns, c)
+			eb.mu.Unlock()
+			go func() {
+				defer c.Close()
+				br := bufio.NewReader(c)
+				var scratch []byte
+				for {
+					h, payload, err := wire.ReadFrame(br, &scratch)
+					if err != nil {
+						return
+					}
+					_, rest, _ := wire.SplitTrace(h, payload)
+					c.Write(wire.AppendFrame(nil, h.Op.Resp(), h.ID, rest))
+				}
+			}()
+		}
+	}()
+	return eb
+}
+
+func (eb *echoBackend) addr() string { return eb.ln.Addr().String() }
+
+// kill closes the listener and every accepted connection.
+func (eb *echoBackend) kill() {
+	eb.ln.Close()
+	eb.mu.Lock()
+	defer eb.mu.Unlock()
+	for _, c := range eb.conns {
+		c.Close()
+	}
+}
+
+// routerStats fetches the router's own /metrics section.
+func routerStats(t *testing.T, routerURL string) router.RouterStats {
+	t.Helper()
+	var m struct {
+		Router router.RouterStats `json:"router"`
+	}
+	_, body := getBody(t, routerURL+"/metrics")
+	if err := json.Unmarshal(body, &m); err != nil {
+		t.Fatalf("metrics: %v", err)
+	}
+	return m.Router
+}
+
+// TestBinaryRelayEndToEnd drives the binary dialect through the router to a
+// real shard's binary listener, and the shard's books must balance afterwards.
+func TestBinaryRelayEndToEnd(t *testing.T) {
 	rt, srv := newTestRouter(t, nil)
 	binFront := startRouterBinary(t, rt)
 
-	// DC-9: binary-capable backend.
-	svcBin := newBackendService(t, "DC-9")
-	apiBin := httptest.NewServer(service.NewAPI(svcBin))
-	t.Cleanup(apiBin.Close)
-	bs := service.NewBinaryServer(svcBin)
+	svc := newBackendService(t, "DC-9")
+	api := httptest.NewServer(service.NewAPI(svc))
+	t.Cleanup(api.Close)
+	bs := service.NewBinaryServer(svc)
 	bsAddr, _, err := bs.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("backend binary listen: %v", err)
 	}
 	t.Cleanup(bs.Close)
 	mustRegister(t, srv.URL, router.RegisterRequest{
-		ID: "node-bin", URL: apiBin.URL, BinaryAddr: bsAddr.String(),
+		ID: "node-bin", URL: api.URL, BinaryAddr: bsAddr.String(),
 		Datacenters: []router.RegisterDatacenter{{Name: "DC-9", Generation: 1}},
 	})
 
-	// DC-8: JSON-only backend.
-	svcJSON := newBackendService(t, "DC-8")
-	apiJSON := httptest.NewServer(service.NewAPI(svcJSON))
-	t.Cleanup(apiJSON.Close)
-	mustRegister(t, srv.URL, router.RegisterRequest{
-		ID: "node-json", URL: apiJSON.URL,
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-8", Generation: 1}},
-	})
-
 	c := dialBin(t, binFront)
-	for i, dc := range []string{"DC-9", "DC-8"} {
-		id := uint64(100 + i)
-		h, payload := c.roundTrip(wire.AppendSelectReq(nil, id, dc,
-			wire.SelectReq{Job: wire.JobShort, MaxCores: 2}))
-		if h.Op != wire.OpSelectResp || h.ID != id {
-			t.Fatalf("%s select: header %+v payload %x", dc, h, payload)
-		}
-		var sel wire.SelectResp
-		if err := sel.Decode(payload); err != nil {
-			t.Fatalf("%s select decode: %v", dc, err)
-		}
-		if !sel.Satisfiable || sel.Lease == 0 {
-			t.Fatalf("%s select unsatisfied: %+v", dc, sel)
-		}
+	h, payload := c.roundTrip(wire.AppendSelectReq(nil, 100, "DC-9",
+		wire.SelectReq{Job: wire.JobShort, MaxCores: 2}))
+	if h.Op != wire.OpSelectResp || h.ID != 100 {
+		t.Fatalf("select: header %+v payload %x", h, payload)
+	}
+	var sel wire.SelectResp
+	if err := sel.Decode(payload); err != nil {
+		t.Fatalf("select decode: %v", err)
+	}
+	if !sel.Satisfiable || sel.Lease == 0 {
+		t.Fatalf("select unsatisfied: %+v", sel)
+	}
 
-		h, payload = c.roundTrip(wire.AppendClassesReq(nil, id+10, dc))
-		if h.Op != wire.OpClassesResp {
-			t.Fatalf("%s classes: op %v", dc, h.Op)
-		}
-		var classes wire.ClassesResp
-		if err := classes.Decode(payload); err != nil || len(classes.Classes) == 0 {
-			t.Fatalf("%s classes: %+v err %v", dc, classes, err)
-		}
+	h, payload = c.roundTrip(wire.AppendClassesReq(nil, 110, "DC-9"))
+	if h.Op != wire.OpClassesResp {
+		t.Fatalf("classes: op %v", h.Op)
+	}
+	var classes wire.ClassesResp
+	if err := classes.Decode(payload); err != nil || len(classes.Classes) == 0 {
+		t.Fatalf("classes: %+v err %v", classes, err)
+	}
 
-		h, payload = c.roundTrip(wire.AppendReleaseReq(nil, id+20, dc, sel.Lease))
-		if h.Op != wire.OpReleaseResp {
-			t.Fatalf("%s release: op %v payload %x", dc, h.Op, payload)
-		}
-		var rel wire.ReleaseResp
-		if err := rel.Decode(payload); err != nil || rel.TotalMillis <= 0 {
-			t.Fatalf("%s release: %+v err %v", dc, rel, err)
-		}
+	h, payload = c.roundTrip(wire.AppendReleaseReq(nil, 120, "DC-9", sel.Lease))
+	if h.Op != wire.OpReleaseResp {
+		t.Fatalf("release: op %v payload %x", h.Op, payload)
+	}
+	var rel wire.ReleaseResp
+	if err := rel.Decode(payload); err != nil || rel.TotalMillis <= 0 {
+		t.Fatalf("release: %+v err %v", rel, err)
 	}
 
 	// A frame for a datacenter nobody serves answers 404 without closing.
-	h, payload := c.roundTrip(wire.AppendClassesReq(nil, 999, "DC-0"))
+	h, payload = c.roundTrip(wire.AppendClassesReq(nil, 999, "DC-0"))
 	var e wire.ErrorResp
 	if h.Op != wire.OpError || e.Decode(payload) != nil || e.Code != 404 {
 		t.Fatalf("unknown dc: op %v code %d", h.Op, e.Code)
 	}
 
-	// Books balance on both shards: everything reserved came back.
-	for dc, svc := range map[string]*service.Service{"DC-9": svcBin, "DC-8": svcJSON} {
-		st, ok := svc.LedgerStats(dc)
-		if !ok {
-			t.Fatalf("%s: no ledger stats", dc)
+	// The books balance: everything reserved came back.
+	st, ok := svc.LedgerStats("DC-9")
+	if !ok {
+		t.Fatal("no ledger stats")
+	}
+	if st.OutstandingMillis != 0 || st.ReservedMillis == 0 || st.ReservedMillis != st.ReleasedMillis {
+		t.Fatalf("books unbalanced: %+v", st)
+	}
+}
+
+// TestBinaryFrontRejectsJSONOnlyBackend pins what a backend that announced no
+// binary_addr gets on the binary front: a 503 error frame that names it and
+// the missing flag, on a connection that stays usable, without feeding its
+// breaker — while the JSON front keeps serving its datacenters.
+func TestBinaryFrontRejectsJSONOnlyBackend(t *testing.T) {
+	rt, srv := newTestRouter(t, nil)
+	binFront := startRouterBinary(t, rt)
+
+	svc := newBackendService(t, "DC-8")
+	api := httptest.NewServer(service.NewAPI(svc))
+	t.Cleanup(api.Close)
+	mustRegister(t, srv.URL, router.RegisterRequest{
+		ID: "node-json", URL: api.URL,
+		Datacenters: []router.RegisterDatacenter{{Name: "DC-8", Generation: 1}},
+	})
+
+	c := dialBin(t, binFront)
+	const frames = 4 // past the default breaker threshold of 3
+	for i := uint64(0); i < frames; i++ {
+		h, payload := c.roundTrip(wire.AppendSelectReq(nil, 200+i, "DC-8",
+			wire.SelectReq{Job: wire.JobShort, MaxCores: 2}))
+		var e wire.ErrorResp
+		if h.Op != wire.OpError || h.ID != 200+i || e.Decode(payload) != nil || e.Code != 503 {
+			t.Fatalf("frame %d: header %+v code %d, want a 503 error frame", i, h, e.Code)
 		}
-		if st.OutstandingMillis != 0 || st.ReservedMillis == 0 || st.ReservedMillis != st.ReleasedMillis {
-			t.Fatalf("%s books unbalanced: %+v", dc, st)
+		if msg := string(e.Message); !strings.Contains(msg, "node-json") || !strings.Contains(msg, "-binary-addr") {
+			t.Fatalf("frame %d: message %q does not name the backend and the missing -binary-addr", i, msg)
 		}
+	}
+
+	st := routerStats(t, srv.URL)
+	be := st.Backends["node-json"]
+	if be.ConsecutiveFailures != 0 || be.CircuitOpen || be.Errors != 0 {
+		t.Fatalf("rejected frames fed the breaker: %+v", be)
+	}
+	if st.Unavailable != frames {
+		t.Fatalf("unavailable_503s = %d, want %d", st.Unavailable, frames)
+	}
+
+	// The JSON front still serves the datacenter.
+	resp, body := postJSON(t, srv.URL+"/v1/DC-8/select", `{"job_type":"short","max_concurrent_cores":2}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("JSON select for the same datacenter: %d %s", resp.StatusCode, body)
+	}
+	if st, _ := svc.LedgerStats("DC-8"); st.Reserves != 1 {
+		t.Fatalf("JSON select did not reach the shard: %+v", st)
+	}
+}
+
+// TestAdmissionGateSharedByBothFronts drives one backend's breaker through
+// open → half-open → closed with failures and probes arriving on either front:
+// the gate is one function over one state, so what one front learns the other
+// obeys.
+func TestAdmissionGateSharedByBothFronts(t *testing.T) {
+	for _, probeFront := range []string{"json", "binary"} {
+		t.Run(probeFront+" probes", func(t *testing.T) {
+			clock := newTestClock()
+			rt := router.New(router.Config{
+				StaleAfter:       time.Hour, // isolate the breaker from staleness
+				BreakerThreshold: 2,
+				BreakerCooldown:  5 * time.Second,
+				ProxyTimeout:     2 * time.Second,
+				Now:              clock.Now,
+			})
+			srv := httptest.NewServer(rt)
+			defer srv.Close()
+			c := dialBin(t, startRouterBinary(t, rt))
+
+			fb, eb := newFakeBackend(t), startEchoBackend(t)
+			beat := func() {
+				mustRegister(t, srv.URL, router.RegisterRequest{
+					ID: "node-a", URL: fb.srv.URL, BinaryAddr: eb.addr(),
+					Datacenters: []router.RegisterDatacenter{{Name: "DC-A"}},
+				})
+			}
+			beat()
+
+			fronts := map[string]func() int{
+				"json": func() int {
+					resp, _ := getBody(t, srv.URL+"/v1/DC-A/classes")
+					return resp.StatusCode
+				},
+				"binary": func() int {
+					h, payload := c.roundTrip(wire.AppendClassesReq(nil, 1, "DC-A"))
+					if h.Op == wire.OpClassesResp {
+						return http.StatusOK
+					}
+					var e wire.ErrorResp
+					if h.Op != wire.OpError || e.Decode(payload) != nil {
+						t.Fatalf("binary front answered op %v", h.Op)
+					}
+					return int(e.Code)
+				},
+			}
+			probe := fronts[probeFront]
+			delete(fronts, probeFront)
+			var other func() int
+			for _, f := range fronts {
+				other = f
+			}
+			want := func(what string, got, status int) {
+				t.Helper()
+				if got != status {
+					t.Fatalf("%s: status %d, want %d", what, got, status)
+				}
+			}
+			backend := func() router.BackendStats { return routerStats(t, srv.URL).Backends["node-a"] }
+
+			want("closed circuit, probing front", probe(), 200)
+			want("closed circuit, other front", other(), 200)
+
+			// Closed → open: one transport failure from each front.
+			fb.srv.Close()
+			eb.kill()
+			want("dead backend, other front", other(), 503)
+			want("dead backend, probing front", probe(), 503)
+			if st := backend(); !st.CircuitOpen || st.Errors != 2 {
+				t.Fatalf("one failure per front did not open the circuit: %+v", st)
+			}
+
+			// Open: both fronts are refused without touching the transport.
+			want("open circuit, probing front", probe(), 503)
+			want("open circuit, other front", other(), 503)
+			if st := backend(); st.Errors != 2 {
+				t.Fatalf("an open circuit still hit the transport: %+v", st)
+			}
+
+			// Half-open with the backend still dead: one probe goes through,
+			// fails, and the circuit is open again for both.
+			clock.Advance(6 * time.Second)
+			want("failed probe", probe(), 503)
+			want("re-opened circuit, other front", other(), 503)
+			if st := backend(); !st.CircuitOpen || st.Errors != 3 {
+				t.Fatalf("failed probe: %+v, want the circuit re-opened by exactly one more transport error", st)
+			}
+
+			// The backend returns. A heartbeat alone does not close the circuit;
+			// past the cooldown one front's probe closes it for both.
+			fb, eb = newFakeBackend(t), startEchoBackend(t)
+			beat()
+			want("heartbeat alone, other front", other(), 503)
+			clock.Advance(6 * time.Second)
+			want("successful probe", probe(), 200)
+			want("closed circuit, other front", other(), 200)
+			if st := backend(); st.CircuitOpen || st.ConsecutiveFailures != 0 {
+				t.Fatalf("successful probe left the breaker %+v", st)
+			}
+		})
 	}
 }
 

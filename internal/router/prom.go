@@ -8,21 +8,24 @@ import (
 	"harvest/internal/wire"
 )
 
+func opStatsOf(m *obs.EndpointMetrics) OpStats {
+	return OpStats{
+		Requests: m.Requests.Load(),
+		Errors:   m.Errors.Load(),
+		MeanUs:   m.Latency.MeanMicros(),
+		P50Us:    m.Latency.QuantileMicros(0.50),
+		P99Us:    m.Latency.QuantileMicros(0.99),
+		MaxUs:    m.Latency.MaxMicros(),
+	}
+}
+
 // binOpStats snapshots the binary front's per-opcode counters for /metrics.
 // Every request opcode gets a row even before its first frame, matching the
 // shards' binary section.
 func (rt *Router) binOpStats() map[string]OpStats {
 	ops := make(map[string]OpStats, len(rt.binOps))
 	for i := range rt.binOps {
-		m := &rt.binOps[i]
-		ops[wire.Op(i+1).String()] = OpStats{
-			Requests: m.Requests.Load(),
-			Errors:   m.Errors.Load(),
-			MeanUs:   m.Latency.MeanMicros(),
-			P50Us:    m.Latency.QuantileMicros(0.50),
-			P99Us:    m.Latency.QuantileMicros(0.99),
-			MaxUs:    m.Latency.MaxMicros(),
-		}
+		ops[wire.Ops[i].Name] = opStatsOf(&rt.binOps[i])
 	}
 	return ops
 }
@@ -104,8 +107,6 @@ func (rt *Router) writeProm(w http.ResponseWriter) {
 		p.Uint("harvestrouter_binary_framing_errors_total", "", rt.binFramingErrors.Load())
 		p.Metric("harvestrouter_binary_forwarded_total", "counter", "Frames relayed natively to a binary backend.")
 		p.Uint("harvestrouter_binary_forwarded_total", "", rt.binForwarded.Load())
-		p.Metric("harvestrouter_binary_translated_total", "counter", "Frames bridged to a JSON-only backend.")
-		p.Uint("harvestrouter_binary_translated_total", "", rt.binTranslated.Load())
 		p.Metric("harvestrouter_binary_rejected_total", "counter", "Error frames originated by the router.")
 		p.Uint("harvestrouter_binary_rejected_total", "", rt.binRejected.Load())
 
@@ -113,14 +114,14 @@ func (rt *Router) writeProm(w http.ResponseWriter) {
 		p.Metric("harvestrouter_binary_op_errors_total", "counter", "Non-2xx outcomes, by opcode.")
 		for i := range rt.binOps {
 			m := &rt.binOps[i]
-			ls := obs.Labels("op", wire.Op(i+1).String())
+			ls := obs.Labels("op", wire.Ops[i].Name)
 			p.Uint("harvestrouter_binary_op_requests_total", ls, m.Requests.Load())
 			p.Uint("harvestrouter_binary_op_errors_total", ls, m.Errors.Load())
 		}
 		p.Metric("harvestrouter_binary_op_latency_microseconds", "histogram", "Frame relay latency by opcode, in microseconds.")
 		for i := range rt.binOps {
 			p.Histogram("harvestrouter_binary_op_latency_microseconds",
-				obs.Labels("op", wire.Op(i+1).String()), &rt.binOps[i].Latency)
+				obs.Labels("op", wire.Ops[i].Name), &rt.binOps[i].Latency)
 		}
 	}
 

@@ -17,11 +17,11 @@ func TestRouterPrometheusExposition(t *testing.T) {
 
 	fb := newFakeBackend(t)
 	mustRegister(t, srv.URL, router.RegisterRequest{
-		ID: "node-a", URL: fb.srv.URL,
+		ID: "node-a", URL: fb.srv.URL, BinaryAddr: startEchoBackend(t).addr(),
 		Datacenters: []router.RegisterDatacenter{{Name: "DC-1", Generation: 1}},
 	})
 
-	// One proxied JSON request and one bridged binary request so the
+	// One proxied JSON request and one relayed binary request so the
 	// counters and per-op histograms are live.
 	if resp, _ := getBody(t, srv.URL+"/v1/DC-1/classes"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("proxy warmup: status %d", resp.StatusCode)
@@ -47,14 +47,14 @@ func TestRouterPrometheusExposition(t *testing.T) {
 	text := string(body)
 	for _, want := range []string{
 		"# TYPE harvestrouter_proxied_total counter",
-		// Two: the JSON proxy leg and the bridged binary frame both count.
+		// Two: the JSON proxy leg and the relayed binary frame both count.
 		"harvestrouter_proxied_total 2",
 		`harvestrouter_backend_up{backend="node-a"} 1`,
 		`harvestrouter_backend_proxied_total{backend="node-a"}`,
 		"# TYPE harvestrouter_binary_op_latency_microseconds histogram",
 		`harvestrouter_binary_op_latency_microseconds_bucket{op="classes",le="+Inf"} 1`,
 		`harvestrouter_binary_op_requests_total{op="classes"} 1`,
-		"harvestrouter_binary_translated_total 1",
+		"harvestrouter_binary_forwarded_total 1",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("router exposition missing %q:\n%s", want, text)
@@ -71,7 +71,7 @@ func TestRouterBinaryOpStatsJSON(t *testing.T) {
 
 	fb := newFakeBackend(t)
 	mustRegister(t, srv.URL, router.RegisterRequest{
-		ID: "node-a", URL: fb.srv.URL,
+		ID: "node-a", URL: fb.srv.URL, BinaryAddr: startEchoBackend(t).addr(),
 		Datacenters: []router.RegisterDatacenter{{Name: "DC-1", Generation: 1}},
 	})
 	c := dialBin(t, binFront)

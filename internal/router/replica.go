@@ -8,6 +8,8 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"time"
+
+	"harvest/internal/wire"
 )
 
 // Read fan-out across replicas. A primary harvestd ships its snapshots and
@@ -36,24 +38,25 @@ const backendHeader = "X-Harvest-Backend"
 const promoteTimeout = 2 * time.Second
 
 // isReadRequest classifies one proxied JSON request. Reads are safe on a
-// generation-fresh follower: GETs (classes, server class, leases, metrics),
-// placement (pure computation against the snapshot), and advisory dry-run
-// selects. Everything that moves ledger or telemetry state — reserving
-// selects, release, renew, ingest — stays pinned to the primary.
+// generation-fresh follower: GETs (classes, server class, leases, metrics)
+// and what the op table marks as reads — placement (pure computation against
+// the snapshot) and advisory dry-run selects. Everything that moves ledger or
+// telemetry state stays pinned to the primary.
 func isReadRequest(method, rest string, body []byte) bool {
 	if method == http.MethodGet {
 		return true
 	}
-	switch rest {
-	case "place":
-		return true
-	case "select":
+	info := wire.OpForRoute(method, rest)
+	if info == nil {
+		return false
+	}
+	if info.Access == wire.ReadIfDryRun {
 		var probe struct {
 			DryRun bool `json:"dry_run"`
 		}
 		return json.Unmarshal(body, &probe) == nil && probe.DryRun
 	}
-	return false
+	return info.Access == wire.Read
 }
 
 // pickBackend resolves the backend for one request. Writes go to the table

@@ -48,6 +48,7 @@ import (
 	"harvest/internal/httpjson"
 	"harvest/internal/obs"
 	"harvest/internal/regproto"
+	"harvest/internal/wire"
 )
 
 // rlog is the router's structured logger: component=router on every line.
@@ -112,9 +113,8 @@ type backend struct {
 	dcs map[string]uint64 // datacenter → announced generation (guarded by Router.mu)
 
 	// binAddr is the backend's advertised binary frame listener (host:port),
-	// empty for a JSON-only backend. Guarded by Router.mu like url; it decides
-	// per-backend whether data-plane frames are forwarded natively or
-	// translated to the JSON API.
+	// empty for a JSON-only backend, which only the JSON front can reach.
+	// Guarded by Router.mu like url.
 	binAddr string
 
 	// replicateAddr is the backend's announced replication listener (guarded
@@ -201,13 +201,12 @@ type Router struct {
 	binOpenConns     atomic.Int64
 	binFramingErrors atomic.Uint64
 	binForwarded     atomic.Uint64 // frames relayed natively to a binary backend
-	binTranslated    atomic.Uint64 // frames bridged to a JSON-only backend
 	binRejected      atomic.Uint64 // error frames originated by the router itself
 
 	// binOps is the per-opcode request/error/latency breakdown of the binary
 	// front end (the counters above say how much; these say how fast),
-	// indexed like service.opIndex: op byte - 1.
-	binOps [8]obs.EndpointMetrics
+	// indexed by wire.OpIndex.
+	binOps [len(wire.Ops)]obs.EndpointMetrics
 
 	// binRelayID mints the unique ids frames travel under on the backend leg
 	// of native forwarding; responses are matched back to their waiters by
@@ -614,99 +613,29 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	now := rt.now()
-	read := isReadRequest(r.Method, r.PathValue("rest"), bodyBytes)
-	b := rt.pickBackend(dc, read, now)
-	if b == nil {
-		writeError(w, http.StatusNotFound, "unknown datacenter "+strconv.Quote(dc))
+	adm, ref := rt.admit(dc, isReadRequest(r.Method, r.PathValue("rest"), bodyBytes), tr)
+	if adm.b != nil {
+		// Name the replica that serves this request: load generators and the CI
+		// smoke job attribute per-backend read share from this header.
+		w.Header().Set(backendHeader, adm.b.id)
+	}
+	if ref != nil {
+		if ref.status == http.StatusServiceUnavailable {
+			rt.writeUnavailable(w, ref.retryAfter, ref.msg)
+		} else {
+			writeError(w, ref.status, ref.msg)
+		}
 		return
 	}
-	rt.mu.RLock()
-	// Copied under the lock: registration beats rewrite b.url under the
-	// write lock, so it must not be read after the RUnlock.
-	baseURL := b.url
-	rt.mu.RUnlock()
-	// Name the replica that serves this request: load generators and the CI
-	// smoke job attribute per-backend read share from this header.
-	w.Header().Set(backendHeader, b.id)
-	if !rt.alive(b, now) {
-		// Past many staleness windows the node is gone, not hiccuping:
-		// collect it on demand — registration-time sweeps never run when no
-		// backend is left to heartbeat — so its datacenters fall back to 404
-		// instead of 503ing (with a Retry-After clients honor) forever.
-		if cutoff := now.Add(-10 * rt.cfg.StaleAfter).UnixNano(); b.lastBeat.Load() <= cutoff {
-			rt.collectBackend(b, cutoff)
-			writeError(w, http.StatusNotFound, "unknown datacenter "+strconv.Quote(dc))
-			return
-		}
-		rt.unavailable.Add(1)
-		rt.writeUnavailable(w, rt.cfg.RetryAfter,
-			"datacenter "+strconv.Quote(dc)+" unavailable: backend "+b.id+" missed heartbeats")
-		return
-	}
-	if b.draining.Load() {
-		// pickBackend already tried to route around a draining node (spread
-		// reads, promotion for writes); reaching here means it was the only
-		// candidate. Its listeners are about to close, so reject with the
-		// usual retry hint instead of racing the teardown.
-		rt.unavailable.Add(1)
-		rt.writeUnavailable(w, rt.cfg.RetryAfter,
-			"datacenter "+strconv.Quote(dc)+" unavailable: backend "+b.id+" draining for planned shutdown")
-		return
-	}
-
-	// Breaker gate. A nonzero openUntil in the past means the cooldown just
-	// elapsed: the circuit is half-open, and exactly one request — the CAS
-	// winner — may probe the backend; everyone else keeps getting 503 until
-	// the probe's outcome decides the state. The slot is held only across
-	// the outbound call, which ProxyTimeout bounds.
-	var gateStart time.Time
-	if tr != nil {
-		gateStart = time.Now()
-	}
-	probe := false
-	if openUntil := b.openUntil.Load(); openUntil != 0 {
-		if openUntil > now.UnixNano() {
-			rt.unavailable.Add(1)
-			rt.writeUnavailable(w, time.Duration(openUntil-now.UnixNano()),
-				"datacenter "+strconv.Quote(dc)+" unavailable: backend "+b.id+" circuit open")
-			return
-		}
-		if !b.probing.CompareAndSwap(false, true) {
-			rt.unavailable.Add(1)
-			rt.writeUnavailable(w, rt.cfg.BreakerCooldown,
-				"datacenter "+strconv.Quote(dc)+" unavailable: backend "+b.id+" probe in flight")
-			return
-		}
-		probe = true
-	}
-	tr.Span("breaker_wait", gateStart)
+	b := adm.b
 
 	// The outbound path is the *escaped* original, verbatim: PathValue
 	// returns percent-decoded segments, and re-joining those would let an
 	// encoded '?', '#', or '/' inside a segment change which resource the
 	// backend sees.
-	target := baseURL + r.URL.EscapedPath()
+	target := adm.url + r.URL.EscapedPath()
 	if r.URL.RawQuery != "" {
 		target += "?" + r.URL.RawQuery
-	}
-	// settle records the transport outcome and releases the probe slot. Any
-	// success — probe or a request that was already in flight when the
-	// circuit opened — fully closes the circuit (fresh evidence the data
-	// plane works); keying the close on the probe alone could strand the
-	// breaker half-open when a racing success reset consecFails just before
-	// a probe failed. A failure feeds proxyFailed, which re-opens at the
-	// threshold.
-	settle := func(ok bool) {
-		if ok {
-			b.consecFails.Store(0)
-			b.openUntil.Store(0)
-		} else {
-			rt.proxyFailed(b)
-		}
-		if probe {
-			b.probing.Store(false)
-		}
 	}
 	// clientGone recognizes transport errors caused by the *client* aborting
 	// mid-request (the outbound context is the inbound request's): those say
@@ -715,9 +644,7 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 		if r.Context().Err() == nil {
 			return false
 		}
-		if probe {
-			b.probing.Store(false)
-		}
+		adm.cancel()
 		return true
 	}
 
@@ -727,9 +654,7 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 	}
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, target, outBody)
 	if err != nil {
-		if probe {
-			b.probing.Store(false)
-		}
+		adm.cancel()
 		writeError(w, http.StatusBadRequest, "bad proxy request: "+err.Error())
 		return
 	}
@@ -747,9 +672,6 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 		legStart = time.Now()
 	}
 
-	if read {
-		b.reads.Add(1)
-	}
 	// backendStart is unconditional (legStart above is trace-gated): it feeds
 	// the per-backend latency histogram on every outcome except a vanished
 	// client. inflight brackets the whole backend leg — it is the
@@ -762,10 +684,7 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 		if clientGone() {
 			return // nobody is listening for this response
 		}
-		b.lat.Observe(time.Since(backendStart), http.StatusServiceUnavailable)
-		settle(false)
-		rt.writeUnavailable(w, rt.cfg.BreakerCooldown,
-			"datacenter "+strconv.Quote(dc)+" unavailable: backend "+b.id+" unreachable")
+		rt.writeUnavailable(w, rt.cfg.BreakerCooldown, rt.legFailed(adm, dc, backendStart, "unreachable"))
 		return
 	}
 	defer resp.Body.Close()
@@ -775,14 +694,12 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 		if err != nil && clientGone() {
 			return
 		}
-		b.lat.Observe(time.Since(backendStart), http.StatusServiceUnavailable)
-		settle(false)
 		rt.writeUnavailable(w, rt.cfg.BreakerCooldown,
-			"datacenter "+strconv.Quote(dc)+" unavailable: backend "+b.id+" sent a truncated or oversized response")
+			rt.legFailed(adm, dc, backendStart, "sent a truncated or oversized response"))
 		return
 	}
 	b.lat.Observe(time.Since(backendStart), resp.StatusCode)
-	settle(true)
+	rt.settle(adm, true)
 	tr.Span("backend_leg", legStart)
 	b.proxied.Add(1)
 	rt.proxiedTotal.Add(1)
@@ -822,6 +739,125 @@ func isHopByHop(k string) bool {
 		}
 	}
 	return false
+}
+
+// admission is a request's pass through admit to one backend.
+type admission struct {
+	b *backend
+	// url and binAddr are copied under Router.mu: registration beats rewrite
+	// them under the write lock, so they must not be read off b afterwards.
+	url, binAddr string
+	// probe marks the half-open circuit's one probe; settle or cancel gives
+	// the slot back.
+	probe bool
+}
+
+// refusal is why admit turned a request away. retryAfter is the hint a 503
+// carries on the JSON front.
+type refusal struct {
+	status     int
+	msg        string
+	retryAfter time.Duration
+}
+
+// admit is the gate both fronts put every request through before touching a
+// backend: resolve the datacenter (spreading reads, promoting a follower when
+// the owner stopped beating), then refuse when the backend missed its
+// heartbeats, is draining, or its circuit is open. The returned admission
+// names the backend even when refused, as far as one was resolved. An admitted
+// request must end in exactly one settle or cancel.
+func (rt *Router) admit(dc string, read bool, tr *obs.Trace) (admission, *refusal) {
+	now := rt.now()
+	b := rt.pickBackend(dc, read, now)
+	if b == nil {
+		return admission{}, &refusal{status: http.StatusNotFound, msg: "unknown datacenter " + strconv.Quote(dc)}
+	}
+	adm := admission{b: b}
+	unavailable := func(retryAfter time.Duration, why string) (admission, *refusal) {
+		rt.unavailable.Add(1)
+		return adm, &refusal{
+			status:     http.StatusServiceUnavailable,
+			msg:        unavailableMsg(dc, b, why),
+			retryAfter: retryAfter,
+		}
+	}
+	if !rt.alive(b, now) {
+		// Past many staleness windows the node is gone, not hiccuping:
+		// collect it on demand — registration-time sweeps never run when no
+		// backend is left to heartbeat — so its datacenters fall back to 404
+		// instead of 503ing (with a Retry-After clients honor) forever.
+		if cutoff := now.Add(-10 * rt.cfg.StaleAfter).UnixNano(); b.lastBeat.Load() <= cutoff {
+			rt.collectBackend(b, cutoff)
+			return adm, &refusal{status: http.StatusNotFound, msg: "unknown datacenter " + strconv.Quote(dc)}
+		}
+		return unavailable(rt.cfg.RetryAfter, "missed heartbeats")
+	}
+	if b.draining.Load() {
+		// pickBackend already tried to route around a draining node (spread
+		// reads, promotion for writes); reaching here means it was the only
+		// candidate. Its listeners are about to close, so reject with the
+		// usual retry hint instead of racing the teardown.
+		return unavailable(rt.cfg.RetryAfter, "draining for planned shutdown")
+	}
+	// Breaker gate. A nonzero openUntil in the past means the cooldown just
+	// elapsed: the circuit is half-open, and exactly one request — the CAS
+	// winner — may probe the backend; everyone else keeps getting 503 until
+	// the probe's outcome decides the state. The slot is held only across
+	// the backend leg, which ProxyTimeout bounds.
+	gateStart := time.Now()
+	if openUntil := b.openUntil.Load(); openUntil != 0 {
+		if openUntil > now.UnixNano() {
+			return unavailable(time.Duration(openUntil-now.UnixNano()), "circuit open")
+		}
+		if !b.probing.CompareAndSwap(false, true) {
+			return unavailable(rt.cfg.BreakerCooldown, "probe in flight")
+		}
+		adm.probe = true
+	}
+	tr.Span("breaker_wait", gateStart)
+	rt.mu.RLock()
+	adm.url, adm.binAddr = b.url, b.binAddr
+	rt.mu.RUnlock()
+	if read {
+		b.reads.Add(1)
+	}
+	return adm, nil
+}
+
+// settle records an admitted request's transport outcome and releases the
+// probe slot. Any success — probe or a request that was already in flight
+// when the circuit opened — fully closes the circuit (fresh evidence the data
+// plane works); keying the close on the probe alone could strand the breaker
+// half-open when a racing success reset consecFails just before a probe
+// failed. A failure feeds proxyFailed, which re-opens at the threshold.
+func (rt *Router) settle(adm admission, ok bool) {
+	if ok {
+		adm.b.consecFails.Store(0)
+		adm.b.openUntil.Store(0)
+	} else {
+		rt.proxyFailed(adm.b)
+	}
+	adm.cancel()
+}
+
+// legFailed records a backend leg the transport let down — breaker evidence —
+// and words the 503 for it.
+func (rt *Router) legFailed(adm admission, dc string, legStart time.Time, why string) string {
+	adm.b.lat.Observe(time.Since(legStart), http.StatusServiceUnavailable)
+	rt.settle(adm, false)
+	return unavailableMsg(dc, adm.b, why)
+}
+
+func unavailableMsg(dc string, b *backend, why string) string {
+	return "datacenter " + strconv.Quote(dc) + " unavailable: backend " + b.id + " " + why
+}
+
+// cancel releases the probe slot without recording evidence: what went wrong
+// was the client's doing and says nothing about the backend.
+func (adm admission) cancel() {
+	if adm.probe {
+		adm.b.probing.Store(false)
+	}
 }
 
 // proxyFailed records a transport failure and opens the breaker at the
@@ -956,9 +992,8 @@ type BinaryFrontStats struct {
 	AcceptedConns uint64 `json:"accepted_conns"`
 	OpenConns     int64  `json:"open_conns"`
 	FramingErrors uint64 `json:"framing_errors"`
-	Forwarded     uint64 `json:"forwarded"`  // frames relayed natively
-	Translated    uint64 `json:"translated"` // frames bridged to JSON-only backends
-	Rejected      uint64 `json:"rejected"`   // error frames originated by the router
+	Forwarded     uint64 `json:"forwarded"` // frames relayed natively
+	Rejected      uint64 `json:"rejected"`  // error frames originated by the router
 	// Ops is the per-opcode latency and error breakdown at the router's frame
 	// dispatch — the same row shape as the shards' binary endpoints, so a
 	// dashboard can subtract the two and see the relay's own cost.
@@ -1024,7 +1059,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			OpenConns:     rt.binOpenConns.Load(),
 			FramingErrors: rt.binFramingErrors.Load(),
 			Forwarded:     rt.binForwarded.Load(),
-			Translated:    rt.binTranslated.Load(),
 			Rejected:      rt.binRejected.Load(),
 			Ops:           rt.binOpStats(),
 		}
@@ -1053,14 +1087,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Errors:              b.errors.Load(),
 			CircuitOpen:         b.openUntil.Load() > now.UnixNano(),
 			ConsecutiveFailures: int(b.consecFails.Load()),
-			Latency: OpStats{
-				Requests: b.lat.Requests.Load(),
-				Errors:   b.lat.Errors.Load(),
-				MeanUs:   b.lat.Latency.MeanMicros(),
-				P50Us:    b.lat.Latency.QuantileMicros(0.50),
-				P99Us:    b.lat.Latency.QuantileMicros(0.99),
-				MaxUs:    b.lat.Latency.MaxMicros(),
-			},
+			Latency:             opStatsOf(&b.lat),
 		}
 		var owns []string
 		for name, gen := range b.dcs {

@@ -3,8 +3,7 @@ package router_test
 // End-to-end trace reconstruction across tiers: one request through the
 // router must leave joinable trace records — same trace id — in both the
 // router's recorder and the owning shard's, on the JSON dialect (header
-// propagation) and the binary dialect (the echoed frame id, including across
-// the translation bridge onto a JSON-only backend).
+// propagation) and the binary dialect (the echoed frame id).
 
 import (
 	"net/http"
@@ -107,16 +106,6 @@ func TestTraceReconstructionBinary(t *testing.T) {
 		Datacenters: []router.RegisterDatacenter{{Name: "DC-9", Generation: 1}},
 	})
 
-	// DC-8: JSON-only backend reached through the translation bridge.
-	svcJSON := newBackendService(t, "DC-8")
-	apiJSON := service.NewAPI(svcJSON)
-	apiSrvJSON := httptest.NewServer(apiJSON)
-	t.Cleanup(apiSrvJSON.Close)
-	mustRegister(t, srv.URL, router.RegisterRequest{
-		ID: "node-json", URL: apiSrvJSON.URL,
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-8", Generation: 1}},
-	})
-
 	c := dialBin(t, binFront)
 
 	// Native forwarding: the frame id is the trace id on both tiers.
@@ -138,24 +127,5 @@ func TestTraceReconstructionBinary(t *testing.T) {
 	}
 	if spans := spanSet(str); !spans["snapshot_read"] || !spans["ledger_reserve"] {
 		t.Fatalf("shard binary spans = %v", spans)
-	}
-
-	// Translation bridge: a binary frame for a JSON-only backend still joins —
-	// the router maps the frame id onto X-Harvest-Trace for the bridged leg.
-	h, _ = c.roundTrip(wire.AppendSelectReq(nil, 0xbeef, "DC-8",
-		wire.SelectReq{Job: wire.JobShort, MaxCores: 2}))
-	if h.Op != wire.OpSelectResp || h.ID != 0xbeef {
-		t.Fatalf("bridged select: header %+v", h)
-	}
-	rtr = mustTrace(t, rt.Recorder(), 0xbeef, "router")
-	if rtr.Dialect != obs.DialectBinary || rtr.DC != "DC-8" {
-		t.Fatalf("router bridged trace = %+v", rtr)
-	}
-	str = mustTrace(t, apiJSON.Recorder(), 0xbeef, "shard")
-	if str.Dialect != obs.DialectJSON || str.DC != "DC-8" || str.Op != "select" {
-		t.Fatalf("bridged shard trace = %+v (want the JSON dialect on the shard)", str)
-	}
-	if spans := spanSet(str); !spans["snapshot_read"] || !spans["ledger_reserve"] {
-		t.Fatalf("bridged shard spans = %v", spans)
 	}
 }

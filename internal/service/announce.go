@@ -21,9 +21,8 @@ type AnnouncerConfig struct {
 	// proxies to.
 	SelfURL string
 	// BinaryAddr is this node's binary frame listener (host:port), when one
-	// is serving. The router negotiates per-backend from this: beats carrying
-	// it get data-plane frames forwarded natively, beats without it fall back
-	// to JSON translation.
+	// is serving: where the router's binary front relays this node's frames.
+	// Without it the router serves this node's datacenters on JSON only.
 	BinaryAddr string
 	// ID is the stable backend identity; re-registrations under the same ID
 	// update the existing entry. Empty means SelfURL.

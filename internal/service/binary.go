@@ -2,14 +2,12 @@ package service
 
 import (
 	"errors"
-	"math"
 	"net"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"harvest/internal/core"
-	"harvest/internal/ledger"
 	"harvest/internal/obs"
 	"harvest/internal/tenant"
 	"harvest/internal/wire"
@@ -31,17 +29,6 @@ const (
 	binaryReadBuffer = 64 << 10
 )
 
-// binaryOps maps an opcode to its dense metrics index; see opIndex.
-var binaryOps = []wire.Op{wire.OpSelect, wire.OpRelease, wire.OpPlace, wire.OpClasses, wire.OpServerClass, wire.OpRenew, wire.OpPlaceBlock, wire.OpReimage}
-
-func opIndex(op wire.Op) int {
-	i := int(op) - 1
-	if i < 0 || i >= len(binaryOps) {
-		return -1
-	}
-	return i
-}
-
 // BinaryServer serves the wire package's binary frame dialect of the query
 // API: the same select/release/place/classes/server-class semantics as the
 // JSON handlers in http.go, minus net/http and encoding/json. Each accepted
@@ -61,9 +48,13 @@ func opIndex(op wire.Op) int {
 type BinaryServer struct {
 	svc *Service
 
-	// metrics is indexed by opIndex; same counters as the JSON endpoints so
-	// /metrics reports both dialects side by side.
-	metrics [8]EndpointMetrics
+	// metrics is indexed by wire.OpIndex; same counters as the JSON endpoints
+	// so /metrics reports both dialects side by side.
+	metrics [len(wire.Ops)]EndpointMetrics
+
+	// ingestGated is set when the attached API requires the ingest bearer
+	// token: operations behind it (wire.OpInfo.Bearer) are then refused here.
+	ingestGated atomic.Bool
 
 	// rec, when set (AttachBinary shares the API's), records one trace per
 	// dispatched frame; nil keeps the dispatch path trace-free.
@@ -209,11 +200,6 @@ func (b *BinaryServer) handleConn(c net.Conn) {
 	}
 	cr := &connReader{c: c, buf: make([]byte, binaryReadBuffer)}
 	out := make([]byte, 0, binaryFlushLimit)
-	// dcNames interns datacenter names so steady-state dispatch makes no
-	// string allocations: a connection talks to a handful of datacenters,
-	// each paying one allocation on first sight.
-	dcNames := make(map[string]string, 4)
-
 	flush := func() bool {
 		if len(out) == 0 {
 			return true
@@ -259,7 +245,7 @@ func (b *BinaryServer) handleConn(c net.Conn) {
 		}
 		cr.take(wire.HeaderSize)
 		payload := cr.take(int(h.Len))
-		out = b.dispatch(out, h, payload, dcNames)
+		out = b.dispatch(out, h, payload)
 		if len(out) >= binaryFlushLimit {
 			if !flush() {
 				return
@@ -268,383 +254,189 @@ func (b *BinaryServer) handleConn(c net.Conn) {
 	}
 }
 
-// internDC maps the payload's datacenter bytes to a stable string without
-// allocating on the hit path (the map index with an inline []byte→string
-// conversion compiles to an allocation-free lookup).
-func internDC(names map[string]string, b []byte) string {
-	if s, ok := names[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	names[s] = s
-	return s
-}
-
 // dispatch decodes one request frame, executes it, and appends the response
-// frame to out. Semantic failures append an OpError frame with the status
-// code the JSON API would have used.
-func (b *BinaryServer) dispatch(out []byte, h wire.Header, payload []byte, dcNames map[string]string) []byte {
+// frame to out. A rejection appends an OpError frame carrying the status the
+// JSON API answers the same failure with.
+func (b *BinaryServer) dispatch(out []byte, h wire.Header, payload []byte) []byte {
 	start := time.Now()
-	status := 200
 	// The trace id joins the two tiers on /debug/traces: for a direct client
 	// it is the echoed frame id; a pipelining router rewrites the frame id
 	// for its own completion keying and carries the client's original id in
 	// a FlagTrace payload prefix instead (id 0 gets a server-assigned one).
 	traceID, payload, ok := wire.SplitTrace(h, payload)
 	if !ok {
-		return wire.AppendErrorResp(out, h.ID, 400, "bad trace prefix")
+		return wire.AppendErrorResp(out, h.ID, http.StatusBadRequest, "bad trace prefix")
 	}
-	var tr *obs.Trace
-	if h.Op.IsRequest() {
-		tr = b.rec.Begin(traceID, obs.DialectBinary, h.Op.String(), "")
+	i := wire.OpIndex(h.Op)
+	if i < 0 {
+		return wire.AppendErrorResp(out, h.ID, http.StatusBadRequest, "unknown opcode")
 	}
-	switch h.Op {
-	case wire.OpSelect:
-		out, status = b.doSelect(out, h.ID, payload, dcNames, tr)
-	case wire.OpRelease:
-		out, status = b.doRelease(out, h.ID, payload, dcNames)
-	case wire.OpRenew:
-		out, status = b.doRenew(out, h.ID, payload, dcNames)
-	case wire.OpPlace:
-		out, status = b.doPlace(out, h.ID, payload)
-	case wire.OpClasses:
-		out, status = b.doClasses(out, h.ID, payload)
-	case wire.OpServerClass:
-		out, status = b.doServerClass(out, h.ID, payload)
-	case wire.OpPlaceBlock:
-		out, status = b.doPlaceBlock(out, h.ID, payload, dcNames)
-	case wire.OpReimage:
-		out, status = b.doReimage(out, h.ID, payload, dcNames)
-	default:
-		return wire.AppendErrorResp(out, h.ID, 400, "unknown opcode")
+	info := &wire.Ops[i]
+	// Every request payload leads with its datacenter; a payload too short to
+	// hold one fails its decode below.
+	dcb, _ := wire.PeekDC(payload)
+	dc := b.svc.dcName(dcb)
+	tr := b.rec.Begin(traceID, obs.DialectBinary, info.Name, dc)
+	mark := len(out)
+	var rej *rejection
+	if info.Bearer && b.ingestGated.Load() {
+		rej = reject(http.StatusUnauthorized, info.Name+" requires the ingest bearer; use the JSON endpoint")
+	} else {
+		out, rej = b.serve(out, h, payload, dc, tr)
 	}
-	if i := opIndex(h.Op); i >= 0 {
-		b.metrics[i].Observe(time.Since(start), status)
+	status := http.StatusOK
+	if rej != nil {
+		status = rej.Status
+		out = wire.AppendErrorResp(out[:mark], h.ID, uint16(status), rej.Message)
 	}
+	b.metrics[i].Observe(time.Since(start), status)
 	tr.Finish(status)
 	return out
 }
 
-// fail appends an error frame and returns the status for metrics.
-func fail(out []byte, id uint64, code uint16, msg string) ([]byte, int) {
-	return wire.AppendErrorResp(out, id, code, msg), int(code)
-}
+// badPayload answers a frame whose payload is not its opcode's message.
+var badPayload = &rejection{Status: http.StatusBadRequest, Message: "bad request payload"}
 
-func (b *BinaryServer) snapshotFor(dc []byte) (*Snapshot, bool) {
-	sh, ok := b.svc.shards[string(dc)]
-	if !ok {
-		return nil, false
-	}
-	return sh.snap.Load(), true
-}
-
-func (b *BinaryServer) doSelect(out []byte, id uint64, payload []byte, dcNames map[string]string, tr *obs.Trace) ([]byte, int) {
-	var m wire.SelectReq
-	if err := m.Decode(payload); err != nil {
-		return fail(out, id, 400, "bad select payload")
-	}
-	snap, ok := b.snapshotFor(m.DC)
-	if !ok {
-		return fail(out, id, 404, "unknown datacenter")
-	}
-	tr.SetDC(snap.Datacenter)
-	if !(m.MaxCores > 0) || math.IsInf(m.MaxCores, 1) {
-		return fail(out, id, 400, "max cores must be positive and finite")
-	}
-	if m.HoldMillis > maxHoldSeconds*1000 {
-		return fail(out, id, 400, "hold exceeds the one-hour cap")
-	}
-	var jobType core.JobType
-	switch m.Job {
-	case wire.JobShort:
-		jobType = core.JobShort
-	case wire.JobMedium:
-		jobType = core.JobMedium
-	case wire.JobLong:
-		jobType = core.JobLong
-	case wire.JobFromLastRun:
-		if !(m.LastRunSeconds >= 0 && m.LastRunSeconds <= maxTelemetryOffsetSeconds) {
-			return fail(out, id, 400, "bad last-run duration")
-		}
-		jobType = core.ClassifyLength(time.Duration(m.LastRunSeconds*float64(time.Second)), snap.Thresholds)
-	default:
-		return fail(out, id, 400, "bad job type")
-	}
-	job := core.JobRequest{Type: jobType, MaxConcurrentCores: m.MaxCores}
-
+// serve is the binary codec of each operation: payload → arguments, result →
+// appended response frame. Responses are encoded inline with the Append*
+// primitives, no intermediate structs.
+func (b *BinaryServer) serve(out []byte, h wire.Header, payload []byte, dc string, tr *obs.Trace) ([]byte, *rejection) {
 	mark := len(out)
-	out = wire.BeginFrame(out, wire.OpSelectResp, id)
-	if m.Flags&wire.SelectFlagDryRun != 0 {
-		sel := b.svc.SelectOn(snap, job)
-		out = wire.AppendU64(out, snap.Generation)
-		out = wire.AppendU64(out, 0) // no lease
-		out = wire.AppendF64(out, 0)
-		out = wire.AppendU8(out, uint8(jobType))
-		out = wire.AppendU8(out, boolByte(!sel.Empty()))
-		out = wire.AppendU16(out, uint16(len(sel.Classes)))
-		for i, cls := range sel.Classes {
+	out = wire.BeginFrame(out, h.Op.Resp(), h.ID)
+	switch h.Op {
+	case wire.OpSelect:
+		var m wire.SelectReq
+		if m.Decode(payload) != nil {
+			return out, badPayload
+		}
+		res, rej := b.svc.opSelect(dc, selectArgs{
+			Job:            m.Job,
+			DryRun:         m.Flags&wire.SelectFlagDryRun != 0,
+			MaxCores:       m.MaxCores,
+			LastRunSeconds: m.LastRunSeconds,
+			HoldSeconds:    float64(m.HoldMillis) / 1000,
+		}, tr)
+		if rej != nil {
+			return out, rej
+		}
+		out = wire.AppendU64(out, res.At.Generation)
+		out = wire.AppendU64(out, res.Lease)
+		out = wire.AppendF64(out, secondsUntil(res.ExpiresAt))
+		out = wire.AppendU8(out, uint8(res.JobType))
+		out = wire.AppendU8(out, boolByte(!res.Selection.Empty()))
+		out = wire.AppendU16(out, uint16(len(res.Selection.Classes)))
+		for i, cls := range res.Selection.Classes {
 			out = wire.AppendU32(out, uint32(cls))
-			out = wire.AppendF64(out, sel.Headrooms[i])
-			out = wire.AppendF64(out, 0)
+			out = wire.AppendF64(out, res.Selection.Headrooms[i])
+			var granted float64 // a dry run grants nothing
+			if i < len(res.Granted) {
+				granted = res.Granted[i]
+			}
+			out = wire.AppendF64(out, granted)
 		}
-		return wire.EndFrame(out, mark), 200
-	}
-	grant, at, err := b.svc.SelectReserveTraced(internDC(dcNames, m.DC), job,
-		time.Duration(m.HoldMillis)*time.Millisecond, ledger.Meta{}, tr)
-	if err != nil {
-		out = out[:mark] // drop the half-built frame
-		if errors.Is(err, ErrFollower) {
-			return fail(out, id, 503, err.Error())
+	case wire.OpRelease:
+		var m wire.ReleaseReq
+		if m.Decode(payload) != nil {
+			return out, badPayload
 		}
-		return fail(out, id, 500, err.Error())
-	}
-	var expiresIn float64
-	if !grant.ExpiresAt.IsZero() {
-		expiresIn = time.Until(grant.ExpiresAt).Seconds()
-	}
-	out = wire.AppendU64(out, at.Generation)
-	out = wire.AppendU64(out, grant.Lease)
-	out = wire.AppendF64(out, expiresIn)
-	out = wire.AppendU8(out, uint8(jobType))
-	out = wire.AppendU8(out, boolByte(grant.Reserved()))
-	out = wire.AppendU16(out, uint16(len(grant.Selection.Classes)))
-	for i, cls := range grant.Selection.Classes {
-		out = wire.AppendU32(out, uint32(cls))
-		out = wire.AppendF64(out, grant.Selection.Headrooms[i])
-		if i < len(grant.Granted) {
-			out = wire.AppendF64(out, grant.Granted[i])
-		} else {
-			out = wire.AppendF64(out, 0)
+		lease, rej := b.svc.opRelease(dc, m.Lease)
+		if rej != nil {
+			return out, rej
 		}
+		out = wire.AppendU64(out, lease.ID)
+		out = wire.AppendI64(out, lease.TotalMillis())
+		out = wire.AppendU16(out, uint16(len(lease.Grants)))
+		for _, g := range lease.Grants {
+			out = wire.AppendU32(out, uint32(g.Class))
+			out = wire.AppendI64(out, g.Millis)
+		}
+	case wire.OpRenew:
+		var m wire.RenewReq
+		if m.Decode(payload) != nil {
+			return out, badPayload
+		}
+		lease, rej := b.svc.opRenew(dc, m.Lease, float64(m.HoldMillis)/1000)
+		if rej != nil {
+			return out, rej
+		}
+		out = wire.AppendU64(out, lease.ID)
+		out = wire.AppendI64(out, lease.TotalMillis())
+		out = wire.AppendF64(out, secondsUntil(lease.ExpiresAt))
+	case wire.OpPlace:
+		var m wire.PlaceReq
+		if m.Decode(payload) != nil {
+			return out, badPayload
+		}
+		placed, rej := b.svc.opPlace(dc, int(m.Replication), m.Writer, m.Flags&wire.PlaceFlagRelaxed != 0)
+		if rej != nil {
+			return out, rej
+		}
+		out = wire.AppendU64(out, placed.Generation)
+		out = appendServers(out, placed.Replicas)
+	case wire.OpPlaceBlock:
+		var m wire.PlaceBlockReq
+		if m.Decode(payload) != nil {
+			return out, badPayload
+		}
+		placed, rej := b.svc.opPlaceBlock(dc, int(m.Replication), m.Writer, m.Flags&wire.PlaceFlagRelaxed != 0)
+		if rej != nil {
+			return out, rej
+		}
+		out = wire.AppendU64(out, placed.Generation)
+		out = wire.AppendU64(out, placed.Block)
+		out = appendServers(out, placed.Replicas)
+	case wire.OpReimage:
+		var m wire.ReimageReq
+		if m.Decode(payload) != nil {
+			return out, badPayload
+		}
+		lost, pending, rej := b.svc.opReimage(dc, m.Server)
+		if rej != nil {
+			return out, rej
+		}
+		out = wire.AppendI64(out, m.Server)
+		out = wire.AppendU32(out, uint32(lost))
+		out = wire.AppendU32(out, uint32(pending))
+	case wire.OpClasses:
+		var m wire.ClassesReq
+		if m.Decode(payload) != nil {
+			return out, badPayload
+		}
+		v, rej := b.svc.opClasses(dc)
+		if rej != nil {
+			return out, rej
+		}
+		out = wire.AppendU64(out, v.snap.Generation)
+		out = wire.AppendF64(out, v.snap.AsOf.Seconds())
+		out = wire.AppendU16(out, uint16(len(v.snap.Clustering.Classes)))
+		for _, cls := range v.snap.Clustering.Classes {
+			rec := v.rec(cls)
+			out = wire.AppendClassRec(out, &rec)
+		}
+	case wire.OpServerClass:
+		var m wire.ServerClassReq
+		if m.Decode(payload) != nil {
+			return out, badPayload
+		}
+		snap, rec, rej := b.svc.opServerClass(dc, m.Server)
+		if rej != nil {
+			return out, rej
+		}
+		out = wire.AppendU64(out, snap.Generation)
+		out = wire.AppendI64(out, m.Server)
+		out = wire.AppendClassRec(out, &rec)
+	default:
+		panic("service: request opcode " + h.Op.String() + " has no binary codec")
 	}
-	return wire.EndFrame(out, mark), 200
+	return wire.EndFrame(out, mark), nil
 }
 
-func (b *BinaryServer) doRelease(out []byte, id uint64, payload []byte, dcNames map[string]string) ([]byte, int) {
-	var m wire.ReleaseReq
-	if err := m.Decode(payload); err != nil {
-		return fail(out, id, 400, "bad release payload")
-	}
-	if _, ok := b.svc.shards[string(m.DC)]; !ok {
-		return fail(out, id, 404, "unknown datacenter")
-	}
-	if m.Lease == 0 {
-		return fail(out, id, 400, "lease must be a nonzero id")
-	}
-	lease, err := b.svc.Release(internDC(dcNames, m.DC), m.Lease)
-	if err != nil {
-		if errors.Is(err, ledger.ErrUnknownLease) {
-			return fail(out, id, 404, "unknown lease")
-		}
-		if errors.Is(err, ErrFollower) {
-			return fail(out, id, 503, err.Error())
-		}
-		return fail(out, id, 500, err.Error())
-	}
-	mark := len(out)
-	out = wire.BeginFrame(out, wire.OpReleaseResp, id)
-	out = wire.AppendU64(out, lease.ID)
-	out = wire.AppendI64(out, lease.TotalMillis())
-	out = wire.AppendU16(out, uint16(len(lease.Grants)))
-	for _, g := range lease.Grants {
-		out = wire.AppendU32(out, uint32(g.Class))
-		out = wire.AppendI64(out, g.Millis)
-	}
-	return wire.EndFrame(out, mark), 200
-}
-
-func (b *BinaryServer) doRenew(out []byte, id uint64, payload []byte, dcNames map[string]string) ([]byte, int) {
-	var m wire.RenewReq
-	if err := m.Decode(payload); err != nil {
-		return fail(out, id, 400, "bad renew payload")
-	}
-	if _, ok := b.svc.shards[string(m.DC)]; !ok {
-		return fail(out, id, 404, "unknown datacenter")
-	}
-	if m.Lease == 0 {
-		return fail(out, id, 400, "lease must be a nonzero id")
-	}
-	if m.HoldMillis > maxHoldSeconds*1000 {
-		return fail(out, id, 400, "hold exceeds the one-hour cap")
-	}
-	lease, err := b.svc.Renew(internDC(dcNames, m.DC), m.Lease,
-		time.Duration(m.HoldMillis)*time.Millisecond)
-	if err != nil {
-		if errors.Is(err, ledger.ErrUnknownLease) {
-			return fail(out, id, 404, "unknown lease")
-		}
-		if errors.Is(err, ErrFollower) {
-			return fail(out, id, 503, err.Error())
-		}
-		return fail(out, id, 500, err.Error())
-	}
-	resp := wire.RenewResp{Lease: lease.ID, TotalMillis: lease.TotalMillis()}
-	if !lease.ExpiresAt.IsZero() {
-		resp.ExpiresIn = time.Until(lease.ExpiresAt).Seconds()
-	}
-	return wire.AppendRenewResp(out, id, &resp), 200
-}
-
-func (b *BinaryServer) doPlace(out []byte, id uint64, payload []byte) ([]byte, int) {
-	var m wire.PlaceReq
-	if err := m.Decode(payload); err != nil {
-		return fail(out, id, 400, "bad place payload")
-	}
-	snap, ok := b.snapshotFor(m.DC)
-	if !ok {
-		return fail(out, id, 404, "unknown datacenter")
-	}
-	if m.Replication == 0 || int(m.Replication) > maxReplication {
-		return fail(out, id, 400, "bad replication factor")
-	}
-	replicas, err := b.svc.PlaceOn(snap, core.PlacementConstraints{
-		Replication:        int(m.Replication),
-		Writer:             tenant.ServerID(m.Writer),
-		EnforceEnvironment: m.Flags&wire.PlaceFlagRelaxed == 0,
-	})
-	if err != nil {
-		return fail(out, id, 409, err.Error())
-	}
-	mark := len(out)
-	out = wire.BeginFrame(out, wire.OpPlaceResp, id)
-	out = wire.AppendU64(out, snap.Generation)
-	out = wire.AppendU16(out, uint16(len(replicas)))
-	for _, s := range replicas {
+func appendServers(out []byte, servers []tenant.ServerID) []byte {
+	out = wire.AppendU16(out, uint16(len(servers)))
+	for _, s := range servers {
 		out = wire.AppendI64(out, int64(s))
 	}
-	return wire.EndFrame(out, mark), 200
-}
-
-func (b *BinaryServer) doPlaceBlock(out []byte, id uint64, payload []byte, dcNames map[string]string) ([]byte, int) {
-	var m wire.PlaceBlockReq
-	if err := m.Decode(payload); err != nil {
-		return fail(out, id, 400, "bad place-block payload")
-	}
-	if _, ok := b.svc.shards[string(m.DC)]; !ok {
-		return fail(out, id, 404, "unknown datacenter")
-	}
-	if m.Replication == 0 || int(m.Replication) > maxReplication {
-		return fail(out, id, 400, "bad replication factor")
-	}
-	placed, err := b.svc.CreateBlock(internDC(dcNames, m.DC), core.PlacementConstraints{
-		Replication:        int(m.Replication),
-		Writer:             tenant.ServerID(m.Writer),
-		EnforceEnvironment: m.Flags&wire.PlaceFlagRelaxed == 0,
-	})
-	if err != nil {
-		if errors.Is(err, ErrFollower) {
-			return fail(out, id, 503, err.Error())
-		}
-		return fail(out, id, 409, err.Error())
-	}
-	mark := len(out)
-	out = wire.BeginFrame(out, wire.OpPlaceBlockResp, id)
-	out = wire.AppendU64(out, placed.Generation)
-	out = wire.AppendU64(out, placed.Block)
-	out = wire.AppendU16(out, uint16(len(placed.Replicas)))
-	for _, s := range placed.Replicas {
-		out = wire.AppendI64(out, int64(s))
-	}
-	return wire.EndFrame(out, mark), 200
-}
-
-func (b *BinaryServer) doReimage(out []byte, id uint64, payload []byte, dcNames map[string]string) ([]byte, int) {
-	var m wire.ReimageReq
-	if err := m.Decode(payload); err != nil {
-		return fail(out, id, 400, "bad reimage payload")
-	}
-	if _, ok := b.svc.shards[string(m.DC)]; !ok {
-		return fail(out, id, 404, "unknown datacenter")
-	}
-	dc := internDC(dcNames, m.DC)
-	lost, err := b.svc.ReimageServer(dc, tenant.ServerID(m.Server))
-	if err != nil {
-		if errors.Is(err, ErrFollower) {
-			return fail(out, id, 503, err.Error())
-		}
-		return fail(out, id, 500, err.Error())
-	}
-	var pending uint32
-	if st, ok := b.svc.BlockStats(dc); ok {
-		pending = uint32(st.Pending)
-	}
-	resp := wire.ReimageResp{Server: m.Server, Lost: uint32(lost), Pending: pending}
-	return wire.AppendReimageResp(out, id, &resp), 200
-}
-
-// appendClassRec encodes one class against the live usage view and ledger
-// occupancy — the binary twin of classInfoOf.
-func appendClassRec(out []byte, cls *core.UtilizationClass, usage map[core.ClassID]core.ClassUsage, allocMillis []int64) []byte {
-	out = wire.AppendU32(out, uint32(cls.ID))
-	out = wire.AppendU8(out, uint8(cls.Pattern))
-	out = wire.AppendU32(out, uint32(len(cls.Tenants)))
-	out = wire.AppendU32(out, uint32(cls.NumServers()))
-	out = wire.AppendF64(out, cls.AvgUtilization)
-	out = wire.AppendF64(out, cls.PeakUtilization)
-	out = wire.AppendF64(out, usage[cls.ID].CurrentUtilization)
-	var millis int64
-	if i := int(cls.ID); i >= 0 && i < len(allocMillis) {
-		millis = allocMillis[i]
-	}
-	out = wire.AppendI64(out, millis)
-	example := int64(-1)
-	if len(cls.Servers) > 0 {
-		example = int64(cls.Servers[0])
-	}
-	return wire.AppendI64(out, example)
-}
-
-// ledgerAllocFor is the binary twin of API.ledgerAllocFor: per-class
-// occupancy aligned to the snapshot, nil around a re-key.
-func (b *BinaryServer) ledgerAllocFor(snap *Snapshot) []int64 {
-	gen, alloc, ok := b.svc.LedgerOccupancy(snap.Datacenter)
-	if !ok || gen != snap.Generation {
-		return nil
-	}
-	return alloc
-}
-
-func (b *BinaryServer) doClasses(out []byte, id uint64, payload []byte) ([]byte, int) {
-	var m wire.ClassesReq
-	if err := m.Decode(payload); err != nil {
-		return fail(out, id, 400, "bad classes payload")
-	}
-	snap, ok := b.snapshotFor(m.DC)
-	if !ok {
-		return fail(out, id, 404, "unknown datacenter")
-	}
-	usage := b.svc.UsageFor(snap)
-	alloc := b.ledgerAllocFor(snap)
-	mark := len(out)
-	out = wire.BeginFrame(out, wire.OpClassesResp, id)
-	out = wire.AppendU64(out, snap.Generation)
-	out = wire.AppendF64(out, snap.AsOf.Seconds())
-	out = wire.AppendU16(out, uint16(len(snap.Clustering.Classes)))
-	for _, cls := range snap.Clustering.Classes {
-		out = appendClassRec(out, cls, usage, alloc)
-	}
-	return wire.EndFrame(out, mark), 200
-}
-
-func (b *BinaryServer) doServerClass(out []byte, id uint64, payload []byte) ([]byte, int) {
-	var m wire.ServerClassReq
-	if err := m.Decode(payload); err != nil {
-		return fail(out, id, 400, "bad server-class payload")
-	}
-	snap, ok := b.snapshotFor(m.DC)
-	if !ok {
-		return fail(out, id, 404, "unknown datacenter")
-	}
-	cls, ok := snap.ClassOfServer(tenant.ServerID(m.Server))
-	if !ok {
-		return fail(out, id, 404, "unknown server")
-	}
-	mark := len(out)
-	out = wire.BeginFrame(out, wire.OpServerClassResp, id)
-	out = wire.AppendU64(out, snap.Generation)
-	out = wire.AppendI64(out, m.Server)
-	out = appendClassRec(out, cls, b.svc.UsageFor(snap), b.ledgerAllocFor(snap))
-	return wire.EndFrame(out, mark), 200
+	return out
 }
 
 func boolByte(v bool) uint8 {
@@ -652,6 +444,15 @@ func boolByte(v bool) uint8 {
 		return 1
 	}
 	return 0
+}
+
+// secondsUntil is the wire form of an expiry: seconds from now, 0 for a lease
+// that never expires.
+func secondsUntil(t time.Time) float64 {
+	if t.IsZero() {
+		return 0
+	}
+	return time.Until(t).Seconds()
 }
 
 // BinaryStats is the /metrics view of the binary listener.
@@ -668,16 +469,6 @@ func (b *BinaryServer) Stats() BinaryStats {
 		Open:          b.open.Load(),
 		FramingErrors: b.framingErrors.Load(),
 	}
-}
-
-// endpointMetric exposes one opcode's counters for /metrics; nil for
-// non-request opcodes.
-func (b *BinaryServer) endpointMetric(op wire.Op) *EndpointMetrics {
-	i := opIndex(op)
-	if i < 0 {
-		return nil
-	}
-	return &b.metrics[i]
 }
 
 // ListenAndServe binds addr and serves until Close — the cmd/harvestd entry

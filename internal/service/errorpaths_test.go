@@ -67,6 +67,9 @@ func TestEndpointErrorPaths(t *testing.T) {
 		{"select bad job type", "POST", "/v1/DC-9/select", `{"job_type":"eternal","max_concurrent_cores":1}`, http.StatusBadRequest},
 		{"select negative hold", "POST", "/v1/DC-9/select", `{"max_concurrent_cores":1,"hold_seconds":-1}`, http.StatusBadRequest},
 		{"select over-cap hold", "POST", "/v1/DC-9/select", `{"max_concurrent_cores":1,"hold_seconds":3601}`, http.StatusBadRequest},
+		{"select negative last run", "POST", "/v1/DC-9/select", `{"max_concurrent_cores":1,"last_run_seconds":-5}`, http.StatusBadRequest},
+		{"select absurd last run", "POST", "/v1/DC-9/select", `{"max_concurrent_cores":1,"last_run_seconds":2e9}`, http.StatusBadRequest},
+		{"select last run beside an explicit type", "POST", "/v1/DC-9/select", `{"job_type":"short","max_concurrent_cores":1,"last_run_seconds":-5}`, http.StatusOK},
 
 		// POST /v1/{dc}/release
 		{"release wrong method", "GET", "/v1/DC-9/release", "", http.StatusMethodNotAllowed},

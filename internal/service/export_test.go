@@ -1,6 +1,8 @@
 package service
 
 import (
+	"net/http"
+
 	"harvest/internal/blockledger"
 	"harvest/internal/ledger"
 	"harvest/internal/wire"
@@ -31,3 +33,9 @@ func (s *Service) Ledgers(dc string) (*ledger.Ledger, *blockledger.Ledger) {
 // SetTestHookAfterRekey installs refreshShard's in-the-gap hook. Set it only
 // while no refresh can be running.
 func (s *Service) SetTestHookAfterRekey(hook func()) { s.testHookAfterRekey = hook }
+
+// Pattern is the route pattern the API's mux serves r with, empty when none.
+func (a *API) Pattern(r *http.Request) string {
+	_, pattern := a.mux.Handler(r)
+	return pattern
+}

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
+	"math"
 	"net"
 	"net/http"
 	"net/netip"
@@ -14,11 +14,12 @@ import (
 	"time"
 
 	"harvest/internal/blockledger"
-	"harvest/internal/core"
 	"harvest/internal/httpjson"
 	"harvest/internal/ledger"
 	"harvest/internal/obs"
+	"harvest/internal/signalproc"
 	"harvest/internal/tenant"
+	"harvest/internal/wire"
 )
 
 // API is the HTTP front end of the characterization service: the REST
@@ -61,13 +62,15 @@ type API struct {
 // addr (host:port) is published on /v1/datacenters as binary_addr, and the
 // server's per-opcode metrics appear on /metrics. Call before serving. The
 // binary server inherits the API's trace recorder unless it already has one,
-// so /debug/traces shows both dialects.
+// so /debug/traces shows both dialects, and the API's ingest gate: with an
+// ingest token configured it refuses the operations the token guards.
 func (a *API) AttachBinary(b *BinaryServer, addr string) {
 	a.binary = b
 	a.binaryAddr = addr
 	if b.rec == nil {
 		b.rec = a.rec
 	}
+	b.ingestGated.Store(a.opts.IngestToken != "")
 }
 
 // Recorder exposes the API's trace recorder for the -debug-addr listener.
@@ -77,8 +80,9 @@ func (a *API) Recorder() *obs.Recorder { return a.rec }
 // they are read-mostly and cheap; telemetry ingestion mutates history that
 // re-clustering trusts, so it gets the auth and the throttle.
 type APIOptions struct {
-	// IngestToken, when non-empty, requires POST /v1/{dc}/telemetry callers
-	// to present "Authorization: Bearer <token>"; everything else is 401.
+	// IngestToken, when non-empty, requires callers of telemetry, reimage,
+	// leases and promote to present "Authorization: Bearer <token>";
+	// everything else is 401 (the binary dialect refuses reimage outright).
 	IngestToken string
 	// IngestRatePerSource, when positive, caps telemetry POSTs per source IP
 	// (token bucket, requests/second); excess requests get 429.
@@ -144,20 +148,49 @@ func NewAPIWith(svc *Service, opts APIOptions) *API {
 		a.endpoints[name] = &EndpointMetrics{}
 	}
 	a.mux.HandleFunc("GET /v1/datacenters", a.instrument("datacenters", a.handleDatacenters))
-	a.mux.HandleFunc("GET /v1/{dc}/classes", a.instrument("classes", a.handleClasses))
-	a.mux.HandleFunc("GET /v1/{dc}/servers/{id}/class", a.instrument("server_class", a.handleServerClass))
-	a.mux.HandleFunc("POST /v1/{dc}/select", a.instrument("select", a.handleSelect))
-	a.mux.HandleFunc("POST /v1/{dc}/renew", a.instrument("renew", a.handleRenew))
-	a.mux.HandleFunc("POST /v1/{dc}/release", a.instrument("release", a.handleRelease))
-	a.mux.HandleFunc("POST /v1/{dc}/place", a.instrument("place", a.handlePlace))
-	a.mux.HandleFunc("POST /v1/{dc}/blocks", a.instrument("blocks", a.handleBlocks))
-	a.mux.HandleFunc("POST /v1/{dc}/reimage", a.instrument("reimage", a.handleReimage))
-	a.mux.HandleFunc("POST /v1/{dc}/telemetry", a.instrument("telemetry", a.handleTelemetry))
-	a.mux.HandleFunc("GET /v1/{dc}/leases", a.instrument("leases", a.handleLeases))
-	a.mux.HandleFunc("POST /v1/promote", a.instrument("promote", a.handlePromote))
+	// The data plane: one route per row of the op table, served by the row's
+	// JSON codec.
+	codecs := map[wire.Op]http.HandlerFunc{
+		wire.OpSelect:      a.handleSelect,
+		wire.OpRelease:     a.handleRelease,
+		wire.OpRenew:       a.handleRenew,
+		wire.OpPlace:       a.handlePlacement(a.svc.opPlace),
+		wire.OpPlaceBlock:  a.handlePlacement(a.svc.opPlaceBlock),
+		wire.OpReimage:     a.handleReimage,
+		wire.OpClasses:     a.handleClasses,
+		wire.OpServerClass: a.handleServerClass,
+	}
+	for i := range wire.Ops {
+		info := &wire.Ops[i]
+		h := codecs[info.Op]
+		if h == nil {
+			panic("service: request opcode " + info.Name + " has no JSON codec")
+		}
+		if info.Bearer {
+			h = a.ingestGated(h)
+		}
+		a.mux.HandleFunc(info.Method+" /v1/{dc}/"+info.Route, a.instrument(info.Endpoint, h))
+	}
+	a.mux.HandleFunc("POST /v1/{dc}/telemetry", a.instrument("telemetry", a.ingestGated(a.handleTelemetry)))
+	a.mux.HandleFunc("GET /v1/{dc}/leases", a.instrument("leases", a.ingestGated(a.handleLeases)))
+	a.mux.HandleFunc("POST /v1/promote", a.instrument("promote", a.ingestGated(a.handlePromote)))
 	a.mux.HandleFunc("GET /healthz", a.instrument("healthz", a.handleHealthz))
 	a.mux.HandleFunc("GET /metrics", a.instrument("metrics", a.handleMetrics))
 	return a
+}
+
+// ingestGated puts a handler behind the ingest bearer token, when one is
+// configured: telemetry and reimaging events mutate what re-clustering and the
+// durability books trust, lease listings name jobs and owners, and an open
+// promotion endpoint would let anyone split the brain.
+func (a *API) ingestGated(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !httpjson.BearerAuthorized(r, a.opts.IngestToken) {
+			writeError(w, http.StatusUnauthorized, "missing or invalid ingest token")
+			return
+		}
+		h(w, r)
+	}
 }
 
 // ServeHTTP implements http.Handler.
@@ -308,8 +341,9 @@ var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // the pooled buffers without bound.
 const maxBodyBytes = 1 << 20
 
-// decodeBody reads and unmarshals a request body through a pooled buffer.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+// readBody reads and unmarshals a request body through a pooled buffer,
+// answering 400 itself when it cannot.
+func readBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	buf := bodyBufs.Get().(*bytes.Buffer)
 	buf.Reset()
 	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
@@ -320,7 +354,10 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	if buf.Cap() <= 64<<10 {
 		bodyBufs.Put(buf)
 	}
-	return err
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	}
+	return err == nil
 }
 
 // writeJSON and writeError are the serving tier's shared response
@@ -331,18 +368,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) { httpjson.Write(w, sta
 
 func writeError(w http.ResponseWriter, status int, msg string) {
 	httpjson.WriteError(w, status, msg)
-}
-
-// snapshotFor resolves the {dc} path segment, writing the 404 itself when the
-// datacenter is unknown.
-func (a *API) snapshotFor(w http.ResponseWriter, r *http.Request) (*Snapshot, bool) {
-	dc := r.PathValue("dc")
-	snap, ok := a.svc.Snapshot(dc)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown datacenter "+strconv.Quote(dc))
-		return nil, false
-	}
-	return snap, true
 }
 
 type datacentersResponse struct {
@@ -360,7 +385,7 @@ func (a *API) handleDatacenters(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// classInfo is the wire form of one utilization class plus its live usage.
+// classInfo is the JSON form of one utilization class plus its live usage.
 type classInfo struct {
 	ID                 int     `json:"id"`
 	Pattern            string  `json:"pattern"`
@@ -372,10 +397,21 @@ type classInfo struct {
 	// AllocatedCores is the class's live allocation-ledger occupancy: cores
 	// currently promised to selects that have not released (or expired).
 	AllocatedCores float64 `json:"allocated_cores"`
-	// ExampleServer is one member server, a convenient probe target for
-	// /servers/{id}/class clients (the load generator uses it to seed its
-	// server pool).
-	ExampleServer int64 `json:"example_server"`
+	ExampleServer  int64   `json:"example_server"`
+}
+
+func classInfoOf(rec wire.ClassRec) classInfo {
+	return classInfo{
+		ID:                 int(rec.ID),
+		Pattern:            signalproc.Pattern(rec.Pattern).String(),
+		NumTenants:         int(rec.NumTenants),
+		NumServers:         int(rec.NumServers),
+		AvgUtilization:     rec.Avg,
+		PeakUtilization:    rec.Peak,
+		CurrentUtilization: rec.Current,
+		AllocatedCores:     ledger.CoresOf(rec.AllocMillis),
+		ExampleServer:      rec.ExampleServer,
+	}
 }
 
 type classesResponse struct {
@@ -385,56 +421,20 @@ type classesResponse struct {
 	Classes     []classInfo `json:"classes"`
 }
 
-// classInfoOf renders one class against a usage view — the live one on the
-// query path (Service.UsageFor), so CurrentUtilization tracks ingested
-// telemetry between refreshes. allocMillis is the ledger's per-class
-// occupancy when its generation matches the snapshot's (nil otherwise).
-func classInfoOf(cls *core.UtilizationClass, usage map[core.ClassID]core.ClassUsage, allocMillis []int64) classInfo {
-	info := classInfo{
-		ID:                 int(cls.ID),
-		Pattern:            cls.Pattern.String(),
-		NumTenants:         len(cls.Tenants),
-		NumServers:         cls.NumServers(),
-		AvgUtilization:     cls.AvgUtilization,
-		PeakUtilization:    cls.PeakUtilization,
-		CurrentUtilization: usage[cls.ID].CurrentUtilization,
-		ExampleServer:      -1,
-	}
-	if i := int(cls.ID); i >= 0 && i < len(allocMillis) {
-		info.AllocatedCores = ledger.CoresOf(allocMillis[i])
-	}
-	if len(cls.Servers) > 0 {
-		info.ExampleServer = int64(cls.Servers[0])
-	}
-	return info
-}
-
-// ledgerAllocFor fetches the per-class occupancy aligned to a snapshot's
-// class ids, or nil while a re-key is in flight. Lock-free: this runs on the
-// hot query paths, which must not serialize against lease bookkeeping.
-func (a *API) ledgerAllocFor(snap *Snapshot) []int64 {
-	gen, alloc, ok := a.svc.LedgerOccupancy(snap.Datacenter)
-	if !ok || gen != snap.Generation {
-		return nil
-	}
-	return alloc
-}
-
 func (a *API) handleClasses(w http.ResponseWriter, r *http.Request) {
-	snap, ok := a.snapshotFor(w, r)
-	if !ok {
+	v, rej := a.svc.opClasses(r.PathValue("dc"))
+	if rej != nil {
+		writeError(w, rej.Status, rej.Message)
 		return
 	}
-	usage := a.svc.UsageFor(snap)
-	alloc := a.ledgerAllocFor(snap)
 	resp := classesResponse{
-		Datacenter:  snap.Datacenter,
-		Generation:  snap.Generation,
-		AsOfSeconds: snap.AsOf.Seconds(),
-		Classes:     make([]classInfo, 0, len(snap.Clustering.Classes)),
+		Datacenter:  v.snap.Datacenter,
+		Generation:  v.snap.Generation,
+		AsOfSeconds: v.snap.AsOf.Seconds(),
+		Classes:     make([]classInfo, 0, len(v.snap.Clustering.Classes)),
 	}
-	for _, cls := range snap.Clustering.Classes {
-		resp.Classes = append(resp.Classes, classInfoOf(cls, usage, alloc))
+	for _, cls := range v.snap.Clustering.Classes {
+		resp.Classes = append(resp.Classes, classInfoOf(v.rec(cls)))
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -447,25 +447,21 @@ type serverClassResponse struct {
 }
 
 func (a *API) handleServerClass(w http.ResponseWriter, r *http.Request) {
-	snap, ok := a.snapshotFor(w, r)
-	if !ok {
-		return
-	}
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "server id must be an integer")
 		return
 	}
-	cls, ok := snap.ClassOfServer(tenant.ServerID(id))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown server "+strconv.FormatInt(id, 10)+" in "+snap.Datacenter)
+	snap, rec, rej := a.svc.opServerClass(r.PathValue("dc"), id)
+	if rej != nil {
+		writeError(w, rej.Status, rej.Message)
 		return
 	}
 	writeJSON(w, http.StatusOK, serverClassResponse{
 		Datacenter: snap.Datacenter,
 		Generation: snap.Generation,
 		Server:     id,
-		Class:      classInfoOf(cls, a.svc.UsageFor(snap), a.ledgerAllocFor(snap)),
+		Class:      classInfoOf(rec),
 	})
 }
 
@@ -500,22 +496,13 @@ type telemetryResponse struct {
 }
 
 func (a *API) handleTelemetry(w http.ResponseWriter, r *http.Request) {
-	if !httpjson.BearerAuthorized(r, a.opts.IngestToken) {
-		writeError(w, http.StatusUnauthorized, "missing or invalid ingest token")
-		return
-	}
 	if a.ingestLimiter != nil && !a.ingestLimiter.allow(a.sourceKeyFor(r), time.Now()) {
 		writeError(w, http.StatusTooManyRequests, "ingest rate limit exceeded for this source")
 		return
 	}
 	dc := r.PathValue("dc")
-	if _, ok := a.svc.Snapshot(dc); !ok {
-		writeError(w, http.StatusNotFound, "unknown datacenter "+strconv.Quote(dc))
-		return
-	}
 	var req telemetryRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !readBody(w, r, &req) {
 		return
 	}
 	if len(req.Samples) == 0 {
@@ -547,11 +534,8 @@ func (a *API) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := a.svc.Ingest(dc, samples)
 	if err != nil {
-		if errors.Is(err, ErrFollower) {
-			writeError(w, http.StatusServiceUnavailable, err.Error())
-			return
-		}
-		writeError(w, http.StatusNotFound, err.Error())
+		rej := rejectionOf(err)
+		writeError(w, rej.Status, rej.Message)
 		return
 	}
 	writeJSON(w, http.StatusOK, telemetryResponse{
@@ -562,31 +546,30 @@ func (a *API) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// selectRequest asks for classes to host a job. The job's length category
-// comes either from an explicit type ("short"/"medium"/"long") or, as in the
-// paper, from its previous run time classified against the thresholds; an
-// absent type and absent last run means medium (the first-guess rule). A
-// satisfiable select reserves its cores in the allocation ledger and returns
-// a lease: the headroom is gone for everyone else until the caller POSTs
-// /release (or the lease expires after hold_seconds / the server default).
-// dry_run asks the old advisory behaviour — look, don't hold.
+// selectRequest is the JSON form of selectArgs. job_type is "short", "medium"
+// or "long"; absent, the job is classified from last_run_seconds, and with
+// that absent too it is medium (the first-guess rule).
 type selectRequest struct {
 	JobType            string  `json:"job_type"`
 	LastRunSeconds     float64 `json:"last_run_seconds"`
 	MaxConcurrentCores float64 `json:"max_concurrent_cores"`
 	HoldSeconds        float64 `json:"hold_seconds"`
 	DryRun             bool    `json:"dry_run"`
-	// JobID and Owner are optional operator-facing metadata: they ride on the
-	// lease through the ledger and surface on GET /v1/{dc}/leases and
-	// /debug/traces, answering "whose lease is this" without a side channel.
-	// They never influence selection.
+	// JobID and Owner ride on the lease through the ledger and surface on
+	// GET /v1/{dc}/leases and /debug/traces, answering "whose lease is this"
+	// without a side channel.
 	JobID string `json:"job_id,omitempty"`
 	Owner string `json:"owner,omitempty"`
 }
 
-// maxLeaseMetaLen caps job_id/owner: identification tags, not a document
-// store riding on the ledger.
-const maxLeaseMetaLen = 128
+// jobCodes maps job_type to its wire.Job* code; a name it lacks is rejected
+// by the operation.
+var jobCodes = map[string]uint8{
+	"short":  wire.JobShort,
+	"medium": wire.JobMedium,
+	"long":   wire.JobLong,
+	"":       wire.JobFromLastRun,
+}
 
 type selectResponse struct {
 	Datacenter  string    `json:"datacenter"`
@@ -602,89 +585,40 @@ type selectResponse struct {
 	ExpiresInSeconds float64   `json:"expires_in_seconds,omitempty"`
 }
 
-// maxHoldSeconds caps a client-requested lease TTL at one hour: a "forever"
-// hold must be an operator decision (server-side LeaseTTL), not a request
-// parameter.
-const maxHoldSeconds = 3600
-
 func (a *API) handleSelect(w http.ResponseWriter, r *http.Request) {
-	snap, ok := a.snapshotFor(w, r)
-	if !ok {
-		return
-	}
 	var req selectRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !readBody(w, r, &req) {
 		return
 	}
-	if req.MaxConcurrentCores <= 0 {
-		writeError(w, http.StatusBadRequest, "max_concurrent_cores must be positive")
+	job, ok := jobCodes[req.JobType]
+	if !ok {
+		job = math.MaxUint8
+	}
+	res, rej := a.svc.opSelect(r.PathValue("dc"), selectArgs{
+		Job:            job,
+		DryRun:         req.DryRun,
+		MaxCores:       req.MaxConcurrentCores,
+		LastRunSeconds: req.LastRunSeconds,
+		HoldSeconds:    req.HoldSeconds,
+		Meta:           ledger.Meta{JobID: req.JobID, Owner: req.Owner},
+	}, traceFrom(r.Context()))
+	if rej != nil {
+		writeError(w, rej.Status, rej.Message)
 		return
 	}
-	// NaN/negative/over-cap holds are client bugs, rejected explicitly.
-	if !(req.HoldSeconds >= 0 && req.HoldSeconds <= maxHoldSeconds) {
-		writeError(w, http.StatusBadRequest,
-			"hold_seconds must be in [0, "+strconv.Itoa(maxHoldSeconds)+"]")
-		return
+	resp := selectResponse{
+		Datacenter:       res.At.Datacenter,
+		Generation:       res.At.Generation,
+		JobType:          res.JobType.String(),
+		Satisfiable:      !res.Selection.Empty(),
+		Classes:          make([]int, len(res.Selection.Classes)),
+		Headrooms:        res.Selection.Headrooms,
+		Lease:            res.Lease,
+		Granted:          res.Granted,
+		ExpiresInSeconds: secondsUntil(res.ExpiresAt),
 	}
-	if len(req.JobID) > maxLeaseMetaLen || len(req.Owner) > maxLeaseMetaLen {
-		writeError(w, http.StatusBadRequest,
-			"job_id and owner must be at most "+strconv.Itoa(maxLeaseMetaLen)+" bytes")
-		return
-	}
-	var jobType core.JobType
-	switch req.JobType {
-	case "short":
-		jobType = core.JobShort
-	case "medium":
-		jobType = core.JobMedium
-	case "long":
-		jobType = core.JobLong
-	case "":
-		jobType = core.ClassifyLength(time.Duration(req.LastRunSeconds*float64(time.Second)), snap.Thresholds)
-	default:
-		writeError(w, http.StatusBadRequest, "job_type must be short, medium or long")
-		return
-	}
-	job := core.JobRequest{Type: jobType, MaxConcurrentCores: req.MaxConcurrentCores}
-
-	resp := selectResponse{JobType: jobType.String()}
-	if req.DryRun {
-		sel := a.svc.SelectOn(snap, job)
-		resp.Datacenter = snap.Datacenter
-		resp.Generation = snap.Generation
-		resp.Satisfiable = !sel.Empty()
-		resp.Classes = classIDsOf(sel.Classes)
-		resp.Headrooms = sel.Headrooms
-	} else {
-		tr := traceFrom(r.Context())
-		tr.SetMeta(req.JobID, req.Owner)
-		grant, at, err := a.svc.SelectReserveTraced(snap.Datacenter, job,
-			time.Duration(req.HoldSeconds*float64(time.Second)),
-			ledger.Meta{JobID: req.JobID, Owner: req.Owner}, tr)
-		if err != nil {
-			if errors.Is(err, ErrFollower) {
-				// Reserving selects are writes; the router pins them to the
-				// primary, so landing here means a client went direct. 503 is
-				// retryable against the right node.
-				writeError(w, http.StatusServiceUnavailable, err.Error())
-				return
-			}
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		// The reservation may have re-run against a newer snapshot than the
-		// one the route resolved; report the generation it actually landed on.
-		resp.Datacenter = at.Datacenter
-		resp.Generation = at.Generation
-		resp.Satisfiable = grant.Reserved()
-		resp.Classes = classIDsOf(grant.Selection.Classes)
-		resp.Headrooms = grant.Selection.Headrooms
-		resp.Lease = grant.Lease
-		resp.Granted = grant.Granted
-		if !grant.ExpiresAt.IsZero() {
-			resp.ExpiresInSeconds = time.Until(grant.ExpiresAt).Seconds()
-		}
+	for i, id := range res.Selection.Classes {
+		resp.Classes[i] = int(id)
 	}
 	if resp.Headrooms == nil {
 		resp.Headrooms = []float64{}
@@ -692,12 +626,16 @@ func (a *API) handleSelect(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func classIDsOf(ids []core.ClassID) []int {
-	out := make([]int, len(ids))
-	for i, id := range ids {
-		out[i] = int(id)
+// grantsOf splits a lease's grants into the parallel class/cores columns the
+// JSON dialect reports them as.
+func grantsOf(lease ledger.Lease) (classes []int, cores []float64) {
+	classes = make([]int, len(lease.Grants))
+	cores = make([]float64, len(lease.Grants))
+	for i, g := range lease.Grants {
+		classes[i] = int(g.Class)
+		cores[i] = ledger.CoresOf(g.Millis)
 	}
-	return out
+	return classes, cores
 }
 
 // leaseInfo is one live lease on GET /v1/{dc}/leases.
@@ -722,14 +660,8 @@ type leasesResponse struct {
 const maxLeasePage = 1000
 
 // handleLeases pages through the DC's live leases — the operator's answer to
-// "who is holding the harvested cores right now". It shares the ingest bearer
-// token: lease metadata names jobs and owners, which is more than the open
-// query surface should reveal.
+// "who is holding the harvested cores right now".
 func (a *API) handleLeases(w http.ResponseWriter, r *http.Request) {
-	if !httpjson.BearerAuthorized(r, a.opts.IngestToken) {
-		writeError(w, http.StatusUnauthorized, "missing or invalid bearer token")
-		return
-	}
 	dc := r.PathValue("dc")
 	offset, limit := 0, 100
 	if s := r.URL.Query().Get("offset"); s != "" {
@@ -751,36 +683,30 @@ func (a *API) handleLeases(w http.ResponseWriter, r *http.Request) {
 	}
 	page, total, ok := a.svc.Leases(dc, offset, limit)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown datacenter "+strconv.Quote(dc))
+		rej := rejectionOf(unknownDC(dc))
+		writeError(w, rej.Status, rej.Message)
 		return
 	}
 	resp := leasesResponse{Datacenter: dc, Total: total, Offset: offset, Leases: make([]leaseInfo, len(page))}
 	for i, ls := range page {
-		li := leaseInfo{
-			Lease:      ls.ID,
-			JobID:      ls.Meta.JobID,
-			Owner:      ls.Meta.Owner,
-			TotalCores: ledger.CoresOf(ls.TotalMillis()),
-			Classes:    make([]int, len(ls.Grants)),
-			Cores:      make([]float64, len(ls.Grants)),
+		classes, cores := grantsOf(ls)
+		resp.Leases[i] = leaseInfo{
+			Lease:            ls.ID,
+			JobID:            ls.Meta.JobID,
+			Owner:            ls.Meta.Owner,
+			ExpiresInSeconds: secondsUntil(ls.ExpiresAt),
+			TotalCores:       ledger.CoresOf(ls.TotalMillis()),
+			Classes:          classes,
+			Cores:            cores,
 		}
-		if !ls.ExpiresAt.IsZero() {
-			li.ExpiresInSeconds = time.Until(ls.ExpiresAt).Seconds()
-		}
-		for j, g := range ls.Grants {
-			li.Classes[j] = int(g.Class)
-			li.Cores[j] = ledger.CoresOf(g.Millis)
-		}
-		resp.Leases[i] = li
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// renewRequest extends a live lease's expiry deadline. No cores move: the
-// grants and the conservation books are untouched, only the deadline the
-// sweeper enforces is rescheduled. hold_seconds follows select's convention —
-// 0 (or absent) means the server-side default TTL.
-type renewRequest struct {
+// leaseRequest is the body of both renew and release. hold_seconds, which
+// only renew reads, follows select's convention: 0 (or absent) means the
+// server-side default TTL.
+type leaseRequest struct {
 	Lease       uint64  `json:"lease"`
 	HoldSeconds float64 `json:"hold_seconds"`
 }
@@ -793,55 +719,22 @@ type renewResponse struct {
 }
 
 func (a *API) handleRenew(w http.ResponseWriter, r *http.Request) {
+	var req leaseRequest
+	if !readBody(w, r, &req) {
+		return
+	}
 	dc := r.PathValue("dc")
-	if _, ok := a.svc.Snapshot(dc); !ok {
-		writeError(w, http.StatusNotFound, "unknown datacenter "+strconv.Quote(dc))
+	lease, rej := a.svc.opRenew(dc, req.Lease, req.HoldSeconds)
+	if rej != nil {
+		writeError(w, rej.Status, rej.Message)
 		return
 	}
-	var req renewRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	if req.Lease == 0 {
-		writeError(w, http.StatusBadRequest, "lease must be a nonzero id")
-		return
-	}
-	if !(req.HoldSeconds >= 0 && req.HoldSeconds <= maxHoldSeconds) {
-		writeError(w, http.StatusBadRequest,
-			"hold_seconds must be in [0, "+strconv.Itoa(maxHoldSeconds)+"]")
-		return
-	}
-	lease, err := a.svc.Renew(dc, req.Lease, time.Duration(req.HoldSeconds*float64(time.Second)))
-	if err != nil {
-		if errors.Is(err, ErrFollower) {
-			writeError(w, http.StatusServiceUnavailable, err.Error())
-			return
-		}
-		if errors.Is(err, ledger.ErrUnknownLease) {
-			// Never issued, already released, or reclaimed by the expiry
-			// sweep — a renew cannot resurrect a lease, it can only extend
-			// a live one.
-			writeError(w, http.StatusNotFound, err.Error())
-			return
-		}
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	resp := renewResponse{
-		Datacenter: dc,
-		Lease:      lease.ID,
-		TotalCores: ledger.CoresOf(lease.TotalMillis()),
-	}
-	if !lease.ExpiresAt.IsZero() {
-		resp.ExpiresInSeconds = time.Until(lease.ExpiresAt).Seconds()
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// releaseRequest returns a lease's cores to their classes.
-type releaseRequest struct {
-	Lease uint64 `json:"lease"`
+	writeJSON(w, http.StatusOK, renewResponse{
+		Datacenter:       dc,
+		Lease:            lease.ID,
+		TotalCores:       ledger.CoresOf(lease.TotalMillis()),
+		ExpiresInSeconds: secondsUntil(lease.ExpiresAt),
+	})
 }
 
 type releaseResponse struct {
@@ -853,170 +746,70 @@ type releaseResponse struct {
 }
 
 func (a *API) handleRelease(w http.ResponseWriter, r *http.Request) {
+	var req leaseRequest
+	if !readBody(w, r, &req) {
+		return
+	}
 	dc := r.PathValue("dc")
-	if _, ok := a.svc.Snapshot(dc); !ok {
-		writeError(w, http.StatusNotFound, "unknown datacenter "+strconv.Quote(dc))
+	lease, rej := a.svc.opRelease(dc, req.Lease)
+	if rej != nil {
+		writeError(w, rej.Status, rej.Message)
 		return
 	}
-	var req releaseRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	if req.Lease == 0 {
-		writeError(w, http.StatusBadRequest, "lease must be a nonzero id")
-		return
-	}
-	lease, err := a.svc.Release(dc, req.Lease)
-	if err != nil {
-		if errors.Is(err, ErrFollower) {
-			writeError(w, http.StatusServiceUnavailable, err.Error())
-			return
-		}
-		if errors.Is(err, ledger.ErrUnknownLease) {
-			// Never issued, already released, or reclaimed by the expiry
-			// sweep — idempotent releases by retrying clients land here.
-			writeError(w, http.StatusNotFound, err.Error())
-			return
-		}
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	resp := releaseResponse{
+	classes, cores := grantsOf(lease)
+	writeJSON(w, http.StatusOK, releaseResponse{
 		Datacenter:    dc,
 		Lease:         lease.ID,
 		ReleasedCores: ledger.CoresOf(lease.TotalMillis()),
-		Classes:       make([]int, len(lease.Grants)),
-		Cores:         make([]float64, len(lease.Grants)),
-	}
-	for i, g := range lease.Grants {
-		resp.Classes[i] = int(g.Class)
-		resp.Cores[i] = ledger.CoresOf(g.Millis)
-	}
-	writeJSON(w, http.StatusOK, resp)
+		Classes:       classes,
+		Cores:         cores,
+	})
 }
 
-// maxReplication bounds a place request. The paper evaluates R=3 and R=4;
-// 64 leaves room for exotic experiments while keeping a client from forcing
-// huge allocations and O(R·servers) placement scans per request.
-const maxReplication = 64
-
-// placeRequest asks for replica targets for a new block. Writer is the
-// creating server (optional; -1 or absent means an external writer).
+// placeRequest is the body of both place and blocks. Writer is the creating
+// server (optional; -1 or absent means an external writer).
 type placeRequest struct {
 	Replication        int   `json:"replication"`
 	Writer             int64 `json:"writer"`
 	RelaxedEnvironment bool  `json:"relaxed_environment"`
 }
 
+// placeResponse answers both; Block is the ledger's id for a created block.
 type placeResponse struct {
 	Datacenter string  `json:"datacenter"`
 	Generation uint64  `json:"generation"`
+	Block      uint64  `json:"block,omitempty"`
 	Replicas   []int64 `json:"replicas"`
 }
 
-func (a *API) handlePlace(w http.ResponseWriter, r *http.Request) {
-	snap, ok := a.snapshotFor(w, r)
-	if !ok {
-		return
-	}
-	req := placeRequest{Writer: -1}
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	if req.Replication <= 0 || req.Replication > maxReplication {
-		writeError(w, http.StatusBadRequest,
-			"replication must be in [1, "+strconv.Itoa(maxReplication)+"]")
-		return
-	}
-	replicas, err := a.svc.PlaceOn(snap, core.PlacementConstraints{
-		Replication:        req.Replication,
-		Writer:             tenant.ServerID(req.Writer),
-		EnforceEnvironment: !req.RelaxedEnvironment,
-	})
-	if err != nil {
-		// Placement exhausted the diversity space: a conflict with current
-		// cluster state, not a malformed request.
-		writeError(w, http.StatusConflict, err.Error())
-		return
-	}
-	resp := placeResponse{
-		Datacenter: snap.Datacenter,
-		Generation: snap.Generation,
-		Replicas:   make([]int64, len(replicas)),
-	}
-	for i, s := range replicas {
-		resp.Replicas[i] = int64(s)
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// blocksRequest creates a block: replication replicas placed via Alg. 2
-// against the current snapshot and recorded in the block ledger, which will
-// keep the block at R live replicas through reimaging events and re-keys.
-type blocksRequest struct {
-	Replication        int   `json:"replication"`
-	Writer             int64 `json:"writer"`
-	RelaxedEnvironment bool  `json:"relaxed_environment"`
-}
-
-type blocksResponse struct {
-	Datacenter string  `json:"datacenter"`
-	Generation uint64  `json:"generation"`
-	Block      uint64  `json:"block"`
-	Replicas   []int64 `json:"replicas"`
-}
-
-func (a *API) handleBlocks(w http.ResponseWriter, r *http.Request) {
-	dc := r.PathValue("dc")
-	if _, ok := a.svc.Snapshot(dc); !ok {
-		writeError(w, http.StatusNotFound, "unknown datacenter "+strconv.Quote(dc))
-		return
-	}
-	req := blocksRequest{Writer: -1}
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	if req.Replication <= 0 || req.Replication > maxReplication {
-		writeError(w, http.StatusBadRequest,
-			"replication must be in [1, "+strconv.Itoa(maxReplication)+"]")
-		return
-	}
-	bp, err := a.svc.CreateBlock(dc, core.PlacementConstraints{
-		Replication:        req.Replication,
-		Writer:             tenant.ServerID(req.Writer),
-		EnforceEnvironment: !req.RelaxedEnvironment,
-	})
-	if err != nil {
-		if errors.Is(err, ErrFollower) {
-			// Block creation moves the durability books; the router pins it to
-			// the primary, so landing here means a client went direct.
-			writeError(w, http.StatusServiceUnavailable, err.Error())
+// handlePlacement is the JSON codec of both placement operations.
+func (a *API) handlePlacement(op func(dc string, replication int, writer int64, relaxed bool) (BlockPlacement, *rejection)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		req := placeRequest{Writer: -1}
+		if !readBody(w, r, &req) {
 			return
 		}
-		// Placement exhausted the diversity space (or kept racing refreshes):
-		// a conflict with current cluster state, not a malformed request.
-		writeError(w, http.StatusConflict, err.Error())
-		return
+		dc := r.PathValue("dc")
+		placed, rej := op(dc, req.Replication, req.Writer, req.RelaxedEnvironment)
+		if rej != nil {
+			writeError(w, rej.Status, rej.Message)
+			return
+		}
+		resp := placeResponse{
+			Datacenter: dc,
+			Generation: placed.Generation,
+			Block:      placed.Block,
+			Replicas:   make([]int64, len(placed.Replicas)),
+		}
+		for i, s := range placed.Replicas {
+			resp.Replicas[i] = int64(s)
+		}
+		writeJSON(w, http.StatusOK, resp)
 	}
-	resp := blocksResponse{
-		Datacenter: dc,
-		Generation: bp.Generation,
-		Block:      bp.Block,
-		Replicas:   make([]int64, len(bp.Replicas)),
-	}
-	for i, s := range bp.Replicas {
-		resp.Replicas[i] = int64(s)
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
-// reimageRequest ingests one reimaging event: the server's harvested storage
-// is wiped (the tenant re-deployed, per the paper's reimaging distributions),
-// so every block replica it held is lost and must be re-replicated. The
-// pointer distinguishes an absent server from the valid id 0.
+// reimageRequest names the reimaged server; the pointer distinguishes an
+// absent server from the valid id 0.
 type reimageRequest struct {
 	Server *int64 `json:"server"`
 }
@@ -1030,42 +823,22 @@ type reimageResponse struct {
 	Pending int64 `json:"pending"`
 }
 
-// handleReimage shares the ingest bearer token: reimaging events mutate the
-// durability books the same way telemetry mutates the history, so the event
-// stream gets the same auth.
 func (a *API) handleReimage(w http.ResponseWriter, r *http.Request) {
-	if !httpjson.BearerAuthorized(r, a.opts.IngestToken) {
-		writeError(w, http.StatusUnauthorized, "missing or invalid ingest token")
-		return
-	}
-	dc := r.PathValue("dc")
-	if _, ok := a.svc.Snapshot(dc); !ok {
-		writeError(w, http.StatusNotFound, "unknown datacenter "+strconv.Quote(dc))
-		return
-	}
 	var req reimageRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !readBody(w, r, &req) {
 		return
 	}
 	if req.Server == nil {
 		writeError(w, http.StatusBadRequest, "server is required")
 		return
 	}
-	lost, err := a.svc.ReimageServer(dc, tenant.ServerID(*req.Server))
-	if err != nil {
-		if errors.Is(err, ErrFollower) {
-			writeError(w, http.StatusServiceUnavailable, err.Error())
-			return
-		}
-		writeError(w, http.StatusNotFound, err.Error())
+	dc := r.PathValue("dc")
+	lost, pending, rej := a.svc.opReimage(dc, *req.Server)
+	if rej != nil {
+		writeError(w, rej.Status, rej.Message)
 		return
 	}
-	resp := reimageResponse{Datacenter: dc, Server: *req.Server, Lost: lost}
-	if st, ok := a.svc.BlockStats(dc); ok {
-		resp.Pending = st.Pending
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, reimageResponse{Datacenter: dc, Server: *req.Server, Lost: lost, Pending: pending})
 }
 
 // promoteResponse reports a promotion attempt. Promoted is false when the
@@ -1080,13 +853,8 @@ type promoteResponse struct {
 // handlePromote turns a follower into a primary: it detaches from the
 // replication stream, keeps the replicated ledger (lease conservation
 // survives the handoff), and starts the refresh and sweep loops. The router
-// POSTs this when a primary stops beating; it shares the ingest bearer token
-// because an open promotion endpoint would let anyone split the brain.
+// POSTs this when a primary stops beating.
 func (a *API) handlePromote(w http.ResponseWriter, r *http.Request) {
-	if !httpjson.BearerAuthorized(r, a.opts.IngestToken) {
-		writeError(w, http.StatusUnauthorized, "missing or invalid bearer token")
-		return
-	}
 	promoted := a.svc.Promote()
 	writeJSON(w, http.StatusOK, promoteResponse{
 		Promoted: promoted,
@@ -1264,6 +1032,17 @@ type metricsResponse struct {
 	Datacenters   map[string]shardStatsJSON `json:"datacenters"`
 }
 
+func endpointStatsOf(m *EndpointMetrics) endpointStats {
+	return endpointStats{
+		Requests: m.Requests.Load(),
+		Errors:   m.Errors.Load(),
+		MeanUs:   m.Latency.MeanMicros(),
+		P50Us:    m.Latency.QuantileMicros(0.50),
+		P99Us:    m.Latency.QuantileMicros(0.99),
+		MaxUs:    m.Latency.MaxMicros(),
+	}
+}
+
 func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "prometheus" {
 		// Same numbers, scraper rendering; the JSON shape stays the source of
@@ -1280,14 +1059,7 @@ func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, name := range apiEndpoints {
 		m := a.endpoints[name]
 		resp.TotalRequests += m.Requests.Load()
-		resp.Endpoints[name] = endpointStats{
-			Requests: m.Requests.Load(),
-			Errors:   m.Errors.Load(),
-			MeanUs:   m.Latency.MeanMicros(),
-			P50Us:    m.Latency.QuantileMicros(0.50),
-			P99Us:    m.Latency.QuantileMicros(0.99),
-			MaxUs:    m.Latency.MaxMicros(),
-		}
+		resp.Endpoints[name] = endpointStatsOf(m)
 	}
 	if a.binary != nil {
 		st := a.binary.Stats()
@@ -1296,19 +1068,12 @@ func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Accepted:      st.Accepted,
 			Open:          st.Open,
 			FramingErrors: st.FramingErrors,
-			Endpoints:     make(map[string]endpointStats, len(binaryOps)),
+			Endpoints:     make(map[string]endpointStats, len(wire.Ops)),
 		}
-		for _, op := range binaryOps {
-			m := a.binary.endpointMetric(op)
+		for i := range wire.Ops {
+			m := &a.binary.metrics[i]
 			resp.TotalRequests += m.Requests.Load()
-			bin.Endpoints[op.String()] = endpointStats{
-				Requests: m.Requests.Load(),
-				Errors:   m.Errors.Load(),
-				MeanUs:   m.Latency.MeanMicros(),
-				P50Us:    m.Latency.QuantileMicros(0.50),
-				P99Us:    m.Latency.QuantileMicros(0.99),
-				MaxUs:    m.Latency.MaxMicros(),
-			}
+			bin.Endpoints[wire.Ops[i].Name] = endpointStatsOf(m)
 		}
 		resp.Binary = bin
 	}

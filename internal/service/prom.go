@@ -7,6 +7,7 @@ import (
 
 	"harvest/internal/ledger"
 	"harvest/internal/obs"
+	"harvest/internal/wire"
 )
 
 // writeProm renders the daemon's /metrics numbers in Prometheus text
@@ -30,9 +31,9 @@ func (a *API) writeProm(w http.ResponseWriter) {
 		p.Uint("harvestd_request_errors_total", ls, m.Errors.Load())
 	}
 	if a.binary != nil {
-		for _, op := range binaryOps {
-			m := a.binary.endpointMetric(op)
-			ls := obs.Labels("endpoint", op.String(), "dialect", obs.DialectBinary)
+		for i := range wire.Ops {
+			m := &a.binary.metrics[i]
+			ls := obs.Labels("endpoint", wire.Ops[i].Name, "dialect", obs.DialectBinary)
 			p.Uint("harvestd_requests_total", ls, m.Requests.Load())
 			p.Uint("harvestd_request_errors_total", ls, m.Errors.Load())
 		}
@@ -44,10 +45,10 @@ func (a *API) writeProm(w http.ResponseWriter) {
 	}
 	if a.binary != nil {
 		st := a.binary.Stats()
-		for _, op := range binaryOps {
+		for i := range wire.Ops {
 			p.Histogram("harvestd_request_latency_microseconds",
-				obs.Labels("endpoint", op.String(), "dialect", obs.DialectBinary),
-				&a.binary.endpointMetric(op).Latency)
+				obs.Labels("endpoint", wire.Ops[i].Name, "dialect", obs.DialectBinary),
+				&a.binary.metrics[i].Latency)
 		}
 		p.Metric("harvestd_binary_accepted_conns_total", "counter", "Binary client connections accepted.")
 		p.Uint("harvestd_binary_accepted_conns_total", "", st.Accepted)

@@ -246,6 +246,18 @@ type Service struct {
 // follower's ledger would diverge from the replicated stream.
 var ErrFollower = errors.New("service: node is a follower; writes go to the primary")
 
+// ErrUnknownDatacenter is wrapped by every call naming a datacenter this node
+// does not serve.
+var ErrUnknownDatacenter = errors.New("unknown datacenter")
+
+func unknownDC(dc string) error {
+	return fmt.Errorf("service: %w %q", ErrUnknownDatacenter, dc)
+}
+
+// errCreateRaced ends a CreateBlock that used up its attempts re-placing
+// behind snapshot refreshes: a conflict, to be sent again.
+var errCreateRaced = errors.New("block create kept racing snapshot refreshes")
+
 // New builds every datacenter's boot state synchronously, so a service that
 // returns without error is immediately queryable: the tenant population is
 // generated, its telemetry rings are bootstrapped from the trace (the
@@ -786,7 +798,7 @@ func rekeyLedger(led *ledger.Ledger, pop *tenant.Population, prev, next *core.Cl
 func (s *Service) Refresh(dc string) error {
 	sh, ok := s.shards[dc]
 	if !ok {
-		return fmt.Errorf("service: unknown datacenter %q", dc)
+		return unknownDC(dc)
 	}
 	if s.follower.Load() {
 		return ErrFollower
@@ -818,6 +830,15 @@ func (s *Service) Snapshot(dc string) (*Snapshot, bool) {
 	return sh.snap.Load(), true
 }
 
+// dcName turns a datacenter name from a binary payload into a string without
+// allocating: the served datacenter's own. Only an unknown name is copied.
+func (s *Service) dcName(b []byte) string {
+	if sh, ok := s.shards[string(b)]; ok {
+		return sh.dc
+	}
+	return string(b)
+}
+
 // IngestSample is one utilization observation handed to Ingest. Exactly one
 // of Tenant or Server identifies the subject (set the other to a negative
 // value) — samples naming both, or neither, are rejected; a sample
@@ -846,7 +867,7 @@ type IngestResult struct {
 func (s *Service) Ingest(dc string, samples []IngestSample) (IngestResult, error) {
 	sh, ok := s.shards[dc]
 	if !ok {
-		return IngestResult{}, fmt.Errorf("service: unknown datacenter %q", dc)
+		return IngestResult{}, unknownDC(dc)
 	}
 	if s.follower.Load() {
 		// A follower's rings are frozen at bootstrap: its usage view comes
@@ -1164,7 +1185,7 @@ func (s *Service) SelectReserve(dc string, job core.JobRequest, ttl time.Duratio
 func (s *Service) SelectReserveTraced(dc string, job core.JobRequest, ttl time.Duration, meta ledger.Meta, tr *obs.Trace) (Grant, *Snapshot, error) {
 	sh, ok := s.shards[dc]
 	if !ok {
-		return Grant{}, nil, fmt.Errorf("service: unknown datacenter %q", dc)
+		return Grant{}, nil, unknownDC(dc)
 	}
 	if s.follower.Load() {
 		return Grant{}, nil, ErrFollower
@@ -1259,7 +1280,7 @@ func (s *Service) SelectReserveTraced(dc string, job core.JobRequest, ttl time.D
 func (s *Service) Release(dc string, id uint64) (ledger.Lease, error) {
 	sh, ok := s.shards[dc]
 	if !ok {
-		return ledger.Lease{}, fmt.Errorf("service: unknown datacenter %q", dc)
+		return ledger.Lease{}, unknownDC(dc)
 	}
 	if s.follower.Load() {
 		return ledger.Lease{}, ErrFollower
@@ -1275,7 +1296,7 @@ func (s *Service) Release(dc string, id uint64) (ledger.Lease, error) {
 func (s *Service) Renew(dc string, id uint64, ttl time.Duration) (ledger.Lease, error) {
 	sh, ok := s.shards[dc]
 	if !ok {
-		return ledger.Lease{}, fmt.Errorf("service: unknown datacenter %q", dc)
+		return ledger.Lease{}, unknownDC(dc)
 	}
 	if s.follower.Load() {
 		return ledger.Lease{}, ErrFollower
@@ -1337,7 +1358,7 @@ func (s *Service) PlaceOn(snap *Snapshot, c core.PlacementConstraints) ([]tenant
 func (s *Service) Select(dc string, job core.JobRequest) (core.Selection, *Snapshot, error) {
 	snap, ok := s.Snapshot(dc)
 	if !ok {
-		return core.Selection{}, nil, fmt.Errorf("service: unknown datacenter %q", dc)
+		return core.Selection{}, nil, unknownDC(dc)
 	}
 	return s.SelectOn(snap, job), snap, nil
 }
@@ -1347,7 +1368,7 @@ func (s *Service) Select(dc string, job core.JobRequest) (core.Selection, *Snaps
 func (s *Service) Place(dc string, c core.PlacementConstraints) ([]tenant.ServerID, *Snapshot, error) {
 	snap, ok := s.Snapshot(dc)
 	if !ok {
-		return nil, nil, fmt.Errorf("service: unknown datacenter %q", dc)
+		return nil, nil, unknownDC(dc)
 	}
 	replicas, err := s.PlaceOn(snap, c)
 	return replicas, snap, err
@@ -1372,7 +1393,7 @@ type BlockPlacement struct {
 func (s *Service) CreateBlock(dc string, c core.PlacementConstraints) (BlockPlacement, error) {
 	sh, ok := s.shards[dc]
 	if !ok {
-		return BlockPlacement{}, fmt.Errorf("service: unknown datacenter %q", dc)
+		return BlockPlacement{}, unknownDC(dc)
 	}
 	if s.follower.Load() {
 		return BlockPlacement{}, ErrFollower
@@ -1400,7 +1421,7 @@ func (s *Service) CreateBlock(dc string, c core.PlacementConstraints) (BlockPlac
 		}
 		return BlockPlacement{}, err
 	}
-	return BlockPlacement{}, fmt.Errorf("service: %s: block create kept racing snapshot refreshes", dc)
+	return BlockPlacement{}, fmt.Errorf("service: %s: %w", dc, errCreateRaced)
 }
 
 // ReimageServer ingests one reimaging event: every block replica on the
@@ -1410,7 +1431,7 @@ func (s *Service) CreateBlock(dc string, c core.PlacementConstraints) (BlockPlac
 func (s *Service) ReimageServer(dc string, server tenant.ServerID) (lost int, err error) {
 	sh, ok := s.shards[dc]
 	if !ok {
-		return 0, fmt.Errorf("service: unknown datacenter %q", dc)
+		return 0, unknownDC(dc)
 	}
 	if s.follower.Load() {
 		return 0, ErrFollower

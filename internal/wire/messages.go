@@ -5,9 +5,8 @@ import "math"
 // Typed message codecs: one struct per opcode with an append-style frame
 // encoder and a strict decoder. The serving hot path encodes responses
 // inline with the Append* primitives (no intermediate structs); these types
-// are for everyone else — the load generator, the router's JSON-translation
-// fallback, and the round-trip tests — so both dialect ends share one
-// definition of each payload layout.
+// are for everyone else — the load generators and the round-trip tests — so
+// both dialect ends share one definition of each payload layout.
 
 // SelectReq asks for classes to host a job, mirroring the JSON
 // selectRequest. Job is one of the Job* codes; HoldMillis is the lease TTL

@@ -107,66 +107,34 @@ const (
 	OpError Op = 0xFF
 )
 
+// otherOpNames names the opcodes that are not data-plane requests or their
+// responses; those take their names from Ops.
+var otherOpNames = map[Op]string{
+	OpReplHello:     "repl_hello",
+	OpReplHelloResp: "repl_hello_resp",
+	OpReplSnap:      "repl_snap",
+	OpReplDelta:     "repl_delta",
+	OpReplBeat:      "repl_beat",
+	OpError:         "error",
+}
+
 // String names an opcode for metrics and logs.
 func (o Op) String() string {
-	switch o {
-	case OpSelect:
-		return "select"
-	case OpRelease:
-		return "release"
-	case OpPlace:
-		return "place"
-	case OpClasses:
-		return "classes"
-	case OpServerClass:
-		return "server_class"
-	case OpRenew:
-		return "renew"
-	case OpPlaceBlock:
-		return "place_block"
-	case OpReimage:
-		return "reimage"
-	case OpSelectResp:
-		return "select_resp"
-	case OpReleaseResp:
-		return "release_resp"
-	case OpPlaceResp:
-		return "place_resp"
-	case OpClassesResp:
-		return "classes_resp"
-	case OpServerClassResp:
-		return "server_class_resp"
-	case OpRenewResp:
-		return "renew_resp"
-	case OpPlaceBlockResp:
-		return "place_block_resp"
-	case OpReimageResp:
-		return "reimage_resp"
-	case OpReplHello:
-		return "repl_hello"
-	case OpReplHelloResp:
-		return "repl_hello_resp"
-	case OpReplSnap:
-		return "repl_snap"
-	case OpReplDelta:
-		return "repl_delta"
-	case OpReplBeat:
-		return "repl_beat"
-	case OpError:
-		return "error"
+	if i := OpIndex(o &^ RespBit); i >= 0 {
+		if o&RespBit != 0 {
+			return Ops[i].Name + "_resp"
+		}
+		return Ops[i].Name
+	}
+	if name, ok := otherOpNames[o]; ok {
+		return name
 	}
 	return fmt.Sprintf("op(0x%02x)", uint8(o))
 }
 
-// IsRequest reports whether the opcode is a client-to-server request.
-func (o Op) IsRequest() bool {
-	switch o {
-	case OpSelect, OpRelease, OpPlace, OpClasses, OpServerClass, OpRenew,
-		OpPlaceBlock, OpReimage:
-		return true
-	}
-	return false
-}
+// IsRequest reports whether the opcode is a client-to-server request: one
+// with a row in Ops.
+func (o Op) IsRequest() bool { return OpIndex(o) >= 0 }
 
 // Resp returns the response opcode for a request opcode.
 func (o Op) Resp() Op { return o | RespBit }
