@@ -193,7 +193,7 @@ func main() {
 	for _, dc := range svc.Datacenters() {
 		st, _ := svc.Stats(dc)
 		logger.Info("datacenter ready", "dc", dc, "classes", st.Classes, "servers", st.Servers,
-			"tenants", st.Tenants, "generation", st.Generation, "build", st.BuildDuration.Round(time.Millisecond))
+			"tenants", st.Tenants, "generation", st.Generation, "build", time.Duration(st.BuildMs)*time.Millisecond)
 	}
 	svc.Start()
 	defer svc.Close()

@@ -454,21 +454,30 @@ func (l *Ledger) rekeyBlock(sh *blockShard, b *block, site SiteOf, refs *[]Repai
 	return displaced
 }
 
-// Stats is the ledger's section of /metrics. All counts are whole replicas;
-// the conservation checks are Placed+Pending == ReplicaSlots and
-// Lost == Replaced+Pending, exactly.
+// Stats is the ledger's section of /metrics, in both expositions (see
+// obs.Prom.Walk for the tags). All counts are whole replicas, read with every
+// shard lock held, so the durability invariants
+//
+//	placed + pending == replica_slots
+//	lost == replaced + pending
+//
+// hold exactly at every reading; ConservationErrorSlots is their residue, and
+// anything but zero is a bug.
 type Stats struct {
 	Generation   uint64 `json:"generation"`
-	Blocks       int64  `json:"blocks"`
-	ReplicaSlots int64  `json:"replica_slots"`
-	Placed       int64  `json:"placed"`
-	Pending      int64  `json:"pending"`
-	Lost         int64  `json:"lost"`
-	Replaced     int64  `json:"replaced"`
-	Creates      uint64 `json:"creates"`
-	Reimages     uint64 `json:"reimages"`
-	StaleRetries uint64 `json:"stale_retries"`
-	RepairQueue  int    `json:"repair_queue"`
+	Blocks       int64  `json:"blocks" prom:"harvestd_blocks,gauge" help:"Blocks tracked by the block-placement ledger."`
+	ReplicaSlots int64  `json:"replica_slots" prom:"harvestd_block_replica_slots,gauge" help:"Replica slots across all tracked blocks."`
+	Placed       int64  `json:"placed" prom:"harvestd_block_replicas_placed,gauge" help:"Replica slots currently holding a live replica."`
+	Pending      int64  `json:"pending" prom:"harvestd_block_replicas_pending,gauge" help:"Replica slots awaiting re-replication."`
+	Lost         int64  `json:"lost" prom:"harvestd_block_replicas_lost_total,counter" help:"Replicas ever lost to reimaging."`
+	Replaced     int64  `json:"replaced" prom:"harvestd_block_replicas_replaced_total,counter" help:"Lost replicas re-placed by the repair loop."`
+	// ConservationErrorSlots is |placed + pending − replica_slots| +
+	// |lost − replaced − pending|.
+	ConservationErrorSlots int64  `json:"conservation_error_slots" prom:"harvestd_block_conservation_error_slots,gauge" help:"Replica slots by which the block ledger's books fail to balance; anything but 0 is a bug."`
+	Creates                uint64 `json:"creates" prom:"harvestd_block_creates_total,counter" help:"Blocks created."`
+	Reimages               uint64 `json:"reimages" prom:"harvestd_block_reimages_total,counter" help:"Reimaging events ingested."`
+	StaleRetries           uint64 `json:"stale_retries" prom:"harvestd_block_stale_retries_total,counter" help:"Block operations retried across snapshot generation changes."`
+	RepairQueue            int    `json:"repair_queue" prom:"harvestd_block_repair_queue,gauge" help:"Replica slots queued for the re-replicator."`
 }
 
 // Snapshot returns a consistent reading of the books: taken under all shard
@@ -488,10 +497,18 @@ func (l *Ledger) Snapshot() Stats {
 		StaleRetries: l.stales.Load(),
 	}
 	l.unlockAll()
+	st.ConservationErrorSlots = abs(st.Placed+st.Pending-st.ReplicaSlots) + abs(st.Lost-st.Replaced-st.Pending)
 	l.queueMu.Lock()
 	st.RepairQueue = len(l.queue)
 	l.queueMu.Unlock()
 	return st
+}
+
+func abs(n int64) int64 {
+	if n < 0 {
+		return -n
+	}
+	return n
 }
 
 // PersistedReplica is one replica slot, in the ledger and in the exported

@@ -13,57 +13,60 @@ import (
 
 // ReclusterStats reports what an incremental re-clustering actually did —
 // how much of the full pipeline it was able to skip, and why.
+//
+// It is also the "recluster" section of the serving layer's /metrics, in both
+// expositions (see obs.Prom.Walk for the tags): the most recent warm refresh's
+// work, all zeros until the first one (boot is a full build).
 type ReclusterStats struct {
 	// Tenants is the number of tenants examined.
-	Tenants int
+	Tenants int `json:"tenants"`
 	// Skipped counts tenants the history source held no series for (evicted
 	// telemetry rings); they are left out of every class.
-	Skipped int
+	Skipped int `json:"-"`
 	// Reclassified counts tenants that drifted past the threshold and were
 	// re-run through the full FFT classification — the expensive step the
-	// warm start exists to avoid.
-	Reclassified int
+	// warm start exists to avoid. Drifted is the same count under the name
+	// /metrics has always published it by. Both are zero on a full rebuild,
+	// where every tenant is re-run by definition.
+	Reclassified int `json:"reclassified"`
+	Drifted      int `json:"drifted"`
 	// PatternChanged counts reclassified tenants whose pattern flipped
 	// (e.g. periodic -> unpredictable), forcing them into another group.
-	PatternChanged int
-	// Drifted lists the tenants that drifted past the threshold this round
-	// (the reclassified set), in population order. Nil on a full rebuild,
-	// where every tenant is re-run by definition.
-	Drifted []tenant.ID
+	PatternChanged int `json:"pattern_changed"`
 	// Quiet counts tenants whose history window was provably unchanged since
 	// their last drift evaluation (tenant.HistoryStats change mark), letting
 	// the drift check skip the window copy and summary entirely.
-	Quiet int
+	Quiet int `json:"quiet"`
 	// MovedTenants counts tenants whose class assignment changed from the
 	// previous generation (drifted movers, K-Means reshuffles, and drop-outs).
-	MovedTenants int
+	MovedTenants int `json:"moved_tenants"`
 	// ReusedClasses counts classes whose tenant membership is unchanged and
 	// which therefore share the previous generation's server list instead of
 	// rebuilding it.
-	ReusedClasses int
+	ReusedClasses int `json:"reused_classes"`
 	// SplicedServers is the size of the server→class delta this generation
 	// layers over the previous generation's shared assignment map — zero
 	// when the map is shared outright (steady state) or was flattened fresh.
-	SplicedServers int
+	SplicedServers int `json:"spliced_servers"`
 	// WarmPatterns and ColdPatterns count pattern groups whose K-Means was
 	// seeded from the previous generation's centroids vs. re-seeded from
 	// scratch (class count changed, or the group is new).
-	WarmPatterns int
-	ColdPatterns int
+	WarmPatterns int `json:"-"`
+	ColdPatterns int `json:"-"`
 	// Iterations is the total number of Lloyd iterations across groups.
-	Iterations int
+	Iterations int `json:"-"`
 	// FullRebuild is true when Recluster fell back to a from-scratch
 	// ClusterFrom (no usable previous generation).
-	FullRebuild bool
+	FullRebuild bool `json:"full_rebuild"`
 	// DriftThreshold is the threshold this round's drift checks ran with —
 	// the configured value, or the auto-tuned override the serving layer
 	// feeds back from full-rebuild agreement (service.refreshShard).
-	DriftThreshold float64
+	DriftThreshold float64 `json:"drift_threshold" prom:"harvestd_drift_threshold,gauge,omitzero" help:"Auto-tuned warm-recluster drift threshold."`
 	// FullAgreement is the fraction of tenants whose pattern assignment a
 	// periodic full rebuild agreed with the previous warm generation on —
 	// the disagreement signal the drift-threshold auto-tuner consumes.
 	// Negative when not measured (warm rounds, boot).
-	FullAgreement float64
+	FullAgreement float64 `json:"full_agreement" prom:"harvestd_full_rebuild_agreement,gauge" help:"Clustering agreement between warm path and last full rebuild (-1 until measured)."`
 }
 
 // Recluster derives the next clustering generation incrementally from the
@@ -156,7 +159,7 @@ func (s *ClusteringService) Recluster(prev *Clustering, pop *tenant.Population, 
 				return nil, st, err
 			}
 			st.Reclassified++
-			st.Drifted = append(st.Drifted, t.ID)
+			st.Drifted++
 			if hadClass && t.Profile.Pattern != oldPattern {
 				st.PatternChanged++
 			}

@@ -636,30 +636,49 @@ func (l *Ledger) remapGrants(grants []Grant, remap map[core.ClassID][]Share, num
 	return out
 }
 
-// Stats is a point-in-time summary for /metrics. OutstandingMillis and
-// ActiveLeases are read with every shard lock held, so together with the
-// cumulative counters they satisfy the conservation invariant exactly
-// whenever the ledger is quiescent (and within one in-flight reservation of
-// it otherwise).
+// Stats is a point-in-time summary and the ledger's section of /metrics, in
+// both expositions (see obs.Prom.Walk for the tags). OutstandingMillis and
+// ActiveLeases are read with every shard lock held, together with the
+// cumulative counters, so the conservation invariant
+//
+//	reserved_millis == released_millis + expired_millis + forfeited_millis + outstanding_millis
+//
+// holds exactly at every reading; ConservationErrorMillis is its residue, and
+// anything but zero is a bug. The *_millis fields are exact integers; the
+// *_cores fields are the same numbers for humans.
 type Stats struct {
-	Generation        uint64
-	ActiveLeases      int
-	OutstandingMillis int64
-	ReservedMillis    int64
-	ReleasedMillis    int64
-	ExpiredMillis     int64
-	ForfeitedMillis   int64
-	Reserves          uint64
-	Releases          uint64
-	Renews            uint64
-	Expiries          uint64
-	Conflicts         uint64
+	Generation        uint64  `json:"-"`
+	ActiveLeases      int     `json:"active_leases" prom:"harvestd_ledger_active_leases,gauge" help:"Live leases."`
+	OutstandingCores  float64 `json:"outstanding_cores" prom:"harvestd_ledger_outstanding_cores,gauge" help:"Cores currently reserved."`
+	ReservedCores     float64 `json:"reserved_cores"`
+	ReleasedCores     float64 `json:"released_cores"`
+	ExpiredCores      float64 `json:"expired_cores"`
+	ForfeitedCores    float64 `json:"forfeited_cores"`
+	OutstandingMillis int64   `json:"outstanding_millis"`
+	ReservedMillis    int64   `json:"reserved_millis" prom:"harvestd_ledger_reserved_millis_total,counter" help:"Milli-cores ever reserved."`
+	ReleasedMillis    int64   `json:"released_millis" prom:"harvestd_ledger_released_millis_total,counter" help:"Milli-cores returned by release."`
+	ExpiredMillis     int64   `json:"expired_millis" prom:"harvestd_ledger_expired_millis_total,counter" help:"Milli-cores reclaimed by expiry."`
+	ForfeitedMillis   int64   `json:"forfeited_millis" prom:"harvestd_ledger_forfeited_millis_total,counter" help:"Milli-cores forfeited on snapshot change."`
+	// ConservationErrorMillis is reserved − released − expired − forfeited −
+	// outstanding.
+	ConservationErrorMillis int64  `json:"conservation_error_millis" prom:"harvestd_ledger_conservation_error_millis,gauge" help:"Milli-cores by which the ledger's books fail to balance; anything but 0 is a bug."`
+	Reserves                uint64 `json:"reserves" prom:"harvestd_ledger_reserves_total,counter" help:"Successful reservations."`
+	Releases                uint64 `json:"releases" prom:"harvestd_ledger_releases_total,counter" help:"Successful releases."`
+	Renews                  uint64 `json:"renews" prom:"harvestd_ledger_renews_total,counter" help:"Successful lease renewals."`
+	Expiries                uint64 `json:"expiries" prom:"harvestd_ledger_expiries_total,counter" help:"Lease expiries."`
+	Conflicts               uint64 `json:"conflicts" prom:"harvestd_ledger_conflicts_total,counter" help:"Reservations lost to capacity conflicts."`
+	// StaleRetries counts reservations that met a re-key in flight and re-ran.
+	// The retry loop is the caller's, and so is the count: Snapshot leaves it 0.
+	StaleRetries uint64 `json:"stale_retries"`
 	// AllocatedMillisByClass is the current table's occupancy, indexed by
-	// dense ClassID.
-	AllocatedMillisByClass []int64
+	// dense ClassID; AllocatedCoresByClass is the same in cores.
+	AllocatedMillisByClass []int64   `json:"-"`
+	AllocatedCoresByClass  []float64 `json:"allocated_cores_by_class"`
 	// ReserveFloorMillisByClass is the current admission-floor set (nil when
-	// no floors are published for this generation), indexed by dense ClassID.
-	ReserveFloorMillisByClass []int64
+	// no floors are published for this generation), indexed by dense ClassID:
+	// the live-utilization correction subtracted from build-time capacity
+	// before a reserve is admitted.
+	ReserveFloorMillisByClass []int64 `json:"reserve_floor_millis_by_class" prom:"harvestd_reserve_floor_millis,gauge" labels:"class" help:"Milli-cores withheld from admission per class by the live-utilization floor."`
 }
 
 // Snapshot returns the ledger's counters and per-class occupancy.
@@ -669,6 +688,7 @@ func (l *Ledger) Snapshot() Stats {
 	st := Stats{
 		Generation:             t.generation,
 		AllocatedMillisByClass: make([]int64, len(t.alloc)),
+		AllocatedCoresByClass:  make([]float64, len(t.alloc)),
 	}
 	for i := range l.shards {
 		st.ActiveLeases += len(l.shards[i].leases)
@@ -690,8 +710,15 @@ func (l *Ledger) Snapshot() Stats {
 	st.Expiries = l.expiries.Load()
 	st.Conflicts = l.conflicts.Load()
 	l.unlockAll()
+	st.OutstandingCores = CoresOf(st.OutstandingMillis)
+	st.ReservedCores = CoresOf(st.ReservedMillis)
+	st.ReleasedCores = CoresOf(st.ReleasedMillis)
+	st.ExpiredCores = CoresOf(st.ExpiredMillis)
+	st.ForfeitedCores = CoresOf(st.ForfeitedMillis)
+	st.ConservationErrorMillis = st.ReservedMillis - st.ReleasedMillis - st.ExpiredMillis - st.ForfeitedMillis - st.OutstandingMillis
 	for i := range t.alloc {
 		st.AllocatedMillisByClass[i] = t.alloc[i].Load()
+		st.AllocatedCoresByClass[i] = CoresOf(st.AllocatedMillisByClass[i])
 	}
 	st.ReserveFloorMillisByClass = l.Floors()
 	return st

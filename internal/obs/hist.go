@@ -151,3 +151,30 @@ func (m *EndpointMetrics) Observe(d time.Duration, status int) {
 	}
 	m.Latency.Observe(d)
 }
+
+// EndpointStats is one endpoint's (or opcode's, or backend's) row on
+// /metrics, the same shape on every tier. Latency is the histogram the
+// quantiles were read from, for the Prometheus exposition: each tier embeds
+// the row in a struct of its own that names its families (see Prom.Walk).
+type EndpointStats struct {
+	Requests uint64     `json:"requests"`
+	Errors   uint64     `json:"errors"`
+	MeanUs   float64    `json:"mean_us"`
+	P50Us    uint64     `json:"p50_us"`
+	P99Us    uint64     `json:"p99_us"`
+	MaxUs    uint64     `json:"max_us"`
+	Latency  *Histogram `json:"-"`
+}
+
+// Stats reads the endpoint's counters once, for both expositions.
+func (m *EndpointMetrics) Stats() EndpointStats {
+	return EndpointStats{
+		Requests: m.Requests.Load(),
+		Errors:   m.Errors.Load(),
+		MeanUs:   m.Latency.MeanMicros(),
+		P50Us:    m.Latency.QuantileMicros(0.50),
+		P99Us:    m.Latency.QuantileMicros(0.99),
+		MaxUs:    m.Latency.MaxMicros(),
+		Latency:  &m.Latency,
+	}
+}

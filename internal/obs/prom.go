@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"net/http"
 	"strconv"
 	"strings"
 )
@@ -9,52 +10,63 @@ import (
 // PromContentType is the exposition-format content type (text format 0.0.4).
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// Prom accumulates Prometheus text exposition. It is a formatting helper,
-// not a registry: callers walk their own stats structures and emit series in
-// whatever order they like, writing each metric's HELP/TYPE header once via
-// Metric and then any number of series. The JSON /metrics shape is the
-// source of truth; this is the same data re-rendered for a scraper.
+// Prom accumulates Prometheus text exposition, one bucket per metric family:
+// a series lands in its family's bucket whenever it is written, and Bytes
+// prints the buckets in first-seen order, each under its one HELP/TYPE
+// header — so every family is one contiguous group however the caller
+// interleaves its writes. Walk (promwalk.go) fills it from a tagged stats
+// value; the series writers below are for the few lines no field can spell.
 type Prom struct {
-	buf bytes.Buffer
+	families map[string]*promFamily
+	order    []*promFamily
 }
 
-// Metric writes the # HELP and # TYPE header for a metric family.
-// typ is "counter", "gauge", or "histogram".
+type promFamily struct {
+	name, typ, help string
+	series          bytes.Buffer
+}
+
+func (p *Prom) family(name string) *promFamily {
+	f := p.families[name]
+	if f == nil {
+		if p.families == nil {
+			p.families = make(map[string]*promFamily)
+		}
+		f = &promFamily{name: name}
+		p.families[name] = f
+		p.order = append(p.order, f)
+	}
+	return f
+}
+
+// Metric declares a family's type ("counter", "gauge" or "histogram") and
+// help text. The first declaration stands; a family never declared prints
+// its series without a header.
 func (p *Prom) Metric(name, typ, help string) {
-	p.buf.WriteString("# HELP ")
-	p.buf.WriteString(name)
-	p.buf.WriteByte(' ')
-	p.buf.WriteString(help)
-	p.buf.WriteString("\n# TYPE ")
-	p.buf.WriteString(name)
-	p.buf.WriteByte(' ')
-	p.buf.WriteString(typ)
-	p.buf.WriteByte('\n')
+	if f := p.family(name); f.typ == "" {
+		f.typ, f.help = typ, help
+	}
 }
 
 // Labels renders a label set from key/value pairs, escaping values. The
 // result (e.g. `dc="DC-9",op="select"`) is passed to the series writers; an
 // empty string means no labels.
 func Labels(kv ...string) string {
-	if len(kv) == 0 {
-		return ""
-	}
 	var b strings.Builder
 	for i := 0; i+1 < len(kv); i += 2 {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(kv[i])
-		b.WriteString(`="`)
-		escapeLabel(&b, kv[i+1])
-		b.WriteByte('"')
+		appendLabel(&b, kv[i], kv[i+1])
 	}
 	return b.String()
 }
 
-func escapeLabel(b *strings.Builder, v string) {
-	for i := 0; i < len(v); i++ {
-		switch c := v[i]; c {
+func appendLabel(b *strings.Builder, name, value string) {
+	if b.Len() > 0 {
+		b.WriteByte(',')
+	}
+	b.WriteString(name)
+	b.WriteString(`="`)
+	for i := 0; i < len(value); i++ {
+		switch c := value[i]; c {
 		case '\\':
 			b.WriteString(`\\`)
 		case '"':
@@ -65,37 +77,37 @@ func escapeLabel(b *strings.Builder, v string) {
 			b.WriteByte(c)
 		}
 	}
+	b.WriteByte('"')
 }
 
-func (p *Prom) series(name, labels string) {
-	p.buf.WriteString(name)
+// line writes one series of family f under the given name (the family's own,
+// or a histogram's _bucket/_sum/_count) with an already-formatted value.
+func (f *promFamily) line(suffix, labels, value string) {
+	f.series.WriteString(f.name)
+	f.series.WriteString(suffix)
 	if labels != "" {
-		p.buf.WriteByte('{')
-		p.buf.WriteString(labels)
-		p.buf.WriteByte('}')
+		f.series.WriteByte('{')
+		f.series.WriteString(labels)
+		f.series.WriteByte('}')
 	}
-	p.buf.WriteByte(' ')
+	f.series.WriteByte(' ')
+	f.series.WriteString(value)
+	f.series.WriteByte('\n')
 }
 
 // Uint writes one series with an unsigned integer value.
 func (p *Prom) Uint(name, labels string, v uint64) {
-	p.series(name, labels)
-	p.buf.Write(strconv.AppendUint(p.scratch(), v, 10))
-	p.buf.WriteByte('\n')
+	p.family(name).line("", labels, strconv.FormatUint(v, 10))
 }
 
 // Int writes one series with a signed integer value.
 func (p *Prom) Int(name, labels string, v int64) {
-	p.series(name, labels)
-	p.buf.Write(strconv.AppendInt(p.scratch(), v, 10))
-	p.buf.WriteByte('\n')
+	p.family(name).line("", labels, strconv.FormatInt(v, 10))
 }
 
 // Float writes one series with a float value.
 func (p *Prom) Float(name, labels string, v float64) {
-	p.series(name, labels)
-	p.buf.Write(strconv.AppendFloat(p.scratch(), v, 'g', -1, 64))
-	p.buf.WriteByte('\n')
+	p.family(name).line("", labels, strconv.FormatFloat(v, 'g', -1, 64))
 }
 
 // Histogram writes the full cumulative `le` bucket series plus _sum and
@@ -103,7 +115,7 @@ func (p *Prom) Float(name, labels string, v float64) {
 // (the histogram's native resolution): bucket i's inclusive upper bound is
 // 2^i - 1 µs, so the `le` bounds are exact for whole-microsecond samples —
 // every sample in buckets 0..i is ≤ le_i and every sample above is > le_i.
-// extraLabels is appended after the le label's comma handling (may be "").
+// The le label goes after extraLabels (which may be "").
 func (p *Prom) Histogram(name, extraLabels string, h *Histogram) {
 	p.histogram(name, extraLabels, h, func(us uint64) string { return strconv.FormatUint(us, 10) })
 }
@@ -118,29 +130,39 @@ func (p *Prom) HistogramSeconds(name, extraLabels string, h *Histogram) {
 }
 
 func (p *Prom) histogram(name, extraLabels string, h *Histogram, unit func(us uint64) string) {
+	f := p.family(name)
+	le := `le="`
+	if extraLabels != "" {
+		le = extraLabels + `,le="`
+	}
 	var counts [HistBuckets]uint64
 	h.BucketCounts(counts[:0])
 	var cum uint64
 	for i := 0; i < HistBuckets; i++ {
 		cum += counts[i]
-		p.bucket(name, extraLabels, unit(BucketUpperMicros(i)), cum)
+		f.line("_bucket", le+unit(BucketUpperMicros(i))+`"`, strconv.FormatUint(cum, 10))
 	}
-	p.bucket(name, extraLabels, "+Inf", cum)
-	p.series(name+"_sum", extraLabels)
-	p.buf.WriteString(unit(h.SumMicros()))
-	p.buf.WriteByte('\n')
-	p.Uint(name+"_count", extraLabels, h.Count())
+	f.line("_bucket", le+`+Inf"`, strconv.FormatUint(cum, 10))
+	f.line("_sum", extraLabels, unit(h.SumMicros()))
+	// The +Inf bucket and _count are the same reading of the same buckets, so
+	// they agree even while observations land.
+	f.line("_count", extraLabels, strconv.FormatUint(cum, 10))
 }
-
-func (p *Prom) bucket(name, extraLabels, le string, cum uint64) {
-	labels := `le="` + le + `"`
-	if extraLabels != "" {
-		labels = extraLabels + "," + labels
-	}
-	p.Uint(name+"_bucket", labels, cum)
-}
-
-func (p *Prom) scratch() []byte { return make([]byte, 0, 24) }
 
 // Bytes returns the accumulated exposition.
-func (p *Prom) Bytes() []byte { return p.buf.Bytes() }
+func (p *Prom) Bytes() []byte {
+	var out bytes.Buffer
+	for _, f := range p.order {
+		if f.typ != "" {
+			out.WriteString("# HELP " + f.name + " " + f.help + "\n# TYPE " + f.name + " " + f.typ + "\n")
+		}
+		out.Write(f.series.Bytes())
+	}
+	return out.Bytes()
+}
+
+// Reply answers a scrape with the accumulated exposition.
+func (p *Prom) Reply(w http.ResponseWriter) {
+	w.Header().Set("Content-Type", PromContentType)
+	w.Write(p.Bytes())
+}

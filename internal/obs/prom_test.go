@@ -135,3 +135,88 @@ func TestPromScalarSeries(t *testing.T) {
 		t.Fatalf("scalar rendering:\ngot  %q\nwant %q", got, want)
 	}
 }
+
+// TestPromWalk pins the tag grammar on a miniature stats value: what each Go
+// type renders, how labels accumulate, which families are declared with no
+// series to show, and that one family's series stay together however the
+// struct interleaves them.
+func TestPromWalk(t *testing.T) {
+	type row struct {
+		EndpointStats
+		_ struct{} `prom:"t_requests_total,counter,of=Requests" help:"Requests."`
+		_ struct{} `prom:"t_latency_us,histogram,of=Latency" help:"Latency."`
+	}
+	type shard struct {
+		Gen      uint64     `json:"gen" prom:"t_gen,gauge" help:"Generation."`
+		Drift    float64    `prom:"t_drift,gauge,omitzero" help:"Drift."`
+		Floors   []int64    `prom:"t_floor,gauge" labels:"class" help:"Floor."`
+		In       uint64     `prom:"t_changed_total,counter" labels:"kind=in" help:"Changed."`
+		Out      uint64     `prom:"t_changed_total" labels:"kind=out"`
+		Build    *Histogram `json:"-" prom:"t_build_seconds,histogram,seconds" help:"Build."`
+		Untagged int
+	}
+	type section struct {
+		Open bool `prom:"t_open,gauge" help:"Open."`
+	}
+	type stats struct {
+		Up      float64           `prom:"t_up,gauge" help:"Up."`
+		Rows    map[string]row    `labels:"endpoint,dialect=json"`
+		Absent  *section          // nil: nothing of it appears
+		Present *section          //
+		Applied map[string]uint64 `prom:"t_applied,gauge" labels:"dc" help:"Applied."`
+		Shards  map[string]shard  `labels:"dc"`
+		Empty   map[string]section
+		Raw     map[string][]byte // not a metric; must be walked past
+	}
+	var m EndpointMetrics
+	m.Observe(3*time.Microsecond, 200)
+	var build Histogram
+	build.Observe(time.Microsecond)
+
+	var p Prom
+	p.Walk(stats{
+		Up:      1.5,
+		Rows:    map[string]row{"select": {EndpointStats: m.Stats()}, "place": {}},
+		Present: &section{Open: true},
+		Shards: map[string]shard{
+			"DC-9": {Gen: 7, Drift: 0.25, Floors: []int64{0, 500}, In: 1, Out: 2, Build: &build},
+			"DC-3": {Gen: 4},
+		},
+		Raw: map[string][]byte{"x": []byte("{}")},
+	})
+	p.Metric("t_role", "gauge", "Role.")
+	p.Uint("t_role", Labels("node", `a"b`), 1)
+
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(string(p.Bytes())), "\n") {
+		if !strings.Contains(line, "_bucket{") {
+			got = append(got, line)
+		}
+	}
+	want := []string{
+		"# HELP t_up Up.", "# TYPE t_up gauge", "t_up 1.5",
+		"# HELP t_requests_total Requests.", "# TYPE t_requests_total counter",
+		`t_requests_total{endpoint="place",dialect="json"} 0`,
+		`t_requests_total{endpoint="select",dialect="json"} 1`,
+		"# HELP t_latency_us Latency.", "# TYPE t_latency_us histogram",
+		`t_latency_us_sum{endpoint="select",dialect="json"} 3`,
+		`t_latency_us_count{endpoint="select",dialect="json"} 1`,
+		"# HELP t_open Open.", "# TYPE t_open gauge", "t_open 1",
+		"# HELP t_applied Applied.", "# TYPE t_applied gauge",
+		"# HELP t_gen Generation.", "# TYPE t_gen gauge", `t_gen{dc="DC-3"} 4`, `t_gen{dc="DC-9"} 7`,
+		"# HELP t_drift Drift.", "# TYPE t_drift gauge", `t_drift{dc="DC-9"} 0.25`,
+		"# HELP t_floor Floor.", "# TYPE t_floor gauge", `t_floor{dc="DC-9",class="1"} 500`,
+		"# HELP t_changed_total Changed.", "# TYPE t_changed_total counter",
+		`t_changed_total{dc="DC-3",kind="in"} 0`, `t_changed_total{dc="DC-3",kind="out"} 0`,
+		`t_changed_total{dc="DC-9",kind="in"} 1`, `t_changed_total{dc="DC-9",kind="out"} 2`,
+		"# HELP t_build_seconds Build.", "# TYPE t_build_seconds histogram",
+		`t_build_seconds_sum{dc="DC-9"} 1e-06`, `t_build_seconds_count{dc="DC-9"} 1`,
+		"# HELP t_role Role.", "# TYPE t_role gauge", `t_role{node="a\"b"} 1`,
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("walk rendered:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if n := strings.Count(string(p.Bytes()), "t_build_seconds_bucket{"); n != HistBuckets+1 {
+		t.Fatalf("%d build buckets, want %d", n, HistBuckets+1)
+	}
+}

@@ -951,68 +951,78 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// BackendStats is one backend's row in /metrics.
+// BackendStats is one backend's row in /metrics, in both expositions (see
+// obs.Prom.Walk for the tags).
 type BackendStats struct {
-	URL                 string            `json:"url"`
-	BinaryAddr          string            `json:"binary_addr,omitempty"`
-	ReplicateAddr       string            `json:"replicate_addr,omitempty"`
-	Role                string            `json:"role"`
+	URL           string `json:"url"`
+	BinaryAddr    string `json:"binary_addr,omitempty"`
+	ReplicateAddr string `json:"replicate_addr,omitempty"`
+	Role          string `json:"role"`
+	// Primary is Role as a number: anything but "follower".
+	Primary             bool              `json:"-" prom:"harvestrouter_backend_role,gauge" help:"1 when the backend announces itself primary, 0 for a follower."`
 	PrimaryID           string            `json:"primary_id,omitempty"`
-	Alive               bool              `json:"alive"`
+	Alive               bool              `json:"alive" prom:"harvestrouter_backend_up,gauge" help:"1 when the backend's heartbeats are fresh."`
 	Draining            bool              `json:"draining,omitempty"`
-	LastBeatAgeSeconds  float64           `json:"last_beat_age_seconds"`
+	LastBeatAgeSeconds  float64           `json:"last_beat_age_seconds" prom:"harvestrouter_backend_last_beat_age_seconds,gauge" help:"Seconds since the backend's last register."`
 	Datacenters         map[string]uint64 `json:"datacenters"` // name → announced generation
-	Proxied             uint64            `json:"proxied"`
-	Reads               uint64            `json:"reads"` // requests the read spreader picked this backend for
-	InFlight            int64             `json:"in_flight"`
-	Errors              uint64            `json:"errors"`
-	CircuitOpen         bool              `json:"circuit_open"`
+	Proxied             uint64            `json:"proxied" prom:"harvestrouter_backend_proxied_total,counter" help:"Requests proxied to this backend."`
+	Reads               uint64            `json:"reads" prom:"harvestrouter_backend_reads_total,counter" help:"Requests the read spreader picked this backend for."`
+	InFlight            int64             `json:"in_flight" prom:"harvestrouter_backend_in_flight,gauge" help:"Requests currently in flight against this backend."`
+	Errors              uint64            `json:"errors" prom:"harvestrouter_backend_errors_total,counter" help:"Transport failures against this backend."`
+	CircuitOpen         bool              `json:"circuit_open" prom:"harvestrouter_backend_circuit_open,gauge" help:"1 while the backend's breaker is open."`
 	ConsecutiveFailures int               `json:"consecutive_failures"`
 	// Latency is this backend's request latency as observed from the router,
 	// across both dialects — per-replica histograms for spotting a slow
 	// follower dragging the spread read path.
-	Latency OpStats `json:"latency"`
+	Latency backendLatency `json:"latency"`
+}
+
+// backendLatency and opRow are the fleet's shared /metrics row under the
+// router's two sets of family names (see obs.Prom.Walk on blank fields).
+type backendLatency struct {
+	obs.EndpointStats
+	_ struct{} `prom:"harvestrouter_backend_latency_microseconds,histogram,of=Latency" help:"Backend request latency as observed from the router, in microseconds."`
+}
+
+type opRow struct {
+	obs.EndpointStats
+	_ struct{} `prom:"harvestrouter_binary_op_requests_total,counter,of=Requests" help:"Frames dispatched, by opcode."`
+	_ struct{} `prom:"harvestrouter_binary_op_errors_total,counter,of=Errors" help:"Non-2xx outcomes, by opcode."`
+	_ struct{} `prom:"harvestrouter_binary_op_latency_microseconds,histogram,of=Latency" help:"Frame relay latency by opcode, in microseconds."`
 }
 
 // RouterStats is the router's own section of /metrics.
 type RouterStats struct {
-	Registrations uint64                  `json:"registrations"`
-	Proxied       uint64                  `json:"proxied"`
-	ProxyErrors   uint64                  `json:"proxy_errors"`
-	Unavailable   uint64                  `json:"unavailable_503s"`
-	Promotions    uint64                  `json:"promotions"`
+	Registrations uint64                  `json:"registrations" prom:"harvestrouter_registrations_total,counter" help:"Register heartbeats accepted."`
+	Proxied       uint64                  `json:"proxied" prom:"harvestrouter_proxied_total,counter" help:"Requests proxied to a backend (both dialects)."`
+	ProxyErrors   uint64                  `json:"proxy_errors" prom:"harvestrouter_proxy_errors_total,counter" help:"Backend transport failures."`
+	Unavailable   uint64                  `json:"unavailable_503s" prom:"harvestrouter_unavailable_total,counter" help:"503s from staleness or an open circuit."`
+	Promotions    uint64                  `json:"promotions" prom:"harvestrouter_promotions_total,counter" help:"Follower-to-primary promotions initiated by this router."`
 	Binary        *BinaryFrontStats       `json:"binary,omitempty"`
-	Backends      map[string]BackendStats `json:"backends"`
+	Backends      map[string]BackendStats `json:"backends" labels:"backend"`
 }
 
 // BinaryFrontStats is the binary listener's section of /metrics, present only
 // when the router serves the binary dialect.
 type BinaryFrontStats struct {
 	Addr          string `json:"addr,omitempty"`
-	AcceptedConns uint64 `json:"accepted_conns"`
-	OpenConns     int64  `json:"open_conns"`
-	FramingErrors uint64 `json:"framing_errors"`
-	Forwarded     uint64 `json:"forwarded"` // frames relayed natively
-	Rejected      uint64 `json:"rejected"`  // error frames originated by the router
+	AcceptedConns uint64 `json:"accepted_conns" prom:"harvestrouter_binary_accepted_conns_total,counter" help:"Binary client connections accepted."`
+	OpenConns     int64  `json:"open_conns" prom:"harvestrouter_binary_open_conns,gauge" help:"Binary client connections currently open."`
+	FramingErrors uint64 `json:"framing_errors" prom:"harvestrouter_binary_framing_errors_total,counter" help:"Connections dropped for bad framing."`
+	Forwarded     uint64 `json:"forwarded" prom:"harvestrouter_binary_forwarded_total,counter" help:"Frames relayed natively to a binary backend."`
+	Rejected      uint64 `json:"rejected" prom:"harvestrouter_binary_rejected_total,counter" help:"Error frames originated by the router."`
 	// Ops is the per-opcode latency and error breakdown at the router's frame
 	// dispatch — the same row shape as the shards' binary endpoints, so a
-	// dashboard can subtract the two and see the relay's own cost.
-	Ops map[string]OpStats `json:"ops"`
+	// dashboard can subtract the two and see the relay's own cost. Every
+	// request opcode has a row, even before its first frame.
+	Ops map[string]opRow `json:"ops" labels:"op"`
 }
 
-// OpStats is one opcode's row in the binary front's /metrics section,
-// mirroring the shards' per-endpoint counters.
-type OpStats struct {
-	Requests uint64  `json:"requests"`
-	Errors   uint64  `json:"errors"`
-	MeanUs   float64 `json:"mean_us"`
-	P50Us    uint64  `json:"p50_us"`
-	P99Us    uint64  `json:"p99_us"`
-	MaxUs    uint64  `json:"max_us"`
-}
-
+// metricsResponse is the router's /metrics: the JSON document as marshalled,
+// and — its uptime and "router" section, never the backends' books — the
+// Prometheus exposition as obs.Prom.Walk reads the tags.
 type metricsResponse struct {
-	UptimeSeconds float64     `json:"uptime_seconds"`
+	UptimeSeconds float64     `json:"uptime_seconds" prom:"harvestrouter_uptime_seconds,gauge" help:"Seconds since the router started."`
 	Router        RouterStats `json:"router"`
 	// Datacenters is the aggregate across backends: each live backend's
 	// /metrics "datacenters" entries for the DCs it owns, merged into one
@@ -1027,13 +1037,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get(hopHeader) != "" {
 		writeError(w, http.StatusLoopDetected,
 			"routing loop: this backend resolves to a router (check its advertised URL)")
-		return
-	}
-	if r.URL.Query().Get("format") == "prometheus" {
-		// Prometheus scrapes are router-local by design: no backend fan-out,
-		// so a scrape never blocks on a slow shard. Scrapers that want shard
-		// books hit each shard's own /metrics?format=prometheus directly.
-		rt.writeProm(w)
 		return
 	}
 	now := rt.now()
@@ -1053,15 +1056,19 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	binServing := rt.binLn != nil && !rt.binClosed
 	rt.binMu.Unlock()
 	if binServing {
-		resp.Router.Binary = &BinaryFrontStats{
+		bin := &BinaryFrontStats{
 			Addr:          rt.binAdvertise,
 			AcceptedConns: rt.binAccepted.Load(),
 			OpenConns:     rt.binOpenConns.Load(),
 			FramingErrors: rt.binFramingErrors.Load(),
 			Forwarded:     rt.binForwarded.Load(),
 			Rejected:      rt.binRejected.Load(),
-			Ops:           rt.binOpStats(),
+			Ops:           make(map[string]opRow, len(rt.binOps)),
 		}
+		for i := range rt.binOps {
+			bin.Ops[wire.Ops[i].Name] = opRow{EndpointStats: rt.binOps[i].Stats()}
+		}
+		resp.Router.Binary = bin
 	}
 
 	type fetchTarget struct {
@@ -1076,6 +1083,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			BinaryAddr:          b.binAddr,
 			ReplicateAddr:       b.replicateAddr,
 			Role:                b.role,
+			Primary:             b.role != "follower",
 			PrimaryID:           b.primaryID,
 			Alive:               rt.alive(b, now),
 			Draining:            b.draining.Load(),
@@ -1087,7 +1095,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Errors:              b.errors.Load(),
 			CircuitOpen:         b.openUntil.Load() > now.UnixNano(),
 			ConsecutiveFailures: int(b.consecFails.Load()),
-			Latency:             opStatsOf(&b.lat),
+			Latency:             backendLatency{EndpointStats: b.lat.Stats()},
 		}
 		var owns []string
 		for name, gen := range b.dcs {
@@ -1102,6 +1110,15 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	rt.mu.RUnlock()
+	if r.URL.Query().Get("format") == "prometheus" {
+		// Prometheus scrapes are router-local by design: no backend fan-out,
+		// so a scrape never blocks on a slow shard. Scrapers that want shard
+		// books hit each shard's own /metrics?format=prometheus directly.
+		var p obs.Prom
+		p.Walk(resp)
+		p.Reply(w)
+		return
+	}
 
 	// Fan the backend scrapes out concurrently; a slow or dead backend costs
 	// one ProxyTimeout, not one per backend, and contributes nothing.

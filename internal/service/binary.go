@@ -455,20 +455,31 @@ func secondsUntil(t time.Time) float64 {
 	return time.Until(t).Seconds()
 }
 
-// BinaryStats is the /metrics view of the binary listener.
+// BinaryStats is the binary listener's section of /metrics, in both
+// expositions: connection accounting plus the same per-endpoint rows as the
+// JSON dialect, keyed by opcode name. Addr is the advertised address, which
+// only the API that attached the server knows.
 type BinaryStats struct {
-	Accepted      uint64
-	Open          int64
-	FramingErrors uint64
+	Addr          string                 `json:"addr"`
+	Accepted      uint64                 `json:"accepted_conns" prom:"harvestd_binary_accepted_conns_total,counter" help:"Binary client connections accepted."`
+	Open          int64                  `json:"open_conns" prom:"harvestd_binary_open_conns,gauge" help:"Binary client connections currently open."`
+	FramingErrors uint64                 `json:"framing_errors" prom:"harvestd_binary_framing_errors_total,counter" help:"Connections dropped for bad framing."`
+	Endpoints     map[string]endpointRow `json:"endpoints" labels:"endpoint,dialect=binary"`
 }
 
-// Stats returns connection counters for /metrics.
+// Stats reads the listener's counters for /metrics. Every request opcode has
+// a row, served or not.
 func (b *BinaryServer) Stats() BinaryStats {
-	return BinaryStats{
+	st := BinaryStats{
 		Accepted:      b.accepted.Load(),
 		Open:          b.open.Load(),
 		FramingErrors: b.framingErrors.Load(),
+		Endpoints:     make(map[string]endpointRow, len(wire.Ops)),
 	}
+	for i := range wire.Ops {
+		st.Endpoints[wire.Ops[i].Name] = endpointRow{EndpointStats: b.metrics[i].Stats()}
+	}
+	return st
 }
 
 // ListenAndServe binds addr and serves until Close — the cmd/harvestd entry

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"harvest/internal/blockledger"
 	"harvest/internal/httpjson"
 	"harvest/internal/ledger"
 	"harvest/internal/obs"
@@ -872,305 +871,70 @@ func (a *API) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, healthzResponse{Status: "ok", Datacenters: len(a.svc.Datacenters())})
 }
 
-// endpointStats is the wire form of one endpoint's counters.
-type endpointStats struct {
-	Requests uint64  `json:"requests"`
-	Errors   uint64  `json:"errors"`
-	MeanUs   float64 `json:"mean_us"`
-	P50Us    uint64  `json:"p50_us"`
-	P99Us    uint64  `json:"p99_us"`
-	MaxUs    uint64  `json:"max_us"`
+// endpointRow is one endpoint's row on /metrics under harvestd's family names:
+// the fleet's shared row, and one blank field per Prometheus family naming
+// the column it reads (see obs.Prom.Walk).
+type endpointRow struct {
+	obs.EndpointStats
+	_ struct{} `prom:"harvestd_requests_total,counter,of=Requests" help:"Requests served, by endpoint and dialect."`
+	_ struct{} `prom:"harvestd_request_errors_total,counter,of=Errors" help:"4xx/5xx responses, by endpoint and dialect."`
+	_ struct{} `prom:"harvestd_request_latency_microseconds,histogram,of=Latency" help:"Request latency by endpoint and dialect, in microseconds."`
 }
 
-// shardStatsJSON is the wire form of one shard's snapshot state. Staleness
-// of the live path is readable directly: generation + snapshot age say how
-// old the characterization is, last_ingest_age_seconds says how long ago
-// live telemetry last arrived (-1 = never, i.e. still serving the bootstrap
-// window).
-type shardStatsJSON struct {
-	Generation           uint64  `json:"generation"`
-	AgeSeconds           float64 `json:"age_seconds"`
-	AsOfSeconds          float64 `json:"as_of_seconds"`
-	BuildMs              float64 `json:"build_ms"`
-	Refreshes            uint64  `json:"refreshes"`
-	RefreshErrors        uint64  `json:"refresh_errors"`
-	WarmRefreshes        uint64  `json:"warm_refreshes"`
-	FullRebuilds         uint64  `json:"full_rebuilds"`
-	Classes              int     `json:"classes"`
-	Servers              int     `json:"servers"`
-	Tenants              int     `json:"tenants"`
-	IngestedSamples      uint64  `json:"ingested_samples"`
-	LastIngestAgeSeconds float64 `json:"last_ingest_age_seconds"`
-	PersistErrors        uint64  `json:"persist_errors"`
-	EvictedTenants       uint64  `json:"evicted_tenants"`
-
-	// Refresh latency over successful snapshot refreshes (recluster + rekey +
-	// publish, excluding persistence I/O), and the most recent warm refresh's
-	// incremental-work breakdown — how much of the DC the engine actually
-	// touched.
-	RefreshMeanUs float64            `json:"refresh_mean_us"`
-	RefreshP99Us  uint64             `json:"refresh_p99_us"`
-	RefreshMaxUs  uint64             `json:"refresh_max_us"`
-	Recluster     reclusterStatsJSON `json:"recluster"`
-
-	Ledger ledgerStatsJSON `json:"ledger"`
-	// Blocks is the block-placement ledger's books. All counts are exact
-	// whole replicas so the durability invariants
-	//
-	//	placed + pending == replica_slots
-	//	lost == replaced + pending
-	//
-	// can be asserted without tolerance (the CI storage-smoke job does);
-	// blockledger.Stats carries its own JSON tags.
-	Blocks blockledger.Stats `json:"blocks"`
-	// PlacementRelaxedTotal counts replica picks that fell back to ignoring
-	// row/column diversity (the previously-silent §7 degradation);
-	// RepairFailures counts re-replicator attempts that went back on the
-	// queue without landing.
-	PlacementRelaxedTotal uint64 `json:"placement_relaxed_total"`
-	RepairFailures        uint64 `json:"repair_failures"`
-	// Repl is the ship/apply loop for this datacenter: frame build time on a
-	// primary, reconcile time and change counts on a follower, last beat size.
-	// ShardReplStats carries its own JSON tags.
-	Repl ShardReplStats `json:"repl"`
-}
-
-// reclusterStatsJSON summarizes the last warm refresh's incremental work.
-// All zeros until the first warm refresh (boot is a full build).
-type reclusterStatsJSON struct {
-	Tenants        int  `json:"tenants"`
-	Quiet          int  `json:"quiet"`
-	Drifted        int  `json:"drifted"`
-	Reclassified   int  `json:"reclassified"`
-	PatternChanged int  `json:"pattern_changed"`
-	MovedTenants   int  `json:"moved_tenants"`
-	ReusedClasses  int  `json:"reused_classes"`
-	SplicedServers int  `json:"spliced_servers"`
-	FullRebuild    bool `json:"full_rebuild"`
-	// DriftThreshold is the warm path's current (auto-tuned) drift gate;
-	// FullAgreement is the last full rebuild's warm-vs-oracle clustering
-	// agreement in [0,1], or -1 while unmeasured.
-	DriftThreshold float64 `json:"drift_threshold"`
-	FullAgreement  float64 `json:"full_agreement"`
-}
-
-// ledgerStatsJSON is the allocation ledger's books on /metrics. The *_millis
-// fields are exact integers so the conservation invariant
-//
-//	reserved_millis == released_millis + expired_millis + forfeited_millis + outstanding_millis
-//
-// can be asserted without a float tolerance (the CI smoke job does); the
-// *_cores fields are the same numbers for humans. allocated_cores_by_class
-// is the current occupancy, indexed by dense class id.
-type ledgerStatsJSON struct {
-	ActiveLeases          int       `json:"active_leases"`
-	OutstandingCores      float64   `json:"outstanding_cores"`
-	ReservedCores         float64   `json:"reserved_cores"`
-	ReleasedCores         float64   `json:"released_cores"`
-	ExpiredCores          float64   `json:"expired_cores"`
-	ForfeitedCores        float64   `json:"forfeited_cores"`
-	OutstandingMillis     int64     `json:"outstanding_millis"`
-	ReservedMillis        int64     `json:"reserved_millis"`
-	ReleasedMillis        int64     `json:"released_millis"`
-	ExpiredMillis         int64     `json:"expired_millis"`
-	ForfeitedMillis       int64     `json:"forfeited_millis"`
-	Reserves              uint64    `json:"reserves"`
-	Releases              uint64    `json:"releases"`
-	Renews                uint64    `json:"renews"`
-	Expiries              uint64    `json:"expiries"`
-	Conflicts             uint64    `json:"conflicts"`
-	StaleRetries          uint64    `json:"stale_retries"`
-	AllocatedCoresByClass []float64 `json:"allocated_cores_by_class"`
-	// ReserveFloorMillisByClass is the admission floor withheld from each
-	// class between refreshes — the live-utilization correction the ledger
-	// subtracts from build-time capacity before admitting a reserve.
-	ReserveFloorMillisByClass []int64 `json:"reserve_floor_millis_by_class"`
-}
-
-// binaryStatsJSON is the binary listener's /metrics section: the same
-// per-endpoint counters as the JSON dialect, keyed by opcode name, plus
-// connection accounting.
-type binaryStatsJSON struct {
-	Addr          string                   `json:"addr"`
-	Accepted      uint64                   `json:"accepted_conns"`
-	Open          int64                    `json:"open_conns"`
-	FramingErrors uint64                   `json:"framing_errors"`
-	Endpoints     map[string]endpointStats `json:"endpoints"`
-}
-
-// replicationStatsJSON is the node's replication role and stream health on
-// /metrics. Follower fields (primary_id, apply lag, applied counters) are
-// meaningful when role is "follower"; followers/frames_shipped when it is a
-// primary shipping to someone.
-type replicationStatsJSON struct {
-	Role               string            `json:"role"`
-	NodeID             string            `json:"node_id"`
-	PrimaryID          string            `json:"primary_id,omitempty"`
-	Connected          bool              `json:"connected"`
-	Reconnects         uint64            `json:"reconnects"`
-	Promotions         uint64            `json:"promotions"`
-	SnapshotsApplied   uint64            `json:"snapshots_applied"`
-	DeltasApplied      uint64            `json:"deltas_applied"`
-	BeatsApplied       uint64            `json:"beats_applied"`
-	ApplyLagMeanUs     float64           `json:"apply_lag_mean_us"`
-	ApplyLagP99Us      uint64            `json:"apply_lag_p99_us"`
-	ApplyLagMaxUs      uint64            `json:"apply_lag_max_us"`
-	AppliedGenerations map[string]uint64 `json:"applied_generations,omitempty"`
-	LastApplySeconds   float64           `json:"last_apply_seconds"`
-	Followers          int               `json:"followers"`
-	FramesShipped      uint64            `json:"frames_shipped"`
-	ShipErrors         uint64            `json:"ship_errors"`
-}
-
+// metricsResponse is the daemon's /metrics: the JSON document as marshalled,
+// and the Prometheus exposition as obs.Prom.Walk reads its tags. A metric is
+// one tagged field, here or in a struct below; both renderings follow from
+// it. Latencies are in microseconds — the histograms' native resolution — so
+// the le bounds stay exact integers (see obs.BucketUpperMicros).
 type metricsResponse struct {
-	UptimeSeconds float64                   `json:"uptime_seconds"`
-	TotalRequests uint64                    `json:"total_requests"`
-	QPS           float64                   `json:"qps"`
-	Endpoints     map[string]endpointStats  `json:"endpoints"`
-	Binary        *binaryStatsJSON          `json:"binary,omitempty"`
-	Replication   replicationStatsJSON      `json:"replication"`
-	Datacenters   map[string]shardStatsJSON `json:"datacenters"`
-}
-
-func endpointStatsOf(m *EndpointMetrics) endpointStats {
-	return endpointStats{
-		Requests: m.Requests.Load(),
-		Errors:   m.Errors.Load(),
-		MeanUs:   m.Latency.MeanMicros(),
-		P50Us:    m.Latency.QuantileMicros(0.50),
-		P99Us:    m.Latency.QuantileMicros(0.99),
-		MaxUs:    m.Latency.MaxMicros(),
-	}
+	UptimeSeconds float64                `json:"uptime_seconds" prom:"harvestd_uptime_seconds,gauge" help:"Seconds since the daemon started."`
+	TotalRequests uint64                 `json:"total_requests"`
+	QPS           float64                `json:"qps"`
+	Endpoints     map[string]endpointRow `json:"endpoints" labels:"endpoint,dialect=json"`
+	Binary        *BinaryStats           `json:"binary,omitempty"`
+	Replication   ReplicationStats       `json:"replication"`
+	Datacenters   map[string]ShardStats  `json:"datacenters" labels:"dc"`
 }
 
 func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prometheus" {
-		// Same numbers, scraper rendering; the JSON shape stays the source of
-		// truth and is untouched.
-		a.writeProm(w)
-		return
-	}
-	uptime := time.Since(a.start).Seconds()
 	resp := metricsResponse{
-		UptimeSeconds: uptime,
-		Endpoints:     make(map[string]endpointStats, len(a.endpoints)),
-		Datacenters:   make(map[string]shardStatsJSON, len(a.svc.Datacenters())),
+		UptimeSeconds: time.Since(a.start).Seconds(),
+		Endpoints:     make(map[string]endpointRow, len(a.endpoints)),
+		Replication:   a.svc.ReplicationStats(),
+		Datacenters:   make(map[string]ShardStats, len(a.svc.Datacenters())),
 	}
-	for _, name := range apiEndpoints {
-		m := a.endpoints[name]
-		resp.TotalRequests += m.Requests.Load()
-		resp.Endpoints[name] = endpointStatsOf(m)
+	for name, m := range a.endpoints {
+		row := endpointRow{EndpointStats: m.Stats()}
+		resp.TotalRequests += row.Requests
+		resp.Endpoints[name] = row
 	}
 	if a.binary != nil {
-		st := a.binary.Stats()
-		bin := &binaryStatsJSON{
-			Addr:          a.binaryAddr,
-			Accepted:      st.Accepted,
-			Open:          st.Open,
-			FramingErrors: st.FramingErrors,
-			Endpoints:     make(map[string]endpointStats, len(wire.Ops)),
+		bin := a.binary.Stats()
+		bin.Addr = a.binaryAddr
+		for _, row := range bin.Endpoints {
+			resp.TotalRequests += row.Requests
 		}
-		for i := range wire.Ops {
-			m := &a.binary.metrics[i]
-			resp.TotalRequests += m.Requests.Load()
-			bin.Endpoints[wire.Ops[i].Name] = endpointStatsOf(m)
-		}
-		resp.Binary = bin
+		resp.Binary = &bin
 	}
-	if uptime > 0 {
-		resp.QPS = float64(resp.TotalRequests) / uptime
-	}
-	rst := a.svc.ReplicationStats()
-	resp.Replication = replicationStatsJSON{
-		Role:               rst.Role,
-		NodeID:             rst.NodeID,
-		PrimaryID:          rst.PrimaryID,
-		Connected:          rst.Connected,
-		Reconnects:         rst.Reconnects,
-		Promotions:         rst.Promotions,
-		SnapshotsApplied:   rst.SnapshotsApplied,
-		DeltasApplied:      rst.DeltasApplied,
-		BeatsApplied:       rst.BeatsApplied,
-		ApplyLagMeanUs:     rst.ApplyLagMeanUs,
-		ApplyLagP99Us:      rst.ApplyLagP99Us,
-		ApplyLagMaxUs:      rst.ApplyLagMaxUs,
-		AppliedGenerations: rst.AppliedGenerations,
-		LastApplySeconds:   rst.LastApplyAge.Seconds(),
-		Followers:          rst.Followers,
-		FramesShipped:      rst.FramesShipped,
-		ShipErrors:         rst.ShipErrors,
+	if resp.UptimeSeconds > 0 {
+		resp.QPS = float64(resp.TotalRequests) / resp.UptimeSeconds
 	}
 	for _, dc := range a.svc.Datacenters() {
-		st, ok := a.svc.Stats(dc)
-		if !ok {
-			continue
-		}
-		ingestAge := -1.0
-		if !st.LastIngest.IsZero() {
-			ingestAge = time.Since(st.LastIngest).Seconds()
-		}
-		alloc := make([]float64, len(st.Ledger.AllocatedMillisByClass))
-		for i, m := range st.Ledger.AllocatedMillisByClass {
-			alloc[i] = ledger.CoresOf(m)
-		}
-		resp.Datacenters[dc] = shardStatsJSON{
-			Generation:           st.Generation,
-			AgeSeconds:           st.Age.Seconds(),
-			AsOfSeconds:          st.AsOf.Seconds(),
-			BuildMs:              float64(st.BuildDuration.Microseconds()) / 1000,
-			Refreshes:            st.Refreshes,
-			RefreshErrors:        st.RefreshErrors,
-			WarmRefreshes:        st.WarmRefreshes,
-			FullRebuilds:         st.FullRebuilds,
-			Classes:              st.Classes,
-			Servers:              st.Servers,
-			Tenants:              st.Tenants,
-			IngestedSamples:      st.IngestedSamples,
-			LastIngestAgeSeconds: ingestAge,
-			PersistErrors:        st.PersistErrors,
-			EvictedTenants:       st.EvictedTenants,
-			RefreshMeanUs:        st.RefreshMeanUs,
-			RefreshP99Us:         st.RefreshP99Us,
-			RefreshMaxUs:         st.RefreshMaxUs,
-			Recluster: reclusterStatsJSON{
-				Tenants:        st.Recluster.Tenants,
-				Quiet:          st.Recluster.Quiet,
-				Drifted:        len(st.Recluster.Drifted),
-				Reclassified:   st.Recluster.Reclassified,
-				PatternChanged: st.Recluster.PatternChanged,
-				MovedTenants:   st.Recluster.MovedTenants,
-				ReusedClasses:  st.Recluster.ReusedClasses,
-				SplicedServers: st.Recluster.SplicedServers,
-				FullRebuild:    st.Recluster.FullRebuild,
-				DriftThreshold: st.Recluster.DriftThreshold,
-				FullAgreement:  st.Recluster.FullAgreement,
-			},
-			Ledger: ledgerStatsJSON{
-				ActiveLeases:              st.Ledger.ActiveLeases,
-				OutstandingCores:          ledger.CoresOf(st.Ledger.OutstandingMillis),
-				ReservedCores:             ledger.CoresOf(st.Ledger.ReservedMillis),
-				ReleasedCores:             ledger.CoresOf(st.Ledger.ReleasedMillis),
-				ExpiredCores:              ledger.CoresOf(st.Ledger.ExpiredMillis),
-				ForfeitedCores:            ledger.CoresOf(st.Ledger.ForfeitedMillis),
-				OutstandingMillis:         st.Ledger.OutstandingMillis,
-				ReservedMillis:            st.Ledger.ReservedMillis,
-				ReleasedMillis:            st.Ledger.ReleasedMillis,
-				ExpiredMillis:             st.Ledger.ExpiredMillis,
-				ForfeitedMillis:           st.Ledger.ForfeitedMillis,
-				Reserves:                  st.Ledger.Reserves,
-				Releases:                  st.Ledger.Releases,
-				Renews:                    st.Ledger.Renews,
-				Expiries:                  st.Ledger.Expiries,
-				Conflicts:                 st.Ledger.Conflicts,
-				StaleRetries:              st.StaleRetries,
-				AllocatedCoresByClass:     alloc,
-				ReserveFloorMillisByClass: st.Ledger.ReserveFloorMillisByClass,
-			},
-			Blocks:                st.Blocks,
-			PlacementRelaxedTotal: st.PlacementRelaxed,
-			RepairFailures:        st.RepairFailures,
-			Repl:                  st.Repl,
+		if st, ok := a.svc.Stats(dc); ok {
+			resp.Datacenters[dc] = st
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	if r.URL.Query().Get("format") != "prometheus" {
+		writeJSON(w, http.StatusOK, resp)
+		return
+	}
+	var p obs.Prom
+	p.Walk(resp)
+	p.Metric("harvestd_replication_role", "gauge", "1 when this node is the primary, 0 when a follower.")
+	role := uint64(0)
+	if resp.Replication.Role == "primary" {
+		role = 1
+	}
+	p.Uint("harvestd_replication_role", obs.Labels("node", resp.Replication.NodeID), role)
+	p.Reply(w)
 }

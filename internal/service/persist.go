@@ -40,21 +40,45 @@ type persistedClass struct {
 	Servers            []int64   `json:"servers"`
 }
 
+// persistHeader opens each of a datacenter's three files: the format version
+// and the population fingerprint. A restored clustering, lease or block
+// placement only makes sense over the exact population it was made against,
+// so a daemon restarted with different scale/seed flags discards the files.
+type persistHeader struct {
+	Version         int     `json:"version"`
+	Datacenter      string  `json:"datacenter"`
+	Seed            int64   `json:"seed"`
+	ScaleDatacenter float64 `json:"scale_datacenter"`
+}
+
+func (h *persistHeader) header() *persistHeader { return h }
+
+func (s *Service) persistHeaderFor(sh *shard) persistHeader {
+	return persistHeader{Version: persistVersion, Datacenter: sh.dc, Seed: s.cfg.Scale.Seed, ScaleDatacenter: s.cfg.Scale.Datacenter}
+}
+
 type persistedSnapshot struct {
-	Version     int       `json:"version"`
-	Datacenter  string    `json:"datacenter"`
+	persistHeader
 	Generation  uint64    `json:"generation"`
 	AsOfSeconds float64   `json:"as_of_seconds"`
 	BuiltAt     time.Time `json:"built_at"`
-
-	// Population fingerprint: a restored clustering only makes sense over
-	// the exact population it was built from.
-	Seed            int64   `json:"seed"`
-	ScaleDatacenter float64 `json:"scale_datacenter"`
-	NumTenants      int     `json:"num_tenants"`
-	NumServers      int     `json:"num_servers"`
+	// The rest of the population fingerprint.
+	NumTenants int `json:"num_tenants"`
+	NumServers int `json:"num_servers"`
 
 	Classes []persistedClass `json:"classes"`
+}
+
+// persistedLedger and persistedBlocks are the two ledgers' exported states
+// under the same header.
+type persistedLedger struct {
+	persistHeader
+	State ledger.State `json:"state"`
+}
+
+type persistedBlocks struct {
+	persistHeader
+	State blockledger.State `json:"state"`
 }
 
 func persistPath(dir, dc string) string {
@@ -69,86 +93,103 @@ func blocksPath(dir, dc string) string {
 	return filepath.Join(dir, dc+".blocks.json")
 }
 
-// persistedLedger wraps the ledger state with the same population
-// fingerprint as the snapshot file: leases only make sense over the exact
-// clustering they were reserved against.
-type persistedLedger struct {
-	Version         int          `json:"version"`
-	Datacenter      string       `json:"datacenter"`
-	Seed            int64        `json:"seed"`
-	ScaleDatacenter float64      `json:"scale_datacenter"`
-	State           ledger.State `json:"state"`
+// writeStateFile marshals v to path through a temp file and an atomic
+// rename: a crash mid-write leaves the previous good file intact.
+func writeStateFile(path string, v any) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	data, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
 }
 
-// persistSnapshot writes the snapshot (and the allocation ledger riding
-// alongside it) to disk, best-effort: a failure is counted and logged but
-// never fails the publish (the in-memory snapshot is already serving).
+// readStateFile unmarshals path into v and checks its header against the
+// shard this process is serving.
+func (s *Service) readStateFile(path string, sh *shard, v interface{ header() *persistHeader }) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("corrupt file: %w", err)
+	}
+	switch got, want := *v.header(), s.persistHeaderFor(sh); {
+	case got.Version != want.Version:
+		return fmt.Errorf("version %d, want %d", got.Version, want.Version)
+	case got.Datacenter != want.Datacenter:
+		return fmt.Errorf("file is for %q", got.Datacenter)
+	case got != want:
+		return fmt.Errorf("population fingerprint mismatch (seed/scale changed?)")
+	}
+	return nil
+}
+
+// persistSnapshot writes the snapshot, and the allocation and block ledgers
+// riding alongside it so leases and blocks survive a restart, to disk.
+// Best-effort: a failure is counted and logged but never fails the publish
+// (the in-memory snapshot is already serving). The boot path persists a
+// snapshot before the shard's ledgers exist; their writes are skipped then
+// (they are empty anyway).
 func (s *Service) persistSnapshot(sh *shard, snap *Snapshot) {
 	if s.cfg.PersistDir == "" {
 		return
 	}
-	if err := s.writeSnapshotFile(sh, snap); err != nil {
-		sh.persistErrors.Add(1)
-		slogger.Warn("snapshot persist failed", "dc", sh.dc, "err", err)
-	}
+	s.persist(sh, "snapshot", persistPath(s.cfg.PersistDir, sh.dc), s.snapshotFile(sh, snap))
 	s.persistLedger(sh)
 	s.persistBlocks(sh)
 }
 
-// persistLedger writes the shard's allocation ledger next to its snapshot
-// file, so outstanding leases survive a restart. Best-effort, like the
-// snapshot itself. The boot path persists a snapshot before the shard's
-// ledger exists; that write is skipped (the ledger is empty then anyway).
-func (s *Service) persistLedger(sh *shard) {
-	if s.cfg.PersistDir == "" || sh.led == nil {
-		return
-	}
-	p := persistedLedger{
-		Version:         persistVersion,
-		Datacenter:      sh.dc,
-		Seed:            s.cfg.Scale.Seed,
-		ScaleDatacenter: s.cfg.Scale.Datacenter,
-		State:           sh.led.Export(),
-	}
-	err := os.MkdirAll(s.cfg.PersistDir, 0o755)
-	if err == nil {
-		var data []byte
-		if data, err = json.Marshal(p); err == nil {
-			tmp := ledgerPath(s.cfg.PersistDir, sh.dc) + ".tmp"
-			if err = os.WriteFile(tmp, data, 0o644); err == nil {
-				err = os.Rename(tmp, ledgerPath(s.cfg.PersistDir, sh.dc))
-			}
-		}
-	}
-	if err != nil {
+func (s *Service) persist(sh *shard, what, path string, v any) {
+	if err := writeStateFile(path, v); err != nil {
 		sh.persistErrors.Add(1)
-		slogger.Warn("ledger persist failed", "dc", sh.dc, "err", err)
+		slogger.Warn(what+" persist failed", "dc", sh.dc, "err", err)
 	}
+}
+
+func (s *Service) persistLedger(sh *shard) {
+	if s.cfg.PersistDir != "" && sh.led != nil {
+		s.persist(sh, "ledger", ledgerPath(s.cfg.PersistDir, sh.dc),
+			persistedLedger{persistHeader: s.persistHeaderFor(sh), State: sh.led.Export()})
+	}
+}
+
+func (s *Service) persistBlocks(sh *shard) {
+	if s.cfg.PersistDir != "" && sh.blocks != nil {
+		s.persist(sh, "block ledger", blocksPath(s.cfg.PersistDir, sh.dc),
+			persistedBlocks{persistHeader: s.persistHeaderFor(sh), State: sh.blocks.Export()})
+	}
+}
+
+// restore reads one of the shard's files into v, reporting whether there is
+// state to restore from it. Any problem but a missing file is logged, and
+// means the caller starts empty or from scratch: a bad file can only cost
+// time, leases or blocks, never correctness of the books going forward.
+func (s *Service) restore(sh *shard, what, path string, v interface{ header() *persistHeader }) bool {
+	if s.cfg.PersistDir == "" {
+		return false
+	}
+	err := s.readStateFile(path, sh, v)
+	if err != nil && !os.IsNotExist(err) {
+		slogger.Warn("ignoring persisted "+what, "dc", sh.dc, "err", err)
+	}
+	return err == nil
 }
 
 // restoreLedger loads the shard's persisted allocation ledger, valid only
 // against the snapshot that was actually restored (generation must match —
 // a from-scratch boot or a discarded snapshot file always starts an empty
 // ledger). Leases that expired while the daemon was down are reclaimed
-// immediately. Any problem logs and returns nil, which means "start empty":
-// a lost ledger file can only cost leases, never correctness of the books
-// going forward.
+// immediately. Nil means "start empty".
 func (s *Service) restoreLedger(sh *shard, snap *Snapshot) *ledger.Ledger {
-	if s.cfg.PersistDir == "" {
-		return nil
-	}
-	data, err := os.ReadFile(ledgerPath(s.cfg.PersistDir, sh.dc))
-	if err != nil {
-		return nil
-	}
 	var p persistedLedger
-	if err := json.Unmarshal(data, &p); err != nil {
-		slogger.Warn("ignoring persisted ledger: corrupt file", "dc", sh.dc, "err", err)
-		return nil
-	}
-	if p.Version != persistVersion || p.Datacenter != sh.dc ||
-		p.Seed != s.cfg.Scale.Seed || p.ScaleDatacenter != s.cfg.Scale.Datacenter {
-		slogger.Warn("ignoring persisted ledger: fingerprint mismatch", "dc", sh.dc)
+	if !s.restore(sh, "ledger", ledgerPath(s.cfg.PersistDir, sh.dc), &p) {
 		return nil
 	}
 	led, err := ledger.Restore(p.State, snap.Generation, len(snap.Clustering.Classes))
@@ -162,69 +203,15 @@ func (s *Service) restoreLedger(sh *shard, snap *Snapshot) *ledger.Ledger {
 	return led
 }
 
-// persistedBlocks wraps the block ledger state with the same population
-// fingerprint as the snapshot file: block placements only make sense over the
-// exact population (and thus placement grid) they were placed against.
-type persistedBlocks struct {
-	Version         int               `json:"version"`
-	Datacenter      string            `json:"datacenter"`
-	Seed            int64             `json:"seed"`
-	ScaleDatacenter float64           `json:"scale_datacenter"`
-	State           blockledger.State `json:"state"`
-}
-
-// persistBlocks writes the shard's block ledger next to its snapshot file,
-// best-effort like the rest of the persistence. Skipped before the shard's
-// block ledger exists (boot-path snapshot persist).
-func (s *Service) persistBlocks(sh *shard) {
-	if s.cfg.PersistDir == "" || sh.blocks == nil {
-		return
-	}
-	p := persistedBlocks{
-		Version:         persistVersion,
-		Datacenter:      sh.dc,
-		Seed:            s.cfg.Scale.Seed,
-		ScaleDatacenter: s.cfg.Scale.Datacenter,
-		State:           sh.blocks.Export(),
-	}
-	err := os.MkdirAll(s.cfg.PersistDir, 0o755)
-	if err == nil {
-		var data []byte
-		if data, err = json.Marshal(p); err == nil {
-			tmp := blocksPath(s.cfg.PersistDir, sh.dc) + ".tmp"
-			if err = os.WriteFile(tmp, data, 0o644); err == nil {
-				err = os.Rename(tmp, blocksPath(s.cfg.PersistDir, sh.dc))
-			}
-		}
-	}
-	if err != nil {
-		sh.persistErrors.Add(1)
-		slogger.Warn("block ledger persist failed", "dc", sh.dc, "err", err)
-	}
-}
-
 // restoreBlocks loads the shard's persisted block ledger. The repair queue is
 // rebuilt from the pending slots, so repairs in flight at shutdown are
 // recovered, not dropped. The placement grid is a pure function of the
 // (fingerprint-checked, deterministically regenerated) population, so
 // restored placements are still valid under the restored snapshot's scheme.
-// Any problem logs and returns nil, which means "start empty".
+// Nil means "start empty".
 func (s *Service) restoreBlocks(sh *shard, snap *Snapshot) *blockledger.Ledger {
-	if s.cfg.PersistDir == "" {
-		return nil
-	}
-	data, err := os.ReadFile(blocksPath(s.cfg.PersistDir, sh.dc))
-	if err != nil {
-		return nil
-	}
 	var p persistedBlocks
-	if err := json.Unmarshal(data, &p); err != nil {
-		slogger.Warn("ignoring persisted block ledger: corrupt file", "dc", sh.dc, "err", err)
-		return nil
-	}
-	if p.Version != persistVersion || p.Datacenter != sh.dc ||
-		p.Seed != s.cfg.Scale.Seed || p.ScaleDatacenter != s.cfg.Scale.Datacenter {
-		slogger.Warn("ignoring persisted block ledger: fingerprint mismatch", "dc", sh.dc)
+	if !s.restore(sh, "block ledger", blocksPath(s.cfg.PersistDir, sh.dc), &p) {
 		return nil
 	}
 	led, err := blockledger.Restore(p.State, snap.Generation)
@@ -238,21 +225,16 @@ func (s *Service) restoreBlocks(sh *shard, snap *Snapshot) *blockledger.Ledger {
 	return led
 }
 
-func (s *Service) writeSnapshotFile(sh *shard, snap *Snapshot) error {
-	if err := os.MkdirAll(s.cfg.PersistDir, 0o755); err != nil {
-		return err
-	}
+// snapshotFile is the snapshot's clustering and usage view in file form.
+func (s *Service) snapshotFile(sh *shard, snap *Snapshot) persistedSnapshot {
 	p := persistedSnapshot{
-		Version:         persistVersion,
-		Datacenter:      snap.Datacenter,
-		Generation:      snap.Generation,
-		AsOfSeconds:     snap.AsOf.Seconds(),
-		BuiltAt:         snap.BuiltAt,
-		Seed:            s.cfg.Scale.Seed,
-		ScaleDatacenter: s.cfg.Scale.Datacenter,
-		NumTenants:      len(sh.pop.Tenants),
-		NumServers:      sh.pop.NumServers(),
-		Classes:         make([]persistedClass, 0, len(snap.Clustering.Classes)),
+		persistHeader: s.persistHeaderFor(sh),
+		Generation:    snap.Generation,
+		AsOfSeconds:   snap.AsOf.Seconds(),
+		BuiltAt:       snap.BuiltAt,
+		NumTenants:    len(sh.pop.Tenants),
+		NumServers:    sh.pop.NumServers(),
+		Classes:       make([]persistedClass, 0, len(snap.Clustering.Classes)),
 	}
 	for _, cls := range snap.Clustering.Classes {
 		pc := persistedClass{
@@ -273,55 +255,29 @@ func (s *Service) writeSnapshotFile(sh *shard, snap *Snapshot) error {
 		}
 		p.Classes = append(p.Classes, pc)
 	}
-	data, err := json.Marshal(p)
-	if err != nil {
-		return err
-	}
-	final := persistPath(s.cfg.PersistDir, snap.Datacenter)
-	tmp := final + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	// Atomic rename: a crash mid-write leaves the previous good file intact.
-	return os.Rename(tmp, final)
+	return p
 }
 
 // restoreSnapshot loads the shard's persisted snapshot, validates it against
 // the regenerated population, and reassembles it into a queryable snapshot.
 // Any problem (no file, version or fingerprint mismatch, corrupt JSON,
 // inconsistent membership) logs and returns nil — the caller then clusters
-// from scratch, so a bad file can only cost time, never correctness.
+// from scratch.
 func (s *Service) restoreSnapshot(sh *shard) (*Snapshot, bool) {
-	if s.cfg.PersistDir == "" {
+	var p persistedSnapshot
+	if !s.restore(sh, "snapshot", persistPath(s.cfg.PersistDir, sh.dc), &p) {
 		return nil, false
 	}
-	snap, err := s.loadSnapshotFile(sh)
+	snap, err := s.snapshotFromFile(sh, &p)
 	if err != nil {
-		if !os.IsNotExist(err) {
-			slogger.Warn("ignoring persisted snapshot", "dc", sh.dc, "err", err)
-		}
+		slogger.Warn("ignoring persisted snapshot", "dc", sh.dc, "err", err)
 		return nil, false
 	}
 	return snap, true
 }
 
-func (s *Service) loadSnapshotFile(sh *shard) (*Snapshot, error) {
-	data, err := os.ReadFile(persistPath(s.cfg.PersistDir, sh.dc))
-	if err != nil {
-		return nil, err
-	}
-	var p persistedSnapshot
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("corrupt file: %w", err)
-	}
-	if p.Version != persistVersion {
-		return nil, fmt.Errorf("version %d, want %d", p.Version, persistVersion)
-	}
-	if p.Datacenter != sh.dc {
-		return nil, fmt.Errorf("file is for %q", p.Datacenter)
-	}
-	if p.Seed != s.cfg.Scale.Seed || p.ScaleDatacenter != s.cfg.Scale.Datacenter ||
-		p.NumTenants != len(sh.pop.Tenants) || p.NumServers != sh.pop.NumServers() {
+func (s *Service) snapshotFromFile(sh *shard, p *persistedSnapshot) (*Snapshot, error) {
+	if p.NumTenants != len(sh.pop.Tenants) || p.NumServers != sh.pop.NumServers() {
 		return nil, fmt.Errorf("population fingerprint mismatch (seed/scale changed?)")
 	}
 	if len(p.Classes) == 0 {

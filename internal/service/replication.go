@@ -799,32 +799,35 @@ func (ap *replApplier) reconcile(sh *shard, led *wire.ReplLedger, blocks *wire.R
 	sh.replDeleted.Add(uint64(lc.Deleted + bc.Deleted))
 }
 
-// ReplicationStats summarizes the node's replication role for /metrics.
+// ReplicationStats is the node's replication role and stream health: the
+// "replication" section of /metrics, in both expositions (see obs.Prom.Walk
+// for the tags).
 type ReplicationStats struct {
-	Role      string
-	NodeID    string
-	PrimaryID string
+	Role      string `json:"role"`
+	NodeID    string `json:"node_id"`
+	PrimaryID string `json:"primary_id,omitempty"`
 	// Follower side: stream liveness, applied-frame counters, and the
 	// end-to-end ship+apply lag distribution (the gate: p99 under one
 	// refresh interval means reads are never more than a beat stale).
-	Connected        bool
-	Reconnects       uint64
-	Promotions       uint64
-	SnapshotsApplied uint64
-	DeltasApplied    uint64
-	BeatsApplied     uint64
-	ApplyLagMeanUs   float64
-	ApplyLagP99Us    uint64
-	ApplyLagMaxUs    uint64
+	Connected        bool       `json:"connected" prom:"harvestd_replication_connected,gauge" help:"1 when the follower's stream to its primary is up."`
+	Reconnects       uint64     `json:"reconnects"`
+	Promotions       uint64     `json:"promotions" prom:"harvestd_replication_promotions_total,counter" help:"Follower-to-primary promotions on this node."`
+	SnapshotsApplied uint64     `json:"snapshots_applied" prom:"harvestd_replication_snapshots_applied_total,counter" help:"Full replication snapshots applied."`
+	DeltasApplied    uint64     `json:"deltas_applied" prom:"harvestd_replication_deltas_applied_total,counter" help:"Incremental replication deltas applied."`
+	BeatsApplied     uint64     `json:"beats_applied" prom:"harvestd_replication_beats_applied_total,counter" help:"Replication ledger beats applied."`
+	ApplyLagMeanUs   float64    `json:"apply_lag_mean_us"`
+	ApplyLagP99Us    uint64     `json:"apply_lag_p99_us"`
+	ApplyLagMaxUs    uint64     `json:"apply_lag_max_us"`
+	ApplyLag         *Histogram `json:"-" prom:"harvestd_replication_apply_lag_microseconds,histogram" help:"Primary-send to follower-applied lag per replication frame, in microseconds."`
 	// AppliedGenerations is each shard's last replicated generation (follower
 	// role; nil on a never-followed primary).
-	AppliedGenerations map[string]uint64
-	// LastApplyAge is the time since any frame applied (zero before the first).
-	LastApplyAge time.Duration
+	AppliedGenerations map[string]uint64 `json:"applied_generations,omitempty" prom:"harvestd_replication_generation,gauge" labels:"dc" help:"Last replication generation applied, by datacenter (follower side)."`
+	// LastApplySeconds is the time since any frame applied (zero before the first).
+	LastApplySeconds float64 `json:"last_apply_seconds"`
 	// Primary side: connected followers and cumulative ship counters.
-	Followers     int
-	FramesShipped uint64
-	ShipErrors    uint64
+	Followers     int    `json:"followers" prom:"harvestd_replication_followers,gauge" help:"Follower connections currently attached (primary side)."`
+	FramesShipped uint64 `json:"frames_shipped" prom:"harvestd_replication_frames_shipped_total,counter" help:"Replication frames shipped to followers."`
+	ShipErrors    uint64 `json:"ship_errors" prom:"harvestd_replication_ship_errors_total,counter" help:"Replication frame ship failures."`
 }
 
 // ReplicationStats reports the node's replication state.
@@ -842,6 +845,7 @@ func (s *Service) ReplicationStats() ReplicationStats {
 		ApplyLagMeanUs:   s.repl.applyLag.MeanMicros(),
 		ApplyLagP99Us:    s.repl.applyLag.QuantileMicros(0.99),
 		ApplyLagMaxUs:    s.repl.applyLag.MaxMicros(),
+		ApplyLag:         &s.repl.applyLag,
 		Followers:        int(s.repl.followers.Load()),
 		FramesShipped:    s.repl.framesShipped.Load(),
 		ShipErrors:       s.repl.shipErrors.Load(),
@@ -860,11 +864,7 @@ func (s *Service) ReplicationStats() ReplicationStats {
 		}
 	}
 	if latest > 0 {
-		st.LastApplyAge = time.Since(time.Unix(0, latest))
+		st.LastApplySeconds = time.Since(time.Unix(0, latest)).Seconds()
 	}
 	return st
 }
-
-// ReplicationLagHistogram exposes the follower's ship+apply lag histogram for
-// Prometheus exposition.
-func (s *Service) ReplicationLagHistogram() *Histogram { return &s.repl.applyLag }

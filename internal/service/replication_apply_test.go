@@ -613,7 +613,7 @@ func TestWritesWaitOutTheRekeyGap(t *testing.T) {
 	// snapshot there is; wait until both have met it before releasing.
 	waitFor(t, "both writes to meet the re-keyed ledgers", func() bool {
 		st, _ := svc.Stats(replDC)
-		return st.StaleRetries >= 1 && st.Blocks.StaleRetries >= 1
+		return st.Ledger.StaleRetries >= 1 && st.Blocks.StaleRetries >= 1
 	})
 	select {
 	case err := <-created:

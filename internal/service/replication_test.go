@@ -150,8 +150,7 @@ func TestReplicationAndPromotion(t *testing.T) {
 	// them.
 	prepl, _ := primary.Stats(dc)
 	frepl, _ := follower.Stats(dc)
-	pbuild, _ := primary.ReplLatency(dc)
-	_, fapply := follower.ReplLatency(dc)
+	pbuild, fapply := prepl.Repl.Build, frepl.Repl.Apply
 	if pbuild.Count() == 0 || prepl.Repl.BeatBytes == 0 {
 		t.Fatalf("primary shipped frames but reports build count %d, last beat %d B", pbuild.Count(), prepl.Repl.BeatBytes)
 	}

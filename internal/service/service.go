@@ -978,77 +978,83 @@ func (s *Service) UsageFor(snap *Snapshot) map[core.ClassID]core.ClassUsage {
 	return snap.Usage
 }
 
-// ShardStats reports one shard's refresh and ingest counters for /metrics.
+// ShardStats is one shard's entry under "datacenters" on /metrics, in both
+// expositions (see obs.Prom.Walk for the tags). Staleness of the live path is
+// readable directly: generation + snapshot age say how old the
+// characterization is, last_ingest_age_seconds how long ago live telemetry
+// last arrived.
 type ShardStats struct {
-	Generation    uint64
-	Age           time.Duration
-	AsOf          time.Duration
-	BuildDuration time.Duration
-	Refreshes     uint64
-	RefreshErrors uint64
-	WarmRefreshes uint64
-	FullRebuilds  uint64
-	Classes       int
-	Servers       int
-	Tenants       int
+	Generation    uint64  `json:"generation" prom:"harvestd_snapshot_generation,gauge" help:"Current snapshot generation."`
+	AgeSeconds    float64 `json:"age_seconds" prom:"harvestd_snapshot_age_seconds,gauge" help:"Age of the serving snapshot."`
+	AsOfSeconds   float64 `json:"as_of_seconds"`
+	BuildMs       float64 `json:"build_ms"`
+	Refreshes     uint64  `json:"refreshes" prom:"harvestd_snapshot_refreshes_total,counter" help:"Snapshot refreshes."`
+	RefreshErrors uint64  `json:"refresh_errors" prom:"harvestd_snapshot_refresh_errors_total,counter" help:"Snapshot refresh failures."`
+	WarmRefreshes uint64  `json:"warm_refreshes"`
+	FullRebuilds  uint64  `json:"full_rebuilds"`
+	Classes       int     `json:"classes" prom:"harvestd_classes,gauge" help:"Utilization classes in the serving snapshot."`
+	Servers       int     `json:"servers" prom:"harvestd_servers,gauge" help:"Servers in the serving snapshot."`
+	Tenants       int     `json:"tenants" prom:"harvestd_tenants,gauge" help:"Tenants in the serving snapshot."`
 	// IngestedSamples counts live samples accepted since boot (bootstrap
-	// fills excluded); LastIngest is the wall-clock time of the newest one
-	// (zero when live telemetry has never arrived — the staleness signal).
-	IngestedSamples uint64
-	LastIngest      time.Time
-	PersistErrors   uint64
+	// fills excluded); LastIngestAgeSeconds is the age of the newest one, -1
+	// when live telemetry has never arrived and the shard is still serving
+	// the bootstrap window.
+	IngestedSamples      uint64  `json:"ingested_samples" prom:"harvestd_ingested_samples_total,counter" help:"Telemetry samples accepted."`
+	LastIngestAgeSeconds float64 `json:"last_ingest_age_seconds"`
+	PersistErrors        uint64  `json:"persist_errors"`
 	// EvictedTenants counts telemetry rings reclaimed by the staleness
-	// eviction since boot; StaleRetries counts SelectReserve attempts that
-	// raced a ledger re-key and re-ran.
-	EvictedTenants uint64
-	StaleRetries   uint64
-	// RefreshMeanUs, RefreshP99Us and RefreshMaxUs summarize successful
-	// refresh durations since boot (microseconds) — the latency the
-	// incremental snapshot path is sized by.
-	RefreshMeanUs float64
-	RefreshP99Us  uint64
-	RefreshMaxUs  uint64
-	// Recluster is the most recent warm refresh's incremental stats (zero
-	// value until the first warm refresh): how many tenants drifted, how
-	// many were provably quiet, and how much membership was spliced rather
-	// than rebuilt.
-	Recluster core.ReclusterStats
-	// Ledger is the allocation ledger's point-in-time summary.
-	Ledger ledger.Stats
-	// Blocks is the block-placement ledger's point-in-time summary
-	// (conservation: placed+pending == replica_slots, lost == replaced+pending).
-	Blocks blockledger.Stats
+	// eviction since boot.
+	EvictedTenants uint64 `json:"evicted_tenants"`
+	// Refresh latency over successful snapshot refreshes since boot (recluster
+	// + rekey + publish, excluding persistence I/O) — the latency the
+	// incremental snapshot path is sized by, and the scale gate: steady-state
+	// warm refreshes must hold their p99 under the refresh interval.
+	RefreshMeanUs  float64    `json:"refresh_mean_us"`
+	RefreshP99Us   uint64     `json:"refresh_p99_us"`
+	RefreshMaxUs   uint64     `json:"refresh_max_us"`
+	RefreshLatency *Histogram `json:"-" prom:"harvestd_snapshot_refresh_microseconds,histogram" help:"Successful snapshot refresh latency (recluster + rekey + publish), in microseconds."`
+	// Recluster is the most recent warm refresh's incremental work.
+	Recluster core.ReclusterStats `json:"recluster"`
+	// Ledger is the allocation ledger's books, StaleRetries filled in here.
+	Ledger ledger.Stats `json:"ledger"`
+	// Blocks is the block-placement ledger's books.
+	Blocks blockledger.Stats `json:"blocks"`
 	// PlacementRelaxed counts replica picks (initial and repair) that fell
 	// back to ignoring row/column diversity because the constraint could not
 	// be met — the previously-silent degradation of §7, now on the books.
-	PlacementRelaxed uint64
+	PlacementRelaxed uint64 `json:"placement_relaxed_total" prom:"harvestd_placement_relaxed_total,counter" help:"Replica picks that fell back to relaxed (non-diverse) placement."`
 	// RepairFailures counts re-replicator attempts that went back on the
 	// queue without landing.
-	RepairFailures uint64
+	RepairFailures uint64 `json:"repair_failures" prom:"harvestd_block_repair_failures_total,counter" help:"Repair attempts that requeued without placing a replica."`
 	// Repl is the replication loop's cost for this shard.
-	Repl ShardReplStats
+	Repl ShardReplStats `json:"repl"`
 }
 
-// ShardReplStats is one shard's view of the ship/apply loop. The build fields
-// move on a primary with followers attached, the apply fields and the change
-// counters on a follower; BeatBytes is the last beat built or applied.
+// ShardReplStats is one shard's view of the ship/apply loop: what a frame
+// costs the primary to build and the follower to reconcile, how big the last
+// beat was, and how little of it was news. The build fields move on a primary
+// with followers attached, the apply fields and the change counters on a
+// follower; BeatBytes is the last beat built or applied.
 type ShardReplStats struct {
-	BuildMeanUs float64 `json:"build_mean_us"`
-	BuildP99Us  uint64  `json:"build_p99_us"`
-	BuildMaxUs  uint64  `json:"build_max_us"`
-	ApplyMeanUs float64 `json:"apply_mean_us"`
-	ApplyP99Us  uint64  `json:"apply_p99_us"`
-	ApplyMaxUs  uint64  `json:"apply_max_us"`
-	BeatBytes   int64   `json:"beat_bytes"`
+	BuildMeanUs float64    `json:"build_mean_us"`
+	BuildP99Us  uint64     `json:"build_p99_us"`
+	BuildMaxUs  uint64     `json:"build_max_us"`
+	Build       *Histogram `json:"-" prom:"harvestd_repl_build_seconds,histogram,seconds" help:"Time to build one replication frame (primary side)."`
+	ApplyMeanUs float64    `json:"apply_mean_us"`
+	ApplyP99Us  uint64     `json:"apply_p99_us"`
+	ApplyMaxUs  uint64     `json:"apply_max_us"`
+	Apply       *Histogram `json:"-" prom:"harvestd_repl_apply_seconds,histogram,seconds" help:"Time to reconcile one replication frame into the ledgers (follower side)."`
+	BeatBytes   int64      `json:"beat_bytes" prom:"harvestd_repl_beat_bytes,gauge" help:"Size of the last replication beat built or applied."`
 	// Inserted, Rewritten and Deleted count, since boot, the leases and blocks
 	// the follower's reconciles found new, changed and gone; everything else
 	// a beat carried was already held as shipped.
-	Inserted  uint64 `json:"apply_inserted"`
-	Rewritten uint64 `json:"apply_rewritten"`
-	Deleted   uint64 `json:"apply_deleted"`
+	Inserted  uint64 `json:"apply_inserted" prom:"harvestd_repl_apply_changed_total,counter" labels:"kind=inserted" help:"Leases and blocks a reconcile inserted, rewrote or deleted (follower side)."`
+	Rewritten uint64 `json:"apply_rewritten" prom:"harvestd_repl_apply_changed_total" labels:"kind=rewritten"`
+	Deleted   uint64 `json:"apply_deleted" prom:"harvestd_repl_apply_changed_total" labels:"kind=deleted"`
 }
 
-// Stats returns the refresh counters for a datacenter.
+// Stats reads one datacenter's counters, once, for both /metrics expositions.
+// Books that fail to balance are logged here, with the books.
 func (s *Service) Stats(dc string) (ShardStats, bool) {
 	sh, ok := s.shards[dc]
 	if !ok {
@@ -1060,26 +1066,27 @@ func (s *Service) Stats(dc string) (ShardStats, bool) {
 		servers += cls.NumServers()
 	}
 	st := ShardStats{
-		Generation:      snap.Generation,
-		Age:             snap.Age(),
-		AsOf:            snap.AsOf,
-		BuildDuration:   snap.BuildDuration,
-		Refreshes:       sh.refreshes.Load(),
-		RefreshErrors:   sh.refreshErrors.Load(),
-		WarmRefreshes:   sh.warmRefreshes.Load(),
-		FullRebuilds:    sh.fullRebuilds.Load(),
-		Classes:         len(snap.Clustering.Classes),
-		Servers:         servers,
-		Tenants:         len(sh.pop.Tenants),
-		IngestedSamples: sh.ingested.Load(),
-		PersistErrors:   sh.persistErrors.Load(),
-		EvictedTenants:  sh.rings.Evictions(),
-		StaleRetries:    sh.staleRetries.Load(),
-		RefreshMeanUs:   sh.refreshLatency.MeanMicros(),
-		RefreshP99Us:    sh.refreshLatency.QuantileMicros(0.99),
-		RefreshMaxUs:    sh.refreshLatency.MaxMicros(),
-		Ledger:          sh.led.Snapshot(),
-		Blocks:          sh.blocks.Snapshot(),
+		Generation:           snap.Generation,
+		AgeSeconds:           snap.Age().Seconds(),
+		AsOfSeconds:          snap.AsOf.Seconds(),
+		BuildMs:              float64(snap.BuildDuration.Microseconds()) / 1000,
+		Refreshes:            sh.refreshes.Load(),
+		RefreshErrors:        sh.refreshErrors.Load(),
+		WarmRefreshes:        sh.warmRefreshes.Load(),
+		FullRebuilds:         sh.fullRebuilds.Load(),
+		Classes:              len(snap.Clustering.Classes),
+		Servers:              servers,
+		Tenants:              len(sh.pop.Tenants),
+		IngestedSamples:      sh.ingested.Load(),
+		LastIngestAgeSeconds: -1,
+		PersistErrors:        sh.persistErrors.Load(),
+		EvictedTenants:       sh.rings.Evictions(),
+		RefreshMeanUs:        sh.refreshLatency.MeanMicros(),
+		RefreshP99Us:         sh.refreshLatency.QuantileMicros(0.99),
+		RefreshMaxUs:         sh.refreshLatency.MaxMicros(),
+		RefreshLatency:       &sh.refreshLatency,
+		Ledger:               sh.ledgerStats(),
+		Blocks:               sh.blocks.Snapshot(),
 		// The scheme is shared across generations (it is a pure function of
 		// the population), so the relaxed counter accumulates per shard.
 		PlacementRelaxed: snap.Scheme().RelaxedCount(),
@@ -1088,9 +1095,11 @@ func (s *Service) Stats(dc string) (ShardStats, bool) {
 			BuildMeanUs: sh.replBuild.MeanMicros(),
 			BuildP99Us:  sh.replBuild.QuantileMicros(0.99),
 			BuildMaxUs:  sh.replBuild.MaxMicros(),
+			Build:       &sh.replBuild,
 			ApplyMeanUs: sh.replApply.MeanMicros(),
 			ApplyP99Us:  sh.replApply.QuantileMicros(0.99),
 			ApplyMaxUs:  sh.replApply.MaxMicros(),
+			Apply:       &sh.replApply,
 			BeatBytes:   sh.replBeatBytes.Load(),
 			Inserted:    sh.replInserted.Load(),
 			Rewritten:   sh.replRewritten.Load(),
@@ -1101,30 +1110,23 @@ func (s *Service) Stats(dc string) (ShardStats, bool) {
 		st.Recluster = *rst
 	}
 	if at, ok := sh.rings.LastIngestAt(); ok {
-		st.LastIngest = at
+		st.LastIngestAgeSeconds = time.Since(at).Seconds()
+	}
+	if st.Ledger.ConservationErrorMillis != 0 {
+		slogger.Error("lease books do not balance", "dc", dc, "books", st.Ledger)
+	}
+	if st.Blocks.ConservationErrorSlots != 0 {
+		slogger.Error("block books do not balance", "dc", dc, "books", st.Blocks)
 	}
 	return st, true
 }
 
-// RefreshLatency returns the shard's refresh-duration histogram for metric
-// exposition, or nil for an unknown datacenter.
-func (s *Service) RefreshLatency(dc string) *Histogram {
-	sh, ok := s.shards[dc]
-	if !ok {
-		return nil
-	}
-	return &sh.refreshLatency
-}
-
-// ReplLatency returns the shard's replication histograms for metric
-// exposition — frame build time (primary side) and reconcile time (follower
-// side) — or nils for an unknown datacenter.
-func (s *Service) ReplLatency(dc string) (build, apply *Histogram) {
-	sh, ok := s.shards[dc]
-	if !ok {
-		return nil, nil
-	}
-	return &sh.replBuild, &sh.replApply
+// ledgerStats is the allocation ledger's books plus the one counter of
+// theirs the service keeps: select attempts that raced a re-key and re-ran.
+func (sh *shard) ledgerStats() ledger.Stats {
+	st := sh.led.Snapshot()
+	st.StaleRetries = sh.staleRetries.Load()
+	return st
 }
 
 // SelectOn runs class selection (Alg. 1) against a snapshot the caller
@@ -1327,7 +1329,7 @@ func (s *Service) LedgerStats(dc string) (ledger.Stats, bool) {
 	if !ok {
 		return ledger.Stats{}, false
 	}
-	return sh.led.Snapshot(), true
+	return sh.ledgerStats(), true
 }
 
 // LedgerOccupancy returns the ledger's generation and per-class occupancy

@@ -459,8 +459,11 @@ func TestConcurrentReadersAndRefresher(t *testing.T) {
 						return
 					}
 				case 3:
+					// A dry run: this test is about concurrency, and selects that
+					// reserved and never released would exhaust the datacenter
+					// whenever a race-slowed refresh let the readers run long.
 					resp, err := client.Post(srv.URL+"/v1/DC-9/select", "application/json",
-						bytes.NewReader([]byte(`{"job_type":"short","max_concurrent_cores":2}`)))
+						bytes.NewReader([]byte(`{"job_type":"short","max_concurrent_cores":2,"dry_run":true}`)))
 					if err != nil {
 						errs <- err
 						return

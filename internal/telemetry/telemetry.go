@@ -48,7 +48,7 @@ type slot struct {
 type Ring struct {
 	slots []slot
 	head  atomic.Uint64 // samples ever appended; sample n lives in slots[n % len(slots)]
-	wmu   sync.Mutex    // serializes writers only; readers never take it
+	wmu   sync.Mutex    // serializes writers; a reader takes it only after losing lockFreeAttempts races
 }
 
 // NewRing creates a ring holding up to capacity samples.
@@ -72,7 +72,8 @@ func (r *Ring) Len() int {
 }
 
 // Append adds one sample. Safe for concurrent callers (they serialize on the
-// ring's writer mutex); never blocks or is blocked by readers.
+// ring's writer mutex); never blocks readers, and waits for one only when it
+// has been starving that reader (see lockFreeAttempts).
 func (r *Ring) Append(at time.Duration, value float64) {
 	r.wmu.Lock()
 	r.appendLocked(at, value)
@@ -109,9 +110,22 @@ func (r *Ring) appendAfter(at time.Duration, value float64, interval time.Durati
 	return at, nil
 }
 
-// Last returns the most recent sample, if any. Lock-free.
+// lockFreeAttempts is how many times a reader retries its seqlock copy before
+// taking the writer mutex for it. A copy fails when a sample lands while it
+// runs — on a full ring, any sample — so a writer appending faster than a
+// window copies (an unthrottled ingest against a month-long ring) would
+// otherwise starve the reader, and with it the refresh, for as long as it
+// kept up.
+const lockFreeAttempts = 3
+
+// Last returns the most recent sample, if any. Lock-free unless it loses
+// lockFreeAttempts races with the writer.
 func (r *Ring) Last() (Sample, bool) {
-	for {
+	for attempt := 0; ; attempt++ {
+		if attempt == lockFreeAttempts {
+			r.wmu.Lock()
+			defer r.wmu.Unlock()
+		}
 		head := r.head.Load()
 		if head == 0 {
 			return Sample{}, false
@@ -129,11 +143,16 @@ func (r *Ring) Last() (Sample, bool) {
 }
 
 // Snapshot appends the retained samples, oldest first, to dst and returns
-// it. Lock-free: on the (rare) wrap-around race with the writer it retries
-// with the newer cursor.
+// it. Lock-free: on the wrap-around race with the writer it retries with the
+// newer cursor, and after lockFreeAttempts losses holds the writer off for
+// one copy.
 func (r *Ring) Snapshot(dst []Sample) []Sample {
 	base := len(dst)
-	for {
+	for attempt := 0; ; attempt++ {
+		if attempt == lockFreeAttempts {
+			r.wmu.Lock()
+			defer r.wmu.Unlock()
+		}
 		dst = dst[:base]
 		head := r.head.Load()
 		n := head
@@ -145,11 +164,12 @@ func (r *Ring) Snapshot(dst []Sample) []Sample {
 			s := &r.slots[i%uint64(len(r.slots))]
 			dst = append(dst, Sample{At: time.Duration(s.at.Load()), Value: math.Float64frombits(s.bits.Load())})
 		}
-		// Accept iff no sample we copied can have been overwritten: sample
-		// `start`'s slot is first reused when the writer begins sample
-		// start+len(slots), which it only does once head == start+len(slots)-1
-		// has been published... conservatively, once head exceeds
-		// start+Capacity the oldest copied slot may be mid-rewrite.
+		// Accept iff no sample we copied can have been overwritten. The spare
+		// slot covers the one sample the writer may be part-way through:
+		// sample `start`'s slot is reused by sample start+len(slots), which
+		// the writer begins once head == start+len(slots) is published. So on
+		// a full ring (start+Capacity == head) the copy stands only if no
+		// sample at all was published while it ran.
 		if r.head.Load() <= start+uint64(r.Capacity()) {
 			return dst
 		}

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -120,6 +121,72 @@ func TestRingConcurrentReadersAndWriter(t *testing.T) {
 func newTestStore(t *testing.T, capacity int) *Store {
 	t.Helper()
 	return NewStore([]tenant.ID{1, 2}, time.Minute, capacity)
+}
+
+// TestSnapshotNotStarvedByWriter pins the bounded retry: on a full ring the
+// lock-free copy stands only if no sample lands while it runs, so writers
+// appending in a tight loop — faster than a month-long window copies — used to
+// starve Snapshot (and Last) for as long as they kept going.
+func TestSnapshotNotStarvedByWriter(t *testing.T) {
+	const capacity = 21600 // the daemon's default: one month of 2-minute slots
+	r := NewRing(capacity)
+	for i := 1; i <= capacity; i++ {
+		r.Append(time.Duration(i), float64(i))
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					// What an unthrottled ingest does: one interval after the
+					// latest sample, whatever that is by now.
+					r.appendAfter(0, 1, 1)
+				}
+			}
+		}()
+	}
+	defer wg.Wait()
+	defer close(stop)
+	for r.head.Load() < 2*capacity {
+		time.Sleep(time.Millisecond) // every writer is up and the ring has wrapped
+	}
+
+	done := make(chan string, 1)
+	go func() {
+		var win []Sample
+		for i := 0; i < 200; i++ {
+			win = r.Snapshot(win[:0])
+			if len(win) != capacity {
+				done <- fmt.Sprintf("window holds %d samples, want %d", len(win), capacity)
+				return
+			}
+			for j := 1; j < len(win); j++ {
+				if win[j].At != win[j-1].At+1 {
+					done <- fmt.Sprintf("window torn at %d: %+v after %+v", j, win[j], win[j-1])
+					return
+				}
+			}
+			if last, ok := r.Last(); !ok || last.At < win[len(win)-1].At {
+				done <- fmt.Sprintf("Last() = %+v, older than the window's newest %+v", last, win[len(win)-1])
+				return
+			}
+		}
+		done <- ""
+	}()
+	select {
+	case problem := <-done:
+		if problem != "" {
+			t.Fatal(problem)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("Snapshot starved by tight-loop writers")
+	}
 }
 
 func TestStoreBootstrapAndSeries(t *testing.T) {
