@@ -66,6 +66,11 @@ const (
 
 func shardOf(id uint64) int { return int(id & shardMask) }
 
+// maxStackEnvs is how many replica environments rekeyBlock tracks without a
+// heap allocation; replication factors are single-digit (the API caps R at 64,
+// and a block that large falls back to append's growth).
+const maxStackEnvs = 8
+
 // maxJSONSafeID mirrors internal/ledger: block ids ride JSON as numbers, so
 // they stay under 2^53 to survive float64-backed consumers exactly.
 const maxJSONSafeID = 1<<53 - 1
@@ -384,8 +389,18 @@ type SiteOf func(tenant.ServerID) (col, row int, env string, ok bool)
 // repairs, so the conservation equations keep balancing across the re-key
 // exactly as allocation leases do across theirs. Returns the displaced count.
 //
-// Rekey with the ledger's current generation is a no-op revalidation bump;
-// passing the same resolver the blocks were placed under displaces nothing.
+// Rekey with the ledger's current generation re-validates without moving it.
+// Passing the same resolver the blocks were placed under displaces nothing
+// only when every replica was placed under the full constraints: a replica
+// Algorithm 2 placed relaxed (its grid cell was empty, so it shares a row or
+// column) violates the very grid it was placed on, and is displaced at every
+// re-key, re-placed relaxed by repair, and displaced again. That is the warm
+// refresh's case, not a corner: assembleSnapshot shares the previous
+// generation's scheme, so the service passes the same resolver every time.
+// The walk is nevertheless not skipped when the resolver is unchanged —
+// whether an unchanged grid may keep a relaxed replica is a decision about
+// what a legal block is (ROADMAP, "Algorithm 2's fallback and the
+// re-validator disagree"), not a performance detail, and it is not made here.
 func (l *Ledger) Rekey(newGeneration uint64, site SiteOf) int {
 	l.lockAll()
 	displacedTotal := 0
@@ -411,11 +426,14 @@ func (l *Ledger) Rekey(newGeneration uint64, site SiteOf) int {
 // order, mirroring Algorithm 2's placement walk: environments accumulate for
 // the whole block, row/column history resets every PlacementGridSize slots.
 // Pending slots keep their position in the round but contribute no
-// constraints — their site is decided at repair time.
+// constraints — their site is decided at repair time. The environment set
+// lives on the stack up to maxStackEnvs replicas, so re-validating a block
+// allocates nothing at any replication factor in use.
 func (l *Ledger) rekeyBlock(sh *blockShard, b *block, site SiteOf, refs *[]Repair) int {
 	displaced := 0
 	var usedCols, usedRows uint32
-	var usedEnvs []string
+	var envBuf [maxStackEnvs]string
+	usedEnvs := envBuf[:0]
 	for slot := range b.replicas {
 		if slot%core.PlacementGridSize == 0 {
 			usedCols, usedRows = 0, 0

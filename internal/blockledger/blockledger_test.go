@@ -3,6 +3,7 @@ package blockledger_test
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -103,6 +104,49 @@ func TestBlockLedgerRekeyDisplaces(t *testing.T) {
 	}
 	if displaced := led.Rekey(4, gone); displaced != 1 {
 		t.Fatalf("unknown-server Rekey displaced %d, want 1", displaced)
+	}
+}
+
+// TestRekeyRevalidatesWithoutAllocating pins the warm refresh's re-key: when
+// nothing is displaced, re-validating every block — an environment set per
+// env-strict block included — allocates nothing, at the largest replication
+// factor the on-stack set covers. Past it the set spills to the heap and the
+// rules are the same: a duplicate environment in the last of twelve slots is
+// still found.
+func TestRekeyRevalidatesWithoutAllocating(t *testing.T) {
+	envs := make([]string, 12)
+	for i := range envs {
+		envs[i] = string(rune('a' + i))
+	}
+	site := func(s tenant.ServerID) (int, int, string, bool) {
+		return int(s) % 3, int(s) % 3, envs[s], true // distinct cells within each round of three
+	}
+	led := blockledger.New(1)
+	r8 := []tenant.ServerID{0, 1, 2, 3, 4, 5, 6, 7}
+	for i := 0; i < 1000; i++ {
+		if _, err := led.Create(1, r8, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		if displaced := led.Rekey(1, site); displaced != 0 {
+			t.Fatalf("re-key under the placing resolver displaced %d", displaced)
+		}
+	}); n != 0 {
+		t.Errorf("re-validating 1,000 R=8 blocks allocates %v objects, want 0", n)
+	}
+
+	envs[11] = envs[0]
+	r12 := []tenant.ServerID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
+	id, err := led.Create(1, r12, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if displaced := led.Rekey(2, site); displaced != 1 {
+		t.Fatalf("re-key displaced %d replicas, want the one duplicate environment", displaced)
+	}
+	if placed, pending, _ := led.Servers(id); len(placed) != 11 || pending != 1 || slices.Contains(placed, 11) {
+		t.Fatalf("after the re-key the R=12 block holds %v with %d pending", placed, pending)
 	}
 }
 

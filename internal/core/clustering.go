@@ -20,7 +20,6 @@ import (
 	"harvest/internal/signalproc"
 	"harvest/internal/stats"
 	"harvest/internal/tenant"
-	"harvest/internal/timeseries"
 )
 
 // ClassID identifies a utilization class produced by the clustering service.
@@ -210,7 +209,7 @@ func (s *ClusteringService) ClusterFrom(pop *tenant.Population, src tenant.Histo
 			// refilling): the tenant sits out this generation.
 			continue
 		}
-		if err := s.classifySeries(t, series); err != nil {
+		if err := s.classifyWindow(t, series.Values, series.Interval); err != nil {
 			return nil, err
 		}
 		active = append(active, t)
@@ -237,24 +236,19 @@ func (s *ClusteringService) ClusterFrom(pop *tenant.Population, src tenant.Histo
 	return clustering, nil
 }
 
-// classifyFrom re-derives one tenant's profile from the history source,
-// rescaling the classifier's periodic band to the window the source holds.
-func (s *ClusteringService) classifyFrom(t *tenant.Tenant, src tenant.HistorySource) error {
-	return s.classifySeries(t, src.SeriesFor(t.ID))
-}
-
-// classifySeries classifies one tenant from an already-materialized history
-// window (Recluster's drift check has usually fetched it anyway — ring
-// sources copy the full window per call, so it is fetched exactly once).
-func (s *ClusteringService) classifySeries(t *tenant.Tenant, series *timeseries.Series) error {
-	if series == nil || series.Len() == 0 {
+// classifyWindow classifies one tenant from an already-materialized history
+// window, rescaling the classifier's periodic band to the window's length.
+// values is only read: Recluster passes its scratch window.
+func (s *ClusteringService) classifyWindow(t *tenant.Tenant, values []float64, interval time.Duration) error {
+	if len(values) == 0 {
 		return fmt.Errorf("core: tenant %v: history source holds no series", t.ID)
 	}
 	ref := s.cfg.ReferenceWindow
 	if ref <= 0 {
 		ref = defaultReferenceWindow
 	}
-	p, err := signalproc.Classify(series.Values, s.cfg.Classifier.ForWindow(series.Duration(), ref))
+	window := time.Duration(len(values)) * interval
+	p, err := signalproc.Classify(values, s.cfg.Classifier.ForWindow(window, ref))
 	if err != nil {
 		return fmt.Errorf("core: tenant %v: %w", t.ID, err)
 	}

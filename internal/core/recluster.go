@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"time"
 
 	"harvest/internal/kmeans"
 	"harvest/internal/signalproc"
@@ -107,6 +108,8 @@ func (s *ClusteringService) Recluster(prev *Clustering, pop *tenant.Population, 
 	}
 	st.DriftThreshold = thr
 	hist, _ := src.(tenant.HistoryStats)
+	window, _ := src.(tenant.HistoryWindow)
+	var scratch []float64
 	active := make([]*tenant.Tenant, 0, len(pop.Tenants))
 	for _, t := range pop.Tenants {
 		_, hadClass := prev.ClassOfTenant(t.ID)
@@ -131,8 +134,18 @@ func (s *ClusteringService) Recluster(prev *Clustering, pop *tenant.Population, 
 			}
 			mark, haveMark = m, true
 		}
-		series := src.SeriesFor(t.ID)
-		if series == nil || series.Len() < signalproc.MinClassifySamples {
+		// The window is read into the one scratch buffer when the source can
+		// fill it (each tenant's read overwrites the last; nothing below keeps
+		// it), and borrowed from the source's own series otherwise.
+		var values []float64
+		var interval time.Duration
+		if window != nil {
+			scratch, interval = window.AppendWindow(t.ID, scratch[:0])
+			values = scratch
+		} else if series := src.SeriesFor(t.ID); series != nil {
+			values, interval = series.Values, series.Interval
+		}
+		if len(values) < signalproc.MinClassifySamples {
 			// Same contract as ClusterFrom: a tenant the source holds too
 			// little history for (evicted or refilling ring) drops out of
 			// every class this generation.
@@ -143,7 +156,7 @@ func (s *ClusteringService) Recluster(prev *Clustering, pop *tenant.Population, 
 		if haveMark {
 			t.HistoryMark = mark
 		}
-		mean, peak, cv := stats.Summary(series.Values)
+		mean, peak, cv := stats.Summary(values)
 		// The baseline is the summary captured at the tenant's last FFT
 		// classification — it is deliberately NOT refreshed on undrifted
 		// rounds, so slow cumulative drift accumulates against the last
@@ -155,7 +168,7 @@ func (s *ClusteringService) Recluster(prev *Clustering, pop *tenant.Population, 
 			math.Abs(cv-t.Profile.CV) > thr
 		if drifted {
 			oldPattern := t.Profile.Pattern
-			if err := s.classifySeries(t, series); err != nil {
+			if err := s.classifyWindow(t, values, interval); err != nil {
 				return nil, st, err
 			}
 			st.Reclassified++

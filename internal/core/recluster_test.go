@@ -2,10 +2,13 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"harvest/internal/signalproc"
+	"harvest/internal/telemetry"
 	"harvest/internal/tenant"
 	"harvest/internal/timeseries"
 )
@@ -330,4 +333,113 @@ func TestNewClusteringFromClasses(t *testing.T) {
 	if _, err := NewClusteringFromClasses(dup); err == nil {
 		t.Error("duplicate tenant membership not rejected")
 	}
+}
+
+// seriesOnlySource hides tenant.HistoryWindow from Recluster, leaving the
+// path every source took before the in-place window read: one private
+// SeriesFor copy per tenant.
+type seriesOnlySource struct{ st *telemetry.Store }
+
+func (s seriesOnlySource) SeriesFor(id tenant.ID) *timeseries.Series { return s.st.SeriesFor(id) }
+func (s seriesOnlySource) UtilizationAt(id tenant.ID, at time.Duration) float64 {
+	return s.st.UtilizationAt(id, at)
+}
+func (s seriesOnlySource) Horizon() time.Duration { return s.st.Horizon() }
+func (s seriesOnlySource) HistoryStats(id tenant.ID) (int, uint64, bool) {
+	return s.st.HistoryStats(id)
+}
+
+// TestReclusterWindowReadParity runs the same history through Recluster twice
+// — once over the ring store, whose windows are read into one scratch buffer,
+// once over the store with that extension hidden — and requires the same
+// drift verdicts, statistics, class membership and tenant profiles, over
+// seeds whose live samples push some tenants past the drift threshold, leave
+// some under it and leave some quiet.
+func TestReclusterWindowReadParity(t *testing.T) {
+	const window = 2 * timeseries.SlotsPerDay
+	var _ tenant.HistoryWindow = (*telemetry.Store)(nil)
+	if _, exposed := tenant.HistorySource(seriesOnlySource{}).(tenant.HistoryWindow); exposed {
+		t.Fatal("the reference source exposes the extension it is meant to hide")
+	}
+	svc := NewClusteringService(DefaultClusteringConfig())
+	drifted := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		// Two identical worlds: tenants carry re-clustering state (Profile,
+		// HistoryMark), so each path gets its own population and store.
+		var pops [2]*tenant.Population
+		var next [2]*Clustering
+		var stats [2]ReclusterStats
+		for w := range pops {
+			pop := testPopulation(t, seed, 0.05)
+			ids := make([]tenant.ID, len(pop.Tenants))
+			for i, tn := range pop.Tenants {
+				ids[i] = tn.ID
+			}
+			st := telemetry.NewStore(ids, timeseries.SlotDuration, window)
+			for _, tn := range pop.Tenants {
+				if err := st.Bootstrap(tn.ID, tn.Utilization, tn.Utilization.Duration()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pops[w] = pop
+			var src tenant.HistorySource = st
+			if w == 1 {
+				src = seriesOnlySource{st}
+			}
+			prev, err := svc.ClusterFrom(pop, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A first round evaluates everyone and records the change marks a
+			// later round is quiet against.
+			if prev, _, err = svc.Recluster(prev, pop, src); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(seed))
+			for i, tn := range pop.Tenants {
+				var slots int
+				var shift float64
+				switch i % 3 {
+				case 0: // a burst long enough to move the window mean past the threshold
+					slots, shift = window/4, 0.4
+				case 1: // live samples, nothing like a drift
+					slots, shift = 5, 0
+				}
+				for ; slots > 0; slots-- {
+					v := tn.UtilizationAt(st.Horizon()) + shift + rng.NormFloat64()*0.01
+					if _, err := st.Ingest(tn.ID, 0, v); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if next[w], stats[w], err = svc.Recluster(prev, pop, src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, gotStats, want, wantStats := next[0], stats[0], next[1], stats[1]
+		if gotStats != wantStats {
+			t.Fatalf("seed %d: stats %+v, want %+v", seed, gotStats, wantStats)
+		}
+		if gotStats.Quiet == 0 || gotStats.Drifted == 0 || gotStats.Drifted+gotStats.Quiet >= gotStats.Tenants {
+			t.Fatalf("seed %d: want quiet, drifted and undrifted tenants in one round, got %+v", seed, gotStats)
+		}
+		drifted += gotStats.Drifted
+		if len(got.Classes) != len(want.Classes) {
+			t.Fatalf("seed %d: %d classes, want %d", seed, len(got.Classes), len(want.Classes))
+		}
+		for i, cls := range got.Classes {
+			ref := want.Classes[i]
+			if cls.Pattern != ref.Pattern || cls.AvgUtilization != ref.AvgUtilization || cls.PeakUtilization != ref.PeakUtilization ||
+				!slices.Equal(cls.Tenants, ref.Tenants) || !slices.Equal(cls.Servers, ref.Servers) || !slices.Equal(cls.Centroid, ref.Centroid) {
+				t.Fatalf("seed %d: class %d is %+v, want %+v", seed, i, cls, ref)
+			}
+		}
+		for i, tn := range pops[0].Tenants {
+			ref := pops[1].Tenants[i]
+			if tn.Profile != ref.Profile || tn.HistoryMark != ref.HistoryMark {
+				t.Fatalf("seed %d: tenant %v profile %+v mark %d, want %+v mark %d", seed, tn.ID, tn.Profile, tn.HistoryMark, ref.Profile, ref.HistoryMark)
+			}
+		}
+	}
+	t.Logf("%d tenants drifted across the seeds", drifted)
 }

@@ -6,11 +6,17 @@ package service_test
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"harvest/internal/core"
+	"harvest/internal/experiments"
 	"harvest/internal/service"
+	"harvest/internal/tenant"
+	"harvest/internal/timeseries"
 	"harvest/internal/wire"
 )
 
@@ -199,4 +205,91 @@ func BenchmarkReplBeatApply(b *testing.B) {
 			}
 		}
 	})
+}
+
+// warmRefreshLoad is the state BenchmarkWarmRefresh and TestWarmRefreshAllocs
+// refresh over: a persisting DC-9 holding the given number of R=3 blocks, warm
+// refreshes only, and a telemetry feed shaped like the benchmark harness's:
+// every tenant's trace utilization at the slot's offset plus seeded noise of
+// the given deviation (the harness's is 0.02), so every ring has moved since
+// the last refresh and, but for a peak the noise raises now and then, nobody
+// has drifted.
+type warmRefreshLoad struct {
+	svc    *service.Service
+	pop    *tenant.Population
+	rng    *rand.Rand
+	noise  float64
+	offset time.Duration
+	batch  []service.IngestSample
+}
+
+func newWarmRefreshLoad(tb testing.TB, scale float64, blocks int, noise float64) *warmRefreshLoad {
+	tb.Helper()
+	cfg := testConfig()
+	cfg.Scale.Datacenter = scale
+	cfg.PersistDir = tb.TempDir()
+	cfg.FullRebuildEvery = -1
+	svc, err := service.New(cfg)
+	if err != nil {
+		tb.Fatalf("New: %v", err)
+	}
+	tb.Cleanup(svc.Close)
+	pop, _, err := experiments.BuildPopulation("DC-9", cfg.Scale)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c := core.PlacementConstraints{Replication: 3, Writer: -1, EnforceEnvironment: true}
+	for i := 0; i < blocks; i++ {
+		if _, err := svc.CreateBlock("DC-9", c); err != nil {
+			tb.Fatalf("create block %d: %v", i, err)
+		}
+	}
+	snap, _ := svc.Snapshot("DC-9")
+	return &warmRefreshLoad{
+		svc: svc, pop: pop,
+		rng:    rand.New(rand.NewSource(7)),
+		noise:  noise,
+		offset: snap.AsOf + timeseries.SlotDuration,
+		batch:  make([]service.IngestSample, len(pop.Tenants)),
+	}
+}
+
+// slots ingests n telemetry slots.
+func (l *warmRefreshLoad) slots(tb testing.TB, n int) {
+	for ; n > 0; n-- {
+		for i, t := range l.pop.Tenants {
+			v := t.UtilizationAt(l.offset) + l.rng.NormFloat64()*l.noise
+			l.batch[i] = service.IngestSample{Tenant: t.ID, Server: -1, At: l.offset, Value: math.Min(1, math.Max(0, v))}
+		}
+		if res, err := l.svc.Ingest("DC-9", l.batch); err != nil || res.Rejected != 0 {
+			tb.Fatalf("ingest: %+v, %v", res, err)
+		}
+		l.offset += timeseries.SlotDuration
+	}
+}
+
+func (l *warmRefreshLoad) refresh(tb testing.TB) {
+	if err := l.svc.Refresh("DC-9"); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkWarmRefresh measures one warm refresh at the state the benchmark's
+// storage_refresh workload reaches (DC-9 at scale 0.3, 36,000 blocks, a
+// telemetry slot every 200 ms of a 1 s refresh period, persistence on): drift
+// check of every ring, block re-validation, and all three files written.
+// `go test -bench WarmRefresh -benchmem ./internal/service` is the local check
+// that the refresh's garbage does not grow with the state it walks.
+func BenchmarkWarmRefresh(b *testing.B) {
+	l := newWarmRefreshLoad(b, 0.3, 36_000, 0.02)
+	l.slots(b, 5)
+	l.refresh(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		l.slots(b, 5)
+		b.StartTimer()
+		l.refresh(b)
+	}
 }

@@ -1,11 +1,16 @@
 package service_test
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"harvest/internal/core"
 	"harvest/internal/service"
 )
 
@@ -215,5 +220,166 @@ func TestIngestHardeningErrorPaths(t *testing.T) {
 				t.Errorf("token %q: status %d, want %d", tc.token, resp.StatusCode, tc.want)
 			}
 		})
+	}
+}
+
+// persistErrors reads DC-9's persist_errors counter.
+func persistErrors(t *testing.T, svc *service.Service) uint64 {
+	t.Helper()
+	st, ok := svc.Stats("DC-9")
+	if !ok {
+		t.Fatal("no stats for DC-9")
+	}
+	return st.PersistErrors
+}
+
+// TestPersistFailureKeepsLastGoodFile pins the persist error path: a file that
+// cannot be written costs one persist_errors count and nothing else — the
+// previous good file is byte-identical, no temp file of ours is left behind,
+// the other two files are still written, and a restart restores the last good
+// state.
+func TestPersistFailureKeepsLastGoodFile(t *testing.T) {
+	dir := t.TempDir()
+	svc, cfg := newPersistedService(t, dir)
+	r3 := core.PlacementConstraints{Replication: 3, Writer: -1, EnforceEnvironment: true}
+	createBlocks := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := svc.CreateBlock("DC-9", r3); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	refresh := func() {
+		t.Helper()
+		if err := svc.Refresh("DC-9"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	createBlocks(5)
+	refresh()
+	blocksFile := filepath.Join(dir, "DC-9.blocks.json")
+	good, err := os.ReadFile(blocksFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := persistErrors(t, svc); n != 0 {
+		t.Fatalf("persist_errors = %d before anything failed", n)
+	}
+
+	// The temp file cannot be created: a directory sits in its place.
+	squatter := blocksFile + ".tmp"
+	if err := os.Mkdir(squatter, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	createBlocks(3)
+	ledgerBefore, _ := os.Stat(filepath.Join(dir, "DC-9.ledger.json"))
+	refresh()
+	if n := persistErrors(t, svc); n != 1 {
+		t.Errorf("persist_errors = %d after one failed file, want 1", n)
+	}
+	if now, err := os.ReadFile(blocksFile); err != nil || !bytes.Equal(now, good) {
+		t.Errorf("the last good blocks file did not survive a failed persist (err %v)", err)
+	}
+	if info, err := os.Stat(squatter); err != nil || !info.IsDir() {
+		t.Errorf("the failed persist removed a temp path it did not create (err %v)", err)
+	}
+	if ledgerAfter, _ := os.Stat(filepath.Join(dir, "DC-9.ledger.json")); os.SameFile(ledgerBefore, ledgerAfter) {
+		t.Error("the ledger file was not replaced beside the failing blocks file")
+	}
+
+	// The rename fails: the destination is a non-empty directory. The temp
+	// file was created and written by then, and must be gone.
+	if err := os.Remove(filepath.Join(dir, "DC-9.ledger.json")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "DC-9.ledger.json", "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	refresh()
+	if n := persistErrors(t, svc); n != 3 {
+		t.Errorf("persist_errors = %d after two more failed files, want 3", n)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "DC-9.ledger.json.tmp")); !os.IsNotExist(err) {
+		t.Errorf("a failed rename left its temp file behind (stat err %v)", err)
+	}
+	svc.Close() // both ledger files fail once more; nothing to assert but that it returns
+
+	// A restart reads the last good blocks file: the five blocks it held.
+	svc2, err := service.New(cfg)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	st, _ := svc2.Stats("DC-9")
+	if st.Blocks.Blocks != 5 || st.Blocks.ConservationErrorSlots != 0 {
+		t.Errorf("restored %d blocks (conservation error %d), want the 5 of the last good file", st.Blocks.Blocks, st.Blocks.ConservationErrorSlots)
+	}
+
+	// With the obstacles gone the next persist succeeds and the counter stops.
+	if err := os.Remove(squatter); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(filepath.Join(dir, "DC-9.ledger.json")); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc2.Refresh("DC-9"); err != nil {
+		t.Fatal(err)
+	}
+	if n := persistErrors(t, svc2); n != 0 {
+		t.Errorf("persist_errors = %d on a clean directory", n)
+	}
+	if now, err := os.ReadFile(blocksFile); err != nil || bytes.Equal(now, good) {
+		t.Errorf("the blocks file was not rewritten once it could be (err %v)", err)
+	}
+	svc2.Close()
+}
+
+// TestRefreshAndCloseConcurrently pins who may touch the shard's persist
+// storage: Close persists the ledgers while a Refresh from another goroutine
+// may still be persisting its own, and the two share the shard's buffers. Run
+// under -race; the files must restore to balanced books whichever wrote last.
+func TestRefreshAndCloseConcurrently(t *testing.T) {
+	dir := t.TempDir()
+	svc, cfg := newPersistedService(t, dir)
+	for i := 0; i < 200; i++ {
+		if _, err := svc.CreateBlock("DC-9", core.PlacementConstraints{Replication: 3, Writer: -1, EnforceEnvironment: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < 4; i++ {
+				if err := svc.Refresh("DC-9"); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		svc.Close()
+		svc.Close()
+	}()
+	close(start)
+	wg.Wait()
+	if n := persistErrors(t, svc); n != 0 {
+		t.Errorf("persist_errors = %d", n)
+	}
+	svc2, err := service.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc2.Close()
+	st, _ := svc2.Stats("DC-9")
+	if st.Blocks.Blocks != 200 || st.Blocks.ConservationErrorSlots != 0 || st.Ledger.ConservationErrorMillis != 0 {
+		t.Errorf("restored books: %+v / %+v", st.Blocks, st.Ledger)
 	}
 }

@@ -3,8 +3,11 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"time"
 
 	"harvest/internal/blockledger"
@@ -93,21 +96,36 @@ func blocksPath(dir, dc string) string {
 	return filepath.Join(dir, dc+".blocks.json")
 }
 
-// writeStateFile marshals v to path through a temp file and an atomic
-// rename: a crash mid-write leaves the previous good file intact.
-func writeStateFile(path string, v any) error {
+// writeFileAtomic has write fill path's temp file and renames it over path,
+// so a crash mid-write leaves the previous good file intact — and so does a
+// failure: whichever step fails (create, a write, close, the rename), the temp
+// file this call created is removed and path is untouched. Returns the size of
+// the file written.
+func writeFileAtomic(path string, write func(w io.Writer) error) (int64, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	data, err := json.Marshal(v)
-	if err != nil {
-		return err
+		return 0, err
 	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return 0, err // nothing of ours to remove
 	}
-	return os.Rename(tmp, path)
+	err = write(f)
+	var size int64
+	if err == nil {
+		size, err = f.Seek(0, io.SeekCurrent)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return 0, err
+	}
+	return size, nil
 }
 
 // readStateFile unmarshals path into v and checks its header against the
@@ -131,40 +149,284 @@ func (s *Service) readStateFile(path string, sh *shard, v interface{ header() *p
 	return nil
 }
 
-// persistSnapshot writes the snapshot, and the allocation and block ledgers
+// persistShard writes the snapshot, and the allocation and block ledgers
 // riding alongside it so leases and blocks survive a restart, to disk.
 // Best-effort: a failure is counted and logged but never fails the publish
 // (the in-memory snapshot is already serving). The boot path persists a
 // snapshot before the shard's ledgers exist; their writes are skipped then
-// (they are empty anyway).
-func (s *Service) persistSnapshot(sh *shard, snap *Snapshot) {
+// (they are empty anyway). A nil snap writes the ledgers alone (Close).
+//
+// The ledger files go through sh.stage, so the caller holds sh.mu (or, at
+// boot, the only reference to the shard).
+func (s *Service) persistShard(sh *shard, snap *Snapshot) {
 	if s.cfg.PersistDir == "" {
 		return
 	}
-	s.persist(sh, "snapshot", persistPath(s.cfg.PersistDir, sh.dc), s.snapshotFile(sh, snap))
-	s.persistLedger(sh)
-	s.persistBlocks(sh)
+	start := time.Now()
+	var written int64
+	if snap != nil {
+		written += s.persist(sh, "snapshot", persistPath(s.cfg.PersistDir, sh.dc), func(w io.Writer) error {
+			data, err := json.Marshal(s.snapshotFile(sh, snap))
+			if err == nil {
+				_, err = w.Write(data)
+			}
+			return err
+		})
+	}
+	st := &sh.stage
+	if sh.led != nil {
+		st.copyLeases(sh.led)
+		written += s.persist(sh, "ledger", ledgerPath(s.cfg.PersistDir, sh.dc), func(w io.Writer) error {
+			return st.writeLedgerFile(w, s.persistHeaderFor(sh))
+		})
+	}
+	if sh.blocks != nil {
+		st.copyBlocks(sh.blocks)
+		written += s.persist(sh, "block ledger", blocksPath(s.cfg.PersistDir, sh.dc), func(w io.Writer) error {
+			return st.writeBlocksFile(w, s.persistHeaderFor(sh))
+		})
+	}
+	sh.persistLastBytes.Store(written)
+	sh.persistLastNanos.Store(int64(time.Since(start)))
 }
 
-func (s *Service) persist(sh *shard, what, path string, v any) {
-	if err := writeStateFile(path, v); err != nil {
+// persist writes one of the shard's files; a failure is counted and logged
+// once. Returns the bytes written.
+func (s *Service) persist(sh *shard, what, path string, write func(w io.Writer) error) int64 {
+	n, err := writeFileAtomic(path, write)
+	if err != nil {
 		sh.persistErrors.Add(1)
 		slogger.Warn(what+" persist failed", "dc", sh.dc, "err", err)
 	}
+	return n
 }
 
-func (s *Service) persistLedger(sh *shard) {
-	if s.cfg.PersistDir != "" && sh.led != nil {
-		s.persist(sh, "ledger", ledgerPath(s.cfg.PersistDir, sh.dc),
-			persistedLedger{persistHeader: s.persistHeaderFor(sh), State: sh.led.Export()})
+// persistStage is the storage a shard's ledger files are built in, kept across
+// persists so that one allocates only when the state has outgrown every
+// earlier one. A file is built in two steps that never overlap. First the
+// ledger's records are copied out under one Walk: all the ledger's shard locks
+// are held for a flat copy — less than an Export holds them — and for no
+// encoding or I/O. Then, with the locks released, the copy is encoded into buf
+// a chunk at a time and each chunk written to the file, so the encoded file
+// (≈145 B a block) is never in memory whole.
+type persistStage struct {
+	leases   ledger.State
+	grants   []ledger.Grant // every staged lease's Grants, back to back
+	blocks   blockledger.State
+	replicas []blockledger.PersistedReplica // every staged block's Replicas, back to back
+	buf      []byte                         // the chunk being encoded
+}
+
+// persistChunk is how much encoded file a stage buffers between writes.
+const persistChunk = 256 << 10
+
+// copyLeases makes st.leases the ledger's state. Each lease's Grants is a
+// window of the one grants slice; when that slice grows mid-walk, windows cut
+// earlier keep the array they were cut from, which holds what they need.
+func (st *persistStage) copyLeases(led *ledger.Ledger) {
+	st.grants = st.grants[:0]
+	led.Walk(func(b ledger.Books, leases int) {
+		st.leases.Books = b
+		st.leases.Leases = slices.Grow(st.leases.Leases[:0], leases)
+	}, func(pl ledger.PersistedLease) {
+		at := len(st.grants)
+		st.grants = append(st.grants, pl.Grants...)
+		pl.Grants = st.grants[at:]
+		st.leases.Leases = append(st.leases.Leases, pl)
+	})
+}
+
+// copyBlocks is copyLeases for the block ledger.
+func (st *persistStage) copyBlocks(blocks *blockledger.Ledger) {
+	blocks.Walk(func(b blockledger.Books, count int) {
+		st.blocks.Books = b
+		st.blocks.Blocks = slices.Grow(st.blocks.Blocks[:0], count)
+		st.replicas = slices.Grow(st.replicas[:0], 3*count) // a guess at R that costs a regrowth when low
+	}, func(pb blockledger.PersistedBlock) {
+		at := len(st.replicas)
+		st.replicas = append(st.replicas, pb.Replicas...)
+		pb.Replicas = st.replicas[at:]
+		st.blocks.Blocks = append(st.blocks.Blocks, pb)
+	})
+}
+
+// writeLedgerFile and writeBlocksFile write the JSON of persistedLedger /
+// persistedBlocks for the copied state: the header, whose fields are the
+// file's own, then "state", appended field by field in the idiom of
+// wire.Append* instead of marshalling the struct whole into a buffer of
+// encoding/json's. readStateFile and Restore decode the result with
+// encoding/json into those same structs, which remain the format's
+// definition; TestStreamedFilesDecodeAsExportedState holds the two together.
+func (st *persistStage) writeLedgerFile(w io.Writer, h persistHeader) error {
+	out, err := st.beginFile(w, h)
+	if err != nil {
+		return err
+	}
+	b := &st.leases.Books
+	out.buf = strconv.AppendUint(out.buf, b.Generation, 10)
+	out.buf = appendIntField(out.buf, "reserved_millis", b.ReservedMillis)
+	out.buf = appendIntField(out.buf, "released_millis", b.ReleasedMillis)
+	out.buf = appendIntField(out.buf, "expired_millis", b.ExpiredMillis)
+	out.buf = appendIntField(out.buf, "forfeited_millis", b.ForfeitedMillis)
+	out.buf = appendUintField(out.buf, "reserves", b.Reserves)
+	out.buf = appendUintField(out.buf, "releases", b.Releases)
+	if b.Renews != 0 {
+		out.buf = appendUintField(out.buf, "renews", b.Renews)
+	}
+	out.buf = appendUintField(out.buf, "expiries", b.Expiries)
+	out.buf = appendUintField(out.buf, "conflicts", b.Conflicts)
+	out.buf = append(out.buf, `,"leases":[`...)
+	for i := range st.leases.Leases {
+		out.buf = appendLease(out.buf, i > 0, &st.leases.Leases[i])
+		out.flushIfFull()
+	}
+	return out.end(st)
+}
+
+func (st *persistStage) writeBlocksFile(w io.Writer, h persistHeader) error {
+	out, err := st.beginFile(w, h)
+	if err != nil {
+		return err
+	}
+	b := &st.blocks.Books
+	out.buf = strconv.AppendUint(out.buf, b.Generation, 10)
+	out.buf = appendIntField(out.buf, "lost", b.Lost)
+	out.buf = appendIntField(out.buf, "replaced", b.Replaced)
+	out.buf = appendUintField(out.buf, "creates", b.Creates)
+	out.buf = appendUintField(out.buf, "reimages", b.Reimages)
+	out.buf = append(out.buf, `,"blocks":[`...)
+	for i := range st.blocks.Blocks {
+		out.buf = appendBlock(out.buf, i > 0, &st.blocks.Blocks[i])
+		out.flushIfFull()
+	}
+	return out.end(st)
+}
+
+// stateFile is one ledger file on its way out: the chunk being appended to
+// and the first write error, after which it writes no more.
+type stateFile struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+// beginFile starts a file in the stage's buffer with the header's fields, left
+// open, and `"state":{"generation":`, where the books go.
+func (st *persistStage) beginFile(w io.Writer, h persistHeader) (stateFile, error) {
+	head, err := json.Marshal(h)
+	if err != nil {
+		return stateFile{}, err
+	}
+	if st.buf == nil {
+		st.buf = make([]byte, 0, persistChunk+persistChunk/8) // a chunk and the record that filled it
+	}
+	buf := append(st.buf[:0], head[:len(head)-1]...)
+	return stateFile{w: w, buf: append(buf, `,"state":{"generation":`...)}, nil
+}
+
+func (f *stateFile) flushIfFull() {
+	if len(f.buf) >= persistChunk {
+		f.flush()
 	}
 }
 
-func (s *Service) persistBlocks(sh *shard) {
-	if s.cfg.PersistDir != "" && sh.blocks != nil {
-		s.persist(sh, "block ledger", blocksPath(s.cfg.PersistDir, sh.dc),
-			persistedBlocks{persistHeader: s.persistHeaderFor(sh), State: sh.blocks.Export()})
+func (f *stateFile) flush() {
+	if f.err == nil {
+		_, f.err = f.w.Write(f.buf)
 	}
+	f.buf = f.buf[:0]
+}
+
+// end closes the record list, "state" and the file, writes what is left and
+// hands the buffer back to the stage.
+func (f *stateFile) end(st *persistStage) error {
+	f.buf = append(f.buf, `]}}`...)
+	f.flush()
+	st.buf = f.buf
+	return f.err
+}
+
+func appendLease(dst []byte, comma bool, pl *ledger.PersistedLease) []byte {
+	if comma {
+		dst = append(dst, ',')
+	}
+	dst = append(dst, `{"id":`...)
+	dst = strconv.AppendUint(dst, pl.ID, 10)
+	dst = append(dst, `,"expires_at":"`...)
+	dst = pl.ExpiresAt.AppendFormat(dst, time.RFC3339Nano)
+	dst = append(dst, `","grants":[`...)
+	for i, g := range pl.Grants {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"class":`...)
+		dst = strconv.AppendInt(dst, int64(g.Class), 10)
+		dst = appendIntField(dst, "millis", g.Millis)
+		dst = append(dst, '}')
+	}
+	dst = append(dst, ']')
+	if pl.JobID != "" {
+		dst = appendJSONString(append(dst, `,"job_id":`...), pl.JobID)
+	}
+	if pl.Owner != "" {
+		dst = appendJSONString(append(dst, `,"owner":`...), pl.Owner)
+	}
+	return append(dst, '}')
+}
+
+func appendBlock(dst []byte, comma bool, pb *blockledger.PersistedBlock) []byte {
+	if comma {
+		dst = append(dst, ',')
+	}
+	dst = append(dst, `{"id":`...)
+	dst = strconv.AppendUint(dst, pb.ID, 10)
+	if pb.EnvStrict {
+		dst = append(dst, `,"env_strict":true`...)
+	}
+	dst = append(dst, `,"replicas":[`...)
+	for i, r := range pb.Replicas {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"server":`...)
+		dst = strconv.AppendInt(dst, int64(r.Server), 10)
+		if r.Placed {
+			dst = append(dst, `,"placed":true}`...)
+		} else {
+			dst = append(dst, `,"placed":false}`...)
+		}
+	}
+	return append(dst, `]}`...)
+}
+
+// appendIntField and appendUintField append `,"name":v`.
+func appendIntField(dst []byte, name string, v int64) []byte {
+	dst = append(append(append(dst, `,"`...), name...), `":`...)
+	return strconv.AppendInt(dst, v, 10)
+}
+
+func appendUintField(dst []byte, name string, v uint64) []byte {
+	dst = append(append(append(dst, `,"`...), name...), `":`...)
+	return strconv.AppendUint(dst, v, 10)
+}
+
+// appendJSONString appends s as a JSON string: the quote, the backslash and
+// control characters escaped, every other byte as it is (a decoder turns
+// invalid UTF-8 into U+FFFD, which is also what encoding/json writes for it).
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '"' || c == '\\':
+			dst = append(dst, '\\', c)
+		case c < 0x20:
+			dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return append(dst, '"')
 }
 
 // restore reads one of the shard's files into v, reporting whether there is

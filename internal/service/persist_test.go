@@ -177,3 +177,38 @@ func TestRestoreRejectsBadContents(t *testing.T) {
 		})
 	}
 }
+
+// TestWarmRefreshAllocs pins the warm refresh's garbage to a constant: with
+// telemetry arriving for every tenant, nobody drifting and all three files
+// persisted, a refresh allocates a few hundred objects however many blocks it
+// re-validates and writes out. Before the rings were drift-checked in place,
+// blocks re-validated on the stack and the ledger files built in storage the
+// shard keeps, it was two window copies per tenant and about four objects per
+// block (144,700 at the benchmark's 36,000 blocks).
+func TestWarmRefreshAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	var counts []uint64
+	for _, blocks := range []int{2000, 8000} {
+		l := newWarmRefreshLoad(t, 0.05, blocks, 0) // noiseless: a raised peak would add an FFT's objects
+		for warmup := 0; warmup < 2; warmup++ {
+			l.slots(t, 5)
+			l.refresh(t)
+		}
+		l.slots(t, 5)
+		n := mallocs(func() { l.refresh(t) })
+		st, _ := l.svc.Stats("DC-9")
+		if st.Blocks.Blocks != int64(blocks) || st.Recluster.Quiet != 0 || st.Recluster.Drifted != 0 || st.PersistErrors != 0 {
+			t.Fatalf("%d blocks: not the refresh this test measures: %+v", blocks, st)
+		}
+		if n >= 1000 {
+			t.Errorf("a warm refresh over %d blocks allocates %d objects, budget 1000", blocks, n)
+		}
+		t.Logf("%d blocks: %d objects", blocks, n)
+		counts = append(counts, n)
+	}
+	if diff := int64(counts[1]) - int64(counts[0]); diff < -16 || diff > 16 {
+		t.Errorf("warm refresh allocations scale with the block count: %v objects at 2,000 and 8,000 blocks", counts)
+	}
+}

@@ -165,9 +165,10 @@ type shard struct {
 
 	liveUsage atomic.Pointer[usageView]
 
-	mu        sync.Mutex // serializes rebuilds; never held on the query path
+	mu        sync.Mutex // serializes rebuilds and persists; never held on the query path
 	pop       *tenant.Population
-	sinceFull int // warm refreshes since the last full rebuild (guarded by mu)
+	sinceFull int          // warm refreshes since the last full rebuild (guarded by mu)
+	stage     persistStage // what persistShard builds the ledger files in (guarded by mu)
 
 	refreshes     atomic.Uint64
 	refreshErrors atomic.Uint64
@@ -175,7 +176,11 @@ type shard struct {
 	fullRebuilds  atomic.Uint64
 	ingested      atomic.Uint64 // live samples accepted via Ingest
 	persistErrors atomic.Uint64
-	staleRetries  atomic.Uint64 // SelectReserve retries due to a re-key in flight
+	// persistLastBytes and persistLastNanos describe the most recent persist:
+	// what its files came to and how long encoding and writing them took.
+	persistLastBytes atomic.Int64
+	persistLastNanos atomic.Int64
+	staleRetries     atomic.Uint64 // SelectReserve retries due to a re-key in flight
 
 	// repairFailures counts re-replicator attempts that could not land (no
 	// eligible server, or the placement kept racing) and went back on the
@@ -349,7 +354,7 @@ func New(cfg Config) (*Service, error) {
 			if err != nil {
 				return nil, err
 			}
-			s.persistSnapshot(sh, snap)
+			s.persistShard(sh, snap)
 		}
 		if restored {
 			slogger.Info("restored persisted snapshot", "dc", dc, "generation", snap.Generation)
@@ -526,16 +531,20 @@ func (s *Service) SweepLeases(now time.Time) (leases int, cores float64) {
 }
 
 // Close stops the refreshers and waits for them to exit, then persists each
-// shard's allocation ledger (when persistence is configured) so leases taken
-// since the last refresh survive the restart. Queries remain valid after
+// shard's two ledgers (when persistence is configured) so leases and blocks
+// taken since the last refresh survive the restart. Queries remain valid after
 // Close; they simply stop seeing new generations.
 func (s *Service) Close() {
 	s.stopOnce.Do(func() { close(s.stop) })
 	s.repl.shutdown()
 	s.wg.Wait()
 	for _, dc := range s.order {
-		s.persistLedger(s.shards[dc])
-		s.persistBlocks(s.shards[dc])
+		sh := s.shards[dc]
+		// Under the rebuild lock: a Refresh from another goroutine may still be
+		// persisting through the shard's stage.
+		sh.mu.Lock()
+		s.persistShard(sh, nil)
+		sh.mu.Unlock()
 	}
 }
 
@@ -641,7 +650,7 @@ func (s *Service) refreshShard(sh *shard) error {
 			}
 			sh.lastRecluster.Store(&rst)
 			sh.refreshLatency.Observe(time.Since(start))
-			s.persistSnapshot(sh, next)
+			s.persistShard(sh, next)
 			return nil
 		}
 	}
@@ -1002,6 +1011,11 @@ type ShardStats struct {
 	IngestedSamples      uint64  `json:"ingested_samples" prom:"harvestd_ingested_samples_total,counter" help:"Telemetry samples accepted."`
 	LastIngestAgeSeconds float64 `json:"last_ingest_age_seconds"`
 	PersistErrors        uint64  `json:"persist_errors"`
+	// PersistLastBytes and PersistLastSeconds are the most recent persist —
+	// a refresh's three files, or the two ledger files Close writes: what was
+	// written, and how long copying, encoding and writing it took.
+	PersistLastBytes   int64   `json:"persist_last_bytes" prom:"harvestd_persist_last_bytes,gauge" help:"Bytes the most recent persist wrote across the shard's state files."`
+	PersistLastSeconds float64 `json:"persist_last_seconds" prom:"harvestd_persist_last_seconds,gauge" help:"Duration of the most recent persist (copy, encode and write of every file)."`
 	// EvictedTenants counts telemetry rings reclaimed by the staleness
 	// eviction since boot.
 	EvictedTenants uint64 `json:"evicted_tenants"`
@@ -1080,6 +1094,8 @@ func (s *Service) Stats(dc string) (ShardStats, bool) {
 		IngestedSamples:      sh.ingested.Load(),
 		LastIngestAgeSeconds: -1,
 		PersistErrors:        sh.persistErrors.Load(),
+		PersistLastBytes:     sh.persistLastBytes.Load(),
+		PersistLastSeconds:   time.Duration(sh.persistLastNanos.Load()).Seconds(),
 		EvictedTenants:       sh.rings.Evictions(),
 		RefreshMeanUs:        sh.refreshLatency.MeanMicros(),
 		RefreshP99Us:         sh.refreshLatency.QuantileMicros(0.99),

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"sync"
 )
 
 // ErrEmptyInput is returned when a transform is requested on an empty series.
@@ -122,35 +123,77 @@ func radix2(a []complex128, inverse bool) {
 	}
 }
 
-// bluestein computes the DFT of an arbitrary-length sequence by re-expressing
-// it as a convolution, which is evaluated with power-of-two FFTs.
-func bluestein(x []complex128, inverse bool) ([]complex128, error) {
-	n := len(x)
+// bluesteinPlan is everything Bluestein's transform computes from the length
+// and direction alone: the chirp, and the spectrum of the chirp filter the
+// input is convolved with. Immutable once built.
+type bluesteinPlan struct {
+	w []complex128 // chirp w[k] = exp(sign * i*pi*k^2/n), n long
+	b []complex128 // radix-2 transform of the conjugate chirp laid out circularly, m long
+}
+
+type planKey struct {
+	n       int
+	inverse bool
+}
+
+// plans keeps the most recently built plans. A clustering pass transforms
+// every tenant's window, and the windows are one length (the telemetry ring's
+// capacity), so each pass builds one plan instead of one per tenant; the bound
+// is for rings refilling after an eviction, whose length differs every pass.
+var plans = struct {
+	sync.Mutex
+	byKey map[planKey]*bluesteinPlan
+}{byKey: make(map[planKey]*bluesteinPlan)}
+
+const maxPlans = 4
+
+func planFor(n int, inverse bool) *bluesteinPlan {
+	key := planKey{n, inverse}
+	plans.Lock()
+	p := plans.byKey[key]
+	plans.Unlock()
+	if p != nil {
+		return p
+	}
 	m := nextPowerOfTwo(2*n + 1)
 	sign := -1.0
 	if inverse {
 		sign = 1.0
 	}
-	// Chirp sequence w[k] = exp(sign * i*pi*k^2/n).
-	w := make([]complex128, n)
+	p = &bluesteinPlan{w: make([]complex128, n), b: make([]complex128, m)}
 	for k := 0; k < n; k++ {
 		// k^2 mod 2n avoids precision loss for large k.
 		kk := (int64(k) * int64(k)) % int64(2*n)
 		angle := sign * math.Pi * float64(kk) / float64(n)
-		w[k] = cmplx.Exp(complex(0, angle))
+		p.w[k] = cmplx.Exp(complex(0, angle))
 	}
+	p.b[0] = cmplx.Conj(p.w[0])
+	for k := 1; k < n; k++ {
+		p.b[k] = cmplx.Conj(p.w[k])
+		p.b[m-k] = cmplx.Conj(p.w[k])
+	}
+	radix2(p.b, false)
+	plans.Lock()
+	if len(plans.byKey) >= maxPlans {
+		clear(plans.byKey)
+	}
+	plans.byKey[key] = p
+	plans.Unlock()
+	return p
+}
+
+// bluestein computes the DFT of an arbitrary-length sequence by re-expressing
+// it as a convolution, which is evaluated with power-of-two FFTs.
+func bluestein(x []complex128, inverse bool) ([]complex128, error) {
+	n := len(x)
+	plan := planFor(n, inverse)
+	w, b := plan.w, plan.b
+	m := len(b)
 	a := make([]complex128, m)
-	b := make([]complex128, m)
 	for k := 0; k < n; k++ {
 		a[k] = x[k] * w[k]
 	}
-	b[0] = cmplx.Conj(w[0])
-	for k := 1; k < n; k++ {
-		b[k] = cmplx.Conj(w[k])
-		b[m-k] = cmplx.Conj(w[k])
-	}
 	radix2(a, false)
-	radix2(b, false)
 	for i := range a {
 		a[i] *= b[i]
 	}

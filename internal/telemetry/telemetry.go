@@ -18,6 +18,7 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -142,28 +143,20 @@ func (r *Ring) Last() (Sample, bool) {
 	}
 }
 
-// Snapshot appends the retained samples, oldest first, to dst and returns
-// it. Lock-free: on the wrap-around race with the writer it retries with the
-// newer cursor, and after lockFreeAttempts losses holds the writer off for
-// one copy.
-func (r *Ring) Snapshot(dst []Sample) []Sample {
-	base := len(dst)
+// readWindow is the seqlock every whole-window read runs under. copyRange
+// copies samples [start, head) — the retained window as of one load of the
+// cursor — and is called again, from scratch, each time the writer wrapped
+// into the range while it ran; after lockFreeAttempts such losses the writer
+// is held off for one copy.
+func (r *Ring) readWindow(copyRange func(start, head uint64)) {
 	for attempt := 0; ; attempt++ {
 		if attempt == lockFreeAttempts {
 			r.wmu.Lock()
 			defer r.wmu.Unlock()
 		}
-		dst = dst[:base]
 		head := r.head.Load()
-		n := head
-		if c := uint64(r.Capacity()); n > c {
-			n = c
-		}
-		start := head - n
-		for i := start; i < head; i++ {
-			s := &r.slots[i%uint64(len(r.slots))]
-			dst = append(dst, Sample{At: time.Duration(s.at.Load()), Value: math.Float64frombits(s.bits.Load())})
-		}
+		start := head - min(head, uint64(r.Capacity()))
+		copyRange(start, head)
 		// Accept iff no sample we copied can have been overwritten. The spare
 		// slot covers the one sample the writer may be part-way through:
 		// sample `start`'s slot is reused by sample start+len(slots), which
@@ -171,9 +164,46 @@ func (r *Ring) Snapshot(dst []Sample) []Sample {
 		// a full ring (start+Capacity == head) the copy stands only if no
 		// sample at all was published while it ran.
 		if r.head.Load() <= start+uint64(r.Capacity()) {
-			return dst
+			return
 		}
 	}
+}
+
+// Snapshot appends the retained samples, oldest first, to dst and returns
+// it. Lock-free unless it loses lockFreeAttempts races with the writer (see
+// readWindow).
+func (r *Ring) Snapshot(dst []Sample) []Sample {
+	base := len(dst)
+	r.readWindow(func(start, head uint64) {
+		dst = dst[:base]
+		for i := start; i < head; i++ {
+			s := &r.slots[i%uint64(len(r.slots))]
+			dst = append(dst, Sample{At: time.Duration(s.at.Load()), Value: math.Float64frombits(s.bits.Load())})
+		}
+	})
+	return dst
+}
+
+// Values is Snapshot without the timestamps: it appends the retained values,
+// oldest first, to dst and returns it, under the same seqlock. With a dst of
+// sufficient capacity it allocates nothing, which is what lets one scratch
+// window serve the drift check of every tenant in turn.
+func (r *Ring) Values(dst []float64) []float64 {
+	base := len(dst)
+	r.readWindow(func(start, head uint64) {
+		n := head - start
+		dst = slices.Grow(dst[:base], int(n))
+		// The window is at most two runs of adjacent slots: up to the end of
+		// the slot array, then from its beginning.
+		lo := start % uint64(len(r.slots))
+		first := min(n, uint64(len(r.slots))-lo)
+		for _, run := range [2][]slot{r.slots[lo : lo+first], r.slots[:n-first]} {
+			for i := range run {
+				dst = append(dst, math.Float64frombits(run[i].bits.Load()))
+			}
+		}
+	})
+	return dst
 }
 
 // tenantRing is one tenant's slot in the store: the current ring behind an
@@ -413,15 +443,21 @@ func (st *Store) SeriesFor(id tenant.ID) *timeseries.Series {
 	if r == nil {
 		return nil
 	}
-	samples := r.Snapshot(make([]Sample, 0, r.Len()))
-	if len(samples) == 0 {
+	values := r.Values(make([]float64, 0, r.Len()))
+	if len(values) == 0 {
 		return nil
 	}
-	values := make([]float64, len(samples))
-	for i, s := range samples {
-		values[i] = s.Value
-	}
 	return timeseries.New(st.interval, values)
+}
+
+// AppendWindow implements tenant.HistoryWindow: SeriesFor's values, read from
+// the ring straight into dst, and the slot width they are spaced at. Unknown
+// tenants and empty rings append nothing.
+func (st *Store) AppendWindow(id tenant.ID, dst []float64) ([]float64, time.Duration) {
+	if r := st.Ring(id); r != nil {
+		dst = r.Values(dst)
+	}
+	return dst, st.interval
 }
 
 // UtilizationAt implements tenant.HistorySource: the value of the tenant's

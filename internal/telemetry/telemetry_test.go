@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -123,6 +124,34 @@ func newTestStore(t *testing.T, capacity int) *Store {
 	return NewStore([]tenant.ID{1, 2}, time.Minute, capacity)
 }
 
+// tightWriters starts four goroutines calling write in a tight loop on a full
+// ring, returns once they have wrapped it, and hands back what stops them.
+func tightWriters(r *Ring, write func()) (stop func()) {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					write()
+				}
+			}
+		}()
+	}
+	for r.head.Load() < 2*uint64(r.Capacity()) {
+		time.Sleep(time.Millisecond) // every writer is up and the ring has wrapped
+	}
+	return func() {
+		close(done)
+		wg.Wait()
+	}
+}
+
 // TestSnapshotNotStarvedByWriter pins the bounded retry: on a full ring the
 // lock-free copy stands only if no sample lands while it runs, so writers
 // appending in a tight loop — faster than a month-long window copies — used to
@@ -133,29 +162,9 @@ func TestSnapshotNotStarvedByWriter(t *testing.T) {
 	for i := 1; i <= capacity; i++ {
 		r.Append(time.Duration(i), float64(i))
 	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					// What an unthrottled ingest does: one interval after the
-					// latest sample, whatever that is by now.
-					r.appendAfter(0, 1, 1)
-				}
-			}
-		}()
-	}
-	defer wg.Wait()
-	defer close(stop)
-	for r.head.Load() < 2*capacity {
-		time.Sleep(time.Millisecond) // every writer is up and the ring has wrapped
-	}
+	// What an unthrottled ingest does: one interval after the latest sample,
+	// whatever that is by now.
+	defer tightWriters(r, func() { r.appendAfter(0, 1, 1) })()
 
 	done := make(chan string, 1)
 	go func() {
@@ -186,6 +195,92 @@ func TestSnapshotNotStarvedByWriter(t *testing.T) {
 		}
 	case <-time.After(20 * time.Second):
 		t.Fatal("Snapshot starved by tight-loop writers")
+	}
+}
+
+// TestValuesUnderRacingWriter pins the value-only window read to the same
+// seqlock as Snapshot: against tight-loop writers on a full month-long ring it
+// returns within a deadline (the lockFreeAttempts fallback), and every window
+// it returns is exactly Capacity() consecutive samples — each value is its
+// sample's sequence number, so a value from an overwritten slot, a hole or a
+// misplaced wrap-around shows. With the writers held off it equals Snapshot.
+func TestValuesUnderRacingWriter(t *testing.T) {
+	const capacity = 21600
+	r := NewRing(capacity)
+	appendNext := func() {
+		r.wmu.Lock()
+		n := r.head.Load() + 1
+		r.appendLocked(time.Duration(n), float64(n))
+		r.wmu.Unlock()
+	}
+	for i := 0; i < capacity; i++ {
+		appendNext()
+	}
+	defer tightWriters(r, appendNext)()
+
+	done := make(chan string, 1)
+	go func() {
+		var win []float64
+		for i := 0; i < 200; i++ {
+			win = r.Values(win[:0])
+			if len(win) != capacity {
+				done <- fmt.Sprintf("window holds %d values, want %d", len(win), capacity)
+				return
+			}
+			for j := 1; j < len(win); j++ {
+				if win[j] != win[j-1]+1 {
+					done <- fmt.Sprintf("window torn at %d: %v after %v", j, win[j], win[j-1])
+					return
+				}
+			}
+			if newest := float64(r.head.Load()); win[len(win)-1] > newest {
+				done <- fmt.Sprintf("window ends at %v, past the published cursor %v", win[len(win)-1], newest)
+				return
+			}
+		}
+		r.wmu.Lock()
+		defer r.wmu.Unlock()
+		snap, win := r.Snapshot(nil), r.Values(win[:0])
+		if len(snap) != capacity || len(win) != capacity {
+			done <- fmt.Sprintf("quiesced: %d samples, %d values, want %d of each", len(snap), len(win), capacity)
+			return
+		}
+		for j := range snap {
+			if snap[j].Value != win[j] {
+				done <- fmt.Sprintf("quiesced: value %d is %v, Snapshot has %v", j, win[j], snap[j].Value)
+				return
+			}
+		}
+		done <- ""
+	}()
+	select {
+	case problem := <-done:
+		if problem != "" {
+			t.Fatal(problem)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("Values starved by tight-loop writers")
+	}
+}
+
+// TestValuesAppendsWithoutAllocating pins what the warm refresh relies on: a
+// destination with room is filled in place, after whatever it already holds.
+func TestValuesAppendsWithoutAllocating(t *testing.T) {
+	r := NewRing(4)
+	for i := 1; i <= 6; i++ { // wraps: retains 3, 4, 5, 6
+		r.Append(time.Duration(i)*time.Minute, float64(i))
+	}
+	buf := make([]float64, 1, 8)
+	buf[0] = -1
+	got := r.Values(buf)
+	if want := []float64{-1, 3, 4, 5, 6}; !slices.Equal(got, want) {
+		t.Fatalf("Values = %v, want %v", got, want)
+	}
+	if &got[0] != &buf[0] {
+		t.Error("Values moved a destination that had room")
+	}
+	if n := testing.AllocsPerRun(100, func() { r.Values(buf[:0]) }); n != 0 {
+		t.Errorf("Values into a sufficient buffer allocates %v objects, want 0", n)
 	}
 }
 

@@ -41,6 +41,20 @@ type HistoryStats interface {
 	HistoryStats(id ID) (samples int, mark uint64, ok bool)
 }
 
+// HistoryWindow is an optional HistorySource extension: a source whose
+// SeriesFor copies the window on every call (telemetry.Store's rings) can
+// instead copy it into storage the caller owns, so a pass over every tenant
+// reuses one window-sized buffer instead of allocating one per tenant. The
+// trace-backed source does not implement it: its SeriesFor already lends the
+// tenant's own series without copying.
+type HistoryWindow interface {
+	// AppendWindow appends the tenant's history window to dst — exactly the
+	// values, in the order, SeriesFor(id).Values would hold — and returns the
+	// extended slice with the slot width the values are spaced at. A tenant
+	// the source has no history for appends nothing.
+	AppendWindow(id ID, dst []float64) (window []float64, interval time.Duration)
+}
+
 // TraceHistory is the trace-backed HistorySource: each tenant's generated
 // one-month series replayed cyclically, with AsOf marking the current
 // position. This is exactly the pre-refactor behaviour of the serving layer
