@@ -3,8 +3,9 @@
 // index and the benchmark-to-figure mapping). Each benchmark runs the
 // corresponding experiment at a small scale and reports the headline metric
 // via b.ReportMetric so `go test -bench` output doubles as the results table.
-// The hot-path microbenchmarks live in micro_bench_test.go and their recorded
-// before/after numbers in BENCH_PR1.json.
+// The simulators' hot loops are benchmarked in the packages that own them
+// (internal/simulator, internal/hdfssim, internal/yarnsim); the serving stack's
+// numbers come from BENCHMARK.json / `bash bench/run.sh`.
 package harvest_test
 
 import (

@@ -1,134 +1,66 @@
-// Command loadgen is a load generator for harvestd: N workers each drive a
-// private keep-alive connection, drawing operations from a configurable mix
-// of select / release / renew / place / classes / server-class queries, and
-// report throughput and latency percentiles at the end.
+// Command loadgen drives a harvestd, or a harvestrouter fronting a fleet of
+// them, with the paper's own traffic. It is three programs over
+// internal/loadgen (DESIGN.md "Load driver"), chosen by flag:
 //
-// Selects reserve cores server-side and return a lease; each worker holds
-// its leases in a pool the release operation drains (oldest first), so the
-// default mix exercises the allocation ledger's full select → hold → release
-// cycle and the books balance at the end of a run (leases the run leaves
-// behind are released in a post-measurement drain, or age out via the
-// server's lease TTL).
-//
-// Two pacing modes:
-//
-//   - Closed loop (default): each worker keeps a window of -pipeline requests
-//     outstanding; this measures capacity.
-//   - Open loop (-rate N): requests are scheduled at fixed instants (N per
-//     second spread across workers) regardless of how fast the server
-//     responds, and each latency is measured from the request's *scheduled*
-//     time, not its send time — the coordinated-omission-safe way to measure
-//     latency under a target load. A server that falls behind sees queueing
-//     delay show up in the percentiles instead of silently stretching the
-//     schedule.
-//
-// Usage:
+// The query load generator (default): -workers connections each draw
+// operations from -mix — select / dryselect / release / renew / place /
+// classes / server — and report throughput and latency percentiles. Selects
+// reserve cores and return a lease; each connection holds its leases in a pool
+// the release op drains oldest first, so the default mix exercises the
+// allocation ledger's full select → hold → release cycle, and the leases a run
+// leaves behind are released after the measurement so the target's books
+// balance.
 //
 //	loadgen [-target http://127.0.0.1:7077] [-workers 2] [-pipeline 64]
 //	        [-duration 5s] [-rate 0] [-wait 0] [-proto json|binary]
 //	        [-mix select=30,release=25,renew=5,place=30,classes=5,server=5]
-//	        [-json] [-out report.json]
+//	        [-seed 1] [-json]
 //
-// -proto binary drives the same mix over the length-prefixed binary frame
-// dialect (internal/wire) instead of HTTP/JSON. Discovery stays on the JSON
-// control plane: the target's /v1/datacenters must advertise binary_addr (a
-// harvestd started with -binary-addr, or a harvestrouter with
-// -binary-listen), and the query connections dial that address. Both pacing
-// modes work over either protocol.
+// Closed loop (default) keeps -pipeline requests outstanding per connection
+// and measures capacity. Open loop (-rate N) schedules N requests a second
+// across the connections regardless of how fast replies come, and measures
+// each latency from the request's scheduled time — the
+// coordinated-omission-safe way to measure latency under a target load.
+// -proto binary speaks internal/wire's frames to the listener the target
+// advertises as binary_addr (harvestd -binary-addr, harvestrouter
+// -binary-listen); discovery stays on the JSON control plane. -wait covers
+// fleet start-up, when a router lists no datacenters until its backends
+// register.
 //
-// The target can equally be a harvestrouter front end: leases round-trip
-// through the router unchanged (the select response names the owning
-// datacenter, and the release posts back to it), so the full select → hold →
-// release cycle lands on the owning shard. -wait covers fleet startup, when
-// the router lists no datacenters until its backends register.
-//
-// With -telemetry it instead becomes a live-telemetry emitter: it
-// regenerates the server's tenant populations locally (same -scale/-seed as
-// the harvestd it targets — population generation is deterministic) and
+// The telemetry emitter (-telemetry) regenerates the target's tenant
+// populations locally — same -scale/-seed as the harvestd it targets — and
 // replays each tenant's trace, one 2-minute slot per -emit-interval, as
-// POST /v1/{dc}/telemetry batches. This closes the loop on the daemon's
-// live ingestion path: the snapshots harvestd serves are then built from
-// samples that travelled through the ingest API, not from the bootstrap
-// window.
+// POST /v1/{dc}/telemetry batches.
 //
 //	loadgen -telemetry [-target ...] [-duration 10s] [-emit-interval 200ms]
-//	        [-scale 0.05] [-seed 1] [-json]
+//	        [-scale 0.05] [-seed 1] [-wait 0] [-json]
 //
-// With -storage it becomes a reimaging-wave driver for the block-placement
-// ledger: it places -blocks R-replicated blocks per datacenter through
-// POST /v1/{dc}/blocks, regenerates the tenant population locally (same
-// -scale/-seed as the target) to learn each server's tenant reimage rate,
-// reimages -reimage-fraction of each datacenter's servers (rate-weighted
-// sampling without replacement, biased to include replica holders so the
-// repair path always runs — placement avoids reimage-heavy servers, so a
-// pure rate-weighted wave could land entirely on empty ones and prove
-// nothing), then polls /metrics until the books quiesce: every lost replica
-// re-placed, nothing pending. The exit report carries the server's ledger
-// books verbatim, so CI asserts exact conservation — placed + pending ==
-// replica slots, lost == replaced + pending — with jq, no tolerance. Target
-// a harvestd directly: the quiesce poll reads the node's own /metrics books.
+// The reimaging-wave driver (-storage) places -blocks R-replicated blocks per
+// datacenter, reimages -reimage-fraction of each datacenter's servers
+// (weighted by their tenants' reimage rates, biased to replica holders), then
+// polls /metrics until re-replication has drained the pending books. Its
+// report carries the target's block books verbatim, so CI asserts exact
+// conservation with jq. Target a harvestd directly.
 //
 //	loadgen -storage [-target ...] [-blocks 200] [-replication 3]
 //	        [-reimage-fraction 0.1] [-quiesce-timeout 60s]
-//	        [-ingest-token secret] [-scale 0.05] [-seed 1] [-json]
+//	        [-ingest-token secret] [-scale 0.05] [-seed 1] [-wait 0] [-json]
 //
-// The client deliberately bypasses net/http: requests are preserialized byte
-// slices written through a raw TCP connection and responses are parsed with a
-// minimal HTTP/1.1 reader, so a single core can drive the server well past
-// the throughput a stock client reaches. Latency is measured per request
-// from the moment it is enqueued into the pipeline window, so pipelining
-// shows up in the percentiles rather than hiding in them. Server IDs for
-// server-class queries are seeded from each class's example server and
-// replenished from the replicas returned by place responses, keeping the loop
-// closed end-to-end.
+// -json prints the report as JSON (redirect it to keep it).
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"math"
-	"math/rand"
-	"net"
-	"net/http"
-	"net/url"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"harvest/internal/blockledger"
-	"harvest/internal/experiments"
+	"harvest/internal/loadgen"
 	"harvest/internal/obs"
-	"harvest/internal/service"
-	"harvest/internal/tenant"
-	"harvest/internal/timeseries"
-	"harvest/internal/wire"
 )
 
-type op int
-
-const (
-	opSelect op = iota
-	opDrySelect
-	opRelease
-	opRenew
-	opPlace
-	opClasses
-	opServer
-	numOps
-)
-
-var opNames = [numOps]string{"select", "dryselect", "release", "renew", "place", "classes", "server"}
-
-// logger covers the pre-run setup path (flag validation, discovery); the
-// measured loop itself never logs.
 var logger = obs.NewLogger("loadgen")
 
 func main() {
@@ -151,1429 +83,87 @@ func main() {
 	reimageFraction := flag.Float64("reimage-fraction", 0.1, "storage mode: fraction of each datacenter's servers the reimaging wave hits")
 	quiesceTimeout := flag.Duration("quiesce-timeout", 60*time.Second, "storage mode: how long to wait for re-replication to drain the pending books")
 	ingestToken := flag.String("ingest-token", "", "storage mode: bearer token for POST /v1/{dc}/reimage (the target's -ingest-token)")
-	out := flag.String("out", "", "also write the JSON report, with the full latency bucket vector and run config, to this file")
 	flag.Parse()
 
-	baseURL, addr, err := parseTarget(*target)
-	if err != nil {
-		obs.Fatal(logger, "bad target", "target", *target, "err", err)
-	}
-	if *telemetry && *storage {
+	switch {
+	case *telemetry && *storage:
 		obs.Fatal(logger, "-telemetry and -storage are mutually exclusive")
-	}
-	if *telemetry {
-		runTelemetryEmitter(baseURL, *scale, *seed, *duration, *emitInterval, *wait, *jsonOut)
-		return
-	}
-	if *storage {
-		runStorageWave(baseURL, storageCfg{
-			blocks:      *blocks,
-			replication: *replication,
-			fraction:    *reimageFraction,
-			ingestToken: *ingestToken,
-			scale:       *scale,
-			seed:        *seed,
-			wait:        *wait,
-			quiesce:     *quiesceTimeout,
-			out:         *out,
-		}, *jsonOut)
-		return
-	}
-
-	weights, err := parseMix(*mix)
-	if err != nil {
-		obs.Fatal(logger, "bad -mix", "mix", *mix, "err", err)
-	}
-	if *proto != "json" && *proto != "binary" {
-		obs.Fatal(logger, "-proto must be json or binary", "proto", *proto)
-	}
-	dcs, err := fetchSetupWait(baseURL, *wait)
-	if err != nil {
-		obs.Fatal(logger, "discovery failed", "target", baseURL, "err", err)
-	}
-	if *proto == "binary" {
-		// Capability discovery rides the JSON control plane; only the query
-		// connections switch dialects.
-		binAddr, err := retryUntil(*wait, func() (string, error) { return discoverBinaryAddr(baseURL) })
-		if err != nil {
-			obs.Fatal(logger, "binary discovery failed", "target", baseURL, "err", err)
-		}
-		addr = binAddr
-	}
-	if *pipeline < 1 {
-		*pipeline = 1
-	}
-
-	results := make([]*workerStats, *workers)
-	// Two barriers: runWG closes the measured clock the moment every worker's
-	// schedule (and its in-flight window) finishes; drainWG additionally
-	// covers the post-run lease drain. The drain is bookkeeping — releasing
-	// leases so the server's ledger balances — and must not stretch the wall
-	// time QPS divides by.
-	var runWG, drainWG sync.WaitGroup
-	start := time.Now()
-	deadline := start.Add(*duration)
-	for i := 0; i < *workers; i++ {
-		// Frame id i+1: nonzero and unique per worker, so binary-dialect
-		// traces in the server's /debug/traces ring correlate back to the
-		// worker that sent them (the JSON dialect gets the same linkage from
-		// the X-Harvest-Trace response header).
-		w := newWorker(addr, *proto == "binary", dcs, weights, *pipeline, uint64(i+1),
-			rand.New(rand.NewSource(*seed+int64(i))))
-		results[i] = &w.stats
-		runWG.Add(1)
-		drainWG.Add(1)
-		go func(i int) {
-			defer drainWG.Done()
-			if *rate > 0 {
-				// Worker i owns schedule ticks i, i+W, i+2W, … of the global
-				// 1/rate grid, so the union is exactly -rate requests/second.
-				interval := time.Duration(float64(*workers) / *rate * float64(time.Second))
-				w.runOpen(start.Add(time.Duration(float64(i)/(*rate)*float64(time.Second))), deadline, interval)
-			} else {
-				w.run(deadline)
-			}
-			runWG.Done()
-			w.drainLeases()
-		}(i)
-	}
-	runWG.Wait()
-	// Workers drain their in-flight window past the deadline, so throughput
-	// divides by the measured wall time — captured here, before the lease
-	// drain starts its own (unmeasured) connections.
-	elapsed := time.Since(start)
-	drainWG.Wait()
-	report(results, runConfig{
-		target:   baseURL,
-		proto:    *proto,
-		workers:  *workers,
-		pipeline: *pipeline,
-		rate:     *rate,
-		mix:      *mix,
-		seed:     *seed,
-		out:      *out,
-	}, elapsed, *jsonOut)
-}
-
-// parseMix turns "select=40,place=40,..." into per-op weights. A repeated
-// name overrides its earlier entry, so the total is validated over the final
-// weights, not the entries.
-func parseMix(s string) ([numOps]int, error) {
-	var weights [numOps]int
-	for _, part := range strings.Split(s, ",") {
-		if part == "" {
-			continue
-		}
-		name, value, ok := strings.Cut(part, "=")
-		if !ok {
-			return weights, fmt.Errorf("bad mix entry %q (want name=weight)", part)
-		}
-		w, err := strconv.Atoi(value)
-		if err != nil || w < 0 {
-			return weights, fmt.Errorf("bad mix weight %q", part)
-		}
-		found := false
-		for i, n := range opNames {
-			if n == name {
-				weights[i] = w
-				found = true
-			}
-		}
-		if !found {
-			return weights, fmt.Errorf("unknown mix operation %q (want select, release, renew, place, classes, server)", name)
-		}
-	}
-	total := 0
-	for _, w := range weights {
-		total += w
-	}
-	if total == 0 {
-		return weights, fmt.Errorf("mix selects no operations")
-	}
-	return weights, nil
-}
-
-func parseTarget(s string) (baseURL, addr string, err error) {
-	if !strings.Contains(s, "://") {
-		s = "http://" + s
-	}
-	u, err := url.Parse(s)
-	if err != nil {
-		return "", "", fmt.Errorf("bad target %q: %v", s, err)
-	}
-	host := u.Host
-	if u.Port() == "" {
-		host += ":80"
-	}
-	return strings.TrimSuffix(u.String(), "/"), host, nil
-}
-
-// retryUntil retries fn every half second until it succeeds or the wait
-// budget runs out, returning the last result — the one retry policy behind
-// every discovery path. Against a harvestrouter front end the datacenter
-// list is empty (and the per-DC probes 503) until its backends have
-// registered, so a loadgen launched alongside the fleet needs a grace
-// window, not a crash.
-func retryUntil[T any](wait time.Duration, fn func() (T, error)) (T, error) {
-	deadline := time.Now().Add(wait)
-	for {
-		v, err := fn()
-		if err == nil || time.Now().After(deadline) {
-			return v, err
-		}
-		time.Sleep(500 * time.Millisecond)
-	}
-}
-
-// fetchSetupWait runs the initial discovery under the -wait grace window.
-// "Ready" means the target lists at least one datacenter and its probes
-// answer — loadgen cannot know a fleet's intended size, so orchestration
-// that needs every backend registered before the run should gate on
-// /v1/datacenters itself (the CI router-smoke job does exactly that).
-func fetchSetupWait(baseURL string, wait time.Duration) ([]dcSetup, error) {
-	return retryUntil(wait, func() ([]dcSetup, error) { return fetchSetup(baseURL) })
-}
-
-// discoverDatacenters is the shared single-shot discovery step: the served
-// datacenter list, with an empty list reported as an error so retry loops
-// treat "router up, no backends yet" as not-ready.
-func discoverDatacenters(baseURL string) ([]string, error) {
-	var dcl struct {
-		Datacenters []string `json:"datacenters"`
-	}
-	if err := getJSON(baseURL+"/v1/datacenters", &dcl); err != nil {
-		return nil, err
-	}
-	if len(dcl.Datacenters) == 0 {
-		return nil, fmt.Errorf("server lists no datacenters")
-	}
-	return dcl.Datacenters, nil
-}
-
-// discoverBinaryAddr reads the target's advertised binary frame listener
-// from the JSON control plane. Its absence is an error in -proto binary:
-// the operator asked for a dialect the target does not serve.
-func discoverBinaryAddr(baseURL string) (string, error) {
-	var dcl struct {
-		BinaryAddr string `json:"binary_addr"`
-	}
-	if err := getJSON(baseURL+"/v1/datacenters", &dcl); err != nil {
-		return "", err
-	}
-	if dcl.BinaryAddr == "" {
-		return "", fmt.Errorf("target does not advertise a binary listener (start harvestd with -binary-addr or harvestrouter with -binary-listen)")
-	}
-	return dcl.BinaryAddr, nil
-}
-
-// dcSetup is what the generator learns about one datacenter up front.
-type dcSetup struct {
-	name    string
-	servers []int64 // seed pool for server-class queries
-}
-
-// fetchSetup discovers the served datacenters and each class's example
-// server with a plain net/http client (off the measured path).
-func fetchSetup(baseURL string) ([]dcSetup, error) {
-	names, err := discoverDatacenters(baseURL)
-	if err != nil {
-		return nil, err
-	}
-	var dcs []dcSetup
-	for _, dc := range names {
-		var classes struct {
-			Classes []struct {
-				ExampleServer int64 `json:"example_server"`
-			} `json:"classes"`
-		}
-		if err := getJSON(baseURL+"/v1/"+dc+"/classes", &classes); err != nil {
-			return nil, err
-		}
-		setup := dcSetup{name: dc}
-		for _, c := range classes.Classes {
-			if c.ExampleServer >= 0 {
-				setup.servers = append(setup.servers, c.ExampleServer)
-			}
-		}
-		dcs = append(dcs, setup)
-	}
-	return dcs, nil
-}
-
-// httpClient bounds every off-measured-path HTTP call (setup fetches,
-// telemetry POSTs): a hung server must fail the run, not stall it past
-// -duration — the same property the query path gets from its raw-conn
-// deadlines.
-var httpClient = &http.Client{Timeout: 10 * time.Second}
-
-func getJSON(url string, v any) error {
-	resp, err := httpClient.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: %s", url, resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
-}
-
-// workerStats accumulates one worker's results; merged after the run.
-// requests/errors are only ever touched by the goroutine that reads
-// responses, but transport is bumped by both the open-loop scheduler (write
-// failures) and its reader (read failures), so it is atomic.
-type workerStats struct {
-	requests  [numOps]uint64
-	errors    [numOps]uint64
-	transport atomic.Uint64 // connection-level failures (reconnects)
-	latency   service.Histogram
-
-	// trace is the 16-hex-digit trace id of the worker's most recent traced
-	// request — the X-Harvest-Trace header of the last parsed JSON response,
-	// or (binary dialect) the worker's fixed frame id, set once at
-	// construction. A zero first byte means no trace was ever seen. Only the
-	// response-reading goroutine writes it; the report reads it after the
-	// run barrier.
-	trace [16]byte
-
-	// backends counts responses per serving replica, from the router's
-	// X-Harvest-Backend response header (JSON dialect; a direct harvestd
-	// target never sets it, and the binary relay has no header to carry it).
-	// Only the response-reading goroutine writes it; the report reads it
-	// after the run barrier.
-	backends backendTally
-}
-
-// backendTally counts responses by the backend id that served them. A run
-// sees a handful of replicas at most, so a linear scan over byte-compared
-// names beats a map: the hot path allocates only on a backend's first
-// response.
-type backendTally struct {
-	names  []string
-	counts []uint64
-}
-
-func (t *backendTally) bump(name []byte) {
-	if len(name) == 0 {
-		return
-	}
-	for i, n := range t.names {
-		if string(name) == n { // comparison only; no allocation
-			t.counts[i]++
-			return
-		}
-	}
-	t.names = append(t.names, string(name))
-	t.counts = append(t.counts, 1)
-}
-
-// inflight is one pipelined request awaiting its response. dc is the index
-// into worker.dcs the request targeted — the binary dialect's responses do
-// not name their datacenter (the JSON ones do), so lease and server
-// harvesting resolves the DC through the window entry instead.
-type inflight struct {
-	op     op
-	dc     int
-	sentAt time.Time
-}
-
-type worker struct {
-	addr       string
-	bin        bool // drive the binary frame dialect instead of HTTP/JSON
-	dcs        []dcSetup
-	rng        *rand.Rand
-	depth      int
-	opTable    []op // weighted op lookup table
-	stats      workerStats
-	selects    map[string][][]byte // preserialized select requests per DC
-	dryselects map[string][][]byte // preserialized dry-run (advisory) selects per DC
-	places     map[string][]byte   // preserialized place request per DC
-	classes    map[string][]byte   // preserialized classes request per DC
-
-	// mu guards pool and held: in open-loop mode the response reader
-	// (harvest) and the scheduler (pick) are different goroutines. The
-	// closed loop is single-goroutine, so the mutex is uncontended there.
-	mu   sync.Mutex
-	pool map[string][]int64  // live server-id pool per DC
-	held map[string][]uint64 // outstanding lease ids per DC (select → hold → release)
-
-	frameID uint64 // binary dialect: this worker's frame id (nonzero, unique per worker)
-
-	conn        net.Conn
-	br          *bufio.Reader
-	bw          *bufio.Writer
-	reqBuf      []byte
-	bodyScratch []byte
-	bodyBuf     []byte
-	window      []inflight
-	deadline    time.Time
-
-	// Binary-dialect decode scratch: the typed decoders reuse their slices,
-	// so steady-state response parsing allocates nothing.
-	selResp   wire.SelectResp
-	placeResp wire.PlaceResp
-}
-
-func newWorker(addr string, bin bool, dcs []dcSetup, weights [numOps]int, depth int, frameID uint64, rng *rand.Rand) *worker {
-	w := &worker{
-		addr:       addr,
-		bin:        bin,
-		dcs:        dcs,
-		rng:        rng,
-		depth:      depth,
-		frameID:    frameID,
-		selects:    make(map[string][][]byte, len(dcs)),
-		dryselects: make(map[string][][]byte, len(dcs)),
-		places:     make(map[string][]byte, len(dcs)),
-		classes:    make(map[string][]byte, len(dcs)),
-		pool:       make(map[string][]int64, len(dcs)),
-		held:       make(map[string][]uint64, len(dcs)),
-		bodyBuf:    make([]byte, 0, 1<<16),
-	}
-	for i := op(0); i < numOps; i++ {
-		for j := 0; j < weights[i]; j++ {
-			w.opTable = append(w.opTable, i)
-		}
-	}
-	if bin {
-		// Every one of this worker's frames carries its fixed id: pipelined
-		// responses return in order, so the id disambiguates nothing on the
-		// wire — but the servers adopt it as the trace id, which is what
-		// makes a worker's requests findable in /debug/traces.
-		copy(w.stats.trace[:], obs.FormatTraceID(frameID))
-	}
-	coreSizes := []int{2, 8, 32, 128}
-	for _, dc := range dcs {
-		// A spread of select shapes: every job type at several demand sizes.
-		if bin {
-			for _, job := range []uint8{wire.JobShort, wire.JobMedium, wire.JobLong} {
-				for _, cores := range coreSizes {
-					w.selects[dc.name] = append(w.selects[dc.name],
-						wire.AppendSelectReq(nil, frameID, dc.name, wire.SelectReq{Job: job, MaxCores: float64(cores)}))
-					w.dryselects[dc.name] = append(w.dryselects[dc.name],
-						wire.AppendSelectReq(nil, frameID, dc.name, wire.SelectReq{Job: job, MaxCores: float64(cores), Flags: wire.SelectFlagDryRun}))
-				}
-			}
-			w.places[dc.name] = wire.AppendPlaceReq(nil, frameID, dc.name, wire.PlaceReq{Replication: 3, Writer: -1})
-			w.classes[dc.name] = wire.AppendClassesReq(nil, frameID, dc.name)
-		} else {
-			for _, jt := range []string{"short", "medium", "long"} {
-				for _, cores := range coreSizes {
-					body := fmt.Sprintf(`{"job_type":%q,"max_concurrent_cores":%d}`, jt, cores)
-					w.selects[dc.name] = append(w.selects[dc.name],
-						buildRequest("POST", "/v1/"+dc.name+"/select", body))
-					dry := fmt.Sprintf(`{"job_type":%q,"max_concurrent_cores":%d,"dry_run":true}`, jt, cores)
-					w.dryselects[dc.name] = append(w.dryselects[dc.name],
-						buildRequest("POST", "/v1/"+dc.name+"/select", dry))
-				}
-			}
-			w.places[dc.name] = buildRequest("POST", "/v1/"+dc.name+"/place", `{"replication":3}`)
-			w.classes[dc.name] = buildRequest("GET", "/v1/"+dc.name+"/classes", "")
-		}
-		w.pool[dc.name] = append([]int64(nil), dc.servers...)
-	}
-	return w
-}
-
-func buildRequest(method, path, body string) []byte {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "%s %s HTTP/1.1\r\nHost: harvestd\r\n", method, path)
-	if body != "" {
-		fmt.Fprintf(&b, "Content-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
-	} else {
-		b.WriteString("\r\n")
-	}
-	return b.Bytes()
-}
-
-func (w *worker) connect() error {
-	conn, err := net.Dial("tcp", w.addr)
-	if err != nil {
-		return err
-	}
-	// A hard deadline a little past the run end: a stalled server fails the
-	// run instead of hanging it (and the CI smoke job) forever.
-	conn.SetDeadline(w.deadline.Add(10 * time.Second))
-	w.conn = conn
-	w.br = bufio.NewReaderSize(conn, 1<<16)
-	w.bw = bufio.NewWriterSize(conn, 1<<16)
-	w.window = w.window[:0]
-	return nil
-}
-
-func (w *worker) run(deadline time.Time) {
-	w.deadline = deadline
-	if err := w.connect(); err != nil {
-		w.stats.transport.Add(1)
-		return
-	}
-	defer w.conn.Close()
-	for time.Now().Before(deadline) {
-		// Fill the window, flush the batch, then drain it. One syscall pair
-		// per batch instead of per request is what buys the throughput.
-		for len(w.window) < w.depth {
-			if err := w.enqueue(); err != nil {
-				w.reconnect()
-				break
-			}
-		}
-		if err := w.bw.Flush(); err != nil {
-			w.reconnect()
-			continue
-		}
-		for len(w.window) > 0 {
-			if err := w.readOne(); err != nil {
-				w.reconnect()
-				break
-			}
-		}
-	}
-}
-
-func (w *worker) reconnect() {
-	w.stats.transport.Add(1)
-	w.conn.Close()
-	if err := w.connect(); err != nil {
-		// Give the server a beat before the run loop retries.
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// pickRequest draws the next operation from the mix and serializes it into
-// the worker's request buffer (or returns a preserialized one). A release
-// with no lease to release, or a server-class query with an empty server
-// pool, degrades to a classes query so the schedule never stalls. The
-// returned index names the targeted datacenter in w.dcs.
-func (w *worker) pickRequest() (op, int, []byte) {
-	o := w.opTable[w.rng.Intn(len(w.opTable))]
-	dci := w.rng.Intn(len(w.dcs))
-	dc := w.dcs[dci]
-	switch o {
-	case opSelect:
-		variants := w.selects[dc.name]
-		return o, dci, variants[w.rng.Intn(len(variants))]
-	case opDrySelect:
-		// Advisory: the server characterizes without reserving, so the
-		// response never feeds the lease pool and the request is safe on a
-		// read replica.
-		variants := w.dryselects[dc.name]
-		return o, dci, variants[w.rng.Intn(len(variants))]
-	case opRelease:
-		id, ok := w.popLease(dc.name)
-		if !ok {
-			return opClasses, dci, w.classes[dc.name]
-		}
-		return o, dci, w.buildReleaseRequest(dc.name, id)
-	case opRenew:
-		id, ok := w.peekLease(dc.name)
-		if !ok {
-			return opClasses, dci, w.classes[dc.name]
-		}
-		return o, dci, w.buildRenewRequest(dc.name, id)
-	case opPlace:
-		return o, dci, w.places[dc.name]
-	case opServer:
-		w.mu.Lock()
-		pool := w.pool[dc.name]
-		if len(pool) == 0 {
-			w.mu.Unlock()
-			return opClasses, dci, w.classes[dc.name]
-		}
-		id := pool[w.rng.Intn(len(pool))]
-		w.mu.Unlock()
-		if w.bin {
-			w.reqBuf = wire.AppendServerClassReq(w.reqBuf[:0], w.frameID, dc.name, id)
-			return o, dci, w.reqBuf
-		}
-		w.reqBuf = w.reqBuf[:0]
-		w.reqBuf = append(w.reqBuf, "GET /v1/"...)
-		w.reqBuf = append(w.reqBuf, dc.name...)
-		w.reqBuf = append(w.reqBuf, "/servers/"...)
-		w.reqBuf = strconv.AppendInt(w.reqBuf, id, 10)
-		w.reqBuf = append(w.reqBuf, "/class HTTP/1.1\r\nHost: harvestd\r\n\r\n"...)
-		return o, dci, w.reqBuf
-	}
-	return opClasses, dci, w.classes[dc.name]
-}
-
-// popLease takes the oldest held lease for a datacenter (FIFO, so holds have
-// a roughly uniform duration at a steady mix).
-func (w *worker) popLease(dc string) (uint64, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	held := w.held[dc]
-	if len(held) == 0 {
-		return 0, false
-	}
-	id := held[0]
-	copy(held, held[1:])
-	w.held[dc] = held[:len(held)-1]
-	return id, true
-}
-
-// peekLease reads the newest held lease for a datacenter without taking it —
-// a renew keeps the lease outstanding, so the later release still happens.
-// Newest first: releases drain oldest first, so the newest lease is the one
-// least likely to already have a release racing it through the pipeline.
-func (w *worker) peekLease(dc string) (uint64, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	held := w.held[dc]
-	if len(held) == 0 {
-		return 0, false
-	}
-	return held[len(held)-1], true
-}
-
-// maxHeldLeases caps the per-DC lease pool; a lease arriving at the cap is
-// simply forgotten and left to the server's TTL sweep (which the /metrics
-// books count as expired, keeping the invariant intact).
-const maxHeldLeases = 1 << 16
-
-// buildReleaseRequest serializes a release request into the worker's request
-// buffer — shared by the in-mix release op and the end-of-run drain.
-func (w *worker) buildReleaseRequest(dc string, id uint64) []byte {
-	if w.bin {
-		w.reqBuf = wire.AppendReleaseReq(w.reqBuf[:0], w.frameID, dc, id)
-		return w.reqBuf
-	}
-	w.bodyScratch = append(w.bodyScratch[:0], `{"lease":`...)
-	w.bodyScratch = strconv.AppendUint(w.bodyScratch, id, 10)
-	w.bodyScratch = append(w.bodyScratch, '}')
-	w.reqBuf = w.reqBuf[:0]
-	w.reqBuf = append(w.reqBuf, "POST /v1/"...)
-	w.reqBuf = append(w.reqBuf, dc...)
-	w.reqBuf = append(w.reqBuf, "/release HTTP/1.1\r\nHost: harvestd\r\nContent-Type: application/json\r\nContent-Length: "...)
-	w.reqBuf = strconv.AppendInt(w.reqBuf, int64(len(w.bodyScratch)), 10)
-	w.reqBuf = append(w.reqBuf, "\r\n\r\n"...)
-	w.reqBuf = append(w.reqBuf, w.bodyScratch...)
-	return w.reqBuf
-}
-
-// buildRenewRequest serializes a renew request into the worker's request
-// buffer. The 30-second hold is long enough that a renewed lease never
-// expires mid-run but short enough that leaked leases age out quickly after.
-func (w *worker) buildRenewRequest(dc string, id uint64) []byte {
-	if w.bin {
-		w.reqBuf = wire.AppendRenewReq(w.reqBuf[:0], w.frameID, dc,
-			wire.RenewReq{Lease: id, HoldMillis: 30_000})
-		return w.reqBuf
-	}
-	w.bodyScratch = append(w.bodyScratch[:0], `{"lease":`...)
-	w.bodyScratch = strconv.AppendUint(w.bodyScratch, id, 10)
-	w.bodyScratch = append(w.bodyScratch, `,"hold_seconds":30}`...)
-	w.reqBuf = w.reqBuf[:0]
-	w.reqBuf = append(w.reqBuf, "POST /v1/"...)
-	w.reqBuf = append(w.reqBuf, dc...)
-	w.reqBuf = append(w.reqBuf, "/renew HTTP/1.1\r\nHost: harvestd\r\nContent-Type: application/json\r\nContent-Length: "...)
-	w.reqBuf = strconv.AppendInt(w.reqBuf, int64(len(w.bodyScratch)), 10)
-	w.reqBuf = append(w.reqBuf, "\r\n\r\n"...)
-	w.reqBuf = append(w.reqBuf, w.bodyScratch...)
-	return w.reqBuf
-}
-
-// harvestLease pulls the lease id out of a select response and adds it to
-// the held pool for a later release.
-func (w *worker) harvestLease(body []byte) {
-	i := bytes.Index(body, []byte(`"lease":`))
-	if i < 0 {
-		return // dry-run or unsatisfiable select: nothing reserved
-	}
-	i += len(`"lease":`)
-	var id uint64
-	start := i
-	for i < len(body) && body[i] >= '0' && body[i] <= '9' {
-		id = id*10 + uint64(body[i]-'0')
-		i++
-	}
-	if i == start || id == 0 {
-		return
-	}
-	// Resolve the DC by comparing against the known names — no allocation.
-	dcStart := bytes.Index(body, []byte(`"datacenter":"`))
-	if dcStart < 0 {
-		return
-	}
-	dcStart += len(`"datacenter":"`)
-	dcEnd := bytes.IndexByte(body[dcStart:], '"')
-	if dcEnd < 0 {
-		return
-	}
-	raw := body[dcStart : dcStart+dcEnd]
-	for _, dc := range w.dcs {
-		if string(raw) == dc.name { // comparison only; no allocation
-			w.mu.Lock()
-			if len(w.held[dc.name]) < maxHeldLeases {
-				w.held[dc.name] = append(w.held[dc.name], id)
-			}
-			w.mu.Unlock()
-			return
-		}
-	}
-}
-
-// enqueue writes one request into the batch buffer and records it in the
-// window.
-func (w *worker) enqueue() error {
-	o, dci, req := w.pickRequest()
-	if _, err := w.bw.Write(req); err != nil {
-		return err
-	}
-	w.window = append(w.window, inflight{op: o, dc: dci, sentAt: time.Now()})
-	return nil
-}
-
-// readOne parses the next pipelined response, accounts it against the oldest
-// window entry, and feeds the server pool from place responses.
-func (w *worker) readOne() error {
-	entry := w.window[0]
-	var err error
-	if w.bin {
-		err = w.readOneBinary(entry)
-	} else {
-		err = w.readOneJSON(entry)
-	}
-	if err != nil {
-		return err
-	}
-	copy(w.window, w.window[1:])
-	w.window = w.window[:len(w.window)-1]
-	w.stats.latency.Observe(time.Since(entry.sentAt))
-	return nil
-}
-
-func (w *worker) readOneJSON(entry inflight) error {
-	status, body, err := readResponse(w.br, w.bodyBuf[:0], &w.stats.trace, &w.stats.backends)
-	if err != nil {
-		return err
-	}
-	w.bodyBuf = body[:0]
-	w.stats.requests[entry.op]++
-	if status >= 400 {
-		w.stats.errors[entry.op]++
-	} else if entry.op == opPlace {
-		w.harvestServers(body)
-	} else if entry.op == opSelect {
-		w.harvestLease(body)
-	}
-	return nil
-}
-
-// readOneBinary consumes one response frame. An error frame counts as an
-// error against the entry's op, mirroring the JSON path's status>=400.
-func (w *worker) readOneBinary(entry inflight) error {
-	h, payload, err := wire.ReadFrame(w.br, &w.bodyBuf)
-	if err != nil {
-		return err
-	}
-	w.stats.requests[entry.op]++
-	if h.Op == wire.OpError {
-		w.stats.errors[entry.op]++
-		return nil
-	}
-	switch entry.op {
-	case opSelect:
-		if w.selResp.Decode(payload) == nil && w.selResp.Lease != 0 {
-			w.holdLease(w.dcs[entry.dc].name, w.selResp.Lease)
-		}
-	case opPlace:
-		if w.placeResp.Decode(payload) == nil {
-			w.addServers(w.dcs[entry.dc].name, w.placeResp.Replicas)
-		}
-	}
-	return nil
-}
-
-// holdLease adds a reserved lease to the held pool for a later release.
-func (w *worker) holdLease(dc string, id uint64) {
-	w.mu.Lock()
-	if len(w.held[dc]) < maxHeldLeases {
-		w.held[dc] = append(w.held[dc], id)
-	}
-	w.mu.Unlock()
-}
-
-// addServers tops up the server pool the server-class queries draw from.
-func (w *worker) addServers(dc string, ids []int64) {
-	w.mu.Lock()
-	pool := w.pool[dc]
-	if len(pool) < 1024 {
-		pool = append(pool, ids...)
-		w.pool[dc] = pool
-	}
-	w.mu.Unlock()
-}
-
-// runOpen is the open-loop mode: requests fire at fixed scheduled instants
-// (first, first+interval, …) and each latency is measured from the
-// *scheduled* time, so a lagging server accumulates visible queueing delay
-// instead of silently slowing the schedule (coordinated omission). A reader
-// goroutine consumes responses; the scheduler never waits for them. Unlike
-// the closed loop, a broken connection fails the rest of the worker's
-// schedule loudly (counted as transport errors) rather than reconnecting —
-// a latency measurement with a hole in it should look like one.
-func (w *worker) runOpen(first, deadline time.Time, interval time.Duration) {
-	w.deadline = deadline
-	if err := w.connect(); err != nil {
-		w.stats.transport.Add(1)
-		return
-	}
-	defer w.conn.Close()
-	sched := make(chan inflight, 1<<16)
-	readerDone := make(chan struct{})
-	go func() {
-		defer close(readerDone)
-		bodyBuf := make([]byte, 0, 1<<16)
-		dead := false
-		for entry := range sched {
-			if dead {
-				w.stats.transport.Add(1)
-				continue
-			}
-			if w.bin {
-				h, payload, err := wire.ReadFrame(w.br, &bodyBuf)
-				if err != nil {
-					w.stats.transport.Add(1)
-					dead = true
-					continue
-				}
-				w.stats.requests[entry.op]++
-				if h.Op == wire.OpError {
-					w.stats.errors[entry.op]++
-				} else if entry.op == opSelect {
-					if w.selResp.Decode(payload) == nil && w.selResp.Lease != 0 {
-						w.holdLease(w.dcs[entry.dc].name, w.selResp.Lease)
-					}
-				} else if entry.op == opPlace {
-					if w.placeResp.Decode(payload) == nil {
-						w.addServers(w.dcs[entry.dc].name, w.placeResp.Replicas)
-					}
-				}
-				w.stats.latency.Observe(time.Since(entry.sentAt))
-				continue
-			}
-			status, body, err := readResponse(w.br, bodyBuf[:0], &w.stats.trace, &w.stats.backends)
-			if err != nil {
-				w.stats.transport.Add(1)
-				dead = true
-				continue
-			}
-			bodyBuf = body[:0]
-			w.stats.requests[entry.op]++
-			if status >= 400 {
-				w.stats.errors[entry.op]++
-			} else if entry.op == opPlace {
-				w.harvestServers(body)
-			} else if entry.op == opSelect {
-				w.harvestLease(body)
-			}
-			w.stats.latency.Observe(time.Since(entry.sentAt))
-		}
-	}()
-	for next := first; next.Before(deadline); next = next.Add(interval) {
-		if d := time.Until(next); d > 0 {
-			time.Sleep(d)
-		}
-		o, dci, req := w.pickRequest()
-		if _, err := w.bw.Write(req); err != nil {
-			w.stats.transport.Add(1)
-			break
-		}
-		if err := w.bw.Flush(); err != nil {
-			w.stats.transport.Add(1)
-			break
-		}
-		// Latency clock starts at the scheduled instant, not the send.
-		sched <- inflight{op: o, dc: dci, sentAt: next}
-	}
-	close(sched)
-	<-readerDone
-}
-
-// drainLeases releases every lease the run still holds, off the measured
-// path, over a fresh pipelined connection. Leases it cannot release (e.g.
-// the server is gone) age out via the server-side TTL, so the ledger books
-// still balance.
-func (w *worker) drainLeases() {
-	total := 0
-	w.mu.Lock()
-	for _, ids := range w.held {
-		total += len(ids)
-	}
-	w.mu.Unlock()
-	if total == 0 {
-		return
-	}
-	w.deadline = time.Now().Add(20 * time.Second)
-	if err := w.connect(); err != nil {
-		w.stats.transport.Add(1)
-		return
-	}
-	defer w.conn.Close()
-	inFlight := 0
-	readAll := func() bool {
-		if err := w.bw.Flush(); err != nil {
-			w.stats.transport.Add(1)
-			return false
-		}
-		for ; inFlight > 0; inFlight-- {
-			if w.bin {
-				if _, _, err := wire.ReadFrame(w.br, &w.bodyBuf); err != nil {
-					w.stats.transport.Add(1)
-					return false
-				}
-				continue
-			}
-			if _, body, err := readResponse(w.br, w.bodyBuf[:0], nil, nil); err != nil {
-				w.stats.transport.Add(1)
-				return false
-			} else {
-				w.bodyBuf = body[:0]
-			}
-		}
-		return true
-	}
-	for _, dc := range w.dcs {
-		for {
-			id, ok := w.popLease(dc.name)
-			if !ok {
-				break
-			}
-			if _, err := w.bw.Write(w.buildReleaseRequest(dc.name, id)); err != nil {
-				w.stats.transport.Add(1)
-				return
-			}
-			if inFlight++; inFlight >= w.depth {
-				if !readAll() {
-					return
-				}
-			}
-		}
-	}
-	readAll()
-}
-
-// harvestServers pulls replica IDs out of a place response body (a
-// hand-rolled scan — the hot loop never touches encoding/json) and tops up
-// the server pool the server-class queries draw from.
-func (w *worker) harvestServers(body []byte) {
-	i := bytes.Index(body, []byte(`"replicas":[`))
-	if i < 0 {
-		return
-	}
-	dcStart := bytes.Index(body, []byte(`"datacenter":"`))
-	if dcStart < 0 {
-		return
-	}
-	dcStart += len(`"datacenter":"`)
-	dcEnd := bytes.IndexByte(body[dcStart:], '"')
-	if dcEnd < 0 {
-		return
-	}
-	dc := string(body[dcStart : dcStart+dcEnd])
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	pool := w.pool[dc]
-	if len(pool) >= 1024 {
-		return
-	}
-	i += len(`"replicas":[`)
-	for i < len(body) && body[i] != ']' {
-		var id int64
-		start := i
-		for i < len(body) && body[i] >= '0' && body[i] <= '9' {
-			id = id*10 + int64(body[i]-'0')
-			i++
-		}
-		if i > start {
-			pool = append(pool, id)
-		} else {
-			// Anything but a bare non-negative integer: give up on this body
-			// rather than spinning on a byte the scanner doesn't consume.
-			break
-		}
-		if i < len(body) && body[i] == ',' {
-			i++
-		}
-	}
-	w.pool[dc] = pool
-}
-
-var (
-	statusPrefix  = []byte("HTTP/1.1 ")
-	contentLenHdr = []byte("Content-Length: ")
-	traceHdr      = []byte(obs.TraceHeader + ": ")
-	backendHdr    = []byte("X-Harvest-Backend: ")
-)
-
-// readResponse parses one HTTP/1.1 response with an explicit Content-Length
-// (which harvestd guarantees) and returns the status code and body. It reads
-// header lines with ReadSlice, so the per-response hot path allocates nothing
-// once the body buffer has grown to its steady-state size. When trace is
-// non-nil and the response carries an X-Harvest-Trace header of the expected
-// width, its value is copied in — each response overwrites the last, so the
-// caller ends the run holding its most recent trace id. When backends is
-// non-nil, an X-Harvest-Backend header (the router naming the replica that
-// served the request) bumps that backend's tally.
-func readResponse(br *bufio.Reader, bodyBuf []byte, trace *[16]byte, backends *backendTally) (int, []byte, error) {
-	line, err := br.ReadSlice('\n')
-	if err != nil {
-		return 0, nil, err
-	}
-	if len(line) < 12 || !bytes.HasPrefix(line, statusPrefix) {
-		return 0, nil, fmt.Errorf("malformed status line %q", line)
-	}
-	status := 0
-	for _, c := range line[9:12] {
-		if c < '0' || c > '9' {
-			return 0, nil, fmt.Errorf("malformed status in %q", line)
-		}
-		status = status*10 + int(c-'0')
-	}
-	contentLength := -1
-	for {
-		line, err = br.ReadSlice('\n')
-		if err != nil {
-			return 0, nil, err
-		}
-		if len(line) == 2 && line[0] == '\r' {
-			break
-		}
-		if bytes.HasPrefix(line, contentLenHdr) {
-			contentLength = 0
-			for _, c := range bytes.TrimSpace(line[len(contentLenHdr):]) {
-				if c < '0' || c > '9' {
-					return 0, nil, fmt.Errorf("malformed Content-Length %q", line)
-				}
-				contentLength = contentLength*10 + int(c-'0')
-			}
-		} else if trace != nil && bytes.HasPrefix(line, traceHdr) {
-			if v := bytes.TrimSpace(line[len(traceHdr):]); len(v) == len(trace) {
-				copy(trace[:], v)
-			}
-		} else if backends != nil && bytes.HasPrefix(line, backendHdr) {
-			backends.bump(bytes.TrimSpace(line[len(backendHdr):]))
-		}
-	}
-	if contentLength < 0 {
-		return 0, nil, fmt.Errorf("response without Content-Length")
-	}
-	if cap(bodyBuf) < contentLength {
-		bodyBuf = make([]byte, contentLength)
-	}
-	bodyBuf = bodyBuf[:contentLength]
-	if _, err := io.ReadFull(br, bodyBuf); err != nil {
-		return 0, nil, err
-	}
-	return status, bodyBuf, nil
-}
-
-// dcReplay is the emitter's state for one datacenter: the locally
-// regenerated population and the replay position on the telemetry clock.
-type dcReplay struct {
-	name   string
-	pop    *tenant.Population
-	offset time.Duration // next slot's telemetry offset
-}
-
-// runTelemetryEmitter replays each tenant's trace into harvestd's ingestion
-// endpoint, one 2-minute slot per emit interval across all datacenters, and
-// reports how many samples landed. The population is regenerated locally
-// from the same (scale, seed) the daemon booted with, so the emitted values
-// are exactly the continuation of the trace the daemon's rings were
-// bootstrapped from; offsets past the one-month trace wrap around, matching
-// the cyclic-replay convention everywhere else in the repo.
-func runTelemetryEmitter(baseURL string, scale float64, seed int64, duration, interval, wait time.Duration, jsonOut bool) {
-	// Discovery honors the same -wait grace window (and readiness bar) as
-	// the query path: a router front end lists no datacenters until its
-	// backends register.
-	names, err := retryUntil(wait, func() ([]string, error) { return discoverDatacenters(baseURL) })
-	if err != nil {
-		obs.Fatal(logger, "discovery failed", "target", baseURL, "err", err)
-	}
-	replays := make([]*dcReplay, 0, len(names))
-	for _, dc := range names {
-		pop, _, err := experiments.BuildPopulation(dc, experiments.Scale{Datacenter: scale, Seed: seed})
-		if err != nil {
-			obs.Fatal(logger, "regenerating population failed", "dc", dc, "err", err)
-		}
-		// Resume the replay where the daemon's bootstrap window ends.
-		var classes struct {
-			AsOfSeconds float64 `json:"as_of_seconds"`
-		}
-		if err := getJSON(baseURL+"/v1/"+dc+"/classes", &classes); err != nil {
-			obs.Fatal(logger, "reading classes failed", "dc", dc, "err", err)
-		}
-		replays = append(replays, &dcReplay{
-			name:   dc,
-			pop:    pop,
-			offset: time.Duration(classes.AsOfSeconds*float64(time.Second)) + timeseries.SlotDuration,
+	case *telemetry:
+		rep, err := loadgen.Emit(loadgen.EmitConfig{
+			Target: *target, Scale: *scale, Seed: *seed,
+			Duration: *duration, Interval: *emitInterval, Wait: *wait,
 		})
+		finish(rep, err, *jsonOut, printEmit)
+	case *storage:
+		rep, err := loadgen.Wave(loadgen.WaveConfig{
+			Target: *target, Blocks: *blocks, Replication: *replication,
+			ReimageFraction: *reimageFraction, IngestToken: *ingestToken,
+			Scale: *scale, Seed: *seed, Wait: *wait, QuiesceTimeout: *quiesceTimeout,
+		})
+		finish(rep, err, *jsonOut, printWave)
+	default:
+		rep, err := loadgen.Run(loadgen.Config{
+			Target: *target, Proto: *proto, Workers: *workers, Pipeline: *pipeline,
+			Duration: *duration, Rate: *rate, Mix: *mix, Seed: *seed, Wait: *wait,
+		})
+		finish(rep, err, *jsonOut, printRun)
 	}
+}
 
-	type emitReport struct {
-		Mode            string  `json:"mode"`
-		DurationSeconds float64 `json:"duration_seconds"`
-		Datacenters     int     `json:"datacenters"`
-		Batches         uint64  `json:"batches"`
-		Samples         uint64  `json:"samples"`
-		Rejected        uint64  `json:"rejected"`
-		Errors          uint64  `json:"errors"`
+// finish prints a run's report, as JSON or as text, or its failure.
+func finish[R any](rep *R, err error, jsonOut bool, text func(*R)) {
+	if err != nil {
+		obs.Fatal(logger, "run failed", "err", err)
 	}
-	var rep emitReport
-	rep.Mode = "telemetry"
-	rep.Datacenters = len(replays)
-
-	var body bytes.Buffer
-	start := time.Now()
-	deadline := start.Add(duration)
-	for time.Now().Before(deadline) {
-		for _, r := range replays {
-			body.Reset()
-			body.WriteString(`{"samples":[`)
-			for i, t := range r.pop.Tenants {
-				if i > 0 {
-					body.WriteByte(',')
-				}
-				fmt.Fprintf(&body, `{"tenant":%d,"at_seconds":%d,"utilization":%.4f}`,
-					t.ID, int64(r.offset.Seconds()), t.UtilizationAt(r.offset))
-			}
-			body.WriteString(`]}`)
-			r.offset += timeseries.SlotDuration
-
-			resp, err := httpClient.Post(baseURL+"/v1/"+r.name+"/telemetry", "application/json",
-				bytes.NewReader(body.Bytes()))
-			if err != nil {
-				rep.Errors++
-				continue
-			}
-			var tr struct {
-				Accepted uint64 `json:"accepted"`
-				Rejected uint64 `json:"rejected"`
-			}
-			err = json.NewDecoder(resp.Body).Decode(&tr)
-			resp.Body.Close()
-			if err != nil || resp.StatusCode != http.StatusOK {
-				rep.Errors++
-				continue
-			}
-			rep.Batches++
-			rep.Samples += tr.Accepted
-			rep.Rejected += tr.Rejected
-		}
-		time.Sleep(interval)
-	}
-	rep.DurationSeconds = time.Since(start).Seconds()
-
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(rep)
+	if !jsonOut {
+		text(rep)
 		return
 	}
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(rep); err != nil {
+		obs.Fatal(logger, "writing report failed", "err", err)
+	}
+}
+
+func printRun(rep *loadgen.Report) {
+	elapsed := time.Duration(rep.DurationSeconds * float64(time.Second))
+	if rep.TargetRate > 0 {
+		fmt.Printf("loadgen: open loop at %.0f req/s across %d workers for %v (%s)\n", rep.TargetRate, rep.Workers, elapsed, rep.Proto)
+	} else {
+		fmt.Printf("loadgen: %d workers x pipeline %d for %v (%s)\n", rep.Workers, rep.Pipeline, elapsed, rep.Proto)
+	}
+	fmt.Printf("  %d requests, %d errors, %d reconnects\n", rep.Requests, rep.Errors, rep.Reconnects)
+	fmt.Printf("  throughput: %.0f queries/sec\n", rep.QPS)
+	l := rep.LatencyUs
+	fmt.Printf("  latency: mean %.0fµs  p50 %dµs  p90 %dµs  p99 %dµs  max %dµs\n", l.Mean, l.P50, l.P90, l.P99, l.Max)
+	for _, name := range loadgen.OpNames() {
+		fmt.Printf("  %-9s %9d requests, %d errors\n", name, rep.Ops[name].Requests, rep.Ops[name].Errors)
+	}
+	if len(rep.Backends) == 0 {
+		return
+	}
+	total := uint64(0)
+	names := make([]string, 0, len(rep.Backends))
+	for name, c := range rep.Backends {
+		total += c
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	fmt.Printf("  served by:")
+	for _, name := range names {
+		fmt.Printf("  %s %.1f%%", name, 100*float64(rep.Backends[name])/float64(total))
+	}
+	fmt.Println()
+}
+
+func printEmit(rep *loadgen.EmitReport) {
 	fmt.Printf("loadgen: telemetry emitter, %d datacenters for %.1fs\n", rep.Datacenters, rep.DurationSeconds)
 	fmt.Printf("  %d batches, %d samples accepted, %d rejected, %d transport/HTTP errors\n",
 		rep.Batches, rep.Samples, rep.Rejected, rep.Errors)
 }
 
-// storageCfg carries the reimaging-wave driver's knobs.
-type storageCfg struct {
-	blocks      int
-	replication int
-	fraction    float64
-	ingestToken string
-	scale       float64
-	seed        int64
-	wait        time.Duration
-	quiesce     time.Duration
-	out         string
-}
-
-// storageDCReport is one datacenter's slice of the storage report. Ledger is
-// the target's block books verbatim at the end of the run, so consumers can
-// assert the conservation invariants exactly rather than trusting the
-// precomputed booleans.
-type storageDCReport struct {
-	Datacenter      string `json:"datacenter"`
-	Servers         int    `json:"servers"`
-	BlocksPlaced    int    `json:"blocks_placed"`
-	PlaceErrors     int    `json:"place_errors"`
-	ServersReimaged int    `json:"servers_reimaged"`
-	// HoldersReimaged is how many wave targets actually held replicas — the
-	// number of reimages that exercised the repair path rather than wiping an
-	// empty server.
-	HoldersReimaged       int               `json:"holders_reimaged"`
-	ReimageErrors         int               `json:"reimage_errors"`
-	Ledger                blockledger.Stats `json:"ledger"`
-	PlacementRelaxedTotal uint64            `json:"placement_relaxed_total"`
-	RepairFailures        uint64            `json:"repair_failures"`
-	// Conserved: placed + pending == replica_slots and lost == replaced +
-	// pending — the ledger's books balance exactly.
-	Conserved bool `json:"conserved"`
-	// Quiesced: nothing pending and the repair queue is empty — every block
-	// is back at full replication.
-	Quiesced bool `json:"quiesced"`
-}
-
-type storageReport struct {
-	Mode            string            `json:"mode"`
-	DurationSeconds float64           `json:"duration_seconds"`
-	Replication     int               `json:"replication"`
-	BlocksPlaced    int               `json:"blocks_placed"`
-	ServersReimaged int               `json:"servers_reimaged"`
-	LostReplicas    int64             `json:"lost_replicas"`
-	Errors          int               `json:"errors"`
-	Conserved       bool              `json:"conserved"`
-	Quiesced        bool              `json:"quiesced"`
-	Datacenters     []storageDCReport `json:"datacenters"`
-}
-
-// storageMetricsView is the slice of the target's /metrics JSON the quiesce
-// poll reads — the per-DC block books plus the placement/repair counters.
-type storageMetricsView struct {
-	Datacenters map[string]struct {
-		Blocks                blockledger.Stats `json:"blocks"`
-		PlacementRelaxedTotal uint64            `json:"placement_relaxed_total"`
-		RepairFailures        uint64            `json:"repair_failures"`
-	} `json:"datacenters"`
-}
-
-// postJSON posts a JSON body off the measured path, optionally with a bearer
-// token, decoding a 200's response into v. Non-2xx statuses are returned to
-// the caller, not treated as transport errors.
-func postJSON(url, token string, body []byte, v any) (int, error) {
-	req, err := http.NewRequest("POST", url, bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if token != "" {
-		req.Header.Set("Authorization", "Bearer "+token)
-	}
-	resp, err := httpClient.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if v != nil && resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-			return resp.StatusCode, err
-		}
-	}
-	io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode, nil
-}
-
-// waveServer is one candidate for the reimaging wave: the server, its owning
-// tenant's reimage rate, and its Efraimidis–Spirakis sampling key.
-type waveServer struct {
-	id   int64
-	rate float64
-	key  float64
-}
-
-// pickWave draws a rate-weighted sample of waveSize servers without
-// replacement (Efraimidis–Spirakis: key = u^(1/w), take the largest keys),
-// then biases it toward replica holders: placement actively avoids
-// reimage-heavy servers, so an unbiased wave can land entirely on servers
-// holding nothing and the run would never exercise re-replication. The
-// lowest-key non-holder picks are swapped for the highest-rate holders until
-// the wave includes min(#holders, max(1, waveSize/5)) of them.
-func pickWave(rates map[int64]float64, holders map[int64]bool, waveSize int, rng *rand.Rand) []waveServer {
-	cands := make([]waveServer, 0, len(rates))
-	for id, rate := range rates {
-		// The epsilon keeps zero-rate servers reimagable: a tenant with no
-		// recorded history still gets wiped occasionally in production.
-		w := rate + 0.01
-		cands = append(cands, waveServer{id: id, rate: rate, key: math.Pow(rng.Float64(), 1/w)})
-	}
-	// Deterministic for a fixed seed: map iteration order must not leak into
-	// the sample, so order by key with the id as tiebreak.
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].key != cands[j].key {
-			return cands[i].key > cands[j].key
-		}
-		return cands[i].id < cands[j].id
-	})
-	if waveSize > len(cands) {
-		waveSize = len(cands)
-	}
-	wave := cands[:waveSize]
-
-	selected := make(map[int64]bool, len(wave))
-	have := 0
-	for _, s := range wave {
-		selected[s.id] = true
-		if holders[s.id] {
-			have++
-		}
-	}
-	want := len(holders)
-	if ceil := max(1, waveSize/5); want > ceil {
-		want = ceil
-	}
-	if have >= want {
-		return wave
-	}
-	holdersByRate := make([]waveServer, 0, len(holders))
-	for id := range holders {
-		holdersByRate = append(holdersByRate, waveServer{id: id, rate: rates[id]})
-	}
-	sort.Slice(holdersByRate, func(i, j int) bool {
-		if holdersByRate[i].rate != holdersByRate[j].rate {
-			return holdersByRate[i].rate > holdersByRate[j].rate
-		}
-		return holdersByRate[i].id < holdersByRate[j].id
-	})
-	idx := len(wave) - 1
-	for _, h := range holdersByRate {
-		if have >= want {
-			break
-		}
-		if selected[h.id] {
-			continue
-		}
-		for idx >= 0 && holders[wave[idx].id] {
-			idx--
-		}
-		if idx < 0 {
-			break
-		}
-		delete(selected, wave[idx].id)
-		selected[h.id] = true
-		wave[idx] = h
-		have++
-		idx--
-	}
-	return wave
-}
-
-// runStorageWave drives the block ledger end to end: place blocks, reimage a
-// rate-weighted wave of servers, wait for the re-replicator to restore full
-// replication, and report the final books.
-func runStorageWave(baseURL string, cfg storageCfg, jsonOut bool) {
-	names, err := retryUntil(cfg.wait, func() ([]string, error) { return discoverDatacenters(baseURL) })
-	if err != nil {
-		obs.Fatal(logger, "discovery failed", "target", baseURL, "err", err)
-	}
-
-	rep := storageReport{Mode: "storage", Replication: cfg.replication}
-	start := time.Now()
-	placeBody := []byte(fmt.Sprintf(`{"replication":%d}`, cfg.replication))
-	for dci, dc := range names {
-		dcRep := storageDCReport{Datacenter: dc}
-
-		// Phase 1: place the blocks. Replica IDs come back in the response,
-		// so the wave below knows which servers actually hold data.
-		holders := make(map[int64]bool)
-		for i := 0; i < cfg.blocks; i++ {
-			var br struct {
-				Replicas []int64 `json:"replicas"`
-			}
-			status, err := postJSON(baseURL+"/v1/"+dc+"/blocks", "", placeBody, &br)
-			if err != nil || status != http.StatusOK {
-				dcRep.PlaceErrors++
-				continue
-			}
-			dcRep.BlocksPlaced++
-			for _, s := range br.Replicas {
-				holders[s] = true
-			}
-		}
-
-		// Phase 2: the reimaging wave. The population is regenerated locally
-		// from the target's (scale, seed) — generation is deterministic — so
-		// each server's weight is its owning tenant's historical reimage rate,
-		// the same distribution the paper's Alg. 2 clusters on.
-		pop, _, err := experiments.BuildPopulation(dc, experiments.Scale{Datacenter: cfg.scale, Seed: cfg.seed})
-		if err != nil {
-			obs.Fatal(logger, "regenerating population failed", "dc", dc, "err", err)
-		}
-		rates := make(map[int64]float64)
-		for _, t := range pop.Tenants {
-			for _, s := range t.Servers {
-				rates[int64(s)] = t.ReimagesPerServerMonth
-			}
-		}
-		dcRep.Servers = len(rates)
-		waveSize := max(1, int(math.Ceil(cfg.fraction*float64(len(rates)))))
-		rng := rand.New(rand.NewSource(cfg.seed + int64(dci)))
-		for _, s := range pickWave(rates, holders, waveSize, rng) {
-			var rr struct {
-				Lost int `json:"lost"`
-			}
-			body := []byte(fmt.Sprintf(`{"server":%d}`, s.id))
-			status, err := postJSON(baseURL+"/v1/"+dc+"/reimage", cfg.ingestToken, body, &rr)
-			if err != nil || status != http.StatusOK {
-				dcRep.ReimageErrors++
-				continue
-			}
-			dcRep.ServersReimaged++
-			if rr.Lost > 0 {
-				dcRep.HoldersReimaged++
-			}
-		}
-		rep.Datacenters = append(rep.Datacenters, dcRep)
-	}
-
-	// Phase 3: poll the books until every datacenter quiesces — nothing
-	// pending, repair queue empty — or the timeout fires (reported as
-	// quiesced:false, which is how CI fails a stuck re-replicator).
-	deadline := time.Now().Add(cfg.quiesce)
-	var view storageMetricsView
-	for {
-		view = storageMetricsView{}
-		if err := getJSON(baseURL+"/metrics", &view); err != nil {
-			obs.Fatal(logger, "reading metrics failed", "target", baseURL, "err", err)
-		}
-		settled := true
-		for _, dc := range names {
-			st := view.Datacenters[dc].Blocks
-			if st.Pending != 0 || st.RepairQueue != 0 {
-				settled = false
-				break
-			}
-		}
-		if settled || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(250 * time.Millisecond)
-	}
-	rep.DurationSeconds = time.Since(start).Seconds()
-
-	rep.Conserved, rep.Quiesced = true, true
-	for i := range rep.Datacenters {
-		d := &rep.Datacenters[i]
-		row := view.Datacenters[d.Datacenter]
-		d.Ledger = row.Blocks
-		d.PlacementRelaxedTotal = row.PlacementRelaxedTotal
-		d.RepairFailures = row.RepairFailures
-		st := row.Blocks
-		d.Conserved = st.Placed+st.Pending == st.ReplicaSlots && st.Lost == st.Replaced+st.Pending
-		d.Quiesced = st.Pending == 0 && st.RepairQueue == 0
-		rep.Conserved = rep.Conserved && d.Conserved
-		rep.Quiesced = rep.Quiesced && d.Quiesced
-		rep.BlocksPlaced += d.BlocksPlaced
-		rep.ServersReimaged += d.ServersReimaged
-		rep.LostReplicas += st.Lost
-		rep.Errors += d.PlaceErrors + d.ReimageErrors
-	}
-
-	if cfg.out != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err == nil {
-			err = os.WriteFile(cfg.out, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			obs.Fatal(logger, "writing report failed", "path", cfg.out, "err", err)
-		}
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(rep)
-		return
-	}
+func printWave(rep *loadgen.WaveReport) {
 	fmt.Printf("loadgen: storage wave, %d datacenters for %.1fs\n", len(rep.Datacenters), rep.DurationSeconds)
 	fmt.Printf("  %d blocks placed (R=%d), %d servers reimaged, %d replicas lost, %d errors\n",
 		rep.BlocksPlaced, rep.Replication, rep.ServersReimaged, rep.LostReplicas, rep.Errors)
@@ -1581,170 +171,5 @@ func runStorageWave(baseURL string, cfg storageCfg, jsonOut bool) {
 		fmt.Printf("  %-8s %d/%d slots placed, %d pending, lost %d = replaced %d, conserved=%v quiesced=%v\n",
 			d.Datacenter, d.Ledger.Placed, d.Ledger.ReplicaSlots, d.Ledger.Pending,
 			d.Ledger.Lost, d.Ledger.Replaced, d.Conserved, d.Quiesced)
-	}
-}
-
-// jsonReport is the machine-readable run summary (-json and -out);
-// BENCH_PR2.json and the CI smoke step consume it. trace_sample is the trace
-// id of the newest traced response any worker saw — recent enough to still be
-// resolvable in the target's /debug/traces ring right after the run, which is
-// exactly how the CI smoke job reconstructs a request across tiers.
-type jsonReport struct {
-	Mode            string            `json:"mode"`
-	Proto           string            `json:"proto"`
-	Target          string            `json:"target"`
-	Mix             string            `json:"mix"`
-	Seed            int64             `json:"seed"`
-	DurationSeconds float64           `json:"duration_seconds"`
-	Workers         int               `json:"workers"`
-	Pipeline        int               `json:"pipeline"`
-	TargetRate      float64           `json:"target_rate,omitempty"`
-	Requests        uint64            `json:"requests"`
-	Errors          uint64            `json:"errors"`
-	Reconnects      uint64            `json:"reconnects"`
-	QPS             float64           `json:"qps"`
-	TraceSample     string            `json:"trace_sample,omitempty"`
-	LatencyUs       latencyReport     `json:"latency_us"`
-	Buckets         []bucketRow       `json:"latency_buckets_us"`
-	Ops             map[string]opStat `json:"ops"`
-
-	// Backends counts responses per serving replica, attributed from the
-	// router's X-Harvest-Backend response header. Present only when the
-	// target is a router (JSON dialect) — it is how the replica-smoke CI job
-	// asserts followers actually absorbed read traffic.
-	Backends map[string]uint64 `json:"backends,omitempty"`
-}
-
-type latencyReport struct {
-	Mean float64 `json:"mean"`
-	P50  uint64  `json:"p50"`
-	P90  uint64  `json:"p90"`
-	P99  uint64  `json:"p99"`
-	Max  uint64  `json:"max"`
-}
-
-// bucketRow is one merged-histogram bucket: count observations at ≤ le_us
-// microseconds and above the previous row's bound (non-cumulative, unlike the
-// Prometheus exposition of the same histogram).
-type bucketRow struct {
-	LeUs  uint64 `json:"le_us"`
-	Count uint64 `json:"count"`
-}
-
-type opStat struct {
-	Requests uint64 `json:"requests"`
-	Errors   uint64 `json:"errors"`
-}
-
-// runConfig carries the run's identifying flags into the report.
-type runConfig struct {
-	target   string
-	proto    string
-	workers  int
-	pipeline int
-	rate     float64
-	mix      string
-	seed     int64
-	out      string // write the report here too ("" disables)
-}
-
-func report(results []*workerStats, cfg runConfig, duration time.Duration, jsonOut bool) {
-	// Merge worker histograms into one for the global percentiles.
-	var merged service.Histogram
-	rep := jsonReport{
-		Mode:            "closed-loop",
-		Proto:           cfg.proto,
-		Target:          cfg.target,
-		Mix:             cfg.mix,
-		Seed:            cfg.seed,
-		DurationSeconds: duration.Seconds(),
-		Workers:         cfg.workers,
-		Pipeline:        cfg.pipeline,
-		Ops:             make(map[string]opStat, numOps),
-	}
-	if cfg.rate > 0 {
-		rep.Mode = "open-loop"
-		rep.TargetRate = cfg.rate
-	}
-	for i := op(0); i < numOps; i++ {
-		var s opStat
-		for _, ws := range results {
-			s.Requests += ws.requests[i]
-			s.Errors += ws.errors[i]
-		}
-		rep.Ops[opNames[i]] = s
-		rep.Requests += s.Requests
-		rep.Errors += s.Errors
-	}
-	for _, ws := range results {
-		rep.Reconnects += ws.transport.Load()
-		merged.Merge(&ws.latency)
-		if ws.trace[0] != 0 {
-			rep.TraceSample = string(ws.trace[:])
-		}
-		for i, name := range ws.backends.names {
-			if rep.Backends == nil {
-				rep.Backends = make(map[string]uint64)
-			}
-			rep.Backends[name] += ws.backends.counts[i]
-		}
-	}
-	rep.QPS = float64(rep.Requests) / duration.Seconds()
-	rep.LatencyUs = latencyReport{
-		Mean: merged.MeanMicros(),
-		P50:  merged.QuantileMicros(0.50),
-		P90:  merged.QuantileMicros(0.90),
-		P99:  merged.QuantileMicros(0.99),
-		Max:  merged.MaxMicros(),
-	}
-	counts := merged.BucketCounts(nil)
-	rep.Buckets = make([]bucketRow, len(counts))
-	for i, c := range counts {
-		rep.Buckets[i] = bucketRow{LeUs: obs.BucketUpperMicros(i), Count: c}
-	}
-
-	if cfg.out != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err == nil {
-			err = os.WriteFile(cfg.out, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			obs.Fatal(logger, "writing report failed", "path", cfg.out, "err", err)
-		}
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(rep)
-		return
-	}
-	if cfg.rate > 0 {
-		fmt.Printf("loadgen: open loop at %.0f req/s across %d workers for %v (%s)\n", cfg.rate, cfg.workers, duration, cfg.proto)
-	} else {
-		fmt.Printf("loadgen: %d workers x pipeline %d for %v (%s)\n", cfg.workers, cfg.pipeline, duration, cfg.proto)
-	}
-	fmt.Printf("  %d requests, %d errors, %d reconnects\n", rep.Requests, rep.Errors, rep.Reconnects)
-	fmt.Printf("  throughput: %.0f queries/sec\n", rep.QPS)
-	fmt.Printf("  latency: mean %.0fµs  p50 %dµs  p90 %dµs  p99 %dµs  max %dµs\n",
-		rep.LatencyUs.Mean, rep.LatencyUs.P50, rep.LatencyUs.P90, rep.LatencyUs.P99, rep.LatencyUs.Max)
-	for i := op(0); i < numOps; i++ {
-		s := rep.Ops[opNames[i]]
-		fmt.Printf("  %-9s %9d requests, %d errors\n", opNames[i], s.Requests, s.Errors)
-	}
-	if len(rep.Backends) > 0 {
-		total := uint64(0)
-		for _, c := range rep.Backends {
-			total += c
-		}
-		names := make([]string, 0, len(rep.Backends))
-		for name := range rep.Backends {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		fmt.Printf("  served by:")
-		for _, name := range names {
-			fmt.Printf("  %s %.1f%%", name, 100*float64(rep.Backends[name])/float64(total))
-		}
-		fmt.Println()
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -142,7 +143,35 @@ func TestGoldenReplicaPlacements(t *testing.T) {
 	}
 }
 
-// schemeDigest digests 500 Algorithm 2 placements on the shared synthetic
+// buildSyntheticScheme builds a synthetic 60-tenant scheme spanning all nine
+// cells, the shape BuildPlacementScheme produces from the real traces.
+func buildSyntheticScheme(t *testing.T) (*core.PlacementScheme, []core.TenantPlacementInfo) {
+	t.Helper()
+	infos := make([]core.TenantPlacementInfo, 60)
+	server := 0
+	for i := range infos {
+		servers := make([]tenant.ServerID, 3)
+		for s := range servers {
+			servers[s] = tenant.ServerID(server)
+			server++
+		}
+		infos[i] = core.TenantPlacementInfo{
+			ID:             tenant.ID(i),
+			Environment:    fmt.Sprintf("env-%d", i),
+			ReimageRate:    float64(i%9) * 0.25,
+			PeakCPU:        float64((i*7)%10) / 10,
+			AvailableBytes: 1000,
+			Servers:        servers,
+		}
+	}
+	scheme, err := core.BuildPlacementScheme(infos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scheme, infos
+}
+
+// schemeDigest digests 500 Algorithm 2 placements on the synthetic
 // 60-tenant scheme, exercising the partial-Fisher–Yates sampler directly.
 func schemeDigest(t *testing.T, seed int64) string {
 	t.Helper()

@@ -372,3 +372,37 @@ func TestSpaceAccountingLimitsPlacement(t *testing.T) {
 		t.Fatalf("placed %d blocks, want 3 or 4 given the disk capacity", placed)
 	}
 }
+
+// BenchmarkPlaceReplicasStock measures the stock/PT HDFS placement path
+// (random spread with rack awareness) through CreateBlock.
+func BenchmarkPlaceReplicasStock(b *testing.B) {
+	profile, ok := trace.ProfileByName("DC-9")
+	if !ok {
+		b.Fatal("DC-9 profile missing")
+	}
+	gen := trace.NewGenerator(profile.Scaled(0.05), 1)
+	pop, err := gen.Generate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Effectively infinite disks so placement never runs out of space.
+	for _, t := range pop.Tenants {
+		t.HarvestableBytesPerServer = 1 << 60
+	}
+	cl, err := cluster.New(pop, tenant.DefaultServerResources(), tenant.DefaultReserve())
+	if err != nil {
+		b.Fatal(err)
+	}
+	fs, err := New(cl, DefaultConfig(PolicyStock))
+	if err != nil {
+		b.Fatal(err)
+	}
+	writer := cl.ServerList()[0].ID
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fs.CreateBlock(writer, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

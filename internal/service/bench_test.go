@@ -1,7 +1,7 @@
 // Serving-side microbenchmarks: the in-process cost of the three snapshot
-// operations the HTTP API fans into. BENCH_PR2.json records the numbers
-// together with the end-to-end loadgen results (which add the HTTP layer on
-// top of these).
+// operations the HTTP API fans into. `bash bench/run.sh -trace 1`
+// (BENCHMARK.json's service.* layer metrics) times the same operations inside
+// the end-to-end workloads, which add the transport on top of these.
 package service_test
 
 import (
@@ -14,6 +14,7 @@ import (
 
 	"harvest/internal/core"
 	"harvest/internal/experiments"
+	"harvest/internal/obs"
 	"harvest/internal/service"
 	"harvest/internal/tenant"
 	"harvest/internal/timeseries"
@@ -134,7 +135,8 @@ func BenchmarkSnapshotBuild(b *testing.B) {
 // BenchmarkSnapshotRefreshWarm measures the steady-state refresh: a
 // warm-started re-clustering (drift check + K-Means from previous centroids,
 // no FFT for undrifted tenants) plus snapshot assembly. The ratio to
-// BenchmarkSnapshotBuild is the PR's headline number (BENCH_PR3.json).
+// BenchmarkSnapshotBuild is what the warm start saves (BENCHMARK.json:
+// service.refresh_warm_ms against service.refresh_full_ms).
 func BenchmarkSnapshotRefreshWarm(b *testing.B) {
 	cfg := testConfig()
 	cfg.FullRebuildEvery = -1 // measure the pure warm path; the backstop is benched above
@@ -151,7 +153,7 @@ func BenchmarkSnapshotRefreshWarm(b *testing.B) {
 	}
 }
 
-var sinkHistogram service.Histogram
+var sinkHistogram obs.Histogram
 
 // BenchmarkHistogramObserve measures the per-request metrics cost.
 func BenchmarkHistogramObserve(b *testing.B) {

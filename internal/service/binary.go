@@ -50,7 +50,7 @@ type BinaryServer struct {
 
 	// metrics is indexed by wire.OpIndex; same counters as the JSON endpoints
 	// so /metrics reports both dialects side by side.
-	metrics [len(wire.Ops)]EndpointMetrics
+	metrics [len(wire.Ops)]obs.EndpointMetrics
 
 	// ingestGated is set when the attached API requires the ingest bearer
 	// token: operations behind it (wire.OpInfo.Bearer) are then refused here.

@@ -44,7 +44,7 @@ type API struct {
 
 	ingestLimiter  *rateLimiter
 	trustedProxies []netip.Prefix
-	endpoints      map[string]*EndpointMetrics
+	endpoints      map[string]*obs.EndpointMetrics
 
 	// binary, when attached, is the sibling binary-dialect listener: its
 	// advertised address rides on /v1/datacenters (how clients discover the
@@ -113,7 +113,7 @@ func NewAPIWith(svc *Service, opts APIOptions) *API {
 		mux:       http.NewServeMux(),
 		start:     time.Now(),
 		opts:      opts,
-		endpoints: make(map[string]*EndpointMetrics, len(apiEndpoints)),
+		endpoints: make(map[string]*obs.EndpointMetrics, len(apiEndpoints)),
 		rec:       obs.NewRecorder(obs.DefaultRingTraces),
 	}
 	if opts.IngestRatePerSource > 0 {
@@ -144,7 +144,7 @@ func NewAPIWith(svc *Service, opts APIOptions) *API {
 		slogger.Warn("ignoring invalid trusted proxy", "proxy", s)
 	}
 	for _, name := range apiEndpoints {
-		a.endpoints[name] = &EndpointMetrics{}
+		a.endpoints[name] = &obs.EndpointMetrics{}
 	}
 	a.mux.HandleFunc("GET /v1/datacenters", a.instrument("datacenters", a.handleDatacenters))
 	// The data plane: one route per row of the op table, served by the row's

@@ -11,6 +11,7 @@ import (
 	"harvest/internal/blockledger"
 	"harvest/internal/core"
 	"harvest/internal/ledger"
+	"harvest/internal/obs"
 	"harvest/internal/signalproc"
 	"harvest/internal/tenant"
 	"harvest/internal/wire"
@@ -67,7 +68,7 @@ type replState struct {
 	// Promote flips the role and then takes the mutex, so no frame mutates
 	// the books after Promote returns.
 	applyMu       sync.Mutex
-	applyLag      Histogram
+	applyLag      obs.Histogram
 	connected     atomic.Bool
 	snapsApplied  atomic.Uint64
 	deltasApplied atomic.Uint64
@@ -809,16 +810,16 @@ type ReplicationStats struct {
 	// Follower side: stream liveness, applied-frame counters, and the
 	// end-to-end ship+apply lag distribution (the gate: p99 under one
 	// refresh interval means reads are never more than a beat stale).
-	Connected        bool       `json:"connected" prom:"harvestd_replication_connected,gauge" help:"1 when the follower's stream to its primary is up."`
-	Reconnects       uint64     `json:"reconnects"`
-	Promotions       uint64     `json:"promotions" prom:"harvestd_replication_promotions_total,counter" help:"Follower-to-primary promotions on this node."`
-	SnapshotsApplied uint64     `json:"snapshots_applied" prom:"harvestd_replication_snapshots_applied_total,counter" help:"Full replication snapshots applied."`
-	DeltasApplied    uint64     `json:"deltas_applied" prom:"harvestd_replication_deltas_applied_total,counter" help:"Incremental replication deltas applied."`
-	BeatsApplied     uint64     `json:"beats_applied" prom:"harvestd_replication_beats_applied_total,counter" help:"Replication ledger beats applied."`
-	ApplyLagMeanUs   float64    `json:"apply_lag_mean_us"`
-	ApplyLagP99Us    uint64     `json:"apply_lag_p99_us"`
-	ApplyLagMaxUs    uint64     `json:"apply_lag_max_us"`
-	ApplyLag         *Histogram `json:"-" prom:"harvestd_replication_apply_lag_microseconds,histogram" help:"Primary-send to follower-applied lag per replication frame, in microseconds."`
+	Connected        bool           `json:"connected" prom:"harvestd_replication_connected,gauge" help:"1 when the follower's stream to its primary is up."`
+	Reconnects       uint64         `json:"reconnects"`
+	Promotions       uint64         `json:"promotions" prom:"harvestd_replication_promotions_total,counter" help:"Follower-to-primary promotions on this node."`
+	SnapshotsApplied uint64         `json:"snapshots_applied" prom:"harvestd_replication_snapshots_applied_total,counter" help:"Full replication snapshots applied."`
+	DeltasApplied    uint64         `json:"deltas_applied" prom:"harvestd_replication_deltas_applied_total,counter" help:"Incremental replication deltas applied."`
+	BeatsApplied     uint64         `json:"beats_applied" prom:"harvestd_replication_beats_applied_total,counter" help:"Replication ledger beats applied."`
+	ApplyLagMeanUs   float64        `json:"apply_lag_mean_us"`
+	ApplyLagP99Us    uint64         `json:"apply_lag_p99_us"`
+	ApplyLagMaxUs    uint64         `json:"apply_lag_max_us"`
+	ApplyLag         *obs.Histogram `json:"-" prom:"harvestd_replication_apply_lag_microseconds,histogram" help:"Primary-send to follower-applied lag per replication frame, in microseconds."`
 	// AppliedGenerations is each shard's last replicated generation (follower
 	// role; nil on a never-followed primary).
 	AppliedGenerations map[string]uint64 `json:"applied_generations,omitempty" prom:"harvestd_replication_generation,gauge" labels:"dc" help:"Last replication generation applied, by datacenter (follower side)."`

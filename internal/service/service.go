@@ -204,8 +204,8 @@ type shard struct {
 	// to build a frame and the follower to reconcile one into its ledgers
 	// (applyLag, per node, measures ship+apply), the size of the last beat,
 	// and what the follower's reconciles changed — leases and blocks together.
-	replBuild     Histogram
-	replApply     Histogram
+	replBuild     obs.Histogram
+	replApply     obs.Histogram
 	replBeatBytes atomic.Int64
 	replInserted  atomic.Uint64
 	replRewritten atomic.Uint64
@@ -214,7 +214,7 @@ type shard struct {
 	// refreshLatency observes every successful refreshShard's end-to-end
 	// duration (recluster + assemble + rekey + publish) — the scale metric
 	// the incremental snapshot path exists to hold down.
-	refreshLatency Histogram
+	refreshLatency obs.Histogram
 	// lastRecluster is the most recent warm refresh's stats: how much of the
 	// pipeline the incremental path skipped (drift, splice, reuse counters).
 	lastRecluster atomic.Pointer[core.ReclusterStats]
@@ -1023,10 +1023,10 @@ type ShardStats struct {
 	// + rekey + publish, excluding persistence I/O) — the latency the
 	// incremental snapshot path is sized by, and the scale gate: steady-state
 	// warm refreshes must hold their p99 under the refresh interval.
-	RefreshMeanUs  float64    `json:"refresh_mean_us"`
-	RefreshP99Us   uint64     `json:"refresh_p99_us"`
-	RefreshMaxUs   uint64     `json:"refresh_max_us"`
-	RefreshLatency *Histogram `json:"-" prom:"harvestd_snapshot_refresh_microseconds,histogram" help:"Successful snapshot refresh latency (recluster + rekey + publish), in microseconds."`
+	RefreshMeanUs  float64        `json:"refresh_mean_us"`
+	RefreshP99Us   uint64         `json:"refresh_p99_us"`
+	RefreshMaxUs   uint64         `json:"refresh_max_us"`
+	RefreshLatency *obs.Histogram `json:"-" prom:"harvestd_snapshot_refresh_microseconds,histogram" help:"Successful snapshot refresh latency (recluster + rekey + publish), in microseconds."`
 	// Recluster is the most recent warm refresh's incremental work.
 	Recluster core.ReclusterStats `json:"recluster"`
 	// Ledger is the allocation ledger's books, StaleRetries filled in here.
@@ -1050,15 +1050,15 @@ type ShardStats struct {
 // with followers attached, the apply fields and the change counters on a
 // follower; BeatBytes is the last beat built or applied.
 type ShardReplStats struct {
-	BuildMeanUs float64    `json:"build_mean_us"`
-	BuildP99Us  uint64     `json:"build_p99_us"`
-	BuildMaxUs  uint64     `json:"build_max_us"`
-	Build       *Histogram `json:"-" prom:"harvestd_repl_build_seconds,histogram,seconds" help:"Time to build one replication frame (primary side)."`
-	ApplyMeanUs float64    `json:"apply_mean_us"`
-	ApplyP99Us  uint64     `json:"apply_p99_us"`
-	ApplyMaxUs  uint64     `json:"apply_max_us"`
-	Apply       *Histogram `json:"-" prom:"harvestd_repl_apply_seconds,histogram,seconds" help:"Time to reconcile one replication frame into the ledgers (follower side)."`
-	BeatBytes   int64      `json:"beat_bytes" prom:"harvestd_repl_beat_bytes,gauge" help:"Size of the last replication beat built or applied."`
+	BuildMeanUs float64        `json:"build_mean_us"`
+	BuildP99Us  uint64         `json:"build_p99_us"`
+	BuildMaxUs  uint64         `json:"build_max_us"`
+	Build       *obs.Histogram `json:"-" prom:"harvestd_repl_build_seconds,histogram,seconds" help:"Time to build one replication frame (primary side)."`
+	ApplyMeanUs float64        `json:"apply_mean_us"`
+	ApplyP99Us  uint64         `json:"apply_p99_us"`
+	ApplyMaxUs  uint64         `json:"apply_max_us"`
+	Apply       *obs.Histogram `json:"-" prom:"harvestd_repl_apply_seconds,histogram,seconds" help:"Time to reconcile one replication frame into the ledgers (follower side)."`
+	BeatBytes   int64          `json:"beat_bytes" prom:"harvestd_repl_beat_bytes,gauge" help:"Size of the last replication beat built or applied."`
 	// Inserted, Rewritten and Deleted count, since boot, the leases and blocks
 	// the follower's reconciles found new, changed and gone; everything else
 	// a beat carried was already held as shipped.
@@ -1157,7 +1157,7 @@ func (s *Service) SelectOn(snap *Snapshot, job core.JobRequest) core.Selection {
 	if v := s.usageViewFor(snap); v != nil {
 		sel = snap.SelectIndexed(rng, job, v.idx, v.src)
 	} else {
-		sel = snap.SelectUsage(rng, job, snap.Usage)
+		sel = snap.Select(rng, job)
 	}
 	s.rngs.Put(rng)
 	return sel

@@ -14,6 +14,7 @@ import (
 
 	"harvest/internal/core"
 	"harvest/internal/experiments"
+	"harvest/internal/obs"
 	"harvest/internal/service"
 	"harvest/internal/tenant"
 )
@@ -816,7 +817,7 @@ func TestSnapshotPersistence(t *testing.T) {
 }
 
 func TestHistogram(t *testing.T) {
-	var h service.Histogram
+	var h obs.Histogram
 	for i := 0; i < 1000; i++ {
 		h.Observe(10 * time.Microsecond)
 	}
@@ -834,7 +835,7 @@ func TestHistogram(t *testing.T) {
 		t.Errorf("max = %dµs, want 5000", max)
 	}
 
-	var other service.Histogram
+	var other obs.Histogram
 	other.Observe(20 * time.Millisecond)
 	h.Merge(&other)
 	if got := h.Count(); got != 1002 {

@@ -161,23 +161,9 @@ func weightedClassUsage(classes []*core.UtilizationClass, pop *tenant.Population
 
 // Select runs class selection (Alg. 1) against the snapshot's build-time
 // usage view. Safe for any number of concurrent callers; each must bring its
-// own RNG. The service's query path uses SelectUsage with the live view.
+// own RNG. The service's query path uses SelectIndexed with the live view.
 func (s *Snapshot) Select(rng *rand.Rand, job core.JobRequest) core.Selection {
 	return s.selector.SelectWith(rng, job, s.Usage)
-}
-
-// SelectUsage runs class selection against a caller-supplied usage view —
-// the hook the service uses to select on utilization recomputed from recent
-// ring samples between refreshes.
-func (s *Snapshot) SelectUsage(rng *rand.Rand, job core.JobRequest, usage map[core.ClassID]core.ClassUsage) core.Selection {
-	return s.selector.SelectWith(rng, job, usage)
-}
-
-// SelectSource runs class selection against a live usage source — the
-// service's ledger overlay, so headrooms subtract the cores concurrent
-// selects have already reserved.
-func (s *Snapshot) SelectSource(rng *rand.Rand, job core.JobRequest, usage core.UsageSource) core.Selection {
-	return s.selector.SelectFrom(rng, job, usage)
 }
 
 // BuildSelectIndex precomputes the headroom index for a utilization view —
@@ -189,7 +175,7 @@ func (s *Snapshot) BuildSelectIndex(usage map[core.ClassID]core.ClassUsage) *cor
 
 // SelectIndexed runs class selection through a precomputed index, with live
 // per-class allocation from alloc. Picks are draw-for-draw identical to
-// SelectSource over the view the index was built from.
+// core.Selector.SelectFrom over the view the index was built from.
 func (s *Snapshot) SelectIndexed(rng *rand.Rand, job core.JobRequest, idx *core.SelectIndex, alloc core.AllocSource) core.Selection {
 	return s.selector.SelectIndexed(rng, job, idx, alloc)
 }

@@ -223,3 +223,43 @@ func TestHeapOrderRandomized(t *testing.T) {
 		}
 	}
 }
+
+func noopEvent(time.Duration) {}
+
+// BenchmarkEngineScheduleRun measures the steady-state cost of scheduling and
+// draining a batch of events on a long-lived engine, the pattern of container
+// completions inside yarnsim.
+func BenchmarkEngineScheduleRun(b *testing.B) {
+	e := New()
+	const batch = 512
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < batch; j++ {
+			// Interleaved delays exercise both sift directions of the heap.
+			e.ScheduleAfter(time.Duration(j%97)*time.Millisecond, noopEvent)
+		}
+		e.RunAll()
+	}
+	if e.Pending() != 0 {
+		b.Fatalf("events left pending: %d", e.Pending())
+	}
+}
+
+// BenchmarkEngineEvery measures a periodic heartbeat tick, the engine pattern
+// behind every NM/RM heartbeat in the scheduling simulations.
+func BenchmarkEngineEvery(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := New()
+		ticks := 0
+		e.Every(time.Second, 1024*time.Second, func(time.Duration) bool {
+			ticks++
+			return true
+		})
+		e.Run(1024 * time.Second)
+		if ticks != 1024 {
+			b.Fatalf("ran %d ticks, want 1024", ticks)
+		}
+	}
+}

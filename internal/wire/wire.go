@@ -1,10 +1,11 @@
 // Package wire is the binary frame protocol for the serving hot path: the
 // same select/release/place/classes semantics as the JSON API, reframed as
 // length-prefixed binary messages so a pipelining client pays bytes and
-// branch-light parsing instead of net/http and encoding/json. BENCH_PR4 put
-// the in-process select at ~278 ns while the end-to-end JSON request costs
-// ~20 µs — the difference is almost entirely transport, and this package is
-// the transport that doesn't.
+// branch-light parsing instead of net/http and encoding/json. An in-process
+// select costs a few hundred nanoseconds while the end-to-end JSON request
+// costs tens of microseconds (BENCHMARK.json: core.select_indexed_ns against
+// service.http.rtt_us) — the difference is almost entirely transport, and
+// this package is the transport that doesn't.
 //
 // Framing: every message is a fixed 16-byte header followed by a payload of
 // Header.Len bytes.

@@ -386,3 +386,45 @@ func TestDeterministicForSeed(t *testing.T) {
 		t.Fatalf("identical seeds should give identical results")
 	}
 }
+
+// BenchmarkYarnHeartbeat measures one NM/RM heartbeat exchange over a
+// DC-9-shaped cluster with an active TPC-DS-like workload under the PT
+// policy: reserve enforcement, per-server free-resource scans, weighted
+// container scheduling, and utilization sampling.
+func BenchmarkYarnHeartbeat(b *testing.B) {
+	profile, ok := trace.ProfileByName("DC-9")
+	if !ok {
+		b.Fatal("DC-9 profile missing")
+	}
+	gen := trace.NewGenerator(profile.Scaled(0.05), 1)
+	pop, err := gen.Generate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cl, err := cluster.New(pop, tenant.DefaultServerResources(), tenant.DefaultReserve())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	cat, err := workload.TPCDSLikeCatalogue(rng, workload.DefaultCatalogueConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	horizon := 2 * time.Hour
+	jobs, err := cat.GenerateArrivals(rng, workload.DefaultArrivalConfig(horizon))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig(PolicyPT)
+	sim, err := NewSimulation(cl, jobs, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	now := time.Duration(0)
+	for i := 0; i < b.N; i++ {
+		now += cfg.HeartbeatInterval
+		sim.Heartbeat(now)
+	}
+}
