@@ -340,39 +340,41 @@ func (l *Ledger) Replace(generation uint64, r Repair, server tenant.ServerID) er
 	return nil
 }
 
-// Servers returns the block's currently placed replica servers (the
-// exclusion/seed set for repair placement) and how many of its slots are
-// pending. ok is false for an unknown block.
-func (l *Ledger) Servers(blockID uint64) (placedServers []tenant.ServerID, pendingSlots int, ok bool) {
+// Slots returns the block's replica servers in slot order, core.NoServer
+// where a slot is pending — the view core.PlacementScheme.PlaceSlot repairs a
+// slot from, so a repair is constrained by the same slot positions rekeyBlock
+// re-validates — and whether the block's placement promised environment
+// diversity, which a repair must re-enforce. ok is false for an unknown block.
+func (l *Ledger) Slots(blockID uint64) (slots []tenant.ServerID, envStrict, ok bool) {
 	sh := &l.shards[shardOf(blockID)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	b := sh.blocks[blockID]
 	if b == nil {
-		return nil, 0, false
+		return nil, false, false
 	}
-	for _, r := range b.replicas {
+	slots = make([]tenant.ServerID, len(b.replicas))
+	for i, r := range b.replicas {
+		slots[i] = core.NoServer
 		if r.Placed {
-			placedServers = append(placedServers, r.Server)
-		} else {
-			pendingSlots++
+			slots[i] = r.Server
 		}
 	}
-	return placedServers, pendingSlots, true
+	return slots, b.envStrict, true
 }
 
-// EnvStrict reports whether the block's placement promised environment
-// diversity — what a repair must re-enforce. ok is false for an unknown
-// block.
-func (l *Ledger) EnvStrict(blockID uint64) (envStrict, ok bool) {
-	sh := &l.shards[shardOf(blockID)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	b := sh.blocks[blockID]
-	if b == nil {
-		return false, false
+// Servers returns the block's currently placed replica servers, compacted,
+// and how many of its slots are pending. ok is false for an unknown block.
+func (l *Ledger) Servers(blockID uint64) (placedServers []tenant.ServerID, pendingSlots int, ok bool) {
+	slots, _, ok := l.Slots(blockID)
+	for _, s := range slots {
+		if s == core.NoServer {
+			pendingSlots++
+		} else {
+			placedServers = append(placedServers, s)
+		}
 	}
-	return b.envStrict, true
+	return placedServers, pendingSlots, ok
 }
 
 // SiteOf resolves a server's grid cell and environment under a placement

@@ -351,8 +351,9 @@ func sortClasses(clustering *Clustering) {
 }
 
 // NewClusteringFromClasses reassembles a Clustering from its classes — the
-// restore path for snapshots persisted to disk. Membership maps are rebuilt;
-// duplicate tenant or server membership across classes is rejected.
+// restore path for snapshots read back from disk or a replication frame.
+// Membership maps are rebuilt; duplicate tenant or server membership across
+// classes is rejected.
 func NewClusteringFromClasses(classes []*UtilizationClass) (*Clustering, error) {
 	c := &Clustering{
 		Classes:     classes,

@@ -238,6 +238,18 @@ type PlacementConstraints struct {
 // common no-filter path costs no closure allocation.
 var allServersEligible = func(tenant.ServerID) bool { return true }
 
+// eligibility is the request's server filter, defaulted.
+func (c PlacementConstraints) eligibility() func(tenant.ServerID) bool {
+	if c.ServerEligible == nil {
+		return allServersEligible
+	}
+	return c.ServerEligible
+}
+
+// NoServer marks a replica slot that holds nothing — a hole awaiting repair —
+// in the slot view PlaceSlot takes.
+const NoServer tenant.ServerID = -1
+
 // PlaceReplicas implements Algorithm 2: it returns the servers that should
 // hold the block's replicas. The first replica goes to the writer's server
 // (when known and eligible); each subsequent replica goes to a random tenant
@@ -247,16 +259,10 @@ func (s *PlacementScheme) PlaceReplicas(rng *rand.Rand, c PlacementConstraints) 
 	if c.Replication <= 0 {
 		return nil, fmt.Errorf("core: replication must be positive, got %d", c.Replication)
 	}
-	eligible := c.ServerEligible
-	if eligible == nil {
-		eligible = allServersEligible
-	}
+	eligible := c.eligibility()
 
 	replicas := make([]tenant.ServerID, 0, c.Replication)
-	s.usedEnvs = s.usedEnvs[:0]
-	s.usedServers = s.usedServers[:0]
-	s.usedCols = 0
-	s.usedRows = 0
+	s.seed(nil, 0)
 
 	// First replica: the writer's server, for locality (lines 6-7).
 	if tid, ok := s.serverTenant[c.Writer]; ok && eligible(c.Writer) {
@@ -277,19 +283,7 @@ func (s *PlacementScheme) PlaceReplicas(rng *rand.Rand, c PlacementConstraints) 
 			s.usedCols = 0
 			s.usedRows = 0
 		}
-		server, tid, err := s.pickReplica(rng, true, eligible, c.EnforceEnvironment)
-		if errors.Is(err, ErrNoEligibleServer) {
-			// The row/column diversity constraint cannot be met (e.g. very few
-			// tenants, or entire rows excluded as busy/full). Fall back to a
-			// best-effort pick that keeps the environment and server
-			// constraints but ignores row/column history, matching the
-			// production behaviour of degrading diversity before failing the
-			// block creation (§7).
-			server, tid, err = s.pickReplica(rng, false, eligible, c.EnforceEnvironment)
-			if err == nil && s.relaxed != nil {
-				s.relaxed.Add(1)
-			}
-		}
+		server, tid, err := s.pick(rng, eligible, c.EnforceEnvironment)
 		if err != nil {
 			return replicas, err
 		}
@@ -298,28 +292,58 @@ func (s *PlacementScheme) PlaceReplicas(rng *rand.Rand, c PlacementConstraints) 
 	return replicas, nil
 }
 
-// PlaceAdditional places count more replicas for a block that already holds
-// existing ones — the re-replication path after a replica is lost. The
-// constraint state is seeded from the survivors: their servers and
-// environments stay excluded for the whole block, and the row/column history
-// of the block's current (possibly partial) round of three carries over, so
-// a repair lands where a fresh PlaceReplicas call would have put the replica.
-// c.Replication and c.Writer are ignored; the same relaxed fallback applies.
+// PlaceSlot picks a server for one empty slot of a block — the re-replication
+// path after a replica is lost. slots is the block's replica servers in slot
+// order, NoServer where a slot is empty; slots[slot] itself is ignored. The
+// constraint state is what Algorithm 2 would hold about the block's other
+// replicas: every placed slot's server and environment stay excluded, and the
+// row/column history is that of the placed slots in the same round of three
+// slot positions — positions, not a count of survivors, because that is how
+// the block was placed and how a re-validation walks it. c.Replication and
+// c.Writer are ignored; the same relaxed fallback applies.
+func (s *PlacementScheme) PlaceSlot(rng *rand.Rand, slots []tenant.ServerID, slot int, c PlacementConstraints) (tenant.ServerID, error) {
+	eligible := c.eligibility()
+	s.seed(slots, slot)
+	server, _, err := s.pick(rng, eligible, c.EnforceEnvironment)
+	return server, err
+}
+
+// PlaceAdditional places count more replicas after a block's existing ones:
+// PlaceSlot for slots len(existing), len(existing)+1, … of a block whose
+// earlier slots are all placed. c.Replication and c.Writer are ignored.
 func (s *PlacementScheme) PlaceAdditional(rng *rand.Rand, existing []tenant.ServerID, count int, c PlacementConstraints) ([]tenant.ServerID, error) {
 	if count <= 0 {
 		return nil, fmt.Errorf("core: additional replica count must be positive, got %d", count)
 	}
-	eligible := c.ServerEligible
-	if eligible == nil {
-		eligible = allServersEligible
+	eligible := c.eligibility()
+	s.seed(existing, len(existing))
+	replicas := make([]tenant.ServerID, 0, count)
+	for placed := 0; placed < count; placed++ {
+		if (len(existing)+placed)%PlacementGridSize == 0 {
+			s.usedCols = 0
+			s.usedRows = 0
+		}
+		server, tid, err := s.pick(rng, eligible, c.EnforceEnvironment)
+		if err != nil {
+			return replicas, err
+		}
+		replicas = s.place(replicas, server, tid)
 	}
+	return replicas, nil
+}
 
+// seed resets the constraint state to that of a block about to fill slot
+// next: the servers and environments of every placed slot, and the rows and
+// columns of those in next's round of three.
+func (s *PlacementScheme) seed(slots []tenant.ServerID, next int) {
 	s.usedEnvs = s.usedEnvs[:0]
 	s.usedServers = s.usedServers[:0]
 	s.usedCols = 0
 	s.usedRows = 0
-	roundStart := len(existing) - len(existing)%PlacementGridSize
-	for i, server := range existing {
+	for i, server := range slots {
+		if server == NoServer || i == next {
+			continue
+		}
 		s.usedServers = append(s.usedServers, server)
 		tid, ok := s.serverTenant[server]
 		if !ok {
@@ -328,31 +352,28 @@ func (s *PlacementScheme) PlaceAdditional(rng *rand.Rand, existing []tenant.Serv
 		if info := s.infos[tid]; info != nil {
 			s.usedEnvs = append(s.usedEnvs, info.Environment)
 		}
-		if cell, ok := s.tenantCell[tid]; ok && i >= roundStart {
+		if cell, ok := s.tenantCell[tid]; ok && i/PlacementGridSize == next/PlacementGridSize {
 			s.usedCols |= 1 << uint(cell[0])
 			s.usedRows |= 1 << uint(cell[1])
 		}
 	}
+}
 
-	replicas := make([]tenant.ServerID, 0, count)
-	for placed := 0; placed < count; placed++ {
-		if (len(existing)+placed)%PlacementGridSize == 0 {
-			s.usedCols = 0
-			s.usedRows = 0
+// pick selects the next replica under the full constraints and, when the
+// row/column diversity constraint cannot be met (e.g. very few tenants, or
+// entire rows excluded as busy/full), falls back to a best-effort pick that
+// keeps the environment and server constraints but ignores row/column
+// history, matching the production behaviour of degrading diversity before
+// failing the block creation (§7).
+func (s *PlacementScheme) pick(rng *rand.Rand, eligible func(tenant.ServerID) bool, enforceEnvironment bool) (tenant.ServerID, tenant.ID, error) {
+	server, tid, err := s.pickReplica(rng, true, eligible, enforceEnvironment)
+	if errors.Is(err, ErrNoEligibleServer) {
+		server, tid, err = s.pickReplica(rng, false, eligible, enforceEnvironment)
+		if err == nil && s.relaxed != nil {
+			s.relaxed.Add(1)
 		}
-		server, tid, err := s.pickReplica(rng, true, eligible, c.EnforceEnvironment)
-		if errors.Is(err, ErrNoEligibleServer) {
-			server, tid, err = s.pickReplica(rng, false, eligible, c.EnforceEnvironment)
-			if err == nil && s.relaxed != nil {
-				s.relaxed.Add(1)
-			}
-		}
-		if err != nil {
-			return replicas, err
-		}
-		replicas = s.place(replicas, server, tid)
 	}
-	return replicas, nil
+	return server, tid, err
 }
 
 // ReplicaSite resolves the grid coordinates and environment of the tenant

@@ -189,6 +189,87 @@ func TestPlaceReplicasFourWayReplication(t *testing.T) {
 	}
 }
 
+// TestPlaceSlotConstrainsBySlotPosition pins what a repair is constrained
+// against: the placed slots in the empty slot's own round of three positions,
+// earlier or later, whatever the number of survivors — and every survivor's
+// server and environment.
+func TestPlaceSlotConstrainsBySlotPosition(t *testing.T) {
+	infos := gridInfos(90, 2, 1000)
+	scheme, err := BuildPlacementScheme(infos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	c := PlacementConstraints{Replication: 5, Writer: -1, EnforceEnvironment: true}
+	for trial := 0; trial < 200; trial++ {
+		slots, err := scheme.PlaceReplicas(rng, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hole := rng.Intn(len(slots))
+		slots[hole] = NoServer
+		got, err := scheme.PlaceSlot(rng, slots, hole, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col, row, env, ok := scheme.ReplicaSite(got)
+		if !ok {
+			t.Fatalf("PlaceSlot picked server %d, unknown to the scheme", got)
+		}
+		for i, s := range slots {
+			if i == hole {
+				continue
+			}
+			if s == got {
+				t.Fatalf("trial %d: slot %d repaired onto server %d, which holds slot %d", trial, hole, got, i)
+			}
+			c2, r2, e2, _ := scheme.ReplicaSite(s)
+			if e2 == env {
+				t.Fatalf("trial %d: slot %d repaired into environment %q of slot %d", trial, hole, env, i)
+			}
+			if i/PlacementGridSize == hole/PlacementGridSize && (c2 == col || r2 == row) {
+				t.Fatalf("trial %d: slot %d repaired into cell (%d,%d), sharing a row or column with slot %d at (%d,%d)",
+					trial, hole, col, row, i, c2, r2)
+			}
+		}
+	}
+	if n := scheme.RelaxedCount(); n != 0 {
+		t.Fatalf("%d picks fell back to relaxed: the test population is too small to show anything", n)
+	}
+}
+
+// TestPlaceAdditionalIsPlaceSlotAtTheEnd pins PlaceAdditional as PlaceSlot for
+// the slots after a block's existing ones: the same draws, the same servers.
+func TestPlaceAdditionalIsPlaceSlotAtTheEnd(t *testing.T) {
+	scheme, err := BuildPlacementScheme(gridInfos(90, 2, 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := PlacementConstraints{Writer: -1, EnforceEnvironment: true}
+	for existing := 0; existing <= 5; existing++ {
+		c.Replication = existing
+		var slots []tenant.ServerID
+		if existing > 0 {
+			if slots, err = scheme.PlaceReplicas(rand.New(rand.NewSource(int64(existing))), c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		more, err := scheme.PlaceAdditional(rand.New(rand.NewSource(99)), slots, 4, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(99))
+		for i, want := range more {
+			slots = append(slots, NoServer)
+			got, err := scheme.PlaceSlot(rng, slots, existing+i, c)
+			if err != nil || got != want {
+				t.Fatalf("%d existing: PlaceSlot for slot %d = %d, %v; PlaceAdditional placed %d", existing, existing+i, got, err, want)
+			}
+			slots[existing+i] = got
+		}
+	}
+}
+
 func TestPlaceReplicasUnknownWriter(t *testing.T) {
 	infos := gridInfos(30, 2, 1000)
 	scheme, err := BuildPlacementScheme(infos)

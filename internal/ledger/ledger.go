@@ -833,32 +833,33 @@ type Changed struct {
 	Inserted, Rewritten, Deleted int
 }
 
-// Reconcile makes the ledger's entire state equal to a replicated primary's,
-// in place — the follower-side apply of the replication stream, and what
-// ApplyState does with an exported State. The incoming state is b plus n
-// leases, pulled one at a time through leaseAt (whose Grants may point into
-// storage the caller reuses: Reconcile copies what it keeps). The caller
-// must have validated the whole state first, because the first call to
-// leaseAt may already mutate: that is how a frame stays all-or-nothing.
+// Reconcile makes the ledger's entire state equal to an exported one, in
+// place: the one function that turns a state into live books, behind the
+// follower's apply of every replication frame, ApplyState, and Restore at
+// boot. The incoming state is b plus n leases, pulled one at a time through
+// leaseAt (whose Grants may point into storage the caller reuses: Reconcile
+// copies what it keeps). The caller must have validated the whole state
+// first, because the first call to leaseAt may already mutate: that is how a
+// frame stays all-or-nothing.
 //
 // Work is proportional to n for the walk but allocates only for what
 // changed: a lease already held with the same grants has its expiry and
 // metadata overwritten in place; an unknown lease is inserted and a re-keyed
 // one gets a fresh grants slice; held leases the state does not name are
-// deleted. Unlike Restore it mutates an existing ledger (the shard's ledger
-// pointer must stay stable for concurrent readers) and re-keys to whatever
-// generation the books carry: the follower's snapshot apply and ledger apply
-// arrive as one frame, so the generations move together. The per-class table
-// is summed afresh and published with one pointer store at the end, so
-// lock-free readers see the old sums or the new ones, never a mixture.
-// Zero and repeated ids are skipped, and grants on classes outside
-// [0, numClasses) are forfeited rather than trusted, exactly as in Restore —
-// the forfeit is added to the books, which is what keeps them conserved over
-// the leases actually applied. Lease ids keep their issuing primary's shard
-// bits, so Release routes identically after a promotion; fresh ids issued
-// after promotion come from this ledger's own CSPRNG streams and are
-// collision-checked against the applied set, so a handoff cannot
-// double-grant an id. leaseAt must not call back into the ledger.
+// deleted. It mutates an existing ledger (the shard's ledger pointer must
+// stay stable for concurrent readers) and re-keys to whatever generation the
+// books carry: the follower's snapshot apply and ledger apply arrive as one
+// frame, so the generations move together. The per-class table is summed
+// afresh and published with one pointer store at the end, so lock-free
+// readers see the old sums or the new ones, never a mixture. Zero and
+// repeated ids are skipped, and grants on classes outside [0, numClasses) are
+// forfeited rather than trusted — the forfeit is added to the books, which is
+// what keeps them conserved over the leases actually applied. Lease ids keep
+// their issuing primary's shard bits, so Release routes identically after a
+// promotion; fresh ids issued after promotion come from this ledger's own
+// CSPRNG streams and are collision-checked against the applied set, so a
+// handoff cannot double-grant an id. leaseAt must not call back into the
+// ledger.
 func (l *Ledger) Reconcile(b Books, numClasses, n int, leaseAt func(i int) PersistedLease) Changed {
 	l.lockAll()
 	defer l.unlockAll()
@@ -945,42 +946,29 @@ func (l *Ledger) ApplyState(st State, numClasses int) {
 	l.Reconcile(st.Books, numClasses, len(st.Leases), func(i int) PersistedLease { return st.Leases[i] })
 }
 
-// Restore rebuilds a ledger from persisted state, keyed to the given
-// generation and class count (which must be the restored snapshot's). Grants
-// on out-of-range classes are forfeited rather than trusted — the file may
-// predate a re-key the process never got to persist. Restored leases route
-// to the shard their id's low bits name, whatever process issued them.
+// Restore builds a ledger from persisted state, which must be keyed to the
+// given generation (the restored snapshot's): a fresh ledger, reconciled to
+// the state. A file is held to more than a peer is — a zero or repeated lease
+// id refuses the whole state instead of being skipped — and otherwise treated
+// the same: grants on out-of-range classes are forfeited rather than trusted
+// (the file may predate a re-key the process never got to persist), and
+// leases route to the shard their id's low bits name, whatever process issued
+// them.
 func Restore(st State, generation uint64, numClasses int) (*Ledger, error) {
 	if st.Generation != generation {
 		return nil, fmt.Errorf("ledger: state is for generation %d, snapshot is %d", st.Generation, generation)
 	}
-	l := New(generation, numClasses)
-	t := l.tab.Load()
-	l.storeBooks(st.Books)
+	seen := make(map[uint64]struct{}, len(st.Leases))
 	for _, pl := range st.Leases {
 		if pl.ID == 0 {
 			return nil, fmt.Errorf("ledger: zero lease id")
 		}
-		sh := &l.shards[shardOf(pl.ID)]
-		if _, dup := sh.leases[pl.ID]; dup {
+		if _, dup := seen[pl.ID]; dup {
 			return nil, fmt.Errorf("ledger: duplicate lease id %d", pl.ID)
 		}
-		grants := make([]Grant, 0, len(pl.Grants))
-		for _, g := range pl.Grants {
-			if g.Millis <= 0 {
-				continue
-			}
-			if int(g.Class) < 0 || int(g.Class) >= numClasses {
-				l.forfeitedMillis.Add(g.Millis)
-				continue
-			}
-			grants = append(grants, g)
-			t.alloc[int(g.Class)].Add(g.Millis)
-		}
-		if len(grants) == 0 {
-			continue
-		}
-		sh.leases[pl.ID] = &lease{id: pl.ID, expiresAt: pl.ExpiresAt, grants: grants, meta: Meta{JobID: pl.JobID, Owner: pl.Owner}}
+		seen[pl.ID] = struct{}{}
 	}
+	l := New(generation, numClasses)
+	l.ApplyState(st, numClasses)
 	return l, nil
 }

@@ -339,6 +339,15 @@ func TestExportRestore(t *testing.T) {
 		t.Fatalf("shrunk Restore: %v", err)
 	}
 	checkConservation(t, shrunk)
+	// A zero or repeated lease id refuses the whole state: Reconcile alone
+	// would skip the lease and keep the rest.
+	for name, id := range map[string]uint64{"zero": 0, "repeated": keep.ID} {
+		bad := st
+		bad.Leases = append(append([]ledger.PersistedLease(nil), st.Leases...), ledger.PersistedLease{ID: id, Grants: st.Leases[0].Grants})
+		if _, err := ledger.Restore(bad, 3, 2); err == nil {
+			t.Errorf("restore of a state with a %s lease id succeeded", name)
+		}
+	}
 }
 
 // TestLeaseIDsUnguessable pins the lease-id hardening: ids are random

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"net/http"
 
 	"harvest/internal/blockledger"
@@ -38,4 +39,11 @@ func (s *Service) SetTestHookAfterRekey(hook func()) { s.testHookAfterRekey = ho
 func (a *API) Pattern(r *http.Request) string {
 	_, pattern := a.mux.Handler(r)
 	return pattern
+}
+
+// SnapshotFileJSON is the bytes persistShard writes to <dc>.snapshot.json for
+// the datacenter's current snapshot.
+func (s *Service) SnapshotFileJSON(dc string) ([]byte, error) {
+	sh := s.shards[dc]
+	return json.Marshal(s.snapshotFile(sh, sh.snap.Load()))
 }

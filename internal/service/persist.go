@@ -11,10 +11,8 @@ import (
 	"time"
 
 	"harvest/internal/blockledger"
-	"harvest/internal/core"
 	"harvest/internal/ledger"
-	"harvest/internal/signalproc"
-	"harvest/internal/tenant"
+	"harvest/internal/wire"
 )
 
 // Snapshot persistence: every published snapshot's clustering + usage view
@@ -31,17 +29,6 @@ import (
 // next_id counter, and sequential ids from v1 files must not survive onto
 // the binary wire, so v1 files are discarded wholesale.
 const persistVersion = 2
-
-type persistedClass struct {
-	ID                 int       `json:"id"`
-	Pattern            int       `json:"pattern"`
-	AvgUtilization     float64   `json:"avg_utilization"`
-	PeakUtilization    float64   `json:"peak_utilization"`
-	CurrentUtilization float64   `json:"current_utilization"`
-	Centroid           []float64 `json:"centroid"`
-	Tenants            []int64   `json:"tenants"`
-	Servers            []int64   `json:"servers"`
-}
 
 // persistHeader opens each of a datacenter's three files: the format version
 // and the population fingerprint. A restored clustering, lease or block
@@ -69,7 +56,8 @@ type persistedSnapshot struct {
 	NumTenants int `json:"num_tenants"`
 	NumServers int `json:"num_servers"`
 
-	Classes []persistedClass `json:"classes"`
+	// Classes are the records a replication snapshot frame carries too.
+	Classes []wire.ReplClass `json:"classes"`
 }
 
 // persistedLedger and persistedBlocks are the two ledgers' exported states
@@ -487,37 +475,18 @@ func (s *Service) restoreBlocks(sh *shard, snap *Snapshot) *blockledger.Ledger {
 	return led
 }
 
-// snapshotFile is the snapshot's clustering and usage view in file form.
+// snapshotFile is the snapshot's clustering and build-time usage view in file
+// form.
 func (s *Service) snapshotFile(sh *shard, snap *Snapshot) persistedSnapshot {
-	p := persistedSnapshot{
+	return persistedSnapshot{
 		persistHeader: s.persistHeaderFor(sh),
 		Generation:    snap.Generation,
 		AsOfSeconds:   snap.AsOf.Seconds(),
 		BuiltAt:       snap.BuiltAt,
 		NumTenants:    len(sh.pop.Tenants),
 		NumServers:    sh.pop.NumServers(),
-		Classes:       make([]persistedClass, 0, len(snap.Clustering.Classes)),
+		Classes:       classRecords(snap, snap.Usage),
 	}
-	for _, cls := range snap.Clustering.Classes {
-		pc := persistedClass{
-			ID:                 int(cls.ID),
-			Pattern:            int(cls.Pattern),
-			AvgUtilization:     cls.AvgUtilization,
-			PeakUtilization:    cls.PeakUtilization,
-			CurrentUtilization: snap.Usage[cls.ID].CurrentUtilization,
-			Centroid:           cls.Centroid,
-			Tenants:            make([]int64, len(cls.Tenants)),
-			Servers:            make([]int64, len(cls.Servers)),
-		}
-		for i, tid := range cls.Tenants {
-			pc.Tenants[i] = int64(tid)
-		}
-		for i, srv := range cls.Servers {
-			pc.Servers[i] = int64(srv)
-		}
-		p.Classes = append(p.Classes, pc)
-	}
-	return p
 }
 
 // restoreSnapshot loads the shard's persisted snapshot, validates it against
@@ -538,62 +507,12 @@ func (s *Service) restoreSnapshot(sh *shard) (*Snapshot, bool) {
 	return snap, true
 }
 
+// snapshotFromFile is boot's policy in front of the shared reassembly: the
+// rest of the population fingerprint must match, and there is no previous
+// snapshot to borrow a placement scheme from.
 func (s *Service) snapshotFromFile(sh *shard, p *persistedSnapshot) (*Snapshot, error) {
 	if p.NumTenants != len(sh.pop.Tenants) || p.NumServers != sh.pop.NumServers() {
 		return nil, fmt.Errorf("population fingerprint mismatch (seed/scale changed?)")
 	}
-	if len(p.Classes) == 0 {
-		return nil, fmt.Errorf("no classes")
-	}
-
-	classes := make([]*core.UtilizationClass, 0, len(p.Classes))
-	usage := make(map[core.ClassID]core.ClassUsage, len(p.Classes))
-	for _, pc := range p.Classes {
-		if pc.Pattern < 0 || pc.Pattern >= signalproc.NumPatterns {
-			return nil, fmt.Errorf("class %d: bad pattern %d", pc.ID, pc.Pattern)
-		}
-		cls := &core.UtilizationClass{
-			ID:              core.ClassID(pc.ID),
-			Pattern:         signalproc.Pattern(pc.Pattern),
-			AvgUtilization:  pc.AvgUtilization,
-			PeakUtilization: pc.PeakUtilization,
-			Centroid:        pc.Centroid,
-			Tenants:         make([]tenant.ID, len(pc.Tenants)),
-			Servers:         make([]tenant.ServerID, len(pc.Servers)),
-		}
-		for i, tid := range pc.Tenants {
-			id := tenant.ID(tid)
-			if sh.pop.ByID(id) == nil {
-				return nil, fmt.Errorf("class %d: unknown tenant %d", pc.ID, tid)
-			}
-			cls.Tenants[i] = id
-		}
-		for i, srv := range pc.Servers {
-			cls.Servers[i] = tenant.ServerID(srv)
-		}
-		classes = append(classes, cls)
-		usage[cls.ID] = core.ClassUsage{CurrentUtilization: pc.CurrentUtilization}
-	}
-	clustering, err := core.NewClusteringFromClasses(classes)
-	if err != nil {
-		return nil, err
-	}
-
-	start := time.Now()
-	snap, err := assembleSnapshot(sh.dc, sh.pop, sh.rings, s.cfg, p.Generation, clustering, start, nil)
-	if err != nil {
-		return nil, err
-	}
-	// Restore the persisted view verbatim: the snapshot represents the state
-	// as of its original build, and its age stays honest about that. The
-	// live usage overlay refreshes CurrentUtilization on the first query.
-	snap.Usage = usage
-	snap.AsOf = time.Duration(p.AsOfSeconds * float64(time.Second))
-	snap.BuiltAt = p.BuiltAt
-	snap.BuildDuration = time.Since(start)
-	// The previous process may have ingested live samples past the bootstrap
-	// window the rings were just re-seeded from; pull the telemetry clock up
-	// to the persisted AsOf so the next refresh cannot move AsOf backwards.
-	sh.rings.AdvanceClock(snap.AsOf)
-	return snap, nil
+	return s.snapshotFromRecords(sh, p.Generation, p.AsOfSeconds, p.BuiltAt, p.Classes, nil)
 }

@@ -12,7 +12,6 @@ import (
 	"harvest/internal/core"
 	"harvest/internal/ledger"
 	"harvest/internal/obs"
-	"harvest/internal/signalproc"
 	"harvest/internal/tenant"
 	"harvest/internal/wire"
 )
@@ -28,26 +27,26 @@ import (
 //	follower           primary
 //	   | --- OpReplHello --->|   follower id + held generations
 //	   | <- OpReplHelloResp -|   primary id
-//	   | <---- OpReplSnap ---|   full snapshot (join / fall-behind)
-//	   | <---- OpReplDelta --|   next generation; unchanged classes by reference
+//	   | <---- OpReplSnap ---|   a generation the follower does not hold: every class in full
 //	   | <---- OpReplBeat ---|   same generation: refreshed usage + ledger books
 //
-// Deltas reuse the warm-recluster structural sharing: a class whose Servers
-// slice is pointer-shared with the previous generation (spliceMembership's
-// reuse) has provably identical membership, so the frame carries only its id,
-// summary stats and centroid — steady-state shipping is O(drifted tenants),
-// not O(fleet). A delta whose PrevGeneration does not match the follower
-// exactly drops the connection; the rejoin handshake then gets a full
-// snapshot. Both ledgers ride along in full on every frame (bounded by live
-// leases and blocks), which is what makes promotion safe: the follower's books
-// are a prefix of the primary's, and conservation holds on whatever frame
-// applied last. They are not copied to get there. The primary walks each
-// ledger once under all of its shard locks — the books and every lease or
-// block read in one cut — and encodes straight into the connection's reused
-// frame buffer (appendLedgerSection, appendBlocksSection). The follower
-// decodes into one long-lived message per connection and, only once the
-// whole frame has decoded cleanly, reconciles it into the ledgers it already
-// holds (replApplier.reconcile): what is already equal is left alone, so a
+// A snapshot frame carries the class records <dc>.snapshot.json carries
+// (classRecords), and a follower installs them through the function boot
+// restores that file with (snapshotFromRecords): a join is a restart whose
+// state arrives over a socket. A frame the follower cannot apply — a beat for
+// a generation it does not hold, a reserved opcode — drops the connection; the
+// rejoin handshake then gets a full snapshot.
+//
+// Both ledgers ride along in full on every frame (bounded by live leases and
+// blocks), which is what makes promotion safe: the follower's books are a
+// prefix of the primary's, and conservation holds on whatever frame applied
+// last. They are not copied to get there. The primary walks each ledger once
+// under all of its shard locks — the books and every lease or block read in
+// one cut — and encodes straight into the connection's reused frame buffer
+// (appendLedgerSection, appendBlocksSection). The follower decodes into one
+// long-lived message per connection and, only once the whole frame has
+// decoded cleanly, reconciles it into the ledgers it already holds
+// (replApplier.reconcile): what is already equal is left alone, so a
 // steady-state beat costs a handful of heap objects at either end however
 // many leases it carries. A frame's two sections must be keyed to the frame's
 // own generation; the sender waits out a refresh that has re-keyed the books
@@ -67,14 +66,13 @@ type replState struct {
 	// applyMu serializes frame application and is the promotion barrier:
 	// Promote flips the role and then takes the mutex, so no frame mutates
 	// the books after Promote returns.
-	applyMu       sync.Mutex
-	applyLag      obs.Histogram
-	connected     atomic.Bool
-	snapsApplied  atomic.Uint64
-	deltasApplied atomic.Uint64
-	beatsApplied  atomic.Uint64
-	reconnects    atomic.Uint64
-	promotions    atomic.Uint64
+	applyMu      sync.Mutex
+	applyLag     obs.Histogram
+	connected    atomic.Bool
+	snapsApplied atomic.Uint64
+	beatsApplied atomic.Uint64
+	reconnects   atomic.Uint64
+	promotions   atomic.Uint64
 
 	// Primary side.
 	mu sync.Mutex
@@ -283,10 +281,9 @@ func (s *Service) serveReplConn(nc net.Conn) {
 }
 
 // buildReplFrame encodes the next frame for one shard given the snapshot the
-// follower last received: a beat when the generation is unchanged, a delta
-// when the follower is exactly one generation behind, a full snapshot
-// otherwise. Returns the frame appended to dst and the snapshot it brings the
-// follower to.
+// follower last received: a beat when the generation is unchanged, a full
+// snapshot otherwise. Returns the frame appended to dst and the snapshot it
+// brings the follower to.
 //
 // A frame must pair a snapshot with books keyed to the same generation, and
 // refreshShard re-keys both ledgers to N+1 before it publishes snapshot N+1.
@@ -299,7 +296,7 @@ func (s *Service) buildReplFrame(dst []byte, sh *shard, prev *Snapshot) (frame [
 	var waitUntil time.Time
 	for attempt := 0; attempt < 2; attempt++ {
 		snap := sh.snap.Load()
-		frame, mark := s.beginReplFrame(dst, sh, snap, prev)
+		frame, mark := s.beginReplFrame(dst, sh, snap, prev == snap)
 		frame, booksGen := appendLedgerSection(frame, sh.led)
 		if booksGen == snap.Generation {
 			frame, booksGen = appendBlocksSection(frame, sh.blocks)
@@ -321,12 +318,12 @@ func (s *Service) buildReplFrame(dst []byte, sh *shard, prev *Snapshot) (frame [
 }
 
 // beginReplFrame appends the frame's header and everything before its ledger
-// section: usage for a beat, the class list for a snapshot or delta.
-func (s *Service) beginReplFrame(dst []byte, sh *shard, snap, prev *Snapshot) ([]byte, int) {
+// section: usage for a beat, the class records for a snapshot.
+func (s *Service) beginReplFrame(dst []byte, sh *shard, snap *Snapshot, beat bool) ([]byte, int) {
 	now := time.Now().UnixNano()
 	usage := s.UsageFor(snap)
 
-	if prev == snap {
+	if beat {
 		m := wire.ReplBeat{
 			DC:           sh.dc,
 			Generation:   snap.Generation,
@@ -340,47 +337,14 @@ func (s *Service) beginReplFrame(dst []byte, sh *shard, snap, prev *Snapshot) ([
 		return wire.BeginReplBeat(dst, 0, &m)
 	}
 
-	op := wire.OpReplSnap
-	m := wire.ReplSnapshot{
+	return wire.BeginReplSnapshot(dst, 0, &wire.ReplSnapshot{
 		DC:              sh.dc,
 		Generation:      snap.Generation,
 		SentUnixNano:    now,
 		AsOfSeconds:     snap.AsOf.Seconds(),
 		BuiltAtUnixNano: snap.BuiltAt.UnixNano(),
-		Classes:         make([]wire.ReplClass, 0, len(snap.Clustering.Classes)),
-	}
-	if prev != nil && snap.Generation == prev.Generation+1 {
-		op = wire.OpReplDelta
-		m.PrevGeneration = prev.Generation
-	}
-	for _, cls := range snap.Clustering.Classes {
-		rc := wire.ReplClass{
-			ID:       uint32(cls.ID),
-			Pattern:  uint8(cls.Pattern),
-			Avg:      cls.AvgUtilization,
-			Peak:     cls.PeakUtilization,
-			Current:  usage[cls.ID].CurrentUtilization,
-			Centroid: cls.Centroid,
-		}
-		if op == wire.OpReplDelta {
-			if pc := sharedPrevClass(prev.Clustering, cls); pc != nil {
-				rc.Ref = true
-				rc.PrevID = uint32(pc.ID)
-				m.Classes = append(m.Classes, rc)
-				continue
-			}
-		}
-		rc.Tenants = make([]int64, len(cls.Tenants))
-		for i, tid := range cls.Tenants {
-			rc.Tenants[i] = int64(tid)
-		}
-		rc.Servers = make([]int64, len(cls.Servers))
-		for i, srv := range cls.Servers {
-			rc.Servers[i] = int64(srv)
-		}
-		m.Classes = append(m.Classes, rc)
-	}
-	return wire.BeginReplSnapshot(dst, op, 0, &m)
+		Classes:         classRecords(snap, usage),
+	})
 }
 
 // appendLedgerSection streams the allocation ledger's books and every live
@@ -436,24 +400,6 @@ func appendBlocksSection(dst []byte, blocks *blockledger.Ledger) ([]byte, uint64
 		}
 	})
 	return dst, gen
-}
-
-// sharedPrevClass returns the previous generation's class whose Servers slice
-// is pointer-shared with cls — spliceMembership's reuse, which guarantees the
-// tenant and server membership is identical — or nil.
-func sharedPrevClass(prev *core.Clustering, cls *core.UtilizationClass) *core.UtilizationClass {
-	if len(cls.Servers) == 0 || len(cls.Tenants) == 0 {
-		return nil
-	}
-	pid, ok := prev.ClassOfTenant(cls.Tenants[0])
-	if !ok {
-		return nil
-	}
-	pc := prev.Class(pid)
-	if pc == nil || len(pc.Servers) != len(cls.Servers) || &pc.Servers[0] != &cls.Servers[0] {
-		return nil
-	}
-	return pc
 }
 
 // followLoop is the follower's outer loop: dial the primary, run the stream,
@@ -574,25 +520,21 @@ type replApplier struct {
 func (s *Service) applyReplFrame(ap *replApplier, op wire.Op, payload []byte) error {
 	var sent int64
 	switch op {
-	case wire.OpReplSnap, wire.OpReplDelta:
-		// The snapshot message itself is fresh — applyReplSnapshot keeps its
-		// centroid slices — but its two ledger sections, by far the larger
+	case wire.OpReplSnap:
+		// The snapshot message itself is fresh — the installed snapshot keeps
+		// its centroid slices — but its two ledger sections, by far the larger
 		// part, decode into the connection's buffers.
 		m := wire.ReplSnapshot{Ledger: ap.beat.Ledger, Blocks: ap.beat.Blocks}
 		err := m.Decode(payload)
 		if err == nil {
-			err = s.applyReplSnapshot(ap, op == wire.OpReplDelta, &m)
+			err = s.applyReplSnapshot(ap, &m)
 		}
 		ap.beat.Ledger, ap.beat.Blocks = m.Ledger, m.Blocks
 		if err != nil {
 			return err
 		}
 		sent = m.SentUnixNano
-		if op == wire.OpReplSnap {
-			s.repl.snapsApplied.Add(1)
-		} else {
-			s.repl.deltasApplied.Add(1)
-		}
+		s.repl.snapsApplied.Add(1)
 	case wire.OpReplBeat:
 		m := &ap.beat
 		if err := m.Decode(payload); err != nil {
@@ -624,11 +566,11 @@ func checkBooksGeneration(dc string, frame, led, blocks uint64) error {
 	return nil
 }
 
-// applyReplSnapshot rebuilds a shard's snapshot from a full or delta frame —
-// the same reassembly path persistence restore uses — and applies the shipped
-// ledger state in place. Ref classes resolve against the follower's current
-// snapshot, which a delta's PrevGeneration must match exactly.
-func (s *Service) applyReplSnapshot(ap *replApplier, delta bool, m *wire.ReplSnapshot) error {
+// applyReplSnapshot installs a snapshot frame: the stream's policy — the books
+// keyed to the frame's generation, one frame at a time, not after a promotion
+// — around the reassembly boot uses, then the shipped ledger state reconciled
+// in place.
+func (s *Service) applyReplSnapshot(ap *replApplier, m *wire.ReplSnapshot) error {
 	sh, ok := s.shards[m.DC]
 	if !ok {
 		return fmt.Errorf("service: replicated snapshot for unknown datacenter %q", m.DC)
@@ -641,75 +583,13 @@ func (s *Service) applyReplSnapshot(ap *replApplier, delta bool, m *wire.ReplSna
 	if !s.follower.Load() {
 		return ErrFollower // promoted mid-frame: drop the stream
 	}
-	prev := sh.snap.Load()
-	if delta && prev.Generation != m.PrevGeneration {
-		return fmt.Errorf("service: %s: delta against generation %d, have %d", m.DC, m.PrevGeneration, prev.Generation)
-	}
-	if len(m.Classes) == 0 {
-		return fmt.Errorf("service: %s: replicated snapshot has no classes", m.DC)
-	}
-
-	classes := make([]*core.UtilizationClass, 0, len(m.Classes))
-	usage := make(map[core.ClassID]core.ClassUsage, len(m.Classes))
-	for i := range m.Classes {
-		rc := &m.Classes[i]
-		if int(rc.Pattern) >= signalproc.NumPatterns {
-			return fmt.Errorf("service: %s: class %d: bad pattern %d", m.DC, rc.ID, rc.Pattern)
-		}
-		cls := &core.UtilizationClass{
-			ID:              core.ClassID(rc.ID),
-			Pattern:         signalproc.Pattern(rc.Pattern),
-			AvgUtilization:  rc.Avg,
-			PeakUtilization: rc.Peak,
-			Centroid:        rc.Centroid,
-		}
-		if rc.Ref {
-			if !delta {
-				return fmt.Errorf("service: %s: ref class %d in a full snapshot", m.DC, rc.ID)
-			}
-			pc := prev.Clustering.Class(core.ClassID(rc.PrevID))
-			if pc == nil {
-				return fmt.Errorf("service: %s: ref class %d names unknown previous class %d", m.DC, rc.ID, rc.PrevID)
-			}
-			cls.Tenants, cls.Servers = pc.Tenants, pc.Servers
-		} else {
-			cls.Tenants = make([]tenant.ID, len(rc.Tenants))
-			for j, tid := range rc.Tenants {
-				id := tenant.ID(tid)
-				if sh.pop.ByID(id) == nil {
-					return fmt.Errorf("service: %s: class %d names unknown tenant %d (population mismatch — same -dcs/-scale/-seed as the primary?)", m.DC, rc.ID, tid)
-				}
-				cls.Tenants[j] = id
-			}
-			cls.Servers = make([]tenant.ServerID, len(rc.Servers))
-			for j, srv := range rc.Servers {
-				cls.Servers[j] = tenant.ServerID(srv)
-			}
-		}
-		classes = append(classes, cls)
-		usage[cls.ID] = core.ClassUsage{CurrentUtilization: rc.Current}
-	}
-	clustering, err := core.NewClusteringFromClasses(classes)
+	snap, err := s.snapshotFromRecords(sh, m.Generation, m.AsOfSeconds, time.Unix(0, m.BuiltAtUnixNano), m.Classes, sh.snap.Load())
 	if err != nil {
-		return fmt.Errorf("service: %s: replicated clustering: %w", m.DC, err)
+		return fmt.Errorf("service: %s: replicated snapshot: %w", m.DC, err)
 	}
-	start := time.Now()
-	var schemePrev *Snapshot
-	if delta {
-		schemePrev = prev
-	}
-	snap, err := assembleSnapshot(sh.dc, sh.pop, sh.rings, s.cfg, m.Generation, clustering, start, schemePrev)
-	if err != nil {
-		return fmt.Errorf("service: %s: assembling replicated snapshot: %w", m.DC, err)
-	}
-	snap.Usage = usage
-	snap.AsOf = time.Duration(m.AsOfSeconds * float64(time.Second))
-	snap.BuiltAt = time.Unix(0, m.BuiltAtUnixNano)
-	sh.rings.AdvanceClock(snap.AsOf)
-
-	ap.reconcile(sh, &m.Ledger, &m.Blocks, len(classes))
+	ap.reconcile(sh, &m.Ledger, &m.Blocks, len(snap.Clustering.Classes))
 	sh.snap.Store(snap)
-	s.buildUsageView(sh, snap, usage, sh.rings.TotalSamples())
+	s.buildUsageView(sh, snap, snap.Usage, sh.rings.TotalSamples())
 	sh.replGen.Store(m.Generation)
 	sh.replAppliedAt.Store(time.Now().UnixNano())
 	return nil
@@ -814,7 +694,6 @@ type ReplicationStats struct {
 	Reconnects       uint64         `json:"reconnects"`
 	Promotions       uint64         `json:"promotions" prom:"harvestd_replication_promotions_total,counter" help:"Follower-to-primary promotions on this node."`
 	SnapshotsApplied uint64         `json:"snapshots_applied" prom:"harvestd_replication_snapshots_applied_total,counter" help:"Full replication snapshots applied."`
-	DeltasApplied    uint64         `json:"deltas_applied" prom:"harvestd_replication_deltas_applied_total,counter" help:"Incremental replication deltas applied."`
 	BeatsApplied     uint64         `json:"beats_applied" prom:"harvestd_replication_beats_applied_total,counter" help:"Replication ledger beats applied."`
 	ApplyLagMeanUs   float64        `json:"apply_lag_mean_us"`
 	ApplyLagP99Us    uint64         `json:"apply_lag_p99_us"`
@@ -841,7 +720,6 @@ func (s *Service) ReplicationStats() ReplicationStats {
 		Reconnects:       s.repl.reconnects.Load(),
 		Promotions:       s.repl.promotions.Load(),
 		SnapshotsApplied: s.repl.snapsApplied.Load(),
-		DeltasApplied:    s.repl.deltasApplied.Load(),
 		BeatsApplied:     s.repl.beatsApplied.Load(),
 		ApplyLagMeanUs:   s.repl.applyLag.MeanMicros(),
 		ApplyLagP99Us:    s.repl.applyLag.QuantileMicros(0.99),

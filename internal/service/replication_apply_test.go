@@ -414,7 +414,7 @@ func TestReplFrameDecodesWithTheStructCodec(t *testing.T) {
 	if len(snap.Ledger.Leases) != 51 || len(snap.Blocks.Blocks) != 40 {
 		t.Fatalf("snapshot carries %d leases and %d blocks, want 51 and 40", len(snap.Ledger.Leases), len(snap.Blocks.Blocks))
 	}
-	if again := wire.AppendReplSnapshot(nil, op, 0, &snap); !bytes.Equal(again[wire.HeaderSize:], payload) {
+	if again := wire.AppendReplSnapshot(nil, 0, &snap); !bytes.Equal(again[wire.HeaderSize:], payload) {
 		t.Fatal("snapshot re-encoded from its decoded struct differs from the streamed frame")
 	}
 }
@@ -553,8 +553,8 @@ func TestReplFramePairsSnapshotAndBooks(t *testing.T) {
 	}
 	checkPaired(<-done)
 	primary.SetTestHookAfterRekey(nil)
-	if op := link.ship(t); op != wire.OpReplDelta {
-		t.Fatalf("frame after the refresh is %v, want a delta", op)
+	if op := link.ship(t); op != wire.OpReplSnap {
+		t.Fatalf("frame after the refresh is %v, want a full snapshot", op)
 	}
 	checkFollowerEqualsPrimary(t, primary, follower)
 

@@ -41,7 +41,7 @@ func checkLedgerConservation(t *testing.T, st ledger.Stats, who string) {
 
 // TestReplicationAndPromotion drives the full replica lifecycle end to end:
 // a follower joins and receives a full snapshot, tracks the primary through a
-// delta generation and ledger beats, rejects writes while following, and —
+// second generation and ledger beats, rejects writes while following, and —
 // after the primary dies with leases outstanding — promotes with exactly
 // conserved books, no double-grants, and a working write path.
 func TestReplicationAndPromotion(t *testing.T) {
@@ -120,23 +120,24 @@ func TestReplicationAndPromotion(t *testing.T) {
 		t.Fatalf("follower ingest: err = %v, want ErrFollower", err)
 	}
 
-	// A refresh on the primary must reach the follower as an incremental
-	// delta (one generation ahead), not a full resend.
+	// A refresh on the primary reaches the follower as one more full
+	// snapshot: every new generation ships whole.
+	joined := follower.ReplicationStats().SnapshotsApplied
 	if err := primary.Refresh(dc); err != nil {
 		t.Fatalf("Refresh 2: %v", err)
 	}
-	waitFor(t, "follower to apply the delta generation", func() bool {
+	waitFor(t, "follower to apply the next generation", func() bool {
 		snap, _ := follower.Snapshot(dc)
 		return snap.Generation == primarySnap.Generation+1
 	})
-	if rst := follower.ReplicationStats(); rst.DeltasApplied == 0 {
-		t.Fatalf("generation advanced without a delta: %+v", rst)
+	if rst := follower.ReplicationStats(); rst.SnapshotsApplied != joined+1 {
+		t.Fatalf("generation advanced on %d snapshot frames, want 1: %+v", rst.SnapshotsApplied-joined, rst)
 	}
 
-	// New books after the delta propagate via beats.
+	// New books after the refresh propagate via beats.
 	post, _, err := primary.SelectReserve(dc, job, -1)
 	if err != nil || !post.Reserved() {
-		t.Fatalf("SelectReserve (post-delta): %+v, %v", post, err)
+		t.Fatalf("SelectReserve (post-refresh): %+v, %v", post, err)
 	}
 	waitFor(t, "beat to carry the new lease", func() bool {
 		fst, _ := follower.LedgerStats(dc)

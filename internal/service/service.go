@@ -1514,18 +1514,17 @@ func (s *Service) repairOne(sh *shard, ref blockledger.Repair) bool {
 	var waitUntil time.Time
 	for attempt := 0; attempt < selectReserveAttempts; attempt++ {
 		snap := sh.snap.Load()
-		placed, pending, ok := sh.blocks.Servers(ref.Block)
-		if !ok || pending == 0 {
+		slots, envStrict, ok := sh.blocks.Slots(ref.Block)
+		if !ok || ref.Replica < 0 || ref.Replica >= len(slots) || slots[ref.Replica] != core.NoServer {
 			return true
 		}
-		envStrict, _ := sh.blocks.EnvStrict(ref.Block)
 		rng := s.rngs.Get().(*rand.Rand)
-		replicas, err := snap.PlaceAdditional(rng, placed, 1, core.PlacementConstraints{EnforceEnvironment: envStrict})
+		server, err := snap.PlaceSlot(rng, slots, ref.Replica, core.PlacementConstraints{EnforceEnvironment: envStrict})
 		s.rngs.Put(rng)
-		if err != nil || len(replicas) == 0 {
+		if err != nil {
 			return false
 		}
-		switch err := sh.blocks.Replace(snap.Generation, ref, replicas[0]); {
+		switch err := sh.blocks.Replace(snap.Generation, ref, server); {
 		case err == nil:
 			return true
 		case errors.Is(err, blockledger.ErrStaleGeneration):

@@ -24,7 +24,9 @@ import (
 
 	"harvest/internal/core"
 	"harvest/internal/experiments"
+	"harvest/internal/signalproc"
 	"harvest/internal/tenant"
+	"harvest/internal/wire"
 )
 
 // Snapshot is one datacenter's immutable characterization state: the
@@ -132,6 +134,94 @@ func assembleSnapshot(dc string, pop *tenant.Population, src tenant.HistorySourc
 	return snap, nil
 }
 
+// classRecords is a snapshot's class list in record form, each class's current
+// utilization read from usage: what <dc>.snapshot.json and an OpReplSnap frame
+// both carry, and what snapshotFromRecords reads back.
+func classRecords(snap *Snapshot, usage map[core.ClassID]core.ClassUsage) []wire.ReplClass {
+	recs := make([]wire.ReplClass, 0, len(snap.Clustering.Classes))
+	for _, cls := range snap.Clustering.Classes {
+		rc := wire.ReplClass{
+			ID:       uint32(cls.ID),
+			Pattern:  uint8(cls.Pattern),
+			Avg:      cls.AvgUtilization,
+			Peak:     cls.PeakUtilization,
+			Current:  usage[cls.ID].CurrentUtilization,
+			Centroid: cls.Centroid,
+			Tenants:  make([]int64, len(cls.Tenants)),
+			Servers:  make([]int64, len(cls.Servers)),
+		}
+		for i, tid := range cls.Tenants {
+			rc.Tenants[i] = int64(tid)
+		}
+		for i, srv := range cls.Servers {
+			rc.Servers[i] = int64(srv)
+		}
+		recs = append(recs, rc)
+	}
+	return recs
+}
+
+// snapshotFromRecords reassembles a shard's snapshot from its record form —
+// the one way state written by classRecords comes back, at boot from the file
+// and on a follower from a frame, so the two cannot read it differently. The
+// records are checked against the shard's population (a class list must be
+// non-empty, name known patterns and known tenants, and form a clustering),
+// the recorded view is kept verbatim — usage, AsOf, BuiltAt: the snapshot
+// represents the state as of its original build, and its age stays honest
+// about that — and the telemetry clock is pulled up to the recorded AsOf, past
+// the bootstrap window the rings were seeded from, so the next refresh cannot
+// move AsOf backwards. prev, when the shard already serves a snapshot, lends
+// its placement scheme. The records' centroid slices are kept.
+func (s *Service) snapshotFromRecords(sh *shard, generation uint64, asOfSeconds float64, builtAt time.Time,
+	recs []wire.ReplClass, prev *Snapshot) (*Snapshot, error) {
+	if len(recs) == 0 {
+		return nil, fmt.Errorf("no classes")
+	}
+	start := time.Now()
+	classes := make([]*core.UtilizationClass, 0, len(recs))
+	usage := make(map[core.ClassID]core.ClassUsage, len(recs))
+	for i := range recs {
+		rc := &recs[i]
+		if int(rc.Pattern) >= signalproc.NumPatterns {
+			return nil, fmt.Errorf("class %d: bad pattern %d", rc.ID, rc.Pattern)
+		}
+		cls := &core.UtilizationClass{
+			ID:              core.ClassID(rc.ID),
+			Pattern:         signalproc.Pattern(rc.Pattern),
+			AvgUtilization:  rc.Avg,
+			PeakUtilization: rc.Peak,
+			Centroid:        rc.Centroid,
+			Tenants:         make([]tenant.ID, len(rc.Tenants)),
+			Servers:         make([]tenant.ServerID, len(rc.Servers)),
+		}
+		for j, tid := range rc.Tenants {
+			id := tenant.ID(tid)
+			if sh.pop.ByID(id) == nil {
+				return nil, fmt.Errorf("class %d names unknown tenant %d (population mismatch: same -dcs/-scale/-seed as the writer?)", rc.ID, tid)
+			}
+			cls.Tenants[j] = id
+		}
+		for j, srv := range rc.Servers {
+			cls.Servers[j] = tenant.ServerID(srv)
+		}
+		classes = append(classes, cls)
+		usage[cls.ID] = core.ClassUsage{CurrentUtilization: rc.Current}
+	}
+	clustering, err := core.NewClusteringFromClasses(classes)
+	if err != nil {
+		return nil, err
+	}
+	snap, err := assembleSnapshot(sh.dc, sh.pop, sh.rings, s.cfg, generation, clustering, start, prev)
+	if err != nil {
+		return nil, err
+	}
+	snap.Usage = usage
+	snap.AsOf = time.Duration(asOfSeconds * float64(time.Second))
+	snap.BuiltAt = builtAt
+	sh.rings.AdvanceClock(snap.AsOf)
+	return snap, nil
+}
+
 // weightedClassUsage computes the per-class usage view: each class's
 // server-count-weighted average of a per-tenant utilization reading. Both
 // the build-time view (history source at the horizon) and the live view
@@ -206,15 +296,15 @@ func (s *Snapshot) Place(rng *rand.Rand, c core.PlacementConstraints) ([]tenant.
 	return replicas, err
 }
 
-// PlaceAdditional runs the re-replication variant of Alg. 2 on a pooled
-// clone: count more replicas for a block that already holds existing ones,
-// with the survivors' diversity constraints carried over. Safe for any number
-// of concurrent callers.
-func (s *Snapshot) PlaceAdditional(rng *rand.Rand, existing []tenant.ServerID, count int, c core.PlacementConstraints) ([]tenant.ServerID, error) {
+// PlaceSlot runs the re-replication variant of Alg. 2 on a pooled clone: one
+// server for the empty slot of a block whose slots are given in order, the
+// survivors' diversity constraints carried over by slot position. Safe for any
+// number of concurrent callers.
+func (s *Snapshot) PlaceSlot(rng *rand.Rand, slots []tenant.ServerID, slot int, c core.PlacementConstraints) (tenant.ServerID, error) {
 	placer := s.placers.Get().(*core.PlacementScheme)
-	replicas, err := placer.PlaceAdditional(rng, existing, count, c)
+	server, err := placer.PlaceSlot(rng, slots, slot, c)
 	s.placers.Put(placer)
-	return replicas, err
+	return server, err
 }
 
 // ClassOfServer resolves a server to its utilization class.

@@ -9,16 +9,15 @@ package wire
 // then streams, per datacenter:
 //
 //   - OpReplSnap — a full snapshot: every class with its complete tenant and
-//     server id lists, the live usage view, and the whole lease ledger. Sent
-//     on follower join and whenever a delta chain breaks.
-//   - OpReplDelta — an incremental snapshot against PrevGeneration: the
-//     class list is complete, but classes whose membership did not change
-//     ship as references to the previous generation's class (detected on the
-//     primary by the PR 8 structural sharing — an unchanged class shares its
-//     predecessor's Servers slice), so the steady-state frame is
-//     O(classes + drifted tenants' membership), not O(servers).
+//     server id lists, the live usage view, and both ledgers. Sent on
+//     follower join and once per new generation.
 //   - OpReplBeat — same generation, refreshed usage view + ledger state:
 //     what changes between snapshot refreshes as selects and telemetry land.
+//
+// There is no incremental snapshot: the class list's id arrays are a few
+// per cent of a frame that carries both ledgers in full anyway. The opcode an
+// earlier format used for one (OpReplDelta), the PrevGeneration word and the
+// per-class ref byte are reserved — written as zero, and refused when set.
 //
 // Pushes are unacknowledged: a follower that cannot keep up is dropped by
 // the primary's write deadline and re-joins with a fresh hello (getting a
@@ -86,27 +85,22 @@ func (m *ReplHelloResp) Decode(payload []byte) error {
 	return r.Done()
 }
 
-// ReplClass is one utilization class in a snapshot or delta frame. Ref
-// classes (deltas only) carry their scalar fields and centroid — those move
-// every warm recluster even when membership holds — but reference the
-// previous generation's class for the tenant and server id lists, which is
-// what keeps steady-state deltas small.
+// ReplClass is one utilization class of a shard's characterization — the
+// record a snapshot frame carries and, through its json tags, the record
+// <dc>.snapshot.json carries: one type, so the file and the frame cannot
+// describe a class differently.
 type ReplClass struct {
-	ID      uint32
-	Pattern uint8
-	Avg     float64
-	Peak    float64
-	// Current is the class's live usage-view utilization on the primary —
-	// shipped instead of recomputed because the follower's telemetry rings
-	// never see the primary's ingested samples.
-	Current  float64
-	Centroid []float64
-	// Ref marks a membership reference: Tenants/Servers are empty and PrevID
-	// names the previous generation's class to copy them from.
-	Ref     bool
-	PrevID  uint32
-	Tenants []int64
-	Servers []int64
+	ID      uint32  `json:"id"`
+	Pattern uint8   `json:"pattern"`
+	Avg     float64 `json:"avg_utilization"`
+	Peak    float64 `json:"peak_utilization"`
+	// Current is the class's usage-view utilization where the record was
+	// written — shipped instead of recomputed because a follower's telemetry
+	// rings never see the primary's ingested samples.
+	Current  float64   `json:"current_utilization"`
+	Centroid []float64 `json:"centroid"`
+	Tenants  []int64   `json:"tenants"`
+	Servers  []int64   `json:"servers"`
 }
 
 // ReplGrant is one class's share of a replicated lease, mirroring
@@ -319,15 +313,11 @@ func decodeReplBlocks(r *Reader, m *ReplBlocks) {
 	}
 }
 
-// ReplSnapshot is the payload of both OpReplSnap and OpReplDelta frames —
-// one datacenter's complete characterization state. Full snapshots carry
-// every class in full and PrevGeneration 0; deltas set PrevGeneration to the
-// exact generation they apply on top of (a follower holding anything else
-// must drop the connection and re-join) and may use Ref classes.
+// ReplSnapshot is the payload of an OpReplSnap frame — one datacenter's
+// complete characterization state, every class in full.
 type ReplSnapshot struct {
 	DC              string
 	Generation      uint64
-	PrevGeneration  uint64
 	SentUnixNano    int64
 	AsOfSeconds     float64
 	BuiltAtUnixNano int64
@@ -336,16 +326,15 @@ type ReplSnapshot struct {
 	Blocks          ReplBlocks
 }
 
-// BeginReplSnapshot appends a snapshot or delta frame (op must be OpReplSnap
-// or OpReplDelta) up to the end of its class list, ignoring m.Ledger and
-// m.Blocks: the caller appends a ledger section and a block section and
-// closes the frame with EndFrame(out, mark).
-func BeginReplSnapshot(dst []byte, op Op, id uint64, m *ReplSnapshot) (out []byte, mark int) {
+// BeginReplSnapshot appends a snapshot frame up to the end of its class list,
+// ignoring m.Ledger and m.Blocks: the caller appends a ledger section and a
+// block section and closes the frame with EndFrame(out, mark).
+func BeginReplSnapshot(dst []byte, id uint64, m *ReplSnapshot) (out []byte, mark int) {
 	mark = len(dst)
-	dst = BeginFrame(dst, op, id)
+	dst = BeginFrame(dst, OpReplSnap, id)
 	dst = AppendStr8(dst, m.DC)
 	dst = AppendU64(dst, m.Generation)
-	dst = AppendU64(dst, m.PrevGeneration)
+	dst = AppendU64(dst, 0) // reserved (PrevGeneration)
 	dst = AppendI64(dst, m.SentUnixNano)
 	dst = AppendF64(dst, m.AsOfSeconds)
 	dst = AppendI64(dst, m.BuiltAtUnixNano)
@@ -354,17 +343,13 @@ func BeginReplSnapshot(dst []byte, op Op, id uint64, m *ReplSnapshot) (out []byt
 		c := &m.Classes[i]
 		dst = AppendU32(dst, c.ID)
 		dst = AppendU8(dst, c.Pattern)
-		dst = AppendU8(dst, boolByte(c.Ref))
+		dst = AppendU8(dst, 0) // reserved (ref)
 		dst = AppendF64(dst, c.Avg)
 		dst = AppendF64(dst, c.Peak)
 		dst = AppendF64(dst, c.Current)
 		dst = AppendU16(dst, uint16(len(c.Centroid)))
 		for _, v := range c.Centroid {
 			dst = AppendF64(dst, v)
-		}
-		if c.Ref {
-			dst = AppendU32(dst, c.PrevID)
-			continue
 		}
 		dst = AppendU32(dst, uint32(len(c.Tenants)))
 		for _, t := range c.Tenants {
@@ -378,24 +363,24 @@ func BeginReplSnapshot(dst []byte, op Op, id uint64, m *ReplSnapshot) (out []byt
 	return dst, mark
 }
 
-// AppendReplSnapshot appends a complete snapshot or delta frame.
-func AppendReplSnapshot(dst []byte, op Op, id uint64, m *ReplSnapshot) []byte {
-	dst, mark := BeginReplSnapshot(dst, op, id, m)
+// AppendReplSnapshot appends a complete snapshot frame.
+func AppendReplSnapshot(dst []byte, id uint64, m *ReplSnapshot) []byte {
+	dst, mark := BeginReplSnapshot(dst, id, m)
 	dst = appendReplLedger(dst, &m.Ledger)
 	dst = appendReplBlocks(dst, &m.Blocks)
 	return EndFrame(dst, mark)
 }
 
 // replClassMinSize is a class record's floor on the wire: id + pattern +
-// ref byte + three f64 scalars + centroid count + (ref id | two counts).
-const replClassMinSize = 4 + 1 + 1 + 24 + 2 + 4
+// reserved byte + three f64 scalars + centroid count + two list counts.
+const replClassMinSize = 4 + 1 + 1 + 24 + 2 + 8
 
-// Decode parses a snapshot or delta payload.
+// Decode parses a snapshot payload.
 func (m *ReplSnapshot) Decode(payload []byte) error {
 	r := NewReader(payload)
 	m.DC = string(r.Str8())
 	m.Generation = r.U64()
-	m.PrevGeneration = r.U64()
+	r.U64() // reserved (PrevGeneration)
 	m.SentUnixNano = r.I64()
 	m.AsOfSeconds = r.F64()
 	m.BuiltAtUnixNano = r.I64()
@@ -405,7 +390,10 @@ func (m *ReplSnapshot) Decode(payload []byte) error {
 		c := &m.Classes[i]
 		c.ID = r.U32()
 		c.Pattern = r.U8()
-		c.Ref = r.U8() != 0
+		if r.U8() != 0 {
+			// A ref class: a different record layout, which nothing writes.
+			r.bad = true
+		}
 		c.Avg = r.F64()
 		c.Peak = r.F64()
 		c.Current = r.F64()
@@ -414,13 +402,6 @@ func (m *ReplSnapshot) Decode(payload []byte) error {
 		for j := range c.Centroid {
 			c.Centroid[j] = r.F64()
 		}
-		if c.Ref {
-			c.PrevID = r.U32()
-			c.Tenants = c.Tenants[:0]
-			c.Servers = c.Servers[:0]
-			continue
-		}
-		c.PrevID = 0
 		nt := int(r.U32())
 		c.Tenants = sized(c.Tenants, nt, 8, &r)
 		for j := range c.Tenants {

@@ -49,7 +49,6 @@ func replSnapshotFixture() ReplSnapshot {
 	return ReplSnapshot{
 		DC:              "DC-9",
 		Generation:      8,
-		PrevGeneration:  7,
 		SentUnixNano:    1_700_000_000_000_000_123,
 		AsOfSeconds:     3600.5,
 		BuiltAtUnixNano: 1_700_000_000_000_000_000,
@@ -63,7 +62,7 @@ func replSnapshotFixture() ReplSnapshot {
 			{
 				ID: 1, Pattern: 0, Avg: 0.6, Peak: 0.9, Current: 0.61,
 				Centroid: []float64{0.9},
-				Ref:      true, PrevID: 2,
+				Servers:  []int64{7},
 			},
 		},
 		Ledger: ReplLedger{
@@ -83,13 +82,38 @@ func replSnapshotFixture() ReplSnapshot {
 
 func TestReplSnapshotRoundTrip(t *testing.T) {
 	in := replSnapshotFixture()
-	frame := AppendReplSnapshot(nil, OpReplDelta, 7, &in)
+	frame := AppendReplSnapshot(nil, 7, &in)
 	var out ReplSnapshot
-	if err := out.Decode(parsePayload(t, frame, OpReplDelta)); err != nil {
+	if err := out.Decode(parsePayload(t, frame, OpReplSnap)); err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("round trip mismatch:\n in  %+v\n out %+v", in, out)
+	}
+}
+
+// TestReplSnapshotReservedFields pins the two fields an earlier format used
+// for incremental snapshots: both are written as zero; a set PrevGeneration
+// word is ignored, a set ref byte — which changed the record's layout — makes
+// the frame undecodable.
+func TestReplSnapshotReservedFields(t *testing.T) {
+	in := replSnapshotFixture()
+	payload := AppendReplSnapshot(nil, 7, &in)[HeaderSize:]
+	prevGen := 1 + len(in.DC) + 8                  // after DC and Generation
+	refByte := prevGen + 8 + 8 + 8 + 8 + 4 + 4 + 1 // … Sent, AsOf, BuiltAt, class count; then id, pattern
+	for _, at := range []int{prevGen, refByte} {
+		if payload[at] != 0 {
+			t.Fatalf("reserved byte at %d written as %d", at, payload[at])
+		}
+	}
+	var out ReplSnapshot
+	payload[prevGen] = 7
+	if err := out.Decode(payload); err != nil || !reflect.DeepEqual(in, out) {
+		t.Fatalf("PrevGeneration word set: err %v, equal %v", err, reflect.DeepEqual(in, out))
+	}
+	payload[refByte] = 1
+	if err := out.Decode(payload); err == nil {
+		t.Fatal("a class record with its ref byte set decoded cleanly")
 	}
 }
 
@@ -118,7 +142,7 @@ func TestReplBeatRoundTrip(t *testing.T) {
 // byte yields ErrShortPayload, never a panic or a silent partial decode.
 func TestReplDecodeTruncated(t *testing.T) {
 	in := replSnapshotFixture()
-	payload := AppendReplSnapshot(nil, OpReplSnap, 1, &in)[HeaderSize:]
+	payload := AppendReplSnapshot(nil, 1, &in)[HeaderSize:]
 	for n := 0; n < len(payload); n++ {
 		var out ReplSnapshot
 		if err := out.Decode(payload[:n]); err == nil {

@@ -95,7 +95,9 @@ const (
 	// OpReplHello|RespBit); the rest are unacknowledged pushes from the
 	// primary. These never appear on the public binary ports — servers and
 	// routers reject them at the framing layer — so their larger payload cap
-	// (MaxReplPayload) is confined to the replication listener.
+	// (MaxReplPayload) is confined to the replication listener. OpReplDelta
+	// is reserved: nothing sends it and a follower that receives it drops the
+	// stream.
 	OpReplHello Op = 0x10
 	OpReplSnap  Op = 0x11
 	OpReplDelta Op = 0x12
