@@ -26,6 +26,7 @@ import (
 
 	"harvest/internal/core"
 	"harvest/internal/tenant"
+	"harvest/internal/wire"
 )
 
 // ErrStaleGeneration is returned when a caller's snapshot generation does not
@@ -41,12 +42,11 @@ var ErrUnknownBlock = errors.New("blockledger: unknown block")
 // no longer pending — a duplicate delivery of the same repair ref.
 var ErrReplicaPlaced = errors.New("blockledger: replica already placed")
 
-// block is one tracked block. The replica slice never changes length after
-// creation — a slot's index is its stable identity in repair refs.
+// block is one tracked block as the ledger holds it: the record Walk lends
+// out. The replica slice never changes length after creation — a slot's index
+// is its stable identity in repair refs.
 type block struct {
-	id        uint64
-	envStrict bool
-	replicas  []PersistedReplica
+	wire.ReplBlock
 	// epoch is the Reconcile pass that last confirmed the block (0 for a
 	// block this ledger created itself); the pass deletes whatever it did not
 	// stamp. Guarded by the shard lock.
@@ -119,17 +119,17 @@ func (sh *blockShard) unindexPlaced(server tenant.ServerID, blockID uint64) {
 
 // indexSlots and unindexSlots add and remove all of a block's placed replicas.
 func (sh *blockShard) indexSlots(b *block) {
-	for slot, r := range b.replicas {
+	for slot, r := range b.Replicas {
 		if r.Placed {
-			sh.indexPlaced(r.Server, b.id, slot)
+			sh.indexPlaced(tenant.ServerID(r.Server), b.ID, slot)
 		}
 	}
 }
 
 func (sh *blockShard) unindexSlots(b *block) {
-	for _, r := range b.replicas {
+	for _, r := range b.Replicas {
 		if r.Placed {
-			sh.unindexPlaced(r.Server, b.id)
+			sh.unindexPlaced(tenant.ServerID(r.Server), b.ID)
 		}
 	}
 }
@@ -222,18 +222,18 @@ func (l *Ledger) Create(generation uint64, servers []tenant.ServerID, envStrict 
 		l.stales.Add(1)
 		return 0, ErrStaleGeneration
 	}
-	b := &block{id: sh.newBlockID(shardIdx), envStrict: envStrict, replicas: make([]PersistedReplica, len(servers))}
+	b := &block{ReplBlock: wire.ReplBlock{ID: sh.newBlockID(shardIdx), EnvStrict: envStrict, Replicas: make([]wire.ReplBlockReplica, len(servers))}}
 	for i, s := range servers {
-		b.replicas[i] = PersistedReplica{Server: s, Placed: true}
-		sh.indexPlaced(s, b.id, i)
+		b.Replicas[i] = wire.ReplBlockReplica{Server: int64(s), Placed: true}
+		sh.indexPlaced(s, b.ID, i)
 	}
-	sh.blocks[b.id] = b
+	sh.blocks[b.ID] = b
 	l.blocks.Add(1)
 	l.slots.Add(int64(len(servers)))
 	l.placed.Add(int64(len(servers)))
 	l.creates.Add(1)
 	sh.mu.Unlock()
-	return b.id, nil
+	return b.ID, nil
 }
 
 // Reimage marks every replica on the server lost and enqueues its repair,
@@ -252,7 +252,7 @@ func (l *Ledger) Reimage(server tenant.ServerID) int {
 		}
 		for blockID, slot := range hits {
 			b := sh.blocks[blockID]
-			b.replicas[slot].Placed = false
+			b.Replicas[slot].Placed = false
 			refs = append(refs, Repair{Block: blockID, Replica: slot})
 		}
 		n := int64(len(hits))
@@ -298,7 +298,7 @@ func (l *Ledger) Requeue(r Repair) {
 	sh := &l.shards[shardOf(r.Block)]
 	sh.mu.Lock()
 	b := sh.blocks[r.Block]
-	stillPending := b != nil && r.Replica >= 0 && r.Replica < len(b.replicas) && !b.replicas[r.Replica].Placed
+	stillPending := b != nil && r.Replica >= 0 && r.Replica < len(b.Replicas) && !b.Replicas[r.Replica].Placed
 	sh.mu.Unlock()
 	if !stillPending {
 		return
@@ -321,19 +321,19 @@ func (l *Ledger) Replace(generation uint64, r Repair, server tenant.ServerID) er
 		return ErrStaleGeneration
 	}
 	b := sh.blocks[r.Block]
-	if b == nil || r.Replica < 0 || r.Replica >= len(b.replicas) {
+	if b == nil || r.Replica < 0 || r.Replica >= len(b.Replicas) {
 		return ErrUnknownBlock
 	}
-	if b.replicas[r.Replica].Placed {
+	if b.Replicas[r.Replica].Placed {
 		return ErrReplicaPlaced
 	}
-	for i := range b.replicas {
-		if b.replicas[i].Placed && b.replicas[i].Server == server {
+	for _, held := range b.Replicas {
+		if held.Placed && held.Server == int64(server) {
 			return fmt.Errorf("blockledger: server %d already holds a replica of block %d", server, r.Block)
 		}
 	}
-	b.replicas[r.Replica] = PersistedReplica{Server: server, Placed: true}
-	sh.indexPlaced(server, b.id, r.Replica)
+	b.Replicas[r.Replica] = wire.ReplBlockReplica{Server: int64(server), Placed: true}
+	sh.indexPlaced(server, b.ID, r.Replica)
 	l.pending.Add(-1)
 	l.placed.Add(1)
 	l.replaced.Add(1)
@@ -353,14 +353,14 @@ func (l *Ledger) Slots(blockID uint64) (slots []tenant.ServerID, envStrict, ok b
 	if b == nil {
 		return nil, false, false
 	}
-	slots = make([]tenant.ServerID, len(b.replicas))
-	for i, r := range b.replicas {
+	slots = make([]tenant.ServerID, len(b.Replicas))
+	for i, r := range b.Replicas {
 		slots[i] = core.NoServer
 		if r.Placed {
-			slots[i] = r.Server
+			slots[i] = tenant.ServerID(r.Server)
 		}
 	}
-	return slots, b.envStrict, true
+	return slots, b.EnvStrict, true
 }
 
 // Servers returns the block's currently placed replica servers, compacted,
@@ -436,17 +436,17 @@ func (l *Ledger) rekeyBlock(sh *blockShard, b *block, site SiteOf, refs *[]Repai
 	var usedCols, usedRows uint32
 	var envBuf [maxStackEnvs]string
 	usedEnvs := envBuf[:0]
-	for slot := range b.replicas {
+	for slot := range b.Replicas {
 		if slot%core.PlacementGridSize == 0 {
 			usedCols, usedRows = 0, 0
 		}
-		r := &b.replicas[slot]
+		r := &b.Replicas[slot]
 		if !r.Placed {
 			continue
 		}
-		col, row, env, ok := site(r.Server)
+		col, row, env, ok := site(tenant.ServerID(r.Server))
 		violates := !ok
-		if !violates && b.envStrict {
+		if !violates && b.EnvStrict {
 			for _, e := range usedEnvs {
 				if e == env {
 					violates = true
@@ -458,9 +458,9 @@ func (l *Ledger) rekeyBlock(sh *blockShard, b *block, site SiteOf, refs *[]Repai
 			violates = true
 		}
 		if violates {
-			sh.unindexPlaced(r.Server, b.id)
+			sh.unindexPlaced(tenant.ServerID(r.Server), b.ID)
 			r.Placed = false
-			*refs = append(*refs, Repair{Block: b.id, Replica: slot})
+			*refs = append(*refs, Repair{Block: b.ID, Replica: slot})
 			l.placed.Add(-1)
 			l.pending.Add(1)
 			l.lost.Add(1)
@@ -531,55 +531,27 @@ func abs(n int64) int64 {
 	return n
 }
 
-// PersistedReplica is one replica slot, in the ledger and in the exported
-// state alike. Server is meaningless when Placed is false.
-type PersistedReplica struct {
-	Server tenant.ServerID `json:"server"`
-	Placed bool            `json:"placed"`
-}
-
-// PersistedBlock is one block in the exported state — and the shape Walk
-// lends blocks out in and Reconcile takes them back in.
-type PersistedBlock struct {
-	ID        uint64             `json:"id"`
-	EnvStrict bool               `json:"env_strict,omitempty"`
-	Replicas  []PersistedReplica `json:"replicas"`
-}
-
-// Books is the generation the ledger is keyed to plus its cumulative
-// counters. The gauges (blocks, slots, placed, pending) are not part of it:
-// they are functions of the blocks themselves and recomputed on apply.
-type Books struct {
-	Generation uint64 `json:"generation"`
-	Lost       int64  `json:"lost"`
-	Replaced   int64  `json:"replaced"`
-	Creates    uint64 `json:"creates"`
-	Reimages   uint64 `json:"reimages"`
-}
-
-// State is the full exported ledger: every block plus the cumulative books,
-// shippable over the replication stream and to disk. The repair queue is not
-// exported — it is exactly the pending slots, rebuilt on restore/apply.
-type State struct {
-	Books
-	Blocks []PersistedBlock `json:"blocks"`
-}
+// State is the full exported ledger: every block plus the generation and the
+// cumulative books — the record the persistence file and a replication frame
+// both carry. The repair queue is not part of it: it is exactly the pending
+// slots, rebuilt on restore/apply.
+type State = wire.ReplBlocks
 
 // Walk is the ledger's one consistent read of its whole state: with every
-// shard lock held it calls begin once with the books and the block count,
-// then visit once per block, in no particular order, so the books and the
-// blocks belong to one instant. Each block's Replicas is the ledger's own
-// slice, lent for the duration of the call: visit may read it (encode it,
-// copy it) but must not keep or modify it. Neither callback may call back
-// into the ledger.
-func (l *Ledger) Walk(begin func(b Books, blocks int), visit func(PersistedBlock)) {
+// shard lock held it calls begin once with the books (a State with no blocks)
+// and the block count, then visit once per block, in no particular order, so
+// the books and the blocks belong to one instant. Each block's Replicas is the
+// ledger's own slice, lent for the duration of the call: visit may read it
+// (encode it, copy it) but must not keep or modify it. Neither callback may
+// call back into the ledger.
+func (l *Ledger) Walk(begin func(books State, blocks int), visit func(wire.ReplBlock)) {
 	l.lockAll()
 	defer l.unlockAll()
 	n := 0
 	for i := range l.shards {
 		n += len(l.shards[i].blocks)
 	}
-	begin(Books{
+	begin(State{
 		Generation: l.generation.Load(),
 		Lost:       l.lost.Load(),
 		Replaced:   l.replaced.Load(),
@@ -588,7 +560,7 @@ func (l *Ledger) Walk(begin func(b Books, blocks int), visit func(PersistedBlock
 	}, n)
 	for i := range l.shards {
 		for _, b := range l.shards[i].blocks {
-			visit(PersistedBlock{ID: b.id, EnvStrict: b.envStrict, Replicas: b.replicas})
+			visit(b.ReplBlock)
 		}
 	}
 }
@@ -597,11 +569,12 @@ func (l *Ledger) Walk(begin func(b Books, blocks int), visit func(PersistedBlock
 // copying each block's replica slots out.
 func (l *Ledger) Export() State {
 	var st State
-	l.Walk(func(b Books, blocks int) {
-		st.Books, st.Blocks = b, make([]PersistedBlock, 0, blocks)
-	}, func(pb PersistedBlock) {
-		pb.Replicas = append([]PersistedReplica(nil), pb.Replicas...)
-		st.Blocks = append(st.Blocks, pb)
+	l.Walk(func(books State, blocks int) {
+		st = books
+		st.Blocks = make([]wire.ReplBlock, 0, blocks)
+	}, func(b wire.ReplBlock) {
+		b.Replicas = slices.Clone(b.Replicas)
+		st.Blocks = append(st.Blocks, b)
 	})
 	return st
 }
@@ -613,13 +586,12 @@ type Changed struct {
 	Inserted, Rewritten, Deleted int
 }
 
-// Reconcile makes the ledger's contents equal to an exported state, in
-// place — the follower's apply path, run on every replication frame, and
-// what ApplyState does with a State. The incoming state is b plus n blocks,
-// pulled one at a time through blockAt (whose Replicas may point into storage
-// the caller reuses: Reconcile copies what it keeps). The caller must have
-// validated the whole state first, because the first call to blockAt may
-// already mutate: that is how a frame stays all-or-nothing.
+// Reconcile makes the ledger's contents equal to st, in place: the one
+// function that turns a state into live books, behind the follower's apply of
+// every replication frame, ApplyState, and Restore at boot. st is only read,
+// and may be storage the caller reuses: Reconcile copies what it keeps. The
+// caller must have validated the whole state first, because the first block
+// may already mutate: that is how a frame stays all-or-nothing.
 //
 // A block already held with identical replica slots is left alone, so a
 // steady-state beat allocates nothing; only a block that is new, or whose
@@ -627,43 +599,42 @@ type Changed struct {
 // only when a pending slot appeared, moved or went away. Blocks with a
 // malformed shape (zero id, no replicas) and repeated ids are skipped rather
 // than trusted; the gauges are recomputed from what was actually applied so
-// the invariant holds even against a lying peer. blockAt must not call back
-// into the ledger.
-func (l *Ledger) Reconcile(b Books, n int, blockAt func(i int) PersistedBlock) Changed {
+// the invariant holds even against a lying peer.
+func (l *Ledger) Reconcile(st *State) Changed {
 	l.lockAll()
 	l.epoch++
 	var ch Changed
 	var blocks, slots, pending int64
 	requeue := false // some pending slot appeared, moved or went away
-	for i := 0; i < n; i++ {
-		pb := blockAt(i)
-		if pb.ID == 0 || len(pb.Replicas) == 0 {
+	for i := range st.Blocks {
+		in := &st.Blocks[i]
+		if in.ID == 0 || len(in.Replicas) == 0 {
 			continue
 		}
-		sh := &l.shards[shardOf(pb.ID)]
-		blk := sh.blocks[pb.ID]
+		sh := &l.shards[shardOf(in.ID)]
+		blk := sh.blocks[in.ID]
 		if blk != nil && blk.epoch == l.epoch {
 			continue // the state names this id twice; the first one stands
 		}
-		awaiting := pendingSlots(pb.Replicas)
+		awaiting := pendingSlots(in.Replicas)
 		switch {
 		case blk == nil:
-			blk = &block{id: pb.ID, replicas: append([]PersistedReplica(nil), pb.Replicas...)}
-			sh.blocks[pb.ID] = blk
+			blk = &block{ReplBlock: wire.ReplBlock{ID: in.ID, Replicas: slices.Clone(in.Replicas)}}
+			sh.blocks[in.ID] = blk
 			sh.indexSlots(blk)
 			ch.Inserted++
 			requeue = requeue || awaiting > 0
-		case !slices.Equal(blk.replicas, pb.Replicas):
+		case !slices.Equal(blk.Replicas, in.Replicas):
 			sh.unindexSlots(blk)
-			blk.replicas = append(blk.replicas[:0], pb.Replicas...)
+			blk.Replicas = append(blk.Replicas[:0], in.Replicas...)
 			sh.indexSlots(blk)
 			ch.Rewritten++
 			requeue = true
 		}
-		blk.envStrict = pb.EnvStrict
+		blk.EnvStrict = in.EnvStrict
 		blk.epoch = l.epoch
 		blocks++
-		slots += int64(len(pb.Replicas))
+		slots += int64(len(in.Replicas))
 		pending += awaiting
 	}
 	held := 0
@@ -678,7 +649,7 @@ func (l *Ledger) Reconcile(b Books, n int, blockAt func(i int) PersistedBlock) C
 					sh.unindexSlots(blk)
 					delete(sh.blocks, id)
 					ch.Deleted++
-					requeue = requeue || pendingSlots(blk.replicas) > 0
+					requeue = requeue || pendingSlots(blk.Replicas) > 0
 				}
 			}
 		}
@@ -687,11 +658,11 @@ func (l *Ledger) Reconcile(b Books, n int, blockAt func(i int) PersistedBlock) C
 	l.slots.Store(slots)
 	l.placed.Store(slots - pending)
 	l.pending.Store(pending)
-	l.lost.Store(b.Lost)
-	l.replaced.Store(b.Replaced)
-	l.creates.Store(b.Creates)
-	l.reimages.Store(b.Reimages)
-	l.generation.Store(b.Generation)
+	l.lost.Store(st.Lost)
+	l.replaced.Store(st.Replaced)
+	l.creates.Store(st.Creates)
+	l.reimages.Store(st.Reimages)
+	l.generation.Store(st.Generation)
 	l.unlockAll()
 	if requeue {
 		l.rebuildQueue()
@@ -699,7 +670,7 @@ func (l *Ledger) Reconcile(b Books, n int, blockAt func(i int) PersistedBlock) C
 	return ch
 }
 
-func pendingSlots(replicas []PersistedReplica) (n int64) {
+func pendingSlots(replicas []wire.ReplBlockReplica) (n int64) {
 	for _, r := range replicas {
 		if !r.Placed {
 			n++
@@ -708,10 +679,8 @@ func pendingSlots(replicas []PersistedReplica) (n int64) {
 	return n
 }
 
-// ApplyState is Reconcile fed from an exported State.
-func (l *Ledger) ApplyState(st State) {
-	l.Reconcile(st.Books, len(st.Blocks), func(i int) PersistedBlock { return st.Blocks[i] })
-}
+// ApplyState is Reconcile on an exported State.
+func (l *Ledger) ApplyState(st State) { l.Reconcile(&st) }
 
 // rebuildQueue re-derives the repair queue from the pending slots — the
 // restore/apply path, and the promoted follower's recovery of repairs that
@@ -721,9 +690,9 @@ func (l *Ledger) rebuildQueue() {
 	l.lockAll()
 	for i := range l.shards {
 		for _, b := range l.shards[i].blocks {
-			for slot := range b.replicas {
-				if !b.replicas[slot].Placed {
-					refs = append(refs, Repair{Block: b.id, Replica: slot})
+			for slot := range b.Replicas {
+				if !b.Replicas[slot].Placed {
+					refs = append(refs, Repair{Block: b.ID, Replica: slot})
 				}
 			}
 		}
@@ -736,11 +705,33 @@ func (l *Ledger) rebuildQueue() {
 
 // Restore builds a ledger from persisted state, re-keyed to the current
 // snapshot generation (the caller re-validates placements via Rekey if the
-// generation moved). An error is returned only for irrecoverably malformed
-// state; individual bad blocks are dropped by ApplyState's validation.
+// generation moved): a fresh ledger, reconciled to the state. A file is held
+// to more than a peer is — a block Reconcile would skip (a zero or repeated
+// id, no replica slots) or that no replication frame could carry on to a
+// follower refuses the whole state. A skipped block's pending slots would be
+// missing from books that still count them lost, and the conservation residue
+// would last as long as the process; a refused file starts empty and
+// conserved.
 func Restore(st State, generation uint64) (*Ledger, error) {
+	seen := make(map[uint64]struct{}, len(st.Blocks))
+	for i := range st.Blocks {
+		b := &st.Blocks[i]
+		if b.ID == 0 {
+			return nil, fmt.Errorf("blockledger: zero block id")
+		}
+		if _, dup := seen[b.ID]; dup {
+			return nil, fmt.Errorf("blockledger: duplicate block id %d", b.ID)
+		}
+		if len(b.Replicas) == 0 {
+			return nil, fmt.Errorf("blockledger: block %d has no replica slots", b.ID)
+		}
+		if err := b.Encodable(); err != nil {
+			return nil, err
+		}
+		seen[b.ID] = struct{}{}
+	}
 	l := New(generation)
-	l.ApplyState(st)
-	l.generation.Store(generation)
+	st.Generation = generation
+	l.Reconcile(&st)
 	return l, nil
 }

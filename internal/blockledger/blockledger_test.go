@@ -9,6 +9,7 @@ import (
 
 	"harvest/internal/blockledger"
 	"harvest/internal/tenant"
+	"harvest/internal/wire"
 )
 
 func TestBlockLedgerLifecycle(t *testing.T) {
@@ -64,6 +65,53 @@ func TestBlockLedgerLifecycle(t *testing.T) {
 	st = led.Snapshot()
 	if st.Placed != 3 || st.Pending != 0 || st.Lost != 1 || st.Replaced != 1 || st.RepairQueue != 0 {
 		t.Fatalf("post-repair stats %+v", st)
+	}
+}
+
+// TestExportRestore pins the file door: an exported state restores to the same
+// books with the repair queue rebuilt from the pending slots, and a state
+// holding a block Reconcile would skip, or one no replication frame could
+// carry, is refused whole. Skipping it instead would leave its pending slot
+// counted lost and never replaced, a conservation residue for the life of the
+// process.
+func TestExportRestore(t *testing.T) {
+	led := blockledger.New(7)
+	for _, servers := range [][]tenant.ServerID{{10, 20, 30}, {20, 40}} {
+		if _, err := led.Create(7, servers, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if lost := led.Reimage(20); lost != 2 {
+		t.Fatalf("Reimage(20) = %d, want 2", lost)
+	}
+	st := led.Export()
+	restored, err := blockledger.Restore(st, 8)
+	if err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	want := led.Snapshot()
+	want.Generation = 8
+	if got := restored.Snapshot(); got != want || got.RepairQueue != 2 || got.ConservationErrorSlots != 0 {
+		t.Fatalf("restored books %+v, want %+v", got, want)
+	}
+
+	pending := []wire.ReplBlockReplica{{Server: 1, Placed: true}, {Server: 2}}
+	for _, tc := range []struct {
+		name  string
+		block wire.ReplBlock
+		ok    bool
+	}{
+		{"a zero id", wire.ReplBlock{ID: 0, Replicas: pending}, false},
+		{"a repeated id", wire.ReplBlock{ID: st.Blocks[0].ID, Replicas: pending}, false},
+		{"no replica slots", wire.ReplBlock{ID: 0x990}, false},
+		{"300 replica slots", wire.ReplBlock{ID: 0x990, Replicas: make([]wire.ReplBlockReplica, 300)}, false},
+		{"255 replica slots", wire.ReplBlock{ID: 0x990, Replicas: make([]wire.ReplBlockReplica, 255)}, true},
+	} {
+		bad := st
+		bad.Blocks = append(slices.Clone(st.Blocks), tc.block)
+		if _, err := blockledger.Restore(bad, 7); tc.ok != (err == nil) {
+			t.Errorf("restore of a state holding a block with %s: err %v", tc.name, err)
+		}
 	}
 }
 

@@ -32,12 +32,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"harvest/internal/core"
+	"harvest/internal/wire"
 )
 
 // MillisPerCore is the fixed-point scale: allocations are tracked in integer
@@ -82,10 +84,7 @@ type Request struct {
 }
 
 // Grant is one class's share of a lease, in millicores.
-type Grant struct {
-	Class  core.ClassID `json:"class"`
-	Millis int64        `json:"millis"`
-}
+type Grant = wire.ReplGrant
 
 // Meta is optional operator-supplied lease metadata: which job holds the
 // cores and who owns the job. It is bookkeeping for humans — admission and
@@ -130,17 +129,20 @@ func newTable(generation uint64, numClasses int) *table {
 	return &table{generation: generation, alloc: make([]atomic.Int64, numClasses)}
 }
 
-// lease is the internal, mutable twin of Lease (grants are rewritten on
-// re-key).
+// lease is one live lease as the ledger holds it: the record Walk lends out,
+// whose Grants is replaced wholesale (on re-key), never mutated.
 type lease struct {
-	id        uint64
-	expiresAt time.Time
-	grants    []Grant // replaced wholesale, never mutated: Walk lends it out
-	meta      Meta
+	wire.ReplLease
 	// epoch is the Reconcile pass that last confirmed the lease (0 for a
 	// lease this ledger issued itself); the pass deletes whatever it did not
 	// stamp. Guarded by the shard lock.
 	epoch uint64
+}
+
+// view is the caller's view of the lease, sharing its grants: a view that
+// outlives the shard lock on a lease still held clones them.
+func (ls *lease) view() Lease {
+	return Lease{ID: ls.ID, ExpiresAt: ls.ExpiresAt, Grants: ls.Grants, Meta: Meta{JobID: ls.JobID, Owner: ls.Owner}}
 }
 
 // numShards is the lease-map shard count: a power of two so the shard index
@@ -389,7 +391,7 @@ func (l *Ledger) ReserveMeta(generation uint64, reqs []Request, ttl time.Duratio
 				break
 			}
 		}
-		grants = append(grants, Grant{Class: rq.Class, Millis: want})
+		grants = append(grants, Grant{Class: uint32(rq.Class), Millis: want})
 		total += want
 	}
 	if len(grants) == 0 {
@@ -413,20 +415,21 @@ func (l *Ledger) ReserveMeta(generation uint64, reqs []Request, ttl time.Duratio
 		l.conflicts.Add(1)
 		return Lease{}, ErrStaleGeneration
 	}
-	ls := &lease{id: sh.newLeaseID(shardIdx), grants: grants, meta: meta}
+	ls := &lease{ReplLease: wire.ReplLease{ID: sh.newLeaseID(shardIdx), Grants: grants, JobID: meta.JobID, Owner: meta.Owner}}
 	if ttl > 0 {
-		ls.expiresAt = now.Add(ttl)
+		ls.ExpiresAt = now.Add(ttl)
 	}
-	sh.leases[ls.id] = ls
+	sh.leases[ls.ID] = ls
 	// The cumulative counters move under the same shard lock as the lease
 	// map entry: Export (persistence) reads both with all shard locks held,
 	// and a counter lagging its lease would persist a state that violates
 	// conservation across a restart.
 	l.reserves.Add(1)
 	l.reservedMillis.Add(total)
+	out := ls.view()
 	sh.mu.Unlock()
-
-	return Lease{ID: ls.id, ExpiresAt: ls.expiresAt, Grants: append([]Grant(nil), grants...), Meta: meta}, nil
+	out.Grants = slices.Clone(grants)
+	return out, nil
 }
 
 func (l *Ledger) rollback(t *table, grants []Grant) {
@@ -447,14 +450,14 @@ func (l *Ledger) Release(id uint64) (Lease, error) {
 	delete(sh.leases, id)
 	t := l.tab.Load() // stable: Rekey holds every shard lock across the swap
 	var total int64
-	for _, g := range ls.grants {
+	for _, g := range ls.Grants {
 		t.alloc[int(g.Class)].Add(-g.Millis)
 		total += g.Millis
 	}
 	l.releases.Add(1)
 	l.releasedMillis.Add(total) // under the shard lock — see ReserveMeta
 	sh.mu.Unlock()
-	return Lease{ID: id, ExpiresAt: ls.expiresAt, Grants: ls.grants, Meta: ls.meta}, nil
+	return ls.view(), nil
 }
 
 // Renew extends (or, with ttl <= 0, removes) a live lease's expiry deadline
@@ -470,11 +473,12 @@ func (l *Ledger) Renew(id uint64, ttl time.Duration, now time.Time) (Lease, erro
 		return Lease{}, ErrUnknownLease
 	}
 	if ttl > 0 {
-		ls.expiresAt = now.Add(ttl)
+		ls.ExpiresAt = now.Add(ttl)
 	} else {
-		ls.expiresAt = time.Time{}
+		ls.ExpiresAt = time.Time{}
 	}
-	out := Lease{ID: id, ExpiresAt: ls.expiresAt, Grants: append([]Grant(nil), ls.grants...), Meta: ls.meta}
+	out := ls.view()
+	out.Grants = slices.Clone(out.Grants)
 	l.renews.Add(1)
 	sh.mu.Unlock()
 	return out, nil
@@ -508,13 +512,9 @@ func (l *Ledger) List(offset, limit int) (page []Lease, total int) {
 	}
 	page = make([]Lease, 0, end-offset)
 	for _, id := range ids[offset:end] {
-		ls := l.shards[shardOf(id)].leases[id]
-		page = append(page, Lease{
-			ID:        ls.id,
-			ExpiresAt: ls.expiresAt,
-			Grants:    append([]Grant(nil), ls.grants...),
-			Meta:      ls.meta,
-		})
+		out := l.shards[shardOf(id)].leases[id].view()
+		out.Grants = slices.Clone(out.Grants)
+		page = append(page, out)
 	}
 	return page, total
 }
@@ -531,11 +531,11 @@ func (l *Ledger) ExpireBefore(now time.Time) (leases int, millis int64) {
 		var shardLeases int
 		var shardMillis int64
 		for id, ls := range sh.leases {
-			if ls.expiresAt.IsZero() || ls.expiresAt.After(now) {
+			if ls.ExpiresAt.IsZero() || ls.ExpiresAt.After(now) {
 				continue
 			}
 			delete(sh.leases, id)
-			for _, g := range ls.grants {
+			for _, g := range ls.Grants {
 				t.alloc[int(g.Class)].Add(-g.Millis)
 				shardMillis += g.Millis
 			}
@@ -568,8 +568,8 @@ func (l *Ledger) Rekey(newGeneration uint64, numClasses int, remap map[core.Clas
 	nt := newTable(newGeneration, numClasses)
 	for i := range l.shards {
 		for _, ls := range l.shards[i].leases {
-			ls.grants = l.remapGrants(ls.grants, remap, numClasses)
-			for _, g := range ls.grants {
+			ls.Grants = l.remapGrants(ls.Grants, remap, numClasses)
+			for _, g := range ls.Grants {
 				nt.alloc[int(g.Class)].Add(g.Millis)
 			}
 		}
@@ -583,7 +583,7 @@ func (l *Ledger) Rekey(newGeneration uint64, numClasses int, remap map[core.Clas
 func (l *Ledger) remapGrants(grants []Grant, remap map[core.ClassID][]Share, numClasses int) []Grant {
 	merged := make(map[core.ClassID]int64, len(grants))
 	for _, g := range grants {
-		shares := remap[g.Class]
+		shares := remap[core.ClassID(g.Class)]
 		var weight float64
 		for _, sh := range shares {
 			if int(sh.Class) >= 0 && int(sh.Class) < numClasses && sh.Weight > 0 {
@@ -629,7 +629,7 @@ func (l *Ledger) remapGrants(grants []Grant, remap map[core.ClassID][]Share, num
 	out := make([]Grant, 0, len(merged))
 	for cls, m := range merged {
 		if m > 0 {
-			out = append(out, Grant{Class: cls, Millis: m})
+			out = append(out, Grant{Class: uint32(cls), Millis: m})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Class < out[j].Class })
@@ -693,7 +693,7 @@ func (l *Ledger) Snapshot() Stats {
 	for i := range l.shards {
 		st.ActiveLeases += len(l.shards[i].leases)
 		for _, ls := range l.shards[i].leases {
-			for _, g := range ls.grants {
+			for _, g := range ls.Grants {
 				st.OutstandingMillis += g.Millis
 			}
 		}
@@ -724,44 +724,27 @@ func (l *Ledger) Snapshot() Stats {
 	return st
 }
 
-// PersistedLease is the wire form of one lease for the persistence file —
-// and the shape Walk lends leases out in and Reconcile takes them back in.
-// JobID/Owner are optional operator metadata; files written before the
-// fields existed restore with them empty.
-type PersistedLease struct {
-	ID        uint64    `json:"id"`
-	ExpiresAt time.Time `json:"expires_at,omitempty"`
-	Grants    []Grant   `json:"grants"`
-	JobID     string    `json:"job_id,omitempty"`
-	Owner     string    `json:"owner,omitempty"`
-}
+// State is the ledger's full persistable state: the generation it is keyed
+// to, its cumulative conservation counters and every live lease — the record
+// the persistence file and a replication frame both carry.
+type State = wire.ReplLedger
 
-// Books is the generation the ledger is keyed to plus its cumulative
-// conservation counters — everything in the ledger's state except the live
-// leases themselves.
-type Books struct {
-	Generation      uint64 `json:"generation"`
-	ReservedMillis  int64  `json:"reserved_millis"`
-	ReleasedMillis  int64  `json:"released_millis"`
-	ExpiredMillis   int64  `json:"expired_millis"`
-	ForfeitedMillis int64  `json:"forfeited_millis"`
-	Reserves        uint64 `json:"reserves"`
-	Releases        uint64 `json:"releases"`
-	Renews          uint64 `json:"renews,omitempty"`
-	Expiries        uint64 `json:"expiries"`
-	Conflicts       uint64 `json:"conflicts"`
-}
-
-// State is the ledger's full persistable state.
-type State struct {
-	Books
-	Leases []PersistedLease `json:"leases"`
-}
-
-// loadBooks reads the books; with every shard lock held they belong to the
-// same instant as the lease maps.
-func (l *Ledger) loadBooks() Books {
-	return Books{
+// Walk is the ledger's one consistent read of its whole state: with every
+// shard lock held it calls begin once with the books (a State with no leases)
+// and the live-lease count, then visit once per live lease, in no particular
+// order. The books and the leases therefore belong to one instant, so
+// conservation holds over what a walk saw. Each lease's Grants is the ledger's
+// own slice, lent for the duration of the call: visit may read it (encode it,
+// copy it) but must not keep or modify it. Neither callback may call back into
+// the ledger.
+func (l *Ledger) Walk(begin func(books State, leases int), visit func(wire.ReplLease)) {
+	l.lockAll()
+	defer l.unlockAll()
+	var count int
+	for i := range l.shards {
+		count += len(l.shards[i].leases)
+	}
+	begin(State{
 		Generation:      l.tab.Load().generation,
 		ReservedMillis:  l.reservedMillis.Load(),
 		ReleasedMillis:  l.releasedMillis.Load(),
@@ -772,41 +755,10 @@ func (l *Ledger) loadBooks() Books {
 		Renews:          l.renews.Load(),
 		Expiries:        l.expiries.Load(),
 		Conflicts:       l.conflicts.Load(),
-	}
-}
-
-// storeBooks overwrites the cumulative counters (the generation lives in the
-// table and moves with it).
-func (l *Ledger) storeBooks(b Books) {
-	l.reservedMillis.Store(b.ReservedMillis)
-	l.releasedMillis.Store(b.ReleasedMillis)
-	l.expiredMillis.Store(b.ExpiredMillis)
-	l.forfeitedMillis.Store(b.ForfeitedMillis)
-	l.reserves.Store(b.Reserves)
-	l.releases.Store(b.Releases)
-	l.renews.Store(b.Renews)
-	l.expiries.Store(b.Expiries)
-	l.conflicts.Store(b.Conflicts)
-}
-
-// Walk is the ledger's one consistent read of its whole state: with every
-// shard lock held it calls begin once with the books and the live-lease
-// count, then visit once per live lease, in no particular order. The books
-// and the leases therefore belong to one instant, so conservation holds over
-// what a walk saw. Each lease's Grants is the ledger's own slice, lent for
-// the duration of the call: visit may read it (encode it, copy it) but must
-// not keep or modify it. Neither callback may call back into the ledger.
-func (l *Ledger) Walk(begin func(b Books, leases int), visit func(PersistedLease)) {
-	l.lockAll()
-	defer l.unlockAll()
-	var count int
-	for i := range l.shards {
-		count += len(l.shards[i].leases)
-	}
-	begin(l.loadBooks(), count)
+	}, count)
 	for i := range l.shards {
 		for _, ls := range l.shards[i].leases {
-			visit(PersistedLease{ID: ls.id, ExpiresAt: ls.expiresAt, Grants: ls.grants, JobID: ls.meta.JobID, Owner: ls.meta.Owner})
+			visit(ls.ReplLease)
 		}
 	}
 }
@@ -815,11 +767,12 @@ func (l *Ledger) Walk(begin func(b Books, leases int), visit func(PersistedLease
 // lease's grants out, ordered by id once the locks are released.
 func (l *Ledger) Export() State {
 	var st State
-	l.Walk(func(b Books, leases int) {
-		st.Books, st.Leases = b, make([]PersistedLease, 0, leases)
-	}, func(pl PersistedLease) {
-		pl.Grants = append([]Grant(nil), pl.Grants...)
-		st.Leases = append(st.Leases, pl)
+	l.Walk(func(books State, leases int) {
+		st = books
+		st.Leases = make([]wire.ReplLease, 0, leases)
+	}, func(ls wire.ReplLease) {
+		ls.Grants = slices.Clone(ls.Grants)
+		st.Leases = append(st.Leases, ls)
 	})
 	sort.Slice(st.Leases, func(i, j int) bool { return st.Leases[i].ID < st.Leases[j].ID })
 	return st
@@ -833,16 +786,14 @@ type Changed struct {
 	Inserted, Rewritten, Deleted int
 }
 
-// Reconcile makes the ledger's entire state equal to an exported one, in
-// place: the one function that turns a state into live books, behind the
-// follower's apply of every replication frame, ApplyState, and Restore at
-// boot. The incoming state is b plus n leases, pulled one at a time through
-// leaseAt (whose Grants may point into storage the caller reuses: Reconcile
-// copies what it keeps). The caller must have validated the whole state
-// first, because the first call to leaseAt may already mutate: that is how a
-// frame stays all-or-nothing.
+// Reconcile makes the ledger's entire state equal to st, in place: the one
+// function that turns a state into live books, behind the follower's apply of
+// every replication frame, ApplyState, and Restore at boot. st is only read,
+// and may be storage the caller reuses: Reconcile copies what it keeps. The
+// caller must have validated the whole state first, because the first lease
+// may already mutate: that is how a frame stays all-or-nothing.
 //
-// Work is proportional to n for the walk but allocates only for what
+// Work is proportional to the leases for the walk but allocates only for what
 // changed: a lease already held with the same grants has its expiry and
 // metadata overwritten in place; an unknown lease is inserted and a re-keyed
 // one gets a fresh grants slice; held leases the state does not name are
@@ -858,39 +809,39 @@ type Changed struct {
 // their issuing primary's shard bits, so Release routes identically after a
 // promotion; fresh ids issued after promotion come from this ledger's own
 // CSPRNG streams and are collision-checked against the applied set, so a
-// handoff cannot double-grant an id. leaseAt must not call back into the
-// ledger.
-func (l *Ledger) Reconcile(b Books, numClasses, n int, leaseAt func(i int) PersistedLease) Changed {
+// handoff cannot double-grant an id.
+func (l *Ledger) Reconcile(st *State, numClasses int) Changed {
 	l.lockAll()
 	defer l.unlockAll()
 	l.epoch++
-	nt := newTable(b.Generation, numClasses)
+	nt := newTable(st.Generation, numClasses)
+	classes := uint64(numClasses)
 	var ch Changed
 	var forfeited int64
 	applied := 0
-	for i := 0; i < n; i++ {
-		pl := leaseAt(i)
-		if pl.ID == 0 {
+	for i := range st.Leases {
+		in := &st.Leases[i]
+		if in.ID == 0 {
 			continue
 		}
-		sh := &l.shards[shardOf(pl.ID)]
-		ls := sh.leases[pl.ID]
+		sh := &l.shards[shardOf(in.ID)]
+		ls := sh.leases[in.ID]
 		if ls != nil && ls.epoch == l.epoch {
 			continue // the state names this id twice; the first one stands
 		}
 		// One pass over the incoming grants books them into the new table and
 		// tells whether the held lease already has exactly the valid ones.
 		valid, same := 0, ls != nil
-		for _, g := range pl.Grants {
+		for _, g := range in.Grants {
 			if g.Millis <= 0 {
 				continue
 			}
-			if int(g.Class) < 0 || int(g.Class) >= numClasses {
+			if uint64(g.Class) >= classes {
 				forfeited += g.Millis
 				continue
 			}
 			nt.alloc[int(g.Class)].Add(g.Millis)
-			if same && (valid >= len(ls.grants) || ls.grants[valid] != g) {
+			if same && (valid >= len(ls.Grants) || ls.Grants[valid] != g) {
 				same = false
 			}
 			valid++
@@ -900,24 +851,23 @@ func (l *Ledger) Reconcile(b Books, numClasses, n int, leaseAt func(i int) Persi
 		}
 		// A lease already held as shipped — the steady state — skips this
 		// block and allocates nothing.
-		if same = same && valid == len(ls.grants); !same {
+		if same = same && valid == len(ls.Grants); !same {
 			if ls == nil {
-				ls = &lease{id: pl.ID}
-				sh.leases[pl.ID] = ls
+				ls = &lease{}
+				sh.leases[in.ID] = ls
 				ch.Inserted++
 			} else {
 				ch.Rewritten++
 			}
 			grants := make([]Grant, 0, valid)
-			for _, g := range pl.Grants {
-				if g.Millis > 0 && int(g.Class) >= 0 && int(g.Class) < numClasses {
+			for _, g := range in.Grants {
+				if g.Millis > 0 && uint64(g.Class) < classes {
 					grants = append(grants, g)
 				}
 			}
-			ls.grants = grants
+			ls.Grants = grants
 		}
-		ls.expiresAt = pl.ExpiresAt
-		ls.meta = Meta{JobID: pl.JobID, Owner: pl.Owner}
+		ls.ID, ls.ExpiresAt, ls.JobID, ls.Owner = in.ID, in.ExpiresAt, in.JobID, in.Owner
 		ls.epoch = l.epoch
 		applied++
 	}
@@ -935,40 +885,50 @@ func (l *Ledger) Reconcile(b Books, numClasses, n int, leaseAt func(i int) Persi
 			}
 		}
 	}
-	b.ForfeitedMillis += forfeited
-	l.storeBooks(b)
+	// The generation lives in the table and moves with it.
+	l.reservedMillis.Store(st.ReservedMillis)
+	l.releasedMillis.Store(st.ReleasedMillis)
+	l.expiredMillis.Store(st.ExpiredMillis)
+	l.forfeitedMillis.Store(st.ForfeitedMillis + forfeited)
+	l.reserves.Store(st.Reserves)
+	l.releases.Store(st.Releases)
+	l.renews.Store(st.Renews)
+	l.expiries.Store(st.Expiries)
+	l.conflicts.Store(st.Conflicts)
 	l.tab.Store(nt)
 	return ch
 }
 
-// ApplyState is Reconcile fed from an exported State.
-func (l *Ledger) ApplyState(st State, numClasses int) {
-	l.Reconcile(st.Books, numClasses, len(st.Leases), func(i int) PersistedLease { return st.Leases[i] })
-}
+// ApplyState is Reconcile on an exported State.
+func (l *Ledger) ApplyState(st State, numClasses int) { l.Reconcile(&st, numClasses) }
 
 // Restore builds a ledger from persisted state, which must be keyed to the
 // given generation (the restored snapshot's): a fresh ledger, reconciled to
 // the state. A file is held to more than a peer is — a zero or repeated lease
-// id refuses the whole state instead of being skipped — and otherwise treated
-// the same: grants on out-of-range classes are forfeited rather than trusted
-// (the file may predate a re-key the process never got to persist), and
-// leases route to the shard their id's low bits name, whatever process issued
-// them.
+// id, or a lease no replication frame could carry on to a follower, refuses
+// the whole state instead of being skipped — and otherwise treated the same:
+// grants on out-of-range classes are forfeited rather than trusted (the file
+// may predate a re-key the process never got to persist), and leases route to
+// the shard their id's low bits name, whatever process issued them.
 func Restore(st State, generation uint64, numClasses int) (*Ledger, error) {
 	if st.Generation != generation {
 		return nil, fmt.Errorf("ledger: state is for generation %d, snapshot is %d", st.Generation, generation)
 	}
 	seen := make(map[uint64]struct{}, len(st.Leases))
-	for _, pl := range st.Leases {
-		if pl.ID == 0 {
+	for i := range st.Leases {
+		ls := &st.Leases[i]
+		if ls.ID == 0 {
 			return nil, fmt.Errorf("ledger: zero lease id")
 		}
-		if _, dup := seen[pl.ID]; dup {
-			return nil, fmt.Errorf("ledger: duplicate lease id %d", pl.ID)
+		if _, dup := seen[ls.ID]; dup {
+			return nil, fmt.Errorf("ledger: duplicate lease id %d", ls.ID)
 		}
-		seen[pl.ID] = struct{}{}
+		if err := ls.Encodable(); err != nil {
+			return nil, err
+		}
+		seen[ls.ID] = struct{}{}
 	}
 	l := New(generation, numClasses)
-	l.ApplyState(st, numClasses)
+	l.Reconcile(&st, numClasses)
 	return l, nil
 }

@@ -3,12 +3,15 @@ package ledger_test
 import (
 	"errors"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"harvest/internal/core"
 	"harvest/internal/ledger"
+	"harvest/internal/wire"
 )
 
 // checkConservation asserts the exact millicore invariant the CI smoke job
@@ -339,13 +342,28 @@ func TestExportRestore(t *testing.T) {
 		t.Fatalf("shrunk Restore: %v", err)
 	}
 	checkConservation(t, shrunk)
-	// A zero or repeated lease id refuses the whole state: Reconcile alone
-	// would skip the lease and keep the rest.
-	for name, id := range map[string]uint64{"zero": 0, "repeated": keep.ID} {
+	// A zero or repeated lease id refuses the whole state — Reconcile alone
+	// would skip the lease and keep the rest — and so does a lease no
+	// replication frame could carry: the primary would panic (a string past
+	// Str8) or ship undecodable frames (a wrapped grant count) once a follower
+	// joined.
+	grants := st.Leases[0].Grants
+	for _, tc := range []struct {
+		name  string
+		lease wire.ReplLease
+		ok    bool
+	}{
+		{"a zero id", wire.ReplLease{ID: 0, Grants: grants}, false},
+		{"a repeated id", wire.ReplLease{ID: keep.ID, Grants: grants}, false},
+		{"a 300-byte owner", wire.ReplLease{ID: 0x990, Grants: grants, Owner: strings.Repeat("o", 300)}, false},
+		{"a 256-byte job_id", wire.ReplLease{ID: 0x990, Grants: grants, JobID: strings.Repeat("j", 256)}, false},
+		{"65,536 grants", wire.ReplLease{ID: 0x990, Grants: make([]ledger.Grant, 1<<16)}, false},
+		{"a 255-byte job_id", wire.ReplLease{ID: 0x990, Grants: grants, JobID: strings.Repeat("j", 255)}, true},
+	} {
 		bad := st
-		bad.Leases = append(append([]ledger.PersistedLease(nil), st.Leases...), ledger.PersistedLease{ID: id, Grants: st.Leases[0].Grants})
-		if _, err := ledger.Restore(bad, 3, 2); err == nil {
-			t.Errorf("restore of a state with a %s lease id succeeded", name)
+		bad.Leases = append(slices.Clone(st.Leases), tc.lease)
+		if _, err := ledger.Restore(bad, 3, 2); tc.ok != (err == nil) {
+			t.Errorf("restore of a state holding a lease with %s: err %v", tc.name, err)
 		}
 	}
 }

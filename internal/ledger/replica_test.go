@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"harvest/internal/ledger"
+	"harvest/internal/wire"
 )
 
 // TestReserveFloorsTightenAdmission pins the admission-floor contract: a
@@ -124,8 +125,8 @@ func TestApplyStateReplicatesBooks(t *testing.T) {
 // forfeited, keeping conservation exact instead of trusting the frame.
 func TestApplyStateForfeitsOutOfRangeClasses(t *testing.T) {
 	st := ledger.State{
-		Books: ledger.Books{Generation: 2, ReservedMillis: 3000},
-		Leases: []ledger.PersistedLease{
+		Generation: 2, ReservedMillis: 3000,
+		Leases: []wire.ReplLease{
 			{ID: 1, Grants: []ledger.Grant{{Class: 0, Millis: 1000}, {Class: 9, Millis: 2000}}},
 		},
 	}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -60,8 +61,9 @@ type persistedSnapshot struct {
 	Classes []wire.ReplClass `json:"classes"`
 }
 
-// persistedLedger and persistedBlocks are the two ledgers' exported states
-// under the same header.
+// persistedLedger and persistedBlocks are the two ledgers' states — the
+// records a replication frame's two sections carry too — under the same
+// header.
 type persistedLedger struct {
 	persistHeader
 	State ledger.State `json:"state"`
@@ -199,10 +201,10 @@ func (s *Service) persist(sh *shard, what, path string, write func(w io.Writer) 
 // (≈145 B a block) is never in memory whole.
 type persistStage struct {
 	leases   ledger.State
-	grants   []ledger.Grant // every staged lease's Grants, back to back
+	grants   []wire.ReplGrant // every staged lease's Grants, back to back
 	blocks   blockledger.State
-	replicas []blockledger.PersistedReplica // every staged block's Replicas, back to back
-	buf      []byte                         // the chunk being encoded
+	replicas []wire.ReplBlockReplica // every staged block's Replicas, back to back
+	buf      []byte                  // the chunk being encoded
 }
 
 // persistChunk is how much encoded file a stage buffers between writes.
@@ -213,57 +215,49 @@ const persistChunk = 256 << 10
 // earlier keep the array they were cut from, which holds what they need.
 func (st *persistStage) copyLeases(led *ledger.Ledger) {
 	st.grants = st.grants[:0]
-	led.Walk(func(b ledger.Books, leases int) {
-		st.leases.Books = b
-		st.leases.Leases = slices.Grow(st.leases.Leases[:0], leases)
-	}, func(pl ledger.PersistedLease) {
+	staged := st.leases.Leases[:0]
+	led.Walk(func(books ledger.State, leases int) {
+		st.leases = books
+		st.leases.Leases = slices.Grow(staged, leases)
+	}, func(ls wire.ReplLease) {
 		at := len(st.grants)
-		st.grants = append(st.grants, pl.Grants...)
-		pl.Grants = st.grants[at:]
-		st.leases.Leases = append(st.leases.Leases, pl)
+		st.grants = append(st.grants, ls.Grants...)
+		ls.Grants = st.grants[at:]
+		st.leases.Leases = append(st.leases.Leases, ls)
 	})
 }
 
 // copyBlocks is copyLeases for the block ledger.
 func (st *persistStage) copyBlocks(blocks *blockledger.Ledger) {
-	blocks.Walk(func(b blockledger.Books, count int) {
-		st.blocks.Books = b
-		st.blocks.Blocks = slices.Grow(st.blocks.Blocks[:0], count)
+	staged := st.blocks.Blocks[:0]
+	blocks.Walk(func(books blockledger.State, count int) {
+		st.blocks = books
+		st.blocks.Blocks = slices.Grow(staged, count)
 		st.replicas = slices.Grow(st.replicas[:0], 3*count) // a guess at R that costs a regrowth when low
-	}, func(pb blockledger.PersistedBlock) {
+	}, func(b wire.ReplBlock) {
 		at := len(st.replicas)
-		st.replicas = append(st.replicas, pb.Replicas...)
-		pb.Replicas = st.replicas[at:]
-		st.blocks.Blocks = append(st.blocks.Blocks, pb)
+		st.replicas = append(st.replicas, b.Replicas...)
+		b.Replicas = st.replicas[at:]
+		st.blocks.Blocks = append(st.blocks.Blocks, b)
 	})
 }
 
 // writeLedgerFile and writeBlocksFile write the JSON of persistedLedger /
-// persistedBlocks for the copied state: the header, whose fields are the
-// file's own, then "state", appended field by field in the idiom of
-// wire.Append* instead of marshalling the struct whole into a buffer of
-// encoding/json's. readStateFile and Restore decode the result with
-// encoding/json into those same structs, which remain the format's
-// definition; TestStreamedFilesDecodeAsExportedState holds the two together.
+// persistedBlocks for the copied state. The header and the books are what
+// json.Marshal writes for them, so the struct tags are their only encoder;
+// the records, the part that grows with the state, are appended field by
+// field in the idiom of wire.Append* instead of marshalling the struct whole
+// into a buffer of encoding/json's. readStateFile and Restore decode the
+// result with encoding/json into those same structs, which remain the
+// format's definition; TestStreamedFilesDecodeAsExportedState holds the two
+// together.
 func (st *persistStage) writeLedgerFile(w io.Writer, h persistHeader) error {
-	out, err := st.beginFile(w, h)
+	books := st.leases
+	books.Leases = nil
+	out, err := st.beginFile(w, persistedLedger{persistHeader: h, State: books})
 	if err != nil {
 		return err
 	}
-	b := &st.leases.Books
-	out.buf = strconv.AppendUint(out.buf, b.Generation, 10)
-	out.buf = appendIntField(out.buf, "reserved_millis", b.ReservedMillis)
-	out.buf = appendIntField(out.buf, "released_millis", b.ReleasedMillis)
-	out.buf = appendIntField(out.buf, "expired_millis", b.ExpiredMillis)
-	out.buf = appendIntField(out.buf, "forfeited_millis", b.ForfeitedMillis)
-	out.buf = appendUintField(out.buf, "reserves", b.Reserves)
-	out.buf = appendUintField(out.buf, "releases", b.Releases)
-	if b.Renews != 0 {
-		out.buf = appendUintField(out.buf, "renews", b.Renews)
-	}
-	out.buf = appendUintField(out.buf, "expiries", b.Expiries)
-	out.buf = appendUintField(out.buf, "conflicts", b.Conflicts)
-	out.buf = append(out.buf, `,"leases":[`...)
 	for i := range st.leases.Leases {
 		out.buf = appendLease(out.buf, i > 0, &st.leases.Leases[i])
 		out.flushIfFull()
@@ -272,17 +266,12 @@ func (st *persistStage) writeLedgerFile(w io.Writer, h persistHeader) error {
 }
 
 func (st *persistStage) writeBlocksFile(w io.Writer, h persistHeader) error {
-	out, err := st.beginFile(w, h)
+	books := st.blocks
+	books.Blocks = nil
+	out, err := st.beginFile(w, persistedBlocks{persistHeader: h, State: books})
 	if err != nil {
 		return err
 	}
-	b := &st.blocks.Books
-	out.buf = strconv.AppendUint(out.buf, b.Generation, 10)
-	out.buf = appendIntField(out.buf, "lost", b.Lost)
-	out.buf = appendIntField(out.buf, "replaced", b.Replaced)
-	out.buf = appendUintField(out.buf, "creates", b.Creates)
-	out.buf = appendUintField(out.buf, "reimages", b.Reimages)
-	out.buf = append(out.buf, `,"blocks":[`...)
 	for i := range st.blocks.Blocks {
 		out.buf = appendBlock(out.buf, i > 0, &st.blocks.Blocks[i])
 		out.flushIfFull()
@@ -298,18 +287,22 @@ type stateFile struct {
 	err error
 }
 
-// beginFile starts a file in the stage's buffer with the header's fields, left
-// open, and `"state":{"generation":`, where the books go.
-func (st *persistStage) beginFile(w io.Writer, h persistHeader) (stateFile, error) {
-	head, err := json.Marshal(h)
+// beginFile starts a file in the stage's buffer with all of v — a file
+// struct whose state holds no records — but its record list: the last thing
+// in it, and left open.
+func (st *persistStage) beginFile(w io.Writer, v any) (stateFile, error) {
+	head, err := json.Marshal(v)
 	if err != nil {
 		return stateFile{}, err
+	}
+	head, ok := bytes.CutSuffix(head, []byte(`null}}`))
+	if !ok {
+		return stateFile{}, fmt.Errorf("service: a state file must end with its record list: %s", head)
 	}
 	if st.buf == nil {
 		st.buf = make([]byte, 0, persistChunk+persistChunk/8) // a chunk and the record that filled it
 	}
-	buf := append(st.buf[:0], head[:len(head)-1]...)
-	return stateFile{w: w, buf: append(buf, `,"state":{"generation":`...)}, nil
+	return stateFile{w: w, buf: append(append(st.buf[:0], head...), '[')}, nil
 }
 
 func (f *stateFile) flushIfFull() {
@@ -334,7 +327,7 @@ func (f *stateFile) end(st *persistStage) error {
 	return f.err
 }
 
-func appendLease(dst []byte, comma bool, pl *ledger.PersistedLease) []byte {
+func appendLease(dst []byte, comma bool, pl *wire.ReplLease) []byte {
 	if comma {
 		dst = append(dst, ',')
 	}
@@ -348,8 +341,9 @@ func appendLease(dst []byte, comma bool, pl *ledger.PersistedLease) []byte {
 			dst = append(dst, ',')
 		}
 		dst = append(dst, `{"class":`...)
-		dst = strconv.AppendInt(dst, int64(g.Class), 10)
-		dst = appendIntField(dst, "millis", g.Millis)
+		dst = strconv.AppendUint(dst, uint64(g.Class), 10)
+		dst = append(dst, `,"millis":`...)
+		dst = strconv.AppendInt(dst, g.Millis, 10)
 		dst = append(dst, '}')
 	}
 	dst = append(dst, ']')
@@ -362,7 +356,7 @@ func appendLease(dst []byte, comma bool, pl *ledger.PersistedLease) []byte {
 	return append(dst, '}')
 }
 
-func appendBlock(dst []byte, comma bool, pb *blockledger.PersistedBlock) []byte {
+func appendBlock(dst []byte, comma bool, pb *wire.ReplBlock) []byte {
 	if comma {
 		dst = append(dst, ',')
 	}
@@ -377,7 +371,7 @@ func appendBlock(dst []byte, comma bool, pb *blockledger.PersistedBlock) []byte 
 			dst = append(dst, ',')
 		}
 		dst = append(dst, `{"server":`...)
-		dst = strconv.AppendInt(dst, int64(r.Server), 10)
+		dst = strconv.AppendInt(dst, r.Server, 10)
 		if r.Placed {
 			dst = append(dst, `,"placed":true}`...)
 		} else {
@@ -385,17 +379,6 @@ func appendBlock(dst []byte, comma bool, pb *blockledger.PersistedBlock) []byte 
 		}
 	}
 	return append(dst, `]}`...)
-}
-
-// appendIntField and appendUintField append `,"name":v`.
-func appendIntField(dst []byte, name string, v int64) []byte {
-	dst = append(append(append(dst, `,"`...), name...), `":`...)
-	return strconv.AppendInt(dst, v, 10)
-}
-
-func appendUintField(dst []byte, name string, v uint64) []byte {
-	dst = append(append(append(dst, `,"`...), name...), `":`...)
-	return strconv.AppendUint(dst, v, 10)
 }
 
 // appendJSONString appends s as a JSON string: the quote, the backslash and

@@ -12,7 +12,6 @@ import (
 	"harvest/internal/core"
 	"harvest/internal/ledger"
 	"harvest/internal/obs"
-	"harvest/internal/tenant"
 	"harvest/internal/wire"
 )
 
@@ -45,8 +44,9 @@ import (
 // one cut — and encodes straight into the connection's reused frame buffer
 // (appendLedgerSection, appendBlocksSection). The follower decodes into one
 // long-lived message per connection and, only once the whole frame has
-// decoded cleanly, reconciles it into the ledgers it already holds
-// (replApplier.reconcile): what is already equal is left alone, so a
+// decoded cleanly, reconciles its two sections — the records the ledgers
+// themselves hold — into the ledgers it already has (reconcileBooks): what is
+// already equal is left alone, so a
 // steady-state beat costs a handful of heap objects at either end however
 // many leases it carries. A frame's two sections must be keyed to the frame's
 // own generation; the sender waits out a refresh that has re-keyed the books
@@ -350,33 +350,15 @@ func (s *Service) beginReplFrame(dst []byte, sh *shard, snap *Snapshot, beat boo
 // appendLedgerSection streams the allocation ledger's books and every live
 // lease into the frame from one Walk — read under all of the ledger's shard
 // locks, so the section conserves — and returns the generation the books are
-// keyed to. Grants are encoded from the ledger's own slices; nothing borrowed
+// keyed to. Each record is encoded as the ledger lends it; nothing borrowed
 // outlives the walk.
 func appendLedgerSection(dst []byte, led *ledger.Ledger) ([]byte, uint64) {
 	var gen uint64
-	led.Walk(func(b ledger.Books, leases int) {
-		gen = b.Generation
-		dst = wire.AppendReplLedgerHead(dst, &wire.ReplLedger{
-			Generation:      b.Generation,
-			ReservedMillis:  b.ReservedMillis,
-			ReleasedMillis:  b.ReleasedMillis,
-			ExpiredMillis:   b.ExpiredMillis,
-			ForfeitedMillis: b.ForfeitedMillis,
-			Reserves:        b.Reserves,
-			Releases:        b.Releases,
-			Renews:          b.Renews,
-			Expiries:        b.Expiries,
-			Conflicts:       b.Conflicts,
-		}, leases)
-	}, func(pl ledger.PersistedLease) {
-		var expires int64
-		if !pl.ExpiresAt.IsZero() {
-			expires = pl.ExpiresAt.UnixNano()
-		}
-		dst = wire.AppendReplLease(dst, pl.ID, expires, pl.JobID, pl.Owner, len(pl.Grants))
-		for _, g := range pl.Grants {
-			dst = wire.AppendReplGrant(dst, uint32(g.Class), g.Millis)
-		}
+	led.Walk(func(books ledger.State, leases int) {
+		gen = books.Generation
+		dst = wire.AppendReplLedgerHead(dst, &books, leases)
+	}, func(ls wire.ReplLease) {
+		dst = wire.AppendReplLease(dst, &ls)
 	})
 	return dst, gen
 }
@@ -384,20 +366,11 @@ func appendLedgerSection(dst []byte, led *ledger.Ledger) ([]byte, uint64) {
 // appendBlocksSection is appendLedgerSection for the block ledger.
 func appendBlocksSection(dst []byte, blocks *blockledger.Ledger) ([]byte, uint64) {
 	var gen uint64
-	blocks.Walk(func(b blockledger.Books, n int) {
-		gen = b.Generation
-		dst = wire.AppendReplBlocksHead(dst, &wire.ReplBlocks{
-			Generation: b.Generation,
-			Lost:       b.Lost,
-			Replaced:   b.Replaced,
-			Creates:    b.Creates,
-			Reimages:   b.Reimages,
-		}, n)
-	}, func(pb blockledger.PersistedBlock) {
-		dst = wire.AppendReplBlock(dst, pb.ID, pb.EnvStrict, len(pb.Replicas))
-		for _, r := range pb.Replicas {
-			dst = wire.AppendReplBlockReplica(dst, int64(r.Server), r.Placed)
-		}
+	blocks.Walk(func(books blockledger.State, n int) {
+		gen = books.Generation
+		dst = wire.AppendReplBlocksHead(dst, &books, n)
+	}, func(b wire.ReplBlock) {
+		dst = wire.AppendReplBlock(dst, &b)
 	})
 	return dst, gen
 }
@@ -503,13 +476,10 @@ func (s *Service) runFollower(nc net.Conn, addr string) error {
 }
 
 // replApplier is one follower connection's decode state: the message every
-// beat decodes into (same-shaped beats reuse its slices, so decoding
-// allocates nothing) and the scratch the reconcile converts one lease's
-// grants or one block's replicas through.
+// beat decodes into. Same-shaped beats reuse its slices, so decoding allocates
+// nothing, and the ledgers reconcile its two sections as they are.
 type replApplier struct {
-	beat     wire.ReplBeat
-	grants   []ledger.Grant
-	replicas []blockledger.PersistedReplica
+	beat wire.ReplBeat
 }
 
 // applyReplFrame decodes and applies one pushed frame, observing the
@@ -527,7 +497,7 @@ func (s *Service) applyReplFrame(ap *replApplier, op wire.Op, payload []byte) er
 		m := wire.ReplSnapshot{Ledger: ap.beat.Ledger, Blocks: ap.beat.Blocks}
 		err := m.Decode(payload)
 		if err == nil {
-			err = s.applyReplSnapshot(ap, &m)
+			err = s.applyReplSnapshot(&m)
 		}
 		ap.beat.Ledger, ap.beat.Blocks = m.Ledger, m.Blocks
 		if err != nil {
@@ -541,7 +511,7 @@ func (s *Service) applyReplFrame(ap *replApplier, op wire.Op, payload []byte) er
 			return err
 		}
 		sent = m.SentUnixNano
-		if err := s.applyReplBeat(ap, m, wire.HeaderSize+len(payload)); err != nil {
+		if err := s.applyReplBeat(m, wire.HeaderSize+len(payload)); err != nil {
 			return err
 		}
 		s.repl.beatsApplied.Add(1)
@@ -570,7 +540,7 @@ func checkBooksGeneration(dc string, frame, led, blocks uint64) error {
 // keyed to the frame's generation, one frame at a time, not after a promotion
 // — around the reassembly boot uses, then the shipped ledger state reconciled
 // in place.
-func (s *Service) applyReplSnapshot(ap *replApplier, m *wire.ReplSnapshot) error {
+func (s *Service) applyReplSnapshot(m *wire.ReplSnapshot) error {
 	sh, ok := s.shards[m.DC]
 	if !ok {
 		return fmt.Errorf("service: replicated snapshot for unknown datacenter %q", m.DC)
@@ -587,7 +557,7 @@ func (s *Service) applyReplSnapshot(ap *replApplier, m *wire.ReplSnapshot) error
 	if err != nil {
 		return fmt.Errorf("service: %s: replicated snapshot: %w", m.DC, err)
 	}
-	ap.reconcile(sh, &m.Ledger, &m.Blocks, len(snap.Clustering.Classes))
+	reconcileBooks(sh, &m.Ledger, &m.Blocks, len(snap.Clustering.Classes))
 	sh.snap.Store(snap)
 	s.buildUsageView(sh, snap, snap.Usage, sh.rings.TotalSamples())
 	sh.replGen.Store(m.Generation)
@@ -597,7 +567,7 @@ func (s *Service) applyReplSnapshot(ap *replApplier, m *wire.ReplSnapshot) error
 
 // applyReplBeat refreshes a shard's usage view and ledger books without
 // touching the clustering: same generation, new numbers.
-func (s *Service) applyReplBeat(ap *replApplier, m *wire.ReplBeat, frameBytes int) error {
+func (s *Service) applyReplBeat(m *wire.ReplBeat, frameBytes int) error {
 	sh, ok := s.shards[m.DC]
 	if !ok {
 		return fmt.Errorf("service: replicated beat for unknown datacenter %q", m.DC)
@@ -624,56 +594,20 @@ func (s *Service) applyReplBeat(ap *replApplier, m *wire.ReplBeat, frameBytes in
 		}
 	}
 	sh.rings.AdvanceClock(time.Duration(m.AsOfSeconds * float64(time.Second)))
-	ap.reconcile(sh, &m.Ledger, &m.Blocks, len(snap.Clustering.Classes))
+	reconcileBooks(sh, &m.Ledger, &m.Blocks, len(snap.Clustering.Classes))
 	s.buildUsageView(sh, snap, usage, sh.rings.TotalSamples())
 	sh.replBeatBytes.Store(int64(frameBytes))
 	sh.replAppliedAt.Store(time.Now().UnixNano())
 	return nil
 }
 
-// reconcile brings the shard's two ledgers to the state of a frame's decoded
-// sections, in place, and accounts for the time and the changes. Each lease's
-// grants and each block's replicas pass through the applier's scratch on the
-// way from wire types to ledger types; the ledgers copy what they keep.
-func (ap *replApplier) reconcile(sh *shard, led *wire.ReplLedger, blocks *wire.ReplBlocks, numClasses int) {
+// reconcileBooks brings the shard's two ledgers to the state of a frame's
+// decoded sections, in place — the Reconcile boot reaches through Restore —
+// and accounts for the time and the changes. The ledgers copy what they keep.
+func reconcileBooks(sh *shard, led *wire.ReplLedger, blocks *wire.ReplBlocks, numClasses int) {
 	start := time.Now()
-	lc := sh.led.Reconcile(ledger.Books{
-		Generation:      led.Generation,
-		ReservedMillis:  led.ReservedMillis,
-		ReleasedMillis:  led.ReleasedMillis,
-		ExpiredMillis:   led.ExpiredMillis,
-		ForfeitedMillis: led.ForfeitedMillis,
-		Reserves:        led.Reserves,
-		Releases:        led.Releases,
-		Renews:          led.Renews,
-		Expiries:        led.Expiries,
-		Conflicts:       led.Conflicts,
-	}, numClasses, len(led.Leases), func(i int) ledger.PersistedLease {
-		wl := &led.Leases[i]
-		ap.grants = ap.grants[:0]
-		for _, g := range wl.Grants {
-			ap.grants = append(ap.grants, ledger.Grant{Class: core.ClassID(g.Class), Millis: g.Millis})
-		}
-		pl := ledger.PersistedLease{ID: wl.ID, Grants: ap.grants, JobID: wl.JobID, Owner: wl.Owner}
-		if wl.ExpiresUnixNano != 0 {
-			pl.ExpiresAt = time.Unix(0, wl.ExpiresUnixNano)
-		}
-		return pl
-	})
-	bc := sh.blocks.Reconcile(blockledger.Books{
-		Generation: blocks.Generation,
-		Lost:       blocks.Lost,
-		Replaced:   blocks.Replaced,
-		Creates:    blocks.Creates,
-		Reimages:   blocks.Reimages,
-	}, len(blocks.Blocks), func(i int) blockledger.PersistedBlock {
-		wb := &blocks.Blocks[i]
-		ap.replicas = ap.replicas[:0]
-		for _, r := range wb.Replicas {
-			ap.replicas = append(ap.replicas, blockledger.PersistedReplica{Server: tenant.ServerID(r.Server), Placed: r.Placed})
-		}
-		return blockledger.PersistedBlock{ID: wb.ID, EnvStrict: wb.EnvStrict, Replicas: ap.replicas}
-	})
+	lc := sh.led.Reconcile(led, numClasses)
+	bc := sh.blocks.Reconcile(blocks)
 	sh.replApply.Observe(time.Since(start))
 	sh.replInserted.Add(uint64(lc.Inserted + bc.Inserted))
 	sh.replRewritten.Add(uint64(lc.Rewritten + bc.Rewritten))

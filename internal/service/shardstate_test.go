@@ -9,10 +9,13 @@ package service_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -113,26 +116,9 @@ func TestFilesAndFramesInstallTheSameShard(t *testing.T) {
 			return restored, snap.Usage
 		}},
 		{"live follower", func(t *testing.T, primary *service.Service, cfg service.Config) (*service.Service, map[core.ClassID]core.ClassUsage) {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			primary.ServeReplication(ln)
 			t.Cleanup(primary.Close)
-			fcfg := replTestConfig("f1")
-			fcfg.FollowAddr = ln.Addr().String()
-			follower, err := service.New(fcfg)
-			if err != nil {
-				t.Fatalf("New follower: %v", err)
-			}
-			follower.Start()
-			t.Cleanup(follower.Close)
 			snap, _ := primary.Snapshot(replDC)
-			waitFor(t, "the follower to join and take a beat", func() bool {
-				rst := follower.ReplicationStats()
-				return rst.AppliedGenerations[replDC] == snap.Generation && rst.BeatsApplied > 0
-			})
-			return follower, primary.UsageFor(snap)
+			return joinFollower(t, primary), primary.UsageFor(snap)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -147,6 +133,122 @@ func TestFilesAndFramesInstallTheSameShard(t *testing.T) {
 			if st, _ := installed.LedgerStats(replDC); st.ActiveLeases != 3 {
 				t.Fatalf("installed %d leases, want 3", st.ActiveLeases)
 			}
+		})
+	}
+}
+
+// joinFollower serves replication on primary and returns a started follower
+// that has joined it and taken a beat.
+func joinFollower(t *testing.T, primary *service.Service) *service.Service {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary.ServeReplication(ln)
+	fcfg := replTestConfig("f1")
+	fcfg.FollowAddr = ln.Addr().String()
+	follower, err := service.New(fcfg)
+	if err != nil {
+		t.Fatalf("New follower: %v", err)
+	}
+	follower.Start()
+	t.Cleanup(follower.Close)
+	snap, _ := primary.Snapshot(replDC)
+	waitFor(t, "the follower to join and take a beat", func() bool {
+		rst := follower.ReplicationStats()
+		return rst.AppliedGenerations[replDC] == snap.Generation && rst.BeatsApplied > 0
+	})
+	return follower
+}
+
+// rewriteState applies mutate to the "state" of one of the persist dir's
+// ledger files.
+func rewriteState[S any](t *testing.T, path string, mutate func(st *S)) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file map[string]json.RawMessage
+	var st S
+	if err := errors.Join(json.Unmarshal(data, &file), json.Unmarshal(file["state"], &st)); err != nil {
+		t.Fatal(err)
+	}
+	mutate(&st)
+	if file["state"], err = json.Marshal(st); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = json.Marshal(file); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFileRefusedForWhatAFrameCannotCarry holds the file door to the frame's
+// limits and to Reconcile's: a ledger file with a record no replication frame
+// could carry, or a blocks file with a block Reconcile would skip, is refused
+// whole at boot. The shard starts that ledger empty and conserved — a skipped
+// block's pending slot would stay counted lost and never replaced — keeps the
+// other, and feeds a follower: restored, the long owner panicked the sender
+// at the first hello and the wide block made every frame undecodable.
+func TestFileRefusedForWhatAFrameCannotCarry(t *testing.T) {
+	pendingFirst := func(st *blockledger.State) { // the block a reimage left a slot pending on, to the front
+		at := slices.IndexFunc(st.Blocks, func(b wire.ReplBlock) bool {
+			return slices.ContainsFunc(b.Replicas, func(r wire.ReplBlockReplica) bool { return !r.Placed })
+		})
+		st.Blocks[0], st.Blocks[at] = st.Blocks[at], st.Blocks[0]
+	}
+	for _, tc := range []struct {
+		name   string
+		file   string
+		mutate func(path string)
+	}{
+		{"a 300-byte owner", "DC-9.ledger.json", func(path string) {
+			rewriteState(t, path, func(st *ledger.State) { st.Leases[0].Owner = strings.Repeat("o", 300) })
+		}},
+		{"a 300-replica block", "DC-9.blocks.json", func(path string) {
+			rewriteState(t, path, func(st *blockledger.State) {
+				for len(st.Blocks[0].Replicas) < 300 {
+					st.Blocks[0].Replicas = append(st.Blocks[0].Replicas, wire.ReplBlockReplica{Server: int64(len(st.Blocks[0].Replicas)) + 1e6})
+				}
+			})
+		}},
+		{"a zero block id", "DC-9.blocks.json", func(path string) {
+			rewriteState(t, path, func(st *blockledger.State) { pendingFirst(st); st.Blocks[0].ID = 0 })
+		}},
+		{"a repeated block id", "DC-9.blocks.json", func(path string) {
+			rewriteState(t, path, func(st *blockledger.State) { pendingFirst(st); st.Blocks[1].ID = st.Blocks[0].ID })
+		}},
+		{"a block with no replica slots", "DC-9.blocks.json", func(path string) {
+			rewriteState(t, path, func(st *blockledger.State) { pendingFirst(st); st.Blocks[0].Replicas = nil })
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			primary, cfg := loadedPrimary(t, dir)
+			primary.Close()
+			tc.mutate(filepath.Join(dir, tc.file))
+			restored, err := service.New(cfg)
+			if err != nil {
+				t.Fatalf("restart: %v", err)
+			}
+			t.Cleanup(restored.Close)
+
+			leases, _ := restored.LedgerStats(replDC)
+			blocks, _ := restored.BlockStats(replDC)
+			checkLedgerConservation(t, leases, "restored")
+			if blocks.ConservationErrorSlots != 0 {
+				t.Fatalf("restored block books do not conserve: %+v", blocks)
+			}
+			leasesEmpty := leases.ActiveLeases == 0 && leases.ReservedMillis == 0
+			blocksEmpty := blocks.Blocks == 0 && blocks.Lost == 0 && blocks.RepairQueue == 0
+			if wantLeasesEmpty := tc.file == "DC-9.ledger.json"; leasesEmpty != wantLeasesEmpty || blocksEmpty == wantLeasesEmpty {
+				t.Fatalf("%s was not refused whole, or took the other file with it:\nleases %+v\nblocks %+v", tc.file, leases, blocks)
+			}
+			checkFollowerEqualsPrimary(t, restored, joinFollower(t, restored))
 		})
 	}
 }

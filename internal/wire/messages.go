@@ -90,16 +90,7 @@ func (m *SelectResp) Decode(payload []byte) error {
 	m.Lease = r.U64()
 	m.ExpiresIn = r.F64()
 	m.Job = r.U8()
-	switch r.U8() {
-	case 0:
-		m.Satisfiable = false
-	case 1:
-		m.Satisfiable = true
-	default:
-		// Strict: a bool byte other than 0/1 is a malformed frame, which
-		// also keeps decode→encode a byte-identical fixed point.
-		r.bad = true
-	}
+	m.Satisfiable = r.Bool()
 	n := int(r.U16())
 	m.Classes = sized(m.Classes, n, selectGrantSize, &r)
 	for i := range m.Classes {

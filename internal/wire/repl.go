@@ -1,5 +1,11 @@
 package wire
 
+import (
+	"fmt"
+	"math"
+	"time"
+)
+
 // Replication messages: the intra-DC primary→follower snapshot stream.
 //
 // A follower dials the primary's replication listener, sends one OpReplHello
@@ -103,45 +109,50 @@ type ReplClass struct {
 	Servers  []int64   `json:"servers"`
 }
 
-// ReplGrant is one class's share of a replicated lease, mirroring
-// ledger.Grant in wire-native types.
+// The lease and block records below are, like ReplClass, the only definition
+// of what they describe: the ledgers hold them, Walk lends them, Reconcile
+// takes them back, a frame carries them through the codec in this file and
+// <dc>.ledger.json / <dc>.blocks.json through their json tags.
+
+// ReplGrant is one class's share of a lease, in millicores.
 type ReplGrant struct {
-	Class  uint32
-	Millis int64
+	Class  uint32 `json:"class"`
+	Millis int64  `json:"millis"`
 }
 
-// ReplLease is one live lease in a replicated ledger state.
+// ReplLease is one live lease. JobID and Owner are optional operator
+// metadata; files written before the fields existed restore with them empty.
 type ReplLease struct {
-	ID uint64
-	// ExpiresUnixNano is the absolute expiry instant (0 = never expires).
-	ExpiresUnixNano int64
-	JobID           string
-	Owner           string
-	Grants          []ReplGrant
+	ID uint64 `json:"id"`
+	// ExpiresAt is the absolute expiry instant, zero when the lease never
+	// expires. A frame carries it as UnixNano, 0 for the zero time.
+	ExpiresAt time.Time   `json:"expires_at,omitempty"`
+	Grants    []ReplGrant `json:"grants"`
+	JobID     string      `json:"job_id,omitempty"`
+	Owner     string      `json:"owner,omitempty"`
 }
 
-// ReplLedger is the full ledger state riding on every push: the cumulative
-// conservation books plus every live lease, so a promoted follower's books
-// balance exactly (reserved == released + expired + forfeited + outstanding)
-// from the instant of handoff.
+// ReplLedger is the allocation ledger's full state: the generation it is
+// keyed to and its cumulative conservation books, plus every live lease, so a
+// restarted or promoted node's books balance exactly (reserved == released +
+// expired + forfeited + outstanding) from its first instant.
 type ReplLedger struct {
-	Generation      uint64
-	ReservedMillis  int64
-	ReleasedMillis  int64
-	ExpiredMillis   int64
-	ForfeitedMillis int64
-	Reserves        uint64
-	Releases        uint64
-	Renews          uint64
-	Expiries        uint64
-	Conflicts       uint64
-	Leases          []ReplLease
+	Generation      uint64      `json:"generation"`
+	ReservedMillis  int64       `json:"reserved_millis"`
+	ReleasedMillis  int64       `json:"released_millis"`
+	ExpiredMillis   int64       `json:"expired_millis"`
+	ForfeitedMillis int64       `json:"forfeited_millis"`
+	Reserves        uint64      `json:"reserves"`
+	Releases        uint64      `json:"releases"`
+	Renews          uint64      `json:"renews,omitempty"`
+	Expiries        uint64      `json:"expiries"`
+	Conflicts       uint64      `json:"conflicts"`
+	Leases          []ReplLease `json:"leases"`
 }
 
 // The ledger section is encoded in pieces so a primary can stream it straight
-// from its ledger into the frame: the head, then per lease AppendReplLease
-// followed by that lease's AppendReplGrant records. appendReplLedger is the
-// same pieces driven from a ReplLedger.
+// from its ledger's Walk into the frame: the head, then one AppendReplLease
+// per lease. appendReplLedger is the same pieces driven from a ReplLedger.
 
 // AppendReplLedgerHead appends a ledger section's books and lease count
 // (m.Leases is ignored); exactly leases AppendReplLease records must follow.
@@ -159,30 +170,39 @@ func AppendReplLedgerHead(dst []byte, m *ReplLedger, leases int) []byte {
 	return AppendU32(dst, uint32(leases))
 }
 
-// AppendReplLease appends one lease record up to its grant count; exactly
-// grants AppendReplGrant records must follow.
-func AppendReplLease(dst []byte, id uint64, expiresUnixNano int64, jobID, owner string, grants int) []byte {
-	dst = AppendU64(dst, id)
-	dst = AppendI64(dst, expiresUnixNano)
-	dst = AppendStr8(dst, jobID)
-	dst = AppendStr8(dst, owner)
-	return AppendU16(dst, uint16(grants))
+// AppendReplLease appends one lease record, grants included. The record must
+// be Encodable.
+func AppendReplLease(dst []byte, ls *ReplLease) []byte {
+	dst = AppendU64(dst, ls.ID)
+	var expires int64
+	if !ls.ExpiresAt.IsZero() {
+		expires = ls.ExpiresAt.UnixNano()
+	}
+	dst = AppendI64(dst, expires)
+	dst = AppendStr8(dst, ls.JobID)
+	dst = AppendStr8(dst, ls.Owner)
+	dst = AppendU16(dst, uint16(len(ls.Grants)))
+	for _, g := range ls.Grants {
+		dst = AppendU32(dst, g.Class)
+		dst = AppendI64(dst, g.Millis)
+	}
+	return dst
 }
 
-// AppendReplGrant appends one grant of the lease record before it.
-func AppendReplGrant(dst []byte, class uint32, millis int64) []byte {
-	dst = AppendU32(dst, class)
-	return AppendI64(dst, millis)
+// Encodable reports what about the lease a frame cannot carry. The request
+// paths bound metadata and grants far below these limits; the check is for the
+// door that does not — a file.
+func (ls *ReplLease) Encodable() error {
+	if len(ls.JobID) > MaxStr8 || len(ls.Owner) > MaxStr8 || len(ls.Grants) > math.MaxUint16 {
+		return fmt.Errorf("wire: lease %d: job_id or owner over %d bytes, or over %d grants", ls.ID, MaxStr8, math.MaxUint16)
+	}
+	return nil
 }
 
 func appendReplLedger(dst []byte, m *ReplLedger) []byte {
 	dst = AppendReplLedgerHead(dst, m, len(m.Leases))
 	for i := range m.Leases {
-		ls := &m.Leases[i]
-		dst = AppendReplLease(dst, ls.ID, ls.ExpiresUnixNano, ls.JobID, ls.Owner, len(ls.Grants))
-		for _, g := range ls.Grants {
-			dst = AppendReplGrant(dst, g.Class, g.Millis)
-		}
+		dst = AppendReplLease(dst, &m.Leases[i])
 	}
 	return dst
 }
@@ -207,7 +227,10 @@ func decodeReplLedger(r *Reader, m *ReplLedger) {
 	for i := range m.Leases {
 		ls := &m.Leases[i]
 		ls.ID = r.U64()
-		ls.ExpiresUnixNano = r.I64()
+		ls.ExpiresAt = time.Time{}
+		if expires := r.I64(); expires != 0 {
+			ls.ExpiresAt = time.Unix(0, expires)
+		}
 		ls.JobID = string(r.Str8())
 		ls.Owner = string(r.Str8())
 		ng := int(r.U16())
@@ -219,36 +242,38 @@ func decodeReplLedger(r *Reader, m *ReplLedger) {
 	}
 }
 
-// ReplBlockReplica is one replica slot of a replicated block. Server is
-// meaningless when Placed is false (the slot is awaiting repair).
+// ReplBlockReplica is one replica slot of a block. Server is meaningless when
+// Placed is false (the slot is awaiting repair).
 type ReplBlockReplica struct {
-	Server int64
-	Placed bool
+	Server int64 `json:"server"`
+	Placed bool  `json:"placed"`
 }
 
-// ReplBlock is one block in a replicated block-ledger state.
+// ReplBlock is one block: its replica slots, whose index is a slot's stable
+// identity, and whether its placement promised environment diversity.
 type ReplBlock struct {
-	ID        uint64
-	EnvStrict bool
-	Replicas  []ReplBlockReplica
+	ID        uint64             `json:"id"`
+	EnvStrict bool               `json:"env_strict,omitempty"`
+	Replicas  []ReplBlockReplica `json:"replicas"`
 }
 
-// ReplBlocks is the full block-ledger state riding on every push, after the
-// lease ledger: every block's replica slots plus the cumulative durability
-// books, so a promoted follower's block conservation (placed + pending ==
-// slots, lost == replaced + pending) holds from the instant of handoff and
-// its rebuilt repair queue covers exactly the pending slots.
+// ReplBlocks is the block ledger's full state: every block's replica slots
+// plus the generation and the cumulative durability books, so a restarted or
+// promoted node's block conservation (placed + pending == slots, lost ==
+// replaced + pending) holds from its first instant and its rebuilt repair
+// queue covers exactly the pending slots. The gauges are not part of it: they
+// are functions of the blocks themselves and recomputed on Reconcile.
 type ReplBlocks struct {
-	Generation uint64
-	Lost       int64
-	Replaced   int64
-	Creates    uint64
-	Reimages   uint64
-	Blocks     []ReplBlock
+	Generation uint64      `json:"generation"`
+	Lost       int64       `json:"lost"`
+	Replaced   int64       `json:"replaced"`
+	Creates    uint64      `json:"creates"`
+	Reimages   uint64      `json:"reimages"`
+	Blocks     []ReplBlock `json:"blocks"`
 }
 
-// The block section streams the same way: the head, then per block
-// AppendReplBlock followed by that block's AppendReplBlockReplica records.
+// The block section streams the same way: the head, then one AppendReplBlock
+// per block.
 
 // AppendReplBlocksHead appends a block section's books and block count
 // (m.Blocks is ignored); exactly blocks AppendReplBlock records must follow.
@@ -261,29 +286,32 @@ func AppendReplBlocksHead(dst []byte, m *ReplBlocks, blocks int) []byte {
 	return AppendU32(dst, uint32(blocks))
 }
 
-// AppendReplBlock appends one block record up to its replica count; exactly
-// replicas AppendReplBlockReplica records must follow.
-func AppendReplBlock(dst []byte, id uint64, envStrict bool, replicas int) []byte {
-	dst = AppendU64(dst, id)
-	dst = AppendU8(dst, boolByte(envStrict))
-	return AppendU8(dst, uint8(replicas))
+// AppendReplBlock appends one block record, replica slots included. The
+// record must be Encodable.
+func AppendReplBlock(dst []byte, b *ReplBlock) []byte {
+	dst = AppendU64(dst, b.ID)
+	dst = AppendU8(dst, boolByte(b.EnvStrict))
+	dst = AppendU8(dst, uint8(len(b.Replicas)))
+	for _, rep := range b.Replicas {
+		dst = AppendI64(dst, rep.Server)
+		dst = AppendU8(dst, boolByte(rep.Placed))
+	}
+	return dst
 }
 
-// AppendReplBlockReplica appends one replica slot of the block record before
-// it.
-func AppendReplBlockReplica(dst []byte, server int64, placed bool) []byte {
-	dst = AppendI64(dst, server)
-	return AppendU8(dst, boolByte(placed))
+// Encodable reports what about the block a frame cannot carry (see
+// ReplLease.Encodable).
+func (b *ReplBlock) Encodable() error {
+	if len(b.Replicas) > math.MaxUint8 {
+		return fmt.Errorf("wire: block %d: over %d replicas", b.ID, math.MaxUint8)
+	}
+	return nil
 }
 
 func appendReplBlocks(dst []byte, m *ReplBlocks) []byte {
 	dst = AppendReplBlocksHead(dst, m, len(m.Blocks))
 	for i := range m.Blocks {
-		b := &m.Blocks[i]
-		dst = AppendReplBlock(dst, b.ID, b.EnvStrict, len(b.Replicas))
-		for _, rep := range b.Replicas {
-			dst = AppendReplBlockReplica(dst, rep.Server, rep.Placed)
-		}
+		dst = AppendReplBlock(dst, &m.Blocks[i])
 	}
 	return dst
 }
@@ -303,12 +331,12 @@ func decodeReplBlocks(r *Reader, m *ReplBlocks) {
 	for i := range m.Blocks {
 		b := &m.Blocks[i]
 		b.ID = r.U64()
-		b.EnvStrict = r.U8() != 0
+		b.EnvStrict = r.Bool()
 		nr := int(r.U8())
 		b.Replicas = sized(b.Replicas, nr, 9, r)
 		for j := range b.Replicas {
 			b.Replicas[j].Server = r.I64()
-			b.Replicas[j].Placed = r.U8() != 0
+			b.Replicas[j].Placed = r.Bool()
 		}
 	}
 }

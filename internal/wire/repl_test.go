@@ -1,8 +1,11 @@
 package wire
 
 import (
+	"bytes"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 )
 
 func parsePayload(t *testing.T, frame []byte, wantOp Op) []byte {
@@ -71,10 +74,44 @@ func replSnapshotFixture() ReplSnapshot {
 			Reserves: 4, Releases: 1, Renews: 2, Expiries: 1, Conflicts: 3,
 			Leases: []ReplLease{
 				{
-					ID: 0x1234, ExpiresUnixNano: 1_700_000_060_000_000_000,
+					ID: 0x1234, ExpiresAt: time.Unix(0, 1_700_000_060_000_000_000),
 					JobID: "job-a", Owner: "alice",
 					Grants: []ReplGrant{{Class: 0, Millis: 2000}, {Class: 1, Millis: 1000}},
 				},
+			},
+		},
+		Blocks: ReplBlocks{
+			Generation: 8, Lost: 3, Replaced: 2, Creates: 5, Reimages: 1,
+			Blocks: []ReplBlock{
+				{ID: 0x77, EnvStrict: true, Replicas: []ReplBlockReplica{{Server: 100, Placed: true}, {Server: 101}}},
+			},
+		},
+	}
+}
+
+// replEdgeBeat is a beat whose two sections hold the values a codec is most
+// likely to get wrong — the ones the service's three-encoder property test
+// (TestStreamedFilesDecodeAsExportedState) draws at random, fixed here so the
+// round-trip test and the fuzzer's seed corpus replay them on every run.
+func replEdgeBeat() ReplBeat {
+	return ReplBeat{
+		DC: "DC-9", Generation: 8, SentUnixNano: 55, AsOfSeconds: 120,
+		Ledger: ReplLedger{
+			Generation: 8, ReservedMillis: 1 << 40, ForfeitedMillis: 7, Reserves: 9, Conflicts: 1,
+			Leases: []ReplLease{
+				{ID: 1}, // never expires, holds nothing
+				{ID: 1<<53 - 1, ExpiresAt: time.Unix(0, 1<<62), Grants: []ReplGrant{{Class: 1<<32 - 1, Millis: 1 << 50}}},
+				{ID: 0x20, ExpiresAt: time.Unix(0, 1), JobID: "etl \"nightly\"\\\n\t\x00\x01<&> é", Owner: "al\\ice",
+					Grants: make([]ReplGrant, 300)},
+				{ID: 0x30, JobID: strings.Repeat("j", 128), Owner: strings.Repeat("\xff", MaxStr8), Grants: []ReplGrant{{Class: 2, Millis: 1}}},
+			},
+		},
+		Blocks: ReplBlocks{
+			Generation: 8, Lost: 70, Replaced: 5, Creates: 3, Reimages: 2,
+			Blocks: []ReplBlock{
+				{ID: 0x40, Replicas: []ReplBlockReplica{{Server: 0}}}, // R = 1, pending
+				{ID: 0x50, EnvStrict: true, Replicas: make([]ReplBlockReplica, 64)},
+				{ID: 0x60, Replicas: []ReplBlockReplica{{Server: -1, Placed: true}, {Server: 1<<63 - 1}, {Server: 7, Placed: true}}},
 			},
 		},
 	}
@@ -128,13 +165,49 @@ func TestReplBeatRoundTrip(t *testing.T) {
 			Generation: 8, ReservedMillis: 100, ReleasedMillis: 100,
 		},
 	}
-	frame := AppendReplBeat(nil, 9, &in)
-	var out ReplBeat
-	if err := out.Decode(parsePayload(t, frame, OpReplBeat)); err != nil {
-		t.Fatalf("Decode: %v", err)
+	for _, in := range []ReplBeat{in, replEdgeBeat()} {
+		frame := AppendReplBeat(nil, 9, &in)
+		var out ReplBeat
+		if err := out.Decode(parsePayload(t, frame, OpReplBeat)); err != nil {
+			t.Fatalf("Decode: %v", err)
+		}
+		if !reflect.DeepEqual(in, out) {
+			t.Fatalf("round trip mismatch:\n in  %+v\n out %+v", in, out)
+		}
+		if again := AppendReplBeat(nil, 9, &out); !bytes.Equal(again, frame) {
+			t.Fatal("a beat re-encoded from its decoded message is not the frame it was decoded from")
+		}
 	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip mismatch:\n in  %+v\n out %+v", in, out)
+}
+
+// TestReplBoolBytesAreStrict pins that a block record's two bool bytes decode
+// as 0 or 1 and nothing else: a frame with any other value is malformed, and
+// decode → encode stays a byte-identical fixed point.
+func TestReplBoolBytesAreStrict(t *testing.T) {
+	in := replSnapshotFixture()
+	payload := AppendReplSnapshot(nil, 7, &in)[HeaderSize:]
+	// The payload ends with the one block: id, env_strict, replica count, then
+	// two (server, placed) slots.
+	const slot = 8 + 1
+	for field, at := range map[string]int{
+		"env_strict": len(payload) - 2*slot - 2,
+		"placed":     len(payload) - slot - 1,
+	} {
+		if payload[at] != 1 {
+			t.Fatalf("%s byte at %d is %d, want 1", field, at, payload[at])
+		}
+		var out ReplSnapshot
+		for _, v := range []byte{2, 0x80, 0xff} {
+			payload[at] = v
+			if err := out.Decode(payload); err == nil {
+				t.Errorf("%s byte %d decoded cleanly", field, v)
+			}
+		}
+		payload[at] = 0
+		if err := out.Decode(payload); err != nil {
+			t.Errorf("%s byte 0: %v", field, err)
+		}
+		payload[at] = 1
 	}
 }
 

@@ -344,10 +344,12 @@ func AppendF64(dst []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
-// AppendStr8 appends a one-byte-length string. Panics past MaxStr8: the only
-// strings on the wire are datacenter names, which come from configuration —
-// a longer one is an operator error surfaced at startup, not silently
-// truncated onto the wire.
+// AppendStr8 appends a one-byte-length string. Panics past MaxStr8: the
+// strings on the wire are datacenter names and node ids, which come from
+// configuration — a longer one is an operator error surfaced at startup, not
+// silently truncated onto the wire — and a replicated lease's job_id and
+// owner, which every door into the ledger bounds first (the request paths at
+// 128 bytes, ledger.Restore through ReplLease.Encodable).
 func AppendStr8(dst []byte, s string) []byte {
 	if len(s) > MaxStr8 {
 		panic("wire: string exceeds one-byte length prefix: " + s[:32] + "...")
@@ -392,6 +394,16 @@ func (r *Reader) U8() uint8 {
 		return 0
 	}
 	return b[0]
+}
+
+// Bool reads a strict bool byte: anything but 0 or 1 is a malformed frame,
+// which also keeps decode→encode a byte-identical fixed point.
+func (r *Reader) Bool() bool {
+	v := r.U8()
+	if v > 1 {
+		r.bad = true
+	}
+	return v == 1
 }
 
 func (r *Reader) U16() uint16 {

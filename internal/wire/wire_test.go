@@ -258,6 +258,9 @@ func FuzzWireFrameRoundTrip(f *testing.F) {
 	f.Add(AppendRenewReq(nil, 11, "DC-9", RenewReq{Lease: 42, HoldMillis: 60000}))
 	f.Add(AppendRenewResp(nil, 12, &RenewResp{Lease: 42, TotalMillis: 1000, ExpiresIn: 60}))
 	f.Add(AppendErrorResp(nil, 10, 500, "boom"))
+	snap, beat := replSnapshotFixture(), replEdgeBeat()
+	f.Add(AppendReplSnapshot(nil, 13, &snap))
+	f.Add(AppendReplBeat(nil, 14, &beat))
 	f.Add([]byte("GET /v1/datacenters HTTP/1.1\r\n\r\n"))
 	f.Add([]byte{Magic, Version, 0x01, 0, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0})
 
@@ -362,6 +365,20 @@ func checkDecoders(t *testing.T, h Header, payload []byte) {
 	if scresp.Decode(payload) == nil {
 		if got := AppendServerClassResp(nil, h.ID, &scresp); !bytes.Equal(got[HeaderSize:], payload) {
 			t.Fatalf("ServerClassResp not a fixed point")
+		}
+	}
+	var beat ReplBeat
+	if beat.Decode(payload) == nil {
+		if got := AppendReplBeat(nil, h.ID, &beat); !bytes.Equal(got[HeaderSize:], payload) {
+			t.Fatalf("ReplBeat not a fixed point")
+		}
+	}
+	var snap ReplSnapshot
+	if snap.Decode(payload) == nil {
+		// All but the reserved PrevGeneration word, which is read and dropped.
+		got, at := AppendReplSnapshot(nil, h.ID, &snap)[HeaderSize:], 1+len(snap.DC)+8
+		if !bytes.Equal(got[:at], payload[:at]) || !bytes.Equal(got[at+8:], payload[at+8:]) {
+			t.Fatalf("ReplSnapshot not a fixed point")
 		}
 	}
 	var eresp ErrorResp
