@@ -210,13 +210,15 @@ func main() {
 		TrustedProxies:      splitNonEmpty(*trustedProxies),
 	})
 	var binAdvertise string
+	var binErrs <-chan error
 	if *binaryAddr != "" {
 		bs := service.NewBinaryServer(svc)
-		bound, _, err := bs.ListenAndServe(*binaryAddr)
+		bound, errc, err := bs.ListenAndServe(*binaryAddr)
 		if err != nil {
 			obs.Fatal(logger, "binary listener failed", "addr", *binaryAddr, "err", err)
 		}
 		defer bs.Close()
+		binErrs = errc
 		binAdvertise = advertisedHostPort(bound, *advertise)
 		api.AttachBinary(bs, binAdvertise)
 		logger.Info("binary protocol listening", "addr", bound.String(), "advertised", binAdvertise)
@@ -306,5 +308,8 @@ func main() {
 		server.Close()
 	case err := <-errs:
 		obs.Fatal(logger, "server failed", "err", err)
+	case err := <-binErrs:
+		// A node that announces a binary_addr nobody accepts on must not stay up.
+		obs.Fatal(logger, "binary listener failed", "err", err)
 	}
 }

@@ -101,9 +101,6 @@ type binPipe struct {
 }
 
 func newBinPipe(c net.Conn, timeout time.Duration) *binPipe {
-	if tc, ok := c.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
 	p := &binPipe{
 		c:       c,
 		br:      bufio.NewReaderSize(c, 64<<10),
@@ -215,7 +212,7 @@ func (p *binPipe) readLoop(b *backend) {
 			}
 		}
 		p.c.SetReadDeadline(time.Now().Add(p.timeout))
-		h, frame, err := readRawFrame(p.br, &scratch)
+		h, frame, err := wire.ReadRawFrame(p.br, &scratch, true)
 		if err != nil {
 			p.fail(err)
 			return
@@ -368,124 +365,18 @@ func (b *backend) closeBinPipes() {
 func (rt *Router) SetBinaryAdvertise(addr string) { rt.binAdvertise = addr }
 
 // ListenAndServeBinary binds addr and serves the binary dialect on it. The
-// returned channel yields the accept loop's exit error (nil on Close).
+// returned channel yields what ServeBinary would have returned.
 func (rt *Router) ListenAndServeBinary(addr string) (net.Addr, <-chan error, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- rt.ServeBinary(ln) }()
-	return ln.Addr(), errc, nil
+	return rt.bin.ListenAndServe(addr, rt.serveBinaryConn)
 }
 
 // ServeBinary accepts frame connections on ln until CloseBinary. Returns nil
 // on a close-initiated exit, the accept error otherwise.
-func (rt *Router) ServeBinary(ln net.Listener) error {
-	rt.binMu.Lock()
-	if rt.binClosed {
-		rt.binMu.Unlock()
-		ln.Close()
-		return nil
-	}
-	rt.binLn = ln
-	if rt.binConns == nil {
-		rt.binConns = make(map[net.Conn]struct{})
-	}
-	rt.binMu.Unlock()
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			rt.binMu.Lock()
-			closed := rt.binClosed
-			rt.binMu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		rt.binMu.Lock()
-		if rt.binClosed {
-			rt.binMu.Unlock()
-			c.Close()
-			return nil
-		}
-		rt.binConns[c] = struct{}{}
-		rt.binWG.Add(1)
-		rt.binMu.Unlock()
-		rt.binAccepted.Add(1)
-		rt.binOpenConns.Add(1)
-		go rt.serveBinaryConn(c)
-	}
-}
+func (rt *Router) ServeBinary(ln net.Listener) error { return rt.bin.Serve(ln, rt.serveBinaryConn) }
 
 // CloseBinary stops the binary listener and closes every client connection,
 // then waits for their handlers. Safe to call with no listener serving.
-func (rt *Router) CloseBinary() {
-	rt.binMu.Lock()
-	rt.binClosed = true
-	ln := rt.binLn
-	conns := make([]net.Conn, 0, len(rt.binConns))
-	for c := range rt.binConns {
-		conns = append(conns, c)
-	}
-	rt.binMu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	rt.binWG.Wait()
-}
-
-func (rt *Router) dropBinConn(c net.Conn) {
-	c.Close()
-	rt.binMu.Lock()
-	delete(rt.binConns, c)
-	rt.binMu.Unlock()
-	rt.binOpenConns.Add(-1)
-	rt.binWG.Done()
-}
-
-// readRawFrame reads one whole frame — header and payload — into *scratch and
-// returns the parsed header plus the raw bytes, ready to forward verbatim.
-func readRawFrame(br *bufio.Reader, scratch *[]byte) (wire.Header, []byte, error) {
-	buf := *scratch
-	if cap(buf) < wire.HeaderSize {
-		buf = make([]byte, wire.HeaderSize, 4096)
-	}
-	buf = buf[:wire.HeaderSize]
-	if _, err := io.ReadFull(br, buf); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			err = wire.ErrBadFrame
-		}
-		return wire.Header{}, nil, err
-	}
-	h, err := wire.ParseHeader(buf)
-	if err != nil {
-		return wire.Header{}, nil, err
-	}
-	if h.Op.IsRepl() {
-		// Replication opcodes carry the 64 MiB replication payload cap through
-		// ParseHeader; honoring one here — from a public client or a desynced
-		// backend pipe — would let a peer balloon this buffer. They belong on
-		// harvestd's dedicated replication listener only.
-		return wire.Header{}, nil, wire.ErrBadFrame
-	}
-	total := wire.HeaderSize + int(h.Len)
-	if cap(buf) < total {
-		nb := make([]byte, total)
-		copy(nb, buf[:wire.HeaderSize])
-		buf = nb
-	}
-	buf = buf[:total]
-	if _, err := io.ReadFull(br, buf[wire.HeaderSize:]); err != nil {
-		return wire.Header{}, nil, wire.ErrBadFrame
-	}
-	*scratch = buf
-	return h, buf, nil
-}
+func (rt *Router) CloseBinary() { rt.bin.Close() }
 
 // pendingBinResp is one client frame's slot in the connection's response
 // order — relays complete out of order, responses go back in request order —
@@ -518,10 +409,6 @@ type pendingBinResp struct {
 // discipline of the backends' own server. Up to binRelayWindow frames ride
 // between reader and writer at once.
 func (rt *Router) serveBinaryConn(c net.Conn) {
-	defer rt.dropBinConn(c)
-	if tc, ok := c.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
 	br := bufio.NewReaderSize(c, 64<<10)
 	bw := bufio.NewWriterSize(c, 64<<10)
 
@@ -571,7 +458,7 @@ func (rt *Router) serveBinaryConn(c net.Conn) {
 	var raw []byte
 	for {
 		c.SetReadDeadline(time.Now().Add(binFrontIdleTimeout))
-		h, frame, err := readRawFrame(br, &raw)
+		h, frame, err := wire.ReadRawFrame(br, &raw, true)
 		if err != nil {
 			if err != io.EOF {
 				// Garbage framing: nothing on this conn can be trusted

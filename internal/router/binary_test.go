@@ -3,9 +3,11 @@ package router_test
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -604,18 +606,36 @@ func TestBinaryBackendDesyncDetected(t *testing.T) {
 	}
 }
 
+// forgedReplHeader is a frame header alone, claiming a 2 MiB replication
+// snapshot: legal on the replication listener, refused on a public port before
+// any payload is awaited.
+func forgedReplHeader() []byte {
+	h := wire.BeginFrame(nil, wire.OpReplSnap, 7)
+	h[6] = 0x20 // length field, little-endian: 0x00200000
+	return h
+}
+
 // TestBinaryFrontClosesOnGarbage mirrors the backend server's framing
 // discipline: a non-frame byte stream is dropped without a response.
 func TestBinaryFrontClosesOnGarbage(t *testing.T) {
-	rt, _ := newTestRouter(t, nil)
+	rt, srv := newTestRouter(t, nil)
 	binFront := startRouterBinary(t, rt)
 
-	c := dialBin(t, binFront)
-	if _, err := c.c.Write([]byte("GET / HTTP/1.1\r\n\r\n")); err != nil {
-		t.Fatal(err)
-	}
-	c.c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if b, err := c.br.ReadByte(); err == nil {
-		t.Fatalf("router answered %#x to garbage instead of closing", b)
+	for name, garbage := range map[string][]byte{
+		"http accident":             []byte("GET / HTTP/1.1\r\n\r\n"),
+		"forged replication header": forgedReplHeader(),
+	} {
+		before := routerStats(t, srv.URL).Binary.FramingErrors
+		c := dialBin(t, binFront)
+		if _, err := c.c.Write(garbage); err != nil {
+			t.Fatal(err)
+		}
+		c.c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if b, err := c.br.ReadByte(); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("%s: router answered %#x, %v instead of closing", name, b, err)
+		}
+		if got := routerStats(t, srv.URL).Binary.FramingErrors - before; got != 1 {
+			t.Errorf("%s: framing_errors moved by %d, want 1", name, got)
+		}
 	}
 }

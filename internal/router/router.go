@@ -191,14 +191,10 @@ type Router struct {
 	// serving and published on /v1/datacenters so binary-capable clients can
 	// discover the frame listener from the JSON control plane.
 	binAdvertise string
-	binMu        sync.Mutex
-	binLn        net.Listener
-	binClosed    bool
-	binConns     map[net.Conn]struct{}
-	binWG        sync.WaitGroup
+	// bin is the front's accept loop and connection set (wire.Server's
+	// contract); serveBinaryConn is its handler.
+	bin wire.Server
 
-	binAccepted      atomic.Uint64
-	binOpenConns     atomic.Int64
 	binFramingErrors atomic.Uint64
 	binForwarded     atomic.Uint64 // frames relayed natively to a binary backend
 	binRejected      atomic.Uint64 // error frames originated by the router itself
@@ -1052,14 +1048,11 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		},
 		Datacenters: make(map[string]json.RawMessage),
 	}
-	rt.binMu.Lock()
-	binServing := rt.binLn != nil && !rt.binClosed
-	rt.binMu.Unlock()
-	if binServing {
+	if rt.bin.Serving() {
 		bin := &BinaryFrontStats{
 			Addr:          rt.binAdvertise,
-			AcceptedConns: rt.binAccepted.Load(),
-			OpenConns:     rt.binOpenConns.Load(),
+			AcceptedConns: rt.bin.Accepted(),
+			OpenConns:     rt.bin.Open(),
 			FramingErrors: rt.binFramingErrors.Load(),
 			Forwarded:     rt.binForwarded.Load(),
 			Rejected:      rt.binRejected.Load(),

@@ -1,10 +1,8 @@
 package service
 
 import (
-	"errors"
 	"net"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -60,89 +58,23 @@ type BinaryServer struct {
 	// dispatched frame; nil keeps the dispatch path trace-free.
 	rec *obs.Recorder
 
-	accepted      atomic.Uint64
-	open          atomic.Int64
+	// srv is the accept loop and the connection set (wire.Server's contract).
+	srv           wire.Server
 	framingErrors atomic.Uint64
-
-	mu     sync.Mutex
-	ln     net.Listener
-	closed bool
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
 }
 
 // NewBinaryServer returns a binary frame server over svc. Call Serve with a
 // listener to start accepting.
 func NewBinaryServer(svc *Service) *BinaryServer {
-	return &BinaryServer{svc: svc, conns: make(map[net.Conn]struct{})}
+	return &BinaryServer{svc: svc}
 }
 
 // Serve accepts connections on ln until Close, blocking like http.Serve.
-func (b *BinaryServer) Serve(ln net.Listener) error {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		ln.Close()
-		return errors.New("binary server closed")
-	}
-	b.ln = ln
-	b.mu.Unlock()
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			b.mu.Lock()
-			closed := b.closed
-			b.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		b.mu.Lock()
-		if b.closed {
-			b.mu.Unlock()
-			c.Close()
-			return nil
-		}
-		b.conns[c] = struct{}{}
-		b.mu.Unlock()
-		b.accepted.Add(1)
-		b.open.Add(1)
-		b.wg.Add(1)
-		go func() {
-			defer b.wg.Done()
-			b.handleConn(c)
-		}()
-	}
-}
+func (b *BinaryServer) Serve(ln net.Listener) error { return b.srv.Serve(ln, b.handleConn) }
 
 // Close stops accepting, closes every open connection, and waits for the
 // per-connection goroutines to drain.
-func (b *BinaryServer) Close() {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		b.wg.Wait()
-		return
-	}
-	b.closed = true
-	if b.ln != nil {
-		b.ln.Close()
-	}
-	for c := range b.conns {
-		c.Close()
-	}
-	b.mu.Unlock()
-	b.wg.Wait()
-}
-
-func (b *BinaryServer) dropConn(c net.Conn) {
-	c.Close()
-	b.mu.Lock()
-	delete(b.conns, c)
-	b.mu.Unlock()
-	b.open.Add(-1)
-}
+func (b *BinaryServer) Close() { b.srv.Close() }
 
 // connReader is the minimal buffered reader the frame loop needs: unlike
 // bufio.Reader it exposes its buffer fill directly, and ReadFull-style frame
@@ -194,10 +126,6 @@ func (cr *connReader) take(n int) []byte {
 }
 
 func (b *BinaryServer) handleConn(c net.Conn) {
-	defer b.dropConn(c)
-	if tc, ok := c.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
 	cr := &connReader{c: c, buf: make([]byte, binaryReadBuffer)}
 	out := make([]byte, 0, binaryFlushLimit)
 	flush := func() bool {
@@ -222,23 +150,12 @@ func (b *BinaryServer) handleConn(c net.Conn) {
 				return
 			}
 		}
-		h, err := wire.ParseHeader(cr.buf[cr.r : cr.r+wire.HeaderSize])
-		if err != nil {
-			// Desynced or not our protocol: nothing sane can follow.
-			b.framingErrors.Add(1)
-			flush()
-			return
-		}
-		if h.Op.IsRepl() {
-			// Replication frames belong on the dedicated replication listener.
-			// Rejected before the payload fill: repl opcodes carry the 64 MiB
-			// replication cap through ParseHeader, and honoring one here would
-			// let any public client balloon the connection buffer.
-			b.framingErrors.Add(1)
-			flush()
-			return
-		}
-		if !cr.fill(wire.HeaderSize+int(h.Len), time.Now().Add(binaryIdleTimeout)) {
+		// The public parse refuses replication opcodes, so the fill below never
+		// buffers more than MaxPayload.
+		h, err := wire.ParsePublicHeader(cr.buf[cr.r : cr.r+wire.HeaderSize])
+		if err != nil || !cr.fill(wire.HeaderSize+int(h.Len), time.Now().Add(binaryIdleTimeout)) {
+			// Desynced, not our protocol, or gone mid-frame: nothing sane can
+			// follow.
 			b.framingErrors.Add(1)
 			flush()
 			return
@@ -471,8 +388,8 @@ type BinaryStats struct {
 // a row, served or not.
 func (b *BinaryServer) Stats() BinaryStats {
 	st := BinaryStats{
-		Accepted:      b.accepted.Load(),
-		Open:          b.open.Load(),
+		Accepted:      b.srv.Accepted(),
+		Open:          b.srv.Open(),
 		FramingErrors: b.framingErrors.Load(),
 		Endpoints:     make(map[string]endpointRow, len(wire.Ops)),
 	}
@@ -483,20 +400,7 @@ func (b *BinaryServer) Stats() BinaryStats {
 }
 
 // ListenAndServe binds addr and serves until Close — the cmd/harvestd entry
-// point. The returned channel yields the terminal Serve error (nil on a
-// clean Close).
+// point. The returned channel yields what Serve returned (nil after a Close).
 func (b *BinaryServer) ListenAndServe(addr string) (net.Addr, <-chan error, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	errc := make(chan error, 1)
-	go func() {
-		if err := b.Serve(ln); err != nil {
-			slogger.Warn("binary server accept failed", "err", err)
-			errc <- err
-		}
-		close(errc)
-	}()
-	return ln.Addr(), errc, nil
+	return b.srv.ListenAndServe(addr, b.handleConn)
 }

@@ -2,10 +2,12 @@ package service_test
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"runtime"
 	"runtime/debug"
@@ -180,20 +182,43 @@ func TestBinaryServerPipelining(t *testing.T) {
 	}
 }
 
+// forgedReplHeader is a frame header alone, claiming a 2 MiB replication
+// snapshot: legal on the replication listener, refused on a public port before
+// any payload is awaited.
+func forgedReplHeader() []byte {
+	h := wire.BeginFrame(nil, wire.OpReplSnap, 7)
+	h[6] = 0x20 // length field, little-endian: 0x00200000
+	return h
+}
+
 func TestBinaryServerClosesOnGarbage(t *testing.T) {
 	svc := newTestService(t)
 	defer svc.Close()
-	addr := startBinaryServer(t, svc)
-	c := dialBinary(t, addr)
-
-	// An accidental HTTP request fails the magic byte: the server must close
-	// without writing anything.
-	if _, err := c.conn.Write([]byte("POST /v1/DC-9/select HTTP/1.1\r\n\r\n")); err != nil {
-		t.Fatal(err)
+	bs := service.NewBinaryServer(svc)
+	addr, _, err := bs.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("binary listen: %v", err)
 	}
-	c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if b, err := c.br.ReadByte(); err == nil {
-		t.Fatalf("server responded %#x to garbage instead of closing", b)
+	defer bs.Close()
+
+	for name, garbage := range map[string][]byte{
+		// An accidental HTTP request fails the magic byte.
+		"http accident":             []byte("POST /v1/DC-9/select HTTP/1.1\r\n\r\n"),
+		"forged replication header": forgedReplHeader(),
+	} {
+		before := bs.Stats().FramingErrors
+		c := dialBinary(t, addr.String())
+		if _, err := c.conn.Write(garbage); err != nil {
+			t.Fatal(err)
+		}
+		// The server must close without writing anything.
+		c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if b, err := c.br.ReadByte(); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("%s: server answered %#x, %v instead of closing", name, b, err)
+		}
+		if got := bs.Stats().FramingErrors - before; got != 1 {
+			t.Errorf("%s: framing_errors moved by %d, want 1", name, got)
+		}
 	}
 }
 

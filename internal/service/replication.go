@@ -74,36 +74,30 @@ type replState struct {
 	reconnects   atomic.Uint64
 	promotions   atomic.Uint64
 
-	// Primary side.
-	mu sync.Mutex
-	ln net.Listener
-	// pendingLn is a replication listener a follower holds in reserve:
-	// Promote begins ServeReplication on it, so a promoted primary can feed
-	// the surviving followers without a restart.
+	// Primary side: srv accepts the followers (wire.Server's contract).
+	srv wire.Server
+	// pendingLn, under mu, is a replication listener a follower holds in
+	// reserve: Promote begins ServeReplication on it, so a promoted primary can
+	// feed the surviving followers without a restart.
+	mu            sync.Mutex
 	pendingLn     net.Listener
-	conns         map[net.Conn]struct{}
 	followers     atomic.Int64
 	framesShipped atomic.Uint64
 	shipErrors    atomic.Uint64
 }
 
-// shutdown closes the replication listener and every live connection so the
-// accept/send/apply goroutines unblock; Close's wg.Wait then reaps them.
+// shutdown closes the reserve listener and the stream to the primary so the
+// follow loop unblocks for Close's wg.Wait, then stops serving followers.
 func (r *replState) shutdown() {
 	r.mu.Lock()
-	if r.ln != nil {
-		r.ln.Close()
-	}
 	if r.pendingLn != nil {
 		r.pendingLn.Close()
-	}
-	for nc := range r.conns {
-		nc.Close()
 	}
 	r.mu.Unlock()
 	if c := r.conn.Load(); c != nil {
 		(*c).Close()
 	}
+	r.srv.Close()
 }
 
 // replHandshakeTimeout bounds the hello exchange on both ends;
@@ -187,25 +181,12 @@ func (s *Service) followAddr() string {
 // Close shuts it down. Call on a primary only; a follower serving replication
 // would re-ship second-hand state (followers use ArmReplicationListener).
 func (s *Service) ServeReplication(ln net.Listener) {
-	s.repl.mu.Lock()
-	s.repl.ln = ln
-	if s.repl.conns == nil {
-		s.repl.conns = make(map[net.Conn]struct{})
-	}
-	s.repl.mu.Unlock()
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		for {
-			nc, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			s.repl.mu.Lock()
-			s.repl.conns[nc] = struct{}{}
-			s.repl.mu.Unlock()
-			s.wg.Add(1)
-			go s.serveReplConn(nc)
+		if err := s.repl.srv.Serve(ln, s.serveReplConn); err != nil {
+			// Followers can no longer join; the node keeps serving its clients.
+			slogger.Error("replication accept loop died", "addr", ln.Addr(), "err", err)
 		}
 	}()
 }
@@ -214,14 +195,6 @@ func (s *Service) ServeReplication(ln net.Listener) {
 // of every shard's state each ReplInterval. Any error drops the connection;
 // the follower reconnects and re-handshakes.
 func (s *Service) serveReplConn(nc net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		nc.Close()
-		s.repl.mu.Lock()
-		delete(s.repl.conns, nc)
-		s.repl.mu.Unlock()
-	}()
-
 	var scratch []byte
 	br := bufio.NewReaderSize(nc, 16<<10)
 	nc.SetReadDeadline(time.Now().Add(replHandshakeTimeout))

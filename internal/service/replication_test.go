@@ -2,13 +2,16 @@ package service_test
 
 import (
 	"errors"
+	"io"
 	"net"
+	"os"
 	"testing"
 	"time"
 
 	"harvest/internal/core"
 	"harvest/internal/ledger"
 	"harvest/internal/service"
+	"harvest/internal/wire"
 )
 
 func replTestConfig(nodeID string) service.Config {
@@ -203,6 +206,77 @@ func TestReplicationAndPromotion(t *testing.T) {
 	}
 	fst, _ = follower.LedgerStats(dc)
 	checkLedgerConservation(t, fst, "promoted follower after new writes")
+}
+
+// lateListener hands out one more conn when its listener is closed under a
+// blocked Accept: the conn the kernel had ready as Close ran.
+type lateListener struct {
+	net.Listener
+	late chan net.Conn
+}
+
+func (l *lateListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		select {
+		case c := <-l.late:
+			return c, nil
+		default:
+		}
+	}
+	return c, err
+}
+
+// TestCloseDropsReplicationConns pins the replication listener's side of the
+// wire.Server contract: Close closes a follower mid-stream, a conn still
+// inside its handshake and a conn accepted while Close runs, and sits out
+// replHandshakeTimeout (5 s) for none of them.
+func TestCloseDropsReplicationConns(t *testing.T) {
+	primary, err := service.New(replTestConfig("p1"))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	tcp, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	ln := &lateListener{Listener: tcp, late: make(chan net.Conn, 1)}
+	late, lateServerSide := net.Pipe()
+	ln.late <- lateServerSide
+	primary.ServeReplication(ln)
+	primary.Start()
+
+	dial := func() net.Conn {
+		c, err := net.Dial("tcp", tcp.Addr().String())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		return c
+	}
+	// The silent conn dials first: the accept loop is sequential, so once the
+	// follower behind it is attached, this one is in its handler too.
+	silent := dial()
+	follower := dial()
+	if _, err := follower.Write(wire.AppendReplHello(nil, 1, &wire.ReplHello{FollowerID: "f1"})); err != nil {
+		t.Fatalf("hello: %v", err)
+	}
+	waitFor(t, "the follower to attach", func() bool { return primary.ReplicationStats().Followers == 1 })
+
+	start := time.Now()
+	primary.Close()
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("Close took %v with one conn mid-handshake and one accepted as it ran", d)
+	}
+	for name, c := range map[string]net.Conn{"silent": silent, "follower": follower, "late": late} {
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := io.Copy(io.Discard, c); errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("%s conn still open after Close", name)
+		}
+		c.Close()
+	}
+	if n := primary.ReplicationStats().Followers; n != 0 {
+		t.Errorf("followers = %d after Close", n)
+	}
 }
 
 // TestDriftThresholdAutoTune pins the feedback loop: with full rebuilds every

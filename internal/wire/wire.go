@@ -234,30 +234,68 @@ func ParseHeader(b []byte) (Header, error) {
 	return h, nil
 }
 
-// ReadFrame reads one full frame from r, growing *scratch as needed, and
-// returns the header plus the payload slice (aliasing *scratch — valid until
-// the next call with the same scratch). Errors are io errors, ErrBadFrame,
-// or ErrBadVersion; a clean EOF before any header byte returns io.EOF.
-func ReadFrame(r io.Reader, scratch *[]byte) (Header, []byte, error) {
-	var hdr [HeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// ParsePublicHeader is ParseHeader for a port any client can reach: harvestd's
+// binary listener, the router's binary front and the router's backend pipes.
+// Replication opcodes are a framing error there. They carry MaxReplPayload
+// through ParseHeader, so the refusal has to come before the payload is
+// buffered — honoring one would let any peer grow the connection's buffer to
+// 64 MiB. Only harvestd's replication listener and its followers read them.
+func ParsePublicHeader(b []byte) (Header, error) {
+	h, err := ParseHeader(b)
+	if err == nil && h.Op.IsRepl() {
+		return Header{}, ErrBadFrame
+	}
+	return h, err
+}
+
+// ReadRawFrame reads one whole frame from r into *scratch, growing it as
+// needed, and returns the parsed header plus the frame's bytes — header and
+// payload, ready to forward verbatim (aliasing *scratch: valid until the next
+// call with the same scratch). With public set the header goes through
+// ParsePublicHeader, so *scratch never grows past HeaderSize+MaxPayload.
+// Errors are io errors, ErrBadFrame, or ErrBadVersion; a clean EOF before any
+// header byte returns io.EOF.
+func ReadRawFrame(r io.Reader, scratch *[]byte, public bool) (Header, []byte, error) {
+	if cap(*scratch) < HeaderSize {
+		*scratch = make([]byte, HeaderSize, 4096)
+	}
+	hdr := (*scratch)[:HeaderSize]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if err == io.ErrUnexpectedEOF {
-			return Header{}, nil, ErrBadFrame
+			err = ErrBadFrame
 		}
 		return Header{}, nil, err
 	}
-	h, err := ParseHeader(hdr[:])
+	parse := ParseHeader
+	if public {
+		parse = ParsePublicHeader
+	}
+	h, err := parse(hdr)
 	if err != nil {
 		return Header{}, nil, err
 	}
-	if cap(*scratch) < int(h.Len) {
-		*scratch = make([]byte, h.Len)
+	total := HeaderSize + int(h.Len)
+	if cap(*scratch) < total {
+		grown := make([]byte, total)
+		copy(grown, hdr)
+		*scratch = grown
 	}
-	payload := (*scratch)[:h.Len]
-	if _, err := io.ReadFull(r, payload); err != nil {
+	frame := (*scratch)[:total]
+	if _, err := io.ReadFull(r, frame[HeaderSize:]); err != nil {
 		return Header{}, nil, ErrBadFrame
 	}
-	return h, payload, nil
+	return h, frame, nil
+}
+
+// ReadFrame is ReadRawFrame minus the header, for a peer that may be sent
+// replication frames (the replication listener, a follower) or that reads only
+// responses to its own requests (a client).
+func ReadFrame(r io.Reader, scratch *[]byte) (Header, []byte, error) {
+	h, raw, err := ReadRawFrame(r, scratch, false)
+	if err != nil {
+		return Header{}, nil, err
+	}
+	return h, raw[HeaderSize:], nil
 }
 
 // BeginFrame appends a frame header with a zero length field to dst and

@@ -67,6 +67,55 @@ func TestReadFrameRejectsGarbage(t *testing.T) {
 	}
 }
 
+// forgedReplHeader is what a hostile client sends a public port: a well-formed
+// header claiming a replication snapshot of 2 MiB, legal under MaxReplPayload
+// and past MaxPayload.
+var forgedReplHeader = func() []byte {
+	h := BeginFrame(nil, OpReplSnap, 7)
+	h[6] = 0x20 // length field, little-endian: 0x00200000
+	return h
+}()
+
+// TestReadFrameSizeRule pins the one reader's size rule: a public port refuses
+// a replication opcode on its header alone, before buffering a byte of the
+// payload the header promises; the replication reader takes the same frame.
+func TestReadFrameSizeRule(t *testing.T) {
+	const claimed = 2 << 20
+	replFrame := append(append([]byte(nil), forgedReplHeader...), make([]byte, claimed)...)
+	tooBig := append([]byte(nil), forgedReplHeader...)
+	tooBig[7] = 0x10 // 256 MiB: past MaxReplPayload too
+	for _, tc := range []struct {
+		name   string
+		public bool
+		in     []byte
+		want   error
+		maxCap int // bound on the scratch afterwards
+	}{
+		{"public port, replication header", true, forgedReplHeader, ErrBadFrame, 4096},
+		{"public port, replication frame", true, replFrame, ErrBadFrame, 4096},
+		{"replication port, same frame", false, replFrame, nil, HeaderSize + claimed},
+		{"replication port, past its own cap", false, tooBig, ErrBadFrame, 4096},
+	} {
+		var scratch []byte
+		h, raw, err := ReadRawFrame(bytes.NewReader(tc.in), &scratch, tc.public)
+		if err != tc.want {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		if cap(scratch) > tc.maxCap {
+			t.Errorf("%s: scratch grew to %d bytes, want at most %d", tc.name, cap(scratch), tc.maxCap)
+		}
+		if err == nil && (h.Op != OpReplSnap || h.ID != 7 || len(raw) != HeaderSize+claimed) {
+			t.Errorf("%s: header %+v, %d raw bytes", tc.name, h, len(raw))
+		}
+	}
+	// ReadFrame is the replication-capable reader, minus the header.
+	var scratch []byte
+	h, payload, err := ReadFrame(bytes.NewReader(replFrame), &scratch)
+	if err != nil || h.Op != OpReplSnap || len(payload) != claimed {
+		t.Fatalf("ReadFrame: header %+v, %d payload bytes, err %v", h, len(payload), err)
+	}
+}
+
 func TestReaderStickyError(t *testing.T) {
 	r := NewReader([]byte{1, 2})
 	if got := r.U16(); got != 0x0201 {
@@ -240,10 +289,12 @@ func TestEndFrameNesting(t *testing.T) {
 	}
 }
 
-// FuzzWireFrameRoundTrip feeds arbitrary bytes through the frame reader and
-// every message decoder: nothing may panic or over-read, a frame that reads
-// back must round-trip byte-identically, and ReadFrame must consume exactly
-// the frame it reports.
+// FuzzWireFrameRoundTrip feeds arbitrary bytes through the frame reader, in
+// each of its three spellings, and every message decoder: nothing may panic or
+// over-read, the spellings must agree except on the replication opcodes a
+// public port refuses (and there the public scratch stays bounded), a frame
+// that reads back must round-trip byte-identically, and ReadFrame must consume
+// exactly the frame it reports.
 func FuzzWireFrameRoundTrip(f *testing.F) {
 	f.Add(AppendSelectReq(nil, 1, "DC-9", SelectReq{Job: JobShort, MaxCores: 2, HoldMillis: 1000}))
 	f.Add(AppendSelectResp(nil, 2, &SelectResp{Generation: 1, Lease: 99, Satisfiable: true,
@@ -263,11 +314,34 @@ func FuzzWireFrameRoundTrip(f *testing.F) {
 	f.Add(AppendReplBeat(nil, 14, &beat))
 	f.Add([]byte("GET /v1/datacenters HTTP/1.1\r\n\r\n"))
 	f.Add([]byte{Magic, Version, 0x01, 0, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0})
+	whole := AppendReleaseReq(nil, 15, "DC-9", 42)
+	f.Add(whole[:4])            // truncated header
+	f.Add(whole[:len(whole)-3]) // truncated payload
+	f.Add(forgedReplHeader)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		var scratch []byte
 		h, payload, err := ReadFrame(r, &scratch)
+		for _, public := range []bool{false, true} {
+			var rawScratch []byte
+			rh, raw, rerr := ReadRawFrame(bytes.NewReader(data), &rawScratch, public)
+			if public && cap(rawScratch) > HeaderSize+MaxPayload {
+				t.Fatalf("public reader grew its scratch to %d bytes", cap(rawScratch))
+			}
+			if public && err == nil && h.Op.IsRepl() {
+				if rerr != ErrBadFrame {
+					t.Fatalf("public reader took %v: err %v", h.Op, rerr)
+				}
+				continue
+			}
+			if rerr != err || rh != h {
+				t.Fatalf("raw reader (public=%v): header %+v err %v, ReadFrame %+v err %v", public, rh, rerr, h, err)
+			}
+			if err == nil && !(bytes.Equal(raw[:HeaderSize], data[:HeaderSize]) && bytes.Equal(raw[HeaderSize:], payload)) {
+				t.Fatalf("raw reader (public=%v): frame %x, ReadFrame payload %x", public, raw, payload)
+			}
+		}
 		if err != nil {
 			return // rejected without panic: the property we are after
 		}
