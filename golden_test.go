@@ -207,3 +207,60 @@ func TestGoldenPlacementScheme(t *testing.T) {
 		t.Fatalf("scheme placement changed: got %s, want %s", first, want)
 	}
 }
+
+// classificationDigest generates a datacenter's population at the given scale
+// (seed 1), runs the full §4.1 pipeline over it and digests what the FFT
+// decided — each tenant's (ID, Pattern, DominantFrequency) — and what K-Means
+// made of it — each class's (ID, Pattern, len(Servers)).
+func classificationDigest(t *testing.T, dc string, scale float64) string {
+	t.Helper()
+	profile, ok := trace.ProfileByName(dc)
+	if !ok {
+		t.Fatalf("%s profile missing", dc)
+	}
+	pop, err := trace.NewGenerator(profile.Scaled(scale), 1).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	clustering, err := core.NewClusteringService(core.DefaultClusteringConfig()).Cluster(pop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var buf [24]byte
+	record := func(a, b, c int) {
+		binary.LittleEndian.PutUint64(buf[:8], uint64(a))
+		binary.LittleEndian.PutUint64(buf[8:16], uint64(b))
+		binary.LittleEndian.PutUint64(buf[16:], uint64(c))
+		h.Write(buf[:])
+	}
+	for _, tn := range pop.Tenants {
+		record(int(tn.ID), int(tn.Profile.Pattern), tn.Profile.DominantFrequency)
+	}
+	for _, cls := range clustering.Classes {
+		record(int(cls.ID), int(cls.Pattern), len(cls.Servers))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGoldenClassification pins the characterization the transform kernel
+// feeds: a change to internal/signalproc that moves one tenant's pattern or
+// dominant bin, or one server between classes, shows up here.
+func TestGoldenClassification(t *testing.T) {
+	want := map[string]string{
+		"DC-1@0.05": "ef4bcb30e401420d8f420126786dbd427f9897d51ca3e777c29a0db974a9d30d",
+		"DC-1@0.3":  "a34857d4b9fd5eee966c82b34b92192eaf691bac181c1bdab517f0fe30c87b34",
+		"DC-4@0.05": "fac3aff5a8c4267c55d8fa174e4f13045386d6e41d4475167265ff5854c78b20",
+		"DC-4@0.3":  "df900549f23814029bac1f81ba13e7ce3217d199cc4d226d18188e52493cbf37",
+		"DC-9@0.05": "19b2e51415b06bae195bdbbe326758629965754f4b55b1ea0f079bdafab0dc3d",
+		"DC-9@0.3":  "f3f8aa99770ece35957938be1872a33b361e3e13ac2527241ec5d454380314c1",
+	}
+	for _, dc := range []string{"DC-1", "DC-4", "DC-9"} {
+		for _, scale := range []float64{0.05, 0.3} {
+			key := fmt.Sprintf("%s@%g", dc, scale)
+			if got := classificationDigest(t, dc, scale); got != want[key] {
+				t.Errorf("%s classification changed: got %s, want %s", key, got, want[key])
+			}
+		}
+	}
+}
