@@ -201,15 +201,16 @@ func (s *ClusteringService) ClusterFrom(pop *tenant.Population, src tenant.Histo
 		return nil, fmt.Errorf("core: cannot cluster an empty population")
 	}
 	// (Re)classify tenants so the clustering reflects the latest telemetry.
+	windows := newWindowReader(src)
 	active := make([]*tenant.Tenant, 0, len(pop.Tenants))
 	for _, t := range pop.Tenants {
-		series := src.SeriesFor(t.ID)
-		if series == nil || series.Len() < signalproc.MinClassifySamples {
+		values, interval := windows.read(t.ID)
+		if len(values) < signalproc.MinClassifySamples {
 			// Too little history to characterize (evicted ring, or one just
 			// refilling): the tenant sits out this generation.
 			continue
 		}
-		if err := s.classifyWindow(t, series.Values, series.Interval); err != nil {
+		if err := s.classifyWindow(t, values, interval); err != nil {
 			return nil, err
 		}
 		active = append(active, t)
@@ -236,9 +237,40 @@ func (s *ClusteringService) ClusterFrom(pop *tenant.Population, src tenant.Histo
 	return clustering, nil
 }
 
+// windowReader reads one tenant's history window at a time for a pass over
+// the population. A source that can fill caller-owned storage
+// (tenant.HistoryWindow) fills the reader's one scratch buffer, so the pass
+// allocates a window once, not once per tenant; any other source lends its own
+// series.
+type windowReader struct {
+	src     tenant.HistorySource
+	window  tenant.HistoryWindow // nil when src does not implement it
+	scratch []float64
+}
+
+func newWindowReader(src tenant.HistorySource) *windowReader {
+	window, _ := src.(tenant.HistoryWindow)
+	return &windowReader{src: src, window: window}
+}
+
+// read returns the tenant's window and the slot width its values are spaced
+// at, or no values when the source holds none. The values are only valid
+// until the next read, and only to be read.
+func (w *windowReader) read(id tenant.ID) ([]float64, time.Duration) {
+	if w.window != nil {
+		var interval time.Duration
+		w.scratch, interval = w.window.AppendWindow(id, w.scratch[:0])
+		return w.scratch, interval
+	}
+	if series := w.src.SeriesFor(id); series != nil {
+		return series.Values, series.Interval
+	}
+	return nil, 0
+}
+
 // classifyWindow classifies one tenant from an already-materialized history
 // window, rescaling the classifier's periodic band to the window's length.
-// values is only read: Recluster passes its scratch window.
+// values is only read: it may be the pass's scratch window.
 func (s *ClusteringService) classifyWindow(t *tenant.Tenant, values []float64, interval time.Duration) error {
 	if len(values) == 0 {
 		return fmt.Errorf("core: tenant %v: history source holds no series", t.ID)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"harvest/internal/kmeans"
 	"harvest/internal/signalproc"
@@ -108,8 +107,7 @@ func (s *ClusteringService) Recluster(prev *Clustering, pop *tenant.Population, 
 	}
 	st.DriftThreshold = thr
 	hist, _ := src.(tenant.HistoryStats)
-	window, _ := src.(tenant.HistoryWindow)
-	var scratch []float64
+	windows := newWindowReader(src)
 	active := make([]*tenant.Tenant, 0, len(pop.Tenants))
 	for _, t := range pop.Tenants {
 		_, hadClass := prev.ClassOfTenant(t.ID)
@@ -134,17 +132,7 @@ func (s *ClusteringService) Recluster(prev *Clustering, pop *tenant.Population, 
 			}
 			mark, haveMark = m, true
 		}
-		// The window is read into the one scratch buffer when the source can
-		// fill it (each tenant's read overwrites the last; nothing below keeps
-		// it), and borrowed from the source's own series otherwise.
-		var values []float64
-		var interval time.Duration
-		if window != nil {
-			scratch, interval = window.AppendWindow(t.ID, scratch[:0])
-			values = scratch
-		} else if series := src.SeriesFor(t.ID); series != nil {
-			values, interval = series.Values, series.Interval
-		}
+		values, interval := windows.read(t.ID)
 		if len(values) < signalproc.MinClassifySamples {
 			// Same contract as ClusterFrom: a tenant the source holds too
 			// little history for (evicted or refilling ring) drops out of

@@ -138,22 +138,43 @@ func TestReclusterWarmStartSpeedAndAgreement(t *testing.T) {
 		drifted[tn.ID] = true
 	}
 
-	warmStart := time.Now()
-	warm, st, err := svc.Recluster(prev, pop, src)
-	warmTime := time.Since(warmStart)
-	if err != nil {
-		t.Fatal(err)
+	// A full rebuild of 42 tenants is some 15 ms, too short for one wall-clock
+	// sample on a shared box: each side is timed as its fastest of five runs.
+	// A warm run rebases the drifted tenants' profiles on their new windows,
+	// so each one starts from the profiles prev left.
+	const trials = 5
+	base := make([]signalproc.Profile, len(pop.Tenants))
+	for i, tn := range pop.Tenants {
+		base[i] = tn.Profile
 	}
-	if st.Reclassified != nDrift {
-		t.Errorf("reclassified = %d, want exactly the %d drifted tenants", st.Reclassified, nDrift)
+	var warm *Clustering
+	var st ReclusterStats
+	warmTime := time.Duration(math.MaxInt64)
+	for trial := 0; trial < trials; trial++ {
+		for i, tn := range pop.Tenants {
+			tn.Profile = base[i]
+		}
+		start := time.Now()
+		warm, st, err = svc.Recluster(prev, pop, src)
+		warmTime = min(warmTime, time.Since(start))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Reclassified != nDrift {
+			t.Errorf("reclassified = %d, want exactly the %d drifted tenants", st.Reclassified, nDrift)
+		}
 	}
 
 	// The from-scratch oracle over the same drifted data.
-	fullStart := time.Now()
-	oracle, err := svc.ClusterFrom(pop, src)
-	fullTime := time.Since(fullStart)
-	if err != nil {
-		t.Fatal(err)
+	var oracle *Clustering
+	fullTime := time.Duration(math.MaxInt64)
+	for trial := 0; trial < trials; trial++ {
+		start := time.Now()
+		oracle, err = svc.ClusterFrom(pop, src)
+		fullTime = min(fullTime, time.Since(start))
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	if fullTime < 3*warmTime {

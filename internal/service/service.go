@@ -339,15 +339,20 @@ func New(cfg Config) (*Service, error) {
 		if _, dup := s.shards[dc]; dup {
 			return nil, fmt.Errorf("service: duplicate datacenter %q", dc)
 		}
+		// Each boot phase is timed for the one log line below: what a restart
+		// costs, split by what it was spent on.
+		began := time.Now()
 		pop, _, err := experiments.BuildPopulation(dc, cfg.Scale)
 		if err != nil {
 			return nil, err
 		}
+		populated := time.Now()
 		sh := &shard{dc: dc, pop: pop}
 		sh.driftThr.Store(math.Float64bits(baseDriftThreshold(cfg.Clustering)))
 		if err := s.bootstrapRings(sh); err != nil {
 			return nil, err
 		}
+		ringsFilled := time.Now()
 		snap, restored := s.restoreSnapshot(sh)
 		if snap == nil {
 			snap, err = buildSnapshot(dc, pop, sh.rings, cfg, 1)
@@ -356,9 +361,7 @@ func New(cfg Config) (*Service, error) {
 			}
 			s.persistShard(sh, snap)
 		}
-		if restored {
-			slogger.Info("restored persisted snapshot", "dc", dc, "generation", snap.Generation)
-		}
+		snapshotReady := time.Now()
 		// The ledger starts empty at the boot generation unless a persisted
 		// one matches the restored snapshot — then outstanding leases (minus
 		// the ones that expired while the daemon was down) carry over.
@@ -377,6 +380,11 @@ func New(cfg Config) (*Service, error) {
 		sh.snap.Store(snap)
 		s.order = append(s.order, dc)
 		s.shards[dc] = sh
+		ms := func(from, to time.Time) float64 { return float64(to.Sub(from).Microseconds()) / 1e3 }
+		slogger.Info("datacenter booted", "dc", dc, "tenants", len(pop.Tenants),
+			"generation", snap.Generation, "restored", restored,
+			"population_ms", ms(began, populated), "rings_ms", ms(populated, ringsFilled),
+			"snapshot_ms", ms(ringsFilled, snapshotReady), "ledgers_ms", ms(snapshotReady, time.Now()))
 	}
 	return s, nil
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -720,6 +721,33 @@ func TestWarmAndFullRefreshCounters(t *testing.T) {
 	if st.WarmRefreshes != 2 || st.FullRebuilds != 1 {
 		t.Errorf("warm/full = %d/%d, want 2/1", st.WarmRefreshes, st.FullRebuilds)
 	}
+}
+
+// TestBootAllocationBudget holds what a node allocates before it can answer —
+// building DC-9 at the benchmark's scale (126 tenants, a month of samples
+// each) — to a byte count, which repeats where seconds do not. 554 MB when
+// every classification padded its window to 65,536 complex points; under
+// 90 MB of trace series, rings and spectra since.
+func TestBootAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	cfg := testConfig()
+	cfg.Scale.Datacenter = 0.3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	svc, err := service.New(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer svc.Close()
+	const budget = 200 << 20
+	got := after.TotalAlloc - before.TotalAlloc
+	if got > budget {
+		t.Errorf("boot allocated %d MB, budget %d MB", got>>20, budget>>20)
+	}
+	t.Logf("boot allocated %.1f MB", float64(got)/(1<<20))
 }
 
 // TestSnapshotPersistence exercises the restore path: a service built over

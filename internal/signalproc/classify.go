@@ -142,9 +142,7 @@ func Classify(values []float64, cfg ClassifierConfig) (Profile, error) {
 	if len(values) < MinClassifySamples {
 		return Profile{}, fmt.Errorf("signalproc: trace too short to classify (%d samples)", len(values))
 	}
-	mean := stats.Mean(values)
-	peak := stats.Max(values)
-	cv := stats.CoefficientOfVariation(values)
+	mean, peak, cv := stats.Summary(values)
 
 	spectrum, err := PowerSpectrum(values)
 	if err != nil {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -210,24 +212,177 @@ func TestPowerSpectrumErrors(t *testing.T) {
 	}
 }
 
-func TestNextPowerOfTwo(t *testing.T) {
-	cases := map[int]int{1: 1, 2: 2, 3: 4, 5: 8, 17: 32, 1000: 1024}
-	for in, want := range cases {
-		if got := nextPowerOfTwo(in); got != want {
-			t.Errorf("nextPowerOfTwo(%d) = %d, want %d", in, got, want)
+func TestFactorize(t *testing.T) {
+	cases := map[int][]int{
+		1: {}, 2: {2}, 8: {4, 2}, 30: {2, 3, 5}, 1024: {4, 4, 4, 4, 4},
+		10800: {4, 4, 3, 3, 3, 5, 5}, 7: nil, 22: nil, 21601: nil,
+	}
+	for n, want := range cases {
+		got, smooth := factorize(n)
+		if smooth != (want != nil) || smooth && !slices.Equal(got, want) {
+			t.Errorf("factorize(%d) = %v, %v, want %v", n, got, smooth, want)
 		}
 	}
 }
 
-func TestIsPowerOfTwo(t *testing.T) {
-	for _, n := range []int{1, 2, 4, 1024} {
-		if !isPowerOfTwo(n) {
-			t.Errorf("%d should be a power of two", n)
+func TestNextSmooth(t *testing.T) {
+	cases := map[int]int{1: 1, 7: 8, 13: 15, 17: 18, 61: 64, 1000: 1000, 43201: 43740}
+	for in, want := range cases {
+		if got := nextSmooth(in); got != want {
+			t.Errorf("nextSmooth(%d) = %d, want %d", in, got, want)
 		}
 	}
-	for _, n := range []int{0, 3, 6, 100, -4} {
-		if isPowerOfTwo(n) {
-			t.Errorf("%d should not be a power of two", n)
+}
+
+// TestFFTMatchesNaiveEverySmoothLength runs the kernel at every length it
+// handles directly up to 1,024 — each butterfly, in every stage order the
+// factorization produces.
+func TestFFTMatchesNaiveEverySmoothLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	lengths := 0
+	for n := 1; n <= 1024; n++ {
+		radices, smooth := factorize(n)
+		if !smooth {
+			continue
 		}
+		lengths++
+		x := randomComplex(rng, n)
+		got, err := FFT(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !complexAlmostEqual(got, dftNaive(x), 1e-9*float64(n)) {
+			t.Errorf("FFT mismatch for n=%d (radices %v)", n, radices)
+		}
+	}
+	if lengths != 87 {
+		t.Fatalf("visited %d 5-smooth lengths up to 1024, want 87", lengths)
+	}
+}
+
+// TestFFTMatchesNaiveBluestein covers lengths with a prime factor above 5:
+// the chirp-z fallback, convolving on the same kernel.
+func TestFFTMatchesNaiveBluestein(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, n := range []int{7, 11, 13, 14, 77, 91, 143, 211, 1001, 1009} {
+		if _, smooth := factorize(n); smooth {
+			t.Fatalf("n=%d is 5-smooth and would not reach the fallback", n)
+		}
+		x := randomComplex(rng, n)
+		got, err := FFT(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !complexAlmostEqual(got, dftNaive(x), 1e-9*float64(n)) {
+			t.Errorf("Bluestein FFT mismatch for n=%d", n)
+		}
+	}
+}
+
+// TestPowerSpectrumMatchesComplexPath checks the real-input path (even n:
+// packed half-length transform; odd n: widened) against the magnitudes of the
+// full complex transform.
+func TestPowerSpectrumMatchesComplexPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{2, 3, 4, 6, 14, 30, 45, 360, 625, 720, 1001, 2002, 21600, 21601} {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = rng.Float64()
+		}
+		got, err := PowerSpectrum(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := FFTReal(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != n/2 {
+			t.Fatalf("n=%d: %d bins, want %d", n, len(got), n/2)
+		}
+		for k, v := range got {
+			if want := cmplx.Abs(spec[k+1]); math.Abs(v-want) > 1e-9*float64(n) {
+				t.Fatalf("n=%d bin %d: %v, want %v", n, k+1, v, want)
+			}
+		}
+	}
+}
+
+// TestPowerSpectrumConcurrent runs more lengths at once than the plan cache
+// keeps, so plans are built, evicted and rebuilt, their unpack tables added
+// and scratch buffers traded between goroutines, all under -race; every
+// result must equal the serial one.
+func TestPowerSpectrumConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	lengths := []int{360, 361, 722, 1000, 1001, 2048, 2002, 21600}
+	inputs := make([][]float64, len(lengths))
+	want := make([][]float64, len(lengths))
+	for i, n := range lengths {
+		inputs[i] = make([]float64, n)
+		for j := range inputs[i] {
+			inputs[i][j] = rng.Float64()
+		}
+		want[i], _ = PowerSpectrum(inputs[i])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 5; round++ {
+				for i := range lengths {
+					i = (i + g) % len(lengths)
+					got, err := PowerSpectrum(inputs[i])
+					if err != nil || !slices.Equal(got, want[i]) {
+						t.Errorf("n=%d: concurrent spectrum differs from the serial one (err %v)", lengths[i], err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+func monthSeries() []float64 {
+	rng := rand.New(rand.NewSource(10))
+	x := make([]float64, 21600)
+	for i := range x {
+		x[i] = 0.4 + 0.3*math.Sin(2*math.Pi*30*float64(i)/float64(len(x))) + 0.1*rng.Float64()
+	}
+	return x
+}
+
+// TestMonthSpectrumAllocations pins what a caller pays per tenant: the
+// spectrum it gets back and nothing else.
+func TestMonthSpectrumAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own, and empties sync.Pool at random")
+	}
+	x := monthSeries()
+	if got := testing.AllocsPerRun(20, func() {
+		if _, err := PowerSpectrum(x); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 1 {
+		t.Errorf("PowerSpectrum: %v allocations per run, want 1", got)
+	}
+	cfg := DefaultClassifierConfig()
+	if got := testing.AllocsPerRun(20, func() {
+		if _, err := Classify(x, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 1 {
+		t.Errorf("Classify: %v allocations per run, want at most 1", got)
+	}
+}
+
+var spectrumSink []float64
+
+func BenchmarkPowerSpectrumMonth(b *testing.B) {
+	x := monthSeries()
+	b.ReportAllocs()
+	for b.Loop() {
+		spectrumSink, _ = PowerSpectrum(x)
 	}
 }

@@ -83,10 +83,39 @@ func (r *Ring) Append(at time.Duration, value float64) {
 
 func (r *Ring) appendLocked(at time.Duration, value float64) {
 	head := r.head.Load()
-	s := &r.slots[head%uint64(len(r.slots))]
+	r.fill(head, at, value)
+	r.head.Store(head + 1) // publish
+}
+
+// fill stores sample n into its slot, unpublished.
+func (r *Ring) fill(n uint64, at time.Duration, value float64) {
+	s := &r.slots[n%uint64(len(r.slots))]
 	s.at.Store(int64(at))
 	s.bits.Store(math.Float64bits(value))
-	r.head.Store(head + 1) // publish
+}
+
+// appendSeries appends values as samples spaced interval apart, the last one
+// at endAt, under one acquisition of the writer mutex. The cursor is published
+// once per run of slots outside the window a reader may be copying — all of
+// them on an empty ring, the one spare slot on a full one — so a reader sees
+// the window before a run or after it and the seqlock's acceptance rule holds
+// unchanged: a run never stores to a slot of a sample it has yet to supersede.
+func (r *Ring) appendSeries(values []float64, endAt, interval time.Duration) {
+	r.wmu.Lock()
+	defer r.wmu.Unlock()
+	head := r.head.Load()
+	at := endAt - time.Duration(len(values)-1)*interval
+	for len(values) > 0 {
+		free := uint64(len(r.slots)) - min(head, uint64(r.Capacity()))
+		run := values[:min(free, uint64(len(values)))]
+		for _, v := range run {
+			r.fill(head, at, v)
+			head++
+			at += interval
+		}
+		r.head.Store(head) // publish
+		values = values[len(run):]
+	}
 }
 
 // appendAfter resolves the sample's offset against the ring's latest sample
@@ -300,15 +329,11 @@ func (st *Store) Bootstrap(id tenant.ID, s *timeseries.Series, endAt time.Durati
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	r := st.fullRingLocked(tr)
-	tail := s.Tail(r.Capacity())
-	n := tail.Len()
-	for i := 0; i < n; i++ {
-		at := endAt - time.Duration(n-1-i)*st.interval
-		r.Append(at, tail.Values[i])
-	}
+	tail := s.Values[max(0, s.Len()-r.Capacity()):]
+	r.appendSeries(tail, endAt, st.interval)
 	tr.lastAppend.Store(time.Now().UnixNano())
 	tr.mark.Add(1)
-	st.total.Add(uint64(n))
+	st.total.Add(uint64(len(tail)))
 	st.advanceHorizon(endAt)
 	return nil
 }

@@ -321,6 +321,82 @@ func TestStoreBootstrapAndSeries(t *testing.T) {
 	}
 }
 
+// TestValuesWhileBootstrapping copies a ring's window, lock-free, while
+// Bootstrap fills it with one cursor publication per run of free slots. Values
+// are sample sequence numbers, so every window must be consecutive integers.
+// Where the series fits beside what the ring already holds, the run is the
+// whole series and a reader sees the window before it or after it, never part
+// of it; on a full ring the run is the one spare slot, and windows slide a
+// sample at a time as they do under Append.
+func TestValuesWhileBootstrapping(t *testing.T) {
+	const capacity = 21600
+	for _, tc := range []struct {
+		name      string
+		held, add int // samples in the ring before, and in the bootstrap series
+		oneRun    bool
+	}{
+		{"empty ring", 0, capacity, true},
+		{"ring with room", capacity / 3, capacity - capacity/3, true},
+		{"full ring", capacity, capacity, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			series := timeseries.New(time.Minute, make([]float64, tc.add))
+			for i := range series.Values {
+				series.Values[i] = float64(tc.held + i + 1)
+			}
+			final := min(capacity, tc.held+tc.add)
+			for round := 0; round < 10; round++ {
+				st := newTestStore(t, capacity)
+				r := st.Ring(1)
+				for i := 1; i <= tc.held; i++ {
+					r.Append(time.Duration(i)*time.Minute, float64(i))
+				}
+				reading, filled := make(chan struct{}), make(chan struct{})
+				var wg sync.WaitGroup
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var win []float64
+					for first := true; ; first = false {
+						win = r.Values(win[:0])
+						if tc.oneRun && len(win) != tc.held && len(win) != final {
+							t.Errorf("window holds %d values: neither the %d before nor the %d after", len(win), tc.held, final)
+							return
+						}
+						for j := 1; j < len(win); j++ {
+							if win[j] != win[j-1]+1 {
+								t.Errorf("window torn at %d: %v after %v", j, win[j], win[j-1])
+								return
+							}
+						}
+						if first {
+							close(reading)
+						}
+						select {
+						case <-filled:
+							return
+						default:
+						}
+					}
+				}()
+				<-reading
+				if err := st.Bootstrap(1, series, time.Duration(tc.held+tc.add)*time.Minute); err != nil {
+					t.Fatal(err)
+				}
+				close(filled)
+				wg.Wait()
+				win := r.Values(nil)
+				if len(win) != final || win[0] != float64(tc.held+tc.add-final+1) || win[final-1] != float64(tc.held+tc.add) {
+					t.Fatalf("after bootstrap: %d values, %v..%v", len(win), win[0], win[len(win)-1])
+				}
+				if last, _ := r.Last(); last.At != time.Duration(tc.held+tc.add)*time.Minute {
+					t.Fatalf("newest sample at %v, want %v", last.At, time.Duration(tc.held+tc.add)*time.Minute)
+				}
+			}
+		})
+	}
+}
+
 func TestStoreIngest(t *testing.T) {
 	st := newTestStore(t, 8)
 	at, err := st.Ingest(1, 10*time.Minute, 0.5)
