@@ -256,12 +256,22 @@ const NoServer tenant.ServerID = -1
 // of a random cell such that, within a round of three picks, no two cells
 // share a row or a column, and no environment receives two replicas.
 func (s *PlacementScheme) PlaceReplicas(rng *rand.Rand, c PlacementConstraints) ([]tenant.ServerID, error) {
+	return s.PlaceReplicasInto(nil, rng, c)
+}
+
+// PlaceReplicasInto is PlaceReplicas into the caller's buffer: the replicas
+// overwrite dst from its start (a buffer too small is replaced by one sized to
+// the block), so a caller that reuses one buffer places without allocating.
+func (s *PlacementScheme) PlaceReplicasInto(dst []tenant.ServerID, rng *rand.Rand, c PlacementConstraints) ([]tenant.ServerID, error) {
 	if c.Replication <= 0 {
 		return nil, fmt.Errorf("core: replication must be positive, got %d", c.Replication)
 	}
 	eligible := c.eligibility()
 
-	replicas := make([]tenant.ServerID, 0, c.Replication)
+	if cap(dst) < c.Replication {
+		dst = make([]tenant.ServerID, 0, c.Replication)
+	}
+	replicas := dst[:0]
 	s.seed(nil, 0)
 
 	// First replica: the writer's server, for locality (lines 6-7).

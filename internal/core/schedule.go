@@ -257,17 +257,12 @@ func (s *Selector) SelectWith(rng *rand.Rand, job JobRequest, usage map[ClassID]
 // SelectFrom is SelectWith over a UsageSource instead of a map — the
 // live-ledger serving path. Concurrency contract is the same as SelectWith's.
 func (s *Selector) SelectFrom(rng *rand.Rand, job JobRequest, usage UsageSource) Selection {
-	type candidate struct {
-		id           ClassID
-		headroom     float64
-		weightedRoom float64
-	}
-	candidates := make([]candidate, 0, len(s.clustering.Classes))
+	candidates := make([]selectCandidate, 0, len(s.clustering.Classes))
 	for _, cls := range s.clustering.Classes {
 		u := usage.UsageOf(cls.ID)
 		head := s.Headroom(job.Type, cls, u)
 		weight := s.cfg.Weights[job.Type][cls.Pattern]
-		candidates = append(candidates, candidate{
+		candidates = append(candidates, selectCandidate{
 			id:           cls.ID,
 			headroom:     head,
 			weightedRoom: head * weight,
@@ -275,7 +270,7 @@ func (s *Selector) SelectFrom(rng *rand.Rand, job JobRequest, usage UsageSource)
 	}
 
 	// Line 8: classes that can host the whole job alone.
-	fits := make([]candidate, 0, len(candidates))
+	fits := make([]selectCandidate, 0, len(candidates))
 	for _, c := range candidates {
 		if c.headroom >= job.MaxConcurrentCores && c.weightedRoom > 0 {
 			fits = append(fits, c)
@@ -407,7 +402,33 @@ func (s *Selector) BuildIndex(usage map[ClassID]ClassUsage) *SelectIndex {
 	return idx
 }
 
-// SelectIndexed is SelectFrom against a precomputed SelectIndex: picks are
+// selectCandidate is one class as a selection pass (SelectFrom's scan, or
+// SelectIndexedInto's) sees it.
+type selectCandidate struct {
+	id           ClassID
+	headroom     float64
+	weightedRoom float64
+}
+
+// SelectScratch is the working memory of one SelectIndexedInto call and the
+// storage its result lives in, owned by the caller and reused across calls:
+// one per connection (or per goroutine) makes steady-state selection
+// allocation-free. The zero value is ready; it must not be shared between
+// concurrent calls.
+type SelectScratch struct {
+	cands     []selectCandidate
+	weights   []float64
+	classes   []ClassID
+	headrooms []float64
+}
+
+// SelectIndexed is SelectIndexedInto with working memory of its own, so the
+// returned Selection is the caller's to keep.
+func (s *Selector) SelectIndexed(rng *rand.Rand, job JobRequest, idx *SelectIndex, alloc AllocSource) Selection {
+	return s.SelectIndexedInto(new(SelectScratch), rng, job, idx, alloc)
+}
+
+// SelectIndexedInto is SelectFrom against a precomputed SelectIndex: picks are
 // identical, draw for draw, to a naive scan over the same view (the property
 // TestSelectIndexedMatchesNaive pins), but the single-class phase inspects
 // only the classes whose capacity bound can possibly host the job — the scan
@@ -417,22 +438,27 @@ func (s *Selector) BuildIndex(usage map[ClassID]ClassUsage) *SelectIndex {
 // when no single class fits) still walks every positive-capacity class, as
 // the algorithm's without-replacement weighted draw requires.
 //
+// Every buffer comes from sc, the returned Selection's slices included: they
+// are valid until the next call with the same scratch.
+//
 // job.Type must be a valid JobType; out-of-range types return an empty
 // selection (the serving layer validates before calling).
-func (s *Selector) SelectIndexed(rng *rand.Rand, job JobRequest, idx *SelectIndex, alloc AllocSource) Selection {
+func (s *Selector) SelectIndexedInto(sc *SelectScratch, rng *rand.Rand, job JobRequest, idx *SelectIndex, alloc AllocSource) Selection {
 	if job.Type < 0 || job.Type >= NumJobTypes {
 		return Selection{}
 	}
-	type candidate struct {
-		id           ClassID
-		headroom     float64
-		weightedRoom float64
+
+	// Both phases draw over at most every indexed class; sized once, the
+	// scratch never grows again for this index.
+	byCap, byID := idx.byCap[job.Type], idx.byID[job.Type]
+	if cap(sc.cands) < len(byID) {
+		sc.cands = make([]selectCandidate, 0, len(byID))
+		sc.weights = make([]float64, 0, len(byID))
 	}
 
 	// Phase 1 (Algorithm 1 line 8): classes that can host the whole job
 	// alone, collected from the capacity-descending list with early exit.
-	byCap := idx.byCap[job.Type]
-	fits := make([]candidate, 0, len(byCap))
+	fits := sc.cands[:0]
 	for i := range byCap {
 		e := &byCap[i]
 		if e.capacity < job.MaxConcurrentCores {
@@ -453,28 +479,26 @@ func (s *Selector) SelectIndexed(rng *rand.Rand, job JobRequest, idx *SelectInde
 		for at > 0 && fits[at-1].id > e.id {
 			at--
 		}
-		fits = append(fits, candidate{})
+		fits = append(fits, selectCandidate{})
 		copy(fits[at+1:], fits[at:])
-		fits[at] = candidate{id: e.id, headroom: head, weightedRoom: room}
+		fits[at] = selectCandidate{id: e.id, headroom: head, weightedRoom: room}
 	}
 	if len(fits) > 0 {
-		weights := make([]float64, len(fits))
-		for i, c := range fits {
-			weights[i] = c.weightedRoom
+		weights := sc.weights[:0]
+		for _, c := range fits {
+			weights = append(weights, c.weightedRoom)
 		}
 		if k := stats.WeightedChoice(rng, weights); k >= 0 {
-			return Selection{
-				Classes:   []ClassID{fits[k].id},
-				Headrooms: []float64{fits[k].headroom},
-			}
+			sc.classes = append(sc.classes[:0], fits[k].id)
+			sc.headrooms = append(sc.headrooms[:0], fits[k].headroom)
+			return Selection{Classes: sc.classes, Headrooms: sc.headrooms}
 		}
 	}
 
 	// Phase 2 (lines 12-14): the job may fit across multiple classes
 	// combined. Same weighted draw without replacement as the naive scan,
 	// over the positive-capacity classes in class-ID order.
-	byID := idx.byID[job.Type]
-	candidates := make([]candidate, 0, len(byID))
+	candidates := sc.cands[:0]
 	totalRoom := 0.0
 	for i := range byID {
 		e := &byID[i]
@@ -482,22 +506,22 @@ func (s *Selector) SelectIndexed(rng *rand.Rand, job JobRequest, idx *SelectInde
 		if head < 0 {
 			head = 0
 		}
-		candidates = append(candidates, candidate{id: e.id, headroom: head, weightedRoom: head * e.weight})
+		candidates = append(candidates, selectCandidate{id: e.id, headroom: head, weightedRoom: head * e.weight})
 		totalRoom += head
 	}
 	if totalRoom >= job.MaxConcurrentCores {
-		weights := make([]float64, len(candidates))
-		for i, c := range candidates {
-			weights[i] = c.weightedRoom
+		weights := sc.weights[:0]
+		for _, c := range candidates {
+			weights = append(weights, c.weightedRoom)
 		}
-		var sel Selection
+		classes, headrooms := sc.classes[:0], sc.headrooms[:0]
 		remaining := job.MaxConcurrentCores
 		for remaining > 0 {
 			idx := stats.WeightedChoice(rng, weights)
 			if idx < 0 {
 				idx = -1
 				for i, c := range candidates {
-					if weights[i] == 0 && c.headroom > 0 && !containsClass(sel.Classes, c.id) {
+					if weights[i] == 0 && c.headroom > 0 && !containsClass(classes, c.id) {
 						idx = i
 						break
 					}
@@ -507,13 +531,14 @@ func (s *Selector) SelectIndexed(rng *rand.Rand, job JobRequest, idx *SelectInde
 				}
 			}
 			c := candidates[idx]
-			sel.Classes = append(sel.Classes, c.id)
-			sel.Headrooms = append(sel.Headrooms, c.headroom)
+			classes = append(classes, c.id)
+			headrooms = append(headrooms, c.headroom)
 			remaining -= c.headroom
 			weights[idx] = 0 // without replacement
 		}
+		sc.classes, sc.headrooms = classes, headrooms
 		if remaining <= 0 {
-			return sel
+			return Selection{Classes: classes, Headrooms: headrooms}
 		}
 	}
 

@@ -124,3 +124,78 @@ func TestSelectIndexedMatchesNaive(t *testing.T) {
 		})
 	}
 }
+
+// TestSelectIndexedIntoMatchesSelectIndexed pins the append-into form to the
+// allocating one: 10,000 requests drawing from one RNG stream each, one
+// scratch reused across all of them on one side and a fresh one per request
+// on the other, must answer the same Selection every time — so nothing a
+// request leaves in the scratch reaches the next. The table covers both
+// phases and the zero-weight fallback (medium jobs rank unpredictable classes
+// at zero here, so a spread that exhausts the weighted classes falls back to
+// them).
+func TestSelectIndexedIntoMatchesSelectIndexed(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	clustering := randomClustering(rng, 24)
+	cfg := DefaultSelectorConfig()
+	cfg.Weights = DefaultRankingWeights()
+	delete(cfg.Weights[JobMedium], signalproc.PatternUnpredictable)
+	sel, err := NewSelector(cfg, clustering, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overlay := &allocOverlay{
+		base:  make(map[ClassID]ClassUsage, len(clustering.Classes)),
+		alloc: make(map[ClassID]float64, len(clustering.Classes)),
+	}
+	total := 0.0
+	for _, cls := range clustering.Classes {
+		overlay.base[cls.ID] = ClassUsage{CurrentUtilization: 0.3 * rng.Float64()}
+		total += sel.Capacity(JobShort, cls, overlay.base[cls.ID])
+	}
+	idx := sel.BuildIndex(overlay.base)
+
+	rngFresh := rand.New(rand.NewSource(1))
+	rngInto := rand.New(rand.NewSource(1))
+	var sc SelectScratch
+	var single, spread, fallback, empty int
+	for i := 0; i < 10000; i++ {
+		job := JobRequest{Type: JobType(rng.Intn(int(NumJobTypes)))}
+		switch rng.Intn(4) {
+		case 0: // spreads, or asks for more than there is
+			job.MaxConcurrentCores = total * (0.2 + rng.Float64())
+		default:
+			job.MaxConcurrentCores = 0.5 + 40*rng.Float64()
+		}
+		want := sel.SelectIndexed(rngFresh, job, idx, overlay)
+		got := sel.SelectIndexedInto(&sc, rngInto, job, idx, overlay)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("request %d: job %+v\nSelectIndexed     %+v\nSelectIndexedInto %+v", i, job, want, got)
+		}
+		switch {
+		case len(got.Classes) == 0:
+			empty++
+		case len(got.Classes) == 1:
+			single++
+		default:
+			spread++
+			for _, id := range got.Classes {
+				if job.Type == JobMedium && clustering.Class(id).Pattern == signalproc.PatternUnpredictable {
+					fallback++
+					break
+				}
+			}
+		}
+		// Book part of the grant now and then so the headrooms drift, and
+		// clear the books before they fill up.
+		if i%1000 == 999 {
+			clear(overlay.alloc)
+		} else if i%3 == 0 {
+			for k, id := range got.Classes {
+				overlay.alloc[id] += got.Headrooms[k] * 0.1 * rng.Float64()
+			}
+		}
+	}
+	if single < 1000 || spread < 1000 || fallback < 100 || empty < 100 {
+		t.Fatalf("the table is lopsided: %d single-class, %d spread (%d through the zero-weight fallback), %d unsatisfiable", single, spread, fallback, empty)
+	}
+}

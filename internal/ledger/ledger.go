@@ -129,6 +129,11 @@ func newTable(generation uint64, numClasses int) *table {
 	return &table{generation: generation, alloc: make([]atomic.Int64, numClasses)}
 }
 
+// inlineGrants is how many grants a lease record stores in itself: a select
+// lands in one class, or spreads over a few, so a reservation's one heap
+// object is the record; a wider spread spills its grants to a slice.
+const inlineGrants = 4
+
 // lease is one live lease as the ledger holds it: the record Walk lends out,
 // whose Grants is replaced wholesale (on re-key), never mutated.
 type lease struct {
@@ -137,6 +142,9 @@ type lease struct {
 	// lease this ledger issued itself); the pass deletes whatever it did not
 	// stamp. Guarded by the shard lock.
 	epoch uint64
+	// inline backs Grants for a lease issued here with at most inlineGrants of
+	// them, written once before the record is published.
+	inline [inlineGrants]Grant
 }
 
 // view is the caller's view of the lease, sharing its grants: a view that
@@ -351,18 +359,29 @@ func (l *Ledger) Floors() []int64 {
 // sweep. Zero-core requests are skipped; a reservation that skips everything
 // fails.
 func (l *Ledger) Reserve(generation uint64, reqs []Request, ttl time.Duration, now time.Time) (Lease, error) {
-	return l.ReserveMeta(generation, reqs, ttl, now, Meta{})
+	return l.ReserveInto(nil, generation, reqs, ttl, now, Meta{})
 }
 
 // ReserveMeta is Reserve with operator metadata attached to the resulting
 // lease (surfaced on /debug/traces and the /v1/{dc}/leases listing).
 func (l *Ledger) ReserveMeta(generation uint64, reqs []Request, ttl time.Duration, now time.Time, meta Meta) (Lease, error) {
+	return l.ReserveInto(nil, generation, reqs, ttl, now, meta)
+}
+
+// ReserveInto is the reservation itself, with the returned lease's Grants
+// written into the caller's buffer (from its start; a buffer too small is
+// replaced): a caller that reuses one buffer pays for a reservation only the
+// lease record the ledger keeps.
+func (l *Ledger) ReserveInto(grants []Grant, generation uint64, reqs []Request, ttl time.Duration, now time.Time, meta Meta) (Lease, error) {
 	t := l.tab.Load()
 	if t.generation != generation {
 		l.conflicts.Add(1)
 		return Lease{}, ErrStaleGeneration
 	}
-	grants := make([]Grant, 0, len(reqs))
+	if cap(grants) < len(reqs) {
+		grants = make([]Grant, 0, len(reqs))
+	}
+	grants = grants[:0]
 	var total int64
 	for _, rq := range reqs {
 		want := ToMillis(rq.Cores)
@@ -415,7 +434,8 @@ func (l *Ledger) ReserveMeta(generation uint64, reqs []Request, ttl time.Duratio
 		l.conflicts.Add(1)
 		return Lease{}, ErrStaleGeneration
 	}
-	ls := &lease{ReplLease: wire.ReplLease{ID: sh.newLeaseID(shardIdx), Grants: grants, JobID: meta.JobID, Owner: meta.Owner}}
+	ls := &lease{ReplLease: wire.ReplLease{ID: sh.newLeaseID(shardIdx), JobID: meta.JobID, Owner: meta.Owner}}
+	ls.Grants = append(ls.inline[:0], grants...) // the record's own copy
 	if ttl > 0 {
 		ls.ExpiresAt = now.Add(ttl)
 	}
@@ -426,9 +446,8 @@ func (l *Ledger) ReserveMeta(generation uint64, reqs []Request, ttl time.Duratio
 	// conservation across a restart.
 	l.reserves.Add(1)
 	l.reservedMillis.Add(total)
-	out := ls.view()
+	out := Lease{ID: ls.ID, ExpiresAt: ls.ExpiresAt, Grants: grants, Meta: meta}
 	sh.mu.Unlock()
-	out.Grants = slices.Clone(grants)
 	return out, nil
 }
 
@@ -455,7 +474,7 @@ func (l *Ledger) Release(id uint64) (Lease, error) {
 		total += g.Millis
 	}
 	l.releases.Add(1)
-	l.releasedMillis.Add(total) // under the shard lock — see ReserveMeta
+	l.releasedMillis.Add(total) // under the shard lock — see ReserveInto
 	sh.mu.Unlock()
 	return ls.view(), nil
 }
@@ -465,6 +484,12 @@ func (l *Ledger) Release(id uint64) (Lease, error) {
 // release + re-select round trip, and no millicores move, so the
 // conservation books are untouched by construction.
 func (l *Ledger) Renew(id uint64, ttl time.Duration, now time.Time) (Lease, error) {
+	return l.RenewInto(nil, id, ttl, now)
+}
+
+// RenewInto is the renewal itself, with the returned lease's Grants copied
+// into the caller's buffer (from its start).
+func (l *Ledger) RenewInto(grants []Grant, id uint64, ttl time.Duration, now time.Time) (Lease, error) {
 	sh := &l.shards[shardOf(id)]
 	sh.mu.Lock()
 	ls, ok := sh.leases[id]
@@ -478,7 +503,7 @@ func (l *Ledger) Renew(id uint64, ttl time.Duration, now time.Time) (Lease, erro
 		ls.ExpiresAt = time.Time{}
 	}
 	out := ls.view()
-	out.Grants = slices.Clone(out.Grants)
+	out.Grants = append(grants[:0], out.Grants...)
 	l.renews.Add(1)
 	sh.mu.Unlock()
 	return out, nil
@@ -543,7 +568,7 @@ func (l *Ledger) ExpireBefore(now time.Time) (leases int, millis int64) {
 		}
 		if shardLeases > 0 {
 			l.expiries.Add(uint64(shardLeases))
-			l.expiredMillis.Add(shardMillis) // under the shard lock — see ReserveMeta
+			l.expiredMillis.Add(shardMillis) // under the shard lock — see ReserveInto
 		}
 		sh.mu.Unlock()
 		leases += shardLeases
@@ -560,7 +585,7 @@ func (l *Ledger) ExpireBefore(now time.Time) (leases int, millis int64) {
 // serving set) are forfeited and counted. The new table is summed from the
 // rewritten leases and published with one atomic swap while every shard lock
 // is held; a reservation racing the swap rolls itself back and retries (see
-// ReserveMeta). Leases stay on their issuing shard — the id's shard bits are
+// ReserveInto). Leases stay on their issuing shard — the id's shard bits are
 // immutable — even when a grant remap moves their classes.
 func (l *Ledger) Rekey(newGeneration uint64, numClasses int, remap map[core.ClassID][]Share) {
 	l.lockAll()

@@ -34,13 +34,16 @@ const (
 )
 
 // maxSpans bounds the per-trace span array. Traces are request-scoped and
-// shallow (a handful of hops); a fixed array keeps Begin at one allocation.
+// shallow (a handful of hops); a fixed array keeps a trace one flat value the
+// ring can hold by copy.
 const maxSpans = 8
 
-// Trace is one request's record on one process. It is built by a single
-// goroutine (the connection handler) and becomes immutable when Finish
-// publishes it into the recorder's ring; readers only ever see published
-// traces, so no field needs atomics.
+// Trace is one request's record on one process. A trace in flight is on loan
+// from its recorder: Begin lends it to a single goroutine at a time (the
+// connection handler, then whoever it hands the request to), and Finish copies
+// it into the ring and takes it back — nothing may touch the pointer after
+// Finish, because the next Begin may already be filling it. The traces Query
+// returns are copies of their own and never change.
 type Trace struct {
 	ID      uint64
 	Dialect string
@@ -54,6 +57,10 @@ type Trace struct {
 	nspans  int
 	spans   [maxSpans]Span
 	rec     *Recorder
+	// seq numbers the trace among everything its recorder published (1-based,
+	// set by record): which of two occupants of a ring slot is newer, and
+	// whether a reservoir entry is the trace a ring slot also holds.
+	seq uint64
 }
 
 // NewTraceID draws a random nonzero 64-bit trace id.
@@ -107,10 +114,10 @@ func ParseTraceID(s string) (uint64, bool) {
 	return id, id != 0
 }
 
-// Begin starts a trace. A zero id gets a fresh random one (ingress
-// assignment); a nonzero id is propagated from upstream (header or binary
-// frame id). Safe on a nil recorder: returns nil, and every Trace method is
-// a no-op on a nil receiver, so untraced builds pay only a nil check.
+// Begin starts a trace, lent until its Finish. A zero id gets a fresh random
+// one (ingress assignment); a nonzero id is propagated from upstream (header
+// or binary frame id). Safe on a nil recorder: returns nil, and every Trace
+// method is a no-op on a nil receiver, so untraced builds pay only a nil check.
 func (r *Recorder) Begin(id uint64, dialect, op, dc string) *Trace {
 	if r == nil {
 		return nil
@@ -118,7 +125,9 @@ func (r *Recorder) Begin(id uint64, dialect, op, dc string) *Trace {
 	if id == 0 {
 		id = NewTraceID()
 	}
-	return &Trace{ID: id, Dialect: dialect, Op: op, DC: dc, Start: time.Now(), rec: r}
+	t := r.free.Get().(*Trace)
+	*t = Trace{ID: id, Dialect: dialect, Op: op, DC: dc, Start: time.Now(), rec: r}
+	return t
 }
 
 // SetDC fills in the datacenter once routing has resolved it.
@@ -158,16 +167,19 @@ func (t *Trace) Span(name string, start time.Time) {
 }
 
 // Finish closes the trace with the response status (HTTP status code on both
-// dialects — binary error frames carry the equivalent code) and publishes it
-// into the recorder. The whole-request window is recorded as the "ingress"
-// span implicitly via DurUs; callers add finer spans as they go.
+// dialects — binary error frames carry the equivalent code), publishes a copy
+// of it into the recorder and returns the loan: t must not be used again. The
+// whole-request window is recorded as the "ingress" span implicitly via DurUs;
+// callers add finer spans as they go.
 func (t *Trace) Finish(status int) {
 	if t == nil {
 		return
 	}
 	t.Status = status
 	t.DurUs = time.Since(t.Start).Microseconds()
-	t.rec.record(t)
+	r := t.rec
+	r.record(t)
+	r.free.Put(t)
 }
 
 // Spans returns the recorded spans. Only call on published (finished)
@@ -181,19 +193,30 @@ const slowCap = 32
 // configured otherwise.
 const DefaultRingTraces = 1024
 
-// Recorder keeps the last N finished traces in a lock-free ring plus the
-// slowest-since-boot reservoir. Writers claim a slot with one atomic add and
-// publish with one atomic pointer store; readers load pointers and never
-// block writers. The reservoir takes a tiny mutex, but only when a trace
-// beats the current slowest-32 admission threshold (atomic gate), so the
-// steady-state hot path never touches it.
+// Recorder keeps the last N finished traces in a ring of Trace values plus the
+// slowest-since-boot reservoir, and owns the traces in flight (Begin lends,
+// Finish takes back), so a request costs the recorder no heap object. A writer
+// claims a slot with one atomic add and copies its trace in under that slot's
+// own lock; a reader copies matching slots out under the same lock, one slot
+// at a time, so neither ever sees half a trace and nobody waits on more than
+// one copy. The reservoir takes a tiny mutex, but only when a trace beats the
+// current slowest-32 admission threshold (atomic gate), so the steady-state
+// hot path never touches it.
 type Recorder struct {
-	ring   []atomic.Pointer[Trace]
-	cursor atomic.Uint64
+	ring   []traceSlot
+	cursor atomic.Uint64 // traces published so far: the newest trace's seq
+
+	free sync.Pool // *Trace, idle between a Finish and the next Begin
 
 	slowGate atomic.Int64 // admission bound: DurUs must exceed this
 	slowMu   sync.Mutex
-	slow     []*Trace
+	slow     []Trace
+}
+
+// traceSlot is one ring entry: empty while t.seq is zero.
+type traceSlot struct {
+	mu sync.Mutex
+	t  Trace
 }
 
 // NewRecorder creates a recorder holding the last n traces (minimum 1).
@@ -201,14 +224,22 @@ func NewRecorder(n int) *Recorder {
 	if n < 1 {
 		n = 1
 	}
-	r := &Recorder{ring: make([]atomic.Pointer[Trace], n), slow: make([]*Trace, 0, slowCap)}
+	r := &Recorder{ring: make([]traceSlot, n), slow: make([]Trace, 0, slowCap)}
+	r.free.New = func() any { return new(Trace) }
 	r.slowGate.Store(-1) // admit everything until the reservoir fills
 	return r
 }
 
+// record publishes a copy of t; t stays the caller's.
 func (r *Recorder) record(t *Trace) {
-	i := r.cursor.Add(1) - 1
-	r.ring[i%uint64(len(r.ring))].Store(t)
+	t.seq = r.cursor.Add(1)
+	s := &r.ring[(t.seq-1)%uint64(len(r.ring))]
+	s.mu.Lock()
+	// A writer lapped by a whole ring of newer traces must not bury one.
+	if t.seq > s.t.seq {
+		s.t = *t
+	}
+	s.mu.Unlock()
 	if t.DurUs > r.slowGate.Load() {
 		r.offerSlow(t)
 	}
@@ -218,7 +249,7 @@ func (r *Recorder) offerSlow(t *Trace) {
 	r.slowMu.Lock()
 	defer r.slowMu.Unlock()
 	if len(r.slow) < slowCap {
-		r.slow = append(r.slow, t)
+		r.slow = append(r.slow, *t)
 		if len(r.slow) == slowCap {
 			r.slowGate.Store(r.slowMinLocked())
 		}
@@ -233,15 +264,15 @@ func (r *Recorder) offerSlow(t *Trace) {
 	if t.DurUs <= r.slow[min].DurUs {
 		return // raced past the gate; a slower trace got there first
 	}
-	r.slow[min] = t
+	r.slow[min] = *t
 	r.slowGate.Store(r.slowMinLocked())
 }
 
 func (r *Recorder) slowMinLocked() int64 {
 	min := r.slow[0].DurUs
-	for _, s := range r.slow[1:] {
-		if s.DurUs < min {
-			min = s.DurUs
+	for i := 1; i < len(r.slow); i++ {
+		if d := r.slow[i].DurUs; d < min {
+			min = d
 		}
 	}
 	return min
@@ -255,9 +286,9 @@ type TraceFilter struct {
 	Limit  int // max traces returned; 0 means 100
 }
 
-// Query returns matching traces, newest first, from both the ring and the
-// slow reservoir (deduplicated). The result aliases published (immutable)
-// traces and is safe to read without further synchronization.
+// Query returns copies of the matching traces, newest first, from both the
+// ring and the slow reservoir (deduplicated). The copies are the caller's:
+// nothing the recorder does later changes them.
 func (r *Recorder) Query(f TraceFilter) []*Trace {
 	if r == nil {
 		return nil
@@ -267,36 +298,29 @@ func (r *Recorder) Query(f TraceFilter) []*Trace {
 		limit = 100
 	}
 	minUs := f.MinDur.Microseconds()
-	seen := make(map[*Trace]struct{}, len(r.ring)+slowCap)
-	var out []*Trace
-	consider := func(t *Trace) {
-		if t == nil {
-			return
-		}
-		if _, dup := seen[t]; dup {
-			return
-		}
-		seen[t] = struct{}{}
-		if f.ID != 0 && t.ID != f.ID {
-			return
-		}
-		if f.DC != "" && t.DC != f.DC {
-			return
-		}
-		if t.DurUs < minUs {
-			return
-		}
-		out = append(out, t)
+	match := func(t *Trace) bool {
+		return t.seq != 0 && (f.ID == 0 || t.ID == f.ID) && (f.DC == "" || t.DC == f.DC) && t.DurUs >= minUs
 	}
+	var out []*Trace
+	seen := make(map[uint64]struct{})
 	for i := range r.ring {
-		consider(r.ring[i].Load())
+		s := &r.ring[i]
+		s.mu.Lock()
+		if match(&s.t) {
+			c := s.t
+			out = append(out, &c)
+			seen[c.seq] = struct{}{}
+		}
+		s.mu.Unlock()
 	}
 	r.slowMu.Lock()
-	slow := append([]*Trace(nil), r.slow...)
-	r.slowMu.Unlock()
-	for _, t := range slow {
-		consider(t)
+	for i := range r.slow {
+		if _, dup := seen[r.slow[i].seq]; !dup && match(&r.slow[i]) {
+			c := r.slow[i]
+			out = append(out, &c)
+		}
 	}
+	r.slowMu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Start.After(out[j].Start) })
 	if len(out) > limit {
 		out = out[:limit]

@@ -177,30 +177,101 @@ func TestQueryFilters(t *testing.T) {
 	}
 }
 
-// TestRecorderConcurrent hammers record and Query together; it exists for
-// the -race run.
+// hammerTrace fills a lent trace so that every field is a function of its id,
+// and hammerTorn says whether a trace read back still is one — a trace mixing
+// two writers' fields, or one a recycled Begin was refilling, is not.
+var (
+	hammerOps = []string{"select", "release", "renew", "place", "classes"}
+	hammerDCs = []string{"DC-1", "DC-4", "DC-9"}
+	hammerTag = []string{"a", "bb", "ccc", "dddd", "eeeee", "ffffff", "ggggggg"}
+)
+
+func hammerTrace(r *Recorder, id uint64) {
+	tr := r.Begin(id, DialectBinary, hammerOps[id%5], hammerDCs[id%3])
+	tr.SetMeta(hammerTag[id%7], hammerTag[(id+1)%7])
+	for i := uint64(0); i < id%(maxSpans+1); i++ {
+		tr.Span(hammerTag[(id+i)%7], tr.Start)
+	}
+	tr.Finish(int(id % 600))
+}
+
+func hammerTorn(tr *Trace) bool {
+	id := tr.ID
+	if tr.Dialect != DialectBinary || tr.Op != hammerOps[id%5] || tr.DC != hammerDCs[id%3] ||
+		tr.JobID != hammerTag[id%7] || tr.Owner != hammerTag[(id+1)%7] || tr.Status != int(id%600) ||
+		uint64(len(tr.Spans())) != id%(maxSpans+1) {
+		return true
+	}
+	for i, sp := range tr.Spans() {
+		if sp.Name != hammerTag[(id+uint64(i))%7] {
+			return true
+		}
+	}
+	return false
+}
+
+// TestRecorderConcurrent hammers the lend/return cycle and Query together:
+// eight writers publish traces whose every field encodes their id while
+// readers query. No trace a reader gets may be torn, and none may change once
+// a reader holds it — the ring holds values and Query hands out copies, so a
+// slot being overwritten or a trace being re-lent touches nothing a reader
+// has. Run it with -race -count=10.
 func TestRecorderConcurrent(t *testing.T) {
 	r := NewRecorder(32)
+	const writers, perWriter = 8, 2000
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	for g := 0; g < writers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				tr := r.Begin(uint64(g*1000+i+1), DialectBinary, "select", "DC-9")
-				tr.Span("leg", time.Now())
-				tr.Finish(200)
+			for i := 0; i < perWriter; i++ {
+				hammerTrace(r, uint64(g*perWriter+i+1))
 			}
 		}(g)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			for _, tr := range r.Query(TraceFilter{DC: "DC-9", Limit: 10}) {
-				_ = tr.Spans()
+	type held struct {
+		tr   *Trace
+		copy Trace
+	}
+	writing := make(chan struct{})
+	var readers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			var kept []held
+			for done := false; !done; {
+				select {
+				case <-writing:
+					done = true // one more pass over the final state
+				default:
+				}
+				f := TraceFilter{Limit: 64}
+				if g == 1 {
+					f.DC = "DC-9"
+				}
+				for _, tr := range r.Query(f) {
+					if hammerTorn(tr) {
+						t.Errorf("Query returned a torn trace: %+v", *tr)
+						return
+					}
+					if len(kept) < 4096 {
+						kept = append(kept, held{tr, *tr})
+					}
+				}
 			}
-		}
-	}()
+			for _, h := range kept {
+				if *h.tr != h.copy {
+					t.Errorf("trace %d changed after Query returned it:\n was %+v\n now %+v", h.copy.ID, h.copy, *h.tr)
+					return
+				}
+			}
+		}(g)
+	}
 	wg.Wait()
+	close(writing)
+	readers.Wait()
+	if got := len(r.Query(TraceFilter{Limit: 1000})); got < 32 {
+		t.Errorf("recorder holds %d traces after %d were published, want at least its ring of 32", got, writers*perWriter)
+	}
 }

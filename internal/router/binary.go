@@ -61,38 +61,31 @@ var (
 	errPipeDesync = errors.New("backend sent a response frame nobody is waiting for")
 )
 
-// binCall is one in-flight relay on a pipe: the response frame (an owned
-// copy) or the pipe's terminal error arrives via done.
-type binCall struct {
-	done  chan struct{}
-	frame []byte
-	err   error
-}
-
 // binPipe is one pipelined connection to a backend's binary listener.
 // Senders — one per relayed frame, from any number of client connections —
-// enqueue onto sendq; the single writer goroutine drains the queue into a
-// buffered writer and flushes once per batch, so a burst of relays costs one
-// write syscall, not one each. The single reader goroutine completes waiters
-// by the echoed relay id. Any read error, timeout with frames in flight, or
-// unknown id is terminal: the stream can no longer be trusted, so every
-// waiter fails and the pipe is removed from its backend.
+// append their frame to the pipe's own write buffer under its lock; the single
+// writer goroutine swaps the buffer for an empty one and writes it out, so a
+// burst of relays costs one write syscall, not one each, and no frame's bytes
+// belong to anyone but the pipe. The single reader goroutine completes waiters
+// — the client connections' relay slots — by the echoed relay id. Any read
+// error, timeout with frames in flight, or unknown id is terminal: the stream
+// can no longer be trusted, so every waiter fails and the pipe is removed from
+// its backend.
 type binPipe struct {
 	c       net.Conn
 	br      *bufio.Reader
-	bw      *bufio.Writer
 	timeout time.Duration
 
-	sendq chan []byte // frames queued for the writer goroutine
-
 	mu      sync.Mutex
-	waiters map[uint64]*binCall
+	waiters map[uint64]*binRelaySlot
+	wbuf    []byte // relay frames not yet written; the writer swaps it out
 
 	// closed flips exactly once, in fail. It is read lock-free on the hot
 	// paths (getPipe scans every pipe per relayed frame); the waiters map is
 	// still guarded by mu, and fail orders the flip before the sweep.
 	closed atomic.Bool
 
+	wake chan struct{} // cap 1: wakes the parked writer when wbuf holds a frame
 	kick chan struct{} // cap 1: wakes the parked reader when a frame is in flight
 	stop chan struct{} // closed on failure: unparks the reader and writer for exit
 
@@ -104,10 +97,10 @@ func newBinPipe(c net.Conn, timeout time.Duration) *binPipe {
 	p := &binPipe{
 		c:       c,
 		br:      bufio.NewReaderSize(c, 64<<10),
-		bw:      bufio.NewWriterSize(c, 64<<10),
 		timeout: timeout,
-		sendq:   make(chan []byte, 4*binRelayWindow),
-		waiters: make(map[uint64]*binCall, binRelayWindow),
+		waiters: make(map[uint64]*binRelaySlot, binRelayWindow),
+		wbuf:    make([]byte, 0, 64<<10),
+		wake:    make(chan struct{}, 1),
 		kick:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 	}
@@ -117,25 +110,24 @@ func newBinPipe(c net.Conn, timeout time.Duration) *binPipe {
 
 func (p *binPipe) dead() bool { return p.closed.Load() }
 
-// send registers call under relayID (which the caller already stamped into
-// the frame header) and queues the frame for the writer. The response (or
-// the pipe's failure) arrives via call.done; on a send error the pipe has
-// already failed, which completed the call.
-func (p *binPipe) send(relayID uint64, frame []byte, call *binCall) error {
+// send re-frames a request for the backend leg (wire.AppendRelayFrame) into
+// the pipe's write buffer and registers slot under relayID, in one critical
+// section: a frame is either registered and queued, and then completed exactly
+// once — by the reader, or by fail — or refused because the pipe has failed.
+func (p *binPipe) send(slot *binRelaySlot, h wire.Header, payload []byte, relayID, traceID uint64) error {
 	p.mu.Lock()
 	if p.closed.Load() {
 		p.mu.Unlock()
 		return errPipeClosed
 	}
-	p.waiters[relayID] = call
-	p.mu.Unlock()
+	p.waiters[relayID] = slot
+	p.wbuf = wire.AppendRelayFrame(p.wbuf, h, payload, relayID, traceID)
 	p.inFlight.Add(1)
+	p.mu.Unlock()
 	p.lastUse.Store(time.Now().UnixNano())
 	select {
-	case p.sendq <- frame:
-	case <-p.stop:
-		// fail already swept the waiters map — this call included.
-		return errPipeClosed
+	case p.wake <- struct{}{}:
+	default:
 	}
 	select {
 	case p.kick <- struct{}{}:
@@ -144,49 +136,34 @@ func (p *binPipe) send(relayID uint64, frame []byte, call *binCall) error {
 	return nil
 }
 
-// writeLoop is the pipe's single writer: it drains every queued frame into
-// the buffered writer and flushes once the queue runs dry, so relays arriving
-// together share a syscall. Relay goroutines trickle onto the queue one
-// scheduler slice at a time, so an empty queue right after a write usually
-// means the batch is still forming, not that it is over — the loop yields
-// once and re-drains before paying the flush syscall. A write or flush error
-// is terminal: the stream may hold a partial frame and nothing sane can
-// follow.
+// writeLoop is the pipe's single writer: it takes everything senders have
+// queued — swapping the write buffer for the one it wrote last — and puts it
+// on the wire in one write, so relays arriving together share a syscall. A
+// client connection's reader queues its burst one frame at a time, so a wake
+// usually means the batch is still forming: the loop yields once before it
+// takes the buffer. A write error is terminal: the stream may hold a partial
+// frame and nothing sane can follow.
 func (p *binPipe) writeLoop() {
+	spare := make([]byte, 0, 64<<10)
 	for {
-		var frame []byte
 		select {
-		case frame = <-p.sendq:
+		case <-p.wake:
 		case <-p.stop:
 			return
 		}
-		p.c.SetWriteDeadline(time.Now().Add(p.timeout))
-		yielded := false
-		for {
-			if _, err := p.bw.Write(frame); err != nil {
+		runtime.Gosched()
+		p.mu.Lock()
+		buf := p.wbuf
+		p.wbuf = spare[:0]
+		p.mu.Unlock()
+		if len(buf) > 0 {
+			p.c.SetWriteDeadline(time.Now().Add(p.timeout))
+			if _, err := p.c.Write(buf); err != nil {
 				p.fail(err)
 				return
 			}
-			select {
-			case frame = <-p.sendq:
-				continue
-			default:
-			}
-			if !yielded {
-				yielded = true
-				runtime.Gosched()
-				select {
-				case frame = <-p.sendq:
-					continue
-				default:
-				}
-			}
-			break
 		}
-		if err := p.bw.Flush(); err != nil {
-			p.fail(err)
-			return
-		}
+		spare = buf
 	}
 }
 
@@ -218,7 +195,7 @@ func (p *binPipe) readLoop(b *backend) {
 			return
 		}
 		p.mu.Lock()
-		call, ok := p.waiters[h.ID]
+		slot, ok := p.waiters[h.ID]
 		delete(p.waiters, h.ID)
 		p.mu.Unlock()
 		if !ok {
@@ -226,10 +203,11 @@ func (p *binPipe) readLoop(b *backend) {
 			return
 		}
 		p.lastUse.Store(time.Now().UnixNano())
-		// The scratch buffer is reused for the next frame; the waiter gets
-		// an owned copy.
-		call.frame = append([]byte(nil), frame...)
-		close(call.done)
+		// The scratch buffer is reused for the next frame; the response moves
+		// into the slot's own buffer, which nobody else touches until the slot's
+		// connection has written it out.
+		slot.frame = append(slot.frame[:0], frame...)
+		slot.done <- struct{}{}
 		p.inFlight.Add(-1)
 	}
 }
@@ -247,9 +225,9 @@ func (p *binPipe) fail(err error) {
 	p.mu.Unlock()
 	close(p.stop)
 	p.c.Close()
-	for _, call := range waiters {
-		call.err = err
-		close(call.done)
+	for _, slot := range waiters {
+		slot.err = err
+		slot.done <- struct{}{}
 		p.inFlight.Add(-1)
 	}
 }
@@ -378,41 +356,64 @@ func (rt *Router) ServeBinary(ln net.Listener) error { return rt.bin.Serve(ln, r
 // then waits for their handlers. Safe to call with no listener serving.
 func (rt *Router) CloseBinary() { rt.bin.Close() }
 
-// pendingBinResp is one client frame's slot in the connection's response
-// order — relays complete out of order, responses go back in request order —
-// and the state of its trip through the router. relayStart leaves it in one of
-// two shapes: frame set, the response is already built (a router reject); or
-// call set, a relay is in flight on a pipe — the writer waits on call.done,
-// then finish turns the backend's frame into the client's.
-type pendingBinResp struct {
-	frame []byte
-	call  *binCall
+// binRelaySlot is one of a client connection's binRelayWindow places in its
+// response order — relays complete out of order, responses go back in request
+// order — and the state of one frame's trip through the router. The
+// connection's reader fills the slots round-robin (the window semaphore
+// guarantees the writer is done with a slot before the reader comes round to
+// it again), so a connection's per-frame state, completion signal and response
+// buffer are these, made once. relayStart leaves a slot in one of two shapes:
+// frame already holds the response (a router reject); or relayed is set and a
+// relay is in flight on a pipe — the writer waits on done, then finish turns
+// the backend's frame into the client's.
+type binRelaySlot struct {
+	rt *Router
 
-	rt    *Router
-	id    uint64 // the client's frame id: the trace id, restored on the response
+	// done carries a relay's completion from the pipe (its reader, or fail)
+	// to the connection's writer: exactly one token per relay, and room for
+	// it, so completing never blocks.
+	done chan struct{}
+	// frame is the response, in the slot's own buffer: a reject built here, or
+	// the backend's response copied in by the pipe's reader before done. err is
+	// the pipe's terminal error in its place.
+	frame   []byte
+	err     error
+	relayed bool
+
+	id    uint64 // the client's frame id, restored on the response
 	op    int    // the request's row in wire.Ops
 	dc    string
-	tr    *obs.Trace
+	tr    *obs.Trace // on loan from the recorder until reject or finish
 	start time.Time
 	// adm and legStart bracket the backend leg of an admitted frame.
 	adm      admission
 	legStart time.Time
 }
 
+// maxKeptRelayResponse bounds the response buffer a slot keeps between
+// frames: one oversized response must not pin a megabyte per slot for the
+// life of the connection.
+const maxKeptRelayResponse = 64 << 10
+
 // serveBinaryConn is one client connection's loop. The reader parses frames
 // and dispatches each relay synchronously — resolving the datacenter and
-// queueing the frame onto a backend pipe costs no goroutine and no copy — so
-// an entire pipelined burst is on its way to the backends before the reader
-// parks and the pipes' writers flush it as one batch. The writer goroutine
-// puts responses back in request order (per-connection FIFO is the dialect's
-// contract), flushing whenever it would otherwise block — the write-behind
-// discipline of the backends' own server. Up to binRelayWindow frames ride
-// between reader and writer at once.
+// queueing the frame onto a backend pipe costs no goroutine and no heap
+// object — so an entire pipelined burst is on its way to the backends before
+// the reader parks and the pipes' writers flush it as one batch. The writer
+// goroutine puts responses back in request order (per-connection FIFO is the
+// dialect's contract), flushing whenever it would otherwise block — the
+// write-behind discipline of the backends' own server. Up to binRelayWindow
+// frames ride between reader and writer at once, each in its slot.
 func (rt *Router) serveBinaryConn(c net.Conn) {
 	br := bufio.NewReaderSize(c, 64<<10)
 	bw := bufio.NewWriterSize(c, 64<<10)
 
-	order := make(chan *pendingBinResp, binRelayWindow)
+	ring := make([]binRelaySlot, binRelayWindow)
+	for i := range ring {
+		ring[i].rt = rt
+		ring[i].done = make(chan struct{}, 1)
+	}
+	order := make(chan *binRelaySlot, binRelayWindow)
 	slots := make(chan struct{}, binRelayWindow)
 	writerDone := make(chan struct{})
 	go func() {
@@ -425,38 +426,40 @@ func (rt *Router) serveBinaryConn(c net.Conn) {
 			}
 		}
 		for {
-			var pr *pendingBinResp
+			var slot *binRelaySlot
 			var ok bool
 			select {
-			case pr, ok = <-order:
+			case slot, ok = <-order:
 			default:
 				// Nothing queued: put buffered responses on the wire before
 				// parking.
 				flush()
-				pr, ok = <-order
+				slot, ok = <-order
 			}
 			if !ok {
 				return
 			}
-			frame := pr.frame
-			if pr.call != nil {
+			if slot.relayed {
 				select {
-				case <-pr.call.done:
+				case <-slot.done:
 				default:
 					// The head relay is still out: flush what's complete,
 					// then wait for it.
 					flush()
-					<-pr.call.done
+					<-slot.done
 				}
-				frame = pr.finish()
+				slot.finish()
 			}
-			bw.Write(frame)
+			bw.Write(slot.frame)
+			if cap(slot.frame) > maxKeptRelayResponse {
+				slot.frame = nil
+			}
 			<-slots
 		}
 	}()
 
 	var raw []byte
-	for {
+	for next := 0; ; next = (next + 1) % binRelayWindow {
 		c.SetReadDeadline(time.Now().Add(binFrontIdleTimeout))
 		h, frame, err := wire.ReadRawFrame(br, &raw, true)
 		if err != nil {
@@ -468,7 +471,9 @@ func (rt *Router) serveBinaryConn(c net.Conn) {
 			break
 		}
 		slots <- struct{}{}
-		order <- rt.relayStart(h, frame)
+		slot := &ring[next]
+		slot.relayStart(h, frame)
+		order <- slot
 	}
 	// Every queued entry self-completes (a relay through its pipe), so the
 	// writer drains the order and exits; nothing else to wait for.
@@ -477,65 +482,66 @@ func (rt *Router) serveBinaryConn(c net.Conn) {
 	bw.Flush()
 }
 
-// binReject builds a router-originated error frame (bad request, unknown
-// datacenter, shard unavailable).
-func (rt *Router) binReject(id uint64, code uint16, msg string) []byte {
-	rt.binRejected.Add(1)
-	return wire.AppendErrorResp(nil, id, code, msg)
-}
-
-// relayStart routes one request frame from the connection's reader: resolve
-// the datacenter and pass the same admission gate as the HTTP proxy, then
-// queue the frame onto a backend pipe (no goroutine, no blocking wait; the
-// writer collects the response). Everything here runs on the reader goroutine,
-// so a pipelined burst is fully dispatched before the connection turns to its
-// responses.
-func (rt *Router) relayStart(h wire.Header, frame []byte) *pendingBinResp {
+// relayStart routes one request frame from the connection's reader into the
+// slot: resolve the datacenter and pass the same admission gate as the HTTP
+// proxy, then queue the frame onto a backend pipe (no goroutine, no blocking
+// wait; the writer collects the response). Everything here runs on the reader
+// goroutine, so a pipelined burst is fully dispatched before the connection
+// turns to its responses.
+func (slot *binRelaySlot) relayStart(h wire.Header, frame []byte) {
+	rt := slot.rt
+	slot.relayed, slot.err = false, nil
+	slot.id, slot.start = h.ID, time.Now()
 	payload := frame[wire.HeaderSize:]
-	op := wire.OpIndex(h.Op)
-	if op < 0 {
-		return &pendingBinResp{frame: rt.binReject(h.ID, 400, "unknown opcode "+strconv.Itoa(int(h.Op)))}
+	slot.op = wire.OpIndex(h.Op)
+	if slot.op < 0 {
+		slot.answer(400, "unknown opcode "+strconv.Itoa(int(h.Op)))
+		return
 	}
-	info := &wire.Ops[op]
+	info := &wire.Ops[slot.op]
 	dcb, ok := wire.PeekDC(payload)
 	if !ok {
-		return &pendingBinResp{frame: rt.binReject(h.ID, 400, "bad request payload")}
+		slot.answer(400, "bad request payload")
+		return
 	}
 	// Per-frame trace + per-opcode latency. The echoed request id doubles as
 	// the trace id — a binary client can look its own frames up on
 	// /debug/traces with no wire change (id 0 gets a router-assigned one).
-	pr := &pendingBinResp{rt: rt, id: h.ID, op: op, dc: string(dcb), start: time.Now()}
-	pr.tr = rt.rec.Begin(h.ID, obs.DialectBinary, info.Name, pr.dc)
+	slot.dc = rt.dcName(dcb)
+	slot.tr = rt.rec.Begin(h.ID, obs.DialectBinary, info.Name, slot.dc)
 	// The same read/write split as the HTTP path, from the same table.
 	read := info.Access == wire.Read
 	if info.Access == wire.ReadIfDryRun {
 		fl, _ := wire.PeekSelectFlags(payload)
 		read = fl&wire.SelectFlagDryRun != 0
 	}
-	adm, ref := rt.admit(pr.dc, read, pr.tr)
+	adm, ref := rt.admit(slot.dc, read, slot.tr)
 	if ref != nil {
-		return pr.reject(ref.status, ref.msg)
+		slot.reject(ref.status, ref.msg)
+		return
 	}
-	pr.adm = adm
+	slot.adm = adm
 	if adm.binAddr == "" {
 		// A JSON-only backend: the JSON front serves it, this one cannot. Not
 		// evidence about the backend's health, so the breaker is not fed.
 		adm.cancel()
 		rt.unavailable.Add(1)
-		return pr.reject(http.StatusServiceUnavailable, unavailableMsg(pr.dc, adm.b,
+		slot.reject(http.StatusServiceUnavailable, unavailableMsg(slot.dc, adm.b,
 			"announced no binary_addr (start it with -binary-addr); the JSON front serves its datacenters"))
+		return
 	}
 	// inflight brackets the backend leg — the power-of-two-choices load
 	// signal the read picker compares.
 	adm.b.inflight.Add(1)
-	pr.legStart = time.Now()
+	slot.legStart = time.Now()
 
 	// The backend leg travels under a router-minted relay id (unique across
 	// every client conn sharing the pipe — the dialect's pipelining clients
-	// reuse one id per conn); the client's id — the trace id on both tiers —
-	// rides as a FlagTrace payload prefix. Lease-keyed frames go onto a pipe
-	// by lease id so operations on the same lease keep their client-issued
-	// order across the fan-out.
+	// reuse one id per conn); the trace id — the client's own, or the one the
+	// router assigned a frame that came with id 0 — rides as a FlagTrace
+	// payload prefix, so both tiers trace the frame under one id. Lease-keyed
+	// frames go onto a pipe by lease id so operations on the same lease keep
+	// their client-issued order across the fan-out.
 	var pipeKey uint64
 	keyed := false
 	if info.LeaseKeyed {
@@ -543,59 +549,68 @@ func (rt *Router) relayStart(h wire.Header, frame []byte) *pendingBinResp {
 	}
 	p, err := adm.b.getPipe(adm.binAddr, rt.cfg.ProxyTimeout, pipeKey, keyed)
 	if err != nil {
-		return pr.legFailed("unreachable")
+		slot.legFailed("unreachable")
+		return
 	}
-	relayID := rt.binRelayID.Add(1)
-	relayed := wire.AppendRelayFrame(make([]byte, 0, len(frame)+8), h, payload, relayID, h.ID)
-	call := &binCall{done: make(chan struct{})}
-	if err := p.send(relayID, relayed, call); err != nil {
-		return pr.legFailed("unreachable")
+	traceID := h.ID
+	if slot.tr != nil {
+		traceID = slot.tr.ID
 	}
-	pr.call = call
-	return pr
+	if err := p.send(slot, h, payload, rt.binRelayID.Add(1), traceID); err != nil {
+		slot.legFailed("unreachable")
+		return
+	}
+	slot.relayed = true
 }
 
-// reject answers the frame with a router-originated error frame, recording
-// the per-opcode latency and closing the trace.
-func (pr *pendingBinResp) reject(code int, msg string) *pendingBinResp {
-	pr.rt.binOps[pr.op].Observe(time.Since(pr.start), code)
-	pr.tr.Finish(code)
-	pr.frame = pr.rt.binReject(pr.id, uint16(code), msg)
-	return pr
+// answer makes the slot's response a router-originated error frame (bad
+// request, unknown datacenter, shard unavailable).
+func (slot *binRelaySlot) answer(code int, msg string) {
+	slot.rt.binRejected.Add(1)
+	slot.frame = wire.AppendErrorResp(slot.frame[:0], slot.id, uint16(code), msg)
+}
+
+// reject answers a traced frame with a router-originated error frame,
+// recording the per-opcode latency and closing the trace.
+func (slot *binRelaySlot) reject(code int, msg string) {
+	slot.rt.binOps[slot.op].Observe(time.Since(slot.start), code)
+	slot.tr.Finish(code)
+	slot.tr = nil
+	slot.answer(code, msg)
 }
 
 // legFailed closes a backend leg the transport let down.
-func (pr *pendingBinResp) legFailed(why string) *pendingBinResp {
-	pr.adm.b.inflight.Add(-1)
-	return pr.reject(http.StatusServiceUnavailable, pr.rt.legFailed(pr.adm, pr.dc, pr.legStart, why))
+func (slot *binRelaySlot) legFailed(why string) {
+	slot.adm.b.inflight.Add(-1)
+	slot.reject(http.StatusServiceUnavailable, slot.rt.legFailed(slot.adm, slot.dc, slot.legStart, why))
 }
 
 // finish turns the backend's response to a completed relay into the client's:
 // id re-stamp, metrics, trace, breaker evidence.
-func (pr *pendingBinResp) finish() []byte {
-	pr.tr.Span("backend_leg", pr.legStart)
-	call := pr.call
-	if call.err != nil {
+func (slot *binRelaySlot) finish() {
+	slot.tr.Span("backend_leg", slot.legStart)
+	if slot.err != nil {
 		// Read failure, relay timeout, or a response id nobody was waiting for
 		// (a desynced backend): the pipe has already failed and every waiter
 		// on it — including this one — got the error.
-		return pr.legFailed("sent a bad response frame").frame
+		slot.legFailed("sent a bad response frame")
+		return
 	}
-	rt, b := pr.rt, pr.adm.b
+	rt, b := slot.rt, slot.adm.b
 	b.inflight.Add(-1)
-	rt.settle(pr.adm, true)
+	rt.settle(slot.adm, true)
 	b.proxied.Add(1)
 	rt.proxiedTotal.Add(1)
 	rt.binForwarded.Add(1)
-	wire.SetFrameID(call.frame, pr.id)
+	wire.SetFrameID(slot.frame, slot.id)
 	// Relayed backend error frames count as errors in the op metrics, matching
 	// how the shard's own dispatch counts them.
 	status := http.StatusOK
-	if wire.Op(call.frame[2]) == wire.OpError {
+	if wire.Op(slot.frame[2]) == wire.OpError {
 		status = http.StatusInternalServerError
 	}
-	b.lat.Observe(time.Since(pr.legStart), status)
-	rt.binOps[pr.op].Observe(time.Since(pr.start), status)
-	pr.tr.Finish(status)
-	return call.frame
+	b.lat.Observe(time.Since(slot.legStart), status)
+	rt.binOps[slot.op].Observe(time.Since(slot.start), status)
+	slot.tr.Finish(status)
+	slot.tr = nil
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,11 +62,15 @@ func startRouterBinary(t *testing.T, rt *router.Router) string {
 }
 
 // echoBackend is a fake binary backend: every frame is answered with its
-// response opcode and its own payload, under the id it arrived with.
+// response opcode and its own payload, under the id it arrived with — until
+// hold is set, from when it reads frames, counts them in held and answers
+// nothing.
 type echoBackend struct {
 	ln    net.Listener
 	mu    sync.Mutex
 	conns []net.Conn
+	hold  atomic.Bool
+	held  atomic.Int64
 }
 
 func startEchoBackend(t *testing.T) *echoBackend {
@@ -93,6 +98,10 @@ func startEchoBackend(t *testing.T) *echoBackend {
 					h, payload, err := wire.ReadFrame(br, &scratch)
 					if err != nil {
 						return
+					}
+					if eb.hold.Load() {
+						eb.held.Add(1)
+						continue
 					}
 					_, rest, _ := wire.SplitTrace(h, payload)
 					c.Write(wire.AppendFrame(nil, h.Op.Resp(), h.ID, rest))

@@ -65,7 +65,7 @@ func isReadRequest(method, rest string, body []byte) bool {
 // follower for a write. A nil return means the datacenter is unknown.
 func (rt *Router) pickBackend(dc string, read bool, now time.Time) *backend {
 	rt.mu.RLock()
-	owner := rt.table[dc]
+	owner := rt.table[dc].owner
 	rt.mu.RUnlock()
 	if owner != nil && !rt.routable(owner, now) {
 		// A known owner stopped beating — or announced a planned drain:
@@ -92,73 +92,86 @@ func (rt *Router) pickBackend(dc string, read bool, now time.Time) *backend {
 // circuit-closed followers within MaxGenLag generations of the primary's
 // announced generation: two random candidates, fewer in-flight requests
 // wins. Returns nil when nothing is eligible (caller falls back to the
-// owner and its usual staleness/breaker handling).
+// owner and its usual staleness/breaker handling). It runs on every relayed
+// read, so the candidates are sampled as the backends are walked, not listed.
 func (rt *Router) pickReadReplica(dc string, owner *backend, now time.Time) *backend {
 	nowNanos := now.UnixNano()
 	lag := uint64(rt.cfg.MaxGenLag)
 	usable := func(b *backend) bool {
 		return rt.routable(b, now) && b.openUntil.Load() <= nowNanos
 	}
-
-	rt.mu.RLock()
-	refGen, haveRef := uint64(0), false
-	if owner != nil {
-		refGen, haveRef = owner.dcs[dc], true
-	}
-	followers := make([]*backend, 0, len(rt.backends))
-	for _, b := range rt.backends {
+	// follower reports a usable follower serving this route, and the
+	// generation it announced for dc.
+	follower := func(b *backend) (gen uint64, ok bool) {
 		if b.role != "follower" || b == owner {
-			continue
+			return 0, false
 		}
 		// Followers of a *different* primary may announce the same DC during
 		// a migration; their books are someone else's, so they never serve
 		// this route.
 		if owner != nil && b.primaryID != "" && b.primaryID != owner.id {
-			continue
+			return 0, false
 		}
-		if _, serves := b.dcs[dc]; !serves {
-			continue
-		}
-		if usable(b) {
-			followers = append(followers, b)
+		gen, serves := b.dcs[dc]
+		return gen, serves && usable(b)
+	}
+	// Reservoir sampling of size two: every pair of candidates is equally
+	// likely to be the one compared.
+	var first, second *backend
+	n := 0
+	consider := func(b *backend) {
+		n++
+		switch {
+		case n == 1:
+			first = b
+		case n == 2:
+			second = b
+		default:
+			switch rand.IntN(n) {
+			case 0:
+				first = b
+			case 1:
+				second = b
+			}
 		}
 	}
-	if !haveRef {
+
+	rt.mu.RLock()
+	var refGen uint64
+	if owner != nil {
+		refGen = owner.dcs[dc]
+	} else {
 		// No primary to anchor staleness on: gate followers against the
 		// freshest of themselves, so a replica that stalled before the
 		// primary died still cannot serve arbitrarily old state.
-		for _, b := range followers {
-			if g := b.dcs[dc]; g > refGen {
+		for _, b := range rt.backends {
+			if g, ok := follower(b); ok && g > refGen {
 				refGen = g
 			}
 		}
 	}
-	cands := followers[:0]
-	for _, b := range followers {
-		if b.dcs[dc]+lag >= refGen {
-			cands = append(cands, b)
+	for _, b := range rt.backends {
+		if g, ok := follower(b); ok && g+lag >= refGen {
+			consider(b)
 		}
 	}
 	if owner != nil && usable(owner) {
-		cands = append(cands, owner)
+		consider(owner)
 	}
 	rt.mu.RUnlock()
 
-	switch len(cands) {
-	case 0:
-		return nil
-	case 1:
-		return cands[0]
+	if second == nil {
+		return first // the only candidate, or none
 	}
-	i := rand.IntN(len(cands))
-	j := rand.IntN(len(cands) - 1)
-	if j >= i {
-		j++
+	// Which of the two a tie goes to must be random too: the owner is always
+	// considered last.
+	if rand.IntN(2) == 0 {
+		first, second = second, first
 	}
-	if cands[j].inflight.Load() < cands[i].inflight.Load() {
-		return cands[j]
+	if second.inflight.Load() < first.inflight.Load() {
+		return second
 	}
-	return cands[i]
+	return first
 }
 
 // maybePromote elects a replacement when a datacenter's owner stopped
@@ -238,8 +251,8 @@ func (rt *Router) maybePromote(dc string, dead *backend, now time.Time) *backend
 	winner.role = "primary"
 	winner.primaryID = ""
 	for name := range winner.dcs {
-		if prev := rt.table[name]; prev == nil || prev == dead || !rt.routable(prev, now) {
-			rt.table[name] = winner
+		if prev := rt.table[name].owner; prev == nil || prev == dead || !rt.routable(prev, now) {
+			rt.table[name] = route{name: name, owner: winner}
 		}
 	}
 	rt.mu.Unlock()

@@ -175,7 +175,7 @@ type Router struct {
 
 	mu       sync.RWMutex
 	backends map[string]*backend // by id
-	table    map[string]*backend // datacenter → owning backend
+	table    map[string]route    // datacenter → owning backend
 
 	registrations atomic.Uint64
 	proxiedTotal  atomic.Uint64
@@ -213,6 +213,26 @@ type Router struct {
 	// proxied request and relayed frame records its ingress/breaker/backend
 	// spans here under the trace id it carried (or was assigned).
 	rec *obs.Recorder
+}
+
+// route is a datacenter's entry in the routing table: the backend that owns
+// it, and the datacenter's name as a string of the table's own — what a frame
+// front resolves a payload's name bytes to without allocating (dcName).
+type route struct {
+	name  string
+	owner *backend
+}
+
+// dcName turns a datacenter name from a frame payload into a string without
+// allocating: the routing table's own. Only a name with no owner is copied.
+func (rt *Router) dcName(b []byte) string {
+	rt.mu.RLock()
+	r, ok := rt.table[string(b)]
+	rt.mu.RUnlock()
+	if ok {
+		return r.name
+	}
+	return string(b)
 }
 
 // Recorder exposes the router's trace recorder for the debug listener and
@@ -272,7 +292,7 @@ func New(cfg Config) *Router {
 			},
 		},
 		backends:    make(map[string]*backend),
-		table:       make(map[string]*backend),
+		table:       make(map[string]route),
 		lastPromote: make(map[string]time.Time),
 		rec:         obs.NewRecorder(obs.DefaultRingTraces),
 	}
@@ -403,8 +423,8 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 		if old.lastBeat.Load() > cutoff {
 			continue
 		}
-		for name, owner := range rt.table {
-			if owner == old {
+		for name, r := range rt.table {
+			if r.owner == old {
 				delete(rt.table, name)
 			}
 		}
@@ -451,7 +471,7 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	// Drop routing entries for datacenters this backend no longer announces.
 	for name := range b.dcs {
 		if _, still := next[name]; !still {
-			if rt.table[name] == b {
+			if rt.table[name].owner == b {
 				delete(rt.table, name)
 				rlog.Info("backend dropped datacenter", "backend", b.id, "dc", name)
 			}
@@ -471,13 +491,13 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	// router just flipped to it.
 	if role != "follower" {
 		for name := range next {
-			if prev := rt.table[name]; prev != nil && prev != b {
+			if prev := rt.table[name].owner; prev != nil && prev != b {
 				if rt.alive(prev, now) && prev.role != "follower" && !prev.draining.Load() {
 					continue
 				}
 				rlog.Info("datacenter moved to announcing primary", "dc", name, "from", prev.id, "to", b.id)
 			}
-			rt.table[name] = b
+			rt.table[name] = route{name: name, owner: b}
 		}
 	}
 	b.dcs = next
@@ -489,7 +509,7 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	primaryReplAddr := ""
 	if role == "follower" {
 		for _, dc := range req.Datacenters {
-			owner := rt.table[dc.Name]
+			owner := rt.table[dc.Name].owner
 			if owner != nil && owner != b && owner.replicateAddr != "" &&
 				rt.alive(owner, now) && !owner.draining.Load() {
 				primaryReplAddr = owner.replicateAddr
@@ -538,8 +558,8 @@ func (rt *Router) collectBackend(b *backend, cutoff int64) {
 	if b.lastBeat.Load() > cutoff || rt.backends[b.id] != b {
 		return
 	}
-	for name, owner := range rt.table {
-		if owner == b {
+	for name, r := range rt.table {
+		if r.owner == b {
 			delete(rt.table, name)
 		}
 	}
@@ -892,8 +912,8 @@ type datacentersResponse struct {
 func (rt *Router) liveDatacenters(now time.Time) []string {
 	rt.mu.RLock()
 	seen := make(map[string]struct{}, len(rt.table))
-	for name, b := range rt.table {
-		if rt.routable(b, now) {
+	for name, r := range rt.table {
+		if rt.routable(r.owner, now) {
 			seen[name] = struct{}{}
 		}
 	}
@@ -1093,7 +1113,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		var owns []string
 		for name, gen := range b.dcs {
 			st.Datacenters[name] = gen
-			if rt.table[name] == b {
+			if rt.table[name].owner == b {
 				owns = append(owns, name)
 			}
 		}

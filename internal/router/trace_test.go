@@ -128,4 +128,28 @@ func TestTraceReconstructionBinary(t *testing.T) {
 	if spans := spanSet(str); !spans["snapshot_read"] || !spans["ledger_reserve"] {
 		t.Fatalf("shard binary spans = %v", spans)
 	}
+
+	// A frame sent with id 0 gets a router-assigned trace id, and the shard
+	// must trace it under that same id — the relay carries the router's, not
+	// the zero the client sent — while the response still echoes 0. It is the
+	// only DC-9 classes request either recorder has seen.
+	h, _ = c.roundTrip(wire.AppendClassesReq(nil, 0, "DC-9"))
+	if h.Op != wire.OpClassesResp || h.ID != 0 {
+		t.Fatalf("id-0 classes: header %+v", h)
+	}
+	minted := func(rec *obs.Recorder, tier string) uint64 {
+		var ids []uint64
+		for _, tr := range rec.Query(obs.TraceFilter{DC: "DC-9"}) {
+			if tr.Op == "classes" && tr.Dialect == obs.DialectBinary {
+				ids = append(ids, tr.ID)
+			}
+		}
+		if len(ids) != 1 || ids[0] == 0 {
+			t.Fatalf("%s recorder traced the id-0 frame under %#x, want one nonzero id", tier, ids)
+		}
+		return ids[0]
+	}
+	if rid, sid := minted(rt.Recorder(), "router"), minted(apiBin.Recorder(), "shard"); rid != sid {
+		t.Fatalf("id-0 frame traced under %#x at the router and %#x at the shard: the tiers cannot be joined", rid, sid)
+	}
 }

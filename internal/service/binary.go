@@ -128,6 +128,10 @@ func (cr *connReader) take(n int) []byte {
 func (b *BinaryServer) handleConn(c net.Conn) {
 	cr := &connReader{c: c, buf: make([]byte, binaryReadBuffer)}
 	out := make([]byte, 0, binaryFlushLimit)
+	// One goroutine serves the connection, one request at a time, so one
+	// scratch serves every request on it: each response is encoded into out
+	// before the next request reuses the buffers.
+	var sc scratch
 	flush := func() bool {
 		if len(out) == 0 {
 			return true
@@ -162,7 +166,7 @@ func (b *BinaryServer) handleConn(c net.Conn) {
 		}
 		cr.take(wire.HeaderSize)
 		payload := cr.take(int(h.Len))
-		out = b.dispatch(out, h, payload)
+		out = b.dispatch(&sc, out, h, payload)
 		if len(out) >= binaryFlushLimit {
 			if !flush() {
 				return
@@ -171,10 +175,11 @@ func (b *BinaryServer) handleConn(c net.Conn) {
 	}
 }
 
-// dispatch decodes one request frame, executes it, and appends the response
-// frame to out. A rejection appends an OpError frame carrying the status the
-// JSON API answers the same failure with.
-func (b *BinaryServer) dispatch(out []byte, h wire.Header, payload []byte) []byte {
+// dispatch decodes one request frame, executes it with the connection's
+// scratch, and appends the response frame to out. A rejection appends an
+// OpError frame carrying the status the JSON API answers the same failure
+// with.
+func (b *BinaryServer) dispatch(sc *scratch, out []byte, h wire.Header, payload []byte) []byte {
 	start := time.Now()
 	// The trace id joins the two tiers on /debug/traces: for a direct client
 	// it is the echoed frame id; a pipelining router rewrites the frame id
@@ -199,7 +204,7 @@ func (b *BinaryServer) dispatch(out []byte, h wire.Header, payload []byte) []byt
 	if info.Bearer && b.ingestGated.Load() {
 		rej = reject(http.StatusUnauthorized, info.Name+" requires the ingest bearer; use the JSON endpoint")
 	} else {
-		out, rej = b.serve(out, h, payload, dc, tr)
+		out, rej = b.serve(sc, out, h, payload, dc, tr)
 	}
 	status := http.StatusOK
 	if rej != nil {
@@ -217,7 +222,7 @@ var badPayload = &rejection{Status: http.StatusBadRequest, Message: "bad request
 // serve is the binary codec of each operation: payload → arguments, result →
 // appended response frame. Responses are encoded inline with the Append*
 // primitives, no intermediate structs.
-func (b *BinaryServer) serve(out []byte, h wire.Header, payload []byte, dc string, tr *obs.Trace) ([]byte, *rejection) {
+func (b *BinaryServer) serve(sc *scratch, out []byte, h wire.Header, payload []byte, dc string, tr *obs.Trace) ([]byte, *rejection) {
 	mark := len(out)
 	out = wire.BeginFrame(out, h.Op.Resp(), h.ID)
 	switch h.Op {
@@ -226,7 +231,7 @@ func (b *BinaryServer) serve(out []byte, h wire.Header, payload []byte, dc strin
 		if m.Decode(payload) != nil {
 			return out, badPayload
 		}
-		res, rej := b.svc.opSelect(dc, selectArgs{
+		res, rej := b.svc.opSelect(sc, dc, selectArgs{
 			Job:            m.Job,
 			DryRun:         m.Flags&wire.SelectFlagDryRun != 0,
 			MaxCores:       m.MaxCores,
@@ -272,7 +277,7 @@ func (b *BinaryServer) serve(out []byte, h wire.Header, payload []byte, dc strin
 		if m.Decode(payload) != nil {
 			return out, badPayload
 		}
-		lease, rej := b.svc.opRenew(dc, m.Lease, float64(m.HoldMillis)/1000)
+		lease, rej := b.svc.opRenew(sc, dc, m.Lease, float64(m.HoldMillis)/1000)
 		if rej != nil {
 			return out, rej
 		}
@@ -284,7 +289,7 @@ func (b *BinaryServer) serve(out []byte, h wire.Header, payload []byte, dc strin
 		if m.Decode(payload) != nil {
 			return out, badPayload
 		}
-		placed, rej := b.svc.opPlace(dc, int(m.Replication), m.Writer, m.Flags&wire.PlaceFlagRelaxed != 0)
+		placed, rej := b.svc.opPlace(sc, dc, int(m.Replication), m.Writer, m.Flags&wire.PlaceFlagRelaxed != 0)
 		if rej != nil {
 			return out, rej
 		}
@@ -295,7 +300,7 @@ func (b *BinaryServer) serve(out []byte, h wire.Header, payload []byte, dc strin
 		if m.Decode(payload) != nil {
 			return out, badPayload
 		}
-		placed, rej := b.svc.opPlaceBlock(dc, int(m.Replication), m.Writer, m.Flags&wire.PlaceFlagRelaxed != 0)
+		placed, rej := b.svc.opPlaceBlock(sc, dc, int(m.Replication), m.Writer, m.Flags&wire.PlaceFlagRelaxed != 0)
 		if rej != nil {
 			return out, rej
 		}

@@ -47,3 +47,11 @@ func (s *Service) SnapshotFileJSON(dc string) ([]byte, error) {
 	sh := s.shards[dc]
 	return json.Marshal(s.snapshotFile(sh, sh.snap.Load()))
 }
+
+// Dispatcher is one connection's worth of the binary server's dispatch: the
+// function appends the response to a request frame to out, with a scratch of
+// its own as handleConn keeps one per connection.
+func (b *BinaryServer) Dispatcher() func(out []byte, h wire.Header, payload []byte) []byte {
+	sc := new(scratch)
+	return func(out []byte, h wire.Header, payload []byte) []byte { return b.dispatch(sc, out, h, payload) }
+}

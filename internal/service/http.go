@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"math"
 	"net"
@@ -195,10 +194,14 @@ func (a *API) ingestGated(h http.HandlerFunc) http.HandlerFunc {
 // ServeHTTP implements http.Handler.
 func (a *API) ServeHTTP(w http.ResponseWriter, r *http.Request) { a.mux.ServeHTTP(w, r) }
 
-// statusWriter captures the response status for instrumentation.
+// statusWriter is a request's pooled state: it captures the response status
+// for instrumentation and carries what the codecs borrow for the length of the
+// request — the trace, and the operations' scratch.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
+	tr     *obs.Trace
+	sc     scratch
 }
 
 func (w *statusWriter) WriteHeader(status int) {
@@ -208,14 +211,9 @@ func (w *statusWriter) WriteHeader(status int) {
 
 var statusWriters = sync.Pool{New: func() any { return &statusWriter{} }}
 
-// traceKey carries the request's *obs.Trace through the context; handlers
-// that record extra spans or metadata fetch it with traceFrom.
-type traceKey struct{}
-
-func traceFrom(ctx context.Context) *obs.Trace {
-	tr, _ := ctx.Value(traceKey{}).(*obs.Trace)
-	return tr
-}
+// stateOf is the pooled state instrument wrapped the request's writer in;
+// every route is registered through instrument.
+func stateOf(w http.ResponseWriter) *statusWriter { return w.(*statusWriter) }
 
 func (a *API) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	m := a.endpoints[name]
@@ -234,13 +232,13 @@ func (a *API) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 			id, _ := obs.ParseTraceID(r.Header.Get(obs.TraceHeader))
 			if tr = a.rec.Begin(id, obs.DialectJSON, name, r.PathValue("dc")); tr != nil {
 				w.Header().Set(obs.TraceHeader, obs.FormatTraceID(tr.ID))
-				r = r.WithContext(context.WithValue(r.Context(), traceKey{}, tr))
 			}
 		}
+		sw.tr = tr
 		h(sw, r)
 		status := sw.status
 		m.Observe(time.Since(start), status)
-		sw.ResponseWriter = nil
+		sw.ResponseWriter, sw.tr = nil, nil
 		statusWriters.Put(sw)
 		tr.Finish(status)
 	}
@@ -593,14 +591,15 @@ func (a *API) handleSelect(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		job = math.MaxUint8
 	}
-	res, rej := a.svc.opSelect(r.PathValue("dc"), selectArgs{
+	st := stateOf(w)
+	res, rej := a.svc.opSelect(&st.sc, r.PathValue("dc"), selectArgs{
 		Job:            job,
 		DryRun:         req.DryRun,
 		MaxCores:       req.MaxConcurrentCores,
 		LastRunSeconds: req.LastRunSeconds,
 		HoldSeconds:    req.HoldSeconds,
 		Meta:           ledger.Meta{JobID: req.JobID, Owner: req.Owner},
-	}, traceFrom(r.Context()))
+	}, st.tr)
 	if rej != nil {
 		writeError(w, rej.Status, rej.Message)
 		return
@@ -723,7 +722,7 @@ func (a *API) handleRenew(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	dc := r.PathValue("dc")
-	lease, rej := a.svc.opRenew(dc, req.Lease, req.HoldSeconds)
+	lease, rej := a.svc.opRenew(&stateOf(w).sc, dc, req.Lease, req.HoldSeconds)
 	if rej != nil {
 		writeError(w, rej.Status, rej.Message)
 		return
@@ -782,14 +781,14 @@ type placeResponse struct {
 }
 
 // handlePlacement is the JSON codec of both placement operations.
-func (a *API) handlePlacement(op func(dc string, replication int, writer int64, relaxed bool) (BlockPlacement, *rejection)) http.HandlerFunc {
+func (a *API) handlePlacement(op func(sc *scratch, dc string, replication int, writer int64, relaxed bool) (BlockPlacement, *rejection)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		req := placeRequest{Writer: -1}
 		if !readBody(w, r, &req) {
 			return
 		}
 		dc := r.PathValue("dc")
-		placed, rej := op(dc, req.Replication, req.Writer, req.RelaxedEnvironment)
+		placed, rej := op(&stateOf(w).sc, dc, req.Replication, req.Writer, req.RelaxedEnvironment)
 		if rej != nil {
 			writeError(w, rej.Status, rej.Message)
 			return

@@ -132,7 +132,7 @@ type selectResult struct {
 	At      *Snapshot
 }
 
-func (s *Service) opSelect(dc string, a selectArgs, tr *obs.Trace) (selectResult, *rejection) {
+func (s *Service) opSelect(sc *scratch, dc string, a selectArgs, tr *obs.Trace) (selectResult, *rejection) {
 	snap, rej := s.snapshotOf(dc)
 	if rej != nil {
 		return selectResult{}, rej
@@ -163,10 +163,10 @@ func (s *Service) opSelect(dc string, a selectArgs, tr *obs.Trace) (selectResult
 	}
 	job := core.JobRequest{Type: jobType, MaxConcurrentCores: a.MaxCores}
 	if a.DryRun {
-		return selectResult{Grant: Grant{Selection: s.SelectOn(snap, job)}, JobType: jobType, At: snap}, nil
+		return selectResult{Grant: Grant{Selection: s.selectOn(sc, snap, job)}, JobType: jobType, At: snap}, nil
 	}
 	tr.SetMeta(a.Meta.JobID, a.Meta.Owner)
-	grant, at, err := s.SelectReserveTraced(dc, job, hold, a.Meta, tr)
+	grant, at, err := s.selectReserve(sc, dc, job, hold, a.Meta, tr)
 	return selectResult{Grant: grant, JobType: jobType, At: at}, rejectionOf(err)
 }
 
@@ -181,7 +181,7 @@ func (s *Service) opRelease(dc string, lease uint64) (ledger.Lease, *rejection) 
 
 // opRenew extends a live lease's expiry deadline. No cores move: only the
 // deadline the sweeper enforces is rescheduled.
-func (s *Service) opRenew(dc string, lease uint64, holdSeconds float64) (ledger.Lease, *rejection) {
+func (s *Service) opRenew(sc *scratch, dc string, lease uint64, holdSeconds float64) (ledger.Lease, *rejection) {
 	if rej := checkLease(lease); rej != nil {
 		return ledger.Lease{}, rej
 	}
@@ -189,19 +189,19 @@ func (s *Service) opRenew(dc string, lease uint64, holdSeconds float64) (ledger.
 	if rej != nil {
 		return ledger.Lease{}, rej
 	}
-	renewed, err := s.Renew(dc, lease, hold)
+	renewed, err := s.renew(sc, dc, lease, hold)
 	return renewed, rejectionOf(err)
 }
 
 // opPlace asks for replica targets for a new block (Alg. 2), advisory: nothing
 // is recorded, so the placement carries no block id. writer is the creating
 // server, -1 for an external writer.
-func (s *Service) opPlace(dc string, replication int, writer int64, relaxed bool) (BlockPlacement, *rejection) {
+func (s *Service) opPlace(sc *scratch, dc string, replication int, writer int64, relaxed bool) (BlockPlacement, *rejection) {
 	c, rej := placementOf(replication, writer, relaxed)
 	if rej != nil {
 		return BlockPlacement{}, rej
 	}
-	replicas, snap, err := s.Place(dc, c)
+	replicas, snap, err := s.place(sc, dc, c)
 	if err != nil {
 		return BlockPlacement{}, rejectionOf(err)
 	}
@@ -211,12 +211,12 @@ func (s *Service) opPlace(dc string, replication int, writer int64, relaxed bool
 // opPlaceBlock creates a block: replicas placed as opPlace would and recorded
 // in the block ledger, which keeps the block at R live replicas through
 // reimaging events and re-keys.
-func (s *Service) opPlaceBlock(dc string, replication int, writer int64, relaxed bool) (BlockPlacement, *rejection) {
+func (s *Service) opPlaceBlock(sc *scratch, dc string, replication int, writer int64, relaxed bool) (BlockPlacement, *rejection) {
 	c, rej := placementOf(replication, writer, relaxed)
 	if rej != nil {
 		return BlockPlacement{}, rej
 	}
-	placed, err := s.CreateBlock(dc, c)
+	placed, err := s.createBlock(sc, dc, c)
 	return placed, rejectionOf(err)
 }
 
@@ -231,21 +231,18 @@ func (s *Service) opReimage(dc string, server int64) (lost int, pending int64, r
 
 // classView is what a class is rendered from: the live usage view, so
 // CurrentUtilization tracks ingested telemetry between refreshes, and the
-// ledger's per-class occupancy when its generation matches the snapshot's
-// (nil while a re-key is in flight). Lock-free: it runs on the hot query
-// paths, which must not serialize against lease bookkeeping.
+// ledger's per-class occupancy, read counter by counter as each class is
+// rendered and only while the ledger is keyed to the snapshot's generation
+// (zero while a re-key is in flight). Lock-free and copy-free: it runs on the
+// hot query paths, which must not serialize against lease bookkeeping.
 type classView struct {
 	snap  *Snapshot
 	usage map[core.ClassID]core.ClassUsage
-	alloc []int64
+	led   *ledger.Ledger
 }
 
 func (s *Service) classViewOf(snap *Snapshot) classView {
-	v := classView{snap: snap, usage: s.UsageFor(snap)}
-	if gen, alloc, ok := s.LedgerOccupancy(snap.Datacenter); ok && gen == snap.Generation {
-		v.alloc = alloc
-	}
-	return v
+	return classView{snap: snap, usage: s.UsageFor(snap), led: s.shards[snap.Datacenter].led}
 }
 
 // rec renders one class. ExampleServer is a member server, a convenient probe
@@ -261,9 +258,7 @@ func (v classView) rec(cls *core.UtilizationClass) wire.ClassRec {
 		Current:       v.usage[cls.ID].CurrentUtilization,
 		ExampleServer: -1,
 	}
-	if i := int(cls.ID); i >= 0 && i < len(v.alloc) {
-		rec.AllocMillis = v.alloc[i]
-	}
+	rec.AllocMillis, _ = v.led.AllocatedMillis(v.snap.Generation, cls.ID)
 	if len(cls.Servers) > 0 {
 		rec.ExampleServer = int64(cls.Servers[0])
 	}

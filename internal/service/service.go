@@ -1153,17 +1153,32 @@ func (sh *shard) ledgerStats() ledger.Stats {
 	return st
 }
 
-// SelectOn runs class selection (Alg. 1) against a snapshot the caller
+// scratch is one caller's reusable working memory for the data-plane
+// operations: select's candidate buffers and its result, a reservation's
+// requests and grants, a placement's replicas. What an operation returns may
+// alias it, and is valid until the same scratch's next operation. The binary
+// server keeps one per connection and the JSON front one per pooled response
+// writer, which is what makes the serving path allocation-free; the exported
+// methods hand each call a fresh one, so their results are the caller's to
+// keep. The zero value is ready.
+type scratch struct {
+	sel      core.SelectScratch
+	reqs     []ledger.Request
+	grants   []ledger.Grant
+	granted  []float64
+	replicas []tenant.ServerID
+}
+
+// selectOn runs class selection (Alg. 1) against a snapshot the caller
 // already holds, with a pooled RNG and the live usage view — utilization
 // from recent ring samples, AllocatedCores from the ledger's atomic
 // counters. This is the advisory (non-reserving) path: it sees live
-// allocations but does not create one. The HTTP handlers use this so a
-// request resolves its snapshot exactly once.
-func (s *Service) SelectOn(snap *Snapshot, job core.JobRequest) core.Selection {
+// allocations but does not create one.
+func (s *Service) selectOn(sc *scratch, snap *Snapshot, job core.JobRequest) core.Selection {
 	rng := s.rngs.Get().(*rand.Rand)
 	var sel core.Selection
 	if v := s.usageViewFor(snap); v != nil {
-		sel = snap.SelectIndexed(rng, job, v.idx, v.src)
+		sel = snap.selector.SelectIndexedInto(&sc.sel, rng, job, v.idx, v.src)
 	} else {
 		sel = snap.Select(rng, job)
 	}
@@ -1209,6 +1224,10 @@ func (s *Service) SelectReserve(dc string, job core.JobRequest, ttl time.Duratio
 // resulting lease and optional span recording into tr (nil skips all trace
 // bookkeeping — the untraced path pays only nil checks).
 func (s *Service) SelectReserveTraced(dc string, job core.JobRequest, ttl time.Duration, meta ledger.Meta, tr *obs.Trace) (Grant, *Snapshot, error) {
+	return s.selectReserve(new(scratch), dc, job, ttl, meta, tr)
+}
+
+func (s *Service) selectReserve(sc *scratch, dc string, job core.JobRequest, ttl time.Duration, meta ledger.Meta, tr *obs.Trace) (Grant, *Snapshot, error) {
 	sh, ok := s.shards[dc]
 	if !ok {
 		return Grant{}, nil, unknownDC(dc)
@@ -1232,7 +1251,7 @@ func (s *Service) SelectReserveTraced(dc string, job core.JobRequest, ttl time.D
 		snap = sh.snap.Load()
 		v := s.usageViewFor(snap)
 		rng := s.rngs.Get().(*rand.Rand)
-		sel := snap.SelectIndexed(rng, job, v.idx, v.src)
+		sel := snap.selector.SelectIndexedInto(&sc.sel, rng, job, v.idx, v.src)
 		s.rngs.Put(rng)
 		if tr != nil {
 			tr.Span("snapshot_read", spanStart)
@@ -1240,8 +1259,8 @@ func (s *Service) SelectReserveTraced(dc string, job core.JobRequest, ttl time.D
 		if sel.Empty() {
 			return Grant{Selection: sel}, snap, nil
 		}
-		reqs := make([]ledger.Request, 0, len(sel.Classes))
-		granted := make([]float64, len(sel.Classes))
+		reqs := sc.reqs[:0]
+		granted := append(sc.granted[:0], make([]float64, len(sel.Classes))...)
 		remaining := job.MaxConcurrentCores
 		for i, id := range sel.Classes {
 			want := sel.Headrooms[i]
@@ -1269,15 +1288,17 @@ func (s *Service) SelectReserveTraced(dc string, job core.JobRequest, ttl time.D
 			granted[i] = want
 			remaining -= want
 		}
+		sc.reqs, sc.granted = reqs, granted
 		var reserveStart time.Time
 		if tr != nil {
 			reserveStart = time.Now()
 		}
-		lease, err := sh.led.ReserveMeta(snap.Generation, reqs, ttl, time.Now(), meta)
+		lease, err := sh.led.ReserveInto(sc.grants, snap.Generation, reqs, ttl, time.Now(), meta)
 		if tr != nil {
 			tr.Span("ledger_reserve", reserveStart)
 		}
 		if err == nil {
+			sc.grants = lease.Grants
 			return Grant{Selection: sel, Lease: lease.ID, ExpiresAt: lease.ExpiresAt, Granted: granted}, snap, nil
 		}
 		if errors.Is(err, ledger.ErrStaleGeneration) {
@@ -1320,6 +1341,10 @@ func (s *Service) Release(dc string, id uint64) (ledger.Lease, error) {
 // negative means the lease never expires. Unknown (or already released or
 // expired) leases return ledger.ErrUnknownLease.
 func (s *Service) Renew(dc string, id uint64, ttl time.Duration) (ledger.Lease, error) {
+	return s.renew(new(scratch), dc, id, ttl)
+}
+
+func (s *Service) renew(sc *scratch, dc string, id uint64, ttl time.Duration) (ledger.Lease, error) {
 	sh, ok := s.shards[dc]
 	if !ok {
 		return ledger.Lease{}, unknownDC(dc)
@@ -1333,7 +1358,11 @@ func (s *Service) Renew(dc string, id uint64, ttl time.Duration) (ledger.Lease, 
 	if ttl < 0 {
 		ttl = 0 // ledger: no expiry
 	}
-	return sh.led.Renew(id, ttl, time.Now())
+	lease, err := sh.led.RenewInto(sc.grants, id, ttl, time.Now())
+	if err == nil {
+		sc.grants = lease.Grants
+	}
+	return lease, err
 }
 
 // Leases returns one page of dc's live leases (ordered by id) plus the total
@@ -1369,12 +1398,15 @@ func (s *Service) LedgerOccupancy(dc string) (generation uint64, allocMillisByCl
 	return generation, allocMillisByClass, true
 }
 
-// PlaceOn runs replica placement (Alg. 2) against a snapshot the caller
-// already holds, with a pooled RNG.
-func (s *Service) PlaceOn(snap *Snapshot, c core.PlacementConstraints) ([]tenant.ServerID, error) {
+// placeOn runs replica placement (Alg. 2) against a snapshot the caller
+// already holds, with a pooled RNG, into the scratch's replica buffer.
+func (s *Service) placeOn(sc *scratch, snap *Snapshot, c core.PlacementConstraints) ([]tenant.ServerID, error) {
 	rng := s.rngs.Get().(*rand.Rand)
-	replicas, err := snap.Place(rng, c)
+	replicas, err := snap.placeInto(sc.replicas, rng, c)
 	s.rngs.Put(rng)
+	if err == nil {
+		sc.replicas = replicas
+	}
 	return replicas, err
 }
 
@@ -1386,17 +1418,21 @@ func (s *Service) Select(dc string, job core.JobRequest) (core.Selection, *Snaps
 	if !ok {
 		return core.Selection{}, nil, unknownDC(dc)
 	}
-	return s.SelectOn(snap, job), snap, nil
+	return s.selectOn(new(scratch), snap, job), snap, nil
 }
 
 // Place answers a replica-placement query (Alg. 2) against the datacenter's
 // current snapshot.
 func (s *Service) Place(dc string, c core.PlacementConstraints) ([]tenant.ServerID, *Snapshot, error) {
+	return s.place(new(scratch), dc, c)
+}
+
+func (s *Service) place(sc *scratch, dc string, c core.PlacementConstraints) ([]tenant.ServerID, *Snapshot, error) {
 	snap, ok := s.Snapshot(dc)
 	if !ok {
 		return nil, nil, unknownDC(dc)
 	}
-	replicas, err := s.PlaceOn(snap, c)
+	replicas, err := s.placeOn(sc, snap, c)
 	return replicas, snap, err
 }
 
@@ -1417,6 +1453,10 @@ type BlockPlacement struct {
 // re-select loop. c.Replication is the block's R; c.EnforceEnvironment
 // becomes the block's recorded diversity promise for later re-keys.
 func (s *Service) CreateBlock(dc string, c core.PlacementConstraints) (BlockPlacement, error) {
+	return s.createBlock(new(scratch), dc, c)
+}
+
+func (s *Service) createBlock(sc *scratch, dc string, c core.PlacementConstraints) (BlockPlacement, error) {
 	sh, ok := s.shards[dc]
 	if !ok {
 		return BlockPlacement{}, unknownDC(dc)
@@ -1427,7 +1467,7 @@ func (s *Service) CreateBlock(dc string, c core.PlacementConstraints) (BlockPlac
 	var waitUntil time.Time
 	for attempt := 0; attempt < selectReserveAttempts; attempt++ {
 		snap := sh.snap.Load()
-		replicas, err := s.PlaceOn(snap, c)
+		replicas, err := s.placeOn(sc, snap, c)
 		if err != nil {
 			return BlockPlacement{}, err
 		}

@@ -290,8 +290,13 @@ func (s *Snapshot) Headroom(jobType core.JobType, cls *core.UtilizationClass) fl
 // Place runs replica placement (Alg. 2) on a pooled clone of the snapshot's
 // placement scheme. Safe for any number of concurrent callers.
 func (s *Snapshot) Place(rng *rand.Rand, c core.PlacementConstraints) ([]tenant.ServerID, error) {
+	return s.placeInto(nil, rng, c)
+}
+
+// placeInto is Place into the caller's buffer (core's PlaceReplicasInto).
+func (s *Snapshot) placeInto(dst []tenant.ServerID, rng *rand.Rand, c core.PlacementConstraints) ([]tenant.ServerID, error) {
 	placer := s.placers.Get().(*core.PlacementScheme)
-	replicas, err := placer.PlaceReplicas(rng, c)
+	replicas, err := placer.PlaceReplicasInto(dst, rng, c)
 	s.placers.Put(placer)
 	return replicas, err
 }
