@@ -142,8 +142,8 @@ type lease struct {
 	// lease this ledger issued itself); the pass deletes whatever it did not
 	// stamp. Guarded by the shard lock.
 	epoch uint64
-	// inline backs Grants for a lease issued here with at most inlineGrants of
-	// them, written once before the record is published.
+	// inline backs Grants for a lease issued or first reconciled here with at
+	// most inlineGrants of them, written once before the record is published.
 	inline [inlineGrants]Grant
 }
 
@@ -820,10 +820,11 @@ type Changed struct {
 //
 // Work is proportional to the leases for the walk but allocates only for what
 // changed: a lease already held with the same grants has its expiry and
-// metadata overwritten in place; an unknown lease is inserted and a re-keyed
-// one gets a fresh grants slice; held leases the state does not name are
-// deleted. It mutates an existing ledger (the shard's ledger pointer must
-// stay stable for concurrent readers) and re-keys to whatever generation the
+// metadata overwritten in place; an unknown lease is inserted, a few grants
+// inside its record, and a re-keyed one gets a fresh grants slice; held leases
+// the state does not name are deleted. It mutates an existing ledger (the
+// shard's ledger pointer must stay stable for concurrent readers) and re-keys
+// to whatever generation the
 // books carry: the follower's snapshot apply and ledger apply arrive as one
 // frame, so the generations move together. The per-class table is summed
 // afresh and published with one pointer store at the end, so lock-free
@@ -877,14 +878,21 @@ func (l *Ledger) Reconcile(st *State, numClasses int) Changed {
 		// A lease already held as shipped — the steady state — skips this
 		// block and allocates nothing.
 		if same = same && valid == len(ls.Grants); !same {
+			// A held lease's Grants may be on loan to a Walk or shared by a
+			// view, so a rewrite gets a fresh slice; a record nobody has seen
+			// yet keeps a few grants in itself, as ReserveInto's does.
+			var grants []Grant
 			if ls == nil {
 				ls = &lease{}
 				sh.leases[in.ID] = ls
 				ch.Inserted++
+				grants = ls.inline[:0]
 			} else {
 				ch.Rewritten++
 			}
-			grants := make([]Grant, 0, valid)
+			if valid > cap(grants) {
+				grants = make([]Grant, 0, valid)
+			}
 			for _, g := range in.Grants {
 				if g.Millis > 0 && uint64(g.Class) < classes {
 					grants = append(grants, g)

@@ -15,9 +15,15 @@ import (
 // ReplApplier is one follower connection's decode state.
 type ReplApplier = replApplier
 
+// Beat is the message the connection's beats decode into.
+func (ap *ReplApplier) Beat() *wire.ReplBeat { return &ap.beat }
+
+// ReplSender is one follower connection's encode state.
+type ReplSender = replSender
+
 // BuildReplFrame is buildReplFrame for a datacenter's shard.
-func (s *Service) BuildReplFrame(dst []byte, dc string, prev *Snapshot) ([]byte, *Snapshot, bool) {
-	return s.buildReplFrame(dst, s.shards[dc], prev)
+func (s *Service) BuildReplFrame(snd *ReplSender, dc string, prev *Snapshot) ([]byte, *Snapshot, bool) {
+	return s.buildReplFrame(snd, s.shards[dc], prev)
 }
 
 // ApplyReplFrame is applyReplFrame.

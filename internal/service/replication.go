@@ -228,11 +228,10 @@ func (s *Service) serveReplConn(nc net.Conn) {
 
 	ticker := time.NewTicker(s.cfg.ReplInterval)
 	defer ticker.Stop()
-	var buf []byte
+	var snd replSender
 	for {
 		for _, dc := range s.order {
-			frame, next, ok := s.buildReplFrame(buf[:0], s.shards[dc], shipped[dc])
-			buf = frame
+			frame, next, ok := s.buildReplFrame(&snd, s.shards[dc], shipped[dc])
 			if !ok {
 				continue // a refresh is mid-publish; this shard skips the tick
 			}
@@ -253,61 +252,68 @@ func (s *Service) serveReplConn(nc net.Conn) {
 	}
 }
 
+// replSender is one follower connection's encode state, replApplier's mirror:
+// the frame buffer and the beat's usage list every tick reuses.
+type replSender struct {
+	frame []byte
+	usage []wire.ReplClassUsage
+}
+
 // buildReplFrame encodes the next frame for one shard given the snapshot the
 // follower last received: a beat when the generation is unchanged, a full
-// snapshot otherwise. Returns the frame appended to dst and the snapshot it
-// brings the follower to.
+// snapshot otherwise. Returns the frame, built in snd's buffer and valid until
+// the next build, and the snapshot it brings the follower to.
 //
 // A frame must pair a snapshot with books keyed to the same generation, and
 // refreshShard re-keys both ledgers to N+1 before it publishes snapshot N+1.
 // A walk that finds the books ahead of the snapshot it loaded waits for the
 // publish and builds once more; if that still does not pair, ok is false,
 // nothing is to be sent, and the next tick tries again.
-func (s *Service) buildReplFrame(dst []byte, sh *shard, prev *Snapshot) (frame []byte, next *Snapshot, ok bool) {
+func (s *Service) buildReplFrame(snd *replSender, sh *shard, prev *Snapshot) (frame []byte, next *Snapshot, ok bool) {
 	start := time.Now()
-	base := len(dst)
 	var waitUntil time.Time
 	for attempt := 0; attempt < 2; attempt++ {
 		snap := sh.snap.Load()
-		frame, mark := s.beginReplFrame(dst, sh, snap, prev == snap)
+		frame, mark := s.beginReplFrame(snd, sh, snap, prev == snap)
 		frame, booksGen := appendLedgerSection(frame, sh.led)
 		if booksGen == snap.Generation {
 			frame, booksGen = appendBlocksSection(frame, sh.blocks)
 		}
+		snd.frame = frame // keep what the appends grew, sent or not
 		if booksGen == snap.Generation {
 			frame = wire.EndFrame(frame, mark)
 			sh.replBuild.Observe(time.Since(start))
 			if prev == snap {
-				sh.replBeatBytes.Store(int64(len(frame) - base))
+				sh.replBeatBytes.Store(int64(len(frame)))
 			}
 			return frame, snap, true
 		}
-		dst = frame[:base]
 		if !sh.awaitPublish(booksGen, &waitUntil) {
 			break
 		}
 	}
-	return dst, prev, false
+	return nil, prev, false
 }
 
 // beginReplFrame appends the frame's header and everything before its ledger
 // section: usage for a beat, the class records for a snapshot.
-func (s *Service) beginReplFrame(dst []byte, sh *shard, snap *Snapshot, beat bool) ([]byte, int) {
+func (s *Service) beginReplFrame(snd *replSender, sh *shard, snap *Snapshot, beat bool) ([]byte, int) {
 	now := time.Now().UnixNano()
 	usage := s.UsageFor(snap)
+	dst := snd.frame[:0]
 
 	if beat {
-		m := wire.ReplBeat{
+		snd.usage = snd.usage[:0]
+		for _, cls := range snap.Clustering.Classes {
+			snd.usage = append(snd.usage, wire.ReplClassUsage{ID: uint32(cls.ID), Current: usage[cls.ID].CurrentUtilization})
+		}
+		return wire.BeginReplBeat(dst, 0, &wire.ReplBeat{
 			DC:           sh.dc,
 			Generation:   snap.Generation,
 			SentUnixNano: now,
 			AsOfSeconds:  sh.rings.Horizon().Seconds(),
-			Usage:        make([]wire.ReplClassUsage, 0, len(snap.Clustering.Classes)),
-		}
-		for _, cls := range snap.Clustering.Classes {
-			m.Usage = append(m.Usage, wire.ReplClassUsage{ID: uint32(cls.ID), Current: usage[cls.ID].CurrentUtilization})
-		}
-		return wire.BeginReplBeat(dst, 0, &m)
+			Usage:        snd.usage,
+		})
 	}
 
 	return wire.BeginReplSnapshot(dst, 0, &wire.ReplSnapshot{
@@ -449,8 +455,9 @@ func (s *Service) runFollower(nc net.Conn, addr string) error {
 }
 
 // replApplier is one follower connection's decode state: the message every
-// beat decodes into. Same-shaped beats reuse its slices, so decoding allocates
-// nothing, and the ledgers reconcile its two sections as they are.
+// beat decodes into. Its storage keeps what it holds and grows by powers of
+// two (wire's growth rule), so decoding allocates for records that are new and
+// nothing else, and the ledgers reconcile its two sections as they are.
 type replApplier struct {
 	beat wire.ReplBeat
 }
@@ -557,21 +564,45 @@ func (s *Service) applyReplBeat(m *wire.ReplBeat, frameBytes int) error {
 	if snap.Generation != m.Generation {
 		return fmt.Errorf("service: %s: beat for generation %d, have %d", m.DC, m.Generation, snap.Generation)
 	}
-	usage := make(map[core.ClassID]core.ClassUsage, len(snap.Clustering.Classes))
-	for _, u := range m.Usage {
-		usage[core.ClassID(u.ID)] = core.ClassUsage{CurrentUtilization: u.Current}
-	}
-	for _, cls := range snap.Clustering.Classes {
-		if _, ok := usage[cls.ID]; !ok {
-			usage[cls.ID] = snap.Usage[cls.ID]
-		}
-	}
 	sh.rings.AdvanceClock(time.Duration(m.AsOfSeconds * float64(time.Second)))
 	reconcileBooks(sh, &m.Ledger, &m.Blocks, len(snap.Clustering.Classes))
-	s.buildUsageView(sh, snap, usage, sh.rings.TotalSamples())
+	// Between telemetry posts a beat's usage is the view already live: keep it,
+	// and the select index and admission floors derived from it.
+	if samples := sh.rings.TotalSamples(); !beatUsageIsLive(sh.liveUsage.Load(), snap, samples, m.Usage) {
+		usage := make(map[core.ClassID]core.ClassUsage, len(snap.Clustering.Classes))
+		for _, u := range m.Usage {
+			usage[core.ClassID(u.ID)] = core.ClassUsage{CurrentUtilization: u.Current}
+		}
+		for _, cls := range snap.Clustering.Classes {
+			if _, ok := usage[cls.ID]; !ok {
+				usage[cls.ID] = snap.Usage[cls.ID]
+			}
+		}
+		s.buildUsageView(sh, snap, usage, samples)
+	}
 	sh.replBeatBytes.Store(int64(frameBytes))
 	sh.replAppliedAt.Store(time.Now().UnixNano())
 	return nil
+}
+
+// beatUsageIsLive reports whether the view applyReplBeat would build from a
+// beat's usage list is the one v already is: the same generation and sample
+// count, and the list naming each of the snapshot's classes once, in order,
+// with the utilization v holds. Anything else — a class missing or repeated,
+// a view a racing reader rebuilt from the snapshot — rebuilds.
+func beatUsageIsLive(v *usageView, snap *Snapshot, samples uint64, usage []wire.ReplClassUsage) bool {
+	classes := snap.Clustering.Classes
+	if v == nil || v.generation != snap.Generation || v.samples != samples ||
+		len(usage) != len(classes) || len(v.usage) != len(classes) {
+		return false
+	}
+	for i, cls := range classes {
+		held, ok := v.usage[cls.ID]
+		if !ok || usage[i].ID != uint32(cls.ID) || held != (core.ClassUsage{CurrentUtilization: usage[i].Current}) {
+			return false
+		}
+	}
+	return true
 }
 
 // reconcileBooks brings the shard's two ledgers to the state of a frame's

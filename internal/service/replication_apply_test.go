@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -50,17 +51,16 @@ type replLink struct {
 	primary, follower *service.Service
 	ap                service.ReplApplier
 	shipped           *service.Snapshot
-	buf               []byte
+	snd               service.ReplSender
 }
 
 // build returns the primary's next frame for the follower.
 func (l *replLink) build(t testing.TB) (op wire.Op, payload []byte, next *service.Snapshot) {
 	t.Helper()
-	frame, next, ok := l.primary.BuildReplFrame(l.buf[:0], replDC, l.shipped)
+	frame, next, ok := l.primary.BuildReplFrame(&l.snd, replDC, l.shipped)
 	if !ok {
 		t.Fatal("buildReplFrame skipped the tick with no refresh running")
 	}
-	l.buf = frame
 	h, err := wire.ParseHeader(frame[:wire.HeaderSize])
 	if err != nil || int(h.Len) != len(frame)-wire.HeaderSize {
 		t.Fatalf("built frame header %+v (err %v) over %d payload bytes", h, err, len(frame)-wire.HeaderSize)
@@ -519,7 +519,7 @@ func TestReplFramePairsSnapshotAndBooks(t *testing.T) {
 	}
 	done := make(chan built, 1)
 	go func() {
-		frame, _, ok := primary.BuildReplFrame(nil, replDC, link.shipped)
+		frame, _, ok := primary.BuildReplFrame(new(service.ReplSender), replDC, link.shipped)
 		done <- built{frame, ok}
 	}()
 	checkPaired := func(b built) {
@@ -643,6 +643,56 @@ func TestWritesWaitOutTheRekeyGap(t *testing.T) {
 	}
 }
 
+// TestReplBeatKeepsAnUnchangedUsageView pins when a beat replaces the
+// follower's usage view: one that carries the utilization already live keeps
+// the view (and the select index and floors built with it), one that carries
+// news replaces it — and the floors the news implies reach the follower's
+// ledger.
+func TestReplBeatKeepsAnUnchangedUsageView(t *testing.T) {
+	link := loadedLink(t, 10, 10)
+	snap, _ := link.follower.Snapshot(replDC)
+	view := func() uintptr { return reflect.ValueOf(link.follower.UsageFor(snap)).Pointer() }
+
+	held := view()
+	link.ship(t)
+	if view() != held {
+		t.Fatal("a beat carrying the live utilization replaced the follower's usage view")
+	}
+
+	psnap, _ := link.primary.Snapshot(replDC)
+	var hot []service.IngestSample
+	for _, cls := range psnap.Clustering.Classes {
+		for _, tid := range cls.Tenants {
+			hot = append(hot, service.IngestSample{Tenant: tid, Server: -1, Value: 0.97})
+		}
+	}
+	if res, err := link.primary.Ingest(replDC, hot); err != nil || res.Accepted != len(hot) {
+		t.Fatalf("Ingest: %+v, %v", res, err)
+	}
+	link.ship(t)
+	if view() == held {
+		t.Fatal("a beat carrying hotter utilization kept the follower's old usage view")
+	}
+	want, got := link.primary.UsageFor(psnap), link.follower.UsageFor(snap)
+	for _, cls := range psnap.Clustering.Classes {
+		if got[cls.ID].CurrentUtilization != want[cls.ID].CurrentUtilization {
+			t.Errorf("class %d: follower sees utilization %v, primary %v", cls.ID, got[cls.ID].CurrentUtilization, want[cls.ID].CurrentUtilization)
+		}
+	}
+	pl, _ := link.primary.Ledgers(replDC)
+	fl, _ := link.follower.Ledgers(replDC)
+	if pf, ff := pl.Floors(), fl.Floors(); !reflect.DeepEqual(pf, ff) || !slices.ContainsFunc(ff, func(f int64) bool { return f > 0 }) {
+		t.Errorf("admission floors after the hot beat: follower %v, primary %v (want equal, some raised)", ff, pf)
+	}
+
+	held = view()
+	link.ship(t)
+	if view() != held {
+		t.Fatal("the next beat, carrying nothing new, replaced the view again")
+	}
+	checkFollowerEqualsPrimary(t, link.primary, link.follower)
+}
+
 // mallocs counts the heap objects f allocates.
 func mallocs(f func()) uint64 {
 	var before, after runtime.MemStats
@@ -676,8 +726,10 @@ func TestReplBeatAllocationBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := testing.AllocsPerRun(10, apply); got > 48 {
-		t.Errorf("applying a steady-state beat allocates %.0f objects, budget 48", got)
+	// Nothing moved, so the follower keeps its usage view too: what is left is
+	// the beat's datacenter name and the ledger's re-summed class table.
+	if got := testing.AllocsPerRun(10, apply); got > 8 {
+		t.Errorf("applying a steady-state beat allocates %.0f objects, budget 8", got)
 	}
 
 	// k leases come and go between two beats: the apply pays for those only.
@@ -697,6 +749,46 @@ func TestReplBeatAllocationBudget(t *testing.T) {
 		if got := mallocs(apply); got > 48+4*k {
 			t.Errorf("round %d: applying a beat with %d changed leases allocates %d objects, budget %d", round, k, got, 48+4*k)
 		}
+	}
+
+	// The books only grow: g leases and g blocks more every beat, nothing
+	// released. 6,000 -> 8,560 leases passes a power of two (8,192) once and
+	// 30,000 -> 32,560 blocks passes none, so one round regrows the decoded
+	// lease list — moving its elements, grants and all, not rebuilding them —
+	// and every other round pays for its news alone. Exact-fit regrowth that
+	// dropped the old elements made every one of these rounds cost a whole copy
+	// of the books: 6,000 objects and up.
+	const g, rounds = 64, 40
+	snap, _ := link.primary.Snapshot(replDC)
+	_, pb := link.primary.Ledgers(replDC)
+	regrown := 0
+	for round := 0; round < rounds; round++ {
+		for i := 0; i < g; i++ {
+			if _, err := pl.Reserve(pl.Generation(), []ledger.Request{{Class: 0, Cores: 1, Capacity: 1e9}}, time.Hour, time.Now()); err != nil {
+				t.Fatal(err)
+			}
+			s := tenant.ServerID((round*g + i) % 1000) // spread, as loadedLink's are
+			if _, err := pb.Create(snap.Generation, []tenant.ServerID{s, s + 1000, s + 2000}, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, payload, _ = link.build(t)
+		held := cap(link.ap.Beat().Ledger.Leases)
+		got := mallocs(apply)
+		// A new lease is two objects — the grants it decodes into and the
+		// ledger's record, which holds its own copy — and a new block three:
+		// decoded slots, record, the record's slots.
+		budget := uint64(48 + 2*g + 3*g)
+		if cap(link.ap.Beat().Ledger.Leases) != held {
+			regrown++
+			budget += 8 // the one new lease list, not what it holds
+		}
+		if got > budget {
+			t.Errorf("growth round %d: applying a beat with %d new leases and %d new blocks allocates %d objects, budget %d", round, g, g, got, budget)
+		}
+	}
+	if regrown != 1 {
+		t.Errorf("the decoded lease list regrew %d times over %d growing beats, want once (at 8,192)", regrown, rounds)
 	}
 	checkFollowerEqualsPrimary(t, link.primary, link.follower)
 }

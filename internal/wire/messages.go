@@ -581,7 +581,10 @@ func (m *ErrorResp) Decode(payload []byte) error {
 // sized resizes a reused decode slice to n elements of elemSize encoded
 // bytes each, but never to more elements than the remaining payload could
 // actually hold — a lying count field cannot force a huge allocation. When
-// clamped, the strict Done check fails the decode anyway.
+// clamped, the strict Done check fails the decode anyway. Storage too small
+// grows by grownCap and keeps every element it held, spare capacity included,
+// so each keeps the inner slice the decode loop refills: growing by one
+// element costs one object, not one per element.
 func sized[T any](s []T, n, elemSize int, r *Reader) []T {
 	if most := r.Remaining() / elemSize; n > most {
 		// The count lies about the payload: poison the reader so the decode
@@ -591,7 +594,9 @@ func sized[T any](s []T, n, elemSize int, r *Reader) []T {
 		r.bad = true
 	}
 	if cap(s) < n {
-		return make([]T, n)
+		grown := make([]T, grownCap(n))
+		copy(grown, s[:cap(s)])
+		return grown[:n]
 	}
 	return s[:n]
 }

@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 )
 
 const (
@@ -248,13 +249,23 @@ func ParsePublicHeader(b []byte) (Header, error) {
 	return h, err
 }
 
+// grownCap is the one growth rule for storage this package reuses across
+// frames — ReadRawFrame's scratch and every slice a Decode refills (sized):
+// storage too small for n grows to the next power of two that holds n and
+// keeps what it held. A connection whose state creeps upward therefore regrows
+// O(log n) times, not once per frame that passes its high-water mark, and never
+// holds twice what its largest frame needed; what bounds that frame — the
+// port's payload cap, the payload a count must fit in — is the caller's clamp.
+func grownCap(n int) int { return 1 << bits.Len(uint(n-1)) }
+
 // ReadRawFrame reads one whole frame from r into *scratch, growing it as
 // needed, and returns the parsed header plus the frame's bytes — header and
 // payload, ready to forward verbatim (aliasing *scratch: valid until the next
 // call with the same scratch). With public set the header goes through
-// ParsePublicHeader, so *scratch never grows past HeaderSize+MaxPayload.
-// Errors are io errors, ErrBadFrame, or ErrBadVersion; a clean EOF before any
-// header byte returns io.EOF.
+// ParsePublicHeader. *scratch grows by grownCap, clamped to the port's own cap:
+// never past HeaderSize+MaxPayload when public, HeaderSize+MaxReplPayload
+// otherwise. Errors are io errors, ErrBadFrame, or ErrBadVersion; a clean EOF
+// before any header byte returns io.EOF.
 func ReadRawFrame(r io.Reader, scratch *[]byte, public bool) (Header, []byte, error) {
 	if cap(*scratch) < HeaderSize {
 		*scratch = make([]byte, HeaderSize, 4096)
@@ -266,9 +277,9 @@ func ReadRawFrame(r io.Reader, scratch *[]byte, public bool) (Header, []byte, er
 		}
 		return Header{}, nil, err
 	}
-	parse := ParseHeader
+	parse, portCap := ParseHeader, HeaderSize+MaxReplPayload
 	if public {
-		parse = ParsePublicHeader
+		parse, portCap = ParsePublicHeader, HeaderSize+MaxPayload
 	}
 	h, err := parse(hdr)
 	if err != nil {
@@ -276,7 +287,7 @@ func ReadRawFrame(r io.Reader, scratch *[]byte, public bool) (Header, []byte, er
 	}
 	total := HeaderSize + int(h.Len)
 	if cap(*scratch) < total {
-		grown := make([]byte, total)
+		grown := make([]byte, total, min(grownCap(total), portCap))
 		copy(grown, hdr)
 		*scratch = grown
 	}

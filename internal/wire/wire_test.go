@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -76,36 +77,54 @@ var forgedReplHeader = func() []byte {
 	return h
 }()
 
+// zeros is an endless stream of zero bytes, for payloads not worth holding.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) { clear(p); return len(p), nil }
+
+// frameHeader is a well-formed header claiming n payload bytes.
+func frameHeader(op Op, id uint64, n uint32) []byte {
+	h := BeginFrame(nil, op, id)
+	binary.LittleEndian.PutUint32(h[4:8], n)
+	return h
+}
+
 // TestReadFrameSizeRule pins the one reader's size rule: a public port refuses
 // a replication opcode on its header alone, before buffering a byte of the
-// payload the header promises; the replication reader takes the same frame.
+// payload the header promises; the replication reader takes the same frame
+// into the next power of two that holds it, clamped to its own port's cap.
 func TestReadFrameSizeRule(t *testing.T) {
 	const claimed = 2 << 20
 	replFrame := append(append([]byte(nil), forgedReplHeader...), make([]byte, claimed)...)
 	tooBig := append([]byte(nil), forgedReplHeader...)
 	tooBig[7] = 0x10 // 256 MiB: past MaxReplPayload too
+	const nearCap = MaxReplPayload - 5
+	nearCapHeader := frameHeader(OpReplSnap, 7, nearCap)
 	for _, tc := range []struct {
 		name   string
 		public bool
 		in     []byte
 		want   error
-		maxCap int // bound on the scratch afterwards
+		maxCap int   // bound on the scratch afterwards; what it is, for a frame that was read
+		zeros  int64 // payload bytes streamed after in
 	}{
-		{"public port, replication header", true, forgedReplHeader, ErrBadFrame, 4096},
-		{"public port, replication frame", true, replFrame, ErrBadFrame, 4096},
-		{"replication port, same frame", false, replFrame, nil, HeaderSize + claimed},
-		{"replication port, past its own cap", false, tooBig, ErrBadFrame, 4096},
+		{"public port, replication header", true, forgedReplHeader, ErrBadFrame, 4096, 0},
+		{"public port, replication frame", true, replFrame, ErrBadFrame, 4096, 0},
+		{"replication port, same frame", false, replFrame, nil, 4 << 20, 0},
+		{"replication port, frame just under its cap", false, nearCapHeader, nil, HeaderSize + MaxReplPayload, nearCap},
+		{"replication port, past its own cap", false, tooBig, ErrBadFrame, 4096, 0},
 	} {
 		var scratch []byte
-		h, raw, err := ReadRawFrame(bytes.NewReader(tc.in), &scratch, tc.public)
+		src := io.MultiReader(bytes.NewReader(tc.in), io.LimitReader(zeros{}, tc.zeros))
+		h, raw, err := ReadRawFrame(src, &scratch, tc.public)
 		if err != tc.want {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 		if cap(scratch) > tc.maxCap {
 			t.Errorf("%s: scratch grew to %d bytes, want at most %d", tc.name, cap(scratch), tc.maxCap)
 		}
-		if err == nil && (h.Op != OpReplSnap || h.ID != 7 || len(raw) != HeaderSize+claimed) {
-			t.Errorf("%s: header %+v, %d raw bytes", tc.name, h, len(raw))
+		if err == nil && (h.Op != OpReplSnap || h.ID != 7 || len(raw) != len(tc.in)+int(tc.zeros) || cap(scratch) != tc.maxCap) {
+			t.Errorf("%s: header %+v, %d raw bytes in a scratch of %d, want one of %d", tc.name, h, len(raw), cap(scratch), tc.maxCap)
 		}
 	}
 	// ReadFrame is the replication-capable reader, minus the header.
