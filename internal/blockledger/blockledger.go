@@ -16,15 +16,14 @@
 package blockledger
 
 import (
-	crand "crypto/rand"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"slices"
 	"sync"
 	"sync/atomic"
 
 	"harvest/internal/core"
+	"harvest/internal/striped"
 	"harvest/internal/tenant"
 	"harvest/internal/wire"
 )
@@ -47,9 +46,8 @@ var ErrReplicaPlaced = errors.New("blockledger: replica already placed")
 // is its stable identity in repair refs.
 type block struct {
 	wire.ReplBlock
-	// epoch is the Reconcile pass that last confirmed the block (0 for a
-	// block this ledger created itself); the pass deletes whatever it did not
-	// stamp. Guarded by the shard lock.
+	// epoch is the store's stamp: the Reconcile pass that last confirmed the
+	// block (0 for a block this ledger created itself).
 	epoch uint64
 }
 
@@ -59,92 +57,65 @@ type Repair struct {
 	Replica int
 }
 
-const (
-	numShards = 16
-	shardMask = numShards - 1
-)
-
-func shardOf(id uint64) int { return int(id & shardMask) }
-
 // maxStackEnvs is how many replica environments rekeyBlock tracks without a
 // heap allocation; replication factors are single-digit (the API caps R at 64,
 // and a block that large falls back to append's growth).
 const maxStackEnvs = 8
 
-// maxJSONSafeID mirrors internal/ledger: block ids ride JSON as numbers, so
-// they stay under 2^53 to survive float64-backed consumers exactly.
-const maxJSONSafeID = 1<<53 - 1
+// serverIndex is one shard's reverse index of its blocks' placed replicas
+// (server → block id → slot), so a reimaging event finds its casualties
+// without scanning; a server holds at most one replica of any block, so the
+// inner map is exact.
+type serverIndex map[tenant.ServerID]map[uint64]int
 
-// blockShard is one lock-striped slice of the block map. byServer indexes
-// each server's placed replicas (block id → slot) so a reimaging event finds
-// its casualties without scanning; a server holds at most one replica of any
-// block, so the inner map is exact.
-type blockShard struct {
-	mu       sync.Mutex
-	blocks   map[uint64]*block
-	byServer map[tenant.ServerID]map[uint64]int
-	idrng    *rand.ChaCha8
-}
-
-func (sh *blockShard) newBlockID(shardIdx int) uint64 {
-	for {
-		id := sh.idrng.Uint64()&maxJSONSafeID&^uint64(shardMask) | uint64(shardIdx)
-		if id == 0 {
-			continue
-		}
-		if _, taken := sh.blocks[id]; !taken {
-			return id
-		}
-	}
-}
-
-// indexPlaced records server → (block, slot) in the shard's reverse index.
-func (sh *blockShard) indexPlaced(server tenant.ServerID, blockID uint64, slot int) {
-	m := sh.byServer[server]
+// indexPlaced records server → (block, slot).
+func (ix serverIndex) indexPlaced(server tenant.ServerID, blockID uint64, slot int) {
+	m := ix[server]
 	if m == nil {
 		m = make(map[uint64]int)
-		sh.byServer[server] = m
+		ix[server] = m
 	}
 	m[blockID] = slot
 }
 
-func (sh *blockShard) unindexPlaced(server tenant.ServerID, blockID uint64) {
-	if m := sh.byServer[server]; m != nil {
+func (ix serverIndex) unindexPlaced(server tenant.ServerID, blockID uint64) {
+	if m := ix[server]; m != nil {
 		delete(m, blockID)
 		if len(m) == 0 {
-			delete(sh.byServer, server)
+			delete(ix, server)
 		}
 	}
 }
 
 // indexSlots and unindexSlots add and remove all of a block's placed replicas.
-func (sh *blockShard) indexSlots(b *block) {
+func (ix serverIndex) indexSlots(b *block) {
 	for slot, r := range b.Replicas {
 		if r.Placed {
-			sh.indexPlaced(tenant.ServerID(r.Server), b.ID, slot)
+			ix.indexPlaced(tenant.ServerID(r.Server), b.ID, slot)
 		}
 	}
 }
 
-func (sh *blockShard) unindexSlots(b *block) {
+func (ix serverIndex) unindexSlots(b *block) {
 	for _, r := range b.Replicas {
 		if r.Placed {
-			sh.unindexPlaced(tenant.ServerID(r.Server), b.ID)
+			ix.unindexPlaced(tenant.ServerID(r.Server), b.ID)
 		}
 	}
 }
 
-// Ledger tracks one datacenter's block placements. Lock order matches
-// internal/ledger: single-block operations take exactly one shard lock;
-// global operations (Rekey, Walk, Reconcile) take all shard locks in
-// ascending order, then the queue lock if needed.
+// Ledger tracks one datacenter's block placements, under internal/striped's
+// lock order: single-block operations take exactly one shard lock; global
+// operations (Rekey, Walk, Reconcile) take all of them, then the queue lock if
+// needed.
 type Ledger struct {
 	generation atomic.Uint64
 
-	shards [numShards]blockShard
+	store *striped.Store[block]
 
-	// epoch numbers Reconcile passes; it moves with every shard lock held.
-	epoch uint64
+	// byServer[i] indexes the blocks of the store's shard i, under that
+	// shard's lock.
+	byServer [striped.NumShards]serverIndex
 
 	// queueMu guards the FIFO of repair refs. Queue membership is the
 	// "awaiting repair, not yet in flight" subset of pending slots; the
@@ -167,30 +138,12 @@ type Ledger struct {
 
 // New creates an empty block ledger keyed to the given snapshot generation.
 func New(generation uint64) *Ledger {
-	l := &Ledger{}
-	for i := range l.shards {
-		var seed [32]byte
-		if _, err := crand.Read(seed[:]); err != nil {
-			panic("blockledger: reading CSPRNG seed: " + err.Error())
-		}
-		l.shards[i].blocks = make(map[uint64]*block)
-		l.shards[i].byServer = make(map[tenant.ServerID]map[uint64]int)
-		l.shards[i].idrng = rand.NewChaCha8(seed)
+	l := &Ledger{store: striped.New(func(b *block) *uint64 { return &b.epoch })}
+	for i := range l.byServer {
+		l.byServer[i] = make(serverIndex)
 	}
 	l.generation.Store(generation)
 	return l
-}
-
-func (l *Ledger) lockAll() {
-	for i := range l.shards {
-		l.shards[i].mu.Lock()
-	}
-}
-
-func (l *Ledger) unlockAll() {
-	for i := range l.shards {
-		l.shards[i].mu.Unlock()
-	}
 }
 
 // Generation returns the snapshot generation the ledger is keyed to.
@@ -214,25 +167,25 @@ func (l *Ledger) Create(generation uint64, servers []tenant.ServerID, envStrict 
 	}
 	// Pick the shard from the first server — any stable spread works; the
 	// block id minted below carries the shard in its low bits from then on.
-	shardIdx := int(uint64(servers[0]) & shardMask)
-	sh := &l.shards[shardIdx]
-	sh.mu.Lock()
+	shardIdx := striped.ShardOf(uint64(servers[0]))
+	sh := l.store.Shard(shardIdx)
+	sh.Lock()
 	if l.generation.Load() != generation {
-		sh.mu.Unlock()
+		sh.Unlock()
 		l.stales.Add(1)
 		return 0, ErrStaleGeneration
 	}
-	b := &block{ReplBlock: wire.ReplBlock{ID: sh.newBlockID(shardIdx), EnvStrict: envStrict, Replicas: make([]wire.ReplBlockReplica, len(servers))}}
+	b := &block{ReplBlock: wire.ReplBlock{ID: sh.NewID(), EnvStrict: envStrict, Replicas: make([]wire.ReplBlockReplica, len(servers))}}
 	for i, s := range servers {
 		b.Replicas[i] = wire.ReplBlockReplica{Server: int64(s), Placed: true}
-		sh.indexPlaced(s, b.ID, i)
+		l.byServer[shardIdx].indexPlaced(s, b.ID, i)
 	}
-	sh.blocks[b.ID] = b
+	sh.Recs[b.ID] = b
 	l.blocks.Add(1)
 	l.slots.Add(int64(len(servers)))
 	l.placed.Add(int64(len(servers)))
 	l.creates.Add(1)
-	sh.mu.Unlock()
+	sh.Unlock()
 	return b.ID, nil
 }
 
@@ -242,26 +195,26 @@ func (l *Ledger) Create(generation uint64, servers []tenant.ServerID, envStrict 
 func (l *Ledger) Reimage(server tenant.ServerID) int {
 	total := 0
 	var refs []Repair
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.Lock()
-		hits := sh.byServer[server]
+	for i := range l.byServer {
+		sh := l.store.Shard(i)
+		sh.Lock()
+		hits := l.byServer[i][server]
 		if len(hits) == 0 {
-			sh.mu.Unlock()
+			sh.Unlock()
 			continue
 		}
 		for blockID, slot := range hits {
-			b := sh.blocks[blockID]
+			b := sh.Recs[blockID]
 			b.Replicas[slot].Placed = false
 			refs = append(refs, Repair{Block: blockID, Replica: slot})
 		}
 		n := int64(len(hits))
-		delete(sh.byServer, server)
+		delete(l.byServer[i], server)
 		l.placed.Add(-n)
 		l.pending.Add(n)
 		l.lost.Add(n)
 		total += int(n)
-		sh.mu.Unlock()
+		sh.Unlock()
 	}
 	if total > 0 {
 		l.reimages.Add(1)
@@ -295,11 +248,11 @@ func (l *Ledger) TakeRepairs(max int) []Repair {
 // Requeue hands an in-flight repair ref back (placement failed or was
 // interrupted). A ref whose slot meanwhile landed is dropped.
 func (l *Ledger) Requeue(r Repair) {
-	sh := &l.shards[shardOf(r.Block)]
-	sh.mu.Lock()
-	b := sh.blocks[r.Block]
+	sh := l.store.Shard(striped.ShardOf(r.Block))
+	sh.Lock()
+	b := sh.Recs[r.Block]
 	stillPending := b != nil && r.Replica >= 0 && r.Replica < len(b.Replicas) && !b.Replicas[r.Replica].Placed
-	sh.mu.Unlock()
+	sh.Unlock()
 	if !stillPending {
 		return
 	}
@@ -313,14 +266,15 @@ func (l *Ledger) Requeue(r Repair) {
 // ErrStaleGeneration the caller re-places against the current snapshot and
 // retries with the same ref.
 func (l *Ledger) Replace(generation uint64, r Repair, server tenant.ServerID) error {
-	sh := &l.shards[shardOf(r.Block)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	shardIdx := striped.ShardOf(r.Block)
+	sh := l.store.Shard(shardIdx)
+	sh.Lock()
+	defer sh.Unlock()
 	if l.generation.Load() != generation {
 		l.stales.Add(1)
 		return ErrStaleGeneration
 	}
-	b := sh.blocks[r.Block]
+	b := sh.Recs[r.Block]
 	if b == nil || r.Replica < 0 || r.Replica >= len(b.Replicas) {
 		return ErrUnknownBlock
 	}
@@ -333,7 +287,7 @@ func (l *Ledger) Replace(generation uint64, r Repair, server tenant.ServerID) er
 		}
 	}
 	b.Replicas[r.Replica] = wire.ReplBlockReplica{Server: int64(server), Placed: true}
-	sh.indexPlaced(server, b.ID, r.Replica)
+	l.byServer[shardIdx].indexPlaced(server, b.ID, r.Replica)
 	l.pending.Add(-1)
 	l.placed.Add(1)
 	l.replaced.Add(1)
@@ -346,10 +300,10 @@ func (l *Ledger) Replace(generation uint64, r Repair, server tenant.ServerID) er
 // re-validates — and whether the block's placement promised environment
 // diversity, which a repair must re-enforce. ok is false for an unknown block.
 func (l *Ledger) Slots(blockID uint64) (slots []tenant.ServerID, envStrict, ok bool) {
-	sh := &l.shards[shardOf(blockID)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	b := sh.blocks[blockID]
+	sh := l.store.Shard(striped.ShardOf(blockID))
+	sh.Lock()
+	defer sh.Unlock()
+	b := sh.Recs[blockID]
 	if b == nil {
 		return nil, false, false
 	}
@@ -404,17 +358,14 @@ type SiteOf func(tenant.ServerID) (col, row int, env string, ok bool)
 // what a legal block is (ROADMAP, "Algorithm 2's fallback and the
 // re-validator disagree"), not a performance detail, and it is not made here.
 func (l *Ledger) Rekey(newGeneration uint64, site SiteOf) int {
-	l.lockAll()
+	l.store.LockAll()
 	displacedTotal := 0
 	var refs []Repair
-	for i := range l.shards {
-		sh := &l.shards[i]
-		for _, b := range sh.blocks {
-			displacedTotal += l.rekeyBlock(sh, b, site, &refs)
-		}
+	for _, b := range l.store.All() {
+		displacedTotal += l.rekeyBlock(b, site, &refs)
 	}
 	l.generation.Store(newGeneration)
-	l.unlockAll()
+	l.store.UnlockAll()
 	if len(refs) > 0 {
 		l.queueMu.Lock()
 		l.queue = append(l.queue, refs...)
@@ -431,8 +382,9 @@ func (l *Ledger) Rekey(newGeneration uint64, site SiteOf) int {
 // constraints — their site is decided at repair time. The environment set
 // lives on the stack up to maxStackEnvs replicas, so re-validating a block
 // allocates nothing at any replication factor in use.
-func (l *Ledger) rekeyBlock(sh *blockShard, b *block, site SiteOf, refs *[]Repair) int {
+func (l *Ledger) rekeyBlock(b *block, site SiteOf, refs *[]Repair) int {
 	displaced := 0
+	index := l.byServer[striped.ShardOf(b.ID)]
 	var usedCols, usedRows uint32
 	var envBuf [maxStackEnvs]string
 	usedEnvs := envBuf[:0]
@@ -458,7 +410,7 @@ func (l *Ledger) rekeyBlock(sh *blockShard, b *block, site SiteOf, refs *[]Repai
 			violates = true
 		}
 		if violates {
-			sh.unindexPlaced(tenant.ServerID(r.Server), b.ID)
+			index.unindexPlaced(tenant.ServerID(r.Server), b.ID)
 			r.Placed = false
 			*refs = append(*refs, Repair{Block: b.ID, Replica: slot})
 			l.placed.Add(-1)
@@ -503,7 +455,7 @@ type Stats struct {
 // Snapshot returns a consistent reading of the books: taken under all shard
 // locks so the gauges balance against the cumulative counters exactly.
 func (l *Ledger) Snapshot() Stats {
-	l.lockAll()
+	l.store.LockAll()
 	st := Stats{
 		Generation:   l.generation.Load(),
 		Blocks:       l.blocks.Load(),
@@ -516,7 +468,7 @@ func (l *Ledger) Snapshot() Stats {
 		Reimages:     l.reimages.Load(),
 		StaleRetries: l.stales.Load(),
 	}
-	l.unlockAll()
+	l.store.UnlockAll()
 	st.ConservationErrorSlots = abs(st.Placed+st.Pending-st.ReplicaSlots) + abs(st.Lost-st.Replaced-st.Pending)
 	l.queueMu.Lock()
 	st.RepairQueue = len(l.queue)
@@ -545,23 +497,17 @@ type State = wire.ReplBlocks
 // (encode it, copy it) but must not keep or modify it. Neither callback may
 // call back into the ledger.
 func (l *Ledger) Walk(begin func(books State, blocks int), visit func(wire.ReplBlock)) {
-	l.lockAll()
-	defer l.unlockAll()
-	n := 0
-	for i := range l.shards {
-		n += len(l.shards[i].blocks)
-	}
+	l.store.LockAll()
+	defer l.store.UnlockAll()
 	begin(State{
 		Generation: l.generation.Load(),
 		Lost:       l.lost.Load(),
 		Replaced:   l.replaced.Load(),
 		Creates:    l.creates.Load(),
 		Reimages:   l.reimages.Load(),
-	}, n)
-	for i := range l.shards {
-		for _, b := range l.shards[i].blocks {
-			visit(b.ReplBlock)
-		}
+	}, l.store.Len())
+	for _, b := range l.store.All() {
+		visit(b.ReplBlock)
 	}
 }
 
@@ -601,60 +547,50 @@ type Changed struct {
 // than trusted; the gauges are recomputed from what was actually applied so
 // the invariant holds even against a lying peer.
 func (l *Ledger) Reconcile(st *State) Changed {
-	l.lockAll()
-	l.epoch++
+	l.store.LockAll()
+	l.store.BeginPass()
 	var ch Changed
-	var blocks, slots, pending int64
+	blocks := 0
+	var slots, pending int64
 	requeue := false // some pending slot appeared, moved or went away
 	for i := range st.Blocks {
 		in := &st.Blocks[i]
 		if in.ID == 0 || len(in.Replicas) == 0 {
 			continue
 		}
-		sh := &l.shards[shardOf(in.ID)]
-		blk := sh.blocks[in.ID]
-		if blk != nil && blk.epoch == l.epoch {
+		shardIdx := striped.ShardOf(in.ID)
+		recs, index := l.store.Shard(shardIdx).Recs, l.byServer[shardIdx]
+		blk := recs[in.ID]
+		if blk != nil && l.store.Stamped(blk) {
 			continue // the state names this id twice; the first one stands
 		}
 		awaiting := pendingSlots(in.Replicas)
 		switch {
 		case blk == nil:
 			blk = &block{ReplBlock: wire.ReplBlock{ID: in.ID, Replicas: slices.Clone(in.Replicas)}}
-			sh.blocks[in.ID] = blk
-			sh.indexSlots(blk)
+			recs[in.ID] = blk
+			index.indexSlots(blk)
 			ch.Inserted++
 			requeue = requeue || awaiting > 0
 		case !slices.Equal(blk.Replicas, in.Replicas):
-			sh.unindexSlots(blk)
+			index.unindexSlots(blk)
 			blk.Replicas = append(blk.Replicas[:0], in.Replicas...)
-			sh.indexSlots(blk)
+			index.indexSlots(blk)
 			ch.Rewritten++
 			requeue = true
 		}
 		blk.EnvStrict = in.EnvStrict
-		blk.epoch = l.epoch
+		l.store.Stamp(blk)
 		blocks++
 		slots += int64(len(in.Replicas))
 		pending += awaiting
 	}
-	held := 0
-	for i := range l.shards {
-		held += len(l.shards[i].blocks)
-	}
-	if int64(held) != blocks {
-		for i := range l.shards {
-			sh := &l.shards[i]
-			for id, blk := range sh.blocks {
-				if blk.epoch != l.epoch {
-					sh.unindexSlots(blk)
-					delete(sh.blocks, id)
-					ch.Deleted++
-					requeue = requeue || pendingSlots(blk.Replicas) > 0
-				}
-			}
-		}
-	}
-	l.blocks.Store(blocks)
+	l.store.Sweep(blocks, func(blk *block) {
+		l.byServer[striped.ShardOf(blk.ID)].unindexSlots(blk)
+		ch.Deleted++
+		requeue = requeue || pendingSlots(blk.Replicas) > 0
+	})
+	l.blocks.Store(int64(blocks))
 	l.slots.Store(slots)
 	l.placed.Store(slots - pending)
 	l.pending.Store(pending)
@@ -663,7 +599,7 @@ func (l *Ledger) Reconcile(st *State) Changed {
 	l.creates.Store(st.Creates)
 	l.reimages.Store(st.Reimages)
 	l.generation.Store(st.Generation)
-	l.unlockAll()
+	l.store.UnlockAll()
 	if requeue {
 		l.rebuildQueue()
 	}
@@ -687,17 +623,15 @@ func (l *Ledger) ApplyState(st State) { l.Reconcile(&st) }
 // were in flight on the old primary when it died.
 func (l *Ledger) rebuildQueue() {
 	var refs []Repair
-	l.lockAll()
-	for i := range l.shards {
-		for _, b := range l.shards[i].blocks {
-			for slot := range b.Replicas {
-				if !b.Replicas[slot].Placed {
-					refs = append(refs, Repair{Block: b.ID, Replica: slot})
-				}
+	l.store.LockAll()
+	for _, b := range l.store.All() {
+		for slot := range b.Replicas {
+			if !b.Replicas[slot].Placed {
+				refs = append(refs, Repair{Block: b.ID, Replica: slot})
 			}
 		}
 	}
-	l.unlockAll()
+	l.store.UnlockAll()
 	l.queueMu.Lock()
 	l.queue = refs
 	l.queueMu.Unlock()
@@ -706,29 +640,20 @@ func (l *Ledger) rebuildQueue() {
 // Restore builds a ledger from persisted state, re-keyed to the current
 // snapshot generation (the caller re-validates placements via Rekey if the
 // generation moved): a fresh ledger, reconciled to the state. A file is held
-// to more than a peer is — a block Reconcile would skip (a zero or repeated
-// id, no replica slots) or that no replication frame could carry on to a
-// follower refuses the whole state. A skipped block's pending slots would be
-// missing from books that still count them lost, and the conservation residue
-// would last as long as the process; a refused file starts empty and
-// conserved.
+// to more than a peer is: what striped.CheckRecords refuses, or a block with
+// no replica slots, refuses the whole state. A block Reconcile skipped would
+// leave its pending slots out of books that still count them lost, and the
+// conservation residue would last as long as the process; a refused file
+// starts empty and conserved.
 func Restore(st State, generation uint64) (*Ledger, error) {
-	seen := make(map[uint64]struct{}, len(st.Blocks))
-	for i := range st.Blocks {
-		b := &st.Blocks[i]
-		if b.ID == 0 {
-			return nil, fmt.Errorf("blockledger: zero block id")
-		}
-		if _, dup := seen[b.ID]; dup {
-			return nil, fmt.Errorf("blockledger: duplicate block id %d", b.ID)
-		}
+	err := striped.CheckRecords("blockledger: block", st.Blocks, func(b *wire.ReplBlock) (uint64, error) {
 		if len(b.Replicas) == 0 {
-			return nil, fmt.Errorf("blockledger: block %d has no replica slots", b.ID)
+			return b.ID, fmt.Errorf("blockledger: block %d has no replica slots", b.ID)
 		}
-		if err := b.Encodable(); err != nil {
-			return nil, err
-		}
-		seen[b.ID] = struct{}{}
+		return b.ID, b.Encodable()
+	})
+	if err != nil {
+		return nil, err
 	}
 	l := New(generation)
 	st.Generation = generation

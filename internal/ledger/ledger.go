@@ -11,12 +11,12 @@
 // atomic millicore counters behind an atomic pointer. Reserve admits with a
 // CAS loop bounded by the caller-supplied capacity, so any number of
 // concurrent reservations can never jointly over-promise a class. Lease
-// bookkeeping (the id → grants map) is sharded: a lease lands on the shard
-// of its first granted class, and its id carries the shard index in its low
-// bits so Release and Renew route without a global lock. Reserve/Release
-// traffic on different classes therefore never contends on a mutex — only
-// the global operations (Rekey, Walk, Reconcile, Snapshot, List) still quiesce
-// the whole ledger, by taking every shard lock in ascending order. Re-keying to
+// bookkeeping (the id → grants map) is an internal/striped store: a lease
+// lands on the shard of its first granted class, and its id carries the shard
+// index in its low bits so Release and Renew route without a global lock.
+// Reserve/Release traffic on different classes therefore never contends on a
+// mutex — only the global operations (Rekey, Walk, Reconcile, Snapshot, List)
+// still quiesce the whole ledger, by taking every shard lock. Re-keying to
 // a new clustering generation swaps in a freshly summed table while holding
 // all shard locks, and a reservation racing the swap detects it and retries
 // against the new generation instead of landing on the dead table.
@@ -27,18 +27,16 @@
 package ledger
 
 import (
-	crand "crypto/rand"
 	"errors"
 	"fmt"
 	"math"
-	"math/rand/v2"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"harvest/internal/core"
+	"harvest/internal/striped"
 	"harvest/internal/wire"
 )
 
@@ -138,9 +136,8 @@ const inlineGrants = 4
 // whose Grants is replaced wholesale (on re-key), never mutated.
 type lease struct {
 	wire.ReplLease
-	// epoch is the Reconcile pass that last confirmed the lease (0 for a
-	// lease this ledger issued itself); the pass deletes whatever it did not
-	// stamp. Guarded by the shard lock.
+	// epoch is the store's stamp: the Reconcile pass that last confirmed the
+	// lease (0 for a lease this ledger issued itself).
 	epoch uint64
 	// inline backs Grants for a lease issued or first reconciled here with at
 	// most inlineGrants of them, written once before the record is published.
@@ -151,28 +148,6 @@ type lease struct {
 // outlives the shard lock on a lease still held clones them.
 func (ls *lease) view() Lease {
 	return Lease{ID: ls.ID, ExpiresAt: ls.ExpiresAt, Grants: ls.Grants, Meta: Meta{JobID: ls.JobID, Owner: ls.Owner}}
-}
-
-// numShards is the lease-map shard count: a power of two so the shard index
-// is a mask of the lease id's low bits. 16 shards comfortably exceeds the
-// per-class contention a single machine generates while keeping the
-// lock-all operations (Rekey, Export) cheap.
-const (
-	numShards = 16
-	shardMask = numShards - 1
-)
-
-// shardOf routes a lease id to its owning shard: the shard index rides in
-// the id's low bits, stamped at issue time, so routing is O(1) with no
-// global state.
-func shardOf(id uint64) int { return int(id & shardMask) }
-
-// leaseShard is one lock-striped slice of the lease map. Each shard owns its
-// id RNG so issuing never crosses shard boundaries.
-type leaseShard struct {
-	mu     sync.Mutex
-	leases map[uint64]*lease
-	idrng  *rand.ChaCha8
 }
 
 // floorSet is one generation's per-class admission floors: millicores held
@@ -194,15 +169,10 @@ type Ledger struct {
 	// misapply it).
 	floors atomic.Pointer[floorSet]
 
-	// shards hold the lease bookkeeping. Lock order: any single-shard
-	// operation takes exactly one shard lock; global operations take all of
-	// them in ascending index order. The table swap (Rekey) happens with all
-	// shard locks held, so any op holding one shard lock reads a stable
-	// table pointer.
-	shards [numShards]leaseShard
-
-	// epoch numbers Reconcile passes; it moves with every shard lock held.
-	epoch uint64
+	// store holds the lease bookkeeping, under internal/striped's lock order.
+	// The table swap (Rekey) happens with all shard locks held, so any op
+	// holding one shard lock reads a stable table pointer.
+	store *striped.Store[lease]
 
 	// Cumulative counters. The conservation invariant is
 	//   reserved == released + expired + forfeited + outstanding
@@ -223,58 +193,9 @@ type Ledger struct {
 
 // New creates an empty ledger for the given clustering generation.
 func New(generation uint64, numClasses int) *Ledger {
-	l := &Ledger{}
-	for i := range l.shards {
-		var seed [32]byte
-		if _, err := crand.Read(seed[:]); err != nil {
-			// The platform CSPRNG failing is unrecoverable (crypto/rand panics
-			// on its own read paths for the same reason): lease ids would be
-			// guessable, which release turns into a capability.
-			panic("ledger: reading CSPRNG seed: " + err.Error())
-		}
-		l.shards[i].leases = make(map[uint64]*lease)
-		l.shards[i].idrng = rand.NewChaCha8(seed)
-	}
+	l := &Ledger{store: striped.New(func(ls *lease) *uint64 { return &ls.epoch })}
 	l.tab.Store(newTable(generation, numClasses))
 	return l
-}
-
-// lockAll acquires every shard lock in ascending order — the global
-// quiescence point for Rekey, Walk, Reconcile, Snapshot, and List.
-func (l *Ledger) lockAll() {
-	for i := range l.shards {
-		l.shards[i].mu.Lock()
-	}
-}
-
-func (l *Ledger) unlockAll() {
-	for i := range l.shards {
-		l.shards[i].mu.Unlock()
-	}
-}
-
-// maxJSONSafeID bounds lease ids to 53 bits: the JSON API carries them as
-// numbers, and float64-backed consumers (JavaScript, jq) silently round
-// integers past 2^53 — a client would then release a lease id the server
-// never issued. 2^53 random values are still far beyond enumerable.
-const maxJSONSafeID = 1<<53 - 1
-
-// newLeaseID draws an unguessable nonzero lease id whose low bits carry the
-// shard index, retrying the (vanishing) zero and collision cases. Ids double
-// as release capabilities once they cross process boundaries — the binary
-// wire protocol freezes them as opaque 64-bit values — so the 49 bits above
-// the shard index stay CSPRNG-random, never a counter. Called with the
-// shard's lock held.
-func (sh *leaseShard) newLeaseID(shardIdx int) uint64 {
-	for {
-		id := sh.idrng.Uint64()&maxJSONSafeID&^uint64(shardMask) | uint64(shardIdx)
-		if id == 0 {
-			continue
-		}
-		if _, taken := sh.leases[id]; !taken {
-			return id
-		}
-	}
 }
 
 // Generation returns the clustering generation the ledger is keyed to.
@@ -420,34 +341,32 @@ func (l *Ledger) ReserveInto(grants []Grant, generation uint64, reqs []Request, 
 
 	// The lease lands on its first class's shard, so reservations in
 	// different classes book-keep on different locks.
-	shardIdx := int(grants[0].Class) & shardMask
-	sh := &l.shards[shardIdx]
-	sh.mu.Lock()
+	sh := l.store.Shard(striped.ShardOf(uint64(grants[0].Class)))
+	sh.Lock()
 	if l.tab.Load() != t {
 		// A re-key swapped the table between our CASes and the insert (Rekey
 		// holds every shard lock across the swap, so taking ours ordered us
 		// after it): the summed-from-leases new table never saw these grants,
 		// so undoing them on the dead table is a no-op for the live one.
 		// Retry upstream.
-		sh.mu.Unlock()
+		sh.Unlock()
 		l.rollback(t, grants)
 		l.conflicts.Add(1)
 		return Lease{}, ErrStaleGeneration
 	}
-	ls := &lease{ReplLease: wire.ReplLease{ID: sh.newLeaseID(shardIdx), JobID: meta.JobID, Owner: meta.Owner}}
+	ls := &lease{ReplLease: wire.ReplLease{ID: sh.NewID(), JobID: meta.JobID, Owner: meta.Owner}}
 	ls.Grants = append(ls.inline[:0], grants...) // the record's own copy
 	if ttl > 0 {
 		ls.ExpiresAt = now.Add(ttl)
 	}
-	sh.leases[ls.ID] = ls
+	sh.Recs[ls.ID] = ls
 	// The cumulative counters move under the same shard lock as the lease
-	// map entry: Export (persistence) reads both with all shard locks held,
-	// and a counter lagging its lease would persist a state that violates
-	// conservation across a restart.
+	// map entry (internal/striped's rule): Export reads both with all shard
+	// locks held.
 	l.reserves.Add(1)
 	l.reservedMillis.Add(total)
 	out := Lease{ID: ls.ID, ExpiresAt: ls.ExpiresAt, Grants: grants, Meta: meta}
-	sh.mu.Unlock()
+	sh.Unlock()
 	return out, nil
 }
 
@@ -459,14 +378,14 @@ func (l *Ledger) rollback(t *table, grants []Grant) {
 
 // Release returns a lease's cores to its classes and retires the lease.
 func (l *Ledger) Release(id uint64) (Lease, error) {
-	sh := &l.shards[shardOf(id)]
-	sh.mu.Lock()
-	ls, ok := sh.leases[id]
+	sh := l.store.Shard(striped.ShardOf(id))
+	sh.Lock()
+	ls, ok := sh.Recs[id]
 	if !ok {
-		sh.mu.Unlock()
+		sh.Unlock()
 		return Lease{}, ErrUnknownLease
 	}
-	delete(sh.leases, id)
+	delete(sh.Recs, id)
 	t := l.tab.Load() // stable: Rekey holds every shard lock across the swap
 	var total int64
 	for _, g := range ls.Grants {
@@ -475,7 +394,7 @@ func (l *Ledger) Release(id uint64) (Lease, error) {
 	}
 	l.releases.Add(1)
 	l.releasedMillis.Add(total) // under the shard lock — see ReserveInto
-	sh.mu.Unlock()
+	sh.Unlock()
 	return ls.view(), nil
 }
 
@@ -490,11 +409,11 @@ func (l *Ledger) Renew(id uint64, ttl time.Duration, now time.Time) (Lease, erro
 // RenewInto is the renewal itself, with the returned lease's Grants copied
 // into the caller's buffer (from its start).
 func (l *Ledger) RenewInto(grants []Grant, id uint64, ttl time.Duration, now time.Time) (Lease, error) {
-	sh := &l.shards[shardOf(id)]
-	sh.mu.Lock()
-	ls, ok := sh.leases[id]
+	sh := l.store.Shard(striped.ShardOf(id))
+	sh.Lock()
+	ls, ok := sh.Recs[id]
 	if !ok {
-		sh.mu.Unlock()
+		sh.Unlock()
 		return Lease{}, ErrUnknownLease
 	}
 	if ttl > 0 {
@@ -505,7 +424,7 @@ func (l *Ledger) RenewInto(grants []Grant, id uint64, ttl time.Duration, now tim
 	out := ls.view()
 	out.Grants = append(grants[:0], out.Grants...)
 	l.renews.Add(1)
-	sh.mu.Unlock()
+	sh.Unlock()
 	return out, nil
 }
 
@@ -516,19 +435,15 @@ func (l *Ledger) List(offset, limit int) (page []Lease, total int) {
 	if limit <= 0 {
 		return nil, 0
 	}
-	l.lockAll()
-	defer l.unlockAll()
-	for i := range l.shards {
-		total += len(l.shards[i].leases)
-	}
+	l.store.LockAll()
+	defer l.store.UnlockAll()
+	total = l.store.Len()
 	if offset >= total {
 		return nil, total
 	}
 	ids := make([]uint64, 0, total)
-	for i := range l.shards {
-		for id := range l.shards[i].leases {
-			ids = append(ids, id)
-		}
+	for id := range l.store.All() {
+		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	end := offset + limit
@@ -537,7 +452,7 @@ func (l *Ledger) List(offset, limit int) (page []Lease, total int) {
 	}
 	page = make([]Lease, 0, end-offset)
 	for _, id := range ids[offset:end] {
-		out := l.shards[shardOf(id)].leases[id].view()
+		out := l.store.Shard(striped.ShardOf(id)).Recs[id].view()
 		out.Grants = slices.Clone(out.Grants)
 		page = append(page, out)
 	}
@@ -549,17 +464,17 @@ func (l *Ledger) List(offset, limit int) (page []Lease, total int) {
 // deadline never expire. The sweep walks one shard at a time, so it never
 // stalls reserve/release traffic on the other shards.
 func (l *Ledger) ExpireBefore(now time.Time) (leases int, millis int64) {
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.Lock()
+	for i := range striped.NumShards {
+		sh := l.store.Shard(i)
+		sh.Lock()
 		t := l.tab.Load() // stable while the shard lock is held
 		var shardLeases int
 		var shardMillis int64
-		for id, ls := range sh.leases {
+		for id, ls := range sh.Recs {
 			if ls.ExpiresAt.IsZero() || ls.ExpiresAt.After(now) {
 				continue
 			}
-			delete(sh.leases, id)
+			delete(sh.Recs, id)
 			for _, g := range ls.Grants {
 				t.alloc[int(g.Class)].Add(-g.Millis)
 				shardMillis += g.Millis
@@ -570,7 +485,7 @@ func (l *Ledger) ExpireBefore(now time.Time) (leases int, millis int64) {
 			l.expiries.Add(uint64(shardLeases))
 			l.expiredMillis.Add(shardMillis) // under the shard lock — see ReserveInto
 		}
-		sh.mu.Unlock()
+		sh.Unlock()
 		leases += shardLeases
 		millis += shardMillis
 	}
@@ -588,15 +503,13 @@ func (l *Ledger) ExpireBefore(now time.Time) (leases int, millis int64) {
 // ReserveInto). Leases stay on their issuing shard — the id's shard bits are
 // immutable — even when a grant remap moves their classes.
 func (l *Ledger) Rekey(newGeneration uint64, numClasses int, remap map[core.ClassID][]Share) {
-	l.lockAll()
-	defer l.unlockAll()
+	l.store.LockAll()
+	defer l.store.UnlockAll()
 	nt := newTable(newGeneration, numClasses)
-	for i := range l.shards {
-		for _, ls := range l.shards[i].leases {
-			ls.Grants = l.remapGrants(ls.Grants, remap, numClasses)
-			for _, g := range ls.Grants {
-				nt.alloc[int(g.Class)].Add(g.Millis)
-			}
+	for _, ls := range l.store.All() {
+		ls.Grants = l.remapGrants(ls.Grants, remap, numClasses)
+		for _, g := range ls.Grants {
+			nt.alloc[int(g.Class)].Add(g.Millis)
 		}
 	}
 	l.tab.Store(nt)
@@ -708,19 +621,17 @@ type Stats struct {
 
 // Snapshot returns the ledger's counters and per-class occupancy.
 func (l *Ledger) Snapshot() Stats {
-	l.lockAll()
+	l.store.LockAll()
 	t := l.tab.Load()
 	st := Stats{
 		Generation:             t.generation,
+		ActiveLeases:           l.store.Len(),
 		AllocatedMillisByClass: make([]int64, len(t.alloc)),
 		AllocatedCoresByClass:  make([]float64, len(t.alloc)),
 	}
-	for i := range l.shards {
-		st.ActiveLeases += len(l.shards[i].leases)
-		for _, ls := range l.shards[i].leases {
-			for _, g := range ls.Grants {
-				st.OutstandingMillis += g.Millis
-			}
+	for _, ls := range l.store.All() {
+		for _, g := range ls.Grants {
+			st.OutstandingMillis += g.Millis
 		}
 	}
 	// Cumulative counters read under the same locks their writers hold, so
@@ -734,7 +645,7 @@ func (l *Ledger) Snapshot() Stats {
 	st.Renews = l.renews.Load()
 	st.Expiries = l.expiries.Load()
 	st.Conflicts = l.conflicts.Load()
-	l.unlockAll()
+	l.store.UnlockAll()
 	st.OutstandingCores = CoresOf(st.OutstandingMillis)
 	st.ReservedCores = CoresOf(st.ReservedMillis)
 	st.ReleasedCores = CoresOf(st.ReleasedMillis)
@@ -763,12 +674,8 @@ type State = wire.ReplLedger
 // copy it) but must not keep or modify it. Neither callback may call back into
 // the ledger.
 func (l *Ledger) Walk(begin func(books State, leases int), visit func(wire.ReplLease)) {
-	l.lockAll()
-	defer l.unlockAll()
-	var count int
-	for i := range l.shards {
-		count += len(l.shards[i].leases)
-	}
+	l.store.LockAll()
+	defer l.store.UnlockAll()
 	begin(State{
 		Generation:      l.tab.Load().generation,
 		ReservedMillis:  l.reservedMillis.Load(),
@@ -780,11 +687,9 @@ func (l *Ledger) Walk(begin func(books State, leases int), visit func(wire.ReplL
 		Renews:          l.renews.Load(),
 		Expiries:        l.expiries.Load(),
 		Conflicts:       l.conflicts.Load(),
-	}, count)
-	for i := range l.shards {
-		for _, ls := range l.shards[i].leases {
-			visit(ls.ReplLease)
-		}
+	}, l.store.Len())
+	for _, ls := range l.store.All() {
+		visit(ls.ReplLease)
 	}
 }
 
@@ -837,9 +742,9 @@ type Changed struct {
 // CSPRNG streams and are collision-checked against the applied set, so a
 // handoff cannot double-grant an id.
 func (l *Ledger) Reconcile(st *State, numClasses int) Changed {
-	l.lockAll()
-	defer l.unlockAll()
-	l.epoch++
+	l.store.LockAll()
+	defer l.store.UnlockAll()
+	l.store.BeginPass()
 	nt := newTable(st.Generation, numClasses)
 	classes := uint64(numClasses)
 	var ch Changed
@@ -850,9 +755,9 @@ func (l *Ledger) Reconcile(st *State, numClasses int) Changed {
 		if in.ID == 0 {
 			continue
 		}
-		sh := &l.shards[shardOf(in.ID)]
-		ls := sh.leases[in.ID]
-		if ls != nil && ls.epoch == l.epoch {
+		sh := l.store.Shard(striped.ShardOf(in.ID))
+		ls := sh.Recs[in.ID]
+		if ls != nil && l.store.Stamped(ls) {
 			continue // the state names this id twice; the first one stands
 		}
 		// One pass over the incoming grants books them into the new table and
@@ -884,7 +789,7 @@ func (l *Ledger) Reconcile(st *State, numClasses int) Changed {
 			var grants []Grant
 			if ls == nil {
 				ls = &lease{}
-				sh.leases[in.ID] = ls
+				sh.Recs[in.ID] = ls
 				ch.Inserted++
 				grants = ls.inline[:0]
 			} else {
@@ -901,23 +806,10 @@ func (l *Ledger) Reconcile(st *State, numClasses int) Changed {
 			ls.Grants = grants
 		}
 		ls.ID, ls.ExpiresAt, ls.JobID, ls.Owner = in.ID, in.ExpiresAt, in.JobID, in.Owner
-		ls.epoch = l.epoch
+		l.store.Stamp(ls)
 		applied++
 	}
-	held := 0
-	for i := range l.shards {
-		held += len(l.shards[i].leases)
-	}
-	if held != applied {
-		for i := range l.shards {
-			for id, ls := range l.shards[i].leases {
-				if ls.epoch != l.epoch {
-					delete(l.shards[i].leases, id)
-					ch.Deleted++
-				}
-			}
-		}
-	}
+	l.store.Sweep(applied, func(*lease) { ch.Deleted++ })
 	// The generation lives in the table and moves with it.
 	l.reservedMillis.Store(st.ReservedMillis)
 	l.releasedMillis.Store(st.ReleasedMillis)
@@ -937,29 +829,20 @@ func (l *Ledger) ApplyState(st State, numClasses int) { l.Reconcile(&st, numClas
 
 // Restore builds a ledger from persisted state, which must be keyed to the
 // given generation (the restored snapshot's): a fresh ledger, reconciled to
-// the state. A file is held to more than a peer is — a zero or repeated lease
-// id, or a lease no replication frame could carry on to a follower, refuses
-// the whole state instead of being skipped — and otherwise treated the same:
-// grants on out-of-range classes are forfeited rather than trusted (the file
-// may predate a re-key the process never got to persist), and leases route to
-// the shard their id's low bits name, whatever process issued them.
+// the state. A file is held to more than a peer is (striped.CheckRecords
+// refuses the whole state where Reconcile would skip a lease) and otherwise
+// treated the same: grants on out-of-range classes are forfeited rather than
+// trusted (the file may predate a re-key the process never got to persist),
+// and leases route to the shard their id's low bits name, whatever process
+// issued them.
 func Restore(st State, generation uint64, numClasses int) (*Ledger, error) {
 	if st.Generation != generation {
 		return nil, fmt.Errorf("ledger: state is for generation %d, snapshot is %d", st.Generation, generation)
 	}
-	seen := make(map[uint64]struct{}, len(st.Leases))
-	for i := range st.Leases {
-		ls := &st.Leases[i]
-		if ls.ID == 0 {
-			return nil, fmt.Errorf("ledger: zero lease id")
-		}
-		if _, dup := seen[ls.ID]; dup {
-			return nil, fmt.Errorf("ledger: duplicate lease id %d", ls.ID)
-		}
-		if err := ls.Encodable(); err != nil {
-			return nil, err
-		}
-		seen[ls.ID] = struct{}{}
+	err := striped.CheckRecords("ledger: lease", st.Leases,
+		func(ls *wire.ReplLease) (uint64, error) { return ls.ID, ls.Encodable() })
+	if err != nil {
+		return nil, err
 	}
 	l := New(generation, numClasses)
 	l.Reconcile(&st, numClasses)
