@@ -220,11 +220,11 @@ func (b *BinaryServer) dispatch(sc *scratch, out []byte, h wire.Header, payload 
 var badPayload = &rejection{Status: http.StatusBadRequest, Message: "bad request payload"}
 
 // serve is the binary codec of each operation: payload → arguments, result →
-// appended response frame. Responses are encoded inline with the Append*
-// primitives, no intermediate structs.
+// the operation's response message, appended as a frame by internal/wire's
+// encoder for it. The slices a message carries are the connection scratch's,
+// reused from one request to the next.
 func (b *BinaryServer) serve(sc *scratch, out []byte, h wire.Header, payload []byte, dc string, tr *obs.Trace) ([]byte, *rejection) {
-	mark := len(out)
-	out = wire.BeginFrame(out, h.Op.Resp(), h.ID)
+	re := &sc.reply
 	switch h.Op {
 	case wire.OpSelect:
 		var m wire.SelectReq
@@ -241,21 +241,22 @@ func (b *BinaryServer) serve(sc *scratch, out []byte, h wire.Header, payload []b
 		if rej != nil {
 			return out, rej
 		}
-		out = wire.AppendU64(out, res.At.Generation)
-		out = wire.AppendU64(out, res.Lease)
-		out = wire.AppendF64(out, secondsUntil(res.ExpiresAt))
-		out = wire.AppendU8(out, uint8(res.JobType))
-		out = wire.AppendU8(out, boolByte(!res.Selection.Empty()))
-		out = wire.AppendU16(out, uint16(len(res.Selection.Classes)))
+		re.selectGrants = re.selectGrants[:0]
 		for i, cls := range res.Selection.Classes {
-			out = wire.AppendU32(out, uint32(cls))
-			out = wire.AppendF64(out, res.Selection.Headrooms[i])
-			var granted float64 // a dry run grants nothing
-			if i < len(res.Granted) {
-				granted = res.Granted[i]
+			g := wire.SelectGrant{Class: uint32(cls), Headroom: res.Selection.Headrooms[i]}
+			if i < len(res.Granted) { // a dry run grants nothing
+				g.Granted = res.Granted[i]
 			}
-			out = wire.AppendF64(out, granted)
+			re.selectGrants = append(re.selectGrants, g)
 		}
+		return wire.AppendSelectResp(out, h.ID, &wire.SelectResp{
+			Generation:  res.At.Generation,
+			Lease:       res.Lease,
+			ExpiresIn:   secondsUntil(res.ExpiresAt),
+			Job:         uint8(res.JobType),
+			Satisfiable: !res.Selection.Empty(),
+			Classes:     re.selectGrants,
+		}), nil
 	case wire.OpRelease:
 		var m wire.ReleaseReq
 		if m.Decode(payload) != nil {
@@ -265,13 +266,11 @@ func (b *BinaryServer) serve(sc *scratch, out []byte, h wire.Header, payload []b
 		if rej != nil {
 			return out, rej
 		}
-		out = wire.AppendU64(out, lease.ID)
-		out = wire.AppendI64(out, lease.TotalMillis())
-		out = wire.AppendU16(out, uint16(len(lease.Grants)))
+		re.releaseGrants = re.releaseGrants[:0]
 		for _, g := range lease.Grants {
-			out = wire.AppendU32(out, uint32(g.Class))
-			out = wire.AppendI64(out, g.Millis)
+			re.releaseGrants = append(re.releaseGrants, wire.ReleaseGrant(g))
 		}
+		return wire.AppendReleaseResp(out, h.ID, &wire.ReleaseResp{Lease: lease.ID, TotalMillis: lease.TotalMillis(), Grants: re.releaseGrants}), nil
 	case wire.OpRenew:
 		var m wire.RenewReq
 		if m.Decode(payload) != nil {
@@ -281,9 +280,7 @@ func (b *BinaryServer) serve(sc *scratch, out []byte, h wire.Header, payload []b
 		if rej != nil {
 			return out, rej
 		}
-		out = wire.AppendU64(out, lease.ID)
-		out = wire.AppendI64(out, lease.TotalMillis())
-		out = wire.AppendF64(out, secondsUntil(lease.ExpiresAt))
+		return wire.AppendRenewResp(out, h.ID, &wire.RenewResp{Lease: lease.ID, TotalMillis: lease.TotalMillis(), ExpiresIn: secondsUntil(lease.ExpiresAt)}), nil
 	case wire.OpPlace:
 		var m wire.PlaceReq
 		if m.Decode(payload) != nil {
@@ -293,8 +290,7 @@ func (b *BinaryServer) serve(sc *scratch, out []byte, h wire.Header, payload []b
 		if rej != nil {
 			return out, rej
 		}
-		out = wire.AppendU64(out, placed.Generation)
-		out = appendServers(out, placed.Replicas)
+		return wire.AppendPlaceResp(out, h.ID, &wire.PlaceResp{Generation: placed.Generation, Replicas: re.serverIDs(placed.Replicas)}), nil
 	case wire.OpPlaceBlock:
 		var m wire.PlaceBlockReq
 		if m.Decode(payload) != nil {
@@ -304,9 +300,7 @@ func (b *BinaryServer) serve(sc *scratch, out []byte, h wire.Header, payload []b
 		if rej != nil {
 			return out, rej
 		}
-		out = wire.AppendU64(out, placed.Generation)
-		out = wire.AppendU64(out, placed.Block)
-		out = appendServers(out, placed.Replicas)
+		return wire.AppendPlaceBlockResp(out, h.ID, &wire.PlaceBlockResp{Generation: placed.Generation, Block: placed.Block, Replicas: re.serverIDs(placed.Replicas)}), nil
 	case wire.OpReimage:
 		var m wire.ReimageReq
 		if m.Decode(payload) != nil {
@@ -316,9 +310,7 @@ func (b *BinaryServer) serve(sc *scratch, out []byte, h wire.Header, payload []b
 		if rej != nil {
 			return out, rej
 		}
-		out = wire.AppendI64(out, m.Server)
-		out = wire.AppendU32(out, uint32(lost))
-		out = wire.AppendU32(out, uint32(pending))
+		return wire.AppendReimageResp(out, h.ID, &wire.ReimageResp{Server: m.Server, Lost: uint32(lost), Pending: uint32(pending)}), nil
 	case wire.OpClasses:
 		var m wire.ClassesReq
 		if m.Decode(payload) != nil {
@@ -328,13 +320,11 @@ func (b *BinaryServer) serve(sc *scratch, out []byte, h wire.Header, payload []b
 		if rej != nil {
 			return out, rej
 		}
-		out = wire.AppendU64(out, v.snap.Generation)
-		out = wire.AppendF64(out, v.snap.AsOf.Seconds())
-		out = wire.AppendU16(out, uint16(len(v.snap.Clustering.Classes)))
+		re.classes = re.classes[:0]
 		for _, cls := range v.snap.Clustering.Classes {
-			rec := v.rec(cls)
-			out = wire.AppendClassRec(out, &rec)
+			re.classes = append(re.classes, v.rec(cls))
 		}
+		return wire.AppendClassesResp(out, h.ID, &wire.ClassesResp{Generation: v.snap.Generation, AsOfSeconds: v.snap.AsOf.Seconds(), Classes: re.classes}), nil
 	case wire.OpServerClass:
 		var m wire.ServerClassReq
 		if m.Decode(payload) != nil {
@@ -344,28 +334,28 @@ func (b *BinaryServer) serve(sc *scratch, out []byte, h wire.Header, payload []b
 		if rej != nil {
 			return out, rej
 		}
-		out = wire.AppendU64(out, snap.Generation)
-		out = wire.AppendI64(out, m.Server)
-		out = wire.AppendClassRec(out, &rec)
+		return wire.AppendServerClassResp(out, h.ID, &wire.ServerClassResp{Generation: snap.Generation, Server: m.Server, Class: rec}), nil
 	default:
 		panic("service: request opcode " + h.Op.String() + " has no binary codec")
 	}
-	return wire.EndFrame(out, mark), nil
 }
 
-func appendServers(out []byte, servers []tenant.ServerID) []byte {
-	out = wire.AppendU16(out, uint16(len(servers)))
+// replyScratch is the slices a binary response message carries, kept with the
+// connection's scratch so a reply costs no garbage.
+type replyScratch struct {
+	selectGrants  []wire.SelectGrant
+	releaseGrants []wire.ReleaseGrant
+	servers       []int64
+	classes       []wire.ClassRec
+}
+
+// serverIDs is the wire form of a placement's replica servers.
+func (re *replyScratch) serverIDs(servers []tenant.ServerID) []int64 {
+	re.servers = re.servers[:0]
 	for _, s := range servers {
-		out = wire.AppendI64(out, int64(s))
+		re.servers = append(re.servers, int64(s))
 	}
-	return out
-}
-
-func boolByte(v bool) uint8 {
-	if v {
-		return 1
-	}
-	return 0
+	return re.servers
 }
 
 // secondsUntil is the wire form of an expiry: seconds from now, 0 for a lease

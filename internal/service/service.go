@@ -1167,6 +1167,7 @@ type scratch struct {
 	grants   []ledger.Grant
 	granted  []float64
 	replicas []tenant.ServerID
+	reply    replyScratch
 }
 
 // selectOn runs class selection (Alg. 1) against a snapshot the caller

@@ -2,11 +2,11 @@ package wire
 
 import "math"
 
-// Typed message codecs: one struct per opcode with an append-style frame
-// encoder and a strict decoder. The serving hot path encodes responses
-// inline with the Append* primitives (no intermediate structs); these types
-// are for everyone else — the load generators and the round-trip tests — so
-// both dialect ends share one definition of each payload layout.
+// Typed message codecs: one struct per opcode with one append-style frame
+// encoder and one strict decoder, the only definition of its payload layout.
+// The server answers through the encoders (a response's slices live in its
+// connection's scratch), the load generators and the router's tests call the
+// same ones, and every decoder reuses the slices of the message it fills.
 
 // SelectReq asks for classes to host a job, mirroring the JSON
 // selectRequest. Job is one of the Job* codes; HoldMillis is the lease TTL
