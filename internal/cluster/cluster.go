@@ -154,19 +154,6 @@ func (c *Cluster) ScaleUtilization(target float64, method timeseries.ScalingMeth
 	}
 }
 
-// AveragePrimaryUtilization returns the mean primary utilization across all
-// servers at the given time.
-func (c *Cluster) AveragePrimaryUtilization(now time.Duration) float64 {
-	if len(c.serverList) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, srv := range c.serverList {
-		sum += srv.PrimaryUtilization(now)
-	}
-	return sum / float64(len(c.serverList))
-}
-
 // MeanPrimaryUtilization returns the time-averaged primary utilization of the
 // whole cluster over its tenants' traces, the x-axis of Figures 13 and 16.
 func (c *Cluster) MeanPrimaryUtilization() float64 {
@@ -189,19 +176,4 @@ func (c *Cluster) TotalCores() int {
 		total += srv.Resources.Cores
 	}
 	return total
-}
-
-// BusyFraction returns the fraction of servers that are busy at the given
-// time (primary utilization leaves nothing outside the reserve).
-func (c *Cluster) BusyFraction(now time.Duration) float64 {
-	if len(c.serverList) == 0 {
-		return 0
-	}
-	busy := 0
-	for _, srv := range c.serverList {
-		if srv.IsBusy(now) {
-			busy++
-		}
-	}
-	return float64(busy) / float64(len(c.serverList))
 }

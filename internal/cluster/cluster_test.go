@@ -119,16 +119,9 @@ func TestAverageAndBusyFraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	avg := c.AveragePrimaryUtilization(0)
 	want := (0.2 + 0.2 + 0.9) / 3
-	if math.Abs(avg-want) > 1e-9 {
-		t.Fatalf("AveragePrimaryUtilization = %v, want %v", avg, want)
-	}
 	if math.Abs(c.MeanPrimaryUtilization()-want) > 1e-9 {
 		t.Fatalf("MeanPrimaryUtilization = %v, want %v", c.MeanPrimaryUtilization(), want)
-	}
-	if got := c.BusyFraction(0); math.Abs(got-1.0/3.0) > 1e-9 {
-		t.Fatalf("BusyFraction = %v, want 1/3", got)
 	}
 }
 
@@ -172,7 +165,7 @@ func TestHarvestableBytesFlowThrough(t *testing.T) {
 
 func TestEmptyClusterAggregates(t *testing.T) {
 	c := &Cluster{}
-	if c.AveragePrimaryUtilization(0) != 0 || c.MeanPrimaryUtilization() != 0 || c.BusyFraction(0) != 0 {
+	if c.MeanPrimaryUtilization() != 0 {
 		t.Fatalf("empty cluster aggregates should be zero")
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"time"
 
-	"harvest/internal/cluster"
 	"harvest/internal/core"
 	"harvest/internal/tenant"
 	"harvest/internal/trace"
@@ -92,19 +91,6 @@ func PlacementInfos(pop *tenant.Population) []core.TenantPlacementInfo {
 		})
 	}
 	return infos
-}
-
-// buildCluster wraps buildPopulation with the testbed server shape.
-func buildCluster(dc string, s Scale) (*cluster.Cluster, *trace.Generator, error) {
-	pop, gen, err := buildPopulation(dc, s)
-	if err != nil {
-		return nil, nil, err
-	}
-	cl, err := cluster.New(pop, tenant.DefaultServerResources(), tenant.DefaultReserve())
-	if err != nil {
-		return nil, nil, err
-	}
-	return cl, gen, nil
 }
 
 // buildWorkload generates a TPC-DS-like job arrival sequence.

@@ -55,10 +55,8 @@ type Announcer struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
-	beats     atomic.Uint64
-	beatFails atomic.Uint64
-	lastErr   atomic.Pointer[string]
-	draining  atomic.Bool
+	lastErr  atomic.Pointer[string]
+	draining atomic.Bool
 }
 
 // StartAnnouncer validates the config and starts the heartbeat loop, which
@@ -172,19 +170,12 @@ func (a *Announcer) announce() error {
 		}
 	}
 	if err != nil {
-		a.beatFails.Add(1)
 		msg := err.Error()
 		a.lastErr.Store(&msg)
 		return err
 	}
-	a.beats.Add(1)
 	a.lastErr.Store(nil)
 	return nil
-}
-
-// Beats reports successful and failed registration beats since start.
-func (a *Announcer) Beats() (ok, failed uint64) {
-	return a.beats.Load(), a.beatFails.Load()
 }
 
 // Deregister sends one final heartbeat marked draining, telling the router to

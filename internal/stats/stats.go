@@ -162,24 +162,6 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Quantiles returns the requested percentiles in one pass over a single sort.
-func Quantiles(xs []float64, ps ...float64) ([]float64, error) {
-	if len(xs) == 0 {
-		return nil, ErrEmpty
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		if p < 0 || p > 100 {
-			return nil, fmt.Errorf("stats: percentile %v out of range [0,100]", p)
-		}
-		out[i] = percentileSorted(sorted, p)
-	}
-	return out, nil
-}
-
 // CDFPoint is a single point of an empirical cumulative distribution.
 type CDFPoint struct {
 	Value      float64 // sample value
@@ -219,62 +201,6 @@ func CDFAt(xs []float64, v float64) float64 {
 		}
 	}
 	return float64(count) / float64(len(xs))
-}
-
-// Histogram is a fixed-width bucket histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int
-	// Underflow and Overflow count samples outside [Lo, Hi).
-	Underflow, Overflow int
-	total               int
-}
-
-// NewHistogram creates a histogram with n fixed-width buckets over [lo, hi).
-func NewHistogram(lo, hi float64, n int) (*Histogram, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs at least one bucket, got %d", n)
-	}
-	if !(lo < hi) {
-		return nil, fmt.Errorf("stats: histogram range [%v, %v) is empty", lo, hi)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int, n)}, nil
-}
-
-// Add records a sample.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	if x < h.Lo {
-		h.Underflow++
-		return
-	}
-	if x >= h.Hi {
-		h.Overflow++
-		return
-	}
-	idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Buckets)))
-	if idx >= len(h.Buckets) {
-		idx = len(h.Buckets) - 1
-	}
-	h.Buckets[idx]++
-}
-
-// Total returns the number of samples recorded, including out-of-range ones.
-func (h *Histogram) Total() int { return h.total }
-
-// BucketCenter returns the midpoint value of bucket i.
-func (h *Histogram) BucketCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Fraction returns the fraction of in-range samples in bucket i.
-func (h *Histogram) Fraction(i int) float64 {
-	inRange := h.total - h.Underflow - h.Overflow
-	if inRange == 0 {
-		return 0
-	}
-	return float64(h.Buckets[i]) / float64(inRange)
 }
 
 // Online is an online mean/variance accumulator (Welford's algorithm).
@@ -339,34 +265,6 @@ func Normalize(xs []float64) bool {
 		xs[i] /= sum
 	}
 	return true
-}
-
-// ArgMax returns the index of the largest element, or -1 for empty input.
-func ArgMax(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs {
-		if x > xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMin returns the index of the smallest element, or -1 for empty input.
-func ArgMin(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs {
-		if x < xs[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // Clamp limits x to the closed interval [lo, hi].

@@ -113,22 +113,6 @@ func TestMustPercentile(t *testing.T) {
 	}
 }
 
-func TestQuantiles(t *testing.T) {
-	qs, err := Quantiles([]float64{1, 2, 3, 4, 5}, 0, 50, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qs[0] != 1 || qs[1] != 3 || qs[2] != 5 {
-		t.Fatalf("Quantiles = %v", qs)
-	}
-	if _, err := Quantiles(nil, 50); err == nil {
-		t.Errorf("expected error for empty input")
-	}
-	if _, err := Quantiles([]float64{1}, 150); err == nil {
-		t.Errorf("expected error for out-of-range percentile")
-	}
-}
-
 func TestCDF(t *testing.T) {
 	points := CDF([]float64{1, 1, 2, 3})
 	if len(points) != 3 {
@@ -183,46 +167,6 @@ func TestCDFMonotonicProperty(t *testing.T) {
 	}
 }
 
-func TestHistogramBasics(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{-1, 0, 1.9, 2, 9.99, 10, 100} {
-		h.Add(v)
-	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d, want 7", h.Total())
-	}
-	if h.Underflow != 1 || h.Overflow != 2 {
-		t.Errorf("under/over = %d/%d, want 1/2", h.Underflow, h.Overflow)
-	}
-	if h.Buckets[0] != 2 { // 0 and 1.9
-		t.Errorf("bucket0 = %d, want 2", h.Buckets[0])
-	}
-	if h.Buckets[1] != 1 { // 2
-		t.Errorf("bucket1 = %d, want 1", h.Buckets[1])
-	}
-	if h.Buckets[4] != 1 { // 9.99
-		t.Errorf("bucket4 = %d, want 1", h.Buckets[4])
-	}
-	if got := h.BucketCenter(0); got != 1 {
-		t.Errorf("BucketCenter(0) = %v, want 1", got)
-	}
-	if got := h.Fraction(0); !almostEqual(got, 0.5, 1e-12) {
-		t.Errorf("Fraction(0) = %v, want 0.5", got)
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Errorf("expected error for zero buckets")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Errorf("expected error for empty range")
-	}
-}
-
 func TestOnlineMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	xs := make([]float64, 1000)
@@ -263,19 +207,6 @@ func TestNormalize(t *testing.T) {
 	zero := []float64{0, 0}
 	if Normalize(zero) {
 		t.Errorf("Normalize of zero-sum should return false")
-	}
-}
-
-func TestArgMaxArgMin(t *testing.T) {
-	xs := []float64{3, 9, -2, 9}
-	if ArgMax(xs) != 1 {
-		t.Errorf("ArgMax = %d, want 1 (first max)", ArgMax(xs))
-	}
-	if ArgMin(xs) != 2 {
-		t.Errorf("ArgMin = %d, want 2", ArgMin(xs))
-	}
-	if ArgMax(nil) != -1 || ArgMin(nil) != -1 {
-		t.Errorf("ArgMax/ArgMin of empty should be -1")
 	}
 }
 
