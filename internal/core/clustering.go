@@ -13,7 +13,10 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"harvest/internal/kmeans"
@@ -201,22 +204,9 @@ func (s *ClusteringService) ClusterFrom(pop *tenant.Population, src tenant.Histo
 		return nil, fmt.Errorf("core: cannot cluster an empty population")
 	}
 	// (Re)classify tenants so the clustering reflects the latest telemetry.
-	windows := newWindowReader(src)
-	active := make([]*tenant.Tenant, 0, len(pop.Tenants))
-	for _, t := range pop.Tenants {
-		values, interval := windows.read(t.ID)
-		if len(values) < signalproc.MinClassifySamples {
-			// Too little history to characterize (evicted ring, or one just
-			// refilling): the tenant sits out this generation.
-			continue
-		}
-		if err := s.classifyWindow(t, values, interval); err != nil {
-			return nil, err
-		}
-		active = append(active, t)
-	}
-	if len(active) == 0 {
-		return nil, fmt.Errorf("core: history source holds no series for any tenant")
+	active, err := s.ClassifyFrom(pop, src)
+	if err != nil {
+		return nil, err
 	}
 	clustering := newClustering(pop)
 	rng := rand.New(rand.NewSource(s.cfg.Seed))
@@ -237,11 +227,71 @@ func (s *ClusteringService) ClusterFrom(pop *tenant.Population, src tenant.Histo
 	return clustering, nil
 }
 
+// ClassifyFrom is ClusterFrom's first pass on its own: it re-derives every
+// tenant's Profile from its history window, in place, and returns the tenants
+// that had a window to classify, in population order. A daemon restoring a
+// clustering from disk runs it so its tenants' profiles describe the windows
+// its rings hold, which the next warm Recluster measures drift against.
+//
+// The tenants are spread over min(GOMAXPROCS, tenants) goroutines, each with
+// its own window scratch; the result does not depend on how many there are.
+// A failure stops the pass, and the error returned is the one of the lowest
+// failing index: tenants are claimed in order, so every tenant before it has
+// been claimed and is classified before the pass returns.
+func (s *ClusteringService) ClassifyFrom(pop *tenant.Population, src tenant.HistorySource) ([]*tenant.Tenant, error) {
+	n := len(pop.Tenants)
+	held := make([]bool, n)
+	errs := make([]error, n)
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			windows := newWindowReader(src)
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				t := pop.Tenants[i]
+				values, interval := windows.read(t.ID)
+				if len(values) < signalproc.MinClassifySamples {
+					// Too little history to characterize (evicted ring, or one
+					// just refilling): the tenant sits out this generation.
+					continue
+				}
+				if err := s.classifyWindow(t, values, interval); err != nil {
+					errs[i] = err
+					failed.Store(true)
+					return
+				}
+				held[i] = true
+			}
+		}()
+	}
+	wg.Wait()
+	active := make([]*tenant.Tenant, 0, n)
+	for i, t := range pop.Tenants {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		if held[i] {
+			active = append(active, t)
+		}
+	}
+	if len(active) == 0 {
+		return nil, fmt.Errorf("core: history source holds no series for any tenant")
+	}
+	return active, nil
+}
+
 // windowReader reads one tenant's history window at a time for a pass over
 // the population. A source that can fill caller-owned storage
-// (tenant.HistoryWindow) fills the reader's one scratch buffer, so the pass
-// allocates a window once, not once per tenant; any other source lends its own
-// series.
+// (tenant.HistoryWindow) fills the reader's one scratch buffer, so a pass
+// allocates a window once per reader, not once per tenant; any other source
+// lends its own series. A reader belongs to one goroutine.
 type windowReader struct {
 	src     tenant.HistorySource
 	window  tenant.HistoryWindow // nil when src does not implement it

@@ -1,10 +1,16 @@
 package core
 
 import (
+	"math"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"harvest/internal/signalproc"
 	"harvest/internal/tenant"
+	"harvest/internal/timeseries"
 	"harvest/internal/trace"
 )
 
@@ -122,26 +128,41 @@ func TestClusterRespectsExplicitClassCounts(t *testing.T) {
 	}
 }
 
+// withProcs runs f with GOMAXPROCS set to procs, which sets how many
+// goroutines the classify pass spreads the tenants over.
+func withProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
+// TestClusterDeterministicForSeed: the same seed gives the same classes,
+// centroids, membership and tenant profiles, bit for bit, however many
+// goroutines classify the tenants.
 func TestClusterDeterministicForSeed(t *testing.T) {
-	popA := testPopulation(t, 4, 0.1)
-	popB := testPopulation(t, 4, 0.1)
 	svc := NewClusteringService(DefaultClusteringConfig())
-	a, err := svc.Cluster(popA)
-	if err != nil {
-		t.Fatal(err)
+	var pops []*tenant.Population
+	var runs []*Clustering
+	for _, procs := range []int{1, 8, 1, 8} {
+		pop := testPopulation(t, 4, 0.1)
+		for _, tn := range pop.Tenants {
+			tn.Profile = signalproc.Profile{} // the clustering must derive them
+		}
+		withProcs(procs, func() {
+			c, err := svc.Cluster(pop)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pops, runs = append(pops, pop), append(runs, c)
+		})
 	}
-	b, err := svc.Cluster(popB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Classes) != len(b.Classes) {
-		t.Fatalf("class counts differ: %d vs %d", len(a.Classes), len(b.Classes))
-	}
-	for _, ta := range popA.Tenants {
-		ca, _ := a.ClassOfTenant(ta.ID)
-		cb, _ := b.ClassOfTenant(ta.ID)
-		if ca != cb {
-			t.Fatalf("tenant %v assigned to different classes across identical runs", ta.ID)
+	for r := 1; r < len(runs); r++ {
+		if !reflect.DeepEqual(runs[r], runs[0]) {
+			t.Fatalf("run %d: classes, centroids or membership differ from run 0", r)
+		}
+		for i, tn := range pops[r].Tenants {
+			if want := pops[0].Tenants[i].Profile; tn.Profile != want {
+				t.Fatalf("run %d: tenant %v profile %+v, run 0 has %+v", r, tn.ID, tn.Profile, want)
+			}
 		}
 	}
 }
@@ -170,6 +191,10 @@ func TestClassLookupOutOfRange(t *testing.T) {
 	}
 }
 
+// TestClusterErrorsOnUnclassifiableTenant: a population nobody can be
+// classified in fails, and when several tenants' windows cannot be classified
+// the error names the first of them in population order, however many
+// goroutines classify the tenants.
 func TestClusterErrorsOnUnclassifiableTenant(t *testing.T) {
 	bad := &tenant.Tenant{ID: 1} // no utilization series
 	pop, err := tenant.NewPopulation("DC-X", []*tenant.Tenant{bad})
@@ -180,4 +205,57 @@ func TestClusterErrorsOnUnclassifiableTenant(t *testing.T) {
 	if _, err := svc.Cluster(pop); err == nil {
 		t.Fatalf("expected classification failure to propagate")
 	}
+
+	// Tenants 100..131 in order; those at indices 9, 10 and 30 hold a NaN.
+	tenants := make([]*tenant.Tenant, 32)
+	for i := range tenants {
+		values := make([]float64, 2*timeseries.SlotsPerDay)
+		for j := range values {
+			values[j] = 0.5 + 0.1*math.Sin(float64(i+j))
+		}
+		if i == 9 || i == 10 || i == 30 {
+			values[len(values)/2] = math.NaN()
+		}
+		tenants[i] = &tenant.Tenant{ID: tenant.ID(100 + i), Servers: []tenant.ServerID{tenant.ServerID(i)},
+			Utilization: timeseries.New(timeseries.SlotDuration, values)}
+	}
+	pop, err = tenant.NewPopulation("DC-X", tenants)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 8} {
+		src := &gatedHistory{TraceHistory: tenant.TraceHistory{Pop: pop}}
+		if procs > 1 {
+			// Tenant 109's failure is found after tenant 110's.
+			src.wait, src.until, src.read = 109, 110, make(chan struct{})
+		}
+		withProcs(procs, func() {
+			_, err := svc.ClusterFrom(pop, src)
+			if err == nil || !strings.Contains(err.Error(), "tenant 109:") {
+				t.Fatalf("GOMAXPROCS %d: ClusterFrom = %v, want tenant 109's error", procs, err)
+			}
+		})
+	}
+}
+
+// gatedHistory is the trace-backed source, except that, when read is set,
+// tenant wait's window is handed out only once tenant until's has been and its
+// classification has had ample time to finish.
+type gatedHistory struct {
+	tenant.TraceHistory
+	wait, until tenant.ID
+	read        chan struct{}
+}
+
+func (h *gatedHistory) SeriesFor(id tenant.ID) *timeseries.Series {
+	if h.read != nil {
+		switch id {
+		case h.until:
+			defer close(h.read)
+		case h.wait:
+			<-h.read
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+	return h.TraceHistory.SeriesFor(id)
 }

@@ -132,6 +132,32 @@ func BenchmarkSnapshotBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkServiceNew measures a fresh boot at the benchmark harness's
+// population (DC-9 at scale 0.3): generating every tenant into its ring, then
+// classifying and clustering from the rings. population_ms and snapshot_ms are
+// the two phases as the "datacenter booted" log line reports them.
+func BenchmarkServiceNew(b *testing.B) {
+	cfg := testConfig()
+	cfg.Scale.Datacenter = 0.3
+	var population, snapshot time.Duration
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		svc, err := service.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, s := svc.BootPhases("DC-9")
+		population += p
+		snapshot += s
+		b.StopTimer()
+		svc.Close()
+		b.StartTimer()
+	}
+	perBoot := func(d time.Duration) float64 { return float64(d) / float64(b.N) / 1e6 }
+	b.ReportMetric(perBoot(population), "population_ms")
+	b.ReportMetric(perBoot(snapshot), "snapshot_ms")
+}
+
 // BenchmarkSnapshotRefreshWarm measures the steady-state refresh: a
 // warm-started re-clustering (drift check + K-Means from previous centroids,
 // no FFT for undrifted tenants) plus snapshot assembly. The ratio to

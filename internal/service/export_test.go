@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"net/http"
+	"time"
 
 	"harvest/internal/blockledger"
 	"harvest/internal/ledger"
@@ -44,6 +45,13 @@ func (s *Service) Ledgers(dc string) (*ledger.Ledger, *blockledger.Ledger) {
 func (s *Service) Boot(dc string) (*tenant.Population, *telemetry.Store) {
 	sh := s.shards[dc]
 	return sh.pop, sh.rings
+}
+
+// BootPhases returns what New spent on a datacenter generating its population
+// into the rings and building or restoring its snapshot.
+func (s *Service) BootPhases(dc string) (population, snapshot time.Duration) {
+	b := s.shards[dc].boot
+	return b.population, b.snapshot
 }
 
 // SetTestHookAfterRekey installs refreshShard's in-the-gap hook. Set it only

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"harvest/internal/blockledger"
+	"harvest/internal/core"
 	"harvest/internal/ledger"
 	"harvest/internal/wire"
 )
@@ -492,10 +493,20 @@ func (s *Service) restoreSnapshot(sh *shard) (*Snapshot, bool) {
 
 // snapshotFromFile is boot's policy in front of the shared reassembly: the
 // rest of the population fingerprint must match, and there is no previous
-// snapshot to borrow a placement scheme from.
+// snapshot to borrow a placement scheme from. The file carries classes, not
+// tenant profiles, so the tenants are classified from their rings — the pass
+// a fresh boot's clustering runs, without its K-Means — and the first warm
+// refresh measures drift against the windows the rings hold.
 func (s *Service) snapshotFromFile(sh *shard, p *persistedSnapshot) (*Snapshot, error) {
 	if p.NumTenants != len(sh.pop.Tenants) || p.NumServers != sh.pop.NumServers() {
 		return nil, fmt.Errorf("population fingerprint mismatch (seed/scale changed?)")
 	}
-	return s.snapshotFromRecords(sh, p.Generation, p.AsOfSeconds, p.BuiltAt, p.Classes, nil)
+	snap, err := s.snapshotFromRecords(sh, p.Generation, p.AsOfSeconds, p.BuiltAt, p.Classes, nil)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := core.NewClusteringService(s.cfg.Clustering).ClassifyFrom(sh.pop, sh.rings); err != nil {
+		return nil, err
+	}
+	return snap, nil
 }

@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -173,6 +174,43 @@ func TestRestoreRejectsBadContents(t *testing.T) {
 			mutatePersisted(t, dir, tc.mutate)
 			if gen := bootGeneration(t, cfg); gen != 1 {
 				t.Errorf("generation = %d, want 1 (file must be rejected)", gen)
+			}
+		})
+	}
+}
+
+// TestRestoredProfilesMatchTheRings: a restarted daemon's tenants are
+// classified from the windows its rings hold, as a fresh boot's are, so the
+// first warm refresh after a restore — with no telemetry since — finds no
+// tenant drifted. Profiles of the generated month instead of the rings'
+// three days made nine of 21 tenants drift and four change pattern.
+func TestRestoredProfilesMatchTheRings(t *testing.T) {
+	for _, slots := range []int{0, 2160} {
+		t.Run(fmt.Sprintf("ring slots %d", slots), func(t *testing.T) {
+			cfg := testConfig()
+			cfg.PersistDir = t.TempDir()
+			cfg.RingSlots = slots
+			cfg.FullRebuildEvery = -1
+			svc, err := service.New(cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			boot, _ := svc.Snapshot("DC-9")
+			svc.Close()
+			svc, err = service.New(cfg)
+			if err != nil {
+				t.Fatalf("New over the persisted state: %v", err)
+			}
+			defer svc.Close()
+			if snap, _ := svc.Snapshot("DC-9"); !snap.BuiltAt.Equal(boot.BuiltAt) {
+				t.Fatalf("restart built a snapshot at %v instead of restoring the one built at %v", snap.BuiltAt, boot.BuiltAt)
+			}
+			if err := svc.Refresh("DC-9"); err != nil {
+				t.Fatalf("Refresh: %v", err)
+			}
+			st, _ := svc.Stats("DC-9")
+			if r := st.Recluster; r.FullRebuild || r.Tenants == 0 || r.Drifted != 0 || r.PatternChanged != 0 {
+				t.Fatalf("first warm refresh after a restore: %+v", r)
 			}
 		})
 	}

@@ -169,6 +169,7 @@ type shard struct {
 	pop       *tenant.Population
 	sinceFull int          // warm refreshes since the last full rebuild (guarded by mu)
 	stage     persistStage // what persistShard builds the ledger files in (guarded by mu)
+	boot      bootPhases   // what New spent on the shard; written once, before it is served
 
 	refreshes     atomic.Uint64
 	refreshErrors atomic.Uint64
@@ -378,19 +379,28 @@ func New(cfg Config) (*Service, error) {
 		sh.snap.Store(snap)
 		s.order = append(s.order, dc)
 		s.shards[dc] = sh
-		ms := func(from, to time.Time) float64 { return float64(to.Sub(from).Microseconds()) / 1e3 }
+		sh.boot = bootPhases{populated.Sub(began), snapshotReady.Sub(populated), time.Since(snapshotReady)}
+		ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
 		slogger.Info("datacenter booted", "dc", dc, "tenants", len(sh.pop.Tenants),
 			"generation", snap.Generation, "restored", restored,
-			"population_ms", ms(began, populated),
-			"snapshot_ms", ms(populated, snapshotReady), "ledgers_ms", ms(snapshotReady, time.Now()))
+			"population_ms", ms(sh.boot.population),
+			"snapshot_ms", ms(sh.boot.snapshot), "ledgers_ms", ms(sh.boot.ledgers))
 	}
 	return s, nil
+}
+
+// bootPhases splits a datacenter's boot as its "datacenter booted" log line
+// reports it: generating the population into the rings, building or
+// restoring the snapshot, and restoring or creating the ledgers.
+type bootPhases struct {
+	population, snapshot, ledgers time.Duration
 }
 
 // bootstrapShard generates the shard's population and seeds its telemetry
 // rings in one pass: each tenant's one-month series goes straight into its
 // ring — the trailing window, ending at the trace horizon — and is not kept,
-// so a tenant's history is held once, by its ring.
+// so a tenant's history is held once, by its ring. The tenants come back
+// unclassified; the snapshot step classifies them from their rings.
 func (s *Service) bootstrapShard(sh *shard) error {
 	gen, err := experiments.NewGenerator(sh.dc, s.cfg.Scale)
 	if err != nil {

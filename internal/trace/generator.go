@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"harvest/internal/signalproc"
@@ -29,6 +31,11 @@ func NewGenerator(profile DatacenterProfile, seed int64) *Generator {
 func (g *Generator) Generate() (*tenant.Population, error) {
 	return g.Stream(func(t *tenant.Tenant, month *timeseries.Series) error {
 		t.Utilization = month.Clone()
+		profile, err := signalproc.Classify(month.Values, signalproc.DefaultClassifierConfig())
+		if err != nil {
+			return fmt.Errorf("trace: classifying generated tenant %d: %w", t.ID, err)
+		}
+		t.Profile = profile
 		return nil
 	})
 }
@@ -44,11 +51,16 @@ func (g *Generator) TenantIDs() []tenant.ID {
 }
 
 // Stream is Generate for a caller that keeps no series: every tenant's month
-// is generated into one reused buffer, classified from it, and handed to
-// visit with the tenant before the next tenant overwrites it. The tenants
-// come back with Utilization nil (unless visit sets it) and the month's peak
-// in MonthPeak. The random draws are Generate's, in Generate's order, so both
-// produce the same tenants.
+// is generated into one of two reused buffers and handed to visit with the
+// tenant; the buffer is drawn into again once visit has returned. The tenants
+// come back with Utilization nil and a zero Profile (unless visit sets them)
+// and the month's peak in MonthPeak. The random draws are Generate's, in
+// Generate's order, so both produce the same tenants.
+//
+// One goroutine owns the generator's rng and draws the next tenant while
+// visit runs on the caller's goroutine, in tenant order, one tenant at a time.
+// A visit error stops the drawing, and Stream returns it once the drawing
+// goroutine has exited.
 func (g *Generator) Stream(visit func(t *tenant.Tenant, month *timeseries.Series) error) (*tenant.Population, error) {
 	p := g.Profile
 	if p.NumTenants <= 0 {
@@ -59,10 +71,50 @@ func (g *Generator) Stream(visit func(t *tenant.Tenant, month *timeseries.Series
 		return nil, fmt.Errorf("trace: profile %q has a zero tenant-class mix", p.Name)
 	}
 
-	month := timeseries.NewZero(timeseries.SlotDuration, timeseries.SlotsPerMonth)
+	// Both buffers are always in one of the two channels or in one
+	// goroutine's hands, so no send blocks.
+	free := make(chan *timeseries.Series, 2)
+	for range cap(free) {
+		free <- timeseries.NewZero(timeseries.SlotDuration, timeseries.SlotsPerMonth)
+	}
+	drawn := make(chan drawnTenant, cap(free))
+	stop := make(chan struct{})
+	go g.drawAll(free, drawn, stop)
+
 	tenants := make([]*tenant.Tenant, 0, p.NumTenants)
+	for d := range drawn {
+		if err := visit(d.t, d.month); err != nil {
+			close(stop)
+			for range drawn {
+			}
+			return nil, err
+		}
+		tenants = append(tenants, d.t)
+		free <- d.month
+	}
+	return tenant.NewPopulation(p.Name, tenants)
+}
+
+// drawnTenant is one tenant Stream's producer drew, with its month.
+type drawnTenant struct {
+	t     *tenant.Tenant
+	month *timeseries.Series
+}
+
+// drawAll draws every tenant in Generate's order, each month into a buffer
+// taken from free, and sends it on drawn. It closes drawn when it is done or
+// when stop is closed.
+func (g *Generator) drawAll(free <-chan *timeseries.Series, drawn chan<- drawnTenant, stop <-chan struct{}) {
+	defer close(drawn)
+	p := g.Profile
 	nextServer := tenant.ServerID(0)
 	for i := 0; i < p.NumTenants; i++ {
+		var month *timeseries.Series
+		select {
+		case month = <-free:
+		case <-stop:
+			return
+		}
 		pattern := g.samplePattern()
 		numServers := g.sampleServerCount(pattern)
 		servers := make([]tenant.ServerID, numServers)
@@ -72,7 +124,7 @@ func (g *Generator) Stream(visit func(t *tenant.Tenant, month *timeseries.Series
 		}
 		g.fillUtilization(month, pattern)
 		longTermRate := g.sampleReimageRate()
-		t := &tenant.Tenant{
+		drawn <- drawnTenant{month: month, t: &tenant.Tenant{
 			ID:                        tenant.ID(i),
 			Environment:               fmt.Sprintf("%s-env-%03d", p.Name, i),
 			MachineFunction:           fmt.Sprintf("mf-%d", i%17),
@@ -82,18 +134,8 @@ func (g *Generator) Stream(visit func(t *tenant.Tenant, month *timeseries.Series
 			ReimagesPerServerMonth:    longTermRate,
 			MonthlyReimageRates:       g.monthlyRates(longTermRate, 36),
 			HarvestableBytesPerServer: p.HarvestableBytesPerServer,
-		}
-		profile, err := signalproc.Classify(month.Values, signalproc.DefaultClassifierConfig())
-		if err != nil {
-			return nil, fmt.Errorf("trace: classifying generated tenant %d: %w", i, err)
-		}
-		t.Profile = profile
-		if err := visit(t, month); err != nil {
-			return nil, err
-		}
-		tenants = append(tenants, t)
+		}}
 	}
-	return tenant.NewPopulation(p.Name, tenants)
 }
 
 // samplePattern draws a tenant pattern according to the profile's mix.
@@ -158,7 +200,6 @@ func (g *Generator) fillUtilization(s *timeseries.Series, pattern signalproc.Pat
 // fillPeriodic writes a diurnal cycle with a weekly modulation, per-slot noise
 // and a mild load trend — the shape of user-facing services (Fig 1a).
 func (g *Generator) fillPeriodic(values []float64, base, variation float64) {
-	n := len(values)
 	amplitude := stats.Clamp(0.15+0.35*variation, 0.05, 0.45)
 	weekly := 0.08 * variation
 	phase := g.rng.Float64() * 2 * math.Pi
@@ -170,7 +211,6 @@ func (g *Generator) fillPeriodic(values []float64, base, variation float64) {
 		weeklyMod := math.Sin(2 * math.Pi * day / 7)
 		values[i] = base + amplitude*diurnal + weekly*weeklyMod + g.rng.NormFloat64()*noise
 	}
-	_ = n
 }
 
 // fillConstant writes a flat series with small noise and occasional tiny steps
@@ -301,20 +341,9 @@ func (g *Generator) GenerateReimageEvents(pop *tenant.Population, horizon time.D
 			correlated -= float64(batchSize)
 		}
 	}
-	sortEvents(events)
+	// Stable, so events at the same instant keep the order they were drawn in.
+	slices.SortStableFunc(events, func(a, b ReimageEvent) int { return cmp.Compare(a.At, b.At) })
 	return events
-}
-
-func sortEvents(events []ReimageEvent) {
-	// Simple insertion-friendly sort via sort.Slice equivalent without extra
-	// imports would be fine, but use the stdlib for clarity.
-	for i := 1; i < len(events); i++ {
-		j := i
-		for j > 0 && events[j].At < events[j-1].At {
-			events[j], events[j-1] = events[j-1], events[j]
-			j--
-		}
-	}
 }
 
 // PerServerReimageRates returns, for every server in the population, its

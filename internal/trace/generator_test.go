@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -133,7 +134,9 @@ func TestGenerateDeterministic(t *testing.T) {
 
 // TestStreamHandsOverGeneratesMonths: Stream visits each tenant with the month
 // Generate keeps, under the id TenantIDs promised, and returns Generate's
-// tenants without the series; a visitor's error stops it.
+// tenants without the series and unclassified; a visitor's error at tenant k
+// stops it there, comes back from Stream, and leaves no drawing goroutine
+// behind.
 func TestStreamHandsOverGeneratesMonths(t *testing.T) {
 	p := smallProfile(t)
 	want, err := NewGenerator(p, 7).Generate()
@@ -155,14 +158,37 @@ func TestStreamHandsOverGeneratesMonths(t *testing.T) {
 	}
 	for i, tn := range got.Tenants {
 		w := *want.Tenants[i]
-		w.Utilization = nil
+		w.Utilization, w.Profile = nil, signalproc.Profile{}
 		if !reflect.DeepEqual(tn, &w) || tn.PeakUtilization() != want.Tenants[i].PeakUtilization() {
 			t.Fatalf("streamed tenant %v differs from Generate's", tn.ID)
 		}
 	}
+
 	stop := errors.New("stop")
-	if _, err := NewGenerator(p, 7).Stream(func(*tenant.Tenant, *timeseries.Series) error { return stop }); err != stop {
-		t.Fatalf("Stream returned %v after its visitor failed", err)
+	for _, k := range []int{0, 3, len(ids) - 1} {
+		before := runtime.NumGoroutine()
+		visited := 0
+		_, err := NewGenerator(p, 7).Stream(func(tn *tenant.Tenant, _ *timeseries.Series) error {
+			if tn.ID != ids[visited] {
+				t.Fatalf("visit %d after a failure at %d: tenant %v", visited, k, tn.ID)
+			}
+			visited++
+			if visited > k {
+				return stop
+			}
+			return nil
+		})
+		if err != stop || visited != k+1 {
+			t.Fatalf("visitor failing at tenant %d: Stream = %v after %d visits", k, err, visited)
+		}
+		// The drawing goroutine has closed its channel by the time Stream
+		// returns; give it the moment it needs to exit.
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; {
+			if time.Now().After(deadline) {
+				t.Fatalf("visitor failing at tenant %d: %d goroutines left running, %d before", k, runtime.NumGoroutine(), before)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }
 
