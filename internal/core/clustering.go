@@ -161,6 +161,8 @@ func DefaultClusteringConfig() ClusteringConfig {
 // utilization classes from the most recent telemetry.
 type ClusteringService struct {
 	cfg ClusteringConfig
+	// classify is signalproc.Classify; tests swap it to fail chosen tenants.
+	classify func([]float64, signalproc.ClassifierConfig) (signalproc.Profile, error)
 }
 
 // NewClusteringService creates a clustering service.
@@ -171,7 +173,7 @@ func NewClusteringService(cfg ClusteringConfig) *ClusteringService {
 	if cfg.MaxClassesPerPattern <= 0 {
 		cfg.MaxClassesPerPattern = 16
 	}
-	return &ClusteringService{cfg: cfg}
+	return &ClusteringService{cfg: cfg, classify: signalproc.Classify}
 }
 
 // patternOrder is the deterministic order pattern groups are clustered in;
@@ -199,12 +201,26 @@ func (s *ClusteringService) Cluster(pop *tenant.Population) (*Clustering, error)
 // tenant must not skew a class's statistics, and excluding its servers from
 // the serving set is the SLO-safe direction. Clustering fails only when no
 // tenant has history at all.
+//
+// The tenants are classified on one goroutine, so a serving daemon's periodic
+// full rebuild leaves the other cores to requests.
 func (s *ClusteringService) ClusterFrom(pop *tenant.Population, src tenant.HistorySource) (*Clustering, error) {
+	return s.clusterFrom(pop, src, 1)
+}
+
+// ClusterFromAllCores is ClusterFrom with the tenants classified on every
+// core, as ClassifyFrom does, for a caller with nothing else to run meanwhile:
+// a daemon booting. Its result is ClusterFrom's, bit for bit.
+func (s *ClusteringService) ClusterFromAllCores(pop *tenant.Population, src tenant.HistorySource) (*Clustering, error) {
+	return s.clusterFrom(pop, src, runtime.GOMAXPROCS(0))
+}
+
+func (s *ClusteringService) clusterFrom(pop *tenant.Population, src tenant.HistorySource, workers int) (*Clustering, error) {
 	if len(pop.Tenants) == 0 {
 		return nil, fmt.Errorf("core: cannot cluster an empty population")
 	}
 	// (Re)classify tenants so the clustering reflects the latest telemetry.
-	active, err := s.ClassifyFrom(pop, src)
+	active, err := s.classifyFrom(pop, src, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -227,25 +243,29 @@ func (s *ClusteringService) ClusterFrom(pop *tenant.Population, src tenant.Histo
 	return clustering, nil
 }
 
-// ClassifyFrom is ClusterFrom's first pass on its own: it re-derives every
-// tenant's Profile from its history window, in place, and returns the tenants
-// that had a window to classify, in population order. A daemon restoring a
-// clustering from disk runs it so its tenants' profiles describe the windows
-// its rings hold, which the next warm Recluster measures drift against.
-//
-// The tenants are spread over min(GOMAXPROCS, tenants) goroutines, each with
-// its own window scratch; the result does not depend on how many there are.
-// A failure stops the pass, and the error returned is the one of the lowest
-// failing index: tenants are claimed in order, so every tenant before it has
-// been claimed and is classified before the pass returns.
+// ClassifyFrom is ClusterFromAllCores' first pass on its own: it re-derives
+// every tenant's Profile from its history window, in place, and returns the
+// tenants that had a window to classify, in population order. A daemon
+// restoring a clustering from disk runs it so its tenants' profiles describe
+// the windows its rings hold, which the next warm Recluster measures drift
+// against.
 func (s *ClusteringService) ClassifyFrom(pop *tenant.Population, src tenant.HistorySource) ([]*tenant.Tenant, error) {
+	return s.classifyFrom(pop, src, runtime.GOMAXPROCS(0))
+}
+
+// classifyFrom spreads the tenants over min(workers, tenants) goroutines,
+// each with its own window scratch; the result does not depend on how many
+// there are. A failure stops the pass, and the error returned is the one of
+// the lowest failing index: tenants are claimed in order, so every tenant
+// before it has been claimed and is classified before the pass returns.
+func (s *ClusteringService) classifyFrom(pop *tenant.Population, src tenant.HistorySource, workers int) ([]*tenant.Tenant, error) {
 	n := len(pop.Tenants)
 	held := make([]bool, n)
 	errs := make([]error, n)
 	var next atomic.Int64
 	var failed atomic.Bool
 	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), n) {
+	for range min(workers, n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -330,7 +350,7 @@ func (s *ClusteringService) classifyWindow(t *tenant.Tenant, values []float64, i
 		ref = defaultReferenceWindow
 	}
 	window := time.Duration(len(values)) * interval
-	p, err := signalproc.Classify(values, s.cfg.Classifier.ForWindow(window, ref))
+	p, err := s.classify(values, s.cfg.Classifier.ForWindow(window, ref))
 	if err != nil {
 		return fmt.Errorf("core: tenant %v: %w", t.ID, err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"runtime"
@@ -129,35 +130,41 @@ func TestClusterRespectsExplicitClassCounts(t *testing.T) {
 }
 
 // withProcs runs f with GOMAXPROCS set to procs, which sets how many
-// goroutines the classify pass spreads the tenants over.
+// goroutines ClusterFromAllCores classifies the tenants on.
 func withProcs(procs int, f func()) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	f()
 }
 
 // TestClusterDeterministicForSeed: the same seed gives the same classes,
-// centroids, membership and tenant profiles, bit for bit, however many
-// goroutines classify the tenants.
+// centroids, membership and tenant profiles, bit for bit, whether the tenants
+// are classified on one goroutine (ClusterFrom) or on as many as GOMAXPROCS
+// allows (ClusterFromAllCores).
 func TestClusterDeterministicForSeed(t *testing.T) {
 	svc := NewClusteringService(DefaultClusteringConfig())
 	var pops []*tenant.Population
 	var runs []*Clustering
-	for _, procs := range []int{1, 8, 1, 8} {
+	for _, procs := range []int{0, 1, 8, 1, 8} { // 0: ClusterFrom
 		pop := testPopulation(t, 4, 0.1)
 		for _, tn := range pop.Tenants {
 			tn.Profile = signalproc.Profile{} // the clustering must derive them
 		}
-		withProcs(procs, func() {
-			c, err := svc.Cluster(pop)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pops, runs = append(pops, pop), append(runs, c)
-		})
+		src := tenant.TraceHistory{Pop: pop}
+		var c *Clustering
+		var err error
+		if procs == 0 {
+			c, err = svc.ClusterFrom(pop, src)
+		} else {
+			withProcs(procs, func() { c, err = svc.ClusterFromAllCores(pop, src) })
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		pops, runs = append(pops, pop), append(runs, c)
 	}
 	for r := 1; r < len(runs); r++ {
 		if !reflect.DeepEqual(runs[r], runs[0]) {
-			t.Fatalf("run %d: classes, centroids or membership differ from run 0", r)
+			t.Fatalf("run %d: classes, centroids or membership differ from ClusterFrom's", r)
 		}
 		for i, tn := range pops[r].Tenants {
 			if want := pops[0].Tenants[i].Profile; tn.Profile != want {
@@ -206,7 +213,8 @@ func TestClusterErrorsOnUnclassifiableTenant(t *testing.T) {
 		t.Fatalf("expected classification failure to propagate")
 	}
 
-	// Tenants 100..131 in order; those at indices 9, 10 and 30 hold a NaN.
+	// Tenants 100..131 in order; the classifier fails those at indices 9, 10
+	// and 30, whose windows start with a negative sample.
 	tenants := make([]*tenant.Tenant, 32)
 	for i := range tenants {
 		values := make([]float64, 2*timeseries.SlotsPerDay)
@@ -214,7 +222,7 @@ func TestClusterErrorsOnUnclassifiableTenant(t *testing.T) {
 			values[j] = 0.5 + 0.1*math.Sin(float64(i+j))
 		}
 		if i == 9 || i == 10 || i == 30 {
-			values[len(values)/2] = math.NaN()
+			values[0] = -1
 		}
 		tenants[i] = &tenant.Tenant{ID: tenant.ID(100 + i), Servers: []tenant.ServerID{tenant.ServerID(i)},
 			Utilization: timeseries.New(timeseries.SlotDuration, values)}
@@ -223,6 +231,12 @@ func TestClusterErrorsOnUnclassifiableTenant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	svc.classify = func(values []float64, cfg signalproc.ClassifierConfig) (signalproc.Profile, error) {
+		if values[0] < 0 {
+			return signalproc.Profile{}, errors.New("unclassifiable window")
+		}
+		return signalproc.Classify(values, cfg)
+	}
 	for _, procs := range []int{1, 8} {
 		src := &gatedHistory{TraceHistory: tenant.TraceHistory{Pop: pop}}
 		if procs > 1 {
@@ -230,9 +244,9 @@ func TestClusterErrorsOnUnclassifiableTenant(t *testing.T) {
 			src.wait, src.until, src.read = 109, 110, make(chan struct{})
 		}
 		withProcs(procs, func() {
-			_, err := svc.ClusterFrom(pop, src)
+			_, err := svc.ClusterFromAllCores(pop, src)
 			if err == nil || !strings.Contains(err.Error(), "tenant 109:") {
-				t.Fatalf("GOMAXPROCS %d: ClusterFrom = %v, want tenant 109's error", procs, err)
+				t.Fatalf("GOMAXPROCS %d: ClusterFromAllCores = %v, want tenant 109's error", procs, err)
 			}
 		})
 	}

@@ -70,13 +70,14 @@ type Snapshot struct {
 	placers sync.Pool
 }
 
-// buildSnapshot derives a snapshot from a population and a history source,
-// clustering from scratch. The refresher's warm path builds the clustering
-// with core.Recluster instead and assembles with assembleSnapshot directly.
+// buildSnapshot derives a booting shard's first snapshot from a population
+// and a history source, clustering from scratch on every core. The refresher
+// builds the clustering with core.Recluster or, on one core,
+// core.ClusterFrom instead and assembles with assembleSnapshot directly.
 func buildSnapshot(dc string, pop *tenant.Population, src tenant.HistorySource, cfg Config, generation uint64) (*Snapshot, error) {
 	start := time.Now()
 	clusterer := core.NewClusteringService(cfg.Clustering)
-	clustering, err := clusterer.ClusterFrom(pop, src)
+	clustering, err := clusterer.ClusterFromAllCores(pop, src)
 	if err != nil {
 		return nil, fmt.Errorf("service: %s: %w", dc, err)
 	}

@@ -143,11 +143,6 @@ func Classify(values []float64, cfg ClassifierConfig) (Profile, error) {
 		return Profile{}, fmt.Errorf("signalproc: trace too short to classify (%d samples)", len(values))
 	}
 	mean, peak, cv := stats.Summary(values)
-	if math.IsNaN(mean) || math.IsInf(mean, 0) {
-		// A NaN or infinite sample would make every feature, and the class
-		// K-Means put the tenant in, meaningless.
-		return Profile{}, fmt.Errorf("signalproc: trace holds a non-finite sample")
-	}
 
 	spectrum, err := PowerSpectrum(values)
 	if err != nil {

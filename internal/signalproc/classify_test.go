@@ -86,16 +86,6 @@ func TestClassifyTooShort(t *testing.T) {
 	}
 }
 
-func TestClassifyRejectsNonFiniteSamples(t *testing.T) {
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		trace := make([]float64, 1000)
-		trace[500] = bad
-		if _, err := Classify(trace, DefaultClassifierConfig()); err == nil {
-			t.Errorf("a trace holding %v classified without error", bad)
-		}
-	}
-}
-
 func TestClassifyZeroTrace(t *testing.T) {
 	p, err := Classify(make([]float64, 1000), DefaultClassifierConfig())
 	if err != nil {

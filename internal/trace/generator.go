@@ -80,13 +80,17 @@ func (g *Generator) Stream(visit func(t *tenant.Tenant, month *timeseries.Series
 	drawn := make(chan drawnTenant, cap(free))
 	stop := make(chan struct{})
 	go g.drawAll(free, drawn, stop)
+	// However Stream leaves (done, a visit error or a panic in visit), the
+	// drawing goroutine stops and has exited.
+	defer func() {
+		close(stop)
+		for range drawn {
+		}
+	}()
 
 	tenants := make([]*tenant.Tenant, 0, p.NumTenants)
 	for d := range drawn {
 		if err := visit(d.t, d.month); err != nil {
-			close(stop)
-			for range drawn {
-			}
 			return nil, err
 		}
 		tenants = append(tenants, d.t)

@@ -136,7 +136,7 @@ func TestGenerateDeterministic(t *testing.T) {
 // Generate keeps, under the id TenantIDs promised, and returns Generate's
 // tenants without the series and unclassified; a visitor's error at tenant k
 // stops it there, comes back from Stream, and leaves no drawing goroutine
-// behind.
+// behind, and so does a visitor's panic.
 func TestStreamHandsOverGeneratesMonths(t *testing.T) {
 	p := smallProfile(t)
 	want, err := NewGenerator(p, 7).Generate()
@@ -181,14 +181,36 @@ func TestStreamHandsOverGeneratesMonths(t *testing.T) {
 		if err != stop || visited != k+1 {
 			t.Fatalf("visitor failing at tenant %d: Stream = %v after %d visits", k, err, visited)
 		}
-		// The drawing goroutine has closed its channel by the time Stream
-		// returns; give it the moment it needs to exit.
-		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; {
-			if time.Now().After(deadline) {
-				t.Fatalf("visitor failing at tenant %d: %d goroutines left running, %d before", k, runtime.NumGoroutine(), before)
+		waitForGoroutines(t, before)
+	}
+
+	before := runtime.NumGoroutine()
+	func() {
+		defer func() {
+			if r := recover(); r != stop {
+				t.Fatalf("visitor panicking at tenant 3: recovered %v", r)
 			}
-			time.Sleep(time.Millisecond)
+		}()
+		NewGenerator(p, 7).Stream(func(tn *tenant.Tenant, _ *timeseries.Series) error {
+			if tn.ID == ids[3] {
+				panic(stop)
+			}
+			return nil
+		})
+	}()
+	waitForGoroutines(t, before)
+}
+
+// waitForGoroutines fails t unless the goroutine count is back to before
+// within a second: a drawing goroutine has closed its channel by the time
+// Stream returns, and is given the moment it needs to exit.
+func waitForGoroutines(t *testing.T, before int) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left running, %d before", runtime.NumGoroutine(), before)
 		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
