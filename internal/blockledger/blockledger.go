@@ -448,8 +448,12 @@ type Stats struct {
 	ConservationErrorSlots int64  `json:"conservation_error_slots" prom:"harvestd_block_conservation_error_slots,gauge" help:"Replica slots by which the block ledger's books fail to balance; anything but 0 is a bug."`
 	Creates                uint64 `json:"creates" prom:"harvestd_block_creates_total,counter" help:"Blocks created."`
 	Reimages               uint64 `json:"reimages" prom:"harvestd_block_reimages_total,counter" help:"Reimaging events ingested."`
-	StaleRetries           uint64 `json:"stale_retries" prom:"harvestd_block_stale_retries_total,counter" help:"Block operations retried across snapshot generation changes."`
-	RepairQueue            int    `json:"repair_queue" prom:"harvestd_block_repair_queue,gauge" help:"Replica slots queued for the re-replicator."`
+	// StaleRetries counts creates and replaces refused because they were
+	// computed against another generation than the ledger's; in the service,
+	// which keys them under the generation it moves them with, anything but 0
+	// is a bug.
+	StaleRetries uint64 `json:"stale_retries" prom:"harvestd_block_stale_retries_total,counter" help:"Block writes refused as computed against another snapshot generation; anything but 0 is a bug."`
+	RepairQueue  int    `json:"repair_queue" prom:"harvestd_block_repair_queue,gauge" help:"Replica slots queued for the re-replicator."`
 }
 
 // Snapshot returns a consistent reading of the books: taken under all shard

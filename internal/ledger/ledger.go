@@ -189,6 +189,7 @@ type Ledger struct {
 	renews          atomic.Uint64
 	expiries        atomic.Uint64 // leases reclaimed by the sweep
 	conflicts       atomic.Uint64 // failed reserves (insufficient or stale)
+	stales          atomic.Uint64 // reserves refused for generation mismatch
 }
 
 // New creates an empty ledger for the given clustering generation.
@@ -297,6 +298,7 @@ func (l *Ledger) ReserveInto(grants []Grant, generation uint64, reqs []Request, 
 	t := l.tab.Load()
 	if t.generation != generation {
 		l.conflicts.Add(1)
+		l.stales.Add(1)
 		return Lease{}, ErrStaleGeneration
 	}
 	if cap(grants) < len(reqs) {
@@ -352,6 +354,7 @@ func (l *Ledger) ReserveInto(grants []Grant, generation uint64, reqs []Request, 
 		sh.Unlock()
 		l.rollback(t, grants)
 		l.conflicts.Add(1)
+		l.stales.Add(1)
 		return Lease{}, ErrStaleGeneration
 	}
 	ls := &lease{ReplLease: wire.ReplLease{ID: sh.NewID(), JobID: meta.JobID, Owner: meta.Owner}}
@@ -605,8 +608,10 @@ type Stats struct {
 	Renews                  uint64 `json:"renews" prom:"harvestd_ledger_renews_total,counter" help:"Successful lease renewals."`
 	Expiries                uint64 `json:"expiries" prom:"harvestd_ledger_expiries_total,counter" help:"Lease expiries."`
 	Conflicts               uint64 `json:"conflicts" prom:"harvestd_ledger_conflicts_total,counter" help:"Reservations lost to capacity conflicts."`
-	// StaleRetries counts reservations that met a re-key in flight and re-ran.
-	// The retry loop is the caller's, and so is the count: Snapshot leaves it 0.
+	// StaleRetries counts reservations refused because they were computed
+	// against another generation than the ledger's. A caller that keys its
+	// writes under the generation it moves them with never meets one, so in
+	// the service anything but 0 is a bug.
 	StaleRetries uint64 `json:"stale_retries"`
 	// AllocatedMillisByClass is the current table's occupancy, indexed by
 	// dense ClassID; AllocatedCoresByClass is the same in cores.
@@ -645,6 +650,7 @@ func (l *Ledger) Snapshot() Stats {
 	st.Renews = l.renews.Load()
 	st.Expiries = l.expiries.Load()
 	st.Conflicts = l.conflicts.Load()
+	st.StaleRetries = l.stales.Load()
 	l.store.UnlockAll()
 	st.OutstandingCores = CoresOf(st.OutstandingMillis)
 	st.ReservedCores = CoresOf(st.ReservedMillis)

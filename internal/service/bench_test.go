@@ -42,7 +42,10 @@ func BenchmarkServiceSelect(b *testing.B) {
 // allocation ledger, and releases it — the full select → hold → release
 // cycle minus the hold.
 func BenchmarkServiceSelectReserveRelease(b *testing.B) {
-	svc := newTestService(b)
+	selectReserveRelease(b, newTestService(b))
+}
+
+func selectReserveRelease(b *testing.B, svc *service.Service) {
 	job := core.JobRequest{Type: core.JobMedium, MaxConcurrentCores: 8}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -59,6 +62,39 @@ func BenchmarkServiceSelectReserveRelease(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkServiceSelectReserveParallel is BenchmarkServiceSelectReserveRelease
+// with a refresh every 5 ms underneath: every reserve attempt takes the
+// shard's gate for reading, beside the other readers, and every re-key and
+// publish takes it for writing. Paced, the refreshes cost a few percent of a
+// core, so what a reserving select pays for the gate under contention is the
+// difference between the two.
+func BenchmarkServiceSelectReserveParallel(b *testing.B) {
+	svc := newTestService(b)
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		ticker := time.NewTicker(5 * time.Millisecond)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-ticker.C:
+			}
+			if err := svc.Refresh("DC-9"); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	}()
+	selectReserveRelease(b, svc)
+	b.StopTimer()
+	close(stop)
+	<-done
+	snap, _ := svc.Snapshot("DC-9")
+	b.ReportMetric(float64(snap.Generation), "generations")
 }
 
 // BenchmarkServicePlace measures concurrent replica placement through the

@@ -25,7 +25,7 @@ func (ap *ReplApplier) Beat() *wire.ReplBeat { return &ap.beat }
 type ReplSender = replSender
 
 // BuildReplFrame is buildReplFrame for a datacenter's shard.
-func (s *Service) BuildReplFrame(snd *ReplSender, dc string, prev *Snapshot) ([]byte, *Snapshot, bool) {
+func (s *Service) BuildReplFrame(snd *ReplSender, dc string, prev *Snapshot) ([]byte, *Snapshot) {
 	return s.buildReplFrame(snd, s.shards[dc], prev)
 }
 
@@ -54,7 +54,8 @@ func (s *Service) BootPhases(dc string) (population, snapshot time.Duration) {
 	return b.population, b.snapshot
 }
 
-// SetTestHookAfterRekey installs refreshShard's in-the-gap hook. Set it only
+// SetTestHookAfterRekey installs the hook refreshShard runs between re-keying
+// the ledgers and publishing the snapshot, with the gate held. Set it only
 // while no refresh can be running.
 func (s *Service) SetTestHookAfterRekey(hook func()) { s.testHookAfterRekey = hook }
 

@@ -61,9 +61,9 @@ func rejectionOf(err error) *rejection {
 		// the expiry sweep: idempotent releases by retrying clients land here,
 		// and a renew cannot resurrect a lease.
 		status = http.StatusNotFound
-	case errors.Is(err, core.ErrNoEligibleServer), errors.Is(err, errCreateRaced):
-		// Placement exhausted the diversity space, or kept racing refreshes: a
-		// conflict with current cluster state, not a malformed request.
+	case errors.Is(err, core.ErrNoEligibleServer):
+		// Placement exhausted the diversity space: a conflict with current
+		// cluster state, not a malformed request.
 		status = http.StatusConflict
 	}
 	return reject(status, err.Error())

@@ -49,9 +49,8 @@ import (
 // already equal is left alone, so a
 // steady-state beat costs a handful of heap objects at either end however
 // many leases it carries. A frame's two sections must be keyed to the frame's
-// own generation; the sender waits out a refresh that has re-keyed the books
-// but not yet published the snapshot, and the receiver refuses a frame that
-// pairs them wrongly.
+// own generation: the sender builds under the shard's gate, and the receiver
+// refuses a frame that pairs them wrongly.
 type replState struct {
 	// Follower side.
 	primaryID atomic.Pointer[string]
@@ -247,10 +246,7 @@ func (s *Service) serveReplConn(nc net.Conn) {
 	var snd replSender
 	for {
 		for _, dc := range s.order {
-			frame, next, ok := s.buildReplFrame(&snd, s.shards[dc], shipped[dc])
-			if !ok {
-				continue // a refresh is mid-publish; this shard skips the tick
-			}
+			frame, next := s.buildReplFrame(&snd, s.shards[dc], shipped[dc])
 			nc.SetWriteDeadline(time.Now().Add(replWriteTimeout))
 			if _, err := nc.Write(frame); err != nil {
 				s.repl.shipErrors.Add(1)
@@ -278,37 +274,24 @@ type replSender struct {
 // buildReplFrame encodes the next frame for one shard given the snapshot the
 // follower last received: a beat when the generation is unchanged, a full
 // snapshot otherwise. Returns the frame, built in snd's buffer and valid until
-// the next build, and the snapshot it brings the follower to.
-//
-// A frame must pair a snapshot with books keyed to the same generation, and
-// refreshShard re-keys both ledgers to N+1 before it publishes snapshot N+1.
-// A walk that finds the books ahead of the snapshot it loaded waits for the
-// publish and builds once more; if that still does not pair, ok is false,
-// nothing is to be sent, and the next tick tries again.
-func (s *Service) buildReplFrame(snd *replSender, sh *shard, prev *Snapshot) (frame []byte, next *Snapshot, ok bool) {
+// the next build, and the snapshot it brings the follower to. The build holds
+// the shard's gate from loading the snapshot through both walks, so the books
+// it carries are keyed to the frame's generation.
+func (s *Service) buildReplFrame(snd *replSender, sh *shard, prev *Snapshot) (frame []byte, next *Snapshot) {
 	start := time.Now()
-	var waitUntil time.Time
-	for attempt := 0; attempt < 2; attempt++ {
-		snap := sh.snap.Load()
-		frame, mark := s.beginReplFrame(snd, sh, snap, prev == snap)
-		frame, booksGen := appendLedgerSection(frame, sh.led)
-		if booksGen == snap.Generation {
-			frame, booksGen = appendBlocksSection(frame, sh.blocks)
-		}
-		snd.frame = frame // keep what the appends grew, sent or not
-		if booksGen == snap.Generation {
-			frame = wire.EndFrame(frame, mark)
-			sh.replBuild.Observe(time.Since(start))
-			if prev == snap {
-				sh.replBeatBytes.Store(int64(len(frame)))
-			}
-			return frame, snap, true
-		}
-		if !sh.awaitPublish(booksGen, &waitUntil) {
-			break
-		}
+	sh.gate.RLock()
+	snap := sh.snap.Load()
+	frame, mark := s.beginReplFrame(snd, sh, snap, prev == snap)
+	frame = appendLedgerSection(frame, sh.led)
+	frame = appendBlocksSection(frame, sh.blocks)
+	sh.gate.RUnlock()
+	snd.frame = frame // keep what the appends grew
+	frame = wire.EndFrame(frame, mark)
+	sh.replBuild.Observe(time.Since(start))
+	if prev == snap {
+		sh.replBeatBytes.Store(int64(len(frame)))
 	}
-	return nil, prev, false
+	return frame, snap
 }
 
 // beginReplFrame appends the frame's header and everything before its ledger
@@ -344,30 +327,25 @@ func (s *Service) beginReplFrame(snd *replSender, sh *shard, snap *Snapshot, bea
 
 // appendLedgerSection streams the allocation ledger's books and every live
 // lease into the frame from one Walk — read under all of the ledger's shard
-// locks, so the section conserves — and returns the generation the books are
-// keyed to. Each record is encoded as the ledger lends it; nothing borrowed
-// outlives the walk.
-func appendLedgerSection(dst []byte, led *ledger.Ledger) ([]byte, uint64) {
-	var gen uint64
+// locks, so the section conserves. Each record is encoded as the ledger lends
+// it; nothing borrowed outlives the walk.
+func appendLedgerSection(dst []byte, led *ledger.Ledger) []byte {
 	led.Walk(func(books ledger.State, leases int) {
-		gen = books.Generation
 		dst = wire.AppendReplLedgerHead(dst, &books, leases)
 	}, func(ls wire.ReplLease) {
 		dst = wire.AppendReplLease(dst, &ls)
 	})
-	return dst, gen
+	return dst
 }
 
 // appendBlocksSection is appendLedgerSection for the block ledger.
-func appendBlocksSection(dst []byte, blocks *blockledger.Ledger) ([]byte, uint64) {
-	var gen uint64
+func appendBlocksSection(dst []byte, blocks *blockledger.Ledger) []byte {
 	blocks.Walk(func(books blockledger.State, n int) {
-		gen = books.Generation
 		dst = wire.AppendReplBlocksHead(dst, &books, n)
 	}, func(b wire.ReplBlock) {
 		dst = wire.AppendReplBlock(dst, &b)
 	})
-	return dst, gen
+	return dst
 }
 
 // followLoop is the follower's outer loop: dial the primary, run the stream,
@@ -554,8 +532,13 @@ func (s *Service) applyReplSnapshot(m *wire.ReplSnapshot) error {
 	if err != nil {
 		return fmt.Errorf("service: %s: replicated snapshot: %w", m.DC, err)
 	}
+	// Under the gate, as a refresh moves a primary: a write that starts just
+	// after Promote, while this apply finishes, waits until the books and the
+	// snapshot agree.
+	sh.gate.Lock()
 	reconcileBooks(sh, &m.Ledger, &m.Blocks, len(snap.Clustering.Classes))
 	sh.snap.Store(snap)
+	sh.gate.Unlock()
 	s.buildUsageView(sh, snap, snap.Usage, sh.rings.TotalSamples())
 	sh.replGen.Store(m.Generation)
 	sh.replAppliedAt.Store(time.Now().UnixNano())

@@ -8,6 +8,7 @@ package service_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -57,10 +58,7 @@ type replLink struct {
 // build returns the primary's next frame for the follower.
 func (l *replLink) build(t testing.TB) (op wire.Op, payload []byte, next *service.Snapshot) {
 	t.Helper()
-	frame, next, ok := l.primary.BuildReplFrame(&l.snd, replDC, l.shipped)
-	if !ok {
-		t.Fatal("buildReplFrame skipped the tick with no refresh running")
-	}
+	frame, next := l.primary.BuildReplFrame(&l.snd, replDC, l.shipped)
 	h, err := wire.ParseHeader(frame[:wire.HeaderSize])
 	if err != nil || int(h.Len) != len(frame)-wire.HeaderSize {
 		t.Fatalf("built frame header %+v (err %v) over %d payload bytes", h, err, len(frame)-wire.HeaderSize)
@@ -497,67 +495,83 @@ func TestReplApplyIsAllOrNothing(t *testing.T) {
 	checkFollowerEqualsPrimary(t, link.primary, link.follower)
 }
 
+// parkRefresh starts a refresh of replDC and returns once it is parked between
+// re-keying the ledgers and publishing its snapshot, holding the shard's gate.
+// release lets the refresh publish and waits for it; a test that fails first
+// releases it on cleanup, so closing the service does not wait on it forever.
+func parkRefresh(t *testing.T, svc *service.Service) (release func()) {
+	t.Helper()
+	inGap, resume := make(chan struct{}), make(chan struct{})
+	svc.SetTestHookAfterRekey(func() { close(inGap); <-resume })
+	refreshed := make(chan error, 1)
+	go func() { refreshed <- svc.Refresh(replDC) }()
+	<-inGap
+	var once sync.Once
+	resumeOnce := func() { once.Do(func() { close(resume) }) }
+	t.Cleanup(resumeOnce)
+	return func() {
+		t.Helper()
+		resumeOnce()
+		if err := <-refreshed; err != nil {
+			t.Fatalf("refresh: %v", err)
+		}
+		svc.SetTestHookAfterRekey(nil)
+	}
+}
+
+// framePairing decodes a built frame's op and generation and checks that its
+// two ledger sections are keyed to that generation.
+func framePairing(frame []byte) (wire.Op, uint64, error) {
+	h, err := wire.ParseHeader(frame[:wire.HeaderSize])
+	if err != nil {
+		return 0, 0, err
+	}
+	var gen, led, blocks uint64
+	if h.Op == wire.OpReplBeat {
+		var m wire.ReplBeat
+		err = m.Decode(frame[wire.HeaderSize:])
+		gen, led, blocks = m.Generation, m.Ledger.Generation, m.Blocks.Generation
+	} else {
+		var m wire.ReplSnapshot
+		err = m.Decode(frame[wire.HeaderSize:])
+		gen, led, blocks = m.Generation, m.Ledger.Generation, m.Blocks.Generation
+	}
+	if err == nil && (led != gen || blocks != gen) {
+		err = fmt.Errorf("%v frame for generation %d carries books keyed to %d and %d", h.Op, gen, led, blocks)
+	}
+	return h.Op, gen, err
+}
+
 // TestReplFramePairsSnapshotAndBooks covers the generation-pairing rule from
-// both ends. Sender: with a refresh parked between re-keying the ledgers and
-// publishing its snapshot, buildReplFrame must not produce snapshot N with
-// books N+1 — it produces nothing until the publish, then a paired frame.
+// both ends. Sender: a build issued while a refresh is parked between
+// re-keying the ledgers and publishing its snapshot waits at the shard's gate
+// and returns after the publish, with the new snapshot and books keyed to it.
 // Receiver: a frame that pairs them wrongly is refused before it mutates.
 func TestReplFramePairsSnapshotAndBooks(t *testing.T) {
 	link := loadedLink(t, 20, 10)
 	primary, follower := link.primary, link.follower
 	fl, _ := follower.Ledgers(replDC)
+	held, _ := primary.Snapshot(replDC)
 
-	inGap, release := make(chan struct{}), make(chan struct{})
-	primary.SetTestHookAfterRekey(func() { close(inGap); <-release })
-	refreshed := make(chan error, 1)
-	go func() { refreshed <- primary.Refresh(replDC) }()
-	<-inGap
-
-	type built struct {
-		frame []byte
-		ok    bool
-	}
-	done := make(chan built, 1)
+	release := parkRefresh(t, primary)
+	done := make(chan []byte, 1)
 	go func() {
-		frame, _, ok := primary.BuildReplFrame(new(service.ReplSender), replDC, link.shipped)
-		done <- built{frame, ok}
+		frame, _ := primary.BuildReplFrame(new(service.ReplSender), replDC, link.shipped)
+		done <- frame
 	}()
-	checkPaired := func(b built) {
-		t.Helper()
-		if !b.ok {
-			return // skipping the tick is allowed; a mismatched frame is not
-		}
-		h, _ := wire.ParseHeader(b.frame[:wire.HeaderSize])
-		var frameGen, ledGen, blocksGen uint64
-		if h.Op == wire.OpReplBeat {
-			var m wire.ReplBeat
-			if err := m.Decode(b.frame[wire.HeaderSize:]); err != nil {
-				t.Fatal(err)
-			}
-			frameGen, ledGen, blocksGen = m.Generation, m.Ledger.Generation, m.Blocks.Generation
-		} else {
-			var m wire.ReplSnapshot
-			if err := m.Decode(b.frame[wire.HeaderSize:]); err != nil {
-				t.Fatal(err)
-			}
-			frameGen, ledGen, blocksGen = m.Generation, m.Ledger.Generation, m.Blocks.Generation
-		}
-		if ledGen != frameGen || blocksGen != frameGen {
-			t.Fatalf("%v frame for generation %d carries books keyed to %d and %d", h.Op, frameGen, ledGen, blocksGen)
-		}
-	}
 	select {
-	case b := <-done:
-		checkPaired(b)
-		done <- b
-	case <-time.After(50 * time.Millisecond):
+	case <-done:
+		t.Fatal("a frame was built inside the gap")
+	case <-time.After(100 * time.Millisecond):
 	}
-	close(release)
-	if err := <-refreshed; err != nil {
-		t.Fatalf("refresh: %v", err)
+	release()
+	op, gen, err := framePairing(<-done)
+	if err != nil {
+		t.Fatal(err)
 	}
-	checkPaired(<-done)
-	primary.SetTestHookAfterRekey(nil)
+	if op != wire.OpReplSnap || gen != held.Generation+1 {
+		t.Fatalf("frame built across the gap: %v for generation %d, want a snapshot for %d", op, gen, held.Generation+1)
+	}
 	if op := link.ship(t); op != wire.OpReplSnap {
 		t.Fatalf("frame after the refresh is %v, want a full snapshot", op)
 	}
@@ -586,19 +600,14 @@ func TestReplFramePairsSnapshotAndBooks(t *testing.T) {
 
 // TestWritesWaitOutTheRekeyGap parks a refresh between re-keying the ledgers
 // and publishing its snapshot and issues a block create and a reserving
-// select into the gap. Neither can succeed before the publish; both must
-// succeed after it instead of spending their retries in microseconds, and the
-// stale-retry counters must still show that the race happened.
+// select into the gap. Neither returns before the publish, both succeed after
+// it, and neither ledger ever refused them as stale: they waited at the
+// shard's gate instead of meeting books one generation ahead of the snapshot.
 func TestWritesWaitOutTheRekeyGap(t *testing.T) {
 	svc := newTestService(t)
-	defer svc.Close()
+	t.Cleanup(svc.Close) // after parkRefresh's cleanup, which releases the refresh
 
-	inGap, release := make(chan struct{}), make(chan struct{})
-	svc.SetTestHookAfterRekey(func() { close(inGap); <-release })
-	refreshed := make(chan error, 1)
-	go func() { refreshed <- svc.Refresh(replDC) }()
-	<-inGap
-
+	release := parkRefresh(t, svc)
 	created := make(chan error, 1)
 	go func() {
 		_, err := svc.CreateBlock(replDC, core.PlacementConstraints{Replication: 3, Writer: -1, EnforceEnvironment: true})
@@ -614,23 +623,14 @@ func TestWritesWaitOutTheRekeyGap(t *testing.T) {
 		selected <- reserved{g, err}
 	}()
 
-	// Both are turned away by a ledger one generation ahead of the only
-	// snapshot there is; wait until both have met it before releasing.
-	waitFor(t, "both writes to meet the re-keyed ledgers", func() bool {
-		st, _ := svc.Stats(replDC)
-		return st.Ledger.StaleRetries >= 1 && st.Blocks.StaleRetries >= 1
-	})
 	select {
 	case err := <-created:
 		t.Fatalf("block create returned inside the gap: %v", err)
 	case r := <-selected:
 		t.Fatalf("reserving select returned inside the gap: %+v, %v", r.grant, r.err)
-	default:
+	case <-time.After(100 * time.Millisecond):
 	}
-	close(release)
-	if err := <-refreshed; err != nil {
-		t.Fatalf("refresh: %v", err)
-	}
+	release()
 	if err := <-created; err != nil {
 		t.Fatalf("block create across the gap: %v", err)
 	}
@@ -640,6 +640,114 @@ func TestWritesWaitOutTheRekeyGap(t *testing.T) {
 	st, _ := svc.Stats(replDC)
 	if st.Blocks.Blocks != 1 || st.Ledger.ActiveLeases != 1 {
 		t.Fatalf("after the gap: %d blocks, %d leases, want 1 and 1", st.Blocks.Blocks, st.Ledger.ActiveLeases)
+	}
+	if st.Ledger.StaleRetries != 0 || st.Blocks.StaleRetries != 0 {
+		t.Fatalf("stale refusals: %d of leases, %d of blocks, want none", st.Ledger.StaleRetries, st.Blocks.StaleRetries)
+	}
+}
+
+// TestGatedWritesUnderARefreshStorm runs every gated path — reserving select
+// then release, block create, reimage then repair, and the replication frame
+// build — in a loop each while 40 refreshes, every fifth a full rebuild, move
+// the shard's generation underneath them. Nothing may fail but an honest
+// "unsatisfiable" or "no eligible server", every frame must pair its snapshot
+// with its books, neither ledger may ever refuse a write as stale, and both
+// sets of books must balance exactly.
+func TestGatedWritesUnderARefreshStorm(t *testing.T) {
+	cfg := testConfig()
+	cfg.FullRebuildEvery = 5
+	svc, err := service.New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer svc.Close()
+	snap, _ := svc.Snapshot(replDC)
+	var servers []tenant.ServerID
+	for _, cls := range snap.Clustering.Classes {
+		servers = append(servers, cls.Servers...)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var counts [4]int
+	worker := func(i int, op func(rng *rand.Rand) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(i)))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := op(rng); err != nil {
+					t.Error(err)
+					return
+				}
+				counts[i]++
+			}
+		}()
+	}
+	worker(0, func(*rand.Rand) error {
+		g, _, err := svc.SelectReserve(replDC, core.JobRequest{Type: core.JobMedium, MaxConcurrentCores: 2}, -1)
+		if err != nil || !g.Reserved() {
+			return err
+		}
+		_, err = svc.Release(replDC, g.Lease)
+		return err
+	})
+	worker(1, func(*rand.Rand) error {
+		time.Sleep(200 * time.Microsecond) // paced: each re-key walks every block created so far
+		_, err := svc.CreateBlock(replDC, core.PlacementConstraints{Replication: 3, Writer: -1, EnforceEnvironment: true})
+		if errors.Is(err, core.ErrNoEligibleServer) {
+			return nil
+		}
+		return err
+	})
+	worker(2, func(rng *rand.Rand) error {
+		time.Sleep(time.Millisecond)
+		if _, err := svc.ReimageServer(replDC, servers[rng.Intn(len(servers))]); err != nil {
+			return err
+		}
+		svc.RepairBlocks(replDC, 64)
+		return nil
+	})
+	var snd service.ReplSender
+	var shipped *service.Snapshot
+	worker(3, func(*rand.Rand) error {
+		frame, next := svc.BuildReplFrame(&snd, replDC, shipped)
+		_, gen, err := framePairing(frame)
+		if err == nil && gen != next.Generation {
+			err = fmt.Errorf("frame for generation %d brings the follower to %d", gen, next.Generation)
+		}
+		shipped = next
+		return err
+	})
+
+	for i := 0; i < 40; i++ {
+		if err := svc.Refresh(replDC); err != nil {
+			t.Errorf("refresh %d: %v", i, err)
+			break
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+	if counts[0] == 0 || counts[1] == 0 || counts[2] == 0 || counts[3] == 0 {
+		t.Fatalf("select/release, create, reimage/repair and frame loops ran %v times: each must run", counts)
+	}
+	st, _ := svc.Stats(replDC)
+	t.Logf("loops ran %v times; %d blocks, %d replicas lost, %d replaced", counts, st.Blocks.Blocks, st.Blocks.Lost, st.Blocks.Replaced)
+	if st.FullRebuilds == 0 {
+		t.Fatal("no full rebuild ran during the storm")
+	}
+	if st.Ledger.StaleRetries != 0 || st.Blocks.StaleRetries != 0 {
+		t.Fatalf("stale refusals: %d of leases, %d of blocks, want none", st.Ledger.StaleRetries, st.Blocks.StaleRetries)
+	}
+	checkLedgerConservation(t, st.Ledger, "storm")
+	if b := st.Blocks; b.ConservationErrorSlots != 0 || b.Placed+b.Pending != b.ReplicaSlots || b.Lost != b.Replaced+b.Pending {
+		t.Fatalf("block books do not conserve: %+v", b)
 	}
 }
 

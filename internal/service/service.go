@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -165,7 +164,14 @@ type shard struct {
 
 	liveUsage atomic.Pointer[usageView]
 
-	mu        sync.Mutex // serializes rebuilds and persists; never held on the query path
+	mu sync.Mutex // serializes rebuilds and persists; never held on the query path
+	// gate pairs the published snapshot with both ledgers' generation: what
+	// moves them (a refresh's re-key and publish, a follower's snapshot apply)
+	// holds the write side, and every write keyed to a generation holds the
+	// read side from snap.Load to its ledger call, so it never sees the two
+	// apart. Lock order: mu, gate, the ledgers' shard locks. Lock-free reads
+	// do not take it.
+	gate      sync.RWMutex
 	pop       *tenant.Population
 	sinceFull int          // warm refreshes since the last full rebuild (guarded by mu)
 	stage     persistStage // what persistShard builds the ledger files in (guarded by mu)
@@ -181,11 +187,10 @@ type shard struct {
 	// what its files came to and how long encoding and writing them took.
 	persistLastBytes atomic.Int64
 	persistLastNanos atomic.Int64
-	staleRetries     atomic.Uint64 // SelectReserve retries due to a re-key in flight
 
 	// repairFailures counts re-replicator attempts that could not land (no
-	// eligible server, or the placement kept racing) and went back on the
-	// queue — the signal that a datacenter is too depleted to restore R.
+	// eligible server, or the picked servers kept colliding) and went back on
+	// the queue — the signal that a datacenter is too depleted to restore R.
 	repairFailures atomic.Uint64
 
 	// driftThr is the auto-tuned warm-recluster drift threshold (float64
@@ -243,7 +248,7 @@ type Service struct {
 	repl     replState
 
 	// testHookAfterRekey, nil outside tests, runs in refreshShard between the
-	// ledgers' re-key and the snapshot's publication.
+	// ledgers' re-key and the snapshot's publication, with the gate held.
 	testHookAfterRekey func()
 }
 
@@ -259,10 +264,6 @@ var ErrUnknownDatacenter = errors.New("unknown datacenter")
 func unknownDC(dc string) error {
 	return fmt.Errorf("service: %w %q", ErrUnknownDatacenter, dc)
 }
-
-// errCreateRaced ends a CreateBlock that used up its attempts re-placing
-// behind snapshot refreshes: a conflict, to be sent again.
-var errCreateRaced = errors.New("block create kept racing snapshot refreshes")
 
 // New builds every datacenter's boot state synchronously, so a service that
 // returns without error is immediately queryable: the tenant population is
@@ -634,26 +635,24 @@ func (s *Service) refreshShard(sh *shard) error {
 		var next *Snapshot
 		next, err = assembleSnapshot(sh.dc, sh.pop, sh.rings, s.cfg, prev.Generation+1, clustering, start, prev)
 		if err == nil {
-			// Carry the allocation ledger into the new generation before the
-			// snapshot is visible: re-key each lease's grants to where its old
-			// class's servers landed (conserving totals), so reservations made
-			// against the previous clustering keep holding real cores in the
-			// new one. A reservation racing the swap detects the generation
-			// change and retries (SelectReserve).
+			// Move the shard to the new generation in one step, under the
+			// gate: re-key each lease's grants to where its old class's
+			// servers landed (conserving totals), re-validate every block
+			// placement against the new grid — replicas that now violate
+			// their block's diversity promises are displaced into the repair
+			// queue, counted as lost — and publish the snapshot. A write
+			// waits at the gate and then runs wholly against one generation.
+			sh.gate.Lock()
 			rekeyLedger(sh.led, sh.pop, prev.Clustering, next.Clustering, next.Generation)
-			// The block ledger re-keys the same way: every placement is
-			// re-validated against the new generation's grid, and replicas
-			// that now violate their block's diversity promises are displaced
-			// into the repair queue (counted as lost, so the conservation
-			// books keep balancing). A block create racing the swap detects
-			// the generation change and re-places (CreateBlock).
-			if displaced := sh.blocks.Rekey(next.Generation, next.Scheme().ReplicaSite); displaced > 0 {
-				slogger.Info("re-key displaced block replicas", "dc", sh.dc, "replicas", displaced)
-			}
+			displaced := sh.blocks.Rekey(next.Generation, next.Scheme().ReplicaSite)
 			if s.testHookAfterRekey != nil {
 				s.testHookAfterRekey()
 			}
 			sh.snap.Store(next)
+			sh.gate.Unlock()
+			if displaced > 0 {
+				slogger.Info("re-key displaced block replicas", "dc", sh.dc, "replicas", displaced)
+			}
 			sh.refreshes.Add(1)
 			if rst.FullRebuild {
 				sh.fullRebuilds.Add(1)
@@ -748,41 +747,6 @@ func clusteringAgreement(prev, next *core.Clustering) float64 {
 		return -1
 	}
 	return float64(agreed) / float64(compared)
-}
-
-// publishWait bounds how long an operation waits, in total, for a refresh
-// that has re-keyed the ledgers to publish its snapshot: the gap is the block
-// ledger's re-key plus one pointer store, milliseconds even at full scale,
-// so a second means the refresher is not coming.
-const publishWait = time.Second
-
-// awaitPublish is what an operation does when a ledger turned it away as
-// stale: refreshShard re-keys both ledgers to generation N+1 before it
-// publishes snapshot N+1, and in between no retry can succeed, because the
-// only snapshot there is to load is the one the ledger just refused. Yield
-// until the published snapshot has reached gen, the ledger's generation;
-// true means it has and a retry is worthwhile. The first call starts the
-// operation's budget in *deadline and later calls share it, so an operation
-// waits publishWait in total however many refreshes it meets.
-func (sh *shard) awaitPublish(gen uint64, deadline *time.Time) bool {
-	if deadline.IsZero() {
-		*deadline = time.Now().Add(publishWait)
-	}
-	for spins := 0; ; spins++ {
-		// The budget is checked first so that it also bounds a caller whose
-		// retries keep failing although the snapshot has caught up.
-		if !time.Now().Before(*deadline) {
-			return false
-		}
-		if sh.snap.Load().Generation >= gen {
-			return true
-		}
-		if spins < 32 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(50 * time.Microsecond) // the refresher needs the CPU more than we do
-		}
-	}
 }
 
 // rekeyLedger carries the allocation ledger from one clustering generation
@@ -1043,7 +1007,7 @@ type ShardStats struct {
 	RefreshLatency *obs.Histogram `json:"-" prom:"harvestd_snapshot_refresh_microseconds,histogram" help:"Successful snapshot refresh latency (recluster + rekey + publish), in microseconds."`
 	// Recluster is the most recent warm refresh's incremental work.
 	Recluster core.ReclusterStats `json:"recluster"`
-	// Ledger is the allocation ledger's books, StaleRetries filled in here.
+	// Ledger is the allocation ledger's books.
 	Ledger ledger.Stats `json:"ledger"`
 	// Blocks is the block-placement ledger's books.
 	Blocks blockledger.Stats `json:"blocks"`
@@ -1115,7 +1079,7 @@ func (s *Service) Stats(dc string) (ShardStats, bool) {
 		RefreshP99Us:         sh.refreshLatency.QuantileMicros(0.99),
 		RefreshMaxUs:         sh.refreshLatency.MaxMicros(),
 		RefreshLatency:       &sh.refreshLatency,
-		Ledger:               sh.ledgerStats(),
+		Ledger:               sh.led.Snapshot(),
 		Blocks:               sh.blocks.Snapshot(),
 		// The scheme is shared across generations (it is a pure function of
 		// the population), so the relaxed counter accumulates per shard.
@@ -1149,14 +1113,6 @@ func (s *Service) Stats(dc string) (ShardStats, bool) {
 		slogger.Error("block books do not balance", "dc", dc, "books", st.Blocks)
 	}
 	return st, true
-}
-
-// ledgerStats is the allocation ledger's books plus the one counter of
-// theirs the service keeps: select attempts that raced a re-key and re-ran.
-func (sh *shard) ledgerStats() ledger.Stats {
-	st := sh.led.Snapshot()
-	st.StaleRetries = sh.staleRetries.Load()
-	return st
 }
 
 // scratch is one caller's reusable working memory for the data-plane
@@ -1210,10 +1166,10 @@ type Grant struct {
 func (g Grant) Reserved() bool { return g.Lease != 0 }
 
 // selectReserveAttempts bounds the re-select loop: each retry means the
-// class's headroom was concurrently claimed (or a re-key landed) between
-// selection and CAS admission, so a fresh selection against the now-current
-// counters is the correct response. Past the bound the datacenter is
-// genuinely contended and "unsatisfiable right now" is the honest answer.
+// class's headroom was concurrently claimed between selection and CAS
+// admission, so a fresh selection against the now-current counters is the
+// correct response. Past the bound the datacenter is genuinely contended and
+// "unsatisfiable right now" is the honest answer.
 const selectReserveAttempts = 8
 
 // SelectReserve runs class selection and atomically reserves the selected
@@ -1249,12 +1205,12 @@ func (s *Service) selectReserve(sc *scratch, dc string, job core.JobRequest, ttl
 		ttl = 0 // ledger: no expiry
 	}
 	var snap *Snapshot
-	var waitUntil time.Time
 	for attempt := 0; attempt < selectReserveAttempts; attempt++ {
 		var spanStart time.Time
 		if tr != nil {
 			spanStart = time.Now()
 		}
+		sh.gate.RLock()
 		snap = sh.snap.Load()
 		v := s.usageViewFor(snap)
 		rng := s.rngs.Get().(*rand.Rand)
@@ -1264,6 +1220,7 @@ func (s *Service) selectReserve(sc *scratch, dc string, job core.JobRequest, ttl
 			tr.Span("snapshot_read", spanStart)
 		}
 		if sel.Empty() {
+			sh.gate.RUnlock()
 			return Grant{Selection: sel}, snap, nil
 		}
 		reqs := sc.reqs[:0]
@@ -1301,22 +1258,13 @@ func (s *Service) selectReserve(sc *scratch, dc string, job core.JobRequest, ttl
 			reserveStart = time.Now()
 		}
 		lease, err := sh.led.ReserveInto(sc.grants, snap.Generation, reqs, ttl, time.Now(), meta)
+		sh.gate.RUnlock()
 		if tr != nil {
 			tr.Span("ledger_reserve", reserveStart)
 		}
 		if err == nil {
 			sc.grants = lease.Grants
 			return Grant{Selection: sel, Lease: lease.ID, ExpiresAt: lease.ExpiresAt, Granted: granted}, snap, nil
-		}
-		if errors.Is(err, ledger.ErrStaleGeneration) {
-			// A refresh re-keyed the ledger between selection and admission:
-			// wait for its snapshot and re-run. That is the refresh's doing,
-			// not contention, so it does not use up an attempt.
-			sh.staleRetries.Add(1)
-			if sh.awaitPublish(sh.led.Generation(), &waitUntil) {
-				attempt--
-			}
-			continue
 		}
 		var ie *ledger.InsufficientError
 		if !errors.As(err, &ie) {
@@ -1389,7 +1337,7 @@ func (s *Service) LedgerStats(dc string) (ledger.Stats, bool) {
 	if !ok {
 		return ledger.Stats{}, false
 	}
-	return sh.ledgerStats(), true
+	return sh.led.Snapshot(), true
 }
 
 // LedgerOccupancy returns the ledger's generation and per-class occupancy
@@ -1454,11 +1402,10 @@ type BlockPlacement struct {
 
 // CreateBlock places a block's replicas via Alg. 2 against the current
 // snapshot and records them in the block ledger — the durable twin of Place,
-// which only advises. A placement racing a snapshot refresh detects the
-// generation change at the ledger (blockledger.ErrStaleGeneration) and
-// re-places against the published snapshot, exactly like SelectReserve's
-// re-select loop. c.Replication is the block's R; c.EnforceEnvironment
-// becomes the block's recorded diversity promise for later re-keys.
+// which only advises. Placement and record happen under the shard's gate, so
+// the grid the replicas were picked on is the one the ledger keys them to.
+// c.Replication is the block's R; c.EnforceEnvironment becomes the block's
+// recorded diversity promise for later re-keys.
 func (s *Service) CreateBlock(dc string, c core.PlacementConstraints) (BlockPlacement, error) {
 	return s.createBlock(new(scratch), dc, c)
 }
@@ -1471,30 +1418,18 @@ func (s *Service) createBlock(sc *scratch, dc string, c core.PlacementConstraint
 	if s.follower.Load() {
 		return BlockPlacement{}, ErrFollower
 	}
-	var waitUntil time.Time
-	for attempt := 0; attempt < selectReserveAttempts; attempt++ {
-		snap := sh.snap.Load()
-		replicas, err := s.placeOn(sc, snap, c)
-		if err != nil {
-			return BlockPlacement{}, err
-		}
-		id, err := sh.blocks.Create(snap.Generation, replicas, c.EnforceEnvironment)
-		if err == nil {
-			return BlockPlacement{Block: id, Generation: snap.Generation, Replicas: replicas}, nil
-		}
-		if errors.Is(err, blockledger.ErrStaleGeneration) {
-			// A refresh re-keyed the block ledger between placement and
-			// recording: the replicas were picked against a grid that no
-			// longer exists, so re-place against the new snapshot once it is
-			// published; the wait does not use up an attempt.
-			if sh.awaitPublish(sh.blocks.Generation(), &waitUntil) {
-				attempt--
-			}
-			continue
-		}
+	sh.gate.RLock()
+	defer sh.gate.RUnlock()
+	snap := sh.snap.Load()
+	replicas, err := s.placeOn(sc, snap, c)
+	if err != nil {
 		return BlockPlacement{}, err
 	}
-	return BlockPlacement{}, fmt.Errorf("service: %s: %w", dc, errCreateRaced)
+	id, err := sh.blocks.Create(snap.Generation, replicas, c.EnforceEnvironment)
+	if err != nil {
+		return BlockPlacement{}, err
+	}
+	return BlockPlacement{Block: id, Generation: snap.Generation, Replicas: replicas}, nil
 }
 
 // ReimageServer ingests one reimaging event: every block replica on the
@@ -1566,9 +1501,10 @@ func (s *Service) RepairBlocks(dc string, max int) int {
 // settled — the repair landed, or the slot no longer needs one (duplicate
 // delivery, deleted block); false means the caller should requeue it.
 func (s *Service) repairOne(sh *shard, ref blockledger.Repair) bool {
-	var waitUntil time.Time
+	sh.gate.RLock()
+	defer sh.gate.RUnlock()
+	snap := sh.snap.Load()
 	for attempt := 0; attempt < selectReserveAttempts; attempt++ {
-		snap := sh.snap.Load()
 		slots, envStrict, ok := sh.blocks.Slots(ref.Block)
 		if !ok || ref.Replica < 0 || ref.Replica >= len(slots) || slots[ref.Replica] != core.NoServer {
 			return true
@@ -1579,22 +1515,12 @@ func (s *Service) repairOne(sh *shard, ref blockledger.Repair) bool {
 		if err != nil {
 			return false
 		}
-		switch err := sh.blocks.Replace(snap.Generation, ref, server); {
-		case err == nil:
+		err = sh.blocks.Replace(snap.Generation, ref, server)
+		if err == nil || errors.Is(err, blockledger.ErrReplicaPlaced) || errors.Is(err, blockledger.ErrUnknownBlock) {
 			return true
-		case errors.Is(err, blockledger.ErrStaleGeneration):
-			// A refresh re-keyed mid-repair; re-place against the new grid.
-			if sh.awaitPublish(sh.blocks.Generation(), &waitUntil) {
-				attempt--
-			}
-			continue
-		case errors.Is(err, blockledger.ErrReplicaPlaced), errors.Is(err, blockledger.ErrUnknownBlock):
-			return true
-		default:
-			// The picked server raced into holding another replica of this
-			// block (a concurrent repair); pick again.
-			continue
 		}
+		// The picked server raced into holding another replica of this block
+		// (a concurrent repair); pick again.
 	}
 	return false
 }
