@@ -41,6 +41,11 @@ var ErrUnknownBlock = errors.New("blockledger: unknown block")
 // no longer pending — a duplicate delivery of the same repair ref.
 var ErrReplicaPlaced = errors.New("blockledger: replica already placed")
 
+// inlineReplicas is how many replica slots a block record stores in itself:
+// HDFS's default replication is 3, so a block's one home is its record; a
+// larger factor spills its slots to a slice.
+const inlineReplicas = 3
+
 // block is one tracked block as the ledger holds it: the record Walk lends
 // out. The replica slice never changes length after creation — a slot's index
 // is its stable identity in repair refs.
@@ -49,6 +54,18 @@ type block struct {
 	// epoch is the store's stamp: the Reconcile pass that last confirmed the
 	// block (0 for a block this ledger created itself).
 	epoch uint64
+	// inline backs Replicas for a block created or inserted here with at most
+	// inlineReplicas slots.
+	inline [inlineReplicas]wire.ReplBlockReplica
+}
+
+// room returns an empty slice with room for n replica slots: the record's own
+// while they fit.
+func (b *block) room(n int) []wire.ReplBlockReplica {
+	if n <= inlineReplicas {
+		return b.inline[:0]
+	}
+	return make([]wire.ReplBlockReplica, 0, n)
 }
 
 // Repair references one pending replica slot awaiting re-replication.
@@ -62,48 +79,6 @@ type Repair struct {
 // and a block that large falls back to append's growth).
 const maxStackEnvs = 8
 
-// serverIndex is one shard's reverse index of its blocks' placed replicas
-// (server → block id → slot), so a reimaging event finds its casualties
-// without scanning; a server holds at most one replica of any block, so the
-// inner map is exact.
-type serverIndex map[tenant.ServerID]map[uint64]int
-
-// indexPlaced records server → (block, slot).
-func (ix serverIndex) indexPlaced(server tenant.ServerID, blockID uint64, slot int) {
-	m := ix[server]
-	if m == nil {
-		m = make(map[uint64]int)
-		ix[server] = m
-	}
-	m[blockID] = slot
-}
-
-func (ix serverIndex) unindexPlaced(server tenant.ServerID, blockID uint64) {
-	if m := ix[server]; m != nil {
-		delete(m, blockID)
-		if len(m) == 0 {
-			delete(ix, server)
-		}
-	}
-}
-
-// indexSlots and unindexSlots add and remove all of a block's placed replicas.
-func (ix serverIndex) indexSlots(b *block) {
-	for slot, r := range b.Replicas {
-		if r.Placed {
-			ix.indexPlaced(tenant.ServerID(r.Server), b.ID, slot)
-		}
-	}
-}
-
-func (ix serverIndex) unindexSlots(b *block) {
-	for _, r := range b.Replicas {
-		if r.Placed {
-			ix.unindexPlaced(tenant.ServerID(r.Server), b.ID)
-		}
-	}
-}
-
 // Ledger tracks one datacenter's block placements, under internal/striped's
 // lock order: single-block operations take exactly one shard lock; global
 // operations (Rekey, Walk, Reconcile) take all of them, then the queue lock if
@@ -112,10 +87,6 @@ type Ledger struct {
 	generation atomic.Uint64
 
 	store *striped.Store[block]
-
-	// byServer[i] indexes the blocks of the store's shard i, under that
-	// shard's lock.
-	byServer [striped.NumShards]serverIndex
 
 	// queueMu guards the FIFO of repair refs. Queue membership is the
 	// "awaiting repair, not yet in flight" subset of pending slots; the
@@ -139,9 +110,6 @@ type Ledger struct {
 // New creates an empty block ledger keyed to the given snapshot generation.
 func New(generation uint64) *Ledger {
 	l := &Ledger{store: striped.New(func(b *block) *uint64 { return &b.epoch })}
-	for i := range l.byServer {
-		l.byServer[i] = make(serverIndex)
-	}
 	l.generation.Store(generation)
 	return l
 }
@@ -167,53 +135,55 @@ func (l *Ledger) Create(generation uint64, servers []tenant.ServerID, envStrict 
 	}
 	// Pick the shard from the first server — any stable spread works; the
 	// block id minted below carries the shard in its low bits from then on.
-	shardIdx := striped.ShardOf(uint64(servers[0]))
-	sh := l.store.Shard(shardIdx)
+	sh := l.store.Shard(striped.ShardOf(uint64(servers[0])))
 	sh.Lock()
 	if l.generation.Load() != generation {
 		sh.Unlock()
 		l.stales.Add(1)
 		return 0, ErrStaleGeneration
 	}
-	b := &block{ReplBlock: wire.ReplBlock{ID: sh.NewID(), EnvStrict: envStrict, Replicas: make([]wire.ReplBlockReplica, len(servers))}}
-	for i, s := range servers {
-		b.Replicas[i] = wire.ReplBlockReplica{Server: int64(s), Placed: true}
-		l.byServer[shardIdx].indexPlaced(s, b.ID, i)
+	id := sh.NewID()
+	b := sh.Add(id)
+	b.ID, b.EnvStrict, b.Replicas = id, envStrict, b.room(len(servers))
+	for _, s := range servers {
+		b.Replicas = append(b.Replicas, wire.ReplBlockReplica{Server: int64(s), Placed: true})
 	}
-	sh.Recs[b.ID] = b
 	l.blocks.Add(1)
 	l.slots.Add(int64(len(servers)))
 	l.placed.Add(int64(len(servers)))
 	l.creates.Add(1)
 	sh.Unlock()
-	return b.ID, nil
+	return id, nil
 }
 
 // Reimage marks every replica on the server lost and enqueues its repair,
 // returning how many replicas the event hit. A reimaged server that held
-// nothing returns 0 and moves no books.
+// nothing returns 0 and moves no books. It scans every block, one shard at a
+// time under that shard's lock, so traffic on the other shards runs on: a
+// replica's state lives only in its slot, and a reimage is an operator event,
+// rare beside the re-key that walks every block on each refresh anyway.
 func (l *Ledger) Reimage(server tenant.ServerID) int {
 	total := 0
 	var refs []Repair
-	for i := range l.byServer {
+	for i := range striped.NumShards {
 		sh := l.store.Shard(i)
 		sh.Lock()
-		hits := l.byServer[i][server]
-		if len(hits) == 0 {
-			sh.Unlock()
-			continue
+		n := 0
+		for id, b := range sh.All() {
+			for slot := range b.Replicas {
+				if r := &b.Replicas[slot]; r.Placed && r.Server == int64(server) {
+					r.Placed = false
+					refs = append(refs, Repair{Block: id, Replica: slot})
+					n++
+				}
+			}
 		}
-		for blockID, slot := range hits {
-			b := sh.Recs[blockID]
-			b.Replicas[slot].Placed = false
-			refs = append(refs, Repair{Block: blockID, Replica: slot})
+		if n > 0 {
+			l.placed.Add(int64(-n))
+			l.pending.Add(int64(n))
+			l.lost.Add(int64(n))
+			total += n
 		}
-		n := int64(len(hits))
-		delete(l.byServer[i], server)
-		l.placed.Add(-n)
-		l.pending.Add(n)
-		l.lost.Add(n)
-		total += int(n)
 		sh.Unlock()
 	}
 	if total > 0 {
@@ -250,7 +220,7 @@ func (l *Ledger) TakeRepairs(max int) []Repair {
 func (l *Ledger) Requeue(r Repair) {
 	sh := l.store.Shard(striped.ShardOf(r.Block))
 	sh.Lock()
-	b := sh.Recs[r.Block]
+	b := sh.Get(r.Block)
 	stillPending := b != nil && r.Replica >= 0 && r.Replica < len(b.Replicas) && !b.Replicas[r.Replica].Placed
 	sh.Unlock()
 	if !stillPending {
@@ -266,15 +236,14 @@ func (l *Ledger) Requeue(r Repair) {
 // ErrStaleGeneration the caller re-places against the current snapshot and
 // retries with the same ref.
 func (l *Ledger) Replace(generation uint64, r Repair, server tenant.ServerID) error {
-	shardIdx := striped.ShardOf(r.Block)
-	sh := l.store.Shard(shardIdx)
+	sh := l.store.Shard(striped.ShardOf(r.Block))
 	sh.Lock()
 	defer sh.Unlock()
 	if l.generation.Load() != generation {
 		l.stales.Add(1)
 		return ErrStaleGeneration
 	}
-	b := sh.Recs[r.Block]
+	b := sh.Get(r.Block)
 	if b == nil || r.Replica < 0 || r.Replica >= len(b.Replicas) {
 		return ErrUnknownBlock
 	}
@@ -287,40 +256,41 @@ func (l *Ledger) Replace(generation uint64, r Repair, server tenant.ServerID) er
 		}
 	}
 	b.Replicas[r.Replica] = wire.ReplBlockReplica{Server: int64(server), Placed: true}
-	l.byServer[shardIdx].indexPlaced(server, b.ID, r.Replica)
 	l.pending.Add(-1)
 	l.placed.Add(1)
 	l.replaced.Add(1)
 	return nil
 }
 
-// Slots returns the block's replica servers in slot order, core.NoServer
-// where a slot is pending — the view core.PlacementScheme.PlaceSlot repairs a
-// slot from, so a repair is constrained by the same slot positions rekeyBlock
-// re-validates — and whether the block's placement promised environment
-// diversity, which a repair must re-enforce. ok is false for an unknown block.
-func (l *Ledger) Slots(blockID uint64) (slots []tenant.ServerID, envStrict, ok bool) {
+// Slots appends the block's replica servers to buf in slot order,
+// core.NoServer where a slot is pending — the view
+// core.PlacementScheme.PlaceSlot repairs a slot from, so a repair is
+// constrained by the same slot positions rekeyBlock re-validates — and reports
+// whether the block's placement promised environment diversity, which a repair
+// must re-enforce. ok is false for an unknown block, and buf comes back as it
+// went in.
+func (l *Ledger) Slots(buf []tenant.ServerID, blockID uint64) (slots []tenant.ServerID, envStrict, ok bool) {
 	sh := l.store.Shard(striped.ShardOf(blockID))
 	sh.Lock()
 	defer sh.Unlock()
-	b := sh.Recs[blockID]
+	b := sh.Get(blockID)
 	if b == nil {
-		return nil, false, false
+		return buf, false, false
 	}
-	slots = make([]tenant.ServerID, len(b.Replicas))
-	for i, r := range b.Replicas {
-		slots[i] = core.NoServer
+	for _, r := range b.Replicas {
+		s := core.NoServer
 		if r.Placed {
-			slots[i] = tenant.ServerID(r.Server)
+			s = tenant.ServerID(r.Server)
 		}
+		buf = append(buf, s)
 	}
-	return slots, b.EnvStrict, true
+	return buf, b.EnvStrict, true
 }
 
 // Servers returns the block's currently placed replica servers, compacted,
 // and how many of its slots are pending. ok is false for an unknown block.
 func (l *Ledger) Servers(blockID uint64) (placedServers []tenant.ServerID, pendingSlots int, ok bool) {
-	slots, _, ok := l.Slots(blockID)
+	slots, _, ok := l.Slots(nil, blockID)
 	for _, s := range slots {
 		if s == core.NoServer {
 			pendingSlots++
@@ -384,7 +354,6 @@ func (l *Ledger) Rekey(newGeneration uint64, site SiteOf) int {
 // allocates nothing at any replication factor in use.
 func (l *Ledger) rekeyBlock(b *block, site SiteOf, refs *[]Repair) int {
 	displaced := 0
-	index := l.byServer[striped.ShardOf(b.ID)]
 	var usedCols, usedRows uint32
 	var envBuf [maxStackEnvs]string
 	usedEnvs := envBuf[:0]
@@ -410,7 +379,6 @@ func (l *Ledger) rekeyBlock(b *block, site SiteOf, refs *[]Repair) int {
 			violates = true
 		}
 		if violates {
-			index.unindexPlaced(tenant.ServerID(r.Server), b.ID)
 			r.Placed = false
 			*refs = append(*refs, Repair{Block: b.ID, Replica: slot})
 			l.placed.Add(-1)
@@ -544,12 +512,12 @@ type Changed struct {
 // may already mutate: that is how a frame stays all-or-nothing.
 //
 // A block already held with identical replica slots is left alone, so a
-// steady-state beat allocates nothing; only a block that is new, or whose
-// slots differ, touches the server index, and the repair queue is re-derived
-// only when a pending slot appeared, moved or went away. Blocks with a
-// malformed shape (zero id, no replicas) and repeated ids are skipped rather
-// than trusted; the gauges are recomputed from what was actually applied so
-// the invariant holds even against a lying peer.
+// steady-state beat allocates nothing; a block that is new takes its slots
+// into its record, one whose slots differ is rewritten in place, and the
+// repair queue is re-derived only when a pending slot appeared, moved or went
+// away. Blocks with a malformed shape (zero id, no replicas) and repeated ids
+// are skipped rather than trusted; the gauges are recomputed from what was
+// actually applied so the invariant holds even against a lying peer.
 func (l *Ledger) Reconcile(st *State) Changed {
 	l.store.LockAll()
 	l.store.BeginPass()
@@ -562,24 +530,20 @@ func (l *Ledger) Reconcile(st *State) Changed {
 		if in.ID == 0 || len(in.Replicas) == 0 {
 			continue
 		}
-		shardIdx := striped.ShardOf(in.ID)
-		recs, index := l.store.Shard(shardIdx).Recs, l.byServer[shardIdx]
-		blk := recs[in.ID]
+		sh := l.store.Shard(striped.ShardOf(in.ID))
+		blk := sh.Get(in.ID)
 		if blk != nil && l.store.Stamped(blk) {
 			continue // the state names this id twice; the first one stands
 		}
 		awaiting := pendingSlots(in.Replicas)
 		switch {
 		case blk == nil:
-			blk = &block{ReplBlock: wire.ReplBlock{ID: in.ID, Replicas: slices.Clone(in.Replicas)}}
-			recs[in.ID] = blk
-			index.indexSlots(blk)
+			blk = sh.Add(in.ID)
+			blk.ID, blk.Replicas = in.ID, append(blk.room(len(in.Replicas)), in.Replicas...)
 			ch.Inserted++
 			requeue = requeue || awaiting > 0
 		case !slices.Equal(blk.Replicas, in.Replicas):
-			index.unindexSlots(blk)
 			blk.Replicas = append(blk.Replicas[:0], in.Replicas...)
-			index.indexSlots(blk)
 			ch.Rewritten++
 			requeue = true
 		}
@@ -590,7 +554,6 @@ func (l *Ledger) Reconcile(st *State) Changed {
 		pending += awaiting
 	}
 	l.store.Sweep(blocks, func(blk *block) {
-		l.byServer[striped.ShardOf(blk.ID)].unindexSlots(blk)
 		ch.Deleted++
 		requeue = requeue || pendingSlots(blk.Replicas) > 0
 	})

@@ -103,7 +103,7 @@ func repairThenRekey(t *testing.T, r int, seed int64) {
 		checkBlockBooks(t, led, "after reimage", 0)
 
 		for _, ref := range led.TakeRepairs(1 << 30) {
-			slots, envStrict, ok := led.Slots(ref.Block)
+			slots, envStrict, ok := led.Slots(nil, ref.Block)
 			if !ok {
 				t.Fatalf("repair ref %+v names an unknown block", ref)
 			}

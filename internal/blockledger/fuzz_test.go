@@ -98,9 +98,21 @@ func FuzzBlockLedgerConservation(f *testing.F) {
 		}
 		reimage := func(when string) {
 			// Reimage a random slice of servers, including some that hold
-			// nothing — a no-op event must move no books.
+			// nothing — a no-op event must move no books. Each event must hit
+			// exactly the placed replicas an export shows on its server.
 			for i, n := 0, rng.Intn(population/2+1); i < n; i++ {
-				led.Reimage(tenant.ServerID(rng.Intn(population + 5)))
+				s := tenant.ServerID(rng.Intn(population + 5))
+				want := 0
+				for _, b := range led.Export().Blocks {
+					for _, r := range b.Replicas {
+						if r.Placed && r.Server == int64(s) {
+							want++
+						}
+					}
+				}
+				if got := led.Reimage(s); got != want {
+					t.Fatalf("%s: Reimage(%d) hit %d replicas, the export shows %d placed there", when, s, got, want)
+				}
 			}
 			checkBlockBooks(t, led, when+" after reimage", inflight)
 		}

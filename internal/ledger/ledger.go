@@ -128,24 +128,24 @@ func newTable(generation uint64, numClasses int) *table {
 }
 
 // inlineGrants is how many grants a lease record stores in itself: a select
-// lands in one class, or spreads over a few, so a reservation's one heap
-// object is the record; a wider spread spills its grants to a slice.
+// lands in one class, or spreads over a few, so a reservation's grants live
+// in its record; a wider spread spills them to a slice.
 const inlineGrants = 4
 
-// lease is one live lease as the ledger holds it: the record Walk lends out,
-// whose Grants is replaced wholesale (on re-key), never mutated.
+// lease is one live lease as the ledger holds it: the record Walk lends out.
 type lease struct {
 	wire.ReplLease
 	// epoch is the store's stamp: the Reconcile pass that last confirmed the
 	// lease (0 for a lease this ledger issued itself).
 	epoch uint64
-	// inline backs Grants for a lease issued or first reconciled here with at
-	// most inlineGrants of them, written once before the record is published.
+	// inline backs Grants for a lease reserved or reconciled here with at
+	// most inlineGrants of them.
 	inline [inlineGrants]Grant
 }
 
-// view is the caller's view of the lease, sharing its grants: a view that
-// outlives the shard lock on a lease still held clones them.
+// view is the caller's view of the lease, its Grants still the record's: the
+// caller copies them out before it releases the shard lock (internal/striped's
+// rule), since the record may then be reused.
 func (ls *lease) view() Lease {
 	return Lease{ID: ls.ID, ExpiresAt: ls.ExpiresAt, Grants: ls.Grants, Meta: Meta{JobID: ls.JobID, Owner: ls.Owner}}
 }
@@ -292,8 +292,8 @@ func (l *Ledger) ReserveMeta(generation uint64, reqs []Request, ttl time.Duratio
 
 // ReserveInto is the reservation itself, with the returned lease's Grants
 // written into the caller's buffer (from its start; a buffer too small is
-// replaced): a caller that reuses one buffer pays for a reservation only the
-// lease record the ledger keeps.
+// replaced): a caller that reuses one buffer pays for a reservation nothing,
+// the lease record coming from the store's chunks.
 func (l *Ledger) ReserveInto(grants []Grant, generation uint64, reqs []Request, ttl time.Duration, now time.Time, meta Meta) (Lease, error) {
 	t := l.tab.Load()
 	if t.generation != generation {
@@ -357,12 +357,13 @@ func (l *Ledger) ReserveInto(grants []Grant, generation uint64, reqs []Request, 
 		l.stales.Add(1)
 		return Lease{}, ErrStaleGeneration
 	}
-	ls := &lease{ReplLease: wire.ReplLease{ID: sh.NewID(), JobID: meta.JobID, Owner: meta.Owner}}
+	id := sh.NewID()
+	ls := sh.Add(id)
+	ls.ID, ls.JobID, ls.Owner = id, meta.JobID, meta.Owner
 	ls.Grants = append(ls.inline[:0], grants...) // the record's own copy
 	if ttl > 0 {
 		ls.ExpiresAt = now.Add(ttl)
 	}
-	sh.Recs[ls.ID] = ls
 	// The cumulative counters move under the same shard lock as the lease
 	// map entry (internal/striped's rule): Export reads both with all shard
 	// locks held.
@@ -380,25 +381,32 @@ func (l *Ledger) rollback(t *table, grants []Grant) {
 }
 
 // Release returns a lease's cores to its classes and retires the lease.
-func (l *Ledger) Release(id uint64) (Lease, error) {
+func (l *Ledger) Release(id uint64) (Lease, error) { return l.ReleaseInto(nil, id) }
+
+// ReleaseInto is the release itself, with the returned lease's Grants copied
+// into the caller's buffer (from its start) before the record goes back to
+// the store for reuse.
+func (l *Ledger) ReleaseInto(grants []Grant, id uint64) (Lease, error) {
 	sh := l.store.Shard(striped.ShardOf(id))
 	sh.Lock()
-	ls, ok := sh.Recs[id]
-	if !ok {
+	ls := sh.Get(id)
+	if ls == nil {
 		sh.Unlock()
 		return Lease{}, ErrUnknownLease
 	}
-	delete(sh.Recs, id)
 	t := l.tab.Load() // stable: Rekey holds every shard lock across the swap
 	var total int64
 	for _, g := range ls.Grants {
 		t.alloc[int(g.Class)].Add(-g.Millis)
 		total += g.Millis
 	}
+	out := ls.view()
+	out.Grants = append(grants[:0], out.Grants...)
+	sh.Remove(id)
 	l.releases.Add(1)
 	l.releasedMillis.Add(total) // under the shard lock — see ReserveInto
 	sh.Unlock()
-	return ls.view(), nil
+	return out, nil
 }
 
 // Renew extends (or, with ttl <= 0, removes) a live lease's expiry deadline
@@ -414,8 +422,8 @@ func (l *Ledger) Renew(id uint64, ttl time.Duration, now time.Time) (Lease, erro
 func (l *Ledger) RenewInto(grants []Grant, id uint64, ttl time.Duration, now time.Time) (Lease, error) {
 	sh := l.store.Shard(striped.ShardOf(id))
 	sh.Lock()
-	ls, ok := sh.Recs[id]
-	if !ok {
+	ls := sh.Get(id)
+	if ls == nil {
 		sh.Unlock()
 		return Lease{}, ErrUnknownLease
 	}
@@ -455,7 +463,7 @@ func (l *Ledger) List(offset, limit int) (page []Lease, total int) {
 	}
 	page = make([]Lease, 0, end-offset)
 	for _, id := range ids[offset:end] {
-		out := l.store.Shard(striped.ShardOf(id)).Recs[id].view()
+		out := l.store.Shard(striped.ShardOf(id)).Get(id).view()
 		out.Grants = slices.Clone(out.Grants)
 		page = append(page, out)
 	}
@@ -473,15 +481,15 @@ func (l *Ledger) ExpireBefore(now time.Time) (leases int, millis int64) {
 		t := l.tab.Load() // stable while the shard lock is held
 		var shardLeases int
 		var shardMillis int64
-		for id, ls := range sh.Recs {
+		for id, ls := range sh.All() {
 			if ls.ExpiresAt.IsZero() || ls.ExpiresAt.After(now) {
 				continue
 			}
-			delete(sh.Recs, id)
 			for _, g := range ls.Grants {
 				t.alloc[int(g.Class)].Add(-g.Millis)
 				shardMillis += g.Millis
 			}
+			sh.Remove(id)
 			shardLeases++
 		}
 		if shardLeases > 0 {
@@ -731,9 +739,9 @@ type Changed struct {
 //
 // Work is proportional to the leases for the walk but allocates only for what
 // changed: a lease already held with the same grants has its expiry and
-// metadata overwritten in place; an unknown lease is inserted, a few grants
-// inside its record, and a re-keyed one gets a fresh grants slice; held leases
-// the state does not name are deleted. It mutates an existing ledger (the
+// metadata overwritten in place; an unknown lease is inserted and a re-keyed
+// one rewritten, a few grants inside the record either way; held leases the
+// state does not name are deleted. It mutates an existing ledger (the
 // shard's ledger pointer must stay stable for concurrent readers) and re-keys
 // to whatever generation the
 // books carry: the follower's snapshot apply and ledger apply arrive as one
@@ -762,7 +770,7 @@ func (l *Ledger) Reconcile(st *State, numClasses int) Changed {
 			continue
 		}
 		sh := l.store.Shard(striped.ShardOf(in.ID))
-		ls := sh.Recs[in.ID]
+		ls := sh.Get(in.ID)
 		if ls != nil && l.store.Stamped(ls) {
 			continue // the state names this id twice; the first one stands
 		}
@@ -789,19 +797,17 @@ func (l *Ledger) Reconcile(st *State, numClasses int) Changed {
 		// A lease already held as shipped — the steady state — skips this
 		// block and allocates nothing.
 		if same = same && valid == len(ls.Grants); !same {
-			// A held lease's Grants may be on loan to a Walk or shared by a
-			// view, so a rewrite gets a fresh slice; a record nobody has seen
-			// yet keeps a few grants in itself, as ReserveInto's does.
-			var grants []Grant
+			// Nothing holds a record's grants past its shard lock, so a
+			// rewrite copies in place: into the record's own grants while
+			// they fit, as ReserveInto's do.
 			if ls == nil {
-				ls = &lease{}
-				sh.Recs[in.ID] = ls
+				ls = sh.Add(in.ID)
 				ch.Inserted++
-				grants = ls.inline[:0]
 			} else {
 				ch.Rewritten++
 			}
-			if valid > cap(grants) {
+			grants := ls.inline[:0]
+			if valid > inlineGrants {
 				grants = make([]Grant, 0, valid)
 			}
 			for _, g := range in.Grants {

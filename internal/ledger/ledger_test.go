@@ -89,6 +89,45 @@ func TestReserveReleaseBasics(t *testing.T) {
 	checkConservation(t, l)
 }
 
+// TestReleasedLeaseOutlivesItsRecord: a released lease's record goes back to
+// the store and the next reservation on its shard takes it over, but the lease
+// Release returned keeps the grants it had — through Release's own copy and
+// through ReleaseInto's into a caller's buffer alike.
+func TestReleasedLeaseOutlivesItsRecord(t *testing.T) {
+	l := ledger.New(1, 3)
+	now := time.Now()
+	reserve := func(reqs ...ledger.Request) uint64 {
+		t.Helper()
+		lease, err := l.Reserve(1, reqs, 0, now)
+		if err != nil {
+			t.Fatalf("Reserve: %v", err)
+		}
+		return lease.ID
+	}
+	// Every lease lands on its first class's shard, so each reservation below
+	// takes the record the release before it gave back.
+	want := []ledger.Grant{{Class: 1, Millis: 2000}, {Class: 2, Millis: 1000}}
+	rel, err := l.Release(reserve(ledger.Request{Class: 1, Cores: 2, Capacity: 10}, ledger.Request{Class: 2, Cores: 1, Capacity: 10}))
+	if err != nil {
+		t.Fatalf("Release: %v", err)
+	}
+	next := reserve(ledger.Request{Class: 1, Cores: 0.5, Capacity: 10})
+	if !slices.Equal(rel.Grants, want) {
+		t.Fatalf("released lease's grants became %+v once its record was reused, want %+v", rel.Grants, want)
+	}
+
+	buf := make([]ledger.Grant, 0, 4)
+	into, err := l.ReleaseInto(buf, next)
+	if err != nil || len(into.Grants) != 1 || &into.Grants[0] != &buf[:1][0] {
+		t.Fatalf("ReleaseInto: %+v, %v; want one grant in the caller's buffer", into, err)
+	}
+	reserve(ledger.Request{Class: 1, Cores: 3, Capacity: 10}, ledger.Request{Class: 0, Cores: 1, Capacity: 10})
+	if g := into.Grants[0]; g != (ledger.Grant{Class: 1, Millis: 500}) {
+		t.Fatalf("ReleaseInto's grant became %+v once its record was reused, want class 1, 500 millis", g)
+	}
+	checkConservation(t, l)
+}
+
 func TestExpiry(t *testing.T) {
 	l := ledger.New(1, 1)
 	now := time.Now()

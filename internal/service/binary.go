@@ -262,7 +262,7 @@ func (b *BinaryServer) serve(sc *scratch, out []byte, h wire.Header, payload []b
 		if m.Decode(payload) != nil {
 			return out, badPayload
 		}
-		lease, rej := b.svc.opRelease(dc, m.Lease)
+		lease, rej := b.svc.opRelease(sc, dc, m.Lease)
 		if rej != nil {
 			return out, rej
 		}

@@ -2,9 +2,12 @@ package service_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
+	"harvest/internal/ledger"
 	"harvest/internal/service"
+	"harvest/internal/striped"
 	"harvest/internal/wire"
 )
 
@@ -172,5 +175,76 @@ func TestBinaryRepliesAreTheCanonicalEncoding(t *testing.T) {
 		if !bytes.Equal(again, sent) {
 			t.Errorf("%s: server sent\n%x\nwire encodes the decoded reply as\n%x", st.name, sent, again)
 		}
+	}
+}
+
+// TestReleasedLeaseOutlivesItsRecordThroughDispatch reserves and releases
+// through the binary dispatch while the public Release hands out a lease whose
+// record the next reserving select on its shard takes over: that lease keeps
+// the grants it was released with, and every release reply reports what its
+// own select granted.
+func TestReleasedLeaseOutlivesItsRecordThroughDispatch(t *testing.T) {
+	const dc = "DC-9"
+	svc := newTestService(t)
+	defer svc.Close()
+	dispatch := service.NewBinaryServer(svc).Dispatcher()
+	call := func(frame []byte) []byte {
+		t.Helper()
+		h, _ := wire.ParsePublicHeader(frame)
+		out := dispatch(nil, h, frame[wire.HeaderSize:])
+		if rh, err := wire.ParsePublicHeader(out); err != nil || rh.Op == wire.OpError {
+			t.Fatalf("request op %v answered %v: %q", h.Op, err, out)
+		}
+		return out[wire.HeaderSize:]
+	}
+	reserve := func(cores float64) wire.SelectResp {
+		t.Helper()
+		var m wire.SelectResp
+		if err := m.Decode(call(wire.AppendSelectReq(nil, 1, dc, wire.SelectReq{Job: wire.JobShort, MaxCores: cores, HoldMillis: 60_000}))); err != nil || m.Lease == 0 {
+			t.Fatalf("select of %v cores: %+v, %v", cores, m, err)
+		}
+		return m
+	}
+	grantedMillis := func(m wire.SelectResp) (total int64) {
+		for _, g := range m.Classes {
+			total += ledger.ToMillis(g.Granted)
+		}
+		return total
+	}
+
+	first := reserve(3)
+	released, err := svc.Release(dc, first.Lease)
+	if err != nil || released.TotalMillis() != grantedMillis(first) {
+		t.Fatalf("Release: %+v, %v; want %d millis", released, err, grantedMillis(first))
+	}
+	want := slices.Clone(released.Grants)
+	// A lease id carries its shard in its low bits (internal/striped); reserve
+	// until one lands on the released lease's shard, so it takes that record.
+	var others []wire.SelectResp
+	for range 256 {
+		m := reserve(1)
+		if m.Lease%striped.NumShards == first.Lease%striped.NumShards {
+			others = append([]wire.SelectResp{m}, others...)
+			break
+		}
+		others = append(others, m)
+	}
+	if others[0].Lease%striped.NumShards != first.Lease%striped.NumShards {
+		t.Fatal("no reservation landed on the released lease's shard")
+	}
+	if !slices.Equal(released.Grants, want) {
+		t.Fatalf("released lease's grants became %+v once its record was reused, want %+v", released.Grants, want)
+	}
+	for _, m := range others {
+		var rel wire.ReleaseResp
+		if err := rel.Decode(call(wire.AppendReleaseReq(nil, 1, dc, m.Lease))); err != nil {
+			t.Fatal(err)
+		}
+		if rel.Lease != m.Lease || rel.TotalMillis != grantedMillis(m) {
+			t.Fatalf("release of lease %d reported %+v, want %d millis", m.Lease, rel, grantedMillis(m))
+		}
+	}
+	if st, _ := svc.LedgerStats(dc); st.ActiveLeases != 0 || st.ConservationErrorMillis != 0 {
+		t.Fatalf("ledger after releasing everything: %+v", st)
 	}
 }

@@ -749,7 +749,7 @@ func (a *API) handleRelease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	dc := r.PathValue("dc")
-	lease, rej := a.svc.opRelease(dc, req.Lease)
+	lease, rej := a.svc.opRelease(&stateOf(w).sc, dc, req.Lease)
 	if rej != nil {
 		writeError(w, rej.Status, rej.Message)
 		return

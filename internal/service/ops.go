@@ -171,11 +171,11 @@ func (s *Service) opSelect(sc *scratch, dc string, a selectArgs, tr *obs.Trace) 
 }
 
 // opRelease returns a lease's cores to their classes.
-func (s *Service) opRelease(dc string, lease uint64) (ledger.Lease, *rejection) {
+func (s *Service) opRelease(sc *scratch, dc string, lease uint64) (ledger.Lease, *rejection) {
 	if rej := checkLease(lease); rej != nil {
 		return ledger.Lease{}, rej
 	}
-	released, err := s.Release(dc, lease)
+	released, err := s.release(sc, dc, lease)
 	return released, rejectionOf(err)
 }
 

@@ -1280,6 +1280,10 @@ func (s *Service) selectReserve(sc *scratch, dc string, job core.JobRequest, ttl
 // reports what was actually released (grants may have been re-keyed across
 // snapshot generations since the reservation).
 func (s *Service) Release(dc string, id uint64) (ledger.Lease, error) {
+	return s.release(new(scratch), dc, id)
+}
+
+func (s *Service) release(sc *scratch, dc string, id uint64) (ledger.Lease, error) {
 	sh, ok := s.shards[dc]
 	if !ok {
 		return ledger.Lease{}, unknownDC(dc)
@@ -1287,7 +1291,11 @@ func (s *Service) Release(dc string, id uint64) (ledger.Lease, error) {
 	if s.follower.Load() {
 		return ledger.Lease{}, ErrFollower
 	}
-	return sh.led.Release(id)
+	lease, err := sh.led.ReleaseInto(sc.grants, id)
+	if err == nil {
+		sc.grants = lease.Grants
+	}
+	return lease, err
 }
 
 // Renew extends a live lease's expiry deadline without moving any cores:
@@ -1486,8 +1494,9 @@ func (s *Service) RepairBlocks(dc string, max int) int {
 		return 0
 	}
 	landed := 0
+	var slots []tenant.ServerID // one buffer for the whole batch
 	for _, ref := range sh.blocks.TakeRepairs(max) {
-		if s.repairOne(sh, ref) {
+		if s.repairOne(sh, ref, &slots) {
 			landed++
 		} else {
 			sh.blocks.Requeue(ref)
@@ -1497,15 +1506,17 @@ func (s *Service) RepairBlocks(dc string, max int) int {
 	return landed
 }
 
-// repairOne re-places a single pending replica slot. True means the ref is
-// settled — the repair landed, or the slot no longer needs one (duplicate
-// delivery, deleted block); false means the caller should requeue it.
-func (s *Service) repairOne(sh *shard, ref blockledger.Repair) bool {
+// repairOne re-places a single pending replica slot, reading the block's
+// slots into the caller's buffer. True means the ref is settled — the repair
+// landed, or the slot no longer needs one (duplicate delivery, deleted block);
+// false means the caller should requeue it.
+func (s *Service) repairOne(sh *shard, ref blockledger.Repair, buf *[]tenant.ServerID) bool {
 	sh.gate.RLock()
 	defer sh.gate.RUnlock()
 	snap := sh.snap.Load()
 	for attempt := 0; attempt < selectReserveAttempts; attempt++ {
-		slots, envStrict, ok := sh.blocks.Slots(ref.Block)
+		slots, envStrict, ok := sh.blocks.Slots((*buf)[:0], ref.Block)
+		*buf = slots
 		if !ok || ref.Replica < 0 || ref.Replica >= len(slots) || slots[ref.Replica] != core.NoServer {
 			return true
 		}

@@ -13,6 +13,14 @@
 // a reader holding every lock sees books that balance against the records: a
 // counter lagging its record would persist a state that violates conservation
 // across a restart.
+//
+// Storage: a shard hands its records out of chunks of chunkSize it allocates
+// whole, and Remove zeroes a record and keeps it for the next Add, so holding
+// a record costs no heap object of its own. A shard's chunks stay at its
+// high-water mark, as a Go map's buckets do. The one rule this buys: nothing
+// keeps a pointer into a record, or a slice of its storage, after the shard
+// lock is released — once it is, the record may be removed and reused under
+// another id. What a caller needs past the lock it copies out first.
 package striped
 
 import (
@@ -43,13 +51,69 @@ func ShardOf(id uint64) int { return int(id & shardMask) }
 // random values are still far beyond enumerable.
 const maxJSONSafeID = 1<<53 - 1
 
+// chunkSize is how many records a shard allocates at once.
+const chunkSize = 256
+
 // Shard is one lock-striped slice of the record map, guarded by the mutex it
 // embeds. Each shard owns its id stream so issuing never crosses shards.
 type Shard[V any] struct {
 	sync.Mutex
-	Recs  map[uint64]*V
+	recs map[uint64]*V
+	// free holds removed records, zeroed, for Add to reuse before it carves
+	// the next record off carve, the unused tail of the newest chunk.
+	free  []*V
+	carve []V
 	idx   uint64
 	idrng *rand.ChaCha8
+}
+
+// Get returns the record held under id, nil if none is. Called with the
+// shard's lock held.
+func (sh *Shard[V]) Get(id uint64) *V { return sh.recs[id] }
+
+// Add holds a zeroed record under id, which must not be held, and returns it
+// for the caller to fill: a removed record if there is one, else the next of
+// the newest chunk. Called with the shard's lock held.
+func (sh *Shard[V]) Add(id uint64) *V {
+	var v *V
+	if n := len(sh.free); n > 0 {
+		v = sh.free[n-1]
+		sh.free = sh.free[:n-1]
+	} else {
+		if len(sh.carve) == 0 {
+			sh.carve = make([]V, chunkSize)
+		}
+		v = &sh.carve[0]
+		sh.carve = sh.carve[1:]
+	}
+	sh.recs[id] = v
+	return v
+}
+
+// Remove deletes the record held under id and zeroes it, so it pins no string
+// or slice while it waits for Add to reuse it. An id not held is a no-op.
+// Called with the shard's lock held.
+func (sh *Shard[V]) Remove(id uint64) {
+	v, ok := sh.recs[id]
+	if !ok {
+		return
+	}
+	delete(sh.recs, id)
+	var zero V
+	*v = zero
+	sh.free = append(sh.free, v)
+}
+
+// All ranges over the shard's records, in no particular order; the loop body
+// may Remove the record it was handed. Called with the shard's lock held.
+func (sh *Shard[V]) All() iter.Seq2[uint64, *V] {
+	return func(yield func(uint64, *V) bool) {
+		for id, v := range sh.recs {
+			if !yield(id, v) {
+				return
+			}
+		}
+	}
 }
 
 // NewID draws an unguessable nonzero id whose low bits carry the shard index,
@@ -57,7 +121,7 @@ type Shard[V any] struct {
 // capabilities once they cross process boundaries — a lease id releases the
 // lease, and the binary wire protocol freezes ids as opaque 64-bit values — so
 // the 49 bits above the shard index stay CSPRNG-random, never a counter.
-// Records applied from a peer or a file sit in Recs under their issuer's ids,
+// Records applied from a peer or a file are held under their issuer's ids,
 // so a handoff cannot double-issue one. Called with the shard's lock held.
 func (sh *Shard[V]) NewID() uint64 {
 	for {
@@ -65,7 +129,7 @@ func (sh *Shard[V]) NewID() uint64 {
 		if id == 0 {
 			continue
 		}
-		if _, taken := sh.Recs[id]; !taken {
+		if _, taken := sh.recs[id]; !taken {
 			return id
 		}
 	}
@@ -92,7 +156,7 @@ func New[V any](epochOf func(*V) *uint64) *Store[V] {
 			// guessable, which release turns into a capability.
 			panic("striped: reading CSPRNG seed: " + err.Error())
 		}
-		s.shards[i] = Shard[V]{Recs: make(map[uint64]*V), idx: uint64(i), idrng: rand.NewChaCha8(seed)}
+		s.shards[i] = Shard[V]{recs: make(map[uint64]*V), idx: uint64(i), idrng: rand.NewChaCha8(seed)}
 	}
 	return s
 }
@@ -120,7 +184,7 @@ func (s *Store[V]) UnlockAll() {
 func (s *Store[V]) Len() int {
 	n := 0
 	for i := range s.shards {
-		n += len(s.shards[i].Recs)
+		n += len(s.shards[i].recs)
 	}
 	return n
 }
@@ -130,7 +194,7 @@ func (s *Store[V]) Len() int {
 func (s *Store[V]) All() iter.Seq2[uint64, *V] {
 	return func(yield func(uint64, *V) bool) {
 		for i := range s.shards {
-			for id, v := range s.shards[i].Recs {
+			for id, v := range s.shards[i].All() {
 				if !yield(id, v) {
 					return
 				}
@@ -151,18 +215,21 @@ func (s *Store[V]) Stamped(v *V) bool { return *s.epochOf(v) == s.epoch }
 // Stamp confirms the record for this pass.
 func (s *Store[V]) Stamp(v *V) { *s.epochOf(v) = s.epoch }
 
-// Sweep closes the pass: it deletes every record the pass did not stamp and
-// calls drop with each. applied is how many records the pass stamped; all of
+// Sweep closes the pass: it calls drop with every record the pass did not
+// stamp, then Removes it. applied is how many records the pass stamped; all of
 // them are held, so a store holding exactly that many has nothing unstamped
 // and the walk is skipped — the steady state, a state naming what is held.
 func (s *Store[V]) Sweep(applied int, drop func(*V)) {
 	if s.Len() == applied {
 		return
 	}
-	for id, v := range s.All() {
-		if !s.Stamped(v) {
-			delete(s.shards[ShardOf(id)].Recs, id)
-			drop(v)
+	for i := range s.shards {
+		sh := &s.shards[i]
+		for id, v := range sh.All() {
+			if !s.Stamped(v) {
+				drop(v)
+				sh.Remove(id)
+			}
 		}
 	}
 }

@@ -11,7 +11,12 @@ import (
 type rec struct {
 	id    uint64
 	epoch uint64
+	name  string
+	refs  []uint64
 }
+
+// zeroed reports whether r is the zero record: nothing it held is pinned.
+func (r *rec) zeroed() bool { return r.id == 0 && r.epoch == 0 && r.name == "" && r.refs == nil }
 
 func newStore() *Store[rec] { return New(func(r *rec) *uint64 { return &r.epoch }) }
 
@@ -21,7 +26,7 @@ func insert(s *Store[rec], i int) uint64 {
 	sh.Lock()
 	defer sh.Unlock()
 	id := sh.NewID()
-	sh.Recs[id] = &rec{id: id}
+	sh.Add(id).id = id
 	return id
 }
 
@@ -39,12 +44,14 @@ func TestNewIDLayout(t *testing.T) {
 			case ShardOf(id) != i:
 				t.Fatalf("shard %d minted %d, which routes to shard %d", i, id, ShardOf(id))
 			}
-			if _, held := sh.Recs[id]; held {
+			if sh.Get(id) != nil {
 				t.Fatalf("shard %d minted %d twice", i, id)
 			}
-			sh.Recs[id] = &rec{id: id}
+			sh.Add(id).id = id
 		}
-		clear(sh.Recs)
+		for id := range sh.All() {
+			sh.Remove(id)
+		}
 	}
 }
 
@@ -61,7 +68,7 @@ func TestNewIDSkipsHeldIDs(t *testing.T) {
 		draw := func() uint64 { return replay.Uint64()&maxJSONSafeID&^shardMask | uint64(i) }
 		const taken = 50
 		for range taken {
-			sh.Recs[draw()] = &rec{}
+			sh.Add(draw())
 		}
 		want := draw()
 		if got := sh.NewID(); got != want {
@@ -104,12 +111,12 @@ func TestLockAllQuiescesSingleShardTraffic(t *testing.T) {
 			for n := range 5000 {
 				sh.Lock()
 				if len(mine) == 32 || len(mine) > 0 && n%3 == 2 {
-					delete(sh.Recs, mine[len(mine)-1])
+					sh.Remove(mine[len(mine)-1])
 					mine = mine[:len(mine)-1]
 					deleted.Add(1)
 				} else {
 					id := sh.NewID()
-					sh.Recs[id] = &rec{id: id}
+					sh.Add(id).id = id
 					mine = append(mine, id)
 					inserted.Add(1)
 				}
@@ -147,15 +154,15 @@ func reconcile(s *Store[rec], ids []uint64, drop func(*rec)) (applied, repeated 
 	defer s.UnlockAll()
 	s.BeginPass()
 	for _, id := range ids {
-		recs := s.Shard(ShardOf(id)).Recs
-		r := recs[id]
+		sh := s.Shard(ShardOf(id))
+		r := sh.Get(id)
 		if r != nil && s.Stamped(r) {
 			repeated++
 			continue
 		}
 		if r == nil {
-			r = &rec{id: id}
-			recs[id] = r
+			r = sh.Add(id)
+			r.id = id
 		}
 		s.Stamp(r)
 		applied++
@@ -237,6 +244,127 @@ func TestSweepDeletesExactlyTheUnstamped(t *testing.T) {
 	reconcile(s, swapped, func(r *rec) { lost = append(lost, r.id) })
 	if len(lost) != 1 || lost[0] != gone {
 		t.Fatalf("swapping %d out dropped %v", gone, lost)
+	}
+}
+
+// TestAddReusesWhatRemoveFrees pins the reuse contract: Remove zeroes the
+// record it deletes, so it pins nothing, and the next Add on that shard hands
+// the same record back, zeroed, under its new id.
+func TestAddReusesWhatRemoveFrees(t *testing.T) {
+	s := newStore()
+	sh := s.Shard(3)
+	sh.Lock()
+	defer sh.Unlock()
+	first := sh.NewID()
+	r := sh.Add(first)
+	if !r.zeroed() {
+		t.Fatalf("Add returned %+v, want a zeroed record", *r)
+	}
+	r.id, r.epoch, r.name, r.refs = first, 9, "held", []uint64{1, 2}
+	sh.Remove(first)
+	if sh.Get(first) != nil {
+		t.Fatalf("%d is still held after Remove", first)
+	}
+	if !r.zeroed() {
+		t.Fatalf("Remove left %+v in the record", *r)
+	}
+	second := sh.NewID()
+	if again := sh.Add(second); again != r {
+		t.Fatal("Add after Remove did not reuse the removed record")
+	} else if !again.zeroed() {
+		t.Fatalf("reused record is %+v, want zeroed", *again)
+	}
+	if sh.Get(second) != r {
+		t.Fatalf("%d is not held after Add", second)
+	}
+}
+
+func TestRemoveOfAnIDNotHeldIsANoOp(t *testing.T) {
+	s := newStore()
+	held := insert(s, 5)
+	sh := s.Shard(5)
+	sh.Lock()
+	defer sh.Unlock()
+	r := sh.Get(held)
+	sh.Remove(held + NumShards) // same shard, never issued
+	sh.Remove(held + NumShards)
+	if sh.Get(held) != r || r.id != held || len(sh.free) != 0 {
+		t.Fatalf("removing ids not held disturbed the shard: record %+v, %d free", *r, len(sh.free))
+	}
+	sh.Remove(held)
+	sh.Remove(held) // a second Remove must not free the record twice
+	if len(sh.free) != 1 {
+		t.Fatalf("two Removes of one id freed %d records, want 1", len(sh.free))
+	}
+}
+
+func TestAddRemoveAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	sh := newStore().Shard(0)
+	sh.Lock()
+	defer sh.Unlock()
+	id := sh.NewID()
+	if got := testing.AllocsPerRun(1000, func() {
+		sh.Add(id).id = id
+		sh.Remove(id)
+	}); got != 0 {
+		t.Fatalf("Add+Remove: %v allocs, want 0", got)
+	}
+}
+
+// TestAddsAllocateChunks counts what a shard allocates for its records alone
+// (its map is sized up front): one chunk per chunkSize records, so 1,000 Adds
+// cost 4.
+func TestAddsAllocateChunks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const adds = 1000
+	sh := newStore().Shard(0)
+	sh.Lock()
+	defer sh.Unlock()
+	// AllocsPerRun counts the second of two runs; the first leaves 24 records
+	// of its last chunk for the second to start on.
+	sh.recs = make(map[uint64]*rec, 2*adds)
+	next := uint64(0)
+	got := testing.AllocsPerRun(1, func() {
+		for range adds {
+			next += NumShards
+			sh.Add(next)
+		}
+	})
+	if got != 4 {
+		t.Fatalf("%d Adds on one shard: %v allocations, want 4", adds, got)
+	}
+}
+
+// TestSweepZeroesAndFreesWhatItDrops: a swept record is handed to drop while
+// it still holds its contents, then zeroed and reused by the next Add.
+func TestSweepZeroesAndFreesWhatItDrops(t *testing.T) {
+	s := newStore()
+	keep, gone := insert(s, 2), insert(s, 2)
+	s.LockAll()
+	doomed := s.Shard(2).Get(gone)
+	doomed.name = "doomed"
+	s.UnlockAll()
+	var seen []string
+	reconcile(s, []uint64{keep}, func(r *rec) { seen = append(seen, r.name) })
+	if len(seen) != 1 || seen[0] != "doomed" {
+		t.Fatalf("drop saw %q, want the swept record's contents", seen)
+	}
+	if !doomed.zeroed() {
+		t.Fatalf("swept record holds %+v, want zeroed", *doomed)
+	}
+	sh := s.Shard(2)
+	sh.Lock()
+	defer sh.Unlock()
+	if sh.Get(gone) != nil || sh.Get(keep) == nil {
+		t.Fatal("sweep removed the wrong record")
+	}
+	if sh.Add(sh.NewID()) != doomed {
+		t.Fatal("the next Add did not reuse the swept record")
 	}
 }
 

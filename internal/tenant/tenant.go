@@ -155,8 +155,8 @@ type Population struct {
 	Datacenter string
 	Tenants    []*Tenant
 
-	byID     map[ID]*Tenant
-	byServer map[ServerID]*Tenant
+	byID   map[ID]*Tenant
+	owners map[ServerID]*Tenant
 }
 
 // NewPopulation builds a population and its indexes. Tenants with duplicate
@@ -166,7 +166,7 @@ func NewPopulation(datacenter string, tenants []*Tenant) (*Population, error) {
 		Datacenter: datacenter,
 		Tenants:    tenants,
 		byID:       make(map[ID]*Tenant, len(tenants)),
-		byServer:   make(map[ServerID]*Tenant),
+		owners:     make(map[ServerID]*Tenant),
 	}
 	for _, t := range tenants {
 		if _, dup := p.byID[t.ID]; dup {
@@ -174,10 +174,10 @@ func NewPopulation(datacenter string, tenants []*Tenant) (*Population, error) {
 		}
 		p.byID[t.ID] = t
 		for _, s := range t.Servers {
-			if owner, taken := p.byServer[s]; taken {
+			if owner, taken := p.owners[s]; taken {
 				return nil, fmt.Errorf("tenant: server %v owned by both %v and %v", s, owner.ID, t.ID)
 			}
-			p.byServer[s] = t
+			p.owners[s] = t
 		}
 	}
 	return p, nil
@@ -187,14 +187,14 @@ func NewPopulation(datacenter string, tenants []*Tenant) (*Population, error) {
 func (p *Population) ByID(id ID) *Tenant { return p.byID[id] }
 
 // OwnerOf returns the tenant owning the given server, or nil.
-func (p *Population) OwnerOf(server ServerID) *Tenant { return p.byServer[server] }
+func (p *Population) OwnerOf(server ServerID) *Tenant { return p.owners[server] }
 
 // NumServers returns the total number of servers across all tenants.
-func (p *Population) NumServers() int { return len(p.byServer) }
+func (p *Population) NumServers() int { return len(p.owners) }
 
 // ServerIDs returns all server ids in the population in tenant order.
 func (p *Population) ServerIDs() []ServerID {
-	out := make([]ServerID, 0, len(p.byServer))
+	out := make([]ServerID, 0, len(p.owners))
 	for _, t := range p.Tenants {
 		out = append(out, t.Servers...)
 	}
