@@ -34,9 +34,9 @@
 // instead — it serves class queries, placement, and advisory dry-run selects
 // from the replicated state (writes get a retryable 503) until POST
 // /v1/promote flips it to primary. A follower may carry -replicate-addr too:
-// the listener stays armed but idle, and promotion starts serving replication
-// on it, so the promoted node can feed the remaining followers (which learn
-// the new address from the router's register acknowledgements). Both modes
+// it closes each hello there until promotion and streams from then on, so the
+// promoted node can feed the remaining followers (which learn the new address
+// from the router's register acknowledgements). Both modes
 // require an explicit -node-id: the follower announces its primary's identity
 // to the router, and the names must match the primary's own registration for
 // read spreading and failover to engage.
@@ -64,6 +64,7 @@ import (
 
 	"harvest/internal/experiments"
 	"harvest/internal/obs"
+	"harvest/internal/regproto"
 	"harvest/internal/service"
 )
 
@@ -80,48 +81,6 @@ func splitNonEmpty(s string) []string {
 		}
 	}
 	return out
-}
-
-// advertisedURL derives a router-reachable base URL from the bound listener
-// address: a wildcard host becomes the loopback address (the single-machine
-// default; multi-host deployments pass -advertise explicitly).
-func advertisedURL(addr net.Addr) string {
-	host, port, err := net.SplitHostPort(addr.String())
-	if err != nil {
-		return "http://" + addr.String()
-	}
-	switch host {
-	case "", "::", "0.0.0.0":
-		host = "127.0.0.1"
-	}
-	return "http://" + net.JoinHostPort(host, port)
-}
-
-// advertisedHostPort derives an externally reachable host:port for a bound
-// auxiliary listener: the host comes from -advertise when set (the node
-// already knows its public name), otherwise from the listener with wildcard
-// hosts mapped to loopback; the port is always the bound one.
-func advertisedHostPort(bound net.Addr, advertise string) string {
-	_, port, err := net.SplitHostPort(bound.String())
-	if err != nil {
-		return bound.String()
-	}
-	host := ""
-	if advertise != "" {
-		if u, err := url.Parse(advertise); err == nil {
-			host = u.Hostname()
-		}
-	}
-	if host == "" {
-		if h, _, err := net.SplitHostPort(bound.String()); err == nil {
-			host = h
-		}
-	}
-	switch host {
-	case "", "::", "0.0.0.0":
-		host = "127.0.0.1"
-	}
-	return net.JoinHostPort(host, port)
 }
 
 func main() {
@@ -145,7 +104,7 @@ func main() {
 	announceToken := flag.String("announce-token", "", "bearer token for router registration (must match the router's -register-token)")
 	trustedProxies := flag.String("trusted-proxies", "", "comma-separated router IPs/CIDRs whose X-Forwarded-For keys the per-source ingest rate limit (the header is ignored from all other peers)")
 	debugAddr := flag.String("debug-addr", "", "address for the operator debug listener (pprof, expvar, /debug/traces); empty disables. Keep it off the data-plane address.")
-	replicateAddr := flag.String("replicate-addr", "", "address to stream replication frames to followers on (live on a primary, armed for promotion on a follower; empty disables)")
+	replicateAddr := flag.String("replicate-addr", "", "address to stream replication frames to followers on (a follower refuses them there until promoted; empty disables)")
 	follow := flag.String("follow", "", "primary's replication address (host:port) to follow as a read-only replica")
 	replInterval := flag.Duration("repl-interval", 0, "replication ship cadence on the primary (0 = 250ms)")
 	flag.Parse()
@@ -209,6 +168,11 @@ func main() {
 		IngestRatePerSource: *ingestRate,
 		TrustedProxies:      splitNonEmpty(*trustedProxies),
 	})
+	// The auxiliary listeners are announced under -advertise's host, when set.
+	var advertiseHost string
+	if u, err := url.Parse(*advertise); err == nil {
+		advertiseHost = u.Hostname()
+	}
 	var binAdvertise string
 	var binErrs <-chan error
 	if *binaryAddr != "" {
@@ -219,7 +183,7 @@ func main() {
 		}
 		defer bs.Close()
 		binErrs = errc
-		binAdvertise = advertisedHostPort(bound, *advertise)
+		binAdvertise = regproto.AdvertiseAddr(bound, advertiseHost)
 		api.AttachBinary(bs, binAdvertise)
 		logger.Info("binary protocol listening", "addr", bound.String(), "advertised", binAdvertise)
 	}
@@ -229,16 +193,11 @@ func main() {
 		if err != nil {
 			obs.Fatal(logger, "replication listener failed", "addr", *replicateAddr, "err", err)
 		}
-		// The service owns the listener from here; svc.Close shuts it down.
-		// On a primary it serves immediately; on a follower it stays armed
-		// until promotion.
+		// The service owns the listener from here; svc.Close shuts it down. A
+		// follower refuses each hello on it until promotion.
 		svc.ArmReplicationListener(rln)
-		replAdvertise = advertisedHostPort(rln.Addr(), *advertise)
-		if *follow != "" {
-			logger.Info("replication listener armed for promotion", "addr", rln.Addr().String())
-		} else {
-			logger.Info("replicating to followers", "addr", rln.Addr().String(), "interval", cfg.ReplInterval)
-		}
+		replAdvertise = regproto.AdvertiseAddr(rln.Addr(), advertiseHost)
+		logger.Info("replication listener on", "addr", rln.Addr().String(), "interval", cfg.ReplInterval)
 	}
 	if *follow != "" {
 		logger.Info("following primary", "addr", *follow, "node", cfg.NodeID)
@@ -257,7 +216,7 @@ func main() {
 	if *announce != "" {
 		selfURL := *advertise
 		if selfURL == "" {
-			selfURL = advertisedURL(ln.Addr())
+			selfURL = "http://" + regproto.AdvertiseAddr(ln.Addr(), "")
 		}
 		routers := splitNonEmpty(*announce)
 		if len(routers) == 0 {

@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"harvest/internal/obs"
+	"harvest/internal/regproto"
 	"harvest/internal/router"
 	"harvest/internal/service"
 )
@@ -103,7 +104,7 @@ func main() {
 		binErrs = errc
 		advertise := *binaryAdvertise
 		if advertise == "" {
-			advertise = localHostPort(binAddr)
+			advertise = regproto.AdvertiseAddr(binAddr, "")
 		}
 		rt.SetBinaryAdvertise(advertise)
 		logger.Info("binary dialect listening", "addr", binAddr.String(), "advertised", advertise)
@@ -128,18 +129,4 @@ func main() {
 	case err := <-binErrs:
 		obs.Fatal(logger, "binary listener failed", "err", err)
 	}
-}
-
-// localHostPort renders a bound address as something dialable: a wildcard
-// host (":7071", "0.0.0.0", "::") becomes 127.0.0.1 — right for local
-// deployments; use -binary-advertise when clients connect from elsewhere.
-func localHostPort(bound net.Addr) string {
-	host, port, err := net.SplitHostPort(bound.String())
-	if err != nil {
-		return bound.String()
-	}
-	if host == "" || host == "::" || host == "0.0.0.0" {
-		host = "127.0.0.1"
-	}
-	return net.JoinHostPort(host, port)
 }

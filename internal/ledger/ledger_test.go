@@ -14,7 +14,7 @@ import (
 	"harvest/internal/wire"
 )
 
-// checkConservation asserts the exact millicore invariant the CI smoke job
+// checkConservation asserts the exact millicore invariant CI's daemons job
 // also checks over /metrics.
 func checkConservation(t *testing.T, l *ledger.Ledger) {
 	t.Helper()

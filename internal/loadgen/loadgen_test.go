@@ -9,14 +9,13 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
-	"sync"
 	"testing"
 	"testing/iotest"
 	"time"
 
 	"harvest/internal/experiments"
+	"harvest/internal/fleettest"
 	"harvest/internal/router"
 	"harvest/internal/service"
 	"harvest/internal/wire"
@@ -28,70 +27,26 @@ const (
 	fullMix   = "select=30,dryselect=10,release=25,renew=5,place=20,classes=5,server=5"
 )
 
-// node is one in-process harvestd: the service, its JSON API on an httptest
-// listener and its binary frame server, wired as cmd/harvestd wires them. The
-// tests share one (booting it is most of a test's cost under -race), so they
-// assert on what their own run added to its books.
-type node struct {
-	svc   *service.Service
-	url   string
-	close func()
-}
-
-var shared struct {
-	once sync.Once
-	n    *node
-	err  error
-}
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if shared.n != nil {
-		shared.n.close()
-	}
-	os.Exit(code)
-}
-
-func sharedNode(t *testing.T) *node {
-	t.Helper()
-	shared.once.Do(func() {
-		cfg := service.DefaultConfig()
-		cfg.Datacenters = []string{"DC-9"}
-		cfg.Scale = experiments.Scale{Datacenter: testScale, Seed: testSeed}
-		cfg.RefreshPeriod = 0
-		svc, err := service.New(cfg)
-		if err != nil {
-			shared.err = err
-			return
-		}
-		svc.Start() // the lease sweeper and the re-replicator
-		api := service.NewAPI(svc)
-		bs := service.NewBinaryServer(svc)
-		bound, _, err := bs.ListenAndServe("127.0.0.1:0")
-		if err != nil {
-			svc.Close()
-			shared.err = err
-			return
-		}
-		api.AttachBinary(bs, bound.String())
-		srv := httptest.NewServer(api)
-		shared.n = &node{svc: svc, url: srv.URL, close: func() { srv.Close(); bs.Close(); svc.Close() }}
-	})
-	if shared.err != nil {
-		t.Fatalf("booting the node: %v", shared.err)
-	}
-	return shared.n
+// startNode boots one in-process harvestd serving DC-9 with every listener
+// set (internal/fleettest).
+func startNode(t *testing.T) *fleettest.Node {
+	cfg := service.DefaultConfig()
+	cfg.Datacenters = []string{"DC-9"}
+	cfg.Scale = experiments.Scale{Datacenter: testScale, Seed: testSeed}
+	cfg.RefreshPeriod = 0
+	cfg.NodeID = "node-a"
+	return fleettest.StartNode(t, cfg)
 }
 
 // serve puts a second JSON front with its own options on the node's service.
-func (n *node) serve(t *testing.T, opts service.APIOptions) string {
-	srv := httptest.NewServer(service.NewAPIWith(n.svc, opts))
+func serve(t *testing.T, n *fleettest.Node, opts service.APIOptions) string {
+	srv := httptest.NewServer(service.NewAPIWith(n.Service, opts))
 	t.Cleanup(srv.Close)
 	return srv.URL
 }
 
-func (n *node) reserves(t *testing.T) uint64 {
-	st, ok := n.svc.LedgerStats("DC-9")
+func reserves(t *testing.T, n *fleettest.Node) uint64 {
+	st, ok := n.Service.LedgerStats("DC-9")
 	if !ok {
 		t.Fatal("no ledger for DC-9")
 	}
@@ -101,9 +56,9 @@ func (n *node) reserves(t *testing.T) uint64 {
 // checkDrained asserts what a finished run must leave behind on the node: it
 // reserved something (more than the before reading), every lease is gone
 // again, and the books balance.
-func (n *node) checkDrained(t *testing.T, before uint64) {
+func checkDrained(t *testing.T, n *fleettest.Node, before uint64) {
 	t.Helper()
-	st, _ := n.svc.LedgerStats("DC-9")
+	st, _ := n.Service.LedgerStats("DC-9")
 	if st.Reserves <= before {
 		t.Error("the run reserved nothing")
 	}
@@ -146,7 +101,7 @@ func checkReport(t *testing.T, rep *Report, wantMode string) {
 // stops harvesting leases fails here twice over — releases and renews degrade
 // to classes queries (never sent), or the books do not drain.
 func TestRunDialectsAndLoops(t *testing.T) {
-	n := sharedNode(t)
+	n := startNode(t)
 	for _, proto := range []string{"json", "binary"} {
 		for _, rate := range []float64{0, 2000} {
 			mode := "closed-loop"
@@ -154,9 +109,9 @@ func TestRunDialectsAndLoops(t *testing.T) {
 				mode = "open-loop"
 			}
 			t.Run(proto+"/"+mode, func(t *testing.T) {
-				before := n.reserves(t)
+				before := reserves(t, n)
 				rep, err := Run(Config{
-					Target: n.url, Proto: proto, Workers: 2, Pipeline: 16,
+					Target: n.URL, Proto: proto, Workers: 2, Pipeline: 16,
 					Duration: time.Second, Rate: rate, Mix: fullMix, Seed: 3,
 				})
 				if err != nil {
@@ -166,10 +121,12 @@ func TestRunDialectsAndLoops(t *testing.T) {
 				if rep.Proto != proto {
 					t.Errorf("proto = %q, want %q", rep.Proto, proto)
 				}
-				if rate > 0 && rep.Requests > uint64(rate) {
-					t.Errorf("open loop sent %d requests in 1 s at %g/s", rep.Requests, rate)
+				// The open loop keeps its schedule: not more than it, and not
+				// far less.
+				if rate > 0 && (rep.Requests > uint64(rate) || rep.QPS <= 0.8*rate) {
+					t.Errorf("open loop sent %d requests in 1 s at %g/s (%.0f/s)", rep.Requests, rate, rep.QPS)
 				}
-				n.checkDrained(t, before)
+				checkDrained(t, n, before)
 			})
 		}
 	}
@@ -190,51 +147,59 @@ func TestRunRejectsBadConfig(t *testing.T) {
 
 // A JSON target that advertises no binary listener cannot serve -proto binary.
 func TestRunBinaryNeedsAdvertisedListener(t *testing.T) {
-	plain := sharedNode(t).serve(t, service.APIOptions{})
+	plain := serve(t, startNode(t), service.APIOptions{})
 	_, err := Run(Config{Target: plain, Proto: "binary", Workers: 1, Mix: "classes=1", Duration: 10 * time.Millisecond})
 	if err == nil || !strings.Contains(err.Error(), "does not advertise a binary listener") {
 		t.Fatalf("err = %v, want the missing-listener error", err)
 	}
 }
 
-// Through a router: discovery waits out the registration, leases round-trip to
-// the owning shard, and the report attributes replies to the backend the
-// router names and carries the trace id it echoed.
+// Through a router, on both of its fronts: discovery waits out the
+// registration, leases round-trip to the owning shard, and the report carries
+// the trace id the router echoed and — on JSON — attributes replies to the
+// backend the router names. Binary frames are relayed natively, cleanly.
 func TestRunThroughRouter(t *testing.T) {
-	n := sharedNode(t)
-	before := n.reserves(t)
-	rt := router.New(router.Config{StaleAfter: 5 * time.Second, RetryAfter: time.Second})
-	rsrv := httptest.NewServer(rt)
-	defer rsrv.Close()
-	done := make(chan *Report, 1)
-	go func() {
-		rep, err := Run(Config{
-			Target: rsrv.URL, Proto: "json", Workers: 2, Pipeline: 8,
-			Duration: 500 * time.Millisecond, Mix: fullMix, Seed: 5, Wait: 10 * time.Second,
+	for _, proto := range []string{"json", "binary"} {
+		t.Run(proto, func(t *testing.T) {
+			n := startNode(t)
+			rt := fleettest.StartRouter(t, router.Config{StaleAfter: 5 * time.Second, RetryAfter: time.Second})
+			done := make(chan *Report, 1)
+			go func() {
+				rep, err := Run(Config{
+					Target: rt.URL, Proto: proto, Workers: 2, Pipeline: 8,
+					Duration: 500 * time.Millisecond, Mix: fullMix, Seed: 5, Wait: 10 * time.Second,
+				})
+				if err != nil {
+					t.Error(err)
+				}
+				done <- rep
+			}()
+			// Register only once the run is already retrying its discovery.
+			time.Sleep(100 * time.Millisecond)
+			n.Announce(t, rt.URL)
+			rep := <-done
+			if rep == nil {
+				t.FailNow()
+			}
+			checkReport(t, rep, "closed-loop")
+			checkDrained(t, n, 0)
+			if proto == "json" {
+				if got := rep.Backends["node-a"]; got != rep.Requests || len(rep.Backends) != 1 {
+					t.Errorf("backends = %v, want all %d replies from node-a", rep.Backends, rep.Requests)
+				}
+				return
+			}
+			var m struct {
+				Router router.RouterStats `json:"router"`
+			}
+			if err := getJSON(rt.URL+"/metrics", &m); err != nil {
+				t.Fatal(err)
+			}
+			if b := m.Router.Binary; b == nil || b.Forwarded == 0 || b.FramingErrors != 0 || m.Router.Backends["node-a"].Proxied == 0 {
+				t.Errorf("router binary front = %+v, want frames forwarded to node-a and no framing errors", b)
+			}
 		})
-		if err != nil {
-			t.Error(err)
-		}
-		done <- rep
-	}()
-	// Register only once the run is already retrying its discovery.
-	time.Sleep(100 * time.Millisecond)
-	ann, err := service.StartAnnouncer(n.svc, service.AnnouncerConfig{
-		RouterURL: rsrv.URL, SelfURL: n.url, ID: "node-a", Interval: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	defer ann.Close()
-	rep := <-done
-	if rep == nil {
-		t.FailNow()
-	}
-	checkReport(t, rep, "closed-loop")
-	if got := rep.Backends["node-a"]; got != rep.Requests || len(rep.Backends) != 1 {
-		t.Errorf("backends = %v, want all %d replies from node-a", rep.Backends, rep.Requests)
-	}
-	n.checkDrained(t, before)
 }
 
 // testConn is a connection with no socket: enough to resolve and encode.
@@ -546,10 +511,10 @@ func TestOversizeReplyIsATransportError(t *testing.T) {
 // latencies would be a round trip, timed from when each request was due the
 // first is at least those 300 ms.
 func TestOpenLoopTimesFromSchedule(t *testing.T) {
-	n := sharedNode(t)
+	n := startNode(t)
 	m, _ := parseMix("classes=1")
 	c := testConn(&jsonDialect{}, newStream(1, 0, m, 1), []string{"DC-9"})
-	c.addr = strings.TrimPrefix(n.url, "http://")
+	c.addr = strings.TrimPrefix(n.URL, "http://")
 	const late, interval = 300 * time.Millisecond, 10 * time.Millisecond
 	now := time.Now()
 	c.runOpen(now.Add(-late), now.Add(50*time.Millisecond), interval)
@@ -622,10 +587,10 @@ func TestPickWave(t *testing.T) {
 }
 
 func TestEmitLandsSamples(t *testing.T) {
-	n := sharedNode(t)
-	before, _ := n.svc.Stats("DC-9")
+	n := startNode(t)
+	before, _ := n.Service.Stats("DC-9")
 	cfg := EmitConfig{
-		Target: n.url, Scale: testScale, Seed: testSeed,
+		Target: n.URL, Scale: testScale, Seed: testSeed,
 		Duration: 300 * time.Millisecond, Interval: 50 * time.Millisecond,
 	}
 	rep, err := Emit(cfg)
@@ -635,8 +600,9 @@ func TestEmitLandsSamples(t *testing.T) {
 	if rep.Mode != "telemetry" || rep.Datacenters != 1 || rep.Batches == 0 || rep.Samples == 0 || rep.Rejected != 0 || rep.Errors != 0 {
 		t.Fatalf("report = %+v, want batches and samples landed, none rejected", rep)
 	}
-	if st, _ := n.svc.Stats("DC-9"); st.IngestedSamples-before.IngestedSamples != rep.Samples {
-		t.Errorf("node ingested %d samples, emitter says %d were accepted", st.IngestedSamples-before.IngestedSamples, rep.Samples)
+	if st, _ := n.Service.Stats("DC-9"); st.IngestedSamples-before.IngestedSamples != rep.Samples || st.LastIngestAgeSeconds < 0 {
+		t.Errorf("node ingested %d samples (last %.1f s ago), emitter says %d were accepted",
+			st.IngestedSamples-before.IngestedSamples, st.LastIngestAgeSeconds, rep.Samples)
 	}
 	// Until a refresh moves the node's clock the emitter resumes at the same
 	// slot; the node refuses the replayed samples and the report must say so.
@@ -644,16 +610,13 @@ func TestEmitLandsSamples(t *testing.T) {
 	if rep, err = Emit(cfg); err != nil || rep.Samples != 0 || rep.Rejected == 0 {
 		t.Errorf("replaying ingested slots = %+v, %v; want every sample rejected", rep, err)
 	}
-	if err := n.svc.Refresh("DC-9"); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestWaveQuiesces(t *testing.T) {
-	n := sharedNode(t)
-	before, _ := n.svc.BlockStats("DC-9")
+	n := startNode(t)
+	before, _ := n.Service.BlockStats("DC-9")
 	cfg := WaveConfig{
-		Target: n.serve(t, service.APIOptions{IngestToken: "wave-secret"}), IngestToken: "wave-secret",
+		Target: serve(t, n, service.APIOptions{IngestToken: "wave-secret"}), IngestToken: "wave-secret",
 		Blocks: 60, Replication: 3, ReimageFraction: 0.1,
 		Scale: testScale, Seed: testSeed, QuiesceTimeout: 30 * time.Second,
 	}
@@ -667,7 +630,7 @@ func TestWaveQuiesces(t *testing.T) {
 	if !rep.Conserved || !rep.Quiesced || len(rep.Datacenters) != 1 || rep.Datacenters[0].HoldersReimaged == 0 {
 		t.Fatalf("report = %+v, want conserved, quiesced, replica holders hit", rep)
 	}
-	st, _ := n.svc.BlockStats("DC-9")
+	st, _ := n.Service.BlockStats("DC-9")
 	if st.Pending != 0 || st.RepairQueue != 0 || st.ConservationErrorSlots != 0 {
 		t.Errorf("node books = %+v, want nothing pending and no conservation error", st)
 	}

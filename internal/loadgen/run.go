@@ -22,7 +22,7 @@ type Config struct {
 	Wait     time.Duration // discovery grace window
 }
 
-// Report is the machine-readable summary of a run; the CI smoke jobs read it
+// Report is the machine-readable summary of a run; CI's daemons job reads it
 // with jq.
 type Report struct {
 	Mode            string  `json:"mode"` // "closed-loop" or "open-loop"
@@ -42,7 +42,7 @@ type Report struct {
 	QPS        float64 `json:"qps"`
 	// TraceSample is the trace id of the newest traced reply a connection saw —
 	// recent enough to still resolve in the target's /debug/traces ring right
-	// after the run, which is how CI follows one request across tiers.
+	// after the run.
 	TraceSample string `json:"trace_sample,omitempty"`
 	// LatencyUs is measured from enqueue into the pipeline window (closed
 	// loop) or from the scheduled instant (open loop), in obs.Histogram's

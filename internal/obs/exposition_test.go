@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -17,6 +16,7 @@ import (
 	"time"
 
 	"harvest/internal/experiments"
+	"harvest/internal/fleettest"
 	"harvest/internal/router"
 	"harvest/internal/service"
 )
@@ -71,30 +71,12 @@ func startFleet(t *testing.T) map[string]string {
 		return cfg
 	}
 
-	primary, err := service.New(config("p1"))
-	if err != nil {
-		t.Fatalf("primary: %v", err)
-	}
-	t.Cleanup(primary.Close)
-	replLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	primary.ServeReplication(replLn)
-	primary.Start()
-	papi := service.NewAPI(primary)
-	bs := service.NewBinaryServer(primary)
-	binAddr, _, err := bs.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("binary listener: %v", err)
-	}
-	t.Cleanup(func() { bs.Close() })
-	papi.AttachBinary(bs, binAddr.String())
-	psrv := httptest.NewServer(papi)
-	t.Cleanup(psrv.Close)
+	p := fleettest.StartNode(t, config("p1"))
+	primary := p.Service
 
+	// The follower keeps the JSON API alone: its golden has no binary section.
 	fcfg := config("f1")
-	fcfg.FollowAddr = replLn.Addr().String()
+	fcfg.FollowAddr = p.ReplicateAddr
 	follower, err := service.New(fcfg)
 	if err != nil {
 		t.Fatalf("follower: %v", err)
@@ -114,10 +96,10 @@ func startFleet(t *testing.T) map[string]string {
 		if err := primary.Refresh(dc); err != nil {
 			t.Fatalf("refresh %s: %v", dc, err)
 		}
-		post(t, psrv.URL+"/v1/"+dc+"/select", `{"job_type":"short","max_concurrent_cores":1,"hold_seconds":600}`)
-		post(t, psrv.URL+"/v1/"+dc+"/blocks", `{"replication":3}`)
+		post(t, p.URL+"/v1/"+dc+"/select", `{"job_type":"short","max_concurrent_cores":1,"hold_seconds":600}`)
+		post(t, p.URL+"/v1/"+dc+"/blocks", `{"replication":3}`)
 	}
-	waitFor(t, "the follower to hold the primary's books", func() bool {
+	fleettest.WaitFor(t, "the follower to hold the primary's books", func() bool {
 		for _, dc := range dcs {
 			p, _ := primary.Stats(dc)
 			f, _ := follower.Stats(dc)
@@ -135,10 +117,10 @@ func startFleet(t *testing.T) map[string]string {
 				hot = append(hot, fmt.Sprintf(`{"tenant":%d,"utilization":0.97}`, tid))
 			}
 		}
-		post(t, psrv.URL+"/v1/"+dc+"/telemetry", `{"samples":[`+strings.Join(hot, ",")+`]}`)
-		post(t, psrv.URL+"/v1/"+dc+"/select", `{"job_type":"short","max_concurrent_cores":1,"dry_run":true}`)
+		post(t, p.URL+"/v1/"+dc+"/telemetry", `{"samples":[`+strings.Join(hot, ",")+`]}`)
+		post(t, p.URL+"/v1/"+dc+"/select", `{"job_type":"short","max_concurrent_cores":1,"dry_run":true}`)
 	}
-	waitFor(t, "a beat to carry the hot utilization to the follower", func() bool {
+	fleettest.WaitFor(t, "a beat to carry the hot utilization to the follower", func() bool {
 		for _, dc := range dcs {
 			p, _ := primary.Stats(dc)
 			f, _ := follower.Stats(dc)
@@ -175,7 +157,7 @@ func startFleet(t *testing.T) map[string]string {
 			owned = append(owned, router.RegisterDatacenter{Name: dc, Generation: st.Generation})
 		}
 		for _, req := range []router.RegisterRequest{
-			{ID: "p1", URL: psrv.URL, BinaryAddr: binAddr.String(), ReplicateAddr: replLn.Addr().String(), Role: "primary", Datacenters: owned},
+			{ID: "p1", URL: p.URL, BinaryAddr: p.BinaryAddr, ReplicateAddr: p.ReplicateAddr, Role: "primary", Datacenters: owned},
 			{ID: "f1", URL: fsrv.URL, Role: "follower", PrimaryID: "p1", Datacenters: owned},
 			{ID: "leaving", URL: idle.URL, Draining: true, Datacenters: []router.RegisterDatacenter{{Name: "DC-0", Generation: 1}}},
 		} {
@@ -186,7 +168,7 @@ func startFleet(t *testing.T) map[string]string {
 		return srv.URL
 	}
 	return map[string]string{
-		"harvestd_primary":     psrv.URL,
+		"harvestd_primary":     p.URL,
 		"harvestd_follower":    fsrv.URL,
 		"harvestrouter_binary": routerFor(true),
 		"harvestrouter_json":   routerFor(false),
@@ -221,16 +203,6 @@ func post(t *testing.T, url, body string) {
 		msg, _ := io.ReadAll(resp.Body)
 		t.Fatalf("POST %s: status %d: %s", url, resp.StatusCode, msg)
 	}
-}
-
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	for deadline := time.Now().Add(20 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
-		if cond() {
-			return
-		}
-	}
-	t.Fatalf("timed out waiting for %s", what)
 }
 
 // golden compares lines against testdata/metrics/<name>, or rewrites the file

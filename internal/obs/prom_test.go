@@ -81,8 +81,8 @@ func TestPromHistogramGolden(t *testing.T) {
 }
 
 // TestPromHistogramCumulative checks the bucket series is monotone
-// non-decreasing and ends at _count — the invariant the CI smoke job asserts
-// against the live daemons.
+// non-decreasing and ends at _count — the invariant checkExposition asserts
+// on every live exposition in TestMetricsExpositions.
 func TestPromHistogramCumulative(t *testing.T) {
 	var h Histogram
 	for i := 0; i < 1000; i++ {

@@ -6,6 +6,29 @@
 // importing the proxy implementation.
 package regproto
 
+import "net"
+
+// AdvertiseAddr is the host:port a node announces for a listener bound at
+// bound: the port is the bound one, the host is host when given (the node's
+// -advertise name) and the bound host otherwise, with a wildcard ("", "::",
+// "0.0.0.0") mapped to loopback — right on one machine; multi-host
+// deployments pass the host. An address that is not host:port is returned as
+// it is.
+func AdvertiseAddr(bound net.Addr, host string) string {
+	boundHost, port, err := net.SplitHostPort(bound.String())
+	if err != nil {
+		return bound.String()
+	}
+	if host == "" {
+		host = boundHost
+	}
+	switch host {
+	case "", "::", "0.0.0.0":
+		host = "127.0.0.1"
+	}
+	return net.JoinHostPort(host, port)
+}
+
 // RegisterDatacenter is one datacenter a backend announces, with the
 // snapshot generation it currently serves (operator visibility: a shard
 // whose generation stops advancing is stale even if the process is alive).
@@ -33,8 +56,8 @@ type RegisterRequest struct {
 	// only promotes followers of the backend that actually went missing.
 	// Empty for primaries.
 	PrimaryID string `json:"primary_id,omitempty"`
-	// ReplicateAddr is the node's replication listener (host:port) — live on
-	// a primary, armed-but-idle on a follower carrying -replicate-addr. The
+	// ReplicateAddr is the node's replication listener (host:port): a primary
+	// streams on it, a follower refuses each hello on it until promoted. The
 	// router hands a primary's ReplicateAddr back to its followers (see
 	// RegisterResponse.PrimaryReplicateAddr) so orphaned followers re-dial
 	// whichever follower was promoted, without operator intervention.

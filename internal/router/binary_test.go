@@ -6,7 +6,6 @@ import (
 	"errors"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"strings"
 	"sync"
@@ -14,8 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"harvest/internal/fleettest"
 	"harvest/internal/router"
-	"harvest/internal/service"
 	"harvest/internal/wire"
 )
 
@@ -47,18 +46,6 @@ func (b *binConn) roundTrip(frame []byte) (wire.Header, []byte) {
 		b.t.Fatalf("read frame: %v", err)
 	}
 	return h, payload
-}
-
-// startRouterBinary attaches a binary front end to rt on a loopback port.
-func startRouterBinary(t *testing.T, rt *router.Router) string {
-	t.Helper()
-	addr, _, err := rt.ListenAndServeBinary("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("binary listen: %v", err)
-	}
-	t.Cleanup(rt.CloseBinary)
-	rt.SetBinaryAdvertise(addr.String())
-	return addr.String()
 }
 
 // echoBackend is a fake binary backend: every frame is answered with its
@@ -140,24 +127,14 @@ func routerStats(t *testing.T, routerURL string) router.RouterStats {
 // TestBinaryRelayEndToEnd drives the binary dialect through the router to a
 // real shard's binary listener, and the shard's books must balance afterwards.
 func TestBinaryRelayEndToEnd(t *testing.T) {
-	rt, srv := newTestRouter(t, nil)
-	binFront := startRouterBinary(t, rt)
-
-	svc := newBackendService(t, "DC-9")
-	api := httptest.NewServer(service.NewAPI(svc))
-	t.Cleanup(api.Close)
-	bs := service.NewBinaryServer(svc)
-	bsAddr, _, err := bs.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("backend binary listen: %v", err)
-	}
-	t.Cleanup(bs.Close)
-	mustRegister(t, srv.URL, router.RegisterRequest{
-		ID: "node-bin", URL: api.URL, BinaryAddr: bsAddr.String(),
+	rt := fleettest.StartRouter(t, router.Config{StaleAfter: time.Minute})
+	n := fleettest.StartNode(t, nodeConfig("node-bin", "DC-9"))
+	mustRegister(t, rt.URL, router.RegisterRequest{
+		ID: "node-bin", URL: n.URL, BinaryAddr: n.BinaryAddr,
 		Datacenters: []router.RegisterDatacenter{{Name: "DC-9", Generation: 1}},
 	})
 
-	c := dialBin(t, binFront)
+	c := dialBin(t, rt.BinaryAddr)
 	h, payload := c.roundTrip(wire.AppendSelectReq(nil, 100, "DC-9",
 		wire.SelectReq{Job: wire.JobShort, MaxCores: 2}))
 	if h.Op != wire.OpSelectResp || h.ID != 100 {
@@ -197,7 +174,7 @@ func TestBinaryRelayEndToEnd(t *testing.T) {
 	}
 
 	// The books balance: everything reserved came back.
-	st, ok := svc.LedgerStats("DC-9")
+	st, ok := n.Service.LedgerStats("DC-9")
 	if !ok {
 		t.Fatal("no ledger stats")
 	}
@@ -211,18 +188,15 @@ func TestBinaryRelayEndToEnd(t *testing.T) {
 // the missing flag, on a connection that stays usable, without feeding its
 // breaker — while the JSON front keeps serving its datacenters.
 func TestBinaryFrontRejectsJSONOnlyBackend(t *testing.T) {
-	rt, srv := newTestRouter(t, nil)
-	binFront := startRouterBinary(t, rt)
-
-	svc := newBackendService(t, "DC-8")
-	api := httptest.NewServer(service.NewAPI(svc))
-	t.Cleanup(api.Close)
-	mustRegister(t, srv.URL, router.RegisterRequest{
-		ID: "node-json", URL: api.URL,
+	rt := fleettest.StartRouter(t, router.Config{StaleAfter: time.Minute})
+	n := fleettest.StartNode(t, nodeConfig("node-json", "DC-8"))
+	// Registered without its binary listener: a JSON-only backend.
+	mustRegister(t, rt.URL, router.RegisterRequest{
+		ID: "node-json", URL: n.URL,
 		Datacenters: []router.RegisterDatacenter{{Name: "DC-8", Generation: 1}},
 	})
 
-	c := dialBin(t, binFront)
+	c := dialBin(t, rt.BinaryAddr)
 	const frames = 4 // past the default breaker threshold of 3
 	for i := uint64(0); i < frames; i++ {
 		h, payload := c.roundTrip(wire.AppendSelectReq(nil, 200+i, "DC-8",
@@ -236,7 +210,7 @@ func TestBinaryFrontRejectsJSONOnlyBackend(t *testing.T) {
 		}
 	}
 
-	st := routerStats(t, srv.URL)
+	st := routerStats(t, rt.URL)
 	be := st.Backends["node-json"]
 	if be.ConsecutiveFailures != 0 || be.CircuitOpen || be.Errors != 0 {
 		t.Fatalf("rejected frames fed the breaker: %+v", be)
@@ -246,11 +220,11 @@ func TestBinaryFrontRejectsJSONOnlyBackend(t *testing.T) {
 	}
 
 	// The JSON front still serves the datacenter.
-	resp, body := postJSON(t, srv.URL+"/v1/DC-8/select", `{"job_type":"short","max_concurrent_cores":2}`)
+	resp, body := postJSON(t, rt.URL+"/v1/DC-8/select", `{"job_type":"short","max_concurrent_cores":2}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("JSON select for the same datacenter: %d %s", resp.StatusCode, body)
 	}
-	if st, _ := svc.LedgerStats("DC-8"); st.Reserves != 1 {
+	if st, _ := n.Service.LedgerStats("DC-8"); st.Reserves != 1 {
 		t.Fatalf("JSON select did not reach the shard: %+v", st)
 	}
 }
@@ -263,20 +237,18 @@ func TestAdmissionGateSharedByBothFronts(t *testing.T) {
 	for _, probeFront := range []string{"json", "binary"} {
 		t.Run(probeFront+" probes", func(t *testing.T) {
 			clock := newTestClock()
-			rt := router.New(router.Config{
+			rt := fleettest.StartRouter(t, router.Config{
 				StaleAfter:       time.Hour, // isolate the breaker from staleness
 				BreakerThreshold: 2,
 				BreakerCooldown:  5 * time.Second,
 				ProxyTimeout:     2 * time.Second,
 				Now:              clock.Now,
 			})
-			srv := httptest.NewServer(rt)
-			defer srv.Close()
-			c := dialBin(t, startRouterBinary(t, rt))
+			c := dialBin(t, rt.BinaryAddr)
 
 			fb, eb := newFakeBackend(t), startEchoBackend(t)
 			beat := func() {
-				mustRegister(t, srv.URL, router.RegisterRequest{
+				mustRegister(t, rt.URL, router.RegisterRequest{
 					ID: "node-a", URL: fb.srv.URL, BinaryAddr: eb.addr(),
 					Datacenters: []router.RegisterDatacenter{{Name: "DC-A"}},
 				})
@@ -285,7 +257,7 @@ func TestAdmissionGateSharedByBothFronts(t *testing.T) {
 
 			fronts := map[string]func() int{
 				"json": func() int {
-					resp, _ := getBody(t, srv.URL+"/v1/DC-A/classes")
+					resp, _ := getBody(t, rt.URL+"/v1/DC-A/classes")
 					return resp.StatusCode
 				},
 				"binary": func() int {
@@ -312,7 +284,7 @@ func TestAdmissionGateSharedByBothFronts(t *testing.T) {
 					t.Fatalf("%s: status %d, want %d", what, got, status)
 				}
 			}
-			backend := func() router.BackendStats { return routerStats(t, srv.URL).Backends["node-a"] }
+			backend := func() router.BackendStats { return routerStats(t, rt.URL).Backends["node-a"] }
 
 			want("closed circuit, probing front", probe(), 200)
 			want("closed circuit, other front", other(), 200)
@@ -370,8 +342,7 @@ func TestBinaryPipelinedRelay(t *testing.T) {
 		frames = 8
 		delay  = 300 * time.Millisecond
 	)
-	rt, srv := newTestRouter(t, nil)
-	binFront := startRouterBinary(t, rt)
+	rt := fleettest.StartRouter(t, router.Config{StaleAfter: time.Minute})
 
 	// A slow binary backend: each frame is answered after delay, on its own
 	// goroutine, so responses complete concurrently and out of order.
@@ -422,12 +393,12 @@ func TestBinaryPipelinedRelay(t *testing.T) {
 	}()
 
 	fb := newFakeBackend(t)
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, rt.URL, router.RegisterRequest{
 		ID: "node-slow", URL: fb.srv.URL, BinaryAddr: ln.Addr().String(),
 		Datacenters: []router.RegisterDatacenter{{Name: "DC-1", Generation: 1}},
 	})
 
-	c := dialBin(t, binFront)
+	c := dialBin(t, rt.BinaryAddr)
 	var batch []byte
 	for i := 0; i < frames; i++ {
 		batch = wire.AppendClassesReq(batch, uint64(100+i), "DC-1")
@@ -477,8 +448,7 @@ func TestBinaryPipelinedRelay(t *testing.T) {
 // lease).
 func TestBinaryPerLeaseOrdering(t *testing.T) {
 	const leases = 200
-	rt, srv := newTestRouter(t, nil)
-	binFront := startRouterBinary(t, rt)
+	rt := fleettest.StartRouter(t, router.Config{StaleAfter: time.Minute})
 
 	// A recording binary backend: frames on each conn are handled
 	// sequentially (like the real shard server), and every renew/release is
@@ -524,12 +494,12 @@ func TestBinaryPerLeaseOrdering(t *testing.T) {
 	}()
 
 	fb := newFakeBackend(t)
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, rt.URL, router.RegisterRequest{
 		ID: "node-order", URL: fb.srv.URL, BinaryAddr: ln.Addr().String(),
 		Datacenters: []router.RegisterDatacenter{{Name: "DC-1", Generation: 1}},
 	})
 
-	c := dialBin(t, binFront)
+	c := dialBin(t, rt.BinaryAddr)
 	var batch []byte
 	for l := uint64(1); l <= leases; l++ {
 		batch = wire.AppendRenewReq(batch, 2*l, "DC-1", wire.RenewReq{Lease: l, HoldMillis: 1000})
@@ -571,8 +541,7 @@ func TestBinaryPerLeaseOrdering(t *testing.T) {
 // wrong id gets its pooled conn dropped and the client sees an error frame,
 // not a mismatched response.
 func TestBinaryBackendDesyncDetected(t *testing.T) {
-	rt, srv := newTestRouter(t, nil)
-	binFront := startRouterBinary(t, rt)
+	rt := fleettest.StartRouter(t, router.Config{StaleAfter: time.Minute})
 
 	// A fake binary backend that echoes every frame with id+1.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -602,12 +571,12 @@ func TestBinaryBackendDesyncDetected(t *testing.T) {
 	}()
 
 	fb := newFakeBackend(t)
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, rt.URL, router.RegisterRequest{
 		ID: "node-desync", URL: fb.srv.URL, BinaryAddr: ln.Addr().String(),
 		Datacenters: []router.RegisterDatacenter{{Name: "DC-1", Generation: 1}},
 	})
 
-	c := dialBin(t, binFront)
+	c := dialBin(t, rt.BinaryAddr)
 	h, payload := c.roundTrip(wire.AppendClassesReq(nil, 7, "DC-1"))
 	var e wire.ErrorResp
 	if h.Op != wire.OpError || h.ID != 7 || e.Decode(payload) != nil || e.Code != 503 {
@@ -627,15 +596,14 @@ func forgedReplHeader() []byte {
 // TestBinaryFrontClosesOnGarbage mirrors the backend server's framing
 // discipline: a non-frame byte stream is dropped without a response.
 func TestBinaryFrontClosesOnGarbage(t *testing.T) {
-	rt, srv := newTestRouter(t, nil)
-	binFront := startRouterBinary(t, rt)
+	rt := fleettest.StartRouter(t, router.Config{StaleAfter: time.Minute})
 
 	for name, garbage := range map[string][]byte{
 		"http accident":             []byte("GET / HTTP/1.1\r\n\r\n"),
 		"forged replication header": forgedReplHeader(),
 	} {
-		before := routerStats(t, srv.URL).Binary.FramingErrors
-		c := dialBin(t, binFront)
+		before := routerStats(t, rt.URL).Binary.FramingErrors
+		c := dialBin(t, rt.BinaryAddr)
 		if _, err := c.c.Write(garbage); err != nil {
 			t.Fatal(err)
 		}
@@ -643,7 +611,7 @@ func TestBinaryFrontClosesOnGarbage(t *testing.T) {
 		if b, err := c.br.ReadByte(); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
 			t.Fatalf("%s: router answered %#x, %v instead of closing", name, b, err)
 		}
-		if got := routerStats(t, srv.URL).Binary.FramingErrors - before; got != 1 {
+		if got := routerStats(t, rt.URL).Binary.FramingErrors - before; got != 1 {
 			t.Errorf("%s: framing_errors moved by %d, want 1", name, got)
 		}
 	}

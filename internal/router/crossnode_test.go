@@ -1,43 +1,46 @@
 package router_test
 
-// The cross-node acceptance harness: a real router fronting two real
-// harvestd backends (service.Service + its HTTP API), each serving a
-// different datacenter, glued together by the real registration loop. It
-// proves the sharding contract end to end:
+// The fleet tests: a real router fronting real harvestd nodes
+// (internal/fleettest), glued together by the real registration loop.
+//
+// TestCrossNodeShardingEndToEnd proves the sharding contract:
 //
 //   - select → hold → release through the router lands on the owning shard's
 //     allocation ledger (and only there), and the books balance afterwards;
 //   - /v1/datacenters serves the union of the live backends;
 //   - killing one backend 503s only its datacenters while the other keeps
 //     serving.
+//
+// TestFailoverChainThroughTheRouter proves the replication contract across
+// two promotions: reads spread over the replicas, writes move to whichever
+// follower the router promotes, the surviving follower re-attaches to it, and
+// leases survive each hop exactly once.
 
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
-	"net/http/httptest"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
 
 	"harvest/internal/experiments"
+	"harvest/internal/fleettest"
+	"harvest/internal/loadgen"
 	"harvest/internal/router"
 	"harvest/internal/service"
 )
 
-// newBackendService builds one single-DC service at test scale.
-func newBackendService(t *testing.T, dc string) *service.Service {
-	t.Helper()
+// nodeConfig is one node serving dcs at test scale with the refresher off.
+func nodeConfig(id string, dcs ...string) service.Config {
 	cfg := service.DefaultConfig()
-	cfg.Datacenters = []string{dc}
+	cfg.Datacenters = dcs
 	cfg.Scale = experiments.Scale{Datacenter: 0.05, Seed: 1}
 	cfg.RefreshPeriod = 0
-	svc, err := service.New(cfg)
-	if err != nil {
-		t.Fatalf("New(%s): %v", dc, err)
-	}
-	t.Cleanup(svc.Close)
-	return svc
+	cfg.NodeID = id
+	return cfg
 }
 
 func postJSON(t *testing.T, url, body string) (*http.Response, []byte) {
@@ -52,73 +55,25 @@ func postJSON(t *testing.T, url, body string) (*http.Response, []byte) {
 	return resp, buf.Bytes()
 }
 
-// waitUntil polls cond at announce cadence until it holds or the deadline
-// passes.
-func waitUntil(t *testing.T, timeout time.Duration, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-}
-
-func sameStrings(got, want []string) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func TestCrossNodeShardingEndToEnd(t *testing.T) {
-	svcA := newBackendService(t, "DC-9")
-	svcB := newBackendService(t, "DC-8")
-	srvA := httptest.NewServer(service.NewAPI(svcA))
-	defer srvA.Close()
-	srvB := httptest.NewServer(service.NewAPI(svcB))
-	defer srvB.Close()
-
-	rt := router.New(router.Config{
+	rt := fleettest.StartRouter(t, router.Config{
 		StaleAfter:       500 * time.Millisecond,
 		RetryAfter:       time.Second,
 		BreakerThreshold: 1, // a killed backend 503s from the first failed proxy
 		BreakerCooldown:  100 * time.Millisecond,
-		RegisterToken:    "xnode-secret", // announcers must authenticate
 	})
-	rsrv := httptest.NewServer(rt)
-	defer rsrv.Close()
-
-	annA, err := service.StartAnnouncer(svcA, service.AnnouncerConfig{
-		RouterURL: rsrv.URL, SelfURL: srvA.URL, ID: "node-a", Interval: 50 * time.Millisecond,
-		Token: "xnode-secret",
-	})
-	if err != nil {
-		t.Fatalf("StartAnnouncer(A): %v", err)
-	}
-	defer annA.Close()
-	annB, err := service.StartAnnouncer(svcB, service.AnnouncerConfig{
-		RouterURL: rsrv.URL, SelfURL: srvB.URL, ID: "node-b", Interval: 50 * time.Millisecond,
-		Token: "xnode-secret",
-	})
-	if err != nil {
-		t.Fatalf("StartAnnouncer(B): %v", err)
-	}
-	defer annB.Close()
+	a := fleettest.StartNode(t, nodeConfig("node-a", "DC-9"))
+	b := fleettest.StartNode(t, nodeConfig("node-b", "DC-8"))
+	a.Announce(t, rt.URL)
+	b.Announce(t, rt.URL)
 
 	// Union: both nodes' datacenters behind one surface.
-	waitUntil(t, 5*time.Second, "both backends in /v1/datacenters", func() bool {
-		return sameStrings(datacentersOf(t, rsrv.URL), []string{"DC-8", "DC-9"})
+	fleettest.WaitFor(t, "both backends in /v1/datacenters", func() bool {
+		return slices.Equal(datacentersOf(t, rt.URL), []string{"DC-8", "DC-9"})
 	})
 
 	// A reserving select through the router must land on the owning shard.
-	resp, body := postJSON(t, rsrv.URL+"/v1/DC-9/select", `{"job_type":"medium","max_concurrent_cores":8}`)
+	resp, body := postJSON(t, rt.URL+"/v1/DC-9/select", `{"job_type":"medium","max_concurrent_cores":8}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("select via router: status %d (%s)", resp.StatusCode, body)
 	}
@@ -134,22 +89,22 @@ func TestCrossNodeShardingEndToEnd(t *testing.T) {
 	if sel.Datacenter != "DC-9" || !sel.Satisfiable || sel.Lease == 0 {
 		t.Fatalf("select via router = %+v, want a satisfiable DC-9 lease", sel)
 	}
-	stA, _ := svcA.LedgerStats("DC-9")
+	stA, _ := a.Service.LedgerStats("DC-9")
 	if stA.ActiveLeases != 1 || stA.OutstandingMillis != 8000 {
 		t.Fatalf("owning shard books = %+v, want 1 lease / 8000 millis outstanding", stA)
 	}
-	stB, _ := svcB.LedgerStats("DC-8")
+	stB, _ := b.Service.LedgerStats("DC-8")
 	if stB.Reserves != 0 || stB.ActiveLeases != 0 {
 		t.Fatalf("non-owning shard saw the reservation: %+v", stB)
 	}
 
 	// Release round-trips through the router to the same shard.
-	resp, body = postJSON(t, rsrv.URL+"/v1/DC-9/release",
+	resp, body = postJSON(t, rt.URL+"/v1/DC-9/release",
 		`{"lease":`+strconv.FormatUint(sel.Lease, 10)+`}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("release via router: status %d (%s)", resp.StatusCode, body)
 	}
-	stA, _ = svcA.LedgerStats("DC-9")
+	stA, _ = a.Service.LedgerStats("DC-9")
 	if stA.OutstandingMillis != 0 || stA.ActiveLeases != 0 {
 		t.Fatalf("books after release = %+v, want nothing outstanding", stA)
 	}
@@ -158,24 +113,25 @@ func TestCrossNodeShardingEndToEnd(t *testing.T) {
 	}
 
 	// The other shard serves queries through the router too.
-	if resp, body := getBody(t, rsrv.URL+"/v1/DC-8/classes"); resp.StatusCode != http.StatusOK {
+	if resp, body := getBody(t, rt.URL+"/v1/DC-8/classes"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("DC-8 classes via router: status %d (%s)", resp.StatusCode, body)
 	}
+	if st := routerStats(t, rt.URL); st.Proxied < 3 || st.Backends["node-a"].Proxied == 0 || st.Backends["node-b"].Proxied == 0 {
+		t.Fatalf("router proxied %d requests, %+v by backend; want both backends' share counted", st.Proxied, st.Backends)
+	}
 
-	// Kill node B: announcer stops beating, server stops answering. Its
-	// datacenter must 503 with a Retry-After while DC-9 keeps serving, and it
-	// must drop out of the union once stale.
-	annB.Close()
-	srvB.Close()
-	waitUntil(t, 5*time.Second, "DC-8 to go unavailable", func() bool {
-		resp, err := http.Get(rsrv.URL + "/v1/DC-8/classes")
+	// Kill node B. Its datacenter must 503 with a Retry-After while DC-9 keeps
+	// serving, and it must drop out of the union once stale.
+	b.Kill()
+	fleettest.WaitFor(t, "DC-8 to go unavailable", func() bool {
+		resp, err := http.Get(rt.URL + "/v1/DC-8/classes")
 		if err != nil {
 			return false
 		}
 		resp.Body.Close()
 		return resp.StatusCode == http.StatusServiceUnavailable
 	})
-	resp, err = http.Get(rsrv.URL + "/v1/DC-8/classes")
+	resp, err := http.Get(rt.URL + "/v1/DC-8/classes")
 	if err != nil {
 		t.Fatalf("GET dead DC-8: %v", err)
 	}
@@ -187,14 +143,174 @@ func TestCrossNodeShardingEndToEnd(t *testing.T) {
 		t.Errorf("dead backend 503 is missing Retry-After")
 	}
 	// The surviving shard is unaffected — queries and reservations still work.
-	resp2, body := postJSON(t, rsrv.URL+"/v1/DC-9/select", `{"job_type":"short","max_concurrent_cores":2,"hold_seconds":30}`)
+	resp2, body := postJSON(t, rt.URL+"/v1/DC-9/select", `{"job_type":"short","max_concurrent_cores":2,"hold_seconds":30}`)
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("surviving shard select: status %d (%s)", resp2.StatusCode, body)
 	}
 	if err := json.Unmarshal(body, &sel); err != nil || sel.Datacenter != "DC-9" {
 		t.Fatalf("surviving shard select = %s (err %v)", body, err)
 	}
-	waitUntil(t, 5*time.Second, "union to shrink to DC-9", func() bool {
-		return sameStrings(datacentersOf(t, rsrv.URL), []string{"DC-9"})
+	fleettest.WaitFor(t, "union to shrink to DC-9", func() bool {
+		return slices.Equal(datacentersOf(t, rt.URL), []string{"DC-9"})
 	})
+}
+
+// TestFailoverChainThroughTheRouter kills a primary and then the follower the
+// router promoted in its place, with a lease outstanding each time, behind
+// one router: primary p, followers f1 and f2.
+func TestFailoverChainThroughTheRouter(t *testing.T) {
+	const dc = "DC-9"
+	rt := fleettest.StartRouter(t, router.Config{
+		StaleAfter:      500 * time.Millisecond,
+		RetryAfter:      100 * time.Millisecond,
+		PromoteCooldown: 200 * time.Millisecond,
+	})
+	nodes := map[string]*fleettest.Node{}
+	start := func(id, follow string) *fleettest.Node {
+		cfg := nodeConfig(id, dc)
+		cfg.ReplInterval = 25 * time.Millisecond
+		cfg.FollowAddr = follow
+		n := fleettest.StartNode(t, cfg)
+		n.Announce(t, rt.URL)
+		nodes[id] = n
+		return n
+	}
+	p := start("node-p", "")
+	start("node-f1", p.ReplicateAddr)
+	start("node-f2", p.ReplicateAddr)
+
+	// run drives mix through the router and requires every reply to succeed.
+	run := func(mix string) *loadgen.Report {
+		t.Helper()
+		rep, err := loadgen.Run(loadgen.Config{
+			Target: rt.URL, Proto: "json", Workers: 2, Pipeline: 4,
+			Duration: 300 * time.Millisecond, Mix: mix, Seed: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Requests == 0 || rep.Errors != 0 {
+			t.Fatalf("%s through the router: %d errors in %d replies (%+v)", mix, rep.Errors, rep.Requests, rep.Ops)
+		}
+		return rep
+	}
+	// promoted waits for the router to mark dead stale, then for it to hold
+	// exactly one live primary after at least promotions promotions, and
+	// returns that node.
+	promoted := func(dead string, promotions uint64) *fleettest.Node {
+		t.Helper()
+		fleettest.WaitFor(t, dead+" to go stale at the router", func() bool {
+			return !routerStats(t, rt.URL).Backends[dead].Alive
+		})
+		// Reads keep serving, none from the dead node, and any request for the
+		// datacenter may be the one that promotes.
+		if rep := run("dryselect=50,place=30,classes=20"); rep.Backends[dead] != 0 {
+			t.Fatalf("%d reads served by the dead %s", rep.Backends[dead], dead)
+		}
+		var live []string
+		fleettest.WaitFor(t, fmt.Sprintf("one live primary after %d promotions", promotions), func() bool {
+			getBody(t, rt.URL+"/v1/"+dc+"/classes")
+			st := routerStats(t, rt.URL)
+			live = live[:0]
+			for id, b := range st.Backends {
+				if b.Role != "follower" && b.Alive {
+					live = append(live, id)
+				}
+			}
+			return len(live) == 1 && st.Promotions >= promotions
+		})
+		return nodes[live[0]]
+	}
+	// shipped waits until every follower of primary holds its ledger.
+	shipped := func(primary *fleettest.Node, followers ...*fleettest.Node) {
+		t.Helper()
+		fleettest.WaitFor(t, "the lease to ship to the followers", func() bool {
+			want, _ := primary.Service.LedgerStats(dc)
+			for _, f := range followers {
+				if got, _ := f.Service.LedgerStats(dc); got.ReservedMillis != want.ReservedMillis || got.ActiveLeases != want.ActiveLeases {
+					return false
+				}
+			}
+			return true
+		})
+	}
+	reserve := func() uint64 {
+		t.Helper()
+		resp, body := postJSON(t, rt.URL+"/v1/"+dc+"/select", `{"job_type":"medium","max_concurrent_cores":4}`)
+		var sel struct {
+			Lease uint64 `json:"lease"`
+		}
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &sel) != nil || sel.Lease == 0 {
+			t.Fatalf("select via router: status %d (%s)", resp.StatusCode, body)
+		}
+		return sel.Lease
+	}
+	// releaseOnce releases lease through the router, then requires a second
+	// release to find nothing.
+	releaseOnce := func(lease uint64) {
+		t.Helper()
+		for i, want := range []int{http.StatusOK, http.StatusNotFound} {
+			if resp, body := postJSON(t, rt.URL+"/v1/"+dc+"/release", fmt.Sprintf(`{"lease":%d}`, lease)); resp.StatusCode != want {
+				t.Fatalf("release %d of lease %d: status %d (%s), want %d", i+1, lease, resp.StatusCode, body, want)
+			}
+		}
+	}
+	conserved := func(n *fleettest.Node) {
+		t.Helper()
+		if st, _ := n.Service.LedgerStats(dc); st.ConservationErrorMillis != 0 {
+			t.Fatalf("%s books: conservation_error_millis = %d", n.Service.NodeID(), st.ConservationErrorMillis)
+		}
+	}
+
+	fleettest.WaitFor(t, "the router to see three live replicas, both followers streaming", func() bool {
+		for id, n := range nodes {
+			if b := routerStats(t, rt.URL).Backends[id]; !b.Alive {
+				return false
+			}
+			if rst := n.Service.ReplicationStats(); n != p && !(rst.Connected && rst.SnapshotsApplied > 0) {
+				return false
+			}
+		}
+		return true
+	})
+	rep := run("dryselect=40,select=10,release=10,place=20,classes=10,server=10")
+	for id := range nodes {
+		if rep.Backends[id] == 0 {
+			t.Fatalf("no reply served by %s: %v", id, rep.Backends)
+		}
+	}
+	for id, n := range nodes {
+		if rst := n.Service.ReplicationStats(); n != p && rst.ApplyLagP99Us >= 5_000_000 {
+			t.Fatalf("%s applies frames %d µs behind (p99)", id, rst.ApplyLagP99Us)
+		}
+	}
+
+	// First hop: p dies holding L1.
+	l1 := reserve()
+	shipped(p, nodes["node-f1"], nodes["node-f2"])
+	p.Kill()
+	first := promoted("node-p", 1)
+	reserve() // writes recover
+	releaseOnce(l1)
+	conserved(first)
+
+	// The survivor learns the promoted node's replication address from the
+	// router's register acks and re-attaches to it.
+	survivor := nodes["node-f1"]
+	if first == survivor {
+		survivor = nodes["node-f2"]
+	}
+	fleettest.WaitFor(t, "the surviving follower to re-attach to the promoted node", func() bool {
+		return first.Service.ReplicationStats().Followers >= 1 && survivor.Service.PrimaryID() == first.Service.NodeID()
+	})
+
+	// Second hop: the promoted node dies holding L2.
+	l2 := reserve()
+	shipped(first, survivor)
+	first.Kill()
+	if second := promoted(first.Service.NodeID(), 2); second != survivor {
+		t.Fatalf("promoted %s, want the surviving follower %s", second.Service.NodeID(), survivor.Service.NodeID())
+	}
+	releaseOnce(l2)
+	conserved(survivor)
 }

@@ -5,39 +5,40 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
+	"harvest/internal/fleettest"
 	"harvest/internal/obs"
 	"harvest/internal/router"
 	"harvest/internal/wire"
 )
 
 func TestRouterPrometheusExposition(t *testing.T) {
-	rt, srv := newTestRouter(t, nil)
-	binFront := startRouterBinary(t, rt)
+	rt := fleettest.StartRouter(t, router.Config{StaleAfter: time.Minute})
 
 	fb := newFakeBackend(t)
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, rt.URL, router.RegisterRequest{
 		ID: "node-a", URL: fb.srv.URL, BinaryAddr: startEchoBackend(t).addr(),
 		Datacenters: []router.RegisterDatacenter{{Name: "DC-1", Generation: 1}},
 	})
 
 	// One proxied JSON request and one relayed binary request so the
 	// counters and per-op histograms are live.
-	if resp, _ := getBody(t, srv.URL+"/v1/DC-1/classes"); resp.StatusCode != http.StatusOK {
+	if resp, _ := getBody(t, rt.URL+"/v1/DC-1/classes"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("proxy warmup: status %d", resp.StatusCode)
 	}
-	c := dialBin(t, binFront)
+	c := dialBin(t, rt.BinaryAddr)
 	if h, _ := c.roundTrip(wire.AppendClassesReq(nil, 5, "DC-1")); h.Op != wire.OpClassesResp {
 		t.Fatalf("binary warmup: op %v", h.Op)
 	}
 
 	// The default /metrics stays JSON.
-	resp, _ := getBody(t, srv.URL+"/metrics")
+	resp, _ := getBody(t, rt.URL+"/metrics")
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("/metrics Content-Type = %q, want JSON", ct)
 	}
 
-	resp, body := getBody(t, srv.URL+"/metrics?format=prometheus")
+	resp, body := getBody(t, rt.URL+"/metrics?format=prometheus")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("prometheus metrics: status %d", resp.StatusCode)
 	}
@@ -66,15 +67,14 @@ func TestRouterPrometheusExposition(t *testing.T) {
 // shape: the binary front reports request/error counts and latency quantiles
 // per opcode.
 func TestRouterBinaryOpStatsJSON(t *testing.T) {
-	rt, srv := newTestRouter(t, nil)
-	binFront := startRouterBinary(t, rt)
+	rt := fleettest.StartRouter(t, router.Config{StaleAfter: time.Minute})
 
 	fb := newFakeBackend(t)
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, rt.URL, router.RegisterRequest{
 		ID: "node-a", URL: fb.srv.URL, BinaryAddr: startEchoBackend(t).addr(),
 		Datacenters: []router.RegisterDatacenter{{Name: "DC-1", Generation: 1}},
 	})
-	c := dialBin(t, binFront)
+	c := dialBin(t, rt.BinaryAddr)
 	if h, _ := c.roundTrip(wire.AppendClassesReq(nil, 6, "DC-1")); h.Op != wire.OpClassesResp {
 		t.Fatalf("classes: op %v", h.Op)
 	}
@@ -84,7 +84,7 @@ func TestRouterBinaryOpStatsJSON(t *testing.T) {
 		t.Fatalf("unknown dc: op %v", h.Op)
 	}
 
-	resp, body := getBody(t, srv.URL+"/metrics")
+	resp, body := getBody(t, rt.URL+"/metrics")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics: status %d", resp.StatusCode)
 	}

@@ -2,15 +2,14 @@ package router_test
 
 import (
 	"errors"
-	"net/http/httptest"
 	"os"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"harvest/internal/fleettest"
 	"harvest/internal/router"
-	"harvest/internal/service"
 	"harvest/internal/wire"
 )
 
@@ -26,25 +25,14 @@ func TestRelayAllocs(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	const dc = "DC-9"
-	rt, srv := newTestRouter(t, nil)
-	binFront := startRouterBinary(t, rt)
-	svc := newBackendService(t, dc)
-	api := service.NewAPI(svc)
-	apiSrv := httptest.NewServer(api)
-	t.Cleanup(apiSrv.Close)
-	bs := service.NewBinaryServer(svc)
-	bsAddr, _, err := bs.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("backend binary listen: %v", err)
-	}
-	t.Cleanup(bs.Close)
-	api.AttachBinary(bs, bsAddr.String())
-	mustRegister(t, srv.URL, router.RegisterRequest{
-		ID: "node-bin", URL: apiSrv.URL, BinaryAddr: bsAddr.String(),
+	rt := fleettest.StartRouter(t, router.Config{StaleAfter: time.Minute})
+	n := fleettest.StartNode(t, nodeConfig("node-bin", dc))
+	mustRegister(t, rt.URL, router.RegisterRequest{
+		ID: "node-bin", URL: n.URL, BinaryAddr: n.BinaryAddr,
 		Datacenters: []router.RegisterDatacenter{{Name: dc, Generation: 1}},
 	})
 
-	c := dialBin(t, binFront)
+	c := dialBin(t, rt.BinaryAddr)
 	h, payload := c.roundTrip(wire.AppendSelectReq(nil, 1, dc, wire.SelectReq{Job: wire.JobMedium, MaxCores: 2}))
 	var held wire.SelectResp
 	if h.Op != wire.OpSelectResp || held.Decode(payload) != nil || held.Lease == 0 {
@@ -80,14 +68,14 @@ func TestRelayAllocs(t *testing.T) {
 		burst() // dial the pipes, grow every buffer
 	}
 	const bursts = 250 // 12,000 frames
-	forwardedBefore := routerStats(t, srv.URL).Binary.Forwarded
+	forwardedBefore := routerStats(t, rt.URL).Binary.Forwarded
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < bursts; i++ {
 		burst()
 	}
 	runtime.ReadMemStats(&after)
-	if got := routerStats(t, srv.URL).Binary.Forwarded - forwardedBefore; got != bursts*perBatch {
+	if got := routerStats(t, rt.URL).Binary.Forwarded - forwardedBefore; got != bursts*perBatch {
 		t.Fatalf("router forwarded %d frames, want %d", got, bursts*perBatch)
 	}
 	per := float64(after.Mallocs-before.Mallocs) / (bursts * perBatch)
@@ -109,12 +97,9 @@ func TestRelayAllocs(t *testing.T) {
 func TestBinaryRelayBackendDeathMidBurst(t *testing.T) {
 	const dc = "DC-1"
 	// No breaker: a round's failures must not have the next round refused.
-	rt := router.New(router.Config{StaleAfter: time.Minute, BreakerThreshold: -1})
-	srv := httptest.NewServer(rt)
-	t.Cleanup(srv.Close)
-	binFront := startRouterBinary(t, rt)
+	rt := fleettest.StartRouter(t, router.Config{StaleAfter: time.Minute, BreakerThreshold: -1})
 	fb := newFakeBackend(t)
-	c := dialBin(t, binFront)
+	c := dialBin(t, rt.BinaryAddr)
 
 	// expect reads n responses for the requests numbered from first, returning
 	// how many were echoes. afterEach runs after each response.
@@ -179,7 +164,7 @@ func TestBinaryRelayBackendDeathMidBurst(t *testing.T) {
 	next := uint64(1)
 	for round := 0; round < 6; round++ {
 		gb := startEchoBackend(t)
-		mustRegister(t, srv.URL, router.RegisterRequest{
+		mustRegister(t, rt.URL, router.RegisterRequest{
 			ID: "node-gated", URL: fb.srv.URL, BinaryAddr: gb.addr(),
 			Datacenters: []router.RegisterDatacenter{{Name: dc, Generation: 1}},
 		})

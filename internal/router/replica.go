@@ -29,8 +29,8 @@ import (
 // handoff and release exactly once under their original ids.
 
 // backendHeader names the replica that actually served a routed request. The
-// router stamps it on every proxied JSON response so load generators and the
-// CI smoke job can attribute read share per backend.
+// router stamps it on every proxied JSON response so load generators and
+// TestFailoverChainThroughTheRouter can attribute read share per backend.
 const backendHeader = "X-Harvest-Backend"
 
 // promoteTimeout bounds the inline promotion POST: it runs on a request

@@ -118,7 +118,7 @@ type backend struct {
 	binAddr string
 
 	// replicateAddr is the backend's announced replication listener (guarded
-	// by Router.mu): live on a primary, armed on a follower. The register
+	// by Router.mu), which streams once the backend is primary. The register
 	// acknowledgement hands the current owner's address back to its followers
 	// so orphans re-dial the promoted node.
 	replicateAddr string
@@ -631,8 +631,8 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 
 	adm, ref := rt.admit(dc, isReadRequest(r.Method, r.PathValue("rest"), bodyBytes), tr)
 	if adm.b != nil {
-		// Name the replica that serves this request: load generators and the CI
-		// smoke job attribute per-backend read share from this header.
+		// Name the replica that serves this request: load generators and
+		// TestFailoverChainThroughTheRouter attribute read share from it.
 		w.Header().Set(backendHeader, adm.b.id)
 	}
 	if ref != nil {

@@ -7,13 +7,13 @@ package router_test
 
 import (
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"harvest/internal/fleettest"
 	"harvest/internal/obs"
 	"harvest/internal/router"
-	"harvest/internal/service"
 	"harvest/internal/wire"
 )
 
@@ -36,18 +36,14 @@ func mustTrace(t *testing.T, rec *obs.Recorder, id uint64, tier string) *obs.Tra
 }
 
 func TestTraceReconstructionJSON(t *testing.T) {
-	rt, srv := newTestRouter(t, nil)
-
-	svc := newBackendService(t, "DC-9")
-	api := service.NewAPI(svc)
-	backend := httptest.NewServer(api)
-	t.Cleanup(backend.Close)
-	mustRegister(t, srv.URL, router.RegisterRequest{
-		ID: "node-a", URL: backend.URL,
+	rt := fleettest.StartRouter(t, router.Config{StaleAfter: time.Minute})
+	n := fleettest.StartNode(t, nodeConfig("node-a", "DC-9"))
+	mustRegister(t, rt.URL, router.RegisterRequest{
+		ID: "node-a", URL: n.URL,
 		Datacenters: []router.RegisterDatacenter{{Name: "DC-9", Generation: 1}},
 	})
 
-	req, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/DC-9/select",
+	req, _ := http.NewRequest(http.MethodPost, rt.URL+"/v1/DC-9/select",
 		strings.NewReader(`{"job_type":"medium","max_concurrent_cores":8,"hold_seconds":60,"job_id":"etl","owner":"alice"}`))
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(obs.TraceHeader, "00000000000000bb")
@@ -64,7 +60,7 @@ func TestTraceReconstructionJSON(t *testing.T) {
 	}
 
 	// Router hop: ingress trace with the breaker wait and the backend leg.
-	rtr := mustTrace(t, rt.Recorder(), 0xbb, "router")
+	rtr := mustTrace(t, rt.Router.Recorder(), 0xbb, "router")
 	if rtr.DC != "DC-9" || rtr.Dialect != obs.DialectJSON || rtr.Status != http.StatusOK {
 		t.Fatalf("router trace = %+v", rtr)
 	}
@@ -74,7 +70,7 @@ func TestTraceReconstructionJSON(t *testing.T) {
 	}
 
 	// Shard hop: same id, service-side spans, the lease metadata.
-	str := mustTrace(t, api.Recorder(), 0xbb, "shard")
+	str := mustTrace(t, n.API.Recorder(), 0xbb, "shard")
 	if str.DC != "DC-9" || str.JobID != "etl" || str.Owner != "alice" {
 		t.Fatalf("shard trace = %+v", str)
 	}
@@ -85,28 +81,16 @@ func TestTraceReconstructionJSON(t *testing.T) {
 }
 
 func TestTraceReconstructionBinary(t *testing.T) {
-	rt, srv := newTestRouter(t, nil)
-	binFront := startRouterBinary(t, rt)
-
-	// DC-9: binary-capable backend, recorder shared between the JSON API and
-	// the binary server exactly as cmd/harvestd wires it.
-	svcBin := newBackendService(t, "DC-9")
-	apiBin := service.NewAPI(svcBin)
-	apiSrvBin := httptest.NewServer(apiBin)
-	t.Cleanup(apiSrvBin.Close)
-	bs := service.NewBinaryServer(svcBin)
-	bsAddr, _, err := bs.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("backend binary listen: %v", err)
-	}
-	t.Cleanup(bs.Close)
-	apiBin.AttachBinary(bs, bsAddr.String())
-	mustRegister(t, srv.URL, router.RegisterRequest{
-		ID: "node-bin", URL: apiSrvBin.URL, BinaryAddr: bsAddr.String(),
+	rt := fleettest.StartRouter(t, router.Config{StaleAfter: time.Minute})
+	// The node's recorder is shared between its JSON API and its binary
+	// server, as cmd/harvestd wires it.
+	n := fleettest.StartNode(t, nodeConfig("node-bin", "DC-9"))
+	mustRegister(t, rt.URL, router.RegisterRequest{
+		ID: "node-bin", URL: n.URL, BinaryAddr: n.BinaryAddr,
 		Datacenters: []router.RegisterDatacenter{{Name: "DC-9", Generation: 1}},
 	})
 
-	c := dialBin(t, binFront)
+	c := dialBin(t, rt.BinaryAddr)
 
 	// Native forwarding: the frame id is the trace id on both tiers.
 	h, _ := c.roundTrip(wire.AppendSelectReq(nil, 0xcafe, "DC-9",
@@ -114,14 +98,14 @@ func TestTraceReconstructionBinary(t *testing.T) {
 	if h.Op != wire.OpSelectResp || h.ID != 0xcafe {
 		t.Fatalf("native select: header %+v", h)
 	}
-	rtr := mustTrace(t, rt.Recorder(), 0xcafe, "router")
+	rtr := mustTrace(t, rt.Router.Recorder(), 0xcafe, "router")
 	if rtr.Dialect != obs.DialectBinary || rtr.DC != "DC-9" || rtr.Op != "select" {
 		t.Fatalf("router binary trace = %+v", rtr)
 	}
 	if spans := spanSet(rtr); !spans["backend_leg"] {
 		t.Fatalf("router binary spans = %v, want backend_leg", spans)
 	}
-	str := mustTrace(t, apiBin.Recorder(), 0xcafe, "shard")
+	str := mustTrace(t, n.API.Recorder(), 0xcafe, "shard")
 	if str.Dialect != obs.DialectBinary || str.DC != "DC-9" {
 		t.Fatalf("shard binary trace = %+v", str)
 	}
@@ -149,7 +133,7 @@ func TestTraceReconstructionBinary(t *testing.T) {
 		}
 		return ids[0]
 	}
-	if rid, sid := minted(rt.Recorder(), "router"), minted(apiBin.Recorder(), "shard"); rid != sid {
+	if rid, sid := minted(rt.Router.Recorder(), "router"), minted(n.API.Recorder(), "shard"); rid != sid {
 		t.Fatalf("id-0 frame traced under %#x at the router and %#x at the shard: the tiers cannot be joined", rid, sid)
 	}
 }

@@ -33,8 +33,8 @@ type AnnouncerConfig struct {
 	// Token is the router's shared register token (sent as a bearer token),
 	// when the router requires one.
 	Token string
-	// ReplicateAddr is this node's replication listener (host:port) — live on
-	// a primary, armed for promotion on a follower. Announced so the router
+	// ReplicateAddr is this node's replication listener (host:port), which
+	// streams once the node is primary. Announced so the router
 	// can point orphaned followers at whichever node currently owns the
 	// primary role.
 	ReplicateAddr string

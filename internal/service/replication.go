@@ -78,12 +78,7 @@ type replState struct {
 	promotions   atomic.Uint64
 
 	// Primary side: srv accepts the followers (wire.Server's contract).
-	srv wire.Server
-	// pendingLn, under mu, is a replication listener a follower holds in
-	// reserve: Promote begins ServeReplication on it, so a promoted primary can
-	// feed the surviving followers without a restart.
-	mu            sync.Mutex
-	pendingLn     net.Listener
+	srv           wire.Server
 	followers     atomic.Int64
 	framesShipped atomic.Uint64
 	shipErrors    atomic.Uint64
@@ -101,14 +96,9 @@ func (r *replState) setPrimaryID(pid string) {
 	}
 }
 
-// shutdown closes the reserve listener and the stream to the primary so the
-// follow loop unblocks for Close's wg.Wait, then stops serving followers.
+// shutdown closes the stream to the primary so the follow loop unblocks for
+// Close's wg.Wait, then stops serving followers.
 func (r *replState) shutdown() {
-	r.mu.Lock()
-	if r.pendingLn != nil {
-		r.pendingLn.Close()
-	}
-	r.mu.Unlock()
 	if c := r.conn.Load(); c != nil {
 		(*c).Close()
 	}
@@ -134,36 +124,21 @@ func (s *Service) readLiveness() time.Duration {
 	return d
 }
 
-// ArmReplicationListener hands a follower a replication listener to hold in
-// reserve: it accepts nothing until Promote, which starts ServeReplication on
-// it — the headline failover fix, letting a promoted primary feed the
-// surviving followers (and survive a second failover) without a restart. On a
-// node that is already the primary it starts serving immediately.
+// ArmReplicationListener serves replication on ln for as long as the service
+// runs. A primary streams to every follower that says hello; a follower
+// refuses each hello until Promote makes it the primary, so a promoted node
+// feeds the surviving followers (and survives a second failover) on the
+// address it already announced, without a restart. The listener is owned by
+// the service from here on: Close shuts it down.
 func (s *Service) ArmReplicationListener(ln net.Listener) {
-	if !s.follower.Load() {
-		s.ServeReplication(ln)
-		return
-	}
-	s.repl.mu.Lock()
-	s.repl.pendingLn = ln
-	s.repl.mu.Unlock()
-	// Promote may have raced the flag check above; re-check and serve so the
-	// listener can never be stranded un-served on a primary.
-	if !s.follower.Load() {
-		s.serveArmedListener()
-	}
-}
-
-// serveArmedListener starts replication on the reserve listener, exactly once.
-func (s *Service) serveArmedListener() {
-	s.repl.mu.Lock()
-	ln := s.repl.pendingLn
-	s.repl.pendingLn = nil
-	s.repl.mu.Unlock()
-	if ln != nil {
-		s.ServeReplication(ln)
-		slogger.Info("replication listener live after promotion", "node", s.cfg.NodeID, "addr", ln.Addr())
-	}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		if err := s.repl.srv.Serve(ln, s.serveReplConn); err != nil {
+			// Followers can no longer join; the node keeps serving its clients.
+			slogger.Error("replication accept loop died", "addr", ln.Addr(), "err", err)
+		}
+	}()
 }
 
 // SetFollowAddr retargets a follower's replication stream at a new primary
@@ -191,30 +166,17 @@ func (s *Service) followAddr() string {
 	return s.cfg.FollowAddr
 }
 
-// ServeReplication starts streaming replication frames to every follower
-// that connects on ln. The listener is owned by the service from here on:
-// Close shuts it down. Call on a primary only; a follower serving replication
-// would re-ship second-hand state (followers use ArmReplicationListener).
-func (s *Service) ServeReplication(ln net.Listener) {
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		if err := s.repl.srv.Serve(ln, s.serveReplConn); err != nil {
-			// Followers can no longer join; the node keeps serving its clients.
-			slogger.Error("replication accept loop died", "addr", ln.Addr(), "err", err)
-		}
-	}()
-}
-
 // serveReplConn handles one follower: handshake, then an unacknowledged push
 // of every shard's state each ReplInterval. Any error drops the connection;
-// the follower reconnects and re-handshakes.
+// the follower reconnects and re-handshakes. A follower closes the connection
+// once the hello is read: re-shipping second-hand state would make it a
+// primary nobody promoted.
 func (s *Service) serveReplConn(nc net.Conn) {
 	var scratch []byte
 	br := bufio.NewReaderSize(nc, 16<<10)
 	nc.SetReadDeadline(time.Now().Add(replHandshakeTimeout))
 	h, payload, err := wire.ReadFrame(br, &scratch)
-	if err != nil || h.Op != wire.OpReplHello {
+	if err != nil || h.Op != wire.OpReplHello || s.follower.Load() {
 		return
 	}
 	var hello wire.ReplHello

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"harvest/internal/core"
+	"harvest/internal/fleettest"
 	"harvest/internal/ledger"
 	"harvest/internal/regproto"
 	"harvest/internal/service"
@@ -23,19 +24,6 @@ func replTestConfig(nodeID string) service.Config {
 	cfg.NodeID = nodeID
 	cfg.ReplInterval = 25 * time.Millisecond
 	return cfg
-}
-
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
 }
 
 func checkLedgerConservation(t *testing.T, st ledger.Stats, who string) {
@@ -61,7 +49,7 @@ func TestReplicationAndPromotion(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	primary.ServeReplication(ln)
+	primary.ArmReplicationListener(ln)
 	primary.Start()
 
 	// Move the primary past its boot generation so the follower's join is a
@@ -92,13 +80,40 @@ func TestReplicationAndPromotion(t *testing.T) {
 	}
 	follower.Start()
 	defer follower.Close()
+	fln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	follower.ArmReplicationListener(fln)
+	// hello says hello on the follower's replication listener and returns
+	// the first frame or what the connection did instead.
+	hello := func() (wire.Op, error) {
+		t.Helper()
+		c, err := net.Dial("tcp", fln.Addr().String())
+		if err != nil {
+			t.Fatalf("dial the follower's replication listener: %v", err)
+		}
+		defer c.Close()
+		if _, err := c.Write(wire.AppendReplHello(nil, 1, &wire.ReplHello{FollowerID: "f2"})); err != nil {
+			t.Fatalf("hello: %v", err)
+		}
+		c.SetReadDeadline(time.Now().Add(2 * time.Second))
+		var scratch []byte
+		h, _, err := wire.ReadFrame(c, &scratch)
+		return h.Op, err
+	}
 
 	if !follower.IsFollower() || follower.Role() != "follower" {
 		t.Fatalf("follower role = %q", follower.Role())
 	}
+	// A follower refuses a hello at once rather than leaving it to wait out
+	// the handshake timeout: it has nothing first-hand to ship.
+	if op, err := hello(); !errors.Is(err, io.EOF) {
+		t.Fatalf("hello to a follower: op %v, err %v; want the connection closed at once", op, err)
+	}
 
 	primarySnap, _ := primary.Snapshot(dc)
-	waitFor(t, "follower to apply the primary's generation", func() bool {
+	fleettest.WaitFor(t, "follower to apply the primary's generation", func() bool {
 		snap, _ := follower.Snapshot(dc)
 		fst, _ := follower.LedgerStats(dc)
 		pst, _ := primary.LedgerStats(dc)
@@ -133,7 +148,7 @@ func TestReplicationAndPromotion(t *testing.T) {
 	if err := primary.Refresh(dc); err != nil {
 		t.Fatalf("Refresh 2: %v", err)
 	}
-	waitFor(t, "follower to apply the next generation", func() bool {
+	fleettest.WaitFor(t, "follower to apply the next generation", func() bool {
 		snap, _ := follower.Snapshot(dc)
 		return snap.Generation == primarySnap.Generation+1
 	})
@@ -146,7 +161,7 @@ func TestReplicationAndPromotion(t *testing.T) {
 	if err != nil || !post.Reserved() {
 		t.Fatalf("SelectReserve (post-refresh): %+v, %v", post, err)
 	}
-	waitFor(t, "beat to carry the new lease", func() bool {
+	fleettest.WaitFor(t, "beat to carry the new lease", func() bool {
 		fst, _ := follower.LedgerStats(dc)
 		pst, _ := primary.LedgerStats(dc)
 		return fst.ReservedMillis == pst.ReservedMillis && fst.ActiveLeases == pst.ActiveLeases
@@ -182,6 +197,10 @@ func TestReplicationAndPromotion(t *testing.T) {
 	if follower.IsFollower() || follower.Role() != "primary" {
 		t.Fatalf("promoted role = %q", follower.Role())
 	}
+	// The listener it held while following now streams.
+	if op, err := hello(); err != nil || op != wire.OpReplHelloResp {
+		t.Fatalf("hello to the promoted node: op %v, err %v; want %v", op, err, wire.OpReplHelloResp)
+	}
 
 	// Lease conservation survives the handoff exactly.
 	fst, _ := follower.LedgerStats(dc)
@@ -215,11 +234,16 @@ func TestReplicationAndPromotion(t *testing.T) {
 // TestFollowerAnnouncesItsPrimaryAtOnce: a follower that boots before its
 // primary's replication listener opens joins within a short backoff, and its
 // announcer beats as soon as the handshake names the primary — well inside
-// one 2 s heartbeat interval — so the router can route to the pair.
+// one 2 s heartbeat interval — so the router can route to the pair. Every
+// beat carries the register token.
 func TestFollowerAnnouncesItsPrimaryAtOnce(t *testing.T) {
 	router := make(chan string, 16)
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var req regproto.RegisterRequest
+		if r.Header.Get("Authorization") != "Bearer reg-secret" {
+			w.WriteHeader(http.StatusUnauthorized)
+			return
+		}
 		if err := json.NewDecoder(r.Body).Decode(&req); err == nil && req.PrimaryID != "" {
 			select {
 			case router <- req.PrimaryID:
@@ -253,6 +277,7 @@ func TestFollowerAnnouncesItsPrimaryAtOnce(t *testing.T) {
 	follower.Start()
 	ann, err := service.StartAnnouncer(follower, service.AnnouncerConfig{
 		RouterURL: stub.URL, SelfURL: "http://127.0.0.1:1", ID: "f1", Interval: 2 * time.Second,
+		Token: "reg-secret",
 	})
 	if err != nil {
 		t.Fatalf("StartAnnouncer: %v", err)
@@ -264,7 +289,7 @@ func TestFollowerAnnouncesItsPrimaryAtOnce(t *testing.T) {
 	if err != nil {
 		t.Skipf("the reserved port was taken meanwhile: %v", err)
 	}
-	primary.ServeReplication(ln)
+	primary.ArmReplicationListener(ln)
 	select {
 	case id := <-router:
 		if id != "p1" {
@@ -310,7 +335,7 @@ func TestCloseDropsReplicationConns(t *testing.T) {
 	ln := &lateListener{Listener: tcp, late: make(chan net.Conn, 1)}
 	late, lateServerSide := net.Pipe()
 	ln.late <- lateServerSide
-	primary.ServeReplication(ln)
+	primary.ArmReplicationListener(ln)
 	primary.Start()
 
 	dial := func() net.Conn {
@@ -327,7 +352,7 @@ func TestCloseDropsReplicationConns(t *testing.T) {
 	if _, err := follower.Write(wire.AppendReplHello(nil, 1, &wire.ReplHello{FollowerID: "f1"})); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
-	waitFor(t, "the follower to attach", func() bool { return primary.ReplicationStats().Followers == 1 })
+	fleettest.WaitFor(t, "the follower to attach", func() bool { return primary.ReplicationStats().Followers == 1 })
 
 	start := time.Now()
 	primary.Close()

@@ -507,10 +507,6 @@ func (s *Service) Promote() bool {
 	if s.started.Load() {
 		s.startPrimaryLoops()
 	}
-	// Begin serving replication on the reserve listener (when the follower
-	// was armed with one), so the surviving followers can re-dial the new
-	// primary and a second failover has somewhere to promote from.
-	s.serveArmedListener()
 	slogger.Info("promoted to primary", "node", s.cfg.NodeID)
 	return true
 }

@@ -21,6 +21,7 @@ import (
 
 	"harvest/internal/blockledger"
 	"harvest/internal/core"
+	"harvest/internal/fleettest"
 	"harvest/internal/ledger"
 	"harvest/internal/service"
 	"harvest/internal/wire"
@@ -145,7 +146,7 @@ func joinFollower(t *testing.T, primary *service.Service) *service.Service {
 	if err != nil {
 		t.Fatal(err)
 	}
-	primary.ServeReplication(ln)
+	primary.ArmReplicationListener(ln)
 	fcfg := replTestConfig("f1")
 	fcfg.FollowAddr = ln.Addr().String()
 	follower, err := service.New(fcfg)
@@ -155,7 +156,7 @@ func joinFollower(t *testing.T, primary *service.Service) *service.Service {
 	follower.Start()
 	t.Cleanup(follower.Close)
 	snap, _ := primary.Snapshot(replDC)
-	waitFor(t, "the follower to join and take a beat", func() bool {
+	fleettest.WaitFor(t, "the follower to join and take a beat", func() bool {
 		rst := follower.ReplicationStats()
 		return rst.AppliedGenerations[replDC] == snap.Generation && rst.BeatsApplied > 0
 	})
