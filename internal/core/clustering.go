@@ -269,7 +269,7 @@ func (s *ClusteringService) classifyFrom(pop *tenant.Population, src tenant.Hist
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			windows := newWindowReader(src)
+			windows := newWindowReader(src, nil)
 			for !failed.Load() {
 				i := int(next.Add(1) - 1)
 				if i >= n {
@@ -318,10 +318,17 @@ type windowReader struct {
 	scratch []float64
 }
 
-func newWindowReader(src tenant.HistorySource) *windowReader {
+// newWindowReader starts a reader on scratch, which it reuses and grows.
+func newWindowReader(src tenant.HistorySource, scratch []float64) *windowReader {
 	window, _ := src.(tenant.HistoryWindow)
-	return &windowReader{src: src, window: window}
+	return &windowReader{src: src, window: window, scratch: scratch}
 }
+
+// WindowScratch is the buffer a warm Recluster reads tenants' history windows
+// into. A caller that re-clusters again and again keeps one and passes it to
+// ReclusterWith, so a refresh reads every window without allocating one; one
+// pass uses it at a time.
+type WindowScratch struct{ values []float64 }
 
 // read returns the tenant's window and the slot width its values are spaced
 // at, or no values when the source holds none. The values are only valid

@@ -88,6 +88,11 @@ type ReclusterStats struct {
 // over (tenant profiles cache the previous window's summary statistics; the
 // drift check depends on them).
 func (s *ClusteringService) Recluster(prev *Clustering, pop *tenant.Population, src tenant.HistorySource) (*Clustering, ReclusterStats, error) {
+	return s.ReclusterWith(new(WindowScratch), prev, pop, src)
+}
+
+// ReclusterWith is Recluster reading the history windows into windows.
+func (s *ClusteringService) ReclusterWith(windows *WindowScratch, prev *Clustering, pop *tenant.Population, src tenant.HistorySource) (*Clustering, ReclusterStats, error) {
 	var st ReclusterStats
 	st.Tenants = len(pop.Tenants)
 	st.FullAgreement = -1
@@ -107,7 +112,8 @@ func (s *ClusteringService) Recluster(prev *Clustering, pop *tenant.Population, 
 	}
 	st.DriftThreshold = thr
 	hist, _ := src.(tenant.HistoryStats)
-	windows := newWindowReader(src)
+	reader := newWindowReader(src, windows.values)
+	defer func() { windows.values = reader.scratch }()
 	active := make([]*tenant.Tenant, 0, len(pop.Tenants))
 	for _, t := range pop.Tenants {
 		_, hadClass := prev.ClassOfTenant(t.ID)
@@ -132,7 +138,7 @@ func (s *ClusteringService) Recluster(prev *Clustering, pop *tenant.Population, 
 			}
 			mark, haveMark = m, true
 		}
-		values, interval := windows.read(t.ID)
+		values, interval := reader.read(t.ID)
 		if len(values) < signalproc.MinClassifySamples {
 			// Same contract as ClusterFrom: a tenant the source holds too
 			// little history for (evicted or refilling ring) drops out of

@@ -515,7 +515,7 @@ func (slot *binRelaySlot) relayStart(h wire.Header, frame []byte) {
 		fl, _ := wire.PeekSelectFlags(payload)
 		read = fl&wire.SelectFlagDryRun != 0
 	}
-	adm, ref := rt.admit(slot.dc, read, slot.tr)
+	adm, ref := rt.admit(slot.dc, read, true, slot.tr)
 	if ref != nil {
 		slot.reject(ref.status, ref.msg)
 		return

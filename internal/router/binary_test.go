@@ -229,6 +229,52 @@ func TestBinaryFrontRejectsJSONOnlyBackend(t *testing.T) {
 	}
 }
 
+// TestBinaryReadsSkipJSONOnlyFollower spreads reads over a primary with a
+// binary listener and a follower without one. Every binary dry-run select is
+// served — none reaches the follower only to be refused for its missing
+// binary_addr — while the JSON front keeps spreading reads to it.
+func TestBinaryReadsSkipJSONOnlyFollower(t *testing.T) {
+	rt := fleettest.StartRouter(t, router.Config{StaleAfter: time.Minute})
+	p, f := newFakeBackend(t), newFakeBackend(t)
+	mustRegister(t, rt.URL, router.RegisterRequest{
+		ID: "node-p", URL: p.srv.URL, BinaryAddr: startEchoBackend(t).addr(), Role: "primary",
+		Datacenters: []router.RegisterDatacenter{{Name: "DC-A", Generation: 10}},
+	})
+	mustRegister(t, rt.URL, router.RegisterRequest{
+		ID: "node-f", URL: f.srv.URL, Role: "follower", PrimaryID: "node-p",
+		Datacenters: []router.RegisterDatacenter{{Name: "DC-A", Generation: 10}},
+	})
+
+	c := dialBin(t, rt.BinaryAddr)
+	const selects = 40
+	for i := uint64(0); i < selects; i++ {
+		h, payload := c.roundTrip(wire.AppendSelectReq(nil, 300+i, "DC-A",
+			wire.SelectReq{Job: wire.JobShort, Flags: wire.SelectFlagDryRun, MaxCores: 2}))
+		if h.Op != wire.OpSelectResp || h.ID != 300+i {
+			var e wire.ErrorResp
+			e.Decode(payload)
+			t.Fatalf("dry-run select %d: op %v, error %d %q", i, h.Op, e.Code, e.Message)
+		}
+	}
+	if st := routerStats(t, rt.URL); st.Unavailable != 0 {
+		t.Fatalf("unavailable_503s = %d after %d binary reads, want 0", st.Unavailable, selects)
+	}
+
+	followerReads := 0
+	for i := 0; i < selects; i++ {
+		resp, _ := getBody(t, rt.URL+"/v1/DC-A/classes")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("JSON read %d: status %d", i, resp.StatusCode)
+		}
+		if resp.Header.Get("X-Harvest-Backend") == "node-f" {
+			followerReads++
+		}
+	}
+	if followerReads == 0 {
+		t.Errorf("the JSON front sent none of %d reads to the follower", selects)
+	}
+}
+
 // TestAdmissionGateSharedByBothFronts drives one backend's breaker through
 // open → half-open → closed with failures and probes arriving on either front:
 // the gate is one function over one state, so what one front learns the other

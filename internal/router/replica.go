@@ -61,9 +61,10 @@ func isReadRequest(method, rest string, body []byte) bool {
 
 // pickBackend resolves the backend for one request. Writes go to the table
 // owner, with a promotion attempt when the owner stopped beating; reads
-// spread across the owner and its eligible followers. Never returns a
-// follower for a write. A nil return means the datacenter is unknown.
-func (rt *Router) pickBackend(dc string, read bool, now time.Time) *backend {
+// spread across the owner and its eligible followers — for a binary request,
+// only those that announced a binary listener. Never returns a follower for a
+// write. A nil return means the datacenter is unknown.
+func (rt *Router) pickBackend(dc string, read, binary bool, now time.Time) *backend {
 	rt.mu.RLock()
 	owner := rt.table[dc].owner
 	rt.mu.RUnlock()
@@ -82,7 +83,7 @@ func (rt *Router) pickBackend(dc string, read bool, now time.Time) *backend {
 	if !read || rt.cfg.MaxGenLag < 0 {
 		return owner
 	}
-	if b := rt.pickReadReplica(dc, owner, now); b != nil {
+	if b := rt.pickReadReplica(dc, owner, binary, now); b != nil {
 		return b
 	}
 	return owner
@@ -94,7 +95,10 @@ func (rt *Router) pickBackend(dc string, read bool, now time.Time) *backend {
 // wins. Returns nil when nothing is eligible (caller falls back to the
 // owner and its usual staleness/breaker handling). It runs on every relayed
 // read, so the candidates are sampled as the backends are walked, not listed.
-func (rt *Router) pickReadReplica(dc string, owner *backend, now time.Time) *backend {
+// A binary read skips followers with no binary listener: the binary front
+// could only refuse it there, and a follower that refuses instantly has
+// nothing in flight, so power-of-two-choices would favour it.
+func (rt *Router) pickReadReplica(dc string, owner *backend, binary bool, now time.Time) *backend {
 	nowNanos := now.UnixNano()
 	lag := uint64(rt.cfg.MaxGenLag)
 	usable := func(b *backend) bool {
@@ -151,7 +155,7 @@ func (rt *Router) pickReadReplica(dc string, owner *backend, now time.Time) *bac
 		}
 	}
 	for _, b := range rt.backends {
-		if g, ok := follower(b); ok && g+lag >= refGen {
+		if g, ok := follower(b); ok && g+lag >= refGen && (!binary || b.binAddr != "") {
 			consider(b)
 		}
 	}

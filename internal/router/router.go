@@ -629,7 +629,7 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	adm, ref := rt.admit(dc, isReadRequest(r.Method, r.PathValue("rest"), bodyBytes), tr)
+	adm, ref := rt.admit(dc, isReadRequest(r.Method, r.PathValue("rest"), bodyBytes), false, tr)
 	if adm.b != nil {
 		// Name the replica that serves this request: load generators and
 		// TestFailoverChainThroughTheRouter attribute read share from it.
@@ -777,14 +777,15 @@ type refusal struct {
 }
 
 // admit is the gate both fronts put every request through before touching a
-// backend: resolve the datacenter (spreading reads, promoting a follower when
-// the owner stopped beating), then refuse when the backend missed its
-// heartbeats, is draining, or its circuit is open. The returned admission
-// names the backend even when refused, as far as one was resolved. An admitted
-// request must end in exactly one settle or cancel.
-func (rt *Router) admit(dc string, read bool, tr *obs.Trace) (admission, *refusal) {
+// backend: resolve the datacenter (spreading reads — binary ones only to
+// followers with a binary listener — and promoting a follower when the owner
+// stopped beating), then refuse when the backend missed its heartbeats, is
+// draining, or its circuit is open. The returned admission names the backend
+// even when refused, as far as one was resolved. An admitted request must end
+// in exactly one settle or cancel.
+func (rt *Router) admit(dc string, read, binary bool, tr *obs.Trace) (admission, *refusal) {
 	now := rt.now()
-	b := rt.pickBackend(dc, read, now)
+	b := rt.pickBackend(dc, read, binary, now)
 	if b == nil {
 		return admission{}, &refusal{status: http.StatusNotFound, msg: "unknown datacenter " + strconv.Quote(dc)}
 	}

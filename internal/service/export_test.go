@@ -15,6 +15,9 @@ import (
 // The replication ship and apply paths are unexported; these shims let the
 // external test package drive the real ones frame by frame, without sockets.
 
+// RaceEnabled reports whether this binary was built with -race.
+const RaceEnabled = raceEnabled
+
 // ReplApplier is one follower connection's decode state.
 type ReplApplier = replApplier
 

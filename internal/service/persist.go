@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"time"
 
@@ -166,13 +165,13 @@ func (s *Service) persistShard(sh *shard, snap *Snapshot) {
 	}
 	st := &sh.stage
 	if sh.led != nil {
-		st.copyLeases(sh.led)
+		st.stageLeases(sh.led)
 		written += s.persist(sh, "ledger", ledgerPath(s.cfg.PersistDir, sh.dc), func(w io.Writer) error {
 			return st.writeLedgerFile(w, s.persistHeaderFor(sh))
 		})
 	}
 	if sh.blocks != nil {
-		st.copyBlocks(sh.blocks)
+		st.stageBlocks(sh.blocks)
 		written += s.persist(sh, "block ledger", blocksPath(s.cfg.PersistDir, sh.dc), func(w io.Writer) error {
 			return st.writeBlocksFile(w, s.persistHeaderFor(sh))
 		})
@@ -193,91 +192,106 @@ func (s *Service) persist(sh *shard, what, path string, write func(w io.Writer) 
 }
 
 // persistStage is the storage a shard's ledger files are built in, kept across
-// persists so that one allocates only when the state has outgrown every
-// earlier one. A file is built in two steps that never overlap. First the
-// ledger's records are copied out under one Walk: all the ledger's shard locks
-// are held for a flat copy — less than an Export holds them — and for no
-// encoding or I/O. Then, with the locks released, the copy is encoded into buf
-// a chunk at a time and each chunk written to the file, so the encoded file
-// (≈145 B a block) is never in memory whole.
+// persists so that one allocates only when a ledger has outgrown every earlier
+// one. A file is built in two steps that never overlap. First the ledger is
+// staged as its replication section — the bytes a frame carries for it, from
+// the same encoder (appendLedgerSection / appendBlocksSection) under the same
+// one Walk, ≈37 B a block — into chunks the stage keeps. Then, with the
+// ledger's locks released, the section is read back and each record
+// transcoded into the file's JSON in buf, which is written out each time it
+// fills, so the encoded file (≈145 B a block) is never in memory whole.
 type persistStage struct {
-	leases   ledger.State
-	grants   []wire.ReplGrant // every staged lease's Grants, back to back
-	blocks   blockledger.State
-	replicas []wire.ReplBlockReplica // every staged block's Replicas, back to back
-	buf      []byte                  // the chunk being encoded
+	leases, blocks section
+	r              wire.Reader // the section being read back
+	buf            []byte      // the file chunk being encoded
 }
 
 // persistChunk is how much encoded file a stage buffers between writes.
 const persistChunk = 256 << 10
 
-// copyLeases makes st.leases the ledger's state. Each lease's Grants is a
-// window of the one grants slice; when that slice grows mid-walk, windows cut
-// earlier keep the array they were cut from, which holds what they need.
-func (st *persistStage) copyLeases(led *ledger.Ledger) {
-	st.grants = st.grants[:0]
-	staged := st.leases.Leases[:0]
-	led.Walk(func(books ledger.State, leases int) {
-		st.leases = books
-		st.leases.Leases = slices.Grow(staged, leases)
-	}, func(ls wire.ReplLease) {
-		at := len(st.grants)
-		st.grants = append(st.grants, ls.Grants...)
-		ls.Grants = st.grants[at:]
-		st.leases.Leases = append(st.leases.Leases, ls)
-	})
+// section is one ledger's staged replication section: the head at the start
+// of chunks[0], then every record, each whole in one chunk, through
+// chunks[used-1]. The chunks outlive the stage, so staging allocates a chunk
+// only where a section runs past the most the stage has ever held, and never
+// copies again what it has staged, as one growing slice would on each
+// regrowth.
+type section struct {
+	chunks [][]byte
+	used   int
 }
 
-// copyBlocks is copyLeases for the block ledger.
-func (st *persistStage) copyBlocks(blocks *blockledger.Ledger) {
-	staged := st.blocks.Blocks[:0]
-	blocks.Walk(func(books blockledger.State, count int) {
-		st.blocks = books
-		st.blocks.Blocks = slices.Grow(staged, count)
-		st.replicas = slices.Grow(st.replicas[:0], 3*count) // a guess at R that costs a regrowth when low
-	}, func(b wire.ReplBlock) {
-		at := len(st.replicas)
-		st.replicas = append(st.replicas, b.Replicas...)
-		b.Replicas = st.replicas[at:]
-		st.blocks.Blocks = append(st.blocks.Blocks, b)
-	})
+const (
+	sectionChunk = 64 << 10 // what a chunk is allocated with
+	recordRoom   = 4 << 10  // a record starts the next chunk when less is left
+)
+
+func (st *persistStage) stageLeases(led *ledger.Ledger) {
+	st.leases.end(appendLedgerSection(st.leases.begin(), led, st.leases.room))
 }
+
+func (st *persistStage) stageBlocks(blocks *blockledger.Ledger) {
+	st.blocks.end(appendBlocksSection(st.blocks.begin(), blocks, st.blocks.room))
+}
+
+// begin empties the section and returns its first chunk to encode into.
+func (s *section) begin() []byte {
+	s.used = 0
+	return s.next()
+}
+
+func (s *section) next() []byte {
+	if s.used == len(s.chunks) {
+		s.chunks = append(s.chunks, make([]byte, 0, sectionChunk))
+	}
+	s.used++
+	return s.chunks[s.used-1][:0]
+}
+
+// room is the encoder's hook before each record: dst while recordRoom is left
+// in it, else the next chunk, dst kept as the one before it. A record longer
+// than recordRoom (a lease with hundreds of grants) still goes whole into one
+// chunk: append grows the chunk, and the section keeps it grown.
+func (s *section) room(dst []byte) []byte {
+	if cap(dst)-len(dst) >= recordRoom {
+		return dst
+	}
+	s.chunks[s.used-1] = dst
+	return s.next()
+}
+
+// end keeps the chunk the encoder appended to last.
+func (s *section) end(dst []byte) { s.chunks[s.used-1] = dst }
 
 // writeLedgerFile and writeBlocksFile write the JSON of persistedLedger /
-// persistedBlocks for the copied state. The header and the books are what
-// json.Marshal writes for them, so the struct tags are their only encoder;
-// the records, the part that grows with the state, are appended field by
-// field in the idiom of wire.Append* instead of marshalling the struct whole
-// into a buffer of encoding/json's. readStateFile and Restore decode the
-// result with encoding/json into those same structs, which remain the
-// format's definition; TestStreamedFilesDecodeAsExportedState holds the two
+// persistedBlocks for the staged section. The header and the books, read back
+// with wire's head readers, are what json.Marshal writes for them, so the
+// struct tags are their only encoder; the records, the part that grows with
+// the state, are transcoded from the section field by field (appendLease,
+// appendBlock) instead of marshalled whole into a buffer of encoding/json's.
+// readStateFile and Restore decode the result with encoding/json into those
+// same structs, which remain the format's definition;
+// TestStreamedFilesDecodeAsExportedState and FuzzStagedFiles hold the two
 // together.
 func (st *persistStage) writeLedgerFile(w io.Writer, h persistHeader) error {
-	books := st.leases
-	books.Leases = nil
+	st.r = wire.NewReader(st.leases.chunks[0])
+	var books ledger.State
+	n := wire.ReadReplLedgerHead(&st.r, &books)
 	out, err := st.beginFile(w, persistedLedger{persistHeader: h, State: books})
 	if err != nil {
 		return err
 	}
-	for i := range st.leases.Leases {
-		out.buf = appendLease(out.buf, i > 0, &st.leases.Leases[i])
-		out.flushIfFull()
-	}
-	return out.end(st)
+	return out.records(st, &st.leases, n, appendLease)
 }
 
 func (st *persistStage) writeBlocksFile(w io.Writer, h persistHeader) error {
-	books := st.blocks
-	books.Blocks = nil
+	st.r = wire.NewReader(st.blocks.chunks[0])
+	var books blockledger.State
+	n := wire.ReadReplBlocksHead(&st.r, &books)
 	out, err := st.beginFile(w, persistedBlocks{persistHeader: h, State: books})
 	if err != nil {
 		return err
 	}
-	for i := range st.blocks.Blocks {
-		out.buf = appendBlock(out.buf, i > 0, &st.blocks.Blocks[i])
-		out.flushIfFull()
-	}
-	return out.end(st)
+	return out.records(st, &st.blocks, n, appendBlock)
 }
 
 // stateFile is one ledger file on its way out: the chunk being appended to
@@ -319,6 +333,33 @@ func (f *stateFile) flush() {
 	f.buf = f.buf[:0]
 }
 
+// records transcodes the section's n records into the open record list —
+// from st.r, past the head in the first chunk, then from each later chunk —
+// and ends the file. A section that does not read as the n records its head
+// promised fails the file.
+func (f *stateFile) records(st *persistStage, s *section, n int, transcode func([]byte, *wire.Reader) []byte) error {
+	r := &st.r
+	written := 0
+	for next := 1; ; next++ {
+		for r.Remaining() > 0 {
+			if written > 0 {
+				f.buf = append(f.buf, ',')
+			}
+			f.buf = transcode(f.buf, r)
+			written++
+			f.flushIfFull()
+		}
+		if r.Err() != nil || next == s.used {
+			break
+		}
+		*r = wire.NewReader(s.chunks[next])
+	}
+	if r.Err() != nil || written != n {
+		return fmt.Errorf("service: staged section reads as %d records, its head promised %d", written, n)
+	}
+	return f.end(st)
+}
+
 // end closes the record list, "state" and the file, writes what is left and
 // hands the buffer back to the stage.
 func (f *stateFile) end(st *persistStage) error {
@@ -328,52 +369,55 @@ func (f *stateFile) end(st *persistStage) error {
 	return f.err
 }
 
-func appendLease(dst []byte, comma bool, pl *wire.ReplLease) []byte {
-	if comma {
-		dst = append(dst, ',')
-	}
+// appendLease transcodes the lease record at r — AppendReplLease's fields, in
+// its order — into the JSON object json.Marshal writes for the wire.ReplLease
+// it encodes. A frame's "never" expiry, 0, is the zero time the ledger holds.
+func appendLease(dst []byte, r *wire.Reader) []byte {
 	dst = append(dst, `{"id":`...)
-	dst = strconv.AppendUint(dst, pl.ID, 10)
+	dst = strconv.AppendUint(dst, r.U64(), 10)
+	var expires time.Time
+	if ns := r.I64(); ns != 0 {
+		expires = time.Unix(0, ns)
+	}
 	dst = append(dst, `,"expires_at":"`...)
-	dst = pl.ExpiresAt.AppendFormat(dst, time.RFC3339Nano)
+	dst = expires.AppendFormat(dst, time.RFC3339Nano)
+	jobID, owner := r.Str8(), r.Str8()
 	dst = append(dst, `","grants":[`...)
-	for i, g := range pl.Grants {
+	for i, n := 0, int(r.U16()); i < n; i++ {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
 		dst = append(dst, `{"class":`...)
-		dst = strconv.AppendUint(dst, uint64(g.Class), 10)
+		dst = strconv.AppendUint(dst, uint64(r.U32()), 10)
 		dst = append(dst, `,"millis":`...)
-		dst = strconv.AppendInt(dst, g.Millis, 10)
+		dst = strconv.AppendInt(dst, r.I64(), 10)
 		dst = append(dst, '}')
 	}
 	dst = append(dst, ']')
-	if pl.JobID != "" {
-		dst = appendJSONString(append(dst, `,"job_id":`...), pl.JobID)
+	if len(jobID) > 0 {
+		dst = appendJSONString(append(dst, `,"job_id":`...), jobID)
 	}
-	if pl.Owner != "" {
-		dst = appendJSONString(append(dst, `,"owner":`...), pl.Owner)
+	if len(owner) > 0 {
+		dst = appendJSONString(append(dst, `,"owner":`...), owner)
 	}
 	return append(dst, '}')
 }
 
-func appendBlock(dst []byte, comma bool, pb *wire.ReplBlock) []byte {
-	if comma {
-		dst = append(dst, ',')
-	}
+// appendBlock is appendLease for a block record (AppendReplBlock's fields).
+func appendBlock(dst []byte, r *wire.Reader) []byte {
 	dst = append(dst, `{"id":`...)
-	dst = strconv.AppendUint(dst, pb.ID, 10)
-	if pb.EnvStrict {
+	dst = strconv.AppendUint(dst, r.U64(), 10)
+	if r.Bool() {
 		dst = append(dst, `,"env_strict":true`...)
 	}
 	dst = append(dst, `,"replicas":[`...)
-	for i, r := range pb.Replicas {
+	for i, n := 0, int(r.U8()); i < n; i++ {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
 		dst = append(dst, `{"server":`...)
-		dst = strconv.AppendInt(dst, r.Server, 10)
-		if r.Placed {
+		dst = strconv.AppendInt(dst, r.I64(), 10)
+		if r.Bool() {
 			dst = append(dst, `,"placed":true}`...)
 		} else {
 			dst = append(dst, `,"placed":false}`...)
@@ -385,7 +429,7 @@ func appendBlock(dst []byte, comma bool, pb *wire.ReplBlock) []byte {
 // appendJSONString appends s as a JSON string: the quote, the backslash and
 // control characters escaped, every other byte as it is (a decoder turns
 // invalid UTF-8 into U+FFFD, which is also what encoding/json writes for it).
-func appendJSONString(dst []byte, s string) []byte {
+func appendJSONString(dst []byte, s []byte) []byte {
 	const hex = "0123456789abcdef"
 	dst = append(dst, '"')
 	for i := 0; i < len(s); i++ {

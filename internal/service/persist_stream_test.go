@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -20,13 +22,11 @@ import (
 
 // TestStreamedFilesDecodeAsExportedState holds the hand-written file encoders
 // to the format's definition: what writeLedgerFile and writeBlocksFile write
-// must unmarshal into persistedLedger / persistedBlocks exactly as the file
-// json.Marshal writes for the header and the ledger's Export() does — the
-// files as they were before they were streamed, and as Restore still reads
-// them. Then the same for every record there could be, not only those a
-// ledger in this test happens to hold: random states must come back equal
-// through all three encoders of the one record type — the frame codec, the
-// json tags, the streamed file.
+// from a staged ledger must unmarshal into persistedLedger / persistedBlocks
+// exactly as the file json.Marshal writes for the header and the ledger's
+// Export() does — the files as they were before they were streamed, and as
+// Restore still reads them. FuzzStagedFiles does the same for every record
+// there could be, not only those a ledger in this test happens to hold.
 func TestStreamedFilesDecodeAsExportedState(t *testing.T) {
 	header := persistHeader{Version: persistVersion, Datacenter: `DC "9"`, Seed: -3, ScaleDatacenter: 0.3}
 	led, blocks := ledger.New(7, 4), blockledger.New(7)
@@ -34,7 +34,7 @@ func TestStreamedFilesDecodeAsExportedState(t *testing.T) {
 	ledgerFile := func() []byte {
 		t.Helper()
 		var file bytes.Buffer
-		st.copyLeases(led)
+		st.stageLeases(led)
 		if err := st.writeLedgerFile(&file, header); err != nil {
 			t.Fatalf("ledger file: %v", err)
 		}
@@ -43,7 +43,7 @@ func TestStreamedFilesDecodeAsExportedState(t *testing.T) {
 	blocksFile := func() []byte {
 		t.Helper()
 		var file bytes.Buffer
-		st.copyBlocks(blocks)
+		st.stageBlocks(blocks)
 		if err := st.writeBlocksFile(&file, header); err != nil {
 			t.Fatalf("blocks file: %v", err)
 		}
@@ -97,8 +97,8 @@ func TestStreamedFilesDecodeAsExportedState(t *testing.T) {
 	}
 
 	// Blocks: env-strict and not (env_strict is omitted when false), R=3 and
-	// R=1, a pending replica, and enough of them that the file goes out in
-	// several chunks.
+	// R=1, a pending replica, and enough of them that the section is staged,
+	// and the file goes out, in several chunks.
 	create := func(envStrict bool, servers ...tenant.ServerID) {
 		t.Helper()
 		if _, err := blocks.Create(7, servers, envStrict); err != nil {
@@ -121,8 +121,8 @@ func TestStreamedFilesDecodeAsExportedState(t *testing.T) {
 	}
 
 	file := blocksFile()
-	if len(file) < 2*persistChunk {
-		t.Fatalf("blocks file is %d bytes, want several chunks of %d", len(file), persistChunk)
+	if len(file) < 2*persistChunk || st.blocks.used < 2 {
+		t.Fatalf("blocks file is %d bytes staged in %d chunks, want several of each", len(file), st.blocks.used)
 	}
 	if n := bytes.Count(file, []byte(`"env_strict"`)); n != 2+(bulk+1)/2 {
 		t.Errorf("env_strict written %d times, want %d (omitted when false)", n, 2+(bulk+1)/2)
@@ -163,7 +163,7 @@ func TestStreamedFilesDecodeAsExportedState(t *testing.T) {
 
 	// A write that fails part-way is reported, nothing is written after it,
 	// and the stage is good for the next file.
-	st.copyBlocks(blocks)
+	st.stageBlocks(blocks)
 	failing := &failAfter{chunks: 1}
 	if err := st.writeBlocksFile(failing, header); !errors.Is(err, errDiskFull) || failing.refused != 1 {
 		t.Errorf("failing write: err %v after %d refused writes; want errDiskFull after 1", err, failing.refused)
@@ -171,29 +171,39 @@ func TestStreamedFilesDecodeAsExportedState(t *testing.T) {
 	if again := blocksFile(); len(again) != len(file) {
 		t.Errorf("file after a failed one is %d bytes, want %d", len(again), len(file))
 	}
+}
 
+// FuzzStagedFiles draws both ledgers' states from a seed and requires them
+// back equal through all three encoders of the one record type: the frame
+// codec (and the frame re-encoded byte for byte from its decoded message),
+// the json tags, and the files written from the states staged as sections.
+func FuzzStagedFiles(f *testing.F) {
 	for seed := int64(1); seed <= 200; seed++ {
+		f.Add(seed)
+	}
+	header := persistHeader{Version: persistVersion, Datacenter: `DC "9"`, Seed: -3, ScaleDatacenter: 0.3}
+	f.Fuzz(func(t *testing.T, seed int64) {
 		leases, placements := randomShardState(rand.New(rand.NewSource(seed)))
 		canonState(&leases, &placements)
 		check := func(via string, gotLeases wire.ReplLedger, gotBlocks wire.ReplBlocks) {
 			t.Helper()
 			canonState(&gotLeases, &gotBlocks)
 			if !reflect.DeepEqual(gotLeases, leases) {
-				t.Fatalf("seed %d: leases through %s:\n got %+v\nwant %+v", seed, via, gotLeases, leases)
+				t.Fatalf("leases through %s:\n got %+v\nwant %+v", via, gotLeases, leases)
 			}
 			if !reflect.DeepEqual(gotBlocks, placements) {
-				t.Fatalf("seed %d: blocks through %s:\n got %+v\nwant %+v", seed, via, gotBlocks, placements)
+				t.Fatalf("blocks through %s:\n got %+v\nwant %+v", via, gotBlocks, placements)
 			}
 		}
 
 		frame := wire.AppendReplBeat(nil, 1, &wire.ReplBeat{DC: header.Datacenter, Ledger: leases, Blocks: placements})
 		var beat wire.ReplBeat
 		if err := beat.Decode(frame[wire.HeaderSize:]); err != nil {
-			t.Fatalf("seed %d: frame does not decode: %v", seed, err)
+			t.Fatalf("frame does not decode: %v", err)
 		}
 		check("a frame", beat.Ledger, beat.Blocks)
 		if again := wire.AppendReplBeat(nil, 1, &beat); !bytes.Equal(again, frame) {
-			t.Fatalf("seed %d: the frame re-encoded from its decoded message differs", seed)
+			t.Fatal("the frame re-encoded from its decoded message differs")
 		}
 
 		var gotLedger persistedLedger
@@ -202,19 +212,100 @@ func TestStreamedFilesDecodeAsExportedState(t *testing.T) {
 		viaMarshal(t, persistedBlocks{persistHeader: header, State: placements}, &gotBlocks)
 		check("json.Marshal", gotLedger.State, gotBlocks.State)
 
+		var st persistStage
+		stageState(&st, &leases, &placements)
 		var ledgerFile, blocksFile bytes.Buffer
-		st.leases, st.blocks = leases, placements
 		if err := errors.Join(st.writeLedgerFile(&ledgerFile, header), st.writeBlocksFile(&blocksFile, header)); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatal(err)
 		}
 		gotLedger, gotBlocks = persistedLedger{}, persistedBlocks{}
 		if err := errors.Join(json.Unmarshal(ledgerFile.Bytes(), &gotLedger), json.Unmarshal(blocksFile.Bytes(), &gotBlocks)); err != nil {
-			t.Fatalf("seed %d: streamed files do not parse: %v", seed, err)
+			t.Fatalf("staged files do not parse: %v", err)
 		}
-		check("the streamed files", gotLedger.State, gotBlocks.State)
+		check("the staged files", gotLedger.State, gotBlocks.State)
 		if gotLedger.persistHeader != header || gotBlocks.persistHeader != header {
-			t.Fatalf("seed %d: streamed headers %+v / %+v", seed, gotLedger.persistHeader, gotBlocks.persistHeader)
+			t.Fatalf("staged headers %+v / %+v", gotLedger.persistHeader, gotBlocks.persistHeader)
 		}
+	})
+}
+
+// stageState stages states the way stageLeases and stageBlocks stage a
+// ledger's: the head, then each record through its section's room.
+func stageState(st *persistStage, leases *wire.ReplLedger, blocks *wire.ReplBlocks) {
+	dst := wire.AppendReplLedgerHead(st.leases.begin(), leases, len(leases.Leases))
+	for i := range leases.Leases {
+		dst = wire.AppendReplLease(st.leases.room(dst), &leases.Leases[i])
+	}
+	st.leases.end(dst)
+	dst = wire.AppendReplBlocksHead(st.blocks.begin(), blocks, len(blocks.Blocks))
+	for i := range blocks.Blocks {
+		dst = wire.AppendReplBlock(st.blocks.room(dst), &blocks.Blocks[i])
+	}
+	st.blocks.end(dst)
+}
+
+// TestPersistStageAllocatesOnlyForGrowth pins what staging and writing the
+// block file costs the heap: chunks for the blocks past the most the stage
+// has held, and a few small objects besides. Before the section was staged in
+// chunks the stage kept, a ledger that outgrew the stage's flat copy was
+// copied whole into a new one: ≈2.8 MB for 2,000 blocks past 30,000.
+func TestPersistStageAllocatesOnlyForGrowth(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	header := persistHeader{Version: persistVersion, Datacenter: "DC-9"}
+	blocks := blockledger.New(7)
+	var st persistStage
+	create := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			s := tenant.ServerID(i % 1000)
+			if _, err := blocks.Create(7, []tenant.ServerID{s, s + 1000, s + 2000}, i%2 == 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	persist := func() uint64 {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		st.stageBlocks(blocks)
+		err := st.writeBlocksFile(io.Discard, header)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+
+	create(30_000)
+	persist()
+	create(2_000)
+	if got, budget := persist(), uint64(2_000*64+sectionChunk); got > budget {
+		t.Errorf("staging and writing 2,000 blocks past 30,000 allocates %d B, budget %d", got, budget)
+	}
+	if got := persist(); got > 4<<10 {
+		t.Errorf("staging and writing 32,000 blocks again allocates %d B, budget 4 KiB", got)
+	}
+}
+
+// BenchmarkStageBlocks prices what a persist holds the block ledger's shard
+// locks for: staging 36,000 R=3 blocks, the storage_refresh workload's state,
+// under one Walk.
+func BenchmarkStageBlocks(b *testing.B) {
+	blocks := blockledger.New(7)
+	for i := 0; i < 36_000; i++ {
+		s := tenant.ServerID(i % 1000)
+		if _, err := blocks.Create(7, []tenant.ServerID{s, s + 1000, s + 2000}, true); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var st persistStage
+	st.stageBlocks(blocks)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.stageBlocks(blocks)
 	}
 }
 

@@ -1,5 +1,5 @@
 //go:build !race
 
-package service_test
+package service
 
 const raceEnabled = false

@@ -1,6 +1,6 @@
 //go:build race
 
-package service_test
+package service
 
 // raceEnabled reports whether this binary was built with -race.
 const raceEnabled = true

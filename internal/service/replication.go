@@ -244,8 +244,8 @@ func (s *Service) buildReplFrame(snd *replSender, sh *shard, prev *Snapshot) (fr
 	sh.gate.RLock()
 	snap := sh.snap.Load()
 	frame, mark := s.beginReplFrame(snd, sh, snap, prev == snap)
-	frame = appendLedgerSection(frame, sh.led)
-	frame = appendBlocksSection(frame, sh.blocks)
+	frame = appendLedgerSection(frame, sh.led, nil)
+	frame = appendBlocksSection(frame, sh.blocks, nil)
 	sh.gate.RUnlock()
 	snd.frame = frame // keep what the appends grew
 	frame = wire.EndFrame(frame, mark)
@@ -288,23 +288,31 @@ func (s *Service) beginReplFrame(snd *replSender, sh *shard, snap *Snapshot, bea
 }
 
 // appendLedgerSection streams the allocation ledger's books and every live
-// lease into the frame from one Walk — read under all of the ledger's shard
-// locks, so the section conserves. Each record is encoded as the ledger lends
-// it; nothing borrowed outlives the walk.
-func appendLedgerSection(dst []byte, led *ledger.Ledger) []byte {
+// lease into dst from one Walk — read under all of the ledger's shard locks,
+// so the section conserves. Each record is encoded as the ledger lends it;
+// nothing borrowed outlives the walk. A frame passes a nil room; a persist
+// stage passes its section's, which is handed dst before each record and
+// returns where the record goes (see section.room).
+func appendLedgerSection(dst []byte, led *ledger.Ledger, room func([]byte) []byte) []byte {
 	led.Walk(func(books ledger.State, leases int) {
 		dst = wire.AppendReplLedgerHead(dst, &books, leases)
 	}, func(ls wire.ReplLease) {
+		if room != nil {
+			dst = room(dst)
+		}
 		dst = wire.AppendReplLease(dst, &ls)
 	})
 	return dst
 }
 
 // appendBlocksSection is appendLedgerSection for the block ledger.
-func appendBlocksSection(dst []byte, blocks *blockledger.Ledger) []byte {
+func appendBlocksSection(dst []byte, blocks *blockledger.Ledger, room func([]byte) []byte) []byte {
 	blocks.Walk(func(books blockledger.State, n int) {
 		dst = wire.AppendReplBlocksHead(dst, &books, n)
 	}, func(b wire.ReplBlock) {
+		if room != nil {
+			dst = room(dst)
+		}
 		dst = wire.AppendReplBlock(dst, &b)
 	})
 	return dst

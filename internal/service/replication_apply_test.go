@@ -801,6 +801,8 @@ func TestReplBeatKeepsAnUnchangedUsageView(t *testing.T) {
 	checkFollowerEqualsPrimary(t, link.primary, link.follower)
 }
 
+const raceEnabled = service.RaceEnabled
+
 // mallocs counts the heap objects f allocates.
 func mallocs(f func()) uint64 {
 	var before, after runtime.MemStats

@@ -173,9 +173,10 @@ type shard struct {
 	// do not take it.
 	gate      sync.RWMutex
 	pop       *tenant.Population
-	sinceFull int          // warm refreshes since the last full rebuild (guarded by mu)
-	stage     persistStage // what persistShard builds the ledger files in (guarded by mu)
-	boot      bootPhases   // what New spent on the shard; written once, before it is served
+	sinceFull int                // warm refreshes since the last full rebuild (guarded by mu)
+	windows   core.WindowScratch // what a warm refresh reads history windows into (guarded by mu)
+	stage     persistStage       // what persistShard builds the ledger files in (guarded by mu)
+	boot      bootPhases         // what New spent on the shard; written once, before it is served
 
 	refreshes     atomic.Uint64
 	refreshErrors atomic.Uint64
@@ -625,7 +626,7 @@ func (s *Service) refreshShard(sh *shard) error {
 			rst.DriftThreshold = sh.driftThreshold()
 		}
 	} else {
-		clustering, rst, err = clusterer.Recluster(prev.Clustering, sh.pop, sh.rings)
+		clustering, rst, err = clusterer.ReclusterWith(&sh.windows, prev.Clustering, sh.pop, sh.rings)
 	}
 	if err == nil {
 		var next *Snapshot

@@ -151,8 +151,9 @@ type ReplLedger struct {
 }
 
 // The ledger section is encoded in pieces so a primary can stream it straight
-// from its ledger's Walk into the frame: the head, then one AppendReplLease
-// per lease. appendReplLedger is the same pieces driven from a ReplLedger.
+// from its ledger's Walk into a frame, or into the chunks a persist stages a
+// file in: the head, then one AppendReplLease per lease. appendReplLedger is
+// the same pieces driven from a ReplLedger.
 
 // AppendReplLedgerHead appends a ledger section's books and lease count
 // (m.Leases is ignored); exactly leases AppendReplLease records must follow.
@@ -211,7 +212,9 @@ func appendReplLedger(dst []byte, m *ReplLedger) []byte {
 // strings + grant count.
 const replLeaseMinSize = 8 + 8 + 1 + 1 + 2
 
-func decodeReplLedger(r *Reader, m *ReplLedger) {
+// ReadReplLedgerHead reads what AppendReplLedgerHead wrote into m, leaving
+// m.Leases alone, and returns the lease count it promised.
+func ReadReplLedgerHead(r *Reader, m *ReplLedger) int {
 	m.Generation = r.U64()
 	m.ReservedMillis = r.I64()
 	m.ReleasedMillis = r.I64()
@@ -222,7 +225,11 @@ func decodeReplLedger(r *Reader, m *ReplLedger) {
 	m.Renews = r.U64()
 	m.Expiries = r.U64()
 	m.Conflicts = r.U64()
-	n := int(r.U32())
+	return int(r.U32())
+}
+
+func decodeReplLedger(r *Reader, m *ReplLedger) {
+	n := ReadReplLedgerHead(r, m)
 	m.Leases = sized(m.Leases, n, replLeaseMinSize, r)
 	for i := range m.Leases {
 		ls := &m.Leases[i]
@@ -320,13 +327,18 @@ func appendReplBlocks(dst []byte, m *ReplBlocks) []byte {
 // count.
 const replBlockMinSize = 8 + 1 + 1
 
-func decodeReplBlocks(r *Reader, m *ReplBlocks) {
+// ReadReplBlocksHead is ReadReplLedgerHead for a block section.
+func ReadReplBlocksHead(r *Reader, m *ReplBlocks) int {
 	m.Generation = r.U64()
 	m.Lost = r.I64()
 	m.Replaced = r.I64()
 	m.Creates = r.U64()
 	m.Reimages = r.U64()
-	n := int(r.U32())
+	return int(r.U32())
+}
+
+func decodeReplBlocks(r *Reader, m *ReplBlocks) {
+	n := ReadReplBlocksHead(r, m)
 	m.Blocks = sized(m.Blocks, n, replBlockMinSize, r)
 	for i := range m.Blocks {
 		b := &m.Blocks[i]
