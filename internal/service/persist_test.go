@@ -217,25 +217,27 @@ func TestRestoredProfilesMatchTheRings(t *testing.T) {
 }
 
 // TestWarmRefreshAllocs pins the warm refresh's garbage to a constant: with
-// telemetry arriving for every tenant, nobody drifting and all three files
-// persisted, a refresh allocates a few hundred objects however many blocks it
-// re-validates and writes out. Before the rings were drift-checked in place,
-// blocks re-validated on the stack and the ledger files built in storage the
-// shard keeps, it was two window copies per tenant and about four objects per
-// block (144,700 at the benchmark's 36,000 blocks).
+// telemetry arriving for every tenant and all three files persisted, a
+// refresh allocates a few hundred objects however many blocks it re-validates
+// and writes out, and the same bytes however many tenants drifted. Before the
+// rings were drift-checked in place, blocks re-validated on the stack and the
+// ledger files built in storage the shard keeps, it was two window copies per
+// tenant and about four objects per block (144,700 at the benchmark's 36,000
+// blocks); before a classification borrowed its spectrum, each drifted tenant
+// added 86 kB.
 func TestWarmRefreshAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
 	var counts []uint64
 	for _, blocks := range []int{2000, 8000} {
-		l := newWarmRefreshLoad(t, 0.05, blocks, 0) // noiseless: a raised peak would add an FFT's objects
+		l := newWarmRefreshLoad(t, 0.05, blocks, 0) // noiseless: nobody drifts
 		for warmup := 0; warmup < 2; warmup++ {
 			l.slots(t, 5)
 			l.refresh(t)
 		}
 		l.slots(t, 5)
-		n := mallocs(func() { l.refresh(t) })
+		n, bytes := allocated(func() { l.refresh(t) })
 		st, _ := l.svc.Stats("DC-9")
 		if st.Blocks.Blocks != int64(blocks) || st.Recluster.Quiet != 0 || st.Recluster.Drifted != 0 || st.PersistErrors != 0 {
 			t.Fatalf("%d blocks: not the refresh this test measures: %+v", blocks, st)
@@ -243,10 +245,38 @@ func TestWarmRefreshAllocs(t *testing.T) {
 		if n >= 1000 {
 			t.Errorf("a warm refresh over %d blocks allocates %d objects, budget 1000", blocks, n)
 		}
-		t.Logf("%d blocks: %d objects", blocks, n)
+		t.Logf("%d blocks: %d objects, %d B", blocks, n, bytes)
 		counts = append(counts, n)
 	}
 	if diff := int64(counts[1]) - int64(counts[0]); diff < -16 || diff > 16 {
 		t.Errorf("warm refresh allocations scale with the block count: %v objects at 2,000 and 8,000 blocks", counts)
+	}
+
+	// With the benchmark harness's noise, at its population, a raised peak
+	// drifts a tenant every few refreshes, and the tenant is classified again.
+	// A refresh measures ≈64 kB with or without one; the budget is under what
+	// a single drifted tenant's own spectrum added on top.
+	const noisyBudget = 128 << 10
+	l := newWarmRefreshLoad(t, 0.3, 2000, 0.02)
+	for warmup := 0; warmup < 2; warmup++ {
+		l.slots(t, 5)
+		l.refresh(t)
+	}
+	drifted := 0
+	for round := 0; round < 12; round++ {
+		l.slots(t, 5)
+		n, bytes := allocated(func() { l.refresh(t) })
+		st, _ := l.svc.Stats("DC-9")
+		if st.Recluster.FullRebuild || st.PersistErrors != 0 {
+			t.Fatalf("noisy refresh %d: not the refresh this test measures: %+v", round, st)
+		}
+		if bytes > noisyBudget {
+			t.Errorf("noisy refresh %d: %d drifted, %d B allocated, budget %d", round, st.Recluster.Drifted, bytes, noisyBudget)
+		}
+		t.Logf("noisy refresh %d: %d drifted, %d objects, %d B", round, st.Recluster.Drifted, n, bytes)
+		drifted += st.Recluster.Drifted
+	}
+	if drifted == 0 {
+		t.Fatal("no tenant drifted in 12 noisy refreshes")
 	}
 }

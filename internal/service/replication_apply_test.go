@@ -805,11 +805,17 @@ const raceEnabled = service.RaceEnabled
 
 // mallocs counts the heap objects f allocates.
 func mallocs(f func()) uint64 {
+	objects, _ := allocated(f)
+	return objects
+}
+
+// allocated counts the heap objects and bytes f allocates.
+func allocated(f func()) (objects, bytes uint64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f()
 	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
 // TestReplBeatAllocationBudget pins what a steady-state beat may allocate at

@@ -782,9 +782,10 @@ func TestRefreshBudgetAtScale(t *testing.T) {
 // building DC-9 at the benchmark's scale (126 tenants, a month of samples
 // each) — to a byte count, which repeats where seconds do not. 554 MB when
 // every classification padded its window to 65,536 complex points; 88 MB
-// while boot kept a generated series beside every 16-byte-slot ring; 45 MB
-// since each month streams through one buffer into an 8-byte-slot ring. The
-// budget is that plus a quarter.
+// while boot kept a generated series beside every 16-byte-slot ring; 34.5 MB
+// once each month streamed through one buffer into an 8-byte-slot ring; 24 MB
+// since a classification borrows its spectrum instead of allocating 86 kB per
+// tenant. The budget is that plus a quarter.
 func TestBootAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -799,12 +800,45 @@ func TestBootAllocationBudget(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	defer svc.Close()
-	const budget = 57 << 20
+	const budget = 30 << 20
 	got := after.TotalAlloc - before.TotalAlloc
 	if got > budget {
 		t.Errorf("boot allocated %d MB, budget %d MB", got>>20, budget>>20)
 	}
 	t.Logf("boot allocated %.1f MB", float64(got)/(1<<20))
+}
+
+// TestFullRebuildAllocs holds a serving node's periodic full rebuild (every
+// FullRebuildEvery-th refresh: every tenant classified again, K-Means from
+// scratch) at the benchmark's scale to a byte count: 331 kB, most of it the
+// one window the pass reads every ring into, since a classification borrows
+// its spectrum. Each tenant's spectrum made it 11 MB before. The budget is
+// that plus a quarter.
+func TestFullRebuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	cfg := testConfig()
+	cfg.Scale.Datacenter = 0.3
+	cfg.FullRebuildEvery = 1
+	svc, err := service.New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer svc.Close()
+	_, bytes := allocated(func() {
+		if err := svc.Refresh("DC-9"); err != nil {
+			t.Fatalf("Refresh: %v", err)
+		}
+	})
+	if st, _ := svc.Stats("DC-9"); st.FullRebuilds != 1 || st.Recluster.Tenants != 126 {
+		t.Fatalf("not the refresh this test measures: %+v", st)
+	}
+	const budget = 414 << 10
+	if bytes > budget {
+		t.Errorf("a full rebuild over 126 tenants allocates %d kB, budget %d kB", bytes>>10, budget>>10)
+	}
+	t.Logf("a full rebuild over 126 tenants allocates %.0f kB", float64(bytes)/(1<<10))
 }
 
 // TestBootLiveHeap holds what a booted node keeps: at the benchmark's scale a

@@ -137,17 +137,18 @@ const MinClassifySamples = 4
 
 // Classify analyses a utilization trace (values in [0,1]) and returns its
 // profile. It mirrors the paper's use of the FFT to separate periodic,
-// constant, and unpredictable tenants.
+// constant, and unpredictable tenants. It allocates nothing: the spectrum
+// lives in scratch the package lends for the call.
 func Classify(values []float64, cfg ClassifierConfig) (Profile, error) {
 	if len(values) < MinClassifySamples {
 		return Profile{}, fmt.Errorf("signalproc: trace too short to classify (%d samples)", len(values))
 	}
 	mean, peak, cv := stats.Summary(values)
 
-	spectrum, err := PowerSpectrum(values)
-	if err != nil {
-		return Profile{}, err
-	}
+	buf := bins.borrow(len(values) / 2)
+	defer bins.Put(buf)
+	spectrum := *buf
+	powerSpectrumInto(spectrum, values)
 	meanMag := stats.Mean(spectrum)
 	centroid := spectralCentroid(spectrum)
 

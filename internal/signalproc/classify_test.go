@@ -1,10 +1,13 @@
 package signalproc
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
 	"time"
+
+	"harvest/internal/stats"
 )
 
 func periodicTrace(n, cycles int, base, amplitude float64) []float64 {
@@ -135,6 +138,102 @@ func TestClassifyDailyCycleOverAMonth(t *testing.T) {
 	if p.Pattern != PatternPeriodic || p.DominantFrequency != 30 {
 		t.Fatalf("profile = %+v", p)
 	}
+}
+
+// classifyReference is Classify as it was before it computed its spectrum in
+// borrowed scratch: the same features from the public PowerSpectrum's slice.
+func classifyReference(values []float64, cfg ClassifierConfig) (Profile, error) {
+	mean, peak, cv := stats.Summary(values)
+	spectrum, err := PowerSpectrum(values)
+	if err != nil {
+		return Profile{}, err
+	}
+	meanMag := stats.Mean(spectrum)
+	centroid := spectralCentroid(spectrum)
+	minBin := cfg.MinPeriodicFrequency
+	if minBin < 1 {
+		minBin = 1
+	}
+	maxBin := cfg.MaxPeriodicFrequency
+	if maxBin <= 0 || maxBin > len(spectrum) {
+		maxBin = len(spectrum)
+	}
+	domFreq := 0
+	domMag := 0.0
+	for bin := minBin; bin <= maxBin; bin++ {
+		if m := spectrum[bin-1]; m > domMag {
+			domMag = m
+			domFreq = bin
+		}
+	}
+	domStrength := 0.0
+	if meanMag > 0 {
+		domStrength = domMag / meanMag
+	}
+	periodicEnergy := harmonicEnergyFraction(spectrum, domFreq)
+	profile := Profile{
+		Mean:              mean,
+		Peak:              peak,
+		CV:                cv,
+		DominantFrequency: domFreq,
+		DominantStrength:  domStrength,
+		PeriodicEnergy:    periodicEnergy,
+		SpectralCentroid:  centroid,
+	}
+	switch {
+	case cv <= cfg.ConstantCV:
+		profile.Pattern = PatternConstant
+	case domFreq >= cfg.MinPeriodicFrequency && domFreq <= maxBin &&
+		periodicEnergy >= cfg.PeriodicEnergyFraction:
+		profile.Pattern = PatternPeriodic
+	default:
+		profile.Pattern = PatternUnpredictable
+	}
+	return profile, nil
+}
+
+// sameProfile compares two profiles field for field, floats bit for bit.
+func sameProfile(a, b Profile) bool {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	return a.Pattern == b.Pattern && a.DominantFrequency == b.DominantFrequency &&
+		same(a.Mean, b.Mean) && same(a.Peak, b.Peak) && same(a.CV, b.CV) &&
+		same(a.DominantStrength, b.DominantStrength) && same(a.PeriodicEnergy, b.PeriodicEnergy) &&
+		same(a.SpectralCentroid, b.SpectralCentroid)
+}
+
+// FuzzClassifyMatchesSpectrum: Classify's spectrum, computed in borrowed
+// scratch, yields the profile the public PowerSpectrum's slice does, bit for
+// bit, at every length. Each pair of bytes is one sample in [0,1]; the seeds
+// cover even lengths with a 5-smooth half (4, 720) and a Bluestein one (14,
+// 2002), and odd ones 5-smooth (5, 45) and not (7, 1001).
+func FuzzClassifyMatchesSpectrum(f *testing.F) {
+	rng := rand.New(rand.NewSource(12))
+	for _, n := range []int{4, 5, 7, 14, 45, 720, 1001, 2002} {
+		data := make([]byte, 2*n)
+		rng.Read(data)
+		f.Add(data)
+	}
+	cfg := DefaultClassifierConfig()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		values := make([]float64, min(len(data)/2, 4096))
+		if len(values) < MinClassifySamples {
+			return
+		}
+		for i := range values {
+			values[i] = float64(binary.LittleEndian.Uint16(data[2*i:])) / math.MaxUint16
+		}
+		got, err := Classify(values, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := classifyReference(values, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameProfile(got, want) {
+			t.Fatalf("n=%d: Classify = %+v, from PowerSpectrum %+v", len(values), got, want)
+		}
+	})
 }
 
 func TestForWindowRescalesPeriodicBand(t *testing.T) {

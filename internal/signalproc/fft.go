@@ -25,11 +25,15 @@ var ErrEmptyInput = errors.New("signalproc: empty input")
 
 // FFT computes the discrete Fourier transform of x, for any length.
 func FFT(x []complex128) ([]complex128, error) {
-	if len(x) == 0 {
+	n := len(x)
+	if n == 0 {
 		return nil, ErrEmptyInput
 	}
-	out := make([]complex128, len(x))
-	planFor(len(x)).transform(out, x)
+	p := planFor(n)
+	buf := scratch.borrow(p.tmpLen())
+	defer scratch.Put(buf)
+	out := make([]complex128, n)
+	p.transform(out, x, *buf)
 	return out, nil
 }
 
@@ -41,14 +45,15 @@ func IFFT(x []complex128) ([]complex128, error) {
 	if n == 0 {
 		return nil, ErrEmptyInput
 	}
-	buf := borrow(n)
+	p := planFor(n)
+	buf := scratch.borrow(n + p.tmpLen())
 	defer scratch.Put(buf)
-	in := *buf
+	in, tmp := (*buf)[:n], (*buf)[n:]
 	for i, v := range x {
 		in[i] = cmplx.Conj(v)
 	}
 	out := make([]complex128, n)
-	planFor(n).transform(out, in)
+	p.transform(out, in, tmp)
 	scale := 1 / float64(n)
 	for i, v := range out {
 		out[i] = complex(real(v)*scale, -imag(v)*scale)
@@ -74,37 +79,53 @@ func FFTReal(x []float64) ([]complex128, error) {
 // for a one-month trace, bin 31 is the daily cycle the paper highlights in
 // Figure 1b.
 //
-// An even-length series is transformed at half length, and the returned slice
-// is then the only allocation: samples 2j and 2j+1
-// become the real and imaginary part of point j, and the spectra of the even
-// and the odd samples are separated again from the symmetry of the result.
+// The returned slice is the only allocation.
 func PowerSpectrum(x []float64) ([]float64, error) {
 	n := len(x)
 	if n == 0 {
 		return nil, ErrEmptyInput
 	}
-	half := n / 2
-	if half < 1 {
+	if n < 2 {
 		return nil, fmt.Errorf("signalproc: series of length %d has no non-DC bins", n)
 	}
-	out := make([]float64, half)
+	out := make([]float64, n/2)
+	powerSpectrumInto(out, x)
+	return out, nil
+}
+
+// powerSpectrumInto writes PowerSpectrum(x) into out, which holds len(x)/2 >= 1
+// bins. Its working buffers are borrowed, so it allocates nothing.
+//
+// An even-length series is transformed at half length: samples 2j and 2j+1
+// become the real and imaginary part of point j, and the spectra of the even
+// and the odd samples are separated again from the symmetry of the result.
+func powerSpectrumInto(out, x []float64) {
+	n := len(x)
 	if n%2 != 0 {
 		// Nothing to pair up (a ring caught refilling at an odd length): the
 		// widened series goes through the complex transform.
-		spec, err := FFTReal(x)
+		p := planFor(n)
+		buf := scratch.borrow(2*n + p.tmpLen())
+		defer scratch.Put(buf)
+		cx, spec, tmp := (*buf)[:n], (*buf)[n:2*n], (*buf)[2*n:]
+		for i, v := range x {
+			cx[i] = complex(v, 0)
+		}
+		p.transform(spec, cx, tmp)
 		for k := range out {
 			out[k] = magnitude(spec[k+1])
 		}
-		return out, err
+		return
 	}
+	half := n / 2
 	p := planFor(half)
-	buf := borrow(n)
+	buf := scratch.borrow(n + p.tmpLen())
 	defer scratch.Put(buf)
-	z, spec := (*buf)[:half], (*buf)[half:]
+	z, spec, tmp := (*buf)[:half], (*buf)[half:n], (*buf)[n:]
 	for j := range z {
 		z[j] = complex(x[2*j], x[2*j+1])
 	}
-	p.transform(spec, z)
+	p.transform(spec, z, tmp)
 	// With E and O the half-length spectra of the even and the odd samples,
 	// spec = E + iO, so E[k] = (spec[k] + conj(spec[half-k]))/2 and
 	// O[k] = (spec[k] - conj(spec[half-k]))/2i; bin k of x is E[k] + w[k]·O[k]
@@ -117,7 +138,6 @@ func PowerSpectrum(x []float64) ([]float64, error) {
 		out[k-1] = magnitude(e+w[k]*o) / 2
 	}
 	out[half-1] = math.Abs(real(spec[0]) - imag(spec[0]))
-	return out, nil
 }
 
 // magnitude is |v| without cmplx.Abs's overflow guard: spectra of
@@ -126,19 +146,27 @@ func magnitude(v complex128) float64 {
 	return math.Sqrt(real(v)*real(v) + imag(v)*imag(v))
 }
 
-// scratch lends the transforms their working buffers (the packed input and
-// raw spectrum of the real path, Bluestein's padded convolution operands), so
-// a transform allocates nothing but its result.
-var scratch sync.Pool // of *[]complex128
+// A pool lends buffers of T, grown on demand.
+type pool[T any] struct{ sync.Pool } // of *[]T
 
-func borrow(n int) *[]complex128 {
-	if b, _ := scratch.Get().(*[]complex128); b != nil && cap(*b) >= n {
+func (p *pool[T]) borrow(n int) *[]T {
+	if b, _ := p.Get().(*[]T); b != nil && cap(*b) >= n {
 		*b = (*b)[:n]
 		return b
 	}
-	b := make([]complex128, n)
+	b := make([]T, n)
 	return &b
 }
+
+var (
+	// scratch lends the transforms their working buffers (the packed input
+	// and raw spectrum of the real path, Bluestein's padded convolution
+	// operands), so a transform allocates nothing but its result. A caller
+	// borrows all of a call's buffers as one.
+	scratch pool[complex128]
+	// bins lends Classify its power spectrum.
+	bins pool[float64]
+)
 
 // plan is everything a transform computes from its length alone. Immutable
 // once built, except for the lazily added unpack table.
@@ -208,7 +236,7 @@ func newPlan(n int) *plan {
 		}
 	}
 	p.filter = make([]complex128, m)
-	p.conv.transform(p.filter, b)
+	p.conv.transform(p.filter, b, nil)
 	return p
 }
 
@@ -251,9 +279,18 @@ func nextSmooth(n int) int {
 	}
 }
 
+// tmpLen is the length of the scratch transform needs: Bluestein's two padded
+// convolution operands, or nothing for a 5-smooth length.
+func (p *plan) tmpLen() int {
+	if p.conv == nil {
+		return 0
+	}
+	return 2 * p.conv.n
+}
+
 // transform writes the DFT of in to out; both are p.n long and must not
-// overlap.
-func (p *plan) transform(out, in []complex128) {
+// overlap. tmp holds at least p.tmpLen() points, which it overwrites.
+func (p *plan) transform(out, in, tmp []complex128) {
 	if p.conv == nil {
 		p.work(out, in, 1, p.radices)
 		return
@@ -263,18 +300,16 @@ func (p *plan) transform(out, in []complex128) {
 	// transform of the product is the forward kernel between two
 	// conjugations, its 1/m folded into the last multiply.
 	m := p.conv.n
-	buf := borrow(2 * m)
-	defer scratch.Put(buf)
-	a, b := (*buf)[:m], (*buf)[m:]
+	a, b := tmp[:m], tmp[m:2*m]
 	for k, v := range in {
 		a[k] = v * p.chirp[k]
 	}
 	clear(a[p.n:])
-	p.conv.transform(b, a)
+	p.conv.transform(b, a, nil)
 	for i, v := range b {
 		b[i] = cmplx.Conj(v * p.filter[i])
 	}
-	p.conv.transform(a, b)
+	p.conv.transform(a, b, nil)
 	scale := complex(1/float64(m), 0)
 	for k := range out {
 		out[k] = cmplx.Conj(a[k]) * scale * p.chirp[k]

@@ -311,18 +311,21 @@ func TestPowerSpectrumMatchesComplexPath(t *testing.T) {
 // TestPowerSpectrumConcurrent runs more lengths at once than the plan cache
 // keeps, so plans are built, evicted and rebuilt, their unpack tables added
 // and scratch buffers traded between goroutines, all under -race; every
-// result must equal the serial one.
+// spectrum and profile must equal the serial one.
 func TestPowerSpectrumConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	cfg := DefaultClassifierConfig()
 	lengths := []int{360, 361, 722, 1000, 1001, 2048, 2002, 21600}
 	inputs := make([][]float64, len(lengths))
 	want := make([][]float64, len(lengths))
+	wantProfile := make([]Profile, len(lengths))
 	for i, n := range lengths {
 		inputs[i] = make([]float64, n)
 		for j := range inputs[i] {
 			inputs[i][j] = rng.Float64()
 		}
 		want[i], _ = PowerSpectrum(inputs[i])
+		wantProfile[i], _ = Classify(inputs[i], cfg)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -335,6 +338,10 @@ func TestPowerSpectrumConcurrent(t *testing.T) {
 					got, err := PowerSpectrum(inputs[i])
 					if err != nil || !slices.Equal(got, want[i]) {
 						t.Errorf("n=%d: concurrent spectrum differs from the serial one (err %v)", lengths[i], err)
+						return
+					}
+					if p, err := Classify(inputs[i], cfg); err != nil || !sameProfile(p, wantProfile[i]) {
+						t.Errorf("n=%d: concurrent profile differs from the serial one (err %v)", lengths[i], err)
 						return
 					}
 				}
@@ -353,27 +360,35 @@ func monthSeries() []float64 {
 	return x
 }
 
-// TestMonthSpectrumAllocations pins what a caller pays per tenant: the
-// spectrum it gets back and nothing else.
+// TestMonthSpectrumAllocations pins what a caller pays per tenant: for
+// PowerSpectrum the spectrum it gets back, for Classify nothing. The lengths
+// are a full month (a 5-smooth half-length transform), a ring one sample
+// short (odd: the widened series through Bluestein) and two short (even, but
+// its half length goes through Bluestein). Classify allocated the month's
+// 86 kB spectrum per tenant, and at the odd length two more n-point complex
+// buffers.
 func TestMonthSpectrumAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own, and empties sync.Pool at random")
 	}
-	x := monthSeries()
-	if got := testing.AllocsPerRun(20, func() {
-		if _, err := PowerSpectrum(x); err != nil {
-			t.Fatal(err)
-		}
-	}); got != 1 {
-		t.Errorf("PowerSpectrum: %v allocations per run, want 1", got)
-	}
+	month := monthSeries()
 	cfg := DefaultClassifierConfig()
-	if got := testing.AllocsPerRun(20, func() {
-		if _, err := Classify(x, cfg); err != nil {
-			t.Fatal(err)
+	for _, n := range []int{21600, 21599, 21598} {
+		x := month[:n]
+		if got := testing.AllocsPerRun(10, func() {
+			if _, err := PowerSpectrum(x); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 1 {
+			t.Errorf("n=%d: PowerSpectrum: %v allocations per run, want 1", n, got)
 		}
-	}); got > 1 {
-		t.Errorf("Classify: %v allocations per run, want at most 1", got)
+		if got := testing.AllocsPerRun(10, func() {
+			if _, err := Classify(x, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("n=%d: Classify: %v allocations per run, want 0", n, got)
+		}
 	}
 }
 
