@@ -150,24 +150,9 @@ func (ls *lease) view() Lease {
 	return Lease{ID: ls.ID, ExpiresAt: ls.ExpiresAt, Grants: ls.Grants, Meta: Meta{JobID: ls.JobID, Owner: ls.Owner}}
 }
 
-// floorSet is one generation's per-class admission floors: millicores held
-// back from every class's capacity bound because the live usage view shows
-// utilization above the level the bound was derived from. Published whole
-// behind an atomic pointer by the service's usage-view refresh; a set keyed
-// to a generation the ledger has re-keyed past is ignored.
-type floorSet struct {
-	generation uint64
-	millis     []int64 // indexed by dense ClassID; missing classes floor at 0
-}
-
 // Ledger tracks one datacenter's live allocations.
 type Ledger struct {
 	tab atomic.Pointer[table]
-
-	// floors is the current admission-floor set (may lag or lead tab by one
-	// generation around a re-key; mismatches disable the floor rather than
-	// misapply it).
-	floors atomic.Pointer[floorSet]
 
 	// store holds the lease bookkeeping, under internal/striped's lock order.
 	// The table swap (Rekey) happens with all shard locks held, so any op
@@ -237,42 +222,6 @@ func (l *Ledger) Occupancy() (generation uint64, allocMillisByClass []int64) {
 	return t.generation, out
 }
 
-// SetFloors publishes per-class admission floors for the given generation:
-// Reserve subtracts floors[class] millicores from every capacity bound, so
-// admission tightens immediately when the live usage view shows utilization
-// above the level capacities were derived from — without waiting for the
-// next snapshot refresh. Floors for a generation the ledger is not keyed to
-// are stored but inert until a re-key aligns them (the service republishes
-// floors on every view refresh, so the window is one refresh at most). The
-// caller must not mutate floors after the call.
-func (l *Ledger) SetFloors(generation uint64, floors []int64) {
-	l.floors.Store(&floorSet{generation: generation, millis: floors})
-}
-
-// floorMillis returns the class's current admission floor, 0 when no floor
-// set matches the generation (boot, re-key windows) or the class is out of
-// the set's range.
-func (l *Ledger) floorMillis(generation uint64, class int) int64 {
-	fs := l.floors.Load()
-	if fs == nil || fs.generation != generation || class < 0 || class >= len(fs.millis) {
-		return 0
-	}
-	if f := fs.millis[class]; f > 0 {
-		return f
-	}
-	return 0
-}
-
-// Floors returns the current floor set when it matches the ledger's
-// generation (nil otherwise), for /metrics export.
-func (l *Ledger) Floors() []int64 {
-	fs := l.floors.Load()
-	if fs == nil || fs.generation != l.tab.Load().generation {
-		return nil
-	}
-	return fs.millis
-}
-
 // Reserve atomically reserves cores across the requested classes and records
 // a lease. Admission per class is a CAS loop bounded by the request's
 // Capacity, so concurrent reservations can never jointly push a class's total
@@ -316,11 +265,8 @@ func (l *Ledger) ReserveInto(grants []Grant, generation uint64, reqs []Request, 
 			l.conflicts.Add(1)
 			return Lease{}, fmt.Errorf("ledger: class %d out of range", rq.Class)
 		}
-		// Floor the bound so float noise can only under-admit, never over —
-		// then subtract the class's admission floor, which tightens the bound
-		// further when live utilization has risen since the capacity was
-		// derived (see SetFloors).
-		capMillis := int64(math.Floor(rq.Capacity*MillisPerCore)) - l.floorMillis(t.generation, int(rq.Class))
+		// Floor the bound so float noise can only under-admit, never over.
+		capMillis := int64(math.Floor(rq.Capacity * MillisPerCore))
 		a := &t.alloc[int(rq.Class)]
 		for {
 			cur := a.Load()
@@ -625,11 +571,6 @@ type Stats struct {
 	// dense ClassID; AllocatedCoresByClass is the same in cores.
 	AllocatedMillisByClass []int64   `json:"-"`
 	AllocatedCoresByClass  []float64 `json:"allocated_cores_by_class"`
-	// ReserveFloorMillisByClass is the current admission-floor set (nil when
-	// no floors are published for this generation), indexed by dense ClassID:
-	// the live-utilization correction subtracted from build-time capacity
-	// before a reserve is admitted.
-	ReserveFloorMillisByClass []int64 `json:"reserve_floor_millis_by_class" prom:"harvestd_reserve_floor_millis,gauge" labels:"class" help:"Milli-cores withheld from admission per class by the live-utilization floor."`
 }
 
 // Snapshot returns the ledger's counters and per-class occupancy.
@@ -670,7 +611,6 @@ func (l *Ledger) Snapshot() Stats {
 		st.AllocatedMillisByClass[i] = t.alloc[i].Load()
 		st.AllocatedCoresByClass[i] = CoresOf(st.AllocatedMillisByClass[i])
 	}
-	st.ReserveFloorMillisByClass = l.Floors()
 	return st
 }
 

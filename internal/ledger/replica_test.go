@@ -9,63 +9,6 @@ import (
 	"harvest/internal/wire"
 )
 
-// TestReserveFloorsTightenAdmission pins the admission-floor contract: a
-// published floor shrinks every class's admitted capacity immediately — the
-// between-refreshes guard against utilization rising under outstanding
-// capacity bounds — and floors for a non-current generation are inert.
-func TestReserveFloorsTightenAdmission(t *testing.T) {
-	l := ledger.New(1, 2)
-	now := time.Now()
-
-	// Without a floor, 0.8 cores fit under a 1.0-core capacity bound.
-	lease, err := l.Reserve(1, []ledger.Request{{Class: 0, Cores: 0.8, Capacity: 1.0}}, 0, now)
-	if err != nil {
-		t.Fatalf("Reserve without floor: %v", err)
-	}
-	if _, err := l.Release(lease.ID); err != nil {
-		t.Fatalf("Release: %v", err)
-	}
-
-	// A 500-milli floor on class 0 models utilization rising by half a core
-	// per server-class since the capacity was derived: the same request must
-	// now fail admission before the next snapshot refresh.
-	l.SetFloors(1, []int64{500, 0})
-	if _, err := l.Reserve(1, []ledger.Request{{Class: 0, Cores: 0.8, Capacity: 1.0}}, 0, now); err == nil {
-		t.Fatal("floored reserve admitted 0.8 cores against a 1.0-capacity class with a 0.5-core floor")
-	} else {
-		var ie *ledger.InsufficientError
-		if !errors.As(err, &ie) || ie.Class != 0 {
-			t.Fatalf("error = %v, want InsufficientError{Class:0}", err)
-		}
-	}
-	// What still fits under the tightened bound is admitted.
-	lease, err = l.Reserve(1, []ledger.Request{{Class: 0, Cores: 0.5, Capacity: 1.0}}, 0, now)
-	if err != nil {
-		t.Fatalf("Reserve under floored bound: %v", err)
-	}
-	if lease.TotalMillis() != 500 {
-		t.Fatalf("granted %d millis, want 500", lease.TotalMillis())
-	}
-	// Class 1 has a zero floor and is unaffected.
-	if _, err := l.Reserve(1, []ledger.Request{{Class: 1, Cores: 0.9, Capacity: 1.0}}, 0, now); err != nil {
-		t.Fatalf("unfloored class tightened: %v", err)
-	}
-	if st := l.Snapshot(); len(st.ReserveFloorMillisByClass) != 2 || st.ReserveFloorMillisByClass[0] != 500 {
-		t.Fatalf("Stats floors = %v, want [500 0]", st.ReserveFloorMillisByClass)
-	}
-	checkConservation(t, l)
-
-	// Floors keyed to another generation must not misapply.
-	l2 := ledger.New(3, 1)
-	l2.SetFloors(2, []int64{1000})
-	if _, err := l2.Reserve(3, []ledger.Request{{Class: 0, Cores: 0.9, Capacity: 1.0}}, 0, now); err != nil {
-		t.Fatalf("stale-generation floor applied: %v", err)
-	}
-	if fs := l2.Floors(); fs != nil {
-		t.Fatalf("Floors() for mismatched generation = %v, want nil", fs)
-	}
-}
-
 // TestApplyStateReplicatesBooks pins the follower-apply contract: ApplyState
 // overwrites an existing ledger in place with a primary's Export, the books
 // conserve exactly afterwards, lease ids survive verbatim (release on the

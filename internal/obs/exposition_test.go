@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -89,9 +90,7 @@ func startFleet(t *testing.T) map[string]string {
 	// Books on both datacenters: a warm refresh (so the recluster section and
 	// the drift threshold are live), one lease and one block each. Once the
 	// follower holds them, telemetry far above history and a select to read it,
-	// so the admission floors are nonzero — after, because a generation shipped
-	// with the hot utilization already in it would floor nothing on the
-	// follower.
+	// so a beat, not a generation, must carry the hot utilization over.
 	for _, dc := range dcs {
 		if err := primary.Refresh(dc); err != nil {
 			t.Fatalf("refresh %s: %v", dc, err)
@@ -122,16 +121,10 @@ func startFleet(t *testing.T) map[string]string {
 	}
 	fleettest.WaitFor(t, "a beat to carry the hot utilization to the follower", func() bool {
 		for _, dc := range dcs {
-			p, _ := primary.Stats(dc)
-			f, _ := follower.Stats(dc)
-			pf, ff := p.Ledger.ReserveFloorMillisByClass, f.Ledger.ReserveFloorMillisByClass
-			if len(ff) != len(pf) {
+			psnap, _ := primary.Snapshot(dc)
+			fsnap, _ := follower.Snapshot(dc)
+			if fsnap.Generation != psnap.Generation || !maps.Equal(primary.UsageFor(psnap), follower.UsageFor(fsnap)) {
 				return false
-			}
-			for i := range pf {
-				if (pf[i] != 0) != (ff[i] != 0) {
-					return false
-				}
 			}
 		}
 		return true

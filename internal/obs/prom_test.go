@@ -149,7 +149,6 @@ func TestPromWalk(t *testing.T) {
 	type shard struct {
 		Gen      uint64     `json:"gen" prom:"t_gen,gauge" help:"Generation."`
 		Drift    float64    `prom:"t_drift,gauge,omitzero" help:"Drift."`
-		Floors   []int64    `prom:"t_floor,gauge" labels:"class" help:"Floor."`
 		In       uint64     `prom:"t_changed_total,counter" labels:"kind=in" help:"Changed."`
 		Out      uint64     `prom:"t_changed_total" labels:"kind=out"`
 		Build    *Histogram `json:"-" prom:"t_build_seconds,histogram,seconds" help:"Build."`
@@ -179,7 +178,7 @@ func TestPromWalk(t *testing.T) {
 		Rows:    map[string]row{"select": {EndpointStats: m.Stats()}, "place": {}},
 		Present: &section{Open: true},
 		Shards: map[string]shard{
-			"DC-9": {Gen: 7, Drift: 0.25, Floors: []int64{0, 500}, In: 1, Out: 2, Build: &build},
+			"DC-9": {Gen: 7, Drift: 0.25, In: 1, Out: 2, Build: &build},
 			"DC-3": {Gen: 4},
 		},
 		Raw: map[string][]byte{"x": []byte("{}")},
@@ -205,7 +204,6 @@ func TestPromWalk(t *testing.T) {
 		"# HELP t_applied Applied.", "# TYPE t_applied gauge",
 		"# HELP t_gen Generation.", "# TYPE t_gen gauge", `t_gen{dc="DC-3"} 4`, `t_gen{dc="DC-9"} 7`,
 		"# HELP t_drift Drift.", "# TYPE t_drift gauge", `t_drift{dc="DC-9"} 0.25`,
-		"# HELP t_floor Floor.", "# TYPE t_floor gauge", `t_floor{dc="DC-9",class="1"} 500`,
 		"# HELP t_changed_total Changed.", "# TYPE t_changed_total counter",
 		`t_changed_total{dc="DC-3",kind="in"} 0`, `t_changed_total{dc="DC-3",kind="out"} 0`,
 		`t_changed_total{dc="DC-9",kind="in"} 1`, `t_changed_total{dc="DC-9",kind="out"} 2`,

@@ -3,7 +3,6 @@ package obs
 import (
 	"reflect"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -23,17 +22,16 @@ import (
 //
 //   - integer, float or bool (0/1): one series;
 //   - *Histogram: the le bucket series with _sum and _count; nil renders none;
-//   - []number: one series per nonzero element, labelled with its index;
 //   - map[string]number: one series per key;
 //   - struct, *struct, map[string]struct: the fields inside, untagged ones
 //     descended into too; a nil pointer is a section that is absent.
 //
-// In the labels tag a bare name is the label that takes the map key or slice
-// index, and name=value is a constant; labels accumulate outermost first, in
-// the order written. Map keys render sorted. Every family reachable through
-// non-nil pointers is declared even when it has no series to show (an empty
-// map declares its element's families), so HELP/TYPE do not come and go with
-// the data.
+// A slice is not a metric. In the labels tag a bare name is the label that
+// takes the map key, and name=value is a constant; labels accumulate
+// outermost first, in the order written. Map keys render sorted. Every family
+// reachable through non-nil pointers is declared even when it has no series
+// to show (an empty map declares its element's families), so HELP/TYPE do
+// not come and go with the data.
 func (p *Prom) Walk(stats any) { p.walk(reflect.ValueOf(stats), "", true) }
 
 // promField is one field's parsed tags.
@@ -117,15 +115,7 @@ func (p *Prom) walk(v reflect.Value, labels string, emit bool) {
 			if len(keys) == 0 {
 				p.value(&f, reflect.Zero(fv.Type().Elem()), labels, false)
 			}
-		case reflect.Slice:
-			if f.family == "" {
-				break // not a metric ([]byte, a list of names)
-			}
-			for j := 0; j < fv.Len(); j++ {
-				if e := fv.Index(j); !e.IsZero() {
-					p.value(&f, e, f.labelled(labels, strconv.Itoa(j)), emit)
-				}
-			}
+		case reflect.Slice: // not a metric ([]byte, a list of names)
 		default:
 			p.value(&f, fv, f.labelled(labels, ""), emit)
 		}

@@ -419,18 +419,10 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	// change across restarts. 10× the staleness window is far past any
 	// transient outage the 503+Retry-After path is meant to bridge.
 	cutoff := now.Add(-10 * rt.cfg.StaleAfter).UnixNano()
-	for id, old := range rt.backends {
-		if old.lastBeat.Load() > cutoff {
-			continue
+	for _, old := range rt.backends {
+		if old.lastBeat.Load() <= cutoff {
+			rt.dropBackend(old)
 		}
-		for name, r := range rt.table {
-			if r.owner == old {
-				delete(rt.table, name)
-			}
-		}
-		delete(rt.backends, id)
-		old.closeBinPipes()
-		rlog.Info("backend aged out without a heartbeat", "backend", id, "after", 10*rt.cfg.StaleAfter)
 	}
 	b := rt.backends[req.ID]
 	if b == nil {
@@ -549,15 +541,9 @@ func (rt *Router) routable(b *backend, now time.Time) bool {
 	return rt.alive(b, now) && !b.draining.Load()
 }
 
-// collectBackend removes a long-dead backend and its routing entries — the
-// on-demand twin of handleRegister's age-out sweep. Re-checked under the
-// write lock so a racing re-registration wins.
-func (rt *Router) collectBackend(b *backend, cutoff int64) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if b.lastBeat.Load() > cutoff || rt.backends[b.id] != b {
-		return
-	}
+// dropBackend forgets a backend gone for many staleness windows, with its
+// routing entries and pooled binary pipes. The caller holds rt.mu.
+func (rt *Router) dropBackend(b *backend) {
 	for name, r := range rt.table {
 		if r.owner == b {
 			delete(rt.table, name)
@@ -804,7 +790,12 @@ func (rt *Router) admit(dc string, read, binary bool, tr *obs.Trace) (admission,
 		// backend is left to heartbeat — so its datacenters fall back to 404
 		// instead of 503ing (with a Retry-After clients honor) forever.
 		if cutoff := now.Add(-10 * rt.cfg.StaleAfter).UnixNano(); b.lastBeat.Load() <= cutoff {
-			rt.collectBackend(b, cutoff)
+			// Re-checked under the write lock so a racing re-registration wins.
+			rt.mu.Lock()
+			if b.lastBeat.Load() <= cutoff && rt.backends[b.id] == b {
+				rt.dropBackend(b)
+			}
+			rt.mu.Unlock()
 			return adm, &refusal{status: http.StatusNotFound, msg: "unknown datacenter " + strconv.Quote(dc)}
 		}
 		return unavailable(rt.cfg.RetryAfter, "missed heartbeats")

@@ -85,63 +85,91 @@ func TestSelectReserveAndRelease(t *testing.T) {
 // TestRepeatedSelectsStopOverPromising is the regression the tentpole
 // exists for: before the ledger, every select re-promised the same spare
 // capacity; now repeated selects deplete it and eventually report
-// unsatisfiable until releases return the cores.
+// unsatisfiable until releases return the cores. The heated row ingests a
+// burst above the history first: the selects must then drain the capacity at
+// the live utilization, no less, since that is the one bound both selection
+// and admission run against.
 func TestRepeatedSelectsStopOverPromising(t *testing.T) {
-	svc := newTestService(t)
-	snap, _ := svc.Snapshot("DC-9")
+	for _, tc := range []struct {
+		name string
+		heat float64 // utilization every tenant reports before the selects; 0 ingests nothing
+	}{
+		{"as built", 0},
+		{"heated", 0.55},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := newTestService(t)
+			snap, _ := svc.Snapshot("DC-9")
+			if tc.heat > 0 {
+				var burst []service.IngestSample
+				for _, cls := range snap.Clustering.Classes {
+					for _, tid := range cls.Tenants {
+						burst = append(burst, service.IngestSample{Tenant: tid, Server: -1, Value: tc.heat})
+					}
+				}
+				if res, err := svc.Ingest("DC-9", burst); err != nil || res.Accepted != len(burst) {
+					t.Fatalf("Ingest: %+v, %v", res, err)
+				}
+			}
 
-	// The total medium-job capacity of the datacenter at the current view.
-	usage := svc.UsageFor(snap)
-	var totalCap float64
-	for _, cls := range snap.Clustering.Classes {
-		totalCap += snap.CapacityCores(core.JobMedium, cls.ID, usage[cls.ID])
-	}
+			// The total medium-job capacity of the datacenter at the live view.
+			usage := svc.UsageFor(snap)
+			var totalCap, builtCap float64
+			for _, cls := range snap.Clustering.Classes {
+				totalCap += snap.CapacityCores(core.JobMedium, cls.ID, usage[cls.ID])
+				builtCap += snap.CapacityCores(core.JobMedium, cls.ID, snap.Usage[cls.ID])
+			}
+			if tc.heat > 0 && !(totalCap > 64 && totalCap < builtCap) {
+				t.Fatalf("live capacity %v against %v as built: the burst must shrink it and leave room for a job", totalCap, builtCap)
+			}
 
-	job := core.JobRequest{Type: core.JobMedium, MaxConcurrentCores: 64}
-	var leases []uint64
-	var reserved float64
-	for i := 0; ; i++ {
-		grant, _, err := svc.SelectReserve("DC-9", job, -1)
-		if err != nil {
-			t.Fatalf("SelectReserve %d: %v", i, err)
-		}
-		if !grant.Reserved() {
-			break // depleted — exactly what must happen
-		}
-		leases = append(leases, grant.Lease)
-		for _, g := range grant.Granted {
-			reserved += g
-		}
-		if reserved > totalCap+0.001 {
-			t.Fatalf("reserved %v cores past the %v capacity bound", reserved, totalCap)
-		}
-		if i > 100000 {
-			t.Fatal("selects never became unsatisfiable")
-		}
-	}
-	if len(leases) == 0 {
-		t.Fatal("no select ever succeeded")
-	}
-	// Headroom must be essentially gone: less than one more 64-core job.
-	if totalCap-reserved >= 64 {
-		t.Fatalf("selects stopped with %v of %v cores still free", totalCap-reserved, reserved)
-	}
-	st := checkBooks(t, svc, "DC-9")
-	if got := ledger.CoresOf(st.OutstandingMillis); math.Abs(got-reserved) > 0.001 {
-		t.Fatalf("outstanding %v != granted %v", got, reserved)
-	}
-	// Releasing everything restores the headroom.
-	for _, id := range leases {
-		if _, err := svc.Release("DC-9", id); err != nil {
-			t.Fatalf("Release: %v", err)
-		}
-	}
-	st = checkBooks(t, svc, "DC-9")
-	if st.OutstandingMillis != 0 {
-		t.Fatalf("outstanding after full release = %d", st.OutstandingMillis)
-	}
-	if grant, _, err := svc.SelectReserve("DC-9", job, -1); err != nil || !grant.Reserved() {
-		t.Fatalf("select after release unsatisfiable: %+v, %v", grant, err)
+			job := core.JobRequest{Type: core.JobMedium, MaxConcurrentCores: 64}
+			var leases []uint64
+			var reserved float64
+			for i := 0; ; i++ {
+				grant, _, err := svc.SelectReserve("DC-9", job, -1)
+				if err != nil {
+					t.Fatalf("SelectReserve %d: %v", i, err)
+				}
+				if !grant.Reserved() {
+					break // depleted — exactly what must happen
+				}
+				leases = append(leases, grant.Lease)
+				for _, g := range grant.Granted {
+					reserved += g
+				}
+				if reserved > totalCap+0.001 {
+					t.Fatalf("reserved %v cores past the %v capacity bound", reserved, totalCap)
+				}
+				if i > 100000 {
+					t.Fatal("selects never became unsatisfiable")
+				}
+			}
+			if len(leases) == 0 {
+				t.Fatalf("no select ever succeeded against %v cores of capacity", totalCap)
+			}
+			// Headroom must be essentially gone: less than one more 64-core job.
+			if totalCap-reserved >= 64 {
+				t.Fatalf("selects stopped with %v of %v cores still free", totalCap-reserved, totalCap)
+			}
+			st := checkBooks(t, svc, "DC-9")
+			if got := ledger.CoresOf(st.OutstandingMillis); math.Abs(got-reserved) > 0.001 {
+				t.Fatalf("outstanding %v != granted %v", got, reserved)
+			}
+			// Releasing everything restores the headroom.
+			for _, id := range leases {
+				if _, err := svc.Release("DC-9", id); err != nil {
+					t.Fatalf("Release: %v", err)
+				}
+			}
+			st = checkBooks(t, svc, "DC-9")
+			if st.OutstandingMillis != 0 {
+				t.Fatalf("outstanding after full release = %d", st.OutstandingMillis)
+			}
+			if grant, _, err := svc.SelectReserve("DC-9", job, -1); err != nil || !grant.Reserved() {
+				t.Fatalf("select after release unsatisfiable: %+v, %v", grant, err)
+			}
+		})
 	}
 }
 

@@ -537,7 +537,7 @@ func (s *Service) applyReplBeat(m *wire.ReplBeat, frameBytes int) error {
 	sh.rings.AdvanceClock(time.Duration(m.AsOfSeconds * float64(time.Second)))
 	reconcileBooks(sh, &m.Ledger, &m.Blocks, len(snap.Clustering.Classes))
 	// Between telemetry posts a beat's usage is the view already live: keep it,
-	// and the select index and admission floors derived from it.
+	// and the select index built from it.
 	if samples := sh.rings.TotalSamples(); !beatUsageIsLive(sh.liveUsage.Load(), snap, samples, m.Usage) {
 		usage := make(map[core.ClassID]core.ClassUsage, len(snap.Clustering.Classes))
 		for _, u := range m.Usage {

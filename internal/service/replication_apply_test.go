@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -753,9 +752,8 @@ func TestGatedWritesUnderARefreshStorm(t *testing.T) {
 
 // TestReplBeatKeepsAnUnchangedUsageView pins when a beat replaces the
 // follower's usage view: one that carries the utilization already live keeps
-// the view (and the select index and floors built with it), one that carries
-// news replaces it — and the floors the news implies reach the follower's
-// ledger.
+// the view (and the select index built with it), one that carries news
+// replaces it, with the primary's utilization.
 func TestReplBeatKeepsAnUnchangedUsageView(t *testing.T) {
 	link := loadedLink(t, 10, 10)
 	snap, _ := link.follower.Snapshot(replDC)
@@ -786,11 +784,6 @@ func TestReplBeatKeepsAnUnchangedUsageView(t *testing.T) {
 		if got[cls.ID].CurrentUtilization != want[cls.ID].CurrentUtilization {
 			t.Errorf("class %d: follower sees utilization %v, primary %v", cls.ID, got[cls.ID].CurrentUtilization, want[cls.ID].CurrentUtilization)
 		}
-	}
-	pl, _ := link.primary.Ledgers(replDC)
-	fl, _ := link.follower.Ledgers(replDC)
-	if pf, ff := pl.Floors(), fl.Floors(); !reflect.DeepEqual(pf, ff) || !slices.ContainsFunc(ff, func(f int64) bool { return f > 0 }) {
-		t.Errorf("admission floors after the hot beat: follower %v, primary %v (want equal, some raised)", ff, pf)
 	}
 
 	held = view()

@@ -56,10 +56,6 @@ type Config struct {
 	// expiry sweep reclaims it from a client that never released. Zero means
 	// 2 minutes; negative disables expiry (leases live until released).
 	LeaseTTL time.Duration
-	// SweepPeriod is how often the background sweeper scans for expired
-	// leases once Start is called. Zero derives it from LeaseTTL (a quarter,
-	// clamped to [100ms, 10s]).
-	SweepPeriod time.Duration
 	// TenantStaleAfter, when positive, evicts the telemetry ring of any
 	// tenant whose last sample (bootstrap included) is older than this at
 	// refresh time: the tenant stops pinning a full history window in memory
@@ -90,9 +86,6 @@ type Config struct {
 	// 10-minute repair detection delay). Zero means 250ms; negative disables
 	// the loop — repairs then only happen via RepairBlocks.
 	RepairInterval time.Duration
-	// RepairBatch bounds how many repairs one re-replicator tick attempts per
-	// datacenter. Zero means 64.
-	RepairBatch int
 }
 
 // DefaultConfig serves every datacenter at quick scale, refreshing every
@@ -109,46 +102,28 @@ func DefaultConfig() Config {
 
 // usageView is one computation of a shard's live per-class usage, cached
 // behind an atomic pointer and invalidated by generation or ingest progress.
-// src overlays the cached utilization with the ledger's live allocation
-// counters, so selections read current AllocatedCores without a rebuild.
-// idx is the headroom index built over the same view: per-class capacity
-// bounds are fixed for the view's lifetime, so every select against the view
-// shares one index and only reads live occupancy through src.
+// usage fixes each class's utilization, and so its capacity bound, for the
+// view's lifetime; idx is the headroom index built from it, the same bounds
+// the ledger admits reservations against. The view is also the
+// core.AllocSource selections read live occupancy through: AllocatedCores
+// comes from led's atomic counters, so reserve and release traffic needs no
+// rebuild.
 type usageView struct {
 	generation uint64
 	samples    uint64 // rings.TotalSamples() at build time
 	usage      map[core.ClassID]core.ClassUsage
-	src        *ledgerUsage
+	led        *ledger.Ledger
 	idx        *core.SelectIndex
 }
 
-// ledgerUsage is the core.UsageSource the query path runs against:
-// CurrentUtilization from the cached view (recomputed on ingest progress),
-// AllocatedCores loaded live from the ledger's atomic counters. Immutable
-// after construction; reads are two pointer loads and an atomic load.
-type ledgerUsage struct {
-	generation uint64
-	base       map[core.ClassID]core.ClassUsage
-	led        *ledger.Ledger
-}
-
-// UsageOf implements core.UsageSource.
-func (u *ledgerUsage) UsageOf(id core.ClassID) core.ClassUsage {
-	cu := u.base[id]
-	if a, ok := u.led.AllocatedCores(u.generation, id); ok {
-		cu.AllocatedCores = a
-	}
-	return cu
-}
-
-// AllocatedCoresOf implements core.AllocSource for the indexed select path:
-// one atomic load per class, no base-map composition. A generation mismatch
-// (re-key racing the read) reads as zero, same as UsageOf's fallback.
-func (u *ledgerUsage) AllocatedCoresOf(id core.ClassID) float64 {
-	if a, ok := u.led.AllocatedCores(u.generation, id); ok {
+// AllocatedCoresOf implements core.AllocSource: one atomic load per class. A
+// generation mismatch (re-key racing the read) falls back to the view's own
+// AllocatedCores.
+func (v *usageView) AllocatedCoresOf(id core.ClassID) float64 {
+	if a, ok := v.led.AllocatedCores(v.generation, id); ok {
 		return a
 	}
-	return u.base[id].AllocatedCores
+	return v.usage[id].AllocatedCores
 }
 
 // shard is one datacenter's slot: the published snapshot, the telemetry
@@ -288,15 +263,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.LeaseTTL == 0 {
 		cfg.LeaseTTL = 2 * time.Minute
 	}
-	if cfg.SweepPeriod <= 0 {
-		cfg.SweepPeriod = cfg.LeaseTTL / 4
-		if cfg.SweepPeriod < 100*time.Millisecond {
-			cfg.SweepPeriod = 100 * time.Millisecond
-		}
-		if cfg.SweepPeriod > 10*time.Second {
-			cfg.SweepPeriod = 10 * time.Second
-		}
-	}
 	// Fill unset fields individually so a caller customizing one knob (say,
 	// Thresholds) keeps it; only the genuinely zero pieces take defaults.
 	// ReserveFraction is left alone — zero is a legitimate "no reserve".
@@ -321,9 +287,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	if cfg.RepairInterval == 0 {
 		cfg.RepairInterval = 250 * time.Millisecond
-	}
-	if cfg.RepairBatch <= 0 {
-		cfg.RepairBatch = 64
 	}
 
 	s := &Service{
@@ -513,10 +476,11 @@ func (s *Service) Promote() bool {
 }
 
 // sweepLoop periodically reclaims expired leases across every shard — the
-// safety net for clients that died holding a reservation.
+// safety net for clients that died holding a reservation. It scans every
+// quarter of the lease TTL, clamped to [100ms, 10s].
 func (s *Service) sweepLoop() {
 	defer s.wg.Done()
-	ticker := time.NewTicker(s.cfg.SweepPeriod)
+	ticker := time.NewTicker(min(max(s.cfg.LeaseTTL/4, 100*time.Millisecond), 10*time.Second))
 	defer ticker.Stop()
 	for {
 		select {
@@ -894,8 +858,8 @@ func (s *Service) Ingest(dc string, samples []IngestSample) (IngestResult, error
 // usageViewFor returns the shard's cached live usage view for a snapshot,
 // recomputing it when the snapshot generation or ingest progress moved: the
 // base map carries CurrentUtilization from each tenant's most recent ring
-// sample, and the src overlay adds the ledger's live AllocatedCores on every
-// read. Nil for snapshots of an unknown shard (e.g. a superseded service's).
+// sample, and the view adds the ledger's live AllocatedCores on every read.
+// Nil for snapshots of an unknown shard (e.g. a superseded service's).
 func (s *Service) usageViewFor(snap *Snapshot) *usageView {
 	sh, ok := s.shards[snap.Datacenter]
 	if !ok || sh.rings == nil {
@@ -920,30 +884,17 @@ func (s *Service) usageViewFor(snap *Snapshot) *usageView {
 	return s.buildUsageView(sh, snap, usage, total)
 }
 
-// buildUsageView assembles and publishes the shard's live usage view, and
-// refreshes the ledger's admission floors from it: for every class whose live
-// utilization rose above the snapshot's build-time view, the lost capacity
-// becomes a reserve floor the ledger subtracts from the admission bound — so
-// a utilization spike tightens admitted capacity immediately, between
-// refreshes, instead of waiting for the next snapshot. The follower apply
-// path shares this so replicated usage carries the same protection.
+// buildUsageView assembles and publishes the shard's live usage view. The
+// follower apply path shares it, so replicated usage bounds admission on a
+// promoted follower the same way.
 func (s *Service) buildUsageView(sh *shard, snap *Snapshot, usage map[core.ClassID]core.ClassUsage, samples uint64) *usageView {
 	v := &usageView{
 		generation: snap.Generation,
 		samples:    samples,
 		usage:      usage,
-		src:        &ledgerUsage{generation: snap.Generation, base: usage, led: sh.led},
+		led:        sh.led,
 		idx:        snap.BuildSelectIndex(usage),
 	}
-	floors := make([]int64, len(snap.Clustering.Classes))
-	for _, cls := range snap.Clustering.Classes {
-		buildCap := snap.CapacityCores(core.JobMedium, cls.ID, snap.Usage[cls.ID])
-		liveCap := snap.CapacityCores(core.JobMedium, cls.ID, usage[cls.ID])
-		if d := buildCap - liveCap; d > 0 {
-			floors[cls.ID] = int64(math.Floor(d * ledger.MillisPerCore))
-		}
-	}
-	sh.led.SetFloors(snap.Generation, floors)
 	sh.liveUsage.Store(v)
 	return v
 }
@@ -952,8 +903,8 @@ func (s *Service) buildUsageView(sh *shard, snap *Snapshot, usage map[core.Class
 // CurrentUtilization recomputed from each tenant's most recent ring sample,
 // so posted telemetry moves select decisions between refreshes instead of
 // being frozen at the snapshot's AsOf. AllocatedCores in the returned map is
-// the build-time value; the query path overlays the live ledger counters via
-// usageViewFor's src. Snapshots from an unknown shard fall back to their
+// the build-time value; the query path reads the live ledger counters through
+// the view itself. Snapshots from an unknown shard fall back to their
 // build-time view.
 func (s *Service) UsageFor(snap *Snapshot) map[core.ClassID]core.ClassUsage {
 	if v := s.usageViewFor(snap); v != nil {
@@ -1135,13 +1086,9 @@ type scratch struct {
 // counters. This is the advisory (non-reserving) path: it sees live
 // allocations but does not create one.
 func (s *Service) selectOn(sc *scratch, snap *Snapshot, job core.JobRequest) core.Selection {
+	v := s.usageViewFor(snap)
 	rng := s.rngs.Get().(*rand.Rand)
-	var sel core.Selection
-	if v := s.usageViewFor(snap); v != nil {
-		sel = snap.selector.SelectIndexedInto(&sc.sel, rng, job, v.idx, v.src)
-	} else {
-		sel = snap.Select(rng, job)
-	}
+	sel := snap.selector.SelectIndexedInto(&sc.sel, rng, job, v.idx, v)
 	s.rngs.Put(rng)
 	return sel
 }
@@ -1211,7 +1158,7 @@ func (s *Service) selectReserve(sc *scratch, dc string, job core.JobRequest, ttl
 		snap = sh.snap.Load()
 		v := s.usageViewFor(snap)
 		rng := s.rngs.Get().(*rand.Rand)
-		sel := snap.selector.SelectIndexedInto(&sc.sel, rng, job, v.idx, v.src)
+		sel := snap.selector.SelectIndexedInto(&sc.sel, rng, job, v.idx, v)
 		s.rngs.Put(rng)
 		if tr != nil {
 			tr.Span("snapshot_read", spanStart)
@@ -1244,7 +1191,7 @@ func (s *Service) selectReserve(sc *scratch, dc string, job core.JobRequest, ttl
 			reqs = append(reqs, ledger.Request{
 				Class:    id,
 				Cores:    want,
-				Capacity: snap.CapacityCores(job.Type, id, v.src.UsageOf(id)),
+				Capacity: snap.CapacityCores(job.Type, id, v.usage[id]),
 			})
 			granted[i] = want
 			remaining -= want
@@ -1461,6 +1408,10 @@ func (s *Service) BlockStats(dc string) (blockledger.Stats, bool) {
 	return sh.blocks.Snapshot(), true
 }
 
+// repairBatch bounds how many repairs one re-replicator tick attempts per
+// datacenter.
+const repairBatch = 64
+
 // repairLoop is the background re-replicator (primary role only): each tick
 // it drains one batch of repair refs per datacenter and re-places them via
 // Alg. 2 with the surviving replicas' constraints carried over.
@@ -1474,7 +1425,7 @@ func (s *Service) repairLoop() {
 			return
 		case <-ticker.C:
 			for _, dc := range s.order {
-				s.RepairBlocks(dc, s.cfg.RepairBatch)
+				s.RepairBlocks(dc, repairBatch)
 			}
 		}
 	}

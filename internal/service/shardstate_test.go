@@ -306,9 +306,8 @@ func TestRestoreParentWrittenDir(t *testing.T) {
 	led, blocks := svc.Ledgers(replDC)
 
 	// The allocation ledger: the books, less what only a running process has
-	// (admission floors, retry counts), and the leases.
+	// (retry counts), and the leases.
 	got := led.Snapshot()
-	got.ReserveFloorMillisByClass, want.Ledger.ReserveFloorMillisByClass = nil, nil
 	got.Generation, got.AllocatedMillisByClass = 0, nil // not in the JSON
 	if !reflect.DeepEqual(got, want.Ledger) {
 		t.Fatalf("ledger books:\n got %+v\nwant %+v", got, want.Ledger)

@@ -250,13 +250,6 @@ func weightedClassUsage(classes []*core.UtilizationClass, pop *tenant.Population
 	return usage
 }
 
-// Select runs class selection (Alg. 1) against the snapshot's build-time
-// usage view. Safe for any number of concurrent callers; each must bring its
-// own RNG. The service's query path uses SelectIndexed with the live view.
-func (s *Snapshot) Select(rng *rand.Rand, job core.JobRequest) core.Selection {
-	return s.selector.SelectWith(rng, job, s.Usage)
-}
-
 // BuildSelectIndex precomputes the headroom index for a utilization view —
 // one build per (snapshot generation, ingest progress) pair, shared by every
 // query until the view moves.
@@ -280,12 +273,6 @@ func (s *Snapshot) CapacityCores(jobType core.JobType, id core.ClassID, usage co
 		return 0
 	}
 	return s.selector.Capacity(jobType, cls, usage)
-}
-
-// Headroom reports a class's available cores for a job type at the
-// snapshot's usage view.
-func (s *Snapshot) Headroom(jobType core.JobType, cls *core.UtilizationClass) float64 {
-	return s.selector.Headroom(jobType, cls, s.Usage[cls.ID])
 }
 
 // Place runs replica placement (Alg. 2) on a pooled clone of the snapshot's
