@@ -124,6 +124,7 @@ func main() {
 	case sig := <-sigs:
 		logger.Info("shutting down", "signal", sig.String())
 		server.Close()
+		rt.Close()
 	case err := <-errs:
 		obs.Fatal(logger, "server failed", "err", err)
 	case err := <-binErrs:

@@ -105,7 +105,10 @@ func StartRouter(t testing.TB, cfg router.Config) *Router {
 	rt := &Router{Router: router.New(cfg)}
 	var stop func()
 	rt.URL, stop = serveHTTP(t, rt.Router)
-	t.Cleanup(stop)
+	t.Cleanup(func() {
+		stop()
+		rt.Router.Close()
+	})
 	addr, _, err := rt.Router.ListenAndServeBinary("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("fleettest: router binary front: %v", err)

@@ -1,12 +1,21 @@
-// Package regproto defines the wire format of the router registration
-// protocol — the heartbeat a harvestd backend POSTs to a harvestrouter's
-// /v1/register. It lives in its own package so the serving layer's
+// Package regproto defines the router registration protocol: the heartbeat a
+// harvestd backend sends a harvestrouter. A node opens one connection with a
+// POST /v1/register that asks to upgrade to UpgradeToken; the router answers
+// 101, and from then on the connection carries one wire.OpRegister frame per
+// beat, each answered by a wire.OpRegisterResp frame or an OpError refusing it
+// (conn.go). The same RegisterRequest also posts as a JSON body, which the
+// router answers with a JSON RegisterResponse: the form for curl and for
+// nodes that do not upgrade. The package lives apart so the serving layer's
 // registration client (internal/service.Announcer) and the router's server
 // side (internal/router) share one definition without the serving tier
 // importing the proxy implementation.
 package regproto
 
-import "net"
+import (
+	"net"
+
+	"harvest/internal/wire"
+)
 
 // AdvertiseAddr is the host:port a node announces for a listener bound at
 // bound: the port is the bound one, the host is host when given (the node's
@@ -37,9 +46,10 @@ type RegisterDatacenter struct {
 	Generation uint64 `json:"generation"`
 }
 
-// RegisterRequest is the heartbeat body a backend POSTs to /v1/register.
-// The same body re-registers: ID is the stable identity, URL and the
-// datacenter set are updated on every beat.
+// RegisterRequest is the heartbeat a backend sends the router. The same beat
+// re-registers: ID is the stable identity, URL and the datacenter set are
+// updated on every beat. On a frame its strings are one-byte-length strings,
+// so none may exceed wire.MaxStr8 bytes.
 type RegisterRequest struct {
 	ID  string `json:"id"`
 	URL string `json:"url"`
@@ -81,4 +91,94 @@ type RegisterResponse struct {
 	// against the address it is dialing and re-points its replication stream
 	// at the promoted node.
 	PrimaryReplicateAddr string `json:"primary_replicate_addr,omitempty"`
+}
+
+// registerDCSize is the smallest encoded datacenter entry: an empty name's
+// length byte and the generation.
+const registerDCSize = 1 + 8
+
+// AppendRegisterRequest appends a complete OpRegister frame carrying m.
+func AppendRegisterRequest(dst []byte, id uint64, m *RegisterRequest) []byte {
+	mark := len(dst)
+	dst = wire.BeginFrame(dst, wire.OpRegister, id)
+	dst = wire.AppendStr8(dst, m.ID)
+	dst = wire.AppendStr8(dst, m.URL)
+	dst = wire.AppendStr8(dst, m.BinaryAddr)
+	dst = wire.AppendStr8(dst, m.Role)
+	dst = wire.AppendStr8(dst, m.PrimaryID)
+	dst = wire.AppendStr8(dst, m.ReplicateAddr)
+	draining := uint8(0)
+	if m.Draining {
+		draining = 1
+	}
+	dst = wire.AppendU8(dst, draining)
+	dst = wire.AppendU16(dst, uint16(len(m.Datacenters)))
+	for _, dc := range m.Datacenters {
+		dst = wire.AppendStr8(dst, dc.Name)
+		dst = wire.AppendU64(dst, dc.Generation)
+	}
+	return wire.EndFrame(dst, mark)
+}
+
+// Decode parses an OpRegister payload into m, reusing its storage: a string
+// that spells the one m already holds is kept, not copied, and the datacenter
+// slice is refilled in place. A beat that repeats the previous one therefore
+// decodes without allocating.
+func (m *RegisterRequest) Decode(payload []byte) error {
+	r := wire.NewReader(payload)
+	m.ID = keep(m.ID, r.Str8())
+	m.URL = keep(m.URL, r.Str8())
+	m.BinaryAddr = keep(m.BinaryAddr, r.Str8())
+	m.Role = keep(m.Role, r.Str8())
+	m.PrimaryID = keep(m.PrimaryID, r.Str8())
+	m.ReplicateAddr = keep(m.ReplicateAddr, r.Str8())
+	m.Draining = r.Bool()
+	n := int(r.U16())
+	if n > r.Remaining()/registerDCSize {
+		// A count the payload cannot hold must not size an allocation.
+		return wire.ErrShortPayload
+	}
+	if cap(m.Datacenters) < n {
+		// Keep the names already held, so the next beat finds them to keep.
+		grown := make([]RegisterDatacenter, n)
+		copy(grown, m.Datacenters[:cap(m.Datacenters)])
+		m.Datacenters = grown
+	}
+	m.Datacenters = m.Datacenters[:n]
+	for i := range m.Datacenters {
+		dc := &m.Datacenters[i]
+		dc.Name = keep(dc.Name, r.Str8())
+		dc.Generation = r.U64()
+	}
+	return r.Done()
+}
+
+// AppendRegisterResponse appends a complete OpRegisterResp frame carrying m.
+func AppendRegisterResponse(dst []byte, id uint64, m *RegisterResponse) []byte {
+	mark := len(dst)
+	dst = wire.BeginFrame(dst, wire.OpRegisterResp, id)
+	dst = wire.AppendStr8(dst, m.Status)
+	dst = wire.AppendU32(dst, uint32(m.Backends))
+	dst = wire.AppendF64(dst, m.StaleAfterSeconds)
+	dst = wire.AppendStr8(dst, m.PrimaryReplicateAddr)
+	return wire.EndFrame(dst, mark)
+}
+
+// Decode parses an OpRegisterResp payload into m, keeping the strings m
+// already holds as RegisterRequest.Decode does.
+func (m *RegisterResponse) Decode(payload []byte) error {
+	r := wire.NewReader(payload)
+	m.Status = keep(m.Status, r.Str8())
+	m.Backends = int(r.U32())
+	m.StaleAfterSeconds = r.F64()
+	m.PrimaryReplicateAddr = keep(m.PrimaryReplicateAddr, r.Str8())
+	return r.Done()
+}
+
+// keep returns prev when b spells it and a copy of b otherwise.
+func keep(prev string, b []byte) string {
+	if prev == string(b) {
+		return prev
+	}
+	return string(b)
 }

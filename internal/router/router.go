@@ -4,9 +4,10 @@
 // Shards (datacenters) are independent by construction — the paper's
 // harvesting control plane is per-datacenter — so splitting them across
 // processes needs no coordination beyond "who serves what": backends announce
-// themselves with POST /v1/register heartbeats carrying their datacenter set
-// and per-DC snapshot generations, and the router serves /v1/datacenters as
-// the union across live backends.
+// themselves with heartbeats carrying their datacenter set and per-DC
+// snapshot generations — frames on the one connection their POST
+// /v1/register upgraded, or one JSON body per POST — and the router serves
+// /v1/datacenters as the union across live backends.
 //
 // Failure semantics are deliberately simple and observable:
 //
@@ -33,6 +34,7 @@ package router
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -178,9 +180,13 @@ type Router struct {
 	table    map[string]route    // datacenter → owning backend
 
 	registrations atomic.Uint64
-	proxiedTotal  atomic.Uint64
-	proxyErrors   atomic.Uint64
-	unavailable   atomic.Uint64 // 503s rejected without touching a backend (stale / circuit open / probe held)
+	// reg holds the upgraded registration connections (serveRegisterConn),
+	// so Close can end them: net/http forgets a connection once it is
+	// hijacked.
+	reg          wire.Server
+	proxiedTotal atomic.Uint64
+	proxyErrors  atomic.Uint64
+	unavailable  atomic.Uint64 // 503s rejected without touching a backend (stale / circuit open / probe held)
 
 	// Promotion state (replica.go): per-DC cooldown on election attempts.
 	promoteMu   sync.Mutex
@@ -344,9 +350,22 @@ const maxProxyBody = 2 << 20
 // unbounded body cannot balloon the router's memory per in-flight request.
 const maxProxyResponse = 8 << 20
 
+// handleRegister takes one heartbeat as a JSON body, or upgrades the
+// connection to carry every later beat as a frame (serveRegisterConn). The
+// token is checked once either way: an upgraded connection is authorized for
+// its life.
 func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if !httpjson.BearerAuthorized(r, rt.cfg.RegisterToken) {
 		writeError(w, http.StatusUnauthorized, "missing or invalid register token")
+		return
+	}
+	if regproto.IsUpgrade(r) {
+		c, err := regproto.Accept(w)
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, "registration upgrade failed: "+err.Error())
+			return
+		}
+		rt.reg.Handle(c.NetConn(), func(net.Conn) { rt.serveRegisterConn(c) })
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRegisterBody))
@@ -361,42 +380,77 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad register body: "+err.Error())
 		return
 	}
+	ack, err := rt.register(&req, "")
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	writeJSON(w, http.StatusOK, ack)
+}
+
+// serveRegisterConn answers the beats of one upgraded registration
+// connection until it closes, goes silent past the age-out horizon, or breaks
+// the protocol. The beat decodes into storage reused across beats, and its
+// URL — whose parse is the one step of validation that allocates — is parsed
+// only when it differs from the one last accepted here, so a steady node's
+// beat costs the router no heap object.
+func (rt *Router) serveRegisterConn(c *regproto.Conn) {
+	var req RegisterRequest
+	checkedURL := ""
+	for {
+		id, err := c.ReadBeat(&req, 10*rt.cfg.StaleAfter)
+		if err != nil {
+			return
+		}
+		ack, err := rt.register(&req, checkedURL)
+		if err != nil {
+			err = c.Refuse(id, http.StatusBadRequest, err.Error())
+		} else {
+			checkedURL = req.URL
+			err = c.Ack(id, &ack)
+		}
+		if err != nil {
+			return
+		}
+	}
+}
+
+// register validates one beat and applies it to the routing table, returning
+// the acknowledgement; an error is the reason to refuse it. The URL parse is
+// skipped when req.URL equals checkedURL, a non-empty one this caller saw
+// accepted.
+func (rt *Router) register(req *RegisterRequest, checkedURL string) (RegisterResponse, error) {
 	if req.ID == "" {
-		writeError(w, http.StatusBadRequest, "register requires a backend id")
-		return
+		return RegisterResponse{}, errors.New("register requires a backend id")
 	}
-	u, err := url.Parse(req.URL)
-	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-		writeError(w, http.StatusBadRequest, "register url must be an absolute http(s) URL")
-		return
-	}
-	// The URL is a base the proxy appends "/v1/..." to: a path, query, or
-	// fragment would corrupt every proxied target while the backend looked
-	// perfectly healthy in /metrics — reject it at the source.
-	if (u.Path != "" && u.Path != "/") || u.RawQuery != "" || u.Fragment != "" {
-		writeError(w, http.StatusBadRequest, "register url must be a bare base URL (no path, query, or fragment)")
-		return
+	if checkedURL == "" || req.URL != checkedURL {
+		u, err := url.Parse(req.URL)
+		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+			return RegisterResponse{}, errors.New("register url must be an absolute http(s) URL")
+		}
+		// The URL is a base the proxy appends "/v1/..." to: a path, query, or
+		// fragment would corrupt every proxied target while the backend looked
+		// perfectly healthy in /metrics — reject it at the source.
+		if (u.Path != "" && u.Path != "/") || u.RawQuery != "" || u.Fragment != "" {
+			return RegisterResponse{}, errors.New("register url must be a bare base URL (no path, query, or fragment)")
+		}
 	}
 	if req.BinaryAddr != "" {
 		if _, _, err := net.SplitHostPort(req.BinaryAddr); err != nil {
-			writeError(w, http.StatusBadRequest, "register binary_addr must be host:port: "+err.Error())
-			return
+			return RegisterResponse{}, errors.New("register binary_addr must be host:port: " + err.Error())
 		}
 	}
 	if req.ReplicateAddr != "" {
 		if _, _, err := net.SplitHostPort(req.ReplicateAddr); err != nil {
-			writeError(w, http.StatusBadRequest, "register replicate_addr must be host:port: "+err.Error())
-			return
+			return RegisterResponse{}, errors.New("register replicate_addr must be host:port: " + err.Error())
 		}
 	}
 	if len(req.Datacenters) == 0 {
-		writeError(w, http.StatusBadRequest, "register requires at least one datacenter")
-		return
+		return RegisterResponse{}, errors.New("register requires at least one datacenter")
 	}
 	for _, dc := range req.Datacenters {
 		if dc.Name == "" {
-			writeError(w, http.StatusBadRequest, "register datacenter with empty name")
-			return
+			return RegisterResponse{}, errors.New("register datacenter with empty name")
 		}
 	}
 	role := req.Role
@@ -406,8 +460,7 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 		role = "primary"
 	case "primary", "follower":
 	default:
-		writeError(w, http.StatusBadRequest, "register role must be primary or follower")
-		return
+		return RegisterResponse{}, errors.New("register role must be primary or follower")
 	}
 	baseURL := strings.TrimRight(req.URL, "/")
 
@@ -456,18 +509,26 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 		b.binAddr = req.BinaryAddr
 		b.closeBinPipes()
 	}
-	next := make(map[string]uint64, len(req.Datacenters))
-	for _, dc := range req.Datacenters {
-		next[dc.Name] = dc.Generation
-	}
-	// Drop routing entries for datacenters this backend no longer announces.
-	for name := range b.dcs {
-		if _, still := next[name]; !still {
-			if rt.table[name].owner == b {
-				delete(rt.table, name)
-				rlog.Info("backend dropped datacenter", "backend", b.id, "dc", name)
+	if announcesSame(b.dcs, req.Datacenters) {
+		// The steady beat: only generations move, in place.
+		for _, dc := range req.Datacenters {
+			b.dcs[dc.Name] = dc.Generation
+		}
+	} else {
+		next := make(map[string]uint64, len(req.Datacenters))
+		for _, dc := range req.Datacenters {
+			next[dc.Name] = dc.Generation
+		}
+		// Drop routing entries for datacenters this backend no longer announces.
+		for name := range b.dcs {
+			if _, still := next[name]; !still {
+				if rt.table[name].owner == b {
+					delete(rt.table, name)
+					rlog.Info("backend dropped datacenter", "backend", b.id, "dc", name)
+				}
 			}
 		}
+		b.dcs = next
 	}
 	// Ownership is sticky while the owner is alive: two nodes announcing the
 	// same datacenter must not ping-pong the route at heartbeat cadence —
@@ -482,17 +543,16 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	// beat, composed before the promotion landed, must not yank the route the
 	// router just flipped to it.
 	if role != "follower" {
-		for name := range next {
-			if prev := rt.table[name].owner; prev != nil && prev != b {
+		for _, dc := range req.Datacenters {
+			if prev := rt.table[dc.Name].owner; prev != nil && prev != b {
 				if rt.alive(prev, now) && prev.role != "follower" && !prev.draining.Load() {
 					continue
 				}
-				rlog.Info("datacenter moved to announcing primary", "dc", name, "from", prev.id, "to", b.id)
+				rlog.Info("datacenter moved to announcing primary", "dc", dc.Name, "from", prev.id, "to", b.id)
 			}
-			rt.table[name] = route{name: name, owner: b}
+			rt.table[dc.Name] = route{name: dc.Name, owner: b}
 		}
 	}
-	b.dcs = next
 	backends := len(rt.backends)
 	// Tell a follower where its datacenters' current primary listens for
 	// replication: after a promotion this is the *promoted* node's listener,
@@ -520,13 +580,37 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	rt.mu.Unlock()
 
 	rt.registrations.Add(1)
-	writeJSON(w, http.StatusOK, RegisterResponse{
+	return RegisterResponse{
 		Status:               "ok",
 		Backends:             backends,
 		StaleAfterSeconds:    rt.cfg.StaleAfter.Seconds(),
 		PrimaryReplicateAddr: primaryReplAddr,
-	})
+	}, nil
 }
+
+// announcesSame reports whether dcs names exactly the datacenters have holds,
+// each once: then a beat only moves generations.
+func announcesSame(have map[string]uint64, dcs []RegisterDatacenter) bool {
+	if len(dcs) != len(have) {
+		return false
+	}
+	for i, dc := range dcs {
+		if _, ok := have[dc.Name]; !ok {
+			return false
+		}
+		for _, prev := range dcs[:i] {
+			if prev.Name == dc.Name {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Close ends every upgraded registration connection and waits for their
+// handlers; the nodes behind them re-dial on their next beat. Serving the
+// JSON front is the caller's http.Server's to stop.
+func (rt *Router) Close() { rt.reg.Close() }
 
 // alive reports whether the backend has heartbeated within StaleAfter.
 func (rt *Router) alive(b *backend, now time.Time) bool {
@@ -1002,6 +1086,7 @@ type opRow struct {
 // RouterStats is the router's own section of /metrics.
 type RouterStats struct {
 	Registrations uint64                  `json:"registrations" prom:"harvestrouter_registrations_total,counter" help:"Register heartbeats accepted."`
+	RegisterConns int64                   `json:"register_conns" prom:"harvestrouter_register_conns,gauge" help:"Upgraded registration connections open: backends beating in frames."`
 	Proxied       uint64                  `json:"proxied" prom:"harvestrouter_proxied_total,counter" help:"Requests proxied to a backend (both dialects)."`
 	ProxyErrors   uint64                  `json:"proxy_errors" prom:"harvestrouter_proxy_errors_total,counter" help:"Backend transport failures."`
 	Unavailable   uint64                  `json:"unavailable_503s" prom:"harvestrouter_unavailable_total,counter" help:"503s from staleness or an open circuit."`
@@ -1052,6 +1137,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds: time.Since(rt.start).Seconds(),
 		Router: RouterStats{
 			Registrations: rt.registrations.Load(),
+			RegisterConns: rt.reg.Open(),
 			Proxied:       rt.proxiedTotal.Load(),
 			ProxyErrors:   rt.proxyErrors.Load(),
 			Unavailable:   rt.unavailable.Load(),

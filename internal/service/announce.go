@@ -1,21 +1,20 @@
 package service
 
 import (
-	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"harvest/internal/regproto"
+	"harvest/internal/wire"
 )
 
 // AnnouncerConfig wires a service into a harvestrouter front end.
 type AnnouncerConfig struct {
-	// RouterURL is the router's base URL (POST {RouterURL}/v1/register).
+	// RouterURL is the router's http(s) base URL; the announcer upgrades a
+	// POST {RouterURL}/v1/register to its registration connection.
 	RouterURL string
 	// SelfURL is this node's externally reachable base URL — what the router
 	// proxies to.
@@ -45,11 +44,12 @@ type AnnouncerConfig struct {
 // harvestrouter, so the router's routing table (and its staleness marking)
 // tracks this node's liveness. Registration is idempotent — every beat
 // carries the full state — so the router needs no catch-up protocol after
-// either side restarts.
+// either side restarts. The beats are frames on one upgraded connection
+// (internal/regproto), built in storage the announcer keeps, so a steady
+// node heartbeats without allocating.
 type Announcer struct {
-	svc    *Service
-	cfg    AnnouncerConfig
-	client *http.Client
+	svc *Service
+	cfg AnnouncerConfig
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -57,12 +57,23 @@ type Announcer struct {
 
 	lastErr  atomic.Pointer[string]
 	draining atomic.Bool
+
+	// mu serializes the beats of the loop and Deregister over conn, the
+	// connection to the router (nil until dialed, and after it broke), and
+	// the beat and acknowledgement every beat refills.
+	mu   sync.Mutex
+	conn *regproto.Conn
+	beat regproto.RegisterRequest
+	ack  regproto.RegisterResponse
 }
+
+// beatTimeout bounds dialing the router and each beat's round trip.
+const beatTimeout = 5 * time.Second
 
 // StartAnnouncer validates the config and starts the heartbeat loop, which
 // registers immediately and then beats every Interval. The first beat runs
 // on the loop goroutine — an unreachable router must not delay the caller's
-// serving path by a client timeout. Call Close to stop announcing.
+// serving path by a dial timeout. Call Close to stop announcing.
 func StartAnnouncer(svc *Service, cfg AnnouncerConfig) (*Announcer, error) {
 	if cfg.RouterURL == "" {
 		return nil, fmt.Errorf("announcer: RouterURL is required")
@@ -76,11 +87,24 @@ func StartAnnouncer(svc *Service, cfg AnnouncerConfig) (*Announcer, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 2 * time.Second
 	}
+	for _, s := range []string{cfg.ID, cfg.SelfURL, cfg.BinaryAddr, cfg.ReplicateAddr} {
+		if len(s) > wire.MaxStr8 {
+			return nil, fmt.Errorf("announcer: %.32q... is longer than a beat carries (%d bytes)", s, wire.MaxStr8)
+		}
+	}
 	a := &Announcer{
-		svc:    svc,
-		cfg:    cfg,
-		client: &http.Client{Timeout: 5 * time.Second},
-		stop:   make(chan struct{}),
+		svc:  svc,
+		cfg:  cfg,
+		stop: make(chan struct{}),
+		beat: regproto.RegisterRequest{
+			ID:            cfg.ID,
+			URL:           cfg.SelfURL,
+			BinaryAddr:    cfg.BinaryAddr,
+			ReplicateAddr: cfg.ReplicateAddr,
+		},
+	}
+	for _, dc := range svc.Datacenters() {
+		a.beat.Datacenters = append(a.beat.Datacenters, regproto.RegisterDatacenter{Name: dc})
 	}
 	a.wg.Add(1)
 	go a.loop()
@@ -123,56 +147,28 @@ func (a *Announcer) loop() {
 // announce sends one registration beat carrying the current per-DC snapshot
 // generations.
 func (a *Announcer) announce() error {
-	gens := a.svc.Generations()
-	req := regproto.RegisterRequest{
-		ID:            a.cfg.ID,
-		URL:           a.cfg.SelfURL,
-		BinaryAddr:    a.cfg.BinaryAddr,
-		Role:          a.svc.Role(),
-		ReplicateAddr: a.cfg.ReplicateAddr,
-		Draining:      a.draining.Load(),
-		Datacenters:   make([]regproto.RegisterDatacenter, 0, len(gens)),
-	}
-	follower := a.svc.IsFollower()
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	// The role is read per beat, not captured at start: a promotion flips the
+	// very next heartbeat to "primary" and the router hands ownership over
+	// without either process restarting.
+	a.beat.Role = a.svc.Role()
+	follower := a.beat.Role == "follower"
+	a.beat.PrimaryID = ""
 	if follower {
-		// The role is read per beat, not captured at start: a promotion flips
-		// the very next heartbeat to "primary" and the router hands ownership
-		// over without either process restarting.
-		req.PrimaryID = a.svc.PrimaryID()
+		a.beat.PrimaryID = a.svc.PrimaryID()
 	}
-	for _, dc := range a.svc.Datacenters() {
-		req.Datacenters = append(req.Datacenters, regproto.RegisterDatacenter{Name: dc, Generation: gens[dc]})
+	a.beat.Draining = a.draining.Load()
+	for i := range a.beat.Datacenters {
+		dc := &a.beat.Datacenters[i]
+		dc.Generation = a.svc.Generation(dc.Name)
 	}
-	body, err := json.Marshal(req)
-	if err == nil {
-		var hreq *http.Request
-		hreq, err = http.NewRequest("POST", a.cfg.RouterURL+"/v1/register", bytes.NewReader(body))
-		if err == nil {
-			hreq.Header.Set("Content-Type", "application/json")
-			if a.cfg.Token != "" {
-				hreq.Header.Set("Authorization", "Bearer "+a.cfg.Token)
-			}
-			var resp *http.Response
-			resp, err = a.client.Do(hreq)
-			if err == nil {
-				var ack regproto.RegisterResponse
-				decErr := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&ack)
-				// Drain before closing so the keep-alive connection goes
-				// back to the pool — beats must not cost a TCP handshake
-				// each.
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					err = fmt.Errorf("router returned %s", resp.Status)
-				} else if decErr == nil && follower && ack.PrimaryReplicateAddr != "" {
-					// The router's view of who owns our datacenters — if the
-					// primary died and a sibling follower was promoted, this is
-					// the promoted node's replication listener and the follow
-					// loop re-dials it.
-					a.svc.SetFollowAddr(ack.PrimaryReplicateAddr)
-				}
-			}
-		}
+	err := a.send()
+	if err == nil && follower && a.ack.PrimaryReplicateAddr != "" {
+		// The router's view of who owns our datacenters — if the primary died
+		// and a sibling follower was promoted, this is the promoted node's
+		// replication listener and the follow loop re-dials it.
+		a.svc.SetFollowAddr(a.ack.PrimaryReplicateAddr)
 	}
 	if err != nil {
 		msg := err.Error()
@@ -181,6 +177,36 @@ func (a *Announcer) announce() error {
 	}
 	a.lastErr.Store(nil)
 	return nil
+}
+
+// send beats on the router connection, dialing one when there is none. A
+// connection that breaks mid-beat is dropped, and when it had carried beats
+// before — the router restarted, say — the beat is retried at once on a
+// fresh one rather than a whole interval later. A refused beat leaves the
+// connection as it is.
+func (a *Announcer) send() error {
+	for {
+		fresh := a.conn == nil
+		if fresh {
+			c, err := regproto.Dial(a.cfg.RouterURL, a.cfg.Token, beatTimeout)
+			if err != nil {
+				return err
+			}
+			a.conn = c
+		}
+		err := a.conn.Beat(&a.beat, &a.ack)
+		if err == nil {
+			return nil
+		}
+		if refused := (*regproto.RefusedError)(nil); errors.As(err, &refused) {
+			return err
+		}
+		a.conn.Close()
+		a.conn = nil
+		if fresh {
+			return err
+		}
+	}
 }
 
 // Deregister sends one final heartbeat marked draining, telling the router to
@@ -197,9 +223,15 @@ func (a *Announcer) Deregister() {
 	}
 }
 
-// Close stops the heartbeat loop. The router will mark this node stale one
-// staleness window after the last beat.
+// Close stops the heartbeat loop and closes the router connection. The router
+// will mark this node stale one staleness window after the last beat.
 func (a *Announcer) Close() {
 	a.stopOnce.Do(func() { close(a.stop) })
 	a.wg.Wait()
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.conn != nil {
+		a.conn.Close()
+		a.conn = nil
+	}
 }

@@ -75,6 +75,9 @@ func (s *Service) SnapshotFileJSON(dc string) ([]byte, error) {
 	return json.Marshal(s.snapshotFile(sh, sh.snap.Load()))
 }
 
+// Announce sends one registration beat now, as the heartbeat loop does.
+func (a *Announcer) Announce() error { return a.announce() }
+
 // Dispatcher is one connection's worth of the binary server's dispatch: the
 // function appends the response to a request frame to out, with a scratch of
 // its own as handleConn keeps one per connection.

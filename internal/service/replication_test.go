@@ -1,7 +1,6 @@
 package service_test
 
 import (
-	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -239,18 +238,31 @@ func TestReplicationAndPromotion(t *testing.T) {
 func TestFollowerAnnouncesItsPrimaryAtOnce(t *testing.T) {
 	router := make(chan string, 16)
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req regproto.RegisterRequest
-		if r.Header.Get("Authorization") != "Bearer reg-secret" {
+		if r.Header.Get("Authorization") != "Bearer reg-secret" || !regproto.IsUpgrade(r) {
 			w.WriteHeader(http.StatusUnauthorized)
 			return
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err == nil && req.PrimaryID != "" {
-			select {
-			case router <- req.PrimaryID:
-			default:
+		c, err := regproto.Accept(w)
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		var req regproto.RegisterRequest
+		for {
+			id, err := c.ReadBeat(&req, time.Minute)
+			if err != nil {
+				return
+			}
+			if req.PrimaryID != "" {
+				select {
+				case router <- req.PrimaryID:
+				default:
+				}
+			}
+			if c.Ack(id, &regproto.RegisterResponse{}) != nil {
+				return
 			}
 		}
-		json.NewEncoder(w).Encode(regproto.RegisterResponse{})
 	}))
 	defer stub.Close()
 

@@ -757,15 +757,16 @@ func (s *Service) Refresh(dc string) error {
 // Datacenters returns the served datacenter names in configuration order.
 func (s *Service) Datacenters() []string { return s.order }
 
-// Generations reports each datacenter's current snapshot generation — what a
-// registration beat announces to the router, so operators can spot a shard
-// whose characterization stopped advancing from the router's /metrics alone.
-func (s *Service) Generations() map[string]uint64 {
-	out := make(map[string]uint64, len(s.order))
-	for _, dc := range s.order {
-		out[dc] = s.shards[dc].snap.Load().Generation
+// Generation reports a datacenter's current snapshot generation, 0 for one
+// this node does not serve — what a registration beat announces to the
+// router, so operators can spot a shard whose characterization stopped
+// advancing from the router's /metrics alone.
+func (s *Service) Generation(dc string) uint64 {
+	sh, ok := s.shards[dc]
+	if !ok {
+		return 0
 	}
-	return out
+	return sh.snap.Load().Generation
 }
 
 // Snapshot returns the current snapshot for a datacenter. The result is

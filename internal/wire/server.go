@@ -8,7 +8,8 @@ import (
 
 // Server is the accept side of every frame listener: harvestd's binary
 // server, its replication listener and the router's binary front each hold one
-// and hand it their per-connection handler. It owns the listener, the closed
+// and hand it their per-connection handler; the router's upgraded
+// registration connections arrive through Handle. It owns the listener, the closed
 // flag, the set of open connections and the handlers' WaitGroup, under one
 // contract:
 //
@@ -44,35 +45,59 @@ func (s *Server) Serve(ln net.Listener, handle func(net.Conn)) error {
 		return nil
 	}
 	s.ln = ln
-	if s.conns == nil {
-		s.conns = make(map[net.Conn]struct{})
-	}
 	s.mu.Unlock()
 	for {
 		c, err := ln.Accept()
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			if err == nil {
-				c.Close()
-			}
-			return nil
-		}
 		if err != nil {
+			s.mu.Lock()
+			closed := s.closed
 			s.mu.Unlock()
+			if closed {
+				return nil
+			}
 			return err
 		}
-		s.conns[c] = struct{}{}
-		// Under mu: ordered before the Wait of a Close that has not begun.
-		s.wg.Add(1)
-		s.mu.Unlock()
-		s.accepted.Add(1)
-		s.open.Add(1)
+		if !s.track(c) {
+			return nil
+		}
 		go func() {
 			defer s.drop(c)
 			handle(c)
 		}()
 	}
+}
+
+// Handle runs handle on c, a connection that reached the server some other
+// way than a listener — an HTTP upgrade — under the contract an accepted one
+// has, and returns when handle does. Once Close has begun it closes c and
+// returns at once.
+func (s *Server) Handle(c net.Conn, handle func(net.Conn)) {
+	if !s.track(c) {
+		return
+	}
+	defer s.drop(c)
+	handle(c)
+}
+
+// track adds c to the open connections, or closes it and reports false once
+// Close has begun.
+func (s *Server) track(c net.Conn) bool {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		c.Close()
+		return false
+	}
+	if s.conns == nil {
+		s.conns = make(map[net.Conn]struct{})
+	}
+	s.conns[c] = struct{}{}
+	// Under mu: ordered before the Wait of a Close that has not begun.
+	s.wg.Add(1)
+	s.mu.Unlock()
+	s.accepted.Add(1)
+	s.open.Add(1)
+	return true
 }
 
 func (s *Server) drop(c net.Conn) {

@@ -167,6 +167,38 @@ func TestServerReturnsAcceptError(t *testing.T) {
 	s.Close()
 }
 
+// TestServerHandleAdoptsConns: a connection handed to Handle lives under the
+// accepted ones' contract — counted, closed by Close, waited for — and one
+// handed over after Close is closed unhandled.
+func TestServerHandleAdoptsConns(t *testing.T) {
+	var s Server
+	peer, conn := net.Pipe()
+	defer peer.Close()
+	returned := make(chan struct{})
+	go func() {
+		defer close(returned)
+		s.Handle(conn, readUntilClosed)
+	}()
+	waitFor(t, "the handler to start", func() bool { return s.Open() == 1 })
+	s.Close()
+	select {
+	case <-returned:
+	default:
+		t.Fatal("Close returned before Handle's handler did")
+	}
+	if s.Accepted() != 1 || s.Open() != 0 {
+		t.Fatalf("accepted/open = %d/%d, want 1/0", s.Accepted(), s.Open())
+	}
+
+	late, lateConn := net.Pipe()
+	defer late.Close()
+	s.Handle(lateConn, func(net.Conn) { t.Error("handler ran for a conn handed over after Close") })
+	late.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := late.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("peer of a conn handed over after Close read %v, want io.EOF", err)
+	}
+}
+
 // TestServerCountersAndGoroutinesSettle drives real sockets: n clients
 // connect, some hang up on their own, Close reaps the rest, and the process
 // is left with the goroutines it started with.

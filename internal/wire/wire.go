@@ -106,6 +106,13 @@ const (
 
 	OpReplHelloResp = OpReplHello | RespBit
 
+	// Registration opcodes (0x20): a node's heartbeat to a router and the
+	// router's answer, on the connection the node's POST /v1/register
+	// upgraded (internal/regproto). They are not requests the binary ports
+	// dispatch: those answer them as unknown opcodes.
+	OpRegister     Op = 0x20
+	OpRegisterResp    = OpRegister | RespBit
+
 	// OpError carries a status code (the JSON API's HTTP status for the same
 	// failure) and a message. Sent in place of any response frame.
 	OpError Op = 0xFF
@@ -119,6 +126,8 @@ var otherOpNames = map[Op]string{
 	OpReplSnap:      "repl_snap",
 	OpReplDelta:     "repl_delta",
 	OpReplBeat:      "repl_beat",
+	OpRegister:      "register",
+	OpRegisterResp:  "register_resp",
 	OpError:         "error",
 }
 
