@@ -9,10 +9,13 @@
 // Usage:
 //
 //	harvestrouter [-listen :7070] [-binary-listen :7071]
-//	              [-stale-after 10s] [-retry-after 2s]
-//	              [-breaker-fails 3] [-breaker-cooldown 2s]
+//	              [-stale-after 10s] [-breaker-fails 3]
 //	              [-register-token TOKEN] [-debug-addr 127.0.0.1:7170]
-//	              [-max-gen-lag 2] [-promote-token TOKEN] [-promote-cooldown 5s]
+//	              [-max-gen-lag 2] [-promote-token TOKEN]
+//
+// -stale-after sets the retry timings too: a 503's Retry-After hint and an
+// open circuit's cooldown are a fifth of it, and promotion attempts for one
+// datacenter are at least half of it apart.
 //
 // Pair it with backends like:
 //
@@ -58,26 +61,20 @@ func main() {
 	listen := flag.String("listen", ":7070", "address to serve on")
 	binaryListen := flag.String("binary-listen", "", "also serve the binary frame dialect on this address (empty disables)")
 	binaryAdvertise := flag.String("binary-advertise", "", "host:port to advertise as binary_addr on /v1/datacenters (default: derived from -binary-listen)")
-	staleAfter := flag.Duration("stale-after", 10*time.Second, "mark a backend stale (503 its datacenters) after this long without a heartbeat")
-	retryAfter := flag.Duration("retry-after", 2*time.Second, "Retry-After hint on stale-backend 503s")
+	staleAfter := flag.Duration("stale-after", 10*time.Second, "mark a backend stale (503 its datacenters) after this long without a heartbeat; a fifth of it is the 503s' Retry-After and the breaker's cooldown")
 	breakerFails := flag.Int("breaker-fails", 3, "consecutive transport failures that open a backend's circuit (negative disables)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 2*time.Second, "how long an open circuit rejects requests before a probe")
 	registerToken := flag.String("register-token", "", "require this bearer token on POST /v1/register (registration moves routing — protect it on shared networks)")
 	debugAddr := flag.String("debug-addr", "", "address for the operator debug listener (pprof, expvar, /debug/traces); empty disables. Keep it off the data-plane address.")
 	maxGenLag := flag.Int("max-gen-lag", 2, "skip followers trailing the primary by more than this many generations for reads (negative pins all reads to the primary)")
 	promoteToken := flag.String("promote-token", "", "bearer token for POST /v1/promote on failover (the backends' -ingest-token)")
-	promoteCooldown := flag.Duration("promote-cooldown", 5*time.Second, "minimum interval between promotion attempts per datacenter")
 	flag.Parse()
 
 	rt := router.New(router.Config{
 		StaleAfter:       *staleAfter,
-		RetryAfter:       *retryAfter,
 		BreakerThreshold: *breakerFails,
-		BreakerCooldown:  *breakerCooldown,
 		RegisterToken:    *registerToken,
 		MaxGenLag:        *maxGenLag,
 		PromoteToken:     *promoteToken,
-		PromoteCooldown:  *promoteCooldown,
 	})
 
 	ln, err := net.Listen("tcp", *listen)

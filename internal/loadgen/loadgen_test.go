@@ -162,7 +162,7 @@ func TestRunThroughRouter(t *testing.T) {
 	for _, proto := range []string{"json", "binary"} {
 		t.Run(proto, func(t *testing.T) {
 			n := startNode(t)
-			rt := fleettest.StartRouter(t, router.Config{StaleAfter: 5 * time.Second, RetryAfter: time.Second})
+			rt := fleettest.StartRouter(t, router.Config{StaleAfter: 5 * time.Second})
 			done := make(chan *Report, 1)
 			go func() {
 				rep, err := Run(Config{

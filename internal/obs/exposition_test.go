@@ -18,6 +18,7 @@ import (
 
 	"harvest/internal/experiments"
 	"harvest/internal/fleettest"
+	"harvest/internal/regproto"
 	"harvest/internal/router"
 	"harvest/internal/service"
 )
@@ -136,6 +137,7 @@ func startFleet(t *testing.T) map[string]string {
 		rt := router.New(router.Config{StaleAfter: time.Minute})
 		srv := httptest.NewServer(rt)
 		t.Cleanup(srv.Close)
+		t.Cleanup(rt.Close)
 		if binary {
 			addr, _, err := rt.ListenAndServeBinary("127.0.0.1:0")
 			if err != nil {
@@ -144,18 +146,25 @@ func startFleet(t *testing.T) map[string]string {
 			t.Cleanup(rt.CloseBinary)
 			rt.SetBinaryAdvertise(addr.String())
 		}
-		var owned []router.RegisterDatacenter
+		var owned []regproto.RegisterDatacenter
 		for _, dc := range dcs {
 			st, _ := primary.Stats(dc)
-			owned = append(owned, router.RegisterDatacenter{Name: dc, Generation: st.Generation})
+			owned = append(owned, regproto.RegisterDatacenter{Name: dc, Generation: st.Generation})
 		}
-		for _, req := range []router.RegisterRequest{
+		for _, req := range []regproto.RegisterRequest{
 			{ID: "p1", URL: p.URL, BinaryAddr: p.BinaryAddr, ReplicateAddr: p.ReplicateAddr, Role: "primary", Datacenters: owned},
 			{ID: "f1", URL: fsrv.URL, Role: "follower", PrimaryID: "p1", Datacenters: owned},
-			{ID: "leaving", URL: idle.URL, Draining: true, Datacenters: []router.RegisterDatacenter{{Name: "DC-0", Generation: 1}}},
+			{ID: "leaving", URL: idle.URL, Draining: true, Datacenters: []regproto.RegisterDatacenter{{Name: "DC-0", Generation: 1}}},
 		} {
-			body, _ := json.Marshal(req)
-			post(t, srv.URL+"/v1/register", string(body))
+			c, err := regproto.Dial(srv.URL, "", 5*time.Second)
+			if err != nil {
+				t.Fatalf("register %s: %v", req.ID, err)
+			}
+			var ack regproto.RegisterResponse
+			if err := c.Beat(&req, &ack); err != nil {
+				t.Fatalf("register %s: %v", req.ID, err)
+			}
+			c.Close()
 		}
 		post(t, srv.URL+"/v1/DC-9/select", `{"job_type":"short","max_concurrent_cores":1,"dry_run":true}`)
 		return srv.URL

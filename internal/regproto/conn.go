@@ -102,8 +102,8 @@ func (c *Conn) handshake(req *http.Request) error {
 	return nil
 }
 
-// RefusedError is a router's refusal of one beat, with the status and
-// message the JSON endpoint would have answered. The connection stays usable.
+// RefusedError is a router's refusal of one beat, with an HTTP status and a
+// message. The connection stays usable.
 type RefusedError struct {
 	Status  int
 	Message string

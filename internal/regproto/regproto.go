@@ -3,12 +3,11 @@
 // POST /v1/register that asks to upgrade to UpgradeToken; the router answers
 // 101, and from then on the connection carries one wire.OpRegister frame per
 // beat, each answered by a wire.OpRegisterResp frame or an OpError refusing it
-// (conn.go). The same RegisterRequest also posts as a JSON body, which the
-// router answers with a JSON RegisterResponse: the form for curl and for
-// nodes that do not upgrade. The package lives apart so the serving layer's
-// registration client (internal/service.Announcer) and the router's server
-// side (internal/router) share one definition without the serving tier
-// importing the proxy implementation.
+// (conn.go). A POST that does not ask to upgrade is refused. The package lives
+// apart so the serving layer's registration client
+// (internal/service.Announcer) and the router's server side (internal/router)
+// share one definition without the serving tier importing the proxy
+// implementation.
 package regproto
 
 import (
@@ -42,8 +41,8 @@ func AdvertiseAddr(bound net.Addr, host string) string {
 // snapshot generation it currently serves (operator visibility: a shard
 // whose generation stops advancing is stale even if the process is alive).
 type RegisterDatacenter struct {
-	Name       string `json:"name"`
-	Generation uint64 `json:"generation"`
+	Name       string
+	Generation uint64
 }
 
 // RegisterRequest is the heartbeat a backend sends the router. The same beat
@@ -51,46 +50,46 @@ type RegisterDatacenter struct {
 // updated on every beat. On a frame its strings are one-byte-length strings,
 // so none may exceed wire.MaxStr8 bytes.
 type RegisterRequest struct {
-	ID  string `json:"id"`
-	URL string `json:"url"`
+	ID  string
+	URL string
 	// BinaryAddr is the backend's binary frame listener (host:port), empty
 	// for a JSON-only backend. The router's binary front relays frames to
 	// it; a backend without one is served on the router's JSON front only.
-	BinaryAddr string `json:"binary_addr,omitempty"`
+	BinaryAddr string
 	// Role announces the node's replication role: "primary" (or empty, for
 	// compatibility with pre-replication backends) or "follower". The router
 	// pins writes to primaries and spreads generation-fresh reads across
 	// followers.
-	Role string `json:"role,omitempty"`
+	Role string
 	// PrimaryID names the primary a follower replicates from, so the router
 	// only promotes followers of the backend that actually went missing.
 	// Empty for primaries.
-	PrimaryID string `json:"primary_id,omitempty"`
+	PrimaryID string
 	// ReplicateAddr is the node's replication listener (host:port): a primary
 	// streams on it, a follower refuses each hello on it until promoted. The
 	// router hands a primary's ReplicateAddr back to its followers (see
 	// RegisterResponse.PrimaryReplicateAddr) so orphaned followers re-dial
 	// whichever follower was promoted, without operator intervention.
-	ReplicateAddr string `json:"replicate_addr,omitempty"`
+	ReplicateAddr string
 	// Draining marks a planned shutdown: the backend is still up but asks the
 	// router to stop routing to it immediately instead of waiting out the
 	// staleness window. Sent on the final heartbeat before SIGTERM teardown.
-	Draining    bool                 `json:"draining,omitempty"`
-	Datacenters []RegisterDatacenter `json:"datacenters"`
+	Draining    bool
+	Datacenters []RegisterDatacenter
 }
 
 // RegisterResponse acknowledges a heartbeat and tells the backend how long
 // it may go silent before its datacenters start 503ing.
 type RegisterResponse struct {
-	Status            string  `json:"status"`
-	Backends          int     `json:"backends"`
-	StaleAfterSeconds float64 `json:"stale_after_seconds"`
+	Status            string
+	Backends          int
+	StaleAfterSeconds float64
 	// PrimaryReplicateAddr, set on a follower's acknowledgement, is the
 	// replication listener of the primary the router currently believes owns
 	// this follower's datacenters. A follower whose primary died compares it
 	// against the address it is dialing and re-points its replication stream
 	// at the promoted node.
-	PrimaryReplicateAddr string `json:"primary_replicate_addr,omitempty"`
+	PrimaryReplicateAddr string
 }
 
 // registerDCSize is the smallest encoded datacenter entry: an empty name's

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"harvest/internal/fleettest"
+	"harvest/internal/regproto"
 	"harvest/internal/router"
 	"harvest/internal/wire"
 )
@@ -129,9 +130,9 @@ func routerStats(t *testing.T, routerURL string) router.RouterStats {
 func TestBinaryRelayEndToEnd(t *testing.T) {
 	rt := fleettest.StartRouter(t, router.Config{StaleAfter: time.Minute})
 	n := fleettest.StartNode(t, nodeConfig("node-bin", "DC-9"))
-	mustRegister(t, rt.URL, router.RegisterRequest{
+	mustRegister(t, rt.URL, regproto.RegisterRequest{
 		ID: "node-bin", URL: n.URL, BinaryAddr: n.BinaryAddr,
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-9", Generation: 1}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-9", Generation: 1}},
 	})
 
 	c := dialBin(t, rt.BinaryAddr)
@@ -191,9 +192,9 @@ func TestBinaryFrontRejectsJSONOnlyBackend(t *testing.T) {
 	rt := fleettest.StartRouter(t, router.Config{StaleAfter: time.Minute})
 	n := fleettest.StartNode(t, nodeConfig("node-json", "DC-8"))
 	// Registered without its binary listener: a JSON-only backend.
-	mustRegister(t, rt.URL, router.RegisterRequest{
+	mustRegister(t, rt.URL, regproto.RegisterRequest{
 		ID: "node-json", URL: n.URL,
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-8", Generation: 1}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-8", Generation: 1}},
 	})
 
 	c := dialBin(t, rt.BinaryAddr)
@@ -236,13 +237,13 @@ func TestBinaryFrontRejectsJSONOnlyBackend(t *testing.T) {
 func TestBinaryReadsSkipJSONOnlyFollower(t *testing.T) {
 	rt := fleettest.StartRouter(t, router.Config{StaleAfter: time.Minute})
 	p, f := newFakeBackend(t), newFakeBackend(t)
-	mustRegister(t, rt.URL, router.RegisterRequest{
+	mustRegister(t, rt.URL, regproto.RegisterRequest{
 		ID: "node-p", URL: p.srv.URL, BinaryAddr: startEchoBackend(t).addr(), Role: "primary",
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A", Generation: 10}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 10}},
 	})
-	mustRegister(t, rt.URL, router.RegisterRequest{
+	mustRegister(t, rt.URL, regproto.RegisterRequest{
 		ID: "node-f", URL: f.srv.URL, Role: "follower", PrimaryID: "node-p",
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A", Generation: 10}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 10}},
 	})
 
 	c := dialBin(t, rt.BinaryAddr)
@@ -284,9 +285,8 @@ func TestAdmissionGateSharedByBothFronts(t *testing.T) {
 		t.Run(probeFront+" probes", func(t *testing.T) {
 			clock := newTestClock()
 			rt := fleettest.StartRouter(t, router.Config{
-				StaleAfter:       time.Hour, // isolate the breaker from staleness
+				StaleAfter:       time.Hour, // isolate the breaker from staleness: the cooldown is 12 minutes
 				BreakerThreshold: 2,
-				BreakerCooldown:  5 * time.Second,
 				ProxyTimeout:     2 * time.Second,
 				Now:              clock.Now,
 			})
@@ -294,9 +294,9 @@ func TestAdmissionGateSharedByBothFronts(t *testing.T) {
 
 			fb, eb := newFakeBackend(t), startEchoBackend(t)
 			beat := func() {
-				mustRegister(t, rt.URL, router.RegisterRequest{
+				mustRegister(t, rt.URL, regproto.RegisterRequest{
 					ID: "node-a", URL: fb.srv.URL, BinaryAddr: eb.addr(),
-					Datacenters: []router.RegisterDatacenter{{Name: "DC-A"}},
+					Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
 				})
 			}
 			beat()
@@ -353,7 +353,7 @@ func TestAdmissionGateSharedByBothFronts(t *testing.T) {
 
 			// Half-open with the backend still dead: one probe goes through,
 			// fails, and the circuit is open again for both.
-			clock.Advance(6 * time.Second)
+			clock.Advance(13 * time.Minute)
 			want("failed probe", probe(), 503)
 			want("re-opened circuit, other front", other(), 503)
 			if st := backend(); !st.CircuitOpen || st.Errors != 3 {
@@ -365,7 +365,7 @@ func TestAdmissionGateSharedByBothFronts(t *testing.T) {
 			fb, eb = newFakeBackend(t), startEchoBackend(t)
 			beat()
 			want("heartbeat alone, other front", other(), 503)
-			clock.Advance(6 * time.Second)
+			clock.Advance(13 * time.Minute)
 			want("successful probe", probe(), 200)
 			want("closed circuit, other front", other(), 200)
 			if st := backend(); st.CircuitOpen || st.ConsecutiveFailures != 0 {
@@ -439,9 +439,9 @@ func TestBinaryPipelinedRelay(t *testing.T) {
 	}()
 
 	fb := newFakeBackend(t)
-	mustRegister(t, rt.URL, router.RegisterRequest{
+	mustRegister(t, rt.URL, regproto.RegisterRequest{
 		ID: "node-slow", URL: fb.srv.URL, BinaryAddr: ln.Addr().String(),
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-1", Generation: 1}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-1", Generation: 1}},
 	})
 
 	c := dialBin(t, rt.BinaryAddr)
@@ -540,9 +540,9 @@ func TestBinaryPerLeaseOrdering(t *testing.T) {
 	}()
 
 	fb := newFakeBackend(t)
-	mustRegister(t, rt.URL, router.RegisterRequest{
+	mustRegister(t, rt.URL, regproto.RegisterRequest{
 		ID: "node-order", URL: fb.srv.URL, BinaryAddr: ln.Addr().String(),
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-1", Generation: 1}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-1", Generation: 1}},
 	})
 
 	c := dialBin(t, rt.BinaryAddr)
@@ -617,9 +617,9 @@ func TestBinaryBackendDesyncDetected(t *testing.T) {
 	}()
 
 	fb := newFakeBackend(t)
-	mustRegister(t, rt.URL, router.RegisterRequest{
+	mustRegister(t, rt.URL, regproto.RegisterRequest{
 		ID: "node-desync", URL: fb.srv.URL, BinaryAddr: ln.Addr().String(),
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-1", Generation: 1}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-1", Generation: 1}},
 	})
 
 	c := dialBin(t, rt.BinaryAddr)

@@ -57,10 +57,8 @@ func postJSON(t *testing.T, url, body string) (*http.Response, []byte) {
 
 func TestCrossNodeShardingEndToEnd(t *testing.T) {
 	rt := fleettest.StartRouter(t, router.Config{
-		StaleAfter:       500 * time.Millisecond,
-		RetryAfter:       time.Second,
-		BreakerThreshold: 1, // a killed backend 503s from the first failed proxy
-		BreakerCooldown:  100 * time.Millisecond,
+		StaleAfter:       500 * time.Millisecond, // the breaker's cooldown is 100 ms
+		BreakerThreshold: 1,                      // a killed backend 503s from the first failed proxy
 	})
 	a := fleettest.StartNode(t, nodeConfig("node-a", "DC-9"))
 	b := fleettest.StartNode(t, nodeConfig("node-b", "DC-8"))
@@ -160,11 +158,7 @@ func TestCrossNodeShardingEndToEnd(t *testing.T) {
 // one router: primary p, followers f1 and f2.
 func TestFailoverChainThroughTheRouter(t *testing.T) {
 	const dc = "DC-9"
-	rt := fleettest.StartRouter(t, router.Config{
-		StaleAfter:      500 * time.Millisecond,
-		RetryAfter:      100 * time.Millisecond,
-		PromoteCooldown: 200 * time.Millisecond,
-	})
+	rt := fleettest.StartRouter(t, router.Config{StaleAfter: 500 * time.Millisecond})
 	nodes := map[string]*fleettest.Node{}
 	start := func(id, follow string) *fleettest.Node {
 		cfg := nodeConfig(id, dc)

@@ -9,6 +9,7 @@ import (
 
 	"harvest/internal/fleettest"
 	"harvest/internal/obs"
+	"harvest/internal/regproto"
 	"harvest/internal/router"
 	"harvest/internal/wire"
 )
@@ -17,9 +18,9 @@ func TestRouterPrometheusExposition(t *testing.T) {
 	rt := fleettest.StartRouter(t, router.Config{StaleAfter: time.Minute})
 
 	fb := newFakeBackend(t)
-	mustRegister(t, rt.URL, router.RegisterRequest{
+	mustRegister(t, rt.URL, regproto.RegisterRequest{
 		ID: "node-a", URL: fb.srv.URL, BinaryAddr: startEchoBackend(t).addr(),
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-1", Generation: 1}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-1", Generation: 1}},
 	})
 
 	// One proxied JSON request and one relayed binary request so the
@@ -70,9 +71,9 @@ func TestRouterBinaryOpStatsJSON(t *testing.T) {
 	rt := fleettest.StartRouter(t, router.Config{StaleAfter: time.Minute})
 
 	fb := newFakeBackend(t)
-	mustRegister(t, rt.URL, router.RegisterRequest{
+	mustRegister(t, rt.URL, regproto.RegisterRequest{
 		ID: "node-a", URL: fb.srv.URL, BinaryAddr: startEchoBackend(t).addr(),
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-1", Generation: 1}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-1", Generation: 1}},
 	})
 	c := dialBin(t, rt.BinaryAddr)
 	if h, _ := c.roundTrip(wire.AppendClassesReq(nil, 6, "DC-1")); h.Op != wire.OpClassesResp {

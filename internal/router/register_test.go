@@ -15,8 +15,8 @@ import (
 
 // TestUpgradedRegistration: a node whose POST /v1/register upgrades beats in
 // frames on that one connection, under the register token checked once. A
-// beat the JSON endpoint would answer 400 is refused with that status and the
-// connection carries on; Close ends it.
+// beat that fails validation is refused with 400 and the connection carries
+// on; Close ends it.
 func TestUpgradedRegistration(t *testing.T) {
 	rt := router.New(router.Config{StaleAfter: time.Minute, RegisterToken: "reg-secret"})
 	srv := httptest.NewServer(rt)
@@ -54,8 +54,8 @@ func TestUpgradedRegistration(t *testing.T) {
 	}
 
 	fb := newFakeBackend(t)
-	beat := router.RegisterRequest{ID: "node-a", URL: fb.srv.URL, Datacenters: []router.RegisterDatacenter{{Name: "DC-A", Generation: 3}}}
-	var ack router.RegisterResponse
+	beat := regproto.RegisterRequest{ID: "node-a", URL: fb.srv.URL, Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 3}}}
+	var ack regproto.RegisterResponse
 	if err := c.Beat(&beat, &ack); err != nil || ack.Status != "ok" || ack.Backends != 1 || ack.StaleAfterSeconds != 60 {
 		t.Fatalf("beat: %+v, %v", ack, err)
 	}
@@ -89,43 +89,63 @@ func TestUpgradedRegistration(t *testing.T) {
 	}
 }
 
-// TestRegisterFormsRefuseAlike: a beat the JSON endpoint refuses is refused
-// on the upgraded connection too, with the same status and message — both
-// forms validate in one place.
+// badBeats are beats the router refuses with 400, each for one reason.
+var badBeats = func() []struct {
+	name string
+	beat regproto.RegisterRequest
+} {
+	dcs := []regproto.RegisterDatacenter{{Name: "D"}}
+	return []struct {
+		name string
+		beat regproto.RegisterRequest
+	}{
+		{"register missing id", regproto.RegisterRequest{URL: "http://x:1", Datacenters: dcs}},
+		{"register missing url", regproto.RegisterRequest{ID: "n", Datacenters: dcs}},
+		{"register relative url", regproto.RegisterRequest{ID: "n", URL: "x:1", Datacenters: dcs}},
+		{"register url with path", regproto.RegisterRequest{ID: "n", URL: "http://x:1/api", Datacenters: dcs}},
+		{"register url with query", regproto.RegisterRequest{ID: "n", URL: "http://x:1?env=prod", Datacenters: dcs}},
+		{"register no datacenters", regproto.RegisterRequest{ID: "n", URL: "http://x:1"}},
+		{"register unnamed datacenter", regproto.RegisterRequest{ID: "n", URL: "http://x:1", Datacenters: []regproto.RegisterDatacenter{{Name: ""}}}},
+		{"register unknown role", regproto.RegisterRequest{ID: "n", URL: "http://x:1", Role: "leader", Datacenters: dcs}},
+		{"register bad binary addr", regproto.RegisterRequest{ID: "n", URL: "http://x:1", BinaryAddr: "x", Datacenters: dcs}},
+		{"register bad replicate addr", regproto.RegisterRequest{ID: "n", URL: "http://x:1", ReplicateAddr: "x", Datacenters: dcs}},
+	}
+}()
+
+// TestRegisterFormsRefuseAlike: a bad beat is refused with 400 and the same
+// message whether it is a connection's first beat, whose URL is parsed, or
+// follows an accepted beat from the same URL, whose parse is skipped — and
+// either connection keeps working after the refusal.
 func TestRegisterFormsRefuseAlike(t *testing.T) {
 	_, srv := newTestRouter(t, nil)
-	c, err := regproto.Dial(srv.URL, "", 5*time.Second)
+	good := regproto.RegisterRequest{ID: "n", URL: "http://x:1", Datacenters: []regproto.RegisterDatacenter{{Name: "D"}}}
+	steady, err := regproto.Dial(srv.URL, "", 5*time.Second)
 	if err != nil {
 		t.Fatalf("upgrade: %v", err)
 	}
-	defer c.Close()
-	dcs := []router.RegisterDatacenter{{Name: "D"}}
-	for _, beat := range []router.RegisterRequest{
-		{URL: "http://x:1", Datacenters: dcs},
-		{ID: "n", Datacenters: dcs},
-		{ID: "n", URL: "x:1", Datacenters: dcs},
-		{ID: "n", URL: "http://x:1/api", Datacenters: dcs},
-		{ID: "n", URL: "http://x:1?env=prod", Datacenters: dcs},
-		{ID: "n", URL: "http://x:1"},
-		{ID: "n", URL: "http://x:1", Datacenters: []router.RegisterDatacenter{{Name: ""}}},
-		{ID: "n", URL: "http://x:1", Role: "leader", Datacenters: dcs},
-		{ID: "n", URL: "http://x:1", BinaryAddr: "x", Datacenters: dcs},
-		{ID: "n", URL: "http://x:1", ReplicateAddr: "x", Datacenters: dcs},
-	} {
-		body, _ := json.Marshal(beat)
-		resp, err := http.Post(srv.URL+"/v1/register", "application/json", strings.NewReader(string(body)))
+	defer steady.Close()
+	var ack regproto.RegisterResponse
+	if err := steady.Beat(&good, &ack); err != nil {
+		t.Fatalf("accepted beat: %v", err)
+	}
+	for _, tc := range badBeats {
+		first, err := regproto.Dial(srv.URL, "", 5*time.Second)
 		if err != nil {
-			t.Fatalf("POST: %v", err)
+			t.Fatalf("upgrade: %v", err)
 		}
-		var refusal struct {
-			Error string `json:"error"`
+		var onFirst, onSteady *regproto.RefusedError
+		errFirst := first.Beat(&tc.beat, &ack)
+		errSteady := steady.Beat(&tc.beat, &ack)
+		if !errors.As(errFirst, &onFirst) || !errors.As(errSteady, &onSteady) ||
+			onFirst.Status != http.StatusBadRequest || *onFirst != *onSteady {
+			t.Errorf("%s: a first beat got %v; a steady beat got %v; want one 400 refusal", tc.name, errFirst, errSteady)
 		}
-		json.NewDecoder(resp.Body).Decode(&refusal)
-		resp.Body.Close()
-		var ack router.RegisterResponse
-		var refused *regproto.RefusedError
-		if err := c.Beat(&beat, &ack); !errors.As(err, &refused) || refused.Status != resp.StatusCode || refused.Message != refusal.Error {
-			t.Errorf("%s: the frame got %v; the JSON body got %d %q", body, err, resp.StatusCode, refusal.Error)
+		if err := first.Beat(&good, &ack); err != nil {
+			t.Errorf("%s: a beat after the refusal on a fresh connection: %v", tc.name, err)
+		}
+		first.Close()
+		if err := steady.Beat(&good, &ack); err != nil {
+			t.Errorf("%s: a beat after the refusal on a steady connection: %v", tc.name, err)
 		}
 	}
 }

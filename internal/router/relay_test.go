@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"harvest/internal/fleettest"
+	"harvest/internal/regproto"
 	"harvest/internal/router"
 	"harvest/internal/wire"
 )
@@ -27,9 +28,9 @@ func TestRelayAllocs(t *testing.T) {
 	const dc = "DC-9"
 	rt := fleettest.StartRouter(t, router.Config{StaleAfter: time.Minute})
 	n := fleettest.StartNode(t, nodeConfig("node-bin", dc))
-	mustRegister(t, rt.URL, router.RegisterRequest{
+	mustRegister(t, rt.URL, regproto.RegisterRequest{
 		ID: "node-bin", URL: n.URL, BinaryAddr: n.BinaryAddr,
-		Datacenters: []router.RegisterDatacenter{{Name: dc, Generation: 1}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: dc, Generation: 1}},
 	})
 
 	c := dialBin(t, rt.BinaryAddr)
@@ -164,9 +165,9 @@ func TestBinaryRelayBackendDeathMidBurst(t *testing.T) {
 	next := uint64(1)
 	for round := 0; round < 6; round++ {
 		gb := startEchoBackend(t)
-		mustRegister(t, rt.URL, router.RegisterRequest{
+		mustRegister(t, rt.URL, regproto.RegisterRequest{
 			ID: "node-gated", URL: fb.srv.URL, BinaryAddr: gb.addr(),
-			Datacenters: []router.RegisterDatacenter{{Name: dc, Generation: 1}},
+			Datacenters: []regproto.RegisterDatacenter{{Name: dc, Generation: 1}},
 		})
 
 		// A healthy backend first: every slot delivers its own echo.

@@ -183,11 +183,11 @@ func (rt *Router) pickReadReplica(dc string, owner *backend, binary bool, now ti
 // announced generation, lexicographically smallest id on ties so concurrent
 // routers converge on one winner — gets POST /v1/promote. On success the
 // winner takes over every datacenter it announces that the dead owner
-// stranded. Attempts are cooldown-limited per datacenter so a flapping
-// primary cannot trigger a promotion storm.
+// stranded. Attempts for one datacenter are at least StaleAfter/2 apart so a
+// flapping primary cannot trigger a promotion storm.
 func (rt *Router) maybePromote(dc string, dead *backend, now time.Time) *backend {
 	rt.promoteMu.Lock()
-	if last, ok := rt.lastPromote[dc]; ok && now.Sub(last) < rt.cfg.PromoteCooldown {
+	if last, ok := rt.lastPromote[dc]; ok && now.Sub(last) < rt.cfg.StaleAfter/2 {
 		rt.promoteMu.Unlock()
 		return nil
 	}

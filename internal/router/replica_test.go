@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"harvest/internal/regproto"
 	"harvest/internal/router"
 )
 
@@ -36,17 +37,17 @@ func countBy(fb *fakeBackend, want string) int {
 func TestReadSpreadAcrossFollowers(t *testing.T) {
 	p, f1, f2 := newFakeBackend(t), newFakeBackend(t), newFakeBackend(t)
 	_, srv := newTestRouter(t, nil)
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-p", URL: p.srv.URL, Role: "primary",
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A", Generation: 10}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 10}},
 	})
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-f1", URL: f1.srv.URL, Role: "follower", PrimaryID: "node-p",
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A", Generation: 10}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 10}},
 	})
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-f2", URL: f2.srv.URL, Role: "follower", PrimaryID: "node-p",
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A", Generation: 9}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 9}},
 	})
 
 	const reads = 120
@@ -131,13 +132,13 @@ func TestStaleFollowerSkipped(t *testing.T) {
 	p, f := newFakeBackend(t), newFakeBackend(t)
 	rt := router.New(router.Config{StaleAfter: time.Minute, MaxGenLag: 2})
 	srv := newServer(t, rt)
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-p", URL: p.srv.URL, Role: "primary",
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A", Generation: 10}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 10}},
 	})
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-f", URL: f.srv.URL, Role: "follower", PrimaryID: "node-p",
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A", Generation: 5}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 5}},
 	})
 	for i := 0; i < 40; i++ {
 		resp, _ := getBody(t, srv.URL+"/v1/DC-A/classes")
@@ -153,9 +154,9 @@ func TestStaleFollowerSkipped(t *testing.T) {
 	}
 
 	// Once the follower catches up (within the lag window), it serves.
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-f", URL: f.srv.URL, Role: "follower", PrimaryID: "node-p",
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A", Generation: 9}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 9}},
 	})
 	for i := 0; i < 60 && len(f.seen()) == 0; i++ {
 		getBody(t, srv.URL+"/v1/DC-A/classes")
@@ -172,9 +173,9 @@ func TestStaleFollowerSkipped(t *testing.T) {
 func TestFollowerNeverClaimsOwnership(t *testing.T) {
 	p, f := newFakeBackend(t), newFakeBackend(t)
 	_, srv := newTestRouter(t, nil)
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-f", URL: f.srv.URL, Role: "follower", PrimaryID: "node-p",
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A", Generation: 4}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 4}},
 	})
 
 	// Reads are served by the follower even with no primary known.
@@ -210,9 +211,9 @@ func TestFollowerNeverClaimsOwnership(t *testing.T) {
 	}
 
 	// The primary's first beat takes the route; writes flow to it.
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-p", URL: p.srv.URL, Role: "primary",
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A", Generation: 5}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 5}},
 	})
 	wresp2, err := http.Post(srv.URL+"/v1/DC-A/select", "application/json",
 		strings.NewReader(`{"max_concurrent_cores":1}`))
@@ -238,28 +239,28 @@ func TestPromotionElectsFreshestFollower(t *testing.T) {
 		Now:          clock.Now,
 	})
 	srv := newServer(t, rt)
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-p", URL: p.srv.URL, Role: "primary",
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A", Generation: 10}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 10}},
 	})
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-f1", URL: f1.srv.URL, Role: "follower", PrimaryID: "node-p",
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A", Generation: 9}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 9}},
 	})
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-f2", URL: f2.srv.URL, Role: "follower", PrimaryID: "node-p",
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A", Generation: 7}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 7}},
 	})
 
 	// The primary dies; the followers keep beating.
 	clock.Advance(11 * time.Second)
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-f1", URL: f1.srv.URL, Role: "follower", PrimaryID: "node-p",
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A", Generation: 9}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 9}},
 	})
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-f2", URL: f2.srv.URL, Role: "follower", PrimaryID: "node-p",
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A", Generation: 7}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 7}},
 	})
 
 	// The next write both triggers the election and is served by the winner.
@@ -329,10 +330,10 @@ func TestPromotionElectsFreshestFollower(t *testing.T) {
 func TestRegisterRejectsUnknownRole(t *testing.T) {
 	a := newFakeBackend(t)
 	_, srv := newTestRouter(t, nil)
-	if resp := register(t, srv.URL, router.RegisterRequest{
+	if status := register(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-a", URL: a.srv.URL, Role: "coordinator",
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A"}},
-	}); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown role: status %d, want 400", resp.StatusCode)
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
+	}); status != http.StatusBadRequest {
+		t.Errorf("unknown role: status %d, want 400", status)
 	}
 }

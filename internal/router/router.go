@@ -6,18 +6,19 @@
 // processes needs no coordination beyond "who serves what": backends announce
 // themselves with heartbeats carrying their datacenter set and per-DC
 // snapshot generations — frames on the one connection their POST
-// /v1/register upgraded, or one JSON body per POST — and the router serves
-// /v1/datacenters as the union across live backends.
+// /v1/register upgraded — and the router serves /v1/datacenters as the union
+// across live backends.
 //
 // Failure semantics are deliberately simple and observable:
 //
 //   - A backend that stops heartbeating is marked stale after StaleAfter;
-//     requests for its datacenters get 503 with a Retry-After hint until it
-//     re-registers (registration is idempotent, so recovery is one beat).
+//     requests for its datacenters get 503 with a Retry-After hint of one
+//     beat until it re-registers (registration is idempotent, so recovery is
+//     one beat).
 //   - A backend whose transport fails (connection refused, timeout) trips a
 //     per-backend circuit breaker after BreakerThreshold consecutive
-//     failures: requests 503 immediately for BreakerCooldown instead of
-//     each paying a connect timeout, then one probe request is let through.
+//     failures: requests 503 immediately for one beat instead of each paying
+//     a connect timeout, then one probe request is let through.
 //   - Ownership is sticky per datacenter: while a DC's current owner keeps
 //     heartbeating, another backend announcing the same DC does not take it
 //     over (the route must not ping-pong mid-lease). The DC moves once the
@@ -35,7 +36,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -56,32 +56,18 @@ import (
 // rlog is the router's structured logger: component=router on every line.
 var rlog = obs.NewLogger("router")
 
-// The registration wire types live in internal/regproto so the backends'
-// registration client (internal/service.Announcer) shares them without the
-// serving tier importing the proxy; the aliases keep this package's API
-// self-contained.
-type (
-	RegisterDatacenter = regproto.RegisterDatacenter
-	RegisterRequest    = regproto.RegisterRequest
-	RegisterResponse   = regproto.RegisterResponse
-)
-
 // Config parameterizes the router.
 type Config struct {
 	// StaleAfter marks a backend stale this long after its last heartbeat;
 	// its datacenters then 503 until it re-registers. Zero means 10 seconds
-	// (five beats at the announcer's 2-second default).
+	// (five beats at the announcer's 2-second default). The retry timings
+	// derive from it: a 503's Retry-After hint and an open circuit's cooldown
+	// are one beat (StaleAfter/5), and promotion attempts for one datacenter
+	// are at least StaleAfter/2 apart.
 	StaleAfter time.Duration
-	// RetryAfter is the Retry-After hint on 503 responses for stale backends.
-	// Zero means 2 seconds — one announce interval, the soonest a recovered
-	// backend could have re-registered.
-	RetryAfter time.Duration
 	// BreakerThreshold is how many consecutive transport failures open a
 	// backend's circuit. Zero means 3; negative disables the breaker.
 	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit rejects requests before
-	// letting a probe through. Zero means 2 seconds.
-	BreakerCooldown time.Duration
 	// ProxyTimeout bounds one proxied round-trip. Zero means 15 seconds.
 	ProxyTimeout time.Duration
 	// RegisterToken, when non-empty, requires POST /v1/register callers to
@@ -98,9 +84,6 @@ type Config struct {
 	// follower when its primary stops beating — the backends' ingest token,
 	// which guards their promotion endpoint.
 	PromoteToken string
-	// PromoteCooldown is the minimum interval between promotion attempts per
-	// datacenter. Zero means 5 seconds.
-	PromoteCooldown time.Duration
 	// Now overrides the clock (tests drive staleness without sleeping). Nil
 	// means time.Now.
 	Now func() time.Time
@@ -250,23 +233,14 @@ func New(cfg Config) *Router {
 	if cfg.StaleAfter <= 0 {
 		cfg.StaleAfter = 10 * time.Second
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = 2 * time.Second
-	}
 	if cfg.BreakerThreshold == 0 {
 		cfg.BreakerThreshold = 3
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 2 * time.Second
 	}
 	if cfg.ProxyTimeout <= 0 {
 		cfg.ProxyTimeout = 15 * time.Second
 	}
 	if cfg.MaxGenLag == 0 {
 		cfg.MaxGenLag = 2
-	}
-	if cfg.PromoteCooldown <= 0 {
-		cfg.PromoteCooldown = 5 * time.Second
 	}
 	now := cfg.Now
 	if now == nil {
@@ -310,6 +284,12 @@ func New(cfg Config) *Router {
 	return r
 }
 
+// beatInterval is StaleAfter/5, one beat at the announcer's default interval
+// and the default window: the Retry-After hint on a 503 — the soonest a
+// recovered backend could have re-registered — and how long an opened circuit
+// rejects requests.
+func (rt *Router) beatInterval() time.Duration { return rt.cfg.StaleAfter / 5 }
+
 // ServeHTTP implements http.Handler.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
 
@@ -335,10 +315,6 @@ func (rt *Router) writeUnavailable(w http.ResponseWriter, retryAfter time.Durati
 	writeError(w, http.StatusServiceUnavailable, msg)
 }
 
-// maxRegisterBody bounds a heartbeat body; a registration is a few hundred
-// bytes even with every datacenter on one node.
-const maxRegisterBody = 1 << 20
-
 // maxProxyBody bounds a proxied request body: the backends cap their own
 // POST bodies at 1 MiB, so anything larger is rejected here without ever
 // reaching a shard.
@@ -350,42 +326,25 @@ const maxProxyBody = 2 << 20
 // unbounded body cannot balloon the router's memory per in-flight request.
 const maxProxyResponse = 8 << 20
 
-// handleRegister takes one heartbeat as a JSON body, or upgrades the
-// connection to carry every later beat as a frame (serveRegisterConn). The
-// token is checked once either way: an upgraded connection is authorized for
-// its life.
+// handleRegister upgrades the connection to carry every beat as a frame
+// (serveRegisterConn), under the token checked once for the connection's
+// life. A request that does not ask to upgrade is refused with 426.
 func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if !httpjson.BearerAuthorized(r, rt.cfg.RegisterToken) {
 		writeError(w, http.StatusUnauthorized, "missing or invalid register token")
 		return
 	}
-	if regproto.IsUpgrade(r) {
-		c, err := regproto.Accept(w)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "registration upgrade failed: "+err.Error())
-			return
-		}
-		rt.reg.Handle(c.NetConn(), func(net.Conn) { rt.serveRegisterConn(c) })
+	if !regproto.IsUpgrade(r) {
+		w.Header().Set("Upgrade", regproto.UpgradeToken)
+		writeError(w, http.StatusUpgradeRequired, "registration beats are frames: upgrade the connection to "+regproto.UpgradeToken)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRegisterBody))
-	if err == nil && len(bytes.TrimSpace(body)) == 0 {
-		err = fmt.Errorf("empty body")
-	}
-	var req RegisterRequest
-	if err == nil {
-		err = json.Unmarshal(body, &req)
-	}
+	c, err := regproto.Accept(w)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad register body: "+err.Error())
+		writeError(w, http.StatusInternalServerError, "registration upgrade failed: "+err.Error())
 		return
 	}
-	ack, err := rt.register(&req, "")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, ack)
+	rt.reg.Handle(c.NetConn(), func(net.Conn) { rt.serveRegisterConn(c) })
 }
 
 // serveRegisterConn answers the beats of one upgraded registration
@@ -395,15 +354,15 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 // only when it differs from the one last accepted here, so a steady node's
 // beat costs the router no heap object.
 func (rt *Router) serveRegisterConn(c *regproto.Conn) {
-	var req RegisterRequest
+	var req regproto.RegisterRequest
+	var ack regproto.RegisterResponse
 	checkedURL := ""
 	for {
 		id, err := c.ReadBeat(&req, 10*rt.cfg.StaleAfter)
 		if err != nil {
 			return
 		}
-		ack, err := rt.register(&req, checkedURL)
-		if err != nil {
+		if err = rt.register(&req, checkedURL, &ack); err != nil {
 			err = c.Refuse(id, http.StatusBadRequest, err.Error())
 		} else {
 			checkedURL = req.URL
@@ -415,42 +374,42 @@ func (rt *Router) serveRegisterConn(c *regproto.Conn) {
 	}
 }
 
-// register validates one beat and applies it to the routing table, returning
-// the acknowledgement; an error is the reason to refuse it. The URL parse is
-// skipped when req.URL equals checkedURL, a non-empty one this caller saw
+// register validates one beat and applies it to the routing table, filling
+// in its acknowledgement; an error is the reason to refuse it. The URL parse
+// is skipped when req.URL equals checkedURL, a non-empty one this caller saw
 // accepted.
-func (rt *Router) register(req *RegisterRequest, checkedURL string) (RegisterResponse, error) {
+func (rt *Router) register(req *regproto.RegisterRequest, checkedURL string, ack *regproto.RegisterResponse) error {
 	if req.ID == "" {
-		return RegisterResponse{}, errors.New("register requires a backend id")
+		return errors.New("register requires a backend id")
 	}
 	if checkedURL == "" || req.URL != checkedURL {
 		u, err := url.Parse(req.URL)
 		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-			return RegisterResponse{}, errors.New("register url must be an absolute http(s) URL")
+			return errors.New("register url must be an absolute http(s) URL")
 		}
 		// The URL is a base the proxy appends "/v1/..." to: a path, query, or
 		// fragment would corrupt every proxied target while the backend looked
 		// perfectly healthy in /metrics — reject it at the source.
 		if (u.Path != "" && u.Path != "/") || u.RawQuery != "" || u.Fragment != "" {
-			return RegisterResponse{}, errors.New("register url must be a bare base URL (no path, query, or fragment)")
+			return errors.New("register url must be a bare base URL (no path, query, or fragment)")
 		}
 	}
 	if req.BinaryAddr != "" {
 		if _, _, err := net.SplitHostPort(req.BinaryAddr); err != nil {
-			return RegisterResponse{}, errors.New("register binary_addr must be host:port: " + err.Error())
+			return errors.New("register binary_addr must be host:port: " + err.Error())
 		}
 	}
 	if req.ReplicateAddr != "" {
 		if _, _, err := net.SplitHostPort(req.ReplicateAddr); err != nil {
-			return RegisterResponse{}, errors.New("register replicate_addr must be host:port: " + err.Error())
+			return errors.New("register replicate_addr must be host:port: " + err.Error())
 		}
 	}
 	if len(req.Datacenters) == 0 {
-		return RegisterResponse{}, errors.New("register requires at least one datacenter")
+		return errors.New("register requires at least one datacenter")
 	}
 	for _, dc := range req.Datacenters {
 		if dc.Name == "" {
-			return RegisterResponse{}, errors.New("register datacenter with empty name")
+			return errors.New("register datacenter with empty name")
 		}
 	}
 	role := req.Role
@@ -460,7 +419,7 @@ func (rt *Router) register(req *RegisterRequest, checkedURL string) (RegisterRes
 		role = "primary"
 	case "primary", "follower":
 	default:
-		return RegisterResponse{}, errors.New("register role must be primary or follower")
+		return errors.New("register role must be primary or follower")
 	}
 	baseURL := strings.TrimRight(req.URL, "/")
 
@@ -580,17 +539,18 @@ func (rt *Router) register(req *RegisterRequest, checkedURL string) (RegisterRes
 	rt.mu.Unlock()
 
 	rt.registrations.Add(1)
-	return RegisterResponse{
+	*ack = regproto.RegisterResponse{
 		Status:               "ok",
 		Backends:             backends,
 		StaleAfterSeconds:    rt.cfg.StaleAfter.Seconds(),
 		PrimaryReplicateAddr: primaryReplAddr,
-	}, nil
+	}
+	return nil
 }
 
 // announcesSame reports whether dcs names exactly the datacenters have holds,
 // each once: then a beat only moves generations.
-func announcesSame(have map[string]uint64, dcs []RegisterDatacenter) bool {
+func announcesSame(have map[string]uint64, dcs []regproto.RegisterDatacenter) bool {
 	if len(dcs) != len(have) {
 		return false
 	}
@@ -770,7 +730,7 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 		if clientGone() {
 			return // nobody is listening for this response
 		}
-		rt.writeUnavailable(w, rt.cfg.BreakerCooldown, rt.legFailed(adm, dc, backendStart, "unreachable"))
+		rt.writeUnavailable(w, rt.beatInterval(), rt.legFailed(adm, dc, backendStart, "unreachable"))
 		return
 	}
 	defer resp.Body.Close()
@@ -780,7 +740,7 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 		if err != nil && clientGone() {
 			return
 		}
-		rt.writeUnavailable(w, rt.cfg.BreakerCooldown,
+		rt.writeUnavailable(w, rt.beatInterval(),
 			rt.legFailed(adm, dc, backendStart, "sent a truncated or oversized response"))
 		return
 	}
@@ -882,14 +842,14 @@ func (rt *Router) admit(dc string, read, binary bool, tr *obs.Trace) (admission,
 			rt.mu.Unlock()
 			return adm, &refusal{status: http.StatusNotFound, msg: "unknown datacenter " + strconv.Quote(dc)}
 		}
-		return unavailable(rt.cfg.RetryAfter, "missed heartbeats")
+		return unavailable(rt.beatInterval(), "missed heartbeats")
 	}
 	if b.draining.Load() {
 		// pickBackend already tried to route around a draining node (spread
 		// reads, promotion for writes); reaching here means it was the only
 		// candidate. Its listeners are about to close, so reject with the
 		// usual retry hint instead of racing the teardown.
-		return unavailable(rt.cfg.RetryAfter, "draining for planned shutdown")
+		return unavailable(rt.beatInterval(), "draining for planned shutdown")
 	}
 	// Breaker gate. A nonzero openUntil in the past means the cooldown just
 	// elapsed: the circuit is half-open, and exactly one request — the CAS
@@ -902,7 +862,7 @@ func (rt *Router) admit(dc string, read, binary bool, tr *obs.Trace) (admission,
 			return unavailable(time.Duration(openUntil-now.UnixNano()), "circuit open")
 		}
 		if !b.probing.CompareAndSwap(false, true) {
-			return unavailable(rt.cfg.BreakerCooldown, "probe in flight")
+			return unavailable(rt.beatInterval(), "probe in flight")
 		}
 		adm.probe = true
 	}
@@ -965,10 +925,10 @@ func (rt *Router) proxyFailed(b *backend) {
 		return
 	}
 	if int(b.consecFails.Add(1)) >= rt.cfg.BreakerThreshold {
-		b.openUntil.Store(rt.now().Add(rt.cfg.BreakerCooldown).UnixNano())
+		b.openUntil.Store(rt.now().Add(rt.beatInterval()).UnixNano())
 		// Leave consecFails at the threshold: the post-cooldown probe either
 		// resets it on success or immediately re-opens on failure.
-		rlog.Warn("backend circuit opened", "backend", b.id, "cooldown", rt.cfg.BreakerCooldown)
+		rlog.Warn("backend circuit opened", "backend", b.id, "cooldown", rt.beatInterval())
 	}
 }
 

@@ -3,7 +3,9 @@ package router_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"harvest/internal/regproto"
 	"harvest/internal/router"
 )
 
@@ -78,24 +81,39 @@ func (fb *fakeBackend) seen() []string {
 	return append([]string(nil), fb.requests...)
 }
 
-func register(t *testing.T, routerURL string, req router.RegisterRequest) *http.Response {
+// registerAck registers req the way a node does — one beat on a fresh
+// upgraded connection — and returns the router's ack and 200, or the status
+// the router refused the beat with.
+func registerAck(t *testing.T, routerURL string, req regproto.RegisterRequest) (regproto.RegisterResponse, int) {
 	t.Helper()
-	body, err := json.Marshal(req)
+	c, err := regproto.Dial(routerURL, "", 5*time.Second)
 	if err != nil {
-		t.Fatalf("marshal: %v", err)
+		t.Fatalf("register %s: %v", req.ID, err)
 	}
-	resp, err := http.Post(routerURL+"/v1/register", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("register: %v", err)
+	defer c.Close()
+	var ack regproto.RegisterResponse
+	var refused *regproto.RefusedError
+	switch err := c.Beat(&req, &ack); {
+	case err == nil:
+		return ack, http.StatusOK
+	case errors.As(err, &refused):
+		return ack, refused.Status
+	default:
+		t.Fatalf("register %s: %v", req.ID, err)
+		return ack, 0
 	}
-	resp.Body.Close()
-	return resp
 }
 
-func mustRegister(t *testing.T, routerURL string, req router.RegisterRequest) {
+func register(t *testing.T, routerURL string, req regproto.RegisterRequest) int {
 	t.Helper()
-	if resp := register(t, routerURL, req); resp.StatusCode != http.StatusOK {
-		t.Fatalf("register %s: status %d, want 200", req.ID, resp.StatusCode)
+	_, status := registerAck(t, routerURL, req)
+	return status
+}
+
+func mustRegister(t *testing.T, routerURL string, req regproto.RegisterRequest) {
+	t.Helper()
+	if status := register(t, routerURL, req); status != http.StatusOK {
+		t.Fatalf("register %s: status %d, want 200", req.ID, status)
 	}
 }
 
@@ -141,13 +159,13 @@ func newTestRouter(t *testing.T, clock *testClock) (*router.Router, *httptest.Se
 func TestProxyRoutesToOwningBackend(t *testing.T) {
 	a, b := newFakeBackend(t), newFakeBackend(t)
 	_, srv := newTestRouter(t, nil)
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-a", URL: a.srv.URL,
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A", Generation: 3}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 3}},
 	})
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-b", URL: b.srv.URL,
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-B", Generation: 7}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-B", Generation: 7}},
 	})
 
 	resp, body := getBody(t, srv.URL+"/v1/DC-A/classes")
@@ -198,9 +216,9 @@ func TestProxyRoutesToOwningBackend(t *testing.T) {
 func TestProxyForwardsEscapedPathVerbatim(t *testing.T) {
 	a := newFakeBackend(t)
 	_, srv := newTestRouter(t, nil)
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-a", URL: a.srv.URL,
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A"}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
 	})
 	resp, err := http.Post(srv.URL+"/v1/DC-A/select%3Fdebug=1", "application/json", strings.NewReader("{}"))
 	if err != nil {
@@ -216,9 +234,9 @@ func TestProxyForwardsEscapedPathVerbatim(t *testing.T) {
 func TestProxyRelaysBackendStatus(t *testing.T) {
 	a := newFakeBackend(t)
 	_, srv := newTestRouter(t, nil)
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-a", URL: a.srv.URL,
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A"}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
 	})
 	a.status.Store(http.StatusNotFound)
 	notFound := `{"error":"unknown server"}`
@@ -237,9 +255,9 @@ func TestProxyRelaysBackendStatus(t *testing.T) {
 // self-proxying storm.
 func TestProxyBreaksRoutingLoops(t *testing.T) {
 	_, srv := newTestRouter(t, nil)
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "confused", URL: srv.URL,
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A"}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
 	})
 	resp, body := getBody(t, srv.URL+"/v1/DC-A/classes")
 	if resp.StatusCode != http.StatusLoopDetected {
@@ -285,9 +303,9 @@ func TestProxyRelaysRedirectsVerbatim(t *testing.T) {
 	}))
 	defer backend.Close()
 	_, srv := newTestRouter(t, nil)
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-a", URL: backend.URL,
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A"}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
 	})
 	client := &http.Client{CheckRedirect: func(req *http.Request, via []*http.Request) error {
 		return http.ErrUseLastResponse
@@ -311,9 +329,9 @@ func TestRegisterUpdatesAndMovesDatacenters(t *testing.T) {
 	rt := router.New(router.Config{StaleAfter: 10 * time.Second, Now: clock.Now})
 	srv := httptest.NewServer(rt)
 	defer srv.Close()
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-a", URL: a.srv.URL,
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-1"}, {Name: "DC-2"}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-1"}, {Name: "DC-2"}},
 	})
 	if got := datacentersOf(t, srv.URL); len(got) != 2 || got[0] != "DC-1" || got[1] != "DC-2" {
 		t.Fatalf("datacenters = %v, want [DC-1 DC-2]", got)
@@ -322,9 +340,9 @@ func TestRegisterUpdatesAndMovesDatacenters(t *testing.T) {
 	// Ownership is sticky: node-b announcing DC-2 while node-a is alive must
 	// NOT take the route — a contested DC would otherwise ping-pong at
 	// heartbeat cadence, stranding leases on the shard that issued them.
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-b", URL: b.srv.URL,
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-2"}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-2"}},
 	})
 	getBody(t, srv.URL+"/v1/DC-2/classes")
 	if got := a.seen(); len(got) != 1 {
@@ -336,9 +354,9 @@ func TestRegisterUpdatesAndMovesDatacenters(t *testing.T) {
 
 	// Once node-a goes stale, node-b's next heartbeat takes DC-2 over.
 	clock.Advance(11 * time.Second)
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-b", URL: b.srv.URL,
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-2"}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-2"}},
 	})
 	getBody(t, srv.URL+"/v1/DC-2/classes")
 	if got := b.seen(); len(got) != 1 {
@@ -347,9 +365,9 @@ func TestRegisterUpdatesAndMovesDatacenters(t *testing.T) {
 
 	// node-a re-registers without DC-1: its entry disappears from the table
 	// (and the union), while DC-2 stays with node-b.
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-a", URL: a.srv.URL,
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-3"}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-3"}},
 	})
 	if got := datacentersOf(t, srv.URL); len(got) != 2 || got[0] != "DC-2" || got[1] != "DC-3" {
 		t.Errorf("datacenters = %v, want [DC-2 DC-3]", got)
@@ -376,9 +394,9 @@ func TestDeadBackendAgesOut(t *testing.T) {
 	rt := router.New(router.Config{StaleAfter: 10 * time.Second, Now: clock.Now})
 	srv := httptest.NewServer(rt)
 	defer srv.Close()
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-a", URL: a.srv.URL,
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A"}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
 	})
 
 	// Stale but not yet aged out: 503 (the outage might be transient).
@@ -396,9 +414,9 @@ func TestDeadBackendAgesOut(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("aged-out backend's DC: status %d, want 404", resp.StatusCode)
 	}
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-b", URL: b.srv.URL,
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-B"}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-B"}},
 	})
 	var hz struct {
 		Backends int `json:"backends"`
@@ -420,55 +438,48 @@ func TestRegisterToken(t *testing.T) {
 	rt := router.New(router.Config{StaleAfter: time.Minute, RegisterToken: "fleet-secret"})
 	srv := httptest.NewServer(rt)
 	defer srv.Close()
+	defer rt.Close()
 
-	body, _ := json.Marshal(router.RegisterRequest{
-		ID: "node-a", URL: a.srv.URL,
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A"}},
-	})
-	post := func(token string) int {
-		req, err := http.NewRequest("POST", srv.URL+"/v1/register", bytes.NewReader(body))
+	beat := func(token string) error {
+		c, err := regproto.Dial(srv.URL, token, 5*time.Second)
 		if err != nil {
-			t.Fatalf("new request: %v", err)
+			return err
 		}
-		req.Header.Set("Content-Type", "application/json")
-		if token != "" {
-			req.Header.Set("Authorization", token)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatalf("register: %v", err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
+		defer c.Close()
+		var ack regproto.RegisterResponse
+		return c.Beat(&regproto.RegisterRequest{
+			ID: "node-a", URL: a.srv.URL,
+			Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
+		}, &ack)
 	}
 
-	if got := post(""); got != http.StatusUnauthorized {
-		t.Errorf("no token: status %d, want 401", got)
-	}
-	if got := post("Bearer wrong"); got != http.StatusUnauthorized {
-		t.Errorf("wrong token: status %d, want 401", got)
+	for _, token := range []string{"", "wrong"} {
+		if err := beat(token); err == nil || !strings.Contains(err.Error(), "401") {
+			t.Errorf("token %q: %v, want a 401 refusal", token, err)
+		}
 	}
 	if got := datacentersOf(t, srv.URL); len(got) != 0 {
 		t.Fatalf("unauthenticated registration moved routing: %v", got)
 	}
-	if got := post("Bearer fleet-secret"); got != http.StatusOK {
-		t.Errorf("correct token: status %d, want 200", got)
+	if err := beat("fleet-secret"); err != nil {
+		t.Errorf("correct token: %v", err)
 	}
 	if got := datacentersOf(t, srv.URL); len(got) != 1 || got[0] != "DC-A" {
 		t.Errorf("datacenters after authorized registration = %v, want [DC-A]", got)
 	}
 }
 
+// TestStaleBackend503sWithRetryAfter: at the default StaleAfter (10 s) a stale
+// backend's 503 asks for a retry in one beat, StaleAfter/5.
 func TestStaleBackend503sWithRetryAfter(t *testing.T) {
 	clock := newTestClock()
 	a := newFakeBackend(t)
-	rtCfg := router.Config{StaleAfter: 10 * time.Second, RetryAfter: 3 * time.Second, Now: clock.Now}
-	rt := router.New(rtCfg)
+	rt := router.New(router.Config{Now: clock.Now})
 	srv := httptest.NewServer(rt)
 	defer srv.Close()
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-a", URL: a.srv.URL,
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A"}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
 	})
 
 	if resp, _ := getBody(t, srv.URL+"/v1/DC-A/classes"); resp.StatusCode != http.StatusOK {
@@ -479,17 +490,17 @@ func TestStaleBackend503sWithRetryAfter(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("stale backend: status %d, want 503 (body %s)", resp.StatusCode, body)
 	}
-	if resp.Header.Get("Retry-After") != "3" {
-		t.Errorf("Retry-After = %q, want %q", resp.Header.Get("Retry-After"), "3")
+	if resp.Header.Get("Retry-After") != "2" {
+		t.Errorf("Retry-After = %q, want %q", resp.Header.Get("Retry-After"), "2")
 	}
 	if got := datacentersOf(t, srv.URL); len(got) != 0 {
 		t.Errorf("stale backend still in union: %v", got)
 	}
 
 	// One heartbeat recovers it.
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-a", URL: a.srv.URL,
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A"}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
 	})
 	if resp, _ := getBody(t, srv.URL+"/v1/DC-A/classes"); resp.StatusCode != http.StatusOK {
 		t.Errorf("recovered backend: status %d, want 200", resp.StatusCode)
@@ -500,17 +511,16 @@ func TestCircuitBreakerOpensAndReprobes(t *testing.T) {
 	clock := newTestClock()
 	a := newFakeBackend(t)
 	rt := router.New(router.Config{
-		StaleAfter:       time.Hour, // isolate the breaker from staleness
+		StaleAfter:       time.Hour, // isolate the breaker from staleness: the cooldown is 12 minutes
 		BreakerThreshold: 2,
-		BreakerCooldown:  5 * time.Second,
 		ProxyTimeout:     2 * time.Second,
 		Now:              clock.Now,
 	})
 	srv := httptest.NewServer(rt)
 	defer srv.Close()
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-a", URL: a.srv.URL,
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A"}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
 	})
 
 	// Kill the backend: transport failures, 503 per attempt.
@@ -553,7 +563,7 @@ func TestCircuitBreakerOpensAndReprobes(t *testing.T) {
 
 	// Past the cooldown a probe goes through (and fails → transport error
 	// counted again, circuit re-opens).
-	clock.Advance(6 * time.Second)
+	clock.Advance(13 * time.Minute)
 	resp, _ = getBody(t, srv.URL+"/v1/DC-A/classes")
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("probe: status %d, want 503", resp.StatusCode)
@@ -571,14 +581,14 @@ func TestCircuitBreakerOpensAndReprobes(t *testing.T) {
 	// reachability — so the route recovers via the next successful probe
 	// after the cooldown.
 	b := newFakeBackend(t)
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-a", URL: b.srv.URL,
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A"}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
 	})
 	if resp, _ := getBody(t, srv.URL+"/v1/DC-A/classes"); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("heartbeat alone closed the circuit: status %d, want 503", resp.StatusCode)
 	}
-	clock.Advance(6 * time.Second)
+	clock.Advance(13 * time.Minute)
 	if resp, _ := getBody(t, srv.URL+"/v1/DC-A/classes"); resp.StatusCode != http.StatusOK {
 		t.Errorf("successful probe after recovery: status %d, want 200", resp.StatusCode)
 	}
@@ -622,17 +632,16 @@ func TestCircuitBreakerSingleProbe(t *testing.T) {
 	}()
 
 	rt := router.New(router.Config{
-		StaleAfter:       time.Hour,
+		StaleAfter:       time.Hour, // the cooldown is 12 minutes
 		BreakerThreshold: 1,
-		BreakerCooldown:  5 * time.Second,
 		ProxyTimeout:     500 * time.Millisecond,
 		Now:              clock.Now,
 	})
 	srv := httptest.NewServer(rt)
 	defer srv.Close()
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-a", URL: "http://" + ln.Addr().String(),
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A"}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
 	})
 
 	// The first request times out and opens the circuit.
@@ -642,7 +651,7 @@ func TestCircuitBreakerSingleProbe(t *testing.T) {
 
 	// Half-open: a slow probe holds the slot; a concurrent request must be
 	// rejected without touching the transport (i.e. near-instantly).
-	clock.Advance(6 * time.Second)
+	clock.Advance(13 * time.Minute)
 	probeDone := make(chan int, 1)
 	go func() {
 		resp, err := http.Get(srv.URL + "/v1/DC-A/classes")
@@ -667,6 +676,71 @@ func TestCircuitBreakerSingleProbe(t *testing.T) {
 	}
 }
 
+// TestRetryTimingsAtDefaultStaleAfter pins the timings derived from the
+// default 10 s staleness window: an opened circuit stays open one beat (2 s),
+// and promotion attempts for one datacenter are at least 5 s apart.
+func TestRetryTimingsAtDefaultStaleAfter(t *testing.T) {
+	t.Run("circuit open 2s", func(t *testing.T) {
+		clock := newTestClock()
+		a := newFakeBackend(t)
+		rt := router.New(router.Config{BreakerThreshold: 1, Now: clock.Now})
+		srv := newServer(t, rt)
+		mustRegister(t, srv.URL, regproto.RegisterRequest{
+			ID: "node-a", URL: a.srv.URL,
+			Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
+		})
+		a.srv.Close()
+		getBody(t, srv.URL+"/v1/DC-A/classes") // the failure that opens the circuit
+		if resp, _ := getBody(t, srv.URL+"/v1/DC-A/classes"); resp.Header.Get("Retry-After") != "2" {
+			t.Errorf("open circuit: status %d, Retry-After %q; want 503, 2", resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
+		clock.Advance(2*time.Second - time.Millisecond)
+		if !routerStats(t, srv.URL).Backends["node-a"].CircuitOpen {
+			t.Fatal("the circuit closed before 2 s")
+		}
+		clock.Advance(2 * time.Millisecond)
+		if routerStats(t, srv.URL).Backends["node-a"].CircuitOpen {
+			t.Fatal("the circuit is still open past 2 s")
+		}
+	})
+
+	t.Run("promotions 5s apart", func(t *testing.T) {
+		clock := newTestClock()
+		p, f := newFakeBackend(t), newFakeBackend(t)
+		f.status.Store(http.StatusServiceUnavailable) // every promotion is refused
+		rt := router.New(router.Config{Now: clock.Now})
+		srv := newServer(t, rt)
+		mustRegister(t, srv.URL, regproto.RegisterRequest{
+			ID: "node-p", URL: p.srv.URL, Role: "primary",
+			Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
+		})
+		clock.Advance(11 * time.Second)
+		mustRegister(t, srv.URL, regproto.RegisterRequest{
+			ID: "node-f", URL: f.srv.URL, Role: "follower", PrimaryID: "node-p",
+			Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
+		})
+		attempts := func(after time.Duration) int {
+			t.Helper()
+			clock.Advance(after)
+			resp, err := http.Post(srv.URL+"/v1/DC-A/select", "application/json", strings.NewReader(`{"max_concurrent_cores":1}`))
+			if err != nil {
+				t.Fatalf("select: %v", err)
+			}
+			resp.Body.Close()
+			return countBy(f, "POST /v1/promote")
+		}
+		if got := attempts(0); got != 1 {
+			t.Fatalf("%d promotion attempts on the first write after the primary went stale, want 1", got)
+		}
+		if got := attempts(5*time.Second - time.Millisecond); got != 1 {
+			t.Errorf("%d promotion attempts within 5 s, want 1", got)
+		}
+		if got := attempts(time.Millisecond); got != 2 {
+			t.Errorf("%d promotion attempts 5 s after the first, want 2", got)
+		}
+	})
+}
+
 func TestMetricsAggregatesAcrossBackends(t *testing.T) {
 	_, srv := newTestRouter(t, nil)
 
@@ -683,11 +757,11 @@ func TestMetricsAggregatesAcrossBackends(t *testing.T) {
 		return s
 	}
 	sa, sb := mkBackend("DC-A", 5), mkBackend("DC-B", 9)
-	mustRegister(t, srv.URL, router.RegisterRequest{
-		ID: "node-a", URL: sa.URL, Datacenters: []router.RegisterDatacenter{{Name: "DC-A", Generation: 5}},
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
+		ID: "node-a", URL: sa.URL, Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 5}},
 	})
-	mustRegister(t, srv.URL, router.RegisterRequest{
-		ID: "node-b", URL: sb.URL, Datacenters: []router.RegisterDatacenter{{Name: "DC-B", Generation: 9}},
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
+		ID: "node-b", URL: sb.URL, Datacenters: []regproto.RegisterDatacenter{{Name: "DC-B", Generation: 9}},
 	})
 
 	resp, body := getBody(t, srv.URL+"/metrics")
@@ -718,42 +792,50 @@ func TestMetricsAggregatesAcrossBackends(t *testing.T) {
 	}
 }
 
-// TestRouterErrorPaths pins the router's own status codes (the satellite
-// "error-path tests for every endpoint" — the proxied data-plane codes are
-// pinned in internal/service's table).
+// TestRouterErrorPaths pins the router's own status codes (the proxied
+// data-plane codes are pinned in internal/service's table): its HTTP
+// surfaces, then the beats an upgraded registration connection refuses with
+// 400, all on one connection that keeps working through the refusals.
 func TestRouterErrorPaths(t *testing.T) {
 	a := newFakeBackend(t)
-	_, srv := newTestRouter(t, nil)
-	mustRegister(t, srv.URL, router.RegisterRequest{
-		ID: "node-a", URL: a.srv.URL,
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A"}},
-	})
+	rt := router.New(router.Config{StaleAfter: time.Minute, RegisterToken: "reg-secret"})
+	srv := newServer(t, rt)
+	t.Cleanup(rt.Close)
+	c, err := regproto.Dial(srv.URL, "reg-secret", 5*time.Second)
+	if err != nil {
+		t.Fatalf("upgrade: %v", err)
+	}
+	defer c.Close()
+	nodeA := regproto.RegisterRequest{ID: "node-a", URL: a.srv.URL, Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}}}
+	var ack regproto.RegisterResponse
+	if err := c.Beat(&nodeA, &ack); err != nil {
+		t.Fatalf("register node-a: %v", err)
+	}
 
+	const jsonBeat = `{"id":"n","url":"http://x:1","datacenters":[{"name":"D"}]}`
 	cases := []struct {
 		name   string
 		method string
 		path   string
+		token  string
 		body   string
 		want   int
 	}{
-		{"unknown datacenter", "GET", "/v1/DC-X/classes", "", http.StatusNotFound},
-		{"unknown datacenter post", "POST", "/v1/DC-X/select", `{"max_concurrent_cores":1}`, http.StatusNotFound},
-		{"register malformed json", "POST", "/v1/register", `{"id":`, http.StatusBadRequest},
-		{"register empty body", "POST", "/v1/register", ``, http.StatusBadRequest},
-		{"register missing id", "POST", "/v1/register", `{"url":"http://x:1","datacenters":[{"name":"D"}]}`, http.StatusBadRequest},
-		{"register missing url", "POST", "/v1/register", `{"id":"n","datacenters":[{"name":"D"}]}`, http.StatusBadRequest},
-		{"register relative url", "POST", "/v1/register", `{"id":"n","url":"x:1","datacenters":[{"name":"D"}]}`, http.StatusBadRequest},
-		{"register url with path", "POST", "/v1/register", `{"id":"n","url":"http://x:1/api","datacenters":[{"name":"D"}]}`, http.StatusBadRequest},
-		{"register url with query", "POST", "/v1/register", `{"id":"n","url":"http://x:1?env=prod","datacenters":[{"name":"D"}]}`, http.StatusBadRequest},
-		{"register no datacenters", "POST", "/v1/register", `{"id":"n","url":"http://x:1"}`, http.StatusBadRequest},
-		{"register unnamed datacenter", "POST", "/v1/register", `{"id":"n","url":"http://x:1","datacenters":[{"name":""}]}`, http.StatusBadRequest},
-		{"healthz wrong method", "POST", "/healthz", "", http.StatusMethodNotAllowed},
-		{"metrics wrong method", "POST", "/metrics", "", http.StatusMethodNotAllowed},
+		{"unknown datacenter", "GET", "/v1/DC-X/classes", "", "", http.StatusNotFound},
+		{"unknown datacenter post", "POST", "/v1/DC-X/select", "", `{"max_concurrent_cores":1}`, http.StatusNotFound},
+		// A heartbeat is only ever a frame: a POST that does not upgrade is
+		// refused unread, once its token checks out.
+		{"register json body", "POST", "/v1/register", "reg-secret", jsonBeat, http.StatusUpgradeRequired},
+		{"register json body wrong token", "POST", "/v1/register", "wrong", jsonBeat, http.StatusUnauthorized},
+		{"register malformed json", "POST", "/v1/register", "reg-secret", `{"id":`, http.StatusUpgradeRequired},
+		{"register empty body", "POST", "/v1/register", "reg-secret", ``, http.StatusUpgradeRequired},
+		{"healthz wrong method", "POST", "/healthz", "", "", http.StatusMethodNotAllowed},
+		{"metrics wrong method", "POST", "/metrics", "", "", http.StatusMethodNotAllowed},
 		// Wrong-method requests under /v1/ fall through to the proxy wildcard
 		// and resolve the segment as a datacenter name — pinned as 404, not
 		// 405 (the method-specific routes only shadow their own methods).
-		{"datacenters wrong method", "DELETE", "/v1/datacenters", "", http.StatusNotFound},
-		{"register wrong method", "GET", "/v1/register", "", http.StatusNotFound},
+		{"datacenters wrong method", "DELETE", "/v1/datacenters", "", "", http.StatusNotFound},
+		{"register wrong method", "GET", "/v1/register", "", "", http.StatusNotFound},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -764,27 +846,50 @@ func TestRouterErrorPaths(t *testing.T) {
 			if tc.body != "" {
 				req.Header.Set("Content-Type", "application/json")
 			}
+			if tc.token != "" {
+				req.Header.Set("Authorization", "Bearer "+tc.token)
+			}
 			resp, err := http.DefaultClient.Do(req)
 			if err != nil {
 				t.Fatalf("do: %v", err)
 			}
+			body, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
 			if resp.StatusCode != tc.want {
 				t.Errorf("%s %s: status %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
 			}
+			if tc.want == http.StatusUpgradeRequired &&
+				(resp.Header.Get("Upgrade") != regproto.UpgradeToken || !strings.Contains(string(body), regproto.UpgradeToken)) {
+				t.Errorf("426 with Upgrade %q and body %s, want both to name %s", resp.Header.Get("Upgrade"), body, regproto.UpgradeToken)
+			}
 		})
+	}
+	if got := datacentersOf(t, srv.URL); len(got) != 1 || got[0] != "DC-A" {
+		t.Errorf("datacenters after the refused POSTs = %v, want [DC-A]", got)
+	}
+
+	for _, tc := range badBeats {
+		t.Run(tc.name, func(t *testing.T) {
+			var refused *regproto.RefusedError
+			if err := c.Beat(&tc.beat, &ack); !errors.As(err, &refused) || refused.Status != http.StatusBadRequest {
+				t.Errorf("%+v: %v, want a 400 refusal", tc.beat, err)
+			}
+		})
+	}
+	if err := c.Beat(&nodeA, &ack); err != nil {
+		t.Fatalf("a beat after the refusals: %v", err)
 	}
 }
 
 func TestDrainingBackendStopsRouting(t *testing.T) {
 	clock := newTestClock()
 	a := newFakeBackend(t)
-	rt := router.New(router.Config{StaleAfter: 10 * time.Second, RetryAfter: 2 * time.Second, Now: clock.Now})
+	rt := router.New(router.Config{StaleAfter: 10 * time.Second, Now: clock.Now})
 	srv := httptest.NewServer(rt)
 	defer srv.Close()
-	beat := router.RegisterRequest{
+	beat := regproto.RegisterRequest{
 		ID: "node-a", URL: a.srv.URL,
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A"}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
 	}
 	mustRegister(t, srv.URL, beat)
 
@@ -825,37 +930,25 @@ func TestFollowerBeatLearnsPrimaryReplicateAddr(t *testing.T) {
 	rt := router.New(router.Config{StaleAfter: time.Minute})
 	srv := httptest.NewServer(rt)
 	defer srv.Close()
-	mustRegister(t, srv.URL, router.RegisterRequest{
+	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-p", URL: p.srv.URL, Role: "primary", ReplicateAddr: "127.0.0.1:7079",
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A", Generation: 5}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 5}},
 	})
 
-	body, err := json.Marshal(router.RegisterRequest{
+	ack, status := registerAck(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-f", URL: f.srv.URL, Role: "follower", PrimaryID: "node-p",
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A", Generation: 5}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 5}},
 	})
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	resp, err := http.Post(srv.URL+"/v1/register", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("register follower: %v", err)
-	}
-	defer resp.Body.Close()
-	var ack router.RegisterResponse
-	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
-		t.Fatalf("decode ack: %v", err)
-	}
-	if ack.PrimaryReplicateAddr != "127.0.0.1:7079" {
-		t.Errorf("follower ack primary_replicate_addr = %q, want %q", ack.PrimaryReplicateAddr, "127.0.0.1:7079")
+	if status != http.StatusOK || ack.PrimaryReplicateAddr != "127.0.0.1:7079" {
+		t.Errorf("follower ack: status %d, primary_replicate_addr %q; want 200, %q", status, ack.PrimaryReplicateAddr, "127.0.0.1:7079")
 	}
 
 	// The primary's own ack never carries it.
-	respP := register(t, srv.URL, router.RegisterRequest{
+	ack, status = registerAck(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-p", URL: p.srv.URL, Role: "primary", ReplicateAddr: "127.0.0.1:7079",
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-A", Generation: 6}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 6}},
 	})
-	if respP.StatusCode != http.StatusOK {
-		t.Fatalf("primary re-register: status %d", respP.StatusCode)
+	if status != http.StatusOK || ack.PrimaryReplicateAddr != "" {
+		t.Errorf("primary ack: status %d, primary_replicate_addr %q; want 200 and none", status, ack.PrimaryReplicateAddr)
 	}
 }

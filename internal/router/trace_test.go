@@ -13,6 +13,7 @@ import (
 
 	"harvest/internal/fleettest"
 	"harvest/internal/obs"
+	"harvest/internal/regproto"
 	"harvest/internal/router"
 	"harvest/internal/wire"
 )
@@ -38,9 +39,9 @@ func mustTrace(t *testing.T, rec *obs.Recorder, id uint64, tier string) *obs.Tra
 func TestTraceReconstructionJSON(t *testing.T) {
 	rt := fleettest.StartRouter(t, router.Config{StaleAfter: time.Minute})
 	n := fleettest.StartNode(t, nodeConfig("node-a", "DC-9"))
-	mustRegister(t, rt.URL, router.RegisterRequest{
+	mustRegister(t, rt.URL, regproto.RegisterRequest{
 		ID: "node-a", URL: n.URL,
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-9", Generation: 1}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-9", Generation: 1}},
 	})
 
 	req, _ := http.NewRequest(http.MethodPost, rt.URL+"/v1/DC-9/select",
@@ -85,9 +86,9 @@ func TestTraceReconstructionBinary(t *testing.T) {
 	// The node's recorder is shared between its JSON API and its binary
 	// server, as cmd/harvestd wires it.
 	n := fleettest.StartNode(t, nodeConfig("node-bin", "DC-9"))
-	mustRegister(t, rt.URL, router.RegisterRequest{
+	mustRegister(t, rt.URL, regproto.RegisterRequest{
 		ID: "node-bin", URL: n.URL, BinaryAddr: n.BinaryAddr,
-		Datacenters: []router.RegisterDatacenter{{Name: "DC-9", Generation: 1}},
+		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-9", Generation: 1}},
 	})
 
 	c := dialBin(t, rt.BinaryAddr)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -813,7 +814,8 @@ func TestBootAllocationBudget(t *testing.T) {
 // scratch) at the benchmark's scale to a byte count: 331 kB, most of it the
 // one window the pass reads every ring into, since a classification borrows
 // its spectrum. Each tenant's spectrum made it 11 MB before. The budget is
-// that plus a quarter.
+// that plus a quarter. The count is process-wide, so the least of three
+// rebuilds is held to it: anything else allocating meanwhile lands in one.
 func TestFullRebuildAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -826,12 +828,16 @@ func TestFullRebuildAllocs(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	defer svc.Close()
-	_, bytes := allocated(func() {
-		if err := svc.Refresh("DC-9"); err != nil {
-			t.Fatalf("Refresh: %v", err)
-		}
-	})
-	if st, _ := svc.Stats("DC-9"); st.FullRebuilds != 1 || st.Recluster.Tenants != 126 {
+	bytes := uint64(math.MaxUint64)
+	for range 3 {
+		_, b := allocated(func() {
+			if err := svc.Refresh("DC-9"); err != nil {
+				t.Fatalf("Refresh: %v", err)
+			}
+		})
+		bytes = min(bytes, b)
+	}
+	if st, _ := svc.Stats("DC-9"); st.FullRebuilds != 3 || st.Recluster.Tenants != 126 {
 		t.Fatalf("not the refresh this test measures: %+v", st)
 	}
 	const budget = 414 << 10
