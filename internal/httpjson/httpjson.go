@@ -4,7 +4,8 @@
 // (cmd/loadgen's raw HTTP/1.1 reader) can parse responses from any tier,
 // harvestd or harvestrouter, identically. The shared bearer-token gate lives
 // here too, so the ingest and registration surfaces authenticate the same
-// way.
+// way, and so does Scanner, which reads request bodies in the strict shape the
+// in-repo emitters post without encoding/json.
 package httpjson
 
 import (
@@ -34,6 +35,10 @@ var scratches = sync.Pool{New: func() any {
 	return s
 }}
 
+// contentTypeJSON is every reply's Content-Type value, shared rather than
+// built per reply; net/http only reads a header's values, never writes them.
+var contentTypeJSON = []string{"application/json"}
+
 // Write serializes v up front so the response carries an explicit
 // Content-Length and goes out in one write.
 func Write(w http.ResponseWriter, status int, v any) {
@@ -44,8 +49,9 @@ func Write(w http.ResponseWriter, status int, v any) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(s.buf.Len()))
+	h := w.Header()
+	h["Content-Type"] = contentTypeJSON
+	h.Set("Content-Length", strconv.Itoa(s.buf.Len()))
 	w.WriteHeader(status)
 	w.Write(s.buf.Bytes())
 	scratches.Put(s)

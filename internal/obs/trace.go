@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/binary"
 	"encoding/hex"
 	"math/rand/v2"
 	"sort"
@@ -72,18 +73,14 @@ func NewTraceID() uint64 {
 	}
 }
 
-// FormatTraceID renders an id as the 16-hex-digit wire form.
+// FormatTraceID renders an id as the 16-hex-digit wire form, encoded in place
+// so the string is its one allocation.
 func FormatTraceID(id uint64) string {
-	var b [8]byte
-	b[0] = byte(id >> 56)
-	b[1] = byte(id >> 48)
-	b[2] = byte(id >> 40)
-	b[3] = byte(id >> 32)
-	b[4] = byte(id >> 24)
-	b[5] = byte(id >> 16)
-	b[6] = byte(id >> 8)
-	b[7] = byte(id)
-	return hex.EncodeToString(b[:])
+	var raw [8]byte
+	binary.BigEndian.PutUint64(raw[:], id)
+	var b [16]byte
+	hex.Encode(b[:], raw[:])
+	return string(b[:])
 }
 
 // ParseTraceID parses the wire form: up to 16 hex digits, optionally

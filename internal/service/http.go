@@ -196,13 +196,21 @@ func (a *API) ServeHTTP(w http.ResponseWriter, r *http.Request) { a.mux.ServeHTT
 
 // statusWriter is a request's pooled state: it captures the response status
 // for instrumentation and carries what the codecs borrow for the length of the
-// request — the trace, and the operations' scratch.
+// request — the trace, the body's bytes, the decoded telemetry samples, and
+// the operations' scratch.
 type statusWriter struct {
 	http.ResponseWriter
-	status int
-	tr     *obs.Trace
-	sc     scratch
+	status  int
+	tr      *obs.Trace
+	body    bytes.Buffer
+	samples []IngestSample
+	sc      scratch
 }
+
+// maxPooledBody is the most body a pooled state keeps between requests, so an
+// abnormally large one does not stay parked in the pool; the samples decoded
+// from a body go with it.
+const maxPooledBody = 64 << 10
 
 func (w *statusWriter) WriteHeader(status int) {
 	w.status = status
@@ -231,7 +239,7 @@ func (a *API) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 			// assign one, and echo it so the chain is followable end to end.
 			id, _ := obs.ParseTraceID(r.Header.Get(obs.TraceHeader))
 			if tr = a.rec.Begin(id, obs.DialectJSON, name, r.PathValue("dc")); tr != nil {
-				w.Header().Set(obs.TraceHeader, obs.FormatTraceID(tr.ID))
+				w.Header()[obs.TraceHeader] = []string{obs.FormatTraceID(tr.ID)}
 			}
 		}
 		sw.tr = tr
@@ -239,6 +247,9 @@ func (a *API) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 		status := sw.status
 		m.Observe(time.Since(start), status)
 		sw.ResponseWriter, sw.tr = nil, nil
+		if sw.body.Cap() > maxPooledBody {
+			sw.body, sw.samples = bytes.Buffer{}, nil
+		}
 		statusWriters.Put(sw)
 		tr.Finish(status)
 	}
@@ -331,30 +342,45 @@ func (a *API) fromTrustedProxy(remoteAddr string) bool {
 	return false
 }
 
-var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
 // maxBodyBytes caps POST bodies: the select/place requests are tens of
 // bytes, so 1 MiB is generous while keeping an abusive client from growing
 // the pooled buffers without bound.
 const maxBodyBytes = 1 << 20
 
-// readBody reads and unmarshals a request body through a pooled buffer,
-// answering 400 itself when it cannot.
-func readBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	buf := bodyBufs.Get().(*bytes.Buffer)
+// readBody reads a request body into the request's pooled state, answering
+// 400 itself when it cannot. The bytes are the state's until the handler
+// returns. net/http already bounds a body whose length it was told, so only
+// a body of unknown length (or zero, what a hand-built request with an
+// unsized reader carries), or one declared too large, is read through
+// MaxBytesReader.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body := r.Body
+	if r.ContentLength <= 0 || r.ContentLength > maxBodyBytes {
+		body = http.MaxBytesReader(w, body, maxBodyBytes)
+	}
+	buf := &stateOf(w).body
 	buf.Reset()
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err == nil {
-		err = json.Unmarshal(buf.Bytes(), v)
-	}
-	// Never park an abnormally grown buffer in the pool.
-	if buf.Cap() <= 64<<10 {
-		bodyBufs.Put(buf)
-	}
-	if err != nil {
+	if _, err := buf.ReadFrom(body); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return nil, false
 	}
-	return err == nil
+	return buf.Bytes(), true
+}
+
+// unmarshalBody decodes body into v with encoding/json, answering 400 itself
+// when it cannot.
+func unmarshalBody(w http.ResponseWriter, body []byte, v any) bool {
+	if err := json.Unmarshal(body, v); err != nil {
+		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return false
+	}
+	return true
+}
+
+// decodeBody reads a request body and decodes it with encoding/json.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	body, ok := readBody(w, r)
+	return ok && unmarshalBody(w, body, v)
 }
 
 // writeJSON and writeError are the serving tier's shared response
@@ -462,15 +488,29 @@ func (a *API) handleServerClass(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// telemetrySample is the wire form of one ingested observation. Exactly one
-// of tenant / server must be present (pointers distinguish "absent" from the
-// valid id 0); at_seconds is an offset on the telemetry clock and defaults
-// to one slot after the subject's latest sample.
+// telemetrySample is the wire form of one ingested observation, as
+// encoding/json decodes it when scanTelemetry declines. Exactly one of tenant
+// / server must be present (pointers distinguish "absent" from the valid id
+// 0); at_seconds is an offset on the telemetry clock and defaults to one slot
+// after the subject's latest sample.
 type telemetrySample struct {
 	Tenant      *int64  `json:"tenant"`
 	Server      *int64  `json:"server"`
 	AtSeconds   float64 `json:"at_seconds"`
 	Utilization float64 `json:"utilization"`
+}
+
+// sample converts the decoded form: an absent subject is -1, as scanTelemetry
+// leaves it.
+func (s telemetrySample) sample() IngestSample {
+	id, server := int64(-1), int64(-1)
+	if s.Tenant != nil {
+		id = *s.Tenant
+	}
+	if s.Server != nil {
+		server = *s.Server
+	}
+	return ingestSample(id, server, s.AtSeconds, s.Utilization)
 }
 
 type telemetryRequest struct {
@@ -492,42 +532,80 @@ type telemetryResponse struct {
 	HorizonSeconds float64 `json:"horizon_seconds"`
 }
 
+// scanTelemetry decodes a telemetry body the scanner accepts, appending its
+// samples to dst; false means it declined, and the body is encoding/json's.
+// A subject left out is -1, as in the fallback.
+func scanTelemetry(body []byte, dst []IngestSample) ([]IngestSample, bool) {
+	var s httpjson.Scanner
+	s.Reset(body)
+	for s.Object(); s.Next(); {
+		if s.Field("samples") < 0 {
+			break
+		}
+		for s.Array(); s.Next(); {
+			id, server, at, util := int64(-1), int64(-1), 0.0, 0.0
+			for s.Object(); s.Next(); {
+				switch s.Field("tenant", "server", "at_seconds", "utilization") {
+				case 0:
+					id = s.Int()
+				case 1:
+					server = s.Int()
+				case 2:
+					at = s.Float()
+				case 3:
+					util = s.Float()
+				}
+			}
+			dst = append(dst, ingestSample(id, server, at, util))
+		}
+	}
+	return dst, s.Done()
+}
+
+// ingestSample turns one wire sample into what Ingest takes; both decoders
+// call it. A negative id leaves that subject out.
+func ingestSample(id, server int64, atSeconds, util float64) IngestSample {
+	// Written so NaN fails too: both comparisons are false for NaN, so only
+	// finite offsets inside the bound proceed to the conversion.
+	if !(atSeconds >= 0 && atSeconds <= maxTelemetryOffsetSeconds) {
+		// An absurd offset would corrupt the store's telemetry clock; poison
+		// the sample (no subject) so Ingest counts it rejected.
+		return IngestSample{Tenant: -1, Server: -1}
+	}
+	return IngestSample{
+		Tenant: tenant.ID(id),
+		Server: tenant.ServerID(server),
+		At:     time.Duration(atSeconds * float64(time.Second)),
+		Value:  util,
+	}
+}
+
 func (a *API) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	if a.ingestLimiter != nil && !a.ingestLimiter.allow(a.sourceKeyFor(r), time.Now()) {
 		writeError(w, http.StatusTooManyRequests, "ingest rate limit exceeded for this source")
 		return
 	}
 	dc := r.PathValue("dc")
-	var req telemetryRequest
-	if !readBody(w, r, &req) {
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
-	if len(req.Samples) == 0 {
+	st := stateOf(w)
+	samples, ok := scanTelemetry(body, st.samples[:0])
+	if !ok {
+		var req telemetryRequest
+		if !unmarshalBody(w, body, &req) {
+			return
+		}
+		samples = samples[:0]
+		for _, s := range req.Samples {
+			samples = append(samples, s.sample())
+		}
+	}
+	st.samples = samples
+	if len(samples) == 0 {
 		writeError(w, http.StatusBadRequest, "no samples")
 		return
-	}
-	samples := make([]IngestSample, len(req.Samples))
-	for i, s := range req.Samples {
-		// Written so NaN fails too: both comparisons are false for NaN, so
-		// only finite offsets inside the bound proceed to the conversion.
-		if !(s.AtSeconds >= 0 && s.AtSeconds <= maxTelemetryOffsetSeconds) {
-			// An absurd offset would corrupt the store's telemetry clock;
-			// poison the sample (no subject) so Ingest counts it rejected.
-			samples[i] = IngestSample{Tenant: -1, Server: -1}
-			continue
-		}
-		samples[i] = IngestSample{
-			Tenant: -1,
-			Server: -1,
-			At:     time.Duration(s.AtSeconds * float64(time.Second)),
-			Value:  s.Utilization,
-		}
-		if s.Tenant != nil {
-			samples[i].Tenant = tenant.ID(*s.Tenant)
-		}
-		if s.Server != nil {
-			samples[i].Server = tenant.ServerID(*s.Server)
-		}
 	}
 	res, err := a.svc.Ingest(dc, samples)
 	if err != nil {
@@ -584,7 +662,7 @@ type selectResponse struct {
 
 func (a *API) handleSelect(w http.ResponseWriter, r *http.Request) {
 	var req selectRequest
-	if !readBody(w, r, &req) {
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	job, ok := jobCodes[req.JobType]
@@ -718,7 +796,7 @@ type renewResponse struct {
 
 func (a *API) handleRenew(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
-	if !readBody(w, r, &req) {
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	dc := r.PathValue("dc")
@@ -745,7 +823,7 @@ type releaseResponse struct {
 
 func (a *API) handleRelease(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
-	if !readBody(w, r, &req) {
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	dc := r.PathValue("dc")
@@ -784,7 +862,7 @@ type placeResponse struct {
 func (a *API) handlePlacement(op func(sc *scratch, dc string, replication int, writer int64, relaxed bool) (BlockPlacement, *rejection)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		req := placeRequest{Writer: -1}
-		if !readBody(w, r, &req) {
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		dc := r.PathValue("dc")
@@ -806,8 +884,9 @@ func (a *API) handlePlacement(op func(sc *scratch, dc string, replication int, w
 	}
 }
 
-// reimageRequest names the reimaged server; the pointer distinguishes an
-// absent server from the valid id 0.
+// reimageRequest names the reimaged server, as encoding/json decodes it when
+// scanReimage declines; the pointer distinguishes an absent server from the
+// valid id 0.
 type reimageRequest struct {
 	Server *int64 `json:"server"`
 }
@@ -821,22 +900,43 @@ type reimageResponse struct {
 	Pending int64 `json:"pending"`
 }
 
+// scanReimage decodes a reimage body the scanner accepts; false means it
+// declined (an absent server included), and the body is encoding/json's.
+func scanReimage(body []byte) (server int64, ok bool) {
+	var s httpjson.Scanner
+	s.Reset(body)
+	for s.Object(); s.Next(); {
+		if s.Field("server") == 0 {
+			server, ok = s.Int(), true
+		}
+	}
+	return server, ok && s.Done()
+}
+
 func (a *API) handleReimage(w http.ResponseWriter, r *http.Request) {
-	var req reimageRequest
-	if !readBody(w, r, &req) {
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
-	if req.Server == nil {
-		writeError(w, http.StatusBadRequest, "server is required")
-		return
+	server, ok := scanReimage(body)
+	if !ok {
+		var req reimageRequest
+		if !unmarshalBody(w, body, &req) {
+			return
+		}
+		if req.Server == nil {
+			writeError(w, http.StatusBadRequest, "server is required")
+			return
+		}
+		server = *req.Server
 	}
 	dc := r.PathValue("dc")
-	lost, pending, rej := a.svc.opReimage(dc, *req.Server)
+	lost, pending, rej := a.svc.opReimage(dc, server)
 	if rej != nil {
 		writeError(w, rej.Status, rej.Message)
 		return
 	}
-	writeJSON(w, http.StatusOK, reimageResponse{Datacenter: dc, Server: *req.Server, Lost: lost, Pending: pending})
+	writeJSON(w, http.StatusOK, reimageResponse{Datacenter: dc, Server: server, Lost: lost, Pending: pending})
 }
 
 // promoteResponse reports a promotion attempt. Promoted is false when the

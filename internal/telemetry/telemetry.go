@@ -16,6 +16,7 @@
 package telemetry
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -25,6 +26,15 @@ import (
 
 	"harvest/internal/tenant"
 	"harvest/internal/timeseries"
+)
+
+// Ingest's rejections, matched with errors.Is. They are values rather than
+// messages formatted per call: a retried slot is rejected sample by sample,
+// and rejecting it must not cost the heap an object per sample.
+var (
+	ErrUnknownTenant = errors.New("telemetry: unknown tenant")
+	ErrNaN           = errors.New("telemetry: NaN utilization")
+	ErrNotNewer      = errors.New("telemetry: sample not newer than the tenant's latest")
 )
 
 // Sample is one timestamped utilization observation for a tenant's "average
@@ -187,7 +197,7 @@ func (r *Ring) appendAfter(at time.Duration, value float64, interval time.Durati
 	if at <= 0 {
 		at = lastAt + interval
 	} else if head > 0 && at <= lastAt {
-		return 0, fmt.Errorf("telemetry: sample at %v not newer than latest %v", at, lastAt)
+		return 0, ErrNotNewer
 	}
 	r.appendLocked(at, value)
 	return at, nil
@@ -373,7 +383,7 @@ func (st *Store) LastIngestAt() (time.Time, bool) {
 func (st *Store) Bootstrap(id tenant.ID, s *timeseries.Series, endAt time.Duration) error {
 	tr := st.rings[id]
 	if tr == nil {
-		return fmt.Errorf("telemetry: unknown tenant %v", id)
+		return fmt.Errorf("%w %v", ErrUnknownTenant, id)
 	}
 	if s == nil || s.Len() == 0 {
 		return fmt.Errorf("telemetry: tenant %v: empty bootstrap series", id)
@@ -412,14 +422,15 @@ func (st *Store) fullRingLocked(tr *tenantRing) *Ring {
 // than the tenant's latest sample — rings are strictly time-ordered, and a
 // backdated (retried/duplicated) sample must not become the "most recent"
 // value the live usage view serves. The value is clamped to [0, 1]
-// (utilization fraction). Returns the offset the sample was recorded at.
+// (utilization fraction). Returns the offset the sample was recorded at, or
+// one of ErrUnknownTenant, ErrNaN and ErrNotNewer.
 func (st *Store) Ingest(id tenant.ID, at time.Duration, value float64) (time.Duration, error) {
 	tr := st.rings[id]
 	if tr == nil {
-		return 0, fmt.Errorf("telemetry: unknown tenant %v", id)
+		return 0, ErrUnknownTenant
 	}
 	if math.IsNaN(value) {
-		return 0, fmt.Errorf("telemetry: tenant %v: NaN utilization", id)
+		return 0, ErrNaN
 	}
 	if value < 0 {
 		value = 0
@@ -435,7 +446,7 @@ func (st *Store) Ingest(id tenant.ID, at time.Duration, value float64) (time.Dur
 	}
 	tr.mu.Unlock()
 	if err != nil {
-		return 0, fmt.Errorf("telemetry: tenant %v: %w", id, err)
+		return 0, err
 	}
 	st.total.Add(1)
 	st.advanceHorizon(at)

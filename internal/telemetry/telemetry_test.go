@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -316,8 +317,8 @@ func TestStoreBootstrapAndSeries(t *testing.T) {
 	if st.SeriesFor(99) != nil {
 		t.Error("unknown tenant should yield a nil series")
 	}
-	if err := st.Bootstrap(99, series, 0); err == nil {
-		t.Error("bootstrap of unknown tenant did not fail")
+	if err := st.Bootstrap(99, series, 0); !errors.Is(err, ErrUnknownTenant) {
+		t.Errorf("bootstrap of unknown tenant: err = %v, want ErrUnknownTenant", err)
 	}
 }
 
@@ -415,18 +416,18 @@ func TestStoreIngest(t *testing.T) {
 	}
 	// Backdated or duplicate offsets are rejected: rings are strictly
 	// time-ordered and the newest sample is what the live usage view serves.
-	if _, err := st.Ingest(1, 5*time.Minute, 0.9); err == nil {
-		t.Error("backdated sample accepted")
+	if _, err := st.Ingest(1, 5*time.Minute, 0.9); !errors.Is(err, ErrNotNewer) {
+		t.Errorf("backdated sample: err = %v, want ErrNotNewer", err)
 	}
-	if _, err := st.Ingest(1, 11*time.Minute, 0.9); err == nil {
-		t.Error("duplicate-offset sample accepted")
+	if _, err := st.Ingest(1, 11*time.Minute, 0.9); !errors.Is(err, ErrNotNewer) {
+		t.Errorf("duplicate-offset sample: err = %v, want ErrNotNewer", err)
 	}
 	// Values are clamped, NaN rejected, unknown tenants rejected.
-	if _, err := st.Ingest(1, 0, math.NaN()); err == nil {
-		t.Error("NaN accepted")
+	if _, err := st.Ingest(1, 0, math.NaN()); !errors.Is(err, ErrNaN) {
+		t.Errorf("NaN: err = %v, want ErrNaN", err)
 	}
-	if _, err := st.Ingest(42, 0, 0.5); err == nil {
-		t.Error("unknown tenant accepted")
+	if _, err := st.Ingest(42, 0, 0.5); !errors.Is(err, ErrUnknownTenant) {
+		t.Errorf("unknown tenant: err = %v, want ErrUnknownTenant", err)
 	}
 	st.Ingest(1, 0, 1.7)
 	if v := st.LastValue(1, -1); v != 1 {
