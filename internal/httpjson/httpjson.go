@@ -4,8 +4,9 @@
 // (cmd/loadgen's raw HTTP/1.1 reader) can parse responses from any tier,
 // harvestd or harvestrouter, identically. The shared bearer-token gate lives
 // here too, so the ingest and registration surfaces authenticate the same
-// way, and so does Scanner, which reads request bodies in the strict shape the
-// in-repo emitters post without encoding/json.
+// way, and so does Scanner, which reads harvestd's data-plane request bodies —
+// select, release, renew, place, blocks, reimage, telemetry — in the strict
+// shape the in-repo clients post without encoding/json.
 package httpjson
 
 import (

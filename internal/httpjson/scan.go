@@ -3,9 +3,11 @@ package httpjson
 import "strconv"
 
 // Scanner reads a request body in the strict subset of JSON the in-repo
-// emitters post, straight off the body's bytes: objects whose keys match the
-// caller's names exactly, arrays, numbers parsed by strconv, and true/false.
-// It declines everything else — a string value, an escape, a key the caller
+// clients post, straight off the body's bytes: objects whose keys match the
+// caller's names exactly, arrays, numbers parsed by strconv, true/false, and
+// strings from a set the caller names (Enum). harvestd reads every data-plane
+// body with it: select, release, renew, place, blocks, reimage and telemetry.
+// It declines everything else — any other string, an escape, a key the caller
 // did not name or already read, null, a malformed number, a value its field
 // cannot hold, trailing bytes — and a declined body goes to encoding/json,
 // which decides it: the scanner never rejects, so every error a client sees is
@@ -101,24 +103,13 @@ func (s *Scanner) Next() bool {
 	if closer == ']' {
 		return true
 	}
-	if s.peek() != '"' {
+	key, ok := s.str()
+	if !ok || s.peek() != ':' {
 		return s.decline()
 	}
-	for j := s.i + 1; j < len(s.b); j++ {
-		switch c := s.b[j]; {
-		case c == '"':
-			s.key = s.b[s.i+1 : j]
-			s.i = j + 1
-			if s.peek() != ':' {
-				return s.decline()
-			}
-			s.i++
-			return true
-		case c == '\\' || c < 0x20:
-			return s.decline()
-		}
-	}
-	return s.decline()
+	s.key = key
+	s.i++
+	return true
 }
 
 // Field returns the index among names of the key Next just read. A key that
@@ -165,6 +156,38 @@ func (s *Scanner) Float() float64 {
 		s.decline()
 	}
 	return v
+}
+
+// Uint reads a number into a uint64. A sign, a fraction, an exponent or an
+// overflow declines, as encoding/json fails to put those in an unsigned field.
+func (s *Scanner) Uint() uint64 {
+	n, ok := s.number()
+	if !ok {
+		return 0
+	}
+	v, err := strconv.ParseUint(string(n), 10, 64)
+	if err != nil {
+		s.decline()
+	}
+	return v
+}
+
+// Enum reads a string that is one of names byte for byte and returns its
+// index. Another string, an escape, a control byte or a value that is not a
+// string declines, and returns -1: encoding/json decodes the escapes, and the
+// caller's own check answers whatever else the client sent.
+func (s *Scanner) Enum(names ...string) int {
+	v, ok := s.str()
+	if !ok {
+		return -1
+	}
+	for i, name := range names {
+		if string(v) == name {
+			return i
+		}
+	}
+	s.decline()
+	return -1
 }
 
 // Bool reads true or false.
@@ -222,6 +245,25 @@ func (s *Scanner) number() ([]byte, bool) {
 	}
 	s.i = i
 	return b[start:i], true
+}
+
+// str consumes a string without escapes or control bytes where the next value
+// begins and returns the bytes between its quotes.
+func (s *Scanner) str() ([]byte, bool) {
+	if s.declined || s.peek() != '"' {
+		return nil, s.decline()
+	}
+	for j := s.i + 1; j < len(s.b); j++ {
+		switch c := s.b[j]; {
+		case c == '"':
+			v := s.b[s.i+1 : j]
+			s.i = j + 1
+			return v, true
+		case c == '\\' || c < 0x20:
+			return nil, s.decline()
+		}
+	}
+	return nil, s.decline()
 }
 
 func digits(b []byte, i int) int {

@@ -2,6 +2,8 @@ package service_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,9 +16,9 @@ import (
 	"harvest/internal/service"
 )
 
-// doRaw issues one request with an arbitrary method, returning the response
-// with its body drained and closed.
-func doRaw(t *testing.T, method, url, body string) *http.Response {
+// doRaw issues one request with an arbitrary method, returning the status and
+// the response body.
+func doRaw(t *testing.T, method, url, body string) (int, string) {
 	t.Helper()
 	req, err := http.NewRequest(method, url, strings.NewReader(body))
 	if err != nil {
@@ -29,13 +31,19 @@ func doRaw(t *testing.T, method, url, body string) *http.Response {
 	if err != nil {
 		t.Fatalf("%s %s: %v", method, url, err)
 	}
-	resp.Body.Close()
-	return resp
+	defer resp.Body.Close()
+	reply, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("%s %s: reading the reply: %v", method, url, err)
+	}
+	return resp.StatusCode, string(reply)
 }
 
 // TestEndpointErrorPaths pins every endpoint's error status codes so they
 // are contracts, not accidents: wrong method → 405, unknown datacenter /
-// lease / server → 404, malformed or invalid JSON → 400. The ingest
+// lease / server → 404, malformed or invalid JSON → 400. Where messages names
+// a row, the reply's error is that message: a body the strict scanner
+// declines is encoding/json's to decide, so it answers as it would. The ingest
 // hardening codes (401/429) get their own table below — they need a
 // differently configured API.
 func TestEndpointErrorPaths(t *testing.T) {
@@ -75,6 +83,9 @@ func TestEndpointErrorPaths(t *testing.T) {
 		{"select negative last run", "POST", "/v1/DC-9/select", `{"max_concurrent_cores":1,"last_run_seconds":-5}`, http.StatusBadRequest},
 		{"select absurd last run", "POST", "/v1/DC-9/select", `{"max_concurrent_cores":1,"last_run_seconds":2e9}`, http.StatusBadRequest},
 		{"select last run beside an explicit type", "POST", "/v1/DC-9/select", `{"job_type":"short","max_concurrent_cores":1,"last_run_seconds":-5}`, http.StatusOK},
+		{"select key in another case", "POST", "/v1/DC-9/select", `{"Max_Concurrent_Cores":1}`, http.StatusOK},
+		{"select escaped job type", "POST", "/v1/DC-9/select", `{"job_type":"sh\u006frt","max_concurrent_cores":1}`, http.StatusOK},
+		{"select job type in another case", "POST", "/v1/DC-9/select", `{"job_type":"Short","max_concurrent_cores":1}`, http.StatusBadRequest},
 
 		// POST /v1/{dc}/release
 		{"release wrong method", "GET", "/v1/DC-9/release", "", http.StatusMethodNotAllowed},
@@ -82,6 +93,17 @@ func TestEndpointErrorPaths(t *testing.T) {
 		{"release malformed json", "POST", "/v1/DC-9/release", `{"lease":`, http.StatusBadRequest},
 		{"release zero lease", "POST", "/v1/DC-9/release", `{"lease":0}`, http.StatusBadRequest},
 		{"release unknown lease", "POST", "/v1/DC-9/release", `{"lease":424242}`, http.StatusNotFound},
+		{"release negative lease", "POST", "/v1/DC-9/release", `{"lease":-1}`, http.StatusBadRequest},
+		{"release fractional lease", "POST", "/v1/DC-9/release", `{"lease":1.5}`, http.StatusBadRequest},
+
+		// POST /v1/{dc}/renew
+		{"renew wrong method", "GET", "/v1/DC-9/renew", "", http.StatusMethodNotAllowed},
+		{"renew unknown dc", "POST", "/v1/DC-X/renew", `{"lease":1}`, http.StatusNotFound},
+		{"renew malformed json", "POST", "/v1/DC-9/renew", `{"lease":1,`, http.StatusBadRequest},
+		{"renew zero lease", "POST", "/v1/DC-9/renew", `{"lease":0}`, http.StatusBadRequest},
+		{"renew unknown lease", "POST", "/v1/DC-9/renew", `{"lease":424242,"hold_seconds":60}`, http.StatusNotFound},
+		{"renew negative lease", "POST", "/v1/DC-9/renew", `{"lease":-1}`, http.StatusBadRequest},
+		{"renew fractional lease", "POST", "/v1/DC-9/renew", `{"lease":1.5}`, http.StatusBadRequest},
 
 		// POST /v1/{dc}/place
 		{"place wrong method", "GET", "/v1/DC-9/place", "", http.StatusMethodNotAllowed},
@@ -89,6 +111,15 @@ func TestEndpointErrorPaths(t *testing.T) {
 		{"place malformed json", "POST", "/v1/DC-9/place", `replication=3`, http.StatusBadRequest},
 		{"place zero replication", "POST", "/v1/DC-9/place", `{"replication":0}`, http.StatusBadRequest},
 		{"place excessive replication", "POST", "/v1/DC-9/place", `{"replication":65}`, http.StatusBadRequest},
+		{"place key in another case", "POST", "/v1/DC-9/place", `{"Replication":3}`, http.StatusOK},
+		{"place replication with an exponent", "POST", "/v1/DC-9/place", `{"replication":1e0}`, http.StatusBadRequest},
+
+		// POST /v1/{dc}/blocks
+		{"blocks wrong method", "GET", "/v1/DC-9/blocks", "", http.StatusMethodNotAllowed},
+		{"blocks unknown dc", "POST", "/v1/DC-X/blocks", `{"replication":3}`, http.StatusNotFound},
+		{"blocks malformed json", "POST", "/v1/DC-9/blocks", `{"replication":3`, http.StatusBadRequest},
+		{"blocks zero replication", "POST", "/v1/DC-9/blocks", `{"replication":0}`, http.StatusBadRequest},
+		{"blocks excessive replication", "POST", "/v1/DC-9/blocks", `{"replication":65}`, http.StatusBadRequest},
 
 		// POST /v1/{dc}/telemetry (open config; 401/429 in the table below)
 		{"telemetry wrong method", "GET", "/v1/DC-9/telemetry", "", http.StatusMethodNotAllowed},
@@ -100,10 +131,30 @@ func TestEndpointErrorPaths(t *testing.T) {
 		{"healthz wrong method", "POST", "/healthz", "", http.StatusMethodNotAllowed},
 		{"metrics wrong method", "POST", "/metrics", "", http.StatusMethodNotAllowed},
 	}
+	// messages pins the {"error": ...} reply of some rows.
+	messages := map[string]string{
+		"select job type in another case":    "job_type must be short, medium or long",
+		"release negative lease":             "bad request body: json: cannot unmarshal number -1 into Go struct field leaseRequest.lease of type uint64",
+		"release fractional lease":           "bad request body: json: cannot unmarshal number 1.5 into Go struct field leaseRequest.lease of type uint64",
+		"renew zero lease":                   "lease must be a nonzero id",
+		"renew negative lease":               "bad request body: json: cannot unmarshal number -1 into Go struct field leaseRequest.lease of type uint64",
+		"renew fractional lease":             "bad request body: json: cannot unmarshal number 1.5 into Go struct field leaseRequest.lease of type uint64",
+		"place replication with an exponent": "bad request body: json: cannot unmarshal number 1e0 into Go struct field placeRequest.replication of type int",
+		"blocks zero replication":            "replication must be in [1, 64]",
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if resp := doRaw(t, tc.method, srv.URL+tc.path, tc.body); resp.StatusCode != tc.want {
-				t.Errorf("%s %s: status %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
+			status, reply := doRaw(t, tc.method, srv.URL+tc.path, tc.body)
+			if status != tc.want {
+				t.Errorf("%s %s: status %d, want %d", tc.method, tc.path, status, tc.want)
+			}
+			msg, pinned := messages[tc.name]
+			if !pinned {
+				return
+			}
+			var e struct{ Error string }
+			if err := json.Unmarshal([]byte(reply), &e); err != nil || e.Error != msg {
+				t.Errorf("%s %s %s: reply %s, want the error %q", tc.method, tc.path, tc.body, reply, msg)
 			}
 		})
 	}

@@ -1,8 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"sync"
 	"time"
 
 	"harvest/internal/blockledger"
@@ -85,3 +88,49 @@ func (b *BinaryServer) Dispatcher() func(out []byte, h wire.Header, payload []by
 	sc := new(scratch)
 	return func(out []byte, h wire.Header, payload []byte) []byte { return b.dispatch(sc, out, h, payload) }
 }
+
+// FreshRequestStates empties the pool of the JSON API's per-request states, so
+// the next request is served from a new one.
+func FreshRequestStates() { statusWriters = sync.Pool{New: statusWriters.New} }
+
+// RebuiltReply decodes a 200 reply of a JSON data-plane endpoint and encodes
+// it again the way its handler once built every reply: a fresh value whose
+// lists are new slices of their own length, passed to encoding/json by value.
+func RebuiltReply(endpoint string, reply []byte) ([]byte, error) {
+	var v any
+	var err error
+	switch endpoint {
+	case "select":
+		v, err = rebuilt(reply, func(r *selectResponse) { r.Classes, r.Headrooms = remade(r.Classes), remade(r.Headrooms) })
+	case "release":
+		v, err = rebuilt(reply, func(r *releaseResponse) { r.Classes, r.Cores = remade(r.Classes), remade(r.Cores) })
+	case "renew":
+		v, err = rebuilt(reply, func(*renewResponse) {})
+	case "place", "blocks":
+		v, err = rebuilt(reply, func(r *placeResponse) { r.Replicas = remade(r.Replicas) })
+	case "classes":
+		v, err = rebuilt(reply, func(r *classesResponse) { r.Classes = remade(r.Classes) })
+	case "server_class":
+		v, err = rebuilt(reply, func(*serverClassResponse) {})
+	case "telemetry":
+		v, err = rebuilt(reply, func(*telemetryResponse) {})
+	case "reimage":
+		v, err = rebuilt(reply, func(*reimageResponse) {})
+	default:
+		return nil, fmt.Errorf("no reply type for endpoint %q", endpoint)
+	}
+	var b bytes.Buffer
+	if err == nil {
+		err = json.NewEncoder(&b).Encode(v)
+	}
+	return b.Bytes(), err
+}
+
+func rebuilt[T any](reply []byte, remake func(*T)) (T, error) {
+	var v T
+	err := json.Unmarshal(reply, &v)
+	remake(&v)
+	return v, err
+}
+
+func remade[E any](s []E) []E { return append(make([]E, 0, len(s)), s...) }

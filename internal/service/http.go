@@ -196,8 +196,8 @@ func (a *API) ServeHTTP(w http.ResponseWriter, r *http.Request) { a.mux.ServeHTT
 
 // statusWriter is a request's pooled state: it captures the response status
 // for instrumentation and carries what the codecs borrow for the length of the
-// request — the trace, the body's bytes, the decoded telemetry samples, and
-// the operations' scratch.
+// request — the trace, the body's bytes, the decoded telemetry samples, the
+// operations' scratch, and the reply.
 type statusWriter struct {
 	http.ResponseWriter
 	status  int
@@ -205,6 +205,30 @@ type statusWriter struct {
 	body    bytes.Buffer
 	samples []IngestSample
 	sc      scratch
+	reply   jsonReplies
+}
+
+// jsonReplies holds one of each data-plane reply. A handler builds its reply
+// in place, so the reply's lists reuse the state's storage and httpjson.Write
+// is handed a pointer rather than a boxed copy.
+type jsonReplies struct {
+	sel       selectResponse
+	release   releaseResponse
+	renew     renewResponse
+	place     placeResponse
+	classes   classesResponse
+	server    serverClassResponse
+	telemetry telemetryResponse
+	reimage   reimageResponse
+}
+
+// emptied returns s at length zero with its storage kept. It is never nil, so
+// a list left empty encodes as [], not null.
+func emptied[E any](s []E) []E {
+	if s == nil {
+		return []E{}
+	}
+	return s[:0]
 }
 
 // maxPooledBody is the most body a pooled state keeps between requests, so an
@@ -377,10 +401,18 @@ func unmarshalBody(w http.ResponseWriter, body []byte, v any) bool {
 	return true
 }
 
-// decodeBody reads a request body and decodes it with encoding/json.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+// decode reads a request body and decodes it with scan or, when scan declines,
+// with encoding/json into a copy of init, answering 400 itself when it cannot.
+func decode[T any](w http.ResponseWriter, r *http.Request, scan func([]byte) (T, bool), init T) (T, bool) {
 	body, ok := readBody(w, r)
-	return ok && unmarshalBody(w, body, v)
+	if !ok {
+		return init, false
+	}
+	if v, ok := scan(body); ok {
+		return v, true
+	}
+	v := init
+	return v, unmarshalBody(w, body, &v)
 }
 
 // writeJSON and writeError are the serving tier's shared response
@@ -450,11 +482,12 @@ func (a *API) handleClasses(w http.ResponseWriter, r *http.Request) {
 		writeError(w, rej.Status, rej.Message)
 		return
 	}
-	resp := classesResponse{
+	resp := &stateOf(w).reply.classes
+	*resp = classesResponse{
 		Datacenter:  v.snap.Datacenter,
 		Generation:  v.snap.Generation,
 		AsOfSeconds: v.snap.AsOf.Seconds(),
-		Classes:     make([]classInfo, 0, len(v.snap.Clustering.Classes)),
+		Classes:     emptied(resp.Classes),
 	}
 	for _, cls := range v.snap.Clustering.Classes {
 		resp.Classes = append(resp.Classes, classInfoOf(v.rec(cls)))
@@ -480,12 +513,14 @@ func (a *API) handleServerClass(w http.ResponseWriter, r *http.Request) {
 		writeError(w, rej.Status, rej.Message)
 		return
 	}
-	writeJSON(w, http.StatusOK, serverClassResponse{
+	resp := &stateOf(w).reply.server
+	*resp = serverClassResponse{
 		Datacenter: snap.Datacenter,
 		Generation: snap.Generation,
 		Server:     id,
 		Class:      classInfoOf(rec),
-	})
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // telemetrySample is the wire form of one ingested observation, as
@@ -613,12 +648,14 @@ func (a *API) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 		writeError(w, rej.Status, rej.Message)
 		return
 	}
-	writeJSON(w, http.StatusOK, telemetryResponse{
+	resp := &st.reply.telemetry
+	*resp = telemetryResponse{
 		Datacenter:     dc,
 		Accepted:       res.Accepted,
 		Rejected:       res.Rejected,
 		HorizonSeconds: res.Horizon.Seconds(),
-	})
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // selectRequest is the JSON form of selectArgs. job_type is "short", "medium"
@@ -637,13 +674,45 @@ type selectRequest struct {
 	Owner string `json:"owner,omitempty"`
 }
 
-// jobCodes maps job_type to its wire.Job* code; a name it lacks is rejected
-// by the operation.
-var jobCodes = map[string]uint8{
-	"short":  wire.JobShort,
-	"medium": wire.JobMedium,
-	"long":   wire.JobLong,
-	"":       wire.JobFromLastRun,
+// jobTypes are the job_type names, indexed by their wire.Job* code.
+var jobTypes = [...]string{wire.JobShort: "short", wire.JobMedium: "medium", wire.JobLong: "long"}
+
+// jobCode maps job_type to its wire.Job* code: absent, the job is classified
+// from its last run, and a name jobTypes lacks is rejected by the operation.
+func jobCode(name string) uint8 {
+	if name == "" {
+		return wire.JobFromLastRun
+	}
+	for code, n := range jobTypes {
+		if n == name {
+			return uint8(code)
+		}
+	}
+	return math.MaxUint8
+}
+
+// scanSelect decodes a select body the scanner accepts; false means it
+// declined (job_id and owner included), and the body is encoding/json's.
+func scanSelect(body []byte) (req selectRequest, ok bool) {
+	var s httpjson.Scanner
+	s.Reset(body)
+	for s.Object(); s.Next(); {
+		switch s.Field("job_type", "last_run_seconds", "max_concurrent_cores", "hold_seconds", "dry_run") {
+		case 0:
+			if i := s.Enum(jobTypes[:]...); i >= 0 {
+				req.JobType = jobTypes[i]
+			}
+		case 1:
+			req.LastRunSeconds = s.Float()
+		case 2:
+			req.MaxConcurrentCores = s.Float()
+		case 3:
+			req.HoldSeconds = s.Float()
+		case 4:
+			req.DryRun = s.Bool()
+		}
+	}
+	return req, s.Done()
 }
 
 type selectResponse struct {
@@ -661,17 +730,13 @@ type selectResponse struct {
 }
 
 func (a *API) handleSelect(w http.ResponseWriter, r *http.Request) {
-	var req selectRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	job, ok := jobCodes[req.JobType]
+	req, ok := decode(w, r, scanSelect, selectRequest{})
 	if !ok {
-		job = math.MaxUint8
+		return
 	}
 	st := stateOf(w)
 	res, rej := a.svc.opSelect(&st.sc, r.PathValue("dc"), selectArgs{
-		Job:            job,
+		Job:            jobCode(req.JobType),
 		DryRun:         req.DryRun,
 		MaxCores:       req.MaxConcurrentCores,
 		LastRunSeconds: req.LastRunSeconds,
@@ -682,19 +747,20 @@ func (a *API) handleSelect(w http.ResponseWriter, r *http.Request) {
 		writeError(w, rej.Status, rej.Message)
 		return
 	}
-	resp := selectResponse{
+	resp := &st.reply.sel
+	*resp = selectResponse{
 		Datacenter:       res.At.Datacenter,
 		Generation:       res.At.Generation,
 		JobType:          res.JobType.String(),
 		Satisfiable:      !res.Selection.Empty(),
-		Classes:          make([]int, len(res.Selection.Classes)),
+		Classes:          emptied(resp.Classes),
 		Headrooms:        res.Selection.Headrooms,
 		Lease:            res.Lease,
 		Granted:          res.Granted,
 		ExpiresInSeconds: secondsUntil(res.ExpiresAt),
 	}
-	for i, id := range res.Selection.Classes {
-		resp.Classes[i] = int(id)
+	for _, id := range res.Selection.Classes {
+		resp.Classes = append(resp.Classes, int(id))
 	}
 	if resp.Headrooms == nil {
 		resp.Headrooms = []float64{}
@@ -703,13 +769,12 @@ func (a *API) handleSelect(w http.ResponseWriter, r *http.Request) {
 }
 
 // grantsOf splits a lease's grants into the parallel class/cores columns the
-// JSON dialect reports them as.
-func grantsOf(lease ledger.Lease) (classes []int, cores []float64) {
-	classes = make([]int, len(lease.Grants))
-	cores = make([]float64, len(lease.Grants))
-	for i, g := range lease.Grants {
-		classes[i] = int(g.Class)
-		cores[i] = ledger.CoresOf(g.Millis)
+// JSON dialect reports them as, in classes' and cores' storage.
+func grantsOf(lease ledger.Lease, classes []int, cores []float64) ([]int, []float64) {
+	classes, cores = emptied(classes), emptied(cores)
+	for _, g := range lease.Grants {
+		classes = append(classes, int(g.Class))
+		cores = append(cores, ledger.CoresOf(g.Millis))
 	}
 	return classes, cores
 }
@@ -739,8 +804,9 @@ const maxLeasePage = 1000
 // "who is holding the harvested cores right now".
 func (a *API) handleLeases(w http.ResponseWriter, r *http.Request) {
 	dc := r.PathValue("dc")
+	q := r.URL.Query()
 	offset, limit := 0, 100
-	if s := r.URL.Query().Get("offset"); s != "" {
+	if s := q.Get("offset"); s != "" {
 		v, err := strconv.Atoi(s)
 		if err != nil || v < 0 {
 			writeError(w, http.StatusBadRequest, "offset must be a non-negative integer")
@@ -748,7 +814,7 @@ func (a *API) handleLeases(w http.ResponseWriter, r *http.Request) {
 		}
 		offset = v
 	}
-	if s := r.URL.Query().Get("limit"); s != "" {
+	if s := q.Get("limit"); s != "" {
 		v, err := strconv.Atoi(s)
 		if err != nil || v < 1 || v > maxLeasePage {
 			writeError(w, http.StatusBadRequest,
@@ -765,7 +831,7 @@ func (a *API) handleLeases(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := leasesResponse{Datacenter: dc, Total: total, Offset: offset, Leases: make([]leaseInfo, len(page))}
 	for i, ls := range page {
-		classes, cores := grantsOf(ls)
+		classes, cores := grantsOf(ls, make([]int, 0, len(ls.Grants)), make([]float64, 0, len(ls.Grants)))
 		resp.Leases[i] = leaseInfo{
 			Lease:            ls.ID,
 			JobID:            ls.Meta.JobID,
@@ -787,6 +853,22 @@ type leaseRequest struct {
 	HoldSeconds float64 `json:"hold_seconds"`
 }
 
+// scanLease decodes a renew or release body the scanner accepts; false means
+// it declined, and the body is encoding/json's.
+func scanLease(body []byte) (req leaseRequest, ok bool) {
+	var s httpjson.Scanner
+	s.Reset(body)
+	for s.Object(); s.Next(); {
+		switch s.Field("lease", "hold_seconds") {
+		case 0:
+			req.Lease = s.Uint()
+		case 1:
+			req.HoldSeconds = s.Float()
+		}
+	}
+	return req, s.Done()
+}
+
 type renewResponse struct {
 	Datacenter       string  `json:"datacenter"`
 	Lease            uint64  `json:"lease"`
@@ -795,22 +877,25 @@ type renewResponse struct {
 }
 
 func (a *API) handleRenew(w http.ResponseWriter, r *http.Request) {
-	var req leaseRequest
-	if !decodeBody(w, r, &req) {
+	req, ok := decode(w, r, scanLease, leaseRequest{})
+	if !ok {
 		return
 	}
 	dc := r.PathValue("dc")
-	lease, rej := a.svc.opRenew(&stateOf(w).sc, dc, req.Lease, req.HoldSeconds)
+	st := stateOf(w)
+	lease, rej := a.svc.opRenew(&st.sc, dc, req.Lease, req.HoldSeconds)
 	if rej != nil {
 		writeError(w, rej.Status, rej.Message)
 		return
 	}
-	writeJSON(w, http.StatusOK, renewResponse{
+	resp := &st.reply.renew
+	*resp = renewResponse{
 		Datacenter:       dc,
 		Lease:            lease.ID,
 		TotalCores:       ledger.CoresOf(lease.TotalMillis()),
 		ExpiresInSeconds: secondsUntil(lease.ExpiresAt),
-	})
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 type releaseResponse struct {
@@ -822,24 +907,27 @@ type releaseResponse struct {
 }
 
 func (a *API) handleRelease(w http.ResponseWriter, r *http.Request) {
-	var req leaseRequest
-	if !decodeBody(w, r, &req) {
+	req, ok := decode(w, r, scanLease, leaseRequest{})
+	if !ok {
 		return
 	}
 	dc := r.PathValue("dc")
-	lease, rej := a.svc.opRelease(&stateOf(w).sc, dc, req.Lease)
+	st := stateOf(w)
+	lease, rej := a.svc.opRelease(&st.sc, dc, req.Lease)
 	if rej != nil {
 		writeError(w, rej.Status, rej.Message)
 		return
 	}
-	classes, cores := grantsOf(lease)
-	writeJSON(w, http.StatusOK, releaseResponse{
+	resp := &st.reply.release
+	classes, cores := grantsOf(lease, resp.Classes, resp.Cores)
+	*resp = releaseResponse{
 		Datacenter:    dc,
 		Lease:         lease.ID,
 		ReleasedCores: ledger.CoresOf(lease.TotalMillis()),
 		Classes:       classes,
 		Cores:         cores,
-	})
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // placeRequest is the body of both place and blocks. Writer is the creating
@@ -848,6 +936,27 @@ type placeRequest struct {
 	Replication        int   `json:"replication"`
 	Writer             int64 `json:"writer"`
 	RelaxedEnvironment bool  `json:"relaxed_environment"`
+}
+
+// scanPlace decodes a place or blocks body the scanner accepts; false means it
+// declined, and the body is encoding/json's. A replication that overflows an
+// int declines, as encoding/json fails it (on 32-bit platforms).
+func scanPlace(body []byte) (placeRequest, bool) {
+	var s httpjson.Scanner
+	s.Reset(body)
+	req, fits := placeRequest{Writer: -1}, true
+	for s.Object(); s.Next(); {
+		switch s.Field("replication", "writer", "relaxed_environment") {
+		case 0:
+			n := s.Int()
+			req.Replication, fits = int(n), int64(int(n)) == n
+		case 1:
+			req.Writer = s.Int()
+		case 2:
+			req.RelaxedEnvironment = s.Bool()
+		}
+	}
+	return req, fits && s.Done()
 }
 
 // placeResponse answers both; Block is the ledger's id for a created block.
@@ -861,24 +970,26 @@ type placeResponse struct {
 // handlePlacement is the JSON codec of both placement operations.
 func (a *API) handlePlacement(op func(sc *scratch, dc string, replication int, writer int64, relaxed bool) (BlockPlacement, *rejection)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		req := placeRequest{Writer: -1}
-		if !decodeBody(w, r, &req) {
+		req, ok := decode(w, r, scanPlace, placeRequest{Writer: -1})
+		if !ok {
 			return
 		}
 		dc := r.PathValue("dc")
-		placed, rej := op(&stateOf(w).sc, dc, req.Replication, req.Writer, req.RelaxedEnvironment)
+		st := stateOf(w)
+		placed, rej := op(&st.sc, dc, req.Replication, req.Writer, req.RelaxedEnvironment)
 		if rej != nil {
 			writeError(w, rej.Status, rej.Message)
 			return
 		}
-		resp := placeResponse{
+		resp := &st.reply.place
+		*resp = placeResponse{
 			Datacenter: dc,
 			Generation: placed.Generation,
 			Block:      placed.Block,
-			Replicas:   make([]int64, len(placed.Replicas)),
+			Replicas:   emptied(resp.Replicas),
 		}
-		for i, s := range placed.Replicas {
-			resp.Replicas[i] = int64(s)
+		for _, s := range placed.Replicas {
+			resp.Replicas = append(resp.Replicas, int64(s))
 		}
 		writeJSON(w, http.StatusOK, resp)
 	}
@@ -936,7 +1047,9 @@ func (a *API) handleReimage(w http.ResponseWriter, r *http.Request) {
 		writeError(w, rej.Status, rej.Message)
 		return
 	}
-	writeJSON(w, http.StatusOK, reimageResponse{Datacenter: dc, Server: server, Lost: lost, Pending: pending})
+	resp := &stateOf(w).reply.reimage
+	*resp = reimageResponse{Datacenter: dc, Server: server, Lost: lost, Pending: pending}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // promoteResponse reports a promotion attempt. Promoted is false when the
