@@ -11,10 +11,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -224,23 +226,27 @@ func (s *ClusteringService) clusterFrom(pop *tenant.Population, src tenant.Histo
 	if err != nil {
 		return nil, err
 	}
-	clustering := newClustering(pop)
+	var w WindowScratch
+	w.group(active)
 	rng := rand.New(rand.NewSource(s.cfg.Seed))
-	byPattern := groupByPattern(active)
+	var classes []*UtilizationClass
 	for _, pattern := range patternOrder {
-		tenants := byPattern[pattern]
+		tenants := w.groups[pattern]
 		if len(tenants) == 0 {
 			continue
 		}
 		k := s.classCount(pattern, len(tenants))
-		result, err := kmeans.Cluster(rng, featureVectors(tenants), kmeans.Config{K: k})
+		result, err := w.kmeans.Cluster(rng, w.featureMatrix(tenants), kmeans.Config{K: k})
 		if err != nil {
 			return nil, fmt.Errorf("core: clustering %v tenants: %w", pattern, err)
 		}
-		s.appendClasses(clustering, pop, pattern, tenants, result)
+		classes = w.appendClasses(classes, nil, pop, pattern, tenants, result, nil)
 	}
-	sortClasses(clustering)
-	return clustering, nil
+	return &Clustering{
+		Classes:     classes,
+		tenantClass: tenantIndex(classes, len(active)),
+		serverClass: serverIndex(classes, pop.NumServers()),
+	}, nil
 }
 
 // ClassifyFrom is ClusterFromAllCores' first pass on its own: it re-derives
@@ -324,11 +330,63 @@ func newWindowReader(src tenant.HistorySource, scratch []float64) *windowReader 
 	return &windowReader{src: src, window: window, scratch: scratch}
 }
 
-// WindowScratch is the buffer a warm Recluster reads tenants' history windows
-// into. A caller that re-clusters again and again keeps one and passes it to
-// ReclusterWith, so a refresh reads every window without allocating one; one
-// pass uses it at a time.
-type WindowScratch struct{ values []float64 }
+// WindowScratch is the working storage a warm Recluster keeps across
+// generations: the buffer history windows are read into, the tenants grouped
+// by pattern, one group's feature matrix, the K-Means workspace, and the
+// class list being assembled. A caller that re-clusters again and again keeps
+// one and passes it to ReclusterWith, so a refresh in which no tenant moved
+// allocates a handful of objects whatever the tenant and class counts; one
+// pass uses it at a time. Nothing in it reaches a published Clustering: what
+// a generation keeps is copied out of it, or is the previous generation's
+// identical value.
+type WindowScratch struct {
+	values   []float64
+	active   []*tenant.Tenant
+	groups   [signalproc.NumPatterns][]*tenant.Tenant
+	features []float64   // one group's feature vectors, row after row
+	points   [][]float64 // the rows of features
+	seeds    [][]float64 // the previous generation's centroids for one pattern
+	order    []int       // one group's K-Means clusters in first-appearance order
+	members  []tenant.ID // one class's tenants
+	classes  []*UtilizationClass
+	kmeans   kmeans.Workspace
+}
+
+// group splits active by pattern into w.groups, population order kept.
+func (w *WindowScratch) group(active []*tenant.Tenant) {
+	for p := range w.groups {
+		w.groups[p] = w.groups[p][:0]
+	}
+	for _, t := range active {
+		w.groups[t.Pattern()] = append(w.groups[t.Pattern()], t)
+	}
+}
+
+// featureMatrix returns the tenants' feature vectors, one row each, in w's
+// storage: valid until the next call.
+func (w *WindowScratch) featureMatrix(tenants []*tenant.Tenant) [][]float64 {
+	w.features = w.features[:0]
+	for _, t := range tenants {
+		w.features = t.Profile.AppendFeatures(w.features)
+	}
+	w.points = w.points[:0]
+	for i := range tenants {
+		w.points = append(w.points, w.features[i*signalproc.NumFeatures:(i+1)*signalproc.NumFeatures:(i+1)*signalproc.NumFeatures])
+	}
+	return w.points
+}
+
+// seedsFor returns the previous generation's centroids for a pattern, in
+// class order, in w's storage.
+func (w *WindowScratch) seedsFor(prev *Clustering, pattern signalproc.Pattern) [][]float64 {
+	w.seeds = w.seeds[:0]
+	for _, cls := range prev.Classes {
+		if cls.Pattern == pattern {
+			w.seeds = append(w.seeds, cls.Centroid)
+		}
+	}
+	return w.seeds
+}
 
 // read returns the tenant's window and the slot width its values are spaced
 // at, or no values when the source holds none. The values are only valid
@@ -365,81 +423,45 @@ func (s *ClusteringService) classifyWindow(t *tenant.Tenant, values []float64, i
 	return nil
 }
 
-func newClustering(pop *tenant.Population) *Clustering {
-	return &Clustering{
-		tenantClass: make(map[tenant.ID]ClassID, len(pop.Tenants)),
-		serverClass: make(map[tenant.ServerID]ClassID, pop.NumServers()),
-	}
-}
-
-func groupByPattern(tenants []*tenant.Tenant) map[signalproc.Pattern][]*tenant.Tenant {
-	byPattern := make(map[signalproc.Pattern][]*tenant.Tenant, signalproc.NumPatterns)
-	for _, t := range tenants {
-		byPattern[t.Pattern()] = append(byPattern[t.Pattern()], t)
-	}
-	return byPattern
-}
-
-func featureVectors(tenants []*tenant.Tenant) [][]float64 {
-	points := make([][]float64, len(tenants))
-	for i, t := range tenants {
-		points[i] = t.Profile.FeatureVector()
-	}
-	return points
-}
-
 // appendClasses turns one pattern group's K-Means result into utilization
-// classes appended to the clustering. Empty clusters are dropped (possible
-// when K exceeds the number of distinct profiles). Class utilization
-// statistics are server-count-weighted over the members' profile windows:
-// the peak is the weighted average of the members' peaks, so the class
-// summarizes how high its typical server goes without a single outlier
-// tenant making the whole class unusable for long jobs.
-func (s *ClusteringService) appendClasses(clustering *Clustering, pop *tenant.Population,
-	pattern signalproc.Pattern, tenants []*tenant.Tenant, result *kmeans.Result) {
-	s.appendClassesLite(clustering, pop, pattern, tenants, result)
-	for _, t := range tenants {
-		cls := clustering.Classes[clustering.tenantClass[t.ID]]
-		cls.Servers = append(cls.Servers, t.Servers...)
-		for _, srv := range t.Servers {
-			clustering.serverClass[srv] = cls.ID
+// classes appended to classes, numbered on from len(classes) in the order
+// their first member appears in the group, each listing its members in group
+// order. Empty clusters are dropped (possible when K exceeds the number of
+// distinct profiles). Class utilization statistics are
+// server-count-weighted over the members' profile windows: the peak is the
+// weighted average of the members' peaks, so the class summarizes how high
+// its typical server goes without a single outlier tenant making the whole
+// class unusable for long jobs.
+//
+// Against a previous generation (nil for a from-scratch build), a class whose
+// members, ID, pattern, centroid and statistics all equal a previous class's
+// is that previous class itself, and one whose members alone match shares the
+// previous class's tenant and server lists (immutable once published), which
+// st counts as reused. Any other class is built fresh, its centroid copied out
+// of the K-Means workspace.
+func (w *WindowScratch) appendClasses(classes []*UtilizationClass, prev *Clustering, pop *tenant.Population,
+	pattern signalproc.Pattern, tenants []*tenant.Tenant, result *kmeans.Result, st *ReclusterStats) []*UtilizationClass {
+	w.order = w.order[:0]
+	for _, ci := range result.Assignments {
+		if !slices.Contains(w.order, ci) {
+			w.order = append(w.order, ci)
 		}
 	}
-}
-
-// appendClassesLite is appendClasses without the per-server work: classes,
-// tenant membership, and class statistics only. The incremental path
-// (Recluster) uses it and then splices server lists and assignments from the
-// previous generation instead of rebuilding them per server.
-func (s *ClusteringService) appendClassesLite(clustering *Clustering, pop *tenant.Population,
-	pattern signalproc.Pattern, tenants []*tenant.Tenant, result *kmeans.Result) {
-	classIndex := make(map[int]*UtilizationClass, len(result.Centroids))
-	for i, t := range tenants {
-		ci := result.Assignments[i]
-		cls, ok := classIndex[ci]
-		if !ok {
-			cls = &UtilizationClass{
-				ID:       ClassID(len(clustering.Classes)),
-				Pattern:  pattern,
-				Centroid: result.Centroids[ci],
+	for _, ci := range w.order {
+		id := ClassID(len(classes))
+		members := w.members[:0]
+		totalServers, avg, peak := 0.0, 0.0, 0.0
+		for i, t := range tenants {
+			if result.Assignments[i] != ci {
+				continue
 			}
-			classIndex[ci] = cls
-			clustering.Classes = append(clustering.Classes, cls)
+			members = append(members, t.ID)
+			weight := float64(t.NumServers())
+			totalServers += weight
+			avg += t.Profile.Mean * weight
+			peak += t.Profile.Peak * weight
 		}
-		cls.Tenants = append(cls.Tenants, t.ID)
-		clustering.tenantClass[t.ID] = cls.ID
-	}
-	for _, cls := range classIndex {
-		totalServers := 0.0
-		avg := 0.0
-		peak := 0.0
-		for _, tid := range cls.Tenants {
-			t := pop.ByID(tid)
-			w := float64(t.NumServers())
-			totalServers += w
-			avg += t.Profile.Mean * w
-			peak += t.Profile.Peak * w
-		}
+		w.members = members
 		if totalServers > 0 {
 			avg /= totalServers
 			peak /= totalServers
@@ -447,16 +469,58 @@ func (s *ClusteringService) appendClassesLite(clustering *Clustering, pop *tenan
 		if peak < avg {
 			peak = avg
 		}
-		cls.AvgUtilization = avg
-		cls.PeakUtilization = peak
+		centroid := result.Centroids[ci]
+		p := prevClassMatching(prev, members)
+		if p != nil && st != nil {
+			st.ReusedClasses++
+		}
+		if p != nil && p.ID == id && p.Pattern == pattern && sameBits(p.AvgUtilization, avg) &&
+			sameBits(p.PeakUtilization, peak) && slices.EqualFunc(p.Centroid, centroid, sameBits) {
+			classes = append(classes, p)
+			continue
+		}
+		cls := &UtilizationClass{
+			ID:              id,
+			Pattern:         pattern,
+			AvgUtilization:  avg,
+			PeakUtilization: peak,
+			Centroid:        slices.Clone(centroid),
+		}
+		if p != nil {
+			cls.Tenants, cls.Servers = p.Tenants, p.Servers
+		} else {
+			cls.Tenants = slices.Clone(members)
+			for _, tid := range members {
+				cls.Servers = append(cls.Servers, pop.ByID(tid).Servers...)
+			}
+		}
+		classes = append(classes, cls)
 	}
+	return classes
 }
 
-// sortClasses keeps class ordering stable by ID.
-func sortClasses(clustering *Clustering) {
-	sort.Slice(clustering.Classes, func(i, j int) bool {
-		return clustering.Classes[i].ID < clustering.Classes[j].ID
-	})
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// tenantIndex maps every member tenant to its class.
+func tenantIndex(classes []*UtilizationClass, tenants int) map[tenant.ID]ClassID {
+	index := make(map[tenant.ID]ClassID, tenants)
+	for _, cls := range classes {
+		for _, tid := range cls.Tenants {
+			index[tid] = cls.ID
+		}
+	}
+	return index
+}
+
+// serverIndex maps every member server to its class.
+func serverIndex(classes []*UtilizationClass, servers int) map[tenant.ServerID]ClassID {
+	index := make(map[tenant.ServerID]ClassID, servers)
+	for _, cls := range classes {
+		for _, srv := range cls.Servers {
+			index[srv] = cls.ID
+		}
+	}
+	return index
 }
 
 // NewClusteringFromClasses reassembles a Clustering from its classes — the
@@ -483,7 +547,7 @@ func NewClusteringFromClasses(classes []*UtilizationClass) (*Clustering, error) 
 			c.serverClass[srv] = cls.ID
 		}
 	}
-	sortClasses(c)
+	slices.SortFunc(c.Classes, func(a, b *UtilizationClass) int { return cmp.Compare(a.ID, b.ID) })
 	return c, nil
 }
 

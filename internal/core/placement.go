@@ -181,18 +181,6 @@ func (s *PlacementScheme) RelaxedCount() uint64 {
 	return s.relaxed.Load()
 }
 
-// CellOfTenant returns the (col, row) cell of a tenant.
-func (s *PlacementScheme) CellOfTenant(id tenant.ID) (col, row int, ok bool) {
-	cell, ok := s.tenantCell[id]
-	return cell[0], cell[1], ok
-}
-
-// TenantOfServer returns the tenant owning a server, if known to the scheme.
-func (s *PlacementScheme) TenantOfServer(id tenant.ServerID) (tenant.ID, bool) {
-	t, ok := s.serverTenant[id]
-	return t, ok
-}
-
 // SpaceImbalance returns the ratio between the largest and smallest cell
 // space (1 means perfectly balanced). It is the quantity the production
 // deployment monitors to decide when diversity is getting scarce (§7).

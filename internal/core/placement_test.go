@@ -85,9 +85,8 @@ func TestBuildPlacementSchemeTenantMappedOnce(t *testing.T) {
 					t.Fatalf("tenant %v appears in more than one cell", tid)
 				}
 				seen[tid] = true
-				c, r, ok := scheme.CellOfTenant(tid)
-				if !ok || c != col || r != row {
-					t.Fatalf("CellOfTenant(%v) = (%d,%d,%v), want (%d,%d,true)", tid, c, r, ok, col, row)
+				if cell, ok := scheme.tenantCell[tid]; !ok || cell != [2]int{col, row} {
+					t.Fatalf("tenant %v indexed at %v (%v), want (%d,%d)", tid, cell, ok, col, row)
 				}
 			}
 		}
@@ -96,10 +95,10 @@ func TestBuildPlacementSchemeTenantMappedOnce(t *testing.T) {
 		t.Fatalf("cells cover %d tenants, want 50", len(seen))
 	}
 	// Server lookup.
-	if tid, ok := scheme.TenantOfServer(infos[3].Servers[0]); !ok || tid != infos[3].ID {
-		t.Fatalf("TenantOfServer mismatch")
+	if tid, ok := scheme.serverTenant[infos[3].Servers[0]]; !ok || tid != infos[3].ID {
+		t.Fatalf("server index mismatch")
 	}
-	if _, ok := scheme.TenantOfServer(tenant.ServerID(1 << 30)); ok {
+	if _, ok := scheme.serverTenant[tenant.ServerID(1<<30)]; ok {
 		t.Fatalf("unknown server should not resolve")
 	}
 }
@@ -137,7 +136,7 @@ func TestPlaceReplicasBasicProperties(t *testing.T) {
 				t.Fatalf("server %v received two replicas", srv)
 			}
 			servers[srv] = true
-			tid, ok := scheme.TenantOfServer(srv)
+			tid, ok := scheme.serverTenant[srv]
 			if !ok {
 				t.Fatalf("replica on unknown server %v", srv)
 			}
@@ -146,7 +145,8 @@ func TestPlaceReplicasBasicProperties(t *testing.T) {
 				t.Fatalf("environment %q received two replicas", env)
 			}
 			envs[env] = true
-			col, row, _ := scheme.CellOfTenant(tid)
+			cell := scheme.tenantCell[tid]
+			col, row := cell[0], cell[1]
 			if rows[row] {
 				t.Fatalf("row %d used twice within a round", row)
 			}
@@ -180,7 +180,7 @@ func TestPlaceReplicasFourWayReplication(t *testing.T) {
 	// Environments must still be unique even across rounds.
 	envs := map[string]bool{}
 	for _, srv := range replicas {
-		tid, _ := scheme.TenantOfServer(srv)
+		tid := scheme.serverTenant[srv]
 		env := infos[int(tid)].Environment
 		if envs[env] {
 			t.Fatalf("environment %q received two replicas", env)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"harvest/internal/kmeans"
 	"harvest/internal/signalproc"
@@ -91,8 +92,8 @@ func (s *ClusteringService) Recluster(prev *Clustering, pop *tenant.Population, 
 	return s.ReclusterWith(new(WindowScratch), prev, pop, src)
 }
 
-// ReclusterWith is Recluster reading the history windows into windows.
-func (s *ClusteringService) ReclusterWith(windows *WindowScratch, prev *Clustering, pop *tenant.Population, src tenant.HistorySource) (*Clustering, ReclusterStats, error) {
+// ReclusterWith is Recluster in the working storage w.
+func (s *ClusteringService) ReclusterWith(w *WindowScratch, prev *Clustering, pop *tenant.Population, src tenant.HistorySource) (*Clustering, ReclusterStats, error) {
 	var st ReclusterStats
 	st.Tenants = len(pop.Tenants)
 	st.FullAgreement = -1
@@ -112,9 +113,10 @@ func (s *ClusteringService) ReclusterWith(windows *WindowScratch, prev *Clusteri
 	}
 	st.DriftThreshold = thr
 	hist, _ := src.(tenant.HistoryStats)
-	reader := newWindowReader(src, windows.values)
-	defer func() { windows.values = reader.scratch }()
-	active := make([]*tenant.Tenant, 0, len(pop.Tenants))
+	reader := newWindowReader(src, w.values)
+	defer func() { w.values = reader.scratch }()
+	active := w.active[:0]
+	defer func() { w.active = active[:0] }()
 	for _, t := range pop.Tenants {
 		_, hadClass := prev.ClassOfTenant(t.ID)
 		var mark uint64
@@ -176,75 +178,75 @@ func (s *ClusteringService) ReclusterWith(windows *WindowScratch, prev *Clusteri
 		return nil, st, fmt.Errorf("core: history source holds no series for any tenant")
 	}
 
-	prevCentroids := make(map[signalproc.Pattern][][]float64, signalproc.NumPatterns)
-	for _, cls := range prev.Classes {
-		prevCentroids[cls.Pattern] = append(prevCentroids[cls.Pattern], cls.Centroid)
-	}
-
-	// Server membership is spliced from the previous generation after the
-	// K-Means passes, so the clustering is built without the per-server map
-	// prealloc a from-scratch build pays.
-	clustering := &Clustering{tenantClass: make(map[tenant.ID]ClassID, len(pop.Tenants))}
-	rng := rand.New(rand.NewSource(s.cfg.Seed))
-	byPattern := groupByPattern(active)
+	// The K-Means passes run in w's storage and assemble the classes in
+	// w.classes; server membership is spliced from the previous generation
+	// after them. The seeding RNG is made only if a group needs re-seeding.
+	w.group(active)
+	var rng *rand.Rand
+	classes := w.classes[:0]
+	defer func() { w.classes = classes[:0] }()
 	for _, pattern := range patternOrder {
-		tenants := byPattern[pattern]
+		tenants := w.groups[pattern]
 		if len(tenants) == 0 {
 			continue
 		}
 		k := s.classCount(pattern, len(tenants))
-		points := featureVectors(tenants)
+		points := w.featureMatrix(tenants)
 		var result *kmeans.Result
 		var err error
-		if seeds := prevCentroids[pattern]; len(seeds) == k {
-			result, err = kmeans.ClusterFrom(points, seeds, kmeans.Config{})
+		if seeds := w.seedsFor(prev, pattern); len(seeds) == k {
+			result, err = w.kmeans.ClusterFrom(points, seeds, kmeans.Config{})
 			st.WarmPatterns++
 		} else {
 			// The target class count changed (tenants moved between patterns)
 			// or the previous generation had no classes for this pattern:
 			// re-seed this group from scratch.
-			result, err = kmeans.Cluster(rng, points, kmeans.Config{K: k})
+			if rng == nil {
+				rng = rand.New(rand.NewSource(s.cfg.Seed))
+			}
+			result, err = w.kmeans.Cluster(rng, points, kmeans.Config{K: k})
 			st.ColdPatterns++
 		}
 		if err != nil {
 			return nil, st, fmt.Errorf("core: reclustering %v tenants: %w", pattern, err)
 		}
 		st.Iterations += result.Iterations
-		s.appendClassesLite(clustering, pop, pattern, tenants, result)
+		classes = w.appendClasses(classes, prev, pop, pattern, tenants, result, &st)
 	}
-	s.spliceMembership(clustering, prev, pop, &st)
-	sortClasses(clustering)
+	clustering := &Clustering{Classes: prev.Classes}
+	if !slices.Equal(classes, prev.Classes) {
+		clustering.Classes = slices.Clone(classes)
+	}
+	spliceMembership(clustering, prev, pop, &st)
 	return clustering, st, nil
 }
 
-// spliceMembership fills the incremental generation's server membership from
-// the previous one instead of rebuilding it per server:
+// spliceMembership fills the incremental generation's membership maps from
+// the previous one instead of rebuilding them per server. appendClasses has
+// already given every class whose tenant membership is unchanged the previous
+// generation's Servers slice. Then:
 //
-//   - a class whose tenant membership is unchanged shares the previous
-//     generation's Servers slice (immutable once published), and
-//   - the server→class map is the previous generation's map shared outright,
-//     shadowed by a delta holding only the servers of tenants whose
-//     assignment changed (classNone tombstones for drop-outs).
+//   - when no tenant changed class, joined or dropped out, the generation
+//     shares all three of the previous generation's maps outright, and
+//   - otherwise the tenant map is built afresh, and the server→class map is
+//     the previous generation's shared outright, shadowed by a delta holding
+//     only the servers of tenants whose assignment changed (classNone
+//     tombstones for drop-outs).
 //
 // The delta accumulates across warm generations and is flattened into a
 // fresh full map once it outgrows a quarter of the fleet — and on every full
 // rebuild, which takes the from-scratch path entirely. In the steady state
-// (no drift, stable K-Means fixed point) nothing moved: every class reuses
-// its server list and the map is shared with zero delta, making the whole
-// refresh independent of server count.
-func (s *ClusteringService) spliceMembership(clustering, prev *Clustering, pop *tenant.Population, st *ReclusterStats) {
-	for _, cls := range clustering.Classes {
-		if p := prevClassMatching(prev, cls); p != nil {
-			cls.Servers = p.Servers
-			st.ReusedClasses++
-			continue
-		}
-		for _, tid := range cls.Tenants {
-			if t := pop.ByID(tid); t != nil {
-				cls.Servers = append(cls.Servers, t.Servers...)
-			}
-		}
+// (no drift, stable K-Means fixed point) nothing moved: every class is the
+// previous generation's and every map is shared, making the whole refresh
+// independent of server count.
+func spliceMembership(clustering, prev *Clustering, pop *tenant.Population, st *ReclusterStats) {
+	if sameAssignment(clustering.Classes, prev) {
+		clustering.tenantClass = prev.tenantClass
+		clustering.serverClass, clustering.serverDelta = prev.serverClass, prev.serverDelta
+		st.SplicedServers = len(clustering.serverDelta)
+		return
 	}
+	clustering.tenantClass = tenantIndex(clustering.Classes, len(pop.Tenants))
 
 	delta := make(map[tenant.ServerID]ClassID, len(prev.serverDelta))
 	for srv, cid := range prev.serverDelta {
@@ -270,13 +272,7 @@ func (s *ClusteringService) spliceMembership(clustering, prev *Clustering, pop *
 	case len(prev.serverClass) == 0 || len(delta)*4 > total:
 		// No base to share, or the splice stopped paying for itself:
 		// flatten into a fresh full map and drop the chain.
-		flat := make(map[tenant.ServerID]ClassID, total)
-		for _, cls := range clustering.Classes {
-			for _, srv := range cls.Servers {
-				flat[srv] = cls.ID
-			}
-		}
-		clustering.serverClass = flat
+		clustering.serverClass = serverIndex(clustering.Classes, total)
 	case len(delta) == 0:
 		clustering.serverClass = prev.serverClass
 	default:
@@ -286,26 +282,36 @@ func (s *ClusteringService) spliceMembership(clustering, prev *Clustering, pop *
 	st.SplicedServers = len(clustering.serverDelta)
 }
 
+// sameAssignment reports whether classes assign exactly the tenants prev
+// does, each to the same class ID.
+func sameAssignment(classes []*UtilizationClass, prev *Clustering) bool {
+	n := 0
+	for _, cls := range classes {
+		n += len(cls.Tenants)
+		for _, tid := range cls.Tenants {
+			if cid, ok := prev.tenantClass[tid]; !ok || cid != cls.ID {
+				return false
+			}
+		}
+	}
+	return n == len(prev.tenantClass)
+}
+
 // prevClassMatching returns the previous generation's class with the exact
-// same tenant membership (same tenants, same order) as cls, or nil. The
-// candidate is found through the first member's previous assignment, so the
-// check is O(members).
-func prevClassMatching(prev *Clustering, cls *UtilizationClass) *UtilizationClass {
-	if len(cls.Tenants) == 0 {
+// same tenant membership (same tenants, same order) as members, or nil —
+// always nil without a previous generation. The candidate is found through
+// the first member's previous assignment, so the check is O(members).
+func prevClassMatching(prev *Clustering, members []tenant.ID) *UtilizationClass {
+	if prev == nil || len(members) == 0 {
 		return nil
 	}
-	pid, ok := prev.ClassOfTenant(cls.Tenants[0])
+	pid, ok := prev.ClassOfTenant(members[0])
 	if !ok {
 		return nil
 	}
 	p := prev.Class(pid)
-	if p == nil || len(p.Tenants) != len(cls.Tenants) {
+	if p == nil || !slices.Equal(p.Tenants, members) {
 		return nil
-	}
-	for i, tid := range cls.Tenants {
-		if p.Tenants[i] != tid {
-			return nil
-		}
 	}
 	return p
 }

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"harvest/internal/signalproc"
@@ -160,7 +161,10 @@ func (s Selection) Empty() bool { return len(s.Classes) == 0 }
 type Selector struct {
 	cfg        SelectorConfig
 	clustering *Clustering
-	rng        *rand.Rand
+	// rng is what Select draws from: the caller's, or one seeded with 1 that
+	// the first Select makes, so a selector only ever queried through
+	// SelectWith or SelectIndexed never pays for a source.
+	rng *rand.Rand
 }
 
 // NewSelector creates a selector over a clustering.
@@ -176,9 +180,6 @@ func NewSelector(cfg SelectorConfig, clustering *Clustering, rng *rand.Rand) (*S
 	}
 	if cfg.Weights == nil {
 		cfg.Weights = DefaultRankingWeights()
-	}
-	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
 	}
 	return &Selector{cfg: cfg, clustering: clustering, rng: rng}, nil
 }
@@ -224,6 +225,9 @@ func (s *Selector) Headroom(jobType JobType, class *UtilizationClass, usage Clas
 // not safe for concurrent use; concurrent callers (the serving layer) use
 // SelectWith with per-request RNGs instead.
 func (s *Selector) Select(job JobRequest, usage map[ClassID]ClassUsage) Selection {
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(1))
+	}
 	return s.SelectWith(s.rng, job, usage)
 }
 
@@ -372,31 +376,35 @@ type SelectIndex struct {
 // type's lists: their headroom is pinned at zero, so the naive scan can
 // never pick them either alone, in a spread, or through the zero-weight
 // fallback — and stats.WeightedChoice ignores non-positive weights, so their
-// absence changes neither the outcome nor the RNG stream.
+// absence changes neither the outcome nor the RNG stream. The six lists share
+// one backing array.
 func (s *Selector) BuildIndex(usage map[ClassID]ClassUsage) *SelectIndex {
+	n := len(s.clustering.Classes)
 	idx := &SelectIndex{}
+	backing := make([]indexEntry, 0, 2*NumJobTypes*n)
 	for t := JobShort; t < NumJobTypes; t++ {
-		entries := make([]indexEntry, 0, len(s.clustering.Classes))
+		start := len(backing)
 		for _, cls := range s.clustering.Classes {
 			capacity := s.Capacity(t, cls, usage[cls.ID])
 			if capacity <= 0 {
 				continue
 			}
-			entries = append(entries, indexEntry{
+			backing = append(backing, indexEntry{
 				id:       cls.ID,
 				capacity: capacity,
 				weight:   s.cfg.Weights[t][cls.Pattern],
 			})
 		}
-		byCap := make([]indexEntry, len(entries))
-		copy(byCap, entries)
-		sort.Slice(byCap, func(i, j int) bool {
-			if byCap[i].capacity != byCap[j].capacity {
-				return byCap[i].capacity > byCap[j].capacity
+		mid := len(backing)
+		backing = append(backing, backing[start:mid]...)
+		byCap := backing[mid:len(backing):len(backing)]
+		slices.SortFunc(byCap, func(a, b indexEntry) int {
+			if c := cmp.Compare(b.capacity, a.capacity); c != 0 {
+				return c
 			}
-			return byCap[i].id < byCap[j].id
+			return cmp.Compare(a.id, b.id)
 		})
-		idx.byID[t] = entries // clustering.Classes is ID-sorted
+		idx.byID[t] = backing[start:mid:mid] // clustering.Classes is ID-sorted
 		idx.byCap[t] = byCap
 	}
 	return idx

@@ -70,6 +70,60 @@ func validate(points [][]float64, cfg Config) (dim, maxIter int, tol float64, er
 // dimensionality. The rng drives the k-means++ seeding so results are
 // reproducible for a fixed seed.
 func Cluster(rng *rand.Rand, points [][]float64, cfg Config) (*Result, error) {
+	return new(Workspace).Cluster(rng, points, cfg)
+}
+
+// ClusterFrom runs K-Means starting from the given seed centroids instead of
+// k-means++ — the warm-start entry point incremental re-clustering uses to
+// resume from a previous generation's converged centroids. cfg.K is ignored;
+// the cluster count is len(seeds) (clamped to the point count). The seeds are
+// copied, never mutated, and need not be data points. Seed dimensionality
+// must match the points.
+func ClusterFrom(points [][]float64, seeds [][]float64, cfg Config) (*Result, error) {
+	return new(Workspace).ClusterFrom(points, seeds, cfg)
+}
+
+// Workspace is the working memory of K-Means runs: the two centroid buffers
+// the Lloyd iteration alternates between, the k-means++ distances, and the
+// Result itself. A caller that clusters again and again keeps one, so a run
+// allocates only where it has more points or clusters than every earlier run
+// had. A Result from a workspace, its slices included, is valid until the
+// workspace's next run. The zero value is ready; one run uses it at a time.
+type Workspace struct {
+	cur, next   centroids
+	assignments []int
+	sizes       []int
+	dists       []float64
+	res         Result
+}
+
+// centroids is k rows of dim values, carved from one backing array.
+type centroids struct {
+	flat []float64
+	rows [][]float64
+}
+
+// zeroed returns k zeroed rows of dim values.
+func (c *centroids) zeroed(k, dim int) [][]float64 {
+	c.flat = grow(c.flat, k*dim)
+	clear(c.flat)
+	c.rows = grow(c.rows, k)
+	for i := range c.rows {
+		c.rows[i] = c.flat[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	return c.rows
+}
+
+// grow returns s resliced to n, reallocated only when n exceeds its capacity.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Cluster is the package's Cluster in the workspace's storage.
+func (w *Workspace) Cluster(rng *rand.Rand, points [][]float64, cfg Config) (*Result, error) {
 	dim, maxIter, tol, err := validate(points, cfg)
 	if err != nil {
 		return nil, err
@@ -81,16 +135,13 @@ func Cluster(rng *rand.Rand, points [][]float64, cfg Config) (*Result, error) {
 	if k > len(points) {
 		k = len(points)
 	}
-	return lloyd(points, seedPlusPlus(rng, points, k), dim, maxIter, tol), nil
+	w.seedPlusPlus(rng, points, w.cur.zeroed(k, dim))
+	return w.lloyd(points, dim, maxIter, tol), nil
 }
 
-// ClusterFrom runs K-Means starting from the given seed centroids instead of
-// k-means++ — the warm-start entry point incremental re-clustering uses to
-// resume from a previous generation's converged centroids. cfg.K is ignored;
-// the cluster count is len(seeds) (clamped to the point count). The seeds are
-// copied, never mutated, and need not be data points. Seed dimensionality
-// must match the points.
-func ClusterFrom(points [][]float64, seeds [][]float64, cfg Config) (*Result, error) {
+// ClusterFrom is the package's ClusterFrom in the workspace's storage. The
+// seeds must not be the centroids of a Result from w.
+func (w *Workspace) ClusterFrom(points [][]float64, seeds [][]float64, cfg Config) (*Result, error) {
 	dim, maxIter, tol, err := validate(points, cfg)
 	if err != nil {
 		return nil, err
@@ -102,23 +153,25 @@ func ClusterFrom(points [][]float64, seeds [][]float64, cfg Config) (*Result, er
 	if k > len(points) {
 		k = len(points)
 	}
-	centroids := make([][]float64, k)
 	for i := 0; i < k; i++ {
 		if len(seeds[i]) != dim {
 			return nil, fmt.Errorf("kmeans: seed %d has dimension %d, want %d", i, len(seeds[i]), dim)
 		}
-		centroids[i] = append([]float64(nil), seeds[i]...)
 	}
-	return lloyd(points, centroids, dim, maxIter, tol), nil
+	for i, row := range w.cur.zeroed(k, dim) {
+		copy(row, seeds[i])
+	}
+	return w.lloyd(points, dim, maxIter, tol), nil
 }
 
-// lloyd runs the Lloyd iteration to convergence from the given starting
-// centroids (which it takes ownership of) and computes the final assignment
-// and inertia.
-func lloyd(points, centroids [][]float64, dim, maxIter int, tol float64) *Result {
+// lloyd runs the Lloyd iteration to convergence from the starting centroids
+// in w.cur and computes the final assignment and inertia.
+func (w *Workspace) lloyd(points [][]float64, dim, maxIter int, tol float64) *Result {
+	centroids := w.cur.rows
 	k := len(centroids)
-	assignments := make([]int, len(points))
-	sizes := make([]int, k)
+	w.assignments = grow(w.assignments, len(points))
+	w.sizes = grow(w.sizes, k)
+	assignments, sizes := w.assignments, w.sizes
 	var iterations int
 	for iterations = 1; iterations <= maxIter; iterations++ {
 		// Assignment step.
@@ -126,10 +179,7 @@ func lloyd(points, centroids [][]float64, dim, maxIter int, tol float64) *Result
 			assignments[i] = nearest(p, centroids)
 		}
 		// Update step.
-		newCentroids := make([][]float64, k)
-		for c := range newCentroids {
-			newCentroids[c] = make([]float64, dim)
-		}
+		newCentroids := w.next.zeroed(k, dim)
 		for c := range sizes {
 			sizes[c] = 0
 		}
@@ -143,7 +193,7 @@ func lloyd(points, centroids [][]float64, dim, maxIter int, tol float64) *Result
 		for c := range newCentroids {
 			if sizes[c] == 0 {
 				// Re-seed an empty cluster at the point farthest from its centroid.
-				newCentroids[c] = append([]float64(nil), points[farthestPoint(points, centroids, assignments)]...)
+				copy(newCentroids[c], points[farthestPoint(points, centroids, assignments)])
 				continue
 			}
 			for d := range newCentroids[c] {
@@ -154,6 +204,7 @@ func lloyd(points, centroids [][]float64, dim, maxIter int, tol float64) *Result
 		for c := range centroids {
 			moved += squaredDistance(centroids[c], newCentroids[c])
 		}
+		w.cur, w.next = w.next, w.cur
 		centroids = newCentroids
 		if moved <= tol {
 			break
@@ -169,48 +220,48 @@ func lloyd(points, centroids [][]float64, dim, maxIter int, tol float64) *Result
 		sizes[assignments[i]]++
 		inertia += squaredDistance(p, centroids[assignments[i]])
 	}
-	return &Result{
+	w.res = Result{
 		Centroids:   centroids,
 		Assignments: assignments,
 		Sizes:       sizes,
 		Inertia:     inertia,
 		Iterations:  iterations,
 	}
+	return &w.res
 }
 
-// seedPlusPlus picks k initial centroids with the k-means++ strategy:
-// the first uniformly at random, the rest proportional to the squared
-// distance from the nearest chosen centroid.
-func seedPlusPlus(rng *rand.Rand, points [][]float64, k int) [][]float64 {
-	centroids := make([][]float64, 0, k)
-	first := rng.Intn(len(points))
-	centroids = append(centroids, append([]float64(nil), points[first]...))
-	dists := make([]float64, len(points))
-	for len(centroids) < k {
+// seedPlusPlus fills the k rows of dst with initial centroids picked by the
+// k-means++ strategy: the first uniformly at random, the rest proportional to
+// the squared distance from the nearest chosen centroid.
+func (w *Workspace) seedPlusPlus(rng *rand.Rand, points [][]float64, dst [][]float64) {
+	copy(dst[0], points[rng.Intn(len(points))])
+	w.dists = grow(w.dists, len(points))
+	dists := w.dists
+	for n := 1; n < len(dst); n++ {
+		chosen := dst[:n]
 		total := 0.0
 		for i, p := range points {
-			d := squaredDistance(p, centroids[nearest(p, centroids)])
+			d := squaredDistance(p, chosen[nearest(p, chosen)])
 			dists[i] = d
 			total += d
 		}
 		if total == 0 {
 			// All remaining points coincide with existing centroids; duplicate one.
-			centroids = append(centroids, append([]float64(nil), points[rng.Intn(len(points))]...))
+			copy(dst[n], points[rng.Intn(len(points))])
 			continue
 		}
 		target := rng.Float64() * total
 		acc := 0.0
-		chosen := len(points) - 1
+		pick := len(points) - 1
 		for i, d := range dists {
 			acc += d
 			if target < acc {
-				chosen = i
+				pick = i
 				break
 			}
 		}
-		centroids = append(centroids, append([]float64(nil), points[chosen]...))
+		copy(dst[n], points[pick])
 	}
-	return centroids
 }
 
 func nearest(p []float64, centroids [][]float64) int {

@@ -357,3 +357,20 @@ func BenchmarkWarmRefresh(b *testing.B) {
 		l.refresh(b)
 	}
 }
+
+// BenchmarkUsageViewRebuild measures what the first select after a telemetry
+// slot pays to rebuild the live usage view and its select index, at the
+// storage_refresh workload's population (DC-9 at scale 0.3).
+func BenchmarkUsageViewRebuild(b *testing.B) {
+	l := newWarmRefreshLoad(b, 0.3, 0, 0.02)
+	l.slots(b, 1)
+	l.refresh(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		l.slots(b, 1)
+		b.StartTimer()
+		l.svc.LiveSelectIndex("DC-9")
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"harvest/internal/blockledger"
+	"harvest/internal/core"
 	"harvest/internal/ledger"
 	"harvest/internal/telemetry"
 	"harvest/internal/tenant"
@@ -75,7 +76,11 @@ func (a *API) Pattern(r *http.Request) string {
 // the datacenter's current snapshot.
 func (s *Service) SnapshotFileJSON(dc string) ([]byte, error) {
 	sh := s.shards[dc]
-	return json.Marshal(s.snapshotFile(sh, sh.snap.Load()))
+	snap := sh.snap.Load()
+	var file bytes.Buffer
+	var st persistStage
+	err := st.writeSnapshotFile(&file, s.snapshotFile(sh, snap), snap)
+	return file.Bytes(), err
 }
 
 // Announce sends one registration beat now, as the heartbeat loop does.
@@ -134,3 +139,10 @@ func rebuilt[T any](reply []byte, remake func(*T)) (T, error) {
 }
 
 func remade[E any](s []E) []E { return append(make([]E, 0, len(s)), s...) }
+
+// LiveSelectIndex is the select index of the datacenter's live usage view,
+// rebuilt first if the snapshot or ingest progress moved: what a select
+// reads before it draws.
+func (s *Service) LiveSelectIndex(dc string) *core.SelectIndex {
+	return s.usageViewFor(s.shards[dc].snap.Load()).idx
+}

@@ -3,10 +3,14 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"time"
 
@@ -74,29 +78,36 @@ type persistedBlocks struct {
 	State blockledger.State `json:"state"`
 }
 
-func persistPath(dir, dc string) string {
-	return filepath.Join(dir, dc+".snapshot.json")
-}
+// stateFiles are a shard's three files, each with the temp name it is
+// written under before the rename, joined once for the life of the shard.
+type stateFiles struct{ snapshot, ledger, blocks stateFile }
 
-func ledgerPath(dir, dc string) string {
-	return filepath.Join(dir, dc+".ledger.json")
-}
+type stateFile struct{ path, tmp string }
 
-func blocksPath(dir, dc string) string {
-	return filepath.Join(dir, dc+".blocks.json")
-}
-
-// writeFileAtomic has write fill path's temp file and renames it over path,
-// so a crash mid-write leaves the previous good file intact — and so does a
-// failure: whichever step fails (create, a write, close, the rename), the temp
-// file this call created is removed and path is untouched. Returns the size of
-// the file written.
-func writeFileAtomic(path string, write func(w io.Writer) error) (int64, error) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return 0, err
+func stateFilesFor(dir, dc string) stateFiles {
+	at := func(suffix string) stateFile {
+		path := filepath.Join(dir, dc+suffix)
+		return stateFile{path: path, tmp: path + ".tmp"}
 	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	return stateFiles{at(".snapshot.json"), at(".ledger.json"), at(".blocks.json")}
+}
+
+// writeFileAtomic has write fill the file's temp file and renames it over
+// the file, so a crash mid-write leaves the previous good file intact — and
+// so does a failure: whichever step fails (create, a write, close, the
+// rename), the temp file this call created is removed and the file is
+// untouched. The directory is made when the temp file cannot be created for
+// want of it. Returns the size of the file written.
+func writeFileAtomic(file stateFile, write func(w io.Writer) error) (int64, error) {
+	create := func() (*os.File, error) {
+		return os.OpenFile(file.tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	}
+	f, err := create()
+	if errors.Is(err, fs.ErrNotExist) {
+		if err = os.MkdirAll(filepath.Dir(file.path), 0o755); err == nil {
+			f, err = create()
+		}
+	}
 	if err != nil {
 		return 0, err // nothing of ours to remove
 	}
@@ -109,10 +120,10 @@ func writeFileAtomic(path string, write func(w io.Writer) error) (int64, error) 
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		err = os.Rename(file.tmp, file.path)
 	}
 	if err != nil {
-		os.Remove(tmp)
+		os.Remove(file.tmp)
 		return 0, err
 	}
 	return size, nil
@@ -154,25 +165,21 @@ func (s *Service) persistShard(sh *shard, snap *Snapshot) {
 	}
 	start := time.Now()
 	var written int64
+	st := &sh.stage
 	if snap != nil {
-		written += s.persist(sh, "snapshot", persistPath(s.cfg.PersistDir, sh.dc), func(w io.Writer) error {
-			data, err := json.Marshal(s.snapshotFile(sh, snap))
-			if err == nil {
-				_, err = w.Write(data)
-			}
-			return err
+		written += s.persist(sh, "snapshot", sh.files.snapshot, func(w io.Writer) error {
+			return st.writeSnapshotFile(w, s.snapshotFile(sh, snap), snap)
 		})
 	}
-	st := &sh.stage
 	if sh.led != nil {
 		st.stageLeases(sh.led)
-		written += s.persist(sh, "ledger", ledgerPath(s.cfg.PersistDir, sh.dc), func(w io.Writer) error {
+		written += s.persist(sh, "ledger", sh.files.ledger, func(w io.Writer) error {
 			return st.writeLedgerFile(w, s.persistHeaderFor(sh))
 		})
 	}
 	if sh.blocks != nil {
 		st.stageBlocks(sh.blocks)
-		written += s.persist(sh, "block ledger", blocksPath(s.cfg.PersistDir, sh.dc), func(w io.Writer) error {
+		written += s.persist(sh, "block ledger", sh.files.blocks, func(w io.Writer) error {
 			return st.writeBlocksFile(w, s.persistHeaderFor(sh))
 		})
 	}
@@ -182,8 +189,8 @@ func (s *Service) persistShard(sh *shard, snap *Snapshot) {
 
 // persist writes one of the shard's files; a failure is counted and logged
 // once. Returns the bytes written.
-func (s *Service) persist(sh *shard, what, path string, write func(w io.Writer) error) int64 {
-	n, err := writeFileAtomic(path, write)
+func (s *Service) persist(sh *shard, what string, file stateFile, write func(w io.Writer) error) int64 {
+	n, err := writeFileAtomic(file, write)
 	if err != nil {
 		sh.persistErrors.Add(1)
 		slogger.Warn(what+" persist failed", "dc", sh.dc, "err", err)
@@ -191,19 +198,23 @@ func (s *Service) persist(sh *shard, what, path string, write func(w io.Writer) 
 	return n
 }
 
-// persistStage is the storage a shard's ledger files are built in, kept across
-// persists so that one allocates only when a ledger has outgrown every earlier
-// one. A file is built in two steps that never overlap. First the ledger is
-// staged as its replication section — the bytes a frame carries for it, from
-// the same encoder (appendLedgerSection / appendBlocksSection) under the same
-// one Walk, ≈37 B a block — into chunks the stage keeps. Then, with the
-// ledger's locks released, the section is read back and each record
-// transcoded into the file's JSON in buf, which is written out each time it
-// fills, so the encoded file (≈145 B a block) is never in memory whole.
+// persistStage is the storage a shard's files are built in, kept across
+// persists so that one allocates only when a ledger or the class list has
+// outgrown every earlier one. A ledger file is built in two steps that never
+// overlap. First the ledger is staged as its replication section — the bytes
+// a frame carries for it, from the same encoder (appendLedgerSection /
+// appendBlocksSection) under the same one Walk, ≈37 B a block — into chunks
+// the stage keeps. Then, with the ledger's locks released, the section is
+// read back and each record transcoded into the file's JSON in buf, which is
+// written out each time it fills, so the encoded file (≈145 B a block) is
+// never in memory whole. The snapshot file's class records are built in
+// classes and ids and transcoded into buf the same way.
 type persistStage struct {
 	leases, blocks section
 	r              wire.Reader // the section being read back
 	buf            []byte      // the file chunk being encoded
+	classes        []wire.ReplClass
+	ids            []int64 // the class records' tenant and server lists
 }
 
 // persistChunk is how much encoded file a stage buffers between writes.
@@ -294,39 +305,64 @@ func (st *persistStage) writeBlocksFile(w io.Writer, h persistHeader) error {
 	return out.records(st, &st.blocks, n, appendBlock)
 }
 
-// stateFile is one ledger file on its way out: the chunk being appended to
-// and the first write error, after which it writes no more.
-type stateFile struct {
-	w   io.Writer
-	buf []byte
-	err error
+// writeSnapshotFile writes the JSON of p with the snapshot's class records as
+// its Classes: the header, as json.Marshal writes it, then each record built
+// in the stage (classRecords) and transcoded by appendClass.
+// TestSnapshotFileIsMarshalledRecords holds the two together.
+func (st *persistStage) writeSnapshotFile(w io.Writer, p persistedSnapshot, snap *Snapshot) error {
+	st.classes, st.ids = classRecords(st.classes[:0], st.ids, snap, snap.Usage)
+	out, err := st.beginFile(w, p)
+	if err != nil {
+		return err
+	}
+	for i := range st.classes {
+		if i > 0 {
+			out.buf = append(out.buf, ',')
+		}
+		if out.buf, err = appendClass(out.buf, &st.classes[i]); err != nil {
+			st.buf = out.buf
+			return err
+		}
+		out.flushIfFull()
+	}
+	return out.end(st)
+}
+
+// openFile is one file on its way out: the chunk being appended to, what
+// closes the file after its record list, and the first write error, after
+// which it writes no more.
+type openFile struct {
+	w     io.Writer
+	buf   []byte
+	close []byte
+	err   error
 }
 
 // beginFile starts a file in the stage's buffer with all of v — a file
-// struct whose state holds no records — but its record list: the last thing
-// in it, and left open.
-func (st *persistStage) beginFile(w io.Writer, v any) (stateFile, error) {
+// struct whose last field, or its last field's last field, is a record list
+// left nil — but that list: the last thing in it, and left open.
+func (st *persistStage) beginFile(w io.Writer, v any) (openFile, error) {
 	head, err := json.Marshal(v)
 	if err != nil {
-		return stateFile{}, err
+		return openFile{}, err
 	}
-	head, ok := bytes.CutSuffix(head, []byte(`null}}`))
-	if !ok {
-		return stateFile{}, fmt.Errorf("service: a state file must end with its record list: %s", head)
+	i := bytes.LastIndex(head, []byte("null"))
+	if i < 0 || len(bytes.TrimLeft(head[i+len("null"):], "}")) != 0 {
+		return openFile{}, fmt.Errorf("service: a state file must end with its record list: %s", head)
 	}
 	if st.buf == nil {
 		st.buf = make([]byte, 0, persistChunk+persistChunk/8) // a chunk and the record that filled it
 	}
-	return stateFile{w: w, buf: append(append(st.buf[:0], head...), '[')}, nil
+	return openFile{w: w, buf: append(append(st.buf[:0], head[:i]...), '['), close: head[i+len("null"):]}, nil
 }
 
-func (f *stateFile) flushIfFull() {
+func (f *openFile) flushIfFull() {
 	if len(f.buf) >= persistChunk {
 		f.flush()
 	}
 }
 
-func (f *stateFile) flush() {
+func (f *openFile) flush() {
 	if f.err == nil {
 		_, f.err = f.w.Write(f.buf)
 	}
@@ -337,7 +373,7 @@ func (f *stateFile) flush() {
 // from st.r, past the head in the first chunk, then from each later chunk —
 // and ends the file. A section that does not read as the n records its head
 // promised fails the file.
-func (f *stateFile) records(st *persistStage, s *section, n int, transcode func([]byte, *wire.Reader) []byte) error {
+func (f *openFile) records(st *persistStage, s *section, n int, transcode func([]byte, *wire.Reader) []byte) error {
 	r := &st.r
 	written := 0
 	for next := 1; ; next++ {
@@ -360,13 +396,80 @@ func (f *stateFile) records(st *persistStage, s *section, n int, transcode func(
 	return f.end(st)
 }
 
-// end closes the record list, "state" and the file, writes what is left and
-// hands the buffer back to the stage.
-func (f *stateFile) end(st *persistStage) error {
-	f.buf = append(f.buf, `]}}`...)
+// end closes the record list and the file, writes what is left and hands the
+// buffer back to the stage.
+func (f *openFile) end(st *persistStage) error {
+	f.buf = append(append(f.buf, ']'), f.close...)
 	f.flush()
 	st.buf = f.buf
 	return f.err
+}
+
+// appendClass transcodes a class record into the JSON object json.Marshal
+// writes for it. A statistic that is not a finite number has no JSON form:
+// then it appends nothing and fails, as json.Marshal does.
+func appendClass(dst []byte, rc *wire.ReplClass) ([]byte, error) {
+	if !finite(rc.Avg) || !finite(rc.Peak) || !finite(rc.Current) || slices.ContainsFunc(rc.Centroid, func(f float64) bool { return !finite(f) }) {
+		return dst, fmt.Errorf("service: class %d: a statistic is not a finite number", rc.ID)
+	}
+	dst = append(dst, `{"id":`...)
+	dst = strconv.AppendUint(dst, uint64(rc.ID), 10)
+	dst = append(dst, `,"pattern":`...)
+	dst = strconv.AppendUint(dst, uint64(rc.Pattern), 10)
+	dst = appendJSONFloat(append(dst, `,"avg_utilization":`...), rc.Avg)
+	dst = appendJSONFloat(append(dst, `,"peak_utilization":`...), rc.Peak)
+	dst = appendJSONFloat(append(dst, `,"current_utilization":`...), rc.Current)
+	dst = append(dst, `,"centroid":`...)
+	if rc.Centroid == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, v := range rc.Centroid {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendJSONFloat(dst, v)
+		}
+		dst = append(dst, ']')
+	}
+	dst = appendJSONInts(append(dst, `,"tenants":`...), rc.Tenants)
+	dst = appendJSONInts(append(dst, `,"servers":`...), rc.Servers)
+	return append(dst, '}'), nil
+}
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+func appendJSONInts(dst []byte, vs []int64) []byte {
+	if vs == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, v := range vs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, v, 10)
+	}
+	return append(dst, ']')
+}
+
+// appendJSONFloat appends a finite f as encoding/json writes a float64: the
+// shortest representation, in exponent form only below 1e-6 or from 1e21 on,
+// and a two-digit negative exponent shortened to one.
+func appendJSONFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 becomes e-9
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst
 }
 
 // appendLease transcodes the lease record at r — AppendReplLease's fields, in
@@ -467,7 +570,7 @@ func (s *Service) restore(sh *shard, what, path string, v interface{ header() *p
 // immediately. Nil means "start empty".
 func (s *Service) restoreLedger(sh *shard, snap *Snapshot) *ledger.Ledger {
 	var p persistedLedger
-	if !s.restore(sh, "ledger", ledgerPath(s.cfg.PersistDir, sh.dc), &p) {
+	if !s.restore(sh, "ledger", sh.files.ledger.path, &p) {
 		return nil
 	}
 	led, err := ledger.Restore(p.State, snap.Generation, len(snap.Clustering.Classes))
@@ -489,7 +592,7 @@ func (s *Service) restoreLedger(sh *shard, snap *Snapshot) *ledger.Ledger {
 // Nil means "start empty".
 func (s *Service) restoreBlocks(sh *shard, snap *Snapshot) *blockledger.Ledger {
 	var p persistedBlocks
-	if !s.restore(sh, "block ledger", blocksPath(s.cfg.PersistDir, sh.dc), &p) {
+	if !s.restore(sh, "block ledger", sh.files.blocks.path, &p) {
 		return nil
 	}
 	led, err := blockledger.Restore(p.State, snap.Generation)
@@ -503,8 +606,8 @@ func (s *Service) restoreBlocks(sh *shard, snap *Snapshot) *blockledger.Ledger {
 	return led
 }
 
-// snapshotFile is the snapshot's clustering and build-time usage view in file
-// form.
+// snapshotFile is the snapshot's file form but its class records, which
+// writeSnapshotFile adds.
 func (s *Service) snapshotFile(sh *shard, snap *Snapshot) persistedSnapshot {
 	return persistedSnapshot{
 		persistHeader: s.persistHeaderFor(sh),
@@ -513,7 +616,6 @@ func (s *Service) snapshotFile(sh *shard, snap *Snapshot) persistedSnapshot {
 		BuiltAt:       snap.BuiltAt,
 		NumTenants:    len(sh.pop.Tenants),
 		NumServers:    sh.pop.NumServers(),
-		Classes:       classRecords(snap, snap.Usage),
 	}
 }
 
@@ -524,7 +626,7 @@ func (s *Service) snapshotFile(sh *shard, snap *Snapshot) persistedSnapshot {
 // from scratch.
 func (s *Service) restoreSnapshot(sh *shard) (*Snapshot, bool) {
 	var p persistedSnapshot
-	if !s.restore(sh, "snapshot", persistPath(s.cfg.PersistDir, sh.dc), &p) {
+	if !s.restore(sh, "snapshot", sh.files.snapshot.path, &p) {
 		return nil, false
 	}
 	snap, err := s.snapshotFromFile(sh, &p)

@@ -15,7 +15,9 @@ import (
 	"time"
 
 	"harvest/internal/blockledger"
+	"harvest/internal/core"
 	"harvest/internal/ledger"
+	"harvest/internal/signalproc"
 	"harvest/internal/tenant"
 	"harvest/internal/wire"
 )
@@ -286,6 +288,83 @@ func TestPersistStageAllocatesOnlyForGrowth(t *testing.T) {
 	}
 	if got := persist(); got > 4<<10 {
 		t.Errorf("staging and writing 32,000 blocks again allocates %d B, budget 4 KiB", got)
+	}
+}
+
+// TestSnapshotFileIsMarshalledRecords holds writeSnapshotFile to the format's
+// definition: for any snapshot, the bytes are json.Marshal's of the file
+// struct whose Classes are the snapshot's class records — every float in
+// shortest and exponent form, a class with no centroid or no servers, names
+// that need escaping — and a stage that wrote a larger class list before
+// writes a smaller one the same. A statistic with no JSON form fails the file
+// as it fails json.Marshal.
+func TestSnapshotFileIsMarshalledRecords(t *testing.T) {
+	header := persistHeader{Version: persistVersion, Datacenter: `DC <"9">`, Seed: -3, ScaleDatacenter: 0.3}
+	floats := []float64{0, math.Copysign(0, -1), 1, -2.5, 0.1, 1e-6, 9.99e-7, 1e-7, 5e-324, 1e20, 1e21, -1.5e300, math.MaxFloat64, 123456789.123456789}
+	rng := rand.New(rand.NewSource(5))
+	snapshotOf := func(classes int) *Snapshot {
+		var list []*core.UtilizationClass
+		usage := map[core.ClassID]core.ClassUsage{}
+		server, id := tenant.ServerID(0), tenant.ID(0)
+		for c := 0; c < classes; c++ {
+			cls := &core.UtilizationClass{
+				ID:              core.ClassID(c),
+				Pattern:         signalproc.Pattern(c % signalproc.NumPatterns),
+				AvgUtilization:  floats[rng.Intn(len(floats))],
+				PeakUtilization: floats[rng.Intn(len(floats))],
+			}
+			if c%3 != 1 {
+				for d := 0; d < signalproc.NumFeatures; d++ {
+					cls.Centroid = append(cls.Centroid, floats[rng.Intn(len(floats))])
+				}
+			}
+			for n := rng.Intn(4); n >= 0; n-- {
+				cls.Tenants = append(cls.Tenants, id)
+				id++
+			}
+			for n := rng.Intn(5) * (c % 2); n > 0; n-- {
+				cls.Servers = append(cls.Servers, server)
+				server += tenant.ServerID(rng.Intn(1 << 20))
+			}
+			list = append(list, cls)
+			usage[cls.ID] = core.ClassUsage{CurrentUtilization: floats[rng.Intn(len(floats))]}
+		}
+		clustering, err := core.NewClusteringFromClasses(list)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &Snapshot{Generation: uint64(classes), AsOf: 90 * time.Minute, BuiltAt: time.Date(2026, 3, 4, 5, 6, 7, 891, time.UTC), Clustering: clustering, Usage: usage}
+	}
+	fileOf := func(snap *Snapshot) persistedSnapshot {
+		return persistedSnapshot{persistHeader: header, Generation: snap.Generation, AsOfSeconds: snap.AsOf.Seconds(), BuiltAt: snap.BuiltAt, NumTenants: 40, NumServers: 200}
+	}
+	var st persistStage
+	for _, classes := range []int{9, 1, 30, 4} {
+		snap := snapshotOf(classes)
+		p := fileOf(snap)
+		var got bytes.Buffer
+		if err := st.writeSnapshotFile(&got, p, snap); err != nil {
+			t.Fatalf("%d classes: %v", classes, err)
+		}
+		p.Classes, _ = classRecords(nil, nil, snap, snap.Usage)
+		want, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("%d classes:\n got %s\nwant %s", classes, got.Bytes(), want)
+		}
+	}
+
+	snap := snapshotOf(2)
+	snap.Clustering.Classes[1].Centroid = []float64{0.5, math.NaN()}
+	p := fileOf(snap)
+	if err := st.writeSnapshotFile(io.Discard, p, snap); err == nil {
+		t.Error("a NaN centroid was written")
+	}
+	p.Classes, _ = classRecords(nil, nil, snap, snap.Usage)
+	if _, err := json.Marshal(p); err == nil {
+		t.Error("json.Marshal wrote a NaN centroid")
 	}
 }
 

@@ -277,13 +277,14 @@ func (s *Service) beginReplFrame(snd *replSender, sh *shard, snap *Snapshot, bea
 		})
 	}
 
+	classes, _ := classRecords(nil, nil, snap, usage)
 	return wire.BeginReplSnapshot(dst, 0, &wire.ReplSnapshot{
 		DC:              sh.dc,
 		Generation:      snap.Generation,
 		SentUnixNano:    now,
 		AsOfSeconds:     snap.AsOf.Seconds(),
 		BuiltAtUnixNano: snap.BuiltAt.UnixNano(),
-		Classes:         classRecords(snap, usage),
+		Classes:         classes,
 	})
 }
 

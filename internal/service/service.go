@@ -149,8 +149,10 @@ type shard struct {
 	gate      sync.RWMutex
 	pop       *tenant.Population
 	sinceFull int                // warm refreshes since the last full rebuild (guarded by mu)
-	windows   core.WindowScratch // what a warm refresh reads history windows into (guarded by mu)
-	stage     persistStage       // what persistShard builds the ledger files in (guarded by mu)
+	windows   core.WindowScratch // what a warm refresh re-clusters in (guarded by mu)
+	rekey     rekeyScratch       // what a refresh builds the lease re-key in (guarded by mu)
+	stage     persistStage       // what persistShard builds the files in (guarded by mu)
+	files     stateFiles         // where persistShard writes them
 	boot      bootPhases         // what New spent on the shard; written once, before it is served
 
 	refreshes     atomic.Uint64
@@ -311,6 +313,9 @@ func New(cfg Config) (*Service, error) {
 		// costs, split by what it was spent on.
 		began := time.Now()
 		sh := &shard{dc: dc}
+		if cfg.PersistDir != "" {
+			sh.files = stateFilesFor(cfg.PersistDir, dc)
+		}
 		err := s.bootstrapShard(sh)
 		if err != nil {
 			return nil, err
@@ -604,7 +609,7 @@ func (s *Service) refreshShard(sh *shard) error {
 			// queue, counted as lost — and publish the snapshot. A write
 			// waits at the gate and then runs wholly against one generation.
 			sh.gate.Lock()
-			rekeyLedger(sh.led, sh.pop, prev.Clustering, next.Clustering, next.Generation)
+			sh.rekey.rekey(sh.led, sh.pop, prev.Clustering, next.Clustering, next.Generation)
 			displaced := sh.blocks.Rekey(next.Generation, next.Scheme().ReplicaSite)
 			if s.testHookAfterRekey != nil {
 				s.testHookAfterRekey()
@@ -710,19 +715,36 @@ func clusteringAgreement(prev, next *core.Clustering) float64 {
 	return float64(agreed) / float64(compared)
 }
 
-// rekeyLedger carries the allocation ledger from one clustering generation
-// to the next: each old class's allocation follows its servers — the shares
-// are how many of the class's servers landed in each new class. A tenant's
-// servers always move together (class membership is per tenant), so the
-// shares are accumulated per member tenant — O(tenants), not O(servers) —
-// weighting each destination by the tenant's server count. Tenants that left
-// the serving set entirely (e.g. an evicted telemetry ring) contribute no
-// share; an old class whose servers all left forfeits its grants, which the
-// ledger counts rather than hides.
-func rekeyLedger(led *ledger.Ledger, pop *tenant.Population, prev, next *core.Clustering, nextGeneration uint64) {
-	remap := make(map[core.ClassID][]ledger.Share, len(prev.Classes))
+// rekeyScratch is the storage a shard builds each re-key's remap in, kept
+// across refreshes: the remap, one backing array for its shares, and the
+// per-class tally of one old class's servers.
+type rekeyScratch struct {
+	remap  map[core.ClassID][]ledger.Share
+	shares []ledger.Share
+	counts []int
+}
+
+// rekey carries the allocation ledger from one clustering generation to the
+// next: each old class's allocation follows its servers — the shares are how
+// many of the class's servers landed in each new class. A tenant's servers
+// always move together (class membership is per tenant), so the shares are
+// accumulated per member tenant — O(tenants), not O(servers) — weighting each
+// destination by the tenant's server count. Tenants that left the serving set
+// entirely (e.g. an evicted telemetry ring) contribute no share; an old class
+// whose servers all left forfeits its grants, which the ledger counts rather
+// than hides. The ledger reads the remap only during the call.
+func (rs *rekeyScratch) rekey(led *ledger.Ledger, pop *tenant.Population, prev, next *core.Clustering, nextGeneration uint64) {
+	if rs.remap == nil {
+		rs.remap = make(map[core.ClassID][]ledger.Share, len(prev.Classes))
+	}
+	clear(rs.remap)
+	if cap(rs.counts) < len(next.Classes) {
+		rs.counts = make([]int, len(next.Classes))
+	}
+	counts := rs.counts[:len(next.Classes)]
+	shares := rs.shares[:0]
 	for _, cls := range prev.Classes {
-		counts := make(map[core.ClassID]int)
+		clear(counts)
 		for _, tid := range cls.Tenants {
 			nid, ok := next.ClassOfTenant(tid)
 			if !ok {
@@ -732,13 +754,16 @@ func rekeyLedger(led *ledger.Ledger, pop *tenant.Population, prev, next *core.Cl
 				counts[nid] += t.NumServers()
 			}
 		}
-		shares := make([]ledger.Share, 0, len(counts))
+		start := len(shares)
 		for nid, n := range counts {
-			shares = append(shares, ledger.Share{Class: nid, Weight: float64(n)})
+			if n > 0 {
+				shares = append(shares, ledger.Share{Class: core.ClassID(nid), Weight: float64(n)})
+			}
 		}
-		remap[cls.ID] = shares
+		rs.remap[cls.ID] = shares[start:len(shares):len(shares)]
 	}
-	led.Rekey(nextGeneration, len(next.Classes), remap)
+	rs.shares = shares
+	led.Rekey(nextGeneration, len(next.Classes), rs.remap)
 }
 
 // Refresh synchronously rebuilds one datacenter's snapshot (tests and

@@ -527,8 +527,20 @@ func TestBackgroundRefresher(t *testing.T) {
 func TestSnapshotPlaceMatchesSchemeSemantics(t *testing.T) {
 	svc := newTestService(t)
 	snap, _ := svc.Snapshot("DC-9")
+	pop, _, err := experiments.BuildPopulation("DC-9", testConfig().Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gridded := map[tenant.ID]bool{}
+	for _, col := range snap.Scheme().Cells {
+		for _, cell := range col {
+			for _, tid := range cell.Tenants {
+				gridded[tid] = true
+			}
+		}
+	}
 	// Many placements through the pooled placers: all replicas must be
-	// distinct, known servers.
+	// distinct servers of tenants in the scheme's grid.
 	for i := 0; i < 200; i++ {
 		replicas, _, err := svc.Place("DC-9", core.PlacementConstraints{Replication: 3, Writer: -1, EnforceEnvironment: true})
 		if err != nil {
@@ -540,8 +552,8 @@ func TestSnapshotPlaceMatchesSchemeSemantics(t *testing.T) {
 				t.Fatalf("duplicate replica %d in %v", r, replicas)
 			}
 			seen[r] = true
-			if _, ok := snap.Scheme().TenantOfServer(r); !ok {
-				t.Fatalf("replica %d not a known server", r)
+			if owner := pop.OwnerOf(r); owner == nil || !gridded[owner.ID] {
+				t.Fatalf("replica %d not a server of a gridded tenant", r)
 			}
 		}
 	}

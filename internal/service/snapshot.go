@@ -66,7 +66,8 @@ type Snapshot struct {
 
 	// placers pools PlacementScheme clones: Alg. 2 needs mutable scratch
 	// buffers, so concurrent place queries each borrow a clone sharing this
-	// snapshot's immutable indexes. The pool dies with the snapshot.
+	// snapshot's immutable indexes, made on the first borrow the pool cannot
+	// serve (placer). The pool dies with the snapshot.
 	placers sync.Pool
 }
 
@@ -131,15 +132,31 @@ func assembleSnapshot(dc string, pop *tenant.Population, src tenant.HistorySourc
 		selector:      selector,
 		scheme:        scheme,
 	}
-	snap.placers.New = func() any { return scheme.CloneForConcurrentUse() }
 	return snap, nil
 }
 
-// classRecords is a snapshot's class list in record form, each class's current
-// utilization read from usage: what <dc>.snapshot.json and an OpReplSnap frame
-// both carry, and what snapshotFromRecords reads back.
-func classRecords(snap *Snapshot, usage map[core.ClassID]core.ClassUsage) []wire.ReplClass {
-	recs := make([]wire.ReplClass, 0, len(snap.Clustering.Classes))
+// classRecords appends a snapshot's class list in record form to recs, each
+// class's current utilization read from usage: what <dc>.snapshot.json and an
+// OpReplSnap frame both carry, and what snapshotFromRecords reads back. The
+// records' tenant and server lists are carved from ids, grown to hold them
+// all; both are returned for the caller to reuse, so a caller that keeps them
+// (a shard's persistStage) builds the records of a generation no larger than
+// an earlier one without allocating. A record's centroid is the class's own.
+func classRecords(recs []wire.ReplClass, ids []int64, snap *Snapshot, usage map[core.ClassID]core.ClassUsage) ([]wire.ReplClass, []int64) {
+	n := 0
+	for _, cls := range snap.Clustering.Classes {
+		n += len(cls.Tenants) + len(cls.Servers)
+	}
+	if ids == nil || cap(ids) < n { // never nil: an empty list is [] in the file
+		ids = make([]int64, n)
+	}
+	ids = ids[:n]
+	rest := ids
+	take := func(k int) []int64 {
+		part := rest[:k:k]
+		rest = rest[k:]
+		return part
+	}
 	for _, cls := range snap.Clustering.Classes {
 		rc := wire.ReplClass{
 			ID:       uint32(cls.ID),
@@ -148,8 +165,8 @@ func classRecords(snap *Snapshot, usage map[core.ClassID]core.ClassUsage) []wire
 			Peak:     cls.PeakUtilization,
 			Current:  usage[cls.ID].CurrentUtilization,
 			Centroid: cls.Centroid,
-			Tenants:  make([]int64, len(cls.Tenants)),
-			Servers:  make([]int64, len(cls.Servers)),
+			Tenants:  take(len(cls.Tenants)),
+			Servers:  take(len(cls.Servers)),
 		}
 		for i, tid := range cls.Tenants {
 			rc.Tenants[i] = int64(tid)
@@ -159,7 +176,7 @@ func classRecords(snap *Snapshot, usage map[core.ClassID]core.ClassUsage) []wire
 		}
 		recs = append(recs, rc)
 	}
-	return recs
+	return recs, ids
 }
 
 // snapshotFromRecords reassembles a shard's snapshot from its record form —
@@ -283,7 +300,7 @@ func (s *Snapshot) Place(rng *rand.Rand, c core.PlacementConstraints) ([]tenant.
 
 // placeInto is Place into the caller's buffer (core's PlaceReplicasInto).
 func (s *Snapshot) placeInto(dst []tenant.ServerID, rng *rand.Rand, c core.PlacementConstraints) ([]tenant.ServerID, error) {
-	placer := s.placers.Get().(*core.PlacementScheme)
+	placer := s.placer()
 	replicas, err := placer.PlaceReplicasInto(dst, rng, c)
 	s.placers.Put(placer)
 	return replicas, err
@@ -294,10 +311,18 @@ func (s *Snapshot) placeInto(dst []tenant.ServerID, rng *rand.Rand, c core.Place
 // survivors' diversity constraints carried over by slot position. Safe for any
 // number of concurrent callers.
 func (s *Snapshot) PlaceSlot(rng *rand.Rand, slots []tenant.ServerID, slot int, c core.PlacementConstraints) (tenant.ServerID, error) {
-	placer := s.placers.Get().(*core.PlacementScheme)
+	placer := s.placer()
 	server, err := placer.PlaceSlot(rng, slots, slot, c)
 	s.placers.Put(placer)
 	return server, err
+}
+
+// placer borrows a placement scheme clone from the pool, or makes one.
+func (s *Snapshot) placer() *core.PlacementScheme {
+	if p, ok := s.placers.Get().(*core.PlacementScheme); ok {
+		return p
+	}
+	return s.scheme.CloneForConcurrentUse()
 }
 
 // ClassOfServer resolves a server to its utilization class.

@@ -125,9 +125,13 @@ type Profile struct {
 	SpectralCentroid float64
 }
 
-// FeatureVector returns the numeric features used for K-Means clustering.
-func (p Profile) FeatureVector() []float64 {
-	return []float64{p.Mean, p.Peak, p.CV, p.SpectralCentroid}
+// NumFeatures is the length of a profile's feature vector.
+const NumFeatures = 4
+
+// AppendFeatures appends the numeric features used for K-Means clustering,
+// NumFeatures of them, to dst.
+func (p Profile) AppendFeatures(dst []float64) []float64 {
+	return append(dst, p.Mean, p.Peak, p.CV, p.SpectralCentroid)
 }
 
 // MinClassifySamples is the shortest trace Classify accepts — callers

@@ -101,8 +101,8 @@ func TestClassifyZeroTrace(t *testing.T) {
 
 func TestProfileFeatureVector(t *testing.T) {
 	p := Profile{Mean: 0.3, Peak: 0.8, CV: 0.2, SpectralCentroid: 0.1}
-	fv := p.FeatureVector()
-	if len(fv) != 4 {
+	fv := p.AppendFeatures(nil)
+	if len(fv) != NumFeatures {
 		t.Fatalf("feature vector length = %d", len(fv))
 	}
 	if fv[0] != 0.3 || fv[1] != 0.8 || fv[2] != 0.2 || fv[3] != 0.1 {

@@ -17,10 +17,11 @@
 // Storage: a shard hands its records out of chunks of chunkSize it allocates
 // whole, and Remove zeroes a record and keeps it for the next Add, so holding
 // a record costs no heap object of its own. A shard's chunks stay at its
-// high-water mark, as a Go map's buckets do. The one rule this buys: nothing
-// keeps a pointer into a record, or a slice of its storage, after the shard
-// lock is released — once it is, the record may be removed and reused under
-// another id. What a caller needs past the lock it copies out first.
+// high-water mark, and so does its id index (table), which records turning
+// over at a steady count never grow. The one rule this buys: nothing keeps a
+// pointer into a record, or a slice of its storage, after the shard lock is
+// released — once it is, the record may be removed and reused under another
+// id. What a caller needs past the lock it copies out first.
 package striped
 
 import (
@@ -58,7 +59,7 @@ const chunkSize = 256
 // embeds. Each shard owns its id stream so issuing never crosses shards.
 type Shard[V any] struct {
 	sync.Mutex
-	recs map[uint64]*V
+	recs table[V]
 	// free holds removed records, zeroed, for Add to reuse before it carves
 	// the next record off carve, the unused tail of the newest chunk.
 	free  []*V
@@ -69,7 +70,7 @@ type Shard[V any] struct {
 
 // Get returns the record held under id, nil if none is. Called with the
 // shard's lock held.
-func (sh *Shard[V]) Get(id uint64) *V { return sh.recs[id] }
+func (sh *Shard[V]) Get(id uint64) *V { return sh.recs.get(id) }
 
 // Add holds a zeroed record under id, which must not be held, and returns it
 // for the caller to fill: a removed record if there is one, else the next of
@@ -86,7 +87,7 @@ func (sh *Shard[V]) Add(id uint64) *V {
 		v = &sh.carve[0]
 		sh.carve = sh.carve[1:]
 	}
-	sh.recs[id] = v
+	sh.recs.put(id, v)
 	return v
 }
 
@@ -94,11 +95,10 @@ func (sh *Shard[V]) Add(id uint64) *V {
 // or slice while it waits for Add to reuse it. An id not held is a no-op.
 // Called with the shard's lock held.
 func (sh *Shard[V]) Remove(id uint64) {
-	v, ok := sh.recs[id]
-	if !ok {
+	v := sh.recs.remove(id)
+	if v == nil {
 		return
 	}
-	delete(sh.recs, id)
 	var zero V
 	*v = zero
 	sh.free = append(sh.free, v)
@@ -107,13 +107,7 @@ func (sh *Shard[V]) Remove(id uint64) {
 // All ranges over the shard's records, in no particular order; the loop body
 // may Remove the record it was handed. Called with the shard's lock held.
 func (sh *Shard[V]) All() iter.Seq2[uint64, *V] {
-	return func(yield func(uint64, *V) bool) {
-		for id, v := range sh.recs {
-			if !yield(id, v) {
-				return
-			}
-		}
-	}
+	return sh.recs.all
 }
 
 // NewID draws an unguessable nonzero id whose low bits carry the shard index,
@@ -129,7 +123,7 @@ func (sh *Shard[V]) NewID() uint64 {
 		if id == 0 {
 			continue
 		}
-		if _, taken := sh.recs[id]; !taken {
+		if sh.recs.get(id) == nil {
 			return id
 		}
 	}
@@ -156,7 +150,7 @@ func New[V any](epochOf func(*V) *uint64) *Store[V] {
 			// guessable, which release turns into a capability.
 			panic("striped: reading CSPRNG seed: " + err.Error())
 		}
-		s.shards[i] = Shard[V]{recs: make(map[uint64]*V), idx: uint64(i), idrng: rand.NewChaCha8(seed)}
+		s.shards[i] = Shard[V]{idx: uint64(i), idrng: rand.NewChaCha8(seed)}
 	}
 	return s
 }
@@ -184,7 +178,7 @@ func (s *Store[V]) UnlockAll() {
 func (s *Store[V]) Len() int {
 	n := 0
 	for i := range s.shards {
-		n += len(s.shards[i].recs)
+		n += s.shards[i].recs.len()
 	}
 	return n
 }

@@ -315,8 +315,8 @@ func TestAddRemoveAllocatesNothing(t *testing.T) {
 }
 
 // TestAddsAllocateChunks counts what a shard allocates for its records alone
-// (its map is sized up front): one chunk per chunkSize records, so 1,000 Adds
-// cost 4.
+// (its index is sized up front): one chunk per chunkSize records, so 1,000
+// Adds cost 4.
 func TestAddsAllocateChunks(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -327,7 +327,14 @@ func TestAddsAllocateChunks(t *testing.T) {
 	defer sh.Unlock()
 	// AllocsPerRun counts the second of two runs; the first leaves 24 records
 	// of its last chunk for the second to start on.
-	sh.recs = make(map[uint64]*rec, 2*adds)
+	// Holding and dropping both runs' ids leaves the index grown for them.
+	var r rec
+	for i := range uint64(2 * adds) {
+		sh.recs.put((i+1)*NumShards, &r)
+	}
+	for i := range uint64(2 * adds) {
+		sh.recs.remove((i + 1) * NumShards)
+	}
 	next := uint64(0)
 	got := testing.AllocsPerRun(1, func() {
 		for range adds {
