@@ -32,8 +32,9 @@
 // (snapshot, ledger-occupancy, block-book) generations to every follower that
 // connects. With -follow, it runs as a read-only follower of that primary
 // instead — it serves class queries, placement, and advisory dry-run selects
-// from the replicated state (writes get a retryable 503) until POST
-// /v1/promote flips it to primary. A follower may carry -replicate-addr too:
+// from the replicated state (writes get a retryable 503) until a router it
+// announces to elects it to replace a primary that stopped beating. A
+// follower may carry -replicate-addr too:
 // it closes each hello there until promotion and streams from then on, so the
 // promoted node can feed the remaining followers (which learn the new address
 // from the router's register acknowledgements). Both modes

@@ -11,11 +11,11 @@
 //	harvestrouter [-listen :7070] [-binary-listen :7071]
 //	              [-stale-after 10s] [-breaker-fails 3]
 //	              [-register-token TOKEN] [-debug-addr 127.0.0.1:7170]
-//	              [-max-gen-lag 2] [-promote-token TOKEN]
+//	              [-max-gen-lag 2]
 //
 // -stale-after sets the retry timings too: a 503's Retry-After hint and an
-// open circuit's cooldown are a fifth of it, and promotion attempts for one
-// datacenter are at least half of it apart.
+// open circuit's cooldown are a fifth of it, and a datacenter's elected
+// follower is told to promote at most once per half of it.
 //
 // Pair it with backends like:
 //
@@ -27,8 +27,9 @@
 // across the primary and its generation-fresh followers (-max-gen-lag bounds
 // how far a follower may trail; negative pins all reads to the primary) and
 // pins every state-moving request to the primary. When a primary misses its
-// heartbeats, the router promotes the freshest follower via POST /v1/promote
-// authenticated with -promote-token (the backends' -ingest-token).
+// heartbeats, the router elects the freshest follower and tells it in the
+// acknowledgement of its next beat; the follower promotes itself and its
+// following beat, as primary, takes the routes.
 //
 // -binary-listen adds a second listener speaking the length-prefixed binary
 // frame dialect (internal/wire) for the data-plane endpoints; it is
@@ -66,7 +67,6 @@ func main() {
 	registerToken := flag.String("register-token", "", "require this bearer token on POST /v1/register (registration moves routing — protect it on shared networks)")
 	debugAddr := flag.String("debug-addr", "", "address for the operator debug listener (pprof, expvar, /debug/traces); empty disables. Keep it off the data-plane address.")
 	maxGenLag := flag.Int("max-gen-lag", 2, "skip followers trailing the primary by more than this many generations for reads (negative pins all reads to the primary)")
-	promoteToken := flag.String("promote-token", "", "bearer token for POST /v1/promote on failover (the backends' -ingest-token)")
 	flag.Parse()
 
 	rt := router.New(router.Config{
@@ -74,7 +74,6 @@ func main() {
 		BreakerThreshold: *breakerFails,
 		RegisterToken:    *registerToken,
 		MaxGenLag:        *maxGenLag,
-		PromoteToken:     *promoteToken,
 	})
 
 	ln, err := net.Listen("tcp", *listen)

@@ -21,6 +21,7 @@ import (
 	"harvest/internal/regproto"
 	"harvest/internal/router"
 	"harvest/internal/service"
+	"harvest/internal/wire"
 )
 
 var update = flag.Bool("update", false, "rewrite the /metrics goldens under testdata/metrics")
@@ -146,15 +147,15 @@ func startFleet(t *testing.T) map[string]string {
 			t.Cleanup(rt.CloseBinary)
 			rt.SetBinaryAdvertise(addr.String())
 		}
-		var owned []regproto.RegisterDatacenter
+		var owned []wire.ReplDCGen
 		for _, dc := range dcs {
 			st, _ := primary.Stats(dc)
-			owned = append(owned, regproto.RegisterDatacenter{Name: dc, Generation: st.Generation})
+			owned = append(owned, wire.ReplDCGen{DC: dc, Generation: st.Generation})
 		}
 		for _, req := range []regproto.RegisterRequest{
 			{ID: "p1", URL: p.URL, BinaryAddr: p.BinaryAddr, ReplicateAddr: p.ReplicateAddr, Role: "primary", Datacenters: owned},
 			{ID: "f1", URL: fsrv.URL, Role: "follower", PrimaryID: "p1", Datacenters: owned},
-			{ID: "leaving", URL: idle.URL, Draining: true, Datacenters: []regproto.RegisterDatacenter{{Name: "DC-0", Generation: 1}}},
+			{ID: "leaving", URL: idle.URL, Draining: true, Datacenters: []wire.ReplDCGen{{DC: "DC-0", Generation: 1}}},
 		} {
 			c, err := regproto.Dial(srv.URL, "", 5*time.Second)
 			if err != nil {

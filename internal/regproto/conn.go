@@ -14,8 +14,9 @@ import (
 )
 
 // UpgradeToken is the protocol a node's POST /v1/register asks the router to
-// upgrade its connection to.
-const UpgradeToken = "harvest-register/1"
+// upgrade its connection to. Its version names the frames' layout, so a node
+// and a router that spell them differently part at the upgrade.
+const UpgradeToken = "harvest-register/2"
 
 // Conn is one upgraded registration connection. The node beats on it with
 // Beat; the router reads each beat with ReadBeat and answers with Ack or

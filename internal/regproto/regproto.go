@@ -37,14 +37,6 @@ func AdvertiseAddr(bound net.Addr, host string) string {
 	return net.JoinHostPort(host, port)
 }
 
-// RegisterDatacenter is one datacenter a backend announces, with the
-// snapshot generation it currently serves (operator visibility: a shard
-// whose generation stops advancing is stale even if the process is alive).
-type RegisterDatacenter struct {
-	Name       string
-	Generation uint64
-}
-
 // RegisterRequest is the heartbeat a backend sends the router. The same beat
 // re-registers: ID is the stable identity, URL and the datacenter set are
 // updated on every beat. On a frame its strings are one-byte-length strings,
@@ -74,27 +66,26 @@ type RegisterRequest struct {
 	// Draining marks a planned shutdown: the backend is still up but asks the
 	// router to stop routing to it immediately instead of waiting out the
 	// staleness window. Sent on the final heartbeat before SIGTERM teardown.
-	Draining    bool
-	Datacenters []RegisterDatacenter
+	Draining bool
+	// Datacenters are the datacenters the backend serves, each with the
+	// snapshot generation it holds (operator visibility: a shard whose
+	// generation stops advancing is stale even if the process is alive).
+	Datacenters []wire.ReplDCGen
 }
 
-// RegisterResponse acknowledges a heartbeat and tells the backend how long
-// it may go silent before its datacenters start 503ing.
+// RegisterResponse acknowledges a heartbeat.
 type RegisterResponse struct {
-	Status            string
-	Backends          int
-	StaleAfterSeconds float64
 	// PrimaryReplicateAddr, set on a follower's acknowledgement, is the
 	// replication listener of the primary the router currently believes owns
 	// this follower's datacenters. A follower whose primary died compares it
 	// against the address it is dialing and re-points its replication stream
 	// at the promoted node.
 	PrimaryReplicateAddr string
+	// Promote tells a follower the router elected it to replace its primary,
+	// which stopped beating: the node promotes itself and beats again at once
+	// as primary, which takes the routes.
+	Promote bool
 }
-
-// registerDCSize is the smallest encoded datacenter entry: an empty name's
-// length byte and the generation.
-const registerDCSize = 1 + 8
 
 // AppendRegisterRequest appends a complete OpRegister frame carrying m.
 func AppendRegisterRequest(dst []byte, id uint64, m *RegisterRequest) []byte {
@@ -106,49 +97,25 @@ func AppendRegisterRequest(dst []byte, id uint64, m *RegisterRequest) []byte {
 	dst = wire.AppendStr8(dst, m.Role)
 	dst = wire.AppendStr8(dst, m.PrimaryID)
 	dst = wire.AppendStr8(dst, m.ReplicateAddr)
-	draining := uint8(0)
-	if m.Draining {
-		draining = 1
-	}
-	dst = wire.AppendU8(dst, draining)
-	dst = wire.AppendU16(dst, uint16(len(m.Datacenters)))
-	for _, dc := range m.Datacenters {
-		dst = wire.AppendStr8(dst, dc.Name)
-		dst = wire.AppendU64(dst, dc.Generation)
-	}
+	dst = wire.AppendBool(dst, m.Draining)
+	dst = wire.AppendDCGens(dst, m.Datacenters)
 	return wire.EndFrame(dst, mark)
 }
 
 // Decode parses an OpRegister payload into m, reusing its storage: a string
 // that spells the one m already holds is kept, not copied, and the datacenter
-// slice is refilled in place. A beat that repeats the previous one therefore
-// decodes without allocating.
+// list is refilled in place (wire.Reader.DCGens). A beat that repeats the
+// previous one therefore decodes without allocating.
 func (m *RegisterRequest) Decode(payload []byte) error {
 	r := wire.NewReader(payload)
-	m.ID = keep(m.ID, r.Str8())
-	m.URL = keep(m.URL, r.Str8())
-	m.BinaryAddr = keep(m.BinaryAddr, r.Str8())
-	m.Role = keep(m.Role, r.Str8())
-	m.PrimaryID = keep(m.PrimaryID, r.Str8())
-	m.ReplicateAddr = keep(m.ReplicateAddr, r.Str8())
+	m.ID = r.Str8Keep(m.ID)
+	m.URL = r.Str8Keep(m.URL)
+	m.BinaryAddr = r.Str8Keep(m.BinaryAddr)
+	m.Role = r.Str8Keep(m.Role)
+	m.PrimaryID = r.Str8Keep(m.PrimaryID)
+	m.ReplicateAddr = r.Str8Keep(m.ReplicateAddr)
 	m.Draining = r.Bool()
-	n := int(r.U16())
-	if n > r.Remaining()/registerDCSize {
-		// A count the payload cannot hold must not size an allocation.
-		return wire.ErrShortPayload
-	}
-	if cap(m.Datacenters) < n {
-		// Keep the names already held, so the next beat finds them to keep.
-		grown := make([]RegisterDatacenter, n)
-		copy(grown, m.Datacenters[:cap(m.Datacenters)])
-		m.Datacenters = grown
-	}
-	m.Datacenters = m.Datacenters[:n]
-	for i := range m.Datacenters {
-		dc := &m.Datacenters[i]
-		dc.Name = keep(dc.Name, r.Str8())
-		dc.Generation = r.U64()
-	}
+	m.Datacenters = r.DCGens(m.Datacenters)
 	return r.Done()
 }
 
@@ -156,28 +123,16 @@ func (m *RegisterRequest) Decode(payload []byte) error {
 func AppendRegisterResponse(dst []byte, id uint64, m *RegisterResponse) []byte {
 	mark := len(dst)
 	dst = wire.BeginFrame(dst, wire.OpRegisterResp, id)
-	dst = wire.AppendStr8(dst, m.Status)
-	dst = wire.AppendU32(dst, uint32(m.Backends))
-	dst = wire.AppendF64(dst, m.StaleAfterSeconds)
 	dst = wire.AppendStr8(dst, m.PrimaryReplicateAddr)
+	dst = wire.AppendBool(dst, m.Promote)
 	return wire.EndFrame(dst, mark)
 }
 
-// Decode parses an OpRegisterResp payload into m, keeping the strings m
+// Decode parses an OpRegisterResp payload into m, keeping the string m
 // already holds as RegisterRequest.Decode does.
 func (m *RegisterResponse) Decode(payload []byte) error {
 	r := wire.NewReader(payload)
-	m.Status = keep(m.Status, r.Str8())
-	m.Backends = int(r.U32())
-	m.StaleAfterSeconds = r.F64()
-	m.PrimaryReplicateAddr = keep(m.PrimaryReplicateAddr, r.Str8())
+	m.PrimaryReplicateAddr = r.Str8Keep(m.PrimaryReplicateAddr)
+	m.Promote = r.Bool()
 	return r.Done()
-}
-
-// keep returns prev when b spells it and a copy of b otherwise.
-func keep(prev string, b []byte) string {
-	if prev == string(b) {
-		return prev
-	}
-	return string(b)
 }

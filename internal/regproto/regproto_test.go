@@ -16,7 +16,7 @@ func TestBeatFramesRoundTrip(t *testing.T) {
 	beat := RegisterRequest{
 		ID: "f1", URL: "http://127.0.0.1:7077", BinaryAddr: "127.0.0.1:7078", Role: "follower",
 		PrimaryID: "p1", ReplicateAddr: "127.0.0.1:7079", Draining: true,
-		Datacenters: []RegisterDatacenter{{Name: "DC-3", Generation: 7}, {Name: "DC-9", Generation: 1 << 40}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-3", Generation: 7}, {DC: "DC-9", Generation: 1 << 40}},
 	}
 	frame := AppendRegisterRequest(nil, 42, &beat)
 	h, err := wire.ParsePublicHeader(frame)
@@ -28,19 +28,22 @@ func TestBeatFramesRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %+v, %v; want %+v", got, err, beat)
 	}
 	id := unsafe.StringData(got.ID)
-	name := unsafe.StringData(got.Datacenters[1].Name)
+	name := unsafe.StringData(got.Datacenters[1].DC)
 	if n := testing.AllocsPerRun(100, func() { got.Decode(frame[wire.HeaderSize:]) }); n != 0 {
 		t.Errorf("decoding a repeated beat allocated %v objects", n)
 	}
-	if unsafe.StringData(got.ID) != id || unsafe.StringData(got.Datacenters[1].Name) != name {
+	if unsafe.StringData(got.ID) != id || unsafe.StringData(got.Datacenters[1].DC) != name {
 		t.Error("a repeated beat copied strings it already held")
 	}
 
-	ack := RegisterResponse{Status: "ok", Backends: 3, StaleAfterSeconds: 10, PrimaryReplicateAddr: "127.0.0.1:7079"}
+	ack := RegisterResponse{PrimaryReplicateAddr: "127.0.0.1:7079", Promote: true}
 	frame = AppendRegisterResponse(nil, 42, &ack)
 	var gotAck RegisterResponse
 	if err := gotAck.Decode(frame[wire.HeaderSize:]); err != nil || gotAck != ack {
 		t.Fatalf("decoded %+v, %v; want %+v", gotAck, err, ack)
+	}
+	if n := testing.AllocsPerRun(100, func() { gotAck.Decode(frame[wire.HeaderSize:]) }); n != 0 {
+		t.Errorf("decoding a repeated ack allocated %v objects", n)
 	}
 }
 
@@ -48,17 +51,33 @@ func TestBeatFramesRoundTrip(t *testing.T) {
 // the encoding of what it decoded to, and a lying datacenter count never
 // sizes an allocation past what the payload holds.
 func FuzzRegisterRequestDecode(f *testing.F) {
-	f.Add(AppendRegisterRequest(nil, 1, &RegisterRequest{ID: "n", URL: "http://x:1", Datacenters: []RegisterDatacenter{{Name: "D", Generation: 2}}})[wire.HeaderSize:])
+	f.Add(AppendRegisterRequest(nil, 1, &RegisterRequest{ID: "n", URL: "http://x:1", Datacenters: []wire.ReplDCGen{{DC: "D", Generation: 2}}})[wire.HeaderSize:])
 	f.Add([]byte{1, 'n', 0, 0, 0, 0, 0, 0, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var m RegisterRequest
 		if m.Decode(payload) != nil {
-			if cap(m.Datacenters)*registerDCSize > len(payload) {
+			if cap(m.Datacenters)*9 > len(payload) {
 				t.Fatalf("%d datacenter slots for a %d-byte payload", cap(m.Datacenters), len(payload))
 			}
 			return
 		}
 		if again := AppendRegisterRequest(nil, 1, &m)[wire.HeaderSize:]; !bytes.Equal(again, payload) {
+			t.Fatalf("decode→encode %x, want %x", again, payload)
+		}
+	})
+}
+
+// FuzzRegisterResponseDecode: any payload either fails to decode or is
+// exactly the encoding of what it decoded to.
+func FuzzRegisterResponseDecode(f *testing.F) {
+	f.Add(AppendRegisterResponse(nil, 1, &RegisterResponse{PrimaryReplicateAddr: "127.0.0.1:7079", Promote: true})[wire.HeaderSize:])
+	f.Add([]byte{0, 2})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var m RegisterResponse
+		if m.Decode(payload) != nil {
+			return
+		}
+		if again := AppendRegisterResponse(nil, 1, &m)[wire.HeaderSize:]; !bytes.Equal(again, payload) {
 			t.Fatalf("decode→encode %x, want %x", again, payload)
 		}
 	})

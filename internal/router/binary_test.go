@@ -92,7 +92,7 @@ func startEchoBackend(t *testing.T) *echoBackend {
 						continue
 					}
 					_, rest, _ := wire.SplitTrace(h, payload)
-					c.Write(wire.AppendFrame(nil, h.Op.Resp(), h.ID, rest))
+					c.Write(appendFrame(nil, h.Op.Resp(), h.ID, rest))
 				}
 			}()
 		}
@@ -132,7 +132,7 @@ func TestBinaryRelayEndToEnd(t *testing.T) {
 	n := fleettest.StartNode(t, nodeConfig("node-bin", "DC-9"))
 	mustRegister(t, rt.URL, regproto.RegisterRequest{
 		ID: "node-bin", URL: n.URL, BinaryAddr: n.BinaryAddr,
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-9", Generation: 1}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-9", Generation: 1}},
 	})
 
 	c := dialBin(t, rt.BinaryAddr)
@@ -194,7 +194,7 @@ func TestBinaryFrontRejectsJSONOnlyBackend(t *testing.T) {
 	// Registered without its binary listener: a JSON-only backend.
 	mustRegister(t, rt.URL, regproto.RegisterRequest{
 		ID: "node-json", URL: n.URL,
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-8", Generation: 1}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-8", Generation: 1}},
 	})
 
 	c := dialBin(t, rt.BinaryAddr)
@@ -239,11 +239,11 @@ func TestBinaryReadsSkipJSONOnlyFollower(t *testing.T) {
 	p, f := newFakeBackend(t), newFakeBackend(t)
 	mustRegister(t, rt.URL, regproto.RegisterRequest{
 		ID: "node-p", URL: p.srv.URL, BinaryAddr: startEchoBackend(t).addr(), Role: "primary",
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 10}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-A", Generation: 10}},
 	})
 	mustRegister(t, rt.URL, regproto.RegisterRequest{
 		ID: "node-f", URL: f.srv.URL, Role: "follower", PrimaryID: "node-p",
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 10}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-A", Generation: 10}},
 	})
 
 	c := dialBin(t, rt.BinaryAddr)
@@ -296,7 +296,7 @@ func TestAdmissionGateSharedByBothFronts(t *testing.T) {
 			beat := func() {
 				mustRegister(t, rt.URL, regproto.RegisterRequest{
 					ID: "node-a", URL: fb.srv.URL, BinaryAddr: eb.addr(),
-					Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
+					Datacenters: []wire.ReplDCGen{{DC: "DC-A"}},
 				})
 			}
 			beat()
@@ -426,7 +426,7 @@ func TestBinaryPipelinedRelay(t *testing.T) {
 					relayIDs[h.ID]++
 					traceIDs[traceID]++
 					mu.Unlock()
-					resp := wire.AppendFrame(nil, h.Op.Resp(), h.ID, rest)
+					resp := appendFrame(nil, h.Op.Resp(), h.ID, rest)
 					go func() {
 						time.Sleep(delay)
 						wmu.Lock()
@@ -441,7 +441,7 @@ func TestBinaryPipelinedRelay(t *testing.T) {
 	fb := newFakeBackend(t)
 	mustRegister(t, rt.URL, regproto.RegisterRequest{
 		ID: "node-slow", URL: fb.srv.URL, BinaryAddr: ln.Addr().String(),
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-1", Generation: 1}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-1", Generation: 1}},
 	})
 
 	c := dialBin(t, rt.BinaryAddr)
@@ -533,7 +533,7 @@ func TestBinaryPerLeaseOrdering(t *testing.T) {
 						log = append(log, arrival{h.Op, lease})
 						mu.Unlock()
 					}
-					c.Write(wire.AppendFrame(nil, h.Op.Resp(), h.ID, rest))
+					c.Write(appendFrame(nil, h.Op.Resp(), h.ID, rest))
 				}
 			}(c)
 		}
@@ -542,7 +542,7 @@ func TestBinaryPerLeaseOrdering(t *testing.T) {
 	fb := newFakeBackend(t)
 	mustRegister(t, rt.URL, regproto.RegisterRequest{
 		ID: "node-order", URL: fb.srv.URL, BinaryAddr: ln.Addr().String(),
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-1", Generation: 1}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-1", Generation: 1}},
 	})
 
 	c := dialBin(t, rt.BinaryAddr)
@@ -610,7 +610,7 @@ func TestBinaryBackendDesyncDetected(t *testing.T) {
 					if err != nil {
 						return
 					}
-					c.Write(wire.AppendFrame(nil, h.Op.Resp(), h.ID+1, payload))
+					c.Write(appendFrame(nil, h.Op.Resp(), h.ID+1, payload))
 				}
 			}(c)
 		}
@@ -619,7 +619,7 @@ func TestBinaryBackendDesyncDetected(t *testing.T) {
 	fb := newFakeBackend(t)
 	mustRegister(t, rt.URL, regproto.RegisterRequest{
 		ID: "node-desync", URL: fb.srv.URL, BinaryAddr: ln.Addr().String(),
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-1", Generation: 1}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-1", Generation: 1}},
 	})
 
 	c := dialBin(t, rt.BinaryAddr)
@@ -661,4 +661,12 @@ func TestBinaryFrontClosesOnGarbage(t *testing.T) {
 			t.Errorf("%s: framing_errors moved by %d, want 1", name, got)
 		}
 	}
+}
+
+// appendFrame appends a complete frame carrying payload as it is.
+func appendFrame(dst []byte, op wire.Op, id uint64, payload []byte) []byte {
+	mark := len(dst)
+	dst = wire.BeginFrame(dst, op, id)
+	dst = append(dst, payload...)
+	return wire.EndFrame(dst, mark)
 }

@@ -196,8 +196,8 @@ func TestFailoverChainThroughTheRouter(t *testing.T) {
 		fleettest.WaitFor(t, dead+" to go stale at the router", func() bool {
 			return !routerStats(t, rt.URL).Backends[dead].Alive
 		})
-		// Reads keep serving, none from the dead node, and any request for the
-		// datacenter may be the one that promotes.
+		// Reads keep serving, none from the dead node, while the followers'
+		// beats elect the replacement.
 		if rep := run("dryselect=50,place=30,classes=20"); rep.Backends[dead] != 0 {
 			t.Fatalf("%d reads served by the dead %s", rep.Backends[dead], dead)
 		}

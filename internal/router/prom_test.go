@@ -20,7 +20,7 @@ func TestRouterPrometheusExposition(t *testing.T) {
 	fb := newFakeBackend(t)
 	mustRegister(t, rt.URL, regproto.RegisterRequest{
 		ID: "node-a", URL: fb.srv.URL, BinaryAddr: startEchoBackend(t).addr(),
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-1", Generation: 1}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-1", Generation: 1}},
 	})
 
 	// One proxied JSON request and one relayed binary request so the
@@ -73,7 +73,7 @@ func TestRouterBinaryOpStatsJSON(t *testing.T) {
 	fb := newFakeBackend(t)
 	mustRegister(t, rt.URL, regproto.RegisterRequest{
 		ID: "node-a", URL: fb.srv.URL, BinaryAddr: startEchoBackend(t).addr(),
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-1", Generation: 1}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-1", Generation: 1}},
 	})
 	c := dialBin(t, rt.BinaryAddr)
 	if h, _ := c.roundTrip(wire.AppendClassesReq(nil, 6, "DC-1")); h.Op != wire.OpClassesResp {

@@ -11,6 +11,7 @@ import (
 
 	"harvest/internal/regproto"
 	"harvest/internal/router"
+	"harvest/internal/wire"
 )
 
 // TestUpgradedRegistration: a node whose POST /v1/register upgrades beats in
@@ -54,9 +55,9 @@ func TestUpgradedRegistration(t *testing.T) {
 	}
 
 	fb := newFakeBackend(t)
-	beat := regproto.RegisterRequest{ID: "node-a", URL: fb.srv.URL, Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 3}}}
+	beat := regproto.RegisterRequest{ID: "node-a", URL: fb.srv.URL, Datacenters: []wire.ReplDCGen{{DC: "DC-A", Generation: 3}}}
 	var ack regproto.RegisterResponse
-	if err := c.Beat(&beat, &ack); err != nil || ack.Status != "ok" || ack.Backends != 1 || ack.StaleAfterSeconds != 60 {
+	if err := c.Beat(&beat, &ack); err != nil || ack != (regproto.RegisterResponse{}) {
 		t.Fatalf("beat: %+v, %v", ack, err)
 	}
 	if resp, _ := getBody(t, srv.URL+"/v1/DC-A/classes"); resp.StatusCode != http.StatusOK {
@@ -94,7 +95,7 @@ var badBeats = func() []struct {
 	name string
 	beat regproto.RegisterRequest
 } {
-	dcs := []regproto.RegisterDatacenter{{Name: "D"}}
+	dcs := []wire.ReplDCGen{{DC: "D"}}
 	return []struct {
 		name string
 		beat regproto.RegisterRequest
@@ -105,7 +106,7 @@ var badBeats = func() []struct {
 		{"register url with path", regproto.RegisterRequest{ID: "n", URL: "http://x:1/api", Datacenters: dcs}},
 		{"register url with query", regproto.RegisterRequest{ID: "n", URL: "http://x:1?env=prod", Datacenters: dcs}},
 		{"register no datacenters", regproto.RegisterRequest{ID: "n", URL: "http://x:1"}},
-		{"register unnamed datacenter", regproto.RegisterRequest{ID: "n", URL: "http://x:1", Datacenters: []regproto.RegisterDatacenter{{Name: ""}}}},
+		{"register unnamed datacenter", regproto.RegisterRequest{ID: "n", URL: "http://x:1", Datacenters: []wire.ReplDCGen{{DC: ""}}}},
 		{"register unknown role", regproto.RegisterRequest{ID: "n", URL: "http://x:1", Role: "leader", Datacenters: dcs}},
 		{"register bad binary addr", regproto.RegisterRequest{ID: "n", URL: "http://x:1", BinaryAddr: "x", Datacenters: dcs}},
 		{"register bad replicate addr", regproto.RegisterRequest{ID: "n", URL: "http://x:1", ReplicateAddr: "x", Datacenters: dcs}},
@@ -118,7 +119,7 @@ var badBeats = func() []struct {
 // either connection keeps working after the refusal.
 func TestRegisterFormsRefuseAlike(t *testing.T) {
 	_, srv := newTestRouter(t, nil)
-	good := regproto.RegisterRequest{ID: "n", URL: "http://x:1", Datacenters: []regproto.RegisterDatacenter{{Name: "D"}}}
+	good := regproto.RegisterRequest{ID: "n", URL: "http://x:1", Datacenters: []wire.ReplDCGen{{DC: "D"}}}
 	steady, err := regproto.Dial(srv.URL, "", 5*time.Second)
 	if err != nil {
 		t.Fatalf("upgrade: %v", err)

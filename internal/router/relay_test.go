@@ -30,7 +30,7 @@ func TestRelayAllocs(t *testing.T) {
 	n := fleettest.StartNode(t, nodeConfig("node-bin", dc))
 	mustRegister(t, rt.URL, regproto.RegisterRequest{
 		ID: "node-bin", URL: n.URL, BinaryAddr: n.BinaryAddr,
-		Datacenters: []regproto.RegisterDatacenter{{Name: dc, Generation: 1}},
+		Datacenters: []wire.ReplDCGen{{DC: dc, Generation: 1}},
 	})
 
 	c := dialBin(t, rt.BinaryAddr)
@@ -167,7 +167,7 @@ func TestBinaryRelayBackendDeathMidBurst(t *testing.T) {
 		gb := startEchoBackend(t)
 		mustRegister(t, rt.URL, regproto.RegisterRequest{
 			ID: "node-gated", URL: fb.srv.URL, BinaryAddr: gb.addr(),
-			Datacenters: []regproto.RegisterDatacenter{{Name: dc, Generation: 1}},
+			Datacenters: []wire.ReplDCGen{{DC: dc, Generation: 1}},
 		})
 
 		// A healthy backend first: every slot delivers its own echo.

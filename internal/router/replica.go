@@ -1,10 +1,7 @@
 package router
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
-	"io"
 	"math/rand/v2"
 	"net/http"
 	"time"
@@ -24,18 +21,15 @@ import (
 // arbitrarily stale characterizations.
 //
 // When a primary stops beating, the router elects the freshest alive
-// follower of that primary and POSTs its /v1/promote endpoint; the promoted
-// node keeps the replicated ledger, so outstanding leases survive the
-// handoff and release exactly once under their original ids.
+// follower of that primary and tells it so in the acknowledgement of its own
+// beat (promoteWinner); the node promotes itself, keeping the replicated
+// ledger, so outstanding leases survive the handoff and release exactly once
+// under their original ids.
 
 // backendHeader names the replica that actually served a routed request. The
 // router stamps it on every proxied JSON response so load generators and
 // TestFailoverChainThroughTheRouter can attribute read share per backend.
 const backendHeader = "X-Harvest-Backend"
-
-// promoteTimeout bounds the inline promotion POST: it runs on a request
-// path, so it must fail fast rather than ride the full proxy timeout.
-const promoteTimeout = 2 * time.Second
 
 // isReadRequest classifies one proxied JSON request. Reads are safe on a
 // generation-fresh follower: GETs (classes, server class, leases, metrics)
@@ -60,26 +54,13 @@ func isReadRequest(method, rest string, body []byte) bool {
 }
 
 // pickBackend resolves the backend for one request. Writes go to the table
-// owner, with a promotion attempt when the owner stopped beating; reads
-// spread across the owner and its eligible followers — for a binary request,
-// only those that announced a binary listener. Never returns a follower for a
-// write. A nil return means the datacenter is unknown.
+// owner; reads spread across the owner and its eligible followers — for a
+// binary request, only those that announced a binary listener. Never returns
+// a follower for a write. A nil return means the datacenter is unknown.
 func (rt *Router) pickBackend(dc string, read, binary bool, now time.Time) *backend {
 	rt.mu.RLock()
 	owner := rt.table[dc].owner
 	rt.mu.RUnlock()
-	if owner != nil && !rt.routable(owner, now) {
-		// A known owner stopped beating — or announced a planned drain:
-		// elect a replacement. On success the promoted node serves this very
-		// request — writes recover without waiting a heartbeat. A nil owner
-		// deliberately does NOT promote: at startup a follower often
-		// registers before its primary's first beat, and promoting it then
-		// would split the brain against a perfectly healthy primary.
-		// Followers still serve reads below.
-		if promoted := rt.maybePromote(dc, owner, now); promoted != nil {
-			owner = promoted
-		}
-	}
 	if !read || rt.cfg.MaxGenLag < 0 {
 		return owner
 	}
@@ -178,90 +159,55 @@ func (rt *Router) pickReadReplica(dc string, owner *backend, binary bool, now ti
 	return first
 }
 
-// maybePromote elects a replacement when a datacenter's owner stopped
-// beating: the freshest alive follower of the missing primary — highest
-// announced generation, lexicographically smallest id on ties so concurrent
-// routers converge on one winner — gets POST /v1/promote. On success the
-// winner takes over every datacenter it announces that the dead owner
-// stranded. Attempts for one datacenter are at least StaleAfter/2 apart so a
-// flapping primary cannot trigger a promotion storm.
-func (rt *Router) maybePromote(dc string, dead *backend, now time.Time) *backend {
-	rt.promoteMu.Lock()
-	if last, ok := rt.lastPromote[dc]; ok && now.Sub(last) < rt.cfg.StaleAfter/2 {
-		rt.promoteMu.Unlock()
-		return nil
+// promoteWinner reports whether the beating follower b is the one to replace
+// an owner that stopped beating — or announced a planned drain — for some
+// datacenter b announces: of the dead owner's alive followers serving it, the
+// highest announced generation, then the lexicographically smallest id, so
+// concurrent routers converge on one winner. A datacenter with no owner
+// deliberately elects nobody: at startup a follower often registers before
+// its primary's first beat, and promoting it then would split the brain
+// against a perfectly healthy primary. The winner is told at most once per
+// StaleAfter/2 for one datacenter, so a flapping primary cannot trigger a
+// promotion storm; a loser's beat leaves that window untouched. The caller
+// holds rt.mu for writing.
+func (rt *Router) promoteWinner(b *backend, now time.Time) bool {
+	won := false
+	for dc, gen := range b.dcs {
+		dead := rt.table[dc].owner
+		if dead == nil || rt.routable(dead, now) {
+			continue
+		}
+		if last, ok := rt.lastPromote[dc]; ok && now.Sub(last) < rt.cfg.StaleAfter/2 {
+			continue
+		}
+		if rt.freshestFollower(dc, dead, now) != b {
+			continue
+		}
+		rt.lastPromote[dc] = now
+		won = true
+		rlog.Info("promoting follower to primary", "dc", dc, "backend", b.id,
+			"generation", gen, "dead_primary", dead.id)
 	}
-	rt.lastPromote[dc] = now
-	rt.promoteMu.Unlock()
+	return won
+}
 
+// freshestFollower elects among dead's alive followers serving dc: a follower
+// replicating some other primary holds the wrong books. The caller holds
+// rt.mu.
+func (rt *Router) freshestFollower(dc string, dead *backend, now time.Time) *backend {
 	var winner *backend
-	var winURL string
 	var winGen uint64
-	rt.mu.RLock()
-	for _, b := range rt.backends {
-		if b.role != "follower" || !rt.routable(b, now) {
+	for _, f := range rt.backends {
+		if f.role != "follower" || !rt.routable(f, now) || (f.primaryID != "" && f.primaryID != dead.id) {
 			continue
 		}
-		// Only followers of the backend that actually went missing: a
-		// follower replicating some other primary holds the wrong books.
-		if dead != nil && b.primaryID != "" && b.primaryID != dead.id {
-			continue
-		}
-		gen, serves := b.dcs[dc]
+		gen, serves := f.dcs[dc]
 		if !serves {
 			continue
 		}
-		if winner == nil || gen > winGen || (gen == winGen && b.id < winner.id) {
-			winner, winURL, winGen = b, b.url, gen
+		if winner == nil || gen > winGen || (gen == winGen && f.id < winner.id) {
+			winner, winGen = f, gen
 		}
 	}
-	rt.mu.RUnlock()
-	if winner == nil {
-		return nil
-	}
-
-	deadID := "(none)"
-	if dead != nil {
-		deadID = dead.id
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), promoteTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, winURL+"/v1/promote", bytes.NewReader([]byte("{}")))
-	if err != nil {
-		return nil
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if rt.cfg.PromoteToken != "" {
-		req.Header.Set("Authorization", "Bearer "+rt.cfg.PromoteToken)
-	}
-	req.Header.Set(hopHeader, "1")
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		rlog.Warn("promotion attempt failed", "dc", dc, "candidate", winner.id, "err", err)
-		return nil
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		rlog.Warn("promotion rejected", "dc", dc, "candidate", winner.id, "status", resp.Status)
-		return nil
-	}
-
-	// The winner is a primary now. Flip its role and the stranded routes
-	// immediately rather than waiting for its next heartbeat to confirm —
-	// writes recover on this very request. Its own beats (which read the
-	// role live) say "primary" from here on.
-	rt.mu.Lock()
-	winner.role = "primary"
-	winner.primaryID = ""
-	for name := range winner.dcs {
-		if prev := rt.table[name].owner; prev == nil || prev == dead || !rt.routable(prev, now) {
-			rt.table[name] = route{name: name, owner: winner}
-		}
-	}
-	rt.mu.Unlock()
-	rt.promotions.Add(1)
-	rlog.Info("promoted follower to primary", "dc", dc, "backend", winner.id,
-		"generation", winGen, "dead_primary", deadID)
 	return winner
 }

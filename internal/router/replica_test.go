@@ -10,6 +10,7 @@ import (
 
 	"harvest/internal/regproto"
 	"harvest/internal/router"
+	"harvest/internal/wire"
 )
 
 func newServer(t *testing.T, rt *router.Router) *httptest.Server {
@@ -39,15 +40,15 @@ func TestReadSpreadAcrossFollowers(t *testing.T) {
 	_, srv := newTestRouter(t, nil)
 	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-p", URL: p.srv.URL, Role: "primary",
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 10}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-A", Generation: 10}},
 	})
 	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-f1", URL: f1.srv.URL, Role: "follower", PrimaryID: "node-p",
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 10}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-A", Generation: 10}},
 	})
 	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-f2", URL: f2.srv.URL, Role: "follower", PrimaryID: "node-p",
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 9}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-A", Generation: 9}},
 	})
 
 	const reads = 120
@@ -134,11 +135,11 @@ func TestStaleFollowerSkipped(t *testing.T) {
 	srv := newServer(t, rt)
 	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-p", URL: p.srv.URL, Role: "primary",
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 10}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-A", Generation: 10}},
 	})
 	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-f", URL: f.srv.URL, Role: "follower", PrimaryID: "node-p",
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 5}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-A", Generation: 5}},
 	})
 	for i := 0; i < 40; i++ {
 		resp, _ := getBody(t, srv.URL+"/v1/DC-A/classes")
@@ -156,7 +157,7 @@ func TestStaleFollowerSkipped(t *testing.T) {
 	// Once the follower catches up (within the lag window), it serves.
 	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-f", URL: f.srv.URL, Role: "follower", PrimaryID: "node-p",
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 9}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-A", Generation: 9}},
 	})
 	for i := 0; i < 60 && len(f.seen()) == 0; i++ {
 		getBody(t, srv.URL+"/v1/DC-A/classes")
@@ -173,10 +174,11 @@ func TestStaleFollowerSkipped(t *testing.T) {
 func TestFollowerNeverClaimsOwnership(t *testing.T) {
 	p, f := newFakeBackend(t), newFakeBackend(t)
 	_, srv := newTestRouter(t, nil)
-	mustRegister(t, srv.URL, regproto.RegisterRequest{
+	fBeat := regproto.RegisterRequest{
 		ID: "node-f", URL: f.srv.URL, Role: "follower", PrimaryID: "node-p",
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 4}},
-	})
+		Datacenters: []wire.ReplDCGen{{DC: "DC-A", Generation: 4}},
+	}
+	mustRegister(t, srv.URL, fBeat)
 
 	// Reads are served by the follower even with no primary known.
 	resp, _ := getBody(t, srv.URL+"/v1/DC-A/classes")
@@ -206,14 +208,14 @@ func TestFollowerNeverClaimsOwnership(t *testing.T) {
 	if wresp.StatusCode != http.StatusNotFound {
 		t.Errorf("write with follower only: status %d, want 404", wresp.StatusCode)
 	}
-	if got := countBy(f, "POST /v1/promote"); got != 0 {
-		t.Errorf("lone follower was promoted %d times — startup race split the brain", got)
+	if ack, status := registerAck(t, srv.URL, fBeat); status != http.StatusOK || ack.Promote {
+		t.Errorf("lone follower's beat: status %d, promote %v — the startup race split the brain", status, ack.Promote)
 	}
 
 	// The primary's first beat takes the route; writes flow to it.
 	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-p", URL: p.srv.URL, Role: "primary",
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 5}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-A", Generation: 5}},
 	})
 	wresp2, err := http.Post(srv.URL+"/v1/DC-A/select", "application/json",
 		strings.NewReader(`{"max_concurrent_cores":1}`))
@@ -226,44 +228,61 @@ func TestFollowerNeverClaimsOwnership(t *testing.T) {
 	}
 }
 
-// TestPromotionElectsFreshestFollower pins the failover contract: when the
-// primary stops beating, the router POSTs /v1/promote — bearer-authenticated
-// — to the follower with the highest announced generation, never a staler
-// one, and flips the route to the winner immediately.
+// TestPromotionElectsFreshestFollower pins the failover contract: once the
+// primary stops beating, the follower with the highest announced generation —
+// never a staler one, even one that beats first — is told to promote in the
+// acknowledgement of its own beat, exactly once, and its next beat, as
+// primary, takes the route and serves the writes.
 func TestPromotionElectsFreshestFollower(t *testing.T) {
 	clock := newTestClock()
 	p, f1, f2 := newFakeBackend(t), newFakeBackend(t), newFakeBackend(t)
-	rt := router.New(router.Config{
-		StaleAfter:   10 * time.Second,
-		PromoteToken: "promote-secret",
-		Now:          clock.Now,
-	})
+	rt := router.New(router.Config{StaleAfter: 10 * time.Second, Now: clock.Now})
 	srv := newServer(t, rt)
+	f1Beat := regproto.RegisterRequest{
+		ID: "node-f1", URL: f1.srv.URL, Role: "follower", PrimaryID: "node-p",
+		Datacenters: []wire.ReplDCGen{{DC: "DC-A", Generation: 9}},
+	}
+	f2Beat := regproto.RegisterRequest{
+		ID: "node-f2", URL: f2.srv.URL, Role: "follower", PrimaryID: "node-p",
+		Datacenters: []wire.ReplDCGen{{DC: "DC-A", Generation: 7}},
+	}
+	told := func(beat regproto.RegisterRequest) bool {
+		t.Helper()
+		ack, status := registerAck(t, srv.URL, beat)
+		if status != http.StatusOK {
+			t.Fatalf("beat of %s: status %d", beat.ID, status)
+		}
+		return ack.Promote
+	}
+	// A follower with no known owner is never told: its primary is healthy,
+	// just not registered yet.
+	if told(f1Beat) {
+		t.Fatal("a lone follower was told to promote — the startup race split the brain")
+	}
 	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-p", URL: p.srv.URL, Role: "primary",
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 10}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-A", Generation: 10}},
 	})
-	mustRegister(t, srv.URL, regproto.RegisterRequest{
-		ID: "node-f1", URL: f1.srv.URL, Role: "follower", PrimaryID: "node-p",
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 9}},
-	})
-	mustRegister(t, srv.URL, regproto.RegisterRequest{
-		ID: "node-f2", URL: f2.srv.URL, Role: "follower", PrimaryID: "node-p",
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 7}},
-	})
-
 	// The primary dies; the followers keep beating.
-	clock.Advance(11 * time.Second)
-	mustRegister(t, srv.URL, regproto.RegisterRequest{
-		ID: "node-f1", URL: f1.srv.URL, Role: "follower", PrimaryID: "node-p",
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 9}},
-	})
-	mustRegister(t, srv.URL, regproto.RegisterRequest{
-		ID: "node-f2", URL: f2.srv.URL, Role: "follower", PrimaryID: "node-p",
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 7}},
-	})
+	clock.Advance(6 * time.Second)
+	if told(f2Beat) || told(f1Beat) {
+		t.Fatal("a follower was told to promote while its primary was alive")
+	}
+	clock.Advance(5 * time.Second)
+	if told(f2Beat) {
+		t.Fatal("the staler follower was told to promote — gen 7 must never beat gen 9")
+	}
+	if !told(f1Beat) {
+		t.Fatal("the freshest follower was not told to promote after the primary went stale")
+	}
+	// A follower beat composed before the promotion landed is not told again.
+	if told(f1Beat) || told(f2Beat) {
+		t.Error("a second beat was told to promote within the window")
+	}
 
-	// The next write both triggers the election and is served by the winner.
+	// The winner's next beat, as primary, takes the route: writes go to it.
+	f1Beat.Role, f1Beat.PrimaryID = "primary", ""
+	mustRegister(t, srv.URL, f1Beat)
 	resp, err := http.Post(srv.URL+"/v1/DC-A/select", "application/json",
 		strings.NewReader(`{"max_concurrent_cores":1}`))
 	if err != nil {
@@ -271,57 +290,47 @@ func TestPromotionElectsFreshestFollower(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("write during failover: status %d, want 200 from the promoted follower", resp.StatusCode)
+		t.Fatalf("write after failover: status %d, want 200 from the promoted follower", resp.StatusCode)
 	}
 	if got := resp.Header.Get("X-Harvest-Backend"); got != "node-f1" {
 		t.Errorf("failover write served by %q, want the freshest follower node-f1", got)
 	}
-	if got := countBy(f1, "POST /v1/promote"); got != 1 {
-		t.Fatalf("freshest follower received %d promote calls, want 1 (saw %v)", got, f1.seen())
+
+	st := routerStats(t, srv.URL)
+	if st.Promotions != 1 {
+		t.Errorf("promotions counter = %d, want 1", st.Promotions)
 	}
-	if got := countBy(f2, "POST /v1/promote"); got != 0 {
-		t.Errorf("stale follower received %d promote calls, want 0 — gen 7 must never beat gen 9", got)
+	if got := st.Backends["node-f1"].Role; got != "primary" {
+		t.Errorf("promoted backend role = %q, want primary", got)
 	}
-	// The promote call carried the configured bearer token.
-	f1.mu.Lock()
-	var promoteAuth string
-	for i, r := range f1.requests {
-		if r == "POST /v1/promote" {
-			promoteAuth = f1.headers[i].Get("Authorization")
+}
+
+// TestPromotionWaitsForTheWinnersBeat: of two followers equally fresh, the
+// smaller id wins, so routers converge; the other beating first is not told,
+// and does not use up the window the winner's beat is told in.
+func TestPromotionWaitsForTheWinnersBeat(t *testing.T) {
+	clock := newTestClock()
+	rt := router.New(router.Config{StaleAfter: 10 * time.Second, Now: clock.Now})
+	srv := newServer(t, rt)
+	beat := func(id, role string) regproto.RegisterRequest {
+		return regproto.RegisterRequest{
+			ID: id, URL: newFakeBackend(t).srv.URL, Role: role, PrimaryID: "node-p",
+			Datacenters: []wire.ReplDCGen{{DC: "DC-A", Generation: 9}},
 		}
 	}
-	f1.mu.Unlock()
-	if promoteAuth != "Bearer promote-secret" {
-		t.Errorf("promote Authorization = %q, want the configured bearer token", promoteAuth)
+	mustRegister(t, srv.URL, beat("node-p", "primary"))
+	a, b := beat("node-a", "follower"), beat("node-b", "follower")
+	clock.Advance(6 * time.Second)
+	mustRegister(t, srv.URL, a)
+	mustRegister(t, srv.URL, b)
+	clock.Advance(5 * time.Second)
+	for i := 0; i < 3; i++ {
+		if ack, _ := registerAck(t, srv.URL, b); ack.Promote {
+			t.Fatal("node-b was told to promote, but node-a ties it on generation with the smaller id")
+		}
 	}
-
-	// The route stays flipped: later writes go straight to the new primary
-	// with no further election.
-	resp2, err := http.Post(srv.URL+"/v1/DC-A/select", "application/json",
-		strings.NewReader(`{"max_concurrent_cores":1}`))
-	if err != nil {
-		t.Fatalf("select: %v", err)
-	}
-	resp2.Body.Close()
-	if got := resp2.Header.Get("X-Harvest-Backend"); got != "node-f1" {
-		t.Errorf("post-failover write served by %q, want node-f1", got)
-	}
-	if got := countBy(f1, "POST /v1/promote"); got != 1 {
-		t.Errorf("promotion re-fired: %d promote calls", got)
-	}
-
-	var m struct {
-		Router router.RouterStats `json:"router"`
-	}
-	_, body := getBody(t, srv.URL+"/metrics")
-	if err := json.Unmarshal(body, &m); err != nil {
-		t.Fatalf("metrics: %v", err)
-	}
-	if m.Router.Promotions != 1 {
-		t.Errorf("promotions counter = %d, want 1", m.Router.Promotions)
-	}
-	if got := m.Router.Backends["node-f1"].Role; got != "primary" {
-		t.Errorf("promoted backend role = %q, want primary", got)
+	if ack, _ := registerAck(t, srv.URL, a); !ack.Promote {
+		t.Fatal("node-a was not told to promote after node-b's beats")
 	}
 }
 
@@ -332,7 +341,7 @@ func TestRegisterRejectsUnknownRole(t *testing.T) {
 	_, srv := newTestRouter(t, nil)
 	if status := register(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-a", URL: a.srv.URL, Role: "coordinator",
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-A"}},
 	}); status != http.StatusBadRequest {
 		t.Errorf("unknown role: status %d, want 400", status)
 	}

@@ -62,8 +62,8 @@ type Config struct {
 	// its datacenters then 503 until it re-registers. Zero means 10 seconds
 	// (five beats at the announcer's 2-second default). The retry timings
 	// derive from it: a 503's Retry-After hint and an open circuit's cooldown
-	// are one beat (StaleAfter/5), and promotion attempts for one datacenter
-	// are at least StaleAfter/2 apart.
+	// are one beat (StaleAfter/5), and a datacenter's elected follower is
+	// told to promote at most once per StaleAfter/2.
 	StaleAfter time.Duration
 	// BreakerThreshold is how many consecutive transport failures open a
 	// backend's circuit. Zero means 3; negative disables the breaker.
@@ -80,10 +80,6 @@ type Config struct {
 	// generations is skipped for reads until it catches up. Zero means 2;
 	// negative pins all reads to the primary (spreading off).
 	MaxGenLag int
-	// PromoteToken is the bearer token sent on POST /v1/promote to a
-	// follower when its primary stops beating — the backends' ingest token,
-	// which guards their promotion endpoint.
-	PromoteToken string
 	// Now overrides the clock (tests drive staleness without sleeping). Nil
 	// means time.Now.
 	Now func() time.Time
@@ -171,8 +167,8 @@ type Router struct {
 	proxyErrors  atomic.Uint64
 	unavailable  atomic.Uint64 // 503s rejected without touching a backend (stale / circuit open / probe held)
 
-	// Promotion state (replica.go): per-DC cooldown on election attempts.
-	promoteMu   sync.Mutex
+	// Promotion state (replica.go): when each datacenter's winner was last
+	// told (guarded by mu), and how many beats told one.
 	lastPromote map[string]time.Time
 	promotions  atomic.Uint64
 
@@ -408,7 +404,7 @@ func (rt *Router) register(req *regproto.RegisterRequest, checkedURL string, ack
 		return errors.New("register requires at least one datacenter")
 	}
 	for _, dc := range req.Datacenters {
-		if dc.Name == "" {
+		if dc.DC == "" {
 			return errors.New("register datacenter with empty name")
 		}
 	}
@@ -450,6 +446,7 @@ func (rt *Router) register(req *regproto.RegisterRequest, checkedURL string, ack
 			"backend", req.ID, "from", b.url, "to", baseURL)
 	}
 	b.url = baseURL
+	wasFollower := b.role == "follower"
 	b.role = role
 	b.primaryID = req.PrimaryID
 	b.replicateAddr = req.ReplicateAddr
@@ -471,12 +468,12 @@ func (rt *Router) register(req *regproto.RegisterRequest, checkedURL string, ack
 	if announcesSame(b.dcs, req.Datacenters) {
 		// The steady beat: only generations move, in place.
 		for _, dc := range req.Datacenters {
-			b.dcs[dc.Name] = dc.Generation
+			b.dcs[dc.DC] = dc.Generation
 		}
 	} else {
 		next := make(map[string]uint64, len(req.Datacenters))
 		for _, dc := range req.Datacenters {
-			next[dc.Name] = dc.Generation
+			next[dc.DC] = dc.Generation
 		}
 		// Drop routing entries for datacenters this backend no longer announces.
 		for name := range b.dcs {
@@ -489,45 +486,6 @@ func (rt *Router) register(req *regproto.RegisterRequest, checkedURL string, ack
 		}
 		b.dcs = next
 	}
-	// Ownership is sticky while the owner is alive: two nodes announcing the
-	// same datacenter must not ping-pong the route at heartbeat cadence —
-	// that would strand leases on the shard that issued them. A datacenter
-	// moves only when its current owner dropped it, went stale, or demoted
-	// itself to follower, so a migration is "start the new owner, stop the
-	// old one" and the handover happens at the staleness deadline.
-	//
-	// Followers never claim: their books replicate someone else's, so routing
-	// a write to one gets a retryable 503, not a lease. They also do not
-	// *drop* entries they may hold — a just-promoted node's stale "follower"
-	// beat, composed before the promotion landed, must not yank the route the
-	// router just flipped to it.
-	if role != "follower" {
-		for _, dc := range req.Datacenters {
-			if prev := rt.table[dc.Name].owner; prev != nil && prev != b {
-				if rt.alive(prev, now) && prev.role != "follower" && !prev.draining.Load() {
-					continue
-				}
-				rlog.Info("datacenter moved to announcing primary", "dc", dc.Name, "from", prev.id, "to", b.id)
-			}
-			rt.table[dc.Name] = route{name: dc.Name, owner: b}
-		}
-	}
-	backends := len(rt.backends)
-	// Tell a follower where its datacenters' current primary listens for
-	// replication: after a promotion this is the *promoted* node's listener,
-	// and orphaned followers re-dial it on their next beat. Computed under
-	// the same lock that guards the table.
-	primaryReplAddr := ""
-	if role == "follower" {
-		for _, dc := range req.Datacenters {
-			owner := rt.table[dc.Name].owner
-			if owner != nil && owner != b && owner.replicateAddr != "" &&
-				rt.alive(owner, now) && !owner.draining.Load() {
-				primaryReplAddr = owner.replicateAddr
-				break
-			}
-		}
-	}
 	// The beat is stored before the lock is released: the table entry must
 	// never be observable with a zero lastBeat, or a proxy request racing
 	// the very first registration would 503 it as stale. The breaker is
@@ -536,30 +494,63 @@ func (rt *Router) register(req *regproto.RegisterRequest, checkedURL string, ack
 	// typo'd -advertise URL or an asymmetric firewall), so only a successful
 	// data-plane probe closes an open circuit.
 	b.lastBeat.Store(now.UnixNano())
-	rt.mu.Unlock()
-
-	rt.registrations.Add(1)
-	*ack = regproto.RegisterResponse{
-		Status:               "ok",
-		Backends:             backends,
-		StaleAfterSeconds:    rt.cfg.StaleAfter.Seconds(),
-		PrimaryReplicateAddr: primaryReplAddr,
+	*ack = regproto.RegisterResponse{}
+	if role == "follower" {
+		// Followers never claim: their books replicate someone else's, so
+		// routing a write to one gets a retryable 503, not a lease. A follower
+		// learns where its datacenters' current primary listens for
+		// replication — after a promotion, the *promoted* node's listener,
+		// which orphans re-dial — or, when that primary stopped beating,
+		// whether it is the one to replace it.
+		for _, dc := range req.Datacenters {
+			owner := rt.table[dc.DC].owner
+			if owner != nil && owner != b && owner.replicateAddr != "" && rt.routable(owner, now) {
+				ack.PrimaryReplicateAddr = owner.replicateAddr
+				break
+			}
+		}
+		ack.Promote = rt.promoteWinner(b, now)
+	} else {
+		// Ownership is sticky while the owner is alive: two nodes announcing
+		// the same datacenter must not ping-pong the route at heartbeat
+		// cadence — that would strand leases on the shard that issued them. A
+		// datacenter moves only when its current owner dropped it, went stale,
+		// or demoted itself to follower, so a migration is "start the new
+		// owner, stop the old one" and the handover happens at the staleness
+		// deadline — and a promoted follower takes the routes on its first
+		// beat as primary, which is where the promotion is counted.
+		promoted := false
+		for _, dc := range req.Datacenters {
+			if prev := rt.table[dc.DC].owner; prev != nil && prev != b {
+				if rt.alive(prev, now) && prev.role != "follower" && !prev.draining.Load() {
+					continue
+				}
+				rlog.Info("datacenter moved to announcing primary", "dc", dc.DC, "from", prev.id, "to", b.id)
+				promoted = promoted || wasFollower
+			}
+			rt.table[dc.DC] = route{name: dc.DC, owner: b}
+		}
+		if promoted {
+			rt.promotions.Add(1)
+		}
 	}
+	rt.mu.Unlock()
+	rt.registrations.Add(1)
 	return nil
 }
 
 // announcesSame reports whether dcs names exactly the datacenters have holds,
 // each once: then a beat only moves generations.
-func announcesSame(have map[string]uint64, dcs []regproto.RegisterDatacenter) bool {
+func announcesSame(have map[string]uint64, dcs []wire.ReplDCGen) bool {
 	if len(dcs) != len(have) {
 		return false
 	}
 	for i, dc := range dcs {
-		if _, ok := have[dc.Name]; !ok {
+		if _, ok := have[dc.DC]; !ok {
 			return false
 		}
 		for _, prev := range dcs[:i] {
-			if prev.Name == dc.Name {
+			if prev.DC == dc.DC {
 				return false
 			}
 		}
@@ -808,11 +799,10 @@ type refusal struct {
 
 // admit is the gate both fronts put every request through before touching a
 // backend: resolve the datacenter (spreading reads — binary ones only to
-// followers with a binary listener — and promoting a follower when the owner
-// stopped beating), then refuse when the backend missed its heartbeats, is
-// draining, or its circuit is open. The returned admission names the backend
-// even when refused, as far as one was resolved. An admitted request must end
-// in exactly one settle or cancel.
+// followers with a binary listener), then refuse when the backend missed its
+// heartbeats, is draining, or its circuit is open. The returned admission
+// names the backend even when refused, as far as one was resolved. An
+// admitted request must end in exactly one settle or cancel.
 func (rt *Router) admit(dc string, read, binary bool, tr *obs.Trace) (admission, *refusal) {
 	now := rt.now()
 	b := rt.pickBackend(dc, read, binary, now)
@@ -845,10 +835,10 @@ func (rt *Router) admit(dc string, read, binary bool, tr *obs.Trace) (admission,
 		return unavailable(rt.beatInterval(), "missed heartbeats")
 	}
 	if b.draining.Load() {
-		// pickBackend already tried to route around a draining node (spread
-		// reads, promotion for writes); reaching here means it was the only
-		// candidate. Its listeners are about to close, so reject with the
-		// usual retry hint instead of racing the teardown.
+		// pickBackend already spread reads around a draining node, and its
+		// followers' beats elect a replacement for writes; reaching here means
+		// it was the only candidate. Its listeners are about to close, so
+		// reject with the usual retry hint instead of racing the teardown.
 		return unavailable(rt.beatInterval(), "draining for planned shutdown")
 	}
 	// Breaker gate. A nonzero openUntil in the past means the cooldown just
@@ -942,9 +932,9 @@ type datacentersResponse struct {
 
 // liveDatacenters returns the sorted union of datacenters across backends
 // that are currently heartbeating. Followers count: while a primary is down
-// its alive followers still serve the read surface (and the first write
-// triggers promotion), so the datacenter must stay discoverable — a client
-// arriving mid-failover would otherwise see an empty fleet.
+// its alive followers still serve the read surface (and one of them is
+// promoted on its next beat), so the datacenter must stay discoverable — a
+// client arriving mid-failover would otherwise see an empty fleet.
 func (rt *Router) liveDatacenters(now time.Time) []string {
 	rt.mu.RLock()
 	seen := make(map[string]struct{}, len(rt.table))
@@ -1050,7 +1040,7 @@ type RouterStats struct {
 	Proxied       uint64                  `json:"proxied" prom:"harvestrouter_proxied_total,counter" help:"Requests proxied to a backend (both dialects)."`
 	ProxyErrors   uint64                  `json:"proxy_errors" prom:"harvestrouter_proxy_errors_total,counter" help:"Backend transport failures."`
 	Unavailable   uint64                  `json:"unavailable_503s" prom:"harvestrouter_unavailable_total,counter" help:"503s from staleness or an open circuit."`
-	Promotions    uint64                  `json:"promotions" prom:"harvestrouter_promotions_total,counter" help:"Follower-to-primary promotions initiated by this router."`
+	Promotions    uint64                  `json:"promotions" prom:"harvestrouter_promotions_total,counter" help:"Promoted followers whose first beat as primary took over routes on this router."`
 	Binary        *BinaryFrontStats       `json:"binary,omitempty"`
 	Backends      map[string]BackendStats `json:"backends" labels:"backend"`
 }

@@ -17,6 +17,7 @@ import (
 
 	"harvest/internal/regproto"
 	"harvest/internal/router"
+	"harvest/internal/wire"
 )
 
 // testClock is an injectable clock so staleness tests never sleep.
@@ -161,11 +162,11 @@ func TestProxyRoutesToOwningBackend(t *testing.T) {
 	_, srv := newTestRouter(t, nil)
 	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-a", URL: a.srv.URL,
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 3}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-A", Generation: 3}},
 	})
 	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-b", URL: b.srv.URL,
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-B", Generation: 7}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-B", Generation: 7}},
 	})
 
 	resp, body := getBody(t, srv.URL+"/v1/DC-A/classes")
@@ -218,7 +219,7 @@ func TestProxyForwardsEscapedPathVerbatim(t *testing.T) {
 	_, srv := newTestRouter(t, nil)
 	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-a", URL: a.srv.URL,
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-A"}},
 	})
 	resp, err := http.Post(srv.URL+"/v1/DC-A/select%3Fdebug=1", "application/json", strings.NewReader("{}"))
 	if err != nil {
@@ -236,7 +237,7 @@ func TestProxyRelaysBackendStatus(t *testing.T) {
 	_, srv := newTestRouter(t, nil)
 	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-a", URL: a.srv.URL,
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-A"}},
 	})
 	a.status.Store(http.StatusNotFound)
 	notFound := `{"error":"unknown server"}`
@@ -257,7 +258,7 @@ func TestProxyBreaksRoutingLoops(t *testing.T) {
 	_, srv := newTestRouter(t, nil)
 	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "confused", URL: srv.URL,
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-A"}},
 	})
 	resp, body := getBody(t, srv.URL+"/v1/DC-A/classes")
 	if resp.StatusCode != http.StatusLoopDetected {
@@ -305,7 +306,7 @@ func TestProxyRelaysRedirectsVerbatim(t *testing.T) {
 	_, srv := newTestRouter(t, nil)
 	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-a", URL: backend.URL,
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-A"}},
 	})
 	client := &http.Client{CheckRedirect: func(req *http.Request, via []*http.Request) error {
 		return http.ErrUseLastResponse
@@ -331,7 +332,7 @@ func TestRegisterUpdatesAndMovesDatacenters(t *testing.T) {
 	defer srv.Close()
 	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-a", URL: a.srv.URL,
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-1"}, {Name: "DC-2"}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-1"}, {DC: "DC-2"}},
 	})
 	if got := datacentersOf(t, srv.URL); len(got) != 2 || got[0] != "DC-1" || got[1] != "DC-2" {
 		t.Fatalf("datacenters = %v, want [DC-1 DC-2]", got)
@@ -342,7 +343,7 @@ func TestRegisterUpdatesAndMovesDatacenters(t *testing.T) {
 	// heartbeat cadence, stranding leases on the shard that issued them.
 	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-b", URL: b.srv.URL,
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-2"}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-2"}},
 	})
 	getBody(t, srv.URL+"/v1/DC-2/classes")
 	if got := a.seen(); len(got) != 1 {
@@ -356,7 +357,7 @@ func TestRegisterUpdatesAndMovesDatacenters(t *testing.T) {
 	clock.Advance(11 * time.Second)
 	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-b", URL: b.srv.URL,
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-2"}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-2"}},
 	})
 	getBody(t, srv.URL+"/v1/DC-2/classes")
 	if got := b.seen(); len(got) != 1 {
@@ -367,7 +368,7 @@ func TestRegisterUpdatesAndMovesDatacenters(t *testing.T) {
 	// (and the union), while DC-2 stays with node-b.
 	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-a", URL: a.srv.URL,
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-3"}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-3"}},
 	})
 	if got := datacentersOf(t, srv.URL); len(got) != 2 || got[0] != "DC-2" || got[1] != "DC-3" {
 		t.Errorf("datacenters = %v, want [DC-2 DC-3]", got)
@@ -396,7 +397,7 @@ func TestDeadBackendAgesOut(t *testing.T) {
 	defer srv.Close()
 	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-a", URL: a.srv.URL,
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-A"}},
 	})
 
 	// Stale but not yet aged out: 503 (the outage might be transient).
@@ -416,7 +417,7 @@ func TestDeadBackendAgesOut(t *testing.T) {
 	}
 	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-b", URL: b.srv.URL,
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-B"}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-B"}},
 	})
 	var hz struct {
 		Backends int `json:"backends"`
@@ -449,7 +450,7 @@ func TestRegisterToken(t *testing.T) {
 		var ack regproto.RegisterResponse
 		return c.Beat(&regproto.RegisterRequest{
 			ID: "node-a", URL: a.srv.URL,
-			Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
+			Datacenters: []wire.ReplDCGen{{DC: "DC-A"}},
 		}, &ack)
 	}
 
@@ -479,7 +480,7 @@ func TestStaleBackend503sWithRetryAfter(t *testing.T) {
 	defer srv.Close()
 	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-a", URL: a.srv.URL,
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-A"}},
 	})
 
 	if resp, _ := getBody(t, srv.URL+"/v1/DC-A/classes"); resp.StatusCode != http.StatusOK {
@@ -500,7 +501,7 @@ func TestStaleBackend503sWithRetryAfter(t *testing.T) {
 	// One heartbeat recovers it.
 	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-a", URL: a.srv.URL,
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-A"}},
 	})
 	if resp, _ := getBody(t, srv.URL+"/v1/DC-A/classes"); resp.StatusCode != http.StatusOK {
 		t.Errorf("recovered backend: status %d, want 200", resp.StatusCode)
@@ -520,7 +521,7 @@ func TestCircuitBreakerOpensAndReprobes(t *testing.T) {
 	defer srv.Close()
 	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-a", URL: a.srv.URL,
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-A"}},
 	})
 
 	// Kill the backend: transport failures, 503 per attempt.
@@ -583,7 +584,7 @@ func TestCircuitBreakerOpensAndReprobes(t *testing.T) {
 	b := newFakeBackend(t)
 	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-a", URL: b.srv.URL,
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-A"}},
 	})
 	if resp, _ := getBody(t, srv.URL+"/v1/DC-A/classes"); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("heartbeat alone closed the circuit: status %d, want 503", resp.StatusCode)
@@ -641,7 +642,7 @@ func TestCircuitBreakerSingleProbe(t *testing.T) {
 	defer srv.Close()
 	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-a", URL: "http://" + ln.Addr().String(),
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-A"}},
 	})
 
 	// The first request times out and opens the circuit.
@@ -678,7 +679,7 @@ func TestCircuitBreakerSingleProbe(t *testing.T) {
 
 // TestRetryTimingsAtDefaultStaleAfter pins the timings derived from the
 // default 10 s staleness window: an opened circuit stays open one beat (2 s),
-// and promotion attempts for one datacenter are at least 5 s apart.
+// and a datacenter's elected follower is told to promote at most every 5 s.
 func TestRetryTimingsAtDefaultStaleAfter(t *testing.T) {
 	t.Run("circuit open 2s", func(t *testing.T) {
 		clock := newTestClock()
@@ -687,7 +688,7 @@ func TestRetryTimingsAtDefaultStaleAfter(t *testing.T) {
 		srv := newServer(t, rt)
 		mustRegister(t, srv.URL, regproto.RegisterRequest{
 			ID: "node-a", URL: a.srv.URL,
-			Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
+			Datacenters: []wire.ReplDCGen{{DC: "DC-A"}},
 		})
 		a.srv.Close()
 		getBody(t, srv.URL+"/v1/DC-A/classes") // the failure that opens the circuit
@@ -707,36 +708,35 @@ func TestRetryTimingsAtDefaultStaleAfter(t *testing.T) {
 	t.Run("promotions 5s apart", func(t *testing.T) {
 		clock := newTestClock()
 		p, f := newFakeBackend(t), newFakeBackend(t)
-		f.status.Store(http.StatusServiceUnavailable) // every promotion is refused
 		rt := router.New(router.Config{Now: clock.Now})
 		srv := newServer(t, rt)
 		mustRegister(t, srv.URL, regproto.RegisterRequest{
 			ID: "node-p", URL: p.srv.URL, Role: "primary",
-			Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
+			Datacenters: []wire.ReplDCGen{{DC: "DC-A"}},
 		})
 		clock.Advance(11 * time.Second)
-		mustRegister(t, srv.URL, regproto.RegisterRequest{
-			ID: "node-f", URL: f.srv.URL, Role: "follower", PrimaryID: "node-p",
-			Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
-		})
-		attempts := func(after time.Duration) int {
+		// The winner keeps beating as a follower — say its promotion did not
+		// take — and is told again only half a window later.
+		told := func(after time.Duration) bool {
 			t.Helper()
 			clock.Advance(after)
-			resp, err := http.Post(srv.URL+"/v1/DC-A/select", "application/json", strings.NewReader(`{"max_concurrent_cores":1}`))
-			if err != nil {
-				t.Fatalf("select: %v", err)
+			ack, status := registerAck(t, srv.URL, regproto.RegisterRequest{
+				ID: "node-f", URL: f.srv.URL, Role: "follower", PrimaryID: "node-p",
+				Datacenters: []wire.ReplDCGen{{DC: "DC-A"}},
+			})
+			if status != http.StatusOK {
+				t.Fatalf("follower beat: status %d", status)
 			}
-			resp.Body.Close()
-			return countBy(f, "POST /v1/promote")
+			return ack.Promote
 		}
-		if got := attempts(0); got != 1 {
-			t.Fatalf("%d promotion attempts on the first write after the primary went stale, want 1", got)
+		if !told(0) {
+			t.Fatal("the follower's first beat after the primary went stale was not told to promote")
 		}
-		if got := attempts(5*time.Second - time.Millisecond); got != 1 {
-			t.Errorf("%d promotion attempts within 5 s, want 1", got)
+		if told(5*time.Second - time.Millisecond) {
+			t.Error("the follower was told again within 5 s")
 		}
-		if got := attempts(time.Millisecond); got != 2 {
-			t.Errorf("%d promotion attempts 5 s after the first, want 2", got)
+		if !told(time.Millisecond) {
+			t.Error("the follower was not told again 5 s after the first")
 		}
 	})
 }
@@ -758,10 +758,10 @@ func TestMetricsAggregatesAcrossBackends(t *testing.T) {
 	}
 	sa, sb := mkBackend("DC-A", 5), mkBackend("DC-B", 9)
 	mustRegister(t, srv.URL, regproto.RegisterRequest{
-		ID: "node-a", URL: sa.URL, Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 5}},
+		ID: "node-a", URL: sa.URL, Datacenters: []wire.ReplDCGen{{DC: "DC-A", Generation: 5}},
 	})
 	mustRegister(t, srv.URL, regproto.RegisterRequest{
-		ID: "node-b", URL: sb.URL, Datacenters: []regproto.RegisterDatacenter{{Name: "DC-B", Generation: 9}},
+		ID: "node-b", URL: sb.URL, Datacenters: []wire.ReplDCGen{{DC: "DC-B", Generation: 9}},
 	})
 
 	resp, body := getBody(t, srv.URL+"/metrics")
@@ -806,7 +806,7 @@ func TestRouterErrorPaths(t *testing.T) {
 		t.Fatalf("upgrade: %v", err)
 	}
 	defer c.Close()
-	nodeA := regproto.RegisterRequest{ID: "node-a", URL: a.srv.URL, Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}}}
+	nodeA := regproto.RegisterRequest{ID: "node-a", URL: a.srv.URL, Datacenters: []wire.ReplDCGen{{DC: "DC-A"}}}
 	var ack regproto.RegisterResponse
 	if err := c.Beat(&nodeA, &ack); err != nil {
 		t.Fatalf("register node-a: %v", err)
@@ -889,7 +889,7 @@ func TestDrainingBackendStopsRouting(t *testing.T) {
 	defer srv.Close()
 	beat := regproto.RegisterRequest{
 		ID: "node-a", URL: a.srv.URL,
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A"}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-A"}},
 	}
 	mustRegister(t, srv.URL, beat)
 
@@ -932,12 +932,12 @@ func TestFollowerBeatLearnsPrimaryReplicateAddr(t *testing.T) {
 	defer srv.Close()
 	mustRegister(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-p", URL: p.srv.URL, Role: "primary", ReplicateAddr: "127.0.0.1:7079",
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 5}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-A", Generation: 5}},
 	})
 
 	ack, status := registerAck(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-f", URL: f.srv.URL, Role: "follower", PrimaryID: "node-p",
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 5}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-A", Generation: 5}},
 	})
 	if status != http.StatusOK || ack.PrimaryReplicateAddr != "127.0.0.1:7079" {
 		t.Errorf("follower ack: status %d, primary_replicate_addr %q; want 200, %q", status, ack.PrimaryReplicateAddr, "127.0.0.1:7079")
@@ -946,7 +946,7 @@ func TestFollowerBeatLearnsPrimaryReplicateAddr(t *testing.T) {
 	// The primary's own ack never carries it.
 	ack, status = registerAck(t, srv.URL, regproto.RegisterRequest{
 		ID: "node-p", URL: p.srv.URL, Role: "primary", ReplicateAddr: "127.0.0.1:7079",
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-A", Generation: 6}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-A", Generation: 6}},
 	})
 	if status != http.StatusOK || ack.PrimaryReplicateAddr != "" {
 		t.Errorf("primary ack: status %d, primary_replicate_addr %q; want 200 and none", status, ack.PrimaryReplicateAddr)

@@ -41,7 +41,7 @@ func TestTraceReconstructionJSON(t *testing.T) {
 	n := fleettest.StartNode(t, nodeConfig("node-a", "DC-9"))
 	mustRegister(t, rt.URL, regproto.RegisterRequest{
 		ID: "node-a", URL: n.URL,
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-9", Generation: 1}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-9", Generation: 1}},
 	})
 
 	req, _ := http.NewRequest(http.MethodPost, rt.URL+"/v1/DC-9/select",
@@ -88,7 +88,7 @@ func TestTraceReconstructionBinary(t *testing.T) {
 	n := fleettest.StartNode(t, nodeConfig("node-bin", "DC-9"))
 	mustRegister(t, rt.URL, regproto.RegisterRequest{
 		ID: "node-bin", URL: n.URL, BinaryAddr: n.BinaryAddr,
-		Datacenters: []regproto.RegisterDatacenter{{Name: "DC-9", Generation: 1}},
+		Datacenters: []wire.ReplDCGen{{DC: "DC-9", Generation: 1}},
 	})
 
 	c := dialBin(t, rt.BinaryAddr)

@@ -104,7 +104,7 @@ func StartAnnouncer(svc *Service, cfg AnnouncerConfig) (*Announcer, error) {
 		},
 	}
 	for _, dc := range svc.Datacenters() {
-		a.beat.Datacenters = append(a.beat.Datacenters, regproto.RegisterDatacenter{Name: dc})
+		a.beat.Datacenters = append(a.beat.Datacenters, wire.ReplDCGen{DC: dc})
 	}
 	a.wg.Add(1)
 	go a.loop()
@@ -145,38 +145,46 @@ func (a *Announcer) loop() {
 }
 
 // announce sends one registration beat carrying the current per-DC snapshot
-// generations.
+// generations. A follower whose acknowledgement elects it to replace its
+// primary promotes itself and beats again at once, as primary, which takes
+// the routes.
 func (a *Announcer) announce() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	// The role is read per beat, not captured at start: a promotion flips the
-	// very next heartbeat to "primary" and the router hands ownership over
-	// without either process restarting.
-	a.beat.Role = a.svc.Role()
-	follower := a.beat.Role == "follower"
-	a.beat.PrimaryID = ""
-	if follower {
-		a.beat.PrimaryID = a.svc.PrimaryID()
-	}
-	a.beat.Draining = a.draining.Load()
-	for i := range a.beat.Datacenters {
-		dc := &a.beat.Datacenters[i]
-		dc.Generation = a.svc.Generation(dc.Name)
-	}
-	err := a.send()
-	if err == nil && follower && a.ack.PrimaryReplicateAddr != "" {
+	for {
+		// The role is read per beat, not captured at start: a promotion flips
+		// the very next heartbeat to "primary" and the router hands ownership
+		// over without either process restarting.
+		a.beat.Role = a.svc.Role()
+		follower := a.beat.Role == "follower"
+		a.beat.PrimaryID = ""
+		if follower {
+			a.beat.PrimaryID = a.svc.PrimaryID()
+		}
+		a.beat.Draining = a.draining.Load()
+		for i := range a.beat.Datacenters {
+			dc := &a.beat.Datacenters[i]
+			dc.Generation = a.svc.Generation(dc.DC)
+		}
+		if err := a.send(); err != nil {
+			msg := err.Error()
+			a.lastErr.Store(&msg)
+			return err
+		}
+		a.lastErr.Store(nil)
+		if !follower {
+			return nil
+		}
+		if a.ack.Promote {
+			a.svc.Promote()
+			continue
+		}
 		// The router's view of who owns our datacenters — if the primary died
 		// and a sibling follower was promoted, this is the promoted node's
 		// replication listener and the follow loop re-dials it.
 		a.svc.SetFollowAddr(a.ack.PrimaryReplicateAddr)
+		return nil
 	}
-	if err != nil {
-		msg := err.Error()
-		a.lastErr.Store(&msg)
-		return err
-	}
-	a.lastErr.Store(nil)
-	return nil
 }
 
 // send beats on the router connection, dialing one when there is none. A

@@ -825,7 +825,7 @@ func (d *binDialect) reimage(dc string, server int64) exchange {
 // TestOpTableComplete pins the op table as the whole data plane: every
 // request opcode has exactly one row and a codec on both dialects, the JSON
 // API serves each row's route and nothing else under /v1/{dc}/ but the two
-// ingest-plane endpoints, and Op.String/IsRequest answer from the table.
+// ingest-plane endpoints, and Op.String/OpIndex answer from the table.
 func TestOpTableComplete(t *testing.T) {
 	svc := newTestService(t)
 	defer svc.Close()
@@ -838,20 +838,21 @@ func TestOpTableComplete(t *testing.T) {
 	}
 	for code := 0; code < 256; code++ {
 		op := wire.Op(code)
-		if op.IsRequest() != (rows[op] == 1) || rows[op] > 1 {
-			t.Errorf("%v: IsRequest %v with %d table rows", op, op.IsRequest(), rows[op])
+		request := wire.OpIndex(op) >= 0
+		if request != (rows[op] == 1) || rows[op] > 1 {
+			t.Errorf("%v: OpIndex says request %v with %d table rows", op, request, rows[op])
 		}
 		if op.IsRepl() {
 			continue // a framing error on the public ports: the connection closes
 		}
 		// Every frame gets an answer; only a request opcode gets past the
 		// opcode check to its codec, which an empty payload fails.
-		h, payload := bin.roundTrip(wire.AppendFrame(nil, op, bin.id(), nil))
+		h, payload := bin.roundTrip(appendFrame(nil, op, bin.id(), nil))
 		var e wire.ErrorResp
 		if h.Op != wire.OpError || e.Decode(payload) != nil || e.Code != 400 {
 			t.Fatalf("%v with an empty payload: op %v code %d", op, h.Op, e.Code)
 		}
-		if unknown := string(e.Message) == "unknown opcode"; unknown == op.IsRequest() {
+		if unknown := string(e.Message) == "unknown opcode"; unknown == request {
 			t.Errorf("%v: binary dispatch says %q", op, e.Message)
 		}
 	}
@@ -936,4 +937,12 @@ func TestBinaryReimageHonoursIngestGate(t *testing.T) {
 	if after, _ := svc.BlockStats("DC-9"); after.Lost != before.Lost+1 {
 		t.Fatalf("authorized reimage lost %d replicas, want 1", after.Lost-before.Lost)
 	}
+}
+
+// appendFrame appends a complete frame carrying payload as it is.
+func appendFrame(dst []byte, op wire.Op, id uint64, payload []byte) []byte {
+	mark := len(dst)
+	dst = wire.BeginFrame(dst, op, id)
+	dst = append(dst, payload...)
+	return wire.EndFrame(dst, mark)
 }

@@ -78,8 +78,8 @@ func (a *API) Recorder() *obs.Recorder { return a.rec }
 // they are read-mostly and cheap; telemetry ingestion mutates history that
 // re-clustering trusts, so it gets the auth and the throttle.
 type APIOptions struct {
-	// IngestToken, when non-empty, requires callers of telemetry, reimage,
-	// leases and promote to present "Authorization: Bearer <token>";
+	// IngestToken, when non-empty, requires callers of telemetry, reimage
+	// and leases to present "Authorization: Bearer <token>";
 	// everything else is 401 (the binary dialect refuses reimage outright).
 	IngestToken string
 	// IngestRatePerSource, when positive, caps telemetry POSTs per source IP
@@ -100,7 +100,7 @@ type APIOptions struct {
 }
 
 // apiEndpoints names the instrumented endpoints, in /metrics display order.
-var apiEndpoints = []string{"datacenters", "classes", "server_class", "select", "renew", "release", "place", "blocks", "reimage", "telemetry", "leases", "promote", "healthz", "metrics"}
+var apiEndpoints = []string{"datacenters", "classes", "server_class", "select", "renew", "release", "place", "blocks", "reimage", "telemetry", "leases", "healthz", "metrics"}
 
 // NewAPI wraps a service in its HTTP handler with default (open) options.
 func NewAPI(svc *Service) *API { return NewAPIWith(svc, APIOptions{}) }
@@ -171,7 +171,6 @@ func NewAPIWith(svc *Service, opts APIOptions) *API {
 	}
 	a.mux.HandleFunc("POST /v1/{dc}/telemetry", a.instrument("telemetry", a.ingestGated(a.handleTelemetry)))
 	a.mux.HandleFunc("GET /v1/{dc}/leases", a.instrument("leases", a.ingestGated(a.handleLeases)))
-	a.mux.HandleFunc("POST /v1/promote", a.instrument("promote", a.ingestGated(a.handlePromote)))
 	a.mux.HandleFunc("GET /healthz", a.instrument("healthz", a.handleHealthz))
 	a.mux.HandleFunc("GET /metrics", a.instrument("metrics", a.handleMetrics))
 	return a
@@ -179,8 +178,7 @@ func NewAPIWith(svc *Service, opts APIOptions) *API {
 
 // ingestGated puts a handler behind the ingest bearer token, when one is
 // configured: telemetry and reimaging events mutate what re-clustering and the
-// durability books trust, lease listings name jobs and owners, and an open
-// promotion endpoint would let anyone split the brain.
+// durability books trust, and lease listings name jobs and owners.
 func (a *API) ingestGated(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !httpjson.BearerAuthorized(r, a.opts.IngestToken) {
@@ -1050,28 +1048,6 @@ func (a *API) handleReimage(w http.ResponseWriter, r *http.Request) {
 	resp := &stateOf(w).reply.reimage
 	*resp = reimageResponse{Datacenter: dc, Server: server, Lost: lost, Pending: pending}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// promoteResponse reports a promotion attempt. Promoted is false when the
-// node already is (or just became) primary — the call is idempotent, so a
-// router retrying against a winner it already promoted gets a clean 200.
-type promoteResponse struct {
-	Promoted bool   `json:"promoted"`
-	Role     string `json:"role"`
-	NodeID   string `json:"node_id"`
-}
-
-// handlePromote turns a follower into a primary: it detaches from the
-// replication stream, keeps the replicated ledger (lease conservation
-// survives the handoff), and starts the refresh and sweep loops. The router
-// POSTs this when a primary stops beating.
-func (a *API) handlePromote(w http.ResponseWriter, r *http.Request) {
-	promoted := a.svc.Promote()
-	writeJSON(w, http.StatusOK, promoteResponse{
-		Promoted: promoted,
-		Role:     a.svc.Role(),
-		NodeID:   a.svc.NodeID(),
-	})
 }
 
 type healthzResponse struct {

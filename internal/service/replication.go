@@ -150,7 +150,10 @@ func (s *Service) SetFollowAddr(addr string) {
 	if addr == "" || !s.follower.Load() || addr == s.followAddr() {
 		return
 	}
-	s.repl.followAddr.Store(&addr)
+	// A copy made past the checks: storing &addr would move addr to the heap
+	// on every call, and every follower beat makes one.
+	next := addr
+	s.repl.followAddr.Store(&next)
 	slogger.Info("retargeting replication stream", "node", s.cfg.NodeID, "primary_addr", addr)
 	if c := s.repl.conn.Load(); c != nil {
 		(*c).Close()

@@ -102,7 +102,7 @@ func TestReplicationAndPromotion(t *testing.T) {
 		return h.Op, err
 	}
 
-	if !follower.IsFollower() || follower.Role() != "follower" {
+	if follower.Role() != "follower" {
 		t.Fatalf("follower role = %q", follower.Role())
 	}
 	// A follower refuses a hello at once rather than leaving it to wait out
@@ -193,7 +193,7 @@ func TestReplicationAndPromotion(t *testing.T) {
 	if follower.Promote() {
 		t.Fatal("second Promote returned true")
 	}
-	if follower.IsFollower() || follower.Role() != "primary" {
+	if follower.Role() != "primary" {
 		t.Fatalf("promoted role = %q", follower.Role())
 	}
 	// The listener it held while following now streams.

@@ -425,9 +425,6 @@ func (s *Service) startPrimaryLoops() {
 	}
 }
 
-// IsFollower reports whether the node currently rejects writes.
-func (s *Service) IsFollower() bool { return s.follower.Load() }
-
 // Role is the node's current role string for registration beats and metrics.
 func (s *Service) Role() string {
 	if s.follower.Load() {

@@ -73,7 +73,7 @@ func AppendSelectResp(dst []byte, id uint64, m *SelectResp) []byte {
 	dst = AppendU64(dst, m.Lease)
 	dst = AppendF64(dst, m.ExpiresIn)
 	dst = AppendU8(dst, m.Job)
-	dst = AppendU8(dst, boolByte(m.Satisfiable))
+	dst = AppendBool(dst, m.Satisfiable)
 	dst = AppendU16(dst, uint16(len(m.Classes)))
 	for _, g := range m.Classes {
 		dst = AppendU32(dst, g.Class)
@@ -582,11 +582,13 @@ func (m *ErrorResp) Decode(payload []byte) error {
 // bytes each, but never to more elements than the remaining payload could
 // actually hold — a lying count field cannot force a huge allocation. When
 // clamped, the strict Done check fails the decode anyway. Storage too small
-// grows by grownCap and keeps every element it held, spare capacity included,
-// so each keeps the inner slice the decode loop refills: growing by one
-// element costs one object, not one per element.
+// grows by grownCap, clamped to what the payload could hold, and keeps every
+// element it held, spare capacity included, so each keeps the inner slice the
+// decode loop refills: growing by one element costs one object, not one per
+// element.
 func sized[T any](s []T, n, elemSize int, r *Reader) []T {
-	if most := r.Remaining() / elemSize; n > most {
+	most := r.Remaining() / elemSize
+	if n > most {
 		// The count lies about the payload: poison the reader so the decode
 		// fails its Done check even if the truncated element loop happens to
 		// land exactly on the payload end.
@@ -594,7 +596,7 @@ func sized[T any](s []T, n, elemSize int, r *Reader) []T {
 		r.bad = true
 	}
 	if cap(s) < n {
-		grown := make([]T, grownCap(n))
+		grown := make([]T, min(grownCap(n), most))
 		copy(grown, s[:cap(s)])
 		return grown[:n]
 	}

@@ -30,10 +30,38 @@ import (
 // full snapshot). Every push carries SentUnixNano so the follower can report
 // ship+apply lag without a second clock channel.
 
-// ReplDCGen names one datacenter generation in a hello.
+// ReplDCGen names one datacenter and the snapshot generation a node holds of
+// it: the list a follower's hello carries and a registration beat announces
+// (internal/regproto), encoded by AppendDCGens and read by Reader.DCGens.
 type ReplDCGen struct {
 	DC         string
 	Generation uint64
+}
+
+// dcGenSize is the smallest encoded ReplDCGen: an empty name's length byte
+// and the generation.
+const dcGenSize = 1 + 8
+
+// AppendDCGens appends a count-prefixed datacenter–generation list.
+func AppendDCGens(dst []byte, dcs []ReplDCGen) []byte {
+	dst = AppendU16(dst, uint16(len(dcs)))
+	for _, d := range dcs {
+		dst = AppendStr8(dst, d.DC)
+		dst = AppendU64(dst, d.Generation)
+	}
+	return dst
+}
+
+// DCGens reads a list AppendDCGens wrote, refilling dcs's storage (see sized)
+// and keeping each name it already holds (Str8Keep), so a list that repeats
+// the previous one decodes without allocating.
+func (r *Reader) DCGens(dcs []ReplDCGen) []ReplDCGen {
+	dcs = sized(dcs, int(r.U16()), dcGenSize, r)
+	for i := range dcs {
+		dcs[i].DC = r.Str8Keep(dcs[i].DC)
+		dcs[i].Generation = r.U64()
+	}
+	return dcs
 }
 
 // ReplHello is the follower's one request frame: who it is and which
@@ -50,24 +78,16 @@ func AppendReplHello(dst []byte, id uint64, m *ReplHello) []byte {
 	mark := len(dst)
 	dst = BeginFrame(dst, OpReplHello, id)
 	dst = AppendStr8(dst, m.FollowerID)
-	dst = AppendU16(dst, uint16(len(m.DCs)))
-	for _, d := range m.DCs {
-		dst = AppendStr8(dst, d.DC)
-		dst = AppendU64(dst, d.Generation)
-	}
+	dst = AppendDCGens(dst, m.DCs)
 	return EndFrame(dst, mark)
 }
 
-// Decode parses a hello request payload.
+// Decode parses a hello request payload into m's storage, keeping the
+// strings it already holds.
 func (m *ReplHello) Decode(payload []byte) error {
 	r := NewReader(payload)
-	m.FollowerID = string(r.Str8())
-	n := int(r.U16())
-	m.DCs = sized(m.DCs, n, 9, &r) // 1-byte name length + 8-byte generation
-	for i := range m.DCs {
-		m.DCs[i].DC = string(r.Str8())
-		m.DCs[i].Generation = r.U64()
-	}
+	m.FollowerID = r.Str8Keep(m.FollowerID)
+	m.DCs = r.DCGens(m.DCs)
 	return r.Done()
 }
 
@@ -297,11 +317,11 @@ func AppendReplBlocksHead(dst []byte, m *ReplBlocks, blocks int) []byte {
 // record must be Encodable.
 func AppendReplBlock(dst []byte, b *ReplBlock) []byte {
 	dst = AppendU64(dst, b.ID)
-	dst = AppendU8(dst, boolByte(b.EnvStrict))
+	dst = AppendBool(dst, b.EnvStrict)
 	dst = AppendU8(dst, uint8(len(b.Replicas)))
 	for _, rep := range b.Replicas {
 		dst = AppendI64(dst, rep.Server)
-		dst = AppendU8(dst, boolByte(rep.Placed))
+		dst = AppendBool(dst, rep.Placed)
 	}
 	return dst
 }

@@ -36,6 +36,16 @@ func TestReplHelloRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("round trip mismatch:\n in  %+v\n out %+v", in, out)
 	}
+	// The layout is pinned: a follower built apart from this package spells it.
+	want := []byte("\x0afollower-2\x02\x00" +
+		"\x04DC-9\x11\x00\x00\x00\x00\x00\x00\x00" +
+		"\x04DC-3\x01\x00\x00\x00\x00\x00\x00\x00")
+	if got := frame[HeaderSize:]; !bytes.Equal(got, want) {
+		t.Fatalf("hello payload %x, want %x", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { out.Decode(frame[HeaderSize:]) }); n != 0 {
+		t.Errorf("decoding a repeated hello allocated %v objects", n)
+	}
 
 	resp := ReplHelloResp{PrimaryID: "primary-1"}
 	frame = AppendReplHelloResp(nil, 42, &resp)
@@ -247,8 +257,8 @@ func TestOpIsRepl(t *testing.T) {
 		if !op.IsRepl() {
 			t.Errorf("%v: IsRepl() = false", op)
 		}
-		if op.IsRequest() {
-			t.Errorf("%v: IsRequest() = true — repl frames must not relay through the public ports", op)
+		if OpIndex(op) >= 0 {
+			t.Errorf("%v: has an op table row — repl frames must not relay through the public ports", op)
 		}
 	}
 	for _, op := range []Op{OpSelect, OpRelease, OpClasses, OpError, OpSelectResp} {

@@ -145,10 +145,6 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(0x%02x)", uint8(o))
 }
 
-// IsRequest reports whether the opcode is a client-to-server request: one
-// with a row in Ops.
-func (o Op) IsRequest() bool { return OpIndex(o) >= 0 }
-
 // Resp returns the response opcode for a request opcode.
 func (o Op) Resp() Op { return o | RespBit }
 
@@ -354,14 +350,6 @@ func SetFrameID(frame []byte, id uint64) {
 	binary.LittleEndian.PutUint64(frame[8:16], id)
 }
 
-// AppendFrame appends a complete frame with the given payload.
-func AppendFrame(dst []byte, op Op, id uint64, payload []byte) []byte {
-	mark := len(dst)
-	dst = BeginFrame(dst, op, id)
-	dst = append(dst, payload...)
-	return EndFrame(dst, mark)
-}
-
 // AppendRelayFrame re-frames a request for the backend leg of native
 // forwarding: same opcode and payload, relayID in the header, and traceID
 // carried as a FlagTrace prefix so the backend tier still traces the frame
@@ -416,11 +404,12 @@ func AppendStr8(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-func boolByte(b bool) uint8 {
+// AppendBool appends a bool as the one byte, 0 or 1, that Reader.Bool reads.
+func AppendBool(dst []byte, b bool) []byte {
 	if b {
-		return 1
+		return append(dst, 1)
 	}
-	return 0
+	return append(dst, 0)
 }
 
 // Reader decodes a payload with a sticky error: any read past the end sets
@@ -497,6 +486,16 @@ func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 func (r *Reader) Str8() []byte {
 	n := int(r.U8())
 	return r.take(n)
+}
+
+// Str8Keep reads a one-byte-length string and returns prev when it spells the
+// same bytes, a copy otherwise: a decode into reused storage keeps the strings
+// it already holds.
+func (r *Reader) Str8Keep(prev string) string {
+	if b := r.Str8(); prev != string(b) {
+		return string(b)
+	}
+	return prev
 }
 
 // Bytes reads n raw bytes as a payload subslice.

@@ -22,7 +22,7 @@ func readOne(t *testing.T, frame []byte) (Header, []byte) {
 }
 
 func TestHeaderRoundTrip(t *testing.T) {
-	frame := AppendFrame(nil, OpSelect, 0xdeadbeefcafe, []byte("payload"))
+	frame := appendFrame(nil, OpSelect, 0xdeadbeefcafe, []byte("payload"))
 	if len(frame) != HeaderSize+7 {
 		t.Fatalf("frame length %d, want %d", len(frame), HeaderSize+7)
 	}
@@ -51,7 +51,7 @@ func TestReadFrameRejectsGarbage(t *testing.T) {
 		}
 	}
 	// A truncated but well-formed header: payload shorter than Len.
-	frame := AppendFrame(nil, OpSelect, 1, []byte("abcdef"))
+	frame := appendFrame(nil, OpSelect, 1, []byte("abcdef"))
 	_, _, err := ReadFrame(bytes.NewReader(frame[:len(frame)-2]), &scratch)
 	if !errors.Is(err, ErrBadFrame) {
 		t.Errorf("truncated payload: err = %v, want ErrBadFrame", err)
@@ -373,9 +373,9 @@ func FuzzWireFrameRoundTrip(f *testing.F) {
 			t.Fatalf("consumed %d bytes, want %d", consumed, HeaderSize+len(payload))
 		}
 		// Re-encoding the parsed frame must reproduce the consumed bytes.
-		again := AppendFrame(nil, h.Op, h.ID, payload)
+		again := appendFrame(nil, h.Op, h.ID, payload)
 		// The flags byte is carried through frames but not re-encoded by
-		// AppendFrame (version 1 defines no flags); patch it for comparison.
+		// appendFrame (version 1 defines no flags); patch it for comparison.
 		again[3] = h.Flags
 		if !bytes.Equal(again, data[:consumed]) {
 			t.Fatalf("re-encode mismatch:\n got %x\nwant %x", again, data[:consumed])
@@ -491,4 +491,12 @@ func TestF64NaNRoundTrip(t *testing.T) {
 	if got := math.Float64bits(r.F64()); got != 0x7ff8000000000001 {
 		t.Fatalf("NaN bits %#x", got)
 	}
+}
+
+// appendFrame appends a complete frame carrying payload as it is.
+func appendFrame(dst []byte, op Op, id uint64, payload []byte) []byte {
+	mark := len(dst)
+	dst = BeginFrame(dst, op, id)
+	dst = append(dst, payload...)
+	return EndFrame(dst, mark)
 }
