@@ -19,7 +19,7 @@ func TestBeatFramesRoundTrip(t *testing.T) {
 		Datacenters: []wire.ReplDCGen{{DC: "DC-3", Generation: 7}, {DC: "DC-9", Generation: 1 << 40}},
 	}
 	frame := AppendRegisterRequest(nil, 42, &beat)
-	h, err := wire.ParsePublicHeader(frame)
+	h, err := wire.ParseHeader(frame)
 	if err != nil || h.Op != wire.OpRegister || h.ID != 42 {
 		t.Fatalf("header %+v, %v", h, err)
 	}

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bufio"
+	"errors"
 	"net"
 	"net/http"
 	"sync/atomic"
@@ -17,10 +19,6 @@ import (
 const (
 	binaryIdleTimeout  = 2 * time.Minute
 	binaryWriteTimeout = 30 * time.Second
-	// binaryFlushLimit mirrors batchFlushLimit: responses park in the output
-	// buffer until the connection turns to read, but a burst of large
-	// responses flushes eagerly so the buffer cannot grow without bound.
-	binaryFlushLimit = 64 << 10
 	// binaryReadBuffer sizes the per-connection read buffer: big enough that
 	// a full pipeline window of requests (~64 × ~50 bytes) arrives in one
 	// read syscall.
@@ -30,11 +28,10 @@ const (
 // BinaryServer serves the wire package's binary frame dialect of the query
 // API: the same select/release/place/classes/server-class semantics as the
 // JSON handlers in http.go, minus net/http and encoding/json. Each accepted
-// connection gets one goroutine running a read–dispatch–append loop straight
-// against the service's snapshot/ledger fast paths; responses accumulate in
-// a per-connection buffer and flush when the connection turns to read (the
-// BatchListener write-behind discipline, here without the net/http
-// indirection), so a pipelining client costs roughly one syscall pair per
+// connection gets one goroutine running a read–dispatch–write loop straight
+// against the service's snapshot/ledger fast paths: frames arrive through
+// wire.ReadRawFrame and responses leave through the batchConn the JSON port
+// accepts with, so a pipelining client costs roughly one syscall pair per
 // batch rather than per request.
 //
 // The dispatch loop distinguishes two failure classes: a well-framed request
@@ -76,103 +73,53 @@ func (b *BinaryServer) Serve(ln net.Listener) error { return b.srv.Serve(ln, b.h
 // per-connection goroutines to drain.
 func (b *BinaryServer) Close() { b.srv.Close() }
 
-// connReader is the minimal buffered reader the frame loop needs: unlike
-// bufio.Reader it exposes its buffer fill directly, and ReadFull-style frame
-// reads come straight off the buffer without interface indirection.
-type connReader struct {
-	c   net.Conn
-	buf []byte
-	r   int // next unread byte
-	w   int // buffer fill
-}
+// handleConn serves one accepted connection with a read scratch of its own.
+func (b *BinaryServer) handleConn(c net.Conn) { b.serveConn(c, new([]byte)) }
 
-// buffered reports bytes already read from the socket but not yet consumed —
-// the "more requests in this pipeline turn?" signal the flush discipline
-// keys on.
-func (cr *connReader) buffered() int { return cr.w - cr.r }
-
-// fill reads at least n unconsumed bytes into the buffer, compacting first.
-// Returns false on EOF/error.
-func (cr *connReader) fill(n int, deadline time.Time) bool {
-	if cr.buffered() >= n {
-		return true
-	}
-	if cr.r > 0 {
-		copy(cr.buf, cr.buf[cr.r:cr.w])
-		cr.w -= cr.r
-		cr.r = 0
-	}
-	if n > len(cr.buf) {
-		grown := make([]byte, n)
-		copy(grown, cr.buf[:cr.w])
-		cr.buf = grown
-	}
-	for cr.w < n {
-		cr.c.SetReadDeadline(deadline)
-		m, err := cr.c.Read(cr.buf[cr.w:])
-		cr.w += m
-		if err != nil {
-			return cr.w >= n
-		}
-	}
-	return true
-}
-
-// take consumes n buffered bytes. Caller must have ensured them via fill.
-func (cr *connReader) take(n int) []byte {
-	p := cr.buf[cr.r : cr.r+n]
-	cr.r += n
-	return p
-}
-
-func (b *BinaryServer) handleConn(c net.Conn) {
-	cr := &connReader{c: c, buf: make([]byte, binaryReadBuffer)}
-	out := make([]byte, 0, binaryFlushLimit)
+// serveConn is the connection loop, reading frames through ReadRawFrame into
+// *in. Replies park in a batchConn, the JSON port's write-behind, until the
+// loop next reads from the socket: once the buffered burst has been answered.
+// A framing violation closes the connection after flushing the replies to the
+// frames before it.
+func (b *BinaryServer) serveConn(c net.Conn, in *[]byte) {
+	// Sized up front, as the reply buffer of a pipelined burst: grown by
+	// appends, it would reallocate its way up on the connection's first burst.
+	bc := &batchConn{Conn: deadlineConn{c}, buf: make([]byte, 0, batchFlushLimit)}
+	defer bc.Close()
+	br := bufio.NewReaderSize(bc, binaryReadBuffer)
 	// One goroutine serves the connection, one request at a time, so one
-	// scratch serves every request on it: each response is encoded into out
-	// before the next request reuses the buffers.
+	// scratch and one reply buffer serve every request on it.
 	var sc scratch
-	flush := func() bool {
-		if len(out) == 0 {
-			return true
-		}
-		c.SetWriteDeadline(time.Now().Add(binaryWriteTimeout))
-		_, err := c.Write(out)
-		out = out[:0]
-		return err == nil
-	}
-
+	var out []byte
 	for {
-		// The write-behind turn: responses drain only once the input buffer
-		// is empty (the client is done with this pipeline burst), or above
-		// the flush limit below.
-		if cr.buffered() < wire.HeaderSize {
-			if !flush() {
-				return
-			}
-			if !cr.fill(wire.HeaderSize, time.Now().Add(binaryIdleTimeout)) {
-				return
-			}
-		}
-		// The public parse refuses replication opcodes, so the fill below never
-		// buffers more than MaxPayload.
-		h, err := wire.ParsePublicHeader(cr.buf[cr.r : cr.r+wire.HeaderSize])
-		if err != nil || !cr.fill(wire.HeaderSize+int(h.Len), time.Now().Add(binaryIdleTimeout)) {
+		h, frame, err := wire.ReadRawFrame(br, in, true)
+		if err != nil {
 			// Desynced, not our protocol, or gone mid-frame: nothing sane can
-			// follow.
-			b.framingErrors.Add(1)
-			flush()
+			// follow. A clean close or a dead socket is not a framing error.
+			if errors.Is(err, wire.ErrBadFrame) || errors.Is(err, wire.ErrBadVersion) {
+				b.framingErrors.Add(1)
+			}
 			return
 		}
-		cr.take(wire.HeaderSize)
-		payload := cr.take(int(h.Len))
-		out = b.dispatch(&sc, out, h, payload)
-		if len(out) >= binaryFlushLimit {
-			if !flush() {
-				return
-			}
+		out = b.dispatch(&sc, out[:0], h, frame[wire.HeaderSize:])
+		if _, err := bc.Write(out); err != nil {
+			return
 		}
 	}
+}
+
+// deadlineConn arms a fresh deadline before every socket read and write, as
+// batchConn may flush on any refill or past batchFlushLimit.
+type deadlineConn struct{ net.Conn }
+
+func (c deadlineConn) Read(p []byte) (int, error) {
+	c.Conn.SetReadDeadline(time.Now().Add(binaryIdleTimeout))
+	return c.Conn.Read(p)
+}
+
+func (c deadlineConn) Write(p []byte) (int, error) {
+	c.Conn.SetWriteDeadline(time.Now().Add(binaryWriteTimeout))
+	return c.Conn.Write(p)
 }
 
 // dispatch decodes one request frame, executes it with the connection's

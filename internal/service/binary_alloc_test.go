@@ -26,12 +26,12 @@ func TestBinaryDispatchAllocs(t *testing.T) {
 	// call dispatches one request frame and returns the response's header and
 	// payload (aliasing out).
 	call := func(frame []byte) (wire.Header, []byte) {
-		h, err := wire.ParsePublicHeader(frame)
+		h, err := wire.ParseHeader(frame)
 		if err != nil {
 			t.Fatalf("request frame: %v", err)
 		}
 		out = dispatch(out[:0], h, frame[wire.HeaderSize:])
-		rh, err := wire.ParsePublicHeader(out)
+		rh, err := wire.ParseHeader(out)
 		if err != nil {
 			t.Fatalf("response frame: %v", err)
 		}
@@ -116,7 +116,7 @@ func TestBinaryDispatchAllocs(t *testing.T) {
 		mustOK(b.name, frame) // warms the scratch for this shape of request
 		got := testing.AllocsPerRun(runs, func() {
 			frame = b.next()
-			h, _ := wire.ParsePublicHeader(frame)
+			h, _ := wire.ParseHeader(frame)
 			out = dispatch(out[:0], h, frame[wire.HeaderSize:])
 			if wire.Op(out[2]) == wire.OpError {
 				t.Fatalf("%s answered an error frame: %q", b.name, out[wire.HeaderSize:])

@@ -34,7 +34,7 @@ func TestBinaryRepliesAreTheCanonicalEncoding(t *testing.T) {
 	spread := 0.0
 	for cores := 64.0; cores < 1e6 && spread == 0; cores *= 2 {
 		frame := wire.AppendSelectReq(nil, 1, dc, wire.SelectReq{Job: wire.JobShort, Flags: wire.SelectFlagDryRun, MaxCores: cores})
-		h, _ := wire.ParsePublicHeader(frame)
+		h, _ := wire.ParseHeader(frame)
 		var m wire.SelectResp
 		if err := m.Decode(dispatch(nil, h, frame[wire.HeaderSize:])[wire.HeaderSize:]); err != nil {
 			t.Fatal(err)
@@ -148,7 +148,7 @@ func TestBinaryRepliesAreTheCanonicalEncoding(t *testing.T) {
 	for i, st := range steps {
 		id := uint64(100 + i)
 		frame := st.frame(id)
-		h, err := wire.ParsePublicHeader(frame)
+		h, err := wire.ParseHeader(frame)
 		if err != nil {
 			t.Fatalf("%s: request frame: %v", st.name, err)
 		}
@@ -160,7 +160,7 @@ func TestBinaryRepliesAreTheCanonicalEncoding(t *testing.T) {
 			t.Fatalf("%s: dispatch overwrote the output buffer", st.name)
 		}
 		sent := out[len(waiting):]
-		rh, err := wire.ParsePublicHeader(sent)
+		rh, err := wire.ParseHeader(sent)
 		if err != nil {
 			t.Fatalf("%s: reply frame: %v", st.name, err)
 		}
@@ -190,9 +190,9 @@ func TestReleasedLeaseOutlivesItsRecordThroughDispatch(t *testing.T) {
 	dispatch := service.NewBinaryServer(svc).Dispatcher()
 	call := func(frame []byte) []byte {
 		t.Helper()
-		h, _ := wire.ParsePublicHeader(frame)
+		h, _ := wire.ParseHeader(frame)
 		out := dispatch(nil, h, frame[wire.HeaderSize:])
-		if rh, err := wire.ParsePublicHeader(out); err != nil || rh.Op == wire.OpError {
+		if rh, err := wire.ParseHeader(out); err != nil || rh.Op == wire.OpError {
 			t.Fatalf("request op %v answered %v: %q", h.Op, err, out)
 		}
 		return out[wire.HeaderSize:]

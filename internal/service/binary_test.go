@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -179,6 +180,69 @@ func TestBinaryServerPipelining(t *testing.T) {
 		if h.ID != i || h.Op != wire.OpClassesResp {
 			t.Fatalf("response %d: header %+v", i, h)
 		}
+	}
+}
+
+// writeCountingListener counts the Write calls made on the connections it
+// accepts: one per flush the server makes.
+type writeCountingListener struct {
+	net.Listener
+	writes atomic.Int64
+}
+
+func (l *writeCountingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &writeCountingConn{Conn: c, writes: &l.writes}, nil
+}
+
+type writeCountingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c *writeCountingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestBinaryServerWritesBehind pins the binary port's write-behind: the
+// replies to a pipelined burst park until the server turns to read again, and
+// leave in one write.
+func TestBinaryServerWritesBehind(t *testing.T) {
+	svc := newTestService(t)
+	defer svc.Close()
+	tcp, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	ln := &writeCountingListener{Listener: tcp}
+	bs := service.NewBinaryServer(svc)
+	go bs.Serve(ln)
+	defer bs.Close()
+	c := dialBinary(t, tcp.Addr().String())
+
+	const n = 32
+	var batch []byte
+	for i := uint64(1); i <= n; i++ {
+		batch = wire.AppendServerClassReq(batch, i, "DC-9", 0)
+	}
+	if _, err := c.conn.Write(batch); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(1); i <= n; i++ {
+		h, _, err := wire.ReadFrame(c.br, &c.scratch)
+		if err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+		if h.ID != i || h.Op != wire.OpServerClassResp {
+			t.Fatalf("response %d: header %+v", i, h)
+		}
+	}
+	if got := ln.writes.Load(); got != 1 {
+		t.Fatalf("the replies to a %d-frame burst took %d writes, want 1", n, got)
 	}
 }
 

@@ -24,9 +24,9 @@ import (
 // The stream is a one-way push per follower connection:
 //
 //	follower           primary
-//	   | --- OpReplHello --->|   follower id + held generations
+//	   | --- OpReplHello --->|   follower id
 //	   | <- OpReplHelloResp -|   primary id
-//	   | <---- OpReplSnap ---|   a generation the follower does not hold: every class in full
+//	   | <---- OpReplSnap ---|   first frame of each datacenter, and each new generation: every class in full
 //	   | <---- OpReplBeat ---|   same generation: refreshed usage + ledger books
 //
 // A snapshot frame carries the class records <dc>.snapshot.json carries
@@ -34,7 +34,7 @@ import (
 // restores that file with (snapshotFromRecords): a join is a restart whose
 // state arrives over a socket. A frame the follower cannot apply — a beat for
 // a generation it does not hold, a reserved opcode — drops the connection; the
-// rejoin handshake then gets a full snapshot.
+// rejoin, like every join, starts on full snapshots.
 //
 // Both ledgers ride along in full on every frame (bounded by live leases and
 // blocks), which is what makes promotion safe: the follower's books are a
@@ -175,15 +175,21 @@ func (s *Service) followAddr() string {
 // once the hello is read: re-shipping second-hand state would make it a
 // primary nobody promoted.
 func (s *Service) serveReplConn(nc net.Conn) {
-	var scratch []byte
 	br := bufio.NewReaderSize(nc, 16<<10)
 	nc.SetReadDeadline(time.Now().Add(replHandshakeTimeout))
-	h, payload, err := wire.ReadFrame(br, &scratch)
-	if err != nil || h.Op != wire.OpReplHello || s.follower.Load() {
+	// The header alone decides whether to read on, and a hello fits the
+	// reader's buffer: nothing is allocated for the length a peer claims.
+	hdr, err := br.Peek(wire.HeaderSize)
+	if err != nil || s.follower.Load() {
 		return
 	}
+	h, err := wire.ParseHeader(hdr)
+	if err != nil || h.Op != wire.OpReplHello || h.Len > wire.MaxReplHelloPayload {
+		return
+	}
+	frame, err := br.Peek(wire.HeaderSize + int(h.Len))
 	var hello wire.ReplHello
-	if err := hello.Decode(payload); err != nil {
+	if err != nil || hello.Decode(frame[wire.HeaderSize:]) != nil {
 		return
 	}
 	nc.SetWriteDeadline(time.Now().Add(replHandshakeTimeout))
@@ -191,17 +197,9 @@ func (s *Service) serveReplConn(nc net.Conn) {
 		return
 	}
 
-	// A follower already holding a shard's current generation (reconnect
-	// without a refresh in between) starts on beats instead of a full resend:
-	// generations are immutable, so holding the number means holding the state.
+	// Every join starts each datacenter on a full snapshot: a generation
+	// number names a generation only under the primary that built it.
 	shipped := make(map[string]*Snapshot, len(s.order))
-	for _, d := range hello.DCs {
-		if sh, ok := s.shards[d.DC]; ok {
-			if snap := sh.snap.Load(); snap.Generation == d.Generation {
-				shipped[d.DC] = snap
-			}
-		}
-	}
 	slogger.Info("replication follower connected", "follower", hello.FollowerID)
 	s.repl.followers.Add(1)
 	defer s.repl.followers.Add(-1)
@@ -381,13 +379,7 @@ func (s *Service) stopping() bool {
 // runFollower performs the handshake and applies frames until the stream
 // breaks, the liveness deadline passes, or the node is promoted.
 func (s *Service) runFollower(nc net.Conn, addr string) error {
-	hello := wire.ReplHello{FollowerID: s.cfg.NodeID, DCs: make([]wire.ReplDCGen, 0, len(s.order))}
-	for _, dc := range s.order {
-		// Announce only generations actually applied from a primary (zero on
-		// first join): the boot snapshot is self-built and claiming its
-		// generation number could suppress the full resend that replaces it.
-		hello.DCs = append(hello.DCs, wire.ReplDCGen{DC: dc, Generation: s.shards[dc].replGen.Load()})
-	}
+	hello := wire.ReplHello{FollowerID: s.cfg.NodeID}
 	nc.SetWriteDeadline(time.Now().Add(replHandshakeTimeout))
 	if _, err := nc.Write(wire.AppendReplHello(nil, 1, &hello)); err != nil {
 		return err

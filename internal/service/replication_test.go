@@ -1,12 +1,15 @@
 package service_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -423,4 +426,156 @@ func TestDriftThresholdAutoTune(t *testing.T) {
 	if max := base * 8; st.Recluster.DriftThreshold > max+1e-12 {
 		t.Fatalf("threshold %v exceeded clamp %v", st.Recluster.DriftThreshold, max)
 	}
+}
+
+// TestReplListenerBoundsTheHelloOnItsHeader: a replication listener reads a
+// first frame only when its header is a hello's, no longer than a hello can
+// encode. A forged 16-byte header claiming 64 MiB closes the connection at
+// once and costs the node no buffer of the claimed size.
+func TestReplListenerBoundsTheHelloOnItsHeader(t *testing.T) {
+	primary, err := service.New(replTestConfig("p1"))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer primary.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	primary.ArmReplicationListener(ln)
+
+	for _, op := range []wire.Op{wire.OpReplHello, wire.OpReplSnap} {
+		forged := wire.BeginFrame(nil, op, 1)
+		binary.LittleEndian.PutUint32(forged[4:8], wire.MaxReplPayload-1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		start := time.Now()
+		if _, err := c.Write(forged); err != nil {
+			t.Fatalf("write the forged header: %v", err)
+		}
+		c.SetReadDeadline(time.Now().Add(3 * time.Second))
+		n, err := io.Copy(io.Discard, c)
+		took := time.Since(start)
+		runtime.ReadMemStats(&after)
+		c.Close()
+		if n != 0 || errors.Is(err, os.ErrDeadlineExceeded) || took > time.Second {
+			t.Errorf("%v header claiming %d bytes: %d bytes back, %v, after %v; want the connection closed at once",
+				op, wire.MaxReplPayload-1, n, err, took)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%v header claiming %d bytes: the node allocated %d bytes", op, wire.MaxReplPayload-1, grew)
+		}
+	}
+}
+
+// TestRejoinAfterPromotionTakesTheNewPrimarysSnapshot: generation numbers are
+// per primary. f1 holds p's generation N+1 when it is retargeted at f2, a
+// promoted peer that built its own N+1; the join must replace p's classes with
+// f2's, not resume on f2's beats over them.
+func TestRejoinAfterPromotionTakesTheNewPrimarysSnapshot(t *testing.T) {
+	const dc = "DC-9"
+	node := func(id, follow string) (*service.Service, string) {
+		t.Helper()
+		cfg := replTestConfig(id)
+		cfg.FollowAddr = follow
+		svc, err := service.New(cfg)
+		if err != nil {
+			t.Fatalf("New %s: %v", id, err)
+		}
+		t.Cleanup(svc.Close)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("Listen: %v", err)
+		}
+		svc.ArmReplicationListener(ln)
+		svc.Start()
+		return svc, ln.Addr().String()
+	}
+	p, paddr := node("p", "")
+	f1, _ := node("f1", paddr)
+	f2, f2addr := node("f2", paddr)
+	built := func(s *service.Service) (uint64, time.Time) {
+		snap, _ := s.Snapshot(dc)
+		return snap.Generation, snap.BuiltAt
+	}
+	n, pBuilt := built(p)
+	for _, f := range []*service.Service{f1, f2} {
+		fleettest.WaitFor(t, "the followers to apply p's generation", func() bool {
+			g, at := built(f)
+			return g == n && at.Equal(pBuilt)
+		})
+	}
+
+	if !f2.Promote() {
+		t.Fatal("Promote returned false on a follower")
+	}
+	// Telemetry only p hears, so that p's N+1 and f2's N+1 classify apart.
+	psnap, _ := p.Snapshot(dc)
+	var hot []service.IngestSample
+	for _, cls := range psnap.Clustering.Classes {
+		for _, tid := range cls.Tenants {
+			hot = append(hot, service.IngestSample{Tenant: tid, Server: -1, Value: 0.97})
+		}
+	}
+	if res, err := p.Ingest(dc, hot); err != nil || res.Accepted != len(hot) {
+		t.Fatalf("Ingest: %+v, %v", res, err)
+	}
+	if err := p.Refresh(dc); err != nil {
+		t.Fatalf("Refresh p: %v", err)
+	}
+	_, pBuilt = built(p)
+	fleettest.WaitFor(t, "f1 to apply p's next generation", func() bool {
+		g, at := built(f1)
+		return g == n+1 && at.Equal(pBuilt)
+	})
+	if err := f2.Refresh(dc); err != nil {
+		t.Fatalf("Refresh f2: %v", err)
+	}
+	if g, _ := built(f2); g != n+1 {
+		t.Fatalf("f2 refreshed to generation %d, want %d", g, n+1)
+	}
+	pRecs, f2Recs := classRecs(t, p, dc), classRecs(t, f2, dc)
+	if reflect.DeepEqual(pRecs, f2Recs) {
+		t.Fatal("p's and f2's next generations carry the same class records; the test cannot tell them apart")
+	}
+
+	f1.SetFollowAddr(f2addr)
+	fleettest.WaitFor(t, "f1 to follow f2", func() bool { return f1.PrimaryID() == "f2" })
+	beats := f1.ReplicationStats().BeatsApplied
+	fleettest.WaitFor(t, "f1's beats from f2", func() bool { return f1.ReplicationStats().BeatsApplied > beats+1 })
+
+	g1, at1 := built(f1)
+	g2, at2 := built(f2)
+	if g1 != g2 || !at1.Equal(at2) {
+		t.Fatalf("f1 serves generation %d built at %d; its primary f2 built its %d at %d", g1, at1.UnixNano(), g2, at2.UnixNano())
+	}
+	if got := classRecs(t, f1, dc); !reflect.DeepEqual(got, f2Recs) {
+		t.Fatalf("f1 serves class records\n%+v\nits primary f2 serves\n%+v", got, f2Recs)
+	}
+}
+
+// classRec is what a node serves of one class: the records a snapshot frame
+// carries, less the utilization a beat refreshes.
+type classRec struct {
+	ID               core.ClassID
+	Pattern          int
+	Avg, Peak        float64
+	Tenants, Servers int
+}
+
+func classRecs(t *testing.T, s *service.Service, dc string) []classRec {
+	t.Helper()
+	snap, ok := s.Snapshot(dc)
+	if !ok {
+		t.Fatalf("no snapshot of %s", dc)
+	}
+	var recs []classRec
+	for _, cls := range snap.Clustering.Classes {
+		recs = append(recs, classRec{cls.ID, int(cls.Pattern), cls.AvgUtilization, cls.PeakUtilization, len(cls.Tenants), len(cls.Servers)})
+	}
+	return recs
 }

@@ -9,14 +9,13 @@ import (
 // Replication messages: the intra-DC primary→follower snapshot stream.
 //
 // A follower dials the primary's replication listener, sends one OpReplHello
-// announcing the generations it already holds, and reads pushes from then
-// on. The primary answers the hello with OpReplHello|RespBit (carrying its
-// identity, which the follower re-announces to the router as primary_id) and
-// then streams, per datacenter:
+// naming itself, and reads pushes from then on. The primary answers the hello
+// with OpReplHello|RespBit (carrying its identity, which the follower
+// re-announces to the router as primary_id) and then streams, per datacenter:
 //
 //   - OpReplSnap — a full snapshot: every class with its complete tenant and
-//     server id lists, the live usage view, and both ledgers. Sent on
-//     follower join and once per new generation.
+//     server id lists, the live usage view, and both ledgers. Sent first for
+//     every datacenter on every join, and once per new generation.
 //   - OpReplBeat — same generation, refreshed usage view + ledger state:
 //     what changes between snapshot refreshes as selects and telemetry land.
 //
@@ -31,8 +30,8 @@ import (
 // ship+apply lag without a second clock channel.
 
 // ReplDCGen names one datacenter and the snapshot generation a node holds of
-// it: the list a follower's hello carries and a registration beat announces
-// (internal/regproto), encoded by AppendDCGens and read by Reader.DCGens.
+// it: the list a registration beat announces (internal/regproto), encoded by
+// AppendDCGens and read by Reader.DCGens.
 type ReplDCGen struct {
 	DC         string
 	Generation uint64
@@ -64,30 +63,31 @@ func (r *Reader) DCGens(dcs []ReplDCGen) []ReplDCGen {
 	return dcs
 }
 
-// ReplHello is the follower's one request frame: who it is and which
-// generations it already holds (informational — the primary currently ships
-// a full snapshot on every join, but the hello pins the follower's view for
-// logs and future resumption).
+// ReplHello is the follower's one request frame: who it is. The primary
+// answers any hello with a full snapshot of every datacenter, so the follower
+// names nothing it holds.
 type ReplHello struct {
 	FollowerID string
-	DCs        []ReplDCGen
 }
+
+// MaxReplHelloPayload is the longest hello payload: the follower id's length
+// byte and MaxStr8 bytes. A replication listener refuses a longer one on its
+// header, before buffering it.
+const MaxReplHelloPayload = 1 + MaxStr8
 
 // AppendReplHello appends a complete hello request frame.
 func AppendReplHello(dst []byte, id uint64, m *ReplHello) []byte {
 	mark := len(dst)
 	dst = BeginFrame(dst, OpReplHello, id)
 	dst = AppendStr8(dst, m.FollowerID)
-	dst = AppendDCGens(dst, m.DCs)
 	return EndFrame(dst, mark)
 }
 
-// Decode parses a hello request payload into m's storage, keeping the
-// strings it already holds.
+// Decode parses a hello request payload into m, keeping the id it already
+// holds when the payload repeats it.
 func (m *ReplHello) Decode(payload []byte) error {
 	r := NewReader(payload)
 	m.FollowerID = r.Str8Keep(m.FollowerID)
-	m.DCs = r.DCGens(m.DCs)
 	return r.Done()
 }
 

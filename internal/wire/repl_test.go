@@ -24,10 +24,7 @@ func parsePayload(t *testing.T, frame []byte, wantOp Op) []byte {
 }
 
 func TestReplHelloRoundTrip(t *testing.T) {
-	in := ReplHello{
-		FollowerID: "follower-2",
-		DCs:        []ReplDCGen{{DC: "DC-9", Generation: 17}, {DC: "DC-3", Generation: 1}},
-	}
+	in := ReplHello{FollowerID: "follower-2"}
 	frame := AppendReplHello(nil, 42, &in)
 	var out ReplHello
 	if err := out.Decode(parsePayload(t, frame, OpReplHello)); err != nil {
@@ -37,14 +34,17 @@ func TestReplHelloRoundTrip(t *testing.T) {
 		t.Fatalf("round trip mismatch:\n in  %+v\n out %+v", in, out)
 	}
 	// The layout is pinned: a follower built apart from this package spells it.
-	want := []byte("\x0afollower-2\x02\x00" +
-		"\x04DC-9\x11\x00\x00\x00\x00\x00\x00\x00" +
-		"\x04DC-3\x01\x00\x00\x00\x00\x00\x00\x00")
+	want := []byte("\x0afollower-2")
 	if got := frame[HeaderSize:]; !bytes.Equal(got, want) {
 		t.Fatalf("hello payload %x, want %x", got, want)
 	}
 	if n := testing.AllocsPerRun(100, func() { out.Decode(frame[HeaderSize:]) }); n != 0 {
 		t.Errorf("decoding a repeated hello allocated %v objects", n)
+	}
+	// A replication listener refuses a longer hello on its header alone.
+	longest := AppendReplHello(nil, 1, &ReplHello{FollowerID: strings.Repeat("f", MaxStr8)})
+	if n := len(longest) - HeaderSize; n != MaxReplHelloPayload {
+		t.Errorf("the longest hello carries %d payload bytes, MaxReplHelloPayload is %d", n, MaxReplHelloPayload)
 	}
 
 	resp := ReplHelloResp{PrimaryID: "primary-1"}

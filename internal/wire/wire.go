@@ -240,13 +240,13 @@ func ParseHeader(b []byte) (Header, error) {
 	return h, nil
 }
 
-// ParsePublicHeader is ParseHeader for a port any client can reach: harvestd's
+// parsePublicHeader is ParseHeader for a port any client can reach: harvestd's
 // binary listener, the router's binary front and the router's backend pipes.
 // Replication opcodes are a framing error there. They carry MaxReplPayload
 // through ParseHeader, so the refusal has to come before the payload is
 // buffered — honoring one would let any peer grow the connection's buffer to
 // 64 MiB. Only harvestd's replication listener and its followers read them.
-func ParsePublicHeader(b []byte) (Header, error) {
+func parsePublicHeader(b []byte) (Header, error) {
 	h, err := ParseHeader(b)
 	if err == nil && h.Op.IsRepl() {
 		return Header{}, ErrBadFrame
@@ -267,7 +267,7 @@ func grownCap(n int) int { return 1 << bits.Len(uint(n-1)) }
 // needed, and returns the parsed header plus the frame's bytes — header and
 // payload, ready to forward verbatim (aliasing *scratch: valid until the next
 // call with the same scratch). With public set the header goes through
-// ParsePublicHeader. *scratch grows by grownCap, clamped to the port's own cap:
+// parsePublicHeader. *scratch grows by grownCap, clamped to the port's own cap:
 // never past HeaderSize+MaxPayload when public, HeaderSize+MaxReplPayload
 // otherwise. Errors are io errors, ErrBadFrame, or ErrBadVersion; a clean EOF
 // before any header byte returns io.EOF.
@@ -284,7 +284,7 @@ func ReadRawFrame(r io.Reader, scratch *[]byte, public bool) (Header, []byte, er
 	}
 	parse, portCap := ParseHeader, HeaderSize+MaxReplPayload
 	if public {
-		parse, portCap = ParsePublicHeader, HeaderSize+MaxPayload
+		parse, portCap = parsePublicHeader, HeaderSize+MaxPayload
 	}
 	h, err := parse(hdr)
 	if err != nil {
