@@ -575,13 +575,21 @@ type Stats struct {
 
 // Snapshot returns the ledger's counters and per-class occupancy.
 func (l *Ledger) Snapshot() Stats {
+	var st Stats
+	l.SnapshotInto(&st)
+	return st
+}
+
+// SnapshotInto is Snapshot into st, reusing its per-class slices' storage.
+func (l *Ledger) SnapshotInto(st *Stats) {
+	millis, cores := st.AllocatedMillisByClass, st.AllocatedCoresByClass
 	l.store.LockAll()
 	t := l.tab.Load()
-	st := Stats{
+	*st = Stats{
 		Generation:             t.generation,
 		ActiveLeases:           l.store.Len(),
-		AllocatedMillisByClass: make([]int64, len(t.alloc)),
-		AllocatedCoresByClass:  make([]float64, len(t.alloc)),
+		AllocatedMillisByClass: resized(millis, len(t.alloc)),
+		AllocatedCoresByClass:  resized(cores, len(t.alloc)),
 	}
 	for _, ls := range l.store.All() {
 		for _, g := range ls.Grants {
@@ -611,7 +619,14 @@ func (l *Ledger) Snapshot() Stats {
 		st.AllocatedMillisByClass[i] = t.alloc[i].Load()
 		st.AllocatedCoresByClass[i] = CoresOf(st.AllocatedMillisByClass[i])
 	}
-	return st
+}
+
+// resized returns s at length n, reallocated only when too short; never nil.
+func resized[E any](s []E, n int) []E {
+	if s == nil || cap(s) < n {
+		return make([]E, n)
+	}
+	return s[:n]
 }
 
 // State is the ledger's full persistable state: the generation it is keyed

@@ -1,6 +1,7 @@
 package obs_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -18,6 +19,7 @@ import (
 
 	"harvest/internal/experiments"
 	"harvest/internal/fleettest"
+	"harvest/internal/obs"
 	"harvest/internal/regproto"
 	"harvest/internal/router"
 	"harvest/internal/service"
@@ -55,6 +57,66 @@ func TestMetricsExpositions(t *testing.T) {
 				t.Errorf("families with fewer than two label sets: %v", lone)
 			}
 			golden(t, name+".prom", promShape(text))
+		})
+	}
+}
+
+// TestMetricsReplies holds what every /metrics scrape of the fleet sends: both
+// formats go out with a Content-Length equal to the body's length, never
+// chunked, and the JSON document is byte for byte what encoding/json writes
+// for the value it carries — decoded into the daemon's exported types, it
+// re-encodes to the same bytes.
+func TestMetricsReplies(t *testing.T) {
+	type harvestdDoc struct {
+		UptimeSeconds float64                       `json:"uptime_seconds"`
+		TotalRequests uint64                        `json:"total_requests"`
+		QPS           float64                       `json:"qps"`
+		Endpoints     map[string]obs.EndpointStats  `json:"endpoints"`
+		Binary        *service.BinaryStats          `json:"binary,omitempty"`
+		Replication   service.ReplicationStats      `json:"replication"`
+		Datacenters   map[string]service.ShardStats `json:"datacenters"`
+	}
+	type routerDoc struct {
+		UptimeSeconds float64                    `json:"uptime_seconds"`
+		Router        router.RouterStats         `json:"router"`
+		Datacenters   map[string]json.RawMessage `json:"datacenters"`
+	}
+	for name, base := range startFleet(t) {
+		t.Run(name, func(t *testing.T) {
+			var body []byte
+			for _, query := range []string{"?format=prometheus", ""} {
+				resp, err := http.Get(base + "/metrics" + query)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, _ = io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) > 0 {
+					t.Errorf("/metrics%s: Content-Length %d, Transfer-Encoding %v, body %d bytes",
+						query, resp.ContentLength, resp.TransferEncoding, len(body))
+				}
+			}
+			var doc any = new(harvestdDoc)
+			if strings.HasPrefix(name, "harvestrouter") {
+				doc = new(routerDoc)
+			}
+			dec := json.NewDecoder(bytes.NewReader(body))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(doc); err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			var want bytes.Buffer
+			if err := json.NewEncoder(&want).Encode(doc); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(body, want.Bytes()) {
+				i := 0
+				for i < len(body) && i < want.Len() && body[i] == want.Bytes()[i] {
+					i++
+				}
+				t.Errorf("JSON differs from encoding/json's at byte %d:\ngot  …%s\nwant …%s",
+					i, body[max(0, i-80):min(len(body), i+80)], want.Bytes()[max(0, i-80):min(want.Len(), i+80)])
+			}
 		})
 	}
 }

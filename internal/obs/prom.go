@@ -1,113 +1,141 @@
 package obs
 
 import (
-	"bytes"
 	"net/http"
 	"strconv"
-	"strings"
+
+	"harvest/internal/httpjson"
 )
 
 // PromContentType is the exposition-format content type (text format 0.0.4).
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// Prom accumulates Prometheus text exposition, one bucket per metric family:
-// a series lands in its family's bucket whenever it is written, and Bytes
-// prints the buckets in first-seen order, each under its one HELP/TYPE
+// promContentType is shared by every reply: net/http only reads it.
+var promContentType = []string{PromContentType}
+
+// Prom accumulates Prometheus text exposition, one buffer per metric family:
+// a series lands in its family's buffer whenever it is written, and Bytes
+// prints the buffers in first-touched order, each under its one HELP/TYPE
 // header — so every family is one contiguous group however the caller
 // interleaves its writes. Walk (promwalk.go) fills it from a tagged stats
 // value; the series writers below are for the few lines no field can spell.
+// Its storage is kept across reset, so a reused Prom renders without
+// allocating.
 type Prom struct {
-	families map[string]*promFamily
-	order    []*promFamily
+	fams  []promFamily // by family number (see familyNumber)
+	order []int32      // family numbers, first touched first
+	lab   []byte       // the label set Walk is in, outermost first
+	out   []byte
+	maps  sorter
 }
 
 type promFamily struct {
-	name, typ, help string
-	series          bytes.Buffer
+	name, typ, help string // name is "" until the family is touched
+	series          []byte
 }
 
-func (p *Prom) family(name string) *promFamily {
-	f := p.families[name]
-	if f == nil {
-		if p.families == nil {
-			p.families = make(map[string]*promFamily)
-		}
-		f = &promFamily{name: name}
-		p.families[name] = f
-		p.order = append(p.order, f)
+// touch returns family n, named name, placing it in the output order.
+func (p *Prom) touch(n int32, name string) *promFamily {
+	if int(n) >= len(p.fams) {
+		p.fams = append(p.fams, make([]promFamily, int(n)+1-len(p.fams))...)
+	}
+	f := &p.fams[n]
+	if f.name == "" {
+		f.name = name
+		p.order = append(p.order, n)
 	}
 	return f
+}
+
+// declare gives f its header unless an earlier declaration did.
+func (f *promFamily) declare(typ, help string) {
+	if f.typ == "" {
+		f.typ, f.help = typ, help
+	}
+}
+
+// named is the family a series writer names.
+func (p *Prom) named(name string) *promFamily {
+	plans.Lock()
+	n := familyNumber(name)
+	plans.Unlock()
+	return p.touch(n, name)
+}
+
+// reset empties p for the next exposition, keeping its storage.
+func (p *Prom) reset() {
+	for _, n := range p.order {
+		p.fams[n] = promFamily{series: p.fams[n].series[:0]}
+	}
+	p.order, p.lab = p.order[:0], p.lab[:0]
 }
 
 // Metric declares a family's type ("counter", "gauge" or "histogram") and
 // help text. The first declaration stands; a family never declared prints
 // its series without a header.
-func (p *Prom) Metric(name, typ, help string) {
-	if f := p.family(name); f.typ == "" {
-		f.typ, f.help = typ, help
-	}
-}
+func (p *Prom) Metric(name, typ, help string) { p.named(name).declare(typ, help) }
 
 // Labels renders a label set from key/value pairs, escaping values. The
 // result (e.g. `dc="DC-9",op="select"`) is passed to the series writers; an
 // empty string means no labels.
 func Labels(kv ...string) string {
-	var b strings.Builder
+	var b []byte
 	for i := 0; i+1 < len(kv); i += 2 {
-		appendLabel(&b, kv[i], kv[i+1])
+		b = appendLabel(b, kv[i], kv[i+1])
 	}
-	return b.String()
+	return string(b)
 }
 
-func appendLabel(b *strings.Builder, name, value string) {
-	if b.Len() > 0 {
-		b.WriteByte(',')
+func appendLabel(b []byte, name, value string) []byte {
+	if len(b) > 0 {
+		b = append(b, ',')
 	}
-	b.WriteString(name)
-	b.WriteString(`="`)
+	b = append(append(b, name...), `="`...)
 	for i := 0; i < len(value); i++ {
 		switch c := value[i]; c {
 		case '\\':
-			b.WriteString(`\\`)
+			b = append(b, `\\`...)
 		case '"':
-			b.WriteString(`\"`)
+			b = append(b, `\"`...)
 		case '\n':
-			b.WriteString(`\n`)
+			b = append(b, `\n`...)
 		default:
-			b.WriteByte(c)
+			b = append(b, c)
 		}
 	}
-	b.WriteByte('"')
+	return append(b, '"')
 }
 
-// line writes one series of family f under the given name (the family's own,
-// or a histogram's _bucket/_sum/_count) with an already-formatted value.
-func (f *promFamily) line(suffix, labels, value string) {
-	f.series.WriteString(f.name)
-	f.series.WriteString(suffix)
-	if labels != "" {
-		f.series.WriteByte('{')
-		f.series.WriteString(labels)
-		f.series.WriteByte('}')
+// key starts one series of family f under the family's own name plus suffix
+// (a histogram's _bucket, _sum or _count), up to the value.
+func (f *promFamily) key(suffix string, labels []byte) []byte {
+	b := append(append(f.series, f.name...), suffix...)
+	if len(labels) > 0 {
+		b = append(append(append(b, '{'), labels...), '}')
 	}
-	f.series.WriteByte(' ')
-	f.series.WriteString(value)
-	f.series.WriteByte('\n')
+	return append(b, ' ')
 }
 
 // Uint writes one series with an unsigned integer value.
-func (p *Prom) Uint(name, labels string, v uint64) {
-	p.family(name).line("", labels, strconv.FormatUint(v, 10))
-}
+func (p *Prom) Uint(name, labels string, v uint64) { p.named(name).number([]byte(labels), v) }
 
 // Int writes one series with a signed integer value.
-func (p *Prom) Int(name, labels string, v int64) {
-	p.family(name).line("", labels, strconv.FormatInt(v, 10))
-}
+func (p *Prom) Int(name, labels string, v int64) { p.named(name).number([]byte(labels), v) }
 
 // Float writes one series with a float value.
-func (p *Prom) Float(name, labels string, v float64) {
-	p.family(name).line("", labels, strconv.FormatFloat(v, 'g', -1, 64))
+func (p *Prom) Float(name, labels string, v float64) { p.named(name).number([]byte(labels), v) }
+
+func (f *promFamily) number(labels []byte, v any) {
+	b := f.key("", labels)
+	switch v := v.(type) {
+	case int64:
+		b = strconv.AppendInt(b, v, 10)
+	case uint64:
+		b = strconv.AppendUint(b, v, 10)
+	case float64:
+		b = strconv.AppendFloat(b, v, 'g', -1, 64)
+	}
+	f.series = append(b, '\n')
 }
 
 // Histogram writes the full cumulative `le` bucket series plus _sum and
@@ -117,52 +145,76 @@ func (p *Prom) Float(name, labels string, v float64) {
 // every sample in buckets 0..i is ≤ le_i and every sample above is > le_i.
 // The le label goes after extraLabels (which may be "").
 func (p *Prom) Histogram(name, extraLabels string, h *Histogram) {
-	p.histogram(name, extraLabels, h, func(us uint64) string { return strconv.FormatUint(us, 10) })
+	p.named(name).histogram([]byte(extraLabels), h, false)
 }
 
 // HistogramSeconds writes the same histogram with its bounds and sum in
 // seconds, for metrics named *_seconds. The bounds are the microsecond ones
 // divided by 1e6, so they are as exact as a float64 prints.
 func (p *Prom) HistogramSeconds(name, extraLabels string, h *Histogram) {
-	p.histogram(name, extraLabels, h, func(us uint64) string {
-		return strconv.FormatFloat(float64(us)/1e6, 'g', -1, 64)
-	})
+	p.named(name).histogram([]byte(extraLabels), h, true)
 }
 
-func (p *Prom) histogram(name, extraLabels string, h *Histogram, unit func(us uint64) string) {
-	f := p.family(name)
-	le := `le="`
-	if extraLabels != "" {
-		le = extraLabels + `,le="`
+// leBounds are the `le` label values, in microseconds and in seconds, with
+// +Inf last.
+var leBounds = func() (le [2][HistBuckets + 1]string) {
+	for i := 0; i < HistBuckets; i++ {
+		us := BucketUpperMicros(i)
+		le[0][i] = strconv.FormatUint(us, 10)
+		le[1][i] = strconv.FormatFloat(float64(us)/1e6, 'g', -1, 64)
+	}
+	le[0][HistBuckets], le[1][HistBuckets] = "+Inf", "+Inf"
+	return le
+}()
+
+func (f *promFamily) histogram(labels []byte, h *Histogram, seconds bool) {
+	le := &leBounds[0]
+	if seconds {
+		le = &leBounds[1]
 	}
 	var counts [HistBuckets]uint64
 	h.BucketCounts(counts[:0])
 	var cum uint64
-	for i := 0; i < HistBuckets; i++ {
-		cum += counts[i]
-		f.line("_bucket", le+unit(BucketUpperMicros(i))+`"`, strconv.FormatUint(cum, 10))
+	for i := range le {
+		if i < HistBuckets {
+			cum += counts[i]
+		}
+		b := append(append(f.series, f.name...), "_bucket{"...)
+		if len(labels) > 0 {
+			b = append(append(b, labels...), ',')
+		}
+		b = append(append(append(b, `le="`...), le[i]...), `"} `...)
+		f.series = append(strconv.AppendUint(b, cum, 10), '\n')
 	}
-	f.line("_bucket", le+`+Inf"`, strconv.FormatUint(cum, 10))
-	f.line("_sum", extraLabels, unit(h.SumMicros()))
+	b := f.key("_sum", labels)
+	if seconds {
+		b = strconv.AppendFloat(b, float64(h.SumMicros())/1e6, 'g', -1, 64)
+	} else {
+		b = strconv.AppendUint(b, h.SumMicros(), 10)
+	}
+	f.series = append(b, '\n')
 	// The +Inf bucket and _count are the same reading of the same buckets, so
 	// they agree even while observations land.
-	f.line("_count", extraLabels, strconv.FormatUint(cum, 10))
+	f.series = append(strconv.AppendUint(f.key("_count", labels), cum, 10), '\n')
 }
 
-// Bytes returns the accumulated exposition.
+// Bytes returns the accumulated exposition, in storage p reuses: it is valid
+// until p's next write.
 func (p *Prom) Bytes() []byte {
-	var out bytes.Buffer
-	for _, f := range p.order {
+	p.out = p.out[:0]
+	for _, n := range p.order {
+		f := &p.fams[n]
 		if f.typ != "" {
-			out.WriteString("# HELP " + f.name + " " + f.help + "\n# TYPE " + f.name + " " + f.typ + "\n")
+			p.out = append(append(append(append(p.out, "# HELP "...), f.name...), ' '), f.help...)
+			p.out = append(append(append(append(append(p.out, "\n# TYPE "...), f.name...), ' '), f.typ...), '\n')
 		}
-		out.Write(f.series.Bytes())
+		p.out = append(p.out, f.series...)
 	}
-	return out.Bytes()
+	return p.out
 }
 
-// Reply answers a scrape with the accumulated exposition.
+// Reply answers a scrape with the accumulated exposition, in one write with
+// its Content-Length.
 func (p *Prom) Reply(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", PromContentType)
-	w.Write(p.Bytes())
+	httpjson.Reply(w, http.StatusOK, promContentType, p.Bytes())
 }

@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"reflect"
-	"sort"
-	"strings"
-)
+import "reflect"
 
 // Walk renders a /metrics stats value — the same value the JSON exposition
 // marshals — as Prometheus series. A metric is one struct field carrying,
@@ -20,139 +16,106 @@ import (
 // promoted ones included — how a tier puts its own family names on a shared
 // row it embeds. What a field renders follows from its Go type:
 //
-//   - integer, float or bool (0/1): one series;
+//   - integer, float64 or bool (0/1): one series;
 //   - *Histogram: the le bucket series with _sum and _count; nil renders none;
 //   - map[string]number: one series per key;
 //   - struct, *struct, map[string]struct: the fields inside, untagged ones
 //     descended into too; a nil pointer is a section that is absent.
 //
-// A slice is not a metric. In the labels tag a bare name is the label that
-// takes the map key, and name=value is a constant; labels accumulate
-// outermost first, in the order written. Map keys render sorted. Every family
-// reachable through non-nil pointers is declared even when it has no series
-// to show (an empty map declares its element's families), so HELP/TYPE do
-// not come and go with the data.
-func (p *Prom) Walk(stats any) { p.walk(reflect.ValueOf(stats), "", true) }
-
-// promField is one field's parsed tags.
-type promField struct {
-	family, typ, help string
-	omitzero, seconds bool
-	of                string
-	labels            []string // "name" (takes the key) or "name=value"
+// A slice, or a type with its own JSON or text form, is not a metric. In the
+// labels tag a bare name is the label that takes the map key, and name=value
+// is a constant; labels accumulate outermost first, in the order written. Map
+// keys render sorted. Every family reachable through non-nil pointers is
+// declared even when it has no series to show (an empty map declares its
+// element's families), so HELP/TYPE do not come and go with the data. The
+// tags are read once per type (plan.go), so WriteMetrics, which walks a
+// pointer into a pooled Prom, renders without allocating.
+func (p *Prom) Walk(stats any) {
+	v := reflect.ValueOf(stats)
+	p.walk(planOf(v.Type()), v, true)
 }
 
-func parsePromField(sf reflect.StructField) promField {
-	var f promField
-	f.help = sf.Tag.Get("help")
-	if l := sf.Tag.Get("labels"); l != "" {
-		f.labels = strings.Split(l, ",")
-	}
-	parts := strings.Split(sf.Tag.Get("prom"), ",")
-	f.family = parts[0]
-	for i, opt := range parts[1:] {
-		switch {
-		case i == 0:
-			f.typ = opt
-		case opt == "omitzero":
-			f.omitzero = true
-		case opt == "seconds":
-			f.seconds = true
-		case strings.HasPrefix(opt, "of="):
-			f.of = opt[len("of="):]
-		}
-	}
-	return f
-}
-
-// labelled extends an enclosing label set with the field's own, key standing
-// in for the bare name.
-func (f *promField) labelled(outer, key string) string {
-	if len(f.labels) == 0 {
-		return outer
-	}
-	var b strings.Builder
-	b.WriteString(outer)
-	for _, l := range f.labels {
-		if name, value, constant := strings.Cut(l, "="); constant {
-			appendLabel(&b, name, value)
-		} else {
-			appendLabel(&b, name, key)
-		}
-	}
-	return b.String()
-}
-
-func (p *Prom) walk(v reflect.Value, labels string, emit bool) {
-	if v.Kind() == reflect.Pointer {
+func (p *Prom) walk(n *node, v reflect.Value, emit bool) {
+	if n.kind == kindPointer {
 		if v.IsNil() {
 			return
 		}
-		v = v.Elem()
+		n, v = n.elem, v.Elem()
 	}
-	if v.Kind() != reflect.Struct {
+	if n.kind != kindStruct {
 		return
 	}
-	for i, t := 0, v.Type(); i < t.NumField(); i++ {
-		sf := t.Field(i)
-		f := parsePromField(sf)
-		fv := v.Field(i)
-		if f.of != "" {
-			fv = v.FieldByName(f.of)
-		} else if !sf.IsExported() {
+	for i := range n.prom {
+		f := &n.prom[i]
+		fv, err := v.FieldByIndexErr(f.index)
+		if err != nil {
 			continue
 		}
-		if f.family != "" && f.typ != "" {
-			p.Metric(f.family, f.typ, f.help)
+		if f.typ != "" {
+			p.touch(f.family, f.name).declare(f.typ, f.help)
 		}
-		switch fv.Kind() {
-		case reflect.Map:
-			keys := fv.MapKeys()
-			sort.Slice(keys, func(a, b int) bool { return keys[a].String() < keys[b].String() })
-			for _, k := range keys {
-				p.value(&f, fv.MapIndex(k), f.labelled(labels, k.String()), emit)
+		mark := len(p.lab)
+		switch f.node.kind {
+		case kindMap:
+			if fv.Len() == 0 { // declares its element's families
+				p.value(f, f.node.elem, reflect.Zero(fv.Type().Elem()), false)
+				continue
 			}
-			if len(keys) == 0 {
-				p.value(&f, reflect.Zero(fv.Type().Elem()), labels, false)
+			st := p.maps.load(f.node, fv)
+			for j := range st.entries {
+				p.labelled(f, st.entries[j].key)
+				p.value(f, f.node.elem, st.value(j), emit)
+				p.lab = p.lab[:mark]
 			}
-		case reflect.Slice: // not a metric ([]byte, a list of names)
+			st.release()
 		default:
-			p.value(&f, fv, f.labelled(labels, ""), emit)
+			p.labelled(f, "")
+			p.value(f, f.node, fv, emit)
+			p.lab = p.lab[:mark]
 		}
 	}
 }
 
-// value renders one field value (or map or slice element) under its labels.
-func (p *Prom) value(f *promField, v reflect.Value, labels string, emit bool) {
-	if h, ok := v.Interface().(*Histogram); ok {
-		switch {
-		case f.family == "" || !emit || h == nil:
-		case f.seconds:
-			p.HistogramSeconds(f.family, labels, h)
+// labelled extends the label set with the field's own, key standing in for
+// the bare name.
+func (p *Prom) labelled(f *promField, key string) {
+	for _, l := range f.labels {
+		if l.key {
+			p.lab = appendLabel(p.lab, l.name, key)
+		} else {
+			p.lab = appendLabel(p.lab, l.name, l.value)
+		}
+	}
+}
+
+// value renders one field value (or map element) of kind n under the label
+// set.
+func (p *Prom) value(f *promField, n *node, v reflect.Value, emit bool) {
+	switch n.kind {
+	case kindHist:
+		if f.family >= 0 && emit && !v.IsNil() {
+			p.touch(f.family, f.name).histogram(p.lab, (*Histogram)(v.UnsafePointer()), f.seconds)
+		}
+	case kindStruct, kindPointer:
+		p.walk(n, v, emit)
+	case kindInt, kindUint, kindFloat, kindBool:
+		if f.family < 0 || !emit || f.omitzero && v.IsZero() {
+			return
+		}
+		fam := p.touch(f.family, f.name)
+		switch n.kind {
+		case kindInt:
+			fam.number(p.lab, v.Int())
+		case kindUint:
+			fam.number(p.lab, v.Uint())
+		case kindFloat:
+			fam.number(p.lab, v.Float())
 		default:
-			p.Histogram(f.family, labels, h)
+			var b uint64
+			if v.Bool() {
+				b = 1
+			}
+			fam.number(p.lab, b)
 		}
-		return
-	}
-	if k := v.Kind(); k == reflect.Struct || k == reflect.Pointer {
-		p.walk(v, labels, emit)
-		return
-	}
-	if f.family == "" || !emit || (f.omitzero && v.IsZero()) {
-		return
-	}
-	switch {
-	case v.CanInt():
-		p.Int(f.family, labels, v.Int())
-	case v.CanUint():
-		p.Uint(f.family, labels, v.Uint())
-	case v.CanFloat():
-		p.Float(f.family, labels, v.Float())
-	case v.Kind() == reflect.Bool:
-		var n uint64
-		if v.Bool() {
-			n = 1
-		}
-		p.Uint(f.family, labels, n)
 	}
 }

@@ -127,20 +127,6 @@ func (r *Recorder) Begin(id uint64, dialect, op, dc string) *Trace {
 	return t
 }
 
-// SetDC fills in the datacenter once routing has resolved it.
-func (t *Trace) SetDC(dc string) {
-	if t != nil {
-		t.DC = dc
-	}
-}
-
-// SetOp overrides the operation label.
-func (t *Trace) SetOp(op string) {
-	if t != nil {
-		t.Op = op
-	}
-}
-
 // SetMeta attaches the optional per-lease operator metadata.
 func (t *Trace) SetMeta(jobID, owner string) {
 	if t != nil {

@@ -55,8 +55,6 @@ func TestNilRecorderAndTraceAreNoOps(t *testing.T) {
 		t.Fatalf("nil recorder Begin returned a trace")
 	}
 	// Every method must be callable on the nil trace.
-	tr.SetDC("DC-9")
-	tr.SetOp("release")
 	tr.SetMeta("job", "owner")
 	tr.Span("leg", time.Now())
 	tr.Finish(200)
@@ -77,8 +75,7 @@ func TestBeginAssignsAndPropagatesIDs(t *testing.T) {
 
 func TestTraceLifecyclePublishesSpans(t *testing.T) {
 	r := NewRecorder(8)
-	tr := r.Begin(7, DialectJSON, "select", "")
-	tr.SetDC("DC-9")
+	tr := r.Begin(7, DialectJSON, "select", "DC-9")
 	tr.SetMeta("nightly-etl", "alice")
 	start := time.Now()
 	tr.Span("ledger_reserve", start)

@@ -112,3 +112,67 @@ func TestRouterBinaryOpStatsJSON(t *testing.T) {
 		t.Fatalf("classes op stats = %+v, want 2 requests / 1 error / nonzero p99", op)
 	}
 }
+
+// discardWriter is a ResponseWriter that keeps one header map across runs.
+type discardWriter struct {
+	h      http.Header
+	status int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *discardWriter) WriteHeader(status int)      { w.status = status }
+
+// scrapedRouter starts a router with two registered backends and returns a
+// Prometheus scrape of it through ServeHTTP into a discarding writer.
+func scrapedRouter(tb testing.TB) func() {
+	rt := fleettest.StartRouter(tb, router.Config{StaleAfter: time.Minute})
+	for _, id := range []string{"node-a", "node-b"} {
+		c, err := regproto.Dial(rt.URL, "", 5*time.Second)
+		if err != nil {
+			tb.Fatalf("register %s: %v", id, err)
+		}
+		var ack regproto.RegisterResponse
+		req := regproto.RegisterRequest{ID: id, URL: "http://" + id + ".invalid", BinaryAddr: rt.BinaryAddr,
+			Datacenters: []wire.ReplDCGen{{DC: "DC-" + id, Generation: 1}}}
+		if err := c.Beat(&req, &ack); err != nil {
+			tb.Fatalf("register %s: %v", id, err)
+		}
+		c.Close()
+	}
+	req, err := http.NewRequest(http.MethodGet, "http://harvestrouter/metrics?format=prometheus", nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w := &discardWriter{h: http.Header{}}
+	return func() {
+		clear(w.h)
+		w.status = http.StatusOK
+		rt.Router.ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			tb.Fatalf("scrape answered %d", w.status)
+		}
+	}
+}
+
+// TestMetricsScrapeAllocs is the router's /metrics object budget: a warm
+// Prometheus scrape renders through its plan into pooled buffers from a
+// pooled response, costing net/http's Content-Length and nothing more.
+func TestMetricsScrapeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	serve := scrapedRouter(t)
+	serve()
+	if got := testing.AllocsPerRun(50, serve); got > 2 {
+		t.Errorf("%v allocs per scrape, budget 2", got)
+	}
+}
+
+func BenchmarkRouterMetricsScrape(b *testing.B) {
+	serve := scrapedRouter(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		serve()
+	}
+}

@@ -189,6 +189,9 @@ type Router struct {
 	// indexed by wire.OpIndex.
 	binOps [len(wire.Ops)]obs.EndpointMetrics
 
+	// scrapes keeps the *metricsResponse values /metrics refills in place.
+	scrapes sync.Pool
+
 	// binRelayID mints the unique ids frames travel under on the backend leg
 	// of native forwarding; responses are matched back to their waiters by
 	// this id and re-stamped with the client's own before relay.
@@ -1061,9 +1064,9 @@ type BinaryFrontStats struct {
 	Ops map[string]opRow `json:"ops" labels:"op"`
 }
 
-// metricsResponse is the router's /metrics: the JSON document as marshalled,
-// and — its uptime and "router" section, never the backends' books — the
-// Prometheus exposition as obs.Prom.Walk reads the tags.
+// metricsResponse is the router's /metrics: the JSON document, and — its
+// uptime and "router" section, never the backends' books — the Prometheus
+// exposition, both rendered from its tags (obs.WriteMetrics).
 type metricsResponse struct {
 	UptimeSeconds float64     `json:"uptime_seconds" prom:"harvestrouter_uptime_seconds,gauge" help:"Seconds since the router started."`
 	Router        RouterStats `json:"router"`
@@ -1071,6 +1074,7 @@ type metricsResponse struct {
 	// /metrics "datacenters" entries for the DCs it owns, merged into one
 	// map, so one scrape of the router sees every shard's books.
 	Datacenters map[string]json.RawMessage `json:"datacenters"`
+	bin         BinaryFrontStats           // what Router.Binary points at when serving binary
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -1082,34 +1086,48 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"routing loop: this backend resolves to a router (check its advertised URL)")
 		return
 	}
+	// Prometheus scrapes are router-local by design: no backend fan-out,
+	// so a scrape never blocks on a slow shard. Scrapers that want shard
+	// books hit each shard's own /metrics?format=prometheus directly.
+	prom := obs.PrometheusFormat(r)
+	resp, _ := rt.scrapes.Get().(*metricsResponse)
+	if resp == nil {
+		resp = &metricsResponse{
+			Router:      RouterStats{Backends: make(map[string]BackendStats)},
+			Datacenters: make(map[string]json.RawMessage),
+		}
+	}
+	defer rt.scrapes.Put(resp)
+	defer clear(resp.Datacenters) // the backends' bytes are not kept
 	now := rt.now()
-	resp := metricsResponse{
-		UptimeSeconds: time.Since(rt.start).Seconds(),
-		Router: RouterStats{
-			Registrations: rt.registrations.Load(),
-			RegisterConns: rt.reg.Open(),
-			Proxied:       rt.proxiedTotal.Load(),
-			ProxyErrors:   rt.proxyErrors.Load(),
-			Unavailable:   rt.unavailable.Load(),
-			Promotions:    rt.promotions.Load(),
-			Backends:      make(map[string]BackendStats),
-		},
-		Datacenters: make(map[string]json.RawMessage),
+	resp.UptimeSeconds = time.Since(rt.start).Seconds()
+	resp.Router = RouterStats{
+		Registrations: rt.registrations.Load(),
+		RegisterConns: rt.reg.Open(),
+		Proxied:       rt.proxiedTotal.Load(),
+		ProxyErrors:   rt.proxyErrors.Load(),
+		Unavailable:   rt.unavailable.Load(),
+		Promotions:    rt.promotions.Load(),
+		Backends:      resp.Router.Backends,
 	}
 	if rt.bin.Serving() {
-		bin := &BinaryFrontStats{
+		ops := resp.bin.Ops
+		if ops == nil {
+			ops = make(map[string]opRow, len(rt.binOps))
+		}
+		resp.bin = BinaryFrontStats{
 			Addr:          rt.binAdvertise,
 			AcceptedConns: rt.bin.Accepted(),
 			OpenConns:     rt.bin.Open(),
 			FramingErrors: rt.binFramingErrors.Load(),
 			Forwarded:     rt.binForwarded.Load(),
 			Rejected:      rt.binRejected.Load(),
-			Ops:           make(map[string]opRow, len(rt.binOps)),
+			Ops:           ops,
 		}
 		for i := range rt.binOps {
-			bin.Ops[wire.Ops[i].Name] = opRow{EndpointStats: rt.binOps[i].Stats()}
+			ops[wire.Ops[i].Name] = opRow{EndpointStats: rt.binOps[i].Stats()}
 		}
-		resp.Router.Binary = bin
+		resp.Router.Binary = &resp.bin
 	}
 
 	type fetchTarget struct {
@@ -1118,8 +1136,21 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	var targets []fetchTarget
 	rt.mu.RLock()
+	for id := range resp.Router.Backends {
+		if rt.backends[id] == nil {
+			delete(resp.Router.Backends, id)
+		}
+	}
 	for id, b := range rt.backends {
-		st := BackendStats{
+		// Filled through a copy, so the generations map it holds is reused;
+		// the entry is overwritten, never reinserted.
+		st := resp.Router.Backends[id]
+		dcs := st.Datacenters
+		if dcs == nil {
+			dcs = make(map[string]uint64, len(b.dcs))
+		}
+		clear(dcs)
+		st = BackendStats{
 			URL:                 b.url,
 			BinaryAddr:          b.binAddr,
 			ReplicateAddr:       b.replicateAddr,
@@ -1129,7 +1160,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Alive:               rt.alive(b, now),
 			Draining:            b.draining.Load(),
 			LastBeatAgeSeconds:  time.Duration(now.UnixNano() - b.lastBeat.Load()).Seconds(),
-			Datacenters:         make(map[string]uint64, len(b.dcs)),
+			Datacenters:         dcs,
 			Proxied:             b.proxied.Load(),
 			Reads:               b.reads.Load(),
 			InFlight:            b.inflight.Load(),
@@ -1140,8 +1171,8 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		var owns []string
 		for name, gen := range b.dcs {
-			st.Datacenters[name] = gen
-			if rt.table[name].owner == b {
+			dcs[name] = gen
+			if !prom && rt.table[name].owner == b {
 				owns = append(owns, name)
 			}
 		}
@@ -1151,13 +1182,8 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	rt.mu.RUnlock()
-	if r.URL.Query().Get("format") == "prometheus" {
-		// Prometheus scrapes are router-local by design: no backend fan-out,
-		// so a scrape never blocks on a slow shard. Scrapers that want shard
-		// books hit each shard's own /metrics?format=prometheus directly.
-		var p obs.Prom
-		p.Walk(resp)
-		p.Reply(w)
+	if prom {
+		obs.WriteMetrics(w, resp, true)
 		return
 	}
 
@@ -1205,5 +1231,5 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	obs.WriteMetrics(w, resp, false)
 }

@@ -329,16 +329,26 @@ type BinaryStats struct {
 // Stats reads the listener's counters for /metrics. Every request opcode has
 // a row, served or not.
 func (b *BinaryServer) Stats() BinaryStats {
-	st := BinaryStats{
+	var st BinaryStats
+	b.readStats(&st)
+	return st
+}
+
+// readStats is Stats into st, reusing the rows map it holds.
+func (b *BinaryServer) readStats(st *BinaryStats) {
+	rows := st.Endpoints
+	if rows == nil {
+		rows = make(map[string]endpointRow, len(wire.Ops))
+	}
+	*st = BinaryStats{
 		Accepted:      b.srv.Accepted(),
 		Open:          b.srv.Open(),
 		FramingErrors: b.framingErrors.Load(),
-		Endpoints:     make(map[string]endpointRow, len(wire.Ops)),
+		Endpoints:     rows,
 	}
 	for i := range wire.Ops {
-		st.Endpoints[wire.Ops[i].Name] = endpointRow{EndpointStats: b.metrics[i].Stats()}
+		rows[wire.Ops[i].Name] = endpointRow{EndpointStats: b.metrics[i].Stats()}
 	}
-	return st
 }
 
 // ListenAndServe binds addr and serves until Close — the cmd/harvestd entry

@@ -54,6 +54,9 @@ type API struct {
 	// rec holds the daemon's request traces (JSON dialect; the attached
 	// binary server shares it so both dialects land in one ring).
 	rec *obs.Recorder
+
+	// scrapes keeps the *metricsResponse values /metrics refills in place.
+	scrapes sync.Pool
 }
 
 // AttachBinary advertises a binary frame server alongside the JSON API:
@@ -1069,11 +1072,11 @@ type endpointRow struct {
 	_ struct{} `prom:"harvestd_request_latency_microseconds,histogram,of=Latency" help:"Request latency by endpoint and dialect, in microseconds."`
 }
 
-// metricsResponse is the daemon's /metrics: the JSON document as marshalled,
-// and the Prometheus exposition as obs.Prom.Walk reads its tags. A metric is
-// one tagged field, here or in a struct below; both renderings follow from
-// it. Latencies are in microseconds — the histograms' native resolution — so
-// the le bounds stay exact integers (see obs.BucketUpperMicros).
+// metricsResponse is the daemon's /metrics: the JSON document and the
+// Prometheus exposition both render from its tags (obs.WriteMetrics). A
+// metric is one tagged field, here or in a struct below. Latencies are in
+// microseconds — the histograms' native resolution — so the le bounds stay
+// exact integers (see obs.BucketUpperMicros).
 type metricsResponse struct {
 	UptimeSeconds float64                `json:"uptime_seconds" prom:"harvestd_uptime_seconds,gauge" help:"Seconds since the daemon started."`
 	TotalRequests uint64                 `json:"total_requests"`
@@ -1082,47 +1085,52 @@ type metricsResponse struct {
 	Binary        *BinaryStats           `json:"binary,omitempty"`
 	Replication   ReplicationStats       `json:"replication"`
 	Datacenters   map[string]ShardStats  `json:"datacenters" labels:"dc"`
+	// Role is the node's role as a number, under its one node id.
+	Role map[string]uint64 `json:"-" prom:"harvestd_replication_role,gauge" labels:"node" help:"1 when this node is the primary, 0 when a follower."`
+	bin  BinaryStats       // what Binary points at when the listener is attached
 }
 
 func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	resp := metricsResponse{
-		UptimeSeconds: time.Since(a.start).Seconds(),
-		Endpoints:     make(map[string]endpointRow, len(a.endpoints)),
-		Replication:   a.svc.ReplicationStats(),
-		Datacenters:   make(map[string]ShardStats, len(a.svc.Datacenters())),
+	resp, _ := a.scrapes.Get().(*metricsResponse)
+	if resp == nil {
+		resp = &metricsResponse{
+			Endpoints:   make(map[string]endpointRow, len(a.endpoints)),
+			Datacenters: make(map[string]ShardStats, len(a.svc.Datacenters())),
+			Role:        make(map[string]uint64, 1),
+		}
 	}
+	defer a.scrapes.Put(resp)
+	resp.UptimeSeconds = time.Since(a.start).Seconds()
+	resp.TotalRequests, resp.QPS, resp.Binary = 0, 0, nil
 	for name, m := range a.endpoints {
 		row := endpointRow{EndpointStats: m.Stats()}
 		resp.TotalRequests += row.Requests
 		resp.Endpoints[name] = row
 	}
 	if a.binary != nil {
-		bin := a.binary.Stats()
-		bin.Addr = a.binaryAddr
-		for _, row := range bin.Endpoints {
+		a.binary.readStats(&resp.bin)
+		resp.bin.Addr = a.binaryAddr
+		for _, row := range resp.bin.Endpoints {
 			resp.TotalRequests += row.Requests
 		}
-		resp.Binary = &bin
+		resp.Binary = &resp.bin
 	}
 	if resp.UptimeSeconds > 0 {
 		resp.QPS = float64(resp.TotalRequests) / resp.UptimeSeconds
 	}
+	a.svc.readReplicationStats(&resp.Replication)
 	for _, dc := range a.svc.Datacenters() {
-		if st, ok := a.svc.Stats(dc); ok {
+		// Filled through a copy, so the ledger's per-class slices it holds are
+		// reused; the map's entry is overwritten, never reinserted.
+		st := resp.Datacenters[dc]
+		if a.svc.readStats(dc, &st) {
 			resp.Datacenters[dc] = st
 		}
 	}
-	if r.URL.Query().Get("format") != "prometheus" {
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	var p obs.Prom
-	p.Walk(resp)
-	p.Metric("harvestd_replication_role", "gauge", "1 when this node is the primary, 0 when a follower.")
-	role := uint64(0)
+	clear(resp.Role)
+	resp.Role[resp.Replication.NodeID] = 0
 	if resp.Replication.Role == "primary" {
-		role = 1
+		resp.Role[resp.Replication.NodeID] = 1
 	}
-	p.Uint("harvestd_replication_role", obs.Labels("node", resp.Replication.NodeID), role)
-	p.Reply(w)
+	obs.WriteMetrics(w, resp, obs.PrometheusFormat(r))
 }

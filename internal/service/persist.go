@@ -16,6 +16,7 @@ import (
 
 	"harvest/internal/blockledger"
 	"harvest/internal/core"
+	"harvest/internal/httpjson"
 	"harvest/internal/ledger"
 	"harvest/internal/wire"
 )
@@ -416,9 +417,9 @@ func appendClass(dst []byte, rc *wire.ReplClass) ([]byte, error) {
 	dst = strconv.AppendUint(dst, uint64(rc.ID), 10)
 	dst = append(dst, `,"pattern":`...)
 	dst = strconv.AppendUint(dst, uint64(rc.Pattern), 10)
-	dst = appendJSONFloat(append(dst, `,"avg_utilization":`...), rc.Avg)
-	dst = appendJSONFloat(append(dst, `,"peak_utilization":`...), rc.Peak)
-	dst = appendJSONFloat(append(dst, `,"current_utilization":`...), rc.Current)
+	dst = httpjson.AppendFloat(append(dst, `,"avg_utilization":`...), rc.Avg)
+	dst = httpjson.AppendFloat(append(dst, `,"peak_utilization":`...), rc.Peak)
+	dst = httpjson.AppendFloat(append(dst, `,"current_utilization":`...), rc.Current)
 	dst = append(dst, `,"centroid":`...)
 	if rc.Centroid == nil {
 		dst = append(dst, "null"...)
@@ -428,7 +429,7 @@ func appendClass(dst []byte, rc *wire.ReplClass) ([]byte, error) {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendJSONFloat(dst, v)
+			dst = httpjson.AppendFloat(dst, v)
 		}
 		dst = append(dst, ']')
 	}
@@ -451,25 +452,6 @@ func appendJSONInts(dst []byte, vs []int64) []byte {
 		dst = strconv.AppendInt(dst, v, 10)
 	}
 	return append(dst, ']')
-}
-
-// appendJSONFloat appends a finite f as encoding/json writes a float64: the
-// shortest representation, in exponent form only below 1e-6 or from 1e21 on,
-// and a two-digit negative exponent shortened to one.
-func appendJSONFloat(dst []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		// e-09 becomes e-9
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst
 }
 
 // appendLease transcodes the lease record at r — AppendReplLease's fields, in
@@ -498,10 +480,10 @@ func appendLease(dst []byte, r *wire.Reader) []byte {
 	}
 	dst = append(dst, ']')
 	if len(jobID) > 0 {
-		dst = appendJSONString(append(dst, `,"job_id":`...), jobID)
+		dst = httpjson.AppendString(append(dst, `,"job_id":`...), jobID)
 	}
 	if len(owner) > 0 {
-		dst = appendJSONString(append(dst, `,"owner":`...), owner)
+		dst = httpjson.AppendString(append(dst, `,"owner":`...), owner)
 	}
 	return append(dst, '}')
 }
@@ -527,25 +509,6 @@ func appendBlock(dst []byte, r *wire.Reader) []byte {
 		}
 	}
 	return append(dst, `]}`...)
-}
-
-// appendJSONString appends s as a JSON string: the quote, the backslash and
-// control characters escaped, every other byte as it is (a decoder turns
-// invalid UTF-8 into U+FFFD, which is also what encoding/json writes for it).
-func appendJSONString(dst []byte, s []byte) []byte {
-	const hex = "0123456789abcdef"
-	dst = append(dst, '"')
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c == '"' || c == '\\':
-			dst = append(dst, '\\', c)
-		case c < 0x20:
-			dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
-		default:
-			dst = append(dst, c)
-		}
-	}
-	return append(dst, '"')
 }
 
 // restore reads one of the shard's files into v, reporting whether there is

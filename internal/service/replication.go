@@ -616,7 +616,17 @@ type ReplicationStats struct {
 
 // ReplicationStats reports the node's replication state.
 func (s *Service) ReplicationStats() ReplicationStats {
-	st := ReplicationStats{
+	var st ReplicationStats
+	s.readReplicationStats(&st)
+	return st
+}
+
+// readReplicationStats is ReplicationStats into st, reusing the storage of
+// the generations map it holds.
+func (s *Service) readReplicationStats(st *ReplicationStats) {
+	gens := st.AppliedGenerations
+	clear(gens)
+	*st = ReplicationStats{
 		Role:             s.Role(),
 		NodeID:           s.cfg.NodeID,
 		PrimaryID:        s.PrimaryID(),
@@ -637,10 +647,11 @@ func (s *Service) ReplicationStats() ReplicationStats {
 	for _, dc := range s.order {
 		sh := s.shards[dc]
 		if gen := sh.replGen.Load(); gen > 0 {
-			if st.AppliedGenerations == nil {
-				st.AppliedGenerations = make(map[string]uint64, len(s.order))
+			if gens == nil {
+				gens = make(map[string]uint64, len(s.order))
 			}
-			st.AppliedGenerations[dc] = gen
+			gens[dc] = gen
+			st.AppliedGenerations = gens
 		}
 		if at := sh.replAppliedAt.Load(); at > latest {
 			latest = at
@@ -649,5 +660,4 @@ func (s *Service) ReplicationStats() ReplicationStats {
 	if latest > 0 {
 		st.LastApplySeconds = time.Since(time.Unix(0, latest)).Seconds()
 	}
-	return st
 }

@@ -1019,16 +1019,25 @@ type ShardReplStats struct {
 // Stats reads one datacenter's counters, once, for both /metrics expositions.
 // Books that fail to balance are logged here, with the books.
 func (s *Service) Stats(dc string) (ShardStats, bool) {
+	var st ShardStats
+	ok := s.readStats(dc, &st)
+	return st, ok
+}
+
+// readStats is Stats into st, reusing the storage of the ledger's per-class
+// slices it holds.
+func (s *Service) readStats(dc string, st *ShardStats) bool {
 	sh, ok := s.shards[dc]
 	if !ok {
-		return ShardStats{}, false
+		return false
 	}
 	snap := sh.snap.Load()
 	servers := 0
 	for _, cls := range snap.Clustering.Classes {
 		servers += cls.NumServers()
 	}
-	st := ShardStats{
+	led := st.Ledger
+	*st = ShardStats{
 		Generation:           snap.Generation,
 		AgeSeconds:           snap.Age().Seconds(),
 		AsOfSeconds:          snap.AsOf.Seconds(),
@@ -1050,7 +1059,7 @@ func (s *Service) Stats(dc string) (ShardStats, bool) {
 		RefreshP99Us:         sh.refreshLatency.QuantileMicros(0.99),
 		RefreshMaxUs:         sh.refreshLatency.MaxMicros(),
 		RefreshLatency:       &sh.refreshLatency,
-		Ledger:               sh.led.Snapshot(),
+		Ledger:               led,
 		Blocks:               sh.blocks.Snapshot(),
 		// The scheme is shared across generations (it is a pure function of
 		// the population), so the relaxed counter accumulates per shard.
@@ -1071,6 +1080,7 @@ func (s *Service) Stats(dc string) (ShardStats, bool) {
 			Deleted:     sh.replDeleted.Load(),
 		},
 	}
+	sh.led.SnapshotInto(&st.Ledger)
 	if rst := sh.lastRecluster.Load(); rst != nil {
 		st.Recluster = *rst
 	}
@@ -1083,7 +1093,7 @@ func (s *Service) Stats(dc string) (ShardStats, bool) {
 	if st.Blocks.ConservationErrorSlots != 0 {
 		slogger.Error("block books do not balance", "dc", dc, "books", st.Blocks)
 	}
-	return st, true
+	return true
 }
 
 // scratch is one caller's reusable working memory for the data-plane
