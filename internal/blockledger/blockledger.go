@@ -109,7 +109,9 @@ type Ledger struct {
 
 // New creates an empty block ledger keyed to the given snapshot generation.
 func New(generation uint64) *Ledger {
-	l := &Ledger{store: striped.New(func(b *block) *uint64 { return &b.epoch })}
+	// Blocks accumulate, so a shard's storage grows in long steps: 256
+	// records, 24 kB.
+	l := &Ledger{store: striped.New(256, func(b *block) *uint64 { return &b.epoch })}
 	l.generation.Store(generation)
 	return l
 }
@@ -395,7 +397,7 @@ func (l *Ledger) rekeyBlock(b *block, site SiteOf, refs *[]Repair) int {
 }
 
 // Stats is the ledger's section of /metrics, in both expositions (see
-// obs.Prom.Walk for the tags). All counts are whole replicas, read with every
+// obs.WriteMetrics for the tags). All counts are whole replicas, read with every
 // shard lock held, so the durability invariants
 //
 //	placed + pending == replica_slots

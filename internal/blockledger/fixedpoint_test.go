@@ -56,7 +56,7 @@ func fullGridScheme(t *testing.T) *core.PlacementScheme {
 //
 // The grid has no empty cell and the relaxed-placement counter is required to
 // stay zero: whether an unchanged grid may keep a replica Algorithm 2 placed
-// relaxed is ROADMAP item 3's decision, and out of scope here.
+// relaxed is ROADMAP direction 1a's decision, and out of scope here.
 func TestRepairThenRekeyIsAFixedPoint(t *testing.T) {
 	for _, r := range []int{3, 4, 6} {
 		for seed := int64(1); seed <= 5; seed++ {

@@ -16,7 +16,7 @@ import (
 // how much of the full pipeline it was able to skip, and why.
 //
 // It is also the "recluster" section of the serving layer's /metrics, in both
-// expositions (see obs.Prom.Walk for the tags): the most recent warm refresh's
+// expositions (see obs.WriteMetrics for the tags): the most recent warm refresh's
 // work, all zeros until the first one (boot is a full build).
 type ReclusterStats struct {
 	// Tenants is the number of tenants examined.

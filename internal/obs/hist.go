@@ -155,7 +155,7 @@ func (m *EndpointMetrics) Observe(d time.Duration, status int) {
 // EndpointStats is one endpoint's (or opcode's, or backend's) row on
 // /metrics, the same shape on every tier. Latency is the histogram the
 // quantiles were read from, for the Prometheus exposition: each tier embeds
-// the row in a struct of its own that names its families (see Prom.Walk).
+// the row in a struct of its own that names its families (see WriteMetrics).
 type EndpointStats struct {
 	Requests uint64     `json:"requests"`
 	Errors   uint64     `json:"errors"`

@@ -14,12 +14,38 @@ import (
 )
 
 // WriteMetrics answers a /metrics scrape with stats, a pointer to a tagged
-// stats value: the Prometheus exposition Walk renders when prometheus is set,
-// else the JSON document, byte for byte what httpjson.Write sends for it.
-// Either goes out in one write with its Content-Length, rendered through the
-// type's plan into pooled buffers, so a scrape after the first allocates
-// nothing here. A float JSON cannot carry fails the scrape with a 500, as it
-// does through encoding/json.
+// stats value: the Prometheus exposition when prometheus is set, else the
+// JSON document, byte for byte what httpjson.Write sends for it. Either goes
+// out in one write with its Content-Length, rendered through the type's plan
+// into pooled buffers, so a scrape after the first allocates nothing here. A
+// float JSON cannot carry fails the scrape with a 500, as it does through
+// encoding/json.
+//
+// A metric is one struct field carrying, beside its json tag,
+//
+//	prom:"family,type[,option…]" help:"text" labels:"name[=value],…"
+//
+// Type is counter, gauge or histogram; help is the HELP line. Siblings that
+// share a family and differ by a constant label declare type and help on the
+// first and only the family on the rest. Options: omitzero drops a zero
+// value, seconds renders a histogram's bounds in seconds, and of=Field (on a
+// blank `_` field) reads the value from the named field of the same struct,
+// promoted ones included — how a tier puts its own family names on a shared
+// row it embeds. What a field renders follows from its Go type:
+//
+//   - integer, float64 or bool (0/1): one series;
+//   - *Histogram: the le bucket series with _sum and _count; nil renders none;
+//   - map[string]number: one series per key;
+//   - struct, *struct, map[string]struct: the fields inside, untagged ones
+//     descended into too; a nil pointer is a section that is absent.
+//
+// A slice, or a type with its own JSON or text form, is not a metric. In the
+// labels tag a bare name is the label that takes the map key, and name=value
+// is a constant; labels accumulate outermost first, in the order written. Map
+// keys render sorted. Every family reachable through non-nil pointers is
+// declared even when it has no series to show (an empty map declares its
+// element's families), so HELP/TYPE do not come and go with the data. The
+// tags are read once per type (plan.go).
 func WriteMetrics(w http.ResponseWriter, stats any, prometheus bool) {
 	r := renderers.Get().(*renderer)
 	defer renderers.Put(r)

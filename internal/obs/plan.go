@@ -12,8 +12,8 @@ import (
 )
 
 // A plan is what one stats type's tags say, read once per type: for each
-// struct, the fields encoding/json writes, in its order, and the fields Walk
-// visits. Both /metrics renderings walk a live value through it by field
+// struct, the fields encoding/json writes, in its order, and the fields the
+// Prometheus walk visits. Both /metrics renderings walk a live value through it by field
 // index, so a scrape parses no tag and boxes no value.
 type node struct {
 	kind nodeKind
@@ -62,8 +62,8 @@ type promLabel struct {
 	key         bool
 }
 
-// plans keeps every plan built, and numbers every family name a plan or a
-// Prom has met, so a scrape files a series by index.
+// plans keeps every plan built, and numbers every family name a plan has
+// met, so a scrape files a series by index.
 var plans = struct {
 	sync.Mutex
 	nodes    map[reflect.Type]*node

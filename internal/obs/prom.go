@@ -16,15 +16,13 @@ var promContentType = []string{PromContentType}
 // Prom accumulates Prometheus text exposition, one buffer per metric family:
 // a series lands in its family's buffer whenever it is written, and Bytes
 // prints the buffers in first-touched order, each under its one HELP/TYPE
-// header — so every family is one contiguous group however the caller
-// interleaves its writes. Walk (promwalk.go) fills it from a tagged stats
-// value; the series writers below are for the few lines no field can spell.
-// Its storage is kept across reset, so a reused Prom renders without
-// allocating.
+// header — so every family is one contiguous group however the walk
+// (promwalk.go) interleaves its writes. Its storage is kept across reset, so
+// a reused Prom renders without allocating.
 type Prom struct {
 	fams  []promFamily // by family number (see familyNumber)
 	order []int32      // family numbers, first touched first
-	lab   []byte       // the label set Walk is in, outermost first
+	lab   []byte       // the label set the walk is in, outermost first
 	out   []byte
 	maps  sorter
 }
@@ -54,14 +52,6 @@ func (f *promFamily) declare(typ, help string) {
 	}
 }
 
-// named is the family a series writer names.
-func (p *Prom) named(name string) *promFamily {
-	plans.Lock()
-	n := familyNumber(name)
-	plans.Unlock()
-	return p.touch(n, name)
-}
-
 // reset empties p for the next exposition, keeping its storage.
 func (p *Prom) reset() {
 	for _, n := range p.order {
@@ -70,22 +60,7 @@ func (p *Prom) reset() {
 	p.order, p.lab = p.order[:0], p.lab[:0]
 }
 
-// Metric declares a family's type ("counter", "gauge" or "histogram") and
-// help text. The first declaration stands; a family never declared prints
-// its series without a header.
-func (p *Prom) Metric(name, typ, help string) { p.named(name).declare(typ, help) }
-
-// Labels renders a label set from key/value pairs, escaping values. The
-// result (e.g. `dc="DC-9",op="select"`) is passed to the series writers; an
-// empty string means no labels.
-func Labels(kv ...string) string {
-	var b []byte
-	for i := 0; i+1 < len(kv); i += 2 {
-		b = appendLabel(b, kv[i], kv[i+1])
-	}
-	return string(b)
-}
-
+// appendLabel appends name="value" to a label set, escaping the value.
 func appendLabel(b []byte, name, value string) []byte {
 	if len(b) > 0 {
 		b = append(b, ',')
@@ -116,15 +91,6 @@ func (f *promFamily) key(suffix string, labels []byte) []byte {
 	return append(b, ' ')
 }
 
-// Uint writes one series with an unsigned integer value.
-func (p *Prom) Uint(name, labels string, v uint64) { p.named(name).number([]byte(labels), v) }
-
-// Int writes one series with a signed integer value.
-func (p *Prom) Int(name, labels string, v int64) { p.named(name).number([]byte(labels), v) }
-
-// Float writes one series with a float value.
-func (p *Prom) Float(name, labels string, v float64) { p.named(name).number([]byte(labels), v) }
-
 func (f *promFamily) number(labels []byte, v any) {
 	b := f.key("", labels)
 	switch v := v.(type) {
@@ -136,23 +102,6 @@ func (f *promFamily) number(labels []byte, v any) {
 		b = strconv.AppendFloat(b, v, 'g', -1, 64)
 	}
 	f.series = append(b, '\n')
-}
-
-// Histogram writes the full cumulative `le` bucket series plus _sum and
-// _count for one power-of-two latency histogram. Units are microseconds
-// (the histogram's native resolution): bucket i's inclusive upper bound is
-// 2^i - 1 µs, so the `le` bounds are exact for whole-microsecond samples —
-// every sample in buckets 0..i is ≤ le_i and every sample above is > le_i.
-// The le label goes after extraLabels (which may be "").
-func (p *Prom) Histogram(name, extraLabels string, h *Histogram) {
-	p.named(name).histogram([]byte(extraLabels), h, false)
-}
-
-// HistogramSeconds writes the same histogram with its bounds and sum in
-// seconds, for metrics named *_seconds. The bounds are the microsecond ones
-// divided by 1e6, so they are as exact as a float64 prints.
-func (p *Prom) HistogramSeconds(name, extraLabels string, h *Histogram) {
-	p.named(name).histogram([]byte(extraLabels), h, true)
 }
 
 // leBounds are the `le` label values, in microseconds and in seconds, with
@@ -167,6 +116,14 @@ var leBounds = func() (le [2][HistBuckets + 1]string) {
 	return le
 }()
 
+// histogram writes the full cumulative `le` bucket series plus _sum and
+// _count for one power-of-two latency histogram. Units are microseconds (the
+// histogram's native resolution): bucket i's inclusive upper bound is 2^i - 1
+// µs, so the `le` bounds are exact for whole-microsecond samples — every
+// sample in buckets 0..i is ≤ le_i and every sample above is > le_i. The le
+// label goes after labels. With seconds set, bounds and sum are in seconds,
+// for metrics named *_seconds: the microsecond bounds divided by 1e6, as
+// exact as a float64 prints.
 func (f *promFamily) histogram(labels []byte, h *Histogram, seconds bool) {
 	le := &leBounds[0]
 	if seconds {

@@ -2,11 +2,20 @@ package obs
 
 import (
 	"fmt"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 )
+
+// exposition is what WriteMetrics answers a Prometheus scrape of stats, a
+// pointer to a tagged stats value, with.
+func exposition(stats any) string {
+	w := httptest.NewRecorder()
+	WriteMetrics(w, stats, true)
+	return w.Body.String()
+}
 
 // TestPromHistogramGolden pins the exact `le` rendering of a histogram
 // family: cumulative buckets at the 2^i-1 integer-microsecond bounds, the
@@ -19,10 +28,9 @@ func TestPromHistogramGolden(t *testing.T) {
 	h.Observe(3 * time.Microsecond)   // bucket 2 (le="3")
 	h.Observe(100 * time.Microsecond) // bucket 7 (le="127")
 
-	var p Prom
-	p.Metric("m", "histogram", "help text")
-	p.Histogram("m", Labels("op", "select"), &h)
-	got := string(p.Bytes())
+	got := exposition(&struct {
+		M *Histogram `prom:"m,histogram" labels:"op=select" help:"help text"`
+	}{&h})
 
 	var want strings.Builder
 	want.WriteString("# HELP m help text\n# TYPE m histogram\n")
@@ -47,8 +55,9 @@ func TestPromHistogramGolden(t *testing.T) {
 
 	// The same histogram under a *_seconds name: bounds and sum divided by
 	// 1e6, counts untouched.
-	var ps Prom
-	ps.HistogramSeconds("s", "", &h)
+	secs := exposition(&struct {
+		S *Histogram `prom:"s,histogram,seconds" help:"Seconds."`
+	}{&h})
 	for _, line := range []string{
 		`s_bucket{le="0"} 0`,
 		`s_bucket{le="1e-06"} 1`,
@@ -59,8 +68,8 @@ func TestPromHistogramGolden(t *testing.T) {
 		`s_sum 0.000104`,
 		`s_count 3`,
 	} {
-		if !strings.Contains(string(ps.Bytes()), line+"\n") {
-			t.Fatalf("seconds rendering missing %q:\n%s", line, ps.Bytes())
+		if !strings.Contains(secs, line+"\n") {
+			t.Fatalf("seconds rendering missing %q:\n%s", line, secs)
 		}
 	}
 
@@ -88,11 +97,12 @@ func TestPromHistogramCumulative(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		h.Observe(time.Duration(i%977) * time.Microsecond)
 	}
-	var p Prom
-	p.Histogram("lat", "", &h)
 	var prev uint64
 	var infVal uint64
-	for _, line := range strings.Split(strings.TrimSpace(string(p.Bytes())), "\n") {
+	got := exposition(&struct {
+		Lat *Histogram `prom:"lat,histogram" help:"Latency."`
+	}{&h})
+	for _, line := range strings.Split(strings.TrimSpace(got), "\n") {
 		name, val, ok := strings.Cut(line, " ")
 		if !ok || !strings.HasPrefix(name, "lat_bucket") {
 			continue
@@ -112,24 +122,28 @@ func TestPromHistogramCumulative(t *testing.T) {
 	}
 }
 
+// TestPromLabelsEscaping pins how a label value is escaped, and that a series
+// with no labels has no braces.
 func TestPromLabelsEscaping(t *testing.T) {
-	got := Labels("dc", "a\"b\\c\nd", "op", "select")
-	want := `dc="a\"b\\c\nd",op="select"`
+	got := exposition(&struct {
+		Esc   map[string]uint64 `prom:"t_esc,gauge" labels:"dc,op=select" help:"Escaped."`
+		Plain uint64            `prom:"t_plain,gauge" help:"Plain."`
+	}{Esc: map[string]uint64{"a\"b\\c\nd": 1}, Plain: 2})
+	want := "# HELP t_esc Escaped.\n# TYPE t_esc gauge\n" + `t_esc{dc="a\"b\\c\nd",op="select"} 1` +
+		"\n# HELP t_plain Plain.\n# TYPE t_plain gauge\nt_plain 2\n"
 	if got != want {
-		t.Fatalf("Labels = %q, want %q", got, want)
-	}
-	if Labels() != "" {
-		t.Fatalf("Labels() should be empty")
+		t.Fatalf("label rendering:\ngot  %q\nwant %q", got, want)
 	}
 }
 
+// TestPromScalarSeries pins each number kind's form, and that a family no
+// field declares prints its series without a header.
 func TestPromScalarSeries(t *testing.T) {
-	var p Prom
-	p.Metric("up", "gauge", "Is it up.")
-	p.Uint("up", "", 1)
-	p.Int("delta", Labels("dc", "DC-9"), -4)
-	p.Float("ratio", "", 0.25)
-	got := string(p.Bytes())
+	got := exposition(&struct {
+		Up    uint64  `prom:"up,gauge" help:"Is it up."`
+		Delta int64   `prom:"delta" labels:"dc=DC-9"`
+		Ratio float64 `prom:"ratio"`
+	}{1, -4, 0.25})
 	want := "# HELP up Is it up.\n# TYPE up gauge\nup 1\ndelta{dc=\"DC-9\"} -4\nratio 0.25\n"
 	if got != want {
 		t.Fatalf("scalar rendering:\ngot  %q\nwant %q", got, want)
@@ -166,14 +180,14 @@ func TestPromWalk(t *testing.T) {
 		Shards  map[string]shard  `labels:"dc"`
 		Empty   map[string]section
 		Raw     map[string][]byte // not a metric; must be walked past
+		Role    map[string]uint64 `prom:"t_role,gauge" labels:"node" help:"Role."`
 	}
 	var m EndpointMetrics
 	m.Observe(3*time.Microsecond, 200)
 	var build Histogram
 	build.Observe(time.Microsecond)
 
-	var p Prom
-	p.Walk(stats{
+	got := exposition(&stats{
 		Up:      1.5,
 		Rows:    map[string]row{"select": {EndpointStats: m.Stats()}, "place": {}},
 		Present: &section{Open: true},
@@ -181,15 +195,14 @@ func TestPromWalk(t *testing.T) {
 			"DC-9": {Gen: 7, Drift: 0.25, In: 1, Out: 2, Build: &build},
 			"DC-3": {Gen: 4},
 		},
-		Raw: map[string][]byte{"x": []byte("{}")},
+		Raw:  map[string][]byte{"x": []byte("{}")},
+		Role: map[string]uint64{`a"b`: 1},
 	})
-	p.Metric("t_role", "gauge", "Role.")
-	p.Uint("t_role", Labels("node", `a"b`), 1)
 
-	var got []string
-	for _, line := range strings.Split(strings.TrimSpace(string(p.Bytes())), "\n") {
+	var lines []string
+	for _, line := range strings.Split(strings.TrimSpace(got), "\n") {
 		if !strings.Contains(line, "_bucket{") {
-			got = append(got, line)
+			lines = append(lines, line)
 		}
 	}
 	want := []string{
@@ -211,10 +224,10 @@ func TestPromWalk(t *testing.T) {
 		`t_build_seconds_sum{dc="DC-9"} 1e-06`, `t_build_seconds_count{dc="DC-9"} 1`,
 		"# HELP t_role Role.", "# TYPE t_role gauge", `t_role{node="a\"b"} 1`,
 	}
-	if strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Fatalf("walk rendered:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	if strings.Join(lines, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("walk rendered:\n%s\nwant:\n%s", strings.Join(lines, "\n"), strings.Join(want, "\n"))
 	}
-	if n := strings.Count(string(p.Bytes()), "t_build_seconds_bucket{"); n != HistBuckets+1 {
+	if n := strings.Count(got, "t_build_seconds_bucket{"); n != HistBuckets+1 {
 		t.Fatalf("%d build buckets, want %d", n, HistBuckets+1)
 	}
 }

@@ -997,7 +997,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // BackendStats is one backend's row in /metrics, in both expositions (see
-// obs.Prom.Walk for the tags).
+// obs.WriteMetrics for the tags).
 type BackendStats struct {
 	URL           string `json:"url"`
 	BinaryAddr    string `json:"binary_addr,omitempty"`
@@ -1023,7 +1023,7 @@ type BackendStats struct {
 }
 
 // backendLatency and opRow are the fleet's shared /metrics row under the
-// router's two sets of family names (see obs.Prom.Walk on blank fields).
+// router's two sets of family names (see obs.WriteMetrics on blank fields).
 type backendLatency struct {
 	obs.EndpointStats
 	_ struct{} `prom:"harvestrouter_backend_latency_microseconds,histogram,of=Latency" help:"Backend request latency as observed from the router, in microseconds."`

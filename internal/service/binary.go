@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"harvest/internal/obs"
-	"harvest/internal/tenant"
 	"harvest/internal/wire"
 )
 
@@ -26,13 +25,13 @@ const (
 )
 
 // BinaryServer serves the wire package's binary frame dialect of the query
-// API: the same select/release/place/classes/server-class semantics as the
-// JSON handlers in http.go, minus net/http and encoding/json. Each accepted
-// connection gets one goroutine running a read–dispatch–write loop straight
-// against the service's snapshot/ledger fast paths: frames arrive through
-// wire.ReadRawFrame and responses leave through the batchConn the JSON port
-// accepts with, so a pipelining client costs roughly one syscall pair per
-// batch rather than per request.
+// API: the same operations (ops.go) as the JSON dialect in http.go, minus
+// net/http and encoding/json. Each accepted connection gets one goroutine
+// running a read–dispatch–write loop straight against the service's
+// snapshot/ledger fast paths: frames arrive through wire.ReadRawFrame and
+// responses leave through the batchConn the JSON port accepts with, so a
+// pipelining client costs roughly one syscall pair per batch rather than per
+// request.
 //
 // The dispatch loop distinguishes two failure classes: a well-framed request
 // the service rejects (unknown datacenter, bad parameters) answers with an
@@ -151,7 +150,7 @@ func (b *BinaryServer) dispatch(sc *scratch, out []byte, h wire.Header, payload 
 	if info.Bearer && b.ingestGated.Load() {
 		rej = reject(http.StatusUnauthorized, info.Name+" requires the ingest bearer; use the JSON endpoint")
 	} else {
-		out, rej = b.serve(sc, out, h, payload, dc, tr)
+		out, rej = binaryOps[i](b.svc, sc, i, out, h.ID, payload, dc, tr)
 	}
 	status := http.StatusOK
 	if rej != nil {
@@ -166,153 +165,72 @@ func (b *BinaryServer) dispatch(sc *scratch, out []byte, h wire.Header, payload 
 // badPayload answers a frame whose payload is not its opcode's message.
 var badPayload = &rejection{Status: http.StatusBadRequest, Message: "bad request payload"}
 
-// serve is the binary codec of each operation: payload → arguments, result →
-// the operation's response message, appended as a frame by internal/wire's
-// encoder for it. The slices a message carries are the connection scratch's,
-// reused from one request to the next.
-func (b *BinaryServer) serve(sc *scratch, out []byte, h wire.Header, payload []byte, dc string, tr *obs.Trace) ([]byte, *rejection) {
-	re := &sc.reply
-	switch h.Op {
-	case wire.OpSelect:
+// binaryOp is one operation's binary codec: its frame's payload in, its
+// response frame appended to out. i is the operation's row in wire.Ops.
+type binaryOp func(s *Service, sc *scratch, i int, out []byte, id uint64, payload []byte, dc string, tr *obs.Trace) ([]byte, *rejection)
+
+// binaryRow is the binary codec of op: args decodes the payload into the
+// operation's arguments, and enc appends the reply op filled, both kept in the
+// connection's scratch so a request costs no garbage.
+func binaryRow[Q, P any](op func(*Service, *scratch, string, *Q, *P, *obs.Trace) *rejection,
+	enc func([]byte, uint64, *P) []byte, args func(q *Q, payload []byte) error) binaryOp {
+	return func(s *Service, sc *scratch, i int, out []byte, id uint64, payload []byte, dc string, tr *obs.Trace) ([]byte, *rejection) {
+		io := slot[opIO[Q, P]](sc, i)
+		if args(&io.q, payload) != nil {
+			return out, badPayload
+		}
+		if rej := op(s, sc, dc, &io.q, &io.p, tr); rej != nil {
+			return out, rej
+		}
+		return enc(out, id, &io.p), nil
+	}
+}
+
+// binaryOps is the binary dialect of the data plane, indexed like wire.Ops:
+// each frame converted to the operation's JSON request struct (milliseconds to
+// seconds, flag bits to bools, a job code to its name).
+var binaryOps = opTable(map[wire.Op]binaryOp{
+	wire.OpSelect: binaryRow((*Service).opSelect, wire.AppendSelectResp, func(q *selectRequest, in []byte) error {
 		var m wire.SelectReq
-		if m.Decode(payload) != nil {
-			return out, badPayload
-		}
-		res, rej := b.svc.opSelect(sc, dc, selectArgs{
-			Job:            m.Job,
-			DryRun:         m.Flags&wire.SelectFlagDryRun != 0,
-			MaxCores:       m.MaxCores,
-			LastRunSeconds: m.LastRunSeconds,
-			HoldSeconds:    float64(m.HoldMillis) / 1000,
-		}, tr)
-		if rej != nil {
-			return out, rej
-		}
-		re.selectGrants = re.selectGrants[:0]
-		for i, cls := range res.Selection.Classes {
-			g := wire.SelectGrant{Class: uint32(cls), Headroom: res.Selection.Headrooms[i]}
-			if i < len(res.Granted) { // a dry run grants nothing
-				g.Granted = res.Granted[i]
-			}
-			re.selectGrants = append(re.selectGrants, g)
-		}
-		return wire.AppendSelectResp(out, h.ID, &wire.SelectResp{
-			Generation:  res.At.Generation,
-			Lease:       res.Lease,
-			ExpiresIn:   secondsUntil(res.ExpiresAt),
-			Job:         uint8(res.JobType),
-			Satisfiable: !res.Selection.Empty(),
-			Classes:     re.selectGrants,
-		}), nil
-	case wire.OpRelease:
+		err := m.Decode(in)
+		*q = selectRequest{JobType: jobName(m.Job), LastRunSeconds: m.LastRunSeconds, MaxConcurrentCores: m.MaxCores,
+			HoldSeconds: float64(m.HoldMillis) / 1000, DryRun: m.Flags&wire.SelectFlagDryRun != 0}
+		return err
+	}),
+	wire.OpRelease: binaryRow((*Service).opRelease, wire.AppendReleaseResp, func(q *leaseRequest, in []byte) error {
 		var m wire.ReleaseReq
-		if m.Decode(payload) != nil {
-			return out, badPayload
-		}
-		lease, rej := b.svc.opRelease(sc, dc, m.Lease)
-		if rej != nil {
-			return out, rej
-		}
-		re.releaseGrants = re.releaseGrants[:0]
-		for _, g := range lease.Grants {
-			re.releaseGrants = append(re.releaseGrants, wire.ReleaseGrant(g))
-		}
-		return wire.AppendReleaseResp(out, h.ID, &wire.ReleaseResp{Lease: lease.ID, TotalMillis: lease.TotalMillis(), Grants: re.releaseGrants}), nil
-	case wire.OpRenew:
+		err := m.Decode(in)
+		*q = leaseRequest{Lease: m.Lease}
+		return err
+	}),
+	wire.OpRenew: binaryRow((*Service).opRenew, wire.AppendRenewResp, func(q *leaseRequest, in []byte) error {
 		var m wire.RenewReq
-		if m.Decode(payload) != nil {
-			return out, badPayload
-		}
-		lease, rej := b.svc.opRenew(sc, dc, m.Lease, float64(m.HoldMillis)/1000)
-		if rej != nil {
-			return out, rej
-		}
-		return wire.AppendRenewResp(out, h.ID, &wire.RenewResp{Lease: lease.ID, TotalMillis: lease.TotalMillis(), ExpiresIn: secondsUntil(lease.ExpiresAt)}), nil
-	case wire.OpPlace:
+		err := m.Decode(in)
+		*q = leaseRequest{Lease: m.Lease, HoldSeconds: float64(m.HoldMillis) / 1000}
+		return err
+	}),
+	wire.OpPlace: binaryRow((*Service).opPlace, wire.AppendPlaceResp, func(q *placeRequest, in []byte) error {
 		var m wire.PlaceReq
-		if m.Decode(payload) != nil {
-			return out, badPayload
-		}
-		placed, rej := b.svc.opPlace(sc, dc, int(m.Replication), m.Writer, m.Flags&wire.PlaceFlagRelaxed != 0)
-		if rej != nil {
-			return out, rej
-		}
-		return wire.AppendPlaceResp(out, h.ID, &wire.PlaceResp{Generation: placed.Generation, Replicas: re.serverIDs(placed.Replicas)}), nil
-	case wire.OpPlaceBlock:
+		err := m.Decode(in)
+		*q = placeRequest{Replication: int(m.Replication), Writer: m.Writer, RelaxedEnvironment: m.Flags&wire.PlaceFlagRelaxed != 0}
+		return err
+	}),
+	wire.OpPlaceBlock: binaryRow((*Service).opPlaceBlock, wire.AppendPlaceBlockResp, func(q *placeRequest, in []byte) error {
 		var m wire.PlaceBlockReq
-		if m.Decode(payload) != nil {
-			return out, badPayload
-		}
-		placed, rej := b.svc.opPlaceBlock(sc, dc, int(m.Replication), m.Writer, m.Flags&wire.PlaceFlagRelaxed != 0)
-		if rej != nil {
-			return out, rej
-		}
-		return wire.AppendPlaceBlockResp(out, h.ID, &wire.PlaceBlockResp{Generation: placed.Generation, Block: placed.Block, Replicas: re.serverIDs(placed.Replicas)}), nil
-	case wire.OpReimage:
+		err := m.Decode(in)
+		*q = placeRequest{Replication: int(m.Replication), Writer: m.Writer, RelaxedEnvironment: m.Flags&wire.PlaceFlagRelaxed != 0}
+		return err
+	}),
+	wire.OpReimage: binaryRow((*Service).opReimage, wire.AppendReimageResp, func(q *reimageRequest, in []byte) error {
 		var m wire.ReimageReq
-		if m.Decode(payload) != nil {
-			return out, badPayload
-		}
-		lost, pending, rej := b.svc.opReimage(dc, m.Server)
-		if rej != nil {
-			return out, rej
-		}
-		return wire.AppendReimageResp(out, h.ID, &wire.ReimageResp{Server: m.Server, Lost: uint32(lost), Pending: uint32(pending)}), nil
-	case wire.OpClasses:
-		var m wire.ClassesReq
-		if m.Decode(payload) != nil {
-			return out, badPayload
-		}
-		v, rej := b.svc.opClasses(dc)
-		if rej != nil {
-			return out, rej
-		}
-		re.classes = re.classes[:0]
-		for _, cls := range v.snap.Clustering.Classes {
-			re.classes = append(re.classes, v.rec(cls))
-		}
-		return wire.AppendClassesResp(out, h.ID, &wire.ClassesResp{Generation: v.snap.Generation, AsOfSeconds: v.snap.AsOf.Seconds(), Classes: re.classes}), nil
-	case wire.OpServerClass:
-		var m wire.ServerClassReq
-		if m.Decode(payload) != nil {
-			return out, badPayload
-		}
-		snap, rec, rej := b.svc.opServerClass(dc, m.Server)
-		if rej != nil {
-			return out, rej
-		}
-		return wire.AppendServerClassResp(out, h.ID, &wire.ServerClassResp{Generation: snap.Generation, Server: m.Server, Class: rec}), nil
-	default:
-		panic("service: request opcode " + h.Op.String() + " has no binary codec")
-	}
-}
-
-// replyScratch is the slices a binary response message carries, kept with the
-// connection's scratch so a reply costs no garbage.
-type replyScratch struct {
-	selectGrants  []wire.SelectGrant
-	releaseGrants []wire.ReleaseGrant
-	servers       []int64
-	classes       []wire.ClassRec
-}
-
-// serverIDs is the wire form of a placement's replica servers.
-func (re *replyScratch) serverIDs(servers []tenant.ServerID) []int64 {
-	re.servers = re.servers[:0]
-	for _, s := range servers {
-		re.servers = append(re.servers, int64(s))
-	}
-	return re.servers
-}
-
-// secondsUntil is the wire form of an expiry: seconds from now, 0 for a lease
-// that never expires.
-func secondsUntil(t time.Time) float64 {
-	if t.IsZero() {
-		return 0
-	}
-	return time.Until(t).Seconds()
-}
+		err := m.Decode(in)
+		q.server = m.Server
+		q.Server = &q.server
+		return err
+	}),
+	wire.OpClasses:     binaryRow((*Service).opClasses, wire.AppendClassesResp, (*wire.ClassesReq).Decode),
+	wire.OpServerClass: binaryRow((*Service).opServerClass, wire.AppendServerClassResp, (*wire.ServerClassReq).Decode),
+})
 
 // BinaryStats is the binary listener's section of /metrics, in both
 // expositions: connection accounting plus the same per-endpoint rows as the

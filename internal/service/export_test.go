@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"sync"
 	"time"
@@ -92,6 +93,13 @@ func (a *Announcer) Announce() error { return a.announce() }
 func (b *BinaryServer) Dispatcher() func(out []byte, h wire.Header, payload []byte) []byte {
 	sc := new(scratch)
 	return func(out []byte, h wire.Header, payload []byte) []byte { return b.dispatch(sc, out, h, payload) }
+}
+
+// ReseedDraws starts the next request's selection and placement draws from a
+// generator seeded with seed, so two services booted alike draw alike. Call it
+// only while no request is in flight.
+func (s *Service) ReseedDraws(seed int64) {
+	s.rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(seed)) }}
 }
 
 // FreshRequestStates empties the pool of the JSON API's per-request states, so

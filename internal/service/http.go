@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"harvest/internal/core"
 	"harvest/internal/httpjson"
 	"harvest/internal/ledger"
 	"harvest/internal/obs"
@@ -151,22 +152,9 @@ func NewAPIWith(svc *Service, opts APIOptions) *API {
 	a.mux.HandleFunc("GET /v1/datacenters", a.instrument("datacenters", a.handleDatacenters))
 	// The data plane: one route per row of the op table, served by the row's
 	// JSON codec.
-	codecs := map[wire.Op]http.HandlerFunc{
-		wire.OpSelect:      a.handleSelect,
-		wire.OpRelease:     a.handleRelease,
-		wire.OpRenew:       a.handleRenew,
-		wire.OpPlace:       a.handlePlacement(a.svc.opPlace),
-		wire.OpPlaceBlock:  a.handlePlacement(a.svc.opPlaceBlock),
-		wire.OpReimage:     a.handleReimage,
-		wire.OpClasses:     a.handleClasses,
-		wire.OpServerClass: a.handleServerClass,
-	}
 	for i := range wire.Ops {
 		info := &wire.Ops[i]
-		h := codecs[info.Op]
-		if h == nil {
-			panic("service: request opcode " + info.Name + " has no JSON codec")
-		}
+		h := jsonOps[i](a, i)
 		if info.Bearer {
 			h = a.ingestGated(h)
 		}
@@ -197,30 +185,18 @@ func (a *API) ServeHTTP(w http.ResponseWriter, r *http.Request) { a.mux.ServeHTT
 
 // statusWriter is a request's pooled state: it captures the response status
 // for instrumentation and carries what the codecs borrow for the length of the
-// request — the trace, the body's bytes, the decoded telemetry samples, the
-// operations' scratch, and the reply.
+// request — the trace, the body's bytes, the decoded telemetry samples, and
+// the operations' scratch, which keeps each one's arguments, frame reply and
+// JSON reply. A reply is built in place, so its lists reuse the state's
+// storage and httpjson.Write is handed a pointer rather than a boxed copy.
 type statusWriter struct {
 	http.ResponseWriter
-	status  int
-	tr      *obs.Trace
-	body    bytes.Buffer
-	samples []IngestSample
-	sc      scratch
-	reply   jsonReplies
-}
-
-// jsonReplies holds one of each data-plane reply. A handler builds its reply
-// in place, so the reply's lists reuse the state's storage and httpjson.Write
-// is handed a pointer rather than a boxed copy.
-type jsonReplies struct {
-	sel       selectResponse
-	release   releaseResponse
-	renew     renewResponse
-	place     placeResponse
-	classes   classesResponse
-	server    serverClassResponse
+	status    int
+	tr        *obs.Trace
+	body      bytes.Buffer
+	samples   []IngestSample
+	sc        scratch
 	telemetry telemetryResponse
-	reimage   reimageResponse
 }
 
 // emptied returns s at length zero with its storage kept. It is never nil, so
@@ -372,49 +348,96 @@ func (a *API) fromTrustedProxy(remoteAddr string) bool {
 // the pooled buffers without bound.
 const maxBodyBytes = 1 << 20
 
-// readBody reads a request body into the request's pooled state, answering
-// 400 itself when it cannot. The bytes are the state's until the handler
-// returns. net/http already bounds a body whose length it was told, so only
-// a body of unknown length (or zero, what a hand-built request with an
-// unsized reader carries), or one declared too large, is read through
-// MaxBytesReader.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+// readBody reads a request body into the request's pooled state st. The
+// bytes are the state's until the handler returns. net/http already bounds a
+// body whose length it was told, so only a body of unknown length (or zero,
+// what a hand-built request with an unsized reader carries), or one declared
+// too large, is read through MaxBytesReader.
+func readBody(st *statusWriter, r *http.Request) ([]byte, *rejection) {
 	body := r.Body
 	if r.ContentLength <= 0 || r.ContentLength > maxBodyBytes {
-		body = http.MaxBytesReader(w, body, maxBodyBytes)
+		body = http.MaxBytesReader(st, body, maxBodyBytes)
 	}
-	buf := &stateOf(w).body
-	buf.Reset()
-	if _, err := buf.ReadFrom(body); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return nil, false
+	st.body.Reset()
+	if _, err := st.body.ReadFrom(body); err != nil {
+		return nil, reject(http.StatusBadRequest, "bad request body: "+err.Error())
 	}
-	return buf.Bytes(), true
+	return st.body.Bytes(), nil
 }
 
-// unmarshalBody decodes body into v with encoding/json, answering 400 itself
-// when it cannot.
-func unmarshalBody(w http.ResponseWriter, body []byte, v any) bool {
+// unmarshalBody decodes body into v with encoding/json.
+func unmarshalBody(body []byte, v any) *rejection {
 	if err := json.Unmarshal(body, v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return false
+		return reject(http.StatusBadRequest, "bad request body: "+err.Error())
 	}
-	return true
+	return nil
 }
 
-// decode reads a request body and decodes it with scan or, when scan declines,
-// with encoding/json into a copy of init, answering 400 itself when it cannot.
-func decode[T any](w http.ResponseWriter, r *http.Request, scan func([]byte) (T, bool), init T) (T, bool) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return init, false
-	}
-	if v, ok := scan(body); ok {
-		return v, true
-	}
-	v := init
-	return v, unmarshalBody(w, body, &v)
+// jsonOp is one operation's JSON codec: it makes the handler of the
+// operation in row i of wire.Ops.
+type jsonOp func(a *API, i int) http.HandlerFunc
+
+// jsonIO is an operation's arguments, frame reply and JSON reply in a
+// request's pooled state.
+type jsonIO[Q, P, R any] struct {
+	opIO[Q, P]
+	r R
 }
+
+// jsonRow is the JSON codec of op: args reads the request into the
+// operation's arguments, and render turns the frame reply op filled into the
+// JSON reply, all three kept in the request's pooled state.
+func jsonRow[Q, P, R any](args func(st *statusWriter, r *http.Request, q *Q) *rejection,
+	op func(*Service, *scratch, string, *Q, *P, *obs.Trace) *rejection, render func(r *R, dc string, p *P)) jsonOp {
+	return func(a *API, i int) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			st, dc := stateOf(w), r.PathValue("dc")
+			io := slot[jsonIO[Q, P, R]](&st.sc, i)
+			rej := args(st, r, &io.q)
+			if rej == nil {
+				rej = op(a.svc, &st.sc, dc, &io.q, &io.p, st.tr)
+			}
+			if rej != nil {
+				writeError(w, rej.Status, rej.Message)
+				return
+			}
+			render(&io.r, dc, &io.p)
+			writeJSON(w, http.StatusOK, &io.r)
+		}
+	}
+}
+
+// jsonOps is the JSON dialect of the data plane, indexed like wire.Ops.
+var jsonOps = opTable(map[wire.Op]jsonOp{
+	wire.OpSelect:      jsonRow(bodyOf(scanSelect, selectRequest{}), (*Service).opSelect, (*selectResponse).render),
+	wire.OpRelease:     jsonRow(bodyOf(scanLease, leaseRequest{}), (*Service).opRelease, (*releaseResponse).render),
+	wire.OpRenew:       jsonRow(bodyOf(scanLease, leaseRequest{}), (*Service).opRenew, (*renewResponse).render),
+	wire.OpPlace:       jsonRow(bodyOf(scanPlace, placeRequest{Writer: -1}), (*Service).opPlace, (*placeResponse).renderPlace),
+	wire.OpPlaceBlock:  jsonRow(bodyOf(scanPlace, placeRequest{Writer: -1}), (*Service).opPlaceBlock, (*placeResponse).renderBlock),
+	wire.OpReimage:     jsonRow(reimageArgs, (*Service).opReimage, (*reimageResponse).render),
+	wire.OpClasses:     jsonRow(noArgs[wire.ClassesReq], (*Service).opClasses, (*classesResponse).render),
+	wire.OpServerClass: jsonRow(serverInPath, (*Service).opServerClass, (*serverClassResponse).render),
+})
+
+// bodyOf reads an operation's arguments from its body: through scan, or when
+// scan declines, through encoding/json over init.
+func bodyOf[Q any](scan func([]byte) (Q, bool), init Q) func(*statusWriter, *http.Request, *Q) *rejection {
+	return func(st *statusWriter, r *http.Request, q *Q) *rejection {
+		body, rej := readBody(st, r)
+		if rej != nil {
+			return rej
+		}
+		var ok bool
+		if *q, ok = scan(body); ok {
+			return nil
+		}
+		*q = init
+		return unmarshalBody(body, q)
+	}
+}
+
+// noArgs is the arguments of an operation its route alone names.
+func noArgs[Q any](*statusWriter, *http.Request, *Q) *rejection { return nil }
 
 // writeJSON and writeError are the serving tier's shared response
 // convention — pre-serialized, explicit Content-Length, never chunked, so
@@ -477,23 +500,11 @@ type classesResponse struct {
 	Classes     []classInfo `json:"classes"`
 }
 
-func (a *API) handleClasses(w http.ResponseWriter, r *http.Request) {
-	v, rej := a.svc.opClasses(r.PathValue("dc"))
-	if rej != nil {
-		writeError(w, rej.Status, rej.Message)
-		return
+func (r *classesResponse) render(dc string, p *wire.ClassesResp) {
+	*r = classesResponse{Datacenter: dc, Generation: p.Generation, AsOfSeconds: p.AsOfSeconds, Classes: emptied(r.Classes)}
+	for _, rec := range p.Classes {
+		r.Classes = append(r.Classes, classInfoOf(rec))
 	}
-	resp := &stateOf(w).reply.classes
-	*resp = classesResponse{
-		Datacenter:  v.snap.Datacenter,
-		Generation:  v.snap.Generation,
-		AsOfSeconds: v.snap.AsOf.Seconds(),
-		Classes:     emptied(resp.Classes),
-	}
-	for _, cls := range v.snap.Clustering.Classes {
-		resp.Classes = append(resp.Classes, classInfoOf(v.rec(cls)))
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 type serverClassResponse struct {
@@ -503,25 +514,18 @@ type serverClassResponse struct {
 	Class      classInfo `json:"class"`
 }
 
-func (a *API) handleServerClass(w http.ResponseWriter, r *http.Request) {
+// serverInPath reads server class's argument, the server id in its path.
+func serverInPath(_ *statusWriter, r *http.Request, q *wire.ServerClassReq) *rejection {
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "server id must be an integer")
-		return
+		return reject(http.StatusBadRequest, "server id must be an integer")
 	}
-	snap, rec, rej := a.svc.opServerClass(r.PathValue("dc"), id)
-	if rej != nil {
-		writeError(w, rej.Status, rej.Message)
-		return
-	}
-	resp := &stateOf(w).reply.server
-	*resp = serverClassResponse{
-		Datacenter: snap.Datacenter,
-		Generation: snap.Generation,
-		Server:     id,
-		Class:      classInfoOf(rec),
-	}
-	writeJSON(w, http.StatusOK, resp)
+	q.Server = id
+	return nil
+}
+
+func (r *serverClassResponse) render(dc string, p *wire.ServerClassResp) {
+	*r = serverClassResponse{Datacenter: dc, Generation: p.Generation, Server: p.Server, Class: classInfoOf(p.Class)}
 }
 
 // telemetrySample is the wire form of one ingested observation, as
@@ -621,16 +625,17 @@ func (a *API) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusTooManyRequests, "ingest rate limit exceeded for this source")
 		return
 	}
-	dc := r.PathValue("dc")
-	body, ok := readBody(w, r)
-	if !ok {
+	dc, st := r.PathValue("dc"), stateOf(w)
+	body, rej := readBody(st, r)
+	if rej != nil {
+		writeError(w, rej.Status, rej.Message)
 		return
 	}
-	st := stateOf(w)
 	samples, ok := scanTelemetry(body, st.samples[:0])
 	if !ok {
 		var req telemetryRequest
-		if !unmarshalBody(w, body, &req) {
+		if rej := unmarshalBody(body, &req); rej != nil {
+			writeError(w, rej.Status, rej.Message)
 			return
 		}
 		samples = samples[:0]
@@ -649,7 +654,7 @@ func (a *API) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 		writeError(w, rej.Status, rej.Message)
 		return
 	}
-	resp := &st.reply.telemetry
+	resp := &st.telemetry
 	*resp = telemetryResponse{
 		Datacenter:     dc,
 		Accepted:       res.Accepted,
@@ -659,9 +664,10 @@ func (a *API) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// selectRequest is the JSON form of selectArgs. job_type is "short", "medium"
-// or "long"; absent, the job is classified from last_run_seconds, and with
-// that absent too it is medium (the first-guess rule).
+// selectRequest is select's arguments. job_type is "short", "medium" or
+// "long"; absent, the job is classified from last_run_seconds, and with that
+// absent too it is medium (the first-guess rule). A reserved lease holds its
+// cores for hold_seconds (0 = the server default).
 type selectRequest struct {
 	JobType            string  `json:"job_type"`
 	LastRunSeconds     float64 `json:"last_run_seconds"`
@@ -670,7 +676,8 @@ type selectRequest struct {
 	DryRun             bool    `json:"dry_run"`
 	// JobID and Owner ride on the lease through the ledger and surface on
 	// GET /v1/{dc}/leases and /debug/traces, answering "whose lease is this"
-	// without a side channel.
+	// without a side channel. They never influence selection, and only the
+	// JSON dialect has fields for them.
 	JobID string `json:"job_id,omitempty"`
 	Owner string `json:"owner,omitempty"`
 }
@@ -680,6 +687,7 @@ var jobTypes = [...]string{wire.JobShort: "short", wire.JobMedium: "medium", wir
 
 // jobCode maps job_type to its wire.Job* code: absent, the job is classified
 // from its last run, and a name jobTypes lacks is rejected by the operation.
+// jobName is the inverse.
 func jobCode(name string) uint8 {
 	if name == "" {
 		return wire.JobFromLastRun
@@ -690,6 +698,16 @@ func jobCode(name string) uint8 {
 		}
 	}
 	return math.MaxUint8
+}
+
+func jobName(code uint8) string {
+	switch {
+	case int(code) < len(jobTypes):
+		return jobTypes[code]
+	case code == wire.JobFromLastRun:
+		return ""
+	}
+	return "unknown"
 }
 
 // scanSelect decodes a select body the scanner accepts; false means it
@@ -730,54 +748,26 @@ type selectResponse struct {
 	ExpiresInSeconds float64   `json:"expires_in_seconds,omitempty"`
 }
 
-func (a *API) handleSelect(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode(w, r, scanSelect, selectRequest{})
-	if !ok {
-		return
+// render splits the frame's grants into the parallel columns JSON reports;
+// granted only when a lease holds them.
+func (r *selectResponse) render(dc string, p *wire.SelectResp) {
+	*r = selectResponse{
+		Datacenter:       dc,
+		Generation:       p.Generation,
+		JobType:          core.JobType(p.Job).String(),
+		Satisfiable:      p.Satisfiable,
+		Classes:          emptied(r.Classes),
+		Headrooms:        emptied(r.Headrooms),
+		Lease:            p.Lease,
+		Granted:          r.Granted[:0],
+		ExpiresInSeconds: p.ExpiresIn,
 	}
-	st := stateOf(w)
-	res, rej := a.svc.opSelect(&st.sc, r.PathValue("dc"), selectArgs{
-		Job:            jobCode(req.JobType),
-		DryRun:         req.DryRun,
-		MaxCores:       req.MaxConcurrentCores,
-		LastRunSeconds: req.LastRunSeconds,
-		HoldSeconds:    req.HoldSeconds,
-		Meta:           ledger.Meta{JobID: req.JobID, Owner: req.Owner},
-	}, st.tr)
-	if rej != nil {
-		writeError(w, rej.Status, rej.Message)
-		return
+	for _, g := range p.Classes {
+		r.Classes, r.Headrooms = append(r.Classes, int(g.Class)), append(r.Headrooms, g.Headroom)
+		if p.Lease != 0 {
+			r.Granted = append(r.Granted, g.Granted)
+		}
 	}
-	resp := &st.reply.sel
-	*resp = selectResponse{
-		Datacenter:       res.At.Datacenter,
-		Generation:       res.At.Generation,
-		JobType:          res.JobType.String(),
-		Satisfiable:      !res.Selection.Empty(),
-		Classes:          emptied(resp.Classes),
-		Headrooms:        res.Selection.Headrooms,
-		Lease:            res.Lease,
-		Granted:          res.Granted,
-		ExpiresInSeconds: secondsUntil(res.ExpiresAt),
-	}
-	for _, id := range res.Selection.Classes {
-		resp.Classes = append(resp.Classes, int(id))
-	}
-	if resp.Headrooms == nil {
-		resp.Headrooms = []float64{}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// grantsOf splits a lease's grants into the parallel class/cores columns the
-// JSON dialect reports them as, in classes' and cores' storage.
-func grantsOf(lease ledger.Lease, classes []int, cores []float64) ([]int, []float64) {
-	classes, cores = emptied(classes), emptied(cores)
-	for _, g := range lease.Grants {
-		classes = append(classes, int(g.Class))
-		cores = append(cores, ledger.CoresOf(g.Millis))
-	}
-	return classes, cores
 }
 
 // leaseInfo is one live lease on GET /v1/{dc}/leases.
@@ -832,15 +822,18 @@ func (a *API) handleLeases(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := leasesResponse{Datacenter: dc, Total: total, Offset: offset, Leases: make([]leaseInfo, len(page))}
 	for i, ls := range page {
-		classes, cores := grantsOf(ls, make([]int, 0, len(ls.Grants)), make([]float64, 0, len(ls.Grants)))
-		resp.Leases[i] = leaseInfo{
+		info := &resp.Leases[i]
+		*info = leaseInfo{
 			Lease:            ls.ID,
 			JobID:            ls.Meta.JobID,
 			Owner:            ls.Meta.Owner,
 			ExpiresInSeconds: secondsUntil(ls.ExpiresAt),
 			TotalCores:       ledger.CoresOf(ls.TotalMillis()),
-			Classes:          classes,
-			Cores:            cores,
+			Classes:          make([]int, 0, len(ls.Grants)),
+			Cores:            make([]float64, 0, len(ls.Grants)),
+		}
+		for _, g := range ls.Grants {
+			info.Classes, info.Cores = append(info.Classes, int(g.Class)), append(info.Cores, ledger.CoresOf(g.Millis))
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -877,26 +870,8 @@ type renewResponse struct {
 	ExpiresInSeconds float64 `json:"expires_in_seconds,omitempty"`
 }
 
-func (a *API) handleRenew(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode(w, r, scanLease, leaseRequest{})
-	if !ok {
-		return
-	}
-	dc := r.PathValue("dc")
-	st := stateOf(w)
-	lease, rej := a.svc.opRenew(&st.sc, dc, req.Lease, req.HoldSeconds)
-	if rej != nil {
-		writeError(w, rej.Status, rej.Message)
-		return
-	}
-	resp := &st.reply.renew
-	*resp = renewResponse{
-		Datacenter:       dc,
-		Lease:            lease.ID,
-		TotalCores:       ledger.CoresOf(lease.TotalMillis()),
-		ExpiresInSeconds: secondsUntil(lease.ExpiresAt),
-	}
-	writeJSON(w, http.StatusOK, resp)
+func (r *renewResponse) render(dc string, p *wire.RenewResp) {
+	*r = renewResponse{Datacenter: dc, Lease: p.Lease, TotalCores: ledger.CoresOf(p.TotalMillis), ExpiresInSeconds: p.ExpiresIn}
 }
 
 type releaseResponse struct {
@@ -907,28 +882,12 @@ type releaseResponse struct {
 	Cores         []float64 `json:"cores"`
 }
 
-func (a *API) handleRelease(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode(w, r, scanLease, leaseRequest{})
-	if !ok {
-		return
+func (r *releaseResponse) render(dc string, p *wire.ReleaseResp) {
+	*r = releaseResponse{Datacenter: dc, Lease: p.Lease, ReleasedCores: ledger.CoresOf(p.TotalMillis),
+		Classes: emptied(r.Classes), Cores: emptied(r.Cores)}
+	for _, g := range p.Grants {
+		r.Classes, r.Cores = append(r.Classes, int(g.Class)), append(r.Cores, ledger.CoresOf(g.Millis))
 	}
-	dc := r.PathValue("dc")
-	st := stateOf(w)
-	lease, rej := a.svc.opRelease(&st.sc, dc, req.Lease)
-	if rej != nil {
-		writeError(w, rej.Status, rej.Message)
-		return
-	}
-	resp := &st.reply.release
-	classes, cores := grantsOf(lease, resp.Classes, resp.Cores)
-	*resp = releaseResponse{
-		Datacenter:    dc,
-		Lease:         lease.ID,
-		ReleasedCores: ledger.CoresOf(lease.TotalMillis()),
-		Classes:       classes,
-		Cores:         cores,
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // placeRequest is the body of both place and blocks. Writer is the creating
@@ -968,39 +927,20 @@ type placeResponse struct {
 	Replicas   []int64 `json:"replicas"`
 }
 
-// handlePlacement is the JSON codec of both placement operations.
-func (a *API) handlePlacement(op func(sc *scratch, dc string, replication int, writer int64, relaxed bool) (BlockPlacement, *rejection)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		req, ok := decode(w, r, scanPlace, placeRequest{Writer: -1})
-		if !ok {
-			return
-		}
-		dc := r.PathValue("dc")
-		st := stateOf(w)
-		placed, rej := op(&st.sc, dc, req.Replication, req.Writer, req.RelaxedEnvironment)
-		if rej != nil {
-			writeError(w, rej.Status, rej.Message)
-			return
-		}
-		resp := &st.reply.place
-		*resp = placeResponse{
-			Datacenter: dc,
-			Generation: placed.Generation,
-			Block:      placed.Block,
-			Replicas:   emptied(resp.Replicas),
-		}
-		for _, s := range placed.Replicas {
-			resp.Replicas = append(resp.Replicas, int64(s))
-		}
-		writeJSON(w, http.StatusOK, resp)
-	}
+func (r *placeResponse) renderPlace(dc string, p *wire.PlaceResp) {
+	*r = placeResponse{Datacenter: dc, Generation: p.Generation, Replicas: append(emptied(r.Replicas), p.Replicas...)}
 }
 
-// reimageRequest names the reimaged server, as encoding/json decodes it when
-// scanReimage declines; the pointer distinguishes an absent server from the
-// valid id 0.
+func (r *placeResponse) renderBlock(dc string, p *wire.PlaceBlockResp) {
+	*r = placeResponse{Datacenter: dc, Generation: p.Generation, Block: p.Block, Replicas: append(emptied(r.Replicas), p.Replicas...)}
+}
+
+// reimageRequest names the reimaged server; the pointer distinguishes an
+// absent server from the valid id 0. It points at server when the scanner or
+// a frame read it.
 type reimageRequest struct {
 	Server *int64 `json:"server"`
+	server int64
 }
 
 type reimageResponse struct {
@@ -1025,32 +965,24 @@ func scanReimage(body []byte) (server int64, ok bool) {
 	return server, ok && s.Done()
 }
 
-func (a *API) handleReimage(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	server, ok := scanReimage(body)
-	if !ok {
-		var req reimageRequest
-		if !unmarshalBody(w, body, &req) {
-			return
-		}
-		if req.Server == nil {
-			writeError(w, http.StatusBadRequest, "server is required")
-			return
-		}
-		server = *req.Server
-	}
-	dc := r.PathValue("dc")
-	lost, pending, rej := a.svc.opReimage(dc, server)
+// reimageArgs reads reimage's body: through scanReimage, or when it declines,
+// through encoding/json.
+func reimageArgs(st *statusWriter, r *http.Request, q *reimageRequest) *rejection {
+	body, rej := readBody(st, r)
 	if rej != nil {
-		writeError(w, rej.Status, rej.Message)
-		return
+		return rej
 	}
-	resp := &stateOf(w).reply.reimage
-	*resp = reimageResponse{Datacenter: dc, Server: server, Lost: lost, Pending: pending}
-	writeJSON(w, http.StatusOK, resp)
+	var ok bool
+	if q.server, ok = scanReimage(body); ok {
+		q.Server = &q.server
+		return nil
+	}
+	*q = reimageRequest{}
+	return unmarshalBody(body, q)
+}
+
+func (r *reimageResponse) render(dc string, p *wire.ReimageResp) {
+	*r = reimageResponse{Datacenter: dc, Server: p.Server, Lost: int(p.Lost), Pending: int64(p.Pending)}
 }
 
 type healthzResponse struct {
@@ -1064,7 +996,7 @@ func (a *API) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // endpointRow is one endpoint's row on /metrics under harvestd's family names:
 // the fleet's shared row, and one blank field per Prometheus family naming
-// the column it reads (see obs.Prom.Walk).
+// the column it reads (see obs.WriteMetrics).
 type endpointRow struct {
 	obs.EndpointStats
 	_ struct{} `prom:"harvestd_requests_total,counter,of=Requests" help:"Requests served, by endpoint and dialect."`

@@ -15,10 +15,41 @@ import (
 )
 
 // The data plane's operations (the rows of wire.Ops), each validated,
-// executed and error-mapped here and nowhere else. http.go and binary.go are
-// codecs around these functions — a JSON body or a frame in, the returned
-// values or the one rejection out — so what an operation accepts and answers
-// is the same on both dialects by construction.
+// executed and error-mapped here and nowhere else, all of one shape: the JSON
+// request struct in, the reply its frame carries filled in place, or the one
+// rejection. binary.go and http.go each hold a table of codecs around them, so
+// what an operation accepts and answers is the same on both dialects.
+
+// opIO is one operation's argument struct and reply, kept from one request to
+// the next in the scratch or pooled state that serves it.
+type opIO[Q, P any] struct {
+	q Q
+	p P
+}
+
+// slot is the T sc keeps for the operation in row i of wire.Ops, made on its
+// first use.
+func slot[T any](sc *scratch, i int) *T {
+	v, ok := sc.ops[i].(*T)
+	if !ok {
+		v = new(T)
+		sc.ops[i] = v
+	}
+	return v
+}
+
+// opTable lays out one dialect's codecs by their row in wire.Ops, and fails
+// the process's start if an operation has none.
+func opTable[C any](codecs map[wire.Op]C) (table [len(wire.Ops)]C) {
+	for i := range wire.Ops {
+		c, ok := codecs[wire.Ops[i].Op]
+		if !ok {
+			panic("service: request opcode " + wire.Ops[i].Name + " has no codec")
+		}
+		table[i] = c
+	}
+	return table
+}
 
 // Request bounds, shared by every operation that takes the field.
 const (
@@ -95,159 +126,176 @@ func holdOf(seconds float64) (time.Duration, *rejection) {
 	return time.Duration(math.Round(seconds * float64(time.Second))), nil
 }
 
-func placementOf(replication int, writer int64, relaxed bool) (core.PlacementConstraints, *rejection) {
-	if replication < 1 || replication > maxReplication {
+func placementOf(q *placeRequest) (core.PlacementConstraints, *rejection) {
+	if q.Replication < 1 || q.Replication > maxReplication {
 		return core.PlacementConstraints{}, reject(http.StatusBadRequest,
 			"replication must be in [1, "+strconv.Itoa(maxReplication)+"]")
 	}
 	return core.PlacementConstraints{
-		Replication:        replication,
-		Writer:             tenant.ServerID(writer),
-		EnforceEnvironment: !relaxed,
+		Replication:        q.Replication,
+		Writer:             tenant.ServerID(q.Writer),
+		EnforceEnvironment: !q.RelaxedEnvironment,
 	}, nil
 }
 
-// selectArgs is a select request. Job is a wire.Job* code: an explicit length
-// category, or JobFromLastRun to classify LastRunSeconds against the
-// snapshot's thresholds as the paper does. A satisfiable select reserves its
-// cores in the allocation ledger and returns a lease that holds them until
-// released or HoldSeconds pass (0 = the server default); DryRun only looks.
-type selectArgs struct {
-	Job            uint8
-	DryRun         bool
-	MaxCores       float64
-	LastRunSeconds float64
-	HoldSeconds    float64
-	// Meta is operator-facing lease metadata; it never influences selection.
-	// Only the JSON dialect has fields for it.
-	Meta ledger.Meta
-}
-
-// selectResult is a select's answer; an empty Selection means the job is
-// unsatisfiable right now. At is the snapshot the answer was computed on: a
-// reservation may have re-run against a newer one than the request first saw.
-type selectResult struct {
-	Grant
-	JobType core.JobType
-	At      *Snapshot
-}
-
-func (s *Service) opSelect(sc *scratch, dc string, a selectArgs, tr *obs.Trace) (selectResult, *rejection) {
+// opSelect runs class selection (Alg. 1). A satisfiable select reserves its
+// cores in the allocation ledger under a lease; a dry run only looks, and no
+// classes means unsatisfiable right now. The generation is the snapshot's the
+// answer was computed on, which a reservation may have re-run against.
+func (s *Service) opSelect(sc *scratch, dc string, q *selectRequest, p *wire.SelectResp, tr *obs.Trace) *rejection {
 	snap, rej := s.snapshotOf(dc)
 	if rej != nil {
-		return selectResult{}, rej
+		return rej
 	}
-	if !(a.MaxCores > 0) || math.IsInf(a.MaxCores, 1) {
-		return selectResult{}, reject(http.StatusBadRequest, "max_concurrent_cores must be positive and finite")
+	if !(q.MaxConcurrentCores > 0) || math.IsInf(q.MaxConcurrentCores, 1) {
+		return reject(http.StatusBadRequest, "max_concurrent_cores must be positive and finite")
 	}
-	hold, rej := holdOf(a.HoldSeconds)
+	hold, rej := holdOf(q.HoldSeconds)
 	if rej != nil {
-		return selectResult{}, rej
+		return rej
 	}
-	if len(a.Meta.JobID) > maxLeaseMetaLen || len(a.Meta.Owner) > maxLeaseMetaLen {
-		return selectResult{}, reject(http.StatusBadRequest,
-			"job_id and owner must be at most "+strconv.Itoa(maxLeaseMetaLen)+" bytes")
+	if len(q.JobID) > maxLeaseMetaLen || len(q.Owner) > maxLeaseMetaLen {
+		return reject(http.StatusBadRequest, "job_id and owner must be at most "+strconv.Itoa(maxLeaseMetaLen)+" bytes")
 	}
 	var jobType core.JobType
-	switch a.Job {
+	switch code := jobCode(q.JobType); code {
 	case wire.JobShort, wire.JobMedium, wire.JobLong:
-		jobType = core.JobType(a.Job) // the codes mirror core.JobType
+		jobType = core.JobType(code) // the codes mirror core.JobType
 	case wire.JobFromLastRun:
 		// The bound keeps the float64→int64 nanosecond conversion defined.
-		if !(a.LastRunSeconds >= 0 && a.LastRunSeconds <= maxTelemetryOffsetSeconds) {
-			return selectResult{}, reject(http.StatusBadRequest, "last_run_seconds must be in [0, 1e9]")
+		if !(q.LastRunSeconds >= 0 && q.LastRunSeconds <= maxTelemetryOffsetSeconds) {
+			return reject(http.StatusBadRequest, "last_run_seconds must be in [0, 1e9]")
 		}
-		jobType = core.ClassifyLength(time.Duration(a.LastRunSeconds*float64(time.Second)), snap.Thresholds)
+		jobType = core.ClassifyLength(time.Duration(q.LastRunSeconds*float64(time.Second)), snap.Thresholds)
 	default:
-		return selectResult{}, reject(http.StatusBadRequest, "job_type must be short, medium or long")
+		return reject(http.StatusBadRequest, "job_type must be short, medium or long")
 	}
-	job := core.JobRequest{Type: jobType, MaxConcurrentCores: a.MaxCores}
-	if a.DryRun {
-		return selectResult{Grant: Grant{Selection: s.selectOn(sc, snap, job)}, JobType: jobType, At: snap}, nil
+	job := core.JobRequest{Type: jobType, MaxConcurrentCores: q.MaxConcurrentCores}
+	var g Grant
+	if q.DryRun {
+		g.Selection = s.selectOn(sc, snap, job)
+	} else {
+		tr.SetMeta(q.JobID, q.Owner)
+		var err error
+		if g, snap, err = s.selectReserve(sc, dc, job, hold, ledger.Meta{JobID: q.JobID, Owner: q.Owner}, tr); err != nil {
+			return rejectionOf(err)
+		}
 	}
-	tr.SetMeta(a.Meta.JobID, a.Meta.Owner)
-	grant, at, err := s.selectReserve(sc, dc, job, hold, a.Meta, tr)
-	return selectResult{Grant: grant, JobType: jobType, At: at}, rejectionOf(err)
+	*p = wire.SelectResp{
+		Generation:  snap.Generation,
+		Lease:       g.Lease,
+		ExpiresIn:   secondsUntil(g.ExpiresAt),
+		Job:         uint8(jobType),
+		Satisfiable: !g.Selection.Empty(),
+		Classes:     p.Classes[:0],
+	}
+	for i, cls := range g.Selection.Classes {
+		c := wire.SelectGrant{Class: uint32(cls), Headroom: g.Selection.Headrooms[i]}
+		if i < len(g.Granted) { // a dry run grants nothing
+			c.Granted = g.Granted[i]
+		}
+		p.Classes = append(p.Classes, c)
+	}
+	return nil
 }
 
 // opRelease returns a lease's cores to their classes.
-func (s *Service) opRelease(sc *scratch, dc string, lease uint64) (ledger.Lease, *rejection) {
-	if rej := checkLease(lease); rej != nil {
-		return ledger.Lease{}, rej
+func (s *Service) opRelease(sc *scratch, dc string, q *leaseRequest, p *wire.ReleaseResp, _ *obs.Trace) *rejection {
+	if rej := checkLease(q.Lease); rej != nil {
+		return rej
 	}
-	released, err := s.release(sc, dc, lease)
-	return released, rejectionOf(err)
+	lease, err := s.release(sc, dc, q.Lease)
+	if err != nil {
+		return rejectionOf(err)
+	}
+	*p = wire.ReleaseResp{Lease: lease.ID, TotalMillis: lease.TotalMillis(), Grants: p.Grants[:0]}
+	for _, g := range lease.Grants {
+		p.Grants = append(p.Grants, wire.ReleaseGrant(g))
+	}
+	return nil
 }
 
 // opRenew extends a live lease's expiry deadline. No cores move: only the
 // deadline the sweeper enforces is rescheduled.
-func (s *Service) opRenew(sc *scratch, dc string, lease uint64, holdSeconds float64) (ledger.Lease, *rejection) {
-	if rej := checkLease(lease); rej != nil {
-		return ledger.Lease{}, rej
+func (s *Service) opRenew(sc *scratch, dc string, q *leaseRequest, p *wire.RenewResp, _ *obs.Trace) *rejection {
+	if rej := checkLease(q.Lease); rej != nil {
+		return rej
 	}
-	hold, rej := holdOf(holdSeconds)
+	hold, rej := holdOf(q.HoldSeconds)
 	if rej != nil {
-		return ledger.Lease{}, rej
+		return rej
 	}
-	renewed, err := s.renew(sc, dc, lease, hold)
-	return renewed, rejectionOf(err)
+	lease, err := s.renew(sc, dc, q.Lease, hold)
+	if err != nil {
+		return rejectionOf(err)
+	}
+	*p = wire.RenewResp{Lease: lease.ID, TotalMillis: lease.TotalMillis(), ExpiresIn: secondsUntil(lease.ExpiresAt)}
+	return nil
 }
 
 // opPlace asks for replica targets for a new block (Alg. 2), advisory: nothing
-// is recorded, so the placement carries no block id. writer is the creating
-// server, -1 for an external writer.
-func (s *Service) opPlace(sc *scratch, dc string, replication int, writer int64, relaxed bool) (BlockPlacement, *rejection) {
-	c, rej := placementOf(replication, writer, relaxed)
+// is recorded, so the placement carries no block id.
+func (s *Service) opPlace(sc *scratch, dc string, q *placeRequest, p *wire.PlaceResp, _ *obs.Trace) *rejection {
+	c, rej := placementOf(q)
 	if rej != nil {
-		return BlockPlacement{}, rej
+		return rej
 	}
 	replicas, snap, err := s.place(sc, dc, c)
 	if err != nil {
-		return BlockPlacement{}, rejectionOf(err)
+		return rejectionOf(err)
 	}
-	return BlockPlacement{Generation: snap.Generation, Replicas: replicas}, nil
+	*p = wire.PlaceResp{Generation: snap.Generation, Replicas: appendServers(p.Replicas[:0], replicas)}
+	return nil
 }
 
 // opPlaceBlock creates a block: replicas placed as opPlace would and recorded
 // in the block ledger, which keeps the block at R live replicas through
 // reimaging events and re-keys.
-func (s *Service) opPlaceBlock(sc *scratch, dc string, replication int, writer int64, relaxed bool) (BlockPlacement, *rejection) {
-	c, rej := placementOf(replication, writer, relaxed)
+func (s *Service) opPlaceBlock(sc *scratch, dc string, q *placeRequest, p *wire.PlaceBlockResp, _ *obs.Trace) *rejection {
+	c, rej := placementOf(q)
 	if rej != nil {
-		return BlockPlacement{}, rej
+		return rej
 	}
 	placed, err := s.createBlock(sc, dc, c)
-	return placed, rejectionOf(err)
+	if err != nil {
+		return rejectionOf(err)
+	}
+	*p = wire.PlaceBlockResp{Generation: placed.Generation, Block: placed.Block, Replicas: appendServers(p.Replicas[:0], placed.Replicas)}
+	return nil
+}
+
+// appendServers appends the wire form of replica servers to dst.
+func appendServers(dst []int64, servers []tenant.ServerID) []int64 {
+	for _, s := range servers {
+		dst = append(dst, int64(s))
+	}
+	return dst
 }
 
 // opReimage ingests one reimaging event: the server's harvested storage was
 // wiped, so every block replica it held is lost. It reports how many replicas
 // the event hit and the datacenter's replica slots now awaiting repair.
-func (s *Service) opReimage(dc string, server int64) (lost int, pending int64, rej *rejection) {
-	lost, err := s.ReimageServer(dc, tenant.ServerID(server))
+func (s *Service) opReimage(_ *scratch, dc string, q *reimageRequest, p *wire.ReimageResp, _ *obs.Trace) *rejection {
+	if q.Server == nil {
+		return reject(http.StatusBadRequest, "server is required")
+	}
+	lost, err := s.ReimageServer(dc, tenant.ServerID(*q.Server))
+	if err != nil {
+		return rejectionOf(err)
+	}
 	st, _ := s.BlockStats(dc)
-	return lost, st.Pending, rejectionOf(err)
+	*p = wire.ReimageResp{Server: *q.Server, Lost: uint32(lost), Pending: uint32(st.Pending)}
+	return nil
 }
 
-// classView is what a class is rendered from: the live usage view, so
-// CurrentUtilization tracks ingested telemetry between refreshes, and the
-// ledger's per-class occupancy, read counter by counter as each class is
-// rendered and only while the ledger is keyed to the snapshot's generation
-// (zero while a re-key is in flight). Lock-free and copy-free: it runs on the
-// hot query paths, which must not serialize against lease bookkeeping.
-type classView struct {
-	snap  *Snapshot
-	usage map[core.ClassID]core.ClassUsage
-	led   *ledger.Ledger
-}
-
-func (s *Service) classViewOf(snap *Snapshot) classView {
-	return classView{snap: snap, usage: s.UsageFor(snap), led: s.shards[snap.Datacenter].led}
-}
-
-// rec renders one class. ExampleServer is a member server, a convenient probe
+// classRec renders one of snap's classes from usage, the live usage view, so
+// CurrentUtilization tracks ingested telemetry between refreshes, and from the
+// ledger's per-class occupancy counter, read only while the ledger is keyed to
+// the snapshot's generation (zero while a re-key is in flight). Lock-free and
+// copy-free: it runs on the hot query paths, which must not serialize against
+// lease bookkeeping. ExampleServer is a member server, a convenient probe
 // target for server-class clients; -1 for an empty class.
-func (v classView) rec(cls *core.UtilizationClass) wire.ClassRec {
+func (s *Service) classRec(snap *Snapshot, usage map[core.ClassID]core.ClassUsage, cls *core.UtilizationClass) wire.ClassRec {
 	rec := wire.ClassRec{
 		ID:            uint32(cls.ID),
 		Pattern:       uint8(cls.Pattern),
@@ -255,36 +303,49 @@ func (v classView) rec(cls *core.UtilizationClass) wire.ClassRec {
 		NumServers:    uint32(cls.NumServers()),
 		Avg:           cls.AvgUtilization,
 		Peak:          cls.PeakUtilization,
-		Current:       v.usage[cls.ID].CurrentUtilization,
+		Current:       usage[cls.ID].CurrentUtilization,
 		ExampleServer: -1,
 	}
-	rec.AllocMillis, _ = v.led.AllocatedMillis(v.snap.Generation, cls.ID)
+	rec.AllocMillis, _ = s.shards[snap.Datacenter].led.AllocatedMillis(snap.Generation, cls.ID)
 	if len(cls.Servers) > 0 {
 		rec.ExampleServer = int64(cls.Servers[0])
 	}
 	return rec
 }
 
-// opClasses resolves the datacenter's utilization classes; the codecs render
-// v.snap.Clustering.Classes through v.rec.
-func (s *Service) opClasses(dc string) (classView, *rejection) {
+// opClasses lists the datacenter's utilization classes.
+func (s *Service) opClasses(_ *scratch, dc string, _ *wire.ClassesReq, p *wire.ClassesResp, _ *obs.Trace) *rejection {
 	snap, rej := s.snapshotOf(dc)
 	if rej != nil {
-		return classView{}, rej
+		return rej
 	}
-	return s.classViewOf(snap), nil
+	usage := s.UsageFor(snap)
+	*p = wire.ClassesResp{Generation: snap.Generation, AsOfSeconds: snap.AsOf.Seconds(), Classes: p.Classes[:0]}
+	for _, cls := range snap.Clustering.Classes {
+		p.Classes = append(p.Classes, s.classRec(snap, usage, cls))
+	}
+	return nil
 }
 
 // opServerClass resolves a server to its utilization class.
-func (s *Service) opServerClass(dc string, server int64) (*Snapshot, wire.ClassRec, *rejection) {
+func (s *Service) opServerClass(_ *scratch, dc string, q *wire.ServerClassReq, p *wire.ServerClassResp, _ *obs.Trace) *rejection {
 	snap, rej := s.snapshotOf(dc)
 	if rej != nil {
-		return nil, wire.ClassRec{}, rej
+		return rej
 	}
-	cls, ok := snap.ClassOfServer(tenant.ServerID(server))
+	cls, ok := snap.ClassOfServer(tenant.ServerID(q.Server))
 	if !ok {
-		return nil, wire.ClassRec{}, reject(http.StatusNotFound,
-			"unknown server "+strconv.FormatInt(server, 10)+" in "+snap.Datacenter)
+		return reject(http.StatusNotFound, "unknown server "+strconv.FormatInt(q.Server, 10)+" in "+snap.Datacenter)
 	}
-	return snap, s.classViewOf(snap).rec(cls), nil
+	*p = wire.ServerClassResp{Generation: snap.Generation, Server: q.Server, Class: s.classRec(snap, s.UsageFor(snap), cls)}
+	return nil
+}
+
+// secondsUntil is the wire form of an expiry: seconds from now, 0 for a lease
+// that never expires.
+func secondsUntil(t time.Time) float64 {
+	if t.IsZero() {
+		return 0
+	}
+	return time.Until(t).Seconds()
 }

@@ -585,7 +585,7 @@ func reconcileBooks(sh *shard, led *wire.ReplLedger, blocks *wire.ReplBlocks, nu
 }
 
 // ReplicationStats is the node's replication role and stream health: the
-// "replication" section of /metrics, in both expositions (see obs.Prom.Walk
+// "replication" section of /metrics, in both expositions (see obs.WriteMetrics
 // for the tags).
 type ReplicationStats struct {
 	Role      string `json:"role"`

@@ -19,6 +19,7 @@ import (
 	"harvest/internal/tenant"
 	"harvest/internal/timeseries"
 	"harvest/internal/trace"
+	"harvest/internal/wire"
 )
 
 // slogger is the serving layer's structured logger: every line carries
@@ -937,7 +938,7 @@ func (s *Service) UsageFor(snap *Snapshot) map[core.ClassID]core.ClassUsage {
 }
 
 // ShardStats is one shard's entry under "datacenters" on /metrics, in both
-// expositions (see obs.Prom.Walk for the tags). Staleness of the live path is
+// expositions (see obs.WriteMetrics for the tags). Staleness of the live path is
 // readable directly: generation + snapshot age say how old the
 // characterization is, last_ingest_age_seconds how long ago live telemetry
 // last arrived.
@@ -1098,19 +1099,20 @@ func (s *Service) readStats(dc string, st *ShardStats) bool {
 
 // scratch is one caller's reusable working memory for the data-plane
 // operations: select's candidate buffers and its result, a reservation's
-// requests and grants, a placement's replicas. What an operation returns may
-// alias it, and is valid until the same scratch's next operation. The binary
-// server keeps one per connection and the JSON front one per pooled response
-// writer, which is what makes the serving path allocation-free; the exported
-// methods hand each call a fresh one, so their results are the caller's to
-// keep. The zero value is ready.
+// requests and grants, a placement's replicas, and each operation's arguments
+// and reply (ops, by row of wire.Ops). What an operation returns may alias it,
+// and is valid until the same scratch's next operation. The binary server
+// keeps one per connection and the JSON front one per pooled response writer,
+// which is what makes the serving path allocation-free; the exported methods
+// hand each call a fresh one, so their results are the caller's to keep. The
+// zero value is ready.
 type scratch struct {
 	sel      core.SelectScratch
 	reqs     []ledger.Request
 	grants   []ledger.Grant
 	granted  []float64
 	replicas []tenant.ServerID
-	reply    replyScratch
+	ops      [len(wire.Ops)]any
 }
 
 // selectOn runs class selection (Alg. 1) against a snapshot the caller

@@ -14,11 +14,11 @@
 // counter lagging its record would persist a state that violates conservation
 // across a restart.
 //
-// Storage: a shard hands its records out of chunks of chunkSize it allocates
-// whole, and Remove zeroes a record and keeps it for the next Add, so holding
-// a record costs no heap object of its own. A shard's chunks stay at its
-// high-water mark, and so does its id index (table), which records turning
-// over at a steady count never grow. The one rule this buys: nothing keeps a
+// Storage: a shard hands its records out of chunks it allocates whole, of the
+// length its store was made with, and Remove zeroes a record and keeps it for
+// the next Add, so holding a record costs no heap object of its own. A shard's
+// chunks stay at its high-water mark, and so does its id index (table), which
+// records turning over at a steady count never grow. The one rule this buys: nothing keeps a
 // pointer into a record, or a slice of its storage, after the shard lock is
 // released — once it is, the record may be removed and reused under another
 // id. What a caller needs past the lock it copies out first.
@@ -52,9 +52,6 @@ func ShardOf(id uint64) int { return int(id & shardMask) }
 // random values are still far beyond enumerable.
 const maxJSONSafeID = 1<<53 - 1
 
-// chunkSize is how many records a shard allocates at once.
-const chunkSize = 256
-
 // Shard is one lock-striped slice of the record map, guarded by the mutex it
 // embeds. Each shard owns its id stream so issuing never crosses shards.
 type Shard[V any] struct {
@@ -64,6 +61,7 @@ type Shard[V any] struct {
 	// the next record off carve, the unused tail of the newest chunk.
 	free  []*V
 	carve []V
+	chunk int
 	idx   uint64
 	idrng *rand.ChaCha8
 }
@@ -82,7 +80,7 @@ func (sh *Shard[V]) Add(id uint64) *V {
 		sh.free = sh.free[:n-1]
 	} else {
 		if len(sh.carve) == 0 {
-			sh.carve = make([]V, chunkSize)
+			sh.carve = make([]V, sh.chunk)
 		}
 		v = &sh.carve[0]
 		sh.carve = sh.carve[1:]
@@ -139,8 +137,13 @@ type Store[V any] struct {
 	epochOf func(*V) *uint64
 }
 
-// New returns an empty store whose records keep their stamp where epochOf says.
-func New[V any](epochOf func(*V) *uint64) *Store[V] {
+// New returns an empty store whose shards allocate records chunk at a time
+// and whose records keep their stamp where epochOf says. A chunk is the step
+// by which a shard's storage follows its high-water mark: records that only
+// accumulate want a long one, records that turn over near a steady count a
+// short one, so the mark creeping up as they move between shards costs a few
+// kilobytes at a time.
+func New[V any](chunk int, epochOf func(*V) *uint64) *Store[V] {
 	s := &Store[V]{epochOf: epochOf}
 	for i := range s.shards {
 		var seed [32]byte
@@ -150,7 +153,7 @@ func New[V any](epochOf func(*V) *uint64) *Store[V] {
 			// guessable, which release turns into a capability.
 			panic("striped: reading CSPRNG seed: " + err.Error())
 		}
-		s.shards[i] = Shard[V]{idx: uint64(i), idrng: rand.NewChaCha8(seed)}
+		s.shards[i] = Shard[V]{chunk: chunk, idx: uint64(i), idrng: rand.NewChaCha8(seed)}
 	}
 	return s
 }

@@ -18,7 +18,7 @@ type rec struct {
 // zeroed reports whether r is the zero record: nothing it held is pinned.
 func (r *rec) zeroed() bool { return r.id == 0 && r.epoch == 0 && r.name == "" && r.refs == nil }
 
-func newStore() *Store[rec] { return New(func(r *rec) *uint64 { return &r.epoch }) }
+func newStore() *Store[rec] { return New(256, func(r *rec) *uint64 { return &r.epoch }) }
 
 // insert mints an id on shard i and holds a record under it.
 func insert(s *Store[rec], i int) uint64 {
@@ -315,8 +315,8 @@ func TestAddRemoveAllocatesNothing(t *testing.T) {
 }
 
 // TestAddsAllocateChunks counts what a shard allocates for its records alone
-// (its index is sized up front): one chunk per chunkSize records, so 1,000
-// Adds cost 4.
+// (its index is sized up front): one chunk per 256 records, so 1,000 Adds
+// cost 4.
 func TestAddsAllocateChunks(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
