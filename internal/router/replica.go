@@ -58,9 +58,11 @@ func isReadRequest(method, rest string, body []byte) bool {
 // binary request, only those that announced a binary listener. Never returns
 // a follower for a write. A nil return means the datacenter is unknown.
 func (rt *Router) pickBackend(dc string, read, binary bool, now time.Time) *backend {
+	// Owner and replicas in one read of the table: a promoted follower's claim
+	// between two reads left a read only the dead old owner, and a 503.
 	rt.mu.RLock()
+	defer rt.mu.RUnlock()
 	owner := rt.table[dc].owner
-	rt.mu.RUnlock()
 	if !read || rt.cfg.MaxGenLag < 0 {
 		return owner
 	}
@@ -78,7 +80,8 @@ func (rt *Router) pickBackend(dc string, read, binary bool, now time.Time) *back
 // read, so the candidates are sampled as the backends are walked, not listed.
 // A binary read skips followers with no binary listener: the binary front
 // could only refuse it there, and a follower that refuses instantly has
-// nothing in flight, so power-of-two-choices would favour it.
+// nothing in flight, so power-of-two-choices would favour it. The caller holds
+// rt.mu for reading.
 func (rt *Router) pickReadReplica(dc string, owner *backend, binary bool, now time.Time) *backend {
 	nowNanos := now.UnixNano()
 	lag := uint64(rt.cfg.MaxGenLag)
@@ -121,7 +124,6 @@ func (rt *Router) pickReadReplica(dc string, owner *backend, binary bool, now ti
 		}
 	}
 
-	rt.mu.RLock()
 	var refGen uint64
 	if owner != nil {
 		refGen = owner.dcs[dc]
@@ -143,7 +145,6 @@ func (rt *Router) pickReadReplica(dc string, owner *backend, binary bool, now ti
 	if owner != nil && usable(owner) {
 		consider(owner)
 	}
-	rt.mu.RUnlock()
 
 	if second == nil {
 		return first // the only candidate, or none

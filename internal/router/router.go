@@ -357,7 +357,7 @@ func (rt *Router) serveRegisterConn(c *regproto.Conn) {
 	var ack regproto.RegisterResponse
 	checkedURL := ""
 	for {
-		id, err := c.ReadBeat(&req, 10*rt.cfg.StaleAfter)
+		id, err := c.ReadBeat(&req, rt.ageOut())
 		if err != nil {
 			return
 		}
@@ -424,14 +424,9 @@ func (rt *Router) register(req *regproto.RegisterRequest, checkedURL string, ack
 
 	rt.mu.Lock()
 	now := rt.now()
-	// Age out backends gone for many staleness windows: a permanently dead
-	// node's datacenters fall back to 404 (unknown) rather than 503ing
-	// forever, and the backend set cannot grow without bound when node IDs
-	// change across restarts. 10× the staleness window is far past any
-	// transient outage the 503+Retry-After path is meant to bridge.
-	cutoff := now.Add(-10 * rt.cfg.StaleAfter).UnixNano()
+	// Age out gone backends, or node IDs changed by restarts pile up.
 	for _, old := range rt.backends {
-		if old.lastBeat.Load() <= cutoff {
+		if rt.gone(old, now) {
 			rt.dropBackend(old)
 		}
 	}
@@ -566,6 +561,15 @@ func announcesSame(have map[string]uint64, dcs []wire.ReplDCGen) bool {
 // JSON front is the caller's http.Server's to stop.
 func (rt *Router) Close() { rt.reg.Close() }
 
+// ageOut is how long a backend may go without a beat before the router
+// forgets it, and its datacenters fall back to 404 rather than 503ing forever:
+// ten staleness windows, far past any outage 503+Retry-After should bridge.
+func (rt *Router) ageOut() time.Duration { return 10 * rt.cfg.StaleAfter }
+
+func (rt *Router) gone(b *backend, now time.Time) bool {
+	return now.UnixNano()-b.lastBeat.Load() >= int64(rt.ageOut())
+}
+
 // alive reports whether the backend has heartbeated within StaleAfter.
 func (rt *Router) alive(b *backend, now time.Time) bool {
 	return now.UnixNano()-b.lastBeat.Load() <= int64(rt.cfg.StaleAfter)
@@ -589,7 +593,7 @@ func (rt *Router) dropBackend(b *backend) {
 	}
 	delete(rt.backends, b.id)
 	b.closeBinPipes()
-	rlog.Info("backend aged out without a heartbeat", "backend", b.id, "after", 10*rt.cfg.StaleAfter)
+	rlog.Info("backend aged out without a heartbeat", "backend", b.id, "after", rt.ageOut())
 }
 
 // hopByHopHeaders are stripped when forwarding in either direction (RFC 9110
@@ -822,14 +826,11 @@ func (rt *Router) admit(dc string, read, binary bool, tr *obs.Trace) (admission,
 		}
 	}
 	if !rt.alive(b, now) {
-		// Past many staleness windows the node is gone, not hiccuping:
-		// collect it on demand — registration-time sweeps never run when no
-		// backend is left to heartbeat — so its datacenters fall back to 404
-		// instead of 503ing (with a Retry-After clients honor) forever.
-		if cutoff := now.Add(-10 * rt.cfg.StaleAfter).UnixNano(); b.lastBeat.Load() <= cutoff {
+		// Collected here too: no backend may be left to beat into register.
+		if rt.gone(b, now) {
 			// Re-checked under the write lock so a racing re-registration wins.
 			rt.mu.Lock()
-			if b.lastBeat.Load() <= cutoff && rt.backends[b.id] == b {
+			if rt.gone(b, now) && rt.backends[b.id] == b {
 				rt.dropBackend(b)
 			}
 			rt.mu.Unlock()

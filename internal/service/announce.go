@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -39,7 +40,7 @@ type AnnouncerConfig struct {
 	ReplicateAddr string
 }
 
-// Announcer is the registration client: a background loop that heartbeats
+// Announcer is the registration client: a background job that heartbeats
 // this node's datacenter set and per-DC snapshot generations to a
 // harvestrouter, so the router's routing table (and its staleness marking)
 // tracks this node's liveness. Registration is idempotent — every beat
@@ -48,17 +49,13 @@ type AnnouncerConfig struct {
 // (internal/regproto), built in storage the announcer keeps, so a steady
 // node heartbeats without allocating.
 type Announcer struct {
-	svc *Service
-	cfg AnnouncerConfig
+	svc  *Service
+	cfg  AnnouncerConfig
+	stop func() // ends the announce job and waits for it
 
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
-
-	lastErr  atomic.Pointer[string]
 	draining atomic.Bool
 
-	// mu serializes the beats of the loop and Deregister over conn, the
+	// mu serializes the beats of the job and Deregister over conn, the
 	// connection to the router (nil until dialed, and after it broke), and
 	// the beat and acknowledgement every beat refills.
 	mu   sync.Mutex
@@ -70,10 +67,10 @@ type Announcer struct {
 // beatTimeout bounds dialing the router and each beat's round trip.
 const beatTimeout = 5 * time.Second
 
-// StartAnnouncer validates the config and starts the heartbeat loop, which
-// registers immediately and then beats every Interval. The first beat runs
-// on the loop goroutine — an unreachable router must not delay the caller's
-// serving path by a dial timeout. Call Close to stop announcing.
+// StartAnnouncer validates the config and starts the announce job: a beat at
+// once, on the job's goroutine (an unreachable router must not delay the
+// caller by a dial timeout), then every Interval, and when a follower learns a
+// new primary. Close, or the service's Close, stops announcing.
 func StartAnnouncer(svc *Service, cfg AnnouncerConfig) (*Announcer, error) {
 	if cfg.RouterURL == "" {
 		return nil, fmt.Errorf("announcer: RouterURL is required")
@@ -93,9 +90,8 @@ func StartAnnouncer(svc *Service, cfg AnnouncerConfig) (*Announcer, error) {
 		}
 	}
 	a := &Announcer{
-		svc:  svc,
-		cfg:  cfg,
-		stop: make(chan struct{}),
+		svc: svc,
+		cfg: cfg,
 		beat: regproto.RegisterRequest{
 			ID:            cfg.ID,
 			URL:           cfg.SelfURL,
@@ -106,42 +102,20 @@ func StartAnnouncer(svc *Service, cfg AnnouncerConfig) (*Announcer, error) {
 	for _, dc := range svc.Datacenters() {
 		a.beat.Datacenters = append(a.beat.Datacenters, wire.ReplDCGen{DC: dc})
 	}
-	a.wg.Add(1)
-	go a.loop()
-	return a, nil
-}
-
-func (a *Announcer) loop() {
-	defer a.wg.Done()
-	// Taken before each beat reads the primary id, so a follower that learns a
-	// new primary after the read still beats again.
-	newPrimary := a.svc.repl.primaryChanged()
-	if err := a.announce(); err != nil {
-		slogger.Warn("initial registration failed, will retry",
-			"router", a.cfg.RouterURL, "interval", a.cfg.Interval, "err", err)
-	}
-	ticker := time.NewTicker(a.cfg.Interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-a.stop:
-			return
-		case <-ticker.C:
-		case <-newPrimary:
-		}
-		newPrimary = a.svc.repl.primaryChanged()
-		// Capture the previous state before announce overwrites it: log on
-		// state changes only, not every missed beat — a router restart would
-		// otherwise flood the log at heartbeat cadence.
-		wasFailing := a.lastErr.Load() != nil
-		if err := a.announce(); err != nil {
-			if !wasFailing {
-				slogger.Warn("registration failing", "router", a.cfg.RouterURL, "err", err)
-			}
-		} else if wasFailing {
+	// The job logs a beat's failure on state changes only, not every missed
+	// beat: a router restart would otherwise flood the log at heartbeat cadence.
+	failing := false
+	a.stop = svc.jobs.spawn(job{every: cfg.Interval, now: true, wakes: true, run: func(context.Context) bool {
+		if err := a.announce(); err != nil && !failing {
+			slogger.Warn("registration failing, will retry", "router", a.cfg.RouterURL, "interval", a.cfg.Interval, "err", err)
+			failing = true
+		} else if err == nil && failing {
 			slogger.Info("registration recovered", "router", a.cfg.RouterURL)
+			failing = false
 		}
-	}
+		return true
+	}})
+	return a, nil
 }
 
 // announce sends one registration beat carrying the current per-DC snapshot
@@ -167,11 +141,8 @@ func (a *Announcer) announce() error {
 			dc.Generation = a.svc.Generation(dc.DC)
 		}
 		if err := a.send(); err != nil {
-			msg := err.Error()
-			a.lastErr.Store(&msg)
 			return err
 		}
-		a.lastErr.Store(nil)
 		if !follower {
 			return nil
 		}
@@ -181,7 +152,7 @@ func (a *Announcer) announce() error {
 		}
 		// The router's view of who owns our datacenters — if the primary died
 		// and a sibling follower was promoted, this is the promoted node's
-		// replication listener and the follow loop re-dials it.
+		// replication listener and the follow job re-dials it.
 		a.svc.SetFollowAddr(a.ack.PrimaryReplicateAddr)
 		return nil
 	}
@@ -231,11 +202,10 @@ func (a *Announcer) Deregister() {
 	}
 }
 
-// Close stops the heartbeat loop and closes the router connection. The router
+// Close stops the announce job and closes the router connection. The router
 // will mark this node stale one staleness window after the last beat.
 func (a *Announcer) Close() {
-	a.stopOnce.Do(func() { close(a.stop) })
-	a.wg.Wait()
+	a.stop()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.conn != nil {

@@ -84,7 +84,7 @@ func (s *Service) SnapshotFileJSON(dc string) ([]byte, error) {
 	return file.Bytes(), err
 }
 
-// Announce sends one registration beat now, as the heartbeat loop does.
+// Announce sends one registration beat now, as the announce job does.
 func (a *Announcer) Announce() error { return a.announce() }
 
 // Dispatcher is one connection's worth of the binary server's dispatch: the

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"net"
 	"sync"
@@ -54,13 +55,6 @@ import (
 type replState struct {
 	// Follower side.
 	primaryID atomic.Pointer[string]
-	// primaryCh is closed, and replaced, when the follower learns a primary id
-	// it did not hold: an announcer selects on it beside its ticker, so the
-	// router hears of the primary at once rather than a tick later.
-	primaryCh   atomic.Pointer[chan struct{}]
-	stopFollow  chan struct{}
-	promoteOnce sync.Once
-	conn        atomic.Pointer[net.Conn]
 	// followAddr overrides cfg.FollowAddr when the primary moves: the router
 	// learns the promoted primary's replication address from registration
 	// beats and the announcer retargets orphaned followers here (nil until
@@ -82,27 +76,6 @@ type replState struct {
 	followers     atomic.Int64
 	framesShipped atomic.Uint64
 	shipErrors    atomic.Uint64
-}
-
-// primaryChanged returns the channel the next new primary id closes.
-func (r *replState) primaryChanged() <-chan struct{} { return *r.primaryCh.Load() }
-
-// setPrimaryID records the primary a handshake named; a new one closes and
-// replaces primaryCh. Only the follow loop calls it.
-func (r *replState) setPrimaryID(pid string) {
-	if old := r.primaryID.Swap(&pid); old == nil || *old != pid {
-		next := make(chan struct{})
-		close(*r.primaryCh.Swap(&next))
-	}
-}
-
-// shutdown closes the stream to the primary so the follow loop unblocks for
-// Close's wg.Wait, then stops serving followers.
-func (r *replState) shutdown() {
-	if c := r.conn.Load(); c != nil {
-		(*c).Close()
-	}
-	r.srv.Close()
 }
 
 // replHandshakeTimeout bounds the hello exchange on both ends;
@@ -131,21 +104,20 @@ func (s *Service) readLiveness() time.Duration {
 // address it already announced, without a restart. The listener is owned by
 // the service from here on: Close shuts it down.
 func (s *Service) ArmReplicationListener(ln net.Listener) {
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
+	s.jobs.spawn(job{run: func(context.Context) bool {
 		if err := s.repl.srv.Serve(ln, s.serveReplConn); err != nil {
 			// Followers can no longer join; the node keeps serving its clients.
 			slogger.Error("replication accept loop died", "addr", ln.Addr(), "err", err)
 		}
-	}()
+		return false
+	}})
 }
 
 // SetFollowAddr retargets a follower's replication stream at a new primary
 // address — what the announcer calls when the router reports a promoted
-// primary. The live connection (if any) is closed so the follow loop re-dials
-// immediately. No-op on a primary, on an empty address, or when the address
-// is unchanged.
+// primary. The follow job is restarted, closing the live connection, and the
+// new one dials the new address at once. No-op on a primary, on an empty
+// address, or when the address is unchanged.
 func (s *Service) SetFollowAddr(addr string) {
 	if addr == "" || !s.follower.Load() || addr == s.followAddr() {
 		return
@@ -155,12 +127,10 @@ func (s *Service) SetFollowAddr(addr string) {
 	next := addr
 	s.repl.followAddr.Store(&next)
 	slogger.Info("retargeting replication stream", "node", s.cfg.NodeID, "primary_addr", addr)
-	if c := s.repl.conn.Load(); c != nil {
-		(*c).Close()
-	}
+	s.jobs.restart()
 }
 
-// followAddr is the address the follow loop dials: the retargeted primary
+// followAddr is the address the follow job dials: the retargeted primary
 // when the router has reported one, the configured address otherwise.
 func (s *Service) followAddr() string {
 	if p := s.repl.followAddr.Load(); p != nil {
@@ -169,8 +139,9 @@ func (s *Service) followAddr() string {
 	return s.cfg.FollowAddr
 }
 
-// serveReplConn handles one follower: handshake, then an unacknowledged push
-// of every shard's state each ReplInterval. Any error drops the connection;
+// serveReplConn handles one follower: handshake, then the connection's ship
+// job, an unacknowledged push of every shard's state each ReplInterval. Any
+// error drops the connection;
 // the follower reconnects and re-handshakes. A follower closes the connection
 // once the hello is read: re-shipping second-hand state would make it a
 // primary nobody promoted.
@@ -204,27 +175,21 @@ func (s *Service) serveReplConn(nc net.Conn) {
 	s.repl.followers.Add(1)
 	defer s.repl.followers.Add(-1)
 
-	ticker := time.NewTicker(s.cfg.ReplInterval)
-	defer ticker.Stop()
 	var snd replSender
-	for {
+	s.jobs.run(s.jobs.ctx, job{every: s.cfg.ReplInterval, now: true, run: func(context.Context) bool {
 		for _, dc := range s.order {
 			frame, next := s.buildReplFrame(&snd, s.shards[dc], shipped[dc])
 			nc.SetWriteDeadline(time.Now().Add(replWriteTimeout))
 			if _, err := nc.Write(frame); err != nil {
 				s.repl.shipErrors.Add(1)
 				slogger.Warn("replication ship failed, dropping follower", "follower", hello.FollowerID, "err", err)
-				return
+				return false
 			}
 			s.repl.framesShipped.Add(1)
 			shipped[dc] = next
 		}
-		select {
-		case <-s.stop:
-			return
-		case <-ticker.C:
-		}
-	}
+		return true
+	}})
 }
 
 // replSender is one follower connection's encode state, replApplier's mirror:
@@ -320,65 +285,44 @@ func appendBlocksSection(dst []byte, blocks *blockledger.Ledger, room func([]byt
 	return dst
 }
 
-// followLoop is the follower's outer loop: dial the primary, run the stream,
-// reconnect with backoff until promoted or closed. The backoff starts short: a
-// follower that boots before its primary listens joins within a few dials.
-func (s *Service) followLoop() {
-	defer s.wg.Done()
+// followJob is the follower's one job: dial the primary, apply its stream
+// until it breaks, back off, again — until a promotion, a retarget or Close
+// ends the job, which closes the stream. The backoff starts short: a follower
+// that boots before its primary listens joins within a few dials.
+func (s *Service) followJob() job {
 	const firstBackoff = 25 * time.Millisecond
 	backoff := firstBackoff
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-s.repl.stopFollow:
-			return
-		default:
-		}
+	return job{run: func(ctx context.Context) bool {
 		addr := s.followAddr()
-		nc, err := net.DialTimeout("tcp", addr, replHandshakeTimeout)
-		if err == nil {
-			s.repl.conn.Store(&nc)
-			s.repl.connected.Store(true)
-			err = s.runFollower(nc, addr)
-			s.repl.connected.Store(false)
-			nc.Close()
-		}
-		if err != nil && !s.stopping() {
+		if err := s.runFollower(ctx, addr); err != nil && ctx.Err() == nil {
 			slogger.Warn("replication stream lost; reconnecting", "primary", addr, "err", err)
-		}
-		if s.followAddr() != addr {
-			// Retargeted mid-backoff: dial the new primary without waiting.
-			backoff = firstBackoff
 		}
 		s.repl.reconnects.Add(1)
 		select {
-		case <-s.stop:
-			return
-		case <-s.repl.stopFollow:
-			return
+		case <-ctx.Done():
+			return false
 		case <-time.After(backoff):
 		}
-		if backoff *= 2; backoff > 2*time.Second {
-			backoff = 2 * time.Second
-		}
-	}
+		backoff = min(2*backoff, 2*time.Second)
+		return true
+	}}
 }
 
-func (s *Service) stopping() bool {
-	select {
-	case <-s.stop:
-		return true
-	case <-s.repl.stopFollow:
-		return true
-	default:
-		return false
+// runFollower dials addr, performs the handshake and applies frames until the
+// stream breaks, the liveness deadline passes, or ctx ends.
+func (s *Service) runFollower(ctx context.Context, addr string) error {
+	d := net.Dialer{Timeout: replHandshakeTimeout}
+	nc, err := d.DialContext(ctx, "tcp", addr)
+	if err != nil {
+		return err
 	}
-}
+	defer nc.Close()
+	// The job's end closes the stream: that is what unblocks a read.
+	stop := context.AfterFunc(ctx, func() { nc.Close() })
+	defer stop()
+	s.repl.connected.Store(true)
+	defer s.repl.connected.Store(false)
 
-// runFollower performs the handshake and applies frames until the stream
-// breaks, the liveness deadline passes, or the node is promoted.
-func (s *Service) runFollower(nc net.Conn, addr string) error {
 	hello := wire.ReplHello{FollowerID: s.cfg.NodeID}
 	nc.SetWriteDeadline(time.Now().Add(replHandshakeTimeout))
 	if _, err := nc.Write(wire.AppendReplHello(nil, 1, &hello)); err != nil {
@@ -399,7 +343,10 @@ func (s *Service) runFollower(nc net.Conn, addr string) error {
 	if err := resp.Decode(payload); err != nil {
 		return err
 	}
-	s.repl.setPrimaryID(resp.PrimaryID)
+	if old := s.repl.primaryID.Swap(&resp.PrimaryID); old == nil || *old != resp.PrimaryID {
+		// The announcers tell the router of a new primary at once, not a beat later.
+		s.jobs.wake()
+	}
 	slogger.Info("following primary", "primary", resp.PrimaryID, "addr", addr)
 
 	var ap replApplier

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -85,7 +86,7 @@ type Config struct {
 	// RepairInterval is how often the background re-replicator drains the
 	// block ledger's repair queue (a compressed stand-in for the paper's
 	// 10-minute repair detection delay). Zero means 250ms; negative disables
-	// the loop — repairs then only happen via RepairBlocks.
+	// the job — repairs then only happen via RepairBlocks.
 	RepairInterval time.Duration
 }
 
@@ -128,7 +129,7 @@ func (v *usageView) AllocatedCoresOf(id core.ClassID) float64 {
 }
 
 // shard is one datacenter's slot: the published snapshot, the telemetry
-// rings, and the private rebuild state. Only the shard's refresher goroutine
+// rings, and the private rebuild state. Only the shard's refresh job
 // (or Refresh callers serialized by mu) touches pop and sinceFull; readers
 // only ever Load pointers.
 type shard struct {
@@ -206,8 +207,8 @@ type shard struct {
 }
 
 // Service is the characterization service: per-datacenter snapshot shards
-// fed by live telemetry rings, a background refresher per shard, and a pool
-// of per-request RNGs.
+// fed by live telemetry rings, the background jobs of the node's role, and a
+// pool of per-request RNGs.
 type Service struct {
 	cfg    Config
 	order  []string
@@ -216,10 +217,7 @@ type Service struct {
 	rngs    sync.Pool
 	rngSeed atomic.Int64
 
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
-	started  atomic.Bool
+	jobs *runner
 
 	// follower is the node's role: true while the service applies replicated
 	// generations instead of building its own. Promote flips it exactly once.
@@ -250,7 +248,7 @@ func unknownDC(dc string) error {
 // trailing ring-capacity window, so a full analysis window exists before the
 // first live sample arrives), and the boot snapshot is either restored from
 // PersistDir or clustered from the rings. Call Start to launch the
-// background refreshers and Close to stop them.
+// background jobs and Close to stop them.
 func New(cfg Config) (*Service, error) {
 	if len(cfg.Datacenters) == 0 {
 		for _, p := range trace.BuiltinProfiles() {
@@ -295,12 +293,9 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:    cfg,
 		shards: make(map[string]*shard, len(cfg.Datacenters)),
-		stop:   make(chan struct{}),
 	}
+	s.jobs = newRunner(s.roleJobs)
 	s.follower.Store(cfg.FollowAddr != "")
-	s.repl.stopFollow = make(chan struct{})
-	primaryCh := make(chan struct{})
-	s.repl.primaryCh.Store(&primaryCh)
 	s.rngSeed.Store(cfg.Seed)
 	s.rngs.New = func() any {
 		return rand.New(rand.NewSource(s.rngSeed.Add(1)))
@@ -387,43 +382,47 @@ func (s *Service) bootstrapShard(sh *shard) error {
 	return nil
 }
 
-// Start launches one refresher goroutine per shard (when RefreshPeriod is
-// positive) and the lease-expiry sweeper (when LeaseTTL is positive). It is
-// a no-op when the service is already started.
-func (s *Service) Start() {
-	if !s.started.CompareAndSwap(false, true) {
-		return
-	}
-	if s.follower.Load() {
-		// A follower neither refreshes nor sweeps: both would move the books
-		// independently of the primary's stream. Promote starts them.
-		s.wg.Add(1)
-		go s.followLoop()
-		return
-	}
-	s.startPrimaryLoops()
-}
+// Start starts the background jobs of the node's role, once (runner.go).
+func (s *Service) Start() { s.jobs.start() }
 
-// startPrimaryLoops launches the primary-role background work: one refresher
-// per shard and the lease-expiry sweeper. Called by Start on a primary and by
-// Promote on a follower taking over.
-func (s *Service) startPrimaryLoops() {
+// roleJobs declares the background work of the node's current role. A
+// follower only follows: a refresh, sweep or repair would move the books apart
+// from the primary's stream.
+func (s *Service) roleJobs() []job {
+	if s.follower.Load() {
+		return []job{s.followJob()}
+	}
+	var jobs []job
 	if s.cfg.RefreshPeriod > 0 {
 		for _, dc := range s.order {
 			sh := s.shards[dc]
-			s.wg.Add(1)
-			go s.refreshLoop(sh)
+			jobs = append(jobs, job{every: s.cfg.RefreshPeriod, run: func(context.Context) bool {
+				// On failure the previous snapshot keeps serving, counted; the log
+				// line makes the staleness visible without watching /metrics.
+				if err := s.refreshShard(sh); err != nil {
+					slogger.Warn("refresh failed, serving previous snapshot", "dc", sh.dc, "err", err)
+				}
+				return true
+			}})
 		}
 	}
-	// The sweeper always runs: even with the server-side default TTL
-	// disabled (negative LeaseTTL), clients can arm per-lease deadlines via
-	// hold_seconds, and those must still be reclaimed.
-	s.wg.Add(1)
-	go s.sweepLoop()
+	// The sweeper, the safety net for clients that died holding a lease, runs
+	// every quarter of the lease TTL clamped to [100ms, 10s], and always: with
+	// the default TTL disabled (negative LeaseTTL), clients can still arm
+	// per-lease deadlines via hold_seconds.
+	jobs = append(jobs, job{every: min(max(s.cfg.LeaseTTL/4, 100*time.Millisecond), 10*time.Second), run: func(context.Context) bool {
+		s.SweepLeases(time.Now())
+		return true
+	}})
 	if s.cfg.RepairInterval > 0 {
-		s.wg.Add(1)
-		go s.repairLoop()
+		jobs = append(jobs, job{every: s.cfg.RepairInterval, run: func(context.Context) bool {
+			for _, dc := range s.order {
+				s.RepairBlocks(dc, repairBatch)
+			}
+			return true
+		}})
 	}
+	return jobs
 }
 
 // Role is the node's current role string for registration beats and metrics.
@@ -450,10 +449,10 @@ func (s *Service) PrimaryID() string {
 // NodeID returns the configured node identity.
 func (s *Service) NodeID() string { return s.cfg.NodeID }
 
-// Promote flips a follower into the primary role exactly once: the
-// replication apply loop is stopped (and any in-flight apply waited out, so a
-// late frame can never clobber post-promotion reservations), then the refresh
-// and sweep loops start over the books as last replicated. Lease conservation
+// Promote flips a follower into the primary role exactly once: any in-flight
+// apply is waited out, so a late frame can never clobber post-promotion
+// reservations, then the follow job ends, and has returned, before the
+// primary's jobs start over the books as last replicated. Lease conservation
 // survives the handoff because the applied ledger state carries the full
 // conservation counters, not just live leases. Returns false when the node is
 // already a primary.
@@ -461,43 +460,20 @@ func (s *Service) Promote() bool {
 	if !s.follower.CompareAndSwap(true, false) {
 		return false
 	}
-	s.repl.promoteOnce.Do(func() { close(s.repl.stopFollow) })
-	if c := s.repl.conn.Load(); c != nil {
-		(*c).Close()
-	}
 	// Barrier: an apply that loaded follower=true before the CAS may still be
 	// holding applyMu; taking it here guarantees no apply mutates the books
-	// after Promote returns.
+	// after Promote returns, on a started node or not.
 	s.repl.applyMu.Lock()
 	s.repl.applyMu.Unlock() //nolint:staticcheck // empty critical section is the barrier
 	s.repl.promotions.Add(1)
-	if s.started.Load() {
-		s.startPrimaryLoops()
-	}
+	s.jobs.restart()
 	slogger.Info("promoted to primary", "node", s.cfg.NodeID)
 	return true
 }
 
-// sweepLoop periodically reclaims expired leases across every shard — the
-// safety net for clients that died holding a reservation. It scans every
-// quarter of the lease TTL, clamped to [100ms, 10s].
-func (s *Service) sweepLoop() {
-	defer s.wg.Done()
-	ticker := time.NewTicker(min(max(s.cfg.LeaseTTL/4, 100*time.Millisecond), 10*time.Second))
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-ticker.C:
-			s.SweepLeases(time.Now())
-		}
-	}
-}
-
 // SweepLeases reclaims every lease expired as of now, across all shards, and
 // returns how many leases and cores were reclaimed. The background sweeper
-// calls this on its ticker; tests and operational tooling may call it
+// calls this every period; tests and operational tooling may call it
 // directly.
 func (s *Service) SweepLeases(now time.Time) (leases int, cores float64) {
 	var millis int64
@@ -509,14 +485,13 @@ func (s *Service) SweepLeases(now time.Time) (leases int, cores float64) {
 	return leases, ledger.CoresOf(millis)
 }
 
-// Close stops the refreshers and waits for them to exit, then persists each
-// shard's two ledgers (when persistence is configured) so leases and blocks
-// taken since the last refresh survive the restart. Queries remain valid after
-// Close; they simply stop seeing new generations.
+// Close ends the background jobs and waits for them to return, then persists
+// each shard's two ledgers (when persistence is configured) so leases and
+// blocks taken since the last refresh survive the restart. Queries remain
+// valid after Close; they simply stop seeing new generations.
 func (s *Service) Close() {
-	s.stopOnce.Do(func() { close(s.stop) })
-	s.repl.shutdown()
-	s.wg.Wait()
+	// Closing the replication server unblocks its accept loop and ship jobs.
+	s.jobs.close(s.repl.srv.Close)
 	for _, dc := range s.order {
 		sh := s.shards[dc]
 		// Under the rebuild lock: a Refresh from another goroutine may still be
@@ -524,25 +499,6 @@ func (s *Service) Close() {
 		sh.mu.Lock()
 		s.persistShard(sh, nil)
 		sh.mu.Unlock()
-	}
-}
-
-func (s *Service) refreshLoop(sh *shard) {
-	defer s.wg.Done()
-	ticker := time.NewTicker(s.cfg.RefreshPeriod)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-ticker.C:
-			// On failure the previous snapshot keeps serving; refreshShard
-			// counts the error, and the log line makes the staleness visible
-			// without watching /metrics.
-			if err := s.refreshShard(sh); err != nil {
-				slogger.Warn("refresh failed, serving previous snapshot", "dc", sh.dc, "err", err)
-			}
-		}
 	}
 }
 
@@ -895,7 +851,7 @@ func (s *Service) usageViewFor(snap *Snapshot) *usageView {
 	}
 	if s.follower.Load() {
 		// A follower's live usage is whatever the primary shipped — its own
-		// rings are frozen at bootstrap. The apply loop publishes the view;
+		// rings are frozen at bootstrap. An apply publishes the view;
 		// a cache miss here is a reader racing an apply, so rebuild from the
 		// snapshot's shipped usage rather than the stale rings.
 		return s.buildUsageView(sh, snap, snap.Usage, total)
@@ -1447,28 +1403,9 @@ func (s *Service) BlockStats(dc string) (blockledger.Stats, bool) {
 // datacenter.
 const repairBatch = 64
 
-// repairLoop is the background re-replicator (primary role only): each tick
-// it drains one batch of repair refs per datacenter and re-places them via
-// Alg. 2 with the surviving replicas' constraints carried over.
-func (s *Service) repairLoop() {
-	defer s.wg.Done()
-	ticker := time.NewTicker(s.cfg.RepairInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-ticker.C:
-			for _, dc := range s.order {
-				s.RepairBlocks(dc, repairBatch)
-			}
-		}
-	}
-}
-
 // RepairBlocks attempts up to max queued repairs for one datacenter and
-// returns how many landed. The background re-replicator calls this on its
-// ticker; tests and operational tooling may call it directly to drain
+// returns how many landed. The background re-replicator calls this every
+// period; tests and operational tooling may call it directly to drain
 // synchronously. Repairs that cannot land (no eligible server under the
 // current grid) go back on the queue and count as repair failures.
 func (s *Service) RepairBlocks(dc string, max int) int {

@@ -8,7 +8,7 @@
 //
 // Concurrency model: each datacenter is a shard holding an immutable
 // *Snapshot behind an atomic.Pointer. Readers load the pointer and work on a
-// self-contained, never-mutated object; a per-shard refresher goroutine
+// self-contained, never-mutated object; a per-shard refresh job
 // builds the next snapshot off to the side and publishes it with a single
 // atomic swap, so queries never block on a rebuild and never see a
 // half-updated clustering. The mutable scratch state the core algorithms
@@ -87,7 +87,7 @@ func buildSnapshot(dc string, pop *tenant.Population, src tenant.HistorySource, 
 
 // assembleSnapshot wraps a ready clustering in a queryable snapshot: the
 // selector, the placement scheme, and the usage view at the source's
-// horizon. The caller (one refresher goroutine per shard, serialized by the
+// horizon. The caller (one refresh job per shard, serialized by the
 // shard mutex) is the only writer of pop; the returned snapshot copies or
 // shares only state that is never written afterwards.
 //
