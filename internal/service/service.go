@@ -925,6 +925,9 @@ type ShardStats struct {
 	// EvictedTenants counts telemetry rings reclaimed by the staleness
 	// eviction since boot.
 	EvictedTenants uint64 `json:"evicted_tenants"`
+	// RingBytes is the memory the telemetry rings hold outside the Go heap,
+	// which the runtime's memory statistics leave out.
+	RingBytes int64 `json:"ring_bytes" prom:"harvestd_telemetry_ring_bytes,gauge" help:"Bytes of telemetry ring slots mapped outside the Go heap."`
 	// Refresh latency over successful snapshot refreshes since boot (recluster
 	// + rekey + publish, excluding persistence I/O) — the latency the
 	// incremental snapshot path is sized by, and the scale gate: steady-state
@@ -1012,6 +1015,7 @@ func (s *Service) readStats(dc string, st *ShardStats) bool {
 		PersistLastBytes:     sh.persistLastBytes.Load(),
 		PersistLastSeconds:   time.Duration(sh.persistLastNanos.Load()).Seconds(),
 		EvictedTenants:       sh.rings.Evictions(),
+		RingBytes:            sh.rings.RingBytes(),
 		RefreshMeanUs:        sh.refreshLatency.MeanMicros(),
 		RefreshP99Us:         sh.refreshLatency.QuantileMicros(0.99),
 		RefreshMaxUs:         sh.refreshLatency.MaxMicros(),

@@ -13,12 +13,19 @@
 // block ingest and ingest never blocks snapshot builds — the property the
 // serving layer's "queries never wait on a rebuild" contract extends to the
 // new data path.
+//
+// A ring's slots live outside the Go heap, in an anonymous mapping released
+// when the ring becomes unreachable (cells_unix.go): a month of history per
+// tenant would otherwise be most of the live heap, and the GC lets garbage
+// grow to the size of the live heap before it collects. Every method that
+// touches slots therefore keeps its ring reachable until its last access.
 package telemetry
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -56,6 +63,11 @@ type Sample struct {
 // per-slot offset table, which the ring keeps from then on. The cursor
 // re-check in readWindow is what keeps a reader from pairing a new value with
 // an old timestamp, computed or stored.
+//
+// Both slot arrays are cells outside the Go heap wherever newCells can map
+// them. The cursor, clock and mutex stay in the Ring: the seqlock's
+// synchronization is all on heap words, the only atomics the race detector
+// orders accesses by, and the slots publish nothing.
 type Ring struct {
 	bits   []atomic.Uint64                // value bits; sample n lives in bits[n % len(bits)]
 	stamps atomic.Pointer[[]atomic.Int64] // slot offsets, beside bits; nil while on the grid
@@ -63,14 +75,31 @@ type Ring struct {
 	step   atomic.Int64                   // sample 1's offset minus sample 0's
 	head   atomic.Uint64                  // samples ever appended
 	wmu    sync.Mutex                     // serializes writers; a reader takes it only after losing lockFreeAttempts races
+	mapped *atomic.Int64                  // bytes mapped for the store's rings; nil outside a store
 }
 
 // NewRing creates a ring holding up to capacity samples.
-func NewRing(capacity int) *Ring {
+func NewRing(capacity int) *Ring { return newRing(capacity, nil) }
+
+func newRing(capacity int, mapped *atomic.Int64) *Ring {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Ring{bits: make([]atomic.Uint64, capacity+1)}
+	r := &Ring{mapped: mapped}
+	r.bits = newCells[atomic.Uint64](r, capacity+1)
+	return r
+}
+
+// cell is what a ring's slot arrays hold.
+type cell interface{ atomic.Uint64 | atomic.Int64 }
+
+// newCells returns n zeroed cells for r: mapped outside the heap when
+// mapCells can, made on it otherwise.
+func newCells[T cell](r *Ring, n int) []T {
+	if c := mapCells[T](r, n, r.mapped); c != nil {
+		return c
+	}
+	return make([]T, n)
 }
 
 // Capacity returns the maximum number of samples the ring retains.
@@ -142,18 +171,20 @@ func (r *Ring) fill(n uint64, at time.Duration, value float64) {
 		(*stamps)[i].Store(int64(at))
 	}
 	r.bits[i].Store(math.Float64bits(value))
+	runtime.KeepAlive(r)
 }
 
 // leaveGrid materializes the offset table for sample n, the first off the
 // grid: every slot gets the grid offset of the sample it holds, and the table
 // is published before the cursor can cover sample n.
 func (r *Ring) leaveGrid(n uint64) *[]atomic.Int64 {
-	stamps := make([]atomic.Int64, len(r.bits))
+	stamps := newCells[atomic.Int64](r, len(r.bits))
 	grid := r.clock()
 	for k := n - min(n, uint64(len(stamps))); k < n; k++ {
 		stamps[k%uint64(len(stamps))].Store(int64(grid.at(k)))
 	}
 	r.stamps.Store(&stamps)
+	runtime.KeepAlive(r)
 	return &stamps
 }
 
@@ -179,6 +210,7 @@ func (r *Ring) appendSeries(values []float64, endAt, interval time.Duration) {
 		r.head.Store(head) // publish
 		values = values[len(run):]
 	}
+	runtime.KeepAlive(r)
 }
 
 // appendAfter resolves the sample's offset against the ring's latest sample
@@ -193,6 +225,7 @@ func (r *Ring) appendAfter(at time.Duration, value float64, interval time.Durati
 	if head > 0 {
 		// Safe to read directly: we hold the only writer lock.
 		lastAt = r.clock().at(head - 1)
+		runtime.KeepAlive(r)
 	}
 	if at <= 0 {
 		at = lastAt + interval
@@ -224,6 +257,7 @@ func (r *Ring) Last() (Sample, bool) {
 			return Sample{}, false
 		}
 		out := Sample{At: r.clock().at(head - 1), Value: math.Float64frombits(r.bits[(head-1)%uint64(len(r.bits))].Load())}
+		runtime.KeepAlive(r)
 		// Sample head-1's slot is next reused by sample head-1+len(bits),
 		// which the writer begins once the published cursor reaches it; the
 		// copy above is consistent iff the cursor is still strictly below
@@ -238,7 +272,8 @@ func (r *Ring) Last() (Sample, bool) {
 // copies samples [start, head) — the retained window as of one load of the
 // cursor — and is called again, from scratch, each time the writer wrapped
 // into the range while it ran; after lockFreeAttempts such losses the writer
-// is held off for one copy.
+// is held off for one copy. The ring stays reachable until each copy returns,
+// which covers every caller's slot reads.
 func (r *Ring) readWindow(copyRange func(start, head uint64)) {
 	for attempt := 0; ; attempt++ {
 		if attempt == lockFreeAttempts {
@@ -248,6 +283,7 @@ func (r *Ring) readWindow(copyRange func(start, head uint64)) {
 		head := r.head.Load()
 		start := head - min(head, uint64(r.Capacity()))
 		copyRange(start, head)
+		runtime.KeepAlive(r)
 		// Accept iff no sample we copied can have been overwritten. The spare
 		// slot covers the one sample the writer may be part-way through:
 		// sample `start`'s slot is reused by sample start+len(bits), which
@@ -322,6 +358,10 @@ type Store struct {
 	total      atomic.Uint64 // samples ever ingested (incl. bootstrap)
 	lastIngest atomic.Int64  // wall-clock unix nanos of the last live ingest; 0 = never
 	evictions  atomic.Uint64 // rings reclaimed by EvictStale since construction
+	// mapped counts the bytes the rings' cells map outside the heap. It is its
+	// own object: a ring's cleanup holding a pointer into the Store would keep
+	// the Store, and with it every ring, reachable for good.
+	mapped *atomic.Int64
 }
 
 // NewStore creates a store with one ring of the given capacity per tenant.
@@ -334,10 +374,10 @@ func NewStore(ids []tenant.ID, interval time.Duration, capacity int) *Store {
 	if capacity < 1 {
 		capacity = 1
 	}
-	st := &Store{interval: interval, capacity: capacity, rings: make(map[tenant.ID]*tenantRing, len(ids))}
+	st := &Store{interval: interval, capacity: capacity, rings: make(map[tenant.ID]*tenantRing, len(ids)), mapped: new(atomic.Int64)}
 	for _, id := range ids {
 		tr := &tenantRing{}
-		tr.p.Store(NewRing(capacity))
+		tr.p.Store(newRing(capacity, st.mapped))
 		st.rings[id] = tr
 	}
 	return st
@@ -408,7 +448,7 @@ func (st *Store) fullRingLocked(tr *tenantRing) *Ring {
 	if r.Capacity() >= st.capacity {
 		return r
 	}
-	grown := NewRing(st.capacity)
+	grown := newRing(st.capacity, st.mapped)
 	for _, s := range r.Snapshot(nil) {
 		grown.Append(s.At, s.Value)
 	}
@@ -488,6 +528,11 @@ func (st *Store) EvictStale(staleAfter time.Duration, now time.Time) int {
 // Evictions returns how many rings EvictStale has reclaimed since
 // construction.
 func (st *Store) Evictions() uint64 { return st.evictions.Load() }
+
+// RingBytes returns how many bytes the store's rings hold mapped outside the
+// Go heap, page-rounded, which the runtime's memory statistics do not count.
+// A replaced ring's mapping counts until the GC finds it unreachable.
+func (st *Store) RingBytes() int64 { return st.mapped.Load() }
 
 func (st *Store) advanceHorizon(at time.Duration) {
 	for {
