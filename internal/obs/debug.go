@@ -2,19 +2,25 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
+	"reflect"
+	"runtime"
 	"runtime/debug"
 	"strconv"
+	"sync"
 	"time"
+
+	"harvest/internal/httpjson"
 )
 
-// DebugMux builds the off-data-plane debug surface: pprof, expvar, build
-// info, and the trace viewer. Daemons serve it on a dedicated -debug-addr
-// listener so profiling and trace dumps never contend with (or get proxied
-// like) data-plane requests.
+// DebugMux builds the off-data-plane debug surface: pprof, expvar's document,
+// build info, and the trace viewer. Daemons serve it on a dedicated
+// -debug-addr listener so profiling and trace dumps never contend with (or get
+// proxied like) data-plane requests.
 func DebugMux(component string, rec *Recorder) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -22,7 +28,7 @@ func DebugMux(component string, rec *Recorder) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
+	mux.Handle("/debug/vars", newVarsHandler())
 	mux.HandleFunc("/debug/build", func(w http.ResponseWriter, r *http.Request) {
 		writeBuildInfo(w, component)
 	})
@@ -32,21 +38,100 @@ func DebugMux(component string, rec *Recorder) *http.ServeMux {
 		w.Write([]byte(component + " debug plane:\n" +
 			"  /debug/traces   last-N + slowest-since-boot request traces (?trace=, ?dc=, ?min_us=, ?limit=)\n" +
 			"  /debug/pprof/   live profiling\n" +
-			"  /debug/vars     expvar\n" +
+			"  /debug/vars     expvar's cmdline and memstats\n" +
 			"  /debug/build    build info\n"))
 	})
 	return mux
 }
 
 // ServeDebug binds addr and serves the debug mux in the background,
-// returning the bound address (useful with ":0").
+// returning the bound address (useful with ":0"). The timeouts are the data
+// listeners': they reclaim the goroutine of a client that stalls mid-header
+// or idles forever.
 func ServeDebug(addr, component string, rec *Recorder) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
 	}
-	go http.Serve(ln, DebugMux(component, rec)) //nolint — debug plane lives for the process
+	srv := &http.Server{
+		Handler:           DebugMux(component, rec),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+	go srv.Serve(ln) //nolint — debug plane lives for the process
 	return ln.Addr().String(), nil
+}
+
+// varsHandler serves /debug/vars: expvar's document, {"cmdline", "memstats"}
+// in its layout, with runtime.MemStats rendered through its plan into storage
+// kept between scrapes. expvar's own handler marshals the stats by reflection
+// on every scrape and builds encoding/json's cache for the type on the
+// first; a heap probe that reads Mallocs before and after a window counted
+// both. Here the plan, the cmdline (os.Args never changes) and a buffer for
+// the longest document are built with the handler, so a scrape allocates
+// only net/http's Content-Length. The reply is written under the lock, as it
+// is the kept buffer: a scrape waits for the one before it to be written.
+type varsHandler struct {
+	mu    sync.Mutex
+	stats runtime.MemStats
+	plan  *node
+	head  int // the bytes of enc.buf up to the memstats value
+	enc   jsonEncoder
+}
+
+var varsContentType = []string{"application/json; charset=utf-8"}
+
+func newVarsHandler() *varsHandler {
+	cmdline, _ := json.Marshal(os.Args) // a []string always marshals
+	h := &varsHandler{plan: planOf(reflect.TypeFor[*runtime.MemStats]())}
+	h.enc.buf = append(append([]byte("{\n\"cmdline\": "), cmdline...), ",\n\"memstats\": "...)
+	h.head = len(h.enc.buf)
+	// Size the buffer once, by the longest document the type can make.
+	widest(reflect.ValueOf(&h.stats).Elem())
+	h.render() // the widest value holds no NaN or Inf to refuse
+	return h
+}
+
+// render writes the document for h.stats into h.enc.buf; h.mu held.
+func (h *varsHandler) render() error {
+	h.enc.buf = h.enc.buf[:h.head]
+	err := h.enc.value(h.plan, reflect.ValueOf(&h.stats))
+	h.enc.buf = append(h.enc.buf, "\n}\n"...)
+	return err
+}
+
+// widest sets every unsigned integer and float in v to its longest JSON
+// form, through structs and arrays.
+func widest(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if v.Field(i).CanSet() {
+				widest(v.Field(i))
+			}
+		}
+	case reflect.Array:
+		for i := range v.Len() {
+			widest(v.Index(i))
+		}
+	case reflect.Float64:
+		v.SetFloat(-1.2345678901234567e-6) // 25 bytes: the 'f' form at its longest
+	default:
+		if v.CanUint() {
+			v.SetUint(math.MaxUint64) // truncated to the field's own maximum
+		}
+	}
+}
+
+func (h *varsHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	runtime.ReadMemStats(&h.stats)
+	if err := h.render(); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	httpjson.Reply(w, http.StatusOK, varsContentType, h.enc.buf)
 }
 
 func writeBuildInfo(w http.ResponseWriter, component string) {

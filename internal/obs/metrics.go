@@ -39,13 +39,13 @@ import (
 //   - struct, *struct, map[string]struct: the fields inside, untagged ones
 //     descended into too; a nil pointer is a section that is absent.
 //
-// A slice, or a type with its own JSON or text form, is not a metric. In the
-// labels tag a bare name is the label that takes the map key, and name=value
-// is a constant; labels accumulate outermost first, in the order written. Map
-// keys render sorted. Every family reachable through non-nil pointers is
-// declared even when it has no series to show (an empty map declares its
-// element's families), so HELP/TYPE do not come and go with the data. The
-// tags are read once per type (plan.go).
+// A slice, an array, or a type with its own JSON or text form, is not a
+// metric. In the labels tag a bare name is the label that takes the map key,
+// and name=value is a constant; labels accumulate outermost first, in the
+// order written. Map keys render sorted. Every family reachable through
+// non-nil pointers is declared even when it has no series to show (an empty
+// map declares its element's families), so HELP/TYPE do not come and go with
+// the data. The tags are read once per type (plan.go).
 func WriteMetrics(w http.ResponseWriter, stats any, prometheus bool) {
 	r := renderers.Get().(*renderer)
 	defer renderers.Put(r)
@@ -132,7 +132,7 @@ func (e *jsonEncoder) value(n *node, v reflect.Value) error {
 		e.buf = append(e.buf, v.Bytes()...)
 	case kindPointer, kindHist:
 		return e.value(n.elem, v.Elem())
-	case kindSlice:
+	case kindSlice, kindArray:
 		e.buf = append(e.buf, '[')
 		for i := 0; i < v.Len(); i++ {
 			if i > 0 {

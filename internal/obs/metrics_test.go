@@ -59,6 +59,14 @@ type zoo struct {
 	Any     any                        `json:"any"`
 	Bytes   []byte                     `json:"bytes"`
 	Pair    [2]int                     `json:"pair"`
+	Pauses  [3]uint64                  `json:"pauses"`
+	Ratios  [2]float64                 `json:"ratios"`
+	Grid    [2][2]int8                 `json:"grid"`
+	Digest  [2]byte                    `json:"digest"` // numbers, unlike []byte
+	Sizes   [2]struct{ Size uint32 }   `json:"sizes"`
+	Bases   [2]zooBase                 `json:"bases"`
+	None    [0]int                     `json:"none,omitempty"`  // empty: omitted
+	Zeros   [2]int                     `json:"zeros,omitempty"` // zero, not empty: written
 	F32     float32                    `json:"f32"`
 }
 
@@ -84,6 +92,12 @@ func TestMetricsJSONIsEncodingJSON(t *testing.T) {
 		Any:     map[string]int{"k": 1},
 		Bytes:   []byte("bytes"),
 		Pair:    [2]int{8, 9},
+		Pauses:  [3]uint64{math.MaxUint64, 0, 12},
+		Ratios:  [2]float64{1e-7, 0.5},
+		Grid:    [2][2]int8{{-1, 2}, {3, -128}},
+		Digest:  [2]byte{0, 255},
+		Sizes:   [2]struct{ Size uint32 }{{8}, {math.MaxUint32}},
+		Bases:   [2]zooBase{{ID: 3, Note: "n"}, {Shadow: 4}},
 		F32:     0.1,
 	}
 	for _, v := range []*zoo{&v, {}} {

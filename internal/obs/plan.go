@@ -17,7 +17,7 @@ import (
 // index, so a scrape parses no tag and boxes no value.
 type node struct {
 	kind nodeKind
-	elem *node       // pointer, slice and map elements
+	elem *node       // pointer, slice, map and array elements
 	json []jsonField // struct
 	prom []promField // struct
 }
@@ -35,7 +35,8 @@ const (
 	kindHist
 	kindPointer
 	kindSlice
-	kindMap // string-keyed
+	kindMap   // string-keyed
+	kindArray // fixed size: written as a slice is, never nil
 	kindStruct
 )
 
@@ -116,6 +117,8 @@ func buildNode(t reflect.Type) *node {
 		n.kind, n.elem = kindSlice, buildNode(t.Elem())
 	case k == reflect.Map && t.Key().Kind() == reflect.String:
 		n.kind, n.elem = kindMap, buildNode(t.Elem())
+	case k == reflect.Array:
+		n.kind, n.elem = kindArray, buildNode(t.Elem())
 	case k == reflect.Struct:
 		n.kind, n.json, n.prom = kindStruct, jsonFields(t, nil, nil), promFields(t)
 	}

@@ -181,6 +181,7 @@ func TestPromWalk(t *testing.T) {
 		Empty   map[string]section
 		Raw     map[string][]byte // not a metric; must be walked past
 		Role    map[string]uint64 `prom:"t_role,gauge" labels:"node" help:"Role."`
+		Fixed   [2]section        // an array is not a metric either
 	}
 	var m EndpointMetrics
 	m.Observe(3*time.Microsecond, 200)
@@ -195,8 +196,9 @@ func TestPromWalk(t *testing.T) {
 			"DC-9": {Gen: 7, Drift: 0.25, In: 1, Out: 2, Build: &build},
 			"DC-3": {Gen: 4},
 		},
-		Raw:  map[string][]byte{"x": []byte("{}")},
-		Role: map[string]uint64{`a"b`: 1},
+		Raw:   map[string][]byte{"x": []byte("{}")},
+		Role:  map[string]uint64{`a"b`: 1},
+		Fixed: [2]section{{Open: true}, {Open: true}},
 	})
 
 	var lines []string

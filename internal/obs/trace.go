@@ -43,8 +43,9 @@ const maxSpans = 8
 // from its recorder: Begin lends it to a single goroutine at a time (the
 // connection handler, then whoever it hands the request to), and Finish copies
 // it into the ring and takes it back — nothing may touch the pointer after
-// Finish, because the next Begin may already be filling it. The traces Query
-// returns are copies of their own and never change.
+// Finish, because the next Begin (or BeginIn into the same storage) may
+// already be filling it. The traces Query returns are copies of their own and
+// never change.
 type Trace struct {
 	ID      uint64
 	Dialect string
@@ -58,6 +59,7 @@ type Trace struct {
 	nspans  int
 	spans   [maxSpans]Span
 	rec     *Recorder
+	pooled  bool // lent by Begin: Finish gives it back
 	// seq numbers the trace among everything its recorder published (1-based,
 	// set by record): which of two occupants of a ring slot is newer, and
 	// whether a reservoir entry is the trace a ring slot also holds.
@@ -119,10 +121,22 @@ func (r *Recorder) Begin(id uint64, dialect, op, dc string) *Trace {
 	if r == nil {
 		return nil
 	}
+	t := r.BeginIn(r.free.Get().(*Trace), id, dialect, op, dc)
+	t.pooled = true
+	return t
+}
+
+// BeginIn is Begin into t, storage its caller keeps for one trace at a time:
+// Finish publishes it and leaves it to the caller. A caller with a fixed set
+// of in-flight slots (the router's binary relay) keeps one in each, so a
+// burst of frames never grows the recorder's pool.
+func (r *Recorder) BeginIn(t *Trace, id uint64, dialect, op, dc string) *Trace {
+	if r == nil {
+		return nil
+	}
 	if id == 0 {
 		id = NewTraceID()
 	}
-	t := r.free.Get().(*Trace)
 	*t = Trace{ID: id, Dialect: dialect, Op: op, DC: dc, Start: time.Now(), rec: r}
 	return t
 }
@@ -162,7 +176,9 @@ func (t *Trace) Finish(status int) {
 	t.DurUs = time.Since(t.Start).Microseconds()
 	r := t.rec
 	r.record(t)
-	r.free.Put(t)
+	if t.pooled {
+		r.free.Put(t)
+	}
 }
 
 // Spans returns the recorded spans. Only call on published (finished)

@@ -105,6 +105,36 @@ func TestTraceLifecyclePublishesSpans(t *testing.T) {
 	}
 }
 
+// TestBeginInLeavesTheTraceToItsOwner publishes a trace begun in caller
+// storage as Begin's are, allocates nothing for it, and never hands that
+// storage to a later Begin: the pool grows only with Begin's own traces.
+func TestBeginInLeavesTheTraceToItsOwner(t *testing.T) {
+	r := NewRecorder(8)
+	var mine Trace
+	tr := r.BeginIn(&mine, 7, DialectBinary, "select", "DC-9")
+	tr.Span("backend_leg", time.Now())
+	tr.Finish(200)
+	if got := r.Query(TraceFilter{ID: 7}); len(got) != 1 || got[0].Status != 200 || len(got[0].Spans()) != 1 {
+		t.Fatalf("Query by id returned %+v", got)
+	}
+	for i := 0; i < 4; i++ {
+		if lent := r.Begin(8, DialectJSON, "select", ""); lent == &mine {
+			t.Fatal("Begin lent the storage a BeginIn caller keeps")
+		}
+	}
+	if (*Recorder)(nil).BeginIn(&mine, 9, DialectBinary, "select", "") != nil {
+		t.Fatal("nil recorder BeginIn returned a trace")
+	}
+	if raceEnabled {
+		return // allocation counts are not meaningful under -race
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		r.BeginIn(&mine, 9, DialectBinary, "select", "DC-9").Finish(200)
+	}); allocs != 0 {
+		t.Errorf("BeginIn and Finish: %v allocs, want 0", allocs)
+	}
+}
+
 // put publishes a hand-built trace so tests control DurUs exactly.
 func put(r *Recorder, id uint64, durUs int64, dc string) {
 	r.record(&Trace{ID: id, Dialect: DialectJSON, Op: "select", DC: dc,

@@ -383,7 +383,8 @@ type binRelaySlot struct {
 	id    uint64 // the client's frame id, restored on the response
 	op    int    // the request's row in wire.Ops
 	dc    string
-	tr    *obs.Trace // on loan from the recorder until reject or finish
+	tr    *obs.Trace // &trace from relayStart until reject or finish
+	trace obs.Trace
 	start time.Time
 	// adm and legStart bracket the backend leg of an admitted frame.
 	adm      admission
@@ -508,7 +509,7 @@ func (slot *binRelaySlot) relayStart(h wire.Header, frame []byte) {
 	// the trace id — a binary client can look its own frames up on
 	// /debug/traces with no wire change (id 0 gets a router-assigned one).
 	slot.dc = rt.dcName(dcb)
-	slot.tr = rt.rec.Begin(h.ID, obs.DialectBinary, info.Name, slot.dc)
+	slot.tr = rt.rec.BeginIn(&slot.trace, h.ID, obs.DialectBinary, info.Name, slot.dc)
 	// The same read/write split as the HTTP path, from the same table.
 	read := info.Access == wire.Read
 	if info.Access == wire.ReadIfDryRun {

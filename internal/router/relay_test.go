@@ -16,7 +16,8 @@ import (
 
 // TestRelayAllocs is the serving path's object budget on the router (DESIGN.md
 // "Hot paths"): a forwarded frame rides a slot of its connection's relay ring,
-// the pipe's own write buffer and a lent trace, so it costs the heap nothing.
+// the pipe's own write buffer and the slot's trace, so it costs the heap
+// nothing.
 // Router, shard and client share this process and the count is the process's,
 // so the client reuses its buffers and the mix is the shard's allocation-free
 // operations (TestBinaryDispatchAllocs): what is left is an upper bound on the
@@ -83,6 +84,53 @@ func TestRelayAllocs(t *testing.T) {
 	t.Logf("%.4f heap objects per forwarded frame (%d over %d frames)", per, after.Mallocs-before.Mallocs, bursts*perBatch)
 	if per >= 0.1 {
 		t.Errorf("%.3f heap objects per forwarded frame, budget < 0.1", per)
+	}
+}
+
+// TestRelayWindowBurstAllocatesNothing fills a connection's relay window for
+// the first time after a run of small bursts: every slot then holds a trace at
+// once, and each slot keeps its own, so the burst costs the heap nothing. With
+// traces lent from the recorder's pool the first such burst grew the pool by
+// one trace per frame in flight (62 objects, 25 kB) — inside whatever window
+// a load peak first reached that depth.
+func TestRelayWindowBurstAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const dc = "DC-9"
+	rt := fleettest.StartRouter(t, router.Config{StaleAfter: time.Minute})
+	n := fleettest.StartNode(t, nodeConfig("node-bin", dc))
+	mustRegister(t, rt.URL, regproto.RegisterRequest{
+		ID: "node-bin", URL: n.URL, BinaryAddr: n.BinaryAddr,
+		Datacenters: []wire.ReplDCGen{{DC: dc, Generation: 1}},
+	})
+	c := dialBin(t, rt.BinaryAddr)
+	frames := func(n int) (batch []byte) {
+		for i := 0; i < n; i++ {
+			batch = wire.AppendClassesReq(batch, 7, dc)
+		}
+		return batch
+	}
+	burst := func(batch []byte, n int) {
+		if _, err := c.c.Write(batch); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		for i := 0; i < n; i++ {
+			if h, _, err := wire.ReadFrame(c.br, &c.scratch); err != nil || h.Op != wire.OpClassesResp {
+				t.Fatalf("response %d: header %+v, err %v", i, h, err)
+			}
+		}
+	}
+	small, wide := frames(4), frames(60)
+	for i := 0; i < 50; i++ {
+		burst(small, 4) // dial the pipes, grow every buffer a small burst needs
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	burst(wide, 60)
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; got > 8 {
+		t.Errorf("the first 60-frame burst cost %d heap objects (%d B), budget 8", got, after.TotalAlloc-before.TotalAlloc)
 	}
 }
 
