@@ -55,7 +55,6 @@ package main
 import (
 	"flag"
 	"net"
-	"net/http"
 	"net/url"
 	"os"
 	"os/signal"
@@ -243,13 +242,8 @@ func main() {
 			"self", selfURL, "routers", *announce, "interval", *announceEvery)
 	}
 	// BatchListener coalesces pipelined responses into one write syscall per
-	// batch; see internal/service/batchconn.go. The timeouts reclaim
-	// goroutines from clients that stall mid-header or idle forever.
-	server := &http.Server{
-		Handler:           api,
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
+	// batch; see internal/service/batchconn.go.
+	server := obs.NewServer(api)
 	errs := make(chan error, 1)
 	go func() { errs <- server.Serve(service.BatchListener{Listener: ln}) }()
 	logger.Info("serving", "addr", *listen)

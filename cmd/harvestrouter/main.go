@@ -43,7 +43,6 @@ package main
 import (
 	"flag"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -105,11 +104,7 @@ func main() {
 		rt.SetBinaryAdvertise(advertise)
 		logger.Info("binary dialect listening", "addr", binAddr.String(), "advertised", advertise)
 	}
-	server := &http.Server{
-		Handler:           rt,
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
+	server := obs.NewServer(rt)
 	errs := make(chan error, 1)
 	go func() { errs <- server.Serve(service.BatchListener{Listener: ln}) }()
 	logger.Info("serving", "addr", *listen, "stale_after", *staleAfter)

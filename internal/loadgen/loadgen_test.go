@@ -16,6 +16,7 @@ import (
 
 	"harvest/internal/experiments"
 	"harvest/internal/fleettest"
+	"harvest/internal/ledger"
 	"harvest/internal/router"
 	"harvest/internal/service"
 	"harvest/internal/wire"
@@ -46,7 +47,7 @@ func serve(t *testing.T, n *fleettest.Node, opts service.APIOptions) string {
 }
 
 func reserves(t *testing.T, n *fleettest.Node) uint64 {
-	st, ok := n.Service.LedgerStats("DC-9")
+	st, ok := ledgerStats(n.Service, "DC-9")
 	if !ok {
 		t.Fatal("no ledger for DC-9")
 	}
@@ -58,7 +59,7 @@ func reserves(t *testing.T, n *fleettest.Node) uint64 {
 // again, and the books balance.
 func checkDrained(t *testing.T, n *fleettest.Node, before uint64) {
 	t.Helper()
-	st, _ := n.Service.LedgerStats("DC-9")
+	st, _ := ledgerStats(n.Service, "DC-9")
 	if st.Reserves <= before {
 		t.Error("the run reserved nothing")
 	}
@@ -650,4 +651,10 @@ func TestWaveQuiesces(t *testing.T) {
 	if rep.ServersReimaged != 0 || rep.Errors == 0 || rep.Errors != rep.Datacenters[0].ReimageErrors || rep.LostReplicas != st.Lost {
 		t.Errorf("unauthorised wave = %+v, want only reimage errors", rep)
 	}
+}
+
+// ledgerStats is a datacenter's allocation ledger books, as /metrics reads them.
+func ledgerStats(svc *service.Service, dc string) (ledger.Stats, bool) {
+	st, ok := svc.Stats(dc)
+	return st.Ledger, ok
 }

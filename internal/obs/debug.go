@@ -44,21 +44,21 @@ func DebugMux(component string, rec *Recorder) *http.ServeMux {
 	return mux
 }
 
+// NewServer is the http.Server every listener of both daemons serves h on:
+// its timeouts reclaim the goroutine of a client that stalls mid-header or
+// idles forever.
+func NewServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
+}
+
 // ServeDebug binds addr and serves the debug mux in the background,
-// returning the bound address (useful with ":0"). The timeouts are the data
-// listeners': they reclaim the goroutine of a client that stalls mid-header
-// or idles forever.
+// returning the bound address (useful with ":0").
 func ServeDebug(addr, component string, rec *Recorder) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
 	}
-	srv := &http.Server{
-		Handler:           DebugMux(component, rec),
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	go srv.Serve(ln) //nolint — debug plane lives for the process
+	go NewServer(DebugMux(component, rec)).Serve(ln) //nolint — debug plane lives for the process
 	return ln.Addr().String(), nil
 }
 

@@ -191,17 +191,30 @@ func TestDebugVarsConcurrentScrapes(t *testing.T) {
 	wg.Wait()
 }
 
+// TestServerTimeouts pins what NewServer gives every listener of both
+// daemons: 10 s for a request header, 2 minutes for an idle connection.
+func TestServerTimeouts(t *testing.T) {
+	srv := NewServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != 10*time.Second || srv.IdleTimeout != 2*time.Minute {
+		t.Fatalf("ReadHeaderTimeout %v, IdleTimeout %v; want 10s, 2m", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+}
+
 // TestDebugListenerClosesAStalledHeader sends half a request header to the
-// debug listener and waits: the listener's ReadHeaderTimeout, 10 s as on the
-// data listeners, closes the connection rather than holding its goroutine
-// for ever.
+// debug mux on a NewServer and waits: the header timeout, lowered here from
+// its 10 s, closes the connection rather than holding its goroutine for ever.
 func TestDebugListenerClosesAStalledHeader(t *testing.T) {
 	t.Parallel()
-	addr, err := ServeDebug("127.0.0.1:0", "test", NewRecorder(8))
+	const timeout = 200 * time.Millisecond
+	srv := NewServer(DebugMux("test", NewRecorder(8)))
+	srv.ReadHeaderTimeout = timeout
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := net.Dial("tcp", addr)
+	go srv.Serve(ln)
+	defer srv.Close()
+	c, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +232,7 @@ func TestDebugListenerClosesAStalledHeader(t *testing.T) {
 	if n != 0 || err == nil {
 		t.Fatalf("read %d bytes, %v: the half-sent request was answered", n, err)
 	}
-	if waited := time.Since(start); waited < 9*time.Second {
+	if waited := time.Since(start); waited < timeout*9/10 {
 		t.Errorf("closed after %v, before the header timeout", waited)
 	}
 }

@@ -175,7 +175,7 @@ func TestBinaryRelayEndToEnd(t *testing.T) {
 	}
 
 	// The books balance: everything reserved came back.
-	st, ok := n.Service.LedgerStats("DC-9")
+	st, ok := ledgerStats(n.Service, "DC-9")
 	if !ok {
 		t.Fatal("no ledger stats")
 	}
@@ -225,7 +225,7 @@ func TestBinaryFrontRejectsJSONOnlyBackend(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("JSON select for the same datacenter: %d %s", resp.StatusCode, body)
 	}
-	if st, _ := n.Service.LedgerStats("DC-8"); st.Reserves != 1 {
+	if st, _ := ledgerStats(n.Service, "DC-8"); st.Reserves != 1 {
 		t.Fatalf("JSON select did not reach the shard: %+v", st)
 	}
 }
@@ -283,12 +283,12 @@ func TestBinaryReadsSkipJSONOnlyFollower(t *testing.T) {
 func TestAdmissionGateSharedByBothFronts(t *testing.T) {
 	for _, probeFront := range []string{"json", "binary"} {
 		t.Run(probeFront+" probes", func(t *testing.T) {
-			clock := newTestClock()
+			clock := fleettest.NewClock()
 			rt := fleettest.StartRouter(t, router.Config{
 				StaleAfter:       time.Hour, // isolate the breaker from staleness: the cooldown is 12 minutes
 				BreakerThreshold: 2,
 				ProxyTimeout:     2 * time.Second,
-				Now:              clock.Now,
+				Clock:            clock,
 			})
 			c := dialBin(t, rt.BinaryAddr)
 

@@ -28,6 +28,7 @@ import (
 
 	"harvest/internal/experiments"
 	"harvest/internal/fleettest"
+	"harvest/internal/ledger"
 	"harvest/internal/loadgen"
 	"harvest/internal/router"
 	"harvest/internal/service"
@@ -87,11 +88,11 @@ func TestCrossNodeShardingEndToEnd(t *testing.T) {
 	if sel.Datacenter != "DC-9" || !sel.Satisfiable || sel.Lease == 0 {
 		t.Fatalf("select via router = %+v, want a satisfiable DC-9 lease", sel)
 	}
-	stA, _ := a.Service.LedgerStats("DC-9")
+	stA, _ := ledgerStats(a.Service, "DC-9")
 	if stA.ActiveLeases != 1 || stA.OutstandingMillis != 8000 {
 		t.Fatalf("owning shard books = %+v, want 1 lease / 8000 millis outstanding", stA)
 	}
-	stB, _ := b.Service.LedgerStats("DC-8")
+	stB, _ := ledgerStats(b.Service, "DC-8")
 	if stB.Reserves != 0 || stB.ActiveLeases != 0 {
 		t.Fatalf("non-owning shard saw the reservation: %+v", stB)
 	}
@@ -102,7 +103,7 @@ func TestCrossNodeShardingEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("release via router: status %d (%s)", resp.StatusCode, body)
 	}
-	stA, _ = a.Service.LedgerStats("DC-9")
+	stA, _ = ledgerStats(a.Service, "DC-9")
 	if stA.OutstandingMillis != 0 || stA.ActiveLeases != 0 {
 		t.Fatalf("books after release = %+v, want nothing outstanding", stA)
 	}
@@ -219,9 +220,9 @@ func TestFailoverChainThroughTheRouter(t *testing.T) {
 	shipped := func(primary *fleettest.Node, followers ...*fleettest.Node) {
 		t.Helper()
 		fleettest.WaitFor(t, "the lease to ship to the followers", func() bool {
-			want, _ := primary.Service.LedgerStats(dc)
+			want, _ := ledgerStats(primary.Service, dc)
 			for _, f := range followers {
-				if got, _ := f.Service.LedgerStats(dc); got.ReservedMillis != want.ReservedMillis || got.ActiveLeases != want.ActiveLeases {
+				if got, _ := ledgerStats(f.Service, dc); got.ReservedMillis != want.ReservedMillis || got.ActiveLeases != want.ActiveLeases {
 					return false
 				}
 			}
@@ -251,7 +252,7 @@ func TestFailoverChainThroughTheRouter(t *testing.T) {
 	}
 	conserved := func(n *fleettest.Node) {
 		t.Helper()
-		if st, _ := n.Service.LedgerStats(dc); st.ConservationErrorMillis != 0 {
+		if st, _ := ledgerStats(n.Service, dc); st.ConservationErrorMillis != 0 {
 			t.Fatalf("%s books: conservation_error_millis = %d", n.Service.NodeID(), st.ConservationErrorMillis)
 		}
 	}
@@ -307,4 +308,10 @@ func TestFailoverChainThroughTheRouter(t *testing.T) {
 	}
 	releaseOnce(l2)
 	conserved(survivor)
+}
+
+// ledgerStats is a datacenter's allocation ledger books, as /metrics reads them.
+func ledgerStats(svc *service.Service, dc string) (ledger.Stats, bool) {
+	st, ok := svc.Stats(dc)
+	return st.Ledger, ok
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"harvest/internal/fleettest"
 	"harvest/internal/regproto"
 	"harvest/internal/router"
 	"harvest/internal/wire"
@@ -234,9 +235,9 @@ func TestFollowerNeverClaimsOwnership(t *testing.T) {
 // acknowledgement of its own beat, exactly once, and its next beat, as
 // primary, takes the route and serves the writes.
 func TestPromotionElectsFreshestFollower(t *testing.T) {
-	clock := newTestClock()
+	clock := fleettest.NewClock()
 	p, f1, f2 := newFakeBackend(t), newFakeBackend(t), newFakeBackend(t)
-	rt := router.New(router.Config{StaleAfter: 10 * time.Second, Now: clock.Now})
+	rt := router.New(router.Config{StaleAfter: 10 * time.Second, Clock: clock})
 	srv := newServer(t, rt)
 	f1Beat := regproto.RegisterRequest{
 		ID: "node-f1", URL: f1.srv.URL, Role: "follower", PrimaryID: "node-p",
@@ -309,8 +310,8 @@ func TestPromotionElectsFreshestFollower(t *testing.T) {
 // smaller id wins, so routers converge; the other beating first is not told,
 // and does not use up the window the winner's beat is told in.
 func TestPromotionWaitsForTheWinnersBeat(t *testing.T) {
-	clock := newTestClock()
-	rt := router.New(router.Config{StaleAfter: 10 * time.Second, Now: clock.Now})
+	clock := fleettest.NewClock()
+	rt := router.New(router.Config{StaleAfter: 10 * time.Second, Clock: clock})
 	srv := newServer(t, rt)
 	beat := func(id, role string) regproto.RegisterRequest {
 		return regproto.RegisterRequest{

@@ -47,6 +47,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"harvest/internal/clock"
 	"harvest/internal/httpjson"
 	"harvest/internal/obs"
 	"harvest/internal/regproto"
@@ -80,9 +81,9 @@ type Config struct {
 	// generations is skipped for reads until it catches up. Zero means 2;
 	// negative pins all reads to the primary (spreading off).
 	MaxGenLag int
-	// Now overrides the clock (tests drive staleness without sleeping). Nil
-	// means time.Now.
-	Now func() time.Time
+	// Clock dates beats, breaker cooldowns and promotions. Nil means the wall
+	// clock; a fleet test shares a stepped one with its nodes.
+	Clock clock.Clock
 }
 
 // backend is one registered harvestd node. Identity, URL, and the datacenter
@@ -152,7 +153,6 @@ type Router struct {
 	mux    *http.ServeMux
 	client *http.Client
 	start  time.Time
-	now    func() time.Time
 
 	mu       sync.RWMutex
 	backends map[string]*backend // by id
@@ -241,15 +241,11 @@ func New(cfg Config) *Router {
 	if cfg.MaxGenLag == 0 {
 		cfg.MaxGenLag = 2
 	}
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
-	}
+	cfg.Clock = clock.Or(cfg.Clock)
 	r := &Router{
 		cfg:   cfg,
 		mux:   http.NewServeMux(),
 		start: time.Now(),
-		now:   now,
 		client: &http.Client{
 			Timeout: cfg.ProxyTimeout,
 			// A reverse proxy relays 3xx verbatim; following them would
@@ -423,7 +419,7 @@ func (rt *Router) register(req *regproto.RegisterRequest, checkedURL string, ack
 	baseURL := strings.TrimRight(req.URL, "/")
 
 	rt.mu.Lock()
-	now := rt.now()
+	now := rt.cfg.Clock.Now()
 	// Age out gone backends, or node IDs changed by restarts pile up.
 	for _, old := range rt.backends {
 		if rt.gone(old, now) {
@@ -811,7 +807,7 @@ type refusal struct {
 // names the backend even when refused, as far as one was resolved. An
 // admitted request must end in exactly one settle or cancel.
 func (rt *Router) admit(dc string, read, binary bool, tr *obs.Trace) (admission, *refusal) {
-	now := rt.now()
+	now := rt.cfg.Clock.Now()
 	b := rt.pickBackend(dc, read, binary, now)
 	if b == nil {
 		return admission{}, &refusal{status: http.StatusNotFound, msg: "unknown datacenter " + strconv.Quote(dc)}
@@ -919,7 +915,7 @@ func (rt *Router) proxyFailed(b *backend) {
 		return
 	}
 	if int(b.consecFails.Add(1)) >= rt.cfg.BreakerThreshold {
-		b.openUntil.Store(rt.now().Add(rt.beatInterval()).UnixNano())
+		b.openUntil.Store(rt.cfg.Clock.Now().Add(rt.beatInterval()).UnixNano())
 		// Leave consecFails at the threshold: the post-cooldown probe either
 		// resets it on success or immediately re-opens on failure.
 		rlog.Warn("backend circuit opened", "backend", b.id, "cooldown", rt.beatInterval())
@@ -966,7 +962,7 @@ func (rt *Router) liveDatacenters(now time.Time) []string {
 
 func (rt *Router) handleDatacenters(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, datacentersResponse{
-		Datacenters: rt.liveDatacenters(rt.now()),
+		Datacenters: rt.liveDatacenters(rt.cfg.Clock.Now()),
 		BinaryAddr:  rt.binAdvertise,
 	})
 }
@@ -979,7 +975,7 @@ type healthzResponse struct {
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	now := rt.now()
+	now := rt.cfg.Clock.Now()
 	rt.mu.RLock()
 	backends := len(rt.backends)
 	alive := 0
@@ -1100,7 +1096,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	defer rt.scrapes.Put(resp)
 	defer clear(resp.Datacenters) // the backends' bytes are not kept
-	now := rt.now()
+	now := rt.cfg.Clock.Now()
 	resp.UptimeSeconds = time.Since(rt.start).Seconds()
 	resp.Router = RouterStats{
 		Registrations: rt.registrations.Load(),

@@ -15,30 +15,11 @@ import (
 	"testing"
 	"time"
 
+	"harvest/internal/fleettest"
 	"harvest/internal/regproto"
 	"harvest/internal/router"
 	"harvest/internal/wire"
 )
-
-// testClock is an injectable clock so staleness tests never sleep.
-type testClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func newTestClock() *testClock { return &testClock{now: time.Unix(1000, 0)} }
-
-func (c *testClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *testClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
-}
 
 // fakeBackend records the requests a router forwards to it and answers with a
 // canned body.
@@ -145,11 +126,11 @@ func datacentersOf(t *testing.T, routerURL string) []string {
 	return dcl.Datacenters
 }
 
-func newTestRouter(t *testing.T, clock *testClock) (*router.Router, *httptest.Server) {
+func newTestRouter(t *testing.T, clock *fleettest.Clock) (*router.Router, *httptest.Server) {
 	t.Helper()
 	cfg := router.Config{StaleAfter: time.Minute}
 	if clock != nil {
-		cfg.Now = clock.Now
+		cfg.Clock = clock
 	}
 	rt := router.New(cfg)
 	srv := httptest.NewServer(rt)
@@ -325,9 +306,9 @@ func TestProxyRelaysRedirectsVerbatim(t *testing.T) {
 }
 
 func TestRegisterUpdatesAndMovesDatacenters(t *testing.T) {
-	clock := newTestClock()
+	clock := fleettest.NewClock()
 	a, b := newFakeBackend(t), newFakeBackend(t)
-	rt := router.New(router.Config{StaleAfter: 10 * time.Second, Now: clock.Now})
+	rt := router.New(router.Config{StaleAfter: 10 * time.Second, Clock: clock})
 	srv := httptest.NewServer(rt)
 	defer srv.Close()
 	mustRegister(t, srv.URL, regproto.RegisterRequest{
@@ -390,9 +371,9 @@ func TestRegisterUpdatesAndMovesDatacenters(t *testing.T) {
 // (unknown) instead of 503ing forever, and the backend row leaves /metrics
 // and /healthz.
 func TestDeadBackendAgesOut(t *testing.T) {
-	clock := newTestClock()
+	clock := fleettest.NewClock()
 	a, b := newFakeBackend(t), newFakeBackend(t)
-	rt := router.New(router.Config{StaleAfter: 10 * time.Second, Now: clock.Now})
+	rt := router.New(router.Config{StaleAfter: 10 * time.Second, Clock: clock})
 	srv := httptest.NewServer(rt)
 	defer srv.Close()
 	mustRegister(t, srv.URL, regproto.RegisterRequest{
@@ -473,9 +454,9 @@ func TestRegisterToken(t *testing.T) {
 // TestStaleBackend503sWithRetryAfter: at the default StaleAfter (10 s) a stale
 // backend's 503 asks for a retry in one beat, StaleAfter/5.
 func TestStaleBackend503sWithRetryAfter(t *testing.T) {
-	clock := newTestClock()
+	clock := fleettest.NewClock()
 	a := newFakeBackend(t)
-	rt := router.New(router.Config{Now: clock.Now})
+	rt := router.New(router.Config{Clock: clock})
 	srv := httptest.NewServer(rt)
 	defer srv.Close()
 	mustRegister(t, srv.URL, regproto.RegisterRequest{
@@ -509,13 +490,13 @@ func TestStaleBackend503sWithRetryAfter(t *testing.T) {
 }
 
 func TestCircuitBreakerOpensAndReprobes(t *testing.T) {
-	clock := newTestClock()
+	clock := fleettest.NewClock()
 	a := newFakeBackend(t)
 	rt := router.New(router.Config{
 		StaleAfter:       time.Hour, // isolate the breaker from staleness: the cooldown is 12 minutes
 		BreakerThreshold: 2,
 		ProxyTimeout:     2 * time.Second,
-		Now:              clock.Now,
+		Clock:            clock,
 	})
 	srv := httptest.NewServer(rt)
 	defer srv.Close()
@@ -603,7 +584,7 @@ func TestCircuitBreakerOpensAndReprobes(t *testing.T) {
 // concurrent requests are rejected immediately instead of each paying the
 // transport timeout.
 func TestCircuitBreakerSingleProbe(t *testing.T) {
-	clock := newTestClock()
+	clock := fleettest.NewClock()
 	// A listener that accepts connections but never answers: every proxied
 	// request burns the full ProxyTimeout and fails.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -636,7 +617,7 @@ func TestCircuitBreakerSingleProbe(t *testing.T) {
 		StaleAfter:       time.Hour, // the cooldown is 12 minutes
 		BreakerThreshold: 1,
 		ProxyTimeout:     500 * time.Millisecond,
-		Now:              clock.Now,
+		Clock:            clock,
 	})
 	srv := httptest.NewServer(rt)
 	defer srv.Close()
@@ -682,9 +663,9 @@ func TestCircuitBreakerSingleProbe(t *testing.T) {
 // and a datacenter's elected follower is told to promote at most every 5 s.
 func TestRetryTimingsAtDefaultStaleAfter(t *testing.T) {
 	t.Run("circuit open 2s", func(t *testing.T) {
-		clock := newTestClock()
+		clock := fleettest.NewClock()
 		a := newFakeBackend(t)
-		rt := router.New(router.Config{BreakerThreshold: 1, Now: clock.Now})
+		rt := router.New(router.Config{BreakerThreshold: 1, Clock: clock})
 		srv := newServer(t, rt)
 		mustRegister(t, srv.URL, regproto.RegisterRequest{
 			ID: "node-a", URL: a.srv.URL,
@@ -706,9 +687,9 @@ func TestRetryTimingsAtDefaultStaleAfter(t *testing.T) {
 	})
 
 	t.Run("promotions 5s apart", func(t *testing.T) {
-		clock := newTestClock()
+		clock := fleettest.NewClock()
 		p, f := newFakeBackend(t), newFakeBackend(t)
-		rt := router.New(router.Config{Now: clock.Now})
+		rt := router.New(router.Config{Clock: clock})
 		srv := newServer(t, rt)
 		mustRegister(t, srv.URL, regproto.RegisterRequest{
 			ID: "node-p", URL: p.srv.URL, Role: "primary",
@@ -882,9 +863,9 @@ func TestRouterErrorPaths(t *testing.T) {
 }
 
 func TestDrainingBackendStopsRouting(t *testing.T) {
-	clock := newTestClock()
+	clock := fleettest.NewClock()
 	a := newFakeBackend(t)
-	rt := router.New(router.Config{StaleAfter: 10 * time.Second, Now: clock.Now})
+	rt := router.New(router.Config{StaleAfter: 10 * time.Second, Clock: clock})
 	srv := httptest.NewServer(rt)
 	defer srv.Close()
 	beat := regproto.RegisterRequest{

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"harvest/internal/core"
+	"harvest/internal/fleettest"
 	"harvest/internal/ledger"
 	"harvest/internal/service"
 )
@@ -19,7 +20,7 @@ import (
 // reserved == released + expired + forfeited + outstanding, in millicores.
 func checkBooks(t *testing.T, svc *service.Service, dc string) ledger.Stats {
 	t.Helper()
-	st, ok := svc.LedgerStats(dc)
+	st, ok := ledgerStats(svc, dc)
 	if !ok {
 		t.Fatalf("no ledger stats for %s", dc)
 	}
@@ -59,7 +60,7 @@ func TestSelectReserveAndRelease(t *testing.T) {
 	cls := snap.Clustering.Class(grant.Selection.Classes[0])
 	u := usage[cls.ID]
 	u.AllocatedCores = 0
-	if a, _ := svc.LedgerStats("DC-9"); true {
+	if a, _ := ledgerStats(svc, "DC-9"); true {
 		got := ledger.CoresOf(a.AllocatedMillisByClass[int(cls.ID)])
 		if math.Abs(got-grant.Granted[0]) > 0.001 {
 			t.Errorf("class %d ledger occupancy = %v, want %v", cls.ID, got, grant.Granted[0])
@@ -295,7 +296,7 @@ func TestConcurrentSelectReserveNeverOverPromises(t *testing.T) {
 		t.Errorf("outstanding changed across re-keys: %d -> %d", outstandingBefore, st.OutstandingMillis)
 	}
 	final, _ := svc.Snapshot("DC-9")
-	ls, _ := svc.LedgerStats("DC-9")
+	ls, _ := ledgerStats(svc, "DC-9")
 	if ls.Generation != final.Generation {
 		t.Errorf("ledger generation %d != snapshot generation %d", ls.Generation, final.Generation)
 	}
@@ -323,23 +324,30 @@ func TestSelectReserveSubMillicoreDemand(t *testing.T) {
 }
 
 func TestLeaseExpirySweep(t *testing.T) {
-	svc := newTestService(t)
+	// The sweeper runs every 10 s at the default TTL; the clock is stepped.
+	clk := fleettest.NewClock()
+	cfg := testConfig()
+	cfg.Clock = clk
+	svc, err := service.New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	svc.Start()
+	defer svc.Close()
 	job := core.JobRequest{Type: core.JobMedium, MaxConcurrentCores: 4}
-	grant, _, err := svc.SelectReserve("DC-9", job, 10*time.Millisecond)
+	grant, _, err := svc.SelectReserve("DC-9", job, 15*time.Second)
 	if err != nil || !grant.Reserved() {
 		t.Fatalf("SelectReserve: %+v, %v", grant, err)
 	}
-	if grant.ExpiresAt.IsZero() {
-		t.Fatal("TTL'd lease has no deadline")
+	if !grant.ExpiresAt.Equal(clk.Now().Add(15 * time.Second)) {
+		t.Fatalf("lease expires at %v, want 15 s after %v", grant.ExpiresAt, clk.Now())
 	}
-	// Not expired yet.
-	if n, _ := svc.SweepLeases(grant.ExpiresAt.Add(-time.Millisecond)); n != 0 {
-		t.Fatalf("swept %d leases before the deadline", n)
+	// Not expired at the first sweep.
+	clk.Advance(10 * time.Second)
+	if st := checkBooks(t, svc, "DC-9"); st.ActiveLeases != 1 || st.ExpiredMillis != 0 {
+		t.Fatalf("swept before the deadline: %+v", st)
 	}
-	n, cores := svc.SweepLeases(grant.ExpiresAt.Add(time.Millisecond))
-	if n != 1 || math.Abs(cores-4) > 0.001 {
-		t.Fatalf("sweep = %d leases, %v cores; want 1, ~4", n, cores)
-	}
+	clk.Advance(10 * time.Second)
 	if _, err := svc.Release("DC-9", grant.Lease); err == nil {
 		t.Error("released an expired lease")
 	}
@@ -523,7 +531,7 @@ func TestLedgerPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("mismatched New: %v", err)
 	}
-	if st, _ := svc3.LedgerStats("DC-9"); st.ReservedMillis != 0 || st.ActiveLeases != 0 {
+	if st, _ := ledgerStats(svc3, "DC-9"); st.ReservedMillis != 0 || st.ActiveLeases != 0 {
 		t.Errorf("mismatched-seed restart inherited ledger state: %+v", st)
 	}
 }

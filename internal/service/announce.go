@@ -105,7 +105,7 @@ func StartAnnouncer(svc *Service, cfg AnnouncerConfig) (*Announcer, error) {
 	// The job logs a beat's failure on state changes only, not every missed
 	// beat: a router restart would otherwise flood the log at heartbeat cadence.
 	failing := false
-	a.stop = svc.jobs.spawn(job{every: cfg.Interval, now: true, wakes: true, run: func(context.Context) bool {
+	a.stop = svc.jobs.spawn(job{name: "announce " + cfg.RouterURL, every: cfg.Interval, now: true, wakes: true, run: func(context.Context) time.Duration {
 		if err := a.announce(); err != nil && !failing {
 			slogger.Warn("registration failing, will retry", "router", a.cfg.RouterURL, "interval", a.cfg.Interval, "err", err)
 			failing = true
@@ -113,7 +113,7 @@ func StartAnnouncer(svc *Service, cfg AnnouncerConfig) (*Announcer, error) {
 			slogger.Info("registration recovered", "router", a.cfg.RouterURL)
 			failing = false
 		}
-		return true
+		return 0
 	}})
 	return a, nil
 }

@@ -3,7 +3,6 @@ package service_test
 import (
 	"encoding/json"
 	"net/http"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -76,12 +75,8 @@ func TestAnnouncerBeatAllocs(t *testing.T) {
 // elects it to replace a primary that stopped beating promotes itself and
 // beats again at once, as primary, within the one announce.
 func TestAnnouncerPromotesOnItsAck(t *testing.T) {
-	var nanos atomic.Int64
-	nanos.Store(time.Unix(1000, 0).UnixNano())
-	rt := fleettest.StartRouter(t, router.Config{
-		StaleAfter: 10 * time.Second,
-		Now:        func() time.Time { return time.Unix(0, nanos.Load()) },
-	})
+	clk := fleettest.NewClock()
+	rt := fleettest.StartRouter(t, router.Config{StaleAfter: 10 * time.Second, Clock: clk})
 	stats := func() router.RouterStats {
 		t.Helper()
 		var m struct {
@@ -121,7 +116,7 @@ func TestAnnouncerPromotesOnItsAck(t *testing.T) {
 	// Each announcer's first beat, from its loop, is in before the clock moves.
 	fleettest.WaitFor(t, "both nodes to register", func() bool { return stats().Registrations == 2 })
 
-	nanos.Add(int64(11 * time.Second))
+	clk.Advance(11 * time.Second)
 	if err := anns[1].Announce(); err != nil {
 		t.Fatalf("beat: %v", err)
 	}

@@ -244,7 +244,7 @@ func TestReleasedLeaseOutlivesItsRecordThroughDispatch(t *testing.T) {
 			t.Fatalf("release of lease %d reported %+v, want %d millis", m.Lease, rel, grantedMillis(m))
 		}
 	}
-	if st, _ := svc.LedgerStats(dc); st.ActiveLeases != 0 || st.ConservationErrorMillis != 0 {
+	if st, _ := ledgerStats(svc, dc); st.ActiveLeases != 0 || st.ConservationErrorMillis != 0 {
 		t.Fatalf("ledger after releasing everything: %+v", st)
 	}
 }

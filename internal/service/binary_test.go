@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"harvest/internal/core"
+	"harvest/internal/fleettest"
 	"harvest/internal/ledger"
 	"harvest/internal/service"
 	"harvest/internal/signalproc"
@@ -396,6 +397,8 @@ func TestCrossProtocolEquivalence(t *testing.T) {
 		do   func(d dialect) exchange
 		want int
 	}
+	// Both primaries' background jobs run on one stepped clock.
+	clk := fleettest.NewClock()
 	steps := []step{
 		{"classes", func(d dialect) exchange { return d.classes(dc) }, 200},
 		{"classes unknown dc", func(d dialect) exchange { return d.classes(nowhere) }, 404},
@@ -455,13 +458,14 @@ func TestCrossProtocolEquivalence(t *testing.T) {
 		{"release unknown lease", func(d dialect) exchange { return d.release(dc, 424242) }, 404},
 
 		// An expired lease is an unknown lease: select 6 holds for a
-		// millisecond and the sweep reclaims it.
+		// millisecond and the sweeper, every 10 s, reclaims it.
 		{"select to expire", func(d dialect) exchange {
 			return d.sel(dc, selectInput{JobName: "short", JobCode: wire.JobShort, Cores: 1, HoldMillis: 1})
 		}, 200},
 		{"sweep", func(d dialect) exchange {
-			n, _ := d.service().SweepLeases(time.Now().Add(time.Second))
-			return exchange{Status: 200, Answer: n}
+			clk.Advance(10 * time.Second)
+			st, _ := ledgerStats(d.service(), dc)
+			return exchange{Status: 200, Answer: st.ExpiredMillis}
 		}, 200},
 		{"renew expired lease", func(d dialect) exchange { return d.renew(dc, leaseOf(d, 6), 0) }, 404},
 		{"release expired lease", func(d dialect) exchange { return d.release(dc, leaseOf(d, 6)) }, 404},
@@ -503,6 +507,10 @@ func TestCrossProtocolEquivalence(t *testing.T) {
 			t.Fatalf("New: %v", err)
 		}
 		defer svcBin.Close()
+		if cfg.Clock != nil {
+			svcJSON.Start()
+			svcBin.Start()
+		}
 		dialects := []dialect{
 			&jsonDialect{t: t, svc: svcJSON, base: srv.URL},
 			&binDialect{t: t, svc: svcBin, c: dialBinary(t, startBinaryServer(t, svcBin))},
@@ -511,13 +519,13 @@ func TestCrossProtocolEquivalence(t *testing.T) {
 		for _, st := range steps {
 			var got [2]exchange
 			for i, d := range dialects {
-				ledgerBefore, _ := d.service().LedgerStats(dc)
+				ledgerBefore, _ := ledgerStats(d.service(), dc)
 				blocksBefore, _ := d.service().BlockStats(dc)
 				got[i] = st.do(d)
 				if got[i].Status == 200 {
 					continue
 				}
-				ledgerAfter, _ := d.service().LedgerStats(dc)
+				ledgerAfter, _ := ledgerStats(d.service(), dc)
 				blocksAfter, _ := d.service().BlockStats(dc)
 				if !reflect.DeepEqual(ledgerBefore, ledgerAfter) || blocksBefore != blocksAfter {
 					t.Fatalf("%s: a rejected request moved the books:\nledger %+v → %+v\nblocks %+v → %+v",
@@ -536,8 +544,8 @@ func TestCrossProtocolEquivalence(t *testing.T) {
 		}
 
 		// The sequences must have written identical books.
-		jb, _ := svcJSON.LedgerStats(dc)
-		bb, _ := svcBin.LedgerStats(dc)
+		jb, _ := ledgerStats(svcJSON, dc)
+		bb, _ := ledgerStats(svcBin, dc)
 		if !reflect.DeepEqual(jb, bb) {
 			t.Fatalf("ledger books diverge:\njson %+v\nbin  %+v", jb, bb)
 		}
@@ -559,7 +567,11 @@ func TestCrossProtocolEquivalence(t *testing.T) {
 		}
 	}
 
-	t.Run("primary", func(t *testing.T) { run(t, testConfig(), steps) })
+	t.Run("primary", func(t *testing.T) {
+		cfg := testConfig()
+		cfg.Clock = clk
+		run(t, cfg, steps)
+	})
 
 	// A follower (never started, so it never dials its primary) serves the
 	// reads and answers every write 503.

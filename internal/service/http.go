@@ -621,7 +621,7 @@ func ingestSample(id, server int64, atSeconds, util float64) IngestSample {
 }
 
 func (a *API) handleTelemetry(w http.ResponseWriter, r *http.Request) {
-	if a.ingestLimiter != nil && !a.ingestLimiter.allow(a.sourceKeyFor(r), time.Now()) {
+	if a.ingestLimiter != nil && !a.ingestLimiter.allow(a.sourceKeyFor(r), a.svc.cfg.Clock.Now()) {
 		writeError(w, http.StatusTooManyRequests, "ingest rate limit exceeded for this source")
 		return
 	}
@@ -827,7 +827,7 @@ func (a *API) handleLeases(w http.ResponseWriter, r *http.Request) {
 			Lease:            ls.ID,
 			JobID:            ls.Meta.JobID,
 			Owner:            ls.Meta.Owner,
-			ExpiresInSeconds: secondsUntil(ls.ExpiresAt),
+			ExpiresInSeconds: a.svc.secondsUntil(ls.ExpiresAt),
 			TotalCores:       ledger.CoresOf(ls.TotalMillis()),
 			Classes:          make([]int, 0, len(ls.Grants)),
 			Cores:            make([]float64, 0, len(ls.Grants)),

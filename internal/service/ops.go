@@ -184,7 +184,7 @@ func (s *Service) opSelect(sc *scratch, dc string, q *selectRequest, p *wire.Sel
 	*p = wire.SelectResp{
 		Generation:  snap.Generation,
 		Lease:       g.Lease,
-		ExpiresIn:   secondsUntil(g.ExpiresAt),
+		ExpiresIn:   s.secondsUntil(g.ExpiresAt),
 		Job:         uint8(jobType),
 		Satisfiable: !g.Selection.Empty(),
 		Classes:     p.Classes[:0],
@@ -229,7 +229,7 @@ func (s *Service) opRenew(sc *scratch, dc string, q *leaseRequest, p *wire.Renew
 	if err != nil {
 		return rejectionOf(err)
 	}
-	*p = wire.RenewResp{Lease: lease.ID, TotalMillis: lease.TotalMillis(), ExpiresIn: secondsUntil(lease.ExpiresAt)}
+	*p = wire.RenewResp{Lease: lease.ID, TotalMillis: lease.TotalMillis(), ExpiresIn: s.secondsUntil(lease.ExpiresAt)}
 	return nil
 }
 
@@ -341,11 +341,11 @@ func (s *Service) opServerClass(_ *scratch, dc string, q *wire.ServerClassReq, p
 	return nil
 }
 
-// secondsUntil is the wire form of an expiry: seconds from now, 0 for a lease
-// that never expires.
-func secondsUntil(t time.Time) float64 {
+// secondsUntil is the wire form of an expiry: seconds from now on the node's
+// clock, 0 for a lease that never expires.
+func (s *Service) secondsUntil(t time.Time) float64 {
 	if t.IsZero() {
 		return 0
 	}
-	return time.Until(t).Seconds()
+	return t.Sub(s.cfg.Clock.Now()).Seconds()
 }

@@ -541,7 +541,7 @@ func (s *Service) restoreLedger(sh *shard, snap *Snapshot) *ledger.Ledger {
 		slogger.Warn("ignoring persisted ledger", "dc", sh.dc, "err", err)
 		return nil
 	}
-	if n, millis := led.ExpireBefore(time.Now()); n > 0 {
+	if n, millis := led.ExpireBefore(s.cfg.Clock.Now()); n > 0 {
 		slogger.Info("restored ledger, expired stale leases from downtime", "dc", sh.dc, "leases", n, "cores", ledger.CoresOf(millis))
 	}
 	return led

@@ -86,7 +86,7 @@ func TestRestoreCorruptLedgerFile(t *testing.T) {
 	if snap.Generation != 2 {
 		t.Errorf("snapshot generation = %d, want 2 (snapshot restore unaffected)", snap.Generation)
 	}
-	if st, _ := svc2.LedgerStats("DC-9"); st.ActiveLeases != 0 || st.ReservedMillis != 0 {
+	if st, _ := ledgerStats(svc2, "DC-9"); st.ActiveLeases != 0 || st.ReservedMillis != 0 {
 		t.Errorf("corrupt ledger file was trusted: %+v", st)
 	}
 }

@@ -104,12 +104,12 @@ func (s *Service) readLiveness() time.Duration {
 // address it already announced, without a restart. The listener is owned by
 // the service from here on: Close shuts it down.
 func (s *Service) ArmReplicationListener(ln net.Listener) {
-	s.jobs.spawn(job{run: func(context.Context) bool {
+	s.jobs.spawn(job{name: "accept", now: true, run: func(context.Context) time.Duration {
 		if err := s.repl.srv.Serve(ln, s.serveReplConn); err != nil {
 			// Followers can no longer join; the node keeps serving its clients.
 			slogger.Error("replication accept loop died", "addr", ln.Addr(), "err", err)
 		}
-		return false
+		return jobEnds
 	}})
 }
 
@@ -176,20 +176,20 @@ func (s *Service) serveReplConn(nc net.Conn) {
 	defer s.repl.followers.Add(-1)
 
 	var snd replSender
-	s.jobs.run(s.jobs.ctx, job{every: s.cfg.ReplInterval, now: true, run: func(context.Context) bool {
+	s.jobs.run(s.jobs.ctx, job{name: "ship " + hello.FollowerID, every: s.cfg.ReplInterval, now: true, run: func(context.Context) time.Duration {
 		for _, dc := range s.order {
 			frame, next := s.buildReplFrame(&snd, s.shards[dc], shipped[dc])
 			nc.SetWriteDeadline(time.Now().Add(replWriteTimeout))
 			if _, err := nc.Write(frame); err != nil {
 				s.repl.shipErrors.Add(1)
 				slogger.Warn("replication ship failed, dropping follower", "follower", hello.FollowerID, "err", err)
-				return false
+				return jobEnds
 			}
 			s.repl.framesShipped.Add(1)
 			shipped[dc] = next
 		}
-		return true
-	}})
+		return 0
+	}}, nil)
 }
 
 // replSender is one follower connection's encode state, replApplier's mirror:
@@ -287,30 +287,32 @@ func appendBlocksSection(dst []byte, blocks *blockledger.Ledger, room func([]byt
 
 // followJob is the follower's one job: dial the primary, apply its stream
 // until it breaks, back off, again — until a promotion, a retarget or Close
-// ends the job, which closes the stream. The backoff starts short: a follower
-// that boots before its primary listens joins within a few dials.
+// ends the job, which closes the stream. The backoff starts short, so a
+// follower that boots before its primary listens joins within a few dials,
+// and starts over once a stream has applied a frame.
 func (s *Service) followJob() job {
 	const firstBackoff = 25 * time.Millisecond
 	backoff := firstBackoff
-	return job{run: func(ctx context.Context) bool {
+	return job{name: "follow", now: true, run: func(ctx context.Context) time.Duration {
 		addr := s.followAddr()
-		if err := s.runFollower(ctx, addr); err != nil && ctx.Err() == nil {
+		applied := false
+		if err := s.runFollower(ctx, addr, &applied); err != nil && ctx.Err() == nil {
 			slogger.Warn("replication stream lost; reconnecting", "primary", addr, "err", err)
 		}
 		s.repl.reconnects.Add(1)
-		select {
-		case <-ctx.Done():
-			return false
-		case <-time.After(backoff):
+		if applied {
+			backoff = firstBackoff
 		}
+		after := backoff
 		backoff = min(2*backoff, 2*time.Second)
-		return true
+		return after
 	}}
 }
 
 // runFollower dials addr, performs the handshake and applies frames until the
-// stream breaks, the liveness deadline passes, or ctx ends.
-func (s *Service) runFollower(ctx context.Context, addr string) error {
+// stream breaks, the liveness deadline passes, or ctx ends. It sets applied
+// once a frame is.
+func (s *Service) runFollower(ctx context.Context, addr string, applied *bool) error {
 	d := net.Dialer{Timeout: replHandshakeTimeout}
 	nc, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -359,6 +361,7 @@ func (s *Service) runFollower(ctx context.Context, addr string) error {
 		if err := s.applyReplFrame(&ap, h.Op, payload); err != nil {
 			return err
 		}
+		*applied = true
 	}
 }
 

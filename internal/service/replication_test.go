@@ -117,8 +117,8 @@ func TestReplicationAndPromotion(t *testing.T) {
 	primarySnap, _ := primary.Snapshot(dc)
 	fleettest.WaitFor(t, "follower to apply the primary's generation", func() bool {
 		snap, _ := follower.Snapshot(dc)
-		fst, _ := follower.LedgerStats(dc)
-		pst, _ := primary.LedgerStats(dc)
+		fst, _ := ledgerStats(follower, dc)
+		pst, _ := ledgerStats(primary, dc)
 		return snap.Generation == primarySnap.Generation &&
 			fst.ReservedMillis == pst.ReservedMillis && fst.ActiveLeases == pst.ActiveLeases
 	})
@@ -164,8 +164,8 @@ func TestReplicationAndPromotion(t *testing.T) {
 		t.Fatalf("SelectReserve (post-refresh): %+v, %v", post, err)
 	}
 	fleettest.WaitFor(t, "beat to carry the new lease", func() bool {
-		fst, _ := follower.LedgerStats(dc)
-		pst, _ := primary.LedgerStats(dc)
+		fst, _ := ledgerStats(follower, dc)
+		pst, _ := ledgerStats(primary, dc)
 		return fst.ReservedMillis == pst.ReservedMillis && fst.ActiveLeases == pst.ActiveLeases
 	})
 
@@ -188,7 +188,7 @@ func TestReplicationAndPromotion(t *testing.T) {
 	}
 
 	// Primary dies with leases outstanding; the follower takes over.
-	pst, _ := primary.LedgerStats(dc)
+	pst, _ := ledgerStats(primary, dc)
 	primary.Close()
 	if !follower.Promote() {
 		t.Fatal("Promote returned false on a follower")
@@ -205,7 +205,7 @@ func TestReplicationAndPromotion(t *testing.T) {
 	}
 
 	// Lease conservation survives the handoff exactly.
-	fst, _ := follower.LedgerStats(dc)
+	fst, _ := ledgerStats(follower, dc)
 	checkLedgerConservation(t, fst, "promoted follower")
 	if fst.ReservedMillis != pst.ReservedMillis || fst.OutstandingMillis != pst.OutstandingMillis {
 		t.Fatalf("promoted books diverge: follower %+v primary %+v", fst, pst)
@@ -229,7 +229,7 @@ func TestReplicationAndPromotion(t *testing.T) {
 	if err != nil || !fresh.Reserved() {
 		t.Fatalf("post-promotion reserve: %+v, %v", fresh, err)
 	}
-	fst, _ = follower.LedgerStats(dc)
+	fst, _ = ledgerStats(follower, dc)
 	checkLedgerConservation(t, fst, "promoted follower after new writes")
 }
 

@@ -3,16 +3,20 @@ package service
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"harvest/internal/clock"
 )
 
 // runner holds a node's background work, each kind declared once as a job
-// that runs on a goroutine of its own, so a slow refresh or persist never
-// delays a sweep. A job belongs to the node's role (refresh per shard, sweep
-// and repair on a primary; follow on a follower) or to an owner for the
-// owner's life (ship per follower connection, announce per router).
+// that runs on a goroutine of its own and sleeps on the node's clock between
+// runs, so a slow refresh or persist never delays a sweep. A job belongs to
+// the node's role (refresh per shard, sweep and repair on a primary; follow
+// on a follower) or to an owner for the owner's life (ship per follower
+// connection, announce per router).
 type runner struct {
+	clock    clock.Clock
+	node     string       // names the node's waiters on a shared clock
 	roleJobs func() []job // the jobs of the role the node holds now
 
 	// mu orders start, restart, spawn and close, so no job starts once close
@@ -25,24 +29,28 @@ type runner struct {
 	stopRole []func()       // end the running role's jobs and wait for them
 	all      sync.WaitGroup // every job on a goroutine of the runner's
 
-	woken atomic.Pointer[chan struct{}] // closed, and replaced, by wake
+	wakeMu sync.Mutex
+	wakes  map[chan struct{}]bool // one token slot per running job declared with wakes
 }
 
-// job is one kind of background work. With a period, run is called on a
-// ticker, also at the start when now is set and, when wakes is set, at once
-// on wake. Without one, run paces itself and is called again as it returns.
-// run's context ends with the job's scope; returning false ends the job.
+// job is one kind of background work. run is called every period, also at
+// the start when now is set and, when wakes is set, at once on wake; the
+// periods fall on a grid from the job's start, so run time never drifts them.
+// run returns when it wants to run next: 0 on the period, a delay from its
+// return, or jobEnds. Its context ends with the job's scope.
 type job struct {
+	name       string
 	every      time.Duration
 	now, wakes bool
-	run        func(ctx context.Context) bool
+	run        func(ctx context.Context) time.Duration
 }
 
-func newRunner(roleJobs func() []job) *runner {
-	r := &runner{roleJobs: roleJobs}
+// jobEnds is what a job's run returns to end the job.
+const jobEnds time.Duration = -1
+
+func newRunner(clk clock.Clock, node string, roleJobs func() []job) *runner {
+	r := &runner{clock: clk, node: node, roleJobs: roleJobs, wakes: map[chan struct{}]bool{}}
 	r.ctx, r.cancel = context.WithCancel(context.Background())
-	woken := make(chan struct{})
-	r.woken.Store(&woken)
 	return r
 }
 
@@ -78,18 +86,23 @@ func (r *runner) spawn(j job) (stop func()) {
 }
 
 // goJob runs j on a goroutine of its own, unless the runner is closed: Wait
-// may have returned. The caller holds r.mu.
+// may have returned. The caller holds r.mu. A job that waits before its first
+// run gets its waiter here, so a stepped clock counts it from its start.
 func (r *runner) goJob(j job) (stop func()) {
 	ctx, cancel := context.WithCancel(r.ctx)
 	done := make(chan struct{})
 	if r.ctx.Err() != nil {
 		close(done)
 	} else {
+		var w clock.Waiter
+		if !j.now {
+			w = r.clock.Waiter(r.node + " " + j.name)
+		}
 		r.all.Add(1)
 		go func() {
 			defer r.all.Done()
 			defer close(done)
-			r.run(ctx, j)
+			r.run(ctx, j, w)
 		}()
 	}
 	return func() {
@@ -110,33 +123,62 @@ func (r *runner) close(release func()) {
 
 // wake runs the jobs declared with wakes now, or again as soon as they return.
 func (r *runner) wake() {
-	next := make(chan struct{})
-	close(*r.woken.Swap(&next))
+	r.wakeMu.Lock()
+	defer r.wakeMu.Unlock()
+	for c := range r.wakes {
+		select {
+		case c <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // run runs j on the calling goroutine until ctx ends or j does: on a
-// goroutine of the runner's, or on an owner's that waits for it.
-func (r *runner) run(ctx context.Context, j job) {
-	if j.every <= 0 {
-		for ctx.Err() == nil && j.run(ctx) {
-		}
-		return
+// goroutine of the runner's, or on an owner's that waits for it. w is j's
+// waiter, nil until a job due at once first waits.
+func (r *runner) run(ctx context.Context, j job, w clock.Waiter) {
+	var wake chan struct{}
+	if j.wakes {
+		wake = make(chan struct{}, 1)
+		r.wakeMu.Lock()
+		r.wakes[wake] = true
+		r.wakeMu.Unlock()
+		defer func() {
+			r.wakeMu.Lock()
+			delete(r.wakes, wake)
+			r.wakeMu.Unlock()
+		}()
 	}
-	ticker := time.NewTicker(j.every)
-	defer ticker.Stop()
+	defer func() {
+		if w != nil {
+			w.Stop()
+		}
+	}()
+	due := r.clock.Now().Add(j.every)
 	for run := j.now; ; run = true {
-		var woken <-chan struct{} // taken before the run: a wake during it runs it again
-		if j.wakes {
-			woken = *r.woken.Load()
+		if run {
+			onTime := !r.clock.Now().Before(due) // not a wake's run
+			after := j.run(ctx)
+			if after < 0 || ctx.Err() != nil {
+				return
+			}
+			switch now := r.clock.Now(); {
+			case after > 0:
+				due = now.Add(after)
+			case onTime:
+				// The next period, or, as a ticker does, the last one missed.
+				due = due.Add(j.every)
+				if late := now.Sub(due); late >= 0 {
+					due = due.Add(late / j.every * j.every)
+				}
+			}
 		}
-		if run && (ctx.Err() != nil || !j.run(ctx)) {
-			return
+		if w == nil {
+			w = r.clock.Waiter(r.node + " " + j.name)
 		}
-		select {
-		case <-ctx.Done():
+		w.Wait(due, wake, ctx.Done())
+		if ctx.Err() != nil {
 			return
-		case <-ticker.C:
-		case <-woken:
 		}
 	}
 }

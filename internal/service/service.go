@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"harvest/internal/blockledger"
+	"harvest/internal/clock"
 	"harvest/internal/core"
 	"harvest/internal/experiments"
 	"harvest/internal/ledger"
@@ -88,6 +89,9 @@ type Config struct {
 	// 10-minute repair detection delay). Zero means 250ms; negative disables
 	// the job — repairs then only happen via RepairBlocks.
 	RepairInterval time.Duration
+	// Clock paces the background jobs and dates leases. Nil means the wall
+	// clock; a fleet test shares a stepped one across its nodes.
+	Clock clock.Clock
 }
 
 // DefaultConfig serves every datacenter at quick scale, refreshing every
@@ -294,7 +298,8 @@ func New(cfg Config) (*Service, error) {
 		cfg:    cfg,
 		shards: make(map[string]*shard, len(cfg.Datacenters)),
 	}
-	s.jobs = newRunner(s.roleJobs)
+	s.cfg.Clock = clock.Or(cfg.Clock)
+	s.jobs = newRunner(s.cfg.Clock, cfg.NodeID, s.roleJobs)
 	s.follower.Store(cfg.FollowAddr != "")
 	s.rngSeed.Store(cfg.Seed)
 	s.rngs.New = func() any {
@@ -396,13 +401,13 @@ func (s *Service) roleJobs() []job {
 	if s.cfg.RefreshPeriod > 0 {
 		for _, dc := range s.order {
 			sh := s.shards[dc]
-			jobs = append(jobs, job{every: s.cfg.RefreshPeriod, run: func(context.Context) bool {
+			jobs = append(jobs, job{name: "refresh " + dc, every: s.cfg.RefreshPeriod, run: func(context.Context) time.Duration {
 				// On failure the previous snapshot keeps serving, counted; the log
 				// line makes the staleness visible without watching /metrics.
 				if err := s.refreshShard(sh); err != nil {
 					slogger.Warn("refresh failed, serving previous snapshot", "dc", sh.dc, "err", err)
 				}
-				return true
+				return 0
 			}})
 		}
 	}
@@ -410,16 +415,19 @@ func (s *Service) roleJobs() []job {
 	// every quarter of the lease TTL clamped to [100ms, 10s], and always: with
 	// the default TTL disabled (negative LeaseTTL), clients can still arm
 	// per-lease deadlines via hold_seconds.
-	jobs = append(jobs, job{every: min(max(s.cfg.LeaseTTL/4, 100*time.Millisecond), 10*time.Second), run: func(context.Context) bool {
-		s.SweepLeases(time.Now())
-		return true
+	jobs = append(jobs, job{name: "sweep", every: min(max(s.cfg.LeaseTTL/4, 100*time.Millisecond), 10*time.Second), run: func(context.Context) time.Duration {
+		now := s.cfg.Clock.Now()
+		for _, dc := range s.order {
+			s.shards[dc].led.ExpireBefore(now)
+		}
+		return 0
 	}})
 	if s.cfg.RepairInterval > 0 {
-		jobs = append(jobs, job{every: s.cfg.RepairInterval, run: func(context.Context) bool {
+		jobs = append(jobs, job{name: "repair", every: s.cfg.RepairInterval, run: func(context.Context) time.Duration {
 			for _, dc := range s.order {
 				s.RepairBlocks(dc, repairBatch)
 			}
-			return true
+			return 0
 		}})
 	}
 	return jobs
@@ -469,20 +477,6 @@ func (s *Service) Promote() bool {
 	s.jobs.restart()
 	slogger.Info("promoted to primary", "node", s.cfg.NodeID)
 	return true
-}
-
-// SweepLeases reclaims every lease expired as of now, across all shards, and
-// returns how many leases and cores were reclaimed. The background sweeper
-// calls this every period; tests and operational tooling may call it
-// directly.
-func (s *Service) SweepLeases(now time.Time) (leases int, cores float64) {
-	var millis int64
-	for _, dc := range s.order {
-		n, m := s.shards[dc].led.ExpireBefore(now)
-		leases += n
-		millis += m
-	}
-	return leases, ledger.CoresOf(millis)
 }
 
 // Close ends the background jobs and waits for them to return, then persists
@@ -1196,7 +1190,7 @@ func (s *Service) selectReserve(sc *scratch, dc string, job core.JobRequest, ttl
 		if tr != nil {
 			reserveStart = time.Now()
 		}
-		lease, err := sh.led.ReserveInto(sc.grants, snap.Generation, reqs, ttl, time.Now(), meta)
+		lease, err := sh.led.ReserveInto(sc.grants, snap.Generation, reqs, ttl, s.cfg.Clock.Now(), meta)
 		sh.gate.RUnlock()
 		if tr != nil {
 			tr.Span("ledger_reserve", reserveStart)
@@ -1260,7 +1254,7 @@ func (s *Service) renew(sc *scratch, dc string, id uint64, ttl time.Duration) (l
 	if ttl < 0 {
 		ttl = 0 // ledger: no expiry
 	}
-	lease, err := sh.led.RenewInto(sc.grants, id, ttl, time.Now())
+	lease, err := sh.led.RenewInto(sc.grants, id, ttl, s.cfg.Clock.Now())
 	if err == nil {
 		sc.grants = lease.Grants
 	}
@@ -1276,15 +1270,6 @@ func (s *Service) Leases(dc string, offset, limit int) (page []ledger.Lease, tot
 	}
 	page, total = sh.led.List(offset, limit)
 	return page, total, true
-}
-
-// LedgerStats returns the allocation ledger's counters for a datacenter.
-func (s *Service) LedgerStats(dc string) (ledger.Stats, bool) {
-	sh, ok := s.shards[dc]
-	if !ok {
-		return ledger.Stats{}, false
-	}
-	return sh.led.Snapshot(), true
 }
 
 // LedgerOccupancy returns the ledger's generation and per-class occupancy

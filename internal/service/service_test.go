@@ -16,6 +16,7 @@ import (
 
 	"harvest/internal/core"
 	"harvest/internal/experiments"
+	"harvest/internal/ledger"
 	"harvest/internal/obs"
 	"harvest/internal/service"
 	"harvest/internal/tenant"
@@ -1007,4 +1008,10 @@ func TestHistogram(t *testing.T) {
 	if max := h.MaxMicros(); max != 20000 {
 		t.Errorf("merged max = %dµs, want 20000", max)
 	}
+}
+
+// ledgerStats is a datacenter's allocation ledger books, as /metrics reads them.
+func ledgerStats(svc *service.Service, dc string) (ledger.Stats, bool) {
+	st, ok := svc.Stats(dc)
+	return st.Ledger, ok
 }

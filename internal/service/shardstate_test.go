@@ -131,7 +131,7 @@ func TestFilesAndFramesInstallTheSameShard(t *testing.T) {
 			// Lease and block sets, both ledgers' books, the per-class table,
 			// conservation, and repair queue == pending slots.
 			checkFollowerEqualsPrimary(t, primary, installed)
-			if st, _ := installed.LedgerStats(replDC); st.ActiveLeases != 3 {
+			if st, _ := ledgerStats(installed, replDC); st.ActiveLeases != 3 {
 				t.Fatalf("installed %d leases, want 3", st.ActiveLeases)
 			}
 		})
@@ -238,7 +238,7 @@ func TestFileRefusedForWhatAFrameCannotCarry(t *testing.T) {
 			}
 			t.Cleanup(restored.Close)
 
-			leases, _ := restored.LedgerStats(replDC)
+			leases, _ := ledgerStats(restored, replDC)
 			blocks, _ := restored.BlockStats(replDC)
 			checkLedgerConservation(t, leases, "restored")
 			if blocks.ConservationErrorSlots != 0 {
